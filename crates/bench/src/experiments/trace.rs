@@ -19,13 +19,15 @@ use commsched_workload::{FaultTrace, JobLog, LogSpec, SystemModel};
 use serde_json::json;
 
 /// Every golden scenario name, in the order the suite checks them.
-pub const GOLDEN_SCENARIOS: [&str; 6] = [
+pub const GOLDEN_SCENARIOS: [&str; 8] = [
     "fifo-easy-greedy",
     "adaptive",
     "faulted-requeue",
     "switch-outage",
     "netsim-interference",
     "sa_tournament",
+    "conservative-backfill",
+    "deep-queue-easy",
 ];
 
 /// The 32-node golden machine: 4 leaf switches of 8 nodes.
@@ -50,11 +52,35 @@ fn golden_system() -> SystemModel {
 }
 
 fn golden_log(jobs: usize, seed: u64) -> JobLog {
-    LogSpec::new(golden_system(), jobs, seed)
+    log_on(golden_system(), jobs, seed)
+}
+
+/// The golden job mix submitted as a backlog (one arrival a second against
+/// ten-minute runtimes), so nearly the whole log is pending at once.
+fn backlog_log(jobs: usize, seed: u64) -> JobLog {
+    let system = SystemModel {
+        mean_interarrival: 1.0,
+        ..golden_system()
+    };
+    log_on(system, jobs, seed)
+}
+
+fn log_on(system: SystemModel, jobs: usize, seed: u64) -> JobLog {
+    LogSpec::new(system, jobs, seed)
         .comm_percent(90)
         .pattern(Pattern::Rhvd)
         .comm_fraction(0.5)
         .generate()
+}
+
+/// One observed run rendered the way the golden files store it.
+fn observed(engine: &Engine<'_>, log: &JobLog) -> (String, String) {
+    let mut cap = Capture::new();
+    let mut reg = Registry::new();
+    engine
+        .run_observed(log, &mut cap, &mut reg)
+        .expect("golden log fits the golden machine");
+    (cap.to_jsonl(), reg.snapshot().to_json_pretty())
 }
 
 /// Overlapping collectives on a 16-node tree: two jobs share leaf
@@ -129,12 +155,7 @@ pub fn run_golden(name: &str, jobs: usize, seed: u64) -> Option<(String, String)
             );
             let faults = FaultTrace::parse(&text).expect("golden fault trace parses");
             let engine = Engine::new(&tree, cfg).with_faults(faults);
-            let mut cap = Capture::new();
-            let mut reg = Registry::new();
-            engine
-                .run_observed(&log, &mut cap, &mut reg)
-                .expect("golden log fits the golden machine");
-            return Some((cap.to_jsonl(), reg.snapshot().to_json_pretty()));
+            return Some(observed(&engine, &log));
         }
         "sa_tournament" => {
             // Annealed placement over the table3-shaped golden workload:
@@ -146,13 +167,33 @@ pub fn run_golden(name: &str, jobs: usize, seed: u64) -> Option<(String, String)
             let mut cfg = EngineConfig::new(SelectorKind::Sa);
             cfg.backfill = BackfillPolicy::Easy;
             cfg = cfg.with_sa(SaBudget::with_evals(64), seed);
-            let engine = Engine::new(&tree, cfg);
-            let mut cap = Capture::new();
-            let mut reg = Registry::new();
-            engine
-                .run_observed(&log, &mut cap, &mut reg)
-                .expect("golden log fits the golden machine");
-            return Some((cap.to_jsonl(), reg.snapshot().to_json_pretty()));
+            return Some(observed(&Engine::new(&tree, cfg), &log));
+        }
+        "conservative-backfill" => {
+            // A backlog three times the golden log under conservative
+            // backfilling: every pass lays dozens of reservations into the
+            // availability profile, so `earliest_fit` sweeps many
+            // breakpoints per job.
+            let tree = golden_tree();
+            let log = backlog_log(jobs * 3, seed);
+            let cfg = EngineConfig::new(SelectorKind::Greedy).conservative_backfill();
+            return Some(observed(&Engine::new(&tree, cfg), &log));
+        }
+        "deep-queue-easy" => {
+            // Eleven times the golden log (264 jobs at the pinned scale)
+            // arriving a second apart: more than 200 jobs of mixed widths
+            // are pending at once, so the EASY scan skips long runs of
+            // entries that do not fit. One node dies under a running job
+            // while the queue is deep; `RequeueFront` puts the victim back
+            // at the head.
+            let tree = golden_tree();
+            let log = backlog_log(jobs * 11, seed);
+            let cfg = EngineConfig::new(SelectorKind::Balanced)
+                .with_failure_policy(FailurePolicy::RequeueFront);
+            let faults = FaultTrace::parse("400 node:5 fail\n4000 node:5 recover\n")
+                .expect("golden fault trace parses");
+            let engine = Engine::new(&tree, cfg).with_faults(faults);
+            return Some(observed(&engine, &log));
         }
         "netsim-interference" => {
             let tree = Tree::regular_two_level(2, 8);
@@ -218,12 +259,7 @@ pub fn run_golden(name: &str, jobs: usize, seed: u64) -> Option<(String, String)
             .expect("golden MTBF parameters are valid");
         engine = engine.with_faults(faults);
     }
-    let mut cap = Capture::new();
-    let mut reg = Registry::new();
-    engine
-        .run_observed(&log, &mut cap, &mut reg)
-        .expect("golden log fits the golden machine");
-    Some((cap.to_jsonl(), reg.snapshot().to_json_pretty()))
+    Some(observed(&engine, &log))
 }
 
 /// Run every golden scenario and summarize what the traces contain.

@@ -1,5 +1,6 @@
 //! The discrete-event scheduling core: queue, backfill, Eq. 7 feedback.
 
+use crate::queue::PendingQueue;
 use commsched_collectives::CollectiveSpec;
 use commsched_core::{
     AdaptiveSelector, AllocRequest, ClusterState, CostModel, DefaultTreeSelector, JobId, JobNature,
@@ -17,8 +18,9 @@ use commsched_workload::fault::{FaultDomain, FaultKind, FaultTrace};
 use commsched_workload::{Job, JobLog};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
+use std::ops::Bound;
 use std::sync::{Arc, Mutex};
 
 /// Engine configuration.
@@ -785,14 +787,15 @@ impl<'t> Engine<'t> {
         }
 
         // The Eq. 7 denominator: what the default selector would have done
-        // from this same state.
+        // from this same state. Under the default selector that is the
+        // chosen allocation itself (`None`).
         let default_nodes = if self.cfg.selector == SelectorKind::Default {
-            nodes.clone()
+            None
         } else {
             // The default selector succeeds whenever another selector
             // does; if that invariant ever broke, declining the placement
             // (None) is strictly safer than crashing the run.
-            DefaultTreeSelector.select(self.tree, state, &req).ok()?
+            Some(DefaultTreeSelector.select(self.tree, state, &req).ok()?)
         };
 
         // Evaluate Eq. 6 under both models for every collective component
@@ -866,8 +869,10 @@ impl<'t> Engine<'t> {
         // panicked mid-evaluation; propagating is the only sound response.
         let mut ev = self.eval.lock().expect("evaluator mutex poisoned");
         let actual = eval_all(&mut ev, &nodes);
-        let default = eval_all(&mut ev, &default_nodes);
+        let default = default_nodes.map(|d| eval_all(&mut ev, &d));
         drop(ev);
+        // Same allocation, same evaluation: reuse it instead of repeating it.
+        let default = default.as_ref().unwrap_or(&actual);
 
         let mut cost_actual = 0.0;
         let mut cost_default = 0.0;
@@ -1018,8 +1023,8 @@ impl<'t> Engine<'t> {
             events.push(Reverse((e.t, EventKind::Fault(u32_of_usize(k)))));
         }
 
-        // FIFO queue of log indices; pending[0] is the queue head.
-        let mut pending: Vec<usize> = Vec::new();
+        // FIFO queue of log indices, indexed by the width of each request.
+        let mut pending = PendingQueue::default();
         // Running jobs: (expected_end_by_walltime, log idx, attempt).
         let mut running: Vec<(u64, usize, u32)> = Vec::new();
         let mut outcomes: Vec<JobOutcome> = Vec::new();
@@ -1103,7 +1108,7 @@ impl<'t> Engine<'t> {
                             obs.tr.emit(us(now), TK::JobReject { job: job.id.0 });
                             obs.reg.inc(obs.c_rejected, 1);
                         } else {
-                            pending.push(i);
+                            pending.push_back(i, job.nodes);
                             obs.tr.emit(
                                 us(now),
                                 TK::JobEligible {
@@ -1139,7 +1144,7 @@ impl<'t> Engine<'t> {
         // is): record them as rejected instead of looping or losing them.
         // Unreachable without faults — validate() guarantees every job fits
         // the full machine, so a failure-free queue always drains.
-        for &i in &pending {
+        for (_, i) in pending.iter() {
             outcomes.push(Self::rejected_outcome(&log.jobs[i], retries[i], lost[i]));
             obs.tr.emit(
                 us(makespan),
@@ -1149,7 +1154,6 @@ impl<'t> Engine<'t> {
             );
             obs.reg.inc(obs.c_rejected, 1);
         }
-        pending.clear();
         debug_assert!(running.is_empty(), "jobs left running");
         debug_assert_eq!(outcomes.len(), log.jobs.len());
         let makespan = outcomes.iter().map(|o| o.end).max().unwrap_or(makespan);
@@ -1190,7 +1194,7 @@ impl<'t> Engine<'t> {
         now: u64,
         log: &JobLog,
         state: &mut ClusterState,
-        pending: &mut Vec<usize>,
+        pending: &mut PendingQueue,
         running: &mut Vec<(u64, usize, u32)>,
         events: &mut BinaryHeap<Reverse<(u64, EventKind)>>,
         outcomes: &mut Vec<JobOutcome>,
@@ -1369,7 +1373,7 @@ impl<'t> Engine<'t> {
         now: u64,
         log: &JobLog,
         state: &mut ClusterState,
-        pending: &mut Vec<usize>,
+        pending: &mut PendingQueue,
         running: &mut Vec<(u64, usize, u32)>,
         events: &mut BinaryHeap<Reverse<(u64, EventKind)>>,
         outcomes: &mut Vec<JobOutcome>,
@@ -1440,7 +1444,7 @@ impl<'t> Engine<'t> {
                 obs.reg.inc(obs.c_requeued, 1);
                 retries[i] += 1;
                 outcomes.remove(opos);
-                pending.insert(0, i);
+                pending.push_front(i, log.jobs[i].nodes);
                 obs.tr.emit(
                     us(now),
                     TK::JobEligible {
@@ -1509,7 +1513,7 @@ impl<'t> Engine<'t> {
         log: &JobLog,
         selector: &dyn NodeSelector,
         state: &mut ClusterState,
-        pending: &mut Vec<usize>,
+        pending: &mut PendingQueue,
         running: &mut Vec<(u64, usize, u32)>,
         events: &mut BinaryHeap<Reverse<(u64, EventKind)>>,
         outcomes: &mut Vec<JobOutcome>,
@@ -1540,8 +1544,9 @@ impl<'t> Engine<'t> {
                         job.id
                     ))
                 })?;
-            let end = now + placed.adjusted;
-            running.push((now + job.walltime.max(placed.adjusted), i, retries[i]));
+            let end = now.saturating_add(placed.adjusted);
+            let wall_end = now.saturating_add(job.walltime.max(placed.adjusted));
+            running.push((wall_end, i, retries[i]));
             events.push(Reverse((end, EventKind::Finish(job.id, retries[i]))));
             outcomes.push(JobOutcome {
                 id: job.id,
@@ -1563,11 +1568,11 @@ impl<'t> Engine<'t> {
         };
 
         // Start head-of-queue jobs while they fit.
-        while let Some(&head) = pending.first() {
+        while let Some((slot, head)) = pending.first() {
             if log.jobs[head].nodes <= state.free_total()
                 && start_job(head, state, running, events, outcomes)?
             {
-                pending.remove(0);
+                pending.remove(slot);
                 self.emit_sa(now, obs);
                 if let Some(o) = outcomes.last() {
                     obs.note_start(now, o, retries[head], false);
@@ -1577,7 +1582,10 @@ impl<'t> Engine<'t> {
             }
         }
 
-        if pending.is_empty() || self.cfg.backfill == BackfillPolicy::None {
+        let Some((head_slot, head)) = pending.first() else {
+            return Ok(());
+        };
+        if self.cfg.backfill == BackfillPolicy::None {
             return Ok(());
         }
         if self.cfg.backfill == BackfillPolicy::Conservative {
@@ -1589,7 +1597,6 @@ impl<'t> Engine<'t> {
         // EASY reservation for the head: find the shadow time when enough
         // nodes will be free (by requested walltimes), and the extra nodes
         // beyond the head's need at that moment.
-        let head = pending[0];
         let need = log.jobs[head].nodes;
         let mut ends: Vec<(u64, usize)> = running
             .iter()
@@ -1607,21 +1614,20 @@ impl<'t> Engine<'t> {
         }
         let extra = avail.saturating_sub(need);
 
-        // Backfill later jobs that cannot delay the head's reservation.
-        let mut k = 1;
-        while k < pending.len() {
-            let i = pending[k];
+        // Backfill later jobs that cannot delay the head's reservation,
+        // visiting only those that fit the nodes free right now — which
+        // shrink as this loop starts jobs, so each lookup asks afresh.
+        let mut from = head_slot + 1;
+        while let Some((slot, i)) = pending.next_fit(from, state.free_total()) {
+            from = slot + 1;
             let job = &log.jobs[i];
-            let fits_now = job.nodes <= state.free_total();
             let harmless = now.saturating_add(job.walltime) <= shadow || job.nodes <= extra;
-            if fits_now && harmless && start_job(i, state, running, events, outcomes)? {
-                pending.remove(k);
+            if harmless && start_job(i, state, running, events, outcomes)? {
+                pending.remove(slot);
                 self.emit_sa(now, obs);
                 if let Some(o) = outcomes.last() {
                     obs.note_start(now, o, retries[i], true);
                 }
-            } else {
-                k += 1;
             }
         }
         Ok(())
@@ -1638,7 +1644,7 @@ impl<'t> Engine<'t> {
         now: u64,
         log: &JobLog,
         state: &mut ClusterState,
-        pending: &mut Vec<usize>,
+        pending: &mut PendingQueue,
         running: &mut Vec<(u64, usize, u32)>,
         events: &mut BinaryHeap<Reverse<(u64, EventKind)>>,
         outcomes: &mut Vec<JobOutcome>,
@@ -1655,8 +1661,6 @@ impl<'t> Engine<'t> {
             &mut Vec<JobOutcome>,
         ) -> Result<bool, EngineError>,
     {
-        use std::collections::BTreeMap;
-
         'restart: loop {
             // Availability deltas at future instants (all keys >= now).
             let mut deltas: BTreeMap<u64, i64> = BTreeMap::new();
@@ -1665,8 +1669,10 @@ impl<'t> Engine<'t> {
             }
             let base = i64_of_usize(state.free_total());
 
-            for k in 0..pending.len() {
-                let i = pending[k];
+            let head = pending.first();
+            let mut next = head;
+            while let Some((slot, i)) = next {
+                next = pending.after(slot);
                 let job = &log.jobs[i];
                 let need = i64_of_usize(job.nodes);
                 let dur = job.walltime.max(1);
@@ -1680,10 +1686,10 @@ impl<'t> Engine<'t> {
                     && need <= i64_of_usize(state.free_total())
                     && start_job(i, state, running, events, outcomes)?
                 {
-                    pending.remove(k);
+                    pending.remove(slot);
                     self.emit_sa(now, obs);
                     if let Some(o) = outcomes.last() {
-                        obs.note_start(now, o, retries[i], k > 0);
+                        obs.note_start(now, o, retries[i], Some((slot, i)) != head);
                     }
                     // The profile base changed; rebuild and rescan.
                     continue 'restart;
@@ -1704,30 +1710,33 @@ impl<'t> Engine<'t> {
 /// node not currently down, so on a healthy machine a fit always exists
 /// for validated jobs — but a mid-run node failure can leave `need` out
 /// of reach entirely, in which case there is no fit (`None`).
-fn earliest_fit(
-    deltas: &std::collections::BTreeMap<u64, i64>,
+///
+/// One forward sweep carrying the availability prefix. A breakpoint `p`
+/// short of `need` rules out every candidate at or before it, not just the
+/// current one: each of their windows contains `p`, whose availability does
+/// not depend on where the window starts.
+pub(crate) fn earliest_fit(
+    deltas: &BTreeMap<u64, i64>,
     base: i64,
     now: u64,
     dur: u64,
     need: i64,
 ) -> Option<u64> {
-    let candidates = std::iter::once(now).chain(deltas.range(now + 1..).map(|(k, _)| *k));
-    for s in candidates {
-        let mut avail: i64 = base + deltas.range(..=s).map(|(_, d)| *d).sum::<i64>();
-        if avail < need {
-            continue;
-        }
-        let mut ok = true;
-        for (_, d) in deltas.range(s + 1..s.saturating_add(dur)) {
-            avail += d;
-            if avail < need {
-                ok = false;
-                break;
+    let mut avail = base + deltas.range(..=now).map(|(_, d)| *d).sum::<i64>();
+    // The earliest start not yet ruled out, with the end of its window.
+    let mut fit = (avail >= need).then_some((now, now.saturating_add(dur)));
+    for (&p, d) in deltas.range((Bound::Excluded(now), Bound::Unbounded)) {
+        if let Some((s, end)) = fit {
+            if p >= end {
+                return Some(s);
             }
         }
-        if ok {
-            return Some(s);
+        avail += d;
+        if avail < need {
+            fit = None;
+        } else if fit.is_none() {
+            fit = Some((p, p.saturating_add(dur)));
         }
     }
-    None
+    fit.map(|(s, _)| s)
 }

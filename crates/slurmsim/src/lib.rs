@@ -37,6 +37,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 mod engine;
 pub mod individual;
+mod queue;
 mod scratch;
 
 pub use engine::{

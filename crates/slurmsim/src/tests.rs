@@ -1595,3 +1595,193 @@ mod observed {
         assert!(open.is_empty(), "all started attempts terminate");
     }
 }
+
+/// The two structures a scheduling pass leans on: the fit-indexed pending
+/// queue and the linear-sweep reservation search.
+mod passes {
+    use super::*;
+    use crate::engine::earliest_fit;
+    use crate::queue::PendingQueue;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::ops::Bound;
+
+    /// The reservation search as it was before the sweep: every candidate
+    /// start re-sums the prefix and re-scans its own window.
+    fn earliest_fit_naive(
+        deltas: &BTreeMap<u64, i64>,
+        base: i64,
+        now: u64,
+        dur: u64,
+        need: i64,
+    ) -> Option<u64> {
+        let after = |t: u64| deltas.range((Bound::Excluded(t), Bound::Unbounded));
+        let candidates = std::iter::once(now).chain(after(now).map(|(k, _)| *k));
+        for s in candidates {
+            let mut avail: i64 = base + deltas.range(..=s).map(|(_, d)| *d).sum::<i64>();
+            if avail < need {
+                continue;
+            }
+            let end = s.saturating_add(dur);
+            let mut ok = true;
+            for (_, d) in after(s).take_while(|(k, _)| **k < end) {
+                avail += d;
+                if avail < need {
+                    ok = false;
+                    break;
+                }
+            }
+            if ok {
+                return Some(s);
+            }
+        }
+        None
+    }
+
+    /// Check the queue against the plain `(job, nodes)` list it stands for:
+    /// same order from `iter`, same head, slots strictly increasing.
+    fn assert_matches(q: &PendingQueue, model: &[(usize, usize)]) -> Vec<usize> {
+        let entries: Vec<(usize, usize)> = q.iter().collect();
+        let jobs: Vec<usize> = entries.iter().map(|&(_, job)| job).collect();
+        let want: Vec<usize> = model.iter().map(|&(job, _)| job).collect();
+        assert_eq!(jobs, want);
+        assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(q.first(), entries.first().copied());
+        entries.into_iter().map(|(slot, _)| slot).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random push/remove/lookup sequences, long enough to grow the
+        /// tree several times and to repack after heavy removal.
+        #[test]
+        fn pending_queue_matches_vec_model(
+            ops in prop::collection::vec((0u8..10, any::<usize>(), 0usize..18), 1..400)
+        ) {
+            let mut q = PendingQueue::default();
+            let mut model: Vec<(usize, usize)> = Vec::new();
+            let mut next_job = 0usize;
+            for (op, a, free) in ops {
+                match op {
+                    0..=3 => {
+                        q.push_back(next_job, 1 + a % 16);
+                        model.push((next_job, 1 + a % 16));
+                        next_job += 1;
+                    }
+                    4 => {
+                        q.push_front(next_job, 1 + a % 16);
+                        model.insert(0, (next_job, 1 + a % 16));
+                        next_job += 1;
+                    }
+                    5..=7 if !model.is_empty() => {
+                        // Mostly the head (as a draining queue does), so
+                        // dead slots pile up in front of the tail.
+                        let k = if op == 7 { a % model.len() } else { 0 };
+                        let slots = assert_matches(&q, &model);
+                        q.remove(slots[k]);
+                        model.remove(k);
+                    }
+                    _ => {
+                        let slots = assert_matches(&q, &model);
+                        // Live slots, dead slots and slots past the tail.
+                        let from = a % (slots.last().map_or(0, |s| s + 1) + 3);
+                        let want = slots
+                            .iter()
+                            .zip(&model)
+                            .find(|&(&slot, &(_, nodes))| slot >= from && nodes <= free)
+                            .map(|(&slot, &(job, _))| (slot, job));
+                        prop_assert_eq!(q.next_fit(from, free), want);
+                    }
+                }
+                assert_matches(&q, &model);
+            }
+        }
+
+        /// The sweep returns what the per-candidate search returned, on
+        /// profiles with adjacent breakpoints, breakpoints before `now` and
+        /// at `u64::MAX`, needs no future meets, and saturating windows.
+        #[test]
+        fn earliest_fit_matches_naive(
+            points in prop::collection::vec((0u64..48, any::<bool>(), -8i64..9), 0..24),
+            base in 0i64..16,
+            now in 0u64..24,
+            dur in 1u64..40,
+            long in 0u8..4,
+            need in 1i64..24,
+        ) {
+            let mut deltas: BTreeMap<u64, i64> = BTreeMap::new();
+            for (t, far, d) in points {
+                *deltas.entry(if far { u64::MAX - t } else { t }).or_insert(0) += d;
+            }
+            let dur = match long {
+                0 => u64::MAX,
+                1 => u64::MAX - dur,
+                _ => dur,
+            };
+            prop_assert_eq!(
+                earliest_fit(&deltas, base, now, dur, need),
+                earliest_fit_naive(&deltas, base, now, dur, need)
+            );
+        }
+    }
+
+    /// A queue that stays short while thousands of jobs pass through it
+    /// keeps reusing the same few slots: memory follows the peak length.
+    #[test]
+    fn pending_queue_repacks_instead_of_growing() {
+        let mut q = PendingQueue::default();
+        for job in 0..100 {
+            q.push_back(job, 1 + job % 7);
+        }
+        for job in 100..20_000 {
+            let (slot, head) = q.first().unwrap();
+            assert_eq!(head, job - 100);
+            q.remove(slot);
+            q.push_back(job, 1 + job % 7);
+            assert!(q.iter().all(|(slot, _)| slot < 512));
+        }
+        assert_eq!(q.iter().count(), 100);
+        assert_eq!(q.next_fit(0, 0), None);
+    }
+
+    /// Start time plus an unlimited walltime, or plus a runtime that never
+    /// ends, saturates instead of overflowing (a panic under overflow
+    /// checks, a finish event in the past without them).
+    #[test]
+    fn virtual_time_sums_saturate() {
+        use crate::FailurePolicy;
+        use commsched_workload::FaultTrace;
+
+        let tree = small_tree();
+        let unlimited = Job {
+            walltime: u64::MAX,
+            ..job(1, 5, 20, 2)
+        };
+        // Runs "forever" until every node fails under it at t = 50.
+        let endless = job(2, 10, u64::MAX - 5, 2);
+        let queued = job(3, 12, 30, 4);
+        let log = JobLog::new("saturating", vec![unlimited, endless, queued]);
+        let faults = FaultTrace::parse(
+            "50 0 fail\n50 1 fail\n50 2 fail\n50 3 fail\n\
+             60 0 recover\n60 1 recover\n60 2 recover\n60 3 recover\n",
+        )
+        .unwrap();
+        for cfg in [
+            EngineConfig::new(SelectorKind::Default),
+            EngineConfig::new(SelectorKind::Default).conservative_backfill(),
+        ] {
+            let s = Engine::new(&tree, cfg.with_failure_policy(FailurePolicy::Cancel))
+                .with_faults(faults.clone())
+                .run(&log)
+                .unwrap();
+            let ends: Vec<(u64, u64)> = [1, 2, 3]
+                .map(|id| s.outcome(JobId(id)).unwrap())
+                .iter()
+                .map(|o| (o.start, o.end))
+                .collect();
+            assert_eq!(ends, [(5, 25), (10, 50), (60, 90)]);
+            assert_eq!(s.makespan, 90);
+        }
+    }
+}

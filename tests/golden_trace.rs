@@ -1,7 +1,8 @@
 //! Golden-trace conformance suite.
 //!
 //! Every scenario in `commsched_bench::experiments::GOLDEN_SCENARIOS` is
-//! run at a pinned scale (jobs=24, seed=7) and its full-class JSONL trace
+//! run at a pinned scale (jobs=24, seed=7; the two backlog scenarios
+//! multiply the job count) and its full-class JSONL trace
 //! and pretty `RunReport` JSON are compared **byte for byte** against the
 //! checked-in files under `tests/golden/`. Traces derive only from virtual
 //! time and seeded state, so any diff here is a real behavior change — in
@@ -131,4 +132,29 @@ fn golden_files_are_well_formed() {
             "{name}: report version"
         );
     }
+}
+
+/// The two scheduling-pass scenarios must keep exercising what they were
+/// added for: a queue deeper than 200 scanned by EASY with a front requeue
+/// on the path, and a conservative pass that actually backfills.
+#[test]
+fn backlog_scenarios_stay_deep() {
+    let count = |trace: &str, needle: &str| trace.lines().filter(|l| l.contains(needle)).count();
+
+    let (trace, _) = run_golden("deep-queue-easy", JOBS, SEED).expect("known scenario");
+    let (mut pending, mut peak) = (0usize, 0usize);
+    for line in trace.lines() {
+        if line.contains("\"ev\":\"eligible\"") {
+            pending += 1;
+            peak = peak.max(pending);
+        } else if line.contains("\"ev\":\"start\"") {
+            pending -= 1;
+        }
+    }
+    assert!(peak >= 200, "deep-queue-easy peaked at {peak} pending jobs");
+    assert_eq!(count(&trace, "\"ev\":\"requeue\""), 1);
+    assert!(count(&trace, "\"backfilled\":true") >= 20);
+
+    let (trace, _) = run_golden("conservative-backfill", JOBS, SEED).expect("known scenario");
+    assert!(count(&trace, "\"backfilled\":true") >= 5);
 }
