@@ -341,19 +341,6 @@ impl JobOutcome {
     }
 }
 
-/// One event of a run's reconstructed schedule trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceEvent {
-    /// Virtual second the event occurred.
-    pub t: u64,
-    /// `true` for a job start, `false` for a finish.
-    pub start: bool,
-    /// The job.
-    pub job: JobId,
-    /// Nodes held.
-    pub nodes: usize,
-}
-
 /// Results of a whole run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunSummary {
@@ -485,47 +472,6 @@ impl RunSummary {
             .map(|(_, u)| u)
             .fold(0.0, f64::max)
     }
-
-    /// The run's schedule as a chronological event trace (starts before
-    /// finishes at the same instant, then by job id — a total order, so
-    /// traces diff cleanly between runs).
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let mut ev = Vec::with_capacity(self.outcomes.len() * 2);
-        for o in &self.outcomes {
-            ev.push(TraceEvent {
-                t: o.start,
-                start: true,
-                job: o.id,
-                nodes: o.nodes,
-            });
-            ev.push(TraceEvent {
-                t: o.end,
-                start: false,
-                job: o.id,
-                nodes: o.nodes,
-            });
-        }
-        ev.sort_by_key(|e| (e.t, !e.start, e.job));
-        ev
-    }
-
-    /// The event trace as JSON lines (one event per line), for external
-    /// plotting/diffing tools.
-    pub fn to_json_lines(&self) -> String {
-        self.events()
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"t\":{},\"event\":\"{}\",\"job\":{},\"nodes\":{}}}",
-                    e.t,
-                    if e.start { "start" } else { "finish" },
-                    e.job.0,
-                    e.nodes
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -564,11 +510,11 @@ fn us(t: u64) -> u64 {
     t.saturating_mul(1_000_000)
 }
 
-/// The observation bundle threaded through a run: the event tracer plus
-/// the registry counters the engine bumps as it goes. With the default
-/// [`NullRecorder`] every emit site reduces to one masked-bit test and
-/// every counter bump to a `Vec` index — cheap enough to leave in the
-/// hot path unconditionally.
+/// The observation bundle a run owns: the event tracer plus the registry
+/// counters the engine bumps as it goes. With the default [`NullRecorder`]
+/// every emit site reduces to one masked-bit test and every counter bump
+/// to a `Vec` index — cheap enough to leave in the hot path
+/// unconditionally.
 struct Obs<'a, 'r> {
     tr: Tracer<'r>,
     reg: &'a mut Registry,
@@ -608,34 +554,6 @@ impl<'a, 'r> Obs<'a, 'r> {
             c_requeued,
             c_faults,
             c_passes,
-        }
-    }
-
-    /// Emit the place/start pair for the outcome a successful
-    /// `start_job` just pushed.
-    fn note_start(&mut self, now: u64, o: &JobOutcome, attempt: u32, backfilled: bool) {
-        self.tr.emit(
-            us(now),
-            TK::JobPlace {
-                job: o.id.0,
-                attempt,
-                nodes: u64_of_usize(o.nodes),
-                cost_actual: o.cost_actual,
-                cost_default: o.cost_default,
-            },
-        );
-        self.tr.emit(
-            us(now),
-            TK::JobStart {
-                job: o.id.0,
-                attempt,
-                nodes: u64_of_usize(o.nodes),
-                backfilled,
-            },
-        );
-        self.reg.inc(self.c_started, 1);
-        if backfilled {
-            self.reg.inc(self.c_backfilled, 1);
         }
     }
 }
@@ -713,12 +631,6 @@ impl<'t> Engine<'t> {
         self
     }
 
-    /// Place one job in `state` (without recording it) and work out its
-    /// Eq. 7 numbers. Returns `(nodes, cost_actual, cost_default,
-    /// adjusted_runtime)`.
-    ///
-    /// Shared by the continuous engine and the individual-runs driver so
-    /// both apply identical semantics.
     /// Slowest capacity factor over the links an allocation's in-tree
     /// routes traverse: node up/down links plus every switch up/down pair
     /// between each node's leaf and the allocation's LCA. `links` is the
@@ -749,6 +661,12 @@ impl<'t> Engine<'t> {
         factor
     }
 
+    /// Place one job in `state` (without recording it) and work out its
+    /// Eq. 6 costs and Eq. 7 runtime as a [`Placed`]; `None` if the
+    /// selector finds no placement.
+    ///
+    /// Shared by the continuous engine and the individual-runs driver so
+    /// both apply identical semantics.
     pub(crate) fn place(
         &self,
         state: &ClusterState,
@@ -910,6 +828,11 @@ impl<'t> Engine<'t> {
         })
     }
 
+    /// Nodes in service when a run starts: the machine less the drain list.
+    fn capacity(&self) -> usize {
+        self.tree.num_nodes() - self.drained.len()
+    }
+
     /// Validate the log, drain list and fault trace against the machine.
     fn validate(&self, log: &JobLog) -> Result<(), EngineError> {
         let machine = self.tree.num_nodes();
@@ -933,7 +856,7 @@ impl<'t> Engine<'t> {
         if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
             return Err(EngineError::DuplicateJob(w[0]));
         }
-        let capacity = machine - self.drained.len();
+        let capacity = self.capacity();
         for j in &log.jobs {
             if j.nodes == 0 {
                 return Err(EngineError::ZeroNodeJob(j.id));
@@ -947,26 +870,6 @@ impl<'t> Engine<'t> {
             }
         }
         Ok(())
-    }
-
-    /// The outcome recorded for a job that never ran.
-    fn rejected_outcome(job: &Job, retries: u32, lost: u64) -> JobOutcome {
-        JobOutcome {
-            id: job.id,
-            submit: job.submit,
-            start: job.submit,
-            end: job.submit,
-            nodes: job.nodes,
-            nature: job.nature,
-            cost_actual: 0.0,
-            cost_default: 0.0,
-            runtime_original: job.runtime,
-            runtime_adjusted: 0,
-            comm_ratio: 1.0,
-            status: JobStatus::Rejected,
-            retries,
-            lost_node_seconds: lost,
-        }
     }
 
     /// Continuous run: replay the whole log (§5.4), interleaving any
@@ -1004,10 +907,8 @@ impl<'t> Engine<'t> {
         recorder: &mut dyn Recorder,
         registry: &mut Registry,
     ) -> Result<RunSummary, EngineError> {
-        let mut obs = Obs::new(registry, Tracer::new(recorder));
+        let obs = Obs::new(registry, Tracer::new(recorder));
         self.validate(log)?;
-        let capacity = self.tree.num_nodes() - self.drained.len();
-        let selector = self.build_selector();
         for &n in &self.drained {
             // A freshly-built state has every node up and free, so a
             // whole-run drain goes straight to Down.
@@ -1015,347 +916,283 @@ impl<'t> Engine<'t> {
                 .set_down(self.tree, n)
                 .map_err(|e| EngineError::StateInconsistency(format!("draining {n:?}: {e}")))?;
         }
-        let mut events: BinaryHeap<Reverse<(u64, EventKind)>> = BinaryHeap::new();
+        let mut events = BinaryHeap::new();
         for (i, j) in log.jobs.iter().enumerate() {
             events.push(Reverse((j.submit, EventKind::Submit(i))));
         }
         for (k, e) in self.faults.events().iter().enumerate() {
             events.push(Reverse((e.t, EventKind::Fault(u32_of_usize(k)))));
         }
-
-        // FIFO queue of log indices, indexed by the width of each request.
-        let mut pending = PendingQueue::default();
-        // Running jobs: (expected_end_by_walltime, log idx, attempt).
-        let mut running: Vec<(u64, usize, u32)> = Vec::new();
-        let mut outcomes: Vec<JobOutcome> = Vec::new();
-        // Per-job requeue count and destroyed node-seconds, accumulated
-        // across attempts; the counts at start time double as the attempt
-        // number that pairs a Finish event with its running entry.
-        let mut retries: Vec<u32> = vec![0; log.jobs.len()];
-        let mut lost: Vec<u64> = vec![0; log.jobs.len()];
-        let mut makespan = 0u64;
-        // Per-directed-link capacity factors, alive only when the fault
-        // trace degrades links — failure-free runs never allocate or scan
-        // this, keeping their placement arithmetic untouched.
-        let mut link_factors: Vec<f64> = if self.faults.has_domain(FaultDomain::Link) {
-            vec![1.0; self.tree.num_directed_links()]
-        } else {
-            Vec::new()
+        let mut run = Run {
+            eng: self,
+            log,
+            selector: self.build_selector(),
+            state,
+            now: 0,
+            events,
+            pending: PendingQueue::default(),
+            running: Vec::new(),
+            outcomes: Vec::new(),
+            retries: vec![0; log.jobs.len()],
+            lost: vec![0; log.jobs.len()],
+            link_factors: if self.faults.has_domain(FaultDomain::Link) {
+                vec![1.0; self.tree.num_directed_links()]
+            } else {
+                Vec::new()
+            },
+            obs,
         };
-
-        while let Some(Reverse((now, _))) = events.peek().copied() {
+        while let Some(&Reverse((now, _))) = run.events.peek() {
+            run.now = now;
             // Drain all events at `now` (finishes first, then faults, then
             // submits, via enum ordering).
-            while let Some(Reverse((t, ev))) = events.peek().copied() {
+            while let Some(&Reverse((t, ev))) = run.events.peek() {
                 if t != now {
                     break;
                 }
-                events.pop();
+                run.events.pop();
                 match ev {
-                    EventKind::Finish(id, att) => {
-                        let live = running
-                            .iter()
-                            .any(|&(_, i, a)| log.jobs[i].id == id && a == att);
-                        if !live {
-                            // Stale finish of an attempt killed by a fault.
-                            continue;
-                        }
-                        state.release(self.tree, id).map_err(|e| {
-                            EngineError::StateInconsistency(format!("releasing {id}: {e}"))
-                        })?;
-                        running.retain(|&(_, i, a)| log.jobs[i].id != id || a != att);
-                        obs.tr.emit(
-                            us(now),
-                            TK::JobFinish {
-                                job: id.0,
-                                attempt: att,
-                                status: EndStatus::Completed,
-                            },
-                        );
-                        obs.reg.inc(obs.c_completed, 1);
-                    }
-                    EventKind::Fault(k) => self.apply_fault(
-                        usize_of_u32(k),
-                        now,
-                        log,
-                        &mut *state,
-                        &mut pending,
-                        &mut running,
-                        &mut events,
-                        &mut outcomes,
-                        &mut retries,
-                        &mut lost,
-                        &mut link_factors,
-                        &mut obs,
-                    )?,
-                    EventKind::Submit(i) => {
-                        let job = &log.jobs[i];
-                        if retries[i] == 0 {
-                            // First entry; requeue re-submissions skip this.
-                            obs.tr.emit(
-                                us(now),
-                                TK::JobSubmit {
-                                    job: job.id.0,
-                                    nodes: u64_of_usize(job.nodes),
-                                },
-                            );
-                            obs.reg.inc(obs.c_submitted, 1);
-                        }
-                        if job.nodes > capacity {
-                            // Only reachable under OversizedPolicy::Reject —
-                            // Abort already returned from validate().
-                            outcomes.push(Self::rejected_outcome(job, 0, 0));
-                            obs.tr.emit(us(now), TK::JobReject { job: job.id.0 });
-                            obs.reg.inc(obs.c_rejected, 1);
-                        } else {
-                            pending.push_back(i, job.nodes);
-                            obs.tr.emit(
-                                us(now),
-                                TK::JobEligible {
-                                    job: job.id.0,
-                                    attempt: retries[i],
-                                },
-                            );
-                        }
-                    }
+                    EventKind::Finish(id, att) => run.finish(id, att)?,
+                    EventKind::Fault(k) => run.apply_fault(usize_of_u32(k))?,
+                    EventKind::Submit(i) => run.submit(i),
                 }
             }
-
-            // Scheduling pass.
-            self.schedule_pass(
-                now,
-                log,
-                selector.as_ref(),
-                &mut *state,
-                &mut pending,
-                &mut running,
-                &mut events,
-                &mut outcomes,
-                &retries,
-                &lost,
-                &link_factors,
-                &mut obs,
-            )?;
-            makespan = makespan.max(now);
+            run.schedule_pass()?;
         }
+        Ok(run.summarize())
+    }
+}
 
-        // Jobs still queued when the event stream runs dry can never start
-        // (wider than the surviving capacity, or FIFO-stuck behind one that
-        // is): record them as rejected instead of looping or losing them.
-        // Unreachable without faults — validate() guarantees every job fits
-        // the full machine, so a failure-free queue always drains.
-        for (_, i) in pending.iter() {
-            outcomes.push(Self::rejected_outcome(&log.jobs[i], retries[i], lost[i]));
-            obs.tr.emit(
-                us(makespan),
-                TK::JobReject {
-                    job: log.jobs[i].id.0,
-                },
-            );
-            obs.reg.inc(obs.c_rejected, 1);
-        }
-        debug_assert!(running.is_empty(), "jobs left running");
-        debug_assert_eq!(outcomes.len(), log.jobs.len());
-        let makespan = outcomes.iter().map(|o| o.end).max().unwrap_or(makespan);
+/// Everything one continuous run mutates, owned in one place. The event
+/// handlers (`finish`, `apply_fault`, `submit`) move jobs between the
+/// queue, `running` and `outcomes`; `schedule_pass` and its two backfill
+/// strategies are the only callers of `start_job`.
+struct Run<'a, 'r> {
+    eng: &'a Engine<'a>,
+    log: &'a JobLog,
+    selector: Box<dyn NodeSelector>,
+    /// Leased from the per-thread scratch cache for the length of the run.
+    state: &'a mut ClusterState,
+    /// The instant being processed; once the heap is empty, the makespan
+    /// fallback for a run in which nothing ever started.
+    now: u64,
+    events: BinaryHeap<Reverse<(u64, EventKind)>>,
+    /// FIFO queue of log indices, indexed by the width of each request.
+    pending: PendingQueue,
+    /// Running jobs: (expected_end_by_walltime, log idx, attempt).
+    running: Vec<(u64, usize, u32)>,
+    /// Per-job records, in completion order (a requeue removes its record).
+    outcomes: Vec<JobOutcome>,
+    /// Per-job requeue count and destroyed node-seconds, accumulated
+    /// across attempts; the count at start time doubles as the attempt
+    /// number that pairs a Finish event with its running entry.
+    retries: Vec<u32>,
+    lost: Vec<u64>,
+    /// Per-directed-link capacity factors, alive only when the fault
+    /// trace degrades links — failure-free runs never allocate or scan
+    /// this, keeping their placement arithmetic untouched.
+    link_factors: Vec<f64>,
+    obs: Obs<'a, 'r>,
+}
 
-        // End-of-run distributions and totals, in outcome (completion)
-        // order — a pure function of the outcomes, so reports stay
-        // deterministic.
-        let h_wait = obs.reg.hist("job.wait_s");
-        let h_exec = obs.reg.hist("job.exec_s");
-        let mut lost_total = 0u64;
-        for o in &outcomes {
-            if o.status == JobStatus::Completed {
-                obs.reg.observe(h_wait, f64_of_u64(o.wait()));
-                obs.reg.observe(h_exec, f64_of_u64(o.exec()));
-            }
-            lost_total = lost_total.saturating_add(o.lost_node_seconds);
-        }
-        let g_makespan = obs.reg.gauge("makespan_s");
-        obs.reg.set(g_makespan, f64_of_u64(makespan));
-        let g_lost = obs.reg.gauge("lost_node_seconds");
-        obs.reg.set(g_lost, f64_of_u64(lost_total));
-
-        Ok(RunSummary {
-            selector: self.cfg.selector.name().to_string(),
-            outcomes,
-            makespan,
-        })
+impl Run<'_, '_> {
+    fn emit(&mut self, kind: TK) {
+        self.obs.tr.emit(us(self.now), kind);
     }
 
-    /// Apply one fault-trace event at `now`: kill the victim job (per the
-    /// configured [`FailurePolicy`]) and transition the node's lifecycle
+    /// A running attempt reached its end: free its nodes.
+    fn finish(&mut self, id: JobId, att: u32) -> Result<(), EngineError> {
+        let log = self.log;
+        let live = self
+            .running
+            .iter()
+            .position(|&(_, i, a)| log.jobs[i].id == id && a == att);
+        let Some(pos) = live else {
+            // Stale finish of an attempt killed by a fault.
+            return Ok(());
+        };
+        self.state
+            .release(self.eng.tree, id)
+            .map_err(|e| EngineError::StateInconsistency(format!("releasing {id}: {e}")))?;
+        self.running.remove(pos);
+        self.emit(TK::JobFinish {
+            job: id.0,
+            attempt: att,
+            status: EndStatus::Completed,
+        });
+        self.obs.reg.inc(self.obs.c_completed, 1);
+        Ok(())
+    }
+
+    /// Job `i` enters the queue, for the first time or after a requeue
+    /// backoff.
+    fn submit(&mut self, i: usize) {
+        let job = &self.log.jobs[i];
+        if self.retries[i] == 0 {
+            // First entry; requeue re-submissions skip this.
+            self.emit(TK::JobSubmit {
+                job: job.id.0,
+                nodes: u64_of_usize(job.nodes),
+            });
+            self.obs.reg.inc(self.obs.c_submitted, 1);
+        }
+        if job.nodes > self.eng.capacity() {
+            // Only reachable under OversizedPolicy::Reject — Abort already
+            // returned from validate().
+            self.reject(i);
+        } else {
+            self.pending.push_back(i, job.nodes);
+            self.emit(TK::JobEligible {
+                job: job.id.0,
+                attempt: self.retries[i],
+            });
+        }
+    }
+
+    /// Record job `i` as never (or no longer) able to run.
+    fn reject(&mut self, i: usize) {
+        let job = &self.log.jobs[i];
+        self.outcomes.push(JobOutcome {
+            id: job.id,
+            submit: job.submit,
+            start: job.submit,
+            end: job.submit,
+            nodes: job.nodes,
+            nature: job.nature,
+            cost_actual: 0.0,
+            cost_default: 0.0,
+            runtime_original: job.runtime,
+            runtime_adjusted: 0,
+            comm_ratio: 1.0,
+            status: JobStatus::Rejected,
+            retries: self.retries[i],
+            lost_node_seconds: self.lost[i],
+        });
+        self.emit(TK::JobReject { job: job.id.0 });
+        self.obs.reg.inc(self.obs.c_rejected, 1);
+    }
+
+    /// Apply fault-trace event `k`: kill the victim jobs (per the
+    /// configured [`FailurePolicy`]) and transition the target's lifecycle
     /// state. Lenient on redundant transitions (failing a down node,
     /// recovering an up node): explicit traces need not be minimal.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_fault(
-        &self,
-        k: usize,
-        now: u64,
-        log: &JobLog,
-        state: &mut ClusterState,
-        pending: &mut PendingQueue,
-        running: &mut Vec<(u64, usize, u32)>,
-        events: &mut BinaryHeap<Reverse<(u64, EventKind)>>,
-        outcomes: &mut Vec<JobOutcome>,
-        retries: &mut [u32],
-        lost: &mut [u64],
-        link_factors: &mut [f64],
-        obs: &mut Obs<'_, '_>,
-    ) -> Result<(), EngineError> {
+    fn apply_fault(&mut self, k: usize) -> Result<(), EngineError> {
         use commsched_core::NodeHealth;
 
-        let e = self.faults.events()[k];
-        obs.reg.inc(obs.c_faults, 1);
+        let tree = self.eng.tree;
+        let e = self.eng.faults.events()[k];
+        self.obs.reg.inc(self.obs.c_faults, 1);
         match e.kind {
-            FaultKind::Fail => {
+            FaultKind::Fail | FaultKind::Recover | FaultKind::Drain => {
                 let n = NodeId(e.node);
-                obs.tr.emit(
-                    us(now),
-                    TK::Fault {
-                        node: u64_of_usize(e.node),
-                        kind: FaultClass::Fail,
+                self.emit(TK::Fault {
+                    node: u64_of_usize(e.node),
+                    kind: match e.kind {
+                        FaultKind::Fail => FaultClass::Fail,
+                        FaultKind::Recover => FaultClass::Recover,
+                        _ => FaultClass::Drain,
                     },
-                );
-                if let Some(victim) = state.job_on(n) {
-                    self.kill_victim(
-                        victim, now, log, state, pending, running, events, outcomes, retries, lost,
-                        obs,
-                    )?;
-                }
-                // The kill freed the node — unless it was draining, in
-                // which case release already completed the drain to Down.
-                if state.health(n) != NodeHealth::Down {
-                    state.set_down(self.tree, n).map_err(|e| {
-                        EngineError::StateInconsistency(format!("failing node {n:?}: {e}"))
-                    })?;
+                });
+                match e.kind {
+                    FaultKind::Fail => {
+                        if let Some(victim) = self.state.job_on(n) {
+                            self.kill_victim(victim)?;
+                        }
+                        // The kill freed the node — unless it was draining,
+                        // in which case release already completed the drain
+                        // to Down.
+                        if self.state.health(n) != NodeHealth::Down {
+                            self.state.set_down(tree, n).map_err(|e| {
+                                EngineError::StateInconsistency(format!("failing node {n:?}: {e}"))
+                            })?;
+                        }
+                    }
+                    FaultKind::Recover => {
+                        if self.state.health(n) != NodeHealth::Up {
+                            self.state.set_up(tree, n).map_err(|e| {
+                                EngineError::StateInconsistency(format!(
+                                    "recovering node {n:?}: {e}"
+                                ))
+                            })?;
+                        }
+                    }
+                    _ => {
+                        if self.state.health(n) != NodeHealth::Down {
+                            self.state.set_draining(tree, n).map_err(|e| {
+                                EngineError::StateInconsistency(format!("draining node {n:?}: {e}"))
+                            })?;
+                        }
+                    }
                 }
             }
-            FaultKind::Recover => {
-                let n = NodeId(e.node);
-                obs.tr.emit(
-                    us(now),
-                    TK::Fault {
-                        node: u64_of_usize(e.node),
-                        kind: FaultClass::Recover,
-                    },
-                );
-                if state.health(n) != NodeHealth::Up {
-                    state.set_up(self.tree, n).map_err(|e| {
-                        EngineError::StateInconsistency(format!("recovering node {n:?}: {e}"))
-                    })?;
-                }
-            }
-            FaultKind::Drain => {
-                let n = NodeId(e.node);
-                obs.tr.emit(
-                    us(now),
-                    TK::Fault {
-                        node: u64_of_usize(e.node),
-                        kind: FaultClass::Drain,
-                    },
-                );
-                if state.health(n) != NodeHealth::Down {
-                    state.set_draining(self.tree, n).map_err(|e| {
-                        EngineError::StateInconsistency(format!("draining node {n:?}: {e}"))
-                    })?;
-                }
-            }
-            FaultKind::SwitchDown => {
+            FaultKind::SwitchDown | FaultKind::SwitchUp => {
                 let s = SwitchId(e.node);
-                let already = state.switch_is_down(s);
+                let down = e.kind == FaultKind::SwitchDown;
+                let was_down = self.state.switch_is_down(s);
                 // Victim set first (in JobId order, off the deterministic
                 // allocation map), so the blast radius is on the trace
                 // event before the individual kill records.
-                let victims: Vec<JobId> = if already {
-                    Vec::new()
-                } else {
+                let victims: Vec<JobId> = if down && !was_down {
                     let under: std::collections::BTreeSet<usize> =
-                        self.tree.leaf_ordinals_under(s).iter().copied().collect();
-                    state
+                        tree.leaf_ordinals_under(s).iter().copied().collect();
+                    self.state
                         .allocations()
                         .filter(|(_, a)| {
                             a.nodes
                                 .iter()
-                                .any(|&n| under.contains(&self.tree.leaf_ordinal_of(n)))
+                                .any(|&n| under.contains(&tree.leaf_ordinal_of(n)))
                         })
                         .map(|(j, _)| j)
                         .collect()
+                } else {
+                    Vec::new()
                 };
-                obs.tr.emit(
-                    us(now),
-                    TK::SwitchFault {
-                        switch: u64_of_usize(e.node),
-                        kind: FaultClass::Fail,
-                        victims: u64_of_usize(victims.len()),
-                        nodes: u64_of_usize(self.tree.subtree_nodes(s)),
+                self.emit(TK::SwitchFault {
+                    switch: u64_of_usize(e.node),
+                    kind: if down {
+                        FaultClass::Fail
+                    } else {
+                        FaultClass::Recover
                     },
-                );
+                    victims: u64_of_usize(victims.len()),
+                    nodes: u64_of_usize(tree.subtree_nodes(s)),
+                });
                 // Registered lazily: failure-free (and switch-free) runs
                 // keep their report byte layout.
-                let c = obs.reg.counter("faults.switch.applied");
-                obs.reg.inc(c, 1);
+                let c = self.obs.reg.counter("faults.switch.applied");
+                self.obs.reg.inc(c, 1);
                 if !victims.is_empty() {
-                    let c = obs.reg.counter("faults.switch.victims");
-                    obs.reg.inc(c, u64_of_usize(victims.len()));
+                    let c = self.obs.reg.counter("faults.switch.victims");
+                    self.obs.reg.inc(c, u64_of_usize(victims.len()));
                 }
                 for victim in victims {
-                    self.kill_victim(
-                        victim, now, log, state, pending, running, events, outcomes, retries, lost,
-                        obs,
-                    )?;
+                    self.kill_victim(victim)?;
                 }
-                if !already {
-                    state.set_switch_down(self.tree, s).map_err(|e| {
+                if down && !was_down {
+                    self.state.set_switch_down(tree, s).map_err(|e| {
                         EngineError::StateInconsistency(format!("failing switch {s:?}: {e}"))
                     })?;
-                }
-            }
-            FaultKind::SwitchUp => {
-                let s = SwitchId(e.node);
-                obs.tr.emit(
-                    us(now),
-                    TK::SwitchFault {
-                        switch: u64_of_usize(e.node),
-                        kind: FaultClass::Recover,
-                        victims: 0,
-                        nodes: u64_of_usize(self.tree.subtree_nodes(s)),
-                    },
-                );
-                let c = obs.reg.counter("faults.switch.applied");
-                obs.reg.inc(c, 1);
-                if state.switch_is_down(s) {
-                    state.set_switch_up(self.tree, s).map_err(|e| {
+                } else if !down && was_down {
+                    self.state.set_switch_up(tree, s).map_err(|e| {
                         EngineError::StateInconsistency(format!("recovering switch {s:?}: {e}"))
                     })?;
                 }
             }
-            FaultKind::LinkDegrade { permille } => {
-                obs.tr.emit(
-                    us(now),
-                    TK::LinkFault {
-                        link: u64_of_usize(e.node),
-                        capacity_permille: u64::from(permille),
-                    },
-                );
-                let c = obs.reg.counter("faults.link.applied");
-                obs.reg.inc(c, 1);
-                if let Some(f) = link_factors.get_mut(e.node) {
+            FaultKind::LinkDegrade { .. } | FaultKind::LinkRestore => {
+                // A restore is a degrade to nominal: 1000.0 / 1000.0 is
+                // exactly 1.0.
+                let permille = match e.kind {
+                    FaultKind::LinkDegrade { permille } => permille,
+                    _ => 1000,
+                };
+                self.emit(TK::LinkFault {
+                    link: u64_of_usize(e.node),
+                    capacity_permille: u64::from(permille),
+                });
+                let c = self.obs.reg.counter("faults.link.applied");
+                self.obs.reg.inc(c, 1);
+                if let Some(f) = self.link_factors.get_mut(e.node) {
                     *f = f64::from(permille) / 1000.0;
-                }
-            }
-            FaultKind::LinkRestore => {
-                obs.tr.emit(
-                    us(now),
-                    TK::LinkFault {
-                        link: u64_of_usize(e.node),
-                        capacity_permille: 1000,
-                    },
-                );
-                let c = obs.reg.counter("faults.link.applied");
-                obs.reg.inc(c, 1);
-                if let Some(f) = link_factors.get_mut(e.node) {
-                    *f = 1.0;
                 }
             }
         }
@@ -1366,34 +1203,23 @@ impl<'t> Engine<'t> {
     /// account the destroyed node-seconds, and cancel or requeue it per
     /// the configured [`FailurePolicy`]. Shared by node `Fail` and the
     /// subtree kills of `SwitchDown`.
-    #[allow(clippy::too_many_arguments)]
-    fn kill_victim(
-        &self,
-        victim: JobId,
-        now: u64,
-        log: &JobLog,
-        state: &mut ClusterState,
-        pending: &mut PendingQueue,
-        running: &mut Vec<(u64, usize, u32)>,
-        events: &mut BinaryHeap<Reverse<(u64, EventKind)>>,
-        outcomes: &mut Vec<JobOutcome>,
-        retries: &mut [u32],
-        lost: &mut [u64],
-        obs: &mut Obs<'_, '_>,
-    ) -> Result<(), EngineError> {
-        let pos = running
+    fn kill_victim(&mut self, victim: JobId) -> Result<(), EngineError> {
+        let (log, now) = (self.log, self.now);
+        let pos = self
+            .running
             .iter()
             .position(|&(_, i, _)| log.jobs[i].id == victim);
         debug_assert!(pos.is_some(), "allocated job must be running");
         let Some(pos) = pos else {
             return Ok(());
         };
-        let (_, i, _) = running[pos];
-        running.remove(pos);
-        let alloc = state.release(self.tree, victim).map_err(|e| {
+        // `remove`, not `swap_remove`: `running` stays in start order.
+        let (_, i, attempt) = self.running.remove(pos);
+        let alloc = self.state.release(self.eng.tree, victim).map_err(|e| {
             EngineError::StateInconsistency(format!("releasing fault victim {victim}: {e}"))
         })?;
-        let opos = outcomes
+        let opos = self
+            .outcomes
             .iter()
             .rposition(|o| o.id == victim)
             .ok_or_else(|| {
@@ -1401,72 +1227,52 @@ impl<'t> Engine<'t> {
                     "running job {victim} has no outcome record"
                 ))
             })?;
-        let started = outcomes[opos].start;
-        let wasted = (now - started) * u64_of_usize(alloc.nodes.len());
-        lost[i] = lost[i].saturating_add(wasted);
+        let started = self.outcomes[opos].start;
+        let wasted = (now - started).saturating_mul(u64_of_usize(alloc.nodes.len()));
+        self.lost[i] = self.lost[i].saturating_add(wasted);
         // None = cancel; Some(None) = requeue at the front;
         // Some(Some(backoff)) = requeue at the back.
-        let requeue = match self.cfg.failure_policy {
+        let requeue = match self.eng.cfg.failure_policy {
             FailurePolicy::Cancel => None,
             FailurePolicy::Requeue {
                 max_retries,
                 backoff,
-            } => (retries[i] < max_retries).then_some(Some(backoff)),
+            } => (attempt < max_retries).then_some(Some(backoff)),
             FailurePolicy::RequeueFront => Some(None),
         };
-        match requeue {
-            None => {
-                let o = &mut outcomes[opos];
-                o.end = now;
-                o.runtime_adjusted = now - started;
-                o.status = JobStatus::Cancelled;
-                o.retries = retries[i];
-                o.lost_node_seconds = lost[i];
-                obs.tr.emit(
-                    us(now),
-                    TK::JobFinish {
-                        job: victim.0,
-                        attempt: retries[i],
-                        status: EndStatus::Cancelled,
-                    },
-                );
-                obs.reg.inc(obs.c_cancelled, 1);
-            }
-            Some(None) => {
-                obs.tr.emit(
-                    us(now),
-                    TK::JobRequeue {
-                        job: victim.0,
-                        attempt: retries[i],
-                        resubmit_us: us(now),
-                    },
-                );
-                obs.reg.inc(obs.c_requeued, 1);
-                retries[i] += 1;
-                outcomes.remove(opos);
-                pending.push_front(i, log.jobs[i].nodes);
-                obs.tr.emit(
-                    us(now),
-                    TK::JobEligible {
-                        job: victim.0,
-                        attempt: retries[i],
-                    },
-                );
-            }
-            Some(Some(backoff)) => {
-                obs.tr.emit(
-                    us(now),
-                    TK::JobRequeue {
-                        job: victim.0,
-                        attempt: retries[i],
-                        resubmit_us: us(now.saturating_add(backoff)),
-                    },
-                );
-                obs.reg.inc(obs.c_requeued, 1);
-                retries[i] += 1;
-                outcomes.remove(opos);
-                events.push(Reverse((now.saturating_add(backoff), EventKind::Submit(i))));
-            }
+        let Some(backoff) = requeue else {
+            let o = &mut self.outcomes[opos];
+            o.end = now;
+            o.runtime_adjusted = now - started;
+            o.status = JobStatus::Cancelled;
+            o.retries = attempt;
+            o.lost_node_seconds = self.lost[i];
+            self.emit(TK::JobFinish {
+                job: victim.0,
+                attempt,
+                status: EndStatus::Cancelled,
+            });
+            self.obs.reg.inc(self.obs.c_cancelled, 1);
+            return Ok(());
+        };
+        let resubmit = now.saturating_add(backoff.unwrap_or(0));
+        self.emit(TK::JobRequeue {
+            job: victim.0,
+            attempt,
+            resubmit_us: us(resubmit),
+        });
+        self.obs.reg.inc(self.obs.c_requeued, 1);
+        self.retries[i] += 1;
+        // The attempt's record goes; the rest keep their completion order.
+        self.outcomes.remove(opos);
+        if backoff.is_some() {
+            self.events.push(Reverse((resubmit, EventKind::Submit(i))));
+        } else {
+            self.pending.push_front(i, log.jobs[i].nodes);
+            self.emit(TK::JobEligible {
+                job: victim.0,
+                attempt: self.retries[i],
+            });
         }
         Ok(())
     }
@@ -1475,135 +1281,139 @@ impl<'t> Engine<'t> {
     /// `sa_search` trace event and the lazy SA counters. A no-op — and
     /// byte-neutral for traces and reports — under every other selector,
     /// and for budget-0/compute placements where no search runs.
-    fn emit_sa(&self, now: u64, obs: &mut Obs<'_, '_>) {
-        let Some(st) = self.sa_stats.lock().ok().and_then(|mut s| s.take()) else {
+    fn emit_sa(&mut self) {
+        let Some(st) = self.eng.sa_stats.lock().ok().and_then(|mut s| s.take()) else {
             return;
         };
-        obs.tr.emit(
-            us(now),
-            TK::SaSearch {
-                job: st.job.0,
-                attempt: st.attempt,
-                budget: u64::from(st.budget),
-                evals: u64::from(st.evals),
-                accepted: u64::from(st.accepted),
-                rejected: u64::from(st.rejected),
-                cost_incumbent: st.cost_incumbent,
-                cost_final: st.cost_final,
-            },
-        );
+        self.emit(TK::SaSearch {
+            job: st.job.0,
+            attempt: st.attempt,
+            budget: u64::from(st.budget),
+            evals: u64::from(st.evals),
+            accepted: u64::from(st.accepted),
+            rejected: u64::from(st.rejected),
+            cost_incumbent: st.cost_incumbent,
+            cost_final: st.cost_final,
+        });
         // Registered lazily, like the fault counters: non-SA runs keep
         // their report byte layout.
-        let c = obs.reg.counter("sa.searches");
-        obs.reg.inc(c, 1);
-        let c = obs.reg.counter("sa.evals");
-        obs.reg.inc(c, u64::from(st.evals));
+        let c = self.obs.reg.counter("sa.searches");
+        self.obs.reg.inc(c, 1);
+        let c = self.obs.reg.counter("sa.evals");
+        self.obs.reg.inc(c, u64::from(st.evals));
         if st.cost_final < st.cost_incumbent {
-            let c = obs.reg.counter("sa.improved");
-            obs.reg.inc(c, 1);
+            let c = self.obs.reg.counter("sa.improved");
+            self.obs.reg.inc(c, 1);
         }
     }
 
-    /// One pass of the scheduler: start the head while it fits, then EASY
-    /// backfill behind its reservation.
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_pass(
-        &self,
-        now: u64,
-        log: &JobLog,
-        selector: &dyn NodeSelector,
-        state: &mut ClusterState,
-        pending: &mut PendingQueue,
-        running: &mut Vec<(u64, usize, u32)>,
-        events: &mut BinaryHeap<Reverse<(u64, EventKind)>>,
-        outcomes: &mut Vec<JobOutcome>,
-        retries: &[u32],
-        lost: &[u64],
-        links: &[f64],
-        obs: &mut Obs<'_, '_>,
-    ) -> Result<(), EngineError> {
-        obs.reg.inc(obs.c_passes, 1);
-        let start_job = |i: usize,
-                         state: &mut ClusterState,
-                         running: &mut Vec<(u64, usize, u32)>,
-                         events: &mut BinaryHeap<Reverse<(u64, EventKind)>>,
-                         outcomes: &mut Vec<JobOutcome>|
-         -> Result<bool, EngineError> {
-            let job = &log.jobs[i];
-            let Some(mut placed) = self.place(state, job, selector, links, retries[i]) else {
-                return Ok(false);
-            };
-            if self.cfg.enforce_walltime {
-                placed.adjusted = placed.adjusted.min(job.walltime);
-            }
-            state
-                .allocate(self.tree, job.id, &placed.nodes, job.nature)
-                .map_err(|e| {
-                    EngineError::StateInconsistency(format!(
-                        "allocating {} on selector-chosen nodes: {e}",
-                        job.id
-                    ))
-                })?;
-            let end = now.saturating_add(placed.adjusted);
-            let wall_end = now.saturating_add(job.walltime.max(placed.adjusted));
-            running.push((wall_end, i, retries[i]));
-            events.push(Reverse((end, EventKind::Finish(job.id, retries[i]))));
-            outcomes.push(JobOutcome {
-                id: job.id,
-                submit: job.submit,
-                start: now,
-                end,
-                nodes: job.nodes,
-                nature: job.nature,
-                cost_actual: placed.cost_actual,
-                cost_default: placed.cost_default,
-                runtime_original: job.runtime,
-                runtime_adjusted: placed.adjusted,
-                comm_ratio: placed.comm_ratio,
-                status: JobStatus::Completed,
-                retries: retries[i],
-                lost_node_seconds: lost[i],
-            });
-            Ok(true)
+    /// Emit the place/start pair for the attempt `start_job` just
+    /// recorded as `o`.
+    fn note_start(&mut self, o: &JobOutcome, backfilled: bool) {
+        self.emit(TK::JobPlace {
+            job: o.id.0,
+            attempt: o.retries,
+            nodes: u64_of_usize(o.nodes),
+            cost_actual: o.cost_actual,
+            cost_default: o.cost_default,
+        });
+        self.emit(TK::JobStart {
+            job: o.id.0,
+            attempt: o.retries,
+            nodes: u64_of_usize(o.nodes),
+            backfilled,
+        });
+        self.obs.reg.inc(self.obs.c_started, 1);
+        if backfilled {
+            self.obs.reg.inc(self.obs.c_backfilled, 1);
+        }
+    }
+
+    /// Try to start the job in queue slot `slot` now: place, allocate,
+    /// record, dequeue, trace. `Ok(false)` if the selector finds no
+    /// placement, in which case nothing changed.
+    fn start_job(&mut self, slot: usize, i: usize, backfilled: bool) -> Result<bool, EngineError> {
+        let (eng, now, attempt) = (self.eng, self.now, self.retries[i]);
+        let job = &self.log.jobs[i];
+        let Some(mut placed) = eng.place(
+            self.state,
+            job,
+            self.selector.as_ref(),
+            &self.link_factors,
+            attempt,
+        ) else {
+            return Ok(false);
         };
+        if eng.cfg.enforce_walltime {
+            placed.adjusted = placed.adjusted.min(job.walltime);
+        }
+        self.state
+            .allocate(eng.tree, job.id, &placed.nodes, job.nature)
+            .map_err(|e| {
+                EngineError::StateInconsistency(format!(
+                    "allocating {} on selector-chosen nodes: {e}",
+                    job.id
+                ))
+            })?;
+        let end = now.saturating_add(placed.adjusted);
+        let wall_end = now.saturating_add(job.walltime.max(placed.adjusted));
+        self.running.push((wall_end, i, attempt));
+        self.events
+            .push(Reverse((end, EventKind::Finish(job.id, attempt))));
+        let o = JobOutcome {
+            id: job.id,
+            submit: job.submit,
+            start: now,
+            end,
+            nodes: job.nodes,
+            nature: job.nature,
+            cost_actual: placed.cost_actual,
+            cost_default: placed.cost_default,
+            runtime_original: job.runtime,
+            runtime_adjusted: placed.adjusted,
+            comm_ratio: placed.comm_ratio,
+            status: JobStatus::Completed,
+            retries: attempt,
+            lost_node_seconds: self.lost[i],
+        };
+        self.pending.remove(slot);
+        self.emit_sa();
+        self.note_start(&o, backfilled);
+        self.outcomes.push(o);
+        Ok(true)
+    }
 
-        // Start head-of-queue jobs while they fit.
-        while let Some((slot, head)) = pending.first() {
-            if log.jobs[head].nodes <= state.free_total()
-                && start_job(head, state, running, events, outcomes)?
-            {
-                pending.remove(slot);
-                self.emit_sa(now, obs);
-                if let Some(o) = outcomes.last() {
-                    obs.note_start(now, o, retries[head], false);
-                }
-            } else {
-                break;
+    /// One pass of the scheduler: start the head while it fits, then
+    /// backfill behind it as the configured policy allows.
+    fn schedule_pass(&mut self) -> Result<(), EngineError> {
+        self.obs.reg.inc(self.obs.c_passes, 1);
+        while let Some((slot, head)) = self.pending.first() {
+            let fits = self.log.jobs[head].nodes <= self.state.free_total();
+            if !(fits && self.start_job(slot, head, false)?) {
+                return match self.eng.cfg.backfill {
+                    BackfillPolicy::None => Ok(()),
+                    BackfillPolicy::Easy => self.easy_backfill(slot, head),
+                    BackfillPolicy::Conservative => self.conservative_backfill(),
+                };
             }
         }
+        Ok(())
+    }
 
-        let Some((head_slot, head)) = pending.first() else {
-            return Ok(());
-        };
-        if self.cfg.backfill == BackfillPolicy::None {
-            return Ok(());
-        }
-        if self.cfg.backfill == BackfillPolicy::Conservative {
-            return self.conservative_backfill_pass(
-                now, log, state, pending, running, events, outcomes, retries, obs, &start_job,
-            );
-        }
-
-        // EASY reservation for the head: find the shadow time when enough
-        // nodes will be free (by requested walltimes), and the extra nodes
-        // beyond the head's need at that moment.
+    /// EASY backfill behind the stuck queue head: find the shadow time when
+    /// enough nodes will be free for it (by requested walltimes), and the
+    /// extra nodes beyond its need at that moment; start later jobs that
+    /// respect either.
+    fn easy_backfill(&mut self, head_slot: usize, head: usize) -> Result<(), EngineError> {
+        let log = self.log;
         let need = log.jobs[head].nodes;
-        let mut ends: Vec<(u64, usize)> = running
+        let mut ends: Vec<(u64, usize)> = self
+            .running
             .iter()
             .map(|&(wall_end, i, _)| (wall_end, log.jobs[i].nodes))
             .collect();
         ends.sort_unstable();
-        let mut avail = state.free_total();
+        let mut avail = self.state.free_total();
         let mut shadow = u64::MAX;
         for &(t, n) in &ends {
             avail += n;
@@ -1614,20 +1424,14 @@ impl<'t> Engine<'t> {
         }
         let extra = avail.saturating_sub(need);
 
-        // Backfill later jobs that cannot delay the head's reservation,
-        // visiting only those that fit the nodes free right now — which
+        // Visit only the jobs that fit the nodes free right now — which
         // shrink as this loop starts jobs, so each lookup asks afresh.
         let mut from = head_slot + 1;
-        while let Some((slot, i)) = pending.next_fit(from, state.free_total()) {
+        while let Some((slot, i)) = self.pending.next_fit(from, self.state.free_total()) {
             from = slot + 1;
             let job = &log.jobs[i];
-            let harmless = now.saturating_add(job.walltime) <= shadow || job.nodes <= extra;
-            if harmless && start_job(i, state, running, events, outcomes)? {
-                pending.remove(slot);
-                self.emit_sa(now, obs);
-                if let Some(o) = outcomes.last() {
-                    obs.note_start(now, o, retries[i], true);
-                }
+            if self.now.saturating_add(job.walltime) <= shadow || job.nodes <= extra {
+                self.start_job(slot, i, true)?;
             }
         }
         Ok(())
@@ -1638,41 +1442,20 @@ impl<'t> Engine<'t> {
     /// earliest reservation that fits, and start only jobs whose
     /// reservation is *now*. Reservations are rebuilt from scratch on each
     /// pass, the standard implementation shape.
-    #[allow(clippy::too_many_arguments)]
-    fn conservative_backfill_pass<F>(
-        &self,
-        now: u64,
-        log: &JobLog,
-        state: &mut ClusterState,
-        pending: &mut PendingQueue,
-        running: &mut Vec<(u64, usize, u32)>,
-        events: &mut BinaryHeap<Reverse<(u64, EventKind)>>,
-        outcomes: &mut Vec<JobOutcome>,
-        retries: &[u32],
-        obs: &mut Obs<'_, '_>,
-        start_job: &F,
-    ) -> Result<(), EngineError>
-    where
-        F: Fn(
-            usize,
-            &mut ClusterState,
-            &mut Vec<(u64, usize, u32)>,
-            &mut BinaryHeap<Reverse<(u64, EventKind)>>,
-            &mut Vec<JobOutcome>,
-        ) -> Result<bool, EngineError>,
-    {
+    fn conservative_backfill(&mut self) -> Result<(), EngineError> {
+        let (log, now) = (self.log, self.now);
         'restart: loop {
             // Availability deltas at future instants (all keys >= now).
             let mut deltas: BTreeMap<u64, i64> = BTreeMap::new();
-            for &(wall_end, i, _) in running.iter() {
+            for &(wall_end, i, _) in &self.running {
                 *deltas.entry(wall_end.max(now)).or_insert(0) += i64_of_usize(log.jobs[i].nodes);
             }
-            let base = i64_of_usize(state.free_total());
+            let base = i64_of_usize(self.state.free_total());
 
-            let head = pending.first();
+            let head = self.pending.first();
             let mut next = head;
             while let Some((slot, i)) = next {
-                next = pending.after(slot);
+                next = self.pending.after(slot);
                 let job = &log.jobs[i];
                 let need = i64_of_usize(job.nodes);
                 let dur = job.walltime.max(1);
@@ -1683,14 +1466,9 @@ impl<'t> Engine<'t> {
                     continue;
                 };
                 if s == now
-                    && need <= i64_of_usize(state.free_total())
-                    && start_job(i, state, running, events, outcomes)?
+                    && need <= i64_of_usize(self.state.free_total())
+                    && self.start_job(slot, i, Some((slot, i)) != head)?
                 {
-                    pending.remove(slot);
-                    self.emit_sa(now, obs);
-                    if let Some(o) = outcomes.last() {
-                        obs.note_start(now, o, retries[i], Some((slot, i)) != head);
-                    }
                     // The profile base changed; rebuild and rescan.
                     continue 'restart;
                 }
@@ -1698,9 +1476,55 @@ impl<'t> Engine<'t> {
                 *deltas.entry(s).or_insert(0) -= need;
                 *deltas.entry(s.saturating_add(dur)).or_insert(0) += need;
             }
-            break;
+            return Ok(());
         }
-        Ok(())
+    }
+
+    /// Close the run: reject what can never start, fill the end-of-run
+    /// distributions and hand the outcomes over.
+    fn summarize(mut self) -> RunSummary {
+        // Jobs still queued when the event stream runs dry can never start
+        // (wider than the surviving capacity, or FIFO-stuck behind one that
+        // is): record them as rejected instead of looping or losing them.
+        // Unreachable without faults — validate() guarantees every job fits
+        // the full machine, so a failure-free queue always drains.
+        while let Some((slot, i)) = self.pending.first() {
+            self.pending.remove(slot);
+            self.reject(i);
+        }
+        debug_assert!(self.running.is_empty(), "jobs left running");
+        debug_assert_eq!(self.outcomes.len(), self.log.jobs.len());
+        let makespan = self
+            .outcomes
+            .iter()
+            .map(|o| o.end)
+            .max()
+            .unwrap_or(self.now);
+
+        // End-of-run distributions and totals, in outcome (completion)
+        // order — a pure function of the outcomes, so reports stay
+        // deterministic.
+        let reg = self.obs.reg;
+        let h_wait = reg.hist("job.wait_s");
+        let h_exec = reg.hist("job.exec_s");
+        let mut lost_total = 0u64;
+        for o in &self.outcomes {
+            if o.status == JobStatus::Completed {
+                reg.observe(h_wait, f64_of_u64(o.wait()));
+                reg.observe(h_exec, f64_of_u64(o.exec()));
+            }
+            lost_total = lost_total.saturating_add(o.lost_node_seconds);
+        }
+        let g_makespan = reg.gauge("makespan_s");
+        reg.set(g_makespan, f64_of_u64(makespan));
+        let g_lost = reg.gauge("lost_node_seconds");
+        reg.set(g_lost, f64_of_u64(lost_total));
+
+        RunSummary {
+            selector: self.eng.cfg.selector.name().to_string(),
+            outcomes: self.outcomes,
+            makespan,
+        }
     }
 }
 

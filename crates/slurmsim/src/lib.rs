@@ -42,7 +42,7 @@ mod scratch;
 
 pub use engine::{
     BackfillPolicy, Engine, EngineConfig, EngineError, FailurePolicy, JobOutcome, JobStatus,
-    OversizedPolicy, RunSummary, TraceEvent,
+    OversizedPolicy, RunSummary,
 };
 
 #[cfg(test)]

@@ -863,33 +863,6 @@ mod properties {
     }
 }
 
-#[test]
-fn event_trace_is_ordered_and_balanced() {
-    let tree = small_tree();
-    let log = JobLog::new(
-        "tr",
-        vec![job(1, 0, 100, 3), job(2, 10, 100, 4), job(3, 20, 50, 1)],
-    );
-    let s = Engine::new(&tree, EngineConfig::new(SelectorKind::Default))
-        .run(&log)
-        .unwrap();
-    let events = s.events();
-    assert_eq!(events.len(), 6);
-    // Chronological, starts before finishes at equal t.
-    for w in events.windows(2) {
-        assert!((w[0].t, !w[0].start) <= (w[1].t, !w[1].start));
-    }
-    // Every job starts exactly once and finishes exactly once.
-    let starts = events.iter().filter(|e| e.start).count();
-    assert_eq!(starts, 3);
-    // JSON lines parse back.
-    for line in s.to_json_lines().lines() {
-        let v: serde_json::Value = serde_json::from_str(line).unwrap();
-        assert!(v["t"].is_u64());
-        assert!(v["event"] == "start" || v["event"] == "finish");
-    }
-}
-
 mod faults {
     use super::*;
     use crate::{FailurePolicy, JobStatus};
@@ -1783,5 +1756,184 @@ mod passes {
             assert_eq!(ends, [(5, 25), (10, 50), (60, 90)]);
             assert_eq!(s.makespan, 90);
         }
+    }
+
+    /// The node-seconds a kill destroys are elapsed time × width: 2^51 s
+    /// under 8,192 nodes is 2^64, which must saturate, not wrap to 0.
+    /// Release-only: with debug assertions the saturated total then trips
+    /// `f64_of_u64`'s by-design exactness assert in the
+    /// `lost_node_seconds` gauge.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn lost_work_product_saturates() {
+        use crate::FailurePolicy;
+        use commsched_workload::FaultTrace;
+
+        let tree = Tree::regular_two_level(64, 128);
+        let log = JobLog::new("wide", vec![job(1, 0, 1 << 52, 8192)]);
+        let cfg =
+            EngineConfig::new(SelectorKind::Default).with_failure_policy(FailurePolicy::Cancel);
+        let s = Engine::new(&tree, cfg)
+            .with_faults(FaultTrace::parse(&format!("{} 0 fail\n", 1u64 << 51)).unwrap())
+            .run(&log)
+            .unwrap();
+        assert_eq!(s.outcomes[0].lost_node_seconds, u64::MAX);
+    }
+}
+
+/// Engine paths the eight goldens never combine — conservative backfill
+/// with fault kills, `Reject` with end-of-run rejection of FIFO-stuck jobs,
+/// walltime enforcement, `Cancel`, link degradation in a continuous run —
+/// pinned by digest over a backfill × failure-policy × selector matrix.
+mod config_matrix {
+    use super::*;
+    use crate::FailurePolicy;
+    use commsched_core::SaBudget;
+    use commsched_metrics::Registry;
+    use commsched_topology::NodeId;
+    use commsched_trace::Capture;
+    use commsched_workload::fault::{FaultEvent, FaultKind, FaultTrace};
+
+    fn fnv1a(parts: &[&str]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in parts.iter().flat_map(|p| p.bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Digest per row, in the nesting order of the loops below. Blessed
+    /// on the engine of commit 8fe27ea (before the `Run` refactor).
+    const BLESSED: [u64; 27] = [
+        0x7478_a2e9_e465_c585,
+        0xf4bc_35d5_dd99_ee40,
+        0xf7dd_e33a_ef79_2d1e,
+        0xa8bc_dc69_70bb_12fa,
+        0x1fc5_4f72_7f23_bfb2,
+        0x8e90_bb05_b5ce_ae5c,
+        0x248a_f3fa_59d7_755c,
+        0xccdf_1586_d44b_6e30,
+        0x62bb_6661_633b_0ad9,
+        0x617d_ecef_c285_95d4,
+        0x26fb_1b77_3898_86c2,
+        0xb8a3_788a_99e4_2270,
+        0xb0e4_256d_7327_145d,
+        0xedb8_1ee7_0830_8755,
+        0xfe69_5ed7_c883_3c3e,
+        0x337c_e793_ced4_55f3,
+        0xc20f_1ea6_3cc0_ad0a,
+        0x6d6f_2d63_1281_8559,
+        0x3da9_c06d_29d2_b705,
+        0x0cdd_56da_9585_d08b,
+        0xcf42_b1d8_7d28_26ed,
+        0x57e4_214c_7ad8_2df9,
+        0xc6c6_738b_eca2_17aa,
+        0x3c5f_6dcb_ca32_b051,
+        0x9b6e_9e72_a6af_2456,
+        0x5cc5_2f42_9d92_759b,
+        0xf2b5_487d_cb5f_65b7,
+    ];
+
+    #[test]
+    fn digests_match_the_pre_refactor_engine() {
+        let tree = Tree::regular_two_level(3, 6);
+        let mut jobs = LogSpec::new(
+            SystemModel {
+                total_nodes: 18,
+                min_request: 1,
+                max_request: 12,
+                ..SystemModel::theta()
+            },
+            36,
+            11,
+        )
+        .comm_percent(60)
+        .generate()
+        .jobs;
+        // Wider than the machine: rejected on submission.
+        jobs.push(job(101, 1000, 700, 19));
+        // Outlives its walltime unless enforcement cuts it short.
+        jobs.push(Job {
+            walltime: 1000,
+            ..comm_job(104, 200, 5000, 3, 0.5)
+        });
+        // Needs the node the drain takes for good, so it never starts, and
+        // under strict FIFO neither does the job behind it.
+        jobs.push(job(102, 13_000, 900, 18));
+        jobs.push(job(103, 13_500, 500, 2));
+        jobs.sort_by_key(|j| j.submit);
+        let log = JobLog::new("matrix", jobs);
+
+        let leaf = tree.leaf_of(NodeId(6));
+        let cable = tree.node_uplink(NodeId(0));
+        let trunk = tree.switch_uplink(tree.leaf_of(NodeId(0)));
+        let faults = FaultTrace::new(
+            [
+                (2000, 2, FaultKind::Fail),
+                (3000, cable, FaultKind::LinkDegrade { permille: 400 }),
+                (3500, trunk, FaultKind::LinkDegrade { permille: 500 }),
+                (5000, leaf.0, FaultKind::SwitchDown),
+                (6000, 2, FaultKind::Recover),
+                (9000, leaf.0, FaultKind::SwitchUp),
+                (12_000, 17, FaultKind::Drain),
+                (15_000, 0, FaultKind::Fail),
+                (16_000, 0, FaultKind::Recover),
+                (20_000, cable, FaultKind::LinkRestore),
+                (30_000, 13, FaultKind::Fail),
+                (31_000, 13, FaultKind::Recover),
+                (40_000, trunk, FaultKind::LinkRestore),
+            ]
+            .map(|(t, node, kind)| FaultEvent { t, node, kind })
+            .to_vec(),
+        );
+
+        let backfills: [fn(EngineConfig) -> EngineConfig; 3] = [
+            |c| c,
+            EngineConfig::conservative_backfill,
+            EngineConfig::without_backfill,
+        ];
+        let policies = [
+            FailurePolicy::Cancel,
+            FailurePolicy::Requeue {
+                max_retries: 1,
+                backoff: 40,
+            },
+            FailurePolicy::RequeueFront,
+        ];
+        let selectors = [
+            EngineConfig::new(SelectorKind::Default),
+            EngineConfig::new(SelectorKind::Adaptive),
+            EngineConfig::new(SelectorKind::Sa).with_sa(SaBudget::with_evals(16), 7),
+        ];
+        let mut got = Vec::new();
+        for backfill in backfills {
+            for policy in policies {
+                for selector in selectors {
+                    let mut cfg = backfill(selector)
+                        .with_failure_policy(policy)
+                        .reject_oversized();
+                    // Every other row kills at the requested walltime.
+                    if got.len() % 2 == 1 {
+                        cfg = cfg.with_walltime_enforcement();
+                    }
+                    let mut cap = Capture::new();
+                    let mut reg = Registry::new();
+                    let s = Engine::new(&tree, cfg)
+                        .with_faults(faults.clone())
+                        .run_observed(&log, &mut cap, &mut reg)
+                        .unwrap();
+                    assert_eq!(s.outcomes.len(), log.jobs.len());
+                    got.push(fnv1a(&[
+                        &serde_json::to_string(&s.outcomes).unwrap(),
+                        &cap.to_jsonl(),
+                        &reg.snapshot().to_json_pretty(),
+                    ]));
+                }
+            }
+        }
+        assert!(
+            got == BLESSED,
+            "config-matrix digests moved; this engine gives\n{got:#018x?}"
+        );
     }
 }
