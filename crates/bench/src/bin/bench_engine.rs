@@ -26,6 +26,7 @@
 //! beat the linear scan by at least [`GATE_MIN_SPEEDUP`]x — a
 //! machine-independent ratio, measured live.
 
+#![expect(clippy::disallowed_methods, reason = "bench bins time themselves")]
 use commsched_bench::baseline;
 use commsched_bench::perf::PlacementCase;
 use commsched_core::PlacementEvaluator;

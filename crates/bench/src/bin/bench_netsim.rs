@@ -25,6 +25,7 @@
 //! case regresses more than 2x against the baseline's medians; sweep
 //! wall-clock is machine-dependent and is never gated.
 
+#![expect(clippy::disallowed_methods, reason = "bench bins time themselves")]
 use commsched_bench::baseline;
 use commsched_bench::experiments::fig6;
 use commsched_bench::perf::NetsimCase;

@@ -19,6 +19,7 @@
 //! Build with `--release`; the full Table 3 grid runs 24 thousand-job
 //! simulations (a few minutes on a laptop, parallelized with rayon).
 
+#![expect(clippy::disallowed_methods, reason = "bench bins time themselves")]
 use commsched_bench::{experiments, Scale};
 use commsched_metrics::Registry;
 use std::io::Write;

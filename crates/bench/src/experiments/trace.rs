@@ -6,6 +6,7 @@
 //! back the golden-trace conformance suite (`tests/golden_trace.rs`),
 //! which pins the exact trace bytes, so the scenarios must never depend
 //! on wall clocks, thread counts, or map iteration order.
+#![deny(clippy::wildcard_enum_match_arm)]
 
 use crate::{ExperimentResult, Scale};
 use commsched_collectives::{CollectiveSpec, Pattern};

@@ -1,4 +1,5 @@
 //! Subcommand implementations.
+#![deny(clippy::wildcard_enum_match_arm)]
 
 use crate::args::Parsed;
 use commsched_collectives::{CollectiveSpec, Pattern};

@@ -45,7 +45,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 mod schedule;
 
 pub use schedule::{CollectiveSpec, Pattern, Step};

@@ -194,7 +194,7 @@ fn alltoall_every_rank_pair_communicates_exactly_once() {
     // All-to-all semantics: over the whole schedule each unordered pair
     // appears exactly once (power-of-two ranks).
     let steps = CollectiveSpec::new(Pattern::Alltoall, 1 << 20).steps(16);
-    let mut count = std::collections::HashMap::new();
+    let mut count = std::collections::BTreeMap::new();
     for s in &steps {
         for &pr in &s.pairs {
             *count.entry(pr).or_insert(0usize) += 1;
@@ -240,8 +240,8 @@ fn total_bytes_rd() {
 /// allgather/allreduce schedule.
 fn full_coverage(pattern: Pattern, p: usize) -> bool {
     let steps = CollectiveSpec::new(pattern, 1 << 20).steps(p);
-    let mut sets: Vec<std::collections::HashSet<usize>> = (0..p)
-        .map(|i| std::collections::HashSet::from([i]))
+    let mut sets: Vec<std::collections::BTreeSet<usize>> = (0..p)
+        .map(|i| std::collections::BTreeSet::from([i]))
         .collect();
     for step in &steps {
         let mut next = sets.clone();

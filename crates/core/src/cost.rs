@@ -1,4 +1,5 @@
 //! The paper's contention and communication-cost model (§5.3, Eqs. 2–6).
+#![deny(clippy::as_conversions)]
 
 use crate::state::ClusterState;
 use commsched_collectives::CollectiveSpec;

@@ -23,6 +23,7 @@
 //!   [`CollectiveSpec::steps`] regenerates the full step list on every call
 //!   and placement evaluates the same spec for several candidate
 //!   allocations in a row.
+#![deny(clippy::as_conversions)]
 
 use crate::cost::CostModel;
 use crate::state::ClusterState;

@@ -30,6 +30,7 @@
 //! the sets before returning — one remove+insert per *touched summary
 //! entry*, not per node, so allocating a 512-node job on one leaf updates
 //! that leaf's entries once. Readers (`&self`) always see a clean index.
+#![deny(clippy::as_conversions)]
 
 use commsched_num::usize_of_u32;
 use commsched_topology::{SwitchId, Tree};

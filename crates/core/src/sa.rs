@@ -19,6 +19,7 @@
 //!   adaptive rule produced, not a reconstruction;
 //! * the returned placement never costs more than the incumbent: the
 //!   search only replaces it when a strictly cheaper candidate was found.
+#![deny(clippy::as_conversions)]
 
 use crate::cost::CostModel;
 use crate::eval::PlacementEvaluator;

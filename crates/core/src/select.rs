@@ -7,6 +7,7 @@
 //! The pre-index linear-scan algorithms live on in [`crate::select_scan`];
 //! the property tests in `tests` assert the two produce byte-identical
 //! placements, and the `bench_engine` selection cases measure the gap.
+#![deny(clippy::as_conversions)]
 
 use crate::cost::CostModel;
 use crate::eval::PlacementEvaluator;
@@ -411,8 +412,10 @@ impl NodeSelector for AdaptiveSelector {
             return Ok(balanced);
         }
         let spec = req.spec();
-        // detlint: allow(P1) — a poisoned mutex means another thread already
-        // panicked mid-evaluation; propagating is the only sound response.
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned mutex means another thread already panicked mid-evaluation; propagating is the only sound response"
+        )]
         let mut eval = self.eval.lock().expect("evaluator mutex poisoned");
         // Balanced last: when it wins (the common comm-intensive case) the
         // hop memo is warm for the caller's follow-up evaluation.

@@ -11,6 +11,7 @@
 //!   gap on the exascale presets (the headline speedup of ROADMAP item 3).
 //!
 //! They are O(cluster size) per placement and not meant for production use.
+#![deny(clippy::as_conversions)]
 
 use crate::cost::CostModel;
 use crate::eval::PlacementEvaluator;
@@ -233,8 +234,10 @@ pub fn adaptive_select(
         return Ok(balanced);
     }
     let spec = req.spec();
-    // detlint: allow(P1) — a poisoned mutex means another thread already
-    // panicked mid-evaluation; propagating is the only sound response.
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned mutex means another thread already panicked mid-evaluation; propagating is the only sound response"
+    )]
     let mut guard = eval.lock().expect("evaluator mutex poisoned");
     // Balanced last: when it wins (the common comm-intensive case) the
     // hop memo is warm for the caller's follow-up evaluation.

@@ -1,5 +1,6 @@
 //! Cluster occupancy state: which nodes are busy, and the per-leaf counters
 //! (`L_nodes`, `L_busy`, `L_comm`) that drive the paper's Eqs. 1–3.
+#![deny(clippy::as_conversions)]
 
 use crate::index::{ratio_key, FreeIndex};
 use commsched_num::{f64_of_usize, u32_of_usize, usize_of_u32};

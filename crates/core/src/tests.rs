@@ -1156,6 +1156,15 @@ mod properties {
             drop(st.scratch_alloc(&tree, &nodes, JobNature::CommIntensive));
             prop_assert_eq!(&st, &snapshot, "state not restored after early drop");
             prop_assert!(st.check_invariants(&tree).is_ok());
+
+            // Selectors read the index through a live guard: same picks as on the real allocation.
+            let guard = st.scratch_alloc(&tree, &nodes, JobNature::CommIntensive);
+            for req in (1..=guard.free_total().min(8)).map(|k| AllocRequest::comm(JobId(1), k)) {
+                for sel in [&DefaultTreeSelector as &dyn NodeSelector, &GreedySelector] {
+                    let live = sel.select(&tree, &guard, &req);
+                    prop_assert_eq!(live, sel.select(&tree, &reference, &req));
+                }
+            }
         }
 
         /// The incremental per-switch free counters always equal a fresh

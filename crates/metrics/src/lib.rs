@@ -7,7 +7,8 @@
 //! tables and figure series the benchmark harness regenerates.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 mod hist;
 mod registry;
 mod render;

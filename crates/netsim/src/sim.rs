@@ -24,6 +24,7 @@
 //!   leaves every other flow's rate untouched. The full-fixpoint reference
 //!   solver is retained behind [`SolverKind::Naive`] and the two are
 //!   property-tested for exact rate equality.
+#![deny(clippy::as_conversions)]
 
 use commsched_collectives::{CollectiveSpec, Pattern, Step};
 use commsched_num::{f64_of_u64, i32_of_u32, u32_of_usize, u64_of_f64, u64_of_usize, usize_of_u32};
@@ -353,11 +354,13 @@ impl RunState {
         if self.flows[f].active {
             for i in a..b {
                 let l = self.arena.links[usize_of_u32(i)].0;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "activate() indexed this flow on every link of its route; absence is memory corruption"
+                )]
                 let pos = self.link_flows[l]
                     .iter()
                     .position(|&x| x == u32_of_usize(f))
-                    // detlint: allow(P1) — activate() indexed this flow on
-                    // every link of its route; absence is memory corruption.
                     .expect("active flow is indexed on each of its links");
                 self.link_flows[l].swap_remove(pos);
                 self.mark_dirty(l);
@@ -373,11 +376,13 @@ impl RunState {
                 let (a, b) = self.flows[f].route;
                 for i in a..b {
                     let l = self.arena.links[usize_of_u32(i)].0;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the tail flow was active, so it is indexed on each of its links by construction"
+                    )]
                     let pos = self.link_flows[l]
                         .iter()
                         .position(|&x| x == old)
-                        // detlint: allow(P1) — the tail flow was active, so
-                        // it is indexed on each of its links by construction.
                         .expect("moved flow is indexed on each of its links");
                     self.link_flows[l][pos] = u32_of_usize(f);
                 }
@@ -521,19 +526,21 @@ impl<'t> FlowSim<'t> {
         arena.push(self.node_up(src));
         let lca = self.tree.lca(src, dst);
         let mut s = self.tree.leaf_of(src);
+        #[expect(
+            clippy::expect_used,
+            reason = "the walk stops at the LCA, which is a strict ancestor, so every switch visited has a parent"
+        )]
         while s != lca {
             arena.push(self.switch_up(s));
-            // detlint: allow(P1) — the walk stops at the LCA, which is a
-            // strict ancestor, so every switch visited has a parent.
             s = self.tree.switch(s).parent.expect("LCA above leaf");
         }
         // Down-links are discovered leaf-upward; reverse in place to get
         // LCA-downward order.
         let down_start = arena.len();
         let mut d = self.tree.leaf_of(dst);
+        #[expect(clippy::expect_used, reason = "same LCA-ancestor argument as above")]
         while d != lca {
             arena.push(self.switch_down(d));
-            // detlint: allow(P1) — same LCA-ancestor argument as above.
             d = self.tree.switch(d).parent.expect("LCA above leaf");
         }
         arena[down_start..].reverse();

@@ -1,6 +1,6 @@
 //! Checked numeric conversions for the workspace's hot paths.
 //!
-//! The static analyzer (`detlint` rule **N1**) forbids raw `as` casts in
+//! Rule **N1** (`#![deny(clippy::as_conversions)]`) forbids raw `as` casts in
 //! the solver/engine hot files: a silent truncation or a float rounding of
 //! a large integer is exactly the kind of bug that corrupts a simulation
 //! without failing a test. Hot files route every conversion through these
@@ -14,7 +14,8 @@
 //! contain no `as` token at all.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 /// Largest integer magnitude an `f64` represents exactly (2^53).
 pub const F64_EXACT_MAX: u64 = 1 << 53;

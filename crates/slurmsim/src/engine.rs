@@ -1,4 +1,5 @@
 //! The discrete-event scheduling core: queue, backfill, Eq. 7 feedback.
+#![deny(clippy::as_conversions)]
 
 use crate::queue::PendingQueue;
 use commsched_collectives::CollectiveSpec;
@@ -783,8 +784,10 @@ impl<'t> Engine<'t> {
         };
         // Lock order: always after selector.select() has returned (the
         // adaptive selector takes the same lock inside select()).
-        // detlint: allow(P1) — a poisoned mutex means another thread already
-        // panicked mid-evaluation; propagating is the only sound response.
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned mutex means another thread already panicked mid-evaluation; propagating is the only sound response"
+        )]
         let mut ev = self.eval.lock().expect("evaluator mutex poisoned");
         let actual = eval_all(&mut ev, &nodes);
         let default = default_nodes.map(|d| eval_all(&mut ev, &d));

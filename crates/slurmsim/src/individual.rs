@@ -82,10 +82,12 @@ pub fn warmup_state(tree: &Tree, log: &JobLog, fraction: f64) -> ClusterState {
         if let Some(placed) =
             engine.place(&state, job, &commsched_core::DefaultTreeSelector, &[], 0)
         {
+            #[expect(
+                clippy::expect_used,
+                reason = "place() only returns nodes free in the state it was handed, so allocate cannot fail here"
+            )]
             state
                 .allocate(tree, job.id, &placed.nodes, job.nature)
-                // detlint: allow(P1) — place() only returns nodes free in
-                // the state it was handed, so allocate cannot fail here.
                 .expect("placement over free nodes");
         }
     }

@@ -13,6 +13,7 @@
 //! doubled tree if more than half the slots are live, so memory follows the
 //! peak queue length. Slot numbers are therefore stable between pushes —
 //! all a scheduling pass needs, since a pass only removes.
+#![deny(clippy::as_conversions)]
 
 /// Leaf value of a slot that holds no job; no request is this wide.
 const EMPTY: usize = usize::MAX;
@@ -116,8 +117,6 @@ impl PendingQueue {
     /// tree with at least `n` further slots free, growing only if needed.
     fn repack(&mut self, front: Option<(usize, usize)>) {
         let old_cap = self.jobs.len();
-        // A plain loop, not `map`/`collect`: detlint resolves method names
-        // workspace-wide and would link those to the parallel runtime's.
         let mut live: Vec<(usize, usize)> = Vec::from_iter(front);
         for (slot, job) in self.iter() {
             live.push((job, self.tree[old_cap + slot]));

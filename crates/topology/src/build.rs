@@ -81,9 +81,10 @@ impl Tree {
         }
         let children = (0..leaf_sizes.len()).map(|k| format!("s{k}")).collect();
         let uppers = vec![("root".to_string(), children)];
-        // detlint: allow(P1) — the builder enumerates unique names and a
-        // single root by construction, which is exactly what from_parts
-        // validates
+        #[expect(
+            clippy::expect_used,
+            reason = "the builder enumerates unique names and a single root by construction, which is exactly what from_parts validates"
+        )]
         Tree::from_parts(leaf_names, leaf_nodes, uppers).expect("builder produces valid trees")
     }
 
@@ -120,9 +121,10 @@ impl Tree {
             "root".to_string(),
             (0..groups).map(|g| format!("g{g}")).collect(),
         ));
-        // detlint: allow(P1) — the builder enumerates unique names and a
-        // single root by construction, which is exactly what from_parts
-        // validates
+        #[expect(
+            clippy::expect_used,
+            reason = "the builder enumerates unique names and a single root by construction, which is exactly what from_parts validates"
+        )]
         Tree::from_parts(leaf_names, leaf_nodes, uppers).expect("builder produces valid trees")
     }
 }
@@ -158,8 +160,10 @@ impl Tree {
         if let Some(index) = factors.iter().position(|&f| f == 0) {
             return Err(SpecError::ZeroFactor { index });
         }
-        // detlint: allow(P1) — the TooFewFactors check above guarantees a
-        // non-empty factor list
+        #[expect(
+            clippy::expect_used,
+            reason = "the TooFewFactors check above guarantees a non-empty factor list"
+        )]
         let nodes_per_leaf = *factors.last().expect("len checked");
         let fanouts = &factors[..factors.len() - 1];
         let total_leaves: usize = fanouts.iter().product();
@@ -235,9 +239,10 @@ impl Tree {
             "root".to_string(),
             (0..pods).map(|p| format!("p{p}")).collect(),
         ));
-        // detlint: allow(P1) — the builder enumerates unique names and a
-        // single root by construction, which is exactly what from_parts
-        // validates
+        #[expect(
+            clippy::expect_used,
+            reason = "the builder enumerates unique names and a single root by construction, which is exactly what from_parts validates"
+        )]
         Tree::from_parts(leaf_names, leaf_nodes, uppers).expect("builder produces valid trees")
     }
 
@@ -280,9 +285,10 @@ impl Tree {
             "root".to_string(),
             (0..groups).map(|g| format!("g{g}")).collect(),
         ));
-        // detlint: allow(P1) — the builder enumerates unique names and a
-        // single root by construction, which is exactly what from_parts
-        // validates
+        #[expect(
+            clippy::expect_used,
+            reason = "the builder enumerates unique names and a single root by construction, which is exactly what from_parts validates"
+        )]
         Tree::from_parts(leaf_names, leaf_nodes, uppers).expect("builder produces valid trees")
     }
 

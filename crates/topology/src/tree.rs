@@ -114,8 +114,10 @@ impl NameArena {
 
     fn push(&mut self, name: &str) {
         self.buf.push_str(name);
-        // detlint: allow(P1) — offsets are u32 by design; a topology with
-        // over 4 GiB of node names is out of scope for every target scale
+        #[expect(
+            clippy::expect_used,
+            reason = "offsets are u32 by design; a topology with over 4 GiB of node names is out of scope for every target scale"
+        )]
         let end = u32::try_from(self.buf.len()).expect("name arena exceeds 4 GiB");
         self.offsets.push(end);
     }
@@ -418,9 +420,10 @@ impl Tree {
 
     /// Lowest common ancestor switch of two *switches*.
     pub fn lca_switch(&self, mut a: SwitchId, mut b: SwitchId) -> SwitchId {
-        // detlint: allow(P1) — from_parts validates a single connected
-        // root, so two switches of the same tree always meet before
-        // either walk runs past the root.
+        #[expect(
+            clippy::expect_used,
+            reason = "from_parts validates a single connected root, so two switches of the same tree always meet before either walk runs past the root"
+        )]
         let up = |s: SwitchId| self.switches[s.0].parent.expect("reached root before LCA");
         while a != b {
             let (la, lb) = (self.switches[a.0].level, self.switches[b.0].level);

@@ -36,7 +36,9 @@
 //! virtual timeline.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![deny(clippy::wildcard_enum_match_arm)]
 
 mod chrome;
 mod event;

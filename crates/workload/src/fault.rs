@@ -29,6 +29,7 @@
 //! switch, or directed-link spaces; [`FaultTrace::validate_machine`]
 //! range-checks them so a bad trace yields a typed error instead of an
 //! index panic downstream.
+#![deny(clippy::as_conversions, clippy::wildcard_enum_match_arm)]
 
 use commsched_num::u64_of_f64;
 use rand::{Rng, SeedableRng};
@@ -135,7 +136,12 @@ impl Serialize for FaultKind {
             FaultKind::LinkDegrade { permille } => {
                 serde::Value::Object(vec![("degrade".to_string(), permille.to_json_value())])
             }
-            other => serde::Value::String(other.to_string()),
+            FaultKind::Fail
+            | FaultKind::Recover
+            | FaultKind::Drain
+            | FaultKind::SwitchDown
+            | FaultKind::SwitchUp
+            | FaultKind::LinkRestore => serde::Value::String(self.to_string()),
         }
     }
 }

@@ -30,6 +30,7 @@ fn golden_dir() -> PathBuf {
         .join("golden")
 }
 
+#[expect(clippy::disallowed_methods, reason = "GOLDEN_BLESS rewrites goldens")]
 fn blessing() -> bool {
     std::env::var("GOLDEN_BLESS").is_ok_and(|v| v == "1")
 }
