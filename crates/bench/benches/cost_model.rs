@@ -2,7 +2,7 @@
 //! selector and of every Eq. 7 runtime adjustment.
 
 use commsched_collectives::{CollectiveSpec, Pattern};
-use commsched_core::{ClusterState, CostModel, JobId, JobNature};
+use commsched_core::{ClusterState, CostModel, JobId, JobNature, Placement};
 use commsched_topology::{NodeId, SystemPreset, Tree};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -22,8 +22,9 @@ fn bench_job_cost(c: &mut Criterion) {
             let n = 1usize << logn;
             let nodes = scattered_allocation(&tree, n);
             let mut state = ClusterState::new(&tree);
+            let placement = Placement::from_nodes(&tree, &nodes).unwrap();
             state
-                .allocate(&tree, JobId(1), &nodes, JobNature::CommIntensive)
+                .allocate(&tree, JobId(1), &placement, JobNature::CommIntensive)
                 .unwrap();
             let spec = CollectiveSpec::new(pattern, 1 << 20);
             group.bench_with_input(
@@ -49,8 +50,9 @@ fn bench_contention(c: &mut Criterion) {
     let tree = SystemPreset::Theta.build();
     let mut state = ClusterState::new(&tree);
     let nodes: Vec<NodeId> = (0..512).map(|i| NodeId(i * 8)).collect();
+    let placement = Placement::from_nodes(&tree, &nodes).unwrap();
     state
-        .allocate(&tree, JobId(1), &nodes, JobNature::CommIntensive)
+        .allocate(&tree, JobId(1), &placement, JobNature::CommIntensive)
         .unwrap();
     c.bench_function("contention_factor_eq3", |b| {
         b.iter(|| {

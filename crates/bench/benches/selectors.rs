@@ -5,7 +5,7 @@
 //! for each algorithm on the Mira-scale topology (49,152 nodes, 144 leaf
 //! switches) against a half-occupied cluster, across request sizes.
 
-use commsched_core::{AllocRequest, ClusterState, JobId, JobNature, SelectorKind};
+use commsched_core::{AllocRequest, ClusterState, JobId, JobNature, Placement, SelectorKind};
 use commsched_topology::{NodeId, SystemPreset};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
@@ -23,8 +23,9 @@ fn half_occupied(tree: &commsched_topology::Tree) -> ClusterState {
         } else {
             JobNature::ComputeIntensive
         };
+        let placement = Placement::from_nodes(tree, chunk).unwrap();
         state
-            .allocate(tree, JobId(job as u64), chunk, nature)
+            .allocate(tree, JobId(job as u64), &placement, nature)
             .unwrap();
     }
     state

@@ -8,7 +8,7 @@
 
 use crate::{ExperimentResult, Scale};
 use commsched_collectives::{CollectiveSpec, Pattern};
-use commsched_core::{ClusterState, CostModel, JobId, JobNature};
+use commsched_core::{ClusterState, CostModel, JobId, JobNature, Placement};
 use commsched_metrics::pearson;
 use commsched_netsim::{FlowSim, NetConfig, Workload};
 use commsched_topology::{NodeId, SystemPreset};
@@ -81,12 +81,12 @@ fn correlate(
 
         // Eq. 6 cost from the occupancy both jobs create.
         let mut state = ClusterState::new(tree);
-        state
-            .allocate(tree, JobId(1), &probe, JobNature::CommIntensive)
-            .unwrap();
-        state
-            .allocate(tree, JobId(2), &interferer, JobNature::CommIntensive)
-            .unwrap();
+        for (id, nodes) in [(1, &probe), (2, &interferer)] {
+            let placement = Placement::from_nodes(tree, nodes).unwrap();
+            state
+                .allocate(tree, JobId(id), &placement, JobNature::CommIntensive)
+                .unwrap();
+        }
         let cost = model.job_cost(tree, &state, &probe, &spec);
 
         // Measured time of one probe collective while the interferer is

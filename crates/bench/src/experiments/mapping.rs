@@ -48,7 +48,8 @@ pub fn mapping(scale: Scale) -> ExperimentResult {
                 pattern: Some(spec),
                 attempt: 0,
             };
-            let Ok(nodes) = selector.select(&tree, &state, &req) else {
+            // Rank mapping permutes node ids: materialize them.
+            let Ok(nodes) = selector.select(&tree, &state, &req).map(|p| p.nodes()) else {
                 continue;
             };
             let costs: Vec<f64> = MappingStrategy::ALL

@@ -16,12 +16,12 @@ const EXPECTED: [usize; 7] = [128, 128, 64, 64, 64, 32, 32];
 pub fn table2(_scale: Scale) -> ExperimentResult {
     let tree = Tree::irregular_two_level(&FREE);
     let state = ClusterState::new(&tree);
-    let nodes = BalancedSelector
+    let placement = BalancedSelector
         .select(&tree, &state, &AllocRequest::comm(JobId(1), 512))
         .expect("512 fits");
     let mut per_leaf = vec![0usize; tree.num_leaves()];
-    for n in &nodes {
-        per_leaf[tree.leaf_ordinal_of(*n)] += 1;
+    for &(k, count) in placement.takes() {
+        per_leaf[k] = count as usize;
     }
 
     let mut t = Table::new(

@@ -19,7 +19,7 @@ use crate::{build_log, paper_systems, ExperimentResult, LogShape, Scale};
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_core::{
     AdaptiveSelector, AllocRequest, BalancedSelector, CostModel, GreedySelector, NodeSelector,
-    PlacementEvaluator, SaBudget, SaSelector,
+    Placement, PlacementEvaluator, SaBudget, SaSelector,
 };
 use commsched_metrics::Table;
 use commsched_slurmsim::individual::{comm_probes, warmup_state};
@@ -60,7 +60,7 @@ fn score_all(
     probes: &[AllocRequest],
     selector: &dyn NodeSelector,
     eval: &mut PlacementEvaluator,
-) -> (f64, Vec<Vec<commsched_topology::NodeId>>) {
+) -> (f64, Vec<Placement>) {
     let model = CostModel::HOP_BYTES;
     let mut total = 0.0;
     let mut placements = Vec::with_capacity(probes.len());

@@ -4,9 +4,10 @@
 //!
 //! The "naive" path retains the pre-optimization pipeline, built from the
 //! public APIs that still implement it: a clone-based adaptive decision
-//! (full `ClusterState` clone + `allocate` + one `job_cost` traversal per
-//! candidate) and a clone-based Eq. 6/Eq. 7 evaluation (two more clones,
-//! four `job_cost` traversals per collective component). The "fast" path
+//! (full `ClusterState` clone + `allocate` + one `job_cost` traversal over
+//! the materialized node ids per candidate) and a clone-based Eq. 6/Eq. 7
+//! evaluation (two more clones, four `job_cost` traversals per collective
+//! component). The "fast" path
 //! is the production pipeline: the shared [`PlacementEvaluator`] — no
 //! clones, one fused traversal per component per allocation, hop memo
 //! reused across the job's components.
@@ -18,7 +19,7 @@
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_core::{
     AdaptiveSelector, AllocRequest, BalancedSelector, ClusterState, CostModel, DefaultTreeSelector,
-    GreedySelector, JobId, JobNature, NodeSelector, PlacementEvaluator,
+    GreedySelector, JobId, JobNature, NodeSelector, Placement, PlacementEvaluator,
 };
 use commsched_netsim::{FlowSim, JobResult, NetConfig, SolverKind, Workload};
 use commsched_topology::{NodeId, SystemPreset, Tree};
@@ -65,8 +66,9 @@ impl PlacementCase {
             } else {
                 JobNature::ComputeIntensive
             };
+            let placement = Placement::from_nodes(&tree, chunk).unwrap();
             state
-                .allocate(&tree, JobId(job as u64), chunk, nature)
+                .allocate(&tree, JobId(job as u64), &placement, nature)
                 .unwrap();
         }
         PlacementCase {
@@ -91,7 +93,7 @@ impl PlacementCase {
     /// Pure selection through the production (free-count-index) path: the
     /// three direct selectors back to back. Returns the three placements
     /// so the caller can cross-check them against [`Self::select_scan`].
-    pub fn select_indexed(&self, want: usize) -> Vec<Vec<NodeId>> {
+    pub fn select_indexed(&self, want: usize) -> Vec<Placement> {
         let req = self.request_of(want);
         vec![
             DefaultTreeSelector
@@ -108,7 +110,8 @@ impl PlacementCase {
 
     /// The same three selections through the retained linear-scan
     /// baselines (`commsched_core::select_scan`) — the pre-index
-    /// algorithms, O(cluster size) per placement.
+    /// algorithms, O(cluster size) per placement, building id lists node
+    /// by node in fill order.
     pub fn select_scan(&self, want: usize) -> Vec<Vec<NodeId>> {
         use commsched_core::select_scan as scan;
         let req = self.request_of(want);
@@ -170,11 +173,11 @@ impl PlacementCase {
         let nodes = if greedy == balanced {
             balanced
         } else {
-            let cost_of = |alloc: &[NodeId]| {
+            let cost_of = |alloc: &Placement| {
                 let mut s = self.state.clone();
                 s.allocate(&self.tree, JobId(u64::MAX), alloc, JobNature::CommIntensive)
                     .unwrap();
-                decide.job_cost(&self.tree, &s, alloc, &spec)
+                decide.job_cost(&self.tree, &s, &alloc.nodes(), &spec)
             };
             let cg = cost_of(&greedy);
             let cb = cost_of(&balanced);
@@ -190,14 +193,14 @@ impl PlacementCase {
 
         // Eq. 6/Eq. 7: one what-if clone per allocation, four traversals
         // per component (reported + ratio model, actual + default).
-        let what_if = |alloc: &[NodeId]| {
+        let what_if = |alloc: &Placement| {
             let mut s = self.state.clone();
             s.allocate(&self.tree, JobId(u64::MAX), alloc, JobNature::CommIntensive)
                 .unwrap();
-            s
+            (s, alloc.nodes())
         };
-        let state_actual = what_if(&nodes);
-        let state_default = what_if(&default_nodes);
+        let (state_actual, nodes) = what_if(&nodes);
+        let (state_default, default_nodes) = what_if(&default_nodes);
         let mut cost_actual = 0.0;
         let mut cost_default = 0.0;
         let mut adjusted = self.runtime * (1.0 - self.comm_fraction());
@@ -234,7 +237,7 @@ impl PlacementCase {
 
         let discount = CostModel::HOPS.trunk_discount;
         let mut ev = eval.lock().unwrap();
-        let mut eval_all = |alloc: &[NodeId]| -> Vec<(f64, f64)> {
+        let mut eval_all = |alloc: &Placement| -> Vec<(f64, f64)> {
             self.comm
                 .iter()
                 .map(|&(pattern, _)| {

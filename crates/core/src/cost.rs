@@ -1,6 +1,7 @@
 //! The paper's contention and communication-cost model (§5.3, Eqs. 2–6).
 #![deny(clippy::as_conversions)]
 
+use crate::placement::Placement;
 use crate::state::ClusterState;
 use commsched_collectives::CollectiveSpec;
 use commsched_num::{f64_of_u64, f64_of_usize, i32_of_u32};
@@ -163,20 +164,22 @@ impl CostModel {
         total
     }
 
-    /// Cost of a *hypothetical* allocation: applies `nodes` to `state` as a
-    /// communication-intensive job first (so the job's own contention
-    /// counts, per the paper's example), evaluates [`CostModel::job_cost`],
-    /// then reverts. The apply-then-revert runs through
+    /// Cost of a *hypothetical* allocation: applies `placement` to `state`
+    /// as a communication-intensive job first (so the job's own contention
+    /// counts, per the paper's example), evaluates [`CostModel::job_cost`]
+    /// on its node ids, then reverts. The apply-then-revert runs through
     /// [`ClusterState::scratch_alloc`] — no clone of the cluster state — and
-    /// `state` is restored bit-for-bit before this returns.
+    /// `state` is restored bit-for-bit before this returns. This is the
+    /// naive reference path; scheduling goes through
+    /// [`crate::PlacementEvaluator`].
     pub fn hypothetical_cost(
         &self,
         tree: &Tree,
         state: &mut ClusterState,
-        nodes: &[NodeId],
+        placement: &Placement,
         spec: &CollectiveSpec,
     ) -> f64 {
-        let what_if = state.scratch_alloc(tree, nodes, crate::state::JobNature::CommIntensive);
-        self.job_cost(tree, &what_if, nodes, spec)
+        let what_if = state.scratch_alloc(tree, placement, crate::state::JobNature::CommIntensive);
+        self.job_cost(tree, &what_if, &placement.nodes(), spec)
     }
 }

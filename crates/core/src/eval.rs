@@ -26,10 +26,11 @@
 #![deny(clippy::as_conversions)]
 
 use crate::cost::CostModel;
+use crate::placement::Placement;
 use crate::state::ClusterState;
 use commsched_collectives::{CollectiveSpec, Pattern, Step};
-use commsched_num::f64_of_u64;
-use commsched_topology::{NodeId, Tree};
+use commsched_num::{f64_of_u64, usize_of_u32};
+use commsched_topology::Tree;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -97,17 +98,13 @@ pub struct PlacementEvaluator {
     hop_map: HashMap<(usize, usize), f64>,
     /// Touched-leaf count the flat memo is sized for.
     dense_dim: usize,
-    /// `(state version, trunk discount bits)` the hop memo was filled under.
+    /// `(state version, trunk discount bits)` the hop memo was filled
+    /// under; together with [`Self::overlay`] it is the memo's validity.
     tag: Option<(u64, u64)>,
-    /// Exact overlay the hop memo was filled under (sorted leaf deltas).
-    tag_overlay: Vec<(usize, u32)>,
-    /// Scratch: sorted `(leaf ordinal, +comm delta)` of the candidate.
+    /// The last candidate's takes: its sorted `(leaf ordinal, +comm delta)`
+    /// overlay, and what `dense_of_rank` was expanded from.
     overlay: Vec<(usize, u32)>,
-    /// Scratch: candidate nodes sorted into rank order.
-    ranked: Vec<NodeId>,
-    /// Scratch: leaf ordinal of each rank.
-    leaf_of_rank: Vec<usize>,
-    /// Scratch: dense overlay position of each rank's leaf.
+    /// Dense overlay position of each rank's leaf.
     dense_of_rank: Vec<usize>,
 }
 
@@ -116,108 +113,62 @@ impl PlacementEvaluator {
         Self::default()
     }
 
-    /// Evaluate placing `nodes` as a communication-intensive job running
-    /// `spec`, without mutating `state`. Returns both Eq. 6 totals.
+    /// Evaluate placing `placement` as a communication-intensive job
+    /// running `spec`, without mutating `state`. Returns both Eq. 6 totals.
     ///
-    /// Equivalent (bit-for-bit) to allocating `nodes` on a copy of `state`
-    /// and calling [`CostModel::job_cost`] once per model with
-    /// `trunk_discount`, but in a single traversal of the schedule.
+    /// Equivalent (bit-for-bit) to allocating the placement on a copy of
+    /// `state` and calling [`CostModel::job_cost`] on its node ids once per
+    /// model with `trunk_discount`, but in a single traversal of the
+    /// schedule and without ever looking at an id.
     pub fn evaluate(
         &mut self,
         tree: &Tree,
         state: &ClusterState,
         trunk_discount: f64,
-        nodes: &[NodeId],
+        placement: &Placement,
         spec: &CollectiveSpec,
     ) -> EvalTotals {
-        self.ranked.clear();
-        self.ranked.extend_from_slice(nodes);
-        self.ranked.sort_unstable();
-        self.leaf_of_rank.clear();
-        self.leaf_of_rank
-            .extend(self.ranked.iter().map(|n| tree.leaf_ordinal_of(*n)));
-
-        // Overlay: how the candidate itself would bump each leaf's L_comm.
-        self.overlay.clear();
-        for &k in &self.leaf_of_rank {
-            self.overlay.push((k, 1));
-        }
-        self.overlay.sort_unstable();
-        self.overlay.dedup_by(|next, acc| {
-            if acc.0 == next.0 {
-                acc.1 += next.1;
-                true
-            } else {
-                false
-            }
-        });
-
-        // Dense remap: each rank's leaf → its position in the sorted
-        // overlay. The remap is order-preserving, so canonicalizing on
-        // dense positions canonicalizes on leaf ordinals too.
-        self.dense_of_rank.clear();
-        for i in 0..self.leaf_of_rank.len() {
-            let k = self.leaf_of_rank[i];
-            // Every rank's leaf is in the overlay by construction.
-            if let Ok(d) = self.overlay.binary_search_by_key(&k, |&(leaf, _)| leaf) {
-                self.dense_of_rank.push(d);
-            }
-        }
-        self.sweep(tree, state, trunk_discount, spec)
+        self.evaluate_takes(tree, state, trunk_discount, placement.takes(), spec)
     }
 
-    /// Evaluate a candidate given as per-leaf node counts instead of
-    /// materialized nodes: `groups` holds `(leaf ordinal, count)` pairs in
-    /// strictly ascending ordinal order with every count positive.
+    /// [`Self::evaluate`] on bare takes — `(leaf ordinal, count)` pairs in
+    /// strictly ascending ordinal order with every count positive — for
+    /// the annealing loop, which scores proposals it never resolves to
+    /// nodes.
     ///
-    /// When node ids are grouped by ascending leaf ordinal — true for
-    /// every built-in topology constructor — this is float-op-identical
-    /// to materializing `count` nodes per leaf and calling
-    /// [`Self::evaluate`]: the rank→leaf mapping is the same step
-    /// function either way. Skipping the materialization, the sort and
-    /// the per-rank overlay rebuild is what makes annealing proposals
-    /// cheap (the `SaSelector` hot loop).
-    pub fn evaluate_grouped(
+    /// Block rank order is node-id order and leaf `k`'s ids are one
+    /// contiguous range ascending with `k` ([`Tree::leaf_node_range`]), so
+    /// the takes laid end to end *are* the rank→leaf map, and they are
+    /// also the job's own `L_comm` overlay, already sorted and merged.
+    pub(crate) fn evaluate_takes(
         &mut self,
         tree: &Tree,
         state: &ClusterState,
         trunk_discount: f64,
-        groups: &[(usize, u32)],
+        takes: &[(usize, u32)],
         spec: &CollectiveSpec,
     ) -> EvalTotals {
-        // The groups *are* the sorted, deduplicated overlay.
-        self.overlay.clear();
-        self.overlay.extend_from_slice(groups);
-        self.dense_of_rank.clear();
-        for (d, &(_, count)) in groups.iter().enumerate() {
-            for _ in 0..count {
-                self.dense_of_rank.push(d);
+        // The engine scores one placement once per collective component,
+        // and right after the adaptive rule scored it: the rank map is
+        // rebuilt only when the takes change.
+        let same_takes = self.overlay == takes;
+        if !same_takes {
+            self.overlay.clear();
+            self.overlay.extend_from_slice(takes);
+            self.dense_of_rank.clear();
+            for (d, &(_, count)) in takes.iter().enumerate() {
+                self.dense_of_rank
+                    .extend(std::iter::repeat_n(d, usize_of_u32(count)));
             }
         }
-        self.sweep(tree, state, trunk_discount, spec)
-    }
-
-    /// The shared schedule traversal: assumes `self.overlay` (sorted leaf
-    /// deltas) and `self.dense_of_rank` (each rank's overlay position) are
-    /// prepared. Both public entry points funnel here, so a grouped
-    /// evaluation and a materialized one run the identical float ops.
-    fn sweep(
-        &mut self,
-        tree: &Tree,
-        state: &ClusterState,
-        trunk_discount: f64,
-        spec: &CollectiveSpec,
-    ) -> EvalTotals {
         // The hop memo survives across calls only while the contention
         // context is unchanged: same state version, same discount, and the
         // same overlay (compared exactly — no fingerprint collisions).
         let tag = (state.version(), trunk_discount.to_bits());
-        if self.tag != Some(tag) || self.tag_overlay != self.overlay {
+        if self.tag != Some(tag) || !same_takes {
             self.stamp += 1;
             self.hop_map.clear();
             self.tag = Some(tag);
-            self.tag_overlay.clear();
-            self.tag_overlay.extend_from_slice(&self.overlay);
         }
         let m = self.overlay.len();
         let flat = m <= FLAT_MEMO_MAX_TOUCHED;

@@ -6,6 +6,10 @@
 //! * [`ClusterState`] — per-leaf occupancy counters (`L_nodes`, `L_busy`,
 //!   `L_comm`) over a [`commsched_topology::Tree`], and the *communication
 //!   ratio* of Eq. 1;
+//! * [`Placement`] — the currency all of it trades in: how many nodes a
+//!   job takes from which leaf switch, plus the node-id runs those takes
+//!   resolve to (selectors return it, the evaluator scores it,
+//!   `ClusterState::allocate`/`release` apply it per leaf);
 //! * [`CostModel`] — the contention factor (Eqs. 2–3), effective hops
 //!   (Eq. 5) and per-job communication cost (Eq. 6) evaluated over the
 //!   step schedule of the job's dominant collective;
@@ -28,13 +32,12 @@
 //! let tree = Tree::irregular_two_level(&[160, 150, 100, 80, 70, 50, 40]);
 //! let state = ClusterState::new(&tree);
 //! let req = AllocRequest::comm(JobId(1), 512);
-//! let nodes = BalancedSelector.select(&tree, &state, &req).unwrap();
+//! let placement = BalancedSelector.select(&tree, &state, &req).unwrap();
 //!
-//! let mut per_leaf = vec![0usize; tree.num_leaves()];
-//! for n in &nodes {
-//!     per_leaf[tree.leaf_ordinal_of(*n)] += 1;
-//! }
+//! // A placement *is* the per-leaf split: (leaf ordinal, nodes taken).
+//! let per_leaf: Vec<u32> = placement.takes().iter().map(|&(_, n)| n).collect();
 //! assert_eq!(per_leaf, [128, 128, 64, 64, 64, 32, 32]); // Table 2
+//! assert_eq!(placement.len(), 512);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,6 +47,7 @@ mod cost;
 mod eval;
 mod index;
 pub mod mapping;
+mod placement;
 mod sa;
 mod select;
 pub mod select_scan;
@@ -52,6 +56,7 @@ mod state;
 pub use cost::CostModel;
 pub use eval::{EvalTotals, PlacementEvaluator};
 pub use mapping::MappingStrategy;
+pub use placement::Placement;
 pub use sa::{derive_seed, evals_per_sec, sa_search_with_stats, SaBudget, SaSelector, SaStats};
 pub use select::{
     AdaptiveSelector, AllocRequest, BalancedSelector, DefaultTreeSelector, GreedySelector,

@@ -15,7 +15,7 @@
 //!   function of (tree, state, request, budget, seed), independent of
 //!   thread count or call history;
 //! * a budget of 0 (or a compute-intensive job, or a single-leaf grant)
-//!   returns the incumbent placement **bit-for-bit** — the `Vec` the
+//!   returns the incumbent placement **bit-for-bit** — the value the
 //!   adaptive rule produced, not a reconstruction;
 //! * the returned placement never costs more than the incumbent: the
 //!   search only replaces it when a strictly cheaper candidate was found.
@@ -23,12 +23,13 @@
 
 use crate::cost::CostModel;
 use crate::eval::PlacementEvaluator;
+use crate::placement::Placement;
 use crate::select::{
     check_request, AllocRequest, BalancedSelector, GreedySelector, NodeSelector, SelectError,
 };
 use crate::state::{ClusterState, JobId};
 use commsched_num::{f64_of_u64, usize_of_u32};
-use commsched_topology::{NodeId, Tree};
+use commsched_topology::Tree;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -187,7 +188,7 @@ impl SaSelector {
         tree: &Tree,
         state: &ClusterState,
         req: &AllocRequest,
-    ) -> Result<(Vec<NodeId>, Option<f64>), SelectError> {
+    ) -> Result<(Placement, Option<f64>), SelectError> {
         let greedy = GreedySelector.select(tree, state, req)?;
         let balanced = BalancedSelector.select(tree, state, req)?;
         if greedy == balanced {
@@ -220,16 +221,16 @@ impl SaSelector {
     }
 
     /// Run the annealing loop from `incumbent`; returns the refined
-    /// placement (or the incumbent `Vec` unchanged when no strictly
-    /// cheaper candidate was found) and records [`SaStats`].
+    /// placement (or the incumbent unchanged when no strictly cheaper
+    /// candidate was found) and records [`SaStats`].
     fn anneal(
         &self,
         tree: &Tree,
         state: &ClusterState,
         req: &AllocRequest,
-        incumbent: Vec<NodeId>,
+        incumbent: Placement,
         incumbent_cost: Option<f64>,
-    ) -> Vec<NodeId> {
+    ) -> Placement {
         // The same switch every index-driven selector picked: lowest level
         // with enough free nodes. Its leaves are the move alphabet.
         let Some(p) = state.index().lowest_level_switch(req.nodes) else {
@@ -250,16 +251,15 @@ impl SaSelector {
         if leaves.len() < 2 {
             return incumbent;
         }
-        // Incumbent as a per-leaf take vector.
+        // Incumbent takes spread over the candidate leaves.
         let mut take = vec![0u32; leaves.len()];
-        for n in &incumbent {
-            let ord = tree.leaf_ordinal_of(*n);
+        for &(ord, count) in incumbent.takes() {
             let Ok(idx) = leaves.binary_search_by_key(&ord, |&(o, _)| o) else {
-                // Incumbent node on a leaf the index does not list under
+                // Incumbent take on a leaf the index does not list under
                 // `p` — cannot model the move space; keep the incumbent.
                 return incumbent;
             };
-            take[idx] += 1;
+            take[idx] = count;
         }
         let spec = req.spec();
         let Ok(mut eval) = self.eval.lock() else {
@@ -288,17 +288,11 @@ impl SaSelector {
                 // leaf drained exactly); further draws are futile.
                 break;
             }
-            // Score the proposal from its take vector directly — no node
-            // materialization, no sort; `leaves` is ordinal-ascending so
-            // the groups are too.
-            groups.clear();
-            for (idx, &t) in cand.iter().enumerate() {
-                if t > 0 {
-                    groups.push((leaves[idx].0, t));
-                }
-            }
+            // Score the proposal from its takes directly — `leaves` is
+            // ordinal-ascending, so the non-zero entries are too.
+            takes_of(&leaves, &cand, &mut groups);
             let cost = eval
-                .evaluate_grouped(tree, state, self.cost.trunk_discount, &groups, &spec)
+                .evaluate_takes(tree, state, self.cost.trunk_discount, &groups, &spec)
                 .for_model(&self.cost);
             evals += 1;
             let delta = cost - cur_cost;
@@ -317,25 +311,8 @@ impl SaSelector {
             temp *= self.budget.cooling;
         }
         let (out, cost_final) = if best_cost < cost_incumbent {
-            let mut out = Vec::with_capacity(req.nodes);
-            for (idx, &t) in best.iter().enumerate() {
-                if t > 0 {
-                    out.extend(state.free_nodes_on_leaf(tree, leaves[idx].0, usize_of_u32(t)));
-                }
-            }
-            // Confirm the winner on its materialized nodes. On every
-            // built-in topology this reproduces the grouped score exactly;
-            // on an exotic conf file whose node ids interleave leaves it
-            // may differ — either way the ≤-incumbent guarantee is checked
-            // against the *materialized* cost, which is what callers see.
-            let confirmed = eval
-                .evaluate(tree, state, self.cost.trunk_discount, &out, &spec)
-                .for_model(&self.cost);
-            if confirmed < cost_incumbent {
-                (out, confirmed)
-            } else {
-                (incumbent, cost_incumbent)
-            }
+            takes_of(&leaves, &best, &mut groups);
+            (Placement::from_takes(tree, state, groups), best_cost)
         } else {
             (incumbent, cost_incumbent)
         };
@@ -353,6 +330,19 @@ impl SaSelector {
         }
         out
     }
+}
+
+/// The non-zero entries of a take vector over `leaves`, as
+/// `(leaf ordinal, count)` takes.
+fn takes_of(leaves: &[(usize, u32)], take: &[u32], out: &mut Vec<(usize, u32)>) {
+    out.clear();
+    out.extend(
+        leaves
+            .iter()
+            .zip(take)
+            .filter(|&(_, &t)| t > 0)
+            .map(|(&(ord, _), &t)| (ord, t)),
+    );
 }
 
 /// Mutate `cand` with one legal shift or swap move; `false` when no legal
@@ -398,7 +388,7 @@ impl NodeSelector for SaSelector {
         tree: &Tree,
         state: &ClusterState,
         req: &AllocRequest,
-    ) -> Result<Vec<NodeId>, SelectError> {
+    ) -> Result<Placement, SelectError> {
         check_request(state, req)?;
         let (incumbent, cost) = self.incumbent(tree, state, req)?;
         if self.budget.max_evals == 0 || !req.nature.is_comm() {
@@ -416,9 +406,9 @@ pub fn sa_search_with_stats(
     tree: &Tree,
     state: &ClusterState,
     req: &AllocRequest,
-) -> Result<(Vec<NodeId>, Option<SaStats>), SelectError> {
-    let nodes = selector.select(tree, state, req)?;
-    Ok((nodes, selector.take_stats()))
+) -> Result<(Placement, Option<SaStats>), SelectError> {
+    let placement = selector.select(tree, state, req)?;
+    Ok((placement, selector.take_stats()))
 }
 
 /// Interpret a stats record as evaluations per second given elapsed

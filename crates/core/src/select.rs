@@ -2,20 +2,25 @@
 //! the paper's greedy (Alg. 1), balanced (Alg. 2) and adaptive (§4.3).
 //!
 //! All four descend the hierarchical free-count index (see [`crate::index`])
-//! instead of scanning and sorting every switch/leaf, so a placement costs
-//! O(tree height + leaves actually granted) rather than O(cluster size).
-//! The pre-index linear-scan algorithms live on in [`crate::select_scan`];
-//! the property tests in `tests` assert the two produce byte-identical
-//! placements, and the `bench_engine` selection cases measure the gap.
+//! instead of scanning and sorting every switch/leaf, and each is a *fill
+//! order over leaf takes*: it decides how many nodes to take from which
+//! leaf and hands the `(leaf ordinal, count)` list to [`Placement`], which
+//! resolves the ids. A placement costs O(tree height + leaves actually
+//! granted) plus one free-bit scan per partly occupied granted leaf.
+//! The pre-index linear-scan algorithms live on in [`crate::select_scan`],
+//! still building id lists node by node; the property tests in `tests`
+//! assert the two choose identical node sets, and the `bench_engine`
+//! selection cases measure the gap.
 #![deny(clippy::as_conversions)]
 
 use crate::cost::CostModel;
 use crate::eval::PlacementEvaluator;
 use crate::index::visit_desc;
+use crate::placement::Placement;
 use crate::state::{ClusterState, JobId, JobNature};
 use commsched_collectives::{CollectiveSpec, Pattern};
-use commsched_num::usize_of_u32;
-use commsched_topology::{NodeId, SwitchId, Tree};
+use commsched_num::{u32_of_usize, usize_of_u32};
+use commsched_topology::{SwitchId, Tree};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -111,8 +116,9 @@ impl std::error::Error for SelectError {}
 
 /// A node-selection algorithm, SLURM's `select/linear` decision point.
 ///
-/// Implementations must return exactly `req.nodes` distinct free nodes, or
-/// an error; they never mutate state (the caller records the allocation).
+/// Implementations must return a placement of exactly `req.nodes` free
+/// nodes, or an error; they never mutate state (the caller records the
+/// allocation).
 pub trait NodeSelector: Send + Sync {
     /// Short stable name, used in reports ("default", "greedy", ...).
     fn name(&self) -> &'static str;
@@ -123,28 +129,40 @@ pub trait NodeSelector: Send + Sync {
         tree: &Tree,
         state: &ClusterState,
         req: &AllocRequest,
-    ) -> Result<Vec<NodeId>, SelectError>;
+    ) -> Result<Placement, SelectError>;
 }
 
+/// The descent the three direct selectors share; they differ only in
+/// `fill`, the order in which they take from the leaves under the switch.
+///
 /// Validate the request, then find the lowest-level switch whose subtree has
 /// at least `req.nodes` free nodes, like SLURM's `topology/tree` plugin
 /// (§3.1). Ties at the same level break toward the *fewest* free nodes
 /// (best fit), then lowest id — the free-count index stores exactly that
-/// order, so the descent is O(height · log switches).
-fn pick_switch(
+/// order, so the descent is O(height · log switches). A leaf switch serves
+/// the whole request itself (Alg. 1 lines 3-5); under any other, `fill`
+/// returns `(leaf ordinal, count)` takes in its own order, and the
+/// placement resolves them to the lowest free ids of each leaf.
+fn select_under(
     tree: &Tree,
     state: &ClusterState,
     req: &AllocRequest,
-) -> Result<SwitchId, SelectError> {
-    let _ = tree; // the index is maintained against the same tree
+    fill: impl FnOnce(SwitchId) -> Vec<(usize, u32)>,
+) -> Result<Placement, SelectError> {
     check_request(state, req)?;
-    state
+    let p = state
         .index()
         .lowest_level_switch(req.nodes)
         .ok_or(SelectError::NotEnoughNodes {
             requested: req.nodes,
             free: state.free_total(),
-        })
+        })?;
+    let takes = if tree.switch(p).children.is_empty() {
+        vec![(tree.leaf_ordinal(p), u32_of_usize(req.nodes))]
+    } else {
+        fill(p)
+    };
+    Ok(Placement::from_takes(tree, state, takes))
 }
 
 pub(crate) fn check_request(state: &ClusterState, req: &AllocRequest) -> Result<(), SelectError> {
@@ -164,24 +182,19 @@ pub(crate) fn check_request(state: &ClusterState, req: &AllocRequest) -> Result<
 /// request is satisfied — the shared fill of the default selector and the
 /// balanced selector's compute arm, driven lazily off the index so only the
 /// granted prefix of the order is ever visited.
-fn fill_fewest_free_first(
-    tree: &Tree,
-    state: &ClusterState,
-    p: SwitchId,
-    want: usize,
-) -> Vec<NodeId> {
-    let mut out = Vec::with_capacity(want);
-    let mut remaining = want;
+fn fill_fewest_free_first(state: &ClusterState, p: SwitchId, want: usize) -> Vec<(usize, u32)> {
+    let mut takes = Vec::new();
+    let mut remaining = u32_of_usize(want);
     for &(free, ord) in state.index().leaves_by_free(p) {
         if remaining == 0 {
             break;
         }
-        let take = usize_of_u32(free).min(remaining);
-        out.extend(state.free_nodes_on_leaf(tree, usize_of_u32(ord), take));
+        let take = free.min(remaining);
+        takes.push((usize_of_u32(ord), take));
         remaining -= take;
     }
     debug_assert_eq!(remaining, 0, "switch was checked to have enough free nodes");
-    out
+    takes
 }
 
 /// SLURM's stock `topology/tree` + `select/linear` algorithm — the paper's
@@ -203,13 +216,10 @@ impl NodeSelector for DefaultTreeSelector {
         tree: &Tree,
         state: &ClusterState,
         req: &AllocRequest,
-    ) -> Result<Vec<NodeId>, SelectError> {
-        let p = pick_switch(tree, state, req)?;
-        if tree.switch(p).children.is_empty() {
-            let k = tree.leaf_ordinal(p);
-            return Ok(state.free_nodes_on_leaf(tree, k, req.nodes));
-        }
-        Ok(fill_fewest_free_first(tree, state, p, req.nodes))
+    ) -> Result<Placement, SelectError> {
+        select_under(tree, state, req, |p| {
+            fill_fewest_free_first(state, p, req.nodes)
+        })
     }
 }
 
@@ -232,42 +242,34 @@ impl NodeSelector for GreedySelector {
         tree: &Tree,
         state: &ClusterState,
         req: &AllocRequest,
-    ) -> Result<Vec<NodeId>, SelectError> {
-        let p = pick_switch(tree, state, req)?;
-        // Leaf-switch fast path (Alg. 1 lines 3-5): a single leaf serves the
-        // whole request.
-        if tree.switch(p).children.is_empty() {
-            let k = tree.leaf_ordinal(p);
-            return Ok(state.free_nodes_on_leaf(tree, k, req.nodes));
-        }
+    ) -> Result<Placement, SelectError> {
         // The index orders leaves by (ratio key, ordinal) — the communication
         // ratio under `total_cmp` with the leaf ordinal as tie-break, exactly
         // the scan baseline's sort. Comm-intensive jobs walk it forward
         // (least contended first), compute-intensive backward.
-        let mut out = Vec::with_capacity(req.nodes);
-        let mut remaining = req.nodes;
-        let set = state.index().leaves_by_ratio(p);
-        if req.nature.is_comm() {
-            for &(_, ord) in set {
-                if remaining == 0 {
-                    break;
-                }
+        select_under(tree, state, req, |p| {
+            let mut takes = Vec::new();
+            let mut remaining = u32_of_usize(req.nodes);
+            let mut grant = |ord: u32| {
                 let k = usize_of_u32(ord);
-                let take = usize_of_u32(state.leaf_free(k)).min(remaining);
-                out.extend(state.free_nodes_on_leaf(tree, k, take));
-                remaining -= take;
-            }
-        } else {
-            visit_desc(set, |ord| {
-                let k = usize_of_u32(ord);
-                let take = usize_of_u32(state.leaf_free(k)).min(remaining);
-                out.extend(state.free_nodes_on_leaf(tree, k, take));
+                let take = state.leaf_free(k).min(remaining);
+                takes.push((k, take));
                 remaining -= take;
                 remaining > 0
-            });
-        }
-        debug_assert_eq!(remaining, 0);
-        Ok(out)
+            };
+            let set = state.index().leaves_by_ratio(p);
+            if req.nature.is_comm() {
+                for &(_, ord) in set {
+                    if !grant(ord) {
+                        break;
+                    }
+                }
+            } else {
+                visit_desc(set, grant);
+            }
+            debug_assert_eq!(remaining, 0);
+            takes
+        })
     }
 }
 
@@ -293,64 +295,48 @@ impl NodeSelector for BalancedSelector {
         tree: &Tree,
         state: &ClusterState,
         req: &AllocRequest,
-    ) -> Result<Vec<NodeId>, SelectError> {
-        let p = pick_switch(tree, state, req)?;
-        if tree.switch(p).children.is_empty() {
-            let k = tree.leaf_ordinal(p);
-            return Ok(state.free_nodes_on_leaf(tree, k, req.nodes));
-        }
-
-        if !req.nature.is_comm() {
-            // Lines 29-36: compute jobs take the fullest-first (fewest free)
-            // leaves without the power-of-two discipline.
-            return Ok(fill_fewest_free_first(tree, state, p, req.nodes));
-        }
-
-        // Lines 9-21: decreasing free order, grant sizes halving to fit. The
-        // index yields the leaves lazily in that order, so the walk stops at
-        // the leaf that satisfies the request; the materialized prefix is
-        // complete exactly when the leftover pass below needs the full list.
-        let mut order: Vec<usize> = Vec::new();
-        let mut free: Vec<usize> = Vec::new();
-        let mut taken: Vec<usize> = Vec::new();
-        let mut remaining = req.nodes;
-        // `S` carries over between leaves and only ever shrinks (the paper's
-        // Figure 4 subdivision; this is what reproduces Table 2).
-        let mut s = req.nodes;
-        visit_desc(state.index().leaves_by_free(p), |ord| {
-            let k = usize_of_u32(ord);
-            let f = usize_of_u32(state.leaf_free(k));
-            debug_assert!(f > 0);
-            while s > f {
-                s /= 2;
+    ) -> Result<Placement, SelectError> {
+        select_under(tree, state, req, |p| {
+            if !req.nature.is_comm() {
+                // Lines 29-36: compute jobs take the fullest-first (fewest
+                // free) leaves without the power-of-two discipline.
+                return fill_fewest_free_first(state, p, req.nodes);
             }
-            let take = s.min(remaining);
-            order.push(k);
-            free.push(f - take);
-            taken.push(take);
-            remaining -= take;
-            remaining > 0
-        });
-        // Lines 22-27: leftovers in reverse sorted order, no constraint.
-        if remaining > 0 {
-            for idx in (0..order.len()).rev() {
+
+            // Lines 9-21: decreasing free order, grant sizes halving to fit.
+            // The index yields the leaves lazily in that order, so the walk
+            // stops at the leaf that satisfies the request; the visited
+            // prefix is complete exactly when the leftover pass below needs
+            // the full list.
+            let mut takes: Vec<(usize, u32)> = Vec::new();
+            let mut remaining = u32_of_usize(req.nodes);
+            // `S` carries over between leaves and only ever shrinks (the
+            // paper's Figure 4 subdivision; this is what reproduces Table 2).
+            let mut s = remaining;
+            visit_desc(state.index().leaves_by_free(p), |ord| {
+                let k = usize_of_u32(ord);
+                let f = state.leaf_free(k);
+                debug_assert!(f > 0);
+                while s > f {
+                    s /= 2;
+                }
+                let take = s.min(remaining);
+                takes.push((k, take));
+                remaining -= take;
+                remaining > 0
+            });
+            // Lines 22-27: leftovers in reverse sorted order, no constraint.
+            for (k, taken) in takes.iter_mut().rev() {
                 if remaining == 0 {
                     break;
                 }
-                let take = free[idx].min(remaining);
-                taken[idx] += take;
-                free[idx] -= take;
+                let take = (state.leaf_free(*k) - *taken).min(remaining);
+                *taken += take;
                 remaining -= take;
             }
-        }
-        debug_assert_eq!(remaining, 0, "switch had enough free nodes");
-        let mut out = Vec::with_capacity(req.nodes);
-        for (idx, &k) in order.iter().enumerate() {
-            if taken[idx] > 0 {
-                out.extend(state.free_nodes_on_leaf(tree, k, taken[idx]));
-            }
-        }
-        Ok(out)
+            debug_assert_eq!(remaining, 0, "switch had enough free nodes");
+            takes
+        })
     }
 }
 
@@ -405,7 +391,7 @@ impl NodeSelector for AdaptiveSelector {
         tree: &Tree,
         state: &ClusterState,
         req: &AllocRequest,
-    ) -> Result<Vec<NodeId>, SelectError> {
+    ) -> Result<Placement, SelectError> {
         let greedy = GreedySelector.select(tree, state, req)?;
         let balanced = BalancedSelector.select(tree, state, req)?;
         if greedy == balanced {

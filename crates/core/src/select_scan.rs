@@ -1,25 +1,24 @@
-//! Linear-scan reference implementations of the four selectors.
+//! Linear-scan reference implementations of the three direct selectors.
 //!
 //! These are the exact pre-index algorithms (scan every switch for the
 //! lowest-level pick, collect-and-sort every leaf under it for the fill
-//! order), preserved verbatim for two jobs:
+//! order, build the id list node by node in fill order), preserved
+//! verbatim for two jobs:
 //!
 //! * the property tests in `tests` assert every indexed selector in
-//!   [`crate::select`] returns **byte-identical** placements to its scan
-//!   twin on randomized trees and occupancies;
+//!   [`crate::select`] chooses exactly the node set of its scan twin on
+//!   randomized trees and occupancies (the adaptive twin, a composition
+//!   of these with the naive cost path, lives with those tests);
 //! * the `bench_engine` selection benchmarks measure the indexed-vs-scan
 //!   gap on the exascale presets (the headline speedup of ROADMAP item 3).
 //!
 //! They are O(cluster size) per placement and not meant for production use.
 #![deny(clippy::as_conversions)]
 
-use crate::cost::CostModel;
-use crate::eval::PlacementEvaluator;
 use crate::select::{check_request, AllocRequest, SelectError};
 use crate::state::ClusterState;
 use commsched_num::usize_of_u32;
 use commsched_topology::{NodeId, SwitchId, Tree};
-use std::sync::{Arc, Mutex};
 
 /// Find the lowest-level switch whose subtree has at least `want` free
 /// nodes by scanning every switch. Ties at the same level break toward the
@@ -216,41 +215,4 @@ pub fn balanced_select(
         }
     }
     Ok(out)
-}
-
-/// Scan twin of [`crate::AdaptiveSelector`]: compare the scan greedy and
-/// balanced candidates under `cost` through `eval`, keeping the cheaper for
-/// communication-intensive jobs and the costlier for compute-intensive ones.
-pub fn adaptive_select(
-    cost: &CostModel,
-    eval: &Arc<Mutex<PlacementEvaluator>>,
-    tree: &Tree,
-    state: &ClusterState,
-    req: &AllocRequest,
-) -> Result<Vec<NodeId>, SelectError> {
-    let greedy = greedy_select(tree, state, req)?;
-    let balanced = balanced_select(tree, state, req)?;
-    if greedy == balanced {
-        return Ok(balanced);
-    }
-    let spec = req.spec();
-    #[expect(
-        clippy::expect_used,
-        reason = "a poisoned mutex means another thread already panicked mid-evaluation; propagating is the only sound response"
-    )]
-    let mut guard = eval.lock().expect("evaluator mutex poisoned");
-    // Balanced last: when it wins (the common comm-intensive case) the
-    // hop memo is warm for the caller's follow-up evaluation.
-    let cost_g = guard
-        .evaluate(tree, state, cost.trunk_discount, &greedy, &spec)
-        .for_model(cost);
-    let cost_b = guard
-        .evaluate(tree, state, cost.trunk_discount, &balanced, &spec)
-        .for_model(cost);
-    let take_balanced = if req.nature.is_comm() {
-        cost_b <= cost_g
-    } else {
-        cost_b > cost_g
-    };
-    Ok(if take_balanced { balanced } else { greedy })
 }

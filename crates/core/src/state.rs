@@ -3,12 +3,16 @@
 #![deny(clippy::as_conversions)]
 
 use crate::index::{ratio_key, FreeIndex};
+use crate::placement::Placement;
 use commsched_num::{f64_of_usize, u32_of_usize, usize_of_u32};
 use commsched_topology::{NodeId, SwitchId, Tree};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+#[cfg(test)]
+mod reference;
 
 /// Globally unique version tokens: every mutation of any [`ClusterState`]
 /// instance gets a fresh one, so caches keyed on a version can never
@@ -52,8 +56,8 @@ impl JobNature {
 /// A recorded allocation: the nodes a job occupies and its nature.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Allocation {
-    /// Nodes held by the job, sorted.
-    pub nodes: Vec<NodeId>,
+    /// Nodes held by the job, exactly as they were allocated.
+    pub nodes: Placement,
     /// Job classification at allocation time.
     pub nature: JobNature,
 }
@@ -63,6 +67,8 @@ pub struct Allocation {
 pub enum StateError {
     /// Tried to allocate a node that is already busy.
     NodeBusy(NodeId),
+    /// A node named more than once in one placement.
+    DuplicateNode(NodeId),
     /// Tried to allocate under a job id that already holds nodes.
     JobExists(JobId),
     /// Tried to release a job with no recorded allocation.
@@ -91,6 +97,7 @@ impl fmt::Display for StateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::NodeBusy(n) => write!(f, "{n} is already allocated"),
+            Self::DuplicateNode(n) => write!(f, "{n} is named more than once"),
             Self::JobExists(j) => write!(f, "{j} already holds an allocation"),
             Self::UnknownJob(j) => write!(f, "{j} has no allocation"),
             Self::EmptyAllocation(j) => write!(f, "refusing empty allocation for {j}"),
@@ -122,6 +129,16 @@ pub enum NodeHealth {
     /// Busy with a job; will transition to `Down` when the job releases.
     Draining,
     /// Failed; invisible to selectors until recovered.
+    Down,
+}
+
+/// What a node counts as in the per-leaf counters: free, held by a job
+/// (`L_busy`, and `L_comm` too when the job is communication-intensive),
+/// or out of service.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    Free,
+    Busy { comm: bool },
     Down,
 }
 
@@ -424,7 +441,7 @@ impl ClusterState {
     pub fn job_on(&self, n: NodeId) -> Option<JobId> {
         self.allocs
             .iter()
-            .find(|(_, a)| a.nodes.binary_search(&n).is_ok())
+            .find(|(_, a)| a.nodes.contains(n))
             .map(|(j, _)| *j)
     }
 
@@ -508,67 +525,130 @@ impl ClusterState {
         out
     }
 
-    /// Flip one free node to busy across every counter (node bit, leaf
-    /// counters, the ancestor chain of switch counters, the total).
-    #[inline]
-    fn occupy(&mut self, tree: &Tree, n: NodeId, comm: bool) {
-        debug_assert!(self.node_free[n.0]);
-        self.node_free[n.0] = false;
-        let k = tree.leaf_ordinal_of(n);
-        self.note_leaf_dirty(tree, k);
-        self.leaf_free[k] -= 1;
-        self.leaf_busy[k] += 1;
-        if comm {
-            self.leaf_comm[k] += 1;
-        }
-        let mut s = Some(tree.leaf_of(n));
-        while let Some(id) = s {
-            self.index
-                .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
-            self.switch_free[id.0] -= 1;
-            s = tree.switch(id).parent;
-        }
-        self.free_total -= 1;
-    }
-
-    /// Inverse of [`ClusterState::occupy`].
-    #[inline]
-    fn vacate(&mut self, tree: &Tree, n: NodeId, comm: bool) {
-        debug_assert!(!self.node_free[n.0]);
-        self.node_free[n.0] = true;
-        let k = tree.leaf_ordinal_of(n);
-        self.note_leaf_dirty(tree, k);
-        self.leaf_free[k] += 1;
-        self.leaf_busy[k] -= 1;
-        if comm {
-            self.leaf_comm[k] -= 1;
-        }
-        let mut s = Some(tree.leaf_of(n));
-        while let Some(id) = s {
-            self.index
-                .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
-            self.switch_free[id.0] += 1;
-            s = tree.switch(id).parent;
-        }
-        self.free_total += 1;
-    }
-
-    /// Record an allocation: mark `nodes` busy under `job` with `nature`.
-    pub fn allocate(
-        &mut self,
+    /// The first `want` free nodes on leaf ordinal `k` as ascending id
+    /// runs `(first id, length)` — [`ClusterState::free_nodes_on_leaf`]
+    /// without the id list. A fully free leaf is one run and no scan.
+    pub(crate) fn free_runs_on_leaf(
+        &self,
         tree: &Tree,
-        job: JobId,
-        nodes: &[NodeId],
-        nature: JobNature,
-    ) -> Result<(), StateError> {
-        if nodes.is_empty() {
-            return Err(StateError::EmptyAllocation(job));
+        k: usize,
+        want: u32,
+        mut push: impl FnMut(usize, u32),
+    ) {
+        let range = tree.leaf_node_range(k);
+        debug_assert!(
+            want <= self.leaf_free[k],
+            "leaf {k} asked for more than it has free"
+        );
+        if usize_of_u32(self.leaf_free[k]) == range.len() {
+            push(range.start, want);
+            return;
         }
-        if self.allocs.contains_key(&job) {
-            return Err(StateError::JobExists(job));
+        // One pass over the leaf's bits, `(start, len)` the run being grown
+        // — a leaf fragmented into one- and two-node runs costs little
+        // more per node than the id list did.
+        let (mut start, mut len, mut left) = (range.start, 0, want);
+        for (at, &free) in range.clone().zip(&self.node_free[range]) {
+            if left == 0 {
+                break;
+            }
+            if free {
+                if len == 0 {
+                    start = at;
+                }
+                len += 1;
+                left -= 1;
+            } else if len > 0 {
+                push(start, len);
+                len = 0;
+            }
         }
-        for &n in nodes {
-            if !self.node_free[n.0] {
+        if len > 0 {
+            push(start, len);
+        }
+    }
+
+    /// Move `count` nodes of leaf ordinal `k` from one occupancy class to
+    /// another across every counter: the leaf's own, the ancestor chain of
+    /// subtree free counts, the totals — with one index note per touched
+    /// leaf and switch. Every mutation goes through here; the per-node
+    /// free bits and health are the caller's.
+    fn shift(&mut self, tree: &Tree, k: usize, count: u32, from: Class, to: Class) {
+        if count == 0 {
+            return;
+        }
+        self.note_leaf_dirty(tree, k);
+        let n = usize_of_u32(count);
+        match from {
+            Class::Free => self.leaf_free[k] -= count,
+            Class::Busy { comm } => {
+                self.leaf_busy[k] -= count;
+                if comm {
+                    self.leaf_comm[k] -= count;
+                }
+            }
+            Class::Down => {
+                self.leaf_down[k] -= count;
+                self.down_total -= n;
+            }
+        }
+        match to {
+            Class::Free => self.leaf_free[k] += count,
+            Class::Busy { comm } => {
+                self.leaf_busy[k] += count;
+                if comm {
+                    self.leaf_comm[k] += count;
+                }
+            }
+            Class::Down => {
+                self.leaf_down[k] += count;
+                self.down_total += n;
+            }
+        }
+        // Only a move into or out of `Free` changes the subtree counts.
+        let freed = to == Class::Free;
+        if freed || from == Class::Free {
+            let mut s = Some(tree.leaf(k));
+            while let Some(id) = s {
+                self.index
+                    .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
+                if freed {
+                    self.switch_free[id.0] += count;
+                } else {
+                    self.switch_free[id.0] -= count;
+                }
+                s = tree.switch(id).parent;
+            }
+            if freed {
+                self.free_total += n;
+            } else {
+                self.free_total -= n;
+            }
+        }
+    }
+
+    /// Move a whole placement between classes: one bit fill per run, one
+    /// [`ClusterState::shift`] per take.
+    fn shift_placement(&mut self, tree: &Tree, placement: &Placement, from: Class, to: Class) {
+        let free = to == Class::Free;
+        for &(first, len) in placement.runs() {
+            self.node_free[first.0..first.0 + usize_of_u32(len)].fill(free);
+        }
+        for &(k, count) in placement.takes() {
+            self.shift(tree, k, count, from, to);
+        }
+    }
+
+    /// `Ok` when `placement` names each node once and every one is free.
+    fn check_free(&self, placement: &Placement) -> Result<(), StateError> {
+        let mut end = 0;
+        for &(first, len) in placement.runs() {
+            if first.0 < end {
+                return Err(StateError::DuplicateNode(first));
+            }
+            end = first.0 + usize_of_u32(len);
+            if let Some(i) = self.node_free[first.0..end].iter().position(|f| !f) {
+                let n = NodeId(first.0 + i);
                 let down = self.node_health[n.0] == NodeHealth::Down || self.node_mask[n.0] > 0;
                 return Err(if down {
                     StateError::NodeDown(n)
@@ -577,15 +657,32 @@ impl ClusterState {
                 });
             }
         }
-        for &n in nodes {
-            self.occupy(tree, n, nature.is_comm());
+        Ok(())
+    }
+
+    /// Record an allocation: mark `placement` busy under `job` with
+    /// `nature`. Nothing changes unless every node is free and named once.
+    pub fn allocate(
+        &mut self,
+        tree: &Tree,
+        job: JobId,
+        placement: &Placement,
+        nature: JobNature,
+    ) -> Result<(), StateError> {
+        if placement.is_empty() {
+            return Err(StateError::EmptyAllocation(job));
         }
-        let mut sorted = nodes.to_vec();
-        sorted.sort_unstable();
+        if self.allocs.contains_key(&job) {
+            return Err(StateError::JobExists(job));
+        }
+        self.check_free(placement)?;
+        debug_assert_eq!(placement.check(tree), Ok(()));
+        let comm = nature.is_comm();
+        self.shift_placement(tree, placement, Class::Free, Class::Busy { comm });
         self.allocs.insert(
             job,
             Allocation {
-                nodes: sorted,
+                nodes: placement.clone(),
                 nature,
             },
         );
@@ -603,72 +700,36 @@ impl ClusterState {
             .allocs
             .remove(&job)
             .ok_or(StateError::UnknownJob(job))?;
-        for &n in &alloc.nodes {
-            if self.node_health[n.0] == NodeHealth::Draining {
-                // Busy -> down: the node leaves the busy counters but never
-                // re-enters the free ones, so switch_free/free_total are
-                // untouched (it was not free before and is not free now).
-                // The busy/comm change still moves the leaf's ratio key.
-                let k = tree.leaf_ordinal_of(n);
-                self.note_leaf_dirty(tree, k);
-                self.leaf_busy[k] -= 1;
-                if alloc.nature.is_comm() {
-                    self.leaf_comm[k] -= 1;
+        let busy = Class::Busy {
+            comm: alloc.nature.is_comm(),
+        };
+        if self.draining_total == 0 {
+            self.shift_placement(tree, &alloc.nodes, busy, Class::Free);
+        } else {
+            // Some node somewhere is draining: read each node's health and
+            // split every take into the part that returns to the free pool
+            // and the part that goes busy -> down (it was not free before
+            // and is not free now, so the subtree counts skip it). Takes
+            // and ids both ascend, so the next `count` ids are the take's.
+            let mut ids = alloc.nodes.iter();
+            for &(k, count) in alloc.nodes.takes() {
+                let mut drained = 0;
+                for n in ids.by_ref().take(usize_of_u32(count)) {
+                    if self.node_health[n.0] == NodeHealth::Draining {
+                        self.node_health[n.0] = NodeHealth::Down;
+                        drained += 1;
+                    } else {
+                        self.node_free[n.0] = true;
+                    }
                 }
-                self.leaf_down[k] += 1;
-                self.node_health[n.0] = NodeHealth::Down;
-                self.down_total += 1;
-                self.draining_total -= 1;
-            } else {
-                self.vacate(tree, n, alloc.nature.is_comm());
+                self.draining_total -= usize_of_u32(drained);
+                self.shift(tree, k, count - drained, busy, Class::Free);
+                self.shift(tree, k, drained, busy, Class::Down);
             }
         }
         self.flush_index(tree);
         self.version = next_version();
         Ok(alloc)
-    }
-
-    /// Free -> down counter move: leaves every free counter exactly like
-    /// occupy, but lands in `leaf_down` instead of `leaf_busy`. Touches
-    /// neither `node_health` nor `node_mask`; callers record *why* the
-    /// node left service.
-    #[inline]
-    fn free_to_down(&mut self, tree: &Tree, n: NodeId) {
-        debug_assert!(self.node_free[n.0]);
-        self.node_free[n.0] = false;
-        let k = tree.leaf_ordinal_of(n);
-        self.note_leaf_dirty(tree, k);
-        self.leaf_free[k] -= 1;
-        self.leaf_down[k] += 1;
-        let mut s = Some(tree.leaf_of(n));
-        while let Some(id) = s {
-            self.index
-                .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
-            self.switch_free[id.0] -= 1;
-            s = tree.switch(id).parent;
-        }
-        self.free_total -= 1;
-        self.down_total += 1;
-    }
-
-    /// Inverse of [`ClusterState::free_to_down`].
-    #[inline]
-    fn down_to_free(&mut self, tree: &Tree, n: NodeId) {
-        debug_assert!(!self.node_free[n.0]);
-        self.node_free[n.0] = true;
-        let k = tree.leaf_ordinal_of(n);
-        self.note_leaf_dirty(tree, k);
-        self.leaf_down[k] -= 1;
-        self.leaf_free[k] += 1;
-        let mut s = Some(tree.leaf_of(n));
-        while let Some(id) = s {
-            self.index
-                .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
-            self.switch_free[id.0] += 1;
-            s = tree.switch(id).parent;
-        }
-        self.free_total += 1;
-        self.down_total -= 1;
     }
 
     /// Take a *free* node out of service (fault-injection `Fail` on an idle
@@ -696,7 +757,8 @@ impl ClusterState {
             }
             _ => {}
         }
-        self.free_to_down(tree, n);
+        self.node_free[n.0] = false;
+        self.shift(tree, tree.leaf_ordinal_of(n), 1, Class::Free, Class::Down);
         self.node_health[n.0] = NodeHealth::Down;
         self.flush_index(tree);
         self.version = next_version();
@@ -725,7 +787,8 @@ impl ClusterState {
                 Ok(())
             }
             NodeHealth::Down => {
-                self.down_to_free(tree, n);
+                self.node_free[n.0] = true;
+                self.shift(tree, tree.leaf_ordinal_of(n), 1, Class::Down, Class::Free);
                 self.node_health[n.0] = NodeHealth::Up;
                 self.flush_index(tree);
                 self.version = next_version();
@@ -748,24 +811,35 @@ impl ClusterState {
         if self.switch_down[s.0] {
             return Err(StateError::SwitchDown(s));
         }
+        // `leaf_busy` counts exactly the job-held nodes, so only a leaf
+        // that has some is scanned for the one to name.
         for &k in tree.leaf_ordinals_under(s) {
-            for &n in tree.leaf_nodes(k) {
-                let busy = !self.node_free[n.0]
-                    && self.node_mask[n.0] == 0
-                    && self.node_health[n.0] != NodeHealth::Down;
+            if self.leaf_busy[k] == 0 {
+                continue;
+            }
+            for i in tree.leaf_node_range(k) {
+                let busy = !self.node_free[i]
+                    && self.node_mask[i] == 0
+                    && self.node_health[i] != NodeHealth::Down;
                 if busy {
-                    return Err(StateError::SwitchBusy { switch: s, node: n });
+                    return Err(StateError::SwitchBusy {
+                        switch: s,
+                        node: NodeId(i),
+                    });
                 }
             }
         }
         for &k in tree.leaf_ordinals_under(s) {
-            for &n in tree.leaf_nodes(k) {
-                self.node_mask[n.0] += 1;
-                if self.node_mask[n.0] == 1 && self.node_health[n.0] == NodeHealth::Up {
+            let mut masked = 0;
+            for i in tree.leaf_node_range(k) {
+                self.node_mask[i] += 1;
+                if self.node_mask[i] == 1 && self.node_health[i] == NodeHealth::Up {
                     // First mask over a healthy (therefore free) node.
-                    self.free_to_down(tree, n);
+                    self.node_free[i] = false;
+                    masked += 1;
                 }
             }
+            self.shift(tree, k, masked, Class::Free, Class::Down);
         }
         self.switch_down[s.0] = true;
         self.switches_down_total += 1;
@@ -785,12 +859,15 @@ impl ClusterState {
             return Err(StateError::SwitchNotDown(s));
         }
         for &k in tree.leaf_ordinals_under(s) {
-            for &n in tree.leaf_nodes(k) {
-                self.node_mask[n.0] -= 1;
-                if self.node_mask[n.0] == 0 && self.node_health[n.0] == NodeHealth::Up {
-                    self.down_to_free(tree, n);
+            let mut unmasked = 0;
+            for i in tree.leaf_node_range(k) {
+                self.node_mask[i] -= 1;
+                if self.node_mask[i] == 0 && self.node_health[i] == NodeHealth::Up {
+                    self.node_free[i] = true;
+                    unmasked += 1;
                 }
             }
+            self.shift(tree, k, unmasked, Class::Down, Class::Free);
         }
         self.switch_down[s.0] = false;
         self.switches_down_total -= 1;
@@ -835,26 +912,27 @@ impl ClusterState {
     /// switch counters, the free total) exactly as [`ClusterState::allocate`]
     /// would, but records nothing in the job table; consequently
     /// [`ClusterState::check_invariants`], which reconciles counters against
-    /// held allocations, only holds again once the guard drops. All `nodes`
-    /// must currently be free.
+    /// held allocations, only holds again once the guard drops. Every node
+    /// of `placement` must currently be free.
     pub fn scratch_alloc<'s, 't>(
         &'s mut self,
         tree: &'t Tree,
-        nodes: &[NodeId],
+        placement: &Placement,
         nature: JobNature,
     ) -> ScratchAlloc<'s, 't> {
-        let comm = nature.is_comm();
-        for &n in nodes {
-            assert!(self.node_free[n.0], "scratch allocation over busy {n}");
-            self.occupy(tree, n, comm);
-        }
+        let checked = self.check_free(placement);
+        assert!(checked.is_ok(), "scratch allocation refused: {checked:?}");
+        let busy = Class::Busy {
+            comm: nature.is_comm(),
+        };
+        self.shift_placement(tree, placement, Class::Free, busy);
         self.flush_index(tree);
         self.version = next_version();
         ScratchAlloc {
             state: self,
             tree,
-            nodes: nodes.to_vec(),
-            comm,
+            placement: placement.clone(),
+            busy,
         }
     }
 
@@ -1023,8 +1101,8 @@ fn ratio_value(busy: u32, comm: u32, nodes: f64) -> f64 {
 pub struct ScratchAlloc<'s, 't> {
     state: &'s mut ClusterState,
     tree: &'t Tree,
-    nodes: Vec<NodeId>,
-    comm: bool,
+    placement: Placement,
+    busy: Class,
 }
 
 impl std::ops::Deref for ScratchAlloc<'_, '_> {
@@ -1037,9 +1115,8 @@ impl std::ops::Deref for ScratchAlloc<'_, '_> {
 
 impl Drop for ScratchAlloc<'_, '_> {
     fn drop(&mut self) {
-        for &n in &self.nodes {
-            self.state.vacate(self.tree, n, self.comm);
-        }
+        self.state
+            .shift_placement(self.tree, &self.placement, self.busy, Class::Free);
         self.state.flush_index(self.tree);
         self.state.version = next_version();
     }

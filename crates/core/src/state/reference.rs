@@ -1,0 +1,270 @@
+//! The per-node reference the batched mutations are model-checked against:
+//! the previous implementation of every [`ClusterState`] mutation, kept
+//! verbatim under `ref_` names. Each node flip walks the ancestor chain
+//! and notes the index on its own — one node at a time, no takes, no runs
+//! — so agreement with the per-leaf [`ClusterState::shift`] path after
+//! every operation (`==` plus `check_invariants`, in `tests::model`) is
+//! evidence neither shares a counting mistake with the other.
+
+use super::*;
+
+impl ClusterState {
+    fn ref_occupy(&mut self, tree: &Tree, n: NodeId, comm: bool) {
+        assert!(self.node_free[n.0]);
+        self.node_free[n.0] = false;
+        let k = tree.leaf_ordinal_of(n);
+        self.note_leaf_dirty(tree, k);
+        self.leaf_free[k] -= 1;
+        self.leaf_busy[k] += 1;
+        if comm {
+            self.leaf_comm[k] += 1;
+        }
+        let mut s = Some(tree.leaf_of(n));
+        while let Some(id) = s {
+            self.index
+                .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
+            self.switch_free[id.0] -= 1;
+            s = tree.switch(id).parent;
+        }
+        self.free_total -= 1;
+    }
+
+    fn ref_vacate(&mut self, tree: &Tree, n: NodeId, comm: bool) {
+        assert!(!self.node_free[n.0]);
+        self.node_free[n.0] = true;
+        let k = tree.leaf_ordinal_of(n);
+        self.note_leaf_dirty(tree, k);
+        self.leaf_free[k] += 1;
+        self.leaf_busy[k] -= 1;
+        if comm {
+            self.leaf_comm[k] -= 1;
+        }
+        let mut s = Some(tree.leaf_of(n));
+        while let Some(id) = s {
+            self.index
+                .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
+            self.switch_free[id.0] += 1;
+            s = tree.switch(id).parent;
+        }
+        self.free_total += 1;
+    }
+
+    fn ref_free_to_down(&mut self, tree: &Tree, n: NodeId) {
+        assert!(self.node_free[n.0]);
+        self.node_free[n.0] = false;
+        let k = tree.leaf_ordinal_of(n);
+        self.note_leaf_dirty(tree, k);
+        self.leaf_free[k] -= 1;
+        self.leaf_down[k] += 1;
+        let mut s = Some(tree.leaf_of(n));
+        while let Some(id) = s {
+            self.index
+                .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
+            self.switch_free[id.0] -= 1;
+            s = tree.switch(id).parent;
+        }
+        self.free_total -= 1;
+        self.down_total += 1;
+    }
+
+    fn ref_down_to_free(&mut self, tree: &Tree, n: NodeId) {
+        assert!(!self.node_free[n.0]);
+        self.node_free[n.0] = true;
+        let k = tree.leaf_ordinal_of(n);
+        self.note_leaf_dirty(tree, k);
+        self.leaf_down[k] -= 1;
+        self.leaf_free[k] += 1;
+        let mut s = Some(tree.leaf_of(n));
+        while let Some(id) = s {
+            self.index
+                .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
+            self.switch_free[id.0] += 1;
+            s = tree.switch(id).parent;
+        }
+        self.free_total += 1;
+        self.down_total -= 1;
+    }
+
+    /// Reference `allocate` over an explicit id list (no repeats; the old
+    /// validation loop could not see one).
+    pub(crate) fn ref_allocate(
+        &mut self,
+        tree: &Tree,
+        job: JobId,
+        nodes: &[NodeId],
+        nature: JobNature,
+    ) -> Result<(), StateError> {
+        if nodes.is_empty() {
+            return Err(StateError::EmptyAllocation(job));
+        }
+        if self.allocs.contains_key(&job) {
+            return Err(StateError::JobExists(job));
+        }
+        for &n in nodes {
+            if !self.node_free[n.0] {
+                let down = self.node_health[n.0] == NodeHealth::Down || self.node_mask[n.0] > 0;
+                return Err(if down {
+                    StateError::NodeDown(n)
+                } else {
+                    StateError::NodeBusy(n)
+                });
+            }
+        }
+        for &n in nodes {
+            self.ref_occupy(tree, n, nature.is_comm());
+        }
+        let nodes = Placement::from_nodes(tree, nodes)?;
+        self.allocs.insert(job, Allocation { nodes, nature });
+        self.flush_index(tree);
+        self.version = next_version();
+        Ok(())
+    }
+
+    pub(crate) fn ref_release(
+        &mut self,
+        tree: &Tree,
+        job: JobId,
+    ) -> Result<Allocation, StateError> {
+        let alloc = self
+            .allocs
+            .remove(&job)
+            .ok_or(StateError::UnknownJob(job))?;
+        for n in alloc.nodes.nodes() {
+            if self.node_health[n.0] == NodeHealth::Draining {
+                let k = tree.leaf_ordinal_of(n);
+                self.note_leaf_dirty(tree, k);
+                self.leaf_busy[k] -= 1;
+                if alloc.nature.is_comm() {
+                    self.leaf_comm[k] -= 1;
+                }
+                self.leaf_down[k] += 1;
+                self.node_health[n.0] = NodeHealth::Down;
+                self.down_total += 1;
+                self.draining_total -= 1;
+            } else {
+                self.ref_vacate(tree, n, alloc.nature.is_comm());
+            }
+        }
+        self.flush_index(tree);
+        self.version = next_version();
+        Ok(alloc)
+    }
+
+    pub(crate) fn ref_set_down(&mut self, tree: &Tree, n: NodeId) -> Result<(), StateError> {
+        match self.node_health[n.0] {
+            NodeHealth::Down => return Err(StateError::NodeDown(n)),
+            NodeHealth::Up if self.node_mask[n.0] > 0 => {
+                self.node_health[n.0] = NodeHealth::Down;
+                self.version = next_version();
+                return Ok(());
+            }
+            NodeHealth::Up | NodeHealth::Draining if !self.node_free[n.0] => {
+                return Err(StateError::NodeBusy(n));
+            }
+            _ => {}
+        }
+        self.ref_free_to_down(tree, n);
+        self.node_health[n.0] = NodeHealth::Down;
+        self.flush_index(tree);
+        self.version = next_version();
+        Ok(())
+    }
+
+    pub(crate) fn ref_set_up(&mut self, tree: &Tree, n: NodeId) -> Result<(), StateError> {
+        match self.node_health[n.0] {
+            NodeHealth::Up => Err(StateError::NodeNotDown(n)),
+            NodeHealth::Draining => {
+                self.node_health[n.0] = NodeHealth::Up;
+                self.draining_total -= 1;
+                self.version = next_version();
+                Ok(())
+            }
+            NodeHealth::Down if self.node_mask[n.0] > 0 => {
+                self.node_health[n.0] = NodeHealth::Up;
+                self.version = next_version();
+                Ok(())
+            }
+            NodeHealth::Down => {
+                self.ref_down_to_free(tree, n);
+                self.node_health[n.0] = NodeHealth::Up;
+                self.flush_index(tree);
+                self.version = next_version();
+                Ok(())
+            }
+        }
+    }
+
+    pub(crate) fn ref_set_switch_down(
+        &mut self,
+        tree: &Tree,
+        s: SwitchId,
+    ) -> Result<(), StateError> {
+        if self.switch_down[s.0] {
+            return Err(StateError::SwitchDown(s));
+        }
+        for &k in tree.leaf_ordinals_under(s) {
+            for &n in tree.leaf_nodes(k) {
+                let busy = !self.node_free[n.0]
+                    && self.node_mask[n.0] == 0
+                    && self.node_health[n.0] != NodeHealth::Down;
+                if busy {
+                    return Err(StateError::SwitchBusy { switch: s, node: n });
+                }
+            }
+        }
+        for &k in tree.leaf_ordinals_under(s) {
+            for &n in tree.leaf_nodes(k) {
+                self.node_mask[n.0] += 1;
+                if self.node_mask[n.0] == 1 && self.node_health[n.0] == NodeHealth::Up {
+                    self.ref_free_to_down(tree, n);
+                }
+            }
+        }
+        self.switch_down[s.0] = true;
+        self.switches_down_total += 1;
+        self.flush_index(tree);
+        self.version = next_version();
+        Ok(())
+    }
+
+    pub(crate) fn ref_set_switch_up(&mut self, tree: &Tree, s: SwitchId) -> Result<(), StateError> {
+        if !self.switch_down[s.0] {
+            return Err(StateError::SwitchNotDown(s));
+        }
+        for &k in tree.leaf_ordinals_under(s) {
+            for &n in tree.leaf_nodes(k) {
+                self.node_mask[n.0] -= 1;
+                if self.node_mask[n.0] == 0 && self.node_health[n.0] == NodeHealth::Up {
+                    self.ref_down_to_free(tree, n);
+                }
+            }
+        }
+        self.switch_down[s.0] = false;
+        self.switches_down_total -= 1;
+        self.flush_index(tree);
+        self.version = next_version();
+        Ok(())
+    }
+
+    pub(crate) fn ref_set_draining(&mut self, tree: &Tree, n: NodeId) -> Result<bool, StateError> {
+        match self.node_health[n.0] {
+            NodeHealth::Down => Err(StateError::NodeDown(n)),
+            NodeHealth::Draining => Ok(false),
+            NodeHealth::Up if self.node_mask[n.0] > 0 => {
+                self.node_health[n.0] = NodeHealth::Down;
+                self.version = next_version();
+                Ok(true)
+            }
+            NodeHealth::Up if self.node_free[n.0] => {
+                self.ref_set_down(tree, n)?;
+                Ok(true)
+            }
+            NodeHealth::Up => {
+                self.node_health[n.0] = NodeHealth::Draining;
+                self.draining_total += 1;
+                self.version = next_version();
+                Ok(false)
+            }
+        }
+    }
+}

@@ -1,7 +1,7 @@
 use crate::{
     AdaptiveSelector, AllocRequest, BalancedSelector, ClusterState, CostModel, DefaultTreeSelector,
-    GreedySelector, JobId, JobNature, NodeSelector, PlacementEvaluator, SelectError, SelectorKind,
-    StateError,
+    GreedySelector, JobId, JobNature, NodeSelector, Placement, PlacementEvaluator, SelectError,
+    SelectorKind, StateError,
 };
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_topology::{NodeId, Tree};
@@ -18,24 +18,32 @@ fn figure5_state(tree: &Tree) -> ClusterState {
     st.allocate(
         tree,
         JobId(1),
-        &[NodeId(0), NodeId(1), NodeId(4), NodeId(5)],
+        &ids(tree, &[NodeId(0), NodeId(1), NodeId(4), NodeId(5)]),
         JobNature::CommIntensive,
     )
     .unwrap();
     st.allocate(
         tree,
         JobId(2),
-        &[NodeId(2), NodeId(3)],
+        &ids(tree, &[NodeId(2), NodeId(3)]),
         JobNature::CommIntensive,
     )
     .unwrap();
     st
 }
 
-fn nodes_per_leaf(tree: &Tree, nodes: &[NodeId]) -> Vec<usize> {
+/// The placement holding exactly `nodes`, for tests with explicit ids.
+fn ids(tree: &Tree, nodes: &[NodeId]) -> Placement {
+    Placement::from_nodes(tree, nodes).unwrap()
+}
+
+/// Per-leaf node counts of a placement, recounted from its node ids (not
+/// read off its takes — [`Placement::check`] ties the two together).
+fn nodes_per_leaf(tree: &Tree, placement: &Placement) -> Vec<usize> {
+    placement.check(tree).unwrap();
     let mut v = vec![0usize; tree.num_leaves()];
-    for n in nodes {
-        v[tree.leaf_ordinal_of(*n)] += 1;
+    for n in placement.iter() {
+        v[tree.leaf_ordinal_of(n)] += 1;
     }
     v
 }
@@ -50,7 +58,7 @@ fn allocate_and_release_round_trip() {
     st.allocate(
         &tree,
         JobId(7),
-        &[NodeId(0), NodeId(4)],
+        &ids(&tree, &[NodeId(0), NodeId(4)]),
         JobNature::CommIntensive,
     )
     .unwrap();
@@ -61,7 +69,8 @@ fn allocate_and_release_round_trip() {
     st.check_invariants(&tree).unwrap();
 
     let alloc = st.release(&tree, JobId(7)).unwrap();
-    assert_eq!(alloc.nodes, vec![NodeId(0), NodeId(4)]);
+    assert_eq!(alloc.nodes.nodes(), vec![NodeId(0), NodeId(4)]);
+    assert_eq!(alloc.nodes.takes(), [(0, 1), (1, 1)]);
     assert_eq!(st.free_total(), 8);
     assert_eq!(st.leaf_comm(0), 0);
     st.check_invariants(&tree).unwrap();
@@ -71,8 +80,13 @@ fn allocate_and_release_round_trip() {
 fn compute_jobs_do_not_count_in_leaf_comm() {
     let tree = figure2();
     let mut st = ClusterState::new(&tree);
-    st.allocate(&tree, JobId(1), &[NodeId(0)], JobNature::ComputeIntensive)
-        .unwrap();
+    st.allocate(
+        &tree,
+        JobId(1),
+        &ids(&tree, &[NodeId(0)]),
+        JobNature::ComputeIntensive,
+    )
+    .unwrap();
     assert_eq!(st.leaf_busy(0), 1);
     assert_eq!(st.leaf_comm(0), 0);
 }
@@ -81,19 +95,44 @@ fn compute_jobs_do_not_count_in_leaf_comm() {
 fn state_errors() {
     let tree = figure2();
     let mut st = ClusterState::new(&tree);
-    st.allocate(&tree, JobId(1), &[NodeId(0)], JobNature::CommIntensive)
-        .unwrap();
+    st.allocate(
+        &tree,
+        JobId(1),
+        &ids(&tree, &[NodeId(0)]),
+        JobNature::CommIntensive,
+    )
+    .unwrap();
     assert_eq!(
-        st.allocate(&tree, JobId(2), &[NodeId(0)], JobNature::CommIntensive),
+        st.allocate(
+            &tree,
+            JobId(2),
+            &ids(&tree, &[NodeId(0)]),
+            JobNature::CommIntensive
+        ),
         Err(StateError::NodeBusy(NodeId(0)))
     );
     assert_eq!(
-        st.allocate(&tree, JobId(1), &[NodeId(1)], JobNature::CommIntensive),
+        st.allocate(
+            &tree,
+            JobId(1),
+            &ids(&tree, &[NodeId(1)]),
+            JobNature::CommIntensive
+        ),
         Err(StateError::JobExists(JobId(1)))
     );
     assert_eq!(
-        st.allocate(&tree, JobId(3), &[], JobNature::CommIntensive),
+        st.allocate(&tree, JobId(3), &ids(&tree, &[]), JobNature::CommIntensive),
         Err(StateError::EmptyAllocation(JobId(3)))
+    );
+    // A busy node is reported wherever it sits in the list.
+    assert_eq!(
+        st.allocate(
+            &tree,
+            JobId(4),
+            &ids(&tree, &[NodeId(5), NodeId(0), NodeId(2)]),
+            JobNature::CommIntensive
+        ),
+        Err(StateError::NodeBusy(NodeId(0)))
     );
     assert_eq!(
         st.release(&tree, JobId(9)),
@@ -148,8 +187,13 @@ fn contention_discount_deepens_with_lca_level() {
     // 2 comm nodes on every leaf.
     for k in 0..4 {
         let nodes = tree.leaf_nodes(k)[..2].to_vec();
-        st.allocate(&tree, JobId(k as u64 + 1), &nodes, JobNature::CommIntensive)
-            .unwrap();
+        st.allocate(
+            &tree,
+            JobId(k as u64 + 1),
+            &ids(&tree, &nodes),
+            JobNature::CommIntensive,
+        )
+        .unwrap();
     }
     let m = CostModel::HOPS;
     // Same group (LCA level 2): 2/4 + 2/4 + 0.5 * 4/8 = 1.25.
@@ -177,8 +221,8 @@ fn job_cost_single_leaf_beats_split() {
     let m = CostModel::HOPS;
     let together: Vec<NodeId> = (0..8).map(NodeId).collect();
     let split: Vec<NodeId> = (0..4).chain(8..12).map(NodeId).collect();
-    let c1 = m.hypothetical_cost(&tree, &mut st, &together, &spec);
-    let c2 = m.hypothetical_cost(&tree, &mut st, &split, &spec);
+    let c1 = m.hypothetical_cost(&tree, &mut st, &ids(&tree, &together), &spec);
+    let c2 = m.hypothetical_cost(&tree, &mut st, &ids(&tree, &split), &spec);
     assert!(c1 < c2, "together={c1} split={c2}");
 }
 
@@ -192,8 +236,8 @@ fn job_cost_balanced_split_beats_unbalanced() {
     let m = CostModel::HOPS;
     let balanced: Vec<NodeId> = (0..4).chain(8..12).map(NodeId).collect();
     let unbalanced: Vec<NodeId> = (0..3).chain(8..13).map(NodeId).collect();
-    let cb = m.hypothetical_cost(&tree, &mut st, &balanced, &spec);
-    let cu = m.hypothetical_cost(&tree, &mut st, &unbalanced, &spec);
+    let cb = m.hypothetical_cost(&tree, &mut st, &ids(&tree, &balanced), &spec);
+    let cu = m.hypothetical_cost(&tree, &mut st, &ids(&tree, &unbalanced), &spec);
     assert!(cb <= cu, "balanced={cb} unbalanced={cu}");
 }
 
@@ -239,7 +283,7 @@ fn default_lowest_level_switch_matches_section_3_1() {
     st.allocate(
         &tree,
         JobId(1),
-        &[NodeId(0), NodeId(1)],
+        &ids(&tree, &[NodeId(0), NodeId(1)]),
         JobNature::ComputeIntensive,
     )
     .unwrap();
@@ -264,7 +308,10 @@ fn default_best_fit_prefers_fuller_leaves() {
     st.allocate(
         &tree,
         JobId(1),
-        &[NodeId(4), NodeId(5), NodeId(6), NodeId(8), NodeId(9)],
+        &ids(
+            &tree,
+            &[NodeId(4), NodeId(5), NodeId(6), NodeId(8), NodeId(9)],
+        ),
         JobNature::ComputeIntensive,
     )
     .unwrap();
@@ -291,14 +338,14 @@ fn greedy_comm_prefers_least_contended() {
     st.allocate(
         &tree,
         JobId(1),
-        &[NodeId(0), NodeId(1)],
+        &ids(&tree, &[NodeId(0), NodeId(1)]),
         JobNature::CommIntensive,
     )
     .unwrap();
     st.allocate(
         &tree,
         JobId(2),
-        &[NodeId(4), NodeId(5)],
+        &ids(&tree, &[NodeId(4), NodeId(5)]),
         JobNature::ComputeIntensive,
     )
     .unwrap();
@@ -317,14 +364,14 @@ fn greedy_compute_takes_most_contended_first() {
     st.allocate(
         &tree,
         JobId(1),
-        &[NodeId(0), NodeId(1)],
+        &ids(&tree, &[NodeId(0), NodeId(1)]),
         JobNature::CommIntensive,
     )
     .unwrap();
     st.allocate(
         &tree,
         JobId(2),
-        &[NodeId(4), NodeId(5)],
+        &ids(&tree, &[NodeId(4), NodeId(5)]),
         JobNature::ComputeIntensive,
     )
     .unwrap();
@@ -345,7 +392,7 @@ fn greedy_leaf_fast_path() {
     let got = GreedySelector
         .select(&tree, &st, &AllocRequest::comm(JobId(9), 2))
         .unwrap();
-    assert_eq!(got, vec![NodeId(6), NodeId(7)]);
+    assert_eq!(got.nodes(), vec![NodeId(6), NodeId(7)]);
 }
 
 // ---------------------------------------------------------------- balanced
@@ -373,8 +420,13 @@ fn balanced_table2_with_busy_nodes() {
     let mut next = JobId(100);
     for (k, &b) in busy.iter().enumerate() {
         let nodes: Vec<NodeId> = tree.leaf_nodes(k)[..b].to_vec();
-        st.allocate(&tree, next, &nodes, JobNature::ComputeIntensive)
-            .unwrap();
+        st.allocate(
+            &tree,
+            next,
+            &ids(&tree, &nodes),
+            JobNature::ComputeIntensive,
+        )
+        .unwrap();
         next = JobId(next.0 + 1);
     }
     let got = BalancedSelector
@@ -404,8 +456,13 @@ fn balanced_second_pass_takes_leftovers() {
 fn balanced_compute_preserves_free_leaves() {
     let tree = Tree::regular_two_level(3, 4);
     let mut st = ClusterState::new(&tree);
-    st.allocate(&tree, JobId(1), &[NodeId(0)], JobNature::ComputeIntensive)
-        .unwrap();
+    st.allocate(
+        &tree,
+        JobId(1),
+        &ids(&tree, &[NodeId(0)]),
+        JobNature::ComputeIntensive,
+    )
+    .unwrap();
     // Compute job of 3: increasing free order -> leaf0 (3 free) first.
     let got = BalancedSelector
         .select(&tree, &st, &AllocRequest::compute(JobId(2), 3))
@@ -437,21 +494,21 @@ fn adaptive_picks_cheaper_of_greedy_and_balanced() {
     st.allocate(
         &tree,
         JobId(1),
-        &[NodeId(0), NodeId(1), NodeId(2)],
+        &ids(&tree, &[NodeId(0), NodeId(1), NodeId(2)]),
         JobNature::CommIntensive,
     )
     .unwrap();
     st.allocate(
         &tree,
         JobId(2),
-        &[NodeId(8), NodeId(9), NodeId(10), NodeId(11)],
+        &ids(&tree, &[NodeId(8), NodeId(9), NodeId(10), NodeId(11)]),
         JobNature::ComputeIntensive,
     )
     .unwrap();
     st.allocate(
         &tree,
         JobId(3),
-        &[NodeId(16), NodeId(17), NodeId(18), NodeId(19)],
+        &ids(&tree, &[NodeId(16), NodeId(17), NodeId(18), NodeId(19)]),
         JobNature::ComputeIntensive,
     )
     .unwrap();
@@ -480,21 +537,21 @@ fn adaptive_compute_takes_costlier() {
     st.allocate(
         &tree,
         JobId(1),
-        &[NodeId(0), NodeId(1), NodeId(2)],
+        &ids(&tree, &[NodeId(0), NodeId(1), NodeId(2)]),
         JobNature::CommIntensive,
     )
     .unwrap();
     st.allocate(
         &tree,
         JobId(2),
-        &[NodeId(8), NodeId(9), NodeId(10), NodeId(11)],
+        &ids(&tree, &[NodeId(8), NodeId(9), NodeId(10), NodeId(11)]),
         JobNature::ComputeIntensive,
     )
     .unwrap();
     st.allocate(
         &tree,
         JobId(3),
-        &[NodeId(16), NodeId(17), NodeId(18), NodeId(19)],
+        &ids(&tree, &[NodeId(16), NodeId(17), NodeId(18), NodeId(19)]),
         JobNature::ComputeIntensive,
     )
     .unwrap();
@@ -568,17 +625,22 @@ fn hypothetical_cost_equals_cost_after_allocation() {
     st.allocate(
         &tree,
         JobId(1),
-        &[NodeId(0), NodeId(8)],
+        &ids(&tree, &[NodeId(0), NodeId(8)]),
         JobNature::CommIntensive,
     )
     .unwrap();
     let nodes: Vec<NodeId> = (1..5).chain(9..13).map(NodeId).collect();
     let spec = CollectiveSpec::new(Pattern::Rhvd, 1 << 20);
     for m in [CostModel::HOPS, CostModel::HOP_BYTES] {
-        let hypo = m.hypothetical_cost(&tree, &mut st, &nodes, &spec);
+        let hypo = m.hypothetical_cost(&tree, &mut st, &ids(&tree, &nodes), &spec);
         let mut applied = st.clone();
         applied
-            .allocate(&tree, JobId(2), &nodes, JobNature::CommIntensive)
+            .allocate(
+                &tree,
+                JobId(2),
+                &ids(&tree, &nodes),
+                JobNature::CommIntensive,
+            )
             .unwrap();
         let real = m.job_cost(&tree, &applied, &nodes, &spec);
         assert_eq!(hypo, real);
@@ -624,7 +686,7 @@ mod three_level {
                 .select(&t, &st, &AllocRequest::comm(JobId(1), 6))
                 .unwrap();
             let groups: std::collections::HashSet<usize> =
-                got.iter().map(|n| t.leaf_ordinal_of(*n) / 2).collect();
+                got.iter().map(|n| t.leaf_ordinal_of(n) / 2).collect();
             assert_eq!(groups.len(), 1, "{kind} crossed groups: {got:?}");
         }
     }
@@ -637,17 +699,14 @@ mod three_level {
         st.allocate(
             &t,
             JobId(1),
-            &[NodeId(0), NodeId(1), NodeId(2), NodeId(4)],
+            &ids(&t, &[NodeId(0), NodeId(1), NodeId(2), NodeId(4)]),
             JobNature::ComputeIntensive,
         )
         .unwrap();
         let got = DefaultTreeSelector
             .select(&t, &st, &AllocRequest::comm(JobId(2), 4))
             .unwrap();
-        let mut per = vec![0usize; t.num_leaves()];
-        for n in &got {
-            per[t.leaf_ordinal_of(*n)] += 1;
-        }
+        let per = nodes_per_leaf(&t, &got);
         // 4 free exist in group 0 (1 + 3) and in each group-1 leaf (4).
         // Both group-1 leaves are single leaves holding the whole request,
         // so the lowest-level switch is a group-1 leaf — level 1 beats
@@ -663,8 +722,13 @@ mod three_level {
         // Fill 2 comm nodes on every leaf so no leaf fits 4 alone...
         for k in 0..4 {
             let nodes = t.leaf_nodes(k)[..2].to_vec();
-            st.allocate(&t, JobId(10 + k as u64), &nodes, JobNature::CommIntensive)
-                .unwrap();
+            st.allocate(
+                &t,
+                JobId(10 + k as u64),
+                &ids(&t, &nodes),
+                JobNature::CommIntensive,
+            )
+            .unwrap();
         }
         // ...and make leaf 3 the least contended by releasing its job.
         st.release(&t, JobId(13)).unwrap();
@@ -673,7 +737,7 @@ mod three_level {
         let got = GreedySelector
             .select(&t, &st, &AllocRequest::comm(JobId(1), 5))
             .unwrap();
-        let on_leaf3 = got.iter().filter(|n| t.leaf_ordinal_of(**n) == 3).count();
+        let on_leaf3 = got.iter().filter(|n| t.leaf_ordinal_of(*n) == 3).count();
         assert_eq!(on_leaf3, 4, "greedy should drain the idle leaf first");
     }
 
@@ -686,17 +750,14 @@ mod three_level {
             .iter()
             .map(|&i| NodeId(i))
             .collect();
-        st.allocate(&t, JobId(1), &busy, JobNature::ComputeIntensive)
+        st.allocate(&t, JobId(1), &ids(&t, &busy), JobNature::ComputeIntensive)
             .unwrap();
         // 8-node comm job: balanced sorts leaves by free desc
         // (4, 3, 2, 1) and grants 4, 2, 2, ... then leftovers.
         let got = BalancedSelector
             .select(&t, &st, &AllocRequest::comm(JobId(2), 8))
             .unwrap();
-        let mut per = [0usize; 4];
-        for n in &got {
-            per[t.leaf_ordinal_of(*n)] += 1;
-        }
+        let per = nodes_per_leaf(&t, &got);
         assert_eq!(per.iter().sum::<usize>(), 8);
         // The emptiest leaf (leaf2, 4 free) received a full aligned block.
         assert_eq!(per[2], 4);
@@ -712,8 +773,8 @@ mod three_level {
         let same_group: Vec<NodeId> = (0..2).chain(4..6).map(NodeId).collect();
         let cross_group: Vec<NodeId> = (0..2).chain(8..10).map(NodeId).collect();
         let m = CostModel::HOPS;
-        let near = m.hypothetical_cost(&t, &mut st, &same_group, &spec);
-        let far = m.hypothetical_cost(&t, &mut st, &cross_group, &spec);
+        let near = m.hypothetical_cost(&t, &mut st, &ids(&t, &same_group), &spec);
+        let far = m.hypothetical_cost(&t, &mut st, &ids(&t, &cross_group), &spec);
         assert!(near < far, "near {near} !< far {far}");
     }
 }
@@ -853,7 +914,7 @@ mod mapping_tests {
             .allocate(
                 &tree,
                 JobId(5),
-                &[NodeId(3), NodeId(4)],
+                &ids(&tree, &[NodeId(3), NodeId(4)]),
                 JobNature::CommIntensive,
             )
             .unwrap();
@@ -892,7 +953,7 @@ mod properties {
             } else {
                 JobNature::ComputeIntensive
             };
-            st.allocate(&tree, JobId(1000 + job as u64), chunk, nature)
+            st.allocate(&tree, JobId(1000 + job as u64), &ids(&tree, chunk), nature)
                 .unwrap();
         }
         (tree, st)
@@ -944,13 +1005,13 @@ mod properties {
                 let res = kind.build().select(&tree, &st, &req);
                 if want <= st.free_total() {
                     let got = res.unwrap();
+                    prop_assert_eq!(got.check(&tree), Ok(()), "{} broke a placement invariant", kind);
                     prop_assert_eq!(got.len(), want, "{} returned wrong count", kind);
-                    let mut uniq = got.clone();
-                    uniq.sort_unstable();
+                    let mut uniq = got.nodes();
                     uniq.dedup();
                     prop_assert_eq!(uniq.len(), want, "{} returned duplicates", kind);
-                    for n in &got {
-                        prop_assert!(st.is_free(*n), "{} allocated busy node {}", kind, n);
+                    for n in got.iter() {
+                        prop_assert!(st.is_free(n), "{} allocated busy node {}", kind, n);
                     }
                 } else {
                     prop_assert!(res.is_err(), "{} should have failed", kind);
@@ -974,10 +1035,7 @@ mod properties {
             let got = BalancedSelector
                 .select(&tree, &st, &AllocRequest::comm(JobId(1), want))
                 .unwrap();
-            let mut per = vec![0usize; tree.num_leaves()];
-            for n in &got {
-                per[tree.leaf_ordinal_of(*n)] += 1;
-            }
+            let per = nodes_per_leaf(&tree, &got);
             let mut partials = 0usize;
             for (k, &cnt) in per.iter().enumerate() {
                 if cnt == 0 {
@@ -1043,13 +1101,12 @@ mod properties {
             prop_assume!(want <= st.free_total());
             let nodes = BalancedSelector
                 .select(&tree, &st, &AllocRequest::comm(JobId(1), want))
-                .unwrap();
+                .unwrap()
+                .nodes();
             for s in MappingStrategy::ALL {
                 let mut m = map_ranks(&tree, &nodes, s);
                 m.sort_unstable();
-                let mut w = nodes.clone();
-                w.sort_unstable();
-                prop_assert_eq!(m, w, "{} not a permutation", s.name());
+                prop_assert_eq!(&m, &nodes, "{} not a permutation", s.name());
             }
             let spec = CollectiveSpec::new(Pattern::Rd, 1 << 16);
             let block = mapped_cost(CostModel::HOPS, &tree, &st, &nodes, &spec, MappingStrategy::Block);
@@ -1065,7 +1122,7 @@ mod properties {
             let mut st = ClusterState::new(&tree);
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             let job: Vec<NodeId> = (0..8).map(|i| NodeId(i * 2)).collect();
-            st.allocate(&tree, JobId(1), &job, JobNature::CommIntensive).unwrap();
+            st.allocate(&tree, JobId(1), &ids(&tree, &job), JobNature::CommIntensive).unwrap();
             let spec = CollectiveSpec::new(Pattern::Rhvd, 1 << 16);
             let before = CostModel::HOPS.job_cost(&tree, &st, &job, &spec);
             // Add a second comm job on random free nodes.
@@ -1074,14 +1131,15 @@ mod properties {
                 .filter(|n| st.is_free(*n))
                 .collect();
             free.shuffle(&mut rng);
-            st.allocate(&tree, JobId(2), &free[..6], JobNature::CommIntensive).unwrap();
+            st.allocate(&tree, JobId(2), &ids(&tree, &free[..6]), JobNature::CommIntensive).unwrap();
             let after = CostModel::HOPS.job_cost(&tree, &st, &job, &spec);
             prop_assert!(after >= before, "cost fell from {before} to {after}");
         }
 
-        /// The fused evaluator returns, from one traversal, *exactly* the
-        /// values the naive clone-allocate-then-`job_cost` path computes
-        /// under both default cost models — bit for bit, warm or cold memo.
+        /// The evaluator returns, from one traversal of a placement's
+        /// takes, *exactly* the values the naive clone-allocate-then-
+        /// `job_cost` path computes on the materialized node ids under both
+        /// default cost models — bit for bit, warm or cold memo.
         #[test]
         fn evaluator_matches_naive_job_cost(
             sizes in arb_leaf_sizes(),
@@ -1099,24 +1157,45 @@ mod properties {
                 .collect();
             free.shuffle(&mut rng);
             let nodes = &free[..want];
+            let placement = ids(&tree, nodes);
             let spec = CollectiveSpec::new(Pattern::ALL[pat], 1 << 16);
 
             // Naive reference: full clone, real allocation, one traversal
-            // per model.
+            // per model over the ids in the order they were drawn.
             let mut what_if = st.clone();
             what_if
-                .allocate(&tree, JobId(u64::MAX), nodes, JobNature::CommIntensive)
+                .allocate(&tree, JobId(u64::MAX), &placement, JobNature::CommIntensive)
                 .unwrap();
             let naive_hops = CostModel::HOPS.job_cost(&tree, &what_if, nodes, &spec);
             let naive_bytes = CostModel::HOP_BYTES.job_cost(&tree, &what_if, nodes, &spec);
 
             let mut ev = PlacementEvaluator::new();
-            let cold = ev.evaluate(&tree, &st, 0.5, nodes, &spec);
+            let cold = ev.evaluate(&tree, &st, 0.5, &placement, &spec);
             prop_assert_eq!(cold.raw_hops.to_bits(), naive_hops.to_bits());
             prop_assert_eq!(cold.hop_bytes.to_bits(), naive_bytes.to_bits());
-            // Second pass hits the hop memo and schedule cache.
-            let warm = ev.evaluate(&tree, &st, 0.5, nodes, &spec);
+            // Second pass hits the hop memo, the schedule cache and the
+            // kept rank map.
+            let warm = ev.evaluate(&tree, &st, 0.5, &placement, &spec);
             prop_assert_eq!(warm, cold);
+            if let Some(&spare) = free.get(want) {
+                // A different placement in between must not leak into a
+                // replay of the first.
+                let other = ids(&tree, &[spare]);
+                ev.evaluate(&tree, &st, 0.5, &other, &spec);
+                prop_assert_eq!(ev.evaluate(&tree, &st, 0.5, &placement, &spec), cold);
+                // Same takes over a changed occupancy: the memo must go.
+                let mut moved = st.clone();
+                moved
+                    .allocate(&tree, JobId(u64::MAX - 1), &other, JobNature::CommIntensive)
+                    .unwrap();
+                let mut moved_if = moved.clone();
+                moved_if
+                    .allocate(&tree, JobId(u64::MAX), &placement, JobNature::CommIntensive)
+                    .unwrap();
+                let got = ev.evaluate(&tree, &moved, 0.5, &placement, &spec);
+                let naive = CostModel::HOPS.job_cost(&tree, &moved_if, nodes, &spec);
+                prop_assert_eq!(got.raw_hops.to_bits(), naive.to_bits());
+            }
         }
 
         /// `hypothetical_cost` (scratch-guard path) equals the clone-based
@@ -1137,7 +1216,8 @@ mod properties {
                 .filter(|n| st.is_free(*n))
                 .collect();
             free.shuffle(&mut rng);
-            let nodes: Vec<NodeId> = free[..want].to_vec();
+            let ids_drawn: Vec<NodeId> = free[..want].to_vec();
+            let nodes = ids(&tree, &ids_drawn);
             let spec = CollectiveSpec::new(Pattern::Rhvd, 1 << 16);
 
             let snapshot = st.clone();
@@ -1145,7 +1225,7 @@ mod properties {
             reference
                 .allocate(&tree, JobId(u64::MAX), &nodes, JobNature::CommIntensive)
                 .unwrap();
-            let naive = CostModel::HOP_BYTES.job_cost(&tree, &reference, &nodes, &spec);
+            let naive = CostModel::HOP_BYTES.job_cost(&tree, &reference, &ids_drawn, &spec);
 
             let hypo = CostModel::HOP_BYTES.hypothetical_cost(&tree, &mut st, &nodes, &spec);
             prop_assert_eq!(hypo.to_bits(), naive.to_bits());
@@ -1196,7 +1276,8 @@ mod properties {
                         .filter(|n| st.is_free(*n))
                         .take(want)
                         .collect();
-                    let guard = st.scratch_alloc(&tree, &nodes, JobNature::CommIntensive);
+                    let guard =
+                        st.scratch_alloc(&tree, &ids(&tree, &nodes), JobNature::CommIntensive);
                     for id in 0..tree.num_switches() {
                         let s = SwitchId(id);
                         prop_assert_eq!(
@@ -1303,58 +1384,48 @@ mod properties {
             }
         }
 
-        /// Every indexed selector returns byte-identical placements to its
-        /// pre-index linear-scan twin in `select_scan`, on random trees,
-        /// occupancies and fault patterns — the tentpole guarantee of the
-        /// free-count index.
+        /// Every take-returning selector chooses exactly the nodes of its
+        /// pre-index, id-list-building linear-scan twin in `select_scan`,
+        /// on random trees whose leaves are fragmented by random
+        /// occupancy, down and draining nodes and a down switch — the
+        /// independent check on the placement currency.
         #[test]
-        fn indexed_selectors_match_scan_baseline(
+        fn selectors_match_scan_oracles(
             sizes in arb_leaf_sizes(),
             occ in 0u8..80,
             seed in any::<u64>(),
             want in 1usize..32,
             comm in any::<bool>(),
-            downs in 0usize..6,
+            faults in 0usize..8,
+            down_leaf in any::<bool>(),
         ) {
-            use crate::select_scan;
             let (tree, mut st) = random_scenario(&sizes, occ, seed);
-            // Knock a few nodes down so the fault path shapes the orders too.
+            // Knock nodes down (idle ones) or set them draining (busy
+            // ones), and maybe take a whole leaf switch out, so the fault
+            // paths shape the fill orders and the free-bit scans too.
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0xd0d0);
-            for _ in 0..downs {
+            for _ in 0..faults {
                 let n = NodeId(rng.random_range(0..tree.num_nodes()));
-                let _ = st.set_down(&tree, n);
+                let _ = st.set_draining(&tree, n);
             }
+            if down_leaf {
+                // Refused while a job holds a node under it; fine.
+                let k = rng.random_range(0..tree.num_leaves());
+                let _ = st.set_switch_down(&tree, tree.leaf(k));
+            }
+            st.check_invariants(&tree).unwrap();
             prop_assume!(want <= st.free_total());
             let nature = if comm { JobNature::CommIntensive } else { JobNature::ComputeIntensive };
             let req = AllocRequest { job: JobId(9), nodes: want, nature, pattern: None, attempt: 0 };
-
-            prop_assert_eq!(
-                DefaultTreeSelector.select(&tree, &st, &req).unwrap(),
-                select_scan::default_select(&tree, &st, &req).unwrap()
-            );
-            prop_assert_eq!(
-                GreedySelector.select(&tree, &st, &req).unwrap(),
-                select_scan::greedy_select(&tree, &st, &req).unwrap()
-            );
-            prop_assert_eq!(
-                BalancedSelector.select(&tree, &st, &req).unwrap(),
-                select_scan::balanced_select(&tree, &st, &req).unwrap()
-            );
-            let adaptive = AdaptiveSelector::default();
-            let scan_eval = std::sync::Arc::new(std::sync::Mutex::new(PlacementEvaluator::new()));
-            prop_assert_eq!(
-                adaptive.select(&tree, &st, &req).unwrap(),
-                select_scan::adaptive_select(
-                    &adaptive.cost, &scan_eval, &tree, &st, &req
-                ).unwrap()
-            );
+            assert_matches_scan_oracles(&tree, &st, &req)?;
         }
 
-        /// The same byte-identical guarantee on deeper three-level trees,
-        /// where the lowest-level-switch descent crosses real level
-        /// structure instead of collapsing to leaves-plus-root.
+        /// The same guarantee on deeper three-level trees, where the
+        /// lowest-level-switch descent crosses real level structure
+        /// instead of collapsing to leaves-plus-root, and a down mid-level
+        /// switch masks several leaves at once.
         #[test]
-        fn indexed_selectors_match_scan_three_level(
+        fn selectors_match_scan_oracles_three_level(
             spines in 2usize..4,
             leaves in 2usize..5,
             nodes_per_leaf in 2usize..8,
@@ -1362,47 +1433,132 @@ mod properties {
             seed in any::<u64>(),
             want in 1usize..40,
             comm in any::<bool>(),
+            faults in 0usize..8,
+            down_group in any::<bool>(),
         ) {
-            use crate::select_scan;
             let tree = Tree::regular_three_level(spines, leaves, nodes_per_leaf);
             let mut st = ClusterState::new(&tree);
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             let mut all: Vec<NodeId> = (0..tree.num_nodes()).map(NodeId).collect();
             all.shuffle(&mut rng);
             let busy = tree.num_nodes() * occ as usize / 100;
-            for (job, chunk) in all[..busy].chunks(4).enumerate() {
+            // Under a group that will go down nothing may be busy.
+            let doomed = tree.switch(tree.root()).children[0];
+            let under_doomed = |n: &NodeId| {
+                tree.leaf_ordinals_under(doomed)
+                    .contains(&tree.leaf_ordinal_of(*n))
+            };
+            all.retain(|n| !(down_group && under_doomed(n)));
+            for (job, chunk) in all[..busy.min(all.len())].chunks(4).enumerate() {
                 let nature = if rng.random::<bool>() {
                     JobNature::CommIntensive
                 } else {
                     JobNature::ComputeIntensive
                 };
-                st.allocate(&tree, JobId(500 + job as u64), chunk, nature).unwrap();
+                st.allocate(&tree, JobId(500 + job as u64), &ids(&tree, chunk), nature).unwrap();
             }
+            for _ in 0..faults {
+                let n = NodeId(rng.random_range(0..tree.num_nodes()));
+                let _ = st.set_draining(&tree, n);
+            }
+            if down_group {
+                st.set_switch_down(&tree, doomed).unwrap();
+            }
+            st.check_invariants(&tree).unwrap();
             prop_assume!(want <= st.free_total());
             let nature = if comm { JobNature::CommIntensive } else { JobNature::ComputeIntensive };
             let req = AllocRequest { job: JobId(9), nodes: want, nature, pattern: None, attempt: 0 };
-
-            prop_assert_eq!(
-                DefaultTreeSelector.select(&tree, &st, &req).unwrap(),
-                select_scan::default_select(&tree, &st, &req).unwrap()
-            );
-            prop_assert_eq!(
-                GreedySelector.select(&tree, &st, &req).unwrap(),
-                select_scan::greedy_select(&tree, &st, &req).unwrap()
-            );
-            prop_assert_eq!(
-                BalancedSelector.select(&tree, &st, &req).unwrap(),
-                select_scan::balanced_select(&tree, &st, &req).unwrap()
-            );
-            let adaptive = AdaptiveSelector::default();
-            let scan_eval = std::sync::Arc::new(std::sync::Mutex::new(PlacementEvaluator::new()));
-            prop_assert_eq!(
-                adaptive.select(&tree, &st, &req).unwrap(),
-                select_scan::adaptive_select(
-                    &adaptive.cost, &scan_eval, &tree, &st, &req
-                ).unwrap()
-            );
+            assert_matches_scan_oracles(&tree, &st, &req)?;
         }
+    }
+
+    /// Scan twin of [`AdaptiveSelector`], as the parent commit had it: the
+    /// scan greedy and balanced candidates as id lists *in fill order*,
+    /// compared as lists (so one node set reached through two leaf orders
+    /// still goes to the cost comparison), priced by the naive
+    /// [`CostModel::hypothetical_cost`], cheaper kept for communication-
+    /// intensive jobs and costlier for compute-intensive ones.
+    fn adaptive_scan(
+        cost: &CostModel,
+        tree: &Tree,
+        st: &ClusterState,
+        req: &AllocRequest,
+    ) -> Result<Vec<NodeId>, SelectError> {
+        use crate::select_scan::{balanced_select, greedy_select};
+        let greedy = greedy_select(tree, st, req)?;
+        let balanced = balanced_select(tree, st, req)?;
+        if greedy == balanced {
+            return Ok(balanced);
+        }
+        let spec = req.spec();
+        let mut what_if = st.clone();
+        let cost_g = cost.hypothetical_cost(tree, &mut what_if, &ids(tree, &greedy), &spec);
+        let cost_b = cost.hypothetical_cost(tree, &mut what_if, &ids(tree, &balanced), &spec);
+        let take_balanced = if req.nature.is_comm() {
+            cost_b <= cost_g
+        } else {
+            cost_b > cost_g
+        };
+        Ok(if take_balanced { balanced } else { greedy })
+    }
+
+    /// The scan oracle's pick for `kind`, as sorted ids.
+    fn scan_oracle(
+        kind: SelectorKind,
+        tree: &Tree,
+        st: &ClusterState,
+        req: &AllocRequest,
+    ) -> Vec<NodeId> {
+        use crate::select_scan;
+        let mut picked = match kind {
+            SelectorKind::Default => select_scan::default_select(tree, st, req),
+            SelectorKind::Greedy => select_scan::greedy_select(tree, st, req),
+            SelectorKind::Balanced => select_scan::balanced_select(tree, st, req),
+            // SA at budget 0 is the adaptive rule.
+            SelectorKind::Adaptive | SelectorKind::Sa => {
+                adaptive_scan(&CostModel::HOP_BYTES, tree, st, req)
+            }
+        }
+        .expect("the scan twin sees the same free_total");
+        picked.sort_unstable();
+        picked
+    }
+
+    /// `select(..).nodes()` of all four selectors, and of SA at budget 0,
+    /// against the scan oracles; every placement also passes
+    /// [`Placement::check`] and holds only free, healthy, unmasked nodes.
+    fn assert_matches_scan_oracles(
+        tree: &Tree,
+        st: &ClusterState,
+        req: &AllocRequest,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let sa0 = crate::SaSelector::new(crate::SaBudget::with_evals(0), 17);
+        for kind in SelectorKind::ALL.into_iter().chain([SelectorKind::Sa]) {
+            let got = match kind {
+                SelectorKind::Sa => sa0.select(tree, st, req),
+                _ => kind.build().select(tree, st, req),
+            }
+            .expect("free_total covers the request");
+            prop_assert_eq!(got.check(tree), Ok(()), "{}: malformed placement", kind);
+            prop_assert_eq!(got.len(), req.nodes, "{}: wrong node count", kind);
+            prop_assert_eq!(
+                got.nodes(),
+                scan_oracle(kind, tree, st, req),
+                "{} diverged from its scan twin",
+                kind
+            );
+            for n in got.iter() {
+                prop_assert!(
+                    st.is_free(n)
+                        && !st.is_masked(n)
+                        && st.effective_health(n) == crate::NodeHealth::Up,
+                    "{} placed on unavailable {}",
+                    kind,
+                    n
+                );
+            }
+        }
+        Ok(())
     }
 
     /// One shared churn driver for the switch-fault properties: interleave
@@ -1410,14 +1566,12 @@ mod properties {
     /// correlated switch outages, checking after every step that the
     /// invariants hold, that no selector ever places on a node whose
     /// effective health is not `Up` (in particular, never on a leaf under
-    /// a down switch), and that indexed selection stays byte-identical to
-    /// the pre-index linear scan while the health mask reshapes the free
-    /// counters.
+    /// a down switch), and that every selector keeps choosing exactly its
+    /// scan twin's nodes while the health mask reshapes the free counters.
     fn churn_with_switch_faults(
         tree: &Tree,
         seed: u64,
     ) -> Result<(), proptest::test_runner::TestCaseError> {
-        use crate::select_scan;
         use crate::NodeHealth;
         use commsched_topology::SwitchId;
         use proptest::test_runner::TestCaseError;
@@ -1453,44 +1607,11 @@ mod properties {
                         pattern: None,
                         attempt: 0,
                     };
-                    let adaptive = AdaptiveSelector::default();
-                    let got = match kind {
-                        SelectorKind::Adaptive => adaptive.select(tree, &st, &req),
-                        _ => kind.build().select(tree, &st, &req),
-                    }
-                    .expect("free_total covers the request");
-                    let scan = match kind {
-                        SelectorKind::Default => select_scan::default_select(tree, &st, &req),
-                        SelectorKind::Greedy => select_scan::greedy_select(tree, &st, &req),
-                        SelectorKind::Balanced => select_scan::balanced_select(tree, &st, &req),
-                        SelectorKind::Adaptive => {
-                            let eval = std::sync::Arc::new(std::sync::Mutex::new(
-                                PlacementEvaluator::new(),
-                            ));
-                            select_scan::adaptive_select(&adaptive.cost, &eval, tree, &st, &req)
-                        }
-                        // `kind` is drawn from ALL, which excludes Sa (no
-                        // scan twin exists for the annealed selector).
-                        SelectorKind::Sa => unreachable!("ALL does not contain Sa"),
-                    }
-                    .expect("scan twin sees the same free_total");
-                    prop_assert_eq!(
-                        &got,
-                        &scan,
-                        "step {}: {} diverged from its scan twin",
-                        step,
-                        kind
-                    );
-                    for &n in &got {
-                        prop_assert!(
-                            !st.is_masked(n) && st.effective_health(n) == NodeHealth::Up,
-                            "step {}: {} placed on unhealthy {} (masked: {})",
-                            step,
-                            kind,
-                            n,
-                            st.is_masked(n)
-                        );
-                    }
+                    assert_matches_scan_oracles(tree, &st, &req)?;
+                    let got = kind
+                        .build()
+                        .select(tree, &st, &req)
+                        .expect("free_total covers the request");
                     st.allocate(tree, JobId(next), &got, nature)
                         .expect("selected nodes are free");
                     live.push(JobId(next));
@@ -1537,11 +1658,7 @@ mod properties {
                         tree.leaf_ordinals_under(s).iter().copied().collect();
                     let victims: Vec<JobId> = st
                         .allocations()
-                        .filter(|(_, a)| {
-                            a.nodes
-                                .iter()
-                                .any(|&n| under.contains(&tree.leaf_ordinal_of(n)))
-                        })
+                        .filter(|(_, a)| a.nodes.takes().iter().any(|(k, _)| under.contains(k)))
                         .map(|(j, _)| j)
                         .collect();
                     for v in victims {
@@ -1658,8 +1775,13 @@ mod lifecycle {
     fn lifecycle_transition_errors_are_typed() {
         let t = tree();
         let mut s = ClusterState::new(&t);
-        s.allocate(&t, JobId(1), &[NodeId(0)], JobNature::ComputeIntensive)
-            .unwrap();
+        s.allocate(
+            &t,
+            JobId(1),
+            &ids(&t, &[NodeId(0)]),
+            JobNature::ComputeIntensive,
+        )
+        .unwrap();
         // Busy node cannot be downed directly.
         assert_eq!(
             s.set_down(&t, NodeId(0)),
@@ -1682,7 +1804,12 @@ mod lifecycle {
         );
         // Allocating over a down node reports NodeDown, not NodeBusy.
         assert_eq!(
-            s.allocate(&t, JobId(2), &[NodeId(1)], JobNature::ComputeIntensive),
+            s.allocate(
+                &t,
+                JobId(2),
+                &ids(&t, &[NodeId(1)]),
+                JobNature::ComputeIntensive
+            ),
             Err(StateError::NodeDown(NodeId(1)))
         );
         s.check_invariants(&t).unwrap();
@@ -1695,7 +1822,7 @@ mod lifecycle {
         s.allocate(
             &t,
             JobId(1),
-            &[NodeId(0), NodeId(1)],
+            &ids(&t, &[NodeId(0), NodeId(1)]),
             JobNature::CommIntensive,
         )
         .unwrap();
@@ -1721,8 +1848,13 @@ mod lifecycle {
     fn recover_cancels_a_pending_drain() {
         let t = tree();
         let mut s = ClusterState::new(&t);
-        s.allocate(&t, JobId(1), &[NodeId(0)], JobNature::ComputeIntensive)
-            .unwrap();
+        s.allocate(
+            &t,
+            JobId(1),
+            &ids(&t, &[NodeId(0)]),
+            JobNature::ComputeIntensive,
+        )
+        .unwrap();
         s.set_draining(&t, NodeId(0)).unwrap();
         s.set_up(&t, NodeId(0)).unwrap();
         assert_eq!(s.health(NodeId(0)), NodeHealth::Up);
@@ -1738,7 +1870,7 @@ mod lifecycle {
         s.allocate(
             &t,
             JobId(9),
-            &[NodeId(2), NodeId(3)],
+            &ids(&t, &[NodeId(2), NodeId(3)]),
             JobNature::CommIntensive,
         )
         .unwrap();
@@ -1783,7 +1915,7 @@ mod lifecycle {
                                     JobNature::ComputeIntensive
                                 };
                                 next_id += 1;
-                                s.allocate(&t, JobId(next_id), nodes, nature).unwrap();
+                                s.allocate(&t, JobId(next_id), &ids(&t, nodes), nature).unwrap();
                                 live.push(JobId(next_id));
                             }
                         }
@@ -1856,7 +1988,7 @@ mod sa_properties {
             } else {
                 JobNature::ComputeIntensive
             };
-            st.allocate(&tree, JobId(1000 + job as u64), chunk, nature)
+            st.allocate(&tree, JobId(1000 + job as u64), &ids(&tree, chunk), nature)
                 .unwrap();
         }
         (tree, st)
@@ -1871,11 +2003,17 @@ mod sa_properties {
     fn hop_bytes_cost(
         tree: &Tree,
         st: &ClusterState,
-        nodes: &[NodeId],
+        placement: &Placement,
         spec: &CollectiveSpec,
     ) -> f64 {
         PlacementEvaluator::new()
-            .evaluate(tree, st, CostModel::HOP_BYTES.trunk_discount, nodes, spec)
+            .evaluate(
+                tree,
+                st,
+                CostModel::HOP_BYTES.trunk_discount,
+                placement,
+                spec,
+            )
             .for_model(&CostModel::HOP_BYTES)
     }
 
@@ -1935,8 +2073,8 @@ mod sa_properties {
             );
         }
 
-        /// Budget 0 is the adaptive placement bit-for-bit — same nodes,
-        /// same order — for comm and compute jobs alike.
+        /// Budget 0 is the adaptive placement bit-for-bit — same takes,
+        /// same runs — for comm and compute jobs alike.
         #[test]
         fn budget_zero_is_adaptive_bit_for_bit(
             sizes in arb_leaf_sizes(),
@@ -1990,16 +2128,16 @@ mod sa_properties {
                 prop_assert!(res.is_err());
             } else {
                 let got = res.unwrap();
+                prop_assert_eq!(got.check(&tree), Ok(()));
                 prop_assert_eq!(got.len(), want);
-                let mut uniq = got.clone();
-                uniq.sort_unstable();
+                let mut uniq = got.nodes();
                 uniq.dedup();
                 prop_assert_eq!(uniq.len(), want, "duplicate nodes in placement");
-                for n in &got {
-                    prop_assert!(st.is_free(*n), "allocated busy/unavailable node {}", n);
-                    prop_assert!(!st.is_masked(*n), "allocated masked node {}", n);
+                for n in got.iter() {
+                    prop_assert!(st.is_free(n), "allocated busy/unavailable node {}", n);
+                    prop_assert!(!st.is_masked(n), "allocated masked node {}", n);
                     prop_assert_eq!(
-                        st.effective_health(*n),
+                        st.effective_health(n),
                         crate::NodeHealth::Up,
                         "allocated unhealthy node {}", n
                     );
@@ -2007,12 +2145,13 @@ mod sa_properties {
             }
         }
 
-        /// `evaluate_grouped` on per-leaf counts is bit-identical to
-        /// `evaluate` on the materialized node set (the built-in tree
-        /// constructors number nodes leaf by leaf) — the equivalence the
-        /// annealing hot loop rests on.
+        /// Scoring bare takes (what the annealing loop does to proposals
+        /// it never resolves) is bit-identical to scoring the placement
+        /// those takes resolve to, and to the naive `job_cost` on its ids —
+        /// so the cost the search reports for its winner is the cost
+        /// callers measure on the returned placement.
         #[test]
-        fn grouped_eval_matches_materialized(
+        fn take_scores_match_resolved_placements(
             sizes in arb_leaf_sizes(),
             occ in 0u8..70,
             seed in any::<u64>(),
@@ -2022,26 +2161,54 @@ mod sa_properties {
             let (tree, st) = sa_scenario(&sizes, occ, seed);
             prop_assume!(want <= st.free_total());
             // A take vector over the leaves: greedily fill in ordinal order.
-            let mut groups: Vec<(usize, u32)> = Vec::new();
+            let mut takes: Vec<(usize, u32)> = Vec::new();
             let mut nodes: Vec<NodeId> = Vec::new();
             let mut left = want;
             for k in 0..tree.num_leaves() {
                 let free = st.leaf_free(k) as usize;
                 let t = free.min(left);
                 if t > 0 {
-                    groups.push((k, t as u32));
+                    takes.push((k, t as u32));
                     nodes.extend(st.free_nodes_on_leaf(&tree, k, t));
                     left -= t;
                 }
             }
             prop_assert_eq!(left, 0);
+            let resolved = Placement::from_takes(&tree, &st, takes.clone());
+            prop_assert_eq!(&resolved, &ids(&tree, &nodes));
             let spec = CollectiveSpec::new(Pattern::Rhvd, 1u64 << logm);
             let mut eval = PlacementEvaluator::new();
             let d = CostModel::HOP_BYTES.trunk_discount;
-            let grouped = eval.evaluate_grouped(&tree, &st, d, &groups, &spec);
-            let materialized = eval.evaluate(&tree, &st, d, &nodes, &spec);
-            prop_assert_eq!(grouped.raw_hops.to_bits(), materialized.raw_hops.to_bits());
-            prop_assert_eq!(grouped.hop_bytes.to_bits(), materialized.hop_bytes.to_bits());
+            let bare = eval.evaluate_takes(&tree, &st, d, &takes, &spec);
+            let placed = PlacementEvaluator::new().evaluate(&tree, &st, d, &resolved, &spec);
+            prop_assert_eq!(bare.raw_hops.to_bits(), placed.raw_hops.to_bits());
+            prop_assert_eq!(bare.hop_bytes.to_bits(), placed.hop_bytes.to_bits());
+            let naive = CostModel::HOP_BYTES
+                .hypothetical_cost(&tree, &mut st.clone(), &resolved, &spec);
+            prop_assert_eq!(bare.hop_bytes.to_bits(), naive.to_bits());
+        }
+
+        /// The cost a search reports for its result is the cost of the
+        /// placement it returns (there is no separate confirmation pass).
+        #[test]
+        fn reported_final_cost_is_the_returned_placements(
+            sizes in arb_leaf_sizes(),
+            occ in 0u8..70,
+            seed in any::<u64>(),
+            sa_seed in any::<u64>(),
+            want in 2usize..24,
+        ) {
+            let (tree, st) = sa_scenario(&sizes, occ, seed);
+            prop_assume!(want <= st.free_total());
+            let req = AllocRequest::comm(JobId(5), want)
+                .with_pattern(CollectiveSpec::new(Pattern::Rhvd, 1 << 16));
+            let sa = SaSelector::new(SaBudget::with_evals(48), sa_seed);
+            let got = sa.select(&tree, &st, &req).unwrap();
+            if let Some(stats) = sa.take_stats() {
+                let measured = hop_bytes_cost(&tree, &st, &got, &req.spec());
+                prop_assert_eq!(stats.cost_final.to_bits(), measured.to_bits());
+                prop_assert!(stats.cost_final <= stats.cost_incumbent);
+            }
         }
 
         /// Distinct (job, attempt) pairs derive distinct search seeds —
@@ -2087,5 +2254,449 @@ mod sa_properties {
                     != (stats_retry.accepted, stats_retry.rejected),
             "attempt 1 replayed attempt 0's search exactly"
         );
+    }
+}
+
+mod placement_currency {
+    use super::*;
+    use crate::NodeHealth;
+    use commsched_topology::SwitchId;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use rand::prelude::*;
+    use rand::SeedableRng;
+
+    /// Regression: a repeated id used to pass `allocate`'s validation loop
+    /// (it checked `node_free` before any mutation, so the repeat still
+    /// read "free"), return `Ok(())` in a release build and leave
+    /// `leaf_free` one short — `check_invariants` then reported
+    /// "leaf 0: counted 3 free, recorded 2". Now the explicit-id
+    /// constructor refuses it with a typed error and nothing is touched.
+    #[test]
+    fn duplicate_nodes_are_refused_before_any_mutation() {
+        let tree = figure2();
+        let mut st = ClusterState::new(&tree);
+        let untouched = st.clone();
+        assert_eq!(
+            Placement::from_nodes(&tree, &[NodeId(0), NodeId(0)]),
+            Err(StateError::DuplicateNode(NodeId(0)))
+        );
+        assert_eq!(
+            Placement::from_nodes(&tree, &[NodeId(5), NodeId(2), NodeId(7), NodeId(5)]),
+            Err(StateError::DuplicateNode(NodeId(5)))
+        );
+
+        // `allocate` defends itself too, should a malformed placement ever
+        // reach it: a repeated run, overlapping runs, a run reaching back
+        // into its predecessor — refused, state bit-for-bit as before.
+        for runs in [
+            vec![(NodeId(0), 1), (NodeId(0), 1)],
+            vec![(NodeId(0), 3), (NodeId(2), 2)],
+            vec![(NodeId(4), 2), (NodeId(1), 2)],
+        ] {
+            let len: u32 = runs.iter().map(|r| r.1).sum();
+            let bad = Placement::from_raw_parts(vec![(0, len)], runs.clone());
+            let got = st.allocate(&tree, JobId(1), &bad, JobNature::CommIntensive);
+            assert!(
+                matches!(got, Err(StateError::DuplicateNode(_))),
+                "{runs:?} -> {got:?}"
+            );
+            assert_eq!(st, untouched);
+            assert_eq!(st.version(), untouched.version());
+            st.check_invariants(&tree).unwrap();
+        }
+        assert_eq!(st.num_jobs(), 0);
+        assert!(StateError::DuplicateNode(NodeId(4))
+            .to_string()
+            .contains("node4"));
+    }
+
+    /// (d) One node set reached through two leaf orders. Greedy walks the
+    /// leaves by communication ratio (leaf 1 first, then leaf 0), balanced
+    /// by free count (leaf 0 first, then leaf 1); both end up draining the
+    /// same two leaves. As id lists in fill order the two differ, so the
+    /// parent went to the cost comparison and kept balanced for a comm job
+    /// (`cost_b <= cost_g` on equal costs) and greedy for a compute job —
+    /// the same nodes either way. As placements they are equal outright.
+    #[test]
+    fn adaptive_tie_between_leaf_orders_keeps_the_node_set() {
+        use crate::select_scan::{balanced_select, greedy_select};
+        let tree = Tree::regular_two_level(3, 4);
+        let mut st = ClusterState::new(&tree);
+        // Leaf 0: one comm node busy (3 free, ratio 1.25). Leaf 1: two
+        // compute nodes busy (2 free, ratio 0.5). Leaf 2: full.
+        st.allocate(
+            &tree,
+            JobId(1),
+            &ids(&tree, &[NodeId(0)]),
+            JobNature::CommIntensive,
+        )
+        .unwrap();
+        st.allocate(
+            &tree,
+            JobId(2),
+            &ids(&tree, &[NodeId(4), NodeId(5)]),
+            JobNature::ComputeIntensive,
+        )
+        .unwrap();
+        st.allocate(
+            &tree,
+            JobId(3),
+            &ids(&tree, &[NodeId(8), NodeId(9), NodeId(10), NodeId(11)]),
+            JobNature::ComputeIntensive,
+        )
+        .unwrap();
+
+        let want = vec![NodeId(1), NodeId(2), NodeId(3), NodeId(6), NodeId(7)];
+        for req in [
+            AllocRequest::comm(JobId(4), 5),
+            AllocRequest::compute(JobId(4), 5),
+        ] {
+            // The premise: the fill orders differ, the sets do not. (A
+            // compute job's greedy walk is reversed, so the two orders
+            // coincide there — the tie is the comm case; the compute case
+            // pins that nothing else changed.)
+            let scan_g = greedy_select(&tree, &st, &req).unwrap();
+            let scan_b = balanced_select(&tree, &st, &req).unwrap();
+            if req.nature.is_comm() {
+                assert_ne!(scan_g, scan_b, "test requires two fill orders");
+                assert_eq!(scan_g[0], NodeId(6));
+                assert_eq!(scan_b[0], NodeId(1));
+            }
+            let greedy = GreedySelector.select(&tree, &st, &req).unwrap();
+            let balanced = BalancedSelector.select(&tree, &st, &req).unwrap();
+            assert_eq!(greedy, balanced, "one set, one placement");
+            assert_eq!(greedy.takes(), [(0, 3), (1, 2)]);
+
+            // The parent's outcome: its adaptive rule over the id lists.
+            let mut parent = if scan_g == scan_b {
+                scan_b
+            } else {
+                let spec = req.spec();
+                let m = CostModel::HOP_BYTES;
+                let cg = m.hypothetical_cost(&tree, &mut st, &ids(&tree, &scan_g), &spec);
+                let cb = m.hypothetical_cost(&tree, &mut st, &ids(&tree, &scan_b), &spec);
+                assert_eq!(cg.to_bits(), cb.to_bits(), "one set, one cost");
+                let take_balanced = if req.nature.is_comm() {
+                    cb <= cg
+                } else {
+                    cb > cg
+                };
+                if take_balanced {
+                    scan_b
+                } else {
+                    scan_g
+                }
+            };
+            parent.sort_unstable();
+            assert_eq!(parent, want);
+
+            let adaptive = AdaptiveSelector::default()
+                .select(&tree, &st, &req)
+                .unwrap();
+            assert_eq!(adaptive.nodes(), want);
+            let sa0 = crate::SaSelector::new(crate::SaBudget::with_evals(0), 3)
+                .select(&tree, &st, &req)
+                .unwrap();
+            assert_eq!(sa0, adaptive);
+        }
+    }
+
+    /// The reference model and the state under test, driven in lockstep.
+    struct Lockstep<'t> {
+        tree: &'t Tree,
+        fast: ClusterState,
+        model: ClusterState,
+    }
+
+    impl Lockstep<'_> {
+        /// After every operation: same result, same state, invariants hold.
+        fn settle<T: PartialEq + std::fmt::Debug>(
+            &self,
+            what: &str,
+            fast: Result<T, StateError>,
+            model: Result<T, StateError>,
+        ) -> Result<bool, TestCaseError> {
+            prop_assert_eq!(&fast, &model, "{}: results differ", what);
+            prop_assert!(self.fast == self.model, "{}: states differ", what);
+            if let Err(e) = self.fast.check_invariants(self.tree) {
+                return Err(TestCaseError::fail(format!("{what}: {e}")));
+            }
+            Ok(fast.is_ok())
+        }
+
+        fn allocate(
+            &mut self,
+            job: JobId,
+            nodes: &[NodeId],
+            nature: JobNature,
+        ) -> Result<bool, TestCaseError> {
+            let placement = ids(self.tree, nodes);
+            let fast = self.fast.allocate(self.tree, job, &placement, nature);
+            let model = self.model.ref_allocate(self.tree, job, nodes, nature);
+            self.settle(&format!("allocate {job} {nodes:?}"), fast, model)
+        }
+
+        fn release(&mut self, job: JobId) -> Result<bool, TestCaseError> {
+            let fast = self.fast.release(self.tree, job);
+            let model = self.model.ref_release(self.tree, job);
+            self.settle(&format!("release {job}"), fast, model)
+        }
+
+        fn set_down(&mut self, n: NodeId) -> Result<bool, TestCaseError> {
+            let fast = self.fast.set_down(self.tree, n);
+            let model = self.model.ref_set_down(self.tree, n);
+            self.settle(&format!("set_down {n}"), fast, model)
+        }
+
+        fn set_up(&mut self, n: NodeId) -> Result<bool, TestCaseError> {
+            let fast = self.fast.set_up(self.tree, n);
+            let model = self.model.ref_set_up(self.tree, n);
+            self.settle(&format!("set_up {n}"), fast, model)
+        }
+
+        fn set_draining(&mut self, n: NodeId) -> Result<bool, TestCaseError> {
+            let fast = self.fast.set_draining(self.tree, n);
+            let model = self.model.ref_set_draining(self.tree, n);
+            self.settle(&format!("set_draining {n}"), fast, model)
+        }
+
+        fn set_switch_down(&mut self, s: SwitchId) -> Result<bool, TestCaseError> {
+            let fast = self.fast.set_switch_down(self.tree, s);
+            let model = self.model.ref_set_switch_down(self.tree, s);
+            self.settle(&format!("set_switch_down {s}"), fast, model)
+        }
+
+        fn set_switch_up(&mut self, s: SwitchId) -> Result<bool, TestCaseError> {
+            let fast = self.fast.set_switch_up(self.tree, s);
+            let model = self.model.ref_set_switch_up(self.tree, s);
+            self.settle(&format!("set_switch_up {s}"), fast, model)
+        }
+    }
+
+    /// (c) Random allocate / release / set_down / set_up / set_draining /
+    /// set_switch_down / set_switch_up sequences — refused operations
+    /// included — against the per-node reference.
+    fn drive_against_reference(tree: &Tree, seed: u64, steps: usize) -> Result<(), TestCaseError> {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut both = Lockstep {
+            tree,
+            fast: ClusterState::new(tree),
+            model: ClusterState::new(tree),
+        };
+        let mut live: Vec<JobId> = Vec::new();
+        let mut next = 0u64;
+        for _ in 0..steps {
+            let n = NodeId(rng.random_range(0..tree.num_nodes()));
+            let s = SwitchId(rng.random_range(0..tree.num_switches()));
+            match rng.random_range(0..12u8) {
+                0..=3 => {
+                    // A scattered set of free nodes (fragmented takes, many
+                    // runs), sometimes with one unavailable node mixed in
+                    // so the refusal path is compared too.
+                    let mut free: Vec<NodeId> = (0..tree.num_nodes())
+                        .map(NodeId)
+                        .filter(|&x| both.fast.is_free(x))
+                        .collect();
+                    free.shuffle(&mut rng);
+                    free.truncate(rng.random_range(0..=9usize));
+                    if rng.random_range(0..6u8) == 0 && !both.fast.is_free(n) {
+                        free.push(n);
+                    }
+                    let nature = if rng.random::<bool>() {
+                        JobNature::CommIntensive
+                    } else {
+                        JobNature::ComputeIntensive
+                    };
+                    // Now and then under an id already in use.
+                    let job = match live.first() {
+                        Some(&held) if rng.random_range(0..10u8) == 0 => held,
+                        _ => JobId(next),
+                    };
+                    if both.allocate(job, &free, nature)? {
+                        live.push(job);
+                        next += 1;
+                    }
+                }
+                4 | 5 => {
+                    // Mostly a live job, sometimes one that does not exist.
+                    let job = if live.is_empty() || rng.random_range(0..8u8) == 0 {
+                        JobId(next + 100)
+                    } else {
+                        live.swap_remove(rng.random_range(0..live.len()))
+                    };
+                    both.release(job)?;
+                }
+                6 => drop(both.set_down(n)?),
+                7 => drop(both.set_up(n)?),
+                8 | 9 => drop(both.set_draining(n)?),
+                10 => {
+                    // The engine's protocol: kill what runs under the
+                    // switch, then fail it — but try the refused call too.
+                    if rng.random::<bool>() {
+                        let under: Vec<usize> = tree.leaf_ordinals_under(s).to_vec();
+                        let victims: Vec<JobId> = both
+                            .fast
+                            .allocations()
+                            .filter(|(_, a)| a.nodes.takes().iter().any(|(k, _)| under.contains(k)))
+                            .map(|(j, _)| j)
+                            .collect();
+                        for v in victims {
+                            both.release(v)?;
+                            live.retain(|&j| j != v);
+                        }
+                    }
+                    both.set_switch_down(s)?;
+                }
+                _ => drop(both.set_switch_up(s)?),
+            }
+        }
+        // Unwind: everything released and recovered is a fresh machine.
+        for job in live {
+            both.release(job)?;
+        }
+        for id in 0..tree.num_switches() {
+            if both.fast.switch_is_down(SwitchId(id)) {
+                both.set_switch_up(SwitchId(id))?;
+            }
+        }
+        for x in (0..tree.num_nodes()).map(NodeId) {
+            if both.fast.health(x) != NodeHealth::Up {
+                both.set_up(x)?;
+            }
+        }
+        prop_assert!(both.fast == ClusterState::new(tree));
+        Ok(())
+    }
+
+    /// The case the random walk only sometimes hits, pinned: one release
+    /// whose multi-node leaf take holds draining nodes next to healthy
+    /// ones, beside a take with none and a take that drains entirely.
+    #[test]
+    fn release_splits_a_take_with_draining_nodes() {
+        let tree = Tree::regular_two_level(3, 5);
+        let mut both = Lockstep {
+            tree: &tree,
+            fast: ClusterState::new(&tree),
+            model: ClusterState::new(&tree),
+        };
+        let held: Vec<NodeId> = [0, 1, 3, 4, 6, 7, 10, 12].map(NodeId).to_vec();
+        both.allocate(JobId(1), &held, JobNature::CommIntensive)
+            .unwrap();
+        both.allocate(JobId(2), &[NodeId(2)], JobNature::ComputeIntensive)
+            .unwrap();
+        // Leaf 0's take of four: two draining. Leaf 1's take of two: none.
+        // Leaf 2's take of two: both. And a bystander job's node.
+        for n in [1, 4, 10, 12, 2] {
+            both.set_draining(NodeId(n)).unwrap();
+        }
+        assert_eq!(both.fast.draining_total(), 5);
+        let freed = both.fast.allocation(JobId(1)).unwrap().nodes.clone();
+        assert_eq!(freed.takes(), [(0, 4), (1, 2), (2, 2)]);
+
+        both.release(JobId(1)).unwrap();
+        let st = &both.fast;
+        assert_eq!(
+            (st.leaf_free(0), st.leaf_busy(0), st.leaf_down(0)),
+            (2, 1, 2)
+        );
+        assert_eq!(
+            (st.leaf_free(1), st.leaf_busy(1), st.leaf_down(1)),
+            (5, 0, 0)
+        );
+        assert_eq!(
+            (st.leaf_free(2), st.leaf_busy(2), st.leaf_down(2)),
+            (3, 0, 2)
+        );
+        assert_eq!(st.leaf_comm(0), 0);
+        assert_eq!(st.draining_total(), 1);
+        assert_eq!(st.down_total(), 4);
+        assert_eq!(st.free_total(), 10);
+        assert_eq!(st.subtree_free(&tree, tree.root()), 10);
+        for n in [1, 4, 10, 12] {
+            assert_eq!(st.health(NodeId(n)), NodeHealth::Down);
+            assert!(!st.is_free(NodeId(n)));
+        }
+        for n in [0, 3, 6, 7] {
+            assert!(st.is_free(NodeId(n)));
+        }
+        assert_eq!(st.health(NodeId(2)), NodeHealth::Draining);
+    }
+
+    proptest! {
+        #[test]
+        fn state_matches_per_node_reference(
+            sizes in proptest::collection::vec(1usize..9, 2..7),
+            seed in any::<u64>(),
+        ) {
+            let tree = Tree::irregular_two_level(&sizes);
+            drive_against_reference(&tree, seed, 80)?;
+        }
+
+        #[test]
+        fn state_matches_per_node_reference_three_level(
+            spines in 2usize..4,
+            leaves in 2usize..4,
+            nodes_per_leaf in 1usize..6,
+            seed in any::<u64>(),
+        ) {
+            let tree = Tree::regular_three_level(spines, leaves, nodes_per_leaf);
+            drive_against_reference(&tree, seed, 80)?;
+        }
+
+        /// (e) A placement survives the trip through its own node list,
+        /// its takes and its runs add up to its length, and membership
+        /// agrees with the list.
+        #[test]
+        fn placement_round_trips(
+            sizes in proptest::collection::vec(1usize..12, 1..8),
+            seed in any::<u64>(),
+            pct in 0u8..=100,
+        ) {
+            let tree = Tree::irregular_two_level(&sizes);
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut picked: Vec<NodeId> = (0..tree.num_nodes())
+                .map(NodeId)
+                .filter(|_| rng.random_range(0..100u8) < pct)
+                .collect();
+            let sorted = picked.clone();
+            picked.shuffle(&mut rng);
+
+            let p = Placement::from_nodes(&tree, &picked).unwrap();
+            prop_assert_eq!(p.check(&tree), Ok(()));
+            prop_assert_eq!(p.nodes(), sorted.clone());
+            prop_assert_eq!(&Placement::from_nodes(&tree, &p.nodes()).unwrap(), &p);
+            prop_assert_eq!(p.len(), sorted.len());
+            prop_assert_eq!(p.is_empty(), sorted.is_empty());
+            prop_assert_eq!(p.takes().iter().map(|t| t.1 as usize).sum::<usize>(), p.len());
+            prop_assert_eq!(p.runs().iter().map(|r| r.1 as usize).sum::<usize>(), p.len());
+            prop_assert_eq!(p.iter().count(), p.len());
+            for n in (0..tree.num_nodes()).map(NodeId) {
+                prop_assert_eq!(p.contains(n), sorted.binary_search(&n).is_ok());
+            }
+
+            // Selector-built placements (takes resolved against the free
+            // bits of an occupied state) round-trip the same way.
+            let mut st = ClusterState::new(&tree);
+            if !p.is_empty() {
+                st.allocate(&tree, JobId(1), &p, JobNature::CommIntensive).unwrap();
+            }
+            if st.free_total() > 0 {
+                let want = rng.random_range(1..=st.free_total());
+                for kind in SelectorKind::ALL {
+                    let q = kind
+                        .build()
+                        .select(&tree, &st, &AllocRequest::comm(JobId(2), want))
+                        .unwrap();
+                    prop_assert_eq!(q.check(&tree), Ok(()));
+                    prop_assert_eq!(&Placement::from_nodes(&tree, &q.nodes()).unwrap(), &q);
+                    prop_assert_eq!(q.len(), want);
+                }
+            }
+            // And what `release` hands back is what `allocate` was given.
+            if !p.is_empty() {
+                prop_assert_eq!(st.release(&tree, JobId(1)).unwrap().nodes, p);
+            }
+        }
     }
 }

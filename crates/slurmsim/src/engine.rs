@@ -5,7 +5,7 @@ use crate::queue::PendingQueue;
 use commsched_collectives::CollectiveSpec;
 use commsched_core::{
     AdaptiveSelector, AllocRequest, ClusterState, CostModel, DefaultTreeSelector, JobId, JobNature,
-    NodeSelector, PlacementEvaluator, SaBudget, SaSelector, SaStats, SelectorKind,
+    NodeSelector, Placement, PlacementEvaluator, SaBudget, SaSelector, SaStats, SelectorKind,
 };
 use commsched_metrics::{CounterId, Registry};
 use commsched_num::{
@@ -493,7 +493,7 @@ enum EventKind {
 #[derive(Debug, Clone)]
 pub(crate) struct Placed {
     /// Chosen nodes.
-    pub nodes: Vec<commsched_topology::NodeId>,
+    pub nodes: Placement,
     /// Reported Eq. 6 cost of the chosen allocation.
     pub cost_actual: f64,
     /// Reported Eq. 6 cost of the default allocation from the same state.
@@ -637,19 +637,22 @@ impl<'t> Engine<'t> {
     /// between each node's leaf and the allocation's LCA. `links` is the
     /// per-directed-link factor table (empty = no degradation anywhere,
     /// the failure-free fast path).
-    fn min_link_factor(&self, links: &[f64], nodes: &[NodeId]) -> f64 {
-        if links.is_empty() || nodes.len() <= 1 {
+    fn min_link_factor(&self, links: &[f64], placement: &Placement) -> f64 {
+        if links.is_empty() || placement.len() <= 1 {
             return 1.0;
         }
-        let mut lca = self.tree.leaf_of(nodes[0]);
-        for &n in &nodes[1..] {
-            lca = self.tree.lca_switch(lca, self.tree.leaf_of(n));
-        }
+        let leaves = placement.takes().iter().map(|&(k, _)| self.tree.leaf(k));
+        let Some(lca) = leaves.clone().reduce(|a, b| self.tree.lca_switch(a, b)) else {
+            return 1.0;
+        };
         let mut factor = 1.0f64;
-        for &n in nodes {
+        for n in placement.iter() {
             factor = factor.min(links[self.tree.node_uplink(n)]);
             factor = factor.min(links[self.tree.node_downlink(n)]);
-            let mut s = self.tree.leaf_of(n);
+        }
+        // The switch links between a leaf and the common switch are shared
+        // by every node of the leaf's take: one walk per take.
+        for mut s in leaves {
             while s != lca {
                 factor = factor.min(links[self.tree.switch_uplink(s)]);
                 factor = factor.min(links[self.tree.switch_downlink(s)]);
@@ -730,9 +733,7 @@ impl<'t> Engine<'t> {
             .iter()
             .map(|&(pattern, _)| CollectiveSpec::new(pattern, self.cfg.msize))
             .collect();
-        let eval_all = |ev: &mut PlacementEvaluator,
-                        alloc: &[commsched_topology::NodeId]|
-         -> Vec<(f64, f64)> {
+        let eval_all = |ev: &mut PlacementEvaluator, alloc: &Placement| -> Vec<(f64, f64)> {
             if fused {
                 specs
                     .iter()
@@ -1140,11 +1141,7 @@ impl Run<'_, '_> {
                         tree.leaf_ordinals_under(s).iter().copied().collect();
                     self.state
                         .allocations()
-                        .filter(|(_, a)| {
-                            a.nodes
-                                .iter()
-                                .any(|&n| under.contains(&tree.leaf_ordinal_of(n)))
-                        })
+                        .filter(|(_, a)| a.nodes.takes().iter().any(|(k, _)| under.contains(k)))
                         .map(|(j, _)| j)
                         .collect()
                 } else {

@@ -402,14 +402,15 @@ fn place_matches_naive_clone_replication() {
         } else {
             DefaultTreeSelector.select(&tree, &state, &req).unwrap()
         };
-        let what_if = |alloc: &[commsched_topology::NodeId]| {
+        // The naive path works on materialized node ids.
+        let what_if = |alloc: &commsched_core::Placement| {
             let mut s = state.clone();
             s.allocate(&tree, JobId(u64::MAX), alloc, JobNature::CommIntensive)
                 .unwrap();
-            s
+            (s, alloc.nodes())
         };
-        let state_actual = what_if(&nodes);
-        let state_default = what_if(&default_nodes);
+        let (state_actual, nodes) = what_if(&nodes);
+        let (state_default, default_nodes) = what_if(&default_nodes);
         let mut cost_actual = 0.0;
         let mut cost_default = 0.0;
         let mut adjusted = probe.runtime as f64 * (1.0 - probe.comm_fraction());

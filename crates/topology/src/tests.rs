@@ -472,3 +472,172 @@ mod spec_builder {
         assert_eq!(Tree::regular_two_level(1, 8).bisection_links(), 1);
     }
 }
+
+mod leaf_ranges {
+    use super::*;
+
+    /// The invariant every per-leaf take rests on: leaf `k` holds exactly
+    /// the ascending contiguous ids `leaf_node_range(k)`, and the ranges
+    /// tile `0..num_nodes` in ordinal order.
+    fn assert_leaf_ranges(t: &Tree, what: &str) {
+        let mut next = 0;
+        for k in 0..t.num_leaves() {
+            let range = t.leaf_node_range(k);
+            assert_eq!(
+                range.start,
+                next,
+                "{what}: leaf {k} does not follow leaf {}",
+                k.max(1) - 1
+            );
+            let ids: Vec<NodeId> = range.clone().map(NodeId).collect();
+            assert_eq!(t.leaf_nodes(k), ids.as_slice(), "{what}: leaf {k}");
+            assert_eq!(range.len(), t.leaf_size(k), "{what}: leaf {k}");
+            next = range.end;
+        }
+        assert_eq!(
+            next,
+            t.num_nodes(),
+            "{what}: ranges do not cover the machine"
+        );
+    }
+
+    #[test]
+    fn every_builder_numbers_nodes_leaf_by_leaf() {
+        assert_leaf_ranges(&Tree::regular_two_level(5, 7), "regular_two_level");
+        assert_leaf_ranges(
+            &Tree::irregular_two_level(&[3, 1, 9, 4, 1, 6]),
+            "irregular_two_level",
+        );
+        assert_leaf_ranges(&Tree::regular_three_level(3, 4, 5), "regular_three_level");
+        assert_leaf_ranges(&Tree::from_spec("2x3x4x5").unwrap(), "from_spec");
+        assert_leaf_ranges(&Tree::multirail_fat_tree(3, 4, 5, 2), "multirail_fat_tree");
+        assert_leaf_ranges(&Tree::dragonfly_tree(3, 4, 5), "dragonfly_tree");
+    }
+
+    #[test]
+    fn every_preset_below_100k_nodes_numbers_nodes_leaf_by_leaf() {
+        for p in [
+            SystemPreset::IitkDepartment,
+            SystemPreset::IitkHpc2010,
+            SystemPreset::CoriLike,
+            SystemPreset::Intrepid,
+            SystemPreset::Theta,
+            SystemPreset::Mira,
+        ] {
+            assert!(p.num_nodes() < 100_000);
+            assert_leaf_ranges(&p.build(), &format!("{p:?}"));
+        }
+    }
+
+    /// A conf file may declare its leaves (and list their hosts) in any
+    /// order: ids follow declaration order, never the host names, so the
+    /// invariant holds however the file is shuffled.
+    #[test]
+    fn conf_leaves_declared_in_shuffled_order() {
+        let t = Tree::from_conf(
+            "SwitchName=s2 Nodes=n[8-11]\n\
+             SwitchName=s0 Nodes=n[2-3],n[0-1]\n\
+             SwitchName=g1 Switches=s[2-3]\n\
+             SwitchName=s3 Nodes=n15,n[12-14]\n\
+             SwitchName=s1 Nodes=n[4-7]\n\
+             SwitchName=g0 Switches=s[0-1]\n\
+             SwitchName=root Switches=g[0-1]\n",
+        )
+        .unwrap();
+        assert_leaf_ranges(&t, "shuffled conf");
+        // Ordinals follow declaration order, ids follow ordinals.
+        assert_eq!(t.switch(t.leaf(0)).name, "s2");
+        assert_eq!(t.node_name(NodeId(0)), "n8");
+        assert_eq!(t.leaf_node_range(1), 4..8);
+        assert_eq!(t.node_name(NodeId(4)), "n2");
+        assert_eq!(t.leaf_ordinal_of(t.node_by_name("n15").unwrap()), 2);
+
+        // The round trip through to_conf shuffles nothing back.
+        assert_leaf_ranges(&Tree::from_conf(&t.to_conf()).unwrap(), "round trip");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn shuffled_conf_files_keep_the_invariant(
+            sizes in proptest::collection::vec(1usize..9, 2..8),
+            rot in 0usize..8,
+        ) {
+            // Leaves declared rotated by `rot`, hosts listed high-to-low.
+            let n = sizes.len();
+            let mut first = 0;
+            let mut lines = Vec::new();
+            for (k, &size) in sizes.iter().enumerate() {
+                let hosts: Vec<String> =
+                    (first..first + size).rev().map(|i| format!("n{i}")).collect();
+                lines.push(format!("SwitchName=s{k} Nodes={}\n", hosts.join(",")));
+                first += size;
+            }
+            lines.rotate_left(rot % n);
+            let mut conf: String = lines.concat();
+            conf.push_str(&format!("SwitchName=top Switches=s[0-{}]\n", n - 1));
+            let t = Tree::from_conf(&conf).unwrap();
+            assert_leaf_ranges(&t, "rotated conf");
+            proptest::prop_assert_eq!(t.num_nodes(), first);
+        }
+    }
+}
+
+mod name_index {
+    use super::*;
+
+    /// Names that agree on their first 8 bytes (the sort key) still index
+    /// and still trip the duplicate check through the full-name fallback.
+    #[test]
+    fn long_names_with_a_common_prefix_resolve() {
+        let names = |lo: usize, hi: usize| -> Vec<String> {
+            (lo..hi).map(|i| format!("computenode{i:04}")).collect()
+        };
+        let t = Tree::from_parts(
+            vec!["s0".into(), "s1".into()],
+            vec![names(100, 200), names(0, 100)],
+            vec![("top".into(), vec!["s0".into(), "s1".into()])],
+        )
+        .unwrap();
+        for i in 0..t.num_nodes() {
+            let name = t.node_name(NodeId(i)).to_string();
+            assert_eq!(t.node_by_name(&name), Some(NodeId(i)));
+        }
+        assert_eq!(t.node_by_name("computenode0150"), Some(NodeId(50)));
+        assert_eq!(t.node_by_name("computenode"), None);
+        assert_eq!(t.node_by_name("computenode9999"), None);
+
+        let e = Tree::from_parts(
+            vec!["s0".into(), "s1".into()],
+            vec![names(0, 100), names(99, 120)],
+            vec![("top".into(), vec!["s0".into(), "s1".into()])],
+        )
+        .unwrap_err();
+        assert_eq!(e, TreeError::DuplicateNode("computenode0099".into()));
+    }
+
+    /// The index order is plain byte-string order: short names sort
+    /// before the longer names they prefix, digits before letters.
+    #[test]
+    fn name_order_is_byte_string_order() {
+        let raw = [
+            "n10",
+            "n1",
+            "n",
+            "n1a",
+            "m99999999z",
+            "m99999999",
+            "n2",
+            "N2",
+        ];
+        let t = Tree::from_parts(
+            vec!["s0".into()],
+            vec![raw.iter().map(|s| s.to_string()).collect()],
+            vec![],
+        )
+        .unwrap();
+        let got: Vec<&str> = t.name_order.iter().map(|n| t.node_name(*n)).collect();
+        let mut want = raw.to_vec();
+        want.sort_unstable();
+        assert_eq!(got, want);
+    }
+}

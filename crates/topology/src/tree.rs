@@ -133,6 +133,17 @@ impl NameArena {
     }
 }
 
+/// The first 8 bytes of `name` as a big-endian integer, zero-padded: a
+/// sort key that orders like the byte string wherever two keys differ.
+#[inline]
+fn name_prefix(name: &str) -> u64 {
+    let mut key = [0u8; 8];
+    let bytes = name.as_bytes();
+    let n = bytes.len().min(8);
+    key[..n].copy_from_slice(&bytes[..n]);
+    u64::from_be_bytes(key)
+}
+
 /// An immutable, validated tree/fat-tree topology.
 ///
 /// Construction goes through [`Tree::from_conf`], the builders in this crate,
@@ -149,6 +160,9 @@ pub struct Tree {
     pub(crate) leaves: Vec<SwitchId>,
     /// SwitchId -> leaf ordinal (usize::MAX for non-leaves).
     pub(crate) leaf_ordinal: Vec<usize>,
+    /// First node id of each leaf ordinal, plus the node count as a final
+    /// sentinel — the [`Tree::leaf_node_range`] table (`num_leaves + 1`).
+    pub(crate) leaf_first: Vec<usize>,
     pub(crate) root: SwitchId,
     /// Node ids sorted by name — the [`Tree::node_by_name`] index.
     pub(crate) name_order: Vec<NodeId>,
@@ -190,12 +204,14 @@ impl Tree {
         let mut node_names = NameArena::with_capacity(total_nodes, name_bytes);
         let mut node_leaf = Vec::with_capacity(total_nodes);
         let mut leaves = Vec::with_capacity(num_leaves);
+        let mut leaf_first = Vec::with_capacity(num_leaves + 1);
 
         for (k, (name, nodes)) in leaf_names.into_iter().zip(leaf_nodes).enumerate() {
             let id = SwitchId(switches.len());
             if by_name.insert(name.clone(), id).is_some() {
                 return Err(TreeError::DuplicateChild(name));
             }
+            leaf_first.push(node_names.len());
             let mut node_ids = Vec::with_capacity(nodes.len());
             for n in nodes {
                 let nid = NodeId(node_names.len());
@@ -215,12 +231,22 @@ impl Tree {
             });
             leaves.push(id);
         }
+        leaf_first.push(node_names.len());
 
         // Duplicate-node detection doubles as the name index build: sort
-        // node ids by name once, then any duplicate is adjacent. Replaces
-        // the old per-name `BTreeSet<String>` (which cloned every name).
-        let mut name_order: Vec<NodeId> = (0..node_names.len()).map(NodeId).collect();
-        name_order.sort_unstable_by(|a, b| node_names.get(a.0).cmp(node_names.get(b.0)));
+        // node ids by name once, then any duplicate is adjacent. The sort
+        // runs over `(first 8 name bytes as a big-endian u64, id)` pairs —
+        // zero-padded prefixes order exactly like the byte strings they
+        // start, so the arena is only consulted on equal prefixes (never,
+        // for `n1048575`-style names) instead of twice per comparison.
+        let mut keyed: Vec<(u64, usize)> = (0..node_names.len())
+            .map(|i| (name_prefix(node_names.get(i)), i))
+            .collect();
+        keyed.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| node_names.get(a.1).cmp(node_names.get(b.1)))
+        });
+        let name_order: Vec<NodeId> = keyed.into_iter().map(|(_, i)| NodeId(i)).collect();
         for pair in name_order.windows(2) {
             if node_names.get(pair[0].0) == node_names.get(pair[1].0) {
                 return Err(TreeError::DuplicateNode(node_names.get(pair[0].0).into()));
@@ -310,6 +336,7 @@ impl Tree {
             switches,
             leaves,
             leaf_ordinal,
+            leaf_first,
             root,
             name_order,
             level_order,
@@ -400,6 +427,16 @@ impl Tree {
     #[inline]
     pub fn leaf_size(&self, ordinal: usize) -> usize {
         self.leaf_nodes(ordinal).len()
+    }
+
+    /// The node ids on a leaf (by ordinal), as one ascending contiguous
+    /// range: [`Tree::from_parts`] numbers nodes leaf by leaf, so leaf `k`
+    /// holds exactly `leaf_node_range(k)` and the ranges ascend with `k`.
+    /// Everything that trades in per-leaf node counts instead of id lists
+    /// rests on this.
+    #[inline]
+    pub fn leaf_node_range(&self, ordinal: usize) -> std::ops::Range<usize> {
+        self.leaf_first[ordinal]..self.leaf_first[ordinal + 1]
     }
 
     /// Configured name of a node.

@@ -96,8 +96,8 @@ fn main() {
                 pattern: None,
                 attempt: 0,
             };
-            if let Ok(nodes) = selector.select(&tree, &state, &req) {
-                let _ = state.allocate(&tree, o.id, &nodes, o.nature);
+            if let Ok(placement) = selector.select(&tree, &state, &req) {
+                let _ = state.allocate(&tree, o.id, &placement, o.nature);
             }
         }
         println!("  per-leaf occupancy at peak (t = {peak_t}s):");

@@ -55,7 +55,8 @@ fn main() {
         if nodes.len() != ranks {
             continue;
         }
-        let cost = model.hypothetical_cost(&tree, &mut state, &nodes, &spec);
+        let placement = Placement::from_nodes(&tree, &nodes).unwrap();
+        let cost = model.hypothetical_cost(&tree, &mut state, &placement, &spec);
         let tag = if on_first == ranks / 2 {
             "  <- balanced"
         } else {

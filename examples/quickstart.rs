@@ -17,21 +17,14 @@ fn main() {
 
     // Pre-existing load: one communication-intensive job holding 6 nodes of
     // leaf 0, and a compute job holding half of leaf 1.
+    let ids = |range: std::ops::Range<usize>| {
+        Placement::from_nodes(&tree, &range.map(NodeId).collect::<Vec<_>>()).unwrap()
+    };
     state
-        .allocate(
-            &tree,
-            JobId(1),
-            &(0..6).map(NodeId).collect::<Vec<_>>(),
-            JobNature::CommIntensive,
-        )
+        .allocate(&tree, JobId(1), &ids(0..6), JobNature::CommIntensive)
         .unwrap();
     state
-        .allocate(
-            &tree,
-            JobId(2),
-            &(8..12).map(NodeId).collect::<Vec<_>>(),
-            JobNature::ComputeIntensive,
-        )
+        .allocate(&tree, JobId(2), &ids(8..12), JobNature::ComputeIntensive)
         .unwrap();
 
     println!(
@@ -58,11 +51,12 @@ fn main() {
     println!("\nplacing a 12-node RHVD job:");
     for kind in SelectorKind::ALL {
         let selector = kind.build();
-        let nodes = selector.select(&tree, &state, &req).unwrap();
-        let cost = model.hypothetical_cost(&tree, &mut state, &nodes, &spec);
-        let mut per_leaf = vec![0usize; tree.num_leaves()];
-        for n in &nodes {
-            per_leaf[tree.leaf_ordinal_of(*n)] += 1;
+        let placement = selector.select(&tree, &state, &req).unwrap();
+        let cost = model.hypothetical_cost(&tree, &mut state, &placement, &spec);
+        // A placement is its per-leaf split: (leaf ordinal, nodes taken).
+        let mut per_leaf = vec![0u32; tree.num_leaves()];
+        for &(k, count) in placement.takes() {
+            per_leaf[k] = count;
         }
         println!("  {kind:>8}: split {per_leaf:?}  cost (Eq. 6) {cost:.2}");
     }

@@ -32,6 +32,7 @@
 //!
 //! // Occupy a few nodes with a running communication-intensive job.
 //! let busy: Vec<NodeId> = (0..6).map(NodeId).collect();
+//! let busy = Placement::from_nodes(&tree, &busy).unwrap();
 //! state
 //!     .allocate(&tree, JobId(1), &busy, JobNature::CommIntensive)
 //!     .unwrap();
@@ -41,6 +42,8 @@
 //!     .with_pattern(CollectiveSpec::new(Pattern::Rhvd, 1 << 20));
 //! let alloc = BalancedSelector.select(&tree, &state, &req).unwrap();
 //! assert_eq!(alloc.len(), 8);
+//! // One whole free leaf: (leaf ordinal, nodes taken).
+//! assert_eq!(alloc.takes(), [(1, 8)]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -60,7 +63,7 @@ pub mod prelude {
     pub use commsched_collectives::{CollectiveSpec, Pattern, Step};
     pub use commsched_core::{
         AdaptiveSelector, AllocRequest, BalancedSelector, ClusterState, CostModel,
-        DefaultTreeSelector, GreedySelector, JobNature, MappingStrategy, NodeSelector,
+        DefaultTreeSelector, GreedySelector, JobNature, MappingStrategy, NodeSelector, Placement,
         SelectorKind,
     };
     pub use commsched_metrics::{Registry, RunReport};

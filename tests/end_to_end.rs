@@ -62,12 +62,15 @@ fn table2_through_public_api() {
     let tree = Tree::irregular_two_level(&[160, 150, 100, 80, 70, 50, 40]);
     let state = ClusterState::new(&tree);
     let req = AllocRequest::comm(JobId(1), 512);
-    let nodes = BalancedSelector.select(&tree, &state, &req).unwrap();
+    let placement = BalancedSelector.select(&tree, &state, &req).unwrap();
     let mut per_leaf = vec![0usize; tree.num_leaves()];
-    for n in &nodes {
-        per_leaf[tree.leaf_ordinal_of(*n)] += 1;
+    for n in placement.iter() {
+        per_leaf[tree.leaf_ordinal_of(n)] += 1;
     }
     assert_eq!(per_leaf, [128, 128, 64, 64, 64, 32, 32]);
+    // The takes say the same without looking at a node id.
+    let takes: Vec<(usize, u32)> = (0..7).zip([128, 128, 64, 64, 64, 32, 32]).collect();
+    assert_eq!(placement.takes(), takes);
 }
 
 #[test]
@@ -131,10 +134,12 @@ fn netsim_correlates_with_cost_model() {
 
         let mut st = ClusterState::new(&tree);
         if !interferer.is_empty() {
-            st.allocate(&tree, JobId(9), &interferer, JobNature::CommIntensive)
+            let held = Placement::from_nodes(&tree, &interferer).unwrap();
+            st.allocate(&tree, JobId(9), &held, JobNature::CommIntensive)
                 .unwrap();
         }
-        costs.push(model.hypothetical_cost(&tree, &mut st, &probe, &spec));
+        let probed = Placement::from_nodes(&tree, &probe).unwrap();
+        costs.push(model.hypothetical_cost(&tree, &mut st, &probed, &spec));
 
         let mut workloads = vec![Workload {
             id: 1,

@@ -16,9 +16,15 @@ use commsched::prelude::*;
 use commsched::slurmsim::EngineConfig as Cfg;
 
 /// Eq. 6 hop-bytes of a placement (the model the selectors optimize).
-fn cost(tree: &Tree, st: &ClusterState, nodes: &[NodeId], spec: &CollectiveSpec) -> f64 {
+fn cost(tree: &Tree, st: &ClusterState, placement: &Placement, spec: &CollectiveSpec) -> f64 {
     PlacementEvaluator::new()
-        .evaluate(tree, st, CostModel::HOP_BYTES.trunk_discount, nodes, spec)
+        .evaluate(
+            tree,
+            st,
+            CostModel::HOP_BYTES.trunk_discount,
+            placement,
+            spec,
+        )
         .for_model(&CostModel::HOP_BYTES)
 }
 
@@ -34,7 +40,8 @@ fn contended_scenario() -> (Tree, ClusterState) {
     let mut id = 100u64;
     let mut alloc = |st: &mut ClusterState, nodes: &[usize], nature: JobNature| {
         let nodes: Vec<NodeId> = nodes.iter().copied().map(NodeId).collect();
-        st.allocate(&tree, JobId(id), &nodes, nature).unwrap();
+        let placement = Placement::from_nodes(&tree, &nodes).unwrap();
+        st.allocate(&tree, JobId(id), &placement, nature).unwrap();
         id += 1;
     };
     // Leaves 0 and 1 (nodes 0..8, 8..16): two comm nodes busy each.
@@ -98,10 +105,7 @@ fn budget_zero_never_regresses_adaptive_outputs() {
     let nodes = BalancedSelector
         .select(&tree, &state, &AllocRequest::comm(JobId(1), 512))
         .unwrap();
-    let mut per_leaf = vec![0usize; tree.num_leaves()];
-    for n in &nodes {
-        per_leaf[tree.leaf_ordinal_of(*n)] += 1;
-    }
+    let per_leaf: Vec<u32> = nodes.takes().iter().map(|&(_, count)| count).collect();
     assert_eq!(per_leaf, [128, 128, 64, 64, 64, 32, 32], "Table 2 split");
 
     // And on the same machine, sa@0 is the adaptive placement verbatim.
