@@ -48,22 +48,17 @@ fn bench_mira_scale_run(c: &mut Criterion) {
 }
 
 fn bench_placement_eval(c: &mut Criterion) {
-    // The per-job placement evaluation inside the engine (adaptive select +
-    // Eq. 6/Eq. 7 numbers), fast fused-evaluator path vs the retained
-    // naive clone-and-four-traversals path — same numbers, measured in the
-    // same binary.
+    // The per-job placement evaluation inside the engine: adaptive select
+    // plus the Eq. 6/Eq. 7 numbers through the shared evaluator.
     use commsched_bench::perf::PlacementCase;
     use commsched_core::PlacementEvaluator;
     use std::sync::{Arc, Mutex};
 
     let case = PlacementCase::new(SystemPreset::Theta, 256);
     let eval = Arc::new(Mutex::new(PlacementEvaluator::new()));
-    assert_eq!(case.place_naive(), case.place_fast(&eval));
-
-    let mut group = c.benchmark_group("placement_eval_theta_256");
-    group.bench_function("naive", |b| b.iter(|| black_box(case.place_naive())));
-    group.bench_function("fast", |b| b.iter(|| black_box(case.place_fast(&eval))));
-    group.finish();
+    c.bench_function("placement_eval_theta_256", |b| {
+        b.iter(|| black_box(case.place_fast(&eval)))
+    });
 }
 
 criterion_group!(

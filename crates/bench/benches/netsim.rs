@@ -1,6 +1,6 @@
 //! Flow-simulator throughput: one full collective under varying fan-out,
-//! concurrent-job interference, and the fast-vs-naive rate-solver
-//! comparison on the steady-state and churn scenarios.
+//! concurrent-job interference, and whole runs of the steady-state and
+//! churn scenarios.
 
 use commsched_bench::perf::NetsimCase;
 use commsched_collectives::{CollectiveSpec, Pattern};
@@ -58,10 +58,9 @@ fn bench_steady_state(c: &mut Criterion) {
     // Machine-spanning collectives: one large coupled component per solve,
     // the incremental solver's worst case.
     let case = NetsimCase::steady_state();
-    let mut group = c.benchmark_group("netsim_steady_state");
-    group.bench_function("incremental", |b| b.iter(|| black_box(case.run_fast())));
-    group.bench_function("naive", |b| b.iter(|| black_box(case.run_naive())));
-    group.finish();
+    c.bench_function("netsim_steady_state", |b| {
+        b.iter(|| black_box(case.run_fast()))
+    });
 }
 
 fn bench_churn(c: &mut Criterion) {
@@ -70,8 +69,7 @@ fn bench_churn(c: &mut Criterion) {
     let case = NetsimCase::churn();
     let mut group = c.benchmark_group("netsim_churn");
     group.sample_size(10);
-    group.bench_function("incremental", |b| b.iter(|| black_box(case.run_fast())));
-    group.bench_function("naive", |b| b.iter(|| black_box(case.run_naive())));
+    group.bench_function("run", |b| b.iter(|| black_box(case.run_fast())));
     group.finish();
 }
 

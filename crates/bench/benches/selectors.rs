@@ -58,20 +58,16 @@ fn bench_selectors(c: &mut Criterion) {
 
 fn bench_placement_eval_mira(c: &mut Criterion) {
     // One whole placement evaluation (adaptive decision + Eq. 6/Eq. 7
-    // numbers) at Mira scale: the fused-evaluator path against the
-    // retained naive clone-based path computing identical values.
+    // numbers through the shared evaluator) at Mira scale.
     use commsched_bench::perf::PlacementCase;
     use commsched_core::PlacementEvaluator;
     use std::sync::{Arc, Mutex};
 
     let case = PlacementCase::new(SystemPreset::Mira, 2048);
     let eval = Arc::new(Mutex::new(PlacementEvaluator::new()));
-    assert_eq!(case.place_naive(), case.place_fast(&eval));
-
     let mut group = c.benchmark_group("placement_eval_mira_2048");
     group.sample_size(10);
-    group.bench_function("naive", |b| b.iter(|| black_box(case.place_naive())));
-    group.bench_function("fast", |b| b.iter(|| black_box(case.place_fast(&eval))));
+    group.bench_function("place", |b| b.iter(|| black_box(case.place_fast(&eval))));
     group.finish();
 }
 

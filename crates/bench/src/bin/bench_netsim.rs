@@ -1,12 +1,12 @@
-//! Measure the flow-simulator fast paths and write `BENCH_netsim.json`.
+//! Measure the flow simulator and write `BENCH_netsim.json`.
 //!
-//! Two comparisons, both inside the same binary:
+//! Two measurements:
 //!
-//! 1. **Rate solver** — the incremental dirty-frontier max–min solver vs
-//!    the retained naive full fixpoint ([`commsched_netsim::SolverKind`])
-//!    on the steady-state and churn scenarios from
-//!    [`commsched_bench::perf::NetsimCase`]. The two solvers are asserted
-//!    bit-identical on every scenario before timing means anything.
+//! 1. **Rate solver** — whole runs of the steady-state and churn scenarios
+//!    from [`commsched_bench::perf::NetsimCase`] under the incremental
+//!    dirty-frontier max–min solver. (That it matches the reference
+//!    fixpoint exactly on these two scenarios is a `commsched-netsim`
+//!    test, `identical_on_bench_scenarios`.)
 //! 2. **Sweep harness** — a reduced Figure 6 sweep (3 systems × 5 mixes ×
 //!    4 selectors) under rayon thread pools of 1, 2 and 4 threads,
 //!    asserting the rendered output is identical at every count. The
@@ -21,7 +21,7 @@
 //! cargo run --release -p commsched-bench --bin bench_netsim -- --check BENCH_netsim.json
 //! ```
 //!
-//! `--check` re-measures the solver fast path and fails (exit 1) if any
+//! `--check` re-measures the solver scenarios and fails (exit 1) if any
 //! case regresses more than 2x against the baseline's medians; sweep
 //! wall-clock is machine-dependent and is never gated.
 
@@ -49,30 +49,18 @@ fn median_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Measure both solvers on every scenario; returns `(case, fast_ns,
-/// naive_ns, nodes, jobs)` rows.
-fn measure_solvers() -> Vec<(String, f64, f64, usize, usize)> {
+/// Measure every solver scenario; returns `(case, median_ns, nodes, jobs)`
+/// rows.
+fn measure_solver() -> Vec<(String, f64, usize, usize)> {
     [NetsimCase::steady_state(), NetsimCase::churn()]
         .into_iter()
         .map(|case| {
-            // Bit-identical results are a hard precondition for the
-            // comparison (also property-tested in commsched-netsim).
-            assert_eq!(
-                case.run_fast(),
-                case.run_naive(),
-                "{}: incremental solver diverged from naive",
-                case.name
-            );
-            let fast_ns = median_ns(ITERS, || {
+            let ns = median_ns(ITERS, || {
                 std::hint::black_box(case.run_fast());
-            });
-            let naive_ns = median_ns(ITERS, || {
-                std::hint::black_box(case.run_naive());
             });
             (
                 case.name.to_string(),
-                fast_ns,
-                naive_ns,
+                ns,
                 case.tree.num_nodes(),
                 case.workloads.len(),
             )
@@ -102,9 +90,9 @@ fn main() {
             eprintln!("usage: bench_netsim --check <baseline.json>");
             std::process::exit(2);
         };
-        let live: Vec<(String, f64)> = measure_solvers()
+        let live: Vec<(String, f64)> = measure_solver()
             .into_iter()
-            .map(|(case, fast_ns, _, _, _)| (case, fast_ns))
+            .map(|(case, ns, _, _)| (case, ns))
             .collect();
         baseline::check_or_exit(path, &live);
     }
@@ -115,15 +103,10 @@ fn main() {
         .unwrap_or_else(|| "BENCH_netsim.json".to_string());
 
     let mut entries = Vec::new();
-    for (case, fast_ns, naive_ns, nodes, jobs) in measure_solvers() {
-        let speedup = naive_ns / fast_ns;
-        eprintln!(
-            "{case}: naive {:.2} ms, fast {:.2} ms, speedup {speedup:.1}x",
-            naive_ns / 1e6,
-            fast_ns / 1e6
-        );
+    for (case, ns, nodes, jobs) in measure_solver() {
+        eprintln!("{case}: {:.2} ms", ns / 1e6);
         entries.push(format!(
-            "    {{\n      \"case\": \"{case}\",\n      \"nodes\": {nodes},\n      \"jobs\": {jobs},\n      \"naive_median_ns\": {naive_ns:.0},\n      \"fast_median_ns\": {fast_ns:.0},\n      \"speedup\": {speedup:.2}\n    }}"
+            "    {{\n      \"case\": \"{case}\",\n      \"nodes\": {nodes},\n      \"jobs\": {jobs},\n      \"fast_median_ns\": {ns:.0}\n    }}"
         ));
     }
 
@@ -167,7 +150,7 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"bench\": \"flow-level network simulation: incremental vs retained-naive max-min solver, and fig6 sweep scaling\",\n  \"iters\": {ITERS},\n  \"host_cpus\": {host_cpus},\n  \"results\": [\n{}\n  ],\n  \"sweep\": {{\n    \"experiment\": \"fig6\",\n    \"jobs_per_log\": {},\n    \"iters\": {SWEEP_ITERS},\n    \"threads_1_median_ns\": {ns_1:.0},\n    \"threads_2_median_ns\": {ns_2:.0},\n    \"threads_4_median_ns\": {ns_4:.0},\n    \"parallel_speedup\": {parallel_speedup:.2},\n    \"identical_across_threads\": true,\n    \"gate\": \"{gate}\"\n  }}\n}}\n",
+        "{{\n  \"bench\": \"flow-level network simulation: incremental max-min solver runs, and fig6 sweep scaling\",\n  \"iters\": {ITERS},\n  \"host_cpus\": {host_cpus},\n  \"results\": [\n{}\n  ],\n  \"sweep\": {{\n    \"experiment\": \"fig6\",\n    \"jobs_per_log\": {},\n    \"iters\": {SWEEP_ITERS},\n    \"threads_1_median_ns\": {ns_1:.0},\n    \"threads_2_median_ns\": {ns_2:.0},\n    \"threads_4_median_ns\": {ns_4:.0},\n    \"parallel_speedup\": {parallel_speedup:.2},\n    \"identical_across_threads\": true,\n    \"gate\": \"{gate}\"\n  }}\n}}\n",
         entries.join(",\n"),
         SWEEP_SCALE.jobs
     );

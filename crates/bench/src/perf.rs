@@ -1,32 +1,27 @@
-//! Fast-vs-naive measured units behind the `BENCH_*.json` runners and the
-//! Criterion benches: placement evaluation (`BENCH_engine.json`) and
-//! flow-level network simulation (`BENCH_netsim.json`).
+//! Measured units behind the `BENCH_*.json` runners and the Criterion
+//! benches: placement evaluation and node selection (`BENCH_engine.json`)
+//! and flow-level network simulation (`BENCH_netsim.json`).
 //!
-//! The "naive" path retains the pre-optimization pipeline, built from the
-//! public APIs that still implement it: a clone-based adaptive decision
-//! (full `ClusterState` clone + `allocate` + one `job_cost` traversal over
-//! the materialized node ids per candidate) and a clone-based Eq. 6/Eq. 7
-//! evaluation (two more clones, four `job_cost` traversals per collective
-//! component). The "fast" path
-//! is the production pipeline: the shared [`PlacementEvaluator`] — no
-//! clones, one fused traversal per component per allocation, hop memo
-//! reused across the job's components.
-//!
-//! Both return identical numbers (the equivalence is also property-tested
-//! in `commsched-core`), so the comparison isolates the cost of the
-//! evaluation strategy alone.
+//! Every unit is the shipped path, set up the way the engine uses it: the
+//! shared [`PlacementEvaluator`] (no state clones, one fused traversal per
+//! collective component per allocation, hop memo reused across the job's
+//! components), the free-count-index selectors, the incremental rate
+//! solver. The slow references these were once timed against are test
+//! oracles inside `commsched-core` and `commsched-netsim` (DESIGN.md
+//! §4.14), where the same scenarios are checked for exact agreement; a
+//! before/after is `bench_e2e --compare parent change`.
 
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_core::{
     AdaptiveSelector, AllocRequest, BalancedSelector, ClusterState, CostModel, DefaultTreeSelector,
     GreedySelector, JobId, JobNature, NodeSelector, Placement, PlacementEvaluator,
 };
-use commsched_netsim::{FlowSim, JobResult, NetConfig, SolverKind, Workload};
+use commsched_netsim::{FlowSim, JobResult, NetConfig, Workload};
 use commsched_topology::{NodeId, SystemPreset, Tree};
 use rand::prelude::*;
 use rand_chacha::ChaCha12Rng;
 
-/// Eq. 6/Eq. 7 numbers of one placement, for cross-checking the two paths.
+/// Eq. 6/Eq. 7 numbers of one placement — what the engine computes per job.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementNumbers {
     /// Reported Eq. 6 cost (raw hops) of the chosen allocation.
@@ -90,9 +85,7 @@ impl PlacementCase {
             .with_pattern(CollectiveSpec::new(self.comm[0].0, self.msize))
     }
 
-    /// Pure selection through the production (free-count-index) path: the
-    /// three direct selectors back to back. Returns the three placements
-    /// so the caller can cross-check them against [`Self::select_scan`].
+    /// Pure selection: the three direct selectors back to back.
     pub fn select_indexed(&self, want: usize) -> Vec<Placement> {
         let req = self.request_of(want);
         vec![
@@ -105,20 +98,6 @@ impl PlacementCase {
             BalancedSelector
                 .select(&self.tree, &self.state, &req)
                 .unwrap(),
-        ]
-    }
-
-    /// The same three selections through the retained linear-scan
-    /// baselines (`commsched_core::select_scan`) — the pre-index
-    /// algorithms, O(cluster size) per placement, building id lists node
-    /// by node in fill order.
-    pub fn select_scan(&self, want: usize) -> Vec<Vec<NodeId>> {
-        use commsched_core::select_scan as scan;
-        let req = self.request_of(want);
-        vec![
-            scan::default_select(&self.tree, &self.state, &req).unwrap(),
-            scan::greedy_select(&self.tree, &self.state, &req).unwrap(),
-            scan::balanced_select(&self.tree, &self.state, &req).unwrap(),
         ]
     }
 
@@ -149,81 +128,9 @@ impl PlacementCase {
         stats
     }
 
-    fn comm_fraction(&self) -> f64 {
-        self.comm.iter().map(|&(_, f)| f).sum()
-    }
-
-    /// The pre-optimization pipeline: clone-based adaptive decision, then
-    /// clone-based Eq. 6/Eq. 7 evaluation with four `job_cost` traversals
-    /// per component.
-    pub fn place_naive(&self) -> PlacementNumbers {
-        let req = self.request();
-        let spec = req.spec();
-        let decide = CostModel::HOP_BYTES;
-
-        // §4.3 adaptive decision, clone-based (the seed's
-        // `hypothetical_cost`): full state copy + real allocation per
-        // candidate.
-        let greedy = GreedySelector
-            .select(&self.tree, &self.state, &req)
-            .unwrap();
-        let balanced = BalancedSelector
-            .select(&self.tree, &self.state, &req)
-            .unwrap();
-        let nodes = if greedy == balanced {
-            balanced
-        } else {
-            let cost_of = |alloc: &Placement| {
-                let mut s = self.state.clone();
-                s.allocate(&self.tree, JobId(u64::MAX), alloc, JobNature::CommIntensive)
-                    .unwrap();
-                decide.job_cost(&self.tree, &s, &alloc.nodes(), &spec)
-            };
-            let cg = cost_of(&greedy);
-            let cb = cost_of(&balanced);
-            if cb <= cg {
-                balanced
-            } else {
-                greedy
-            }
-        };
-        let default_nodes = DefaultTreeSelector
-            .select(&self.tree, &self.state, &req)
-            .unwrap();
-
-        // Eq. 6/Eq. 7: one what-if clone per allocation, four traversals
-        // per component (reported + ratio model, actual + default).
-        let what_if = |alloc: &Placement| {
-            let mut s = self.state.clone();
-            s.allocate(&self.tree, JobId(u64::MAX), alloc, JobNature::CommIntensive)
-                .unwrap();
-            (s, alloc.nodes())
-        };
-        let (state_actual, nodes) = what_if(&nodes);
-        let (state_default, default_nodes) = what_if(&default_nodes);
-        let mut cost_actual = 0.0;
-        let mut cost_default = 0.0;
-        let mut adjusted = self.runtime * (1.0 - self.comm_fraction());
-        for &(pattern, fraction) in &self.comm {
-            let spec = CollectiveSpec::new(pattern, self.msize);
-            cost_actual += CostModel::HOPS.job_cost(&self.tree, &state_actual, &nodes, &spec);
-            cost_default +=
-                CostModel::HOPS.job_cost(&self.tree, &state_default, &default_nodes, &spec);
-            let ca = CostModel::HOP_BYTES.job_cost(&self.tree, &state_actual, &nodes, &spec);
-            let cd =
-                CostModel::HOP_BYTES.job_cost(&self.tree, &state_default, &default_nodes, &spec);
-            let ratio = if cd > 0.0 { ca / cd } else { 1.0 };
-            adjusted += self.runtime * fraction * ratio;
-        }
-        PlacementNumbers {
-            cost_actual,
-            cost_default,
-            adjusted,
-        }
-    }
-
-    /// The production pipeline: evaluator-backed adaptive decision and one
-    /// fused traversal per component per allocation, no state clones.
+    /// One whole placement as the engine performs it: evaluator-backed
+    /// adaptive decision, then one fused traversal per component for the
+    /// chosen and for the default allocation (Eq. 6 costs, Eq. 7 runtime).
     pub fn place_fast(
         &self,
         eval: &std::sync::Arc<std::sync::Mutex<PlacementEvaluator>>,
@@ -253,7 +160,8 @@ impl PlacementCase {
 
         let mut cost_actual = 0.0;
         let mut cost_default = 0.0;
-        let mut adjusted = self.runtime * (1.0 - self.comm_fraction());
+        let comm_fraction: f64 = self.comm.iter().map(|&(_, f)| f).sum();
+        let mut adjusted = self.runtime * (1.0 - comm_fraction);
         for (i, &(_, fraction)) in self.comm.iter().enumerate() {
             cost_actual += actual[i].0;
             cost_default += default[i].0;
@@ -269,9 +177,7 @@ impl PlacementCase {
     }
 }
 
-/// One netsim benchmark scenario: a topology plus a workload set, run with
-/// the incremental (fast) or the retained naive rate solver of the same
-/// binary.
+/// One netsim benchmark scenario: a topology plus a workload set.
 pub struct NetsimCase {
     pub name: &'static str,
     pub tree: Tree,
@@ -311,8 +217,7 @@ impl NetsimCase {
 
     /// Churn: many short two-node exchanges arriving and finishing all over
     /// a 2,048-node machine. Every event touches a tiny component, which is
-    /// exactly what the dirty-link frontier exploits; the naive solver
-    /// pays the full O(links × flows) fixpoint per event regardless.
+    /// exactly what the dirty-link frontier exploits.
     pub fn churn() -> Self {
         let tree = Tree::regular_two_level(64, 32);
         let n = tree.num_nodes();
@@ -337,19 +242,8 @@ impl NetsimCase {
         }
     }
 
-    fn run_with(&self, solver: SolverKind) -> Vec<JobResult> {
-        FlowSim::new(&self.tree, self.cfg)
-            .with_solver(solver)
-            .run(self.workloads.clone())
-    }
-
-    /// Run under the incremental (default) solver.
+    /// Simulate the scenario to completion.
     pub fn run_fast(&self) -> Vec<JobResult> {
-        self.run_with(SolverKind::Incremental)
-    }
-
-    /// Run under the retained naive fixpoint solver.
-    pub fn run_naive(&self) -> Vec<JobResult> {
-        self.run_with(SolverKind::Naive)
+        FlowSim::new(&self.tree, self.cfg).run(self.workloads.clone())
     }
 }

@@ -1,6 +1,7 @@
 //! The paper's contention and communication-cost model (§5.3, Eqs. 2–6).
 #![deny(clippy::as_conversions)]
 
+use crate::eval::PlacementEvaluator;
 use crate::placement::Placement;
 use crate::state::ClusterState;
 use commsched_collectives::CollectiveSpec;
@@ -125,6 +126,19 @@ impl CostModel {
     ) -> f64 {
         let mut ranked = nodes.to_vec();
         ranked.sort_unstable();
+        self.ranked_cost(tree, state, &ranked, spec)
+    }
+
+    /// Eq. 6 over an explicit rank layout (rank `r` runs on `ranked[r]`):
+    /// the one sweep behind [`CostModel::job_cost`] (block layout) and
+    /// [`crate::mapping::mapped_cost`] (any layout).
+    pub(crate) fn ranked_cost(
+        &self,
+        tree: &Tree,
+        state: &ClusterState,
+        ranked: &[NodeId],
+        spec: &CollectiveSpec,
+    ) -> f64 {
         // Leaf ordinal per rank; hop values only depend on the leaf pair, so
         // memoize them: collective schedules revisit the same leaf pairs in
         // nearly every step.
@@ -164,22 +178,26 @@ impl CostModel {
         total
     }
 
-    /// Cost of a *hypothetical* allocation: applies `placement` to `state`
-    /// as a communication-intensive job first (so the job's own contention
-    /// counts, per the paper's example), evaluates [`CostModel::job_cost`]
-    /// on its node ids, then reverts. The apply-then-revert runs through
-    /// [`ClusterState::scratch_alloc`] — no clone of the cluster state — and
-    /// `state` is restored bit-for-bit before this returns. This is the
-    /// naive reference path; scheduling goes through
-    /// [`crate::PlacementEvaluator`].
+    /// Cost of a *hypothetical* allocation: what [`CostModel::job_cost`]
+    /// would report once `placement` were allocated on `state` as a
+    /// communication-intensive job (the job's own contention counts, per
+    /// the paper's example). `state` is only read — [`PlacementEvaluator`]
+    /// overlays the takes on the `L_comm` counters — and for a placement
+    /// of free nodes the result is bit-identical to allocating it on a
+    /// copy and calling `job_cost`.
+    ///
+    /// The nodes need not be free: the overlay never looks at occupancy or
+    /// health, so busy or down nodes are priced as if added on top of the
+    /// current counters — a finite cost, never a panic.
     pub fn hypothetical_cost(
         &self,
         tree: &Tree,
-        state: &mut ClusterState,
+        state: &ClusterState,
         placement: &Placement,
         spec: &CollectiveSpec,
     ) -> f64 {
-        let what_if = state.scratch_alloc(tree, placement, crate::state::JobNature::CommIntensive);
-        self.job_cost(tree, &what_if, &placement.nodes(), spec)
+        PlacementEvaluator::new()
+            .evaluate(tree, state, self.trunk_discount, placement, spec)
+            .for_model(self)
     }
 }

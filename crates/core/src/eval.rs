@@ -274,8 +274,8 @@ impl PlacementEvaluator {
     }
 
     /// Eq. 5 for a canonical leaf pair under the candidate's own `L_comm`
-    /// deltas — float-op-identical to the expression inside the naive
-    /// [`CostModel::job_cost`] memo fill.
+    /// deltas — float-op-identical to the expression inside the
+    /// [`CostModel::job_cost`] sweep's memo fill.
     #[inline]
     fn hop_value(
         tree: &Tree,

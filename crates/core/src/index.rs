@@ -24,17 +24,19 @@
 //! used) — the old path's sort alone was O(L log L) in the leaves under
 //! the chosen switch.
 //!
-//! Maintenance is batched: counter mutations note the pre-mutation value
-//! of each touched leaf/switch (first touch wins), and every public
-//! [`ClusterState`](crate::ClusterState) mutation flushes the notes into
-//! the sets before returning — one remove+insert per *touched summary
-//! entry*, not per node, so allocating a 512-node job on one leaf updates
-//! that leaf's entries once. Readers (`&self`) always see a clean index.
+//! Maintenance is eager: `ClusterState::shift`, the one routine every
+//! counter mutation goes through, moves a whole per-leaf take at a time
+//! and re-keys that leaf and each ancestor switch right there
+//! ([`FreeIndex::apply_leaf`], [`FreeIndex::apply_switch`]) — one
+//! remove+insert per *touched summary entry*, not per node, so allocating
+//! a 512-node job on one leaf updates that leaf's entries once. There is
+//! no pending state: the index equals a from-scratch rebuild of the
+//! counters after every `shift`.
 #![deny(clippy::as_conversions)]
 
 use commsched_num::usize_of_u32;
 use commsched_topology::{SwitchId, Tree};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 const SIGN: u64 = 1 << 63;
 
@@ -66,12 +68,6 @@ pub(crate) struct FreeIndex {
     by_free: Vec<BTreeSet<(u32, u32)>>,
     /// `[switch_id]` → `(ratio_key, leaf_ordinal)` of the same leaves.
     by_ratio: Vec<BTreeSet<(u64, u32)>>,
-    /// Switches whose `subtree_free` changed since the last flush, with
-    /// the value the sets currently reflect.
-    dirty_switches: BTreeMap<u32, u32>,
-    /// Leaves whose fill keys changed since the last flush, with the
-    /// `(leaf_free, ratio_key)` the sets currently reflect.
-    dirty_leaves: BTreeMap<u32, (u32, u64)>,
 }
 
 impl FreeIndex {
@@ -92,8 +88,6 @@ impl FreeIndex {
         self.by_free.resize(tree.num_switches(), BTreeSet::new());
         self.by_ratio.clear();
         self.by_ratio.resize(tree.num_switches(), BTreeSet::new());
-        self.dirty_switches.clear();
-        self.dirty_leaves.clear();
 
         for (id, sw) in tree.switches().iter().enumerate() {
             let free = switch_free[id];
@@ -121,43 +115,9 @@ impl FreeIndex {
         }
     }
 
-    /// Note a switch's current `subtree_free` before it is mutated. The
-    /// first note since the last flush wins: it records what the sets
-    /// still reflect.
-    #[inline]
-    pub(crate) fn note_switch(&mut self, id: u32, free_before: u32) {
-        self.dirty_switches.entry(id).or_insert(free_before);
-    }
-
-    /// Note a leaf's current fill keys before its counters are mutated.
-    #[inline]
-    pub(crate) fn note_leaf(&mut self, ord: u32, free_before: u32, rkey_before: u64) {
-        self.dirty_leaves
-            .entry(ord)
-            .or_insert((free_before, rkey_before));
-    }
-
-    /// Whether any notes are pending (readers require a clean index).
-    #[inline]
-    pub(crate) fn is_dirty(&self) -> bool {
-        !self.dirty_switches.is_empty() || !self.dirty_leaves.is_empty()
-    }
-
-    /// Take the pending notes for a flush (see `ClusterState::flush_index`,
-    /// which owns the counter reads the flush needs).
-    pub(crate) fn take_dirty(&mut self) -> (BTreeMap<u32, u32>, BTreeMap<u32, (u32, u64)>) {
-        (
-            std::mem::take(&mut self.dirty_switches),
-            std::mem::take(&mut self.dirty_leaves),
-        )
-    }
-
     /// Re-key one switch in its level set.
     #[inline]
     pub(crate) fn apply_switch(&mut self, level: u32, id: u32, old_free: u32, new_free: u32) {
-        if old_free == new_free {
-            return;
-        }
         if let Some(set) = self.level_sets.get_mut(level_slot(level)) {
             if old_free > 0 {
                 set.remove(&(old_free, id));
@@ -176,9 +136,6 @@ impl FreeIndex {
         (old_free, old_rkey): (u32, u64),
         (new_free, new_rkey): (u32, u64),
     ) {
-        if (old_free, old_rkey) == (new_free, new_rkey) {
-            return;
-        }
         let mut up = tree.switch(tree.leaf(usize_of_u32(ord))).parent;
         while let Some(p) = up {
             let bf = &mut self.by_free[p.0];
@@ -204,7 +161,6 @@ impl FreeIndex {
     /// id — exactly the scan baseline's `(level, free, id)` minimum.
     /// Requires `want >= 1`.
     pub(crate) fn lowest_level_switch(&self, want: usize) -> Option<SwitchId> {
-        debug_assert!(!self.is_dirty(), "index read before flush");
         let want = u32::try_from(want).ok()?;
         for set in &self.level_sets {
             if let Some(&(_, id)) = set.range((want, 0u32)..).next() {
@@ -218,7 +174,6 @@ impl FreeIndex {
     /// `(leaf_free, ordinal)` ascending.
     #[inline]
     pub(crate) fn leaves_by_free(&self, p: SwitchId) -> &BTreeSet<(u32, u32)> {
-        debug_assert!(!self.is_dirty(), "index read before flush");
         &self.by_free[p.0]
     }
 
@@ -226,7 +181,6 @@ impl FreeIndex {
     /// `(ratio_key, ordinal)` ascending.
     #[inline]
     pub(crate) fn leaves_by_ratio(&self, p: SwitchId) -> &BTreeSet<(u64, u32)> {
-        debug_assert!(!self.is_dirty(), "index read before flush");
         &self.by_ratio[p.0]
     }
 }

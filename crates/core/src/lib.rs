@@ -50,19 +50,20 @@ pub mod mapping;
 mod placement;
 mod sa;
 mod select;
-pub mod select_scan;
+#[cfg(test)]
+mod select_scan;
 mod state;
 
 pub use cost::CostModel;
 pub use eval::{EvalTotals, PlacementEvaluator};
 pub use mapping::MappingStrategy;
 pub use placement::Placement;
-pub use sa::{derive_seed, evals_per_sec, sa_search_with_stats, SaBudget, SaSelector, SaStats};
+pub use sa::{derive_seed, sa_search_with_stats, SaBudget, SaSelector, SaStats};
 pub use select::{
     AdaptiveSelector, AllocRequest, BalancedSelector, DefaultTreeSelector, GreedySelector,
     NodeSelector, SelectError, SelectorKind,
 };
-pub use state::{Allocation, ClusterState, JobId, JobNature, NodeHealth, ScratchAlloc, StateError};
+pub use state::{Allocation, ClusterState, JobId, JobNature, NodeHealth, StateError};
 
 #[cfg(test)]
 mod tests;

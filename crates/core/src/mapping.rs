@@ -20,6 +20,7 @@
 //! it purges a step of crossings entirely — [`best_mapping`] evaluates the
 //! candidates and returns the cheapest, which is therefore never worse
 //! than the block default.
+#![deny(clippy::as_conversions)]
 
 use crate::cost::CostModel;
 use crate::state::ClusterState;
@@ -84,42 +85,7 @@ pub fn mapped_cost(
     spec: &CollectiveSpec,
     strategy: MappingStrategy,
 ) -> f64 {
-    let ranked = map_ranks(tree, nodes, strategy);
-    // `job_cost` re-sorts its input (block layout), so evaluate the steps
-    // here against the explicit layout.
-    let leaf_of_rank: Vec<usize> = ranked.iter().map(|n| tree.leaf_ordinal_of(*n)).collect();
-    let mut cache = std::collections::HashMap::new();
-    let mut total = 0.0;
-    for step in spec.steps(ranked.len()) {
-        let mut worst: f64 = 0.0;
-        for &(ri, rj) in &step.pairs {
-            let (a, b) = {
-                let (a, b) = (leaf_of_rank[ri], leaf_of_rank[rj]);
-                if a <= b {
-                    (a, b)
-                } else {
-                    (b, a)
-                }
-            };
-            let hops = *cache.entry((a, b)).or_insert_with(|| {
-                let d = if a == b {
-                    2.0
-                } else {
-                    f64::from(2 * tree.leaf_lca_level(a, b))
-                };
-                d * (1.0 + model.leaf_contention(tree, state, a, b))
-            });
-            if hops > worst {
-                worst = hops;
-            }
-        }
-        total += if model.hop_bytes {
-            worst * step.msize as f64
-        } else {
-            worst
-        };
-    }
-    total
+    model.ranked_cost(tree, state, &map_ranks(tree, nodes, strategy), spec)
 }
 
 /// Evaluate every strategy and return the cheapest layout with its cost.

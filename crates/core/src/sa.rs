@@ -28,7 +28,7 @@ use crate::select::{
     check_request, AllocRequest, BalancedSelector, GreedySelector, NodeSelector, SelectError,
 };
 use crate::state::{ClusterState, JobId};
-use commsched_num::{f64_of_u64, usize_of_u32};
+use commsched_num::usize_of_u32;
 use commsched_topology::Tree;
 use rand::Rng;
 use rand::SeedableRng;
@@ -409,13 +409,4 @@ pub fn sa_search_with_stats(
 ) -> Result<(Placement, Option<SaStats>), SelectError> {
     let placement = selector.select(tree, state, req)?;
     Ok((placement, selector.take_stats()))
-}
-
-/// Interpret a stats record as evaluations per second given elapsed
-/// nanoseconds (0 when nothing ran or time was unmeasurably short).
-pub fn evals_per_sec(evals: u64, elapsed_ns: u64) -> f64 {
-    if elapsed_ns == 0 {
-        return 0.0;
-    }
-    f64_of_u64(evals) * 1e9 / f64_of_u64(elapsed_ns)
 }

@@ -7,10 +7,9 @@
 //! leaf and hands the `(leaf ordinal, count)` list to [`Placement`], which
 //! resolves the ids. A placement costs O(tree height + leaves actually
 //! granted) plus one free-bit scan per partly occupied granted leaf.
-//! The pre-index linear-scan algorithms live on in [`crate::select_scan`],
-//! still building id lists node by node; the property tests in `tests`
-//! assert the two choose identical node sets, and the `bench_engine`
-//! selection cases measure the gap.
+//! The pre-index linear-scan algorithms live on as the test-only
+//! `select_scan` module, still building id lists node by node; the
+//! property tests in `tests` assert the two choose identical node sets.
 #![deny(clippy::as_conversions)]
 
 use crate::cost::CostModel;

@@ -3,16 +3,14 @@
 //! These are the exact pre-index algorithms (scan every switch for the
 //! lowest-level pick, collect-and-sort every leaf under it for the fill
 //! order, build the id list node by node in fill order), preserved
-//! verbatim for two jobs:
+//! verbatim as a test oracle (this module is `#[cfg(test)]`): the
+//! property tests in `tests` assert every indexed selector in
+//! [`crate::select`] chooses exactly the node set of its scan twin on
+//! randomized trees and occupancies, and `tests::scale` does the same on
+//! the 4k–1M-node presets (the adaptive twin, a composition of these with
+//! the naive cost path, lives with those tests).
 //!
-//! * the property tests in `tests` assert every indexed selector in
-//!   [`crate::select`] chooses exactly the node set of its scan twin on
-//!   randomized trees and occupancies (the adaptive twin, a composition
-//!   of these with the naive cost path, lives with those tests);
-//! * the `bench_engine` selection benchmarks measure the indexed-vs-scan
-//!   gap on the exascale presets (the headline speedup of ROADMAP item 3).
-//!
-//! They are O(cluster size) per placement and not meant for production use.
+//! They are O(cluster size) per placement.
 #![deny(clippy::as_conversions)]
 
 use crate::select::{check_request, AllocRequest, SelectError};
@@ -55,6 +53,22 @@ fn pick_switch_scan(
     })
 }
 
+/// The first `want` free nodes on leaf ordinal `k`, lowest node id first
+/// (SLURM's bitmap order).
+pub(crate) fn free_nodes_on_leaf(
+    tree: &Tree,
+    state: &ClusterState,
+    k: usize,
+    want: usize,
+) -> Vec<NodeId> {
+    tree.leaf_nodes(k)
+        .iter()
+        .copied()
+        .filter(|&n| state.is_free(n))
+        .take(want)
+        .collect()
+}
+
 /// Fill `out` by taking `min(free, remaining)` nodes from each leaf of
 /// `order` in turn. Returns the number still unallocated.
 fn fill_in_order(
@@ -73,14 +87,14 @@ fn fill_in_order(
             continue;
         }
         let take = free.min(remaining);
-        out.extend(state.free_nodes_on_leaf(tree, k, take));
+        out.extend(free_nodes_on_leaf(tree, state, k, take));
         remaining -= take;
     }
     remaining
 }
 
 /// Scan twin of [`crate::DefaultTreeSelector`].
-pub fn default_select(
+pub(crate) fn default_select(
     tree: &Tree,
     state: &ClusterState,
     req: &AllocRequest,
@@ -100,7 +114,7 @@ pub fn default_select(
 }
 
 /// Scan twin of [`crate::GreedySelector`].
-pub fn greedy_select(
+pub(crate) fn greedy_select(
     tree: &Tree,
     state: &ClusterState,
     req: &AllocRequest,
@@ -110,7 +124,7 @@ pub fn greedy_select(
     // whole request.
     if tree.switch(p).children.is_empty() {
         let k = tree.leaf_ordinal(p);
-        return Ok(state.free_nodes_on_leaf(tree, k, req.nodes));
+        return Ok(free_nodes_on_leaf(tree, state, k, req.nodes));
     }
     let mut order: Vec<usize> = tree
         .leaf_ordinals_under(p)
@@ -142,7 +156,7 @@ pub fn greedy_select(
 }
 
 /// Scan twin of [`crate::BalancedSelector`].
-pub fn balanced_select(
+pub(crate) fn balanced_select(
     tree: &Tree,
     state: &ClusterState,
     req: &AllocRequest,
@@ -150,7 +164,7 @@ pub fn balanced_select(
     let p = pick_switch_scan(tree, state, req)?;
     if tree.switch(p).children.is_empty() {
         let k = tree.leaf_ordinal(p);
-        return Ok(state.free_nodes_on_leaf(tree, k, req.nodes));
+        return Ok(free_nodes_on_leaf(tree, state, k, req.nodes));
     }
     let mut order: Vec<usize> = tree
         .leaf_ordinals_under(p)
@@ -211,7 +225,7 @@ pub fn balanced_select(
     let mut out = Vec::with_capacity(req.nodes);
     for (idx, &k) in order.iter().enumerate() {
         if taken[idx] > 0 {
-            out.extend(state.free_nodes_on_leaf(tree, k, taken[idx]));
+            out.extend(free_nodes_on_leaf(tree, state, k, taken[idx]));
         }
     }
     Ok(out)

@@ -147,8 +147,9 @@ enum Class {
 /// Keeps per-node free/busy bits, the three per-leaf counters the paper's
 /// formulas read, and an incremental per-switch free counter so
 /// [`ClusterState::subtree_free`] — the inner loop of switch selection —
-/// is an O(1) lookup instead of a per-leaf scan. What-if evaluation goes
-/// through [`ClusterState::scratch_alloc`] rather than cloning.
+/// is an O(1) lookup instead of a per-leaf scan. What-if evaluation never
+/// touches the state: [`crate::PlacementEvaluator`] overlays the candidate
+/// on the counters it reads.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClusterState {
     /// Per-node: is the node free?
@@ -298,54 +299,18 @@ impl ClusterState {
     /// Rebuild the free-count index from the counters (construction and
     /// reset; incremental maintenance covers everything else).
     fn reindex(&mut self, tree: &Tree) {
-        let Self {
-            index,
-            leaf_free,
-            leaf_busy,
-            leaf_comm,
-            switch_free,
-            ..
-        } = self;
-        index.rebuild(tree, leaf_free, switch_free, |k| {
-            ratio_value(leaf_busy[k], leaf_comm[k], f64_of_usize(tree.leaf_size(k)))
+        let mut index = std::mem::take(&mut self.index);
+        index.rebuild(tree, &self.leaf_free, &self.switch_free, |k| {
+            self.communication_ratio(tree, k)
         });
+        self.index = index;
     }
 
-    /// Record leaf `k`'s current index keys before mutating its counters.
+    /// Leaf `k`'s current fill keys in the index: `(leaf_free, ratio key)`.
     #[inline]
-    fn note_leaf_dirty(&mut self, tree: &Tree, k: usize) {
-        let rkey = ratio_key(ratio_value(
-            self.leaf_busy[k],
-            self.leaf_comm[k],
-            f64_of_usize(tree.leaf_size(k)),
-        ));
-        self.index
-            .note_leaf(u32_of_usize(k), self.leaf_free[k], rkey);
-    }
-
-    /// Fold the pending counter mutations into the free-count index. Every
-    /// public `&mut self` method ends with this, so `&self` readers always
-    /// see a clean index.
-    fn flush_index(&mut self, tree: &Tree) {
-        if !self.index.is_dirty() {
-            return;
-        }
-        let (switches, leaves) = self.index.take_dirty();
-        for (id, old_free) in switches {
-            let level = tree.switch(SwitchId(usize_of_u32(id))).level;
-            self.index
-                .apply_switch(level, id, old_free, self.switch_free[usize_of_u32(id)]);
-        }
-        for (ord, old) in leaves {
-            let k = usize_of_u32(ord);
-            let new_rkey = ratio_key(ratio_value(
-                self.leaf_busy[k],
-                self.leaf_comm[k],
-                f64_of_usize(tree.leaf_size(k)),
-            ));
-            self.index
-                .apply_leaf(tree, ord, old, (self.leaf_free[k], new_rkey));
-        }
+    fn leaf_keys(&self, tree: &Tree, k: usize) -> (u32, u64) {
+        let ratio = self.communication_ratio(tree, k);
+        (self.leaf_free[k], ratio_key(ratio))
     }
 
     /// Read access to the free-count index for the selectors.
@@ -354,11 +319,11 @@ impl ClusterState {
         &self.index
     }
 
-    /// Opaque memoization token: changes on every mutation (including
-    /// scratch apply/revert) and is globally unique, so a cache tagged with
-    /// a version may be reused exactly when the tag still matches. A clone
-    /// shares its source's version until either side mutates — correct,
-    /// because their occupancies are identical at that version.
+    /// Opaque memoization token: changes on every mutation and is globally
+    /// unique, so a cache tagged with a version may be reused exactly when
+    /// the tag still matches. A clone shares its source's version until
+    /// either side mutates — correct, because their occupancies are
+    /// identical at that version.
     #[inline]
     pub fn version(&self) -> u64 {
         self.version
@@ -500,34 +465,9 @@ impl ClusterState {
         usize_of_u32(self.switch_free[s.0])
     }
 
-    /// Reference implementation of [`ClusterState::subtree_free`]: recount
-    /// the per-leaf free counters under `s`. Kept for invariant checks and
-    /// the fast-vs-naive benchmarks; O(leaves under `s`).
-    pub fn subtree_free_naive(&self, tree: &Tree, s: SwitchId) -> usize {
-        tree.leaf_ordinals_under(s)
-            .iter()
-            .map(|&k| usize_of_u32(self.leaf_free[k]))
-            .sum()
-    }
-
-    /// The first `want` free nodes on leaf ordinal `k`, lowest node id first
-    /// (SLURM's bitmap order).
-    pub fn free_nodes_on_leaf(&self, tree: &Tree, k: usize, want: usize) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(want);
-        for &n in tree.leaf_nodes(k) {
-            if out.len() == want {
-                break;
-            }
-            if self.node_free[n.0] {
-                out.push(n);
-            }
-        }
-        out
-    }
-
     /// The first `want` free nodes on leaf ordinal `k` as ascending id
-    /// runs `(first id, length)` — [`ClusterState::free_nodes_on_leaf`]
-    /// without the id list. A fully free leaf is one run and no scan.
+    /// runs `(first id, length)`, lowest node id first (SLURM's bitmap
+    /// order). A fully free leaf is one run and no scan.
     pub(crate) fn free_runs_on_leaf(
         &self,
         tree: &Tree,
@@ -570,14 +510,15 @@ impl ClusterState {
 
     /// Move `count` nodes of leaf ordinal `k` from one occupancy class to
     /// another across every counter: the leaf's own, the ancestor chain of
-    /// subtree free counts, the totals — with one index note per touched
-    /// leaf and switch. Every mutation goes through here; the per-node
-    /// free bits and health are the caller's.
+    /// subtree free counts, the totals — re-keying the leaf and each
+    /// touched switch in the free-count index on the spot, so the index
+    /// is never behind the counters. Every mutation goes through here;
+    /// the per-node free bits and health are the caller's.
     fn shift(&mut self, tree: &Tree, k: usize, count: u32, from: Class, to: Class) {
         if count == 0 {
             return;
         }
-        self.note_leaf_dirty(tree, k);
+        let keys_before = self.leaf_keys(tree, k);
         let n = usize_of_u32(count);
         match from {
             Class::Free => self.leaf_free[k] -= count,
@@ -605,19 +546,28 @@ impl ClusterState {
                 self.down_total += n;
             }
         }
+        let keys_after = self.leaf_keys(tree, k);
+        self.index
+            .apply_leaf(tree, u32_of_usize(k), keys_before, keys_after);
         // Only a move into or out of `Free` changes the subtree counts.
         let freed = to == Class::Free;
         if freed || from == Class::Free {
             let mut s = Some(tree.leaf(k));
             while let Some(id) = s {
-                self.index
-                    .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
+                let sw = tree.switch(id);
+                let free_before = self.switch_free[id.0];
                 if freed {
                     self.switch_free[id.0] += count;
                 } else {
                     self.switch_free[id.0] -= count;
                 }
-                s = tree.switch(id).parent;
+                self.index.apply_switch(
+                    sw.level,
+                    u32_of_usize(id.0),
+                    free_before,
+                    self.switch_free[id.0],
+                );
+                s = sw.parent;
             }
             if freed {
                 self.free_total += n;
@@ -686,7 +636,6 @@ impl ClusterState {
                 nature,
             },
         );
-        self.flush_index(tree);
         self.version = next_version();
         Ok(())
     }
@@ -727,7 +676,6 @@ impl ClusterState {
                 self.shift(tree, k, drained, busy, Class::Down);
             }
         }
-        self.flush_index(tree);
         self.version = next_version();
         Ok(alloc)
     }
@@ -760,7 +708,6 @@ impl ClusterState {
         self.node_free[n.0] = false;
         self.shift(tree, tree.leaf_ordinal_of(n), 1, Class::Free, Class::Down);
         self.node_health[n.0] = NodeHealth::Down;
-        self.flush_index(tree);
         self.version = next_version();
         Ok(())
     }
@@ -790,7 +737,6 @@ impl ClusterState {
                 self.node_free[n.0] = true;
                 self.shift(tree, tree.leaf_ordinal_of(n), 1, Class::Down, Class::Free);
                 self.node_health[n.0] = NodeHealth::Up;
-                self.flush_index(tree);
                 self.version = next_version();
                 Ok(())
             }
@@ -843,7 +789,6 @@ impl ClusterState {
         }
         self.switch_down[s.0] = true;
         self.switches_down_total += 1;
-        self.flush_index(tree);
         self.version = next_version();
         Ok(())
     }
@@ -871,7 +816,6 @@ impl ClusterState {
         }
         self.switch_down[s.0] = false;
         self.switches_down_total -= 1;
-        self.flush_index(tree);
         self.version = next_version();
         Ok(())
     }
@@ -901,38 +845,6 @@ impl ClusterState {
                 self.version = next_version();
                 Ok(false)
             }
-        }
-    }
-
-    /// Apply a *hypothetical* allocation's counters in place, returning an
-    /// RAII guard that reverts them on drop — the cheap replacement for
-    /// cloning the whole state before a what-if cost evaluation.
-    ///
-    /// The guard updates every occupancy counter (node bits, leaf counters,
-    /// switch counters, the free total) exactly as [`ClusterState::allocate`]
-    /// would, but records nothing in the job table; consequently
-    /// [`ClusterState::check_invariants`], which reconciles counters against
-    /// held allocations, only holds again once the guard drops. Every node
-    /// of `placement` must currently be free.
-    pub fn scratch_alloc<'s, 't>(
-        &'s mut self,
-        tree: &'t Tree,
-        placement: &Placement,
-        nature: JobNature,
-    ) -> ScratchAlloc<'s, 't> {
-        let checked = self.check_free(placement);
-        assert!(checked.is_ok(), "scratch allocation refused: {checked:?}");
-        let busy = Class::Busy {
-            comm: nature.is_comm(),
-        };
-        self.shift_placement(tree, placement, Class::Free, busy);
-        self.flush_index(tree);
-        self.version = next_version();
-        ScratchAlloc {
-            state: self,
-            tree,
-            placement: placement.clone(),
-            busy,
         }
     }
 
@@ -1034,11 +946,14 @@ impl ClusterState {
             ));
         }
         for id in 0..tree.num_switches() {
-            let s = SwitchId(id);
-            let naive = self.subtree_free_naive(tree, s);
-            if usize_of_u32(self.switch_free[id]) != naive {
+            let recount: u32 = tree
+                .leaf_ordinals_under(SwitchId(id))
+                .iter()
+                .map(|&k| self.leaf_free[k])
+                .sum();
+            if self.switch_free[id] != recount {
                 return Err(format!(
-                    "switch {id}: counter {} free, recounted {naive}",
+                    "switch {id}: counter {} free, recounted {recount}",
                     self.switch_free[id]
                 ));
             }
@@ -1063,9 +978,6 @@ impl ClusterState {
                 self.busy_total()
             ));
         }
-        if self.index.is_dirty() {
-            return Err("free-count index has unflushed notes".into());
-        }
         let mut expect = FreeIndex::default();
         expect.rebuild(tree, &self.leaf_free, &self.switch_free, |k| {
             self.communication_ratio(tree, k)
@@ -1087,37 +999,5 @@ fn ratio_value(busy: u32, comm: u32, nodes: f64) -> f64 {
         0.0
     } else {
         f64::from(comm) / busy_f + busy_f / nodes
-    }
-}
-
-/// RAII what-if guard from [`ClusterState::scratch_alloc`]: while alive, the
-/// borrowed state's counters include a hypothetical allocation; dropping the
-/// guard reverts every counter to its previous value (only the opaque
-/// [`ClusterState::version`] token moves forward, so caches never mistake
-/// the scratch occupancy for the restored one).
-///
-/// Dereferences to the underlying [`ClusterState`] for read access.
-#[derive(Debug)]
-pub struct ScratchAlloc<'s, 't> {
-    state: &'s mut ClusterState,
-    tree: &'t Tree,
-    placement: Placement,
-    busy: Class,
-}
-
-impl std::ops::Deref for ScratchAlloc<'_, '_> {
-    type Target = ClusterState;
-
-    fn deref(&self) -> &ClusterState {
-        self.state
-    }
-}
-
-impl Drop for ScratchAlloc<'_, '_> {
-    fn drop(&mut self) {
-        self.state
-            .shift_placement(self.tree, &self.placement, self.busy, Class::Free);
-        self.state.flush_index(self.tree);
-        self.state.version = next_version();
     }
 }

@@ -1,10 +1,13 @@
 //! The per-node reference the batched mutations are model-checked against:
 //! the previous implementation of every [`ClusterState`] mutation, kept
-//! verbatim under `ref_` names. Each node flip walks the ancestor chain
-//! and notes the index on its own — one node at a time, no takes, no runs
-//! — so agreement with the per-leaf [`ClusterState::shift`] path after
-//! every operation (`==` plus `check_invariants`, in `tests::model`) is
-//! evidence neither shares a counting mistake with the other.
+//! under `ref_` names. Each node flip walks the ancestor chain on its own
+//! — one node at a time, no takes, no runs — and the free-count index is
+//! rebuilt from the counters after every operation instead of being
+//! re-keyed along the way, so agreement with the per-leaf
+//! [`ClusterState::shift`] path after every operation (`==` plus
+//! `check_invariants`, in `tests::placement_currency`) is evidence
+//! neither shares a counting or an index-maintenance mistake with the
+//! other.
 
 use super::*;
 
@@ -13,7 +16,6 @@ impl ClusterState {
         assert!(self.node_free[n.0]);
         self.node_free[n.0] = false;
         let k = tree.leaf_ordinal_of(n);
-        self.note_leaf_dirty(tree, k);
         self.leaf_free[k] -= 1;
         self.leaf_busy[k] += 1;
         if comm {
@@ -21,8 +23,6 @@ impl ClusterState {
         }
         let mut s = Some(tree.leaf_of(n));
         while let Some(id) = s {
-            self.index
-                .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
             self.switch_free[id.0] -= 1;
             s = tree.switch(id).parent;
         }
@@ -33,7 +33,6 @@ impl ClusterState {
         assert!(!self.node_free[n.0]);
         self.node_free[n.0] = true;
         let k = tree.leaf_ordinal_of(n);
-        self.note_leaf_dirty(tree, k);
         self.leaf_free[k] += 1;
         self.leaf_busy[k] -= 1;
         if comm {
@@ -41,8 +40,6 @@ impl ClusterState {
         }
         let mut s = Some(tree.leaf_of(n));
         while let Some(id) = s {
-            self.index
-                .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
             self.switch_free[id.0] += 1;
             s = tree.switch(id).parent;
         }
@@ -53,13 +50,10 @@ impl ClusterState {
         assert!(self.node_free[n.0]);
         self.node_free[n.0] = false;
         let k = tree.leaf_ordinal_of(n);
-        self.note_leaf_dirty(tree, k);
         self.leaf_free[k] -= 1;
         self.leaf_down[k] += 1;
         let mut s = Some(tree.leaf_of(n));
         while let Some(id) = s {
-            self.index
-                .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
             self.switch_free[id.0] -= 1;
             s = tree.switch(id).parent;
         }
@@ -71,13 +65,10 @@ impl ClusterState {
         assert!(!self.node_free[n.0]);
         self.node_free[n.0] = true;
         let k = tree.leaf_ordinal_of(n);
-        self.note_leaf_dirty(tree, k);
         self.leaf_down[k] -= 1;
         self.leaf_free[k] += 1;
         let mut s = Some(tree.leaf_of(n));
         while let Some(id) = s {
-            self.index
-                .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
             self.switch_free[id.0] += 1;
             s = tree.switch(id).parent;
         }
@@ -115,7 +106,7 @@ impl ClusterState {
         }
         let nodes = Placement::from_nodes(tree, nodes)?;
         self.allocs.insert(job, Allocation { nodes, nature });
-        self.flush_index(tree);
+        self.reindex(tree);
         self.version = next_version();
         Ok(())
     }
@@ -132,7 +123,6 @@ impl ClusterState {
         for n in alloc.nodes.nodes() {
             if self.node_health[n.0] == NodeHealth::Draining {
                 let k = tree.leaf_ordinal_of(n);
-                self.note_leaf_dirty(tree, k);
                 self.leaf_busy[k] -= 1;
                 if alloc.nature.is_comm() {
                     self.leaf_comm[k] -= 1;
@@ -145,7 +135,7 @@ impl ClusterState {
                 self.ref_vacate(tree, n, alloc.nature.is_comm());
             }
         }
-        self.flush_index(tree);
+        self.reindex(tree);
         self.version = next_version();
         Ok(alloc)
     }
@@ -165,7 +155,7 @@ impl ClusterState {
         }
         self.ref_free_to_down(tree, n);
         self.node_health[n.0] = NodeHealth::Down;
-        self.flush_index(tree);
+        self.reindex(tree);
         self.version = next_version();
         Ok(())
     }
@@ -187,7 +177,7 @@ impl ClusterState {
             NodeHealth::Down => {
                 self.ref_down_to_free(tree, n);
                 self.node_health[n.0] = NodeHealth::Up;
-                self.flush_index(tree);
+                self.reindex(tree);
                 self.version = next_version();
                 Ok(())
             }
@@ -222,7 +212,7 @@ impl ClusterState {
         }
         self.switch_down[s.0] = true;
         self.switches_down_total += 1;
-        self.flush_index(tree);
+        self.reindex(tree);
         self.version = next_version();
         Ok(())
     }
@@ -241,7 +231,7 @@ impl ClusterState {
         }
         self.switch_down[s.0] = false;
         self.switches_down_total -= 1;
-        self.flush_index(tree);
+        self.reindex(tree);
         self.version = next_version();
         Ok(())
     }

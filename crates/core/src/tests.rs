@@ -37,6 +37,24 @@ fn ids(tree: &Tree, nodes: &[NodeId]) -> Placement {
     Placement::from_nodes(tree, nodes).unwrap()
 }
 
+/// The independent Eq. 6 reference for a what-if: allocate `placement` on a
+/// copy of `state` as a communication-intensive job, then run the naive
+/// [`CostModel::job_cost`] sweep over its node ids. Shares nothing with
+/// [`PlacementEvaluator`], which is what tests check against it.
+fn reference_cost(
+    model: &CostModel,
+    tree: &Tree,
+    state: &ClusterState,
+    placement: &Placement,
+    spec: &CollectiveSpec,
+) -> f64 {
+    let mut what_if = state.clone();
+    what_if
+        .allocate(tree, JobId(u64::MAX), placement, JobNature::CommIntensive)
+        .unwrap();
+    model.job_cost(tree, &what_if, &placement.nodes(), spec)
+}
+
 /// Per-leaf node counts of a placement, recounted from its node ids (not
 /// read off its takes — [`Placement::check`] ties the two together).
 fn nodes_per_leaf(tree: &Tree, placement: &Placement) -> Vec<usize> {
@@ -216,13 +234,13 @@ fn job_cost_single_leaf_beats_split() {
     // 8-rank RD on one leaf vs split 4+4: same contention state, the
     // intra-leaf placement must be strictly cheaper.
     let tree = Tree::regular_two_level(4, 8);
-    let mut st = ClusterState::new(&tree);
+    let st = ClusterState::new(&tree);
     let spec = CollectiveSpec::new(Pattern::Rd, 1 << 20);
     let m = CostModel::HOPS;
     let together: Vec<NodeId> = (0..8).map(NodeId).collect();
     let split: Vec<NodeId> = (0..4).chain(8..12).map(NodeId).collect();
-    let c1 = m.hypothetical_cost(&tree, &mut st, &ids(&tree, &together), &spec);
-    let c2 = m.hypothetical_cost(&tree, &mut st, &ids(&tree, &split), &spec);
+    let c1 = reference_cost(&m, &tree, &st, &ids(&tree, &together), &spec);
+    let c2 = reference_cost(&m, &tree, &st, &ids(&tree, &split), &spec);
     assert!(c1 < c2, "together={c1} split={c2}");
 }
 
@@ -231,13 +249,13 @@ fn job_cost_balanced_split_beats_unbalanced() {
     // Section 4.2's motivating example: 8 nodes over two leaves as 4+4 vs
     // 3+5 — the balanced split has fewer inter-switch steps under RD.
     let tree = Tree::regular_two_level(2, 8);
-    let mut st = ClusterState::new(&tree);
+    let st = ClusterState::new(&tree);
     let spec = CollectiveSpec::new(Pattern::Rd, 1 << 20);
     let m = CostModel::HOPS;
     let balanced: Vec<NodeId> = (0..4).chain(8..12).map(NodeId).collect();
     let unbalanced: Vec<NodeId> = (0..3).chain(8..13).map(NodeId).collect();
-    let cb = m.hypothetical_cost(&tree, &mut st, &ids(&tree, &balanced), &spec);
-    let cu = m.hypothetical_cost(&tree, &mut st, &ids(&tree, &unbalanced), &spec);
+    let cb = reference_cost(&m, &tree, &st, &ids(&tree, &balanced), &spec);
+    let cu = reference_cost(&m, &tree, &st, &ids(&tree, &unbalanced), &spec);
     assert!(cb <= cu, "balanced={cb} unbalanced={cu}");
 }
 
@@ -524,9 +542,9 @@ fn adaptive_picks_cheaper_of_greedy_and_balanced() {
         .unwrap();
     let m = CostModel::HOPS;
     let spec = req.spec();
-    let cg = m.hypothetical_cost(&tree, &mut st, &greedy, &spec);
-    let cb = m.hypothetical_cost(&tree, &mut st, &balanced, &spec);
-    let ca = m.hypothetical_cost(&tree, &mut st, &adaptive, &spec);
+    let cg = reference_cost(&m, &tree, &st, &greedy, &spec);
+    let cb = reference_cost(&m, &tree, &st, &balanced, &spec);
+    let ca = reference_cost(&m, &tree, &st, &adaptive, &spec);
     assert_eq!(ca, cg.min(cb));
 }
 
@@ -564,9 +582,9 @@ fn adaptive_compute_takes_costlier() {
             .unwrap();
         let m = CostModel::HOPS;
         let spec = req.spec();
-        let cg = m.hypothetical_cost(&tree, &mut st, &greedy, &spec);
-        let cb = m.hypothetical_cost(&tree, &mut st, &balanced, &spec);
-        let ca = m.hypothetical_cost(&tree, &mut st, &adaptive, &spec);
+        let cg = reference_cost(&m, &tree, &st, &greedy, &spec);
+        let cb = reference_cost(&m, &tree, &st, &balanced, &spec);
+        let ca = reference_cost(&m, &tree, &st, &adaptive, &spec);
         assert_eq!(ca, cg.max(cb));
     }
 }
@@ -632,7 +650,7 @@ fn hypothetical_cost_equals_cost_after_allocation() {
     let nodes: Vec<NodeId> = (1..5).chain(9..13).map(NodeId).collect();
     let spec = CollectiveSpec::new(Pattern::Rhvd, 1 << 20);
     for m in [CostModel::HOPS, CostModel::HOP_BYTES] {
-        let hypo = m.hypothetical_cost(&tree, &mut st, &ids(&tree, &nodes), &spec);
+        let hypo = m.hypothetical_cost(&tree, &st, &ids(&tree, &nodes), &spec);
         let mut applied = st.clone();
         applied
             .allocate(
@@ -645,6 +663,37 @@ fn hypothetical_cost_equals_cost_after_allocation() {
         let real = m.job_cost(&tree, &applied, &nodes, &spec);
         assert_eq!(hypo, real);
     }
+}
+
+/// Regression: `hypothetical_cost` used to apply the placement through a
+/// mutate-and-revert guard whose `assert!` killed the process on any node
+/// that was not free. It only reads the counters now, so a placement
+/// naming a busy node or a down node is priced like any other.
+#[test]
+fn hypothetical_cost_prices_busy_and_down_placements() {
+    let tree = Tree::regular_two_level(3, 8);
+    let mut st = ClusterState::new(&tree);
+    st.allocate(
+        &tree,
+        JobId(1),
+        &ids(&tree, &[NodeId(0), NodeId(8)]),
+        JobNature::CommIntensive,
+    )
+    .unwrap();
+    st.set_down(&tree, NodeId(16)).unwrap();
+    let snapshot = st.clone();
+    let spec = CollectiveSpec::new(Pattern::Rhvd, 1 << 20);
+    let busy = ids(&tree, &[NodeId(0), NodeId(1), NodeId(8), NodeId(9)]);
+    let down = ids(&tree, &[NodeId(1), NodeId(2), NodeId(16), NodeId(17)]);
+    for m in [CostModel::HOPS, CostModel::HOP_BYTES] {
+        for placement in [&busy, &down] {
+            let cost = m.hypothetical_cost(&tree, &st, placement, &spec);
+            assert!(cost.is_finite() && cost > 0.0, "cost {cost}");
+        }
+    }
+    assert_eq!(st, snapshot);
+    assert_eq!(st.version(), snapshot.version());
+    st.check_invariants(&tree).unwrap();
 }
 
 #[test]
@@ -768,13 +817,13 @@ mod three_level {
         // Same split shape, nearer vs farther leaves: the cost model must
         // price the deeper LCA higher.
         let t = tree();
-        let mut st = ClusterState::new(&t);
+        let st = ClusterState::new(&t);
         let spec = CollectiveSpec::new(Pattern::Rd, 1 << 20);
         let same_group: Vec<NodeId> = (0..2).chain(4..6).map(NodeId).collect();
         let cross_group: Vec<NodeId> = (0..2).chain(8..10).map(NodeId).collect();
         let m = CostModel::HOPS;
-        let near = m.hypothetical_cost(&t, &mut st, &ids(&t, &same_group), &spec);
-        let far = m.hypothetical_cost(&t, &mut st, &ids(&t, &cross_group), &spec);
+        let near = reference_cost(&m, &t, &st, &ids(&t, &same_group), &spec);
+        let far = reference_cost(&m, &t, &st, &ids(&t, &cross_group), &spec);
         assert!(near < far, "near {near} !< far {far}");
     }
 }
@@ -1198,9 +1247,9 @@ mod properties {
             }
         }
 
-        /// `hypothetical_cost` (scratch-guard path) equals the clone-based
-        /// reference and restores the state bit-for-bit — also when the
-        /// guard is dropped early without being read.
+        /// `hypothetical_cost` equals clone + `allocate` + `job_cost` bit
+        /// for bit and leaves the state untouched — version token
+        /// included, so no cache is invalidated by asking.
         #[test]
         fn scratch_guard_matches_clone_and_restores(
             sizes in arb_leaf_sizes(),
@@ -1208,7 +1257,7 @@ mod properties {
             seed in any::<u64>(),
             want in 1usize..24,
         ) {
-            let (tree, mut st) = random_scenario(&sizes, occ, seed);
+            let (tree, st) = random_scenario(&sizes, occ, seed);
             prop_assume!(want <= st.free_total());
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x51f1);
             let mut free: Vec<NodeId> = (0..tree.num_nodes())
@@ -1216,39 +1265,22 @@ mod properties {
                 .filter(|n| st.is_free(*n))
                 .collect();
             free.shuffle(&mut rng);
-            let ids_drawn: Vec<NodeId> = free[..want].to_vec();
-            let nodes = ids(&tree, &ids_drawn);
+            let nodes = ids(&tree, &free[..want]);
             let spec = CollectiveSpec::new(Pattern::Rhvd, 1 << 16);
 
             let snapshot = st.clone();
-            let mut reference = st.clone();
-            reference
-                .allocate(&tree, JobId(u64::MAX), &nodes, JobNature::CommIntensive)
-                .unwrap();
-            let naive = CostModel::HOP_BYTES.job_cost(&tree, &reference, &ids_drawn, &spec);
-
-            let hypo = CostModel::HOP_BYTES.hypothetical_cost(&tree, &mut st, &nodes, &spec);
-            prop_assert_eq!(hypo.to_bits(), naive.to_bits());
-            prop_assert_eq!(&st, &snapshot, "state not restored after hypothetical_cost");
-            prop_assert!(st.check_invariants(&tree).is_ok());
-
-            // Early drop: guard reverts even when never read.
-            drop(st.scratch_alloc(&tree, &nodes, JobNature::CommIntensive));
-            prop_assert_eq!(&st, &snapshot, "state not restored after early drop");
-            prop_assert!(st.check_invariants(&tree).is_ok());
-
-            // Selectors read the index through a live guard: same picks as on the real allocation.
-            let guard = st.scratch_alloc(&tree, &nodes, JobNature::CommIntensive);
-            for req in (1..=guard.free_total().min(8)).map(|k| AllocRequest::comm(JobId(1), k)) {
-                for sel in [&DefaultTreeSelector as &dyn NodeSelector, &GreedySelector] {
-                    let live = sel.select(&tree, &guard, &req);
-                    prop_assert_eq!(live, sel.select(&tree, &reference, &req));
-                }
+            for m in [CostModel::HOPS, CostModel::HOP_BYTES] {
+                let naive = reference_cost(&m, &tree, &st, &nodes, &spec);
+                let hypo = m.hypothetical_cost(&tree, &st, &nodes, &spec);
+                prop_assert_eq!(hypo.to_bits(), naive.to_bits());
             }
+            prop_assert_eq!(&st, &snapshot, "state changed by hypothetical_cost");
+            prop_assert_eq!(st.version(), snapshot.version());
+            prop_assert!(st.check_invariants(&tree).is_ok());
         }
 
         /// The incremental per-switch free counters always equal a fresh
-        /// per-leaf recount, through arbitrary allocate/release/scratch
+        /// per-leaf recount, through arbitrary allocate/release
         /// interleavings.
         #[test]
         fn switch_counters_match_recount(
@@ -1267,25 +1299,6 @@ mod properties {
                 if !live.is_empty() && roll < 0.35 {
                     let j = live.swap_remove(rng.random_range(0..live.len()));
                     st.release(&tree, j).unwrap();
-                } else if st.free_total() > 0 && roll < 0.55 {
-                    // Scratch what-if: apply and revert, counters must agree
-                    // both inside the guard and after it drops.
-                    let want = rng.random_range(1..=st.free_total().min(5));
-                    let nodes: Vec<NodeId> = (0..tree.num_nodes())
-                        .map(NodeId)
-                        .filter(|n| st.is_free(*n))
-                        .take(want)
-                        .collect();
-                    let guard =
-                        st.scratch_alloc(&tree, &ids(&tree, &nodes), JobNature::CommIntensive);
-                    for id in 0..tree.num_switches() {
-                        let s = SwitchId(id);
-                        prop_assert_eq!(
-                            guard.subtree_free(&tree, s),
-                            guard.subtree_free_naive(&tree, s),
-                            "switch {} diverged inside scratch guard", id
-                        );
-                    }
                 } else if st.free_total() > 0 {
                     let want = rng.random_range(1..=st.free_total().min(6));
                     let req = AllocRequest::comm(JobId(next), want);
@@ -1297,9 +1310,14 @@ mod properties {
                 }
                 for id in 0..tree.num_switches() {
                     let s = SwitchId(id);
+                    let recount: usize = tree
+                        .leaf_ordinals_under(s)
+                        .iter()
+                        .map(|&k| st.leaf_free(k) as usize)
+                        .sum();
                     prop_assert_eq!(
                         st.subtree_free(&tree, s),
-                        st.subtree_free_naive(&tree, s),
+                        recount,
                         "switch {} counter diverged from recount", id
                     );
                 }
@@ -1316,7 +1334,7 @@ mod properties {
             want in 1usize..24,
             comm in any::<bool>(),
         ) {
-            let (tree, mut st) = random_scenario(&sizes, occ, seed);
+            let (tree, st) = random_scenario(&sizes, occ, seed);
             prop_assume!(want <= st.free_total());
             let nature = if comm { JobNature::CommIntensive } else { JobNature::ComputeIntensive };
             let req = AllocRequest { job: JobId(7), nodes: want, nature, pattern: None, attempt: 0 };
@@ -1330,8 +1348,8 @@ mod properties {
             } else {
                 let spec = req.spec();
                 let m = CostModel::HOP_BYTES;
-                let cg = m.hypothetical_cost(&tree, &mut st, &greedy, &spec);
-                let cb = m.hypothetical_cost(&tree, &mut st, &balanced, &spec);
+                let cg = reference_cost(&m, &tree, &st, &greedy, &spec);
+                let cb = reference_cost(&m, &tree, &st, &balanced, &spec);
                 let take_balanced = if nature.is_comm() { cb <= cg } else { cb > cg };
                 if take_balanced { balanced } else { greedy }
             };
@@ -1476,7 +1494,7 @@ mod properties {
     /// scan greedy and balanced candidates as id lists *in fill order*,
     /// compared as lists (so one node set reached through two leaf orders
     /// still goes to the cost comparison), priced by the naive
-    /// [`CostModel::hypothetical_cost`], cheaper kept for communication-
+    /// [`reference_cost`], cheaper kept for communication-
     /// intensive jobs and costlier for compute-intensive ones.
     fn adaptive_scan(
         cost: &CostModel,
@@ -1491,9 +1509,8 @@ mod properties {
             return Ok(balanced);
         }
         let spec = req.spec();
-        let mut what_if = st.clone();
-        let cost_g = cost.hypothetical_cost(tree, &mut what_if, &ids(tree, &greedy), &spec);
-        let cost_b = cost.hypothetical_cost(tree, &mut what_if, &ids(tree, &balanced), &spec);
+        let cost_g = reference_cost(cost, tree, st, &ids(tree, &greedy), &spec);
+        let cost_b = reference_cost(cost, tree, st, &ids(tree, &balanced), &spec);
         let take_balanced = if req.nature.is_comm() {
             cost_b <= cost_g
         } else {
@@ -1503,7 +1520,7 @@ mod properties {
     }
 
     /// The scan oracle's pick for `kind`, as sorted ids.
-    fn scan_oracle(
+    pub(super) fn scan_oracle(
         kind: SelectorKind,
         tree: &Tree,
         st: &ClusterState,
@@ -1713,6 +1730,112 @@ mod properties {
             let tree = Tree::regular_three_level(spines, leaves, nodes_per_leaf);
             churn_with_switch_faults(&tree, seed)?;
         }
+    }
+}
+
+/// The fast paths against their oracles at the sizes the benchmarks run
+/// (`commsched_bench::perf::PlacementCase`): the property tests above stop
+/// at a few hundred nodes, and until the naive twins left the bench
+/// binaries these checks were `assert_eq!`s inside `bench_engine`.
+mod scale {
+    use super::properties::scan_oracle;
+    use super::*;
+    use commsched_topology::SystemPreset;
+    use rand::prelude::*;
+
+    /// `PlacementCase::new`'s occupancy: half the nodes, drawn by a seed-7
+    /// shuffle, held by 512-node jobs of alternating nature.
+    fn half_occupied(tree: &Tree) -> ClusterState {
+        let mut st = ClusterState::new(tree);
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(7);
+        let mut nodes: Vec<NodeId> = (0..tree.num_nodes()).map(NodeId).collect();
+        nodes.shuffle(&mut rng);
+        for (job, chunk) in nodes[..tree.num_nodes() / 2].chunks(512).enumerate() {
+            let nature = if job % 2 == 0 {
+                JobNature::CommIntensive
+            } else {
+                JobNature::ComputeIntensive
+            };
+            st.allocate(tree, JobId(job as u64), &ids(tree, chunk), nature)
+                .unwrap();
+        }
+        // Counters ≡ recount and index ≡ from-scratch rebuild, at scale.
+        st.check_invariants(tree).unwrap();
+        st
+    }
+
+    /// Indexed ≡ scan for the three direct selectors at 256 nodes, and for
+    /// the adaptive pick at the preset's benchmark request size, where the
+    /// evaluator's totals for the adaptive and the default placement must
+    /// also equal clone + `allocate` + `job_cost` bit for bit, under both
+    /// models and both of the probe's collectives.
+    fn assert_preset_matches_oracles(preset: SystemPreset, want: usize) {
+        let tree = preset.build();
+        let st = half_occupied(&tree);
+        let probe = |nodes| {
+            AllocRequest::comm(JobId(999_999), nodes)
+                .with_pattern(CollectiveSpec::new(Pattern::Rhvd, 1 << 20))
+        };
+        let req = probe(256);
+        for kind in [
+            SelectorKind::Default,
+            SelectorKind::Greedy,
+            SelectorKind::Balanced,
+        ] {
+            let got = kind.build().select(&tree, &st, &req).unwrap();
+            assert_eq!(
+                got.nodes(),
+                scan_oracle(kind, &tree, &st, &req),
+                "{preset:?}: {kind} diverged from its scan twin"
+            );
+        }
+
+        let req = probe(want);
+        let adaptive = AdaptiveSelector::default()
+            .select(&tree, &st, &req)
+            .unwrap();
+        assert_eq!(
+            adaptive.nodes(),
+            scan_oracle(SelectorKind::Adaptive, &tree, &st, &req),
+            "{preset:?}: adaptive diverged from the clone-based rule"
+        );
+        let default = DefaultTreeSelector.select(&tree, &st, &req).unwrap();
+        let mut eval = PlacementEvaluator::new();
+        for placement in [&adaptive, &default] {
+            let mut what_if = st.clone();
+            what_if
+                .allocate(&tree, JobId(u64::MAX), placement, JobNature::CommIntensive)
+                .unwrap();
+            let nodes = placement.nodes();
+            for pattern in [Pattern::Rhvd, Pattern::Rd] {
+                let spec = CollectiveSpec::new(pattern, 1 << 20);
+                let got = eval.evaluate(&tree, &st, 0.5, placement, &spec);
+                let hops = CostModel::HOPS.job_cost(&tree, &what_if, &nodes, &spec);
+                let bytes = CostModel::HOP_BYTES.job_cost(&tree, &what_if, &nodes, &spec);
+                assert_eq!(got.raw_hops.to_bits(), hops.to_bits(), "{preset:?}");
+                assert_eq!(got.hop_bytes.to_bits(), bytes.to_bits(), "{preset:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn theta_matches_oracles() {
+        assert_preset_matches_oracles(SystemPreset::Theta, 256);
+    }
+
+    #[test]
+    fn mira_matches_oracles() {
+        assert_preset_matches_oracles(SystemPreset::Mira, 2048);
+    }
+
+    #[test]
+    fn multirail500k_matches_oracles() {
+        assert_preset_matches_oracles(SystemPreset::Multirail500k, 4096);
+    }
+
+    #[test]
+    fn dragonfly1m_matches_oracles() {
+        assert_preset_matches_oracles(SystemPreset::Dragonfly1M, 4096);
     }
 }
 
@@ -2169,7 +2292,7 @@ mod sa_properties {
                 let t = free.min(left);
                 if t > 0 {
                     takes.push((k, t as u32));
-                    nodes.extend(st.free_nodes_on_leaf(&tree, k, t));
+                    nodes.extend(crate::select_scan::free_nodes_on_leaf(&tree, &st, k, t));
                     left -= t;
                 }
             }
@@ -2183,8 +2306,7 @@ mod sa_properties {
             let placed = PlacementEvaluator::new().evaluate(&tree, &st, d, &resolved, &spec);
             prop_assert_eq!(bare.raw_hops.to_bits(), placed.raw_hops.to_bits());
             prop_assert_eq!(bare.hop_bytes.to_bits(), placed.hop_bytes.to_bits());
-            let naive = CostModel::HOP_BYTES
-                .hypothetical_cost(&tree, &mut st.clone(), &resolved, &spec);
+            let naive = reference_cost(&CostModel::HOP_BYTES, &tree, &st, &resolved, &spec);
             prop_assert_eq!(bare.hop_bytes.to_bits(), naive.to_bits());
         }
 
@@ -2374,8 +2496,8 @@ mod placement_currency {
             } else {
                 let spec = req.spec();
                 let m = CostModel::HOP_BYTES;
-                let cg = m.hypothetical_cost(&tree, &mut st, &ids(&tree, &scan_g), &spec);
-                let cb = m.hypothetical_cost(&tree, &mut st, &ids(&tree, &scan_b), &spec);
+                let cg = reference_cost(&m, &tree, &st, &ids(&tree, &scan_g), &spec);
+                let cb = reference_cost(&m, &tree, &st, &ids(&tree, &scan_b), &spec);
                 assert_eq!(cg.to_bits(), cb.to_bits(), "one set, one cost");
                 let take_balanced = if req.nature.is_comm() {
                     cb <= cg

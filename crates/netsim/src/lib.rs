@@ -46,8 +46,7 @@
 mod sim;
 
 pub use sim::{
-    FlowSim, IterationSample, JobResult, KillEvent, LinkEvent, LinkStats, NetConfig, SolverKind,
-    Workload,
+    FlowSim, IterationSample, JobResult, KillEvent, LinkEvent, LinkStats, NetConfig, Workload,
 };
 
 #[cfg(test)]

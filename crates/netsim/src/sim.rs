@@ -22,8 +22,8 @@
 //!   connected components of the flow/link graph). The solver BFSes from
 //!   the dirty links, re-waterfills just the affected component(s), and
 //!   leaves every other flow's rate untouched. The full-fixpoint reference
-//!   solver is retained behind [`SolverKind::Naive`] and the two are
-//!   property-tested for exact rate equality.
+//!   solver survives as a `#[cfg(test)]` oracle (`solve_naive`) and the
+//!   two are property-tested for exact rate equality.
 #![deny(clippy::as_conversions)]
 
 use commsched_collectives::{CollectiveSpec, Pattern, Step};
@@ -106,20 +106,6 @@ impl NetConfig {
             ..Self::fat_tree()
         }
     }
-}
-
-/// Which max–min rate solver drives the event loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SolverKind {
-    /// Dirty-link frontier: recompute rates only for flows sharing a link
-    /// (transitively) with the flows that changed at this event. The
-    /// default.
-    #[default]
-    Incremental,
-    /// Re-run the full progressive-filling fixpoint over every flow at
-    /// every event — the reference implementation the incremental solver is
-    /// property-tested against.
-    Naive,
 }
 
 /// One collective job to simulate: a node set, the collective it runs, when
@@ -406,8 +392,9 @@ struct SolverScratch {
     frozen: Vec<bool>,
     /// Positions (into `affected_flows`) frozen in the current round.
     round: Vec<usize>,
-    /// The naive solver's from-scratch load rebuild (kept separate from
-    /// `load` so the rebuild cost it pays is real, not elided).
+    /// The reference solver's from-scratch load rebuild, checked against
+    /// the maintained `link_flows` index.
+    #[cfg(test)]
     naive_load: Vec<u32>,
 }
 
@@ -423,6 +410,7 @@ impl SolverScratch {
             affected_flows: Vec::new(),
             frozen: Vec::new(),
             round: Vec::new(),
+            #[cfg(test)]
             naive_load: vec![0; nlinks],
         }
     }
@@ -451,7 +439,10 @@ pub struct FlowSim<'t> {
     switch_base: usize,
     /// Leaf-backplane link base index (`usize::MAX` when disabled).
     backplane_base: usize,
-    solver: SolverKind,
+    /// Drive the event loop with the reference fixpoint
+    /// ([`FlowSim::solve_naive`]) instead of the incremental solver.
+    #[cfg(test)]
+    reference_solver: bool,
 }
 
 impl<'t> FlowSim<'t> {
@@ -483,20 +474,17 @@ impl<'t> FlowSim<'t> {
             capacity,
             switch_base,
             backplane_base,
-            solver: SolverKind::default(),
+            #[cfg(test)]
+            reference_solver: false,
         }
     }
 
-    /// Select the rate solver (the incremental solver is the default; the
-    /// naive fixpoint is retained for benchmarking and equivalence tests).
-    pub fn with_solver(mut self, solver: SolverKind) -> Self {
-        self.solver = solver;
+    /// The same simulator driven by the reference fixpoint — the oracle
+    /// side of the solver-equivalence tests.
+    #[cfg(test)]
+    pub(crate) fn with_reference_solver(mut self) -> Self {
+        self.reference_solver = true;
         self
-    }
-
-    /// The configured rate solver.
-    pub fn solver(&self) -> SolverKind {
-        self.solver
     }
 
     #[inline]
@@ -699,17 +687,17 @@ impl<'t> FlowSim<'t> {
         (components, rerated)
     }
 
-    /// The retained reference solver: rebuild every per-link load from
-    /// scratch and re-waterfill every component at every event — the
-    /// pre-optimization O(links + flows) + O(rounds × links × flows)
-    /// fixpoint the incremental solver is benchmarked and property-tested
-    /// against. Inactive flows are pinned at rate 0.
+    /// The reference solver: rebuild every per-link load from scratch and
+    /// re-waterfill every component at every event — the pre-optimization
+    /// O(links + flows) + O(rounds × links × flows) fixpoint the
+    /// incremental solver is property-tested against. Inactive flows are
+    /// pinned at rate 0.
     /// Returns `(components re-solved, flows re-rated)`, like
     /// [`FlowSim::solve_incremental`].
+    #[cfg(test)]
     fn solve_naive(&self, rs: &mut RunState, sc: &mut SolverScratch) -> (u64, u64) {
         // The from-scratch rebuild the maintained `link_flows` index
-        // replaces; checked against it, and kept as real paid work so the
-        // benchmark comparison is honest.
+        // replaces, checked against it.
         sc.naive_load.fill(0);
         for flow in rs.flows.iter() {
             if flow.active {
@@ -754,6 +742,15 @@ impl<'t> FlowSim<'t> {
         }
         rs.clear_dirty();
         (components, rerated)
+    }
+
+    /// Re-solve max–min rates after an event.
+    fn solve(&self, rs: &mut RunState, sc: &mut SolverScratch) -> (u64, u64) {
+        #[cfg(test)]
+        if self.reference_solver {
+            return self.solve_naive(rs, sc);
+        }
+        self.solve_incremental(rs, sc)
     }
 
     /// Simulate the workloads to completion and report per-job results.
@@ -1125,10 +1122,7 @@ impl<'t> FlowSim<'t> {
             }
 
             let dirty = rs.dirty_links.len();
-            let (components, rerated) = match self.solver {
-                SolverKind::Incremental => self.solve_incremental(&mut rs, &mut sc),
-                SolverKind::Naive => self.solve_naive(&mut rs, &mut sc),
-            };
+            let (components, rerated) = self.solve(&mut rs, &mut sc);
             if let Some(trace) = rate_trace.as_deref_mut() {
                 trace.push(rs.flows.iter().map(|f| f.rate).collect());
             }

@@ -1,4 +1,4 @@
-use crate::{FlowSim, NetConfig, SolverKind, Workload};
+use crate::{FlowSim, NetConfig, Workload};
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_topology::{NodeId, Tree};
 
@@ -409,9 +409,8 @@ mod solver_equivalence {
         workloads: Vec<Workload>,
         events: &[crate::LinkEvent],
     ) {
-        let fast = FlowSim::new(tree, cfg); // Incremental is the default
-        assert_eq!(fast.solver(), SolverKind::Incremental);
-        let naive = FlowSim::new(tree, cfg).with_solver(SolverKind::Naive);
+        let fast = FlowSim::new(tree, cfg);
+        let naive = FlowSim::new(tree, cfg).with_reference_solver();
 
         let (res_f, trace_f) = fast.run_tracing_rates_events(workloads.clone(), events);
         let (res_n, trace_n) = naive.run_tracing_rates_events(workloads.clone(), events);
@@ -434,12 +433,13 @@ mod solver_equivalence {
         assert_eq!(stats_f, stats_n);
     }
 
-    #[test]
-    #[ignore = "diagnostic"]
-    fn diag_first_divergence() {
+    /// `commsched_bench::perf::NetsimCase::steady_state`: four
+    /// machine-spanning RHVD collectives iterating together — one large
+    /// coupled component per solve.
+    fn bench_steady_state() -> (Tree, NetConfig, Vec<Workload>) {
         let tree = Tree::regular_two_level(8, 32);
         let n = tree.num_nodes();
-        let workloads: Vec<Workload> = (0..4u64)
+        let workloads = (0..4u64)
             .map(|k| {
                 let nodes: Vec<NodeId> = (0..32)
                     .map(|i| NodeId(((k as usize) + 4 * i + (i / 8) * 37) % n))
@@ -453,9 +453,51 @@ mod solver_equivalence {
                 }
             })
             .collect();
-        let cfg = NetConfig::gigabit_ethernet();
+        (tree, NetConfig::gigabit_ethernet(), workloads)
+    }
+
+    /// `NetsimCase::churn`: 128 short two-node exchanges arriving and
+    /// finishing all over a 2,048-node machine — every event touches a
+    /// tiny component.
+    fn bench_churn() -> (Tree, NetConfig, Vec<Workload>) {
+        let tree = Tree::regular_two_level(64, 32);
+        let n = tree.num_nodes();
+        let workloads = (0..128u64)
+            .map(|k| {
+                let a = (k as usize * 53) % n;
+                let b = (a + 7 + (k as usize % 11)) % n;
+                Workload {
+                    id: k + 1,
+                    nodes: vec![NodeId(a), NodeId(b)],
+                    spec: CollectiveSpec::new(Pattern::Rd, 100_000 + 9_001 * k),
+                    submit: 0.0007 * k as f64,
+                    iterations: 8,
+                }
+            })
+            .collect();
+        (tree, NetConfig::cheap_ethernet(), workloads)
+    }
+
+    /// The two scenarios `bench_netsim` times, which used to be the only
+    /// place the solvers were compared on them (an `assert_eq!` ahead of
+    /// the timing loop): same `JobResult`s, exactly.
+    #[test]
+    fn identical_on_bench_scenarios() {
+        for (tree, cfg, workloads) in [bench_steady_state(), bench_churn()] {
+            let fast = FlowSim::new(&tree, cfg).run(workloads.clone());
+            let naive = FlowSim::new(&tree, cfg)
+                .with_reference_solver()
+                .run(workloads);
+            assert_eq!(fast, naive);
+        }
+    }
+
+    #[test]
+    #[ignore = "diagnostic"]
+    fn diag_first_divergence() {
+        let (tree, cfg, workloads) = bench_steady_state();
         let fast = FlowSim::new(&tree, cfg);
-        let naive = FlowSim::new(&tree, cfg).with_solver(SolverKind::Naive);
+        let naive = FlowSim::new(&tree, cfg).with_reference_solver();
         let (_, tf) = fast.run_tracing_rates(workloads.clone());
         let (_, tn) = naive.run_tracing_rates(workloads);
         assert_eq!(

@@ -44,7 +44,7 @@ fn main() {
     // (8 nodes as 4+4 beats 3+5 because the inner steps stay intra-switch).
     let leaf = ranks.max(8);
     let tree = Tree::regular_two_level(2, leaf);
-    let mut state = ClusterState::new(&tree);
+    let state = ClusterState::new(&tree);
     let model = CostModel::HOP_BYTES;
     println!("\ncost of {ranks}-rank {pattern} split across two leaf switches:");
     for on_first in (0..=ranks / 2).rev() {
@@ -56,7 +56,7 @@ fn main() {
             continue;
         }
         let placement = Placement::from_nodes(&tree, &nodes).unwrap();
-        let cost = model.hypothetical_cost(&tree, &mut state, &placement, &spec);
+        let cost = model.hypothetical_cost(&tree, &state, &placement, &spec);
         let tag = if on_first == ranks / 2 {
             "  <- balanced"
         } else {

@@ -52,7 +52,7 @@ fn main() {
     for kind in SelectorKind::ALL {
         let selector = kind.build();
         let placement = selector.select(&tree, &state, &req).unwrap();
-        let cost = model.hypothetical_cost(&tree, &mut state, &placement, &spec);
+        let cost = model.hypothetical_cost(&tree, &state, &placement, &spec);
         // A placement is its per-leaf split: (leaf ordinal, nodes taken).
         let mut per_leaf = vec![0u32; tree.num_leaves()];
         for &(k, count) in placement.takes() {

@@ -139,7 +139,7 @@ fn netsim_correlates_with_cost_model() {
                 .unwrap();
         }
         let probed = Placement::from_nodes(&tree, &probe).unwrap();
-        costs.push(model.hypothetical_cost(&tree, &mut st, &probed, &spec));
+        costs.push(model.hypothetical_cost(&tree, &st, &probed, &spec));
 
         let mut workloads = vec![Workload {
             id: 1,
