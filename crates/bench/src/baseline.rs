@@ -1,24 +1,24 @@
 //! Baseline regression checks for the `BENCH_*.json` runners.
 //!
 //! Both runners write a `results` array of `{ "case": ..,
-//! "fast_median_ns": .. }` entries. In `--check` mode they re-measure the
-//! fast path and compare against the checked-in medians, failing when a
+//! "median_ns": .. }` entries. In `--check` mode they re-measure the
+//! cases and compare against the checked-in medians, failing when a
 //! case regresses beyond a factor — the CI gate that keeps the optimized
 //! paths honest without requiring stable absolute numbers across machines.
 
 use serde_json::Value;
 
 /// Factor beyond which a live median counts as a regression.
-pub const REGRESSION_FACTOR: f64 = 2.0;
+const REGRESSION_FACTOR: f64 = 2.0;
 
-/// Compare live `(case, fast_median_ns)` measurements against the
+/// Compare live `(case, median_ns)` measurements against the
 /// `results` array of a baseline JSON written by the same runner.
 ///
 /// Returns one human-readable line per case, or an error naming every
 /// case whose live median exceeds `factor` times its baseline. Cases
 /// missing from the baseline are reported but never fail — a new scenario
 /// must be able to land together with its first recorded numbers.
-pub fn check_fast_medians(
+fn check_medians(
     baseline: &Value,
     live: &[(String, f64)],
     factor: f64,
@@ -30,7 +30,7 @@ pub fn check_fast_medians(
         let Some(base_ns) = entries
             .iter()
             .find(|e| e["case"].as_str() == Some(case))
-            .and_then(|e| e["fast_median_ns"].as_f64())
+            .and_then(|e| e["median_ns"].as_f64())
         else {
             lines.push(format!("{case}: no baseline entry, skipped"));
             continue;
@@ -54,7 +54,7 @@ pub fn check_fast_medians(
     }
 }
 
-/// Load a baseline file and run [`check_fast_medians`], exiting the
+/// Load a baseline file and run [`check_medians`], exiting the
 /// process with a report on stderr. Shared `--check` entry point for the
 /// bench binaries.
 pub fn check_or_exit(path: &str, live: &[(String, f64)]) -> ! {
@@ -72,7 +72,7 @@ pub fn check_or_exit(path: &str, live: &[(String, f64)]) -> ! {
             std::process::exit(1);
         }
     };
-    match check_fast_medians(&baseline, live, REGRESSION_FACTOR) {
+    match check_medians(&baseline, live, REGRESSION_FACTOR) {
         Ok(lines) => {
             for line in lines {
                 eprintln!("ok: {line}");

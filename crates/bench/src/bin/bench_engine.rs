@@ -95,7 +95,7 @@ fn measure() -> Vec<Row> {
             nodes,
             want,
             median_ns: median_ns(ITERS, || {
-                std::hint::black_box(case.place_fast(&eval));
+                std::hint::black_box(case.place(&eval));
             }),
         });
         rows.push(Row {
@@ -104,7 +104,7 @@ fn measure() -> Vec<Row> {
             nodes,
             want: SELECT_WANT,
             median_ns: median_ns(ITERS, || {
-                std::hint::black_box(case.select_indexed(SELECT_WANT));
+                std::hint::black_box(case.select(SELECT_WANT));
             }),
         });
     }
@@ -203,11 +203,11 @@ fn main() {
         } = row;
         eprintln!("{label}: {:.1} µs", median_ns / 1e3);
         entries.push(format!(
-            "    {{\n      \"case\": \"{label}\",\n      \"kind\": \"{kind}\",\n      \"nodes\": {nodes},\n      \"request\": {want},\n      \"fast_median_ns\": {median_ns:.0}\n    }}"
+            "    {{\n      \"case\": \"{label}\",\n      \"kind\": \"{kind}\",\n      \"nodes\": {nodes},\n      \"request\": {want},\n      \"median_ns\": {median_ns:.0}\n    }}"
         ));
     }
     // `sa` is an absolute-throughput case, so it lives outside `results`
-    // (the regression checker compares `fast_median_ns` entries; the SA
+    // (the regression checker compares `median_ns` entries; the SA
     // floor is re-measured live instead).
     let json = format!(
         "{{\n  \"bench\": \"placement evaluation and node selection (shipped path)\",\n  \"iters\": {ITERS},\n  \"gate\": {{\n    \"case\": \"{GATE_CASE}\",\n    \"against\": \"{GATE_AGAINST}\",\n    \"max_ratio\": {GATE_MAX_RATIO:.1}\n  }},\n  \"sa\": {{\n    \"case\": \"sa_theta_256\",\n    \"budget\": {SA_BUDGET},\n    \"searches\": {ITERS},\n    \"sa_evals_per_sec\": {sa_eps:.0},\n    \"min_evals_per_sec\": {SA_MIN_EVALS_PER_SEC:.0}\n  }},\n  \"results\": [\n{}\n  ]\n}}\n",

@@ -56,7 +56,7 @@ fn measure_solver() -> Vec<(String, f64, usize, usize)> {
         .into_iter()
         .map(|case| {
             let ns = median_ns(ITERS, || {
-                std::hint::black_box(case.run_fast());
+                std::hint::black_box(case.run());
             });
             (
                 case.name.to_string(),
@@ -106,7 +106,7 @@ fn main() {
     for (case, ns, nodes, jobs) in measure_solver() {
         eprintln!("{case}: {:.2} ms", ns / 1e6);
         entries.push(format!(
-            "    {{\n      \"case\": \"{case}\",\n      \"nodes\": {nodes},\n      \"jobs\": {jobs},\n      \"fast_median_ns\": {ns:.0}\n    }}"
+            "    {{\n      \"case\": \"{case}\",\n      \"nodes\": {nodes},\n      \"jobs\": {jobs},\n      \"median_ns\": {ns:.0}\n    }}"
         ));
     }
 

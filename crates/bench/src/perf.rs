@@ -1,6 +1,6 @@
-//! Measured units behind the `BENCH_*.json` runners and the Criterion
-//! benches: placement evaluation and node selection (`BENCH_engine.json`)
-//! and flow-level network simulation (`BENCH_netsim.json`).
+//! Measured units behind the `BENCH_*.json` runners: placement evaluation
+//! and node selection (`BENCH_engine.json`) and flow-level network
+//! simulation (`BENCH_netsim.json`).
 //!
 //! Every unit is the shipped path, set up the way the engine uses it: the
 //! shared [`PlacementEvaluator`] (no state clones, one fused traversal per
@@ -86,7 +86,7 @@ impl PlacementCase {
     }
 
     /// Pure selection: the three direct selectors back to back.
-    pub fn select_indexed(&self, want: usize) -> Vec<Placement> {
+    pub fn select(&self, want: usize) -> Vec<Placement> {
         let req = self.request_of(want);
         vec![
             DefaultTreeSelector
@@ -118,20 +118,16 @@ impl PlacementCase {
             seed,
             eval.clone(),
         );
-        let (_, stats) = commsched_core::sa_search_with_stats(
-            &selector,
-            &self.tree,
-            &self.state,
-            &self.request(),
-        )
-        .unwrap();
-        stats
+        selector
+            .select(&self.tree, &self.state, &self.request())
+            .unwrap();
+        selector.take_search_stats()
     }
 
     /// One whole placement as the engine performs it: evaluator-backed
     /// adaptive decision, then one fused traversal per component for the
     /// chosen and for the default allocation (Eq. 6 costs, Eq. 7 runtime).
-    pub fn place_fast(
+    pub fn place(
         &self,
         eval: &std::sync::Arc<std::sync::Mutex<PlacementEvaluator>>,
     ) -> PlacementNumbers {
@@ -243,7 +239,7 @@ impl NetsimCase {
     }
 
     /// Simulate the scenario to completion.
-    pub fn run_fast(&self) -> Vec<JobResult> {
+    pub fn run(&self) -> Vec<JobResult> {
         FlowSim::new(&self.tree, self.cfg).run(self.workloads.clone())
     }
 }

@@ -59,7 +59,13 @@ impl CostModel {
     /// two leaves (the paper's worked example counts the job's own nodes).
     /// For leaves meeting at level 2 this is Eq. 3 verbatim; deeper common
     /// switches (fatter trunks) discount the pooled term further.
-    pub fn leaf_contention(&self, tree: &Tree, state: &ClusterState, a: usize, b: usize) -> f64 {
+    pub(crate) fn leaf_contention(
+        &self,
+        tree: &Tree,
+        state: &ClusterState,
+        a: usize,
+        b: usize,
+    ) -> f64 {
         self.leaf_contention_counts(tree, a, b, state.leaf_comm(a), state.leaf_comm(b))
     }
 
@@ -92,7 +98,14 @@ impl CostModel {
     }
 
     /// Eqs. 2–3 — contention factor `C(i, j)` between two nodes.
-    pub fn contention(&self, tree: &Tree, state: &ClusterState, i: NodeId, j: NodeId) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn contention(
+        &self,
+        tree: &Tree,
+        state: &ClusterState,
+        i: NodeId,
+        j: NodeId,
+    ) -> f64 {
         self.leaf_contention(
             tree,
             state,
@@ -102,7 +115,8 @@ impl CostModel {
     }
 
     /// Eq. 5 — effective hops `d(i, j) * (1 + C(i, j))`.
-    pub fn hops(&self, tree: &Tree, state: &ClusterState, i: NodeId, j: NodeId) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn hops(&self, tree: &Tree, state: &ClusterState, i: NodeId, j: NodeId) -> f64 {
         if i == j {
             return 0.0;
         }

@@ -58,7 +58,7 @@ pub use cost::CostModel;
 pub use eval::{EvalTotals, PlacementEvaluator};
 pub use mapping::MappingStrategy;
 pub use placement::Placement;
-pub use sa::{derive_seed, sa_search_with_stats, SaBudget, SaSelector, SaStats};
+pub use sa::{SaBudget, SaSelector, SaStats};
 pub use select::{
     AdaptiveSelector, AllocRequest, BalancedSelector, DefaultTreeSelector, GreedySelector,
     NodeSelector, SelectError, SelectorKind,

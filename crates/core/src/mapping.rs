@@ -49,15 +49,6 @@ impl MappingStrategy {
         MappingStrategy::RoundRobin,
         MappingStrategy::AlignedBlocks,
     ];
-
-    /// Stable name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            MappingStrategy::Block => "block",
-            MappingStrategy::RoundRobin => "round-robin",
-            MappingStrategy::AlignedBlocks => "aligned-blocks",
-        }
-    }
 }
 
 /// Compute the rank→node map for `nodes` under `strategy`.

@@ -111,7 +111,7 @@ impl Placement {
     }
 
     /// `(first node, length)` maximal runs, ascending.
-    pub fn runs(&self) -> &[(NodeId, u32)] {
+    pub(crate) fn runs(&self) -> &[(NodeId, u32)] {
         &self.runs
     }
 
@@ -132,7 +132,7 @@ impl Placement {
     }
 
     /// Does the placement hold `n`? O(log runs).
-    pub fn contains(&self, n: NodeId) -> bool {
+    pub(crate) fn contains(&self, n: NodeId) -> bool {
         let after = self.runs.partition_point(|&(first, _)| first <= n);
         after > 0 && {
             let (first, len) = self.runs[after - 1];
@@ -143,7 +143,7 @@ impl Placement {
     /// Check every invariant of the type against `tree` (tests and debug
     /// assertions; a placement applied to the tree it was built for always
     /// passes).
-    pub fn check(&self, tree: &Tree) -> Result<(), String> {
+    pub(crate) fn check(&self, tree: &Tree) -> Result<(), String> {
         let mut end = 0;
         for (i, &(first, len)) in self.runs.iter().enumerate() {
             if len == 0 {

@@ -24,9 +24,7 @@
 use crate::cost::CostModel;
 use crate::eval::PlacementEvaluator;
 use crate::placement::Placement;
-use crate::select::{
-    check_request, AllocRequest, BalancedSelector, GreedySelector, NodeSelector, SelectError,
-};
+use crate::select::{adaptive_choice, AllocRequest, NodeSelector, SelectError};
 use crate::state::{ClusterState, JobId};
 use commsched_num::usize_of_u32;
 use commsched_topology::Tree;
@@ -95,7 +93,7 @@ pub struct SaStats {
 /// scheduling attempt (splitmix64-style finalizers), so requeued attempts
 /// explore a *different* neighbourhood than the first try while staying
 /// fully reproducible from the run seed.
-pub fn derive_seed(run_seed: u64, job: JobId, attempt: u32) -> u64 {
+pub(crate) fn derive_seed(run_seed: u64, job: JobId, attempt: u32) -> u64 {
     let mut z = run_seed
         .wrapping_add(job.0.wrapping_mul(0x9e37_79b9_7f4a_7c15))
         .wrapping_add(u64::from(attempt).wrapping_mul(0xbf58_476d_1ce4_e5b9));
@@ -110,9 +108,9 @@ pub fn derive_seed(run_seed: u64, job: JobId, attempt: u32) -> u64 {
 /// [`crate::AdaptiveSelector`]) so hop values computed while scoring
 /// proposals
 /// stay warm for the caller's own evaluation of the winning allocation,
-/// and exposes the last search's [`SaStats`] through a shared handle for
-/// trace emission.
-#[derive(Debug, Clone)]
+/// and keeps the last search's [`SaStats`] for
+/// [`NodeSelector::take_search_stats`].
+#[derive(Debug)]
 pub struct SaSelector {
     /// Cost model proposals are scored under (hop-bytes by default, like
     /// the adaptive rule it refines).
@@ -122,7 +120,9 @@ pub struct SaSelector {
     /// Run seed the per-job search seed is derived from.
     pub seed: u64,
     eval: Arc<Mutex<PlacementEvaluator>>,
-    stats: Arc<Mutex<Option<SaStats>>>,
+    /// Statistics of the search the last `select` ran; cleared on entry
+    /// to `select`, so a placement that ran none leaves nothing stale.
+    stats: Mutex<Option<SaStats>>,
 }
 
 impl Default for SaSelector {
@@ -154,70 +154,8 @@ impl SaSelector {
             budget,
             seed,
             eval,
-            stats: Arc::new(Mutex::new(None)),
+            stats: Mutex::new(None),
         }
-    }
-
-    /// Handle to the last comm-intensive search's statistics. The engine
-    /// clears it before each placement and drains it afterwards to emit
-    /// the `sa_search` trace event.
-    pub fn stats_handle(&self) -> Arc<Mutex<Option<SaStats>>> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Route statistics through a caller-owned handle instead of the
-    /// selector's private one (the engine shares its handle so the trace
-    /// layer can drain it without holding the selector).
-    pub fn share_stats(mut self, handle: Arc<Mutex<Option<SaStats>>>) -> Self {
-        self.stats = handle;
-        self
-    }
-
-    /// Take (and clear) the statistics of the last search, if one ran.
-    pub fn take_stats(&self) -> Option<SaStats> {
-        self.stats.lock().ok().and_then(|mut s| s.take())
-    }
-
-    /// The §4.3 adaptive incumbent, byte-for-byte: greedy and balanced
-    /// evaluated under `self.cost` (balanced last, keeping the memo warm),
-    /// the comm rule preferring balanced on ties. Returns the chosen
-    /// placement and its cost (`None` when no evaluation was needed or
-    /// possible).
-    fn incumbent(
-        &self,
-        tree: &Tree,
-        state: &ClusterState,
-        req: &AllocRequest,
-    ) -> Result<(Placement, Option<f64>), SelectError> {
-        let greedy = GreedySelector.select(tree, state, req)?;
-        let balanced = BalancedSelector.select(tree, state, req)?;
-        if greedy == balanced {
-            return Ok((balanced, None));
-        }
-        let spec = req.spec();
-        // A poisoned evaluator mutex means another thread panicked
-        // mid-evaluation; degrade to the balanced placement instead of
-        // propagating — the engine's own eval lock will surface the
-        // poisoning to the caller.
-        let Ok(mut eval) = self.eval.lock() else {
-            return Ok((balanced, None));
-        };
-        let cost_g = eval
-            .evaluate(tree, state, self.cost.trunk_discount, &greedy, &spec)
-            .for_model(&self.cost);
-        let cost_b = eval
-            .evaluate(tree, state, self.cost.trunk_discount, &balanced, &spec)
-            .for_model(&self.cost);
-        let take_balanced = if req.nature.is_comm() {
-            cost_b <= cost_g
-        } else {
-            cost_b > cost_g
-        };
-        Ok(if take_balanced {
-            (balanced, Some(cost_b))
-        } else {
-            (greedy, Some(cost_g))
-        })
     }
 
     /// Run the annealing loop from `incumbent`; returns the refined
@@ -389,24 +327,17 @@ impl NodeSelector for SaSelector {
         state: &ClusterState,
         req: &AllocRequest,
     ) -> Result<Placement, SelectError> {
-        check_request(state, req)?;
-        let (incumbent, cost) = self.incumbent(tree, state, req)?;
+        // A fresh slot per placement: one that runs no search below must
+        // not report the previous job's.
+        self.take_search_stats();
+        let (incumbent, cost) = adaptive_choice(&self.cost, &self.eval, tree, state, req)?;
         if self.budget.max_evals == 0 || !req.nature.is_comm() {
             return Ok(incumbent);
         }
         Ok(self.anneal(tree, state, req, incumbent, cost))
     }
-}
 
-/// Throughput probe for `bench_engine`: run one annealing search and
-/// report `(placement, stats)` so the harness can compute evals/sec from
-/// the *actual* number of evaluator calls.
-pub fn sa_search_with_stats(
-    selector: &SaSelector,
-    tree: &Tree,
-    state: &ClusterState,
-    req: &AllocRequest,
-) -> Result<(Placement, Option<SaStats>), SelectError> {
-    let placement = selector.select(tree, state, req)?;
-    Ok((placement, selector.take_stats()))
+    fn take_search_stats(&self) -> Option<SaStats> {
+        self.stats.lock().ok().and_then(|mut s| s.take())
+    }
 }

@@ -16,6 +16,7 @@ use crate::cost::CostModel;
 use crate::eval::PlacementEvaluator;
 use crate::index::visit_desc;
 use crate::placement::Placement;
+use crate::sa::SaStats;
 use crate::state::{ClusterState, JobId, JobNature};
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_num::{u32_of_usize, usize_of_u32};
@@ -73,12 +74,6 @@ impl AllocRequest {
         self
     }
 
-    /// Record the scheduling attempt (0 = first try).
-    pub fn with_attempt(mut self, attempt: u32) -> Self {
-        self.attempt = attempt;
-        self
-    }
-
     /// The collective spec used for cost comparisons.
     pub fn spec(&self) -> CollectiveSpec {
         self.pattern
@@ -129,6 +124,12 @@ pub trait NodeSelector: Send + Sync {
         state: &ClusterState,
         req: &AllocRequest,
     ) -> Result<Placement, SelectError>;
+
+    /// Take (and clear) the statistics of the search the last `select`
+    /// ran, if it ran one — only [`crate::SaSelector`] ever does.
+    fn take_search_stats(&self) -> Option<SaStats> {
+        None
+    }
 }
 
 /// The descent the three direct selectors share; they differ only in
@@ -362,22 +363,64 @@ impl Default for AdaptiveSelector {
     /// slightly higher reported cost than balanced — the anomaly the paper
     /// itself observes in §6.4.)
     fn default() -> Self {
-        AdaptiveSelector::new(CostModel::HOP_BYTES)
+        AdaptiveSelector::with_evaluator(
+            CostModel::HOP_BYTES,
+            Arc::new(Mutex::new(PlacementEvaluator::new())),
+        )
     }
 }
 
 impl AdaptiveSelector {
-    /// Adaptive selection under `cost`, with a private evaluator.
-    pub fn new(cost: CostModel) -> Self {
-        AdaptiveSelector::with_evaluator(cost, Arc::new(Mutex::new(PlacementEvaluator::new())))
-    }
-
     /// Adaptive selection sharing `eval` with the caller, so hop values
     /// computed while comparing candidates stay warm for the caller's own
     /// evaluation of the winning allocation.
     pub fn with_evaluator(cost: CostModel, eval: Arc<Mutex<PlacementEvaluator>>) -> Self {
         AdaptiveSelector { cost, eval }
     }
+}
+
+/// The §4.3 rule, shared by [`AdaptiveSelector`] and the incumbent of
+/// [`crate::SaSelector`]: greedy and balanced scored under `cost`, the
+/// cheaper kept for a communication-intensive job (balanced on ties) and
+/// the costlier for a compute-intensive one. Returns the chosen placement
+/// with its cost, `None` when the two candidates coincide and nothing was
+/// evaluated.
+pub(crate) fn adaptive_choice(
+    cost: &CostModel,
+    eval: &Mutex<PlacementEvaluator>,
+    tree: &Tree,
+    state: &ClusterState,
+    req: &AllocRequest,
+) -> Result<(Placement, Option<f64>), SelectError> {
+    let greedy = GreedySelector.select(tree, state, req)?;
+    let balanced = BalancedSelector.select(tree, state, req)?;
+    if greedy == balanced {
+        return Ok((balanced, None));
+    }
+    let spec = req.spec();
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned mutex means another thread already panicked mid-evaluation; propagating is the only sound response"
+    )]
+    let mut eval = eval.lock().expect("evaluator mutex poisoned");
+    // Balanced last: when it wins (the common comm-intensive case) the
+    // hop memo is warm for the caller's follow-up evaluation.
+    let cost_g = eval
+        .evaluate(tree, state, cost.trunk_discount, &greedy, &spec)
+        .for_model(cost);
+    let cost_b = eval
+        .evaluate(tree, state, cost.trunk_discount, &balanced, &spec)
+        .for_model(cost);
+    let take_balanced = if req.nature.is_comm() {
+        cost_b <= cost_g
+    } else {
+        cost_b > cost_g
+    };
+    Ok(if take_balanced {
+        (balanced, Some(cost_b))
+    } else {
+        (greedy, Some(cost_g))
+    })
 }
 
 impl NodeSelector for AdaptiveSelector {
@@ -391,31 +434,7 @@ impl NodeSelector for AdaptiveSelector {
         state: &ClusterState,
         req: &AllocRequest,
     ) -> Result<Placement, SelectError> {
-        let greedy = GreedySelector.select(tree, state, req)?;
-        let balanced = BalancedSelector.select(tree, state, req)?;
-        if greedy == balanced {
-            return Ok(balanced);
-        }
-        let spec = req.spec();
-        #[expect(
-            clippy::expect_used,
-            reason = "a poisoned mutex means another thread already panicked mid-evaluation; propagating is the only sound response"
-        )]
-        let mut eval = self.eval.lock().expect("evaluator mutex poisoned");
-        // Balanced last: when it wins (the common comm-intensive case) the
-        // hop memo is warm for the caller's follow-up evaluation.
-        let cost_g = eval
-            .evaluate(tree, state, self.cost.trunk_discount, &greedy, &spec)
-            .for_model(&self.cost);
-        let cost_b = eval
-            .evaluate(tree, state, self.cost.trunk_discount, &balanced, &spec)
-            .for_model(&self.cost);
-        let take_balanced = if req.nature.is_comm() {
-            cost_b <= cost_g
-        } else {
-            cost_b > cost_g
-        };
-        Ok(if take_balanced { balanced } else { greedy })
+        adaptive_choice(&self.cost, &self.eval, tree, state, req).map(|(placement, _)| placement)
     }
 }
 

@@ -118,8 +118,8 @@ impl std::error::Error for StateError {}
 /// down once its current job releases it, or failed.
 ///
 /// Only `Up` nodes can ever be free; `Down` and `Draining` nodes are
-/// excluded from every free counter the selectors read
-/// ([`ClusterState::subtree_free`], [`ClusterState::leaf_free`],
+/// excluded from every free counter the selectors read (the per-switch
+/// counters behind the index, [`ClusterState::leaf_free`],
 /// [`ClusterState::free_total`]), so placement transparently avoids them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum NodeHealth {
@@ -145,9 +145,9 @@ enum Class {
 /// Mutable occupancy state over an immutable [`Tree`].
 ///
 /// Keeps per-node free/busy bits, the three per-leaf counters the paper's
-/// formulas read, and an incremental per-switch free counter so
-/// [`ClusterState::subtree_free`] — the inner loop of switch selection —
-/// is an O(1) lookup instead of a per-leaf scan. What-if evaluation never
+/// formulas read, and an incremental per-switch free counter that keys
+/// the free-count index (see [`crate::index`]), so switch selection never
+/// recounts a subtree. What-if evaluation never
 /// touches the state: [`crate::PlacementEvaluator`] overlays the candidate
 /// on the counters it reads.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -325,7 +325,7 @@ impl ClusterState {
     /// either side mutates — correct, because their occupancies are
     /// identical at that version.
     #[inline]
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.version
     }
 
@@ -342,20 +342,20 @@ impl ClusterState {
     }
 
     /// Total down nodes in the cluster.
-    #[inline]
-    pub fn down_total(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn down_total(&self) -> usize {
         self.down_total
     }
 
     /// Total draining nodes in the cluster (busy, will go down on release).
-    #[inline]
-    pub fn draining_total(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn draining_total(&self) -> usize {
         self.draining_total
     }
 
     /// Is this node free?
-    #[inline]
-    pub fn is_free(&self, n: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_free(&self, n: NodeId) -> bool {
         self.node_free[n.0]
     }
 
@@ -367,8 +367,8 @@ impl ClusterState {
 
     /// Down nodes on leaf ordinal `k` (intrinsic failures plus nodes
     /// masked by a down ancestor switch).
-    #[inline]
-    pub fn leaf_down(&self, k: usize) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn leaf_down(&self, k: usize) -> u32 {
         self.leaf_down[k]
     }
 
@@ -378,22 +378,16 @@ impl ClusterState {
         self.switch_down[s.0]
     }
 
-    /// Number of switches currently down.
-    #[inline]
-    pub fn switches_down_total(&self) -> usize {
-        self.switches_down_total
-    }
-
     /// Is node `n` masked out by at least one down ancestor switch?
-    #[inline]
-    pub fn is_masked(&self, n: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_masked(&self, n: NodeId) -> bool {
         self.node_mask[n.0] > 0
     }
 
     /// The node's *effective* lifecycle state: `Down` while any ancestor
     /// switch is down, otherwise its intrinsic [`ClusterState::health`].
-    #[inline]
-    pub fn effective_health(&self, n: NodeId) -> NodeHealth {
+    #[cfg(test)]
+    pub(crate) fn effective_health(&self, n: NodeId) -> NodeHealth {
         if self.node_mask[n.0] > 0 {
             NodeHealth::Down
         } else {
@@ -428,17 +422,6 @@ impl ClusterState {
         self.leaf_comm[k]
     }
 
-    /// Number of jobs currently holding allocations.
-    #[inline]
-    pub fn num_jobs(&self) -> usize {
-        self.allocs.len()
-    }
-
-    /// The allocation held by `job`, if any.
-    pub fn allocation(&self, job: JobId) -> Option<&Allocation> {
-        self.allocs.get(&job)
-    }
-
     /// Iterate over all current allocations.
     pub fn allocations(&self) -> impl Iterator<Item = (JobId, &Allocation)> {
         self.allocs.iter().map(|(j, a)| (*j, a))
@@ -459,8 +442,8 @@ impl ClusterState {
 
     /// Free nodes in the subtree of `s` — O(1), read from the incremental
     /// per-switch counter.
-    #[inline]
-    pub fn subtree_free(&self, tree: &Tree, s: SwitchId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn subtree_free(&self, tree: &Tree, s: SwitchId) -> usize {
         let _ = tree; // counters are maintained against the same tree
         usize_of_u32(self.switch_free[s.0])
     }

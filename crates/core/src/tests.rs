@@ -860,7 +860,7 @@ mod mapping_tests {
             m.sort_unstable();
             let mut want = nodes.clone();
             want.sort_unstable();
-            assert_eq!(m, want, "{}", s.name());
+            assert_eq!(m, want, "{s:?}");
         }
     }
 
@@ -1155,7 +1155,7 @@ mod properties {
             for s in MappingStrategy::ALL {
                 let mut m = map_ranks(&tree, &nodes, s);
                 m.sort_unstable();
-                prop_assert_eq!(&m, &nodes, "{} not a permutation", s.name());
+                prop_assert_eq!(&m, &nodes, "{:?} not a permutation", s);
             }
             let spec = CollectiveSpec::new(Pattern::Rd, 1 << 16);
             let block = mapped_cost(CostModel::HOPS, &tree, &st, &nodes, &spec, MappingStrategy::Block);
@@ -1884,7 +1884,7 @@ mod lifecycle {
             &DefaultTreeSelector as &dyn NodeSelector,
             &GreedySelector,
             &BalancedSelector,
-            &AdaptiveSelector::new(CostModel::HOP_BYTES),
+            &AdaptiveSelector::default(),
         ] {
             let nodes = sel.select(&t, &s, &req).unwrap();
             assert!(nodes.iter().all(|n| n.0 >= 3), "{nodes:?}");
@@ -2090,7 +2090,8 @@ mod lifecycle {
 
 mod sa_properties {
     use super::*;
-    use crate::{derive_seed, SaBudget, SaSelector};
+    use crate::sa::derive_seed;
+    use crate::{SaBudget, SaSelector};
     use proptest::prelude::*;
     use rand::prelude::*;
     use rand::SeedableRng;
@@ -2326,7 +2327,7 @@ mod sa_properties {
                 .with_pattern(CollectiveSpec::new(Pattern::Rhvd, 1 << 16));
             let sa = SaSelector::new(SaBudget::with_evals(48), sa_seed);
             let got = sa.select(&tree, &st, &req).unwrap();
-            if let Some(stats) = sa.take_stats() {
+            if let Some(stats) = sa.take_search_stats() {
                 let measured = hop_bytes_cost(&tree, &st, &got, &req.spec());
                 prop_assert_eq!(stats.cost_final.to_bits(), measured.to_bits());
                 prop_assert!(stats.cost_final <= stats.cost_incumbent);
@@ -2360,12 +2361,10 @@ mod sa_properties {
         let req = AllocRequest::comm(JobId(9), 20)
             .with_pattern(CollectiveSpec::new(Pattern::Rhvd, 1 << 20));
         let first = sa.select(&tree, &st, &req).unwrap();
-        let stats_first = sa.take_stats().expect("search ran");
-        let retry_req = AllocRequest::comm(JobId(9), 20)
-            .with_pattern(CollectiveSpec::new(Pattern::Rhvd, 1 << 20))
-            .with_attempt(1);
+        let stats_first = sa.take_search_stats().expect("search ran");
+        let retry_req = AllocRequest { attempt: 1, ..req };
         let retry = sa.select(&tree, &st, &retry_req).unwrap();
-        let stats_retry = sa.take_stats().expect("search ran");
+        let stats_retry = sa.take_search_stats().expect("search ran");
         assert_eq!(stats_first.attempt, 0);
         assert_eq!(stats_retry.attempt, 1);
         // Different seed, different walk: the accept/reject tallies (or
@@ -2376,6 +2375,31 @@ mod sa_properties {
                     != (stats_retry.accepted, stats_retry.rejected),
             "attempt 1 replayed attempt 0's search exactly"
         );
+    }
+
+    /// The selector owns the freshness of its statistics: a search leaves
+    /// one record, and a later placement that runs no search (compute job,
+    /// zero budget) never reports the previous job's.
+    #[test]
+    fn search_stats_are_fresh_per_select() {
+        let (tree, st) = sa_scenario(&[16, 16, 16, 16], 40, 11);
+        let spec = CollectiveSpec::new(Pattern::Rhvd, 1 << 20);
+        let comm = AllocRequest::comm(JobId(9), 20).with_pattern(spec);
+        let sa = SaSelector::new(SaBudget::with_evals(64), 42);
+        sa.select(&tree, &st, &comm).unwrap();
+        let searched = sa.take_search_stats().expect("search ran");
+        assert_eq!((searched.job, searched.budget), (JobId(9), 64));
+        // A record left untaken is cleared by the next placement, which
+        // (compute-intensive) runs no search of its own.
+        sa.select(&tree, &st, &comm).unwrap();
+        let compute = AllocRequest::compute(JobId(10), 20).with_pattern(spec);
+        sa.select(&tree, &st, &compute).unwrap();
+        assert_eq!(sa.take_search_stats(), None);
+        let sa0 = SaSelector::new(SaBudget::with_evals(0), 42);
+        sa0.select(&tree, &st, &comm).unwrap();
+        assert_eq!(sa0.take_search_stats(), None);
+        // Selectors that never search use the trait's default.
+        assert_eq!(AdaptiveSelector::default().take_search_stats(), None);
     }
 }
 
@@ -2427,7 +2451,7 @@ mod placement_currency {
             assert_eq!(st.version(), untouched.version());
             st.check_invariants(&tree).unwrap();
         }
-        assert_eq!(st.num_jobs(), 0);
+        assert_eq!(st.allocations().count(), 0);
         assert!(StateError::DuplicateNode(NodeId(4))
             .to_string()
             .contains("node4"));
@@ -2713,7 +2737,8 @@ mod placement_currency {
             both.set_draining(NodeId(n)).unwrap();
         }
         assert_eq!(both.fast.draining_total(), 5);
-        let freed = both.fast.allocation(JobId(1)).unwrap().nodes.clone();
+        let held = both.fast.allocations().find(|a| a.0 == JobId(1));
+        let freed = held.unwrap().1.nodes.clone();
         assert_eq!(freed.takes(), [(0, 4), (1, 2), (2, 2)]);
 
         both.release(JobId(1)).unwrap();

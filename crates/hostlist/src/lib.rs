@@ -31,7 +31,7 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 mod parse;
 
-pub use parse::{compress, expand, expand_into, HostlistError};
+pub use parse::{compress, expand, HostlistError};
 
 #[cfg(test)]
 mod tests;

@@ -42,23 +42,13 @@ const EXPANSION_CAP: usize = 4 << 20;
 /// Order follows the expression left to right; duplicates are preserved
 /// (SLURM behaves the same way and de-duplicates at a higher layer).
 pub fn expand(expr: &str) -> Result<Vec<String>, HostlistError> {
-    let mut out = Vec::new();
-    expand_into(expr, &mut out)?;
-    Ok(out)
-}
-
-/// Expand a hostlist expression, appending into an existing buffer.
-///
-/// This is the allocation-friendly variant of [`expand`] for hot paths that
-/// parse many expressions (for example a `topology.conf` with hundreds of
-/// switch lines).
-pub fn expand_into(expr: &str, out: &mut Vec<String>) -> Result<(), HostlistError> {
     let expr = expr.trim();
     if expr.is_empty() {
         return Err(HostlistError::Empty);
     }
+    let mut out = Vec::new();
     for term in split_top_level(expr)? {
-        expand_term(term, out)?;
+        expand_term(term, &mut out)?;
         if out.len() > EXPANSION_CAP {
             return Err(HostlistError::TooLarge {
                 expr: expr.to_string(),
@@ -66,7 +56,7 @@ pub fn expand_into(expr: &str, out: &mut Vec<String>) -> Result<(), HostlistErro
             });
         }
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Split on commas that are *outside* brackets: `a[0-1],b2` -> `["a[0-1]", "b2"]`.

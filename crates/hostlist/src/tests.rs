@@ -165,13 +165,6 @@ fn round_trip_paper_example() {
     assert_eq!(sw, ["s0", "s1"]);
 }
 
-#[test]
-fn expand_into_appends() {
-    let mut buf = vec!["x0".to_string()];
-    expand_into("y[0-1]", &mut buf).unwrap();
-    assert_eq!(buf, ["x0", "y0", "y1"]);
-}
-
 mod properties {
     use super::*;
     use proptest::prelude::*;

@@ -9,17 +9,15 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
-mod hist;
 mod registry;
 mod render;
 mod stats;
 
-pub use hist::{mean_ci95, Histogram};
 pub use registry::{
     CounterId, GaugeId, HistId, LogHistogram, Registry, RunReport, RUN_REPORT_VERSION,
 };
 pub use render::{Series, Table};
-pub use stats::{mean, median, peak_to_mean, pearson, percentage_improvement, percentile, stddev};
+pub use stats::{mean, mean_ci95, median, peak_to_mean, pearson};
 
 #[cfg(test)]
 mod tests;

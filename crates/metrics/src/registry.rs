@@ -8,9 +8,8 @@
 //! deterministic: same run, same bytes, at any thread count.
 //!
 //! Histograms are [`LogHistogram`]s — power-of-two magnitude buckets plus
-//! exact count/min/max/sum — chosen because they merge associatively
-//! (bucket-wise addition) and answer quantile queries with bounded
-//! relative error, clamped to the observed `[min, max]`.
+//! exact count/min/max/sum — chosen because they answer quantile queries
+//! with bounded relative error, clamped to the observed `[min, max]`.
 
 use commsched_num::f64_of_u64;
 use serde_json::{Number, Value};
@@ -28,15 +27,11 @@ pub struct GaugeId(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistId(usize);
 
-/// A mergeable histogram over power-of-two magnitude buckets.
+/// A histogram over power-of-two magnitude buckets.
 ///
 /// Each finite sample lands in the bucket of its binary exponent (signed;
 /// zero has its own bucket), and the exact `count`/`min`/`max`/`sum` ride
-/// along. Merging two histograms is bucket-wise addition plus min/max/sum
-/// combination — associative and commutative in every field except the
-/// floating-point `sum`, which is associative only when the partial sums
-/// are exactly representable (true for the integral second counts this
-/// workspace records). Non-finite samples are ignored.
+/// along. Non-finite samples are ignored.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LogHistogram {
     count: u64,
@@ -93,12 +88,12 @@ fn bucket_upper(key: i32) -> f64 {
 
 impl LogHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record one sample. Non-finite samples are dropped.
-    pub fn observe(&mut self, x: f64) {
+    pub(crate) fn observe(&mut self, x: f64) {
         if !x.is_finite() {
             return;
         }
@@ -120,17 +115,20 @@ impl LogHistogram {
     }
 
     /// Smallest sample (0 when empty).
-    pub fn min(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn min(&self) -> f64 {
         self.min
     }
 
     /// Largest sample (0 when empty).
-    pub fn max(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn max(&self) -> f64 {
         self.max
     }
 
     /// Sum of samples.
-    pub fn sum(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self) -> f64 {
         self.sum
     }
 
@@ -147,7 +145,7 @@ impl LogHistogram {
     /// sample of rank `ceil(q·count)` and report that bucket's upper edge,
     /// clamped to the observed `[min, max]`. Exact at the extremes
     /// (`q=0` → min, `q=1` → max); within a power of two elsewhere.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -164,30 +162,6 @@ impl LogHistogram {
             }
         }
         self.max
-    }
-
-    /// Merge `other` into `self` (bucket-wise addition).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        for (&key, &n) in &other.buckets {
-            *self.buckets.entry(key).or_insert(0) += n;
-        }
-    }
-
-    /// `(bucket_key, count)` pairs in ascending sample order.
-    pub fn buckets(&self) -> impl Iterator<Item = (i32, u64)> + '_ {
-        self.buckets.iter().map(|(&k, &n)| (k, n))
     }
 
     fn to_value(&self) -> Value {
@@ -350,7 +324,7 @@ pub struct RunReport {
 impl RunReport {
     /// The report as a JSON value (objects keep insertion order, so the
     /// rendering is deterministic).
-    pub fn to_value(&self) -> Value {
+    fn to_value(&self) -> Value {
         Value::Object(vec![
             ("version".into(), vu(RUN_REPORT_VERSION)),
             (
@@ -393,7 +367,7 @@ impl RunReport {
 
     /// Rebuild a report from its JSON value (derived quantile fields are
     /// recomputed, not trusted).
-    pub fn from_value(v: &Value) -> Result<RunReport, String> {
+    fn from_value(v: &Value) -> Result<RunReport, String> {
         let version = v
             .get("version")
             .and_then(Value::as_u64)

@@ -33,21 +33,6 @@ impl Table {
         self.rows.push(cells);
         self
     }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Access the raw rows (for JSON emission alongside the text).
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
 }
 
 impl fmt::Display for Table {

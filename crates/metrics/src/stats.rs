@@ -9,7 +9,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Population standard deviation; 0 for fewer than two samples.
-pub fn stddev(xs: &[f64]) -> f64 {
+pub(crate) fn stddev(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -24,7 +24,7 @@ pub fn median(xs: &[f64]) -> f64 {
 
 /// Percentile in `[0, 100]` with linear interpolation between order
 /// statistics; 0 for an empty slice.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile(xs: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile out of range");
     if xs.is_empty() {
         return 0.0;
@@ -67,14 +67,16 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     sxy / (sxx.sqrt() * syy.sqrt())
 }
 
-/// The paper's improvement convention:
-/// `100 * (baseline - candidate) / baseline` — positive when the candidate
-/// is better (smaller). 0 when the baseline is 0.
-pub fn percentage_improvement(baseline: f64, candidate: f64) -> f64 {
-    if baseline == 0.0 {
-        return 0.0;
+/// Normal-approximation 95% confidence interval of the mean:
+/// `mean ± 1.96 · s/√n`. Returns `(mean, half_width)`; half-width 0 for
+/// fewer than two samples.
+pub fn mean_ci95(xs: &[f64]) -> (f64, f64) {
+    let m = mean(xs);
+    if xs.len() < 2 {
+        return (m, 0.0);
     }
-    100.0 * (baseline - candidate) / baseline
+    let s = stddev(xs);
+    (m, 1.96 * s / (xs.len() as f64).sqrt())
 }
 
 /// Ratio of the maximum sample to the mean — used to detect the Figure 1

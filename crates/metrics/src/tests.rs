@@ -1,3 +1,4 @@
+use crate::stats::{percentile, stddev};
 use crate::*;
 
 #[test]
@@ -44,11 +45,16 @@ fn pearson_perfect_and_inverse() {
 }
 
 #[test]
-fn improvement_convention() {
-    // Lower is better: going from 100 to 90 is a 10% improvement.
-    assert_eq!(percentage_improvement(100.0, 90.0), 10.0);
-    assert_eq!(percentage_improvement(100.0, 110.0), -10.0);
-    assert_eq!(percentage_improvement(0.0, 5.0), 0.0);
+fn ci95_shrinks_with_samples() {
+    let few: Vec<f64> = (0..10).map(|i| i as f64).collect();
+    let many: Vec<f64> = (0..1000).map(|i| (i % 10) as f64).collect();
+    let (m1, w1) = mean_ci95(&few);
+    let (m2, w2) = mean_ci95(&many);
+    assert!((m1 - 4.5).abs() < 1e-9);
+    assert!((m2 - 4.5).abs() < 1e-9);
+    assert!(w2 < w1);
+    assert_eq!(mean_ci95(&[7.0]), (7.0, 0.0));
+    assert_eq!(mean_ci95(&[]), (0.0, 0.0));
 }
 
 #[test]
@@ -70,8 +76,6 @@ fn table_renders_aligned() {
     assert_eq!(lines.len(), 4); // header, rule, 2 rows
     assert!(lines[0].starts_with("Log"));
     assert!(lines[2].contains("Intrepid"));
-    assert_eq!(t.len(), 2);
-    assert!(!t.is_empty());
 }
 
 #[test]
@@ -236,35 +240,6 @@ mod registry_tests {
             prop_assert!((min..=max).contains(&v), "q{} = {} outside [{}, {}]", q, v, min, max);
         }
 
-        /// Merge is associative: (a ⊔ b) ⊔ c == a ⊔ (b ⊔ c). Samples are
-        /// small integers so the floating-point sums are exact.
-        #[test]
-        fn merge_associativity(
-            a in proptest::collection::vec(-1000i64..1000, 0..40),
-            b in proptest::collection::vec(-1000i64..1000, 0..40),
-            c in proptest::collection::vec(-1000i64..1000, 0..40),
-        ) {
-            let hist_of = |xs: &[i64]| {
-                let mut h = LogHistogram::new();
-                for &x in xs {
-                    h.observe(x as f64);
-                }
-                h
-            };
-            let (ha, hb, hc) = (hist_of(&a), hist_of(&b), hist_of(&c));
-            let mut left = ha.clone();
-            left.merge(&hb);
-            left.merge(&hc);
-            let mut bc = hb.clone();
-            bc.merge(&hc);
-            let mut right = ha.clone();
-            right.merge(&bc);
-            prop_assert_eq!(&left, &right);
-            // And merging all three one-by-one matches observing everything.
-            let all: Vec<i64> = a.iter().chain(&b).chain(&c).copied().collect();
-            prop_assert_eq!(&left, &hist_of(&all));
-        }
-
         /// Reports survive a JSON round trip for arbitrary histogram
         /// contents (quantiles are recomputed from buckets, not trusted).
         #[test]
@@ -280,43 +255,5 @@ mod registry_tests {
             let back = RunReport::from_json(&report.to_json_pretty());
             prop_assert_eq!(back.as_ref(), Ok(&report));
         }
-    }
-}
-
-mod hist_tests {
-    use super::*;
-
-    #[test]
-    fn histogram_counts_and_clamps() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.extend(&[0.0, 1.0, 2.5, 9.9, -3.0, 42.0]);
-        assert_eq!(h.total(), 6);
-        let bins: Vec<(f64, u64)> = h.bins().collect();
-        assert_eq!(bins.len(), 5);
-        assert_eq!(bins[0], (0.0, 3)); // 0.0, 1.0 and clamped -3.0
-        assert_eq!(bins[1], (2.0, 1)); // 2.5
-        assert_eq!(bins[4], (8.0, 2)); // 9.9 and clamped 42.0
-        let text = h.render();
-        assert_eq!(text.lines().count(), 5);
-        assert!(text.contains('#'));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_rejects_zero_bins() {
-        Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    fn ci95_shrinks_with_samples() {
-        let few: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let many: Vec<f64> = (0..1000).map(|i| (i % 10) as f64).collect();
-        let (m1, w1) = mean_ci95(&few);
-        let (m2, w2) = mean_ci95(&many);
-        assert!((m1 - 4.5).abs() < 1e-9);
-        assert!((m2 - 4.5).abs() < 1e-9);
-        assert!(w2 < w1);
-        assert_eq!(mean_ci95(&[7.0]), (7.0, 0.0));
-        assert_eq!(mean_ci95(&[]), (0.0, 0.0));
     }
 }

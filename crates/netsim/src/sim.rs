@@ -85,27 +85,6 @@ impl NetConfig {
             ..Self::gigabit_ethernet()
         }
     }
-
-    /// A fat-tree whose aggregate uplink capacity doubles per level, the
-    /// topology of Figure 2.
-    pub fn fat_tree() -> Self {
-        NetConfig {
-            node_bandwidth: 125.0e6,
-            trunk_factor: 2.0,
-            step_overhead: 100.0e-6,
-            backplane_factor: None,
-            rails: 1,
-        }
-    }
-
-    /// The same fat-tree with each modelled link standing for `rails`
-    /// physical cables, for degraded-link failover studies.
-    pub fn multirail_fat_tree(rails: u32) -> Self {
-        NetConfig {
-            rails: rails.max(1),
-            ..Self::fat_tree()
-        }
-    }
 }
 
 /// One collective job to simulate: a node set, the collective it runs, when
@@ -1277,10 +1256,5 @@ impl<'t> FlowSim<'t> {
             iterations: 1,
         }]);
         res[0].end
-    }
-
-    /// The configuration this simulator was built with.
-    pub fn config(&self) -> NetConfig {
-        self.cfg
     }
 }

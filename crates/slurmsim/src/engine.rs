@@ -5,7 +5,7 @@ use crate::queue::PendingQueue;
 use commsched_collectives::CollectiveSpec;
 use commsched_core::{
     AdaptiveSelector, AllocRequest, ClusterState, CostModel, DefaultTreeSelector, JobId, JobNature,
-    NodeSelector, Placement, PlacementEvaluator, SaBudget, SaSelector, SaStats, SelectorKind,
+    NodeSelector, Placement, PlacementEvaluator, SaBudget, SaSelector, SelectorKind,
 };
 use commsched_metrics::{CounterId, Registry};
 use commsched_num::{
@@ -104,13 +104,6 @@ impl EngineConfig {
     /// the queue head).
     pub fn conservative_backfill(mut self) -> Self {
         self.backfill = BackfillPolicy::Conservative;
-        self
-    }
-
-    /// Kill jobs at their requested walltime, like a production SLURM.
-    /// Off by default: the paper's emulation replays full durations.
-    pub fn with_walltime_enforcement(mut self) -> Self {
-        self.enforce_walltime = true;
         self
     }
 
@@ -337,7 +330,7 @@ impl JobOutcome {
     }
 
     /// Node-hours (§5.4 metric 4).
-    pub fn node_hours(&self) -> f64 {
+    pub(crate) fn node_hours(&self) -> f64 {
         f64_of_usize(self.nodes) * f64_of_u64(self.exec()) / 3600.0
     }
 }
@@ -406,7 +399,7 @@ impl RunSummary {
         if self.makespan == 0 {
             return 0.0;
         }
-        f64_of_usize(self.outcomes.len()) / (f64_of_u64(self.makespan) / 3600.0)
+        f64_of_usize(self.count_status(JobStatus::Completed)) / (f64_of_u64(self.makespan) / 3600.0)
     }
 
     /// Outcome for a given job id.
@@ -573,11 +566,6 @@ pub struct Engine<'t> {
     /// adaptive selector, so candidate comparison warms the hop memo the
     /// Eq. 7 evaluation then reuses.
     eval: Arc<Mutex<PlacementEvaluator>>,
-    /// Statistics of the SA selector's last search, shared with the
-    /// selector built by [`Engine::build_selector`]; `place` clears it and
-    /// the scheduler drains it into the `sa_search` trace event. Always
-    /// `None` under any other selector.
-    sa_stats: Arc<Mutex<Option<SaStats>>>,
 }
 
 impl<'t> Engine<'t> {
@@ -589,7 +577,6 @@ impl<'t> Engine<'t> {
             drained: Vec::new(),
             faults: FaultTrace::empty(),
             eval: Arc::new(Mutex::new(PlacementEvaluator::new())),
-            sa_stats: Arc::new(Mutex::new(None)),
         }
     }
 
@@ -602,23 +589,19 @@ impl<'t> Engine<'t> {
 
     /// Build the configured selector. The adaptive and SA selectors share
     /// this engine's evaluator (see the `eval` field); the others are
-    /// stateless. SA additionally routes its search statistics through
-    /// the engine's `sa_stats` handle for trace emission.
+    /// stateless.
     pub(crate) fn build_selector(&self) -> Box<dyn NodeSelector> {
         match self.cfg.selector {
             SelectorKind::Adaptive => Box::new(AdaptiveSelector::with_evaluator(
                 CostModel::HOP_BYTES,
                 Arc::clone(&self.eval),
             )),
-            SelectorKind::Sa => Box::new(
-                SaSelector::with_evaluator(
-                    CostModel::HOP_BYTES,
-                    self.cfg.sa_budget,
-                    self.cfg.sa_seed,
-                    Arc::clone(&self.eval),
-                )
-                .share_stats(Arc::clone(&self.sa_stats)),
-            ),
+            SelectorKind::Sa => Box::new(SaSelector::with_evaluator(
+                CostModel::HOP_BYTES,
+                self.cfg.sa_budget,
+                self.cfg.sa_seed,
+                Arc::clone(&self.eval),
+            )),
             k => k.build(),
         }
     }
@@ -679,13 +662,6 @@ impl<'t> Engine<'t> {
         links: &[f64],
         attempt: u32,
     ) -> Option<Placed> {
-        if self.cfg.selector == SelectorKind::Sa {
-            // Fresh slot per placement, so a declined placement can never
-            // leave stale search statistics for the next job's events.
-            if let Ok(mut s) = self.sa_stats.lock() {
-                *s = None;
-            }
-        }
         let req = AllocRequest {
             job: job.id,
             nodes: job.nodes,
@@ -1282,7 +1258,7 @@ impl Run<'_, '_> {
     /// byte-neutral for traces and reports — under every other selector,
     /// and for budget-0/compute placements where no search runs.
     fn emit_sa(&mut self) {
-        let Some(st) = self.eng.sa_stats.lock().ok().and_then(|mut s| s.take()) else {
+        let Some(st) = self.selector.take_search_stats() else {
             return;
         };
         self.emit(TK::SaSearch {

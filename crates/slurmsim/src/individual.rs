@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 /// One probe job's placement under one selector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Placement {
+pub struct ProbePlacement {
     /// Selector name.
     pub selector: String,
     /// Eq. 6 cost of the chosen allocation.
@@ -34,12 +34,12 @@ pub struct IndividualOutcome {
     /// Runtime from the log (the default-allocator duration).
     pub runtime_original: u64,
     /// One entry per selector, in [`SelectorKind::ALL`] order.
-    pub placements: Vec<Placement>,
+    pub placements: Vec<ProbePlacement>,
 }
 
 impl IndividualOutcome {
     /// Percentage execution-time improvement of `selector` over default.
-    pub fn improvement_over_default(&self, selector: SelectorKind) -> f64 {
+    pub(crate) fn improvement_over_default(&self, selector: SelectorKind) -> f64 {
         let default = self
             .placements
             .iter()
@@ -144,7 +144,7 @@ pub fn individual_runs(
                         else {
                             continue;
                         };
-                        placements.push(Placement {
+                        placements.push(ProbePlacement {
                             selector: kind.name().to_string(),
                             cost: placed.cost_actual,
                             runtime_adjusted: placed.adjusted,

@@ -244,12 +244,9 @@ fn walltime_enforcement_clamps_runtimes() {
     let mut j = job(1, 0, 500, 2);
     j.walltime = 300; // requested less than the true runtime
     let log = JobLog::new("wt", vec![j]);
-    let s = Engine::new(
-        &tree,
-        EngineConfig::new(SelectorKind::Default).with_walltime_enforcement(),
-    )
-    .run(&log)
-    .unwrap();
+    let mut cfg = EngineConfig::new(SelectorKind::Default);
+    cfg.enforce_walltime = true;
+    let s = Engine::new(&tree, cfg).run(&log).unwrap();
     assert_eq!(s.outcome(JobId(1)).unwrap().exec(), 300);
 
     // Without enforcement the full duration replays.
@@ -1069,6 +1066,9 @@ mod faults {
         assert_eq!((o2.status, o2.start), (JobStatus::Completed, 5));
         assert_eq!(s.count_status(JobStatus::Rejected), 1);
         assert_eq!(s.count_status(JobStatus::Completed), 1);
+        // Throughput counts the completed job only, not the rejected one.
+        assert_eq!(s.makespan, 55);
+        assert_eq!(s.throughput(), 3600.0 / 55.0);
     }
 
     #[test]
@@ -1128,7 +1128,8 @@ mod faults {
     #[test]
     fn walltime_enforcement_composes_with_requeue() {
         let tree = small_tree();
-        let cfg = EngineConfig::new(SelectorKind::Default).with_walltime_enforcement();
+        let mut cfg = EngineConfig::new(SelectorKind::Default);
+        cfg.enforce_walltime = true;
         let s = Engine::new(&tree, cfg)
             .with_faults(trace(&[
                 (30, 0, FaultKind::Fail),
@@ -1915,7 +1916,7 @@ mod config_matrix {
                         .reject_oversized();
                     // Every other row kills at the requested walltime.
                     if got.len() % 2 == 1 {
-                        cfg = cfg.with_walltime_enforcement();
+                        cfg.enforce_walltime = true;
                     }
                     let mut cap = Capture::new();
                     let mut reg = Registry::new();

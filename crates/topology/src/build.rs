@@ -212,7 +212,7 @@ impl Tree {
     /// fat-tree class models it the same way: the tree carries the
     /// hierarchy, the rail count scales the per-leaf radix. Switches are
     /// named `p{i}` (pods) and `p{i}l{j}` (leaves); nodes `n0..`.
-    pub fn multirail_fat_tree(
+    pub(crate) fn multirail_fat_tree(
         pods: usize,
         leaves_per_pod: usize,
         nodes_per_rail: usize,
@@ -256,7 +256,7 @@ impl Tree {
     /// The all-to-all wiring *within* those tiers affects bandwidth, not
     /// the hop hierarchy the placement cost model reads. Switches are
     /// named `g{i}` (groups) and `g{i}r{j}` (routers); nodes `n0..`.
-    pub fn dragonfly_tree(
+    pub(crate) fn dragonfly_tree(
         groups: usize,
         routers_per_group: usize,
         nodes_per_router: usize,
@@ -290,34 +290,6 @@ impl Tree {
             reason = "the builder enumerates unique names and a single root by construction, which is exactly what from_parts validates"
         )]
         Tree::from_parts(leaf_names, leaf_nodes, uppers).expect("builder produces valid trees")
-    }
-
-    /// Nominal bisection width in *links*: the minimum number of tree edges
-    /// cut when splitting the nodes into two equal halves — for a tree,
-    /// the number of root-child edges on the smaller side of the best
-    /// root split, a standard capacity sanity metric for topologies.
-    pub fn bisection_links(&self) -> usize {
-        let root = self.switch(self.root());
-        if root.children.is_empty() {
-            return 0;
-        }
-        // Greedy partition of root subtrees by node count.
-        let mut sizes: Vec<usize> = root
-            .children
-            .iter()
-            .map(|c| self.subtree_nodes(*c))
-            .collect();
-        sizes.sort_unstable_by(|a, b| b.cmp(a));
-        let total: usize = sizes.iter().sum();
-        let mut side = 0usize;
-        let mut links = 0usize;
-        for s in sizes {
-            if side + s <= total / 2 {
-                side += s;
-                links += 1;
-            }
-        }
-        links.max(1)
     }
 }
 
@@ -384,7 +356,8 @@ impl SystemPreset {
     }
 
     /// Total node count of the built topology (without building it).
-    pub fn num_nodes(self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_nodes(self) -> usize {
         match self {
             Self::IitkDepartment => 50,
             Self::IitkHpc2010 => 768,

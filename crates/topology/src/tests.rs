@@ -461,16 +461,6 @@ mod spec_builder {
                 .for_each(|s| assert!(s.subtree_nodes > 0));
         }
     }
-
-    #[test]
-    fn bisection_links() {
-        // Flat 4-leaf tree: best equal split cuts 2 root links.
-        assert_eq!(Tree::from_spec("4x8").unwrap().bisection_links(), 2);
-        // Two groups: cutting one root link splits the machine in half.
-        assert_eq!(Tree::from_spec("2x4x8").unwrap().bisection_links(), 1);
-        // Single leaf: no split possible.
-        assert_eq!(Tree::regular_two_level(1, 8).bisection_links(), 1);
-    }
 }
 
 mod leaf_ranges {

@@ -178,7 +178,7 @@ impl Tree {
     /// `uppers` is a list of `(name, children)` where children name either
     /// leaves or earlier-defined upper switches. Leaf `k` is named
     /// `leaf_names[k]`.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         leaf_names: Vec<String>,
         leaf_nodes: Vec<Vec<String>>,
         uppers: Vec<(String, Vec<String>)>,
@@ -386,8 +386,8 @@ impl Tree {
     }
 
     /// Leaf switch ids, ordinal order.
-    #[inline]
-    pub fn leaves(&self) -> &[SwitchId] {
+    #[cfg(test)]
+    pub(crate) fn leaves(&self) -> &[SwitchId] {
         &self.leaves
     }
 
@@ -441,14 +441,15 @@ impl Tree {
 
     /// Configured name of a node.
     #[inline]
-    pub fn node_name(&self, n: NodeId) -> &str {
+    pub(crate) fn node_name(&self, n: NodeId) -> &str {
         self.node_names.get(n.0)
     }
 
     /// Look up a node by name — O(log n) binary search over the sorted
     /// name index built at construction (the conf/hostlist resolution
     /// path; the old linear scan was pathological at 1M nodes).
-    pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn node_by_name(&self, name: &str) -> Option<NodeId> {
         self.name_order
             .binary_search_by(|n| self.node_names.get(n.0).cmp(name))
             .ok()
@@ -520,7 +521,7 @@ impl Tree {
     /// bottom-up scans. Precomputed at construction — the old
     /// allocate-and-sort on every call showed up in per-placement profiles.
     #[inline]
-    pub fn switches_by_level(&self) -> &[SwitchId] {
+    pub(crate) fn switches_by_level(&self) -> &[SwitchId] {
         &self.level_order
     }
 

@@ -35,7 +35,7 @@ pub enum EndStatus {
 
 impl EndStatus {
     /// Stable label used in the JSON encoding.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             EndStatus::Completed => "completed",
             EndStatus::Cancelled => "cancelled",
@@ -57,7 +57,7 @@ pub enum FaultClass {
 
 impl FaultClass {
     /// Stable label used in the JSON encoding.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             FaultClass::Fail => "fail",
             FaultClass::Recover => "recover",
@@ -208,7 +208,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// The event's class, for mask filtering.
-    pub fn class(&self) -> EventClass {
+    pub(crate) fn class(&self) -> EventClass {
         match self {
             EventKind::JobSubmit { .. }
             | EventKind::JobEligible { .. }
@@ -228,7 +228,7 @@ impl EventKind {
     }
 
     /// The stable `"ev"` label of the JSON encoding.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             EventKind::JobSubmit { .. } => "submit",
             EventKind::JobEligible { .. } => "eligible",

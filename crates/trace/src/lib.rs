@@ -84,11 +84,6 @@ impl<'r> Tracer<'r> {
         self.mask.contains(class)
     }
 
-    /// Number of events emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.seq
-    }
-
     /// Record `kind` at virtual time `t_us`, if its class is unmasked.
     /// Sequence numbers count only *recorded* events, so a filtered trace
     /// is still densely numbered.

@@ -15,18 +15,18 @@ impl ClassMask {
     /// Job lifecycle events only.
     pub const JOB: ClassMask = ClassMask(1);
     /// Fault events only.
-    pub const FAULT: ClassMask = ClassMask(2);
+    pub(crate) const FAULT: ClassMask = ClassMask(2);
     /// Network-solver events only.
-    pub const NET: ClassMask = ClassMask(4);
+    pub(crate) const NET: ClassMask = ClassMask(4);
 
     /// Does the mask include `class`?
     #[inline]
-    pub fn contains(self, class: EventClass) -> bool {
+    pub(crate) fn contains(self, class: EventClass) -> bool {
         self.0 & class.bit() != 0
     }
 
     /// Union of two masks.
-    pub fn union(self, other: ClassMask) -> ClassMask {
+    pub(crate) fn union(self, other: ClassMask) -> ClassMask {
         ClassMask(self.0 | other.0)
     }
 
@@ -137,8 +137,8 @@ impl Recorder for Capture {
 /// Streaming sink: writes one JSON line per event to any `io::Write`.
 ///
 /// `record` cannot return an error, so the first write failure is stored
-/// and every later event is dropped; callers check [`JsonlRecorder::take_error`]
-/// when the run finishes.
+/// and every later event is dropped; callers check what
+/// [`JsonlRecorder::into_inner`] returns when the run finishes.
 pub struct JsonlRecorder<W: io::Write> {
     mask: ClassMask,
     w: W,
@@ -153,20 +153,6 @@ impl<W: io::Write> JsonlRecorder<W> {
             w,
             error: None,
         }
-    }
-
-    /// Stream only the classes in `mask` to `w`.
-    pub fn with_mask(w: W, mask: ClassMask) -> Self {
-        JsonlRecorder {
-            mask,
-            w,
-            error: None,
-        }
-    }
-
-    /// The first write error, if any occurred.
-    pub fn take_error(&mut self) -> Option<io::Error> {
-        self.error.take()
     }
 
     /// Flush and return the underlying writer (and any pending error).

@@ -115,7 +115,7 @@ fn class_mask_parse_and_filtering() {
             saturated: 0,
         },
     );
-    assert_eq!(tr.emitted(), 1);
+    assert_eq!(tr.seq, 1);
     assert_eq!(cap.events.len(), 1);
     assert_eq!(cap.events[0].seq, 0);
     assert_eq!(cap.events[0].t_us, 2);
@@ -127,7 +127,7 @@ fn null_recorder_and_off_tracer_record_nothing() {
     let mut tr = Tracer::new(&mut null);
     assert!(!tr.enabled(EventClass::Job));
     tr.emit(0, EventKind::JobReject { job: 9 });
-    assert_eq!(tr.emitted(), 0);
+    assert_eq!(tr.seq, 0);
 
     let mut off = Tracer::off();
     assert!(!off.enabled(EventClass::Net));
@@ -138,7 +138,7 @@ fn null_recorder_and_off_tracer_record_nothing() {
             saturated: 0,
         },
     );
-    assert_eq!(off.emitted(), 0);
+    assert_eq!(off.seq, 0);
 }
 
 #[test]
@@ -153,7 +153,7 @@ fn capture_and_jsonl_sinks_agree_byte_for_byte() {
         for ev in &events {
             tr.emit(ev.t_us, ev.kind);
         }
-        assert!(jsonl.take_error().is_none());
+        assert!(jsonl.into_inner().1.is_none());
     }
     let mut cap = Capture::new();
     for ev in &events {
@@ -179,7 +179,7 @@ fn jsonl_recorder_surfaces_write_errors() {
         seq: 0,
         kind: EventKind::JobReject { job: 0 },
     });
-    assert!(sink.take_error().is_some());
+    assert!(sink.into_inner().1.is_some());
 }
 
 #[test]

@@ -89,26 +89,11 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// The fault domain this kind applies to.
-    pub fn domain(self) -> FaultDomain {
+    pub(crate) fn domain(self) -> FaultDomain {
         match self {
             FaultKind::Fail | FaultKind::Recover | FaultKind::Drain => FaultDomain::Node,
             FaultKind::SwitchDown | FaultKind::SwitchUp => FaultDomain::Switch,
             FaultKind::LinkDegrade { .. } | FaultKind::LinkRestore => FaultDomain::Link,
-        }
-    }
-
-    /// For link kinds, the capacity factor in `(0, 1]` this event sets
-    /// (`permille / 1000` for a degrade, `1.0` for a restore); `None` for
-    /// node and switch kinds.
-    pub fn capacity_factor(self) -> Option<f64> {
-        match self {
-            FaultKind::LinkDegrade { permille } => Some(f64::from(permille) / 1000.0),
-            FaultKind::LinkRestore => Some(1.0),
-            FaultKind::Fail
-            | FaultKind::Recover
-            | FaultKind::Drain
-            | FaultKind::SwitchDown
-            | FaultKind::SwitchUp => None,
         }
     }
 }
@@ -164,7 +149,7 @@ pub struct FaultEvent {
 
 impl FaultEvent {
     /// The fault domain of this event's target.
-    pub fn domain(&self) -> FaultDomain {
+    pub(crate) fn domain(&self) -> FaultDomain {
         self.kind.domain()
     }
 }
@@ -265,19 +250,9 @@ impl FaultTrace {
         FaultTrace { events }
     }
 
-    /// True when the trace has no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// The events in canonical `(t, target, kind)` order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
     }
 
     /// True if any event targets the given domain.
@@ -290,22 +265,6 @@ impl FaultTrace {
         let mut events = self.events;
         events.extend(other.events);
         FaultTrace::new(events)
-    }
-
-    /// Range-check every *node*-domain event against a machine of
-    /// `num_nodes` nodes. Kept for the PR-3 node-only call sites; switch
-    /// and link events are not checked here — use
-    /// [`FaultTrace::validate_machine`] when the topology is known.
-    pub fn validate(&self, num_nodes: usize) -> Result<(), FaultTraceError> {
-        for e in &self.events {
-            if e.domain() == FaultDomain::Node && e.node >= num_nodes {
-                return Err(FaultTraceError::semantic(format!(
-                    "event at t={} names node {} but the machine has {} nodes",
-                    e.t, e.node, num_nodes
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// Range-check every event against a machine with `num_nodes` nodes,

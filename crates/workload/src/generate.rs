@@ -30,7 +30,7 @@ impl MixSet {
     pub const ALL: [MixSet; 5] = [MixSet::A, MixSet::B, MixSet::C, MixSet::D, MixSet::E];
 
     /// `(pattern, fraction-of-runtime)` components of a comm-intensive job.
-    pub fn components(self) -> Vec<(Pattern, f64)> {
+    pub(crate) fn components(self) -> Vec<(Pattern, f64)> {
         match self {
             MixSet::A => vec![(Pattern::Rhvd, 0.33)],
             MixSet::B => vec![(Pattern::Rhvd, 0.50)],
@@ -38,11 +38,6 @@ impl MixSet {
             MixSet::D => vec![(Pattern::Rd, 0.15), (Pattern::Binomial, 0.35)],
             MixSet::E => vec![(Pattern::Rd, 0.21), (Pattern::Binomial, 0.49)],
         }
-    }
-
-    /// Compute fraction (1 − total communication fraction).
-    pub fn compute_fraction(self) -> f64 {
-        1.0 - self.components().iter().map(|(_, f)| f).sum::<f64>()
     }
 
     /// Label used in figures ("A".."E").

@@ -37,7 +37,7 @@ impl Job {
     }
 
     /// Node-seconds consumed when the job runs for `runtime` seconds.
-    pub fn node_seconds(&self) -> u64 {
+    pub(crate) fn node_seconds(&self) -> u64 {
         self.runtime * self.nodes as u64
     }
 }
@@ -89,30 +89,8 @@ impl JobLog {
     }
 
     /// Total node-hours of recorded runtimes.
-    pub fn total_node_hours(&self) -> f64 {
+    pub(crate) fn total_node_hours(&self) -> f64 {
         self.jobs.iter().map(|j| j.node_seconds()).sum::<u64>() as f64 / 3600.0
-    }
-
-    /// The sub-log of jobs submitted in `[start, end)` seconds.
-    pub fn window(&self, start: u64, end: u64) -> JobLog {
-        JobLog {
-            name: format!("{}[{start}..{end})", self.name),
-            jobs: self
-                .jobs
-                .iter()
-                .filter(|j| (start..end).contains(&j.submit))
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// Shift submit times so the first job arrives at t = 0 (useful after
-    /// [`JobLog::window`], and for PWA logs whose clock starts mid-epoch).
-    pub fn normalize_submit(&mut self) {
-        let t0 = self.jobs.first().map(|j| j.submit).unwrap_or(0);
-        for j in &mut self.jobs {
-            j.submit -= t0;
-        }
     }
 }
 
@@ -190,10 +168,5 @@ impl SystemModel {
             runtime_sigma: 1.0,
             walltime_slack: 1.7,
         }
-    }
-
-    /// All three evaluation systems in the paper's row order.
-    pub fn paper_systems() -> [SystemModel; 3] {
-        [Self::intrepid(), Self::theta(), Self::mira()]
     }
 }

@@ -89,9 +89,6 @@ fn mix_sets_match_section_6_2() {
         MixSet::E.components(),
         vec![(Pattern::Rd, 0.21), (Pattern::Binomial, 0.49)]
     );
-    assert!((MixSet::A.compute_fraction() - 0.67).abs() < 1e-12);
-    assert!((MixSet::D.compute_fraction() - 0.50).abs() < 1e-12);
-    assert!((MixSet::E.compute_fraction() - 0.30).abs() < 1e-12);
 }
 
 #[test]
@@ -221,7 +218,7 @@ mod properties {
         /// comm-percent accounting is exact for any percentage.
         #[test]
         fn generated_jobs_in_band(seed in any::<u64>(), pct in 0u8..=100) {
-            for sys in SystemModel::paper_systems() {
+            for sys in [SystemModel::intrepid(), SystemModel::theta(), SystemModel::mira()] {
                 let log = LogSpec::new(sys, 120, seed).comm_percent(pct).generate();
                 prop_assert_eq!(log.jobs.len(), 120);
                 for j in &log.jobs {
@@ -320,25 +317,6 @@ fn diurnal_arrivals_cluster_in_daytime() {
     assert_eq!(cyc, again);
 }
 
-#[test]
-fn window_and_normalize() {
-    let log = LogSpec::new(SystemModel::theta(), 200, 4).generate();
-    let mid = log.jobs[100].submit;
-    let end = log.jobs[150].submit;
-    let mut w = log.window(mid, end);
-    assert!(!w.jobs.is_empty());
-    assert!(w.jobs.iter().all(|j| j.submit >= mid && j.submit < end));
-    w.normalize_submit();
-    assert_eq!(w.jobs[0].submit, 0);
-    for pair in w.jobs.windows(2) {
-        assert!(pair[0].submit <= pair[1].submit);
-    }
-    // Empty window behaves.
-    let mut e = log.window(0, 0);
-    assert!(e.jobs.is_empty());
-    e.normalize_submit();
-}
-
 // ------------------------------------------------------------ fault traces
 
 mod fault_traces {
@@ -354,7 +332,7 @@ mod fault_traces {
 15 0 drain
 ";
         let trace = FaultTrace::parse(text).unwrap();
-        assert_eq!(trace.len(), 3);
+        assert_eq!(trace.events().len(), 3);
         // Canonical order: by (t, node, kind).
         assert_eq!(
             trace.events()[0],
@@ -390,21 +368,16 @@ mod fault_traces {
     }
 
     #[test]
-    fn validate_rejects_out_of_range_nodes() {
-        let trace = FaultTrace::parse("5 7 fail").unwrap();
-        assert!(trace.validate(8).is_ok());
-        let err = trace.validate(7).unwrap_err();
-        assert!(err.message.contains("node 7"));
-    }
-
-    #[test]
     fn mtbf_generator_is_deterministic_and_well_formed() {
         let a = FaultTrace::mtbf(16, 5_000.0, 600.0, 50_000, 42).unwrap();
         let b = FaultTrace::mtbf(16, 5_000.0, 600.0, 50_000, 42).unwrap();
         assert_eq!(a, b);
         let c = FaultTrace::mtbf(16, 5_000.0, 600.0, 50_000, 43).unwrap();
         assert_ne!(a, c);
-        assert!(!a.is_empty(), "a 10x-horizon MTBF should produce churn");
+        assert!(
+            !a.events().is_empty(),
+            "a 10x-horizon MTBF should produce churn"
+        );
 
         // Sorted canonically, every fail inside the horizon, and per node
         // the events alternate fail/recover starting with fail.
@@ -439,8 +412,12 @@ mod fault_traces {
         // Zero nodes or zero horizon is legal and empty.
         assert!(FaultTrace::mtbf(0, 5000.0, 600.0, 1000, 1)
             .unwrap()
+            .events()
             .is_empty());
-        assert!(FaultTrace::mtbf(4, 5000.0, 600.0, 0, 1).unwrap().is_empty());
+        assert!(FaultTrace::mtbf(4, 5000.0, 600.0, 0, 1)
+            .unwrap()
+            .events()
+            .is_empty());
     }
 
     #[test]
@@ -454,7 +431,7 @@ mod fault_traces {
 500 7 fail
 ";
         let trace = FaultTrace::parse(text).unwrap();
-        assert_eq!(trace.len(), 5);
+        assert_eq!(trace.events().len(), 5);
         assert!(trace.has_domain(FaultDomain::Node));
         assert!(trace.has_domain(FaultDomain::Switch));
         assert!(trace.has_domain(FaultDomain::Link));
@@ -513,8 +490,6 @@ mod fault_traces {
         assert!(trace.validate_machine(7, 5, 64).is_err());
         assert!(trace.validate_machine(8, 4, 64).is_err());
         assert!(trace.validate_machine(8, 5, 63).is_err());
-        // The node-only validator still ignores the other domains.
-        assert!(trace.validate(8).is_ok());
     }
 
     #[test]
@@ -523,7 +498,10 @@ mod fault_traces {
         let a = FaultTrace::switch_mtbf(6, 40_000.0, 5_000.0, 2_000_000, 9).unwrap();
         let b = FaultTrace::switch_mtbf(6, 40_000.0, 5_000.0, 2_000_000, 9).unwrap();
         assert_eq!(a, b);
-        assert!(!a.is_empty(), "horizon long enough to draw outages");
+        assert!(
+            !a.events().is_empty(),
+            "horizon long enough to draw outages"
+        );
         assert!(a.events().iter().all(|e| e.domain() == FaultDomain::Switch));
         // Generated schedules never overlap, so they re-parse cleanly.
         assert!(FaultTrace::parse(&a.emit()).is_ok());
@@ -531,7 +509,7 @@ mod fault_traces {
         let l = FaultTrace::link_degrade(16, 40_000.0, 5_000.0, 250, 2_000_000, 9).unwrap();
         let l2 = FaultTrace::link_degrade(16, 40_000.0, 5_000.0, 250, 2_000_000, 9).unwrap();
         assert_eq!(l, l2);
-        assert!(!l.is_empty());
+        assert!(!l.events().is_empty());
         assert!(l.events().iter().all(|e| e.domain() == FaultDomain::Link));
         assert!(l.events().iter().all(|e| matches!(
             e.kind,
@@ -541,7 +519,7 @@ mod fault_traces {
 
         // Merging disjoint domains keeps every event and stays canonical.
         let merged = a.clone().merge(l.clone());
-        assert_eq!(merged.len(), a.len() + l.len());
+        assert_eq!(merged.events().len(), a.events().len() + l.events().len());
         assert!(FaultTrace::parse(&merged.emit()).is_ok());
     }
 }
