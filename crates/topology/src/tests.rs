@@ -631,3 +631,36 @@ mod name_index {
         assert_eq!(got, want);
     }
 }
+
+/// Every preset's `to_conf()` bytes — switch names, node names, leaf order
+/// and hostlist compression — pinned by FNV-1a digest.
+mod preset_conf_digests {
+    use super::*;
+
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Blessed on the tree of commit 522c129 (before the arena-writing
+    /// builder), the way `slurmsim`'s config matrix was.
+    const BLESSED: [(SystemPreset, u64); 8] = [
+        (SystemPreset::IitkDepartment, 0x61da_c4f2_7a58_ca85),
+        (SystemPreset::IitkHpc2010, 0xb5a0_bfae_9437_ec3d),
+        (SystemPreset::CoriLike, 0x3015_dbda_c371_b3b6),
+        (SystemPreset::Intrepid, 0xc845_51fe_ae91_bdfb),
+        (SystemPreset::Theta, 0x3015_dbda_c371_b3b6),
+        (SystemPreset::Mira, 0x3067_6110_a69d_698b),
+        (SystemPreset::Multirail500k, 0xed17_13a9_09b0_175d),
+        (SystemPreset::Dragonfly1M, 0x151d_2977_ba5e_9bc8),
+    ];
+
+    #[test]
+    fn every_preset_emits_the_blessed_conf() {
+        for (preset, want) in BLESSED {
+            let got = fnv1a(&preset.build().to_conf());
+            assert_eq!(got, want, "{preset:?}: to_conf() digest {got:#018x}");
+        }
+    }
+}
