@@ -70,11 +70,14 @@ fn correlate(
         let split: bool = rng.random();
         let probe: Vec<NodeId> = if split {
             // 4 + 4 across the two busiest leaves.
-            let l0 = tree.leaf_nodes(0);
-            let l1 = tree.leaf_nodes(1);
-            l0[..4].iter().chain(&l1[..4]).copied().collect()
+            tree.leaf_nodes(0)
+                .take(4)
+                .chain(tree.leaf_nodes(1).take(4))
+                .collect()
         } else {
-            tree.leaf_nodes(rng.random_range(0..tree.num_leaves()))[..8].to_vec()
+            tree.leaf_nodes(rng.random_range(0..tree.num_leaves()))
+                .take(8)
+                .collect()
         };
         let mut pool: Vec<NodeId> = nodes.into_iter().filter(|n| !probe.contains(n)).collect();
         let interferer: Vec<NodeId> = pool.drain(..rng.random_range(4usize..=12)).collect();

@@ -34,8 +34,8 @@ pub fn fig1(_scale: Scale) -> ExperimentResult {
     // Leaves 0 and 1 have 13 nodes each; J1 takes 4+4, J2 takes 6+6.
     // MPI_Allgather with 1 MB per rank gathers an 8 MB (J1) / 12 MB (J2)
     // vector.
-    let leaf0 = tree.leaf_nodes(0);
-    let leaf1 = tree.leaf_nodes(1);
+    let leaf0: Vec<NodeId> = tree.leaf_nodes(0).collect();
+    let leaf1: Vec<NodeId> = tree.leaf_nodes(1).collect();
     let j1_nodes: Vec<NodeId> = leaf0[..4].iter().chain(&leaf1[..4]).copied().collect();
     let j2_nodes: Vec<NodeId> = leaf0[4..10].iter().chain(&leaf1[4..10]).copied().collect();
     let spec = CollectiveSpec::new(Pattern::Rhvd, (j1_nodes.len() as u64) << 20);

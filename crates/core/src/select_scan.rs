@@ -62,8 +62,6 @@ pub(crate) fn free_nodes_on_leaf(
     want: usize,
 ) -> Vec<NodeId> {
     tree.leaf_nodes(k)
-        .iter()
-        .copied()
         .filter(|&n| state.is_free(n))
         .take(want)
         .collect()

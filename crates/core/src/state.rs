@@ -14,6 +14,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(test)]
 mod reference;
 
+/// Make `v` exactly `n` copies of `value`, in its own buffer when that is
+/// large enough. Otherwise a fresh `vec!`, not a grown one: for zero values
+/// the allocator hands back untouched zero pages, and a 1M-node state's
+/// never-written tables (`node_mask` in a run without switch faults) stay
+/// that way.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+    if v.capacity() < n {
+        *v = vec![value; n];
+    } else {
+        v.clear();
+        v.resize(n, value);
+    }
+}
+
 /// Globally unique version tokens: every mutation of any [`ClusterState`]
 /// instance gets a fresh one, so caches keyed on a version can never
 /// confuse two different occupancies — not across mutations of one state,
@@ -150,7 +164,7 @@ enum Class {
 /// recounts a subtree. What-if evaluation never
 /// touches the state: [`crate::PlacementEvaluator`] overlays the candidate
 /// on the counters it reads.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ClusterState {
     /// Per-node: is the node free?
     node_free: Vec<bool>,
@@ -221,42 +235,16 @@ impl PartialEq for ClusterState {
 }
 
 impl ClusterState {
-    /// A fully-free cluster over `tree`.
+    /// A fully-free cluster over `tree`: the empty state after one
+    /// [`reset`](Self::reset).
     pub fn new(tree: &Tree) -> Self {
-        let leaves = tree.num_leaves();
-        let mut leaf_free = vec![0u32; leaves];
-        for (k, lf) in leaf_free.iter_mut().enumerate() {
-            *lf = u32_of_usize(tree.leaf_size(k));
-        }
-        let switch_free = tree
-            .switches()
-            .iter()
-            .map(|s| u32_of_usize(s.subtree_nodes))
-            .collect();
-        let mut state = ClusterState {
-            node_free: vec![true; tree.num_nodes()],
-            leaf_free,
-            leaf_busy: vec![0; leaves],
-            leaf_comm: vec![0; leaves],
-            switch_free,
-            free_total: tree.num_nodes(),
-            node_health: vec![NodeHealth::Up; tree.num_nodes()],
-            leaf_down: vec![0; leaves],
-            down_total: 0,
-            draining_total: 0,
-            switch_down: vec![false; tree.num_switches()],
-            node_mask: vec![0; tree.num_nodes()],
-            switches_down_total: 0,
-            allocs: BTreeMap::new(),
-            version: next_version(),
-            index: FreeIndex::default(),
-        };
-        state.reindex(tree);
+        let mut state = ClusterState::default();
+        state.reset(tree);
         state
     }
 
-    /// Restore this state to exactly what [`ClusterState::new`] would
-    /// build for `tree`, reusing the existing buffers — the allocation-free
+    /// Make this state a fully-free cluster over `tree` — the one
+    /// initialiser — reusing the existing buffers: the allocation-free
     /// path for sweep harnesses that run thousands of fresh states. The
     /// version token is refreshed (tokens are process-unique), so cached
     /// evaluations tagged with any previous life of this state can never
@@ -264,15 +252,12 @@ impl ClusterState {
     pub fn reset(&mut self, tree: &Tree) {
         let nodes = tree.num_nodes();
         let leaves = tree.num_leaves();
-        self.node_free.clear();
-        self.node_free.resize(nodes, true);
+        refill(&mut self.node_free, nodes, true);
         self.leaf_free.clear();
         self.leaf_free
             .extend((0..leaves).map(|k| u32_of_usize(tree.leaf_size(k))));
-        self.leaf_busy.clear();
-        self.leaf_busy.resize(leaves, 0);
-        self.leaf_comm.clear();
-        self.leaf_comm.resize(leaves, 0);
+        refill(&mut self.leaf_busy, leaves, 0);
+        refill(&mut self.leaf_comm, leaves, 0);
         self.switch_free.clear();
         self.switch_free.extend(
             tree.switches()
@@ -280,16 +265,12 @@ impl ClusterState {
                 .map(|s| u32_of_usize(s.subtree_nodes)),
         );
         self.free_total = nodes;
-        self.node_health.clear();
-        self.node_health.resize(nodes, NodeHealth::Up);
-        self.leaf_down.clear();
-        self.leaf_down.resize(leaves, 0);
+        refill(&mut self.node_health, nodes, NodeHealth::Up);
+        refill(&mut self.leaf_down, leaves, 0);
         self.down_total = 0;
         self.draining_total = 0;
-        self.switch_down.clear();
-        self.switch_down.resize(tree.num_switches(), false);
-        self.node_mask.clear();
-        self.node_mask.resize(nodes, 0);
+        refill(&mut self.switch_down, tree.num_switches(), false);
+        refill(&mut self.node_mask, nodes, 0);
         self.switches_down_total = 0;
         self.allocs.clear();
         self.version = next_version();
@@ -868,8 +849,8 @@ impl ClusterState {
             }
             switches_down += 1;
             for &k in tree.leaf_ordinals_under(SwitchId(id)) {
-                for &n in tree.leaf_nodes(k) {
-                    mask[n.0] += 1;
+                for n in tree.leaf_node_range(k) {
+                    mask[n] += 1;
                 }
             }
         }

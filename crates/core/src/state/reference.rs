@@ -193,7 +193,7 @@ impl ClusterState {
             return Err(StateError::SwitchDown(s));
         }
         for &k in tree.leaf_ordinals_under(s) {
-            for &n in tree.leaf_nodes(k) {
+            for n in tree.leaf_nodes(k) {
                 let busy = !self.node_free[n.0]
                     && self.node_mask[n.0] == 0
                     && self.node_health[n.0] != NodeHealth::Down;
@@ -203,7 +203,7 @@ impl ClusterState {
             }
         }
         for &k in tree.leaf_ordinals_under(s) {
-            for &n in tree.leaf_nodes(k) {
+            for n in tree.leaf_nodes(k) {
                 self.node_mask[n.0] += 1;
                 if self.node_mask[n.0] == 1 && self.node_health[n.0] == NodeHealth::Up {
                     self.ref_free_to_down(tree, n);
@@ -222,7 +222,7 @@ impl ClusterState {
             return Err(StateError::SwitchNotDown(s));
         }
         for &k in tree.leaf_ordinals_under(s) {
-            for &n in tree.leaf_nodes(k) {
+            for n in tree.leaf_nodes(k) {
                 self.node_mask[n.0] -= 1;
                 if self.node_mask[n.0] == 0 && self.node_health[n.0] == NodeHealth::Up {
                     self.ref_down_to_free(tree, n);

@@ -204,7 +204,7 @@ fn contention_discount_deepens_with_lca_level() {
     let mut st = ClusterState::new(&tree);
     // 2 comm nodes on every leaf.
     for k in 0..4 {
-        let nodes = tree.leaf_nodes(k)[..2].to_vec();
+        let nodes: Vec<NodeId> = tree.leaf_nodes(k).take(2).collect();
         st.allocate(
             &tree,
             JobId(k as u64 + 1),
@@ -437,7 +437,7 @@ fn balanced_table2_with_busy_nodes() {
     let busy = [40usize, 50, 100, 120, 130, 150, 160];
     let mut next = JobId(100);
     for (k, &b) in busy.iter().enumerate() {
-        let nodes: Vec<NodeId> = tree.leaf_nodes(k)[..b].to_vec();
+        let nodes: Vec<NodeId> = tree.leaf_nodes(k).take(b).collect();
         st.allocate(
             &tree,
             next,
@@ -770,7 +770,7 @@ mod three_level {
         let mut st = ClusterState::new(&t);
         // Fill 2 comm nodes on every leaf so no leaf fits 4 alone...
         for k in 0..4 {
-            let nodes = t.leaf_nodes(k)[..2].to_vec();
+            let nodes: Vec<NodeId> = t.leaf_nodes(k).take(2).collect();
             st.allocate(
                 &t,
                 JobId(10 + k as u64),

@@ -3,58 +3,18 @@
 //! grounded in "Scalable HPC Job Scheduling and Resource Management in
 //! SST" (PAPERS.md).
 
-use crate::tree::{Tree, TreeError};
-use std::fmt;
+use crate::tree::{NameArena, Tree};
 
-/// Error parsing a `"AxBx...xN"` topology spec string, carrying the
-/// offending factor's position and text (the typed-error convention the
-/// conf/SWF/fault parsers already follow).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpecError {
-    /// A factor that is not a positive integer.
-    BadFactor {
-        /// Zero-based factor position in the spec.
-        index: usize,
-        /// The factor text as written.
-        text: String,
-    },
-    /// A factor equal to zero.
-    ZeroFactor {
-        /// Zero-based factor position in the spec.
-        index: usize,
-    },
-    /// Fewer than two factors — a tree needs at least one switch level
-    /// over the nodes-per-leaf factor.
-    TooFewFactors {
-        /// Number of factors found.
-        count: usize,
-    },
-    /// The factors describe a structurally invalid tree.
-    Structure(TreeError),
-}
-
-impl fmt::Display for SpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::BadFactor { index, text } => {
-                write!(f, "factor {index}: {text:?} is not a positive integer")
-            }
-            Self::ZeroFactor { index } => write!(f, "factor {index}: must be nonzero"),
-            Self::TooFewFactors { count } => write!(
-                f,
-                "found {count} factor(s), need at least two (switch fan-out x nodes/leaf)"
-            ),
-            Self::Structure(e) => write!(f, "invalid topology: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-impl From<TreeError> for SpecError {
-    fn from(e: TreeError) -> Self {
-        Self::Structure(e)
-    }
+/// How a layered shape names its switches. The root is always `root`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SwitchNames {
+    /// Leaves `s{k}` numbered across the machine, groups `g{g}` — the
+    /// paper-system shapes.
+    Flat,
+    /// `Nested(group, leaf)`: groups `{group}{g}`, leaves
+    /// `{group}{g}{leaf}{j}` numbered within their group — `p3l7` (pod 3,
+    /// leaf 7), `g3r7` (group 3, router 7).
+    Nested(char, char),
 }
 
 impl Tree {
@@ -69,23 +29,7 @@ impl Tree {
 
     /// A two-level tree with the given per-leaf node counts.
     pub fn irregular_two_level(leaf_sizes: &[usize]) -> Tree {
-        assert!(!leaf_sizes.is_empty(), "need at least one leaf");
-        let mut leaf_names = Vec::with_capacity(leaf_sizes.len());
-        let mut leaf_nodes = Vec::with_capacity(leaf_sizes.len());
-        let mut next = 0usize;
-        for (k, &sz) in leaf_sizes.iter().enumerate() {
-            assert!(sz > 0, "leaf {k} has zero nodes");
-            leaf_names.push(format!("s{k}"));
-            leaf_nodes.push((next..next + sz).map(|i| format!("n{i}")).collect());
-            next += sz;
-        }
-        let children = (0..leaf_sizes.len()).map(|k| format!("s{k}")).collect();
-        let uppers = vec![("root".to_string(), children)];
-        #[expect(
-            clippy::expect_used,
-            reason = "the builder enumerates unique names and a single root by construction, which is exactly what from_parts validates"
-        )]
-        Tree::from_parts(leaf_names, leaf_nodes, uppers).expect("builder produces valid trees")
+        Self::layered(leaf_sizes, None, SwitchNames::Flat)
     }
 
     /// A regular three-level tree: `groups` level-2 switches, each over
@@ -96,200 +40,59 @@ impl Tree {
         leaves_per_group: usize,
         nodes_per_leaf: usize,
     ) -> Tree {
-        assert!(groups > 0 && leaves_per_group > 0 && nodes_per_leaf > 0);
-        let total_leaves = groups * leaves_per_group;
-        let mut leaf_names = Vec::with_capacity(total_leaves);
-        let mut leaf_nodes = Vec::with_capacity(total_leaves);
-        let mut next = 0usize;
-        for k in 0..total_leaves {
-            leaf_names.push(format!("s{k}"));
-            leaf_nodes.push(
-                (next..next + nodes_per_leaf)
-                    .map(|i| format!("n{i}"))
-                    .collect(),
-            );
-            next += nodes_per_leaf;
-        }
-        let mut uppers = Vec::with_capacity(groups + 1);
-        for g in 0..groups {
-            let children = (g * leaves_per_group..(g + 1) * leaves_per_group)
-                .map(|k| format!("s{k}"))
-                .collect();
-            uppers.push((format!("g{g}"), children));
-        }
-        uppers.push((
-            "root".to_string(),
-            (0..groups).map(|g| format!("g{g}")).collect(),
-        ));
-        #[expect(
-            clippy::expect_used,
-            reason = "the builder enumerates unique names and a single root by construction, which is exactly what from_parts validates"
-        )]
-        Tree::from_parts(leaf_names, leaf_nodes, uppers).expect("builder produces valid trees")
+        Self::layered(
+            &vec![nodes_per_leaf; groups * leaves_per_group],
+            Some(leaves_per_group),
+            SwitchNames::Flat,
+        )
     }
-}
 
-impl Tree {
-    /// Build a regular tree of arbitrary depth from a spec string:
-    /// `"AxBx...xN"` where the last factor is nodes per leaf and earlier
-    /// factors are switch fan-outs, root first. `"2x24x16"` is two
-    /// aggregation switches over 24 leaves each with 16 nodes (the IITK
-    /// HPC2010 shape); `"48x366"` is a flat 48-leaf tree.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] naming the offending factor for malformed
-    /// specs (non-numeric, zero factors, empty, or a single factor — a
-    /// tree needs at least one switch level).
-    pub fn from_spec(spec: &str) -> Result<Tree, SpecError> {
-        let factors: Vec<usize> = spec
-            .split('x')
-            .enumerate()
-            .map(|(index, p)| {
-                p.trim().parse::<usize>().map_err(|_| SpecError::BadFactor {
-                    index,
-                    text: p.trim().to_string(),
-                })
+    /// The one shape builder: leaf `k` holds `leaf_sizes[k]` nodes, named
+    /// `n0..` in leaf order; with `leaves_per_group` the leaves sit that many
+    /// at a time under level-2 switches, and everything hangs off one root.
+    pub(crate) fn layered(
+        leaf_sizes: &[usize],
+        leaves_per_group: Option<usize>,
+        names: SwitchNames,
+    ) -> Tree {
+        assert!(!leaf_sizes.is_empty(), "need at least one leaf");
+        for (k, &size) in leaf_sizes.iter().enumerate() {
+            assert!(size > 0, "leaf {k} has zero nodes");
+        }
+        let node_names = NameArena::numbered(leaf_sizes.iter().sum());
+
+        let per_group = leaves_per_group.unwrap_or(leaf_sizes.len());
+        let group_name = |g: usize| match names {
+            SwitchNames::Flat => format!("g{g}"),
+            SwitchNames::Nested(group, _) => format!("{group}{g}"),
+        };
+        let leaf_names: Vec<String> = (0..leaf_sizes.len())
+            .map(|k| match names {
+                SwitchNames::Flat => format!("s{k}"),
+                SwitchNames::Nested(_, leaf) => {
+                    format!("{}{leaf}{}", group_name(k / per_group), k % per_group)
+                }
             })
-            .collect::<Result<_, _>>()?;
-        if factors.len() < 2 {
-            return Err(SpecError::TooFewFactors {
-                count: factors.len(),
-            });
-        }
-        if let Some(index) = factors.iter().position(|&f| f == 0) {
-            return Err(SpecError::ZeroFactor { index });
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "the TooFewFactors check above guarantees a non-empty factor list"
-        )]
-        let nodes_per_leaf = *factors.last().expect("len checked");
-        let fanouts = &factors[..factors.len() - 1];
-        let total_leaves: usize = fanouts.iter().product();
-
-        let mut leaf_names = Vec::with_capacity(total_leaves);
-        let mut leaf_nodes = Vec::with_capacity(total_leaves);
-        for k in 0..total_leaves {
-            leaf_names.push(format!("s{k}"));
-            leaf_nodes.push(
-                (k * nodes_per_leaf..(k + 1) * nodes_per_leaf)
-                    .map(|i| format!("n{i}"))
-                    .collect(),
-            );
-        }
-        // Build upper levels bottom-up: children of level l are grouped in
-        // runs of fanouts[depth - 1 - l].
-        let mut uppers: Vec<(String, Vec<String>)> = Vec::new();
-        let mut current: Vec<String> = leaf_names.clone();
-        for (level, &fan) in fanouts.iter().rev().enumerate() {
-            if current.len() == 1 {
-                break;
+            .collect();
+        let uppers = match leaves_per_group {
+            None => vec![("root".to_string(), leaf_names.clone())],
+            Some(_) => {
+                let mut uppers: Vec<(String, Vec<String>)> = leaf_names
+                    .chunks(per_group)
+                    .enumerate()
+                    .map(|(g, leaves)| (group_name(g), leaves.to_vec()))
+                    .collect();
+                let groups = uppers.iter().map(|(name, _)| name.clone()).collect();
+                uppers.push(("root".to_string(), groups));
+                uppers
             }
-            let mut next = Vec::new();
-            for (g, chunk) in current.chunks(fan).enumerate() {
-                let name = if current.len() / fan <= 1 {
-                    "root".to_string()
-                } else {
-                    format!("l{level}g{g}")
-                };
-                uppers.push((name.clone(), chunk.to_vec()));
-                next.push(name);
-            }
-            current = next;
-        }
-        Ok(Tree::from_parts(leaf_names, leaf_nodes, uppers)?)
-    }
-
-    /// A multi-rail fat-tree flattened to its placement hierarchy:
-    /// `pods` pod switches over `leaves_per_pod` leaf switches each, with
-    /// `rails * nodes_per_rail` nodes per leaf.
-    ///
-    /// In a real multi-rail fabric every node injects into `rails`
-    /// parallel planes with identical hierarchy, so the *distance*
-    /// structure (Eq. 4) of every rail is the same tree; rails multiply
-    /// leaf injection bandwidth, not depth. The SST scheduling paper's
-    /// fat-tree class models it the same way: the tree carries the
-    /// hierarchy, the rail count scales the per-leaf radix. Switches are
-    /// named `p{i}` (pods) and `p{i}l{j}` (leaves); nodes `n0..`.
-    pub(crate) fn multirail_fat_tree(
-        pods: usize,
-        leaves_per_pod: usize,
-        nodes_per_rail: usize,
-        rails: usize,
-    ) -> Tree {
-        assert!(pods > 0 && leaves_per_pod > 0 && nodes_per_rail > 0 && rails > 0);
-        let per_leaf = nodes_per_rail * rails;
-        let mut leaf_names = Vec::with_capacity(pods * leaves_per_pod);
-        let mut leaf_nodes = Vec::with_capacity(pods * leaves_per_pod);
-        let mut uppers = Vec::with_capacity(pods + 1);
-        let mut next = 0usize;
-        for p in 0..pods {
-            let mut children = Vec::with_capacity(leaves_per_pod);
-            for l in 0..leaves_per_pod {
-                let name = format!("p{p}l{l}");
-                leaf_nodes.push((next..next + per_leaf).map(|i| format!("n{i}")).collect());
-                next += per_leaf;
-                children.push(name.clone());
-                leaf_names.push(name);
-            }
-            uppers.push((format!("p{p}"), children));
-        }
-        uppers.push((
-            "root".to_string(),
-            (0..pods).map(|p| format!("p{p}")).collect(),
-        ));
+        };
         #[expect(
             clippy::expect_used,
             reason = "the builder enumerates unique names and a single root by construction, which is exactly what from_parts validates"
         )]
-        Tree::from_parts(leaf_names, leaf_nodes, uppers).expect("builder produces valid trees")
-    }
-
-    /// A dragonfly flattened to a tree: `groups` all-to-all groups of
-    /// `routers_per_group` routers with `nodes_per_router` nodes each.
-    ///
-    /// A dragonfly's distance hierarchy collapses to three tiers — same
-    /// router, same group (one local hop), different group (global link)
-    /// — which is exactly a three-level tree: routers are leaf switches,
-    /// groups are level-2 switches, the global link layer is the root.
-    /// The all-to-all wiring *within* those tiers affects bandwidth, not
-    /// the hop hierarchy the placement cost model reads. Switches are
-    /// named `g{i}` (groups) and `g{i}r{j}` (routers); nodes `n0..`.
-    pub(crate) fn dragonfly_tree(
-        groups: usize,
-        routers_per_group: usize,
-        nodes_per_router: usize,
-    ) -> Tree {
-        assert!(groups > 0 && routers_per_group > 0 && nodes_per_router > 0);
-        let mut leaf_names = Vec::with_capacity(groups * routers_per_group);
-        let mut leaf_nodes = Vec::with_capacity(groups * routers_per_group);
-        let mut uppers = Vec::with_capacity(groups + 1);
-        let mut next = 0usize;
-        for g in 0..groups {
-            let mut children = Vec::with_capacity(routers_per_group);
-            for r in 0..routers_per_group {
-                let name = format!("g{g}r{r}");
-                leaf_nodes.push(
-                    (next..next + nodes_per_router)
-                        .map(|i| format!("n{i}"))
-                        .collect(),
-                );
-                next += nodes_per_router;
-                children.push(name.clone());
-                leaf_names.push(name);
-            }
-            uppers.push((format!("g{g}"), children));
-        }
-        uppers.push((
-            "root".to_string(),
-            (0..groups).map(|g| format!("g{g}")).collect(),
-        ));
-        #[expect(
-            clippy::expect_used,
-            reason = "the builder enumerates unique names and a single root by construction, which is exactly what from_parts validates"
-        )]
-        Tree::from_parts(leaf_names, leaf_nodes, uppers).expect("builder produces valid trees")
+        Tree::from_parts(leaf_names, leaf_sizes, node_names, uppers)
+            .expect("builder produces valid trees")
     }
 }
 
@@ -314,11 +117,26 @@ pub enum SystemPreset {
     Theta,
     /// Mira scale: 49,152 nodes (Blue Gene/Q), three-level tree.
     Mira,
-    /// Exascale multi-rail fat-tree: 524,288 nodes — 32 pods × 32 leaves
-    /// × (4 rails × 128 nodes). See [`Tree::multirail_fat_tree`].
+    /// Exascale multi-rail fat-tree flattened to its placement hierarchy:
+    /// 524,288 nodes — 32 pods (`p{i}`) × 32 leaves (`p{i}l{j}`) × (4 rails
+    /// × 128 nodes).
+    ///
+    /// In a real multi-rail fabric every node injects into `rails`
+    /// parallel planes with identical hierarchy, so the *distance*
+    /// structure (Eq. 4) of every rail is the same tree; rails multiply
+    /// leaf injection bandwidth, not depth. The SST scheduling paper's
+    /// fat-tree class models it the same way: the tree carries the
+    /// hierarchy, the rail count scales the per-leaf radix.
     Multirail500k,
-    /// Exascale dragonfly-as-tree: 1,048,576 nodes — 64 groups × 256
-    /// routers × 64 nodes. See [`Tree::dragonfly_tree`].
+    /// Exascale dragonfly flattened to a tree: 1,048,576 nodes — 64
+    /// all-to-all groups (`g{i}`) × 256 routers (`g{i}r{j}`) × 64 nodes.
+    ///
+    /// A dragonfly's distance hierarchy collapses to three tiers — same
+    /// router, same group (one local hop), different group (global link)
+    /// — which is exactly a three-level tree: routers are leaf switches,
+    /// groups are level-2 switches, the global link layer is the root.
+    /// The all-to-all wiring *within* those tiers affects bandwidth, not
+    /// the hop hierarchy the placement cost model reads.
     Dragonfly1M,
 }
 
@@ -350,8 +168,16 @@ impl SystemPreset {
             Self::Mira => Tree::irregular_two_level(&cori_leaf_sizes(144, 49152)),
             // The two exascale classes (ROADMAP item 3): 2^19 nodes over
             // 1,024 fat leaves, and 2^20 nodes over 16,384 thin routers.
-            Self::Multirail500k => Tree::multirail_fat_tree(32, 32, 128, 4),
-            Self::Dragonfly1M => Tree::dragonfly_tree(64, 256, 64),
+            Self::Multirail500k => Tree::layered(
+                &vec![4 * 128; 32 * 32],
+                Some(32),
+                SwitchNames::Nested('p', 'l'),
+            ),
+            Self::Dragonfly1M => Tree::layered(
+                &vec![64; 64 * 256],
+                Some(256),
+                SwitchNames::Nested('g', 'r'),
+            ),
         }
     }
 

@@ -11,7 +11,7 @@
 //! Keys are case-insensitive like SLURM's parser; `LinkSpeed=` (accepted and
 //! ignored by SLURM) is accepted and ignored here too.
 
-use crate::tree::{Tree, TreeError};
+use crate::tree::{NameArena, Tree, TreeError};
 use commsched_hostlist as hostlist;
 use std::fmt;
 
@@ -129,20 +129,34 @@ impl Tree {
     /// (leaves first, then aggregation layers).
     pub fn from_conf(text: &str) -> Result<Self, ConfError> {
         let mut leaf_names = Vec::new();
-        let mut leaf_nodes = Vec::new();
+        let mut leaf_sizes = Vec::new();
+        let mut node_names = NameArena::with_capacity(0, 0);
         let mut uppers = Vec::new();
         for (i, line) in text.lines().enumerate() {
             if let Some(raw) = parse_line(line, i + 1)? {
                 // parse_line guarantees nodes XOR switches is populated.
                 if let Some(nodes) = raw.nodes {
                     leaf_names.push(raw.name);
-                    leaf_nodes.push(nodes);
+                    leaf_sizes.push(nodes.len());
+                    for n in &nodes {
+                        node_names.push(n);
+                    }
                 } else if let Some(switches) = raw.switches {
                     uppers.push((raw.name, switches));
                 }
             }
         }
-        Ok(Tree::from_parts(leaf_names, leaf_nodes, uppers)?)
+        // The file is outside input: one host on two leaves, or twice in
+        // one hostlist, would give two ids the same name.
+        if let Some(name) = node_names.duplicate() {
+            return Err(TreeError::DuplicateNode(name.into()).into());
+        }
+        Ok(Tree::from_parts(
+            leaf_names,
+            &leaf_sizes,
+            node_names,
+            uppers,
+        )?)
     }
 
     /// Emit this topology as a `topology.conf` document.
@@ -154,7 +168,10 @@ impl Tree {
         for &s in self.switches_by_level() {
             let sw = self.switch(s);
             if sw.children.is_empty() {
-                let names: Vec<&str> = sw.nodes.iter().map(|n| self.node_name(*n)).collect();
+                let names: Vec<&str> = self
+                    .leaf_nodes(self.leaf_ordinal(s))
+                    .map(|n| self.node_name(n))
+                    .collect();
                 out.push_str(&format!(
                     "SwitchName={} Nodes={}\n",
                     sw.name,

@@ -41,7 +41,7 @@ mod build;
 mod conf;
 mod tree;
 
-pub use build::{SpecError, SystemPreset};
+pub use build::SystemPreset;
 pub use conf::ConfError;
 pub use tree::{NodeId, Switch, SwitchId, Tree, TreeError};
 

@@ -1,4 +1,5 @@
-use crate::{NodeId, SwitchId, SystemPreset, Tree, TreeError};
+use crate::build::SwitchNames;
+use crate::{ConfError, NodeId, SwitchId, SystemPreset, Tree, TreeError};
 
 /// The paper's Figure 2 topology: s2 over s0, s1; nodes n0-n3 / n4-n7.
 fn figure2() -> Tree {
@@ -24,9 +25,8 @@ fn figure2_shape() {
 fn figure2_distances_match_paper() {
     // Section 5.3: d(n0, n1) = 2 and d(n0, n4) = 4.
     let t = figure2();
-    let n0 = t.node_by_name("n0").unwrap();
-    let n1 = t.node_by_name("n1").unwrap();
-    let n4 = t.node_by_name("n4").unwrap();
+    let [n0, n1, n4] = [0, 1, 4].map(NodeId);
+    assert_eq!(t.node_name(n4), "n4");
     assert_eq!(t.distance(n0, n1), 2);
     assert_eq!(t.distance(n0, n4), 4);
     assert_eq!(t.distance(n0, n0), 0);
@@ -40,8 +40,8 @@ fn leaf_queries() {
     assert_eq!(t.leaf_ordinal_of(NodeId(0)), 0);
     assert_eq!(t.leaf_ordinal_of(NodeId(5)), 1);
     assert_eq!(
-        t.leaf_nodes(1),
-        &[NodeId(4), NodeId(5), NodeId(6), NodeId(7)]
+        t.leaf_nodes(1).collect::<Vec<_>>(),
+        [NodeId(4), NodeId(5), NodeId(6), NodeId(7)]
     );
     let leaf0 = t.leaves()[0];
     assert_eq!(t.leaf_ordinal(leaf0), 0);
@@ -122,7 +122,6 @@ fn conf_case_insensitive_keys_and_linkspeed() {
 
 #[test]
 fn conf_errors() {
-    use crate::ConfError;
     assert!(matches!(
         Tree::from_conf("Nodes=n[0-1]\n").unwrap_err(),
         ConfError::MissingSwitchName { line: 1 }
@@ -230,9 +229,8 @@ fn node_names_dense_and_unique() {
     let t = Tree::regular_two_level(3, 4);
     for i in 0..t.num_nodes() {
         assert_eq!(t.node_name(NodeId(i)), format!("n{i}"));
-        assert_eq!(t.node_by_name(&format!("n{i}")), Some(NodeId(i)));
     }
-    assert_eq!(t.node_by_name("does-not-exist"), None);
+    assert_eq!(t.node_names.duplicate(), None);
 }
 
 #[test]
@@ -292,7 +290,7 @@ mod properties {
                 for n in t.leaf_nodes(k) {
                     prop_assert!(!seen[n.0]);
                     seen[n.0] = true;
-                    prop_assert_eq!(t.leaf_ordinal_of(*n), k);
+                    prop_assert_eq!(t.leaf_ordinal_of(n), k);
                 }
             }
             prop_assert!(seen.into_iter().all(|s| s));
@@ -347,82 +345,67 @@ mod properties {
     }
 }
 
-mod spec_builder {
+/// A 2 x 3 x 4 x 5 machine as a `topology.conf`: 24 leaves of 5 nodes, four
+/// to a level-2 switch, three of those to a level-3 switch, two under the
+/// root. No builder goes deeper than three levels; a site's file may.
+const FOUR_LEVEL_CONF: &str = "\
+    SwitchName=s0 Nodes=n[0-4]\n\
+    SwitchName=s1 Nodes=n[5-9]\n\
+    SwitchName=s2 Nodes=n[10-14]\n\
+    SwitchName=s3 Nodes=n[15-19]\n\
+    SwitchName=s4 Nodes=n[20-24]\n\
+    SwitchName=s5 Nodes=n[25-29]\n\
+    SwitchName=s6 Nodes=n[30-34]\n\
+    SwitchName=s7 Nodes=n[35-39]\n\
+    SwitchName=s8 Nodes=n[40-44]\n\
+    SwitchName=s9 Nodes=n[45-49]\n\
+    SwitchName=s10 Nodes=n[50-54]\n\
+    SwitchName=s11 Nodes=n[55-59]\n\
+    SwitchName=s12 Nodes=n[60-64]\n\
+    SwitchName=s13 Nodes=n[65-69]\n\
+    SwitchName=s14 Nodes=n[70-74]\n\
+    SwitchName=s15 Nodes=n[75-79]\n\
+    SwitchName=s16 Nodes=n[80-84]\n\
+    SwitchName=s17 Nodes=n[85-89]\n\
+    SwitchName=s18 Nodes=n[90-94]\n\
+    SwitchName=s19 Nodes=n[95-99]\n\
+    SwitchName=s20 Nodes=n[100-104]\n\
+    SwitchName=s21 Nodes=n[105-109]\n\
+    SwitchName=s22 Nodes=n[110-114]\n\
+    SwitchName=s23 Nodes=n[115-119]\n\
+    SwitchName=l0g0 Switches=s[0-3]\n\
+    SwitchName=l0g1 Switches=s[4-7]\n\
+    SwitchName=l0g2 Switches=s[8-11]\n\
+    SwitchName=l0g3 Switches=s[12-15]\n\
+    SwitchName=l0g4 Switches=s[16-19]\n\
+    SwitchName=l0g5 Switches=s[20-23]\n\
+    SwitchName=l1g0 Switches=l0g[0-2]\n\
+    SwitchName=l1g1 Switches=l0g[3-5]\n\
+    SwitchName=root Switches=l1g[0-1]\n\
+";
+
+mod shapes {
     use super::*;
 
     #[test]
-    fn two_factor_spec_is_flat() {
-        let t = Tree::from_spec("4x8").unwrap();
-        assert_eq!(t.num_nodes(), 32);
-        assert_eq!(t.num_leaves(), 4);
-        assert_eq!(t.height(), 2);
-    }
-
-    #[test]
-    fn three_factor_spec_matches_three_level_builder() {
-        let a = Tree::from_spec("2x24x16").unwrap();
-        let b = Tree::regular_three_level(2, 24, 16);
-        assert_eq!(a.num_nodes(), b.num_nodes());
-        assert_eq!(a.num_leaves(), b.num_leaves());
-        assert_eq!(a.height(), b.height());
-        for (x, y) in [(0usize, 100usize), (5, 700), (300, 301)] {
-            assert_eq!(
-                a.distance(NodeId(x), NodeId(y)),
-                b.distance(NodeId(x), NodeId(y))
-            );
-        }
-    }
-
-    #[test]
-    fn four_level_spec() {
-        let t = Tree::from_spec("2x3x4x5").unwrap();
+    fn four_level_conf() {
+        let t = Tree::from_conf(FOUR_LEVEL_CONF).unwrap();
         assert_eq!(t.num_nodes(), 2 * 3 * 4 * 5);
         assert_eq!(t.num_leaves(), 24);
         assert_eq!(t.height(), 4);
         // Distances span 2..8.
         assert_eq!(t.distance(NodeId(0), NodeId(1)), 2);
+        assert_eq!(t.distance(NodeId(0), NodeId(5)), 4);
+        assert_eq!(t.distance(NodeId(0), NodeId(20)), 6);
         assert_eq!(t.distance(NodeId(0), NodeId(t.num_nodes() - 1)), 8);
-    }
-
-    #[test]
-    fn spec_errors_carry_factor_context() {
-        use crate::build::SpecError;
-        assert_eq!(
-            Tree::from_spec("16").unwrap_err(),
-            SpecError::TooFewFactors { count: 1 }
-        );
-        assert_eq!(
-            Tree::from_spec("").unwrap_err(),
-            SpecError::BadFactor {
-                index: 0,
-                text: String::new()
-            }
-        );
-        assert_eq!(
-            Tree::from_spec("ax4").unwrap_err(),
-            SpecError::BadFactor {
-                index: 0,
-                text: "a".to_string()
-            }
-        );
-        assert_eq!(
-            Tree::from_spec("4x0").unwrap_err(),
-            SpecError::ZeroFactor { index: 1 }
-        );
-        assert_eq!(
-            Tree::from_spec("0x4").unwrap_err(),
-            SpecError::ZeroFactor { index: 0 }
-        );
-        assert_eq!(
-            Tree::from_spec("4xbad x8").unwrap_err().to_string(),
-            "factor 1: \"bad\" is not a positive integer"
-        );
+        assert_eq!(t.leaf_node_range(23), 115..120);
+        assert_eq!(t.to_conf(), FOUR_LEVEL_CONF);
     }
 
     #[test]
     fn multirail_fat_tree_shape() {
         // 2 pods x 3 leaves x (2 rails x 4 nodes) = 48 nodes, 8 per leaf.
-        let t = Tree::multirail_fat_tree(2, 3, 4, 2);
+        let t = Tree::layered(&[4 * 2; 2 * 3], Some(3), SwitchNames::Nested('p', 'l'));
         assert_eq!(t.num_nodes(), 48);
         assert_eq!(t.num_leaves(), 6);
         assert_eq!(t.height(), 3);
@@ -438,7 +421,7 @@ mod spec_builder {
     #[test]
     fn dragonfly_tree_shape() {
         // 3 groups x 4 routers x 2 nodes = 24 nodes.
-        let t = Tree::dragonfly_tree(3, 4, 2);
+        let t = Tree::layered(&[2; 3 * 4], Some(4), SwitchNames::Nested('g', 'r'));
         assert_eq!(t.num_nodes(), 24);
         assert_eq!(t.num_leaves(), 12);
         assert_eq!(t.height(), 3);
@@ -480,8 +463,12 @@ mod leaf_ranges {
                 k.max(1) - 1
             );
             let ids: Vec<NodeId> = range.clone().map(NodeId).collect();
-            assert_eq!(t.leaf_nodes(k), ids.as_slice(), "{what}: leaf {k}");
+            assert_eq!(t.leaf_nodes(k).collect::<Vec<_>>(), ids, "{what}: leaf {k}");
             assert_eq!(range.len(), t.leaf_size(k), "{what}: leaf {k}");
+            for n in ids {
+                assert_eq!(t.leaf_ordinal_of(n), k, "{what}: {n}");
+                assert_eq!(t.leaf_of(n), t.leaf(k), "{what}: {n}");
+            }
             next = range.end;
         }
         assert_eq!(
@@ -499,9 +486,12 @@ mod leaf_ranges {
             "irregular_two_level",
         );
         assert_leaf_ranges(&Tree::regular_three_level(3, 4, 5), "regular_three_level");
-        assert_leaf_ranges(&Tree::from_spec("2x3x4x5").unwrap(), "from_spec");
-        assert_leaf_ranges(&Tree::multirail_fat_tree(3, 4, 5, 2), "multirail_fat_tree");
-        assert_leaf_ranges(&Tree::dragonfly_tree(3, 4, 5), "dragonfly_tree");
+        assert_leaf_ranges(
+            &Tree::from_conf(FOUR_LEVEL_CONF).unwrap(),
+            "four-level conf",
+        );
+        let nested = SwitchNames::Nested('p', 'l');
+        assert_leaf_ranges(&Tree::layered(&[10; 12], Some(4), nested), "nested layered");
     }
 
     #[test]
@@ -540,7 +530,8 @@ mod leaf_ranges {
         assert_eq!(t.node_name(NodeId(0)), "n8");
         assert_eq!(t.leaf_node_range(1), 4..8);
         assert_eq!(t.node_name(NodeId(4)), "n2");
-        assert_eq!(t.leaf_ordinal_of(t.node_by_name("n15").unwrap()), 2);
+        assert_eq!(t.node_name(NodeId(8)), "n15");
+        assert_eq!(t.leaf_ordinal_of(NodeId(8)), 2);
 
         // The round trip through to_conf shuffles nothing back.
         assert_leaf_ranges(&Tree::from_conf(&t.to_conf()).unwrap(), "round trip");
@@ -572,63 +563,48 @@ mod leaf_ranges {
     }
 }
 
-mod name_index {
+mod duplicate_nodes {
     use super::*;
 
-    /// Names that agree on their first 8 bytes (the sort key) still index
-    /// and still trip the duplicate check through the full-name fallback.
-    #[test]
-    fn long_names_with_a_common_prefix_resolve() {
-        let names = |lo: usize, hi: usize| -> Vec<String> {
-            (lo..hi).map(|i| format!("computenode{i:04}")).collect()
-        };
-        let t = Tree::from_parts(
-            vec!["s0".into(), "s1".into()],
-            vec![names(100, 200), names(0, 100)],
-            vec![("top".into(), vec!["s0".into(), "s1".into()])],
-        )
-        .unwrap();
-        for i in 0..t.num_nodes() {
-            let name = t.node_name(NodeId(i)).to_string();
-            assert_eq!(t.node_by_name(&name), Some(NodeId(i)));
+    fn duplicate_named(conf: &str) -> String {
+        match Tree::from_conf(conf).unwrap_err() {
+            ConfError::Structure(TreeError::DuplicateNode(name)) => name,
+            other => panic!("expected a duplicate node, got {other:?}"),
         }
-        assert_eq!(t.node_by_name("computenode0150"), Some(NodeId(50)));
-        assert_eq!(t.node_by_name("computenode"), None);
-        assert_eq!(t.node_by_name("computenode9999"), None);
-
-        let e = Tree::from_parts(
-            vec!["s0".into(), "s1".into()],
-            vec![names(0, 100), names(99, 120)],
-            vec![("top".into(), vec!["s0".into(), "s1".into()])],
-        )
-        .unwrap_err();
-        assert_eq!(e, TreeError::DuplicateNode("computenode0099".into()));
     }
 
-    /// The index order is plain byte-string order: short names sort
-    /// before the longer names they prefix, digits before letters.
+    /// Names that agree on far more than their first 8 bytes are told
+    /// apart when they differ and caught when they do not.
     #[test]
-    fn name_order_is_byte_string_order() {
-        let raw = [
-            "n10",
-            "n1",
-            "n",
-            "n1a",
-            "m99999999z",
-            "m99999999",
-            "n2",
-            "N2",
-        ];
-        let t = Tree::from_parts(
-            vec!["s0".into()],
-            vec![raw.iter().map(|s| s.to_string()).collect()],
-            vec![],
+    fn long_names_with_a_common_prefix() {
+        let t = Tree::from_conf(
+            "SwitchName=s0 Nodes=computenode[0100-0199]\n\
+             SwitchName=s1 Nodes=computenode[0000-0099]\n\
+             SwitchName=top Switches=s[0-1]\n",
         )
         .unwrap();
-        let got: Vec<&str> = t.name_order.iter().map(|n| t.node_name(*n)).collect();
-        let mut want = raw.to_vec();
-        want.sort_unstable();
-        assert_eq!(got, want);
+        assert_eq!(t.num_nodes(), 200);
+        assert_eq!(t.node_name(NodeId(50)), "computenode0150");
+
+        let dup = duplicate_named(
+            "SwitchName=s0 Nodes=computenode[0000-0099]\n\
+             SwitchName=s1 Nodes=computenode[0099-0119]\n\
+             SwitchName=top Switches=s[0-1]\n",
+        );
+        assert_eq!(dup, "computenode0099");
+    }
+
+    #[test]
+    fn duplicate_inside_one_hostlist() {
+        let dup = duplicate_named("SwitchName=s0 Nodes=n[0-3,2]\n");
+        assert_eq!(dup, "n2");
+    }
+
+    /// A name that prefixes another is a different name.
+    #[test]
+    fn prefixes_are_not_duplicates() {
+        let t = Tree::from_conf("SwitchName=s0 Nodes=n,n1,n10,n1a,N1\n").unwrap();
+        assert_eq!(t.num_nodes(), 5);
     }
 }
 

@@ -1,6 +1,6 @@
 //! The core immutable tree topology structure and its queries.
 
-use commsched_num::usize_of_u32;
+use commsched_num::{u32_of_usize, usize_of_u32};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -39,8 +39,6 @@ pub struct Switch {
     pub parent: Option<SwitchId>,
     /// Child switches (empty for leaf switches).
     pub children: Vec<SwitchId>,
-    /// Nodes attached directly (non-empty exactly for leaf switches).
-    pub nodes: Vec<NodeId>,
     /// Total compute nodes in this switch's subtree.
     pub subtree_nodes: usize,
     /// Ordinals (indices into [`Tree::leaves`]) of leaf switches under this
@@ -95,7 +93,7 @@ impl std::error::Error for TreeError {}
 /// chasing before the first query runs. The arena stores every name
 /// contiguously (~9 bytes per node for `n1048575`-style names) and hands
 /// out `&str` slices.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct NameArena {
     buf: String,
     /// `offsets[i]..offsets[i+1]` is name `i`; always `count + 1` entries.
@@ -103,7 +101,7 @@ pub(crate) struct NameArena {
 }
 
 impl NameArena {
-    fn with_capacity(names: usize, bytes: usize) -> Self {
+    pub(crate) fn with_capacity(names: usize, bytes: usize) -> Self {
         let mut offsets = Vec::with_capacity(names + 1);
         offsets.push(0);
         NameArena {
@@ -112,8 +110,27 @@ impl NameArena {
         }
     }
 
-    fn push(&mut self, name: &str) {
+    pub(crate) fn push(&mut self, name: &str) {
         self.buf.push_str(name);
+        self.close_name();
+    }
+
+    /// The generated names `n0..n{count - 1}`, each formatted into the
+    /// buffer, never into a `String` of its own.
+    pub(crate) fn numbered(count: usize) -> Self {
+        use std::fmt::Write;
+        // `n` plus at most as many digits as `count` has.
+        let width = 1 + count.to_string().len();
+        let mut arena = Self::with_capacity(count, count * width);
+        for i in 0..count {
+            // `fmt::Write for String` cannot fail.
+            let _ = write!(arena.buf, "n{i}");
+            arena.close_name();
+        }
+        arena
+    }
+
+    fn close_name(&mut self) {
         #[expect(
             clippy::expect_used,
             reason = "offsets are u32 by design; a topology with over 4 GiB of node names is out of scope for every target scale"
@@ -131,30 +148,29 @@ impl NameArena {
     fn len(&self) -> usize {
         self.offsets.len() - 1
     }
-}
 
-/// The first 8 bytes of `name` as a big-endian integer, zero-padded: a
-/// sort key that orders like the byte string wherever two keys differ.
-#[inline]
-fn name_prefix(name: &str) -> u64 {
-    let mut key = [0u8; 8];
-    let bytes = name.as_bytes();
-    let n = bytes.len().min(8);
-    key[..n].copy_from_slice(&bytes[..n]);
-    u64::from_be_bytes(key)
+    /// A name that occurs more than once, if any. A throw-away sort run
+    /// where names arrive from outside the program ([`Tree::from_conf`]);
+    /// the builders number their nodes, so they never ask.
+    pub(crate) fn duplicate(&self) -> Option<&str> {
+        let mut sorted: Vec<&str> = (0..self.len()).map(|i| self.get(i)).collect();
+        sorted.sort_unstable();
+        sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+    }
 }
 
 /// An immutable, validated tree/fat-tree topology.
 ///
-/// Construction goes through [`Tree::from_conf`], the builders in this crate,
-/// or [`Tree::from_parts`]. All queries are cheap: LCA is O(depth) with no
-/// allocation, [`Tree::node_by_name`] is a binary search over a prebuilt
-/// index, everything else is O(1) table lookups.
+/// Construction goes through [`Tree::from_conf`] or the builders in this
+/// crate. Where a node sits is stored once: its leaf ordinal, with
+/// `leaf_first` turning an ordinal back into the leaf's id range. All
+/// queries are cheap: LCA is O(depth) with no allocation, everything else
+/// is O(1) table lookups.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Tree {
     pub(crate) node_names: NameArena,
-    /// Leaf switch of each node.
-    pub(crate) node_leaf: Vec<SwitchId>,
+    /// Leaf ordinal of each node — the one per-node table.
+    pub(crate) node_leaf: Vec<u32>,
     pub(crate) switches: Vec<Switch>,
     /// Leaf switch ids in node order (ordinal -> SwitchId).
     pub(crate) leaves: Vec<SwitchId>,
@@ -164,8 +180,6 @@ pub struct Tree {
     /// sentinel — the [`Tree::leaf_node_range`] table (`num_leaves + 1`).
     pub(crate) leaf_first: Vec<usize>,
     pub(crate) root: SwitchId,
-    /// Node ids sorted by name — the [`Tree::node_by_name`] index.
-    pub(crate) name_order: Vec<NodeId>,
     /// Switch ids in increasing level order (ties by id) — the precomputed
     /// [`Tree::switches_by_level`] answer.
     pub(crate) level_order: Vec<SwitchId>,
@@ -174,18 +188,21 @@ pub struct Tree {
 impl Tree {
     /// Build and validate a tree from explicit parts.
     ///
-    /// `leaf_nodes[k]` is the list of node names on leaf `k` (in order);
-    /// `uppers` is a list of `(name, children)` where children name either
-    /// leaves or earlier-defined upper switches. Leaf `k` is named
-    /// `leaf_names[k]`.
+    /// Leaf `k` is named `leaf_names[k]` and holds the next `leaf_sizes[k]`
+    /// names of `node_names`, which the caller wrote in leaf order; `uppers`
+    /// is a list of `(name, children)` where children name either leaves or
+    /// earlier-defined upper switches. Node names are taken as unique: a
+    /// caller that did not generate them checks [`NameArena::duplicate`].
     pub(crate) fn from_parts(
         leaf_names: Vec<String>,
-        leaf_nodes: Vec<Vec<String>>,
+        leaf_sizes: &[usize],
+        node_names: NameArena,
         uppers: Vec<(String, Vec<String>)>,
     ) -> Result<Self, TreeError> {
         use std::collections::BTreeMap;
 
-        assert_eq!(leaf_names.len(), leaf_nodes.len());
+        assert_eq!(leaf_names.len(), leaf_sizes.len());
+        assert_eq!(leaf_sizes.iter().sum::<usize>(), node_names.len());
         if leaf_names.is_empty() {
             return Err(TreeError::Empty);
         }
@@ -196,62 +213,28 @@ impl Tree {
         // hash order, even if a future refactor iterates these.
         let mut by_name: BTreeMap<String, SwitchId> = BTreeMap::new();
 
-        let total_nodes: usize = leaf_nodes.iter().map(Vec::len).sum();
-        let name_bytes: usize = leaf_nodes
-            .iter()
-            .flat_map(|ns| ns.iter().map(String::len))
-            .sum();
-        let mut node_names = NameArena::with_capacity(total_nodes, name_bytes);
-        let mut node_leaf = Vec::with_capacity(total_nodes);
+        let mut node_leaf = Vec::with_capacity(node_names.len());
         let mut leaves = Vec::with_capacity(num_leaves);
         let mut leaf_first = Vec::with_capacity(num_leaves + 1);
 
-        for (k, (name, nodes)) in leaf_names.into_iter().zip(leaf_nodes).enumerate() {
+        for (k, (name, &size)) in leaf_names.into_iter().zip(leaf_sizes).enumerate() {
             let id = SwitchId(switches.len());
             if by_name.insert(name.clone(), id).is_some() {
                 return Err(TreeError::DuplicateChild(name));
             }
-            leaf_first.push(node_names.len());
-            let mut node_ids = Vec::with_capacity(nodes.len());
-            for n in nodes {
-                let nid = NodeId(node_names.len());
-                node_names.push(&n);
-                node_leaf.push(id);
-                node_ids.push(nid);
-            }
-            let count = node_ids.len();
+            leaf_first.push(node_leaf.len());
+            node_leaf.resize(node_leaf.len() + size, u32_of_usize(k));
             switches.push(Switch {
                 name,
                 level: 1,
                 parent: None,
                 children: Vec::new(),
-                nodes: node_ids,
-                subtree_nodes: count,
+                subtree_nodes: size,
                 leaf_ordinals: vec![k],
             });
             leaves.push(id);
         }
-        leaf_first.push(node_names.len());
-
-        // Duplicate-node detection doubles as the name index build: sort
-        // node ids by name once, then any duplicate is adjacent. The sort
-        // runs over `(first 8 name bytes as a big-endian u64, id)` pairs —
-        // zero-padded prefixes order exactly like the byte strings they
-        // start, so the arena is only consulted on equal prefixes (never,
-        // for `n1048575`-style names) instead of twice per comparison.
-        let mut keyed: Vec<(u64, usize)> = (0..node_names.len())
-            .map(|i| (name_prefix(node_names.get(i)), i))
-            .collect();
-        keyed.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then_with(|| node_names.get(a.1).cmp(node_names.get(b.1)))
-        });
-        let name_order: Vec<NodeId> = keyed.into_iter().map(|(_, i)| NodeId(i)).collect();
-        for pair in name_order.windows(2) {
-            if node_names.get(pair[0].0) == node_names.get(pair[1].0) {
-                return Err(TreeError::DuplicateNode(node_names.get(pair[0].0).into()));
-            }
-        }
+        leaf_first.push(node_leaf.len());
 
         for (name, children) in uppers {
             let id = SwitchId(switches.len());
@@ -288,7 +271,6 @@ impl Tree {
                 level,
                 parent: None,
                 children: child_ids,
-                nodes: Vec::new(),
                 subtree_nodes,
                 leaf_ordinals,
             });
@@ -338,7 +320,6 @@ impl Tree {
             leaf_ordinal,
             leaf_first,
             root,
-            name_order,
             level_order,
         })
     }
@@ -408,25 +389,25 @@ impl Tree {
     /// The leaf switch a node hangs off.
     #[inline]
     pub fn leaf_of(&self, n: NodeId) -> SwitchId {
-        self.node_leaf[n.0]
+        self.leaves[self.leaf_ordinal_of(n)]
     }
 
     /// Leaf ordinal of the leaf switch a node hangs off.
     #[inline]
     pub fn leaf_ordinal_of(&self, n: NodeId) -> usize {
-        self.leaf_ordinal[self.node_leaf[n.0].0]
+        usize_of_u32(self.node_leaf[n.0])
     }
 
-    /// Nodes attached to a leaf (by ordinal).
+    /// Nodes attached to a leaf (by ordinal), ascending.
     #[inline]
-    pub fn leaf_nodes(&self, ordinal: usize) -> &[NodeId] {
-        &self.switches[self.leaves[ordinal].0].nodes
+    pub fn leaf_nodes(&self, ordinal: usize) -> impl Iterator<Item = NodeId> {
+        self.leaf_node_range(ordinal).map(NodeId)
     }
 
     /// Number of nodes on a leaf (the paper's `L_nodes`).
     #[inline]
     pub fn leaf_size(&self, ordinal: usize) -> usize {
-        self.leaf_nodes(ordinal).len()
+        self.leaf_node_range(ordinal).len()
     }
 
     /// The node ids on a leaf (by ordinal), as one ascending contiguous
@@ -443,17 +424,6 @@ impl Tree {
     #[inline]
     pub(crate) fn node_name(&self, n: NodeId) -> &str {
         self.node_names.get(n.0)
-    }
-
-    /// Look up a node by name — O(log n) binary search over the sorted
-    /// name index built at construction (the conf/hostlist resolution
-    /// path; the old linear scan was pathological at 1M nodes).
-    #[cfg(test)]
-    pub(crate) fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.name_order
-            .binary_search_by(|n| self.node_names.get(n.0).cmp(name))
-            .ok()
-            .map(|i| self.name_order[i])
     }
 
     /// Lowest common ancestor switch of two *switches*.
@@ -480,7 +450,7 @@ impl Tree {
     /// Lowest common ancestor switch of two nodes.
     #[inline]
     pub fn lca(&self, i: NodeId, j: NodeId) -> SwitchId {
-        self.lca_switch(self.node_leaf[i.0], self.node_leaf[j.0])
+        self.lca_switch(self.leaf_of(i), self.leaf_of(j))
     }
 
     /// The paper's Eq. 4: `d(i, j) = 2 * level(lowest common switch)`.

@@ -64,7 +64,6 @@ pub struct LogSpec {
     seed: u64,
     comm_percent: u8,
     components: Vec<(Pattern, f64)>,
-    diurnal: bool,
 }
 
 impl LogSpec {
@@ -79,17 +78,7 @@ impl LogSpec {
             seed,
             comm_percent: 90,
             components: vec![(Pattern::Rhvd, 0.5)],
-            diurnal: false,
         }
-    }
-
-    /// Modulate arrivals with a day/night cycle: submissions are ~3x
-    /// denser during working hours (08:00-20:00) than at night, the
-    /// pattern production logs show. Off by default so the paper
-    /// experiments stay at a stationary load.
-    pub fn diurnal(mut self, on: bool) -> Self {
-        self.diurnal = on;
-        self
     }
 
     /// Percentage (0–100) of communication-intensive jobs (§6.5 varies
@@ -140,13 +129,7 @@ impl LogSpec {
             // production logs show and which exercises backfilling.
             if rng.random::<f64>() < 0.85 || i == 0 {
                 let u: f64 = rng.random::<f64>().max(1e-12);
-                let mut gap = -u.ln() * sys.mean_interarrival;
-                if self.diurnal {
-                    // 08:00-20:00 dense (x0.6), night sparse (x1.8);
-                    // keeps the same mean over a full day.
-                    let hour = (submit / 3600) % 24;
-                    gap *= if (8..20).contains(&hour) { 0.6 } else { 1.8 };
-                }
+                let gap = -u.ln() * sys.mean_interarrival;
                 submit += gap as u64;
             }
             let nodes = self.sample_nodes(&mut rng);

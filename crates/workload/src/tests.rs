@@ -291,32 +291,6 @@ mod stats_tests {
     }
 }
 
-#[test]
-fn diurnal_arrivals_cluster_in_daytime() {
-    let sys = SystemModel::theta();
-    let flat = LogSpec::new(sys, 2000, 17).generate();
-    let cyc = LogSpec::new(sys, 2000, 17).diurnal(true).generate();
-    let day_fraction = |log: &JobLog| {
-        let day = log
-            .jobs
-            .iter()
-            .filter(|j| (8..20).contains(&((j.submit / 3600) % 24)))
-            .count();
-        day as f64 / log.jobs.len() as f64
-    };
-    let f_flat = day_fraction(&flat);
-    let f_cyc = day_fraction(&cyc);
-    // Half the hours are "day"; the cycle must pull well more than the
-    // flat log's share into them.
-    assert!(
-        f_cyc > f_flat + 0.1,
-        "flat {f_flat:.2} vs diurnal {f_cyc:.2}"
-    );
-    // Still sorted and deterministic.
-    let again = LogSpec::new(sys, 2000, 17).diurnal(true).generate();
-    assert_eq!(cyc, again);
-}
-
 // ------------------------------------------------------------ fault traces
 
 mod fault_traces {

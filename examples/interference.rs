@@ -35,8 +35,8 @@ fn main() {
 
     // J1: 8 nodes, 4 + 4 across two leaf switches, MPI_Allgather of 1 MB.
     // J2: 12 nodes, 6 + 6 on the same switches.
-    let l0 = tree.leaf_nodes(0);
-    let l1 = tree.leaf_nodes(1);
+    let l0: Vec<NodeId> = tree.leaf_nodes(0).collect();
+    let l1: Vec<NodeId> = tree.leaf_nodes(1).collect();
     let j1: Vec<NodeId> = l0[..4].iter().chain(&l1[..4]).copied().collect();
     let j2: Vec<NodeId> = l0[4..10].iter().chain(&l1[4..10]).copied().collect();
     // 1 MB per rank: the gathered vectors are 8 MB (J1) and 12 MB (J2).
