@@ -346,3 +346,56 @@ mod properties {
         }
     }
 }
+
+/// Every pair of every step in order, plus `msize`, for a spread of rank
+/// counts — pinned by one FNV-1a digest per pattern, so a rewrite of the
+/// generators cannot move sort order, `(lo, hi)` normalisation, the
+/// 2-rank-ring dedup or the fold's pre/post steps.
+mod step_digests {
+    use super::*;
+
+    fn fnv1a(h: u64, word: u64) -> u64 {
+        word.to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Blessed on the generators of commit 1c72329 (one materialising
+    /// function per pattern), the way `topology`'s preset `to_conf()`
+    /// digests were.
+    const BLESSED: [(Pattern, u64); 6] = [
+        (Pattern::Rd, 0x4ed4_4151_b7a4_2078),
+        (Pattern::Rhvd, 0x2190_7b8c_9da5_1a64),
+        (Pattern::Binomial, 0xa704_f743_c1d1_e259),
+        (Pattern::Ring, 0x1b48_51bd_4d8b_e546),
+        (Pattern::Stencil2D, 0x7b5e_8a24_0a9a_61b1),
+        (Pattern::Alltoall, 0x3858_67c8_aff9_0763),
+    ];
+
+    #[test]
+    fn every_pattern_expands_to_the_blessed_pairs() {
+        let mut moved = Vec::new();
+        for (pattern, want) in BLESSED {
+            // Ring and alltoall are quadratic in the rank count.
+            let quadratic = matches!(pattern, Pattern::Ring | Pattern::Alltoall);
+            let large = [511usize, 512, 513, 1000, 4096, 5000];
+            let ranks = (2usize..=300).chain(large.into_iter().filter(|_| !quadratic));
+            let spec = CollectiveSpec::new(pattern, 1 << 16);
+            let mut got = 0xcbf2_9ce4_8422_2325u64;
+            for p in ranks {
+                got = fnv1a(got, p as u64);
+                for step in spec.steps(p) {
+                    got = fnv1a(got, step.msize);
+                    got = fnv1a(got, step.pairs.len() as u64);
+                    for (a, b) in step.pairs {
+                        got = fnv1a(fnv1a(got, a as u64), b as u64);
+                    }
+                }
+            }
+            if got != want {
+                moved.push(format!("{pattern}: steps() digest {got:#018x}"));
+            }
+        }
+        assert!(moved.is_empty(), "{moved:#?}");
+    }
+}
