@@ -49,7 +49,7 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 mod schedule;
 
-pub use schedule::{CollectiveSpec, Pattern, Step};
+pub use schedule::{CollectiveSpec, Pattern, Step, StepSegments};
 
 #[cfg(test)]
 mod tests;

@@ -87,16 +87,238 @@ pub struct Step {
     pub msize: u64,
 }
 
-impl Step {
-    fn new(mut pairs: Vec<(usize, usize)>, msize: u64) -> Self {
-        for p in &mut pairs {
-            if p.0 > p.1 {
-                *p = (p.1, p.0);
+/// `reps` affine runs of index pairs: run `q` pairs `lo + q·period + j`
+/// with `hi + q·period + j` for every `j < len`.
+///
+/// Every generator keeps `lo < hi`, `len ≥ 1` and `period ≥ hi + len − lo`
+/// (runs follow one another without interleaving), and no two segments of
+/// a step share a pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Segment {
+    lo: usize,
+    hi: usize,
+    len: usize,
+    period: usize,
+    reps: usize,
+}
+
+impl Segment {
+    /// The single run `(lo + j, hi + j)`, `j < len`.
+    fn run(lo: usize, hi: usize, len: usize) -> Self {
+        let period = hi + len - lo;
+        Segment {
+            lo,
+            hi,
+            len,
+            period,
+            reps: 1,
+        }
+    }
+}
+
+/// How a step's segments are enumerated — a closed form of the segment
+/// index, so a step that does not compress (XOR by an odd `k`) is a lazy
+/// sequence, never a list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// The one segment given.
+    One(Segment),
+    /// Every rank `i` of `p` paired with `(i + k) mod p`, normalized: the
+    /// pairs that do not wrap are a shift by `k`, those that do a shift by
+    /// `p − k` — the same pairs when `2k = p` (the 2-rank ring), which
+    /// then count once.
+    Shift { k: usize, p: usize },
+    /// `i ↔ i XOR k` over `n` indices, `n` a power of two and `0 < k < n`.
+    /// With `2^l` the lowest and `2^h` the highest set bit of `k`, XOR by
+    /// `k` maps each aligned `2^l`-block whose bit `h` is clear onto the
+    /// aligned block at `base XOR k`, and does so alike in every aligned
+    /// `2^(h+1)`-block: `2^(h−l)` segments, one (of `n / 2k` runs) when `k`
+    /// is a power of two.
+    Xor { k: usize, n: usize },
+    /// Stencil row wave: in each of `rows` rows of `cols` ranks, the
+    /// columns `parity, parity + 2, …` pair with their right neighbour.
+    /// One segment per row.
+    Rows {
+        rows: usize,
+        cols: usize,
+        parity: usize,
+    },
+}
+
+/// One step of a collective, described rather than listed: a short
+/// sequence of affine index segments that [`CollectiveSpec::steps`]
+/// expands into [`Step::pairs`] and that [`Self::for_each_part_pair`]
+/// intersects with a partition of the ranks without expanding anything.
+///
+/// Two values compare equal exactly when they describe the same pairs
+/// with the same `msize`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepSegments {
+    /// Bytes exchanged per pair in this step.
+    pub msize: u64,
+    /// Ranks the MPICH fold has set aside while this step runs; the
+    /// segments are then written over *core* indices, index `c` standing
+    /// for rank `2c + 1` below `excess` and `c + excess` from there on — a
+    /// monotone map, the identity when `excess` is 0.
+    excess: usize,
+    shape: Shape,
+}
+
+impl StepSegments {
+    /// A step over the ranks themselves (no fold).
+    fn over_ranks(msize: u64, shape: Shape) -> Self {
+        StepSegments {
+            msize,
+            excess: 0,
+            shape,
+        }
+    }
+
+    fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
+        let count = match self.shape {
+            Shape::One(_) => 1,
+            Shape::Shift { k, p } => 1 + usize::from(2 * k != p),
+            Shape::Xor { k, .. } => 1 << (floor_log2(k) - k.trailing_zeros() as usize),
+            Shape::Rows { rows, .. } => rows,
+        };
+        (0..count).map(move |m| match self.shape {
+            Shape::One(segment) => segment,
+            Shape::Shift { k, p } if m == 0 => Segment::run(0, k, p - k),
+            Shape::Shift { k, p } => Segment::run(0, p - k, k),
+            Shape::Xor { k, n } => {
+                let (h, l) = (floor_log2(k), k.trailing_zeros() as usize);
+                let lo = m << l;
+                Segment {
+                    lo,
+                    hi: lo ^ k,
+                    len: 1 << l,
+                    period: 2 << h,
+                    reps: n >> (h + 1),
+                }
+            }
+            Shape::Rows { cols, parity, .. } => {
+                let lo = m * cols + parity;
+                Segment {
+                    lo,
+                    hi: lo + 1,
+                    len: 1,
+                    period: 2,
+                    reps: (cols - parity) / 2,
+                }
+            }
+        })
+    }
+
+    fn num_pairs(&self) -> usize {
+        self.segments().map(|s| s.len * s.reps).sum()
+    }
+
+    fn expand(&self) -> Step {
+        let rank = |c: usize| {
+            if c < self.excess {
+                2 * c + 1
+            } else {
+                c + self.excess
+            }
+        };
+        let mut pairs = Vec::with_capacity(self.num_pairs());
+        for seg in self.segments() {
+            for q in 0..seg.reps {
+                let (lo, hi) = (seg.lo + q * seg.period, seg.hi + q * seg.period);
+                pairs.extend((0..seg.len).map(|j| (rank(lo + j), rank(hi + j))));
             }
         }
         pairs.sort_unstable();
-        pairs.dedup(); // e.g. a 2-rank ring yields (0,1) and (1,0)
-        Step { pairs, msize }
+        debug_assert!(pairs.windows(2).all(|w| w[0] != w[1]));
+        Step {
+            pairs,
+            msize: self.msize,
+        }
+    }
+
+    /// Call `emit(a, b)`, `a <= b`, for every pair of *parts* some rank
+    /// pair of this step joins, where part `t` is the rank interval
+    /// `bounds[t]..bounds[t + 1]` (`bounds` strictly ascending from 0 to
+    /// the rank count the step was generated for). A part pair may be
+    /// reported more than once; none is reported that no rank pair joins.
+    ///
+    /// Nothing is expanded: a run whose ranks all fall in one part is that
+    /// part paired with itself, and so is every later run of the segment
+    /// that still ends inside the part, skipped in one division; a run
+    /// that straddles a boundary is a merge walk over the boundaries it
+    /// crosses. A segment therefore costs on the order of the parts it
+    /// touches (times a logarithm where its first run has to be searched
+    /// for), whatever its `reps · len`.
+    pub fn for_each_part_pair(&self, bounds: &[usize], mut emit: impl FnMut(usize, usize)) {
+        debug_assert!(bounds.len() >= 2 && bounds.windows(2).all(|w| w[0] < w[1]));
+        // The fold's index → rank map is monotone, so part `t` is an index
+        // interval too, ending where the ranks below `bounds[t + 1]` do:
+        // every second rank below `2 · excess`, every rank above.
+        let end = |t: usize| {
+            let b = bounds[t + 1];
+            if b <= 2 * self.excess {
+                b / 2
+            } else {
+                b - self.excess
+            }
+        };
+        // The part holding index `x`, at or after part `from` — by
+        // galloping, because runs follow one another and the answer is
+        // nearly always `from` or a near neighbour, then by bisection.
+        // (A part the fold leaves no index in — one even rank — is never
+        // returned.)
+        let last = bounds.len() - 2;
+        let locate = |x: usize, from: usize| {
+            let (mut lo, mut reach) = (from, 1);
+            while lo + reach <= last && end(lo + reach - 1) <= x {
+                lo += reach;
+                reach *= 2;
+            }
+            let mut hi = (lo + reach - 1).min(last);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if end(mid) <= x {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        };
+        for seg in self.segments() {
+            let mut part = 0;
+            let mut q = 0;
+            while q < seg.reps {
+                let (lo, hi) = (seg.lo + q * seg.period, seg.hi + q * seg.period);
+                part = locate(lo, part);
+                let reach = end(part);
+                if hi + seg.len <= reach {
+                    emit(part, part);
+                    q += (reach - hi - seg.len) / seg.period + 1;
+                    continue;
+                }
+                // Walk both sides of the run at once; `left_*` is how far
+                // into the run each side's current part reaches.
+                let (mut a, mut b) = (part, locate(hi, part));
+                let (mut left_a, mut left_b) = (end(a) - lo, end(b) - hi);
+                loop {
+                    emit(a, b);
+                    let j = left_a.min(left_b);
+                    if j >= seg.len {
+                        break;
+                    }
+                    while left_a <= j {
+                        a += 1;
+                        left_a = end(a) - lo;
+                    }
+                    while left_b <= j {
+                        b += 1;
+                        left_b = end(b) - hi;
+                    }
+                }
+                q += 1;
+            }
+        }
     }
 }
 
@@ -142,31 +364,134 @@ impl CollectiveSpec {
         }
     }
 
+    /// The schedule for `ranks` processes, one description per step, in
+    /// step order — the single generator behind [`Self::steps`],
+    /// [`Self::total_bytes`] and the placement evaluator. Empty for fewer
+    /// than two ranks.
+    pub fn step_segments(&self, ranks: usize) -> impl Iterator<Item = StepSegments> {
+        let spec = *self;
+        (0..self.num_steps(ranks)).map(move |s| spec.step_at(ranks, s))
+    }
+
     /// Generate the full schedule for `ranks` processes.
     ///
     /// Returns an empty schedule for fewer than two ranks.
     pub fn steps(&self, ranks: usize) -> Vec<Step> {
-        if ranks <= 1 {
-            return Vec::new();
-        }
-        let steps = match self.pattern {
-            Pattern::Rd => rd_steps(ranks, self.msize),
-            Pattern::Rhvd => rhvd_steps(ranks, self.msize),
-            Pattern::Binomial => binomial_steps(ranks, self.msize),
-            Pattern::Ring => ring_steps(ranks, self.msize),
-            Pattern::Stencil2D => stencil2d_steps(ranks, self.msize),
-            Pattern::Alltoall => alltoall_steps(ranks, self.msize),
-        };
-        debug_assert_eq!(steps.len(), self.num_steps(ranks));
-        steps
+        self.step_segments(ranks).map(|s| s.expand()).collect()
     }
 
     /// Total bytes moved by the whole collective (all pairs, all steps).
     pub fn total_bytes(&self, ranks: usize) -> u64 {
-        self.steps(ranks)
-            .iter()
-            .map(|s| s.msize * s.pairs.len() as u64)
+        self.step_segments(ranks)
+            .map(|s| s.msize * s.num_pairs() as u64)
             .sum()
+    }
+
+    /// Step `s` of the `num_steps(p)` over `p >= 2` ranks.
+    fn step_at(&self, p: usize, s: usize) -> StepSegments {
+        let msize = self.msize;
+        match self.pattern {
+            // Recursive doubling, and recursive halving with vector
+            // doubling — the allgather formulation the paper's name
+            // describes literally. Both run `log2` XOR-partner steps over a
+            // power-of-two core: RD at distances `1, 2, 4, …` with the full
+            // vector every step; RHVD at distances that *halve* from
+            // `cores / 2` while the payload *doubles* from `msize / cores`
+            // as the gathered vector grows.
+            //
+            // RHVD is the schedule behind the paper's §6.1 observation that
+            // "the first half of the nodes do not communicate with the
+            // second half after the first step": only step 0 crosses the
+            // halves, and it carries the *smallest* payload — which is
+            // precisely why power-of-two balanced allocations keep the
+            // heavy traffic intra-switch.
+            //
+            // Other rank counts take the MPICH fold onto a `2^⌊log2 p⌋`
+            // core: the first `2 · excess` ranks pair up `(even, even + 1)`
+            // in a pre-step (for RHVD the excess ranks' block moves into
+            // the core), the evens sit the core phase out, and a mirror
+            // post-step hands the result (the fully gathered vector) back.
+            Pattern::Rd | Pattern::Rhvd => {
+                let log = floor_log2(p);
+                let cores = 1usize << log;
+                let excess = p - cores;
+                let halving = self.pattern == Pattern::Rhvd;
+                let block = (msize / cores as u64).max(1);
+                if excess > 0 && (s == 0 || s == log + 1) {
+                    let bytes = if halving && s == 0 { block } else { msize };
+                    let fold = Segment {
+                        lo: 0,
+                        hi: 1,
+                        len: 1,
+                        period: 2,
+                        reps: excess,
+                    };
+                    return StepSegments::over_ranks(bytes, Shape::One(fold));
+                }
+                let k = s - usize::from(excess > 0);
+                let (dist, bytes) = if halving {
+                    (cores >> (k + 1), block << k)
+                } else {
+                    (1 << k, msize)
+                };
+                StepSegments {
+                    msize: bytes,
+                    excess,
+                    shape: Shape::Xor { k: dist, n: cores },
+                }
+            }
+            // Binomial tree broadcast: in step `s`, ranks `i < 2^s` send
+            // the full payload to `i + 2^s` (when that rank exists).
+            // Non-powers of two need no fold — the tree just has a ragged
+            // last level.
+            Pattern::Binomial => {
+                let dist = 1usize << s;
+                let tree = Segment::run(0, dist, dist.min(p - dist));
+                StepSegments::over_ranks(msize, Shape::One(tree))
+            }
+            // Ring allgather: `p - 1` steps; every rank sends `msize / p`
+            // to its right neighbour each step.
+            Pattern::Ring => {
+                StepSegments::over_ranks((msize / p as u64).max(1), Shape::Shift { k: 1, p })
+            }
+            // Pairwise-exchange all-to-all: `p - 1` steps; in step `k`,
+            // rank `i` swaps one `msize / p` block with partner `i XOR k`
+            // when `p` is a power of two (a perfect pairing), or sends to
+            // `(i + k) mod p` otherwise (the classic non-power-of-two
+            // fallback, where send and receive partners differ).
+            Pattern::Alltoall => {
+                let (k, block) = (s + 1, (msize / p as u64).max(1));
+                let shape = if p.is_power_of_two() {
+                    Shape::Xor { k, n: p }
+                } else {
+                    Shape::Shift { k, p }
+                };
+                StepSegments::over_ranks(block, shape)
+            }
+            // Five-point stencil halo exchange on a near-square
+            // `rows x cols` grid (row-major ranks), each pair exchanging
+            // the halo payload: horizontal exchanges in two waves so a rank
+            // talks to one partner per step (even-odd column pairing), then
+            // vertical likewise — rows `parity, parity + 2, …` with the row
+            // below, which in rank order is whole rows shifted by `cols`.
+            Pattern::Stencil2D => {
+                let (rows, cols) = near_square_grid(p);
+                let parity = s % 2;
+                let shape = if s < 2 {
+                    Shape::Rows { rows, cols, parity }
+                } else {
+                    let lo = parity * cols;
+                    Shape::One(Segment {
+                        lo,
+                        hi: lo + cols,
+                        len: cols,
+                        period: 2 * cols,
+                        reps: (rows - parity) / 2,
+                    })
+                };
+                StepSegments::over_ranks(msize, shape)
+            }
+        }
     }
 }
 
@@ -175,171 +500,8 @@ fn floor_log2(p: usize) -> usize {
     (usize::BITS - 1 - p.leading_zeros()) as usize
 }
 
-/// The MPICH fold of `p` ranks onto a `2^⌊log2 p⌋` core: the first
-/// `2r` ranks pair up `(even, even+1)`; evens drop out of the core phase.
-///
-/// Returns `(pre_pairs, core)`, where `core[c]` is the original rank playing
-/// core rank `c`.
-fn fold_to_pow2(p: usize) -> (Vec<(usize, usize)>, Vec<usize>) {
-    let pow2 = 1usize << floor_log2(p);
-    let r = p - pow2;
-    let pre: Vec<(usize, usize)> = (0..r).map(|k| (2 * k, 2 * k + 1)).collect();
-    // Odd ranks among the first 2r survive; ranks >= 2r map directly.
-    let mut core = Vec::with_capacity(pow2);
-    core.extend((0..r).map(|k| 2 * k + 1));
-    core.extend(2 * r..p);
-    debug_assert_eq!(core.len(), pow2);
-    (pre, core)
-}
-
-/// Recursive doubling: pre/post fold for non-powers of two, then `log2`
-/// XOR-partner steps over the core, full vector (`msize`) every step.
-fn rd_steps(p: usize, msize: u64) -> Vec<Step> {
-    let (pre, core) = fold_to_pow2(p);
-    let pow2 = core.len();
-    let mut steps = Vec::new();
-    if !pre.is_empty() {
-        steps.push(Step::new(pre.clone(), msize));
-    }
-    for k in 0..floor_log2(pow2) {
-        let dist = 1usize << k;
-        let pairs = (0..pow2)
-            .filter(|i| i & dist == 0)
-            .map(|i| (core[i], core[i ^ dist]))
-            .collect();
-        steps.push(Step::new(pairs, msize));
-    }
-    if !pre.is_empty() {
-        steps.push(Step::new(pre, msize));
-    }
-    steps
-}
-
-/// Recursive halving with vector doubling — the allgather formulation the
-/// paper's name describes literally: step `k` exchanges with the partner at
-/// distance `pow2 / 2^(k+1)` (distances *halve*), carrying `msize/pow2 ·
-/// 2^k` bytes (payloads *double* as the gathered vector grows).
-///
-/// This is the schedule behind the paper's §6.1 observation that "the first
-/// half of the nodes do not communicate with the second half after the
-/// first step": only step 0 crosses the halves, and it carries the
-/// *smallest* payload — which is precisely why power-of-two balanced
-/// allocations keep the heavy traffic intra-switch.
-///
-/// Non-powers of two fold the excess ranks in with a pre-step (their block
-/// moves into the core) and a post-step (the fully gathered vector moves
-/// back out).
-fn rhvd_steps(p: usize, msize: u64) -> Vec<Step> {
-    let (pre, core) = fold_to_pow2(p);
-    let pow2 = core.len();
-    let log = floor_log2(pow2);
-    let block = (msize / pow2 as u64).max(1);
-    let mut steps = Vec::new();
-    if !pre.is_empty() {
-        steps.push(Step::new(pre.clone(), block));
-    }
-    for k in 0..log {
-        let dist = pow2 >> (k + 1);
-        let bytes = (block << k).max(1);
-        let pairs = (0..pow2)
-            .filter(|i| i & dist == 0)
-            .map(|i| (core[i], core[i ^ dist]))
-            .collect();
-        steps.push(Step::new(pairs, bytes));
-    }
-    if !pre.is_empty() {
-        steps.push(Step::new(pre, msize));
-    }
-    steps
-}
-
-/// Binomial tree broadcast: in step `k`, ranks `i < 2^k` send the full
-/// payload to `i + 2^k` (when that rank exists). Non-powers of two need no
-/// fold — the tree just has a ragged last level.
-fn binomial_steps(p: usize, msize: u64) -> Vec<Step> {
-    let mut steps = Vec::new();
-    let mut k = 0usize;
-    while (1usize << k) < p {
-        let dist = 1usize << k;
-        let pairs = (0..dist)
-            .filter(|i| i + dist < p)
-            .map(|i| (i, i + dist))
-            .collect();
-        steps.push(Step::new(pairs, msize));
-        k += 1;
-    }
-    steps
-}
-
-/// Ring allgather: `p - 1` steps; every rank sends `msize / p` to its right
-/// neighbour each step.
-fn ring_steps(p: usize, msize: u64) -> Vec<Step> {
-    let bytes = (msize / p as u64).max(1);
-    let pairs: Vec<(usize, usize)> = (0..p).map(|i| (i, (i + 1) % p)).collect();
-    (0..p - 1)
-        .map(|_| Step::new(pairs.clone(), bytes))
-        .collect()
-}
-
-/// Pairwise-exchange all-to-all: `p - 1` steps; in step `k`, rank `i`
-/// swaps one `msize / p` block with partner `i XOR k` when `p` is a power
-/// of two (a perfect pairing), or sends to `(i + k) mod p` otherwise (the
-/// classic non-power-of-two fallback, where send and receive partners
-/// differ).
-fn alltoall_steps(p: usize, msize: u64) -> Vec<Step> {
-    let block = (msize / p as u64).max(1);
-    let mut steps = Vec::with_capacity(p - 1);
-    for k in 1..p {
-        let pairs: Vec<(usize, usize)> = if p.is_power_of_two() {
-            (0..p).filter(|i| i ^ k > *i).map(|i| (i, i ^ k)).collect()
-        } else {
-            (0..p).map(|i| (i, (i + k) % p)).collect()
-        };
-        steps.push(Step::new(pairs, block));
-    }
-    steps
-}
-
-/// Five-point stencil halo exchange on a near-square `rows x cols` grid
-/// (row-major ranks): one step per direction (E, W, S, N neighbour waves),
-/// each pair exchanging the halo payload.
-fn stencil2d_steps(p: usize, msize: u64) -> Vec<Step> {
-    let (rows, cols) = near_square_grid(p);
-    let rank = |r: usize, c: usize| r * cols + c;
-    let mut steps = Vec::new();
-    // Horizontal exchanges in two waves so a rank talks to one partner per
-    // step (even-odd column pairing), then vertical likewise.
-    for parity in 0..2usize {
-        let mut pairs = Vec::new();
-        for r in 0..rows {
-            let mut c = parity;
-            while c + 1 < cols {
-                if rank(r, c + 1) < p && rank(r, c) < p {
-                    pairs.push((rank(r, c), rank(r, c + 1)));
-                }
-                c += 2;
-            }
-        }
-        steps.push(Step::new(pairs, msize));
-    }
-    for parity in 0..2usize {
-        let mut pairs = Vec::new();
-        for c in 0..cols {
-            let mut r = parity;
-            while r + 1 < rows {
-                if rank(r + 1, c) < p && rank(r, c) < p {
-                    pairs.push((rank(r, c), rank(r + 1, c)));
-                }
-                r += 2;
-            }
-        }
-        steps.push(Step::new(pairs, msize));
-    }
-    steps
-}
-
-/// Factor `p` into the most square `rows x cols >= p` grid with
-/// `rows <= cols` and `rows * cols` minimal-ish (exact factor when possible).
+/// Factor `p` into the most square `rows x cols == p` grid with
+/// `rows <= cols`.
 fn near_square_grid(p: usize) -> (usize, usize) {
     let mut best = (1, p);
     let mut r = (p as f64).sqrt() as usize;

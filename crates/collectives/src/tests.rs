@@ -332,6 +332,15 @@ mod properties {
             }
         }
 
+        /// `total_bytes` is a fold over the segment description; the
+        /// expansion counts the same pairs (one for the 2-rank ring).
+        #[test]
+        fn total_bytes_counts_expanded_pairs(pat in any_pattern(), p in 0usize..=300, m in 1u64..1_000_000) {
+            let spec = CollectiveSpec::new(pat, m);
+            let expanded: u64 = spec.steps(p).iter().map(|s| s.msize * s.pairs.len() as u64).sum();
+            prop_assert_eq!(spec.total_bytes(p), expanded);
+        }
+
         /// RHVD payloads strictly double step over step (for vectors large
         /// enough not to hit the 1-byte floor).
         #[test]
@@ -342,6 +351,57 @@ mod properties {
             let steps = CollectiveSpec::new(Pattern::Rhvd, m).steps(p);
             for w in steps.windows(2) {
                 prop_assert_eq!(w[1].msize, 2 * w[0].msize);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        /// What the placement evaluator's exactness rests on: over any
+        /// partition of the ranks into contiguous parts, the interval
+        /// intersection reports, step by step, exactly the set of
+        /// (part, part) pairs that mapping every expanded rank pair through
+        /// a rank → part table yields — single-rank parts and parts the
+        /// fold leaves empty included.
+        #[test]
+        fn part_pairs_match_expanded_pairs(
+            pat in any_pattern(),
+            p in 2usize..=300,
+            cuts in proptest::collection::vec(any::<u16>(), 0..40),
+        ) {
+            use std::collections::BTreeSet;
+            let mut bounds = vec![0, p];
+            for c in cuts {
+                let at = usize::from(c) % p;
+                bounds.push(at);
+                // Half the cuts come with their successor: a one-rank part.
+                if c >= 1 << 15 {
+                    bounds.push(at + 1);
+                }
+            }
+            bounds.sort_unstable();
+            bounds.dedup();
+            let part_of: Vec<usize> = bounds
+                .windows(2)
+                .enumerate()
+                .flat_map(|(t, w)| std::iter::repeat_n(t, w[1] - w[0]))
+                .collect();
+            let spec = CollectiveSpec::new(pat, 1 << 16);
+            let steps = spec.steps(p);
+            prop_assert_eq!(spec.step_segments(p).count(), steps.len());
+            for (k, (desc, step)) in spec.step_segments(p).zip(&steps).enumerate() {
+                prop_assert_eq!(desc.msize, step.msize);
+                let mut got = BTreeSet::new();
+                desc.for_each_part_pair(&bounds, |a, b| {
+                    got.insert((a, b));
+                });
+                let want: BTreeSet<(usize, usize)> = step
+                    .pairs
+                    .iter()
+                    .map(|&(i, j)| (part_of[i], part_of[j]))
+                    .collect();
+                prop_assert_eq!(&got, &want, "step {} over bounds {:?}", k, &bounds);
             }
         }
     }

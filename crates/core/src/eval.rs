@@ -8,31 +8,34 @@
 //! the schedule yields both numbers bit-for-bit as the naive
 //! [`CostModel::job_cost`] computes them.
 //!
+//! The schedule is never expanded into rank pairs. A placement is a short
+//! ascending `(leaf, count)` take list with ranks contiguous per take, and
+//! a step is a short list of affine rank segments
+//! ([`CollectiveSpec::step_segments`]): intersecting the two names every
+//! *leaf pair* the step's rank pairs join, and Eq. 5 depends on nothing
+//! else. The per-step maximum is taken over the same set of leaf pairs the
+//! pair-by-pair sweep visits — a maximum does not care how often or in
+//! what order a value is offered — and the steps are summed in the same
+//! order, so the totals are the same bits.
+//!
 //! The evaluator never mutates the [`ClusterState`]. The hypothetical
 //! job's own contribution to `L_comm` (the paper's worked example counts
 //! the job's own nodes) is applied as an *overlay*: integer deltas added to
 //! the `u32` leaf counters before the `f64` conversion, which is exactly
 //! what a real allocation would have produced.
 //!
-//! Two memoization layers amortize repeated evaluations:
-//!
-//! * a **per-leaf-pair hop memo**, tagged with the state version, trunk
-//!   discount and the exact overlay, so successive components of the same
-//!   job (same allocation, same state) reuse hop values across collectives;
-//! * a **schedule cache** keyed on `(pattern, ranks, msize)`, because
-//!   [`CollectiveSpec::steps`] regenerates the full step list on every call
-//!   and placement evaluates the same spec for several candidate
-//!   allocations in a row.
+//! A **per-leaf-pair hop memo**, tagged with the state version, trunk
+//! discount and the exact overlay, lets the steps of one schedule, and
+//! successive components of the same job (same allocation, same state),
+//! reuse hop values.
 #![deny(clippy::as_conversions)]
 
 use crate::cost::CostModel;
 use crate::placement::Placement;
 use crate::state::ClusterState;
-use commsched_collectives::{CollectiveSpec, Pattern, Step};
+use commsched_collectives::{CollectiveSpec, StepSegments};
 use commsched_num::{f64_of_u64, usize_of_u32};
 use commsched_topology::Tree;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Both Eq. 6 totals from one schedule traversal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,56 +59,35 @@ impl EvalTotals {
     }
 }
 
-/// Upper bound on distinct cached schedules before the cache is cleared.
-const MAX_CACHED_SCHEDULES: usize = 128;
-/// Schedules with more total pairs than this are not cached (an alltoall
-/// at large rank counts holds millions of pairs; regenerate those instead
-/// of pinning the memory).
-const MAX_CACHED_SCHEDULE_PAIRS: usize = 1 << 22;
-/// Widest candidate (in touched leaf switches) whose canonical hop matrix
-/// is filled eagerly before the pair sweep — at most 136 `hop_value`
-/// calls, repaid many times over by dropping the per-pair stamp check.
-const EAGER_MATRIX_MAX_TOUCHED: usize = 16;
-/// Widest candidate (in *touched* leaf switches) served by the flat dense
-/// hop memo; beyond this (8 MiB of table) a hash map takes over. The memo
-/// is sized by the job's own leaf spread — never by the machine — so the
-/// fast path holds even on the 1M-node presets, where a 4096-node job
-/// spans at most a few hundred leaves.
+/// Widest candidate (in *touched* leaf switches) whose leaf-pair hops are
+/// memoized (16 MiB of table); a wider one computes each probed pair
+/// afresh — a sweep probes a few pairs per take and step, so the memo is
+/// sized by the job's own leaf spread and never by the machine.
 const FLAT_MEMO_MAX_TOUCHED: usize = 1024;
 
 /// Single-pass what-if cost evaluator (see module docs).
 ///
 /// Reusable across placements; hold one per engine/selector and feed every
-/// evaluation through it so the hop memo and schedule cache stay warm.
+/// evaluation through it so the hop memo stays warm.
 #[derive(Debug, Default)]
 pub struct PlacementEvaluator {
-    /// `(pattern, ranks, msize)` → generated steps.
-    schedules: HashMap<(Pattern, usize, u64), Arc<Vec<Step>>>,
-    /// Flat hop memo for canonical *touched-leaf* pairs: leaves are
-    /// remapped to their dense position in the sorted overlay (the
-    /// candidate's touched leaves), and the memo is indexed
-    /// `da * touched + db` with `da <= db`. An entry is valid only when its
-    /// stamp matches [`Self::stamp`], so invalidation is one counter bump,
-    /// not a table wipe. The inner pair loop is the hottest code in
-    /// placement — an array probe here beats a `HashMap` probe by an order
-    /// of magnitude, and sizing by the job's leaf spread (not the machine's
-    /// leaf count) keeps the table small on exascale trees.
-    hop_stamp: Vec<u64>,
-    hop_vals: Vec<f64>,
+    /// Hop memo for canonical *touched-leaf* pairs, `(stamp, hops)`:
+    /// leaves are named by their position in the candidate's takes, and
+    /// the memo is indexed `da * touched + db` with `da <= db`. An entry
+    /// is valid only when its stamp matches [`Self::stamp`], so
+    /// invalidation is one counter bump, not a table wipe, and the table
+    /// only ever grows.
+    hops: Vec<(u64, f64)>,
     stamp: u64,
-    /// Fallback memo (keyed by canonical leaf ordinals) for candidates
-    /// spread over more leaves than the flat table serves.
-    hop_map: HashMap<(usize, usize), f64>,
-    /// Touched-leaf count the flat memo is sized for.
-    dense_dim: usize,
     /// `(state version, trunk discount bits)` the hop memo was filled
     /// under; together with [`Self::overlay`] it is the memo's validity.
     tag: Option<(u64, u64)>,
     /// The last candidate's takes: its sorted `(leaf ordinal, +comm delta)`
-    /// overlay, and what `dense_of_rank` was expanded from.
+    /// overlay.
     overlay: Vec<(usize, u32)>,
-    /// Dense overlay position of each rank's leaf.
-    dense_of_rank: Vec<usize>,
+    /// Prefix sums of the overlay's counts: take `t` holds the ranks
+    /// `bounds[t]..bounds[t + 1]`.
+    bounds: Vec<usize>,
 }
 
 impl PlacementEvaluator {
@@ -148,17 +130,23 @@ impl PlacementEvaluator {
         takes: &[(usize, u32)],
         spec: &CollectiveSpec,
     ) -> EvalTotals {
+        debug_assert!(
+            takes.windows(2).all(|w| w[0].0 < w[1].0) && takes.iter().all(|t| t.1 > 0),
+            "takes must ascend strictly by leaf ordinal with positive counts: {takes:?}"
+        );
         // The engine scores one placement once per collective component,
-        // and right after the adaptive rule scored it: the rank map is
+        // and right after the adaptive rule scored it: the boundaries are
         // rebuilt only when the takes change.
         let same_takes = self.overlay == takes;
         if !same_takes {
             self.overlay.clear();
             self.overlay.extend_from_slice(takes);
-            self.dense_of_rank.clear();
-            for (d, &(_, count)) in takes.iter().enumerate() {
-                self.dense_of_rank
-                    .extend(std::iter::repeat_n(d, usize_of_u32(count)));
+            self.bounds.clear();
+            self.bounds.push(0);
+            let mut ranks = 0;
+            for &(_, count) in takes {
+                ranks += usize_of_u32(count);
+                self.bounds.push(ranks);
             }
         }
         // The hop memo survives across calls only while the contention
@@ -167,102 +155,50 @@ impl PlacementEvaluator {
         let tag = (state.version(), trunk_discount.to_bits());
         if self.tag != Some(tag) || !same_takes {
             self.stamp += 1;
-            self.hop_map.clear();
             self.tag = Some(tag);
         }
         let m = self.overlay.len();
-        let flat = m <= FLAT_MEMO_MAX_TOUCHED;
-        if flat && self.dense_dim != m {
-            self.dense_dim = m;
-            self.hop_stamp.clear();
-            self.hop_stamp.resize(m * m, 0);
-            self.hop_vals.clear();
-            self.hop_vals.resize(m * m, 0.0);
-            self.stamp += 1;
+        let memoized = m <= FLAT_MEMO_MAX_TOUCHED;
+        if memoized && self.hops.len() < m * m {
+            self.hops.resize(m * m, (0, 0.0));
         }
 
-        let steps = self.schedule(spec, self.dense_of_rank.len());
         let contention = CostModel {
             hop_bytes: false,
             trunk_discount,
         };
-
-        // Narrow spreads (the common case: power-of-two jobs touch a
-        // handful of large leaves) fill the whole canonical matrix up
-        // front — the inner pair loop then degenerates to one array load,
-        // with no per-pair stamp check. Values are identical: the same
-        // [`Self::hop_value`] per canonical pair, only computed eagerly.
-        let eager = flat && m <= EAGER_MATRIX_MAX_TOUCHED;
-        let mut matrix_max = f64::NEG_INFINITY;
-        if eager {
-            for da in 0..m {
-                let (la, delta_a) = self.overlay[da];
-                for db in da..m {
-                    let idx = da * m + db;
-                    if self.hop_stamp[idx] != self.stamp {
-                        let (lb, delta_b) = self.overlay[db];
-                        self.hop_vals[idx] =
-                            Self::hop_value(tree, state, &contention, la, lb, delta_a, delta_b);
-                        self.hop_stamp[idx] = self.stamp;
-                    }
-                    if self.hop_vals[idx] > matrix_max {
-                        matrix_max = self.hop_vals[idx];
-                    }
-                }
-            }
-        }
+        let (overlay, bounds, hops, stamp) =
+            (&self.overlay, &self.bounds, &mut self.hops, self.stamp);
+        let ranks = bounds.last().copied().unwrap_or(0);
 
         let mut raw_hops = 0.0;
         let mut hop_bytes = 0.0;
-        for step in steps.iter() {
-            let mut worst: f64 = 0.0;
-            for &(ri, rj) in &step.pairs {
-                let (da, db) = {
-                    let (a, b) = (self.dense_of_rank[ri], self.dense_of_rank[rj]);
-                    if a <= b {
-                        (a, b)
-                    } else {
-                        (b, a)
-                    }
-                };
-                let hops = if eager {
-                    let h = self.hop_vals[da * m + db];
-                    if h >= matrix_max {
-                        // No pair type can beat the matrix maximum: the
-                        // step's max is decided, and the remaining pairs
-                        // cannot change it — an exact early exit.
-                        worst = h;
-                        break;
-                    }
-                    h
-                } else if flat {
-                    let idx = da * m + db;
-                    if self.hop_stamp[idx] == self.stamp {
-                        self.hop_vals[idx]
-                    } else {
-                        let (la, delta_a) = self.overlay[da];
-                        let (lb, delta_b) = self.overlay[db];
-                        let h = Self::hop_value(tree, state, &contention, la, lb, delta_a, delta_b);
-                        self.hop_stamp[idx] = self.stamp;
-                        self.hop_vals[idx] = h;
-                        h
-                    }
-                } else {
-                    let (la, delta_a) = self.overlay[da];
-                    let (lb, delta_b) = self.overlay[db];
-                    match self.hop_map.get(&(la, lb)) {
-                        Some(&h) => h,
-                        None => {
-                            let h =
-                                Self::hop_value(tree, state, &contention, la, lb, delta_a, delta_b);
-                            self.hop_map.insert((la, lb), h);
-                            h
+        let mut worst: f64 = 0.0;
+        let mut swept: Option<StepSegments> = None;
+        for step in spec.step_segments(ranks) {
+            // Identical consecutive steps (a ring's `p - 1`) share one
+            // sweep; each is still added on its own.
+            if swept != Some(step) {
+                worst = 0.0;
+                step.for_each_part_pair(bounds, |da, db| {
+                    let hop = || {
+                        let ((la, delta_a), (lb, delta_b)) = (overlay[da], overlay[db]);
+                        Self::hop_value(tree, state, &contention, la, lb, delta_a, delta_b)
+                    };
+                    let h = if memoized {
+                        let slot = &mut hops[da * m + db];
+                        if slot.0 != stamp {
+                            *slot = (stamp, hop());
                         }
+                        slot.1
+                    } else {
+                        hop()
+                    };
+                    if h > worst {
+                        worst = h;
                     }
-                };
-                if hops > worst {
-                    worst = hops;
-                }
+                });
+                swept = Some(step);
             }
             raw_hops += worst;
             hop_bytes += worst * f64_of_u64(step.msize);
@@ -294,21 +230,5 @@ impl PlacementEvaluator {
         let comm_a = state.leaf_comm(la) + delta_a;
         let comm_b = state.leaf_comm(lb) + delta_b;
         d * (1.0 + contention.leaf_contention_counts(tree, la, lb, comm_a, comm_b))
-    }
-
-    fn schedule(&mut self, spec: &CollectiveSpec, ranks: usize) -> Arc<Vec<Step>> {
-        let key = (spec.pattern, ranks, spec.msize);
-        if let Some(steps) = self.schedules.get(&key) {
-            return Arc::clone(steps);
-        }
-        let steps = Arc::new(spec.steps(ranks));
-        let pairs: usize = steps.iter().map(|s| s.pairs.len()).sum();
-        if pairs <= MAX_CACHED_SCHEDULE_PAIRS {
-            if self.schedules.len() >= MAX_CACHED_SCHEDULES {
-                self.schedules.clear();
-            }
-            self.schedules.insert(key, Arc::clone(&steps));
-        }
-        steps
     }
 }

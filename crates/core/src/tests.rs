@@ -1222,8 +1222,7 @@ mod properties {
             let cold = ev.evaluate(&tree, &st, 0.5, &placement, &spec);
             prop_assert_eq!(cold.raw_hops.to_bits(), naive_hops.to_bits());
             prop_assert_eq!(cold.hop_bytes.to_bits(), naive_bytes.to_bits());
-            // Second pass hits the hop memo, the schedule cache and the
-            // kept rank map.
+            // Second pass hits the hop memo and the kept take boundaries.
             let warm = ev.evaluate(&tree, &st, 0.5, &placement, &spec);
             prop_assert_eq!(warm, cold);
             if let Some(&spare) = free.get(want) {
@@ -1578,6 +1577,111 @@ mod properties {
         Ok(())
     }
 
+    /// The four situations `evaluator_matches_naive_job_cost` checks —
+    /// cold, warm, after another placement in between, after a state
+    /// change — for one placement, `to_bits` against the pair-by-pair
+    /// oracle under both models.
+    fn assert_evaluator_matches_oracle(
+        tree: &Tree,
+        st: &ClusterState,
+        placement: &Placement,
+        spec: &CollectiveSpec,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let hops = reference_cost(&CostModel::HOPS, tree, st, placement, spec);
+        let bytes = reference_cost(&CostModel::HOP_BYTES, tree, st, placement, spec);
+        let mut ev = PlacementEvaluator::new();
+        let cold = ev.evaluate(tree, st, 0.5, placement, spec);
+        prop_assert_eq!(cold.raw_hops.to_bits(), hops.to_bits());
+        prop_assert_eq!(cold.hop_bytes.to_bits(), bytes.to_bits());
+        prop_assert_eq!(ev.evaluate(tree, st, 0.5, placement, spec), cold);
+        let held: std::collections::BTreeSet<NodeId> = placement.iter().collect();
+        let spare = (0..tree.num_nodes())
+            .map(NodeId)
+            .find(|n| st.is_free(*n) && !held.contains(n));
+        if let Some(spare) = spare {
+            let other = ids(tree, &[spare]);
+            ev.evaluate(tree, st, 0.5, &other, spec);
+            prop_assert_eq!(ev.evaluate(tree, st, 0.5, placement, spec), cold);
+            let mut moved = st.clone();
+            moved
+                .allocate(tree, JobId(u64::MAX - 1), &other, JobNature::CommIntensive)
+                .unwrap();
+            let got = ev.evaluate(tree, &moved, 0.5, placement, spec);
+            let naive = reference_cost(&CostModel::HOPS, tree, &moved, placement, spec);
+            prop_assert_eq!(got.raw_hops.to_bits(), naive.to_bits());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `evaluator_matches_naive_job_cost` where interval scoring has
+        /// its edges: ragged leaves of 1..=64 nodes and jobs of up to 700
+        /// ranks, so takes straddle XOR blocks, the fold boundary and
+        /// stencil rows; powers of two and ragged counts; all six
+        /// patterns; the four selectors' own placements and a scattered
+        /// one — leaves in random order, single-node takes between
+        /// multi-node ones — which is also scored as the bare takes the
+        /// annealing loop proposes and never resolves.
+        #[test]
+        fn evaluator_matches_job_cost_on_large_ragged_placements(
+            sizes in proptest::collection::vec(1usize..=64, 4..28),
+            occ in 0u8..60,
+            seed in any::<u64>(),
+            want in 2usize..=700,
+            pow2 in any::<bool>(),
+            pat in 0usize..6,
+        ) {
+            let (tree, st) = random_scenario(&sizes, occ, seed);
+            let pattern = Pattern::ALL[pat];
+            // The oracle walks every pair, and these two have `p²` of them.
+            let cap = if matches!(pattern, Pattern::Ring | Pattern::Alltoall) { 160 } else { 700 };
+            let mut want = want.min(cap).min(st.free_total());
+            prop_assume!(want >= 2);
+            if pow2 {
+                want = 1 << want.ilog2();
+            }
+            let spec = CollectiveSpec::new(pattern, 1 << 16);
+
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x7a6b);
+            let mut leaves: Vec<usize> =
+                (0..tree.num_leaves()).filter(|&k| st.leaf_free(k) > 0).collect();
+            leaves.shuffle(&mut rng);
+            let mut takes: Vec<(usize, u32)> = Vec::new();
+            let mut left = want;
+            for (i, &k) in leaves.iter().enumerate() {
+                let free = st.leaf_free(k) as usize;
+                let count = if i % 2 == 0 { 1 } else { rng.random_range(1..=free) };
+                let count = count.min(left);
+                if count > 0 {
+                    takes.push((k, count as u32));
+                    left -= count;
+                }
+            }
+            for (k, count) in &mut takes {
+                let more = (st.leaf_free(*k) - *count).min(left as u32);
+                *count += more;
+                left -= more as usize;
+            }
+            prop_assert_eq!(left, 0);
+            takes.sort_unstable();
+            let scattered = Placement::from_takes(&tree, &st, takes.clone());
+            let bare = PlacementEvaluator::new().evaluate_takes(&tree, &st, 0.5, &takes, &spec);
+            let hops = reference_cost(&CostModel::HOPS, &tree, &st, &scattered, &spec);
+            let bytes = reference_cost(&CostModel::HOP_BYTES, &tree, &st, &scattered, &spec);
+            prop_assert_eq!(bare.raw_hops.to_bits(), hops.to_bits());
+            prop_assert_eq!(bare.hop_bytes.to_bits(), bytes.to_bits());
+            assert_evaluator_matches_oracle(&tree, &st, &scattered, &spec)?;
+
+            let req = AllocRequest::comm(JobId(7), want).with_pattern(spec);
+            for kind in SelectorKind::ALL {
+                let placement = kind.build().select(&tree, &st, &req).unwrap();
+                assert_evaluator_matches_oracle(&tree, &st, &placement, &spec)?;
+            }
+        }
+    }
+
     /// One shared churn driver for the switch-fault properties: interleave
     /// selector-driven allocations, releases, intrinsic node faults and
     /// correlated switch outages, checking after every step that the
@@ -1733,6 +1837,38 @@ mod properties {
     }
 }
 
+/// `evaluate_takes` documents its precondition — strictly ascending leaf
+/// ordinals, positive counts — and, with debug assertions on, checks it.
+#[cfg(debug_assertions)]
+mod take_precondition {
+    use super::*;
+
+    fn score(takes: &[(usize, u32)]) {
+        let tree = Tree::regular_two_level(4, 8);
+        let st = ClusterState::new(&tree);
+        let spec = CollectiveSpec::new(Pattern::Rd, 1 << 16);
+        PlacementEvaluator::new().evaluate_takes(&tree, &st, 0.5, takes, &spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "takes must ascend strictly")]
+    fn unsorted_takes_are_rejected() {
+        score(&[(2, 3), (1, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "takes must ascend strictly")]
+    fn a_leaf_named_twice_is_rejected() {
+        score(&[(1, 3), (1, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "takes must ascend strictly")]
+    fn an_empty_take_is_rejected() {
+        score(&[(0, 4), (1, 0)]);
+    }
+}
+
 /// The fast paths against their oracles at the sizes the benchmarks run
 /// (`commsched_bench::perf::PlacementCase`): the property tests above stop
 /// at a few hundred nodes, and until the naive twins left the bench
@@ -1746,11 +1882,16 @@ mod scale {
     /// `PlacementCase::new`'s occupancy: half the nodes, drawn by a seed-7
     /// shuffle, held by 512-node jobs of alternating nature.
     fn half_occupied(tree: &Tree) -> ClusterState {
+        occupied(tree, tree.num_nodes() / 2)
+    }
+
+    /// `half_occupied` with `busy` nodes held instead of half of them.
+    fn occupied(tree: &Tree, busy: usize) -> ClusterState {
         let mut st = ClusterState::new(tree);
         let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(7);
         let mut nodes: Vec<NodeId> = (0..tree.num_nodes()).map(NodeId).collect();
         nodes.shuffle(&mut rng);
-        for (job, chunk) in nodes[..tree.num_nodes() / 2].chunks(512).enumerate() {
+        for (job, chunk) in nodes[..busy].chunks(512).enumerate() {
             let nature = if job % 2 == 0 {
                 JobNature::CommIntensive
             } else {
@@ -1815,6 +1956,79 @@ mod scale {
                 assert_eq!(got.raw_hops.to_bits(), hops.to_bits(), "{preset:?}");
                 assert_eq!(got.hop_bytes.to_bits(), bytes.to_bits(), "{preset:?}");
             }
+        }
+    }
+
+    /// Interval scoring against the pair-by-pair oracle at the rank counts
+    /// `bench_e2e`'s logs carry — the largest power of two, the whole
+    /// machine and the largest folded count on Intrepid, Mira's largest
+    /// request — where a take holds hundreds of ranks and a step tens of
+    /// thousands of pairs. The machine is half occupied, or as occupied as
+    /// still leaves the job room.
+    #[test]
+    fn evaluator_matches_oracle_at_benchmark_scale() {
+        for (preset, sizes) in [
+            (SystemPreset::Intrepid, &[40_960usize, 39_914, 32_768][..]),
+            (SystemPreset::Mira, &[16_384][..]),
+        ] {
+            let tree = preset.build();
+            for &want in sizes {
+                let st = occupied(&tree, (tree.num_nodes() / 2).min(tree.num_nodes() - want));
+                let mut eval = PlacementEvaluator::new();
+                for kind in [
+                    SelectorKind::Balanced,
+                    SelectorKind::Greedy,
+                    SelectorKind::Default,
+                ] {
+                    let req = AllocRequest::comm(JobId(999_999), want);
+                    let placement = kind.build().select(&tree, &st, &req).unwrap();
+                    let mut what_if = st.clone();
+                    what_if
+                        .allocate(&tree, JobId(u64::MAX), &placement, JobNature::CommIntensive)
+                        .unwrap();
+                    let nodes = placement.nodes();
+                    for pattern in Pattern::PAPER {
+                        let spec = CollectiveSpec::new(pattern, 1 << 20);
+                        let got = eval.evaluate(&tree, &st, 0.5, &placement, &spec);
+                        let hops = CostModel::HOPS.job_cost(&tree, &what_if, &nodes, &spec);
+                        let bytes = CostModel::HOP_BYTES.job_cost(&tree, &what_if, &nodes, &spec);
+                        let case = format!("{preset:?} {want} {kind} {pattern}");
+                        assert_eq!(got.raw_hops.to_bits(), hops.to_bits(), "{case}");
+                        assert_eq!(got.hop_bytes.to_bits(), bytes.to_bits(), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A candidate spread over more leaves than the hop memo serves is
+    /// scored without it — same totals, bit for bit.
+    #[test]
+    fn evaluator_matches_oracle_beyond_the_hop_memo() {
+        let tree = Tree::irregular_two_level(&vec![2; 1200]);
+        let mut st = ClusterState::new(&tree);
+        let busy: Vec<NodeId> = (0..100).map(|k| NodeId(20 * k)).collect();
+        st.allocate(
+            &tree,
+            JobId(1),
+            &ids(&tree, &busy),
+            JobNature::CommIntensive,
+        )
+        .unwrap();
+        let req = AllocRequest::comm(JobId(2), 2_200);
+        let placement = GreedySelector.select(&tree, &st, &req).unwrap();
+        assert!(
+            placement.takes().len() > 1024,
+            "{}",
+            placement.takes().len()
+        );
+        for pattern in [Pattern::Rhvd, Pattern::Binomial] {
+            let spec = CollectiveSpec::new(pattern, 1 << 20);
+            let got = PlacementEvaluator::new().evaluate(&tree, &st, 0.5, &placement, &spec);
+            let hops = reference_cost(&CostModel::HOPS, &tree, &st, &placement, &spec);
+            let bytes = reference_cost(&CostModel::HOP_BYTES, &tree, &st, &placement, &spec);
+            assert_eq!(got.raw_hops.to_bits(), hops.to_bits(), "{pattern}");
+            assert_eq!(got.hop_bytes.to_bits(), bytes.to_bits(), "{pattern}");
         }
     }
 

@@ -240,6 +240,8 @@ pub enum EngineError {
     },
     /// The fault trace failed validation.
     InvalidFaultTrace(String),
+    /// [`EngineConfig::msize`] is zero; a collective moves at least a byte.
+    ZeroMessageSize,
     /// An internal bookkeeping invariant broke mid-run (e.g. a release or
     /// node-down transition that the cluster state rejected). Surfaced as
     /// an error instead of a panic so a sweep over many configurations
@@ -266,6 +268,7 @@ impl fmt::Display for EngineError {
                 "node {node} is out of range for a machine of {machine} nodes"
             ),
             Self::InvalidFaultTrace(msg) => write!(f, "invalid fault trace: {msg}"),
+            Self::ZeroMessageSize => write!(f, "the collective message size (msize) is zero"),
             Self::StateInconsistency(msg) => {
                 write!(f, "internal state inconsistency: {msg}")
             }
@@ -813,11 +816,17 @@ impl<'t> Engine<'t> {
         self.tree.num_nodes() - self.drained.len()
     }
 
-    /// Validate the log, drain list and fault trace against the machine.
+    /// Validate the configuration, and the log, drain list and fault trace
+    /// against the machine.
     fn validate(&self, log: &JobLog) -> Result<(), EngineError> {
         let machine = self.tree.num_nodes();
         if machine == 0 {
             return Err(EngineError::EmptyMachine);
+        }
+        // `CollectiveSpec::new` asserts this at the first communication-
+        // intensive placement; a bad config is rejected whatever the log.
+        if self.cfg.msize == 0 {
+            return Err(EngineError::ZeroMessageSize);
         }
         for &n in &self.drained {
             if n.0 >= machine {

@@ -1569,6 +1569,38 @@ mod observed {
         }
         assert!(open.is_empty(), "all started attempts terminate");
     }
+
+    /// A zero `msize` is a configuration error, not a panic at the first
+    /// communication-intensive placement: `run` and `run_observed` return
+    /// it before anything is recorded, and a log that would never have
+    /// needed a `CollectiveSpec` is rejected the same way.
+    #[test]
+    fn zero_message_size_is_rejected_before_the_run() {
+        let tree = small_tree();
+        let cfg = EngineConfig {
+            msize: 0,
+            ..EngineConfig::new(SelectorKind::Default)
+        };
+        let comm = JobLog::new("comm", vec![comm_job(1, 0, 100, 2, 0.5)]);
+        let compute_only = JobLog::new("compute", vec![job(1, 0, 100, 2)]);
+        for log in [&comm, &compute_only] {
+            assert_eq!(
+                Engine::new(&tree, cfg).run(log),
+                Err(EngineError::ZeroMessageSize)
+            );
+            let mut cap = Capture::new();
+            let mut reg = Registry::new();
+            assert_eq!(
+                Engine::new(&tree, cfg).run_observed(log, &mut cap, &mut reg),
+                Err(EngineError::ZeroMessageSize)
+            );
+            assert!(cap.events.is_empty(), "{:?}", cap.events);
+        }
+        assert_eq!(
+            EngineError::ZeroMessageSize.to_string(),
+            "the collective message size (msize) is zero"
+        );
+    }
 }
 
 /// The two structures a scheduling pass leans on: the fit-indexed pending
