@@ -22,6 +22,12 @@
 //! these pairs and sums across steps; the network simulator turns the same
 //! steps into bandwidth-sharing flows.
 //!
+//! Every step has one closed-form description, [`StepSegments`]: a short
+//! sequence of affine rank segments. [`CollectiveSpec::steps`] expands it
+//! into the pair lists above; the placement evaluator, whose ranks are
+//! contiguous per leaf switch, intersects it with those rank intervals
+//! instead ([`StepSegments::for_each_part_pair`]) and never lists a pair.
+//!
 //! Non-power-of-two rank counts use the standard MPICH reduction: the
 //! `r = p - 2^⌊log2 p⌋` excess ranks fold into a power-of-two core with a
 //! pre-step (and a mirror post-step for RD/RHVD), exactly the mechanism that
