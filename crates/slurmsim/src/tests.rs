@@ -573,6 +573,40 @@ fn runs_are_deterministic() {
     }
 }
 
+/// The frozen state Table 4's Theta/RHVD cell probes from (paper scale:
+/// 1000 jobs, seed 42, 90 % communication-intensive, warmed to 55 %),
+/// pinned by an FNV-1a digest over every allocation's job, nature, takes
+/// and node ids. Blessed on commit 768a376, where `warmup_state` went through
+/// `Engine::place`; selecting directly must freeze the same machine.
+#[test]
+fn warmup_state_digest_on_table4_theta_cell() {
+    let tree = commsched_topology::SystemPreset::Theta.build();
+    let log = LogSpec::new(SystemModel::theta(), 1000, 42)
+        .comm_percent(90)
+        .pattern(Pattern::Rhvd)
+        .comm_fraction(0.5)
+        .generate();
+    let state = warmup_state(&tree, &log, 0.55);
+    state.check_invariants(&tree).unwrap();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |word: u64| h = (h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    for (job, alloc) in state.allocations() {
+        mix(job.0);
+        mix(u64::from(alloc.nature.is_comm()));
+        mix(alloc.nodes.takes().len() as u64);
+        for &(k, count) in alloc.nodes.takes() {
+            mix(k as u64);
+            mix(u64::from(count));
+        }
+        for n in alloc.nodes.iter() {
+            mix(n.0 as u64);
+        }
+    }
+    assert_eq!(state.allocations().count(), 9);
+    assert_eq!(state.busy_total(), 2688);
+    assert_eq!(h, 0x393b_6147_ff24_b877, "digest {h:#018x}");
+}
+
 #[test]
 fn warmup_reaches_target_occupancy() {
     let tree = Tree::regular_two_level(4, 8);
