@@ -8,13 +8,13 @@
 //!    fixpoint exactly on these two scenarios is a `commsched-netsim`
 //!    test, `identical_on_bench_scenarios`.)
 //! 2. **Sweep harness** — a reduced Figure 6 sweep (3 systems × 5 mixes ×
-//!    4 selectors) under rayon thread pools of 1, 2 and 4 threads,
+//!    4 selectors) under rayon thread budgets of 1, 2 and 4 threads,
 //!    asserting the rendered output is identical at every count. The
 //!    1-vs-4-thread wall-clock ratio is the `parallel_speedup` gate: on a
-//!    multi-core host (`host_cpus > 1`) a ratio <= 1.0 means the
-//!    persistent pool is not paying for itself and the run fails (exit 1);
-//!    on a single-core host the gate is recorded as skipped, because no
-//!    scheduler can conjure parallel speedup out of one CPU.
+//!    multi-core host (`host_cpus > 1`) a ratio <= 1.0 means the scoped
+//!    helper threads cost more than they return and the run fails (exit
+//!    1); on a single-core host the gate is recorded as skipped, because
+//!    no scheduler can conjure parallel speedup out of one CPU.
 //!
 //! ```text
 //! cargo run --release -p commsched-bench --bin bench_netsim [out.json]
@@ -137,7 +137,7 @@ fn main() {
     );
 
     // The speedup gate: a multi-core host that sees no gain from 4
-    // threads means the pool's overhead ate the parallelism — hard-fail
+    // threads means the runtime's overhead ate the parallelism — hard-fail
     // so CI catches the regression. A single-core host has nothing to
     // speed up, so the gate is honestly recorded as skipped.
     let gate_failed = host_cpus > 1 && parallel_speedup <= 1.0;
@@ -162,7 +162,7 @@ fn main() {
     if gate_failed {
         eprintln!(
             "error: parallel speedup gate failed: {parallel_speedup:.2}x at 4 threads on a \
-             {host_cpus}-cpu host (the persistent pool must beat sequential on multi-core)"
+             {host_cpus}-cpu host (a scoped four-thread team must beat sequential on multi-core)"
         );
         std::process::exit(1);
     }

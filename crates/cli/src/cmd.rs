@@ -314,9 +314,9 @@ pub fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResult {
     let faults = load_faults(p, &tree, &log)?;
     let failure_policy = load_failure_policy(p)?;
 
-    // Observability: any of these flags switches the engine call to the
-    // instrumented path; with none given the plain `run()` is used so the
-    // default output stays byte-identical.
+    // Observability: every run goes through `run_observed` (`Engine::run`
+    // is that call with a null sink), so these flags only choose what is
+    // captured and written.
     let trace_out = p.get("trace-out").map(str::to_string);
     let report_out = p.get("report-out").map(str::to_string);
     let trace_mask = match p.get("trace-filter") {
@@ -326,7 +326,6 @@ pub fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResult {
         Some(spec) => ClassMask::parse(spec)?,
         None => ClassMask::ALL,
     };
-    let observed = trace_out.is_some() || report_out.is_some();
 
     // Engine knobs.
     let backfill = match p.get("backfill").unwrap_or("easy") {
@@ -389,50 +388,45 @@ pub fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResult {
         if let Some(f) = &faults {
             engine = engine.with_faults(f.clone());
         }
-        let summary = if observed {
-            // Only capture events when a trace sink was requested; a bare
-            // --report-out keeps the mask empty (counters still collect).
-            let mut cap = Capture::with_mask(if trace_out.is_some() {
-                trace_mask
-            } else {
-                ClassMask::NONE
-            });
-            let mut reg = Registry::new();
-            let summary = engine
-                .run_observed(&log, &mut cap, &mut reg)
-                .map_err(|e| e.to_string())?;
-            if let Some(path) = &trace_out {
-                let path = if compare {
-                    with_selector(path, kind.name())
-                } else {
-                    path.clone()
-                };
-                let text = if path.ends_with(".json") {
-                    chrome_trace(&cap.events)
-                } else {
-                    cap.to_jsonl()
-                };
-                std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-                obs_lines.push(format!(
-                    "{}: wrote {} trace events to {path}",
-                    kind.name(),
-                    cap.events.len()
-                ));
-            }
-            if let Some(path) = &report_out {
-                let path = if compare {
-                    with_selector(path, kind.name())
-                } else {
-                    path.clone()
-                };
-                std::fs::write(&path, reg.snapshot().to_json_pretty())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                obs_lines.push(format!("{}: wrote run report to {path}", kind.name()));
-            }
-            summary
+        // Only capture events when a trace sink was requested; otherwise
+        // the mask stays empty (counters still collect for --report-out).
+        let mut cap = Capture::with_mask(if trace_out.is_some() {
+            trace_mask
         } else {
-            engine.run(&log).map_err(|e| e.to_string())?
-        };
+            ClassMask::NONE
+        });
+        let mut reg = Registry::new();
+        let summary = engine
+            .run_observed(&log, &mut cap, &mut reg)
+            .map_err(|e| e.to_string())?;
+        if let Some(path) = &trace_out {
+            let path = if compare {
+                with_selector(path, kind.name())
+            } else {
+                path.clone()
+            };
+            let text = if path.ends_with(".json") {
+                chrome_trace(&cap.events)
+            } else {
+                cap.to_jsonl()
+            };
+            std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+            obs_lines.push(format!(
+                "{}: wrote {} trace events to {path}",
+                kind.name(),
+                cap.events.len()
+            ));
+        }
+        if let Some(path) = &report_out {
+            let path = if compare {
+                with_selector(path, kind.name())
+            } else {
+                path.clone()
+            };
+            std::fs::write(&path, reg.snapshot().to_json_pretty())
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            obs_lines.push(format!("{}: wrote run report to {path}", kind.name()));
+        }
         if faults.is_some() || p.switch("reject-oversized") {
             fault_lines.push(format!(
                 "{}: {} completed, {} cancelled, {} rejected; {} requeues, \

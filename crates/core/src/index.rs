@@ -56,7 +56,7 @@ pub(crate) fn ratio_key(r: f64) -> u64 {
 
 /// The index proper. Owned by [`ClusterState`](crate::ClusterState);
 /// derived entirely from the occupancy counters, and therefore excluded
-/// from state equality and serialization, like the version token.
+/// from state equality, like the version token.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct FreeIndex {
     /// `[level - 1]` → `(subtree_free, switch_id)` of every switch at that
@@ -72,7 +72,7 @@ pub(crate) struct FreeIndex {
 
 impl FreeIndex {
     /// Rebuild from scratch against explicit counter slices (construction,
-    /// reset, deserialization recovery). `ratio` must be the exact value
+    /// reset, the invariant check). `ratio` must be the exact value
     /// `ClusterState::communication_ratio` would report for the ordinal.
     pub(crate) fn rebuild(
         &mut self,
@@ -184,18 +184,6 @@ impl FreeIndex {
         &self.by_ratio[p.0]
     }
 }
-
-/// The index is derived data, rebuilt from the counters on construction
-/// and reset — it never round-trips through serialization, so its JSON
-/// form is a `null` placeholder (the vendored serde shim serializes every
-/// named field; see `vendor/serde_derive`).
-impl serde::Serialize for FreeIndex {
-    fn to_json_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl serde::Deserialize for FreeIndex {}
 
 /// `level_sets` slot of a switch level (levels are 1-based).
 #[inline]

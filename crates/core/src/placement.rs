@@ -20,7 +20,6 @@
 use crate::state::{ClusterState, StateError};
 use commsched_num::{u32_of_usize, usize_of_u32};
 use commsched_topology::{NodeId, Tree};
-use serde::{Deserialize, Serialize};
 
 /// A set of nodes as per-leaf takes and node-id runs (see module docs).
 ///
@@ -34,7 +33,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Equality is set equality: two placements over one tree are `==`
 /// exactly when they hold the same nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Placement {
     takes: Vec<(usize, u32)>,
     runs: Vec<(NodeId, u32)>,

@@ -14,18 +14,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(test)]
 mod reference;
 
-/// Make `v` exactly `n` copies of `value`, in its own buffer when that is
-/// large enough. Otherwise a fresh `vec!`, not a grown one: for zero values
-/// the allocator hands back untouched zero pages, and a 1M-node state's
-/// never-written tables (`node_mask` in a run without switch faults) stay
-/// that way.
+/// Make `v` exactly `n` copies of `value`, in its own buffer.
 fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
-    if v.capacity() < n {
-        *v = vec![value; n];
-    } else {
-        v.clear();
-        v.resize(n, value);
-    }
+    v.clear();
+    v.resize(n, value);
 }
 
 /// Globally unique version tokens: every mutation of any [`ClusterState`]
@@ -68,7 +60,7 @@ impl JobNature {
 }
 
 /// A recorded allocation: the nodes a job occupies and its nature.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     /// Nodes held by the job, exactly as they were allocated.
     pub nodes: Placement,
@@ -135,7 +127,7 @@ impl std::error::Error for StateError {}
 /// excluded from every free counter the selectors read (the per-switch
 /// counters behind the index, [`ClusterState::leaf_free`],
 /// [`ClusterState::free_total`]), so placement transparently avoids them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NodeHealth {
     /// Healthy; schedulable.
     #[default]
@@ -164,7 +156,7 @@ enum Class {
 /// recounts a subtree. What-if evaluation never
 /// touches the state: [`crate::PlacementEvaluator`] overlays the candidate
 /// on the counters it reads.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ClusterState {
     /// Per-node: is the node free?
     node_free: Vec<bool>,
@@ -184,31 +176,29 @@ pub struct ClusterState {
     /// Per-leaf-ordinal: nodes that are down (neither free nor busy).
     leaf_down: Vec<u32>,
     /// Total down nodes (intrinsically failed *or* masked by a down
-    /// switch; see `node_mask`).
+    /// switch; see `leaf_mask`).
     down_total: usize,
     /// Total draining nodes (busy, will go down on release).
     draining_total: usize,
     /// Per-switch: is the switch itself failed? A down switch transitively
     /// excludes every descendant node from the free counters.
     switch_down: Vec<bool>,
-    /// Per-node: number of down *ancestor* switches masking this node.
-    /// While positive the node is effectively down (counted in `leaf_down`
-    /// and `down_total`) regardless of its intrinsic `node_health`, which
-    /// is preserved so recoveries compose in either order.
-    node_mask: Vec<u32>,
-    /// Total switches currently down.
-    switches_down_total: usize,
-    /// Ordered so that iteration (serialization, invariant sweeps) is
+    /// Per-leaf-ordinal: number of down switches on the leaf's ancestor
+    /// chain (itself included) — every node of a leaf shares that chain.
+    /// While positive the leaf's nodes are effectively down (counted in
+    /// `leaf_down` and `down_total`) regardless of their intrinsic
+    /// `node_health`, which is preserved so recoveries compose in either
+    /// order.
+    leaf_mask: Vec<u32>,
+    /// Ordered so that iteration (`allocations`, invariant sweeps) is
     /// deterministic regardless of insertion history.
     allocs: BTreeMap<JobId, Allocation>,
     /// Cache-invalidation token (see [`ClusterState::version`]). Not part
     /// of the state's identity: excluded from `PartialEq`.
-    #[serde(skip)]
     version: u64,
     /// Hierarchical free-count index over the counters above (see
-    /// [`crate::index`]). Derived data: excluded from `PartialEq` and
-    /// serialization like the version token.
-    #[serde(skip)]
+    /// [`crate::index`]). Derived data: excluded from `PartialEq` like the
+    /// version token.
     index: FreeIndex,
 }
 
@@ -228,8 +218,7 @@ impl PartialEq for ClusterState {
             && self.down_total == other.down_total
             && self.draining_total == other.draining_total
             && self.switch_down == other.switch_down
-            && self.node_mask == other.node_mask
-            && self.switches_down_total == other.switches_down_total
+            && self.leaf_mask == other.leaf_mask
             && self.allocs == other.allocs
     }
 }
@@ -270,8 +259,7 @@ impl ClusterState {
         self.down_total = 0;
         self.draining_total = 0;
         refill(&mut self.switch_down, tree.num_switches(), false);
-        refill(&mut self.node_mask, nodes, 0);
-        self.switches_down_total = 0;
+        refill(&mut self.leaf_mask, leaves, 0);
         self.allocs.clear();
         self.version = next_version();
         self.reindex(tree);
@@ -360,16 +348,16 @@ impl ClusterState {
     }
 
     /// Is node `n` masked out by at least one down ancestor switch?
-    #[cfg(test)]
-    pub(crate) fn is_masked(&self, n: NodeId) -> bool {
-        self.node_mask[n.0] > 0
+    #[inline]
+    fn is_masked(&self, tree: &Tree, n: NodeId) -> bool {
+        self.leaf_mask[tree.leaf_ordinal_of(n)] > 0
     }
 
     /// The node's *effective* lifecycle state: `Down` while any ancestor
     /// switch is down, otherwise its intrinsic [`ClusterState::health`].
     #[cfg(test)]
-    pub(crate) fn effective_health(&self, n: NodeId) -> NodeHealth {
-        if self.node_mask[n.0] > 0 {
+    pub(crate) fn effective_health(&self, tree: &Tree, n: NodeId) -> NodeHealth {
+        if self.is_masked(tree, n) {
             NodeHealth::Down
         } else {
             self.node_health[n.0]
@@ -554,7 +542,7 @@ impl ClusterState {
     }
 
     /// `Ok` when `placement` names each node once and every one is free.
-    fn check_free(&self, placement: &Placement) -> Result<(), StateError> {
+    fn check_free(&self, tree: &Tree, placement: &Placement) -> Result<(), StateError> {
         let mut end = 0;
         for &(first, len) in placement.runs() {
             if first.0 < end {
@@ -563,7 +551,7 @@ impl ClusterState {
             end = first.0 + usize_of_u32(len);
             if let Some(i) = self.node_free[first.0..end].iter().position(|f| !f) {
                 let n = NodeId(first.0 + i);
-                let down = self.node_health[n.0] == NodeHealth::Down || self.node_mask[n.0] > 0;
+                let down = self.node_health[n.0] == NodeHealth::Down || self.is_masked(tree, n);
                 return Err(if down {
                     StateError::NodeDown(n)
                 } else {
@@ -589,7 +577,7 @@ impl ClusterState {
         if self.allocs.contains_key(&job) {
             return Err(StateError::JobExists(job));
         }
-        self.check_free(placement)?;
+        self.check_free(tree, placement)?;
         debug_assert_eq!(placement.check(tree), Ok(()));
         let comm = nature.is_comm();
         self.shift_placement(tree, placement, Class::Free, Class::Busy { comm });
@@ -659,7 +647,7 @@ impl ClusterState {
             NodeHealth::Down => return Err(StateError::NodeDown(n)),
             // A masked node is never busy or draining: record the
             // intrinsic failure without touching the counters.
-            NodeHealth::Up if self.node_mask[n.0] > 0 => {
+            NodeHealth::Up if self.is_masked(tree, n) => {
                 self.node_health[n.0] = NodeHealth::Down;
                 self.version = next_version();
                 return Ok(());
@@ -692,7 +680,7 @@ impl ClusterState {
             // Intrinsic recovery under a still-down switch: the node stays
             // effectively down (counters untouched) until the switch
             // returns to service.
-            NodeHealth::Down if self.node_mask[n.0] > 0 => {
+            NodeHealth::Down if self.is_masked(tree, n) => {
                 self.node_health[n.0] = NodeHealth::Up;
                 self.version = next_version();
                 Ok(())
@@ -722,37 +710,32 @@ impl ClusterState {
             return Err(StateError::SwitchDown(s));
         }
         // `leaf_busy` counts exactly the job-held nodes, so only a leaf
-        // that has some is scanned for the one to name.
+        // that has some is scanned for the one to name (and such a leaf is
+        // unmasked: a masked leaf holds no job).
         for &k in tree.leaf_ordinals_under(s) {
             if self.leaf_busy[k] == 0 {
                 continue;
             }
-            for i in tree.leaf_node_range(k) {
-                let busy = !self.node_free[i]
-                    && self.node_mask[i] == 0
-                    && self.node_health[i] != NodeHealth::Down;
-                if busy {
-                    return Err(StateError::SwitchBusy {
-                        switch: s,
-                        node: NodeId(i),
-                    });
-                }
+            let held = tree
+                .leaf_node_range(k)
+                .find(|&i| !self.node_free[i] && self.node_health[i] != NodeHealth::Down);
+            if let Some(i) = held {
+                return Err(StateError::SwitchBusy {
+                    switch: s,
+                    node: NodeId(i),
+                });
             }
         }
         for &k in tree.leaf_ordinals_under(s) {
-            let mut masked = 0;
-            for i in tree.leaf_node_range(k) {
-                self.node_mask[i] += 1;
-                if self.node_mask[i] == 1 && self.node_health[i] == NodeHealth::Up {
-                    // First mask over a healthy (therefore free) node.
-                    self.node_free[i] = false;
-                    masked += 1;
-                }
+            self.leaf_mask[k] += 1;
+            if self.leaf_mask[k] == 1 {
+                // First mask over the leaf: with no job on it, its free
+                // nodes are exactly its healthy ones, and all of them go.
+                self.node_free[tree.leaf_node_range(k)].fill(false);
+                self.shift(tree, k, self.leaf_free[k], Class::Free, Class::Down);
             }
-            self.shift(tree, k, masked, Class::Free, Class::Down);
         }
         self.switch_down[s.0] = true;
-        self.switches_down_total += 1;
         self.version = next_version();
         Ok(())
     }
@@ -768,10 +751,14 @@ impl ClusterState {
             return Err(StateError::SwitchNotDown(s));
         }
         for &k in tree.leaf_ordinals_under(s) {
+            self.leaf_mask[k] -= 1;
+            if self.leaf_mask[k] > 0 {
+                continue;
+            }
+            // Last mask off the leaf: its intrinsically healthy nodes return.
             let mut unmasked = 0;
             for i in tree.leaf_node_range(k) {
-                self.node_mask[i] -= 1;
-                if self.node_mask[i] == 0 && self.node_health[i] == NodeHealth::Up {
+                if self.node_health[i] == NodeHealth::Up {
                     self.node_free[i] = true;
                     unmasked += 1;
                 }
@@ -779,7 +766,6 @@ impl ClusterState {
             self.shift(tree, k, unmasked, Class::Down, Class::Free);
         }
         self.switch_down[s.0] = false;
-        self.switches_down_total -= 1;
         self.version = next_version();
         Ok(())
     }
@@ -794,7 +780,7 @@ impl ClusterState {
             NodeHealth::Draining => Ok(false),
             // Effectively down already (masked, so idle): draining it is a
             // hard down — the node must not return at switch-up.
-            NodeHealth::Up if self.node_mask[n.0] > 0 => {
+            NodeHealth::Up if self.is_masked(tree, n) => {
                 self.node_health[n.0] = NodeHealth::Down;
                 self.version = next_version();
                 Ok(true)
@@ -810,6 +796,17 @@ impl ClusterState {
                 Ok(false)
             }
         }
+    }
+
+    /// `leaf_mask` from scratch: per leaf, the down switches above it.
+    fn recount_leaf_mask(&self, tree: &Tree) -> Vec<u32> {
+        let mut mask = vec![0u32; tree.num_leaves()];
+        for (id, _) in self.switch_down.iter().enumerate().filter(|(_, &d)| d) {
+            for &k in tree.leaf_ordinals_under(SwitchId(id)) {
+                mask[k] += 1;
+            }
+        }
+        mask
     }
 
     /// Debug invariant check: counters agree with the per-node bits.
@@ -838,36 +835,18 @@ impl ClusterState {
                 return Err(format!("leaf {k}: comm > busy"));
             }
         }
-        // Recount the per-node switch masks from the per-switch down bits,
+        // Recount the per-leaf switch masks from the per-switch down bits,
         // then recount the down counters against *effective* health: a node
         // is down when it failed intrinsically or any ancestor switch did.
-        let mut mask = vec![0u32; self.node_mask.len()];
-        let mut switches_down = 0usize;
-        for (id, &sd) in self.switch_down.iter().enumerate() {
-            if !sd {
-                continue;
-            }
-            switches_down += 1;
-            for &k in tree.leaf_ordinals_under(SwitchId(id)) {
-                for n in tree.leaf_node_range(k) {
-                    mask[n] += 1;
-                }
-            }
-        }
-        if mask != self.node_mask {
-            return Err("node_mask disagrees with a recount from switch_down".into());
-        }
-        if switches_down != self.switches_down_total {
-            return Err(format!(
-                "switches_down_total {} != counted {switches_down}",
-                self.switches_down_total
-            ));
+        let mask = self.recount_leaf_mask(tree);
+        if mask != self.leaf_mask {
+            return Err("leaf_mask disagrees with a recount from switch_down".into());
         }
         let mut down = vec![0u32; tree.num_leaves()];
         let mut down_count = 0usize;
         let mut draining_count = 0usize;
         for (i, &h) in self.node_health.iter().enumerate() {
-            let masked = mask[i] > 0;
+            let masked = mask[tree.leaf_ordinal_of(NodeId(i))] > 0;
             if masked {
                 if self.node_free[i] {
                     return Err(format!("node {i}: masked by a down switch but marked free"));

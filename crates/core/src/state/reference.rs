@@ -7,11 +7,25 @@
 //! [`ClusterState::shift`] path after every operation (`==` plus
 //! `check_invariants`, in `tests::placement_currency`) is evidence
 //! neither shares a counting or an index-maintenance mistake with the
-//! other.
+//! other. Switch masking is per node here too: whether a node is masked
+//! is read off its own ancestor chain's `switch_down` bits, and the
+//! per-leaf `leaf_mask` table the shipped path maintains is recounted
+//! from those bits after every switch operation.
 
 use super::*;
 
 impl ClusterState {
+    fn ref_masked(&self, tree: &Tree, n: NodeId) -> bool {
+        let mut s = Some(tree.leaf_of(n));
+        while let Some(id) = s {
+            if self.switch_down[id.0] {
+                return true;
+            }
+            s = tree.switch(id).parent;
+        }
+        false
+    }
+
     fn ref_occupy(&mut self, tree: &Tree, n: NodeId, comm: bool) {
         assert!(self.node_free[n.0]);
         self.node_free[n.0] = false;
@@ -93,7 +107,7 @@ impl ClusterState {
         }
         for &n in nodes {
             if !self.node_free[n.0] {
-                let down = self.node_health[n.0] == NodeHealth::Down || self.node_mask[n.0] > 0;
+                let down = self.node_health[n.0] == NodeHealth::Down || self.ref_masked(tree, n);
                 return Err(if down {
                     StateError::NodeDown(n)
                 } else {
@@ -143,7 +157,7 @@ impl ClusterState {
     pub(crate) fn ref_set_down(&mut self, tree: &Tree, n: NodeId) -> Result<(), StateError> {
         match self.node_health[n.0] {
             NodeHealth::Down => return Err(StateError::NodeDown(n)),
-            NodeHealth::Up if self.node_mask[n.0] > 0 => {
+            NodeHealth::Up if self.ref_masked(tree, n) => {
                 self.node_health[n.0] = NodeHealth::Down;
                 self.version = next_version();
                 return Ok(());
@@ -169,7 +183,7 @@ impl ClusterState {
                 self.version = next_version();
                 Ok(())
             }
-            NodeHealth::Down if self.node_mask[n.0] > 0 => {
+            NodeHealth::Down if self.ref_masked(tree, n) => {
                 self.node_health[n.0] = NodeHealth::Up;
                 self.version = next_version();
                 Ok(())
@@ -195,7 +209,7 @@ impl ClusterState {
         for &k in tree.leaf_ordinals_under(s) {
             for n in tree.leaf_nodes(k) {
                 let busy = !self.node_free[n.0]
-                    && self.node_mask[n.0] == 0
+                    && !self.ref_masked(tree, n)
                     && self.node_health[n.0] != NodeHealth::Down;
                 if busy {
                     return Err(StateError::SwitchBusy { switch: s, node: n });
@@ -204,14 +218,13 @@ impl ClusterState {
         }
         for &k in tree.leaf_ordinals_under(s) {
             for n in tree.leaf_nodes(k) {
-                self.node_mask[n.0] += 1;
-                if self.node_mask[n.0] == 1 && self.node_health[n.0] == NodeHealth::Up {
+                if !self.ref_masked(tree, n) && self.node_health[n.0] == NodeHealth::Up {
                     self.ref_free_to_down(tree, n);
                 }
             }
         }
         self.switch_down[s.0] = true;
-        self.switches_down_total += 1;
+        self.leaf_mask = self.recount_leaf_mask(tree);
         self.reindex(tree);
         self.version = next_version();
         Ok(())
@@ -221,16 +234,15 @@ impl ClusterState {
         if !self.switch_down[s.0] {
             return Err(StateError::SwitchNotDown(s));
         }
+        self.switch_down[s.0] = false;
         for &k in tree.leaf_ordinals_under(s) {
             for n in tree.leaf_nodes(k) {
-                self.node_mask[n.0] -= 1;
-                if self.node_mask[n.0] == 0 && self.node_health[n.0] == NodeHealth::Up {
+                if !self.ref_masked(tree, n) && self.node_health[n.0] == NodeHealth::Up {
                     self.ref_down_to_free(tree, n);
                 }
             }
         }
-        self.switch_down[s.0] = false;
-        self.switches_down_total -= 1;
+        self.leaf_mask = self.recount_leaf_mask(tree);
         self.reindex(tree);
         self.version = next_version();
         Ok(())
@@ -240,7 +252,7 @@ impl ClusterState {
         match self.node_health[n.0] {
             NodeHealth::Down => Err(StateError::NodeDown(n)),
             NodeHealth::Draining => Ok(false),
-            NodeHealth::Up if self.node_mask[n.0] > 0 => {
+            NodeHealth::Up if self.ref_masked(tree, n) => {
                 self.node_health[n.0] = NodeHealth::Down;
                 self.version = next_version();
                 Ok(true)

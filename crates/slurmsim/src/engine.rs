@@ -343,7 +343,8 @@ impl JobOutcome {
 pub struct RunSummary {
     /// Selector that produced this run.
     pub selector: String,
-    /// Per-job records, in completion order.
+    /// Per-job records, in start order (rejections where they happen; a
+    /// requeue removes its record).
     pub outcomes: Vec<JobOutcome>,
     /// Virtual time the last job completed.
     pub makespan: u64,
@@ -970,7 +971,8 @@ struct Run<'a, 'r> {
     pending: PendingQueue,
     /// Running jobs: (expected_end_by_walltime, log idx, attempt).
     running: Vec<(u64, usize, u32)>,
-    /// Per-job records, in completion order (a requeue removes its record).
+    /// Per-job records, in start order (rejections where they happen; a
+    /// requeue removes its record).
     outcomes: Vec<JobOutcome>,
     /// Per-job requeue count and destroyed node-seconds, accumulated
     /// across attempts; the count at start time doubles as the attempt
@@ -1248,7 +1250,7 @@ impl Run<'_, '_> {
         });
         self.obs.reg.inc(self.obs.c_requeued, 1);
         self.retries[i] += 1;
-        // The attempt's record goes; the rest keep their completion order.
+        // The attempt's record goes; the rest keep their start order.
         self.outcomes.remove(opos);
         if backoff.is_some() {
             self.events.push(Reverse((resubmit, EventKind::Submit(i))));

@@ -7,7 +7,9 @@
 //! per-job execution-time improvement (Table 4, Figure 7 right).
 
 use crate::engine::{Engine, EngineConfig};
-use commsched_core::{ClusterState, JobNature, SelectorKind};
+use commsched_core::{
+    AllocRequest, ClusterState, DefaultTreeSelector, JobNature, NodeSelector, SelectorKind,
+};
 use commsched_topology::Tree;
 use commsched_workload::{Job, JobLog};
 use rayon::prelude::*;
@@ -67,7 +69,6 @@ impl IndividualOutcome {
 pub fn warmup_state(tree: &Tree, log: &JobLog, fraction: f64) -> ClusterState {
     assert!((0.0..1.0).contains(&fraction));
     let mut state = ClusterState::new(tree);
-    let engine = Engine::new(tree, EngineConfig::new(SelectorKind::Default));
     let target = (tree.num_nodes() as f64 * fraction) as usize;
     for job in &log.jobs {
         if state.busy_total() >= target {
@@ -79,15 +80,22 @@ pub fn warmup_state(tree: &Tree, log: &JobLog, fraction: f64) -> ClusterState {
         if state.busy_total() + job.nodes > target + target / 5 || job.nodes > state.free_total() {
             continue;
         }
-        if let Some(placed) =
-            engine.place(&state, job, &commsched_core::DefaultTreeSelector, &[], 0)
-        {
+        // Only the placement matters here, so no engine and no Eq. 6
+        // scoring: the default selector reads the request's size alone.
+        let req = AllocRequest {
+            job: job.id,
+            nodes: job.nodes,
+            nature: job.nature,
+            pattern: None,
+            attempt: 0,
+        };
+        if let Ok(nodes) = DefaultTreeSelector.select(tree, &state, &req) {
             #[expect(
                 clippy::expect_used,
-                reason = "place() only returns nodes free in the state it was handed, so allocate cannot fail here"
+                reason = "select() only returns nodes free in the state it was handed, so allocate cannot fail here"
             )]
             state
-                .allocate(tree, job.id, &placed.nodes, job.nature)
+                .allocate(tree, job.id, &nodes, job.nature)
                 .expect("placement over free nodes");
         }
     }

@@ -4,8 +4,11 @@
 //! switch vectors sized to the machine — and a sweep runs thousands of
 //! them. Each thread keeps a small cache of retired states and leases
 //! one out per run, [`ClusterState::reset`] back to exactly the
-//! freshly-constructed state, so steady-state sweep iterations stop
-//! re-allocating their world.
+//! freshly-constructed state, so the runs one thread makes stop
+//! re-allocating their world. A cache lives as long as its thread: for
+//! the thread that calls into a parallel region (or never enters one,
+//! like `bench_e2e`'s) that is the process; for a region's helper thread
+//! it is that region, whose share of the sweep's cells it serves.
 //!
 //! Determinism is untouched: a reset state is value-identical to
 //! `ClusterState::new`, and version tokens are process-unique, so an

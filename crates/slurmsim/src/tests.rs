@@ -75,6 +75,27 @@ fn fifo_order_without_backfill() {
 }
 
 #[test]
+fn outcomes_are_in_start_order() {
+    // J1 starts first and ends last; J2 is wider than the machine and is
+    // rejected where it is submitted; J3 starts after both and ends first.
+    // Completion order would read 3, 1.
+    let tree = small_tree();
+    let log = JobLog::new(
+        "order",
+        vec![job(1, 0, 100, 2), job(2, 1, 10, 8), job(3, 2, 10, 2)],
+    );
+    let s = Engine::new(
+        &tree,
+        EngineConfig::new(SelectorKind::Default).reject_oversized(),
+    )
+    .run(&log)
+    .unwrap();
+    let order: Vec<(u64, u64)> = s.outcomes.iter().map(|o| (o.id.0, o.end)).collect();
+    assert_eq!(order, [(1, 100), (2, 1), (3, 12)]);
+    assert_eq!(s.outcomes[1].status, crate::JobStatus::Rejected);
+}
+
+#[test]
 fn small_job_backfills_without_delaying_head() {
     // J1 holds 3 of 4 nodes until t=100. J2 (4 nodes) must wait for it.
     // J3 (1 node, 50 s) fits in the hole and ends before J2's reservation.
