@@ -6,7 +6,8 @@
 //! is one whole placement as the engine performs it — adaptive decision
 //! plus the Eq. 6/Eq. 7 numbers through the shared evaluator; **selection**
 //! (`select_*`) is the three direct selectors back to back over the
-//! free-count index. Medians of `ITERS` single placements, in nanoseconds.
+//! free-count index (`select_dragonfly_1m_leaf`: a request one leaf
+//! serves). Medians of `ITERS` single placements, in nanoseconds.
 //! That these paths compute what their slow references compute is checked
 //! by tests at these sizes (`commsched-core`, `tests::scale`); what a
 //! change does to whole runs is `bench_e2e --compare parent change`.
@@ -76,6 +77,11 @@ struct Row {
 /// index does rather than on materializing the placement.
 const SELECT_WANT: usize = 256;
 
+/// Request size for `select_dragonfly_1m_leaf`: half of one 64-node
+/// router, so every selector is served by one leaf and the row times the
+/// level-1 best-fit query over the 16,384-entry leaf set.
+const LEAF_WANT: usize = 32;
+
 /// Measure one whole placement and one pure selection on every preset.
 fn measure() -> Vec<Row> {
     let cases = [
@@ -107,6 +113,17 @@ fn measure() -> Vec<Row> {
                 std::hint::black_box(case.select(SELECT_WANT));
             }),
         });
+        if preset == SystemPreset::Dragonfly1M {
+            rows.push(Row {
+                label: format!("select_{label}_leaf"),
+                kind: "selection",
+                nodes,
+                want: LEAF_WANT,
+                median_ns: median_ns(ITERS, || {
+                    std::hint::black_box(case.select(LEAF_WANT));
+                }),
+            });
+        }
     }
     rows
 }

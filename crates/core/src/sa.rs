@@ -181,9 +181,9 @@ impl SaSelector {
         // Candidate leaves in ascending ordinal order: (ordinal, capacity).
         let mut leaves: Vec<(usize, u32)> = state
             .index()
-            .leaves_by_free(p)
-            .iter()
-            .map(|&(free, ord)| (usize_of_u32(ord), free))
+            .leaves_by_free(tree, p)
+            .asc()
+            .map(|(free, ord)| (usize_of_u32(ord), free))
             .collect();
         leaves.sort_unstable();
         if leaves.len() < 2 {

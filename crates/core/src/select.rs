@@ -14,7 +14,6 @@
 
 use crate::cost::CostModel;
 use crate::eval::PlacementEvaluator;
-use crate::index::visit_desc;
 use crate::placement::Placement;
 use crate::sa::SaStats;
 use crate::state::{ClusterState, JobId, JobNature};
@@ -182,10 +181,15 @@ pub(crate) fn check_request(state: &ClusterState, req: &AllocRequest) -> Result<
 /// request is satisfied — the shared fill of the default selector and the
 /// balanced selector's compute arm, driven lazily off the index so only the
 /// granted prefix of the order is ever visited.
-fn fill_fewest_free_first(state: &ClusterState, p: SwitchId, want: usize) -> Vec<(usize, u32)> {
+fn fill_fewest_free_first(
+    tree: &Tree,
+    state: &ClusterState,
+    p: SwitchId,
+    want: usize,
+) -> Vec<(usize, u32)> {
     let mut takes = Vec::new();
     let mut remaining = u32_of_usize(want);
-    for &(free, ord) in state.index().leaves_by_free(p) {
+    for (free, ord) in state.index().leaves_by_free(tree, p).asc() {
         if remaining == 0 {
             break;
         }
@@ -218,7 +222,7 @@ impl NodeSelector for DefaultTreeSelector {
         req: &AllocRequest,
     ) -> Result<Placement, SelectError> {
         select_under(tree, state, req, |p| {
-            fill_fewest_free_first(state, p, req.nodes)
+            fill_fewest_free_first(tree, state, p, req.nodes)
         })
     }
 }
@@ -250,22 +254,18 @@ impl NodeSelector for GreedySelector {
         select_under(tree, state, req, |p| {
             let mut takes = Vec::new();
             let mut remaining = u32_of_usize(req.nodes);
-            let mut grant = |ord: u32| {
+            let grant = |(_, ord): (u64, u32)| {
                 let k = usize_of_u32(ord);
                 let take = state.leaf_free(k).min(remaining);
                 takes.push((k, take));
                 remaining -= take;
                 remaining > 0
             };
-            let set = state.index().leaves_by_ratio(p);
+            let order = state.index().leaves_by_ratio(tree, p);
             if req.nature.is_comm() {
-                for &(_, ord) in set {
-                    if !grant(ord) {
-                        break;
-                    }
-                }
+                order.asc().all(grant);
             } else {
-                visit_desc(set, grant);
+                order.desc().all(grant);
             }
             debug_assert_eq!(remaining, 0);
             takes
@@ -300,7 +300,7 @@ impl NodeSelector for BalancedSelector {
             if !req.nature.is_comm() {
                 // Lines 29-36: compute jobs take the fullest-first (fewest
                 // free) leaves without the power-of-two discipline.
-                return fill_fewest_free_first(state, p, req.nodes);
+                return fill_fewest_free_first(tree, state, p, req.nodes);
             }
 
             // Lines 9-21: decreasing free order, grant sizes halving to fit.
@@ -313,18 +313,21 @@ impl NodeSelector for BalancedSelector {
             // `S` carries over between leaves and only ever shrinks (the
             // paper's Figure 4 subdivision; this is what reproduces Table 2).
             let mut s = remaining;
-            visit_desc(state.index().leaves_by_free(p), |ord| {
-                let k = usize_of_u32(ord);
-                let f = state.leaf_free(k);
-                debug_assert!(f > 0);
-                while s > f {
-                    s /= 2;
-                }
-                let take = s.min(remaining);
-                takes.push((k, take));
-                remaining -= take;
-                remaining > 0
-            });
+            state
+                .index()
+                .leaves_by_free(tree, p)
+                .desc()
+                .all(|(f, ord)| {
+                    let k = usize_of_u32(ord);
+                    debug_assert!(f > 0);
+                    while s > f {
+                        s /= 2;
+                    }
+                    let take = s.min(remaining);
+                    takes.push((k, take));
+                    remaining -= take;
+                    remaining > 0
+                });
             // Lines 22-27: leftovers in reverse sorted order, no constraint.
             for (k, taken) in takes.iter_mut().rev() {
                 if remaining == 0 {

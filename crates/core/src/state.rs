@@ -148,6 +148,37 @@ enum Class {
     Down,
 }
 
+/// The ancestor switches one mutation has moved whose level-set entries
+/// still hold an earlier count: `[level - 2]` → `(switch, keyed count)`.
+/// An ancestor chain has one switch per level, so a switch leaves its slot
+/// — and is re-keyed, once, from the count it was keyed by to its current
+/// one — when a take under another switch of that level arrives, or when
+/// the mutation ends ([`ClusterState::catch_up`]). A placement's takes
+/// ascend by ordinal, and every builder numbers a switch's leaves
+/// contiguously, so each ancestor moves once per placement; a `from_conf`
+/// tree that lists leaves out of order just re-keys some more often.
+#[derive(Default)]
+struct Lag(Vec<Option<(SwitchId, u32)>>);
+
+impl Lag {
+    /// Record that `s`, at `level` ≥ 2, is about to move from `free`; the
+    /// switch it displaces from that level's slot, if any, is returned for
+    /// re-keying.
+    fn note(&mut self, level: u32, s: SwitchId, free: u32) -> Option<(SwitchId, u32)> {
+        let slot = usize_of_u32(level) - 2;
+        if slot >= self.0.len() {
+            self.0.resize(slot + 1, None);
+        }
+        match self.0[slot] {
+            Some((held, _)) if held == s => None,
+            prev => {
+                self.0[slot] = Some((s, free));
+                prev
+            }
+        }
+    }
+}
+
 /// Mutable occupancy state over an immutable [`Tree`].
 ///
 /// Keeps per-node free/busy bits, the three per-leaf counters the paper's
@@ -462,11 +493,11 @@ impl ClusterState {
 
     /// Move `count` nodes of leaf ordinal `k` from one occupancy class to
     /// another across every counter: the leaf's own, the ancestor chain of
-    /// subtree free counts, the totals — re-keying the leaf and each
-    /// touched switch in the free-count index on the spot, so the index
-    /// is never behind the counters. Every mutation goes through here;
-    /// the per-node free bits and health are the caller's.
-    fn shift(&mut self, tree: &Tree, k: usize, count: u32, from: Class, to: Class) {
+    /// subtree free counts, the totals. The leaf's index entries are
+    /// re-keyed on the spot; each ancestor whose count moved is left in
+    /// `lag` for [`ClusterState::catch_up`]. Every mutation goes through
+    /// here; the per-node free bits and health are the caller's.
+    fn shift(&mut self, tree: &Tree, k: usize, count: u32, from: Class, to: Class, lag: &mut Lag) {
         if count == 0 {
             return;
         }
@@ -501,24 +532,23 @@ impl ClusterState {
         let keys_after = self.leaf_keys(tree, k);
         self.index
             .apply_leaf(tree, u32_of_usize(k), keys_before, keys_after);
-        // Only a move into or out of `Free` changes the subtree counts.
+        // Only a move into or out of `Free` changes the subtree counts. The
+        // leaf's own level-set entry is `(leaf_free, k)`, re-keyed above.
         let freed = to == Class::Free;
         if freed || from == Class::Free {
             let mut s = Some(tree.leaf(k));
             while let Some(id) = s {
                 let sw = tree.switch(id);
-                let free_before = self.switch_free[id.0];
+                if sw.level > 1 {
+                    if let Some((moved, keyed)) = lag.note(sw.level, id, self.switch_free[id.0]) {
+                        self.rekey_switch(tree, moved, keyed);
+                    }
+                }
                 if freed {
                     self.switch_free[id.0] += count;
                 } else {
                     self.switch_free[id.0] -= count;
                 }
-                self.index.apply_switch(
-                    sw.level,
-                    u32_of_usize(id.0),
-                    free_before,
-                    self.switch_free[id.0],
-                );
                 s = sw.parent;
             }
             if freed {
@@ -529,16 +559,42 @@ impl ClusterState {
         }
     }
 
+    /// Re-key switch `s` in its level set from `keyed` to its current
+    /// free count.
+    fn rekey_switch(&mut self, tree: &Tree, s: SwitchId, keyed: u32) {
+        let level = tree.switch(s).level;
+        self.index
+            .apply_switch(level, u32_of_usize(s.0), keyed, self.switch_free[s.0]);
+    }
+
+    /// Re-key every switch `lag` holds: the end of every mutation, so
+    /// nothing is pending when it returns.
+    fn catch_up(&mut self, tree: &Tree, lag: Lag) {
+        for (s, keyed) in lag.0.into_iter().flatten() {
+            self.rekey_switch(tree, s, keyed);
+        }
+    }
+
+    /// One [`ClusterState::shift`] with its ancestors caught up at once —
+    /// a single-leaf mutation.
+    fn shift_now(&mut self, tree: &Tree, k: usize, count: u32, from: Class, to: Class) {
+        let mut lag = Lag::default();
+        self.shift(tree, k, count, from, to, &mut lag);
+        self.catch_up(tree, lag);
+    }
+
     /// Move a whole placement between classes: one bit fill per run, one
-    /// [`ClusterState::shift`] per take.
+    /// [`ClusterState::shift`] per take, each ancestor re-keyed once.
     fn shift_placement(&mut self, tree: &Tree, placement: &Placement, from: Class, to: Class) {
         let free = to == Class::Free;
         for &(first, len) in placement.runs() {
             self.node_free[first.0..first.0 + usize_of_u32(len)].fill(free);
         }
+        let mut lag = Lag::default();
         for &(k, count) in placement.takes() {
-            self.shift(tree, k, count, from, to);
+            self.shift(tree, k, count, from, to, &mut lag);
         }
+        self.catch_up(tree, lag);
     }
 
     /// `Ok` when `placement` names each node once and every one is free.
@@ -613,6 +669,7 @@ impl ClusterState {
             // and is not free now, so the subtree counts skip it). Takes
             // and ids both ascend, so the next `count` ids are the take's.
             let mut ids = alloc.nodes.iter();
+            let mut lag = Lag::default();
             for &(k, count) in alloc.nodes.takes() {
                 let mut drained = 0;
                 for n in ids.by_ref().take(usize_of_u32(count)) {
@@ -624,9 +681,10 @@ impl ClusterState {
                     }
                 }
                 self.draining_total -= usize_of_u32(drained);
-                self.shift(tree, k, count - drained, busy, Class::Free);
-                self.shift(tree, k, drained, busy, Class::Down);
+                self.shift(tree, k, count - drained, busy, Class::Free, &mut lag);
+                self.shift(tree, k, drained, busy, Class::Down, &mut lag);
             }
+            self.catch_up(tree, lag);
         }
         self.version = next_version();
         Ok(alloc)
@@ -658,7 +716,7 @@ impl ClusterState {
             _ => {}
         }
         self.node_free[n.0] = false;
-        self.shift(tree, tree.leaf_ordinal_of(n), 1, Class::Free, Class::Down);
+        self.shift_now(tree, tree.leaf_ordinal_of(n), 1, Class::Free, Class::Down);
         self.node_health[n.0] = NodeHealth::Down;
         self.version = next_version();
         Ok(())
@@ -687,7 +745,7 @@ impl ClusterState {
             }
             NodeHealth::Down => {
                 self.node_free[n.0] = true;
-                self.shift(tree, tree.leaf_ordinal_of(n), 1, Class::Down, Class::Free);
+                self.shift_now(tree, tree.leaf_ordinal_of(n), 1, Class::Down, Class::Free);
                 self.node_health[n.0] = NodeHealth::Up;
                 self.version = next_version();
                 Ok(())
@@ -726,15 +784,18 @@ impl ClusterState {
                 });
             }
         }
+        let mut lag = Lag::default();
         for &k in tree.leaf_ordinals_under(s) {
             self.leaf_mask[k] += 1;
             if self.leaf_mask[k] == 1 {
                 // First mask over the leaf: with no job on it, its free
                 // nodes are exactly its healthy ones, and all of them go.
                 self.node_free[tree.leaf_node_range(k)].fill(false);
-                self.shift(tree, k, self.leaf_free[k], Class::Free, Class::Down);
+                let free = self.leaf_free[k];
+                self.shift(tree, k, free, Class::Free, Class::Down, &mut lag);
             }
         }
+        self.catch_up(tree, lag);
         self.switch_down[s.0] = true;
         self.version = next_version();
         Ok(())
@@ -750,6 +811,7 @@ impl ClusterState {
         if !self.switch_down[s.0] {
             return Err(StateError::SwitchNotDown(s));
         }
+        let mut lag = Lag::default();
         for &k in tree.leaf_ordinals_under(s) {
             self.leaf_mask[k] -= 1;
             if self.leaf_mask[k] > 0 {
@@ -763,8 +825,9 @@ impl ClusterState {
                     unmasked += 1;
                 }
             }
-            self.shift(tree, k, unmasked, Class::Down, Class::Free);
+            self.shift(tree, k, unmasked, Class::Down, Class::Free, &mut lag);
         }
+        self.catch_up(tree, lag);
         self.switch_down[s.0] = false;
         self.version = next_version();
         Ok(())

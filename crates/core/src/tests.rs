@@ -991,7 +991,14 @@ mod properties {
     /// Random partially-occupied cluster over a random two-level tree.
     fn random_scenario(leaf_sizes: &[usize], occupancy_pct: u8, seed: u64) -> (Tree, ClusterState) {
         let tree = Tree::irregular_two_level(leaf_sizes);
-        let mut st = ClusterState::new(&tree);
+        let st = occupy(&tree, occupancy_pct, seed);
+        (tree, st)
+    }
+
+    /// `tree` with a random `occupancy_pct` of its nodes held by
+    /// three-node jobs of random nature.
+    fn occupy(tree: &Tree, occupancy_pct: u8, seed: u64) -> ClusterState {
+        let mut st = ClusterState::new(tree);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let mut nodes: Vec<NodeId> = (0..tree.num_nodes()).map(NodeId).collect();
         nodes.shuffle(&mut rng);
@@ -1002,14 +1009,61 @@ mod properties {
             } else {
                 JobNature::ComputeIntensive
             };
-            st.allocate(&tree, JobId(1000 + job as u64), &ids(&tree, chunk), nature)
+            st.allocate(tree, JobId(1000 + job as u64), &ids(tree, chunk), nature)
                 .unwrap();
         }
-        (tree, st)
+        st
     }
 
     fn arb_leaf_sizes() -> impl Strategy<Value = Vec<usize>> {
         proptest::collection::vec(2usize..20, 2..8)
+    }
+
+    /// The shapes [`shaped_tree`] builds.
+    const SHAPES: u8 = 6;
+
+    /// A tree of the given shape over (some of) `sizes`, which holds at
+    /// least four leaf sizes — the shapes where the index's layout has its
+    /// edges:
+    ///
+    /// 0. two levels, every leaf a child of the root (the paper presets);
+    /// 1. three regular levels (the exascale presets);
+    /// 2. uppers that list their leaves out of order (`a = s2,s0`,
+    ///    `b = s3,s1`), so one placement's ascending takes alternate
+    ///    between `a` and `b` and the batched re-key moves each more than
+    ///    once;
+    /// 3. a root with leaf and upper children (`r = s0,a,s3`): the root's
+    ///    own parent set beside a deeper one;
+    /// 4. the same one level down (`m = s0,a`, `r = m,s3`), so a non-root
+    ///    switch's `(leaf_free, ordinal)` order is a merge too;
+    /// 5. one leaf, which is also the root.
+    fn shaped_tree(shape: u8, sizes: &[usize]) -> Tree {
+        // Leaves `s0..` over `sizes[..leaves]`, then `uppers` as
+        // `name = children` pairs.
+        let conf = |leaves: usize, uppers: &[(&str, &str)]| {
+            let mut text = String::new();
+            let mut first = 0;
+            for (k, size) in sizes[..leaves].iter().enumerate() {
+                text += &format!("SwitchName=s{k} Nodes=n[{first}-{}]\n", first + size - 1);
+                first += size;
+            }
+            for (name, children) in uppers {
+                text += &format!("SwitchName={name} Switches={children}\n");
+            }
+            Tree::from_conf(&text).unwrap()
+        };
+        match shape {
+            0 => Tree::irregular_two_level(sizes),
+            1 => Tree::regular_three_level(2, sizes.len() / 2, sizes[0]),
+            2 => conf(4, &[("a", "s2,s0"), ("b", "s3,s1"), ("r", "a,b")]),
+            3 => conf(4, &[("a", "s1,s2"), ("r", "s0,a,s3")]),
+            4 => conf(4, &[("a", "s1,s2"), ("m", "s0,a"), ("r", "m,s3")]),
+            _ => conf(1, &[]),
+        }
+    }
+
+    fn arb_shape_sizes() -> impl Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(2usize..20, 4..8)
     }
 
     proptest! {
@@ -1357,16 +1411,19 @@ mod properties {
 
         /// The free-count index stays exactly consistent with a
         /// from-scratch rebuild (verified inside `check_invariants`)
-        /// through arbitrary allocate / release / fault / recover / drain
-        /// churn — every counter path that can move a leaf's fill keys or
-        /// a switch's subtree-free total.
+        /// through arbitrary allocate / release / fault / recover / drain /
+        /// switch-outage churn — every counter path that can move a leaf's
+        /// fill keys or a switch's subtree-free total — on every shape of
+        /// [`shaped_tree`], with requests up to root size.
         #[test]
         fn free_index_survives_fault_churn(
-            sizes in arb_leaf_sizes(),
+            shape in 0..SHAPES,
+            sizes in arb_shape_sizes(),
             seed in any::<u64>(),
             ops in 1usize..60,
         ) {
-            let tree = Tree::irregular_two_level(&sizes);
+            use commsched_topology::SwitchId;
+            let tree = shaped_tree(shape, &sizes);
             let mut st = ClusterState::new(&tree);
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             let mut live: Vec<JobId> = Vec::new();
@@ -1374,17 +1431,23 @@ mod properties {
             for _ in 0..ops {
                 let roll = rng.random::<f64>();
                 let n = NodeId(rng.random_range(0..tree.num_nodes()));
+                let s = SwitchId(rng.random_range(0..tree.num_switches()));
+                // Busy, down and not-down refusals are all fine.
                 if roll < 0.2 && !live.is_empty() {
                     let j = live.swap_remove(rng.random_range(0..live.len()));
                     st.release(&tree, j).unwrap();
-                } else if roll < 0.35 {
-                    let _ = st.set_down(&tree, n); // busy/down errors are fine
-                } else if roll < 0.5 {
+                } else if roll < 0.3 {
+                    let _ = st.set_down(&tree, n);
+                } else if roll < 0.4 {
                     let _ = st.set_up(&tree, n);
-                } else if roll < 0.6 {
+                } else if roll < 0.5 {
                     let _ = st.set_draining(&tree, n);
+                } else if roll < 0.55 {
+                    let _ = st.set_switch_down(&tree, s);
+                } else if roll < 0.6 {
+                    let _ = st.set_switch_up(&tree, s);
                 } else if st.free_total() > 0 {
-                    let want = rng.random_range(1..=st.free_total().min(6));
+                    let want = rng.random_range(1..=st.free_total().min(40));
                     let req = AllocRequest::comm(JobId(next), want);
                     let kind = SelectorKind::ALL[rng.random_range(0usize..4)];
                     let nodes = kind.build().select(&tree, &st, &req).unwrap();
@@ -1403,20 +1466,24 @@ mod properties {
 
         /// Every take-returning selector chooses exactly the nodes of its
         /// pre-index, id-list-building linear-scan twin in `select_scan`,
-        /// on random trees whose leaves are fragmented by random
-        /// occupancy, down and draining nodes and a down switch — the
-        /// independent check on the placement currency.
+        /// on every shape of [`shaped_tree`] with leaves fragmented by
+        /// random occupancy, down and draining nodes and a down switch, and
+        /// requests up to everything free — so the root's merged fill
+        /// orders are checked too. The independent check on the placement
+        /// currency.
         #[test]
         fn selectors_match_scan_oracles(
-            sizes in arb_leaf_sizes(),
+            shape in 0..SHAPES,
+            sizes in arb_shape_sizes(),
             occ in 0u8..80,
             seed in any::<u64>(),
-            want in 1usize..32,
+            want in 1usize..64,
             comm in any::<bool>(),
             faults in 0usize..8,
             down_leaf in any::<bool>(),
         ) {
-            let (tree, mut st) = random_scenario(&sizes, occ, seed);
+            let tree = shaped_tree(shape, &sizes);
+            let mut st = occupy(&tree, occ, seed);
             // Knock nodes down (idle ones) or set them draining (busy
             // ones), and maybe take a whole leaf switch out, so the fault
             // paths shape the fill orders and the free-bit scans too.
@@ -1431,7 +1498,8 @@ mod properties {
                 let _ = st.set_switch_down(&tree, tree.leaf(k));
             }
             st.check_invariants(&tree).unwrap();
-            prop_assume!(want <= st.free_total());
+            let want = want.min(st.free_total());
+            prop_assume!(want > 0);
             let nature = if comm { JobNature::CommIntensive } else { JobNature::ComputeIntensive };
             let req = AllocRequest { job: JobId(9), nodes: want, nature, pattern: None, attempt: 0 };
             assert_matches_scan_oracles(&tree, &st, &req)?;

@@ -109,6 +109,34 @@ fn conf_comments_and_blank_lines() {
     assert_eq!(t.num_nodes(), 4);
 }
 
+/// `leaf_ordinals_under` is bare ordinals in child-list order, not node
+/// order: an upper switch that lists its leaves backwards yields them
+/// backwards, and its parent concatenates its children's lists.
+#[test]
+fn leaf_ordinals_follow_child_lists() {
+    let t = Tree::from_conf(
+        "SwitchName=s0 Nodes=n[0-1]\n\
+         SwitchName=s1 Nodes=n[2-3]\n\
+         SwitchName=s2 Nodes=n[4-5]\n\
+         SwitchName=s3 Nodes=n[6-7]\n\
+         SwitchName=a Switches=s2,s0\n\
+         SwitchName=b Switches=s3,s1\n\
+         SwitchName=r Switches=a,b\n",
+    )
+    .unwrap();
+    let under = |name: &str| {
+        let s = (0..t.num_switches())
+            .map(SwitchId)
+            .find(|&s| t.switch(s).name == name)
+            .unwrap();
+        t.leaf_ordinals_under(s).to_vec()
+    };
+    assert_eq!(under("a"), [2, 0]);
+    assert_eq!(under("b"), [3, 1]);
+    assert_eq!(under("r"), [2, 0, 3, 1]);
+    assert_eq!(under("s1"), [1]);
+}
+
 #[test]
 fn conf_case_insensitive_keys_and_linkspeed() {
     let t = Tree::from_conf(

@@ -42,7 +42,9 @@ pub struct Switch {
     /// Total compute nodes in this switch's subtree.
     pub subtree_nodes: usize,
     /// Ordinals (indices into [`Tree::leaves`]) of leaf switches under this
-    /// switch, in node order. For a leaf switch this is its own ordinal.
+    /// switch, in child-list order: each child's list in turn, so an upper
+    /// switch configured as `Switches=s2,s0` holds `[2, 0]`. For a leaf
+    /// switch this is its own ordinal.
     pub leaf_ordinals: Vec<usize>,
 }
 
@@ -476,7 +478,8 @@ impl Tree {
         self.switches[self.lca_switch(self.leaves[a], self.leaves[b]).0].level
     }
 
-    /// Iterate over `(ordinal, SwitchId)` of leaves under `s`, node order.
+    /// Leaf ordinals under `s`, in child-list order (see
+    /// [`Switch::leaf_ordinals`]) — not necessarily ascending.
     pub fn leaf_ordinals_under(&self, s: SwitchId) -> &[usize] {
         &self.switches[s.0].leaf_ordinals
     }

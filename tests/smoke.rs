@@ -48,6 +48,33 @@ fn core_table2_split() {
 }
 
 #[test]
+fn core_three_level_spans_groups() {
+    // Two groups of three 4-node leaves, one node-heavy job on leaf 0: 14
+    // nodes fit in neither group, so both selectors fill from the root —
+    // greedy through the merge of the two groups' ratio orders.
+    let tree = Tree::regular_three_level(2, 3, 4);
+    let mut state = ClusterState::new(&tree);
+    let busy = Placement::from_nodes(&tree, &[NodeId(0), NodeId(1), NodeId(2)]).unwrap();
+    state
+        .allocate(&tree, JobId(1), &busy, JobNature::CommIntensive)
+        .unwrap();
+    let req = AllocRequest::comm(JobId(2), 14);
+    let mut place = |selector: &dyn NodeSelector, takes: &[(usize, u32)]| {
+        let placement = selector.select(&tree, &state, &req).unwrap();
+        assert_eq!(placement.takes(), takes);
+        state
+            .allocate(&tree, JobId(2), &placement, JobNature::CommIntensive)
+            .unwrap();
+        assert_eq!(state.check_invariants(&tree), Ok(()));
+        state.release(&tree, JobId(2)).unwrap();
+        assert_eq!(state.check_invariants(&tree), Ok(()));
+    };
+    place(&GreedySelector, &[(1, 4), (2, 4), (3, 4), (4, 2)]);
+    // Alg. 2's grant halves 14 -> 7 -> 3 to fit a 4-node leaf.
+    place(&BalancedSelector, &[(1, 3), (2, 3), (3, 3), (4, 3), (5, 2)]);
+}
+
+#[test]
 fn netsim_solo_time() {
     // Two nodes of one leaf exchange 1 MB at 1 MB/s per direction.
     let tree = Tree::regular_two_level(2, 4);
