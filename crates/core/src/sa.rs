@@ -1,4 +1,4 @@
-//! Budgeted simulated-annealing placement refinement (ROADMAP item 5).
+//! Budgeted simulated-annealing placement refinement (DESIGN.md §4.10).
 //!
 //! [`SaSelector`] starts from the adaptive greedy/balanced incumbent
 //! (§4.3) and spends a fixed evaluation budget exploring neighbouring

@@ -454,7 +454,7 @@ pub enum SelectorKind {
     /// §4.3 ([`AdaptiveSelector`]).
     Adaptive,
     /// Budgeted simulated-annealing refinement of the adaptive incumbent
-    /// ([`crate::SaSelector`], ROADMAP item 5). Not part of
+    /// ([`crate::SaSelector`], DESIGN.md §4.10). Not part of
     /// [`SelectorKind::ALL`]: the paper's sweeps compare its four
     /// selectors, SA rides the dedicated `tournament` experiment.
     Sa,

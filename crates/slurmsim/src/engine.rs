@@ -19,10 +19,12 @@ use commsched_workload::fault::{FaultDomain, FaultKind, FaultTrace};
 use commsched_workload::{Job, JobLog};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::fmt;
-use std::ops::Bound;
 use std::sync::{Arc, Mutex};
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -570,6 +572,15 @@ pub struct Engine<'t> {
     /// adaptive selector, so candidate comparison warms the hop memo the
     /// Eq. 7 evaluation then reuses.
     eval: Arc<Mutex<PlacementEvaluator>>,
+    /// Drive the runs with the reference backfill passes
+    /// (`engine/reference.rs`) instead of the shipped ones.
+    #[cfg(test)]
+    reference_passes: bool,
+    /// Placements to decline, by `(job, now)`: a selector that finds no
+    /// placement although enough nodes are free, which no shipped selector
+    /// does but every start site must survive.
+    #[cfg(test)]
+    refuse_start: fn(JobId, u64) -> bool,
 }
 
 impl<'t> Engine<'t> {
@@ -581,7 +592,27 @@ impl<'t> Engine<'t> {
             drained: Vec::new(),
             faults: FaultTrace::empty(),
             eval: Arc::new(Mutex::new(PlacementEvaluator::new())),
+            #[cfg(test)]
+            reference_passes: false,
+            #[cfg(test)]
+            refuse_start: |_, _| false,
         }
+    }
+
+    /// The same engine driven by the reference backfill passes — the
+    /// oracle side of the pass-equivalence tests.
+    #[cfg(test)]
+    pub(crate) fn with_reference_passes(mut self) -> Self {
+        self.reference_passes = true;
+        self
+    }
+
+    /// The same engine, failing to place job `j` at instant `t` whenever
+    /// `refuse(j, t)`.
+    #[cfg(test)]
+    pub(crate) fn with_refused_starts(mut self, refuse: fn(JobId, u64) -> bool) -> Self {
+        self.refuse_start = refuse;
+        self
     }
 
     /// Inject a fault trace: its `Fail`/`Recover`/`Drain` events fire at
@@ -922,6 +953,7 @@ impl<'t> Engine<'t> {
             events,
             pending: PendingQueue::default(),
             running: Vec::new(),
+            reserved: Reservations::default(),
             outcomes: Vec::new(),
             retries: vec![0; log.jobs.len()],
             lost: vec![0; log.jobs.len()],
@@ -969,8 +1001,13 @@ struct Run<'a, 'r> {
     events: BinaryHeap<Reverse<(u64, EventKind)>>,
     /// FIFO queue of log indices, indexed by the width of each request.
     pending: PendingQueue,
-    /// Running jobs: (expected_end_by_walltime, log idx, attempt).
-    running: Vec<(u64, usize, u32)>,
+    /// Running jobs as `(walltime end, nodes, log idx, attempt)`, sorted by
+    /// `(walltime end, nodes)`: the release profile both backfill passes
+    /// read.
+    running: Vec<(u64, usize, usize, u32)>,
+    /// The last conservative pass's reservations, which the next pass
+    /// extends instead of recomputing while nothing they rest on changed.
+    reserved: Reservations,
     /// Per-job records, in start order (rejections where they happen; a
     /// requeue removes its record).
     outcomes: Vec<JobOutcome>,
@@ -986,6 +1023,24 @@ struct Run<'a, 'r> {
     obs: Obs<'a, 'r>,
 }
 
+/// Conservative backfill's availability profile as a pass leaves it, with
+/// what the next pass needs to tell whether it still holds (DESIGN.md
+/// §4.11).
+#[derive(Default)]
+struct Reservations {
+    /// Availability deltas by instant, strictly ascending: the running
+    /// jobs' releases plus a `[start, end)` pair per reservation.
+    profile: Vec<(u64, i64)>,
+    /// The last queue slot the pass fitted.
+    last: Option<usize>,
+    /// The earliest reservation start (`u64::MAX` if none).
+    earliest: u64,
+    /// `PendingQueue::repacks` when the pass ended.
+    repacks: u64,
+    /// Cleared by every `finish` and every fault (kills included).
+    valid: bool,
+}
+
 impl Run<'_, '_> {
     fn emit(&mut self, kind: TK) {
         self.obs.tr.emit(us(self.now), kind);
@@ -997,7 +1052,7 @@ impl Run<'_, '_> {
         let live = self
             .running
             .iter()
-            .position(|&(_, i, a)| log.jobs[i].id == id && a == att);
+            .position(|&(_, _, i, a)| log.jobs[i].id == id && a == att);
         let Some(pos) = live else {
             // Stale finish of an attempt killed by a fault.
             return Ok(());
@@ -1006,6 +1061,7 @@ impl Run<'_, '_> {
             .release(self.eng.tree, id)
             .map_err(|e| EngineError::StateInconsistency(format!("releasing {id}: {e}")))?;
         self.running.remove(pos);
+        self.reserved.valid = false;
         self.emit(TK::JobFinish {
             job: id.0,
             attempt: att,
@@ -1073,6 +1129,7 @@ impl Run<'_, '_> {
         let tree = self.eng.tree;
         let e = self.eng.faults.events()[k];
         self.obs.reg.inc(self.obs.c_faults, 1);
+        self.reserved.valid = false;
         match e.kind {
             FaultKind::Fail | FaultKind::Recover | FaultKind::Drain => {
                 let n = NodeId(e.node);
@@ -1195,13 +1252,14 @@ impl Run<'_, '_> {
         let pos = self
             .running
             .iter()
-            .position(|&(_, i, _)| log.jobs[i].id == victim);
+            .position(|&(_, _, i, _)| log.jobs[i].id == victim);
         debug_assert!(pos.is_some(), "allocated job must be running");
         let Some(pos) = pos else {
             return Ok(());
         };
-        // `remove`, not `swap_remove`: `running` stays in start order.
-        let (_, i, attempt) = self.running.remove(pos);
+        // `remove`, not `swap_remove`: `running` stays sorted by
+        // `(walltime end, nodes)`.
+        let (_, _, i, attempt) = self.running.remove(pos);
         let alloc = self.state.release(self.eng.tree, victim).map_err(|e| {
             EngineError::StateInconsistency(format!("releasing fault victim {victim}: {e}"))
         })?;
@@ -1317,11 +1375,21 @@ impl Run<'_, '_> {
     }
 
     /// Try to start the job in queue slot `slot` now: place, allocate,
-    /// record, dequeue, trace. `Ok(false)` if the selector finds no
-    /// placement, in which case nothing changed.
-    fn start_job(&mut self, slot: usize, i: usize, backfilled: bool) -> Result<bool, EngineError> {
+    /// record, dequeue, trace. `Ok(Some(walltime end))` once it started;
+    /// `Ok(None)` if the selector finds no placement, in which case nothing
+    /// changed.
+    fn start_job(
+        &mut self,
+        slot: usize,
+        i: usize,
+        backfilled: bool,
+    ) -> Result<Option<u64>, EngineError> {
         let (eng, now, attempt) = (self.eng, self.now, self.retries[i]);
         let job = &self.log.jobs[i];
+        #[cfg(test)]
+        if (eng.refuse_start)(job.id, now) {
+            return Ok(None);
+        }
         let Some(mut placed) = eng.place(
             self.state,
             job,
@@ -1329,7 +1397,7 @@ impl Run<'_, '_> {
             &self.link_factors,
             attempt,
         ) else {
-            return Ok(false);
+            return Ok(None);
         };
         if eng.cfg.enforce_walltime {
             placed.adjusted = placed.adjusted.min(job.walltime);
@@ -1344,7 +1412,10 @@ impl Run<'_, '_> {
             })?;
         let end = now.saturating_add(placed.adjusted);
         let wall_end = now.saturating_add(job.walltime.max(placed.adjusted));
-        self.running.push((wall_end, i, attempt));
+        let at = self
+            .running
+            .partition_point(|&(t, n, ..)| (t, n) <= (wall_end, job.nodes));
+        self.running.insert(at, (wall_end, job.nodes, i, attempt));
         self.events
             .push(Reverse((end, EventKind::Finish(job.id, attempt))));
         let o = JobOutcome {
@@ -1367,7 +1438,7 @@ impl Run<'_, '_> {
         self.emit_sa();
         self.note_start(&o, backfilled);
         self.outcomes.push(o);
-        Ok(true)
+        Ok(Some(wall_end))
     }
 
     /// One pass of the scheduler: start the head while it fits, then
@@ -1376,7 +1447,7 @@ impl Run<'_, '_> {
         self.obs.reg.inc(self.obs.c_passes, 1);
         while let Some((slot, head)) = self.pending.first() {
             let fits = self.log.jobs[head].nodes <= self.state.free_total();
-            if !(fits && self.start_job(slot, head, false)?) {
+            if !(fits && self.start_job(slot, head, false)?.is_some()) {
                 return match self.eng.cfg.backfill {
                     BackfillPolicy::None => Ok(()),
                     BackfillPolicy::Easy => self.easy_backfill(slot, head),
@@ -1392,17 +1463,15 @@ impl Run<'_, '_> {
     /// extra nodes beyond its need at that moment; start later jobs that
     /// respect either.
     fn easy_backfill(&mut self, head_slot: usize, head: usize) -> Result<(), EngineError> {
+        #[cfg(test)]
+        if self.eng.reference_passes {
+            return self.easy_backfill_reference(head_slot, head);
+        }
         let log = self.log;
         let need = log.jobs[head].nodes;
-        let mut ends: Vec<(u64, usize)> = self
-            .running
-            .iter()
-            .map(|&(wall_end, i, _)| (wall_end, log.jobs[i].nodes))
-            .collect();
-        ends.sort_unstable();
         let mut avail = self.state.free_total();
         let mut shadow = u64::MAX;
-        for &(t, n) in &ends {
+        for &(t, n, ..) in &self.running {
             avail += n;
             if avail >= need {
                 shadow = t;
@@ -1424,47 +1493,81 @@ impl Run<'_, '_> {
         Ok(())
     }
 
-    /// Conservative backfilling: build a future-availability profile from
-    /// the running jobs' walltimes, give every queued job (in order) the
-    /// earliest reservation that fits, and start only jobs whose
-    /// reservation is *now*. Reservations are rebuilt from scratch on each
-    /// pass, the standard implementation shape.
+    /// Conservative backfilling: give every queued job (in order) the
+    /// earliest reservation that fits the running jobs' releases and the
+    /// reservations before it, and start the jobs whose reservation is
+    /// *now*. A start only narrows the window it was given, so the pass
+    /// goes on after it; the next pass fits only the newly queued jobs
+    /// while no release or fault has touched this one's reservations and
+    /// none of them is due (DESIGN.md §4.11).
     fn conservative_backfill(&mut self) -> Result<(), EngineError> {
-        let (log, now) = (self.log, self.now);
-        'restart: loop {
-            // Availability deltas at future instants (all keys >= now).
-            let mut deltas: BTreeMap<u64, i64> = BTreeMap::new();
-            for &(wall_end, i, _) in &self.running {
-                *deltas.entry(wall_end.max(now)).or_insert(0) += i64_of_usize(log.jobs[i].nodes);
-            }
-            let base = i64_of_usize(self.state.free_total());
-
-            let head = self.pending.first();
-            let mut next = head;
-            while let Some((slot, i)) = next {
-                next = self.pending.after(slot);
-                let job = &log.jobs[i];
-                let need = i64_of_usize(job.nodes);
-                let dur = job.walltime.max(1);
-                let Some(s) = earliest_fit(&deltas, base, now, dur, need) else {
-                    // With failed nodes the job may not fit even the fully
-                    // drained future machine; it holds no reservation and
-                    // waits for a recovery (or end-of-run rejection).
-                    continue;
-                };
-                if s == now
-                    && need <= i64_of_usize(self.state.free_total())
-                    && self.start_job(slot, i, Some((slot, i)) != head)?
-                {
-                    // The profile base changed; rebuild and rescan.
-                    continue 'restart;
-                }
-                // Reserve [s, s + dur) for this job.
-                *deltas.entry(s).or_insert(0) -= need;
-                *deltas.entry(s.saturating_add(dur)).or_insert(0) += need;
-            }
-            return Ok(());
+        #[cfg(test)]
+        if self.eng.reference_passes {
+            return self.conservative_backfill_reference();
         }
+        let (log, now) = (self.log, self.now);
+        // The head never starts here: the head loop just failed to start it
+        // against this same state.
+        let head = self.pending.first();
+        let mut r = std::mem::take(&mut self.reserved);
+        let mut next = match r.last {
+            Some(last) if r.valid && r.repacks == self.pending.repacks() && r.earliest > now => {
+                self.pending.after(last)
+            }
+            _ => self.release_profile(&mut r),
+        };
+        while let Some((slot, i)) = next {
+            next = self.pending.after(slot);
+            r.last = Some(slot);
+            let job = &log.jobs[i];
+            let need = i64_of_usize(job.nodes);
+            let dur = job.walltime.max(1);
+            let base = i64_of_usize(self.state.free_total());
+            let Some(s) = earliest_fit(&r.profile, base, now, dur, need) else {
+                // With failed nodes the job may not fit even the fully
+                // drained future machine; it holds no reservation and
+                // waits for a recovery (or end-of-run rejection).
+                continue;
+            };
+            if s == now && need <= base {
+                if let Some(wall_end) = self.start_job(slot, i, Some((slot, i)) != head)? {
+                    if wall_end > now.saturating_add(dur) {
+                        // Eq. 7 stretched the hold past the window it was
+                        // fitted in: earlier reservations may have to move.
+                        next = self.release_profile(&mut r);
+                    } else {
+                        add_delta(&mut r.profile, wall_end.max(now), need);
+                    }
+                    continue;
+                }
+            }
+            // Reserve [s, s + dur) for this job.
+            add_delta(&mut r.profile, s, -need);
+            add_delta(&mut r.profile, s.saturating_add(dur), need);
+            r.earliest = r.earliest.min(s);
+        }
+        r.repacks = self.pending.repacks();
+        r.valid = true;
+        self.reserved = r;
+        Ok(())
+    }
+
+    /// Reset `r` to the running jobs' releases alone, each at
+    /// `max(walltime end, now)` — `running`'s order, so no sort — and hand
+    /// back the queue head to fit from.
+    fn release_profile(&self, r: &mut Reservations) -> Option<(usize, usize)> {
+        let now = self.now;
+        r.profile.clear();
+        for &(wall_end, nodes, ..) in &self.running {
+            let (t, d) = (wall_end.max(now), i64_of_usize(nodes));
+            match r.profile.last_mut() {
+                Some(last) if last.0 == t => last.1 += d,
+                _ => r.profile.push((t, d)),
+            }
+        }
+        r.last = None;
+        r.earliest = u64::MAX;
+        self.pending.first()
     }
 
     /// Close the run: reject what can never start, fill the end-of-run
@@ -1516,27 +1619,29 @@ impl Run<'_, '_> {
 }
 
 /// Earliest `s >= now` at which `need` nodes stay available for `dur`
-/// seconds under the delta profile. Candidate starts are `now` and every
-/// profile breakpoint; availability after the last breakpoint is every
-/// node not currently down, so on a healthy machine a fit always exists
-/// for validated jobs — but a mid-run node failure can leave `need` out
-/// of reach entirely, in which case there is no fit (`None`).
+/// seconds under the delta profile (ascending instants, one entry each).
+/// Candidate starts are `now` and every profile breakpoint; availability
+/// after the last breakpoint is every node not currently down, so on a
+/// healthy machine a fit always exists for validated jobs — but a mid-run
+/// node failure can leave `need` out of reach entirely, in which case there
+/// is no fit (`None`).
 ///
 /// One forward sweep carrying the availability prefix. A breakpoint `p`
 /// short of `need` rules out every candidate at or before it, not just the
 /// current one: each of their windows contains `p`, whose availability does
 /// not depend on where the window starts.
 pub(crate) fn earliest_fit(
-    deltas: &BTreeMap<u64, i64>,
+    profile: &[(u64, i64)],
     base: i64,
     now: u64,
     dur: u64,
     need: i64,
 ) -> Option<u64> {
-    let mut avail = base + deltas.range(..=now).map(|(_, d)| *d).sum::<i64>();
+    let split = profile.partition_point(|&(t, _)| t <= now);
+    let mut avail = base + profile[..split].iter().map(|&(_, d)| d).sum::<i64>();
     // The earliest start not yet ruled out, with the end of its window.
     let mut fit = (avail >= need).then_some((now, now.saturating_add(dur)));
-    for (&p, d) in deltas.range((Bound::Excluded(now), Bound::Unbounded)) {
+    for &(p, d) in &profile[split..] {
         if let Some((s, end)) = fit {
             if p >= end {
                 return Some(s);
@@ -1550,4 +1655,13 @@ pub(crate) fn earliest_fit(
         }
     }
     fit.map(|(s, _)| s)
+}
+
+/// Add `d` to the profile at instant `t`, merging with an entry already
+/// there.
+pub(crate) fn add_delta(profile: &mut Vec<(u64, i64)>, t: u64, d: i64) {
+    match profile.binary_search_by_key(&t, |&(k, _)| k) {
+        Ok(at) => profile[at].1 += d,
+        Err(at) => profile.insert(at, (t, d)),
+    }
 }

@@ -1,0 +1,116 @@
+//! The backfill passes the shipped ones are checked against: EASY's shadow
+//! time from a per-pass collect-and-sort of the running jobs' releases, and
+//! conservative backfilling that rebuilds a `BTreeMap` profile from
+//! `running` on every pass, refits every queued job with the per-candidate
+//! `earliest_fit_naive`, and starts over from the queue head after *every*
+//! start. It reads nothing the shipped passes keep between calls — not the
+//! order of `running`, not its node counts, not `Run::reserved` — so
+//! agreement on outcomes and traces (`tests::backfill_reference`) is
+//! evidence that neither the sorted release list, nor continuing after a
+//! start, nor reusing the last pass's reservations changed a decision.
+//! Selected by [`Engine::with_reference_passes`].
+
+use super::*;
+use std::collections::BTreeMap;
+use std::ops::Bound;
+
+impl Run<'_, '_> {
+    pub(super) fn easy_backfill_reference(
+        &mut self,
+        head_slot: usize,
+        head: usize,
+    ) -> Result<(), EngineError> {
+        let log = self.log;
+        let need = log.jobs[head].nodes;
+        let mut ends: Vec<(u64, usize)> = self
+            .running
+            .iter()
+            .map(|&(wall_end, _, i, _)| (wall_end, log.jobs[i].nodes))
+            .collect();
+        ends.sort_unstable();
+        let mut avail = self.state.free_total();
+        let mut shadow = u64::MAX;
+        for &(t, n) in &ends {
+            avail += n;
+            if avail >= need {
+                shadow = t;
+                break;
+            }
+        }
+        let extra = avail.saturating_sub(need);
+
+        let mut from = head_slot + 1;
+        while let Some((slot, i)) = self.pending.next_fit(from, self.state.free_total()) {
+            from = slot + 1;
+            let job = &log.jobs[i];
+            if self.now.saturating_add(job.walltime) <= shadow || job.nodes <= extra {
+                self.start_job(slot, i, true)?;
+            }
+        }
+        Ok(())
+    }
+
+    pub(super) fn conservative_backfill_reference(&mut self) -> Result<(), EngineError> {
+        let (log, now) = (self.log, self.now);
+        'restart: loop {
+            let mut deltas: BTreeMap<u64, i64> = BTreeMap::new();
+            for &(wall_end, _, i, _) in &self.running {
+                *deltas.entry(wall_end.max(now)).or_insert(0) += i64_of_usize(log.jobs[i].nodes);
+            }
+            let base = i64_of_usize(self.state.free_total());
+
+            let head = self.pending.first();
+            let mut next = head;
+            while let Some((slot, i)) = next {
+                next = self.pending.after(slot);
+                let job = &log.jobs[i];
+                let need = i64_of_usize(job.nodes);
+                let dur = job.walltime.max(1);
+                let Some(s) = earliest_fit_naive(&deltas, base, now, dur, need) else {
+                    continue;
+                };
+                if s == now
+                    && need <= i64_of_usize(self.state.free_total())
+                    && self.start_job(slot, i, Some((slot, i)) != head)?.is_some()
+                {
+                    continue 'restart;
+                }
+                *deltas.entry(s).or_insert(0) -= need;
+                *deltas.entry(s.saturating_add(dur)).or_insert(0) += need;
+            }
+            return Ok(());
+        }
+    }
+}
+
+/// The reservation search as it was before the sweep: every candidate
+/// start re-sums the prefix and re-scans its own window.
+pub(crate) fn earliest_fit_naive(
+    deltas: &BTreeMap<u64, i64>,
+    base: i64,
+    now: u64,
+    dur: u64,
+    need: i64,
+) -> Option<u64> {
+    let after = |t: u64| deltas.range((Bound::Excluded(t), Bound::Unbounded));
+    let candidates = std::iter::once(now).chain(after(now).map(|(k, _)| *k));
+    for s in candidates {
+        let mut avail: i64 = base + deltas.range(..=s).map(|(_, d)| *d).sum::<i64>();
+        if avail < need {
+            continue;
+        }
+        let end = s.saturating_add(dur);
+        let mut ok = true;
+        for (_, d) in after(s).take_while(|(k, _)| **k < end) {
+            avail += d;
+            if avail < need {
+                ok = false;
+                break;
+            }
+        }
+        if ok {
+            return Some(s);
+        }
+    }
+    None
+}

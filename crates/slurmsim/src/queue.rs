@@ -29,6 +29,8 @@ pub(crate) struct PendingQueue {
     tree: Vec<usize>,
     /// Next slot `push_back` fills.
     tail: usize,
+    /// Times `repack` ran.
+    repacks: u64,
 }
 
 impl PendingQueue {
@@ -67,6 +69,12 @@ impl PendingQueue {
     /// The queued job following `slot` in FIFO order.
     pub(crate) fn after(&self, slot: usize) -> Option<(usize, usize)> {
         self.next_fit(slot.saturating_add(1), ANY)
+    }
+
+    /// How many times the queue has repacked; a slot number read before
+    /// stays the same job's while this count does not move.
+    pub(crate) fn repacks(&self) -> u64 {
+        self.repacks
     }
 
     /// The queue in FIFO order as `(slot, job)` pairs.
@@ -134,5 +142,6 @@ impl PendingQueue {
             self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
         }
         self.tail = live.len();
+        self.repacks += 1;
     }
 }

@@ -1662,43 +1662,11 @@ mod observed {
 /// queue and the linear-sweep reservation search.
 mod passes {
     use super::*;
-    use crate::engine::earliest_fit;
+    use crate::engine::reference::earliest_fit_naive;
+    use crate::engine::{add_delta, earliest_fit};
     use crate::queue::PendingQueue;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
-    use std::ops::Bound;
-
-    /// The reservation search as it was before the sweep: every candidate
-    /// start re-sums the prefix and re-scans its own window.
-    fn earliest_fit_naive(
-        deltas: &BTreeMap<u64, i64>,
-        base: i64,
-        now: u64,
-        dur: u64,
-        need: i64,
-    ) -> Option<u64> {
-        let after = |t: u64| deltas.range((Bound::Excluded(t), Bound::Unbounded));
-        let candidates = std::iter::once(now).chain(after(now).map(|(k, _)| *k));
-        for s in candidates {
-            let mut avail: i64 = base + deltas.range(..=s).map(|(_, d)| *d).sum::<i64>();
-            if avail < need {
-                continue;
-            }
-            let end = s.saturating_add(dur);
-            let mut ok = true;
-            for (_, d) in after(s).take_while(|(k, _)| **k < end) {
-                avail += d;
-                if avail < need {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                return Some(s);
-            }
-        }
-        None
-    }
 
     /// Check the queue against the plain `(job, nodes)` list it stands for:
     /// same order from `iter`, same head, slots strictly increasing.
@@ -1760,9 +1728,11 @@ mod passes {
             }
         }
 
-        /// The sweep returns what the per-candidate search returned, on
-        /// profiles with adjacent breakpoints, breakpoints before `now` and
-        /// at `u64::MAX`, needs no future meets, and saturating windows.
+        /// The sweep over the flat profile returns what the per-candidate
+        /// search over a `BTreeMap` returned, on profiles with adjacent
+        /// breakpoints, repeated instants merged into one entry,
+        /// breakpoints before `now` and at `u64::MAX`, needs no future
+        /// meets, and saturating windows.
         #[test]
         fn earliest_fit_matches_naive(
             points in prop::collection::vec((0u64..48, any::<bool>(), -8i64..9), 0..24),
@@ -1773,16 +1743,20 @@ mod passes {
             need in 1i64..24,
         ) {
             let mut deltas: BTreeMap<u64, i64> = BTreeMap::new();
+            let mut profile = Vec::new();
             for (t, far, d) in points {
-                *deltas.entry(if far { u64::MAX - t } else { t }).or_insert(0) += d;
+                let t = if far { u64::MAX - t } else { t };
+                *deltas.entry(t).or_insert(0) += d;
+                add_delta(&mut profile, t, d);
             }
+            prop_assert!(profile.windows(2).all(|w| w[0].0 < w[1].0));
             let dur = match long {
                 0 => u64::MAX,
                 1 => u64::MAX - dur,
                 _ => dur,
             };
             prop_assert_eq!(
-                earliest_fit(&deltas, base, now, dur, need),
+                earliest_fit(&profile, base, now, dur, need),
                 earliest_fit_naive(&deltas, base, now, dur, need)
             );
         }
@@ -2023,6 +1997,214 @@ mod config_matrix {
         assert!(
             got == BLESSED,
             "config-matrix digests moved; this engine gives\n{got:#018x?}"
+        );
+    }
+}
+
+/// The shipped backfill passes against the reference passes of
+/// `engine/reference.rs` (DESIGN.md §4.14): same outcomes and the same
+/// JSONL trace, byte for byte, whatever the log, faults, policy, backfill
+/// and selector — and the edges the no-move argument of DESIGN.md §4.11
+/// has to cover, each pinned by the starts it must produce.
+mod backfill_reference {
+    use super::*;
+    use crate::{FailurePolicy, RunSummary};
+    use commsched_core::SaBudget;
+    use commsched_metrics::Registry;
+    use commsched_trace::Capture;
+    use commsched_workload::fault::{FaultEvent, FaultKind, FaultTrace};
+    use proptest::prelude::*;
+
+    /// Declines about one placement in four, by job and instant.
+    fn flaky(job: JobId, now: u64) -> bool {
+        (job.0 ^ now).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 62 == 0
+    }
+
+    /// The shipped and the reference run of `log`, as (outcomes, trace).
+    fn both(
+        tree: &Tree,
+        cfg: EngineConfig,
+        faults: &FaultTrace,
+        refuse: fn(JobId, u64) -> bool,
+        log: &JobLog,
+    ) -> [(RunSummary, String); 2] {
+        let run = |engine: Engine<'_>| {
+            let mut cap = Capture::new();
+            let s = engine
+                .with_faults(faults.clone())
+                .with_refused_starts(refuse)
+                .run_observed(log, &mut cap, &mut Registry::new())
+                .unwrap();
+            (s, cap.to_jsonl())
+        };
+        [
+            run(Engine::new(tree, cfg)),
+            run(Engine::new(tree, cfg).with_reference_passes()),
+        ]
+    }
+
+    /// Start times by job id, after checking the two passes agree.
+    fn starts(tree: &Tree, cfg: EngineConfig, log: &JobLog) -> Vec<(u64, u64)> {
+        let [(shipped, trace), (reference, reference_trace)] =
+            both(tree, cfg, &FaultTrace::empty(), |_, _| false, log);
+        assert_eq!(shipped, reference);
+        assert!(trace == reference_trace, "traces differ");
+        let mut starts: Vec<(u64, u64)> =
+            shipped.outcomes.iter().map(|o| (o.id.0, o.start)).collect();
+        starts.sort_unstable();
+        starts
+    }
+
+    fn conservative() -> EngineConfig {
+        EngineConfig::new(SelectorKind::Default).conservative_backfill()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn shipped_passes_match_reference(
+            seed in any::<u64>(),
+            backlog in any::<bool>(),
+            walltimes in prop::collection::vec(0u8..6, 30..31),
+            raw in prop::collection::vec((any::<u16>(), 0usize..18, 0u8..5), 0..24),
+            enforce in any::<bool>(),
+            refuse in any::<bool>(),
+        ) {
+            let tree = Tree::regular_two_level(3, 6);
+            let mut log = LogSpec::new(
+                SystemModel {
+                    total_nodes: 18,
+                    min_request: 1,
+                    max_request: 12,
+                    mean_interarrival: if backlog { 30.0 } else { 420.0 },
+                    ..SystemModel::theta()
+                },
+                30,
+                seed,
+            )
+            .comm_percent(60)
+            .generate();
+            // Requested walltimes of zero, short of the runtime (a hold
+            // that outlasts its reservation) and of zero-runtime jobs,
+            // beside the generated ones.
+            for (j, &w) in log.jobs.iter_mut().zip(&walltimes) {
+                match w {
+                    0 => j.walltime = 0,
+                    1 => j.walltime = j.runtime / 3,
+                    2 if !j.nature.is_comm() => j.runtime = 0,
+                    _ => {}
+                }
+            }
+            let horizon = log.jobs.iter().map(|j| j.submit + j.runtime).max().unwrap_or(0);
+            let leaves: Vec<usize> = (0..3).map(|k| tree.leaf(k).0).collect();
+            let events: Vec<FaultEvent> = raw
+                .iter()
+                .map(|&(t, target, kind)| FaultEvent {
+                    t: horizon * u64::from(t) / 65_536,
+                    node: if kind >= 3 { leaves[target % 3] } else { target },
+                    kind: match kind {
+                        0 => FaultKind::Fail,
+                        1 => FaultKind::Recover,
+                        2 => FaultKind::Drain,
+                        3 => FaultKind::SwitchDown,
+                        _ => FaultKind::SwitchUp,
+                    },
+                })
+                .collect();
+            let faults = FaultTrace::new(events);
+            let backfills: [fn(EngineConfig) -> EngineConfig; 2] =
+                [|c| c, EngineConfig::conservative_backfill];
+            for backfill in backfills {
+                for policy in [
+                    FailurePolicy::Cancel,
+                    FailurePolicy::Requeue { max_retries: 2, backoff: 30 },
+                    FailurePolicy::RequeueFront,
+                ] {
+                    for kind in SelectorKind::ALL {
+                        let mut cfg = backfill(EngineConfig::new(kind))
+                            .with_sa(SaBudget::with_evals(16), seed)
+                            .with_failure_policy(policy);
+                        cfg.enforce_walltime = enforce;
+                        let [(shipped, trace), (reference, reference_trace)] =
+                            both(&tree, cfg, &faults, if refuse { flaky } else { |_, _| false }, &log);
+                        prop_assert_eq!(&shipped, &reference, "{:?} {} {}", cfg.backfill, policy, kind);
+                        prop_assert!(trace == reference_trace, "traces differ: {:?} {} {}", cfg.backfill, policy, kind);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A zero walltime is a one-second reservation and a zero-length hold.
+    /// J1 holds 2 of 4 nodes until 5; J2 (all 4 nodes, walltime 0) is
+    /// reserved `[5, 6)`, which keeps J3 (2 nodes, 10 s) from starting now —
+    /// a zero-second reservation would let it through. J4 (1 node, walltime
+    /// and runtime 0) starts now in the backfill pass, its hold ending where
+    /// it starts.
+    #[test]
+    fn zero_walltime_reserves_one_second() {
+        let log = JobLog::new(
+            "zero",
+            vec![
+                job(1, 0, 5, 2),
+                job(2, 0, 0, 4),
+                job(3, 0, 10, 2),
+                job(4, 0, 0, 1),
+            ],
+        );
+        assert_eq!(
+            starts(&small_tree(), conservative(), &log),
+            [(1, 0), (2, 5), (3, 5), (4, 0)]
+        );
+    }
+
+    /// J3 asks for 10 s but runs 50: started now, its hold reaches past the
+    /// window it was fitted in and pushes J2's reservation from 30 to 50.
+    /// Only a pass that fits again from the head sees that J4 (1 node, 45 s)
+    /// now ends before J2 starts and may run at once; continuing with J2
+    /// still reserved at 30 would hold J4 back until J2 is done.
+    #[test]
+    fn hold_longer_than_its_reservation_refits_from_the_head() {
+        let tree = Tree::regular_two_level(1, 5);
+        let log = JobLog::new(
+            "stretched",
+            vec![
+                job(1, 0, 30, 3),
+                job(2, 0, 40, 5),
+                Job {
+                    walltime: 10,
+                    ..job(3, 0, 50, 1)
+                },
+                job(4, 0, 45, 1),
+            ],
+        );
+        assert_eq!(
+            starts(&tree, conservative(), &log),
+            [(1, 0), (2, 50), (3, 0), (4, 0)]
+        );
+    }
+
+    /// J1 asked for 5 s and runs 20; at 10 it is past its requested
+    /// walltime but still holds its nodes until 20 in the profile (the
+    /// walltime end is `start + max(walltime, runtime)`), so J2 (all 4
+    /// nodes) is reserved at 20 and J3 (2 nodes, 8 s) backfills at 10.
+    #[test]
+    fn job_past_its_requested_walltime_holds_until_its_end() {
+        let log = JobLog::new(
+            "overdue",
+            vec![
+                Job {
+                    walltime: 5,
+                    ..job(1, 0, 20, 2)
+                },
+                job(2, 10, 10, 4),
+                job(3, 10, 8, 2),
+            ],
+        );
+        assert_eq!(
+            starts(&small_tree(), conservative(), &log),
+            [(1, 0), (2, 20), (3, 10)]
         );
     }
 }

@@ -166,7 +166,7 @@ impl SystemPreset {
             Self::Theta => Tree::irregular_two_level(&cori_leaf_sizes(12, 4392)),
             // 49,152 nodes over 144 large leaves.
             Self::Mira => Tree::irregular_two_level(&cori_leaf_sizes(144, 49152)),
-            // The two exascale classes (ROADMAP item 3): 2^19 nodes over
+            // The two exascale classes (DESIGN.md §4.7): 2^19 nodes over
             // 1,024 fat leaves, and 2^20 nodes over 16,384 thin routers.
             Self::Multirail500k => Tree::layered(
                 &vec![4 * 128; 32 * 32],

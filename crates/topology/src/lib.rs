@@ -14,7 +14,7 @@
 //!   (16 nodes/leaf), a Cori-like tree (330–380 nodes/leaf), and
 //!   Intrepid/Theta/Mira-scaled trees — plus the exascale classes
 //!   (multi-rail fat-tree at 524,288 nodes, dragonfly-as-tree at
-//!   1,048,576 nodes) from ROADMAP item 3.
+//!   1,048,576 nodes; DESIGN.md §4.7).
 //!
 //! Levels follow the paper's convention: leaf switches are level 1, their
 //! parents level 2, and so on up to the root.
