@@ -6,8 +6,9 @@
 //! netsim, rank mapping, reports). A [`Placement`] therefore carries both
 //! views, built once: selectors produce it, the evaluator reads its takes,
 //! [`ClusterState::allocate`](crate::ClusterState::allocate) moves counters
-//! per take and flips free bits per run, and the recorded
-//! [`Allocation`](crate::Allocation) hands the same value back on release.
+//! per take and fills the packed free bits a word range per run, and the
+//! recorded [`Allocation`](crate::Allocation) hands the same value back on
+//! release.
 //!
 //! It leans on one topology invariant
 //! ([`Tree::leaf_node_range`]): leaf `k`'s nodes are one ascending

@@ -6,7 +6,8 @@
 //! order over leaf takes*: it decides how many nodes to take from which
 //! leaf and hands the `(leaf ordinal, count)` list to [`Placement`], which
 //! resolves the ids. A placement costs O(tree height + leaves actually
-//! granted) plus one free-bit scan per partly occupied granted leaf.
+//! granted) plus, per partly occupied granted leaf, a scan of its packed
+//! free bits 64 nodes at a time.
 //! The pre-index linear-scan algorithms live on as the test-only
 //! `select_scan` module, still building id lists node by node; the
 //! property tests in `tests` assert the two choose identical node sets.

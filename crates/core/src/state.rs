@@ -11,8 +11,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+mod bits;
 #[cfg(test)]
 mod reference;
+
+#[cfg(test)]
+pub(crate) use bits::FreeBits;
 
 /// Make `v` exactly `n` copies of `value`, in its own buffer.
 fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
@@ -181,7 +185,7 @@ impl Lag {
 
 /// Mutable occupancy state over an immutable [`Tree`].
 ///
-/// Keeps per-node free/busy bits, the three per-leaf counters the paper's
+/// Keeps packed per-node free bits, the three per-leaf counters the paper's
 /// formulas read, and an incremental per-switch free counter that keys
 /// the free-count index (see [`crate::index`]), so switch selection never
 /// recounts a subtree. What-if evaluation never
@@ -189,8 +193,8 @@ impl Lag {
 /// on the counters it reads.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterState {
-    /// Per-node: is the node free?
-    node_free: Vec<bool>,
+    /// Per-node: is the node free? One bit per node, 64 to a word.
+    node_free: bits::FreeBits,
     /// Per-leaf-ordinal: free node count.
     leaf_free: Vec<u32>,
     /// Per-leaf-ordinal: busy node count (the paper's `L_busy`).
@@ -272,7 +276,7 @@ impl ClusterState {
     pub fn reset(&mut self, tree: &Tree) {
         let nodes = tree.num_nodes();
         let leaves = tree.num_leaves();
-        refill(&mut self.node_free, nodes, true);
+        self.node_free.reset(nodes, true);
         self.leaf_free.clear();
         self.leaf_free
             .extend((0..leaves).map(|k| u32_of_usize(tree.leaf_size(k))));
@@ -356,7 +360,7 @@ impl ClusterState {
     /// Is this node free?
     #[cfg(test)]
     pub(crate) fn is_free(&self, n: NodeId) -> bool {
-        self.node_free[n.0]
+        self.node_free.get(n.0)
     }
 
     /// Lifecycle state of node `n`.
@@ -450,7 +454,8 @@ impl ClusterState {
 
     /// The first `want` free nodes on leaf ordinal `k` as ascending id
     /// runs `(first id, length)`, lowest node id first (SLURM's bitmap
-    /// order). A fully free leaf is one run and no scan.
+    /// order). A fully free leaf is one run and no scan; a partly occupied
+    /// one is a scan of its free bits a word (64 nodes) at a time.
     pub(crate) fn free_runs_on_leaf(
         &self,
         tree: &Tree,
@@ -467,28 +472,7 @@ impl ClusterState {
             push(range.start, want);
             return;
         }
-        // One pass over the leaf's bits, `(start, len)` the run being grown
-        // — a leaf fragmented into one- and two-node runs costs little
-        // more per node than the id list did.
-        let (mut start, mut len, mut left) = (range.start, 0, want);
-        for (at, &free) in range.clone().zip(&self.node_free[range]) {
-            if left == 0 {
-                break;
-            }
-            if free {
-                if len == 0 {
-                    start = at;
-                }
-                len += 1;
-                left -= 1;
-            } else if len > 0 {
-                push(start, len);
-                len = 0;
-            }
-        }
-        if len > 0 {
-            push(start, len);
-        }
+        self.node_free.runs(range, want, push);
     }
 
     /// Move `count` nodes of leaf ordinal `k` from one occupancy class to
@@ -583,12 +567,14 @@ impl ClusterState {
         self.catch_up(tree, lag);
     }
 
-    /// Move a whole placement between classes: one bit fill per run, one
-    /// [`ClusterState::shift`] per take, each ancestor re-keyed once.
+    /// Move a whole placement between classes: one word-range fill of the
+    /// free bits per run, one [`ClusterState::shift`] per take, each
+    /// ancestor re-keyed once.
     fn shift_placement(&mut self, tree: &Tree, placement: &Placement, from: Class, to: Class) {
         let free = to == Class::Free;
         for &(first, len) in placement.runs() {
-            self.node_free[first.0..first.0 + usize_of_u32(len)].fill(free);
+            self.node_free
+                .fill(first.0..first.0 + usize_of_u32(len), free);
         }
         let mut lag = Lag::default();
         for &(k, count) in placement.takes() {
@@ -605,8 +591,8 @@ impl ClusterState {
                 return Err(StateError::DuplicateNode(first));
             }
             end = first.0 + usize_of_u32(len);
-            if let Some(i) = self.node_free[first.0..end].iter().position(|f| !f) {
-                let n = NodeId(first.0 + i);
+            if let Some(i) = self.node_free.first_clear(first.0..end) {
+                let n = NodeId(i);
                 let down = self.node_health[n.0] == NodeHealth::Down || self.is_masked(tree, n);
                 return Err(if down {
                     StateError::NodeDown(n)
@@ -677,7 +663,7 @@ impl ClusterState {
                         self.node_health[n.0] = NodeHealth::Down;
                         drained += 1;
                     } else {
-                        self.node_free[n.0] = true;
+                        self.node_free.set(n.0, true);
                     }
                 }
                 self.draining_total -= usize_of_u32(drained);
@@ -710,12 +696,12 @@ impl ClusterState {
                 self.version = next_version();
                 return Ok(());
             }
-            NodeHealth::Up | NodeHealth::Draining if !self.node_free[n.0] => {
+            NodeHealth::Up | NodeHealth::Draining if !self.node_free.get(n.0) => {
                 return Err(StateError::NodeBusy(n));
             }
             _ => {}
         }
-        self.node_free[n.0] = false;
+        self.node_free.set(n.0, false);
         self.shift_now(tree, tree.leaf_ordinal_of(n), 1, Class::Free, Class::Down);
         self.node_health[n.0] = NodeHealth::Down;
         self.version = next_version();
@@ -744,7 +730,7 @@ impl ClusterState {
                 Ok(())
             }
             NodeHealth::Down => {
-                self.node_free[n.0] = true;
+                self.node_free.set(n.0, true);
                 self.shift_now(tree, tree.leaf_ordinal_of(n), 1, Class::Down, Class::Free);
                 self.node_health[n.0] = NodeHealth::Up;
                 self.version = next_version();
@@ -776,7 +762,7 @@ impl ClusterState {
             }
             let held = tree
                 .leaf_node_range(k)
-                .find(|&i| !self.node_free[i] && self.node_health[i] != NodeHealth::Down);
+                .find(|&i| !self.node_free.get(i) && self.node_health[i] != NodeHealth::Down);
             if let Some(i) = held {
                 return Err(StateError::SwitchBusy {
                     switch: s,
@@ -790,7 +776,7 @@ impl ClusterState {
             if self.leaf_mask[k] == 1 {
                 // First mask over the leaf: with no job on it, its free
                 // nodes are exactly its healthy ones, and all of them go.
-                self.node_free[tree.leaf_node_range(k)].fill(false);
+                self.node_free.fill(tree.leaf_node_range(k), false);
                 let free = self.leaf_free[k];
                 self.shift(tree, k, free, Class::Free, Class::Down, &mut lag);
             }
@@ -821,7 +807,7 @@ impl ClusterState {
             let mut unmasked = 0;
             for i in tree.leaf_node_range(k) {
                 if self.node_health[i] == NodeHealth::Up {
-                    self.node_free[i] = true;
+                    self.node_free.set(i, true);
                     unmasked += 1;
                 }
             }
@@ -848,7 +834,7 @@ impl ClusterState {
                 self.version = next_version();
                 Ok(true)
             }
-            NodeHealth::Up if self.node_free[n.0] => {
+            NodeHealth::Up if self.node_free.get(n.0) => {
                 self.set_down(tree, n)?;
                 Ok(true)
             }
@@ -876,13 +862,8 @@ impl ClusterState {
     ///
     /// Used by tests and `debug_assert!`s in the engine; O(nodes).
     pub fn check_invariants(&self, tree: &Tree) -> Result<(), String> {
-        let mut free = vec![0u32; tree.num_leaves()];
-        for (i, &f) in self.node_free.iter().enumerate() {
-            if f {
-                free[tree.leaf_ordinal_of(NodeId(i))] += 1;
-            }
-        }
-        for (k, &counted) in free.iter().enumerate() {
+        for k in 0..tree.num_leaves() {
+            let counted = u32_of_usize(self.node_free.count_ones(tree.leaf_node_range(k)));
             if counted != self.leaf_free[k] {
                 return Err(format!(
                     "leaf {k}: counted {counted} free, recorded {}",
@@ -911,7 +892,7 @@ impl ClusterState {
         for (i, &h) in self.node_health.iter().enumerate() {
             let masked = mask[tree.leaf_ordinal_of(NodeId(i))] > 0;
             if masked {
-                if self.node_free[i] {
+                if self.node_free.get(i) {
                     return Err(format!("node {i}: masked by a down switch but marked free"));
                 }
                 if h == NodeHealth::Draining {
@@ -919,13 +900,13 @@ impl ClusterState {
                 }
             }
             if masked || h == NodeHealth::Down {
-                if self.node_free[i] {
+                if self.node_free.get(i) {
                     return Err(format!("node {i}: down but marked free"));
                 }
                 down[tree.leaf_ordinal_of(NodeId(i))] += 1;
                 down_count += 1;
             } else if h == NodeHealth::Draining {
-                if self.node_free[i] {
+                if self.node_free.get(i) {
                     return Err(format!("node {i}: draining but marked free"));
                 }
                 draining_count += 1;
@@ -970,7 +951,7 @@ impl ClusterState {
                 ));
             }
         }
-        let total: usize = self.node_free.iter().filter(|f| **f).count();
+        let total = self.node_free.count_ones(0..self.node_free.len());
         if total != self.free_total {
             return Err(format!(
                 "free_total {} != counted {}",

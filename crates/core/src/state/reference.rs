@@ -27,8 +27,8 @@ impl ClusterState {
     }
 
     fn ref_occupy(&mut self, tree: &Tree, n: NodeId, comm: bool) {
-        assert!(self.node_free[n.0]);
-        self.node_free[n.0] = false;
+        assert!(self.node_free.get(n.0));
+        self.node_free.set(n.0, false);
         let k = tree.leaf_ordinal_of(n);
         self.leaf_free[k] -= 1;
         self.leaf_busy[k] += 1;
@@ -44,8 +44,8 @@ impl ClusterState {
     }
 
     fn ref_vacate(&mut self, tree: &Tree, n: NodeId, comm: bool) {
-        assert!(!self.node_free[n.0]);
-        self.node_free[n.0] = true;
+        assert!(!self.node_free.get(n.0));
+        self.node_free.set(n.0, true);
         let k = tree.leaf_ordinal_of(n);
         self.leaf_free[k] += 1;
         self.leaf_busy[k] -= 1;
@@ -61,8 +61,8 @@ impl ClusterState {
     }
 
     fn ref_free_to_down(&mut self, tree: &Tree, n: NodeId) {
-        assert!(self.node_free[n.0]);
-        self.node_free[n.0] = false;
+        assert!(self.node_free.get(n.0));
+        self.node_free.set(n.0, false);
         let k = tree.leaf_ordinal_of(n);
         self.leaf_free[k] -= 1;
         self.leaf_down[k] += 1;
@@ -76,8 +76,8 @@ impl ClusterState {
     }
 
     fn ref_down_to_free(&mut self, tree: &Tree, n: NodeId) {
-        assert!(!self.node_free[n.0]);
-        self.node_free[n.0] = true;
+        assert!(!self.node_free.get(n.0));
+        self.node_free.set(n.0, true);
         let k = tree.leaf_ordinal_of(n);
         self.leaf_down[k] -= 1;
         self.leaf_free[k] += 1;
@@ -106,7 +106,7 @@ impl ClusterState {
             return Err(StateError::JobExists(job));
         }
         for &n in nodes {
-            if !self.node_free[n.0] {
+            if !self.node_free.get(n.0) {
                 let down = self.node_health[n.0] == NodeHealth::Down || self.ref_masked(tree, n);
                 return Err(if down {
                     StateError::NodeDown(n)
@@ -162,7 +162,7 @@ impl ClusterState {
                 self.version = next_version();
                 return Ok(());
             }
-            NodeHealth::Up | NodeHealth::Draining if !self.node_free[n.0] => {
+            NodeHealth::Up | NodeHealth::Draining if !self.node_free.get(n.0) => {
                 return Err(StateError::NodeBusy(n));
             }
             _ => {}
@@ -208,7 +208,7 @@ impl ClusterState {
         }
         for &k in tree.leaf_ordinals_under(s) {
             for n in tree.leaf_nodes(k) {
-                let busy = !self.node_free[n.0]
+                let busy = !self.node_free.get(n.0)
                     && !self.ref_masked(tree, n)
                     && self.node_health[n.0] != NodeHealth::Down;
                 if busy {
@@ -257,7 +257,7 @@ impl ClusterState {
                 self.version = next_version();
                 Ok(true)
             }
-            NodeHealth::Up if self.node_free[n.0] => {
+            NodeHealth::Up if self.node_free.get(n.0) => {
                 self.ref_set_down(tree, n)?;
                 Ok(true)
             }

@@ -3161,3 +3161,142 @@ mod placement_currency {
         }
     }
 }
+
+mod free_bits {
+    //! The packed free bits (`state/bits.rs`) against a plain `Vec<bool>`,
+    //! driven in lockstep over lengths on both sides of a word edge.
+    use crate::state::FreeBits;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use rand::prelude::*;
+    use rand::SeedableRng;
+    use std::ops::Range;
+
+    /// The model's answer: the first `want` set bits of `range` as
+    /// maximal `(first, length)` runs.
+    fn model_runs(model: &[bool], range: Range<usize>, want: u32) -> Vec<(usize, u32)> {
+        let mut out: Vec<(usize, u32)> = Vec::new();
+        let mut left = want;
+        for i in range.filter(|&i| model[i]) {
+            if left == 0 {
+                break;
+            }
+            match out.last_mut() {
+                Some((first, n)) if *first + *n as usize == i => *n += 1,
+                _ => out.push((i, 1)),
+            }
+            left -= 1;
+        }
+        out
+    }
+
+    fn runs(bits: &FreeBits, range: Range<usize>, want: u32) -> Vec<(usize, u32)> {
+        let mut out = Vec::new();
+        bits.runs(range, want, |first, n| out.push((first, n)));
+        out
+    }
+
+    /// A range bound, half the time within one of a word edge.
+    fn bound(rng: &mut impl Rng, len: usize) -> usize {
+        if rng.random::<bool>() {
+            let edge = rng.random_range(0..=len / 64) * 64;
+            (edge + rng.random_range(0..3usize))
+                .saturating_sub(1)
+                .min(len)
+        } else {
+            rng.random_range(0..=len)
+        }
+    }
+
+    fn range(rng: &mut impl Rng, len: usize) -> Range<usize> {
+        let (a, b) = (bound(rng, len), bound(rng, len));
+        a.min(b)..a.max(b)
+    }
+
+    fn drive(len: usize, seed: u64, steps: usize) -> Result<(), TestCaseError> {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let init = rng.random::<bool>();
+        let mut bits = FreeBits::default();
+        bits.reset(len, init);
+        let mut model = vec![init; len];
+        for _ in 0..steps {
+            let r = range(&mut rng, len);
+            match rng.random_range(0..6u8) {
+                0 | 1 => {
+                    let v = rng.random::<bool>();
+                    bits.fill(r.clone(), v);
+                    model[r].fill(v);
+                }
+                2 => {
+                    let (i, v) = (rng.random_range(0..len), rng.random::<bool>());
+                    bits.set(i, v);
+                    model[i] = v;
+                }
+                3 => prop_assert_eq!(
+                    bits.first_clear(r.clone()),
+                    r.clone().find(|&i| !model[i]),
+                    "first_clear {:?}",
+                    r
+                ),
+                4 => {
+                    // Up to one more than the range holds, so "all of them"
+                    // and "stop mid-run" both come up.
+                    let want = rng.random_range(0..=r.len() as u32 + 1);
+                    prop_assert_eq!(
+                        runs(&bits, r.clone(), want),
+                        model_runs(&model, r.clone(), want),
+                        "runs {:?} want {}",
+                        r,
+                        want
+                    );
+                }
+                _ => prop_assert_eq!(
+                    bits.count_ones(r.clone()),
+                    model[r.clone()].iter().filter(|&&b| b).count(),
+                    "count_ones {:?}",
+                    r
+                ),
+            }
+            // Built bit by bit, so no word or mask arithmetic is shared:
+            // a stray bit past `len` shows here.
+            prop_assert!(bits == FreeBits::from_bools(&model));
+        }
+        for (i, &b) in model.iter().enumerate() {
+            prop_assert_eq!(bits.get(i), b, "bit {}", i);
+        }
+        prop_assert_eq!(bits.len(), len);
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn free_bits_match_a_bool_vector(
+            len in proptest::sample::select(vec![1usize, 63, 64, 65, 4392]),
+            seed in any::<u64>(),
+        ) {
+            drive(len, seed, 120)?;
+        }
+    }
+
+    /// Pinned: a run that spans two word edges comes back as one run, and a
+    /// `want` that ends inside a word cuts the last run there.
+    #[test]
+    fn runs_merge_across_words_and_stop_mid_word() {
+        let mut bits = FreeBits::default();
+        bits.reset(200, true);
+        bits.set(10, false);
+        bits.set(150, false);
+        assert_eq!(runs(&bits, 0..200, 200), [(0, 10), (11, 139), (151, 49)]);
+        assert_eq!(runs(&bits, 0..200, 60), [(0, 10), (11, 50)]);
+        assert_eq!(runs(&bits, 5..160, 150), [(5, 5), (11, 139), (151, 6)]);
+        assert_eq!(runs(&bits, 60..70, 3), [(60, 3)]);
+        assert_eq!(bits.first_clear(11..150), None);
+        assert_eq!(bits.first_clear(11..151), Some(150));
+        assert_eq!(bits.count_ones(0..200), 198);
+        // Theta's 4,392 nodes end 40 bits into a word: a full reset sets
+        // exactly those, and is the machine rebuilt bit by bit.
+        bits.reset(4392, true);
+        assert_eq!(bits.count_ones(0..4392), 4392);
+        assert_eq!(bits, FreeBits::from_bools(&[true; 4392]));
+    }
+}
