@@ -1,13 +1,13 @@
 //! Schedule generation for each supported communication pattern.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Communication pattern families considered by the scheduler.
 ///
 /// `Rd`, `Rhvd` and `Binomial` are the three patterns evaluated in the paper;
 /// `Ring` and `Stencil2D` are the extensions named in its future work (§7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Pattern {
     /// Recursive doubling/halving (the paper's "RD"): `MPI_Allreduce`.
     Rd,
@@ -79,7 +79,7 @@ impl std::str::FromStr for Pattern {
 /// bidirectional exchange (or a send for one-directional algorithms such as
 /// binomial broadcast — the cost model and the flow simulator treat both the
 /// same way, as the paper's hop model does).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Step {
     /// Concurrently communicating rank pairs, `(lo, hi)`, sorted.
     pub pairs: Vec<(usize, usize)>,
@@ -329,7 +329,7 @@ impl StepSegments {
 /// and Ring it is the *total* vector being assembled (per-step payloads are
 /// derived fractions); for Binomial it is the broadcast payload; for
 /// Stencil2D it is the per-neighbour halo size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CollectiveSpec {
     /// Algorithm family.
     pub pattern: Pattern,

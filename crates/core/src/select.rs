@@ -58,7 +58,8 @@ impl AllocRequest {
     }
 
     /// A compute-intensive request.
-    pub fn compute(job: JobId, nodes: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn compute(job: JobId, nodes: usize) -> Self {
         AllocRequest {
             job,
             nodes,

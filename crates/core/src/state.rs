@@ -6,7 +6,7 @@ use crate::index::{ratio_key, FreeIndex};
 use crate::placement::Placement;
 use commsched_num::{f64_of_usize, u32_of_usize, usize_of_u32};
 use commsched_topology::{NodeId, SwitchId, Tree};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,9 +34,7 @@ fn next_version() -> u64 {
 }
 
 /// Scheduler-wide job identifier.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
@@ -47,7 +45,7 @@ impl fmt::Display for JobId {
 
 /// The paper's binary job classification (§4): supplied by the user or
 /// deduced from MPI profiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum JobNature {
     /// Dominated by MPI communication; benefits from contention avoidance.
     CommIntensive,

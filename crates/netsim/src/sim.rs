@@ -30,10 +30,10 @@ use commsched_collectives::{CollectiveSpec, Pattern, Step};
 use commsched_num::{f64_of_u64, i32_of_u32, u32_of_usize, u64_of_f64, u64_of_usize, usize_of_u32};
 use commsched_topology::{NodeId, SwitchId, Tree};
 use commsched_trace::{EventClass, EventKind as TK, Recorder, Tracer};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Link capacities and protocol overheads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NetConfig {
     /// Capacity of a node↔leaf link, bytes/second per direction.
     pub node_bandwidth: f64,
@@ -50,17 +50,7 @@ pub struct NetConfig {
     /// share of its backplane. `None` models a non-blocking switch (the
     /// default). Cheap department-cluster switches are oversubscribed —
     /// the effect behind the paper's same-leaf contention term (Eq. 2).
-    #[serde(default)]
     pub backplane_factor: Option<f64>,
-    /// Parallel rails each modelled link aggregates (multirail topologies
-    /// are flattened here, so one `LinkId` stands for `rails` physical
-    /// cables). A [`LinkEvent`] degrading to `p`‰ hits *one* rail; the
-    /// other `rails − 1` stay at nominal, so the effective capacity factor
-    /// is `((rails − 1) + p/1000) / rails` — traffic fails over to the
-    /// healthy rails. `1` (single-rail, the default constructors) makes a
-    /// degrade apply verbatim.
-    #[serde(default)]
-    pub rails: u32,
 }
 
 impl NetConfig {
@@ -72,7 +62,6 @@ impl NetConfig {
             trunk_factor: 1.0,
             step_overhead: 100.0e-6,
             backplane_factor: None,
-            rails: 1,
         }
     }
 
@@ -89,7 +78,7 @@ impl NetConfig {
 
 /// One collective job to simulate: a node set, the collective it runs, when
 /// it is submitted, and how many back-to-back iterations it performs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Workload {
     /// Caller-chosen id, reported back in [`JobResult`].
     pub id: u64,
@@ -104,7 +93,7 @@ pub struct Workload {
 }
 
 /// Timing of one iteration of a job's collective.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct IterationSample {
     /// Wall-clock second the iteration started.
     pub start: f64,
@@ -113,60 +102,23 @@ pub struct IterationSample {
 }
 
 /// Completed-job report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JobResult {
     /// Id from the [`Workload`].
     pub id: u64,
     /// Submission time (the job starts immediately; netsim has no queue).
     pub submit: f64,
-    /// Completion time of the last iteration, or the kill time for jobs
-    /// torn down by a [`KillEvent`].
+    /// Completion time of the last iteration.
     pub end: f64,
-    /// Per-iteration timings — the Figure 1 series. A killed job reports
-    /// only the iterations it completed; the in-flight one is dropped.
+    /// Per-iteration timings — the Figure 1 series.
     pub iterations: Vec<IterationSample>,
-    /// Whether the job was torn down by a [`KillEvent`] before finishing.
-    pub killed: bool,
-}
-
-/// An externally imposed job teardown (a node failure upstairs in the
-/// scheduler killed the job). At time `t` every flow belonging to the job
-/// is removed from the network and max–min rates are recomputed for the
-/// surviving flows that shared links with it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct KillEvent {
-    /// Simulation second the teardown takes effect. Kills before the job's
-    /// submit time make it stillborn (it never transfers a byte).
-    pub t: f64,
-    /// [`Workload::id`] of the job to tear down. Ids matching no workload
-    /// are ignored.
-    pub job: u64,
-}
-
-/// A mid-run capacity change on one directed link (a degraded cable, or
-/// its repair). At time `t` the link's capacity becomes
-/// `nominal × effective_factor(permille)` — see [`NetConfig::rails`] for
-/// the multirail blend — and max–min rates are re-solved for every flow
-/// that (transitively) shares a link with it. `permille = 1000` restores
-/// the nominal capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinkEvent {
-    /// Simulation second the capacity change takes effect.
-    pub t: f64,
-    /// Directed link id in the canonical topology numbering
-    /// (`Tree::node_uplink` and friends). Out-of-range ids are ignored.
-    pub link: usize,
-    /// New capacity of the affected rail, in thousandths of nominal.
-    /// Clamped to `1..=1000` — a dead cable is modelled as 1‰, never 0,
-    /// so flows keep draining and the event loop cannot stall.
-    pub permille: u32,
 }
 
 /// Where the bytes went: per-class link accounting for one simulation run.
 ///
 /// Produced by [`FlowSim::run_with_stats`]; useful for spotting which part
 /// of the fabric bottlenecked a workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LinkStats {
     /// Bytes through node↔leaf links (both directions).
     pub node_bytes: f64,
@@ -214,9 +166,6 @@ struct ActiveJob {
     flows_left: usize,
     samples: Vec<IterationSample>,
     done: bool,
-    /// Set when a [`KillEvent`] tore the job down, to the effective kill
-    /// time (clamped to the submit time for stillborn kills).
-    killed_at: Option<f64>,
 }
 
 const EPS: f64 = 1e-9;
@@ -262,25 +211,19 @@ struct RunState {
     /// maintained per-link active-flow count. Updated on activation and
     /// retirement, never rebuilt from scratch.
     link_flows: Vec<Vec<u32>>,
-    /// Links whose active-flow set (or capacity) changed since the last
-    /// rate solve.
+    /// Links whose active-flow set changed since the last rate solve.
     dirty_links: Vec<usize>,
     dirty_mark: Vec<bool>,
-    /// Per-run link capacities: a copy of the simulator's nominal table,
-    /// mutated in place by [`LinkEvent`]s. Both solvers read this, so the
-    /// incremental/naive equivalence holds under mid-run degradation.
-    cap: Vec<f64>,
 }
 
 impl RunState {
-    fn new(capacity: &[f64]) -> Self {
+    fn new(nlinks: usize) -> Self {
         RunState {
             flows: Vec::new(),
             arena: RouteArena::default(),
-            link_flows: vec![Vec::new(); capacity.len()],
+            link_flows: vec![Vec::new(); nlinks],
             dirty_links: Vec::new(),
-            dirty_mark: vec![false; capacity.len()],
-            cap: capacity.to_vec(),
+            dirty_mark: vec![false; nlinks],
         }
     }
 
@@ -570,7 +513,7 @@ impl<'t> FlowSim<'t> {
     /// visit order.)
     fn waterfill(&self, rs: &mut RunState, sc: &mut SolverScratch) {
         for &l in &sc.affected_links {
-            sc.residual[l] = rs.cap[l];
+            sc.residual[l] = self.capacity[l];
             sc.load[l] = u32_of_usize(rs.link_flows[l].len());
         }
         sc.frozen.clear();
@@ -738,7 +681,7 @@ impl<'t> FlowSim<'t> {
     /// is `commsched-slurmsim`'s business) and run their iterations back to
     /// back. Completed jobs are reported in workload order.
     pub fn run(&self, workloads: Vec<Workload>) -> Vec<JobResult> {
-        self.run_impl(workloads, &[], &[], None, None, &mut Tracer::off())
+        self.run_impl(workloads, None, None, &mut Tracer::off())
     }
 
     /// Like [`FlowSim::run`], emitting solver records (`net_solve`,
@@ -753,53 +696,13 @@ impl<'t> FlowSim<'t> {
         workloads: Vec<Workload>,
         recorder: &mut dyn Recorder,
     ) -> Vec<JobResult> {
-        self.run_impl(workloads, &[], &[], None, None, &mut Tracer::new(recorder))
-    }
-
-    /// Like [`FlowSim::run`], with externally imposed job teardowns.
-    ///
-    /// Each [`KillEvent`] removes every flow of the named job at its time
-    /// and re-solves max–min rates, so contention on the surviving jobs is
-    /// recomputed exactly as if the killed job had drained. With an empty
-    /// `kills` slice this is identical to [`FlowSim::run`], event for
-    /// event.
-    pub fn run_with_kills(&self, workloads: Vec<Workload>, kills: &[KillEvent]) -> Vec<JobResult> {
-        self.run_impl(workloads, kills, &[], None, None, &mut Tracer::off())
-    }
-
-    /// Like [`FlowSim::run_with_kills`], additionally applying mid-run
-    /// link-capacity changes. Each [`LinkEvent`] rewrites one link's
-    /// per-run capacity at its time and marks the link dirty, so the
-    /// incremental solver re-converges exactly as the naive fixpoint
-    /// would. With empty `kills` and `link_events` this is identical to
-    /// [`FlowSim::run`], event for event.
-    pub fn run_with_events(
-        &self,
-        workloads: Vec<Workload>,
-        kills: &[KillEvent],
-        link_events: &[LinkEvent],
-    ) -> Vec<JobResult> {
-        self.run_impl(
-            workloads,
-            kills,
-            link_events,
-            None,
-            None,
-            &mut Tracer::off(),
-        )
+        self.run_impl(workloads, None, None, &mut Tracer::new(recorder))
     }
 
     /// Like [`FlowSim::run`], additionally accounting bytes per link class.
     pub fn run_with_stats(&self, workloads: Vec<Workload>) -> (Vec<JobResult>, LinkStats) {
         let mut bytes = vec![0.0f64; self.capacity.len()];
-        let results = self.run_impl(
-            workloads,
-            &[],
-            &[],
-            Some(&mut bytes),
-            None,
-            &mut Tracer::off(),
-        );
+        let results = self.run_impl(workloads, Some(&mut bytes), None, &mut Tracer::off());
         let span = results.iter().map(|r| r.end).fold(0.0f64, f64::max)
             - results
                 .iter()
@@ -842,42 +745,14 @@ impl<'t> FlowSim<'t> {
         &self,
         workloads: Vec<Workload>,
     ) -> (Vec<JobResult>, Vec<Vec<f64>>) {
-        self.run_tracing_rates_events(workloads, &[])
-    }
-
-    /// Like [`FlowSim::run_tracing_rates`], with a link-degradation
-    /// schedule — the harness of the degradation-equivalence properties.
-    #[cfg(test)]
-    pub(crate) fn run_tracing_rates_events(
-        &self,
-        workloads: Vec<Workload>,
-        link_events: &[LinkEvent],
-    ) -> (Vec<JobResult>, Vec<Vec<f64>>) {
         let mut trace = Vec::new();
-        let results = self.run_impl(
-            workloads,
-            &[],
-            link_events,
-            None,
-            Some(&mut trace),
-            &mut Tracer::off(),
-        );
+        let results = self.run_impl(workloads, None, Some(&mut trace), &mut Tracer::off());
         (results, trace)
-    }
-
-    /// The effective capacity factor of a link degraded to `permille`,
-    /// after blending across [`NetConfig::rails`].
-    fn effective_factor(&self, permille: u32) -> f64 {
-        let p = f64::from(permille.clamp(1, 1000)) / 1000.0;
-        let r = f64::from(self.cfg.rails.max(1));
-        ((r - 1.0) + p) / r
     }
 
     fn run_impl(
         &self,
         workloads: Vec<Workload>,
-        kills: &[KillEvent],
-        link_events: &[LinkEvent],
         mut link_bytes: Option<&mut Vec<f64>>,
         mut rate_trace: Option<&mut Vec<Vec<f64>>>,
         tracer: &mut Tracer<'_>,
@@ -901,7 +776,6 @@ impl<'t> FlowSim<'t> {
                     flows_left: 0,
                     samples: Vec::new(),
                     done: false,
-                    killed_at: None,
                 }
             })
             .collect();
@@ -911,34 +785,7 @@ impl<'t> FlowSim<'t> {
         arrivals.sort_by(|&a, &b| workloads[a].submit.total_cmp(&workloads[b].submit));
         let mut next_arrival = 0usize;
 
-        // Kill schedule, resolved to job indices and sorted by time. Kills
-        // naming unknown ids or non-finite times are dropped; repeats for
-        // one job are harmless (the first to fire wins).
-        let mut kill_times: Vec<(f64, usize)> = kills
-            .iter()
-            .filter(|k| k.t.is_finite())
-            .filter_map(|k| {
-                workloads
-                    .iter()
-                    .position(|w| w.id == k.job)
-                    .map(|j| (k.t, j))
-            })
-            .collect();
-        kill_times.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut next_kill = 0usize;
-
-        // Link-degradation schedule, sorted by (time, link) — a total,
-        // deterministic order even when several cables change at once.
-        // Non-finite times are dropped like non-finite kills.
-        let mut degrades: Vec<LinkEvent> = link_events
-            .iter()
-            .filter(|e| e.t.is_finite() && e.link < self.capacity.len())
-            .copied()
-            .collect();
-        degrades.sort_by(|a, b| a.t.total_cmp(&b.t).then(a.link.cmp(&b.link)));
-        let mut next_degrade = 0usize;
-
-        let mut rs = RunState::new(&self.capacity);
+        let mut rs = RunState::new(self.capacity.len());
         let mut sc = SolverScratch::new(self.capacity.len());
         let mut now = 0.0f64;
 
@@ -1030,11 +877,6 @@ impl<'t> FlowSim<'t> {
                 && workloads[arrivals[next_arrival]].submit <= now + EPS
             {
                 let j = arrivals[next_arrival];
-                if jobs[j].done {
-                    // Killed before it ever arrived: stillborn.
-                    next_arrival += 1;
-                    continue;
-                }
                 jobs[j].iter_start = workloads[j].submit.max(now);
                 if jobs[j].steps.is_empty() || jobs[j].ranked.len() <= 1 {
                     // Nothing to communicate: all iterations are instant.
@@ -1049,43 +891,6 @@ impl<'t> FlowSim<'t> {
                     start_step(self, &mut jobs, &mut rs, &workloads, j, now);
                 }
                 next_arrival += 1;
-            }
-
-            // Tear down killed jobs that are due. A job finishing at
-            // exactly the kill instant completes normally: its last flow
-            // drained (and `done` was set) at the end of the previous loop
-            // body, before this point. Removing the victim's flows marks
-            // their links dirty, so the next solve recomputes the rates of
-            // every surviving flow that shared a link with it.
-            while next_kill < kill_times.len() && kill_times[next_kill].0 <= now + EPS {
-                let (kt, j) = kill_times[next_kill];
-                next_kill += 1;
-                if jobs[j].done {
-                    continue;
-                }
-                let mut f = 0;
-                while f < rs.flows.len() {
-                    if rs.flows[f].job_idx == j {
-                        rs.remove_flow(f);
-                    } else {
-                        f += 1;
-                    }
-                }
-                jobs[j].flows_left = 0;
-                jobs[j].done = true;
-                jobs[j].killed_at = Some(kt.max(workloads[j].submit));
-            }
-
-            // Apply link-capacity changes that are due. Rewriting the
-            // per-run capacity and marking the link dirty is all the
-            // incremental solver needs: the next solve re-waterfills every
-            // component touching the link, and untouched components keep
-            // rates that the capacity change cannot have affected.
-            while next_degrade < degrades.len() && degrades[next_degrade].t <= now + EPS {
-                let e = degrades[next_degrade];
-                next_degrade += 1;
-                rs.cap[e.link] = self.capacity[e.link] * self.effective_factor(e.permille);
-                rs.mark_dirty(e.link);
             }
 
             if rs.flows.is_empty() && next_arrival >= arrivals.len() {
@@ -1149,7 +954,7 @@ impl<'t> FlowSim<'t> {
                         .iter()
                         .map(|&fi| rs.flows[usize_of_u32(fi)].rate)
                         .sum();
-                    if allocated >= rs.cap[l] * (1.0 - 1e-9) {
+                    if allocated >= self.capacity[l] * (1.0 - 1e-9) {
                         saturated += 1;
                     }
                 }
@@ -1173,12 +978,6 @@ impl<'t> FlowSim<'t> {
             }
             if next_arrival < arrivals.len() {
                 dt = dt.min(workloads[arrivals[next_arrival]].submit - now);
-            }
-            if next_kill < kill_times.len() {
-                dt = dt.min(kill_times[next_kill].0 - now);
-            }
-            if next_degrade < degrades.len() {
-                dt = dt.min(degrades[next_degrade].t - now);
             }
             assert!(
                 dt.is_finite() && dt >= -EPS,
@@ -1217,32 +1016,18 @@ impl<'t> FlowSim<'t> {
             }
         }
 
-        let mut results: Vec<JobResult> = jobs
-            .into_iter()
+        jobs.into_iter()
             .map(|j| {
                 assert!(j.done, "job {} never completed", j.workload_idx);
                 let w = &workloads[j.workload_idx];
                 JobResult {
                     id: w.id,
                     submit: w.submit,
-                    end: j.killed_at.unwrap_or_else(|| {
-                        j.samples
-                            .last()
-                            .map(|s| s.start + s.duration)
-                            .unwrap_or(w.submit)
-                    }),
-                    killed: j.killed_at.is_some(),
+                    end: j.samples.last().map_or(w.submit, |s| s.start + s.duration),
                     iterations: j.samples,
                 }
             })
-            .collect();
-        results.sort_by_key(|r| {
-            workloads
-                .iter()
-                .position(|w| w.id == r.id)
-                .unwrap_or(usize::MAX)
-        });
-        results
+            .collect()
     }
 
     /// Convenience: time one collective run over `nodes`, alone on the

@@ -9,7 +9,6 @@ fn unit_config() -> NetConfig {
         trunk_factor: 1.0,
         step_overhead: 0.0,
         backplane_factor: None,
-        rails: 1,
     }
 }
 
@@ -245,6 +244,25 @@ fn cheap_ethernet_preset_contends_same_leaf() {
 }
 
 #[test]
+fn results_come_back_in_workload_order() {
+    // Submit times out of order and ids neither sorted nor dense: the
+    // report follows the input vector, not arrival time or id.
+    let tree = Tree::regular_two_level(2, 4);
+    let sim = FlowSim::new(&tree, unit_config());
+    let spec = CollectiveSpec::new(Pattern::Rd, 100_000);
+    let res = sim.run(vec![
+        wl(30, &[0, 1], spec, 2.0, 1),
+        wl(7, &[2, 3], spec, 0.0, 1),
+        wl(12, &[4, 5], spec, 1.0, 1),
+        wl(1, &[6, 7], spec, 0.5, 1),
+    ]);
+    let ids: Vec<u64> = res.iter().map(|r| r.id).collect();
+    assert_eq!(ids, [30, 7, 12, 1]);
+    let submits: Vec<f64> = res.iter().map(|r| r.submit).collect();
+    assert_eq!(submits, [2.0, 0.0, 1.0, 0.5]);
+}
+
+#[test]
 fn single_node_job_is_instant() {
     let tree = Tree::regular_two_level(2, 4);
     let sim = FlowSim::new(&tree, unit_config());
@@ -396,24 +414,11 @@ mod solver_equivalence {
     use proptest::prelude::*;
 
     fn assert_solvers_agree(tree: &Tree, cfg: NetConfig, workloads: Vec<Workload>) {
-        assert_solvers_agree_events(tree, cfg, workloads, &[]);
-    }
-
-    /// The same bit-for-bit comparison under a mid-run link-degradation
-    /// schedule: every capacity rewrite flows through the incremental
-    /// solver's dirty-link frontier, and the result must still match the
-    /// retained naive fixpoint exactly.
-    fn assert_solvers_agree_events(
-        tree: &Tree,
-        cfg: NetConfig,
-        workloads: Vec<Workload>,
-        events: &[crate::LinkEvent],
-    ) {
         let fast = FlowSim::new(tree, cfg);
         let naive = FlowSim::new(tree, cfg).with_reference_solver();
 
-        let (res_f, trace_f) = fast.run_tracing_rates_events(workloads.clone(), events);
-        let (res_n, trace_n) = naive.run_tracing_rates_events(workloads.clone(), events);
+        let (res_f, trace_f) = fast.run_tracing_rates(workloads.clone());
+        let (res_n, trace_n) = naive.run_tracing_rates(workloads.clone());
         assert_eq!(trace_f.len(), trace_n.len(), "event counts diverged");
         for (ev, (a, b)) in trace_f.iter().zip(&trace_n).enumerate() {
             assert_eq!(a.len(), b.len(), "flow counts diverged at event {ev}");
@@ -599,7 +604,6 @@ mod solver_equivalence {
                 trunk_factor: 1.0,
                 step_overhead: overhead,
                 backplane_factor: backplane,
-                rails: 1,
             };
             let workloads: Vec<Workload> = jobs
                 .into_iter()
@@ -610,55 +614,6 @@ mod solver_equivalence {
                 })
                 .collect();
             assert_solvers_agree(&tree, cfg, workloads);
-        }
-
-        /// Mid-run link degradations and repairs flow through the
-        /// dirty-link frontier: the incremental solver stays bit-identical
-        /// to the naive fixpoint under arbitrary capacity-rewrite
-        /// schedules, including out-of-range link ids (ignored), repeated
-        /// rewrites of the same link, and multirail blending.
-        #[test]
-        fn incremental_matches_naive_under_degradation(
-            leaves in 2usize..5,
-            per_leaf in 2usize..7,
-            rails in 1u32..4,
-            jobs in prop::collection::vec(
-                (
-                    prop::sample::select(Pattern::ALL.to_vec()),
-                    prop::collection::vec(0usize..24, 2..6),
-                    10_000u64..2_000_000,
-                    0.0f64..0.5,
-                    1usize..4,
-                ),
-                1..5,
-            ),
-            events in prop::collection::vec(
-                (0.0f64..2.0, 0usize..80, 1u32..=1000),
-                1..8,
-            ),
-        ) {
-            let tree = Tree::regular_two_level(leaves, per_leaf);
-            let n = tree.num_nodes();
-            let cfg = NetConfig {
-                node_bandwidth: 1.0e6,
-                trunk_factor: 1.0,
-                step_overhead: 100.0e-6,
-                backplane_factor: None,
-                rails,
-            };
-            let workloads: Vec<Workload> = jobs
-                .into_iter()
-                .enumerate()
-                .map(|(i, (pat, nodes, msize, submit, iters))| {
-                    let nodes: Vec<usize> = nodes.into_iter().map(|x| x % n).collect();
-                    wl(i as u64 + 1, &nodes, CollectiveSpec::new(pat, msize), submit, iters)
-                })
-                .collect();
-            let events: Vec<crate::LinkEvent> = events
-                .into_iter()
-                .map(|(t, link, permille)| crate::LinkEvent { t, link, permille })
-                .collect();
-            assert_solvers_agree_events(&tree, cfg, workloads, &events);
         }
 
         /// Same property on three-level trees (deeper routes, level-2
@@ -683,7 +638,6 @@ mod solver_equivalence {
                 trunk_factor: trunk,
                 step_overhead: 100.0e-6,
                 backplane_factor: None,
-                rails: 1,
             };
             let workloads: Vec<Workload> = jobs
                 .into_iter()
@@ -785,201 +739,6 @@ mod link_stats {
         let plain = sim.run(mk());
         let (with_stats, _) = sim.run_with_stats(mk());
         assert_eq!(plain, with_stats);
-    }
-}
-
-mod kills {
-    use super::*;
-    use crate::KillEvent;
-    use proptest::prelude::*;
-
-    #[test]
-    fn empty_kill_list_is_identical_to_plain_run() {
-        let tree = Tree::regular_two_level(2, 8);
-        let sim = FlowSim::new(&tree, unit_config());
-        let spec = CollectiveSpec::new(Pattern::Rhvd, 700_000);
-        let workloads = vec![
-            wl(1, &[0, 1, 8, 9], spec, 0.0, 3),
-            wl(2, &[2, 3, 10, 11], spec, 0.5, 2),
-            wl(
-                3,
-                &[4, 12],
-                CollectiveSpec::new(Pattern::Binomial, 300_000),
-                1.0,
-                4,
-            ),
-        ];
-        let plain = sim.run(workloads.clone());
-        let with = sim.run_with_kills(workloads, &[]);
-        assert_eq!(plain, with);
-        assert!(with.iter().all(|r| !r.killed));
-    }
-
-    #[test]
-    fn killing_a_contender_restores_the_survivor_rate() {
-        // Two one-directional sends share the s0->root->s1 trunk, so each
-        // holds half the 1 MB/s trunk. Killing job 2 at t=1 leaves job 1
-        // with 0.5 MB to go at full rate: done at t=1.5 instead of t=2.
-        let tree = Tree::regular_two_level(2, 4);
-        let sim = FlowSim::new(&tree, unit_config());
-        let spec = CollectiveSpec::new(Pattern::Binomial, 1_000_000);
-        let res = sim.run_with_kills(
-            vec![wl(1, &[0, 4], spec, 0.0, 1), wl(2, &[1, 5], spec, 0.0, 1)],
-            &[KillEvent { t: 1.0, job: 2 }],
-        );
-        assert!(!res[0].killed);
-        assert!(
-            (res[0].end - 1.5).abs() < 1e-6,
-            "survivor end = {}",
-            res[0].end
-        );
-        assert!(res[1].killed);
-        assert!(
-            (res[1].end - 1.0).abs() < 1e-9,
-            "victim end = {}",
-            res[1].end
-        );
-        assert!(res[1].iterations.is_empty(), "no completed iterations");
-    }
-
-    #[test]
-    fn kill_before_submit_is_stillborn() {
-        let tree = Tree::regular_two_level(2, 4);
-        let sim = FlowSim::new(&tree, unit_config());
-        let spec = CollectiveSpec::new(Pattern::Rd, 1_000_000);
-        let res = sim.run_with_kills(
-            vec![wl(1, &[0, 1], spec, 0.0, 1), wl(2, &[2, 3], spec, 5.0, 1)],
-            &[KillEvent { t: 2.0, job: 2 }],
-        );
-        assert!(res[1].killed);
-        assert!((res[1].end - 5.0).abs() < 1e-9, "end clamps to submit");
-        assert!(res[1].iterations.is_empty());
-        // The unrelated job is untouched.
-        assert!(!res[0].killed);
-        assert!((res[0].end - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn kill_at_the_finish_instant_lets_the_job_complete() {
-        // The exchange drains at exactly t=1; a kill scheduled for the same
-        // instant loses the tie and the job completes normally.
-        let tree = Tree::regular_two_level(2, 4);
-        let sim = FlowSim::new(&tree, unit_config());
-        let spec = CollectiveSpec::new(Pattern::Rd, 1_000_000);
-        let res = sim.run_with_kills(
-            vec![wl(1, &[0, 1], spec, 0.0, 1)],
-            &[KillEvent { t: 1.0, job: 1 }],
-        );
-        assert!(!res[0].killed);
-        assert_eq!(res[0].iterations.len(), 1);
-        assert!((res[0].end - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn unknown_ids_and_garbage_times_are_ignored() {
-        let tree = Tree::regular_two_level(2, 4);
-        let sim = FlowSim::new(&tree, unit_config());
-        let spec = CollectiveSpec::new(Pattern::Rd, 1_000_000);
-        let workloads = vec![wl(1, &[0, 1], spec, 0.0, 2)];
-        let res = sim.run_with_kills(
-            workloads.clone(),
-            &[
-                KillEvent { t: 0.5, job: 999 },
-                KillEvent {
-                    t: f64::NAN,
-                    job: 1,
-                },
-                KillEvent {
-                    t: f64::INFINITY,
-                    job: 1,
-                },
-            ],
-        );
-        assert_eq!(res, sim.run(workloads));
-    }
-
-    #[test]
-    fn repeated_kills_for_one_job_are_harmless() {
-        let tree = Tree::regular_two_level(2, 4);
-        let sim = FlowSim::new(&tree, unit_config());
-        let spec = CollectiveSpec::new(Pattern::Rd, 1_000_000);
-        let res = sim.run_with_kills(
-            vec![wl(1, &[0, 1], spec, 0.0, 4)],
-            &[
-                KillEvent { t: 0.25, job: 1 },
-                KillEvent { t: 0.5, job: 1 },
-                KillEvent { t: 3.0, job: 1 },
-            ],
-        );
-        assert!(res[0].killed);
-        assert!(
-            (res[0].end - 0.25).abs() < 1e-9,
-            "first kill wins: {}",
-            res[0].end
-        );
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Tearing a competitor down can only help the survivor: its end
-        /// time with the kill lies between its solo time and its fully
-        /// contended time.
-        #[test]
-        fn teardown_only_helps_survivors(
-            seed in 0usize..4,
-            msize in 100_000u64..1_000_000,
-            kill_t in 0.0f64..4.0,
-        ) {
-            let tree = Tree::regular_two_level(2, 8);
-            let sim = FlowSim::new(&tree, unit_config());
-            let spec = CollectiveSpec::new(Pattern::Rhvd, msize);
-            let j1: Vec<usize> = vec![0, 1, 8, 9];
-            let competitors: Vec<Vec<usize>> = vec![
-                vec![2, 3, 10, 11],
-                vec![4, 5, 12, 13],
-                vec![2, 10],
-                vec![6, 7, 14, 15],
-            ];
-            let mk =
-                |k: usize| vec![wl(1, &j1, spec, 0.0, 2), wl(2, &competitors[k], spec, 0.0, 2)];
-            let alone = sim.run(vec![wl(1, &j1, spec, 0.0, 2)]);
-            let contended = sim.run(mk(seed));
-            let culled = sim.run_with_kills(mk(seed), &[KillEvent { t: kill_t, job: 2 }]);
-            prop_assert!(!culled[0].killed);
-            prop_assert!(culled[0].end >= alone[0].end - 1e-9,
-                "kill beat the solo bound: {} < {}", culled[0].end, alone[0].end);
-            prop_assert!(culled[0].end <= contended[0].end + 1e-9,
-                "kill slowed the survivor: {} > {}", culled[0].end, contended[0].end);
-        }
-
-        /// A killed job's report is well-formed whenever the kill lands:
-        /// end within [submit, kill time], only whole iterations reported.
-        #[test]
-        fn killed_job_reports_are_well_formed(
-            msize in 100_000u64..1_000_000,
-            kill_t in 0.0f64..3.0,
-            submit in 0.0f64..2.0,
-        ) {
-            let tree = Tree::regular_two_level(2, 8);
-            let sim = FlowSim::new(&tree, unit_config());
-            let spec = CollectiveSpec::new(Pattern::Rhvd, msize);
-            let res = sim.run_with_kills(
-                vec![wl(1, &[0, 1, 8, 9], spec, submit, 3)],
-                &[KillEvent { t: kill_t, job: 1 }],
-            );
-            let r = &res[0];
-            if r.killed {
-                prop_assert!(r.end >= submit - 1e-9);
-                prop_assert!(r.end >= kill_t - 1e-9);
-                prop_assert!(r.iterations.len() < 3);
-                for s in &r.iterations {
-                    prop_assert!(s.start + s.duration <= r.end + 1e-9);
-                }
-            } else {
-                prop_assert_eq!(r.iterations.len(), 3);
-            }
-        }
     }
 }
 

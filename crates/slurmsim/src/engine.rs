@@ -17,7 +17,7 @@ use commsched_topology::{SwitchId, Tree};
 use commsched_trace::{EndStatus, EventKind as TK, FaultClass, NullRecorder, Recorder, Tracer};
 use commsched_workload::fault::{FaultDomain, FaultKind, FaultTrace};
 use commsched_workload::{Job, JobLog};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -180,7 +180,7 @@ pub enum OversizedPolicy {
 }
 
 /// How a job's time on the machine ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Default)]
 pub enum JobStatus {
     /// Ran to completion (possibly after requeues).
     #[default]
@@ -281,7 +281,7 @@ impl fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// Everything recorded about one completed job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JobOutcome {
     /// Job id from the log.
     pub id: JobId,
@@ -341,7 +341,7 @@ impl JobOutcome {
 }
 
 /// Results of a whole run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunSummary {
     /// Selector that produced this run.
     pub selector: String,

@@ -13,10 +13,10 @@ use commsched_core::{
 use commsched_topology::Tree;
 use commsched_workload::{Job, JobLog};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One probe job's placement under one selector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProbePlacement {
     /// Selector name.
     pub selector: String,
@@ -27,7 +27,7 @@ pub struct ProbePlacement {
 }
 
 /// All placements for one probe job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct IndividualOutcome {
     /// The probe job's id.
     pub job: commsched_core::JobId,

@@ -1,13 +1,11 @@
 //! The core immutable tree topology structure and its queries.
 
 use commsched_num::{u32_of_usize, usize_of_u32};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Identifier of a compute node (dense, `0..num_nodes`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct NodeId(pub usize);
 
 impl fmt::Display for NodeId {
@@ -17,9 +15,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifier of a switch (dense, `0..num_switches`, leaves and uppers mixed).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct SwitchId(pub usize);
 
 impl fmt::Display for SwitchId {
@@ -29,7 +25,7 @@ impl fmt::Display for SwitchId {
 }
 
 /// One switch in the tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Switch {
     /// Configured name (e.g. `s0`).
     pub name: String,
@@ -95,7 +91,7 @@ impl std::error::Error for TreeError {}
 /// chasing before the first query runs. The arena stores every name
 /// contiguously (~9 bytes per node for `n1048575`-style names) and hands
 /// out `&str` slices.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub(crate) struct NameArena {
     buf: String,
     /// `offsets[i]..offsets[i+1]` is name `i`; always `count + 1` entries.
@@ -168,7 +164,7 @@ impl NameArena {
 /// `leaf_first` turning an ordinal back into the leaf's id range. All
 /// queries are cheap: LCA is O(depth) with no allocation, everything else
 /// is O(1) table lookups.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Tree {
     pub(crate) node_names: NameArena,
     /// Leaf ordinal of each node — the one per-node table.

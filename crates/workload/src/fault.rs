@@ -34,12 +34,12 @@
 use commsched_num::u64_of_f64;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// The topology stratum a fault event targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum FaultDomain {
     /// A single compute node.
     Node,
@@ -130,11 +130,8 @@ impl Serialize for FaultKind {
         }
     }
 }
-
-impl Deserialize for FaultKind {}
-
 /// One fault transition at virtual time `t` (seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct FaultEvent {
     /// Virtual time of the transition, seconds since the run origin.
     pub t: u64,
@@ -155,7 +152,7 @@ impl FaultEvent {
 }
 
 /// Classification of a [`FaultTraceError`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FaultTraceErrorKind {
     /// The text did not parse (bad field, unknown kind, garbage).
     Syntax,
@@ -231,7 +228,7 @@ impl FaultTraceError {
 /// therefore every downstream simulation — is deterministic even when the
 /// trace was assembled out of order. At equal `(t, target)` a `Fail` sorts
 /// before a `Recover`, so a zero-length outage is processed fail-first.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct FaultTrace {
     events: Vec<FaultEvent>,
 }

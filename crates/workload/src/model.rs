@@ -2,12 +2,12 @@
 
 use commsched_collectives::Pattern;
 use commsched_core::{JobId, JobNature};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One job, as the scheduler sees it at submission.
 ///
 /// Times are integral seconds of virtual time, like SLURM accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Job {
     /// Stable id (SWF job number or generator index).
     pub id: JobId,
@@ -43,7 +43,7 @@ impl Job {
 }
 
 /// A job log: an ordered sequence of jobs over one system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JobLog {
     /// Human-readable provenance ("theta-synthetic-seed42", file name, ...).
     pub name: String,
@@ -99,7 +99,7 @@ impl JobLog {
 /// load levels that land the three logs in the paper's qualitatively
 /// different queueing regimes (Intrepid lightly loaded, Theta saturated,
 /// Mira in between — visible in Table 3's wait-time columns).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SystemModel {
     /// System name ("intrepid", "theta", "mira").
     pub name: &'static str,

@@ -2,10 +2,10 @@
 //! checking our synthetic logs against the paper's marginals) wants.
 
 use crate::model::JobLog;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Aggregate profile of a job log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LogProfile {
     /// Log name.
     pub name: String,
