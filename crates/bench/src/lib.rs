@@ -22,7 +22,6 @@
 //! 1000-job replication.
 
 #![forbid(unsafe_code)]
-pub mod baseline;
 pub mod experiments;
 pub mod perf;
 

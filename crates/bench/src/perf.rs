@@ -1,49 +1,32 @@
-//! Measured units behind the `BENCH_*.json` runners: placement evaluation
-//! and node selection (`BENCH_engine.json`) and flow-level network
-//! simulation (`BENCH_netsim.json`).
-//!
-//! Every unit is the shipped path, set up the way the engine uses it: the
-//! shared [`PlacementEvaluator`] (no state clones, one fused traversal per
-//! collective component per allocation, hop memo reused across the job's
-//! components), the free-count-index selectors, the incremental rate
-//! solver. The slow references these were once timed against are test
-//! oracles inside `commsched-core` and `commsched-netsim` (DESIGN.md
-//! §4.14), where the same scenarios are checked for exact agreement; a
-//! before/after is `bench_e2e --compare parent change`.
+//! Measured units behind `bench_micro` (`BENCH_micro.json`), each a shipped
+//! path set up the way the engine uses it: node selection over the
+//! free-count index, the annealed search through the shared
+//! [`PlacementEvaluator`], and the incremental-solver flow simulator (a
+//! placement row runs `Engine::place` itself on [`PlacementCase::probe`]).
+//! The slow references are test oracles in `commsched-core` and
+//! `commsched-netsim` (DESIGN.md §4.14), checked there on these scenarios.
 
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_core::{
-    AdaptiveSelector, AllocRequest, BalancedSelector, ClusterState, CostModel, DefaultTreeSelector,
-    GreedySelector, JobId, JobNature, NodeSelector, Placement, PlacementEvaluator,
+    AllocRequest, BalancedSelector, ClusterState, CostModel, DefaultTreeSelector, GreedySelector,
+    JobId, JobNature, NodeSelector, Placement, PlacementEvaluator,
 };
 use commsched_netsim::{FlowSim, JobResult, NetConfig, Workload};
 use commsched_topology::{NodeId, SystemPreset, Tree};
+use commsched_workload::Job;
 use rand::prelude::*;
 use rand_chacha::ChaCha12Rng;
 
-/// Eq. 6/Eq. 7 numbers of one placement — what the engine computes per job.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlacementNumbers {
-    /// Reported Eq. 6 cost (raw hops) of the chosen allocation.
-    pub cost_actual: f64,
-    /// Eq. 6 cost of the default allocation from the same state.
-    pub cost_default: f64,
-    /// Eq. 7-adjusted runtime, seconds (pre-rounding).
-    pub adjusted: f64,
-}
+/// Base message size of the probe's collectives: the engine's default
+/// `EngineConfig::msize`.
+const MSIZE: u64 = 1 << 20;
 
 /// One benchmark scenario: a half-occupied system and a probe job.
 pub struct PlacementCase {
     pub tree: Tree,
     pub state: ClusterState,
-    /// Probe request size (nodes).
-    pub want: usize,
-    /// The probe's collective components (pattern, runtime fraction).
-    pub comm: Vec<(Pattern, f64)>,
-    /// Probe runtime, seconds.
-    pub runtime: f64,
-    /// Base message size for cost evaluation.
-    pub msize: u64,
+    /// The communication-intensive probe: 10,000 s, 30% RHVD and 20% RD.
+    pub probe: Job,
 }
 
 impl PlacementCase {
@@ -66,23 +49,21 @@ impl PlacementCase {
                 .allocate(&tree, JobId(job as u64), &placement, nature)
                 .unwrap();
         }
-        PlacementCase {
-            tree,
-            state,
-            want,
+        let probe = Job {
+            id: JobId(999_999),
+            submit: 0,
+            runtime: 10_000,
+            walltime: 10_000,
+            nodes: want,
+            nature: JobNature::CommIntensive,
             comm: vec![(Pattern::Rhvd, 0.3), (Pattern::Rd, 0.2)],
-            runtime: 10_000.0,
-            msize: 1 << 20,
-        }
-    }
-
-    fn request(&self) -> AllocRequest {
-        self.request_of(self.want)
+        };
+        PlacementCase { tree, state, probe }
     }
 
     fn request_of(&self, want: usize) -> AllocRequest {
-        AllocRequest::comm(JobId(999_999), want)
-            .with_pattern(CollectiveSpec::new(self.comm[0].0, self.msize))
+        AllocRequest::comm(self.probe.id, want)
+            .with_pattern(CollectiveSpec::new(self.probe.comm[0].0, MSIZE))
     }
 
     /// Pure selection: the three direct selectors back to back.
@@ -119,57 +100,9 @@ impl PlacementCase {
             eval.clone(),
         );
         selector
-            .select(&self.tree, &self.state, &self.request())
+            .select(&self.tree, &self.state, &self.request_of(self.probe.nodes))
             .unwrap();
         selector.take_search_stats()
-    }
-
-    /// One whole placement as the engine performs it: evaluator-backed
-    /// adaptive decision, then one fused traversal per component for the
-    /// chosen and for the default allocation (Eq. 6 costs, Eq. 7 runtime).
-    pub fn place(
-        &self,
-        eval: &std::sync::Arc<std::sync::Mutex<PlacementEvaluator>>,
-    ) -> PlacementNumbers {
-        let req = self.request();
-        let selector = AdaptiveSelector::with_evaluator(CostModel::HOP_BYTES, eval.clone());
-        let nodes = selector.select(&self.tree, &self.state, &req).unwrap();
-        let default_nodes = DefaultTreeSelector
-            .select(&self.tree, &self.state, &req)
-            .unwrap();
-
-        let discount = CostModel::HOPS.trunk_discount;
-        let mut ev = eval.lock().unwrap();
-        let mut eval_all = |alloc: &Placement| -> Vec<(f64, f64)> {
-            self.comm
-                .iter()
-                .map(|&(pattern, _)| {
-                    let spec = CollectiveSpec::new(pattern, self.msize);
-                    let t = ev.evaluate(&self.tree, &self.state, discount, alloc, &spec);
-                    (t.raw_hops, t.hop_bytes)
-                })
-                .collect()
-        };
-        let actual = eval_all(&nodes);
-        let default = eval_all(&default_nodes);
-        drop(ev);
-
-        let mut cost_actual = 0.0;
-        let mut cost_default = 0.0;
-        let comm_fraction: f64 = self.comm.iter().map(|&(_, f)| f).sum();
-        let mut adjusted = self.runtime * (1.0 - comm_fraction);
-        for (i, &(_, fraction)) in self.comm.iter().enumerate() {
-            cost_actual += actual[i].0;
-            cost_default += default[i].0;
-            let (ca, cd) = (actual[i].1, default[i].1);
-            let ratio = if cd > 0.0 { ca / cd } else { 1.0 };
-            adjusted += self.runtime * fraction * ratio;
-        }
-        PlacementNumbers {
-            cost_actual,
-            cost_default,
-            adjusted,
-        }
     }
 }
 

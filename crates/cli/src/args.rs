@@ -59,12 +59,24 @@ impl Parsed {
         Ok(parsed)
     }
 
-    /// A required `--flag`.
-    pub fn require(&self, name: &str) -> Result<&str, String> {
-        self.flags
-            .get(name)
-            .map(String::as_str)
-            .ok_or_else(|| format!("missing required --{name}"))
+    /// A usage error naming every given flag not in `accepted`.
+    pub(crate) fn reject_unknown(&self, accepted: &[&str]) -> Result<(), ArgError> {
+        let unknown: Vec<String> = self
+            .flags
+            .keys()
+            .filter(|flag| !accepted.contains(&flag.as_str()))
+            .map(|flag| format!("--{flag}"))
+            .collect();
+        if unknown.is_empty() {
+            Ok(())
+        } else {
+            let noun = if unknown.len() == 1 { "flag" } else { "flags" };
+            Err(ArgError(format!(
+                "unknown {noun} {} for `{}`",
+                unknown.join(", "),
+                self.command
+            )))
+        }
     }
 
     /// An optional `--flag`.

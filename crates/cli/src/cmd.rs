@@ -13,6 +13,64 @@ use std::io::Write;
 
 type CmdResult = Result<(), String>;
 
+/// Flags every command accepts.
+const GLOBAL: &[&str] = &["threads"];
+/// [`load_tree`].
+const TOPOLOGY: &[&str] = &["preset", "conf"];
+/// [`load_log`].
+const WORKLOAD: &[&str] = &[
+    "swf", "ppn", "system", "jobs", "seed", "comm-pct", "pattern",
+];
+/// [`load_faults`] and [`load_failure_policy`].
+const FAULTS: &[&str] = &[
+    "fault-trace",
+    "mtbf",
+    "mttr",
+    "switch-mtbf",
+    "switch-mttr",
+    "link-degrade",
+    "link-mtbf",
+    "link-mttr",
+    "fault-seed",
+    "failure-policy",
+    "max-retries",
+    "backoff",
+];
+/// [`run_sim`]'s trace and report sinks.
+const OBSERVE: &[&str] = &["trace-out", "trace-filter", "report-out"];
+/// [`run_sim`]'s engine knobs.
+const ENGINE: &[&str] = &[
+    "backfill",
+    "drain",
+    "utilization",
+    "reject-oversized",
+    "quiet",
+];
+/// [`run_sim`]'s single-selector knobs (`compare` runs all four).
+const SELECTOR: &[&str] = &["selector", "sa-budget", "sa-seed"];
+
+/// The flags the command `p` names reads, or `None` for an unknown
+/// command or subcommand (which the command itself reports).
+pub(crate) fn accepted_flags(p: &Parsed) -> Option<Vec<&'static str>> {
+    let groups: &[&[&str]] = match (p.command.as_str(), p.positional.first().map(String::as_str)) {
+        ("topology", Some("validate")) | ("patterns" | "help" | "--help" | "-h", _) => &[],
+        ("topology", Some("show")) => &[TOPOLOGY],
+        ("log", Some("generate")) => &[WORKLOAD, &["out"]],
+        ("log", Some("stats")) => &[WORKLOAD, &["json"]],
+        ("run", _) => &[TOPOLOGY, WORKLOAD, FAULTS, OBSERVE, ENGINE, SELECTOR],
+        ("compare", _) => &[TOPOLOGY, WORKLOAD, FAULTS, OBSERVE, ENGINE],
+        ("individual", _) => &[TOPOLOGY, WORKLOAD, &["warmup", "probes"]],
+        _ => return None,
+    };
+    Some(
+        groups
+            .iter()
+            .chain([&GLOBAL])
+            .flat_map(|g| g.iter().copied())
+            .collect(),
+    )
+}
+
 fn preset_by_name(name: &str) -> Result<SystemPreset, String> {
     match name.to_ascii_lowercase().as_str() {
         "iitk-dept" | "department" => Ok(SystemPreset::IitkDepartment),

@@ -29,7 +29,11 @@ use std::io::Write;
 /// Returns the process exit code; all output goes to `out`, errors to
 /// `err`.
 pub fn run(argv: &[String], out: &mut dyn Write, err: &mut dyn Write) -> i32 {
-    let parsed = match args::Parsed::new(argv) {
+    let parsed = args::Parsed::new(argv).and_then(|p| match cmd::accepted_flags(&p) {
+        Some(accepted) => p.reject_unknown(&accepted).map(|()| p),
+        None => Ok(p),
+    });
+    let parsed = match parsed {
         Ok(p) => p,
         Err(e) => {
             let _ = writeln!(err, "error: {e}\n\n{}", usage());
@@ -91,6 +95,7 @@ USAGE:
                     [--sa-budget N] [--sa-seed S] [<observe>]
   commsched compare (--preset NAME | --conf FILE) <workload> [<faults>]
                     [<observe>]   # one trace/report file per selector
+                    (and run's other flags but --selector/--sa-*)
   commsched individual (--preset NAME | --conf FILE) <workload>
                     [--warmup FRAC] [--probes N]
   commsched patterns [RANKS]

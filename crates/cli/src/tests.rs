@@ -47,10 +47,105 @@ fn switches_take_no_value() {
     assert_eq!(p.positional, ["stats"]);
 }
 
+/// A misspelled or foreign flag is a usage error (exit 2) that names it,
+/// raised before the command does any work.
+fn assert_unknown_flag(args: &[&str], flag: &str) {
+    let (code, out, err) = run_cli(args);
+    assert_eq!(code, 2, "{args:?}: {err}");
+    assert!(out.is_empty(), "{args:?} ran: {out}");
+    assert!(err.contains("unknown flag"), "{err}");
+    assert!(err.contains(flag), "{err}");
+}
+
 #[test]
-fn require_reports_missing() {
-    let p = Parsed::new(&["run".into()]).unwrap();
-    assert!(p.require("preset").is_err());
+fn run_rejects_unknown_flags() {
+    let args = [
+        "run",
+        "--preset",
+        "theta",
+        "--system",
+        "theta",
+        "--jobs",
+        "20",
+        "--selecter",
+        "sa",
+        "--baclfill",
+        "conservative",
+    ];
+    assert_unknown_flag(&args, "--selecter");
+    assert_unknown_flag(&args, "--baclfill");
+}
+
+#[test]
+fn compare_rejects_unknown_and_single_selector_flags() {
+    let base = [
+        "compare", "--preset", "theta", "--system", "theta", "--jobs", "20",
+    ];
+    assert_unknown_flag(
+        &[&base[..], &["--trace-outt", "x.jsonl"]].concat(),
+        "--trace-outt",
+    );
+    // `compare` runs all four selectors, so a selector choice would be
+    // silently ignored.
+    assert_unknown_flag(&[&base[..], &["--selector", "sa"]].concat(), "--selector");
+}
+
+#[test]
+fn individual_rejects_unknown_flags() {
+    assert_unknown_flag(
+        &[
+            "individual",
+            "--preset",
+            "theta",
+            "--system",
+            "theta",
+            "--probe",
+            "3",
+        ],
+        "--probe",
+    );
+    assert_unknown_flag(
+        &[
+            "individual",
+            "--preset",
+            "theta",
+            "--system",
+            "theta",
+            "--backfill",
+            "easy",
+        ],
+        "--backfill",
+    );
+}
+
+#[test]
+fn log_rejects_flags_of_the_other_subcommand() {
+    assert_unknown_flag(
+        &["log", "stats", "--system", "theta", "--out", "x.swf"],
+        "--out",
+    );
+    assert_unknown_flag(
+        &["log", "generate", "--system", "theta", "--json"],
+        "--json",
+    );
+    assert_unknown_flag(&["log", "stats", "--sytem", "theta"], "--sytem");
+}
+
+#[test]
+fn global_threads_flag_is_accepted_everywhere() {
+    let (code, _, err) = run_cli(&["patterns", "4", "--threads", "2"]);
+    assert_eq!(code, 0, "{err}");
+    let (code, _, err) = run_cli(&[
+        "log",
+        "stats",
+        "--system",
+        "theta",
+        "--jobs",
+        "10",
+        "--threads",
+        "1",
+    ]);
+    assert_eq!(code, 0, "{err}");
 }
 
 // ------------------------------------------------------------- commands

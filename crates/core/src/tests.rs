@@ -1937,8 +1937,7 @@ mod take_precondition {
 
 /// The fast paths against their oracles at the sizes the benchmarks run
 /// (`commsched_bench::perf::PlacementCase`): the property tests above stop
-/// at a few hundred nodes, and until the naive twins left the bench
-/// binaries these checks were `assert_eq!`s inside `bench_engine`.
+/// at a few hundred nodes.
 mod scale {
     use super::properties::scan_oracle;
     use super::*;

@@ -483,9 +483,8 @@ mod solver_equivalence {
         (tree, NetConfig::cheap_ethernet(), workloads)
     }
 
-    /// The two scenarios `bench_netsim` times, which used to be the only
-    /// place the solvers were compared on them (an `assert_eq!` ahead of
-    /// the timing loop): same `JobResult`s, exactly.
+    /// The two scenarios `bench_micro` times as its `simulation` rows: same
+    /// `JobResult`s, exactly.
     #[test]
     fn identical_on_bench_scenarios() {
         for (tree, cfg, workloads) in [bench_steady_state(), bench_churn()] {

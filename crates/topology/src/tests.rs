@@ -461,7 +461,7 @@ mod shapes {
     }
 
     #[test]
-    #[ignore = "builds the 524k/1M-node presets; run with --ignored or rely on bench_engine"]
+    #[ignore = "builds the 524k/1M-node presets; run with --ignored or rely on bench_micro"]
     fn exascale_presets_build_to_stated_size() {
         for preset in [SystemPreset::Multirail500k, SystemPreset::Dragonfly1M] {
             let t = preset.build();
