@@ -1088,7 +1088,7 @@ impl Run<'_, '_> {
             // returned from validate().
             self.reject(i);
         } else {
-            self.pending.push_back(i, job.nodes);
+            self.pending.push_back(i, job.nodes, job.walltime);
             self.emit(TK::JobEligible {
                 job: job.id.0,
                 attempt: self.retries[i],
@@ -1313,7 +1313,8 @@ impl Run<'_, '_> {
         if backoff.is_some() {
             self.events.push(Reverse((resubmit, EventKind::Submit(i))));
         } else {
-            self.pending.push_front(i, log.jobs[i].nodes);
+            self.pending
+                .push_front(i, log.jobs[i].nodes, log.jobs[i].walltime);
             self.emit(TK::JobEligible {
                 job: victim.0,
                 attempt: self.retries[i],
@@ -1479,16 +1480,29 @@ impl Run<'_, '_> {
             }
         }
         let extra = avail.saturating_sub(need);
+        // `walltime <= window` iff `now + walltime <= shadow`, saturating:
+        // an unbounded shadow admits every walltime, a past one none.
+        let window = if shadow == u64::MAX {
+            Some(u64::MAX)
+        } else {
+            shadow.checked_sub(self.now)
+        };
 
-        // Visit only the jobs that fit the nodes free right now — which
-        // shrink as this loop starts jobs, so each lookup asks afresh.
+        // Visit only the jobs that may start now: they fit the nodes free
+        // right now — which shrink as this loop starts jobs, so each lookup
+        // asks afresh — and end by the shadow time or fit `extra`.
         let mut from = head_slot + 1;
-        while let Some((slot, i)) = self.pending.next_fit(from, self.state.free_total()) {
+        while let Some((slot, i)) =
+            self.pending
+                .next_fit(from, self.state.free_total(), extra, window)
+        {
             from = slot + 1;
-            let job = &log.jobs[i];
-            if self.now.saturating_add(job.walltime) <= shadow || job.nodes <= extra {
-                self.start_job(slot, i, true)?;
-            }
+            debug_assert!({
+                let (nodes, wall) = (log.jobs[i].nodes, log.jobs[i].walltime);
+                nodes <= self.state.free_total()
+                    && (self.now.saturating_add(wall) <= shadow || nodes <= extra)
+            });
+            self.start_job(slot, i, true)?;
         }
         Ok(())
     }

@@ -1,13 +1,17 @@
 //! The backfill passes the shipped ones are checked against: EASY's shadow
-//! time from a per-pass collect-and-sort of the running jobs' releases, and
+//! time from a per-pass collect-and-sort of the running jobs' releases, then
+//! every queued job behind the head in FIFO order, each tested by the
+//! literal width/shadow/`extra` rule against the free count it meets (not
+//! by the queue's own backfill lookup, which this checks), and
 //! conservative backfilling that rebuilds a `BTreeMap` profile from
 //! `running` on every pass, refits every queued job with the per-candidate
 //! `earliest_fit_naive`, and starts over from the queue head after *every*
 //! start. It reads nothing the shipped passes keep between calls — not the
 //! order of `running`, not its node counts, not `Run::reserved` — so
 //! agreement on outcomes and traces (`tests::backfill_reference`) is
-//! evidence that neither the sorted release list, nor continuing after a
-//! start, nor reusing the last pass's reservations changed a decision.
+//! evidence that neither the sorted release list, nor asking the queue only
+//! for startable jobs, nor continuing after a start, nor reusing the last
+//! pass's reservations changed a decision.
 //! Selected by [`Engine::with_reference_passes`].
 
 use super::*;
@@ -39,11 +43,13 @@ impl Run<'_, '_> {
         }
         let extra = avail.saturating_sub(need);
 
-        let mut from = head_slot + 1;
-        while let Some((slot, i)) = self.pending.next_fit(from, self.state.free_total()) {
-            from = slot + 1;
+        let mut next = self.pending.after(head_slot);
+        while let Some((slot, i)) = next {
+            next = self.pending.after(slot);
             let job = &log.jobs[i];
-            if self.now.saturating_add(job.walltime) <= shadow || job.nodes <= extra {
+            if job.nodes <= self.state.free_total()
+                && (self.now.saturating_add(job.walltime) <= shadow || job.nodes <= extra)
+            {
                 self.start_job(slot, i, true)?;
             }
         }

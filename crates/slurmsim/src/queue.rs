@@ -1,12 +1,18 @@
-//! The pending queue: FIFO slots under a min-width tournament tree.
+//! The pending queue: FIFO slots under a (width, walltime) tournament tree.
 //!
 //! Invariants: the live slots, read left to right, are the queue in FIFO
-//! order; leaf `tree[cap + s]` holds the width (node request) of the job in
-//! slot `s`, or [`EMPTY`] once it was removed or before it is filled; every
-//! inner node is the minimum of its two children. So "leftmost entry at or
-//! after a slot that needs at most `free` nodes" is one climb and one
-//! descent, O(log n), where the `Vec` queue this replaces scanned every
-//! entry.
+//! order; leaf `cap + s` holds the width (node request) and requested
+//! walltime of the job in slot `s`, or [`EMPTY`] and `u64::MAX` once it was
+//! removed or before it is filled; every inner node holds the least width
+//! and the least walltime of its two children. So "leftmost entry at or
+//! after a slot that EASY may backfill now" is a climb and a descent,
+//! O(log n) but for the dead ends below, where the `Vec` queue this
+//! replaces scanned every entry and a width-only tree visited every entry
+//! that fit the free nodes.
+//!
+//! The two minima of a node may come from different jobs, so a subtree
+//! whose minima pass the backfill test can hold no job that does. The
+//! descent then dead-ends and the search climbs on from there.
 //!
 //! Slots are handed out left to right and never reused. When the tail
 //! reaches capacity the live entries are repacked to the front, into a
@@ -15,9 +21,9 @@
 //! all a scheduling pass needs, since a pass only removes.
 #![deny(clippy::as_conversions)]
 
-/// Leaf value of a slot that holds no job; no request is this wide.
+/// Width of a slot that holds no job; no request is this wide.
 const EMPTY: usize = usize::MAX;
-/// A `free` bound every live slot meets: plain in-order iteration.
+/// A width bound every live slot meets: plain in-order iteration.
 const ANY: usize = EMPTY - 1;
 
 #[derive(Debug, Default)]
@@ -25,8 +31,12 @@ pub(crate) struct PendingQueue {
     /// Log index of the job in each slot; `jobs.len()` is the capacity, a
     /// power of two (or zero before the first push).
     jobs: Vec<usize>,
-    /// The tournament: root at 1, leaves at `cap..2 * cap`.
-    tree: Vec<usize>,
+    /// The tournament: root at 1, leaves at `cap..2 * cap`. Least widths
+    /// and least walltimes are two arrays, not one of pairs, so that
+    /// `first` and `after` — the conservative pass's walk — read only the
+    /// widths.
+    widths: Vec<usize>,
+    walltimes: Vec<u64>,
     /// Next slot `push_back` fills.
     tail: usize,
     /// Times `repack` ran.
@@ -34,41 +44,42 @@ pub(crate) struct PendingQueue {
 }
 
 impl PendingQueue {
-    /// Append `job`, which requests `nodes` nodes, at the back of the queue.
-    pub(crate) fn push_back(&mut self, job: usize, nodes: usize) {
+    /// Append `job`, which requests `nodes` nodes for `walltime` seconds, at
+    /// the back of the queue.
+    pub(crate) fn push_back(&mut self, job: usize, nodes: usize, walltime: u64) {
         debug_assert!(nodes < EMPTY);
         if self.tail == self.jobs.len() {
             self.repack(None);
         }
         self.jobs[self.tail] = job;
-        self.set_leaf(self.tail, nodes);
+        self.set_leaf(self.tail, nodes, walltime);
         self.tail += 1;
     }
 
     /// Put `job` ahead of every queued job. Repacks the whole queue: only
     /// the `RequeueFront` fault path calls this.
-    pub(crate) fn push_front(&mut self, job: usize, nodes: usize) {
+    pub(crate) fn push_front(&mut self, job: usize, nodes: usize, walltime: u64) {
         debug_assert!(nodes < EMPTY);
-        self.repack(Some((job, nodes)));
+        self.repack(Some((job, nodes, walltime)));
     }
 
     /// Remove the job in `slot`; a dead or unused slot is left alone.
     pub(crate) fn remove(&mut self, slot: usize) {
-        let live = slot < self.tail && self.tree[self.jobs.len() + slot] != EMPTY;
+        let live = slot < self.tail && self.widths[self.jobs.len() + slot] != EMPTY;
         debug_assert!(live, "removing slot {slot}, which holds no job");
         if live {
-            self.set_leaf(slot, EMPTY);
+            self.set_leaf(slot, EMPTY, u64::MAX);
         }
     }
 
     /// The queue head as `(slot, job)`.
     pub(crate) fn first(&self) -> Option<(usize, usize)> {
-        self.next_fit(0, ANY)
+        self.next_fit(0, ANY, ANY, None)
     }
 
     /// The queued job following `slot` in FIFO order.
     pub(crate) fn after(&self, slot: usize) -> Option<(usize, usize)> {
-        self.next_fit(slot.saturating_add(1), ANY)
+        self.next_fit(slot.saturating_add(1), ANY, ANY, None)
     }
 
     /// How many times the queue has repacked; a slot number read before
@@ -82,64 +93,99 @@ impl PendingQueue {
         std::iter::successors(self.first(), |&(slot, _)| self.after(slot))
     }
 
-    /// Leftmost live slot at or after `from` whose job requests at most
-    /// `free` nodes, as `(slot, job)`.
-    pub(crate) fn next_fit(&self, from: usize, free: usize) -> Option<(usize, usize)> {
+    /// Leftmost live slot at or after `from` whose job may be backfilled,
+    /// as `(slot, job)`: it requests at most `min(spare, free)` nodes, or at
+    /// most `free` nodes for at most `window` seconds. `window: None` admits
+    /// no walltime, not even zero.
+    pub(crate) fn next_fit(
+        &self,
+        from: usize,
+        free: usize,
+        spare: usize,
+        window: Option<u64>,
+    ) -> Option<(usize, usize)> {
+        debug_assert!(free <= ANY);
         if from >= self.tail {
             return None;
         }
+        let narrow = spare.min(free);
+        // Without a window the walltime arm admits nothing the width arm
+        // does not.
+        let (wide, window) = window.map_or((narrow, 0), |w| (free, w));
+        let pass = |i: usize| {
+            let width = self.widths[i];
+            width <= narrow || (width <= wide && self.walltimes[i] <= window)
+        };
         let cap = self.jobs.len();
         let mut i = cap + from;
-        // Climb to the nearest subtree at or to the right of `from` that
-        // holds a fit: a right child's parent ends where the child does,
-        // and a left child's sibling covers exactly the slots after it.
-        while self.tree[i] > free {
-            while i & 1 == 1 {
-                if i == 1 {
-                    return None;
+        'climb: loop {
+            // Climb to the nearest subtree at or to the right of `i` whose
+            // minima pass: a right child's parent ends where the child does,
+            // and a left child's sibling covers exactly the slots after it.
+            while !pass(i) {
+                while i & 1 == 1 {
+                    if i == 1 {
+                        return None;
+                    }
+                    i >>= 1;
                 }
-                i >>= 1;
-            }
-            i += 1;
-        }
-        // Descend to its leftmost fitting leaf.
-        while i < cap {
-            i *= 2;
-            if self.tree[i] > free {
                 i += 1;
             }
+            // Descend to its leftmost passing leaf. Where neither child
+            // passes, every slot left of the failing right child and in it
+            // is ruled out: climb on from there.
+            while i < cap {
+                i *= 2;
+                if !pass(i) {
+                    i += 1;
+                    if !pass(i) {
+                        continue 'climb;
+                    }
+                }
+            }
+            return Some((i - cap, self.jobs[i - cap]));
         }
-        Some((i - cap, self.jobs[i - cap]))
     }
 
-    fn set_leaf(&mut self, slot: usize, value: usize) {
+    fn set_leaf(&mut self, slot: usize, width: usize, walltime: u64) {
         let mut i = self.jobs.len() + slot;
-        self.tree[i] = value;
+        self.widths[i] = width;
+        self.walltimes[i] = walltime;
         while i > 1 {
             i >>= 1;
-            self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
+            self.pull_up(i);
         }
+    }
+
+    /// Refresh inner node `i` from its two children.
+    fn pull_up(&mut self, i: usize) {
+        self.widths[i] = self.widths[2 * i].min(self.widths[2 * i + 1]);
+        self.walltimes[i] = self.walltimes[2 * i].min(self.walltimes[2 * i + 1]);
     }
 
     /// Move the live entries (behind `front`, if any) to slots `0..n` of a
     /// tree with at least `n` further slots free, growing only if needed.
-    fn repack(&mut self, front: Option<(usize, usize)>) {
+    fn repack(&mut self, front: Option<(usize, usize, u64)>) {
         let old_cap = self.jobs.len();
-        let mut live: Vec<(usize, usize)> = Vec::from_iter(front);
+        let mut live: Vec<(usize, usize, u64)> = Vec::from_iter(front);
         for (slot, job) in self.iter() {
-            live.push((job, self.tree[old_cap + slot]));
+            let leaf = old_cap + slot;
+            live.push((job, self.widths[leaf], self.walltimes[leaf]));
         }
         let cap = (2 * live.len()).next_power_of_two().max(old_cap);
         self.jobs.clear();
         self.jobs.resize(cap, 0);
-        self.tree.clear();
-        self.tree.resize(2 * cap, EMPTY);
-        for (slot, &(job, nodes)) in live.iter().enumerate() {
+        self.widths.clear();
+        self.widths.resize(2 * cap, EMPTY);
+        self.walltimes.clear();
+        self.walltimes.resize(2 * cap, u64::MAX);
+        for (slot, &(job, width, walltime)) in live.iter().enumerate() {
             self.jobs[slot] = job;
-            self.tree[cap + slot] = nodes;
+            self.widths[cap + slot] = width;
+            self.walltimes[cap + slot] = walltime;
         }
         for i in (1..cap).rev() {
-            self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
+            self.pull_up(i);
         }
         self.tail = live.len();
         self.repacks += 1;

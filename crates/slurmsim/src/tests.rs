@@ -1668,12 +1668,13 @@ mod passes {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// Check the queue against the plain `(job, nodes)` list it stands for:
-    /// same order from `iter`, same head, slots strictly increasing.
-    fn assert_matches(q: &PendingQueue, model: &[(usize, usize)]) -> Vec<usize> {
+    /// Check the queue against the plain `(job, nodes, walltime)` list it
+    /// stands for: same order from `iter`, same head, slots strictly
+    /// increasing.
+    fn assert_matches(q: &PendingQueue, model: &[(usize, usize, u64)]) -> Vec<usize> {
         let entries: Vec<(usize, usize)> = q.iter().collect();
         let jobs: Vec<usize> = entries.iter().map(|&(_, job)| job).collect();
-        let want: Vec<usize> = model.iter().map(|&(job, _)| job).collect();
+        let want: Vec<usize> = model.iter().map(|&(job, ..)| job).collect();
         assert_eq!(jobs, want);
         assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(q.first(), entries.first().copied());
@@ -1684,24 +1685,36 @@ mod passes {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Random push/remove/lookup sequences, long enough to grow the
-        /// tree several times and to repack after heavy removal.
+        /// tree several times and to repack after heavy removal, with
+        /// walltimes of 0 and `u64::MAX` among the small ones. Each lookup
+        /// is checked against a filter of the model: `from` on live slots,
+        /// dead slots and past the tail; `spare` of 0, below and above
+        /// `free`; no window, a window of 0, of `u64::MAX` and in between.
         #[test]
         fn pending_queue_matches_vec_model(
-            ops in prop::collection::vec((0u8..10, any::<usize>(), 0usize..18), 1..400)
+            ops in prop::collection::vec(
+                (0u8..10, any::<usize>(), 0usize..18, 0usize..20, any::<u64>()),
+                1..400,
+            )
         ) {
             let mut q = PendingQueue::default();
-            let mut model: Vec<(usize, usize)> = Vec::new();
+            let mut model: Vec<(usize, usize, u64)> = Vec::new();
             let mut next_job = 0usize;
-            for (op, a, free) in ops {
+            for (op, a, free, spare, w) in ops {
+                let walltime = match w % 8 {
+                    0 => 0,
+                    1 => u64::MAX,
+                    _ => w % 40,
+                };
                 match op {
                     0..=3 => {
-                        q.push_back(next_job, 1 + a % 16);
-                        model.push((next_job, 1 + a % 16));
+                        q.push_back(next_job, 1 + a % 16, walltime);
+                        model.push((next_job, 1 + a % 16, walltime));
                         next_job += 1;
                     }
                     4 => {
-                        q.push_front(next_job, 1 + a % 16);
-                        model.insert(0, (next_job, 1 + a % 16));
+                        q.push_front(next_job, 1 + a % 16, walltime);
+                        model.insert(0, (next_job, 1 + a % 16, walltime));
                         next_job += 1;
                     }
                     5..=7 if !model.is_empty() => {
@@ -1716,12 +1729,22 @@ mod passes {
                         let slots = assert_matches(&q, &model);
                         // Live slots, dead slots and slots past the tail.
                         let from = a % (slots.last().map_or(0, |s| s + 1) + 3);
+                        let window = match w % 6 {
+                            0 => None,
+                            1 => Some(0),
+                            2 => Some(u64::MAX),
+                            _ => Some(w % 40),
+                        };
                         let want = slots
                             .iter()
                             .zip(&model)
-                            .find(|&(&slot, &(_, nodes))| slot >= from && nodes <= free)
-                            .map(|(&slot, &(job, _))| (slot, job));
-                        prop_assert_eq!(q.next_fit(from, free), want);
+                            .find(|&(&slot, &(_, nodes, wall))| {
+                                slot >= from
+                                    && nodes <= free
+                                    && (nodes <= spare || window.is_some_and(|w| wall <= w))
+                            })
+                            .map(|(&slot, &(job, ..))| (slot, job));
+                        prop_assert_eq!(q.next_fit(from, free, spare, window), want);
                     }
                 }
                 assert_matches(&q, &model);
@@ -1768,17 +1791,48 @@ mod passes {
     fn pending_queue_repacks_instead_of_growing() {
         let mut q = PendingQueue::default();
         for job in 0..100 {
-            q.push_back(job, 1 + job % 7);
+            q.push_back(job, 1 + job % 7, 10);
         }
         for job in 100..20_000 {
             let (slot, head) = q.first().unwrap();
             assert_eq!(head, job - 100);
             q.remove(slot);
-            q.push_back(job, 1 + job % 7);
+            q.push_back(job, 1 + job % 7, 10);
             assert!(q.iter().all(|(slot, _)| slot < 512));
         }
         assert_eq!(q.iter().count(), 100);
-        assert_eq!(q.next_fit(0, 0), None);
+        assert_eq!(q.next_fit(0, 0, 0, Some(u64::MAX)), None);
+    }
+
+    /// Slot 0 is too wide and slot 1 too long, but their parent's minima
+    /// (2 nodes, 1 s) pass: the descent dead-ends there and the search
+    /// climbs on to slot 2 instead of giving up. Slots 4–7 repeat the
+    /// pattern one level up, behind a dead slot 3.
+    #[test]
+    fn next_fit_climbs_on_after_a_dead_end() {
+        let mut q = PendingQueue::default();
+        for (job, (nodes, walltime)) in [
+            (5, 1),
+            (2, 100),
+            (1, 5),
+            (9, 9),
+            (5, 1),
+            (2, 100),
+            (5, 1),
+            (2, 100),
+            (3, 3),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            q.push_back(job, nodes, walltime);
+        }
+        assert_eq!(q.next_fit(0, 3, 0, Some(10)), Some((2, 2)));
+        q.remove(2);
+        q.remove(3);
+        assert_eq!(q.next_fit(0, 3, 0, Some(10)), Some((8, 8)));
+        assert_eq!(q.next_fit(0, 3, 2, Some(10)), Some((1, 1)));
+        assert_eq!(q.next_fit(0, 3, 0, None), None);
     }
 
     /// Start time plus an unlimited walltime, or plus a runtime that never
@@ -2134,6 +2188,122 @@ mod backfill_reference {
                 }
             }
         }
+    }
+
+    /// The same equivalence on a backlog over 300 deep on the same 18-node
+    /// tree, so the tournament is many levels tall and its descents
+    /// dead-end: EASY under all five selectors, with and without declined
+    /// starts, and a node failure whose victim is requeued at the front (a
+    /// repack of the deep queue).
+    #[test]
+    fn shipped_easy_matches_reference_on_a_deep_queue() {
+        let tree = Tree::regular_two_level(3, 6);
+        let mut log = LogSpec::new(
+            SystemModel {
+                total_nodes: 18,
+                min_request: 1,
+                max_request: 12,
+                mean_interarrival: 4.0,
+                ..SystemModel::theta()
+            },
+            400,
+            5,
+        )
+        .comm_percent(60)
+        .generate();
+        for (k, j) in log.jobs.iter_mut().enumerate() {
+            match k % 7 {
+                0 => j.walltime = 0,
+                1 => j.walltime = j.runtime / 3,
+                _ => {}
+            }
+        }
+        let mid = log.jobs[200].submit;
+        let faults = FaultTrace::new(vec![
+            FaultEvent {
+                t: mid,
+                node: 4,
+                kind: FaultKind::Fail,
+            },
+            FaultEvent {
+                t: mid + 600,
+                node: 4,
+                kind: FaultKind::Recover,
+            },
+        ]);
+        let refusals: [fn(JobId, u64) -> bool; 2] = [|_, _| false, flaky];
+        for kind in SelectorKind::ALL.into_iter().chain([SelectorKind::Sa]) {
+            for refuse in refusals {
+                let cfg = EngineConfig::new(kind)
+                    .with_sa(SaBudget::with_evals(16), 5)
+                    .with_failure_policy(FailurePolicy::RequeueFront);
+                let [(shipped, trace), (reference, reference_trace)] =
+                    both(&tree, cfg, &faults, refuse, &log);
+                assert_eq!(shipped, reference, "{kind}");
+                assert!(trace == reference_trace, "traces differ: {kind}");
+                let (mut pending, mut peak) = (0usize, 0usize);
+                for line in trace.lines() {
+                    if line.contains("\"ev\":\"eligible\"") {
+                        pending += 1;
+                        peak = peak.max(pending);
+                    } else if line.contains("\"ev\":\"start\"") {
+                        pending -= 1;
+                    }
+                }
+                assert!(peak >= 300, "{kind}: the queue peaked at {peak}");
+                assert_eq!(trace.matches("\"ev\":\"requeue\"").count(), 1, "{kind}");
+            }
+        }
+    }
+
+    /// `extra` is computed once per pass and never decremented (DESIGN.md
+    /// §4.11, ROADMAP item 2): J1 holds 5 of 8 nodes until 100, so the head
+    /// J2 (7 nodes) has its shadow at 100 with `extra` = 1. J3, J4 and J5
+    /// (1 node, 500 s each) each fit `extra`, so all three start at 1,
+    /// together taking 3 nodes of the 1 spare, and J2 waits until 501
+    /// instead of 100. The `extra` fix flips this to J2 at 100.
+    #[test]
+    fn undecremented_extra_admits_backfills_that_delay_the_head() {
+        let tree = Tree::regular_two_level(1, 8);
+        let log = JobLog::new(
+            "extra",
+            vec![
+                job(1, 0, 100, 5),
+                job(2, 1, 100, 7),
+                job(3, 1, 500, 1),
+                job(4, 1, 500, 1),
+                job(5, 1, 500, 1),
+            ],
+        );
+        assert_eq!(
+            starts(&tree, EngineConfig::new(SelectorKind::Default), &log),
+            [(1, 0), (2, 501), (3, 1), (4, 1), (5, 1)]
+        );
+    }
+
+    /// The shadow bound is inclusive and exact: J1 holds 2 of 4 nodes until
+    /// 100, so the head J2 (4 nodes) has its shadow at 100 and no `extra`.
+    /// At 10, J3 (1 node, 90 s) ends at the shadow and backfills; J4 (1
+    /// node, 91 s) would end a second after it and waits for J2.
+    #[test]
+    fn backfill_may_end_at_the_shadow_time_not_after() {
+        let log = JobLog::new(
+            "shadow",
+            vec![
+                job(1, 0, 100, 2),
+                job(2, 10, 50, 4),
+                job(3, 10, 90, 1),
+                job(4, 10, 91, 1),
+            ],
+        );
+        assert_eq!(
+            starts(
+                &small_tree(),
+                EngineConfig::new(SelectorKind::Default),
+                &log
+            ),
+            [(1, 0), (2, 100), (3, 10), (4, 150)]
+        );
     }
 
     /// A zero walltime is a one-second reservation and a zero-length hold.
