@@ -11,6 +11,10 @@
 //!   evaluators a job sees after a state change;
 //! - **selection** (`select_*`): the three direct selectors back to back
 //!   over the free-count index;
+//! - **state** (`state_dragonfly_1m`): `allocate` then `release` of a
+//!   4,096-node placement of 64 whole leaves on Dragonfly1M with every
+//!   other leaf held — one run per leaf, so the row times the counters'
+//!   and the free-count index's upkeep, not the bit fills;
 //! - **simulation** (`steady_state`, `churn`): whole flow-simulator runs;
 //!   `request` counts the jobs simulated.
 //!
@@ -37,10 +41,13 @@
 use commsched_bench::experiments::fig6;
 use commsched_bench::perf::{NetsimCase, PlacementCase};
 use commsched_bench::{ExperimentResult, Scale};
-use commsched_core::{PlacementEvaluator, SelectorKind};
+use commsched_core::{
+    AllocRequest, ClusterState, DefaultTreeSelector, JobId, JobNature, NodeSelector, Placement,
+    PlacementEvaluator, SelectorKind,
+};
 use commsched_slurmsim::individual::individual_runs;
 use commsched_slurmsim::EngineConfig;
-use commsched_topology::SystemPreset;
+use commsched_topology::{NodeId, SystemPreset, Tree};
 use rayon::ThreadPoolBuilder;
 use serde::Serialize;
 use serde_json::{json, Value};
@@ -72,6 +79,9 @@ const SA_MIN_EVALS_PER_SEC: f64 = 100_000.0;
 const SELECT_WANT: usize = 256;
 const LEAF_WANT: usize = 32;
 
+/// The state row's request: the Dragonfly1M placement row's size.
+const STATE_WANT: usize = 4096;
+
 /// The reduced Figure 6 sweep (3 systems × 5 mixes × 4 selectors).
 const SWEEP_SCALE: Scale = Scale { jobs: 40, seed: 42 };
 const SWEEP_ITERS: usize = 3;
@@ -93,7 +103,7 @@ fn median_ns<F: FnMut()>(iters: usize, mut f: F) -> u64 {
 #[derive(Serialize)]
 struct Row {
     case: String,
-    /// `"placement"`, `"selection"` or `"simulation"`.
+    /// `"placement"`, `"selection"`, `"state"` or `"simulation"`.
     kind: &'static str,
     nodes: usize,
     /// Nodes requested, or jobs simulated.
@@ -101,7 +111,8 @@ struct Row {
     median_ns: u64,
 }
 
-/// One placement and one selection per preset, then the simulator runs.
+/// One placement and one selection per preset (two selections and the
+/// state row on Dragonfly1M), then the simulator runs.
 fn measure_rows() -> Vec<Row> {
     let presets = [
         ("theta_256", SystemPreset::Theta, 256),
@@ -134,6 +145,17 @@ fn measure_rows() -> Vec<Row> {
             let name = format!("select_{label}{suffix}");
             rows.push(row(name, "selection", want, ns));
         }
+        if preset == SystemPreset::Dragonfly1M {
+            let (mut state, placement) = whole_leaf_case(&case.tree);
+            let job = JobId(u64::MAX);
+            let ns = median_ns(ITERS, || {
+                state
+                    .allocate(&case.tree, job, &placement, JobNature::ComputeIntensive)
+                    .expect("the placement is free");
+                std::hint::black_box(state.release(&case.tree, job).expect("just allocated"));
+            });
+            rows.push(row(format!("state_{label}"), "state", STATE_WANT, ns));
+        }
     }
     for case in [NetsimCase::steady_state(), NetsimCase::churn()] {
         rows.push(Row {
@@ -147,6 +169,39 @@ fn measure_rows() -> Vec<Row> {
         });
     }
     rows
+}
+
+/// `tree` with every other leaf held whole (eight leaves to a compute
+/// job), and the default selector's [`STATE_WANT`]-node placement on it:
+/// the first free leaves of the first group, each taken whole.
+fn whole_leaf_case(tree: &Tree) -> (ClusterState, Placement) {
+    let mut state = ClusterState::new(tree);
+    let held: Vec<usize> = (0..tree.num_leaves()).step_by(2).collect();
+    for (job, leaves) in held.chunks(8).enumerate() {
+        let nodes: Vec<NodeId> = leaves
+            .iter()
+            .flat_map(|&k| tree.leaf_node_range(k).map(NodeId))
+            .collect();
+        let placement = Placement::from_nodes(tree, &nodes).expect("leaves hold their nodes");
+        state
+            .allocate(
+                tree,
+                JobId(job as u64),
+                &placement,
+                JobNature::ComputeIntensive,
+            )
+            .expect("each leaf is held once");
+    }
+    let req = AllocRequest::comm(JobId(u64::MAX), STATE_WANT);
+    let placement = DefaultTreeSelector
+        .select(tree, &state, &req)
+        .expect("half the machine is free");
+    let whole = placement
+        .takes()
+        .iter()
+        .all(|&(k, n)| n as usize == tree.leaf_size(k));
+    assert!(whole, "every take is a whole leaf");
+    (state, placement)
 }
 
 /// Evaluator calls per second over [`ITERS`] seeded searches on Theta.

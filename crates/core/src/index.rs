@@ -6,27 +6,43 @@
 //! `leaf_free`/`switch_free` counters; without an index the selectors would
 //! scan *all* switches for the lowest-level switch and collect-and-sort
 //! *all* leaves under it on every placement — the dominant cost at the
-//! 500k–1M-node presets. The index keeps plain ordered sets, so iteration
-//! order is a pure function of the counters (determinism rule D1), and
-//! holds each leaf in at most three of them:
+//! 500k–1M-node presets. The index keeps ordered sets of `(key, member)`,
+//! so iteration order is a pure function of the counters (determinism rule
+//! D1), and holds each leaf in at most three of them:
 //!
-//! * **per level**: `(subtree_free, switch_id)` for every switch with free
-//!   capacity — the lowest-level-switch query walks levels bottom-up and
-//!   takes one `BTreeSet::range` successor per level, O(height · log S).
-//!   Leaf switch `k` has id `k` (`Tree::from_parts` numbers leaves first),
-//!   so the level-1 set is also every free leaf in `(leaf_free, ordinal)`
-//!   order: the root's fill order.
+//! * **per level**: `subtree_free` of every switch with free capacity,
+//!   members that level's switches in id order. Leaf switch `k` has id `k`
+//!   (`Tree::from_parts` numbers leaves first), so the level-1 set is also
+//!   every free leaf in `(leaf_free, ordinal)` order: the root's fill order.
 //! * **per parent** — a switch with at least one leaf child — its free
-//!   leaf children ordered by `(leaf_free, ordinal)` (not kept for the
-//!   root, whose order is the level-1 set) and by
-//!   `(communication-ratio key, ordinal)`.
+//!   leaf children keyed by `leaf_free` (not kept for the root, whose order
+//!   is the level-1 set) and by communication-ratio key, members its leaf
+//!   children in ascending ordinal.
+//!
+//! Every set is a [`BucketSet`]: each distinct live key holds a bitset of
+//! its members, and the keys sit in a small ordered map. A re-key is a bit
+//! flip plus a map lookup over the set's distinct live keys (at most 64 in
+//! Dragonfly1M's 16,384-leaf level-1 set, whose keys are free counts of
+//! 64-node leaves), whatever the member count.
+//! The lowest-level-switch query takes, per level bottom-up, the first
+//! live key ≥ `want` and its lowest member: O(height · (log keys + U/64))
+//! for `U` switches at a level. A walk costs one step per live key plus
+//! one per word of each bucket it enters.
+//!
+//! Memory: a set over `U` members holds `⌈U/64⌉` words per slot, and a
+//! slot only for a live key — an emptied bucket's slot is reused by the
+//! next new key — so at most the most keys it has held live at once,
+//! which is at most `min(U, distinct key values)`. It never holds
+//! `max key × U` bits, so a skewed `topology.conf` cannot make it
+//! quadratic in its largest leaf.
 //!
 //! Any other switch's fill order is the lazy k-way merge of the parent
 //! sets in its subtree ([`Merge`]); with one such set — every switch of
 //! the two-level presets, every group of the three-level ones — it is that
 //! set's own iterator. Selectors iterate lazily and stop as soon as the
-//! request is satisfied, so a placement costs O(height · log S + leaves
-//! actually used), plus one heap operation per leaf where a merge runs.
+//! request is satisfied, so a placement costs one lowest-level-switch
+//! query plus the leaves actually used, and one heap operation per leaf
+//! where a merge runs.
 //!
 //! Maintenance is eager: `ClusterState::shift` re-keys a leaf's (at most)
 //! three entries on the spot ([`FreeIndex::apply_leaf`]), and every
@@ -37,11 +53,15 @@
 //! from-scratch rebuild of the counters after every mutation.
 #![deny(clippy::as_conversions)]
 
-use commsched_num::usize_of_u32;
+use commsched_num::{u32_of_usize, usize_of_u32};
 use commsched_topology::{SwitchId, Tree};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{btree_set, BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
+
+mod bucket;
+
+pub(crate) use bucket::BucketSet;
 
 const SIGN: u64 = 1 << 63;
 
@@ -64,23 +84,36 @@ pub(crate) fn ratio_key(r: f64) -> u64 {
 /// from state equality, like the version token.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct FreeIndex {
-    /// `[level - 1]` → `(subtree_free, switch_id)` of every switch at that
-    /// level with `subtree_free > 0`. `[0]` is every free leaf as
-    /// `(leaf_free, ordinal)`.
-    level_sets: Vec<BTreeSet<(u32, u32)>>,
-    /// `[upper(switch)]` → `(leaf_free, leaf_ordinal)` of the free leaf
-    /// children. Empty for the root and for switches without leaf
-    /// children.
-    by_free: Vec<BTreeSet<(u32, u32)>>,
-    /// `[upper(switch)]` → `(ratio_key, leaf_ordinal)` of the free leaf
-    /// children. Empty for switches without leaf children.
-    by_ratio: Vec<BTreeSet<(u64, u32)>>,
+    /// `[level - 1]` → `subtree_free` of every switch at that level with
+    /// `subtree_free > 0`, over that level's switches in id order. `[0]` is
+    /// every free leaf keyed `leaf_free`, members its ordinal.
+    level_sets: Vec<BucketSet<u32>>,
+    /// Switch ids by level, ascending within a level: level `l`'s members
+    /// are `level_ids[level_start[l - 1]..level_start[l]]`.
+    level_ids: Vec<u32>,
+    level_start: Vec<u32>,
+    /// Switch id → its member in its level set.
+    level_member: Vec<u32>,
+    /// `[upper(switch)]` → `leaf_free` of the free leaf children, over the
+    /// switch's leaf children in ascending ordinal. Empty for the root and
+    /// for switches without leaf children.
+    by_free: Vec<BucketSet<u32>>,
+    /// `[upper(switch)]` → `ratio_key` of the free leaf children, over the
+    /// same members. Empty for switches without leaf children.
+    by_ratio: Vec<BucketSet<u64>>,
+    /// Leaf ordinals by parent, ascending within a parent: upper switch
+    /// `u`'s members are `child_ords[child_start[u]..child_start[u + 1]]`.
+    child_ords: Vec<u32>,
+    child_start: Vec<u32>,
+    /// Leaf ordinal → its member in its parent's sets.
+    child_member: Vec<u32>,
 }
 
 impl FreeIndex {
     /// Rebuild from scratch against explicit counter slices (construction,
-    /// reset, the invariant check). `ratio` must be the exact value
-    /// `ClusterState::communication_ratio` would report for the ordinal.
+    /// reset, the invariant check), reusing every buffer. `ratio` must be
+    /// the exact value `ClusterState::communication_ratio` would report
+    /// for the ordinal.
     pub(crate) fn rebuild(
         &mut self,
         tree: &Tree,
@@ -88,46 +121,73 @@ impl FreeIndex {
         switch_free: &[u32],
         ratio: impl Fn(usize) -> f64,
     ) {
-        // Entries are gathered per set and each set is built in one go
-        // (`BTreeSet::from_iter` sorts, then fills nodes to capacity).
         let height = usize::try_from(tree.height()).unwrap_or(1);
         let uppers = tree.num_switches() - tree.num_leaves();
-        let mut levels = vec![Vec::new(); height];
-        let mut by_free = vec![Vec::new(); uppers];
-        let mut by_ratio = vec![Vec::new(); uppers];
+        // The universes: each level's switches in id order, each parent's
+        // leaf children in ordinal order.
+        let switches = tree.switches();
+        number(
+            height,
+            |id| Some(level_slot(switches[id].level)),
+            switches.len(),
+            (
+                &mut self.level_start,
+                &mut self.level_ids,
+                &mut self.level_member,
+            ),
+        );
+        debug_assert!(
+            (0..tree.num_leaves()).all(|k| tree.leaf(k).0 == k),
+            "leaf switch ids are ordinals"
+        );
+        number(
+            uppers,
+            |k| Some(upper(tree, tree.switch(tree.leaf(k)).parent?)),
+            tree.num_leaves(),
+            (
+                &mut self.child_start,
+                &mut self.child_ords,
+                &mut self.child_member,
+            ),
+        );
+
+        self.level_sets.resize_with(height, BucketSet::default);
+        for (l, set) in self.level_sets.iter_mut().enumerate() {
+            set.clear(span(&self.level_start, l).len());
+        }
+        self.by_free.resize_with(uppers, BucketSet::default);
+        self.by_ratio.resize_with(uppers, BucketSet::default);
+        for u in 0..uppers {
+            let universe = span(&self.child_start, u).len();
+            self.by_free[u].clear(universe);
+            self.by_ratio[u].clear(universe);
+        }
         for (id, sw) in tree.switches().iter().enumerate() {
-            let free = switch_free[id];
-            if free > 0 {
-                if let (Ok(id32), Some(level)) =
-                    (u32::try_from(id), levels.get_mut(level_slot(sw.level)))
-                {
-                    level.push((free, id32));
-                }
+            if switch_free[id] > 0 {
+                self.level_sets[level_slot(sw.level)]
+                    .insert(switch_free[id], self.level_member[id]);
             }
         }
         for (k, &free) in leaf_free.iter().enumerate() {
-            debug_assert_eq!(tree.leaf(k).0, k, "leaf switch ids are ordinals");
-            let Ok(ord) = u32::try_from(k) else { continue };
             if free == 0 {
                 continue;
             }
             if let Some(g) = tree.switch(tree.leaf(k)).parent {
+                let member = self.child_member[k];
                 if g != tree.root() {
-                    by_free[upper(tree, g)].push((free, ord));
+                    self.by_free[upper(tree, g)].insert(free, member);
                 }
-                by_ratio[upper(tree, g)].push((ratio_key(ratio(k)), ord));
+                self.by_ratio[upper(tree, g)].insert(ratio_key(ratio(k)), member);
             }
         }
-        self.level_sets = levels.into_iter().map(BTreeSet::from_iter).collect();
-        self.by_free = by_free.into_iter().map(BTreeSet::from_iter).collect();
-        self.by_ratio = by_ratio.into_iter().map(BTreeSet::from_iter).collect();
     }
 
     /// Re-key one switch in its level set.
     #[inline]
     pub(crate) fn apply_switch(&mut self, level: u32, id: u32, old_free: u32, new_free: u32) {
         if let Some(set) = self.level_sets.get_mut(level_slot(level)) {
-            rekey(set, keyed(old_free, id), keyed(new_free, id));
+            let member = self.level_member[usize_of_u32(id)];
+            rekey(set, member, keyed(old_free), keyed(new_free));
         }
     }
 
@@ -139,49 +199,112 @@ impl FreeIndex {
         (old_free, old_rkey): (u32, u64),
         (new_free, new_rkey): (u32, u64),
     ) {
-        let (old, new) = (keyed(old_free, ord), keyed(new_free, ord));
-        rekey(&mut self.level_sets[0], old, new);
+        let (old, new) = (keyed(old_free), keyed(new_free));
+        // Level 1 is exactly the leaves, ids `0..num_leaves`: its member
+        // is the ordinal itself.
+        rekey(&mut self.level_sets[0], ord, old, new);
         let Some(g) = tree.switch(tree.leaf(usize_of_u32(ord))).parent else {
             return;
         };
+        let member = self.child_member[usize_of_u32(ord)];
         if g != tree.root() {
-            rekey(&mut self.by_free[upper(tree, g)], old, new);
+            rekey(&mut self.by_free[upper(tree, g)], member, old, new);
         }
         rekey(
             &mut self.by_ratio[upper(tree, g)],
-            old.map(|_| (old_rkey, ord)),
-            new.map(|_| (new_rkey, ord)),
+            member,
+            old.map(|_| old_rkey),
+            new.map(|_| new_rkey),
         );
     }
 
     /// The lowest-level switch whose subtree has at least `want` free
     /// nodes; ties at the same level break toward fewest free, then lowest
-    /// id — exactly the scan baseline's `(level, free, id)` minimum.
+    /// id — exactly the scan baseline's `(level, free, id)` minimum: per
+    /// level, the first live key ≥ `want` and its lowest member.
     /// Requires `want >= 1`.
     pub(crate) fn lowest_level_switch(&self, want: usize) -> Option<SwitchId> {
         let want = u32::try_from(want).ok()?;
-        for set in &self.level_sets {
-            if let Some(&(_, id)) = set.range((want, 0u32)..).next() {
-                return Some(SwitchId(usize_of_u32(id)));
-            }
-        }
-        None
+        self.level_sets.iter().enumerate().find_map(|(l, set)| {
+            let (_, member) = set.first_at_least(want)?;
+            let ids = &self.level_ids[span(&self.level_start, l)];
+            Some(SwitchId(usize_of_u32(ids[usize_of_u32(member)])))
+        })
     }
 
     /// Free leaves under `p`, keyed `(leaf_free, ordinal)` — the
     /// default/balanced fill order. Empty for a leaf.
     pub(crate) fn leaves_by_free(&self, tree: &Tree, p: SwitchId) -> FillOrder<'_, u32> {
         if p == tree.root() {
-            FillOrder::One(&self.level_sets[0])
+            FillOrder::One(Members {
+                set: &self.level_sets[0],
+                ords: &self.level_ids[span(&self.level_start, 0)],
+            })
         } else {
-            parent_sets(tree, p, &self.by_free)
+            self.parent_sets(tree, p, &self.by_free)
         }
     }
 
     /// Free leaves under `p`, keyed `(ratio_key, ordinal)` — the greedy
     /// (Eq. 1) fill order. Empty for a leaf.
     pub(crate) fn leaves_by_ratio(&self, tree: &Tree, p: SwitchId) -> FillOrder<'_, u64> {
-        parent_sets(tree, p, &self.by_ratio)
+        self.parent_sets(tree, p, &self.by_ratio)
+    }
+
+    /// `p`'s fill order over `sets`: the sets of the parents in its
+    /// subtree, `p` included. A level-2 switch has only leaf children, so
+    /// it is its own one set; above, the walk reads child lists and
+    /// descends into non-leaves. Nothing is stored: the walk touches only
+    /// switches above the leaves.
+    fn parent_sets<'a, K>(
+        &'a self,
+        tree: &Tree,
+        p: SwitchId,
+        sets: &'a [BucketSet<K>],
+    ) -> FillOrder<'a, K> {
+        let members = |s: SwitchId| Members {
+            set: &sets[upper(tree, s)],
+            ords: &self.child_ords[span(&self.child_start, upper(tree, s))],
+        };
+        fn walk<'a, K>(
+            tree: &Tree,
+            p: SwitchId,
+            members: &impl Fn(SwitchId) -> Members<'a, K>,
+            out: &mut Vec<Members<'a, K>>,
+        ) {
+            let mut has_leaf = false;
+            for &c in &tree.switch(p).children {
+                match tree.switch(c).level {
+                    1 => has_leaf = true,
+                    2 => out.push(members(c)),
+                    _ => walk(tree, c, members, out),
+                }
+            }
+            if has_leaf {
+                out.push(members(p));
+            }
+        }
+        if tree.switch(p).level == 2 {
+            return FillOrder::One(members(p));
+        }
+        let mut out = Vec::new();
+        walk(tree, p, &members, &mut out);
+        FillOrder::Many(out)
+    }
+
+    /// Per set — the level sets, then `by_free`, then `by_ratio` — the
+    /// arena words it holds, its words per slot and its live keys.
+    #[cfg(test)]
+    pub(crate) fn arenas(&self) -> Vec<(usize, usize, usize)> {
+        fn report<K: Ord + Copy>(set: &BucketSet<K>) -> (usize, usize, usize) {
+            (set.arena_words(), set.slot_words(), set.live_keys())
+        }
+        let levels = self.level_sets.iter().map(report);
+        let by_free = self.by_free.iter().map(report);
+        levels
+            .chain(by_free)
+            .chain(self.by_ratio.iter().map(report))
+            .collect()
     }
 }
 
@@ -192,24 +315,24 @@ fn upper(tree: &Tree, s: SwitchId) -> usize {
     s.0 - tree.num_leaves()
 }
 
-/// The `(free, id)` entry of something with `free` free nodes: none when
-/// it has none.
+/// The key of something with `free` free nodes: none when it has none.
 #[inline]
-fn keyed(free: u32, id: u32) -> Option<(u32, u32)> {
-    (free > 0).then_some((free, id))
+fn keyed(free: u32) -> Option<u32> {
+    (free > 0).then_some(free)
 }
 
-/// Move `old` to `new` in `set`; `None` is "not in the set".
+/// Move `member` from key `old` to key `new` in `set`; `None` is "not in
+/// the set".
 #[inline]
-fn rekey<T: Ord>(set: &mut BTreeSet<T>, old: Option<T>, new: Option<T>) {
+fn rekey<K: Ord + Copy>(set: &mut BucketSet<K>, member: u32, old: Option<K>, new: Option<K>) {
     if old == new {
         return;
     }
     if let Some(old) = old {
-        set.remove(&old);
+        set.remove(old, member);
     }
     if let Some(new) = new {
-        set.insert(new);
+        set.insert(new, member);
     }
 }
 
@@ -219,40 +342,48 @@ fn level_slot(level: u32) -> usize {
     usize_of_u32(level.saturating_sub(1))
 }
 
-/// `p`'s fill order over `sets`: the sets of the parents in its subtree,
-/// `p` included. A level-2 switch has only leaf children, so it is its own
-/// one set; above, the walk reads child lists and descends into
-/// non-leaves. Nothing is stored: the walk touches only switches above the
-/// leaves.
-fn parent_sets<'a, K>(
-    tree: &Tree,
-    p: SwitchId,
-    sets: &'a [BTreeSet<(K, u32)>],
-) -> FillOrder<'a, K> {
-    fn walk<'a, K>(
-        tree: &Tree,
-        p: SwitchId,
-        sets: &'a [BTreeSet<(K, u32)>],
-        out: &mut Vec<&'a BTreeSet<(K, u32)>>,
-    ) {
-        let mut has_leaf = false;
-        for &c in &tree.switch(p).children {
-            match tree.switch(c).level {
-                1 => has_leaf = true,
-                2 => out.push(&sets[upper(tree, c)]),
-                _ => walk(tree, c, sets, out),
-            }
-        }
-        if has_leaf {
-            out.push(&sets[upper(tree, p)]);
+/// Number items `0..n` within `groups` groups, reusing the buffers:
+/// `ids[start[g]..start[g + 1]]` lists group `g`'s items ascending, and
+/// `member[i]` is item `i`'s place there (0 for an item in no group).
+fn number(
+    groups: usize,
+    group_of: impl Fn(usize) -> Option<usize>,
+    n: usize,
+    (start, ids, member): (&mut Vec<u32>, &mut Vec<u32>, &mut Vec<u32>),
+) {
+    start.clear();
+    start.resize(groups + 1, 0);
+    member.clear();
+    member.resize(n, 0);
+    for (i, m) in member.iter_mut().enumerate() {
+        if let Some(g) = group_of(i) {
+            *m = start[g + 1];
+            start[g + 1] += 1;
         }
     }
-    if tree.switch(p).level == 2 {
-        return FillOrder::One(&sets[upper(tree, p)]);
+    for g in 0..groups {
+        start[g + 1] += start[g];
     }
-    let mut out = Vec::new();
-    walk(tree, p, sets, &mut out);
-    FillOrder::Many(out)
+    ids.clear();
+    ids.resize(usize_of_u32(start[groups]), 0);
+    for (i, &m) in member.iter().enumerate() {
+        if let Some(g) = group_of(i) {
+            ids[usize_of_u32(start[g] + m)] = u32_of_usize(i);
+        }
+    }
+}
+
+/// Group `g`'s range in a [`number`] layout.
+#[inline]
+fn span(start: &[u32], g: usize) -> std::ops::Range<usize> {
+    usize_of_u32(start[g])..usize_of_u32(start[g + 1])
+}
+
+/// One bucketed set with the leaf ordinal of each of its members.
+#[derive(Clone, Copy)]
+pub(crate) struct Members<'a, K> {
+    set: &'a BucketSet<K>,
+    ords: &'a [u32],
 }
 
 /// One switch's free leaves, as the sets whose union they are: its own
@@ -260,24 +391,33 @@ fn parent_sets<'a, K>(
 /// one of them, so the merged order is the union's order whatever order
 /// the sets come in.
 pub(crate) enum FillOrder<'a, K> {
-    One(&'a BTreeSet<(K, u32)>),
-    Many(Vec<&'a BTreeSet<(K, u32)>>),
+    One(Members<'a, K>),
+    Many(Vec<Members<'a, K>>),
 }
 
 impl<'a, K: Ord + Copy> FillOrder<'a, K> {
     /// `(key, ordinal)` entries in ascending order.
     pub(crate) fn asc(self) -> impl Iterator<Item = (K, u32)> + 'a {
-        self.merge(|set| set.iter().copied())
+        self.merge(|m| {
+            m.set
+                .asc()
+                .map(move |(key, member)| (key, m.ords[usize_of_u32(member)]))
+        })
     }
 
     /// `(key, ordinal)` entries in *descending* key order with ties in
     /// *ascending* ordinal order — the order the scan selectors produce
     /// with `sort_by(|a, b| key(b).cmp(&key(a)).then(a.cmp(&b)))`.
     pub(crate) fn desc(self) -> impl Iterator<Item = (K, u32)> + 'a {
-        self.merge(Desc::new).map(|(Reverse(key), ord)| (key, ord))
+        self.merge(|m| {
+            m.set
+                .desc()
+                .map(move |(key, member)| (Reverse(key), m.ords[usize_of_u32(member)]))
+        })
+        .map(|(Reverse(key), ord)| (key, ord))
     }
 
-    fn merge<I: Iterator>(self, stream: impl Fn(&'a BTreeSet<(K, u32)>) -> I) -> Merge<I>
+    fn merge<I: Iterator>(self, stream: impl Fn(Members<'a, K>) -> I) -> Merge<I>
     where
         I::Item: Ord + Copy,
     {
@@ -292,46 +432,6 @@ impl<'a, K: Ord + Copy> FillOrder<'a, K> {
                     .collect();
                 Merge::Many { heads, streams }
             }
-        }
-    }
-}
-
-/// One set walked by descending key, ties by ascending ordinal: each
-/// equal-key group costs one range seek.
-struct Desc<'a, K> {
-    set: &'a BTreeSet<(K, u32)>,
-    /// The rest of the current equal-key group.
-    group: btree_set::Range<'a, (K, u32)>,
-    /// That group's key, below which the next group lies (`None` before
-    /// the first).
-    bound: Option<K>,
-}
-
-impl<'a, K: Ord + Copy> Desc<'a, K> {
-    fn new(set: &'a BTreeSet<(K, u32)>) -> Self {
-        Desc {
-            set,
-            group: btree_set::Range::default(),
-            bound: None,
-        }
-    }
-}
-
-impl<K: Ord + Copy> Iterator for Desc<'_, K> {
-    type Item = (Reverse<K>, u32);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(&(key, ord)) = self.group.next() {
-                return Some((Reverse(key), ord));
-            }
-            let last = match self.bound {
-                None => self.set.iter().next_back(),
-                Some(b) => self.set.range(..(b, 0u32)).next_back(),
-            };
-            let &(key, _) = last?;
-            self.group = self.set.range((key, 0u32)..=(key, u32::MAX));
-            self.bound = Some(key);
         }
     }
 }

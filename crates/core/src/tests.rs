@@ -3299,3 +3299,226 @@ mod free_bits {
         assert_eq!(bits, FreeBits::from_bools(&[true; 4392]));
     }
 }
+
+mod bucket_set {
+    //! The free-count index's bucketed set (`index/bucket.rs`) against a
+    //! `BTreeSet<(key, member)>`, driven in lockstep.
+    use crate::index::{ratio_key, BucketSet};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use rand::prelude::*;
+    use rand::SeedableRng;
+    use std::collections::BTreeSet;
+    use std::fmt::Debug;
+
+    /// The set built from `entries` in the given order, onto a fresh arena.
+    fn built<K: Ord + Copy>(
+        universe: usize,
+        entries: impl Iterator<Item = (K, u32)>,
+    ) -> BucketSet<K> {
+        let mut set = BucketSet::default();
+        set.clear(universe);
+        entries.for_each(|(key, m)| set.insert(key, m));
+        set
+    }
+
+    /// Every query against the model: both walks, `first_at_least` at each
+    /// probe, and equality with sets that hold the same members after a
+    /// different history (and inequality with one member short).
+    fn agree<K: Ord + Copy + Debug>(
+        set: &BucketSet<K>,
+        model: &BTreeSet<(K, u32)>,
+        universe: usize,
+        probes: &[K],
+    ) -> Result<(), TestCaseError> {
+        let asc: Vec<(K, u32)> = model.iter().copied().collect();
+        prop_assert_eq!(set.asc().collect::<Vec<_>>(), asc.clone());
+        let mut desc = asc.clone();
+        desc.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        prop_assert_eq!(set.desc().collect::<Vec<_>>(), desc);
+        for &want in probes {
+            let expect = model.range((want, 0)..).next().copied();
+            prop_assert_eq!(set.first_at_least(want), expect, "first >= {:?}", want);
+        }
+        prop_assert!(*set == built(universe, asc.iter().copied()));
+        prop_assert!(*set == built(universe, asc.iter().rev().copied()));
+        if let Some((_, rest)) = asc.split_first() {
+            prop_assert!(*set != built(universe, rest.iter().copied()));
+        }
+        Ok(())
+    }
+
+    /// A member, half the time one of the word-edge cases 0, 63, 64 and
+    /// `universe - 1` that the universe holds.
+    fn member(rng: &mut impl Rng, universe: usize) -> u32 {
+        let edges: Vec<usize> = [0, 63, 64, universe - 1]
+            .into_iter()
+            .filter(|&m| m < universe)
+            .collect();
+        let m = if rng.random::<bool>() {
+            edges[rng.random_range(0..edges.len())]
+        } else {
+            rng.random_range(0..universe)
+        };
+        m as u32
+    }
+
+    /// `steps` random inserts, removes and re-keys over keys drawn from
+    /// `keys`, checking [`agree`] after each.
+    fn drive<K: Ord + Copy + Debug>(
+        universe: usize,
+        keys: &[K],
+        seed: u64,
+        steps: usize,
+    ) -> Result<(), TestCaseError> {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut set = BucketSet::default();
+        set.clear(universe);
+        let mut model = BTreeSet::new();
+        let mut key_of: Vec<Option<K>> = vec![None; universe];
+        for _ in 0..steps {
+            let m = member(&mut rng, universe);
+            let new = keys[rng.random_range(0..keys.len())];
+            match key_of[m as usize] {
+                None => {
+                    set.insert(new, m);
+                    model.insert((new, m));
+                    key_of[m as usize] = Some(new);
+                }
+                Some(old) => {
+                    set.remove(old, m);
+                    model.remove(&(old, m));
+                    key_of[m as usize] = None;
+                    if rng.random::<bool>() {
+                        set.insert(new, m);
+                        model.insert((new, m));
+                        key_of[m as usize] = Some(new);
+                    }
+                }
+            }
+            // Every key the set may hold, each live one among them, and
+            // keys past both ends.
+            let mut probes = keys.to_vec();
+            probes.extend(model.iter().map(|&(key, _)| key));
+            agree(&set, &model, universe, &probes)?;
+        }
+        Ok(())
+    }
+
+    /// Communication ratios on both sides of the sign bit, the two zeros
+    /// included, as the index keys them.
+    fn ratio_keys() -> Vec<u64> {
+        [-2.5, -1.0, -0.0, 0.0, 0.25, 1.0, 1.75, f64::MAX]
+            .into_iter()
+            .map(ratio_key)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn bucket_set_matches_an_ordered_set(
+            universe in proptest::sample::select(vec![1usize, 63, 64, 65, 128, 200]),
+            seed in any::<u64>(),
+        ) {
+            drive::<u32>(universe, &[0, 1, 2, 3, 5, 8, u32::MAX], seed, 150)?;
+            drive::<u64>(universe, &ratio_keys(), seed, 150)?;
+        }
+    }
+
+    /// A skewed tree — one 4,096-node leaf beside 4,096 one-node leaves —
+    /// churned under every direct selector: each set's arena stays within
+    /// the most keys it has held live at once × `⌈U/64⌉` words, far below
+    /// the `max key × U / 64` a per-key-value layout would hold.
+    #[test]
+    fn index_arenas_stay_within_their_live_keys_on_a_skewed_tree() {
+        use crate::{
+            AllocRequest, BalancedSelector, ClusterState, DefaultTreeSelector, GreedySelector,
+            JobId, NodeSelector,
+        };
+        use commsched_topology::Tree;
+
+        let mut sizes = vec![4096];
+        sizes.extend([1; 4096]);
+        let tree = Tree::irregular_two_level(&sizes);
+        let mut st = ClusterState::new(&tree);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        let mut peak: Vec<usize> = Vec::new();
+        let mut running: Vec<JobId> = Vec::new();
+        for step in 0..400u64 {
+            if !running.is_empty() && (rng.random_range(0..3) == 0 || st.free_total() < 64) {
+                let job = running.swap_remove(rng.random_range(0..running.len()));
+                st.release(&tree, job).unwrap();
+            } else {
+                let job = JobId(step);
+                let want = rng.random_range(1..=st.free_total().min(1500));
+                let req = if rng.random::<bool>() {
+                    AllocRequest::comm(job, want)
+                } else {
+                    AllocRequest::compute(job, want)
+                };
+                let selectors: [&dyn NodeSelector; 3] =
+                    [&DefaultTreeSelector, &GreedySelector, &BalancedSelector];
+                let placement = selectors[rng.random_range(0..3usize)]
+                    .select(&tree, &st, &req)
+                    .unwrap();
+                st.allocate(&tree, job, &placement, req.nature).unwrap();
+                running.push(job);
+            }
+            st.check_invariants(&tree).unwrap();
+            let arenas = st.index().arenas();
+            peak.resize(arenas.len(), 0);
+            for (i, &(words, slot_words, live)) in arenas.iter().enumerate() {
+                peak[i] = peak[i].max(live);
+                assert!(
+                    words <= peak[i] * slot_words,
+                    "set {i}: {words} words for at most {} live keys of {slot_words} words",
+                    peak[i]
+                );
+            }
+        }
+        // Level 1 and the root's ratio set range over all 4,097 leaves with
+        // keys up to 4,096: the big leaf's and the small leaves' one key.
+        // The churn split the big leaf, so both of them were live at once.
+        assert_eq!(
+            peak,
+            [2, 1, 0, 2],
+            "peak live keys: level 1, root, by_free, by_ratio"
+        );
+        let held: usize = st.index().arenas().iter().map(|&(words, ..)| words).sum();
+        let per_key_value = 4096 * 4097 / 64;
+        assert!(held <= 4 * 4097usize.div_ceil(64) + 1, "{held} arena words");
+        assert!(
+            held * 1000 < per_key_value,
+            "{held} vs {per_key_value} words"
+        );
+    }
+
+    /// Pinned: a key's members come back ascending under both walks, an
+    /// emptied bucket leaves the key map, and its slot is reused rather
+    /// than grown.
+    #[test]
+    fn buckets_empty_out_and_their_slots_come_back() {
+        let mut set = BucketSet::default();
+        set.clear(130);
+        for (key, m) in [(5u32, 129), (5, 0), (2, 64), (5, 63), (9, 1)] {
+            set.insert(key, m);
+        }
+        let asc: Vec<_> = set.asc().collect();
+        assert_eq!(asc, [(2, 64), (5, 0), (5, 63), (5, 129), (9, 1)]);
+        let desc: Vec<_> = set.desc().collect();
+        assert_eq!(desc, [(9, 1), (5, 0), (5, 63), (5, 129), (2, 64)]);
+        assert_eq!(set.first_at_least(5), Some((5, 0)));
+        assert_eq!(set.first_at_least(6), Some((9, 1)));
+        assert_eq!(set.first_at_least(10), None);
+        assert_eq!(set.slot_words(), 3);
+        assert_eq!(set.arena_words(), 3 * 3);
+        set.remove(2, 64);
+        assert_eq!(set.live_keys(), 2);
+        assert_eq!(set.first_at_least(0), Some((5, 0)));
+        set.insert(7, 64);
+        assert_eq!(set.live_keys(), 3);
+        assert_eq!(set.arena_words(), 3 * 3, "the emptied slot is reused");
+    }
+}
