@@ -593,9 +593,7 @@ pub fn individual(p: &Parsed, out: &mut dyn Write) -> CmdResult {
     }
     writeln!(
         out,
-        "individual runs: {} probes from a {:.0}%-occupied cluster          ({} busy / {} nodes)
-
-{t}",
+        "individual runs: {} probes from a {:.0}%-occupied cluster ({} busy / {} nodes)\n\n{t}",
         outcomes.len(),
         100.0 * state.busy_total() as f64 / tree.num_nodes() as f64,
         state.busy_total(),

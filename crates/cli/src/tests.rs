@@ -436,7 +436,25 @@ fn individual_subcommand_reports_improvements() {
         "0.4",
     ]);
     assert_eq!(code, 0, "{out}");
-    assert!(out.contains("individual runs: 20 probes"), "{out}");
+    // The whole header line: `individual runs: 20 probes from a P%-occupied
+    // cluster (B busy / 4392 nodes)`, with P the rounded share B / 4392.
+    let header = out
+        .lines()
+        .find(|l| l.starts_with("individual runs:"))
+        .unwrap_or_else(|| panic!("no header in {out}"));
+    let parsed = header
+        .strip_prefix("individual runs: 20 probes from a ")
+        .and_then(|rest| rest.split_once("%-occupied cluster ("))
+        .and_then(|(pct, rest)| Some((pct, rest.strip_suffix(" busy / 4392 nodes)")?)))
+        .and_then(|(pct, busy)| Some((pct, busy.parse::<u32>().ok()?)));
+    let Some((pct, busy)) = parsed else {
+        panic!("malformed header {header:?}");
+    };
+    assert_eq!(
+        pct,
+        format!("{:.0}", 100.0 * f64::from(busy) / 4392.0),
+        "{header}"
+    );
     for name in ["greedy", "balanced", "adaptive"] {
         assert!(out.contains(name), "missing {name}");
     }

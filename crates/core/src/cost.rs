@@ -66,10 +66,12 @@ impl CostModel {
         a: usize,
         b: usize,
     ) -> f64 {
-        self.leaf_contention_counts(tree, a, b, state.leaf_comm(a), state.leaf_comm(b))
+        let level = tree.leaf_lca_level(a, b);
+        self.leaf_contention_counts(tree, a, b, level, state.leaf_comm(a), state.leaf_comm(b))
     }
 
-    /// Eqs. 2–3 with the `L_comm` counts supplied by the caller — the single
+    /// Eqs. 2–3 with the `L_comm` counts and the pair's
+    /// [`Tree::leaf_lca_level`] supplied by the caller — the single
     /// implementation of the contention formula, shared by the state-reading
     /// wrapper above and the overlay-based [`crate::PlacementEvaluator`] so
     /// both produce bit-identical values.
@@ -79,6 +81,7 @@ impl CostModel {
         tree: &Tree,
         a: usize,
         b: usize,
+        level: u32,
         comm_a: u32,
         comm_b: u32,
     ) -> f64 {
@@ -92,7 +95,6 @@ impl CostModel {
         // common upper switch.
         let comm_b = f64::from(comm_b);
         let nodes_b = f64_of_usize(tree.leaf_size(b));
-        let level = tree.leaf_lca_level(a, b);
         let discount = self.trunk_discount.powi(i32_of_u32(level) - 1);
         comm_a / nodes_a + comm_b / nodes_b + discount * (comm_a + comm_b) / (nodes_a + nodes_b)
     }

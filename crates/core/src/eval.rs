@@ -24,10 +24,11 @@
 //! the `u32` leaf counters before the `f64` conversion, which is exactly
 //! what a real allocation would have produced.
 //!
-//! A **per-leaf-pair hop memo**, tagged with the state version, trunk
-//! discount and the exact overlay, lets the steps of one schedule, and
-//! successive components of the same job (same allocation, same state),
-//! reuse hop values.
+//! A **per-leaf-pair hop memo** lets the steps of one schedule reuse hop
+//! values. It lives for one call: every evaluation starts from a fresh
+//! stamp, so the totals depend only on the arguments, never on what the
+//! evaluator scored before. Reusing one evaluator saves allocations, not
+//! answers.
 #![deny(clippy::as_conversions)]
 
 use crate::cost::CostModel;
@@ -67,26 +68,21 @@ const FLAT_MEMO_MAX_TOUCHED: usize = 1024;
 
 /// Single-pass what-if cost evaluator (see module docs).
 ///
-/// Reusable across placements; hold one per engine/selector and feed every
-/// evaluation through it so the hop memo stays warm.
+/// Reusable across placements, trees and states: it keeps buffers between
+/// calls but no results, so one evaluator per engine or selector only
+/// saves allocations.
 #[derive(Debug, Default)]
 pub struct PlacementEvaluator {
     /// Hop memo for canonical *touched-leaf* pairs, `(stamp, hops)`:
     /// leaves are named by their position in the candidate's takes, and
     /// the memo is indexed `da * touched + db` with `da <= db`. An entry
-    /// is valid only when its stamp matches [`Self::stamp`], so
-    /// invalidation is one counter bump, not a table wipe, and the table
-    /// only ever grows.
+    /// is valid only when its stamp matches [`Self::stamp`], which every
+    /// call bumps, so invalidation is one counter bump, not a table wipe,
+    /// and the table only ever grows.
     hops: Vec<(u64, f64)>,
     stamp: u64,
-    /// `(state version, trunk discount bits)` the hop memo was filled
-    /// under; together with [`Self::overlay`] it is the memo's validity.
-    tag: Option<(u64, u64)>,
-    /// The last candidate's takes: its sorted `(leaf ordinal, +comm delta)`
-    /// overlay.
-    overlay: Vec<(usize, u32)>,
-    /// Prefix sums of the overlay's counts: take `t` holds the ranks
-    /// `bounds[t]..bounds[t + 1]`.
+    /// Prefix sums of the current candidate's take counts: take `t` holds
+    /// the ranks `bounds[t]..bounds[t + 1]`.
     bounds: Vec<usize>,
 }
 
@@ -134,30 +130,15 @@ impl PlacementEvaluator {
             takes.windows(2).all(|w| w[0].0 < w[1].0) && takes.iter().all(|t| t.1 > 0),
             "takes must ascend strictly by leaf ordinal with positive counts: {takes:?}"
         );
-        // The engine scores one placement once per collective component,
-        // and right after the adaptive rule scored it: the boundaries are
-        // rebuilt only when the takes change.
-        let same_takes = self.overlay == takes;
-        if !same_takes {
-            self.overlay.clear();
-            self.overlay.extend_from_slice(takes);
-            self.bounds.clear();
-            self.bounds.push(0);
-            let mut ranks = 0;
-            for &(_, count) in takes {
-                ranks += usize_of_u32(count);
-                self.bounds.push(ranks);
-            }
+        self.bounds.clear();
+        self.bounds.push(0);
+        let mut ranks = 0;
+        for &(_, count) in takes {
+            ranks += usize_of_u32(count);
+            self.bounds.push(ranks);
         }
-        // The hop memo survives across calls only while the contention
-        // context is unchanged: same state version, same discount, and the
-        // same overlay (compared exactly — no fingerprint collisions).
-        let tag = (state.version(), trunk_discount.to_bits());
-        if self.tag != Some(tag) || !same_takes {
-            self.stamp += 1;
-            self.tag = Some(tag);
-        }
-        let m = self.overlay.len();
+        self.stamp += 1;
+        let m = takes.len();
         let memoized = m <= FLAT_MEMO_MAX_TOUCHED;
         if memoized && self.hops.len() < m * m {
             self.hops.resize(m * m, (0, 0.0));
@@ -167,9 +148,7 @@ impl PlacementEvaluator {
             hop_bytes: false,
             trunk_discount,
         };
-        let (overlay, bounds, hops, stamp) =
-            (&self.overlay, &self.bounds, &mut self.hops, self.stamp);
-        let ranks = bounds.last().copied().unwrap_or(0);
+        let (bounds, hops, stamp) = (&self.bounds, &mut self.hops, self.stamp);
 
         let mut raw_hops = 0.0;
         let mut hop_bytes = 0.0;
@@ -182,7 +161,7 @@ impl PlacementEvaluator {
                 worst = 0.0;
                 step.for_each_part_pair(bounds, |da, db| {
                     let hop = || {
-                        let ((la, delta_a), (lb, delta_b)) = (overlay[da], overlay[db]);
+                        let ((la, delta_a), (lb, delta_b)) = (takes[da], takes[db]);
                         Self::hop_value(tree, state, &contention, la, lb, delta_a, delta_b)
                     };
                     let h = if memoized {
@@ -222,13 +201,11 @@ impl PlacementEvaluator {
         delta_a: u32,
         delta_b: u32,
     ) -> f64 {
-        let d = if la == lb {
-            2.0
-        } else {
-            f64::from(2 * tree.leaf_lca_level(la, lb))
-        };
+        // One leaf is level 1, so `d` is Eq. 4's 2 there too.
+        let level = tree.leaf_lca_level(la, lb);
+        let d = f64::from(2 * level);
         let comm_a = state.leaf_comm(la) + delta_a;
         let comm_b = state.leaf_comm(lb) + delta_b;
-        d * (1.0 + contention.leaf_contention_counts(tree, la, lb, comm_a, comm_b))
+        d * (1.0 + contention.leaf_contention_counts(tree, la, lb, level, comm_a, comm_b))
     }
 }

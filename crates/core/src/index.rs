@@ -81,7 +81,7 @@ pub(crate) fn ratio_key(r: f64) -> u64 {
 
 /// The index proper. Owned by [`ClusterState`](crate::ClusterState);
 /// derived entirely from the occupancy counters, and therefore excluded
-/// from state equality, like the version token.
+/// from state equality.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct FreeIndex {
     /// `[level - 1]` → `subtree_free` of every switch at that level with

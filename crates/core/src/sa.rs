@@ -104,12 +104,8 @@ pub(crate) fn derive_seed(run_seed: u64, job: JobId, attempt: u32) -> u64 {
 
 /// Budgeted simulated-annealing selector over the free-count index.
 ///
-/// Shares its [`PlacementEvaluator`] with the caller (like
-/// [`crate::AdaptiveSelector`]) so hop values computed while scoring
-/// proposals
-/// stay warm for the caller's own evaluation of the winning allocation,
-/// and keeps the last search's [`SaStats`] for
-/// [`NodeSelector::take_search_stats`].
+/// Scores proposals through a [`PlacementEvaluator`] and keeps the last
+/// search's [`SaStats`] for [`NodeSelector::take_search_stats`].
 #[derive(Debug)]
 pub struct SaSelector {
     /// Cost model proposals are scored under (hop-bytes by default, like
@@ -142,7 +138,8 @@ impl SaSelector {
         )
     }
 
-    /// SA sharing `eval` with the caller.
+    /// SA scoring through `eval`. An evaluator keeps no results between
+    /// calls, so sharing one only shares its buffers.
     pub fn with_evaluator(
         cost: CostModel,
         budget: SaBudget,

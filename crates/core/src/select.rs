@@ -351,9 +351,7 @@ impl NodeSelector for BalancedSelector {
 /// placement for communication-intensive work.
 ///
 /// The what-if costs run through a [`PlacementEvaluator`] — a single fused
-/// traversal per candidate, no cluster-state clone. The evaluator can be
-/// shared (see [`AdaptiveSelector::with_evaluator`]) so downstream Eq. 7
-/// evaluations of the *chosen* allocation reuse the hop memo warmed here.
+/// traversal per candidate, no cluster-state clone.
 #[derive(Debug, Clone)]
 pub struct AdaptiveSelector {
     /// Cost model used for the comparison (hops vs hop-bytes).
@@ -376,9 +374,8 @@ impl Default for AdaptiveSelector {
 }
 
 impl AdaptiveSelector {
-    /// Adaptive selection sharing `eval` with the caller, so hop values
-    /// computed while comparing candidates stay warm for the caller's own
-    /// evaluation of the winning allocation.
+    /// Adaptive selection scoring through `eval`. An evaluator keeps no
+    /// results between calls, so sharing one only shares its buffers.
     pub fn with_evaluator(cost: CostModel, eval: Arc<Mutex<PlacementEvaluator>>) -> Self {
         AdaptiveSelector { cost, eval }
     }
@@ -408,8 +405,6 @@ pub(crate) fn adaptive_choice(
         reason = "a poisoned mutex means another thread already panicked mid-evaluation; propagating is the only sound response"
     )]
     let mut eval = eval.lock().expect("evaluator mutex poisoned");
-    // Balanced last: when it wins (the common comm-intensive case) the
-    // hop memo is warm for the caller's follow-up evaluation.
     let cost_g = eval
         .evaluate(tree, state, cost.trunk_discount, &greedy, &spec)
         .for_model(cost);

@@ -9,7 +9,6 @@ use commsched_topology::{NodeId, SwitchId, Tree};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 mod bits;
 #[cfg(test)]
@@ -22,15 +21,6 @@ pub(crate) use bits::FreeBits;
 fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
     v.clear();
     v.resize(n, value);
-}
-
-/// Globally unique version tokens: every mutation of any [`ClusterState`]
-/// instance gets a fresh one, so caches keyed on a version can never
-/// confuse two different occupancies — not across mutations of one state,
-/// and not across distinct instances (or clones that later diverge).
-fn next_version() -> u64 {
-    static COUNTER: AtomicU64 = AtomicU64::new(1);
-    COUNTER.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Scheduler-wide job identifier.
@@ -226,18 +216,13 @@ pub struct ClusterState {
     /// Ordered so that iteration (`allocations`, invariant sweeps) is
     /// deterministic regardless of insertion history.
     allocs: BTreeMap<JobId, Allocation>,
-    /// Cache-invalidation token (see [`ClusterState::version`]). Not part
-    /// of the state's identity: excluded from `PartialEq`.
-    version: u64,
     /// Hierarchical free-count index over the counters above (see
-    /// [`crate::index`]). Derived data: excluded from `PartialEq` like the
-    /// version token.
+    /// [`crate::index`]). Derived data: excluded from `PartialEq`.
     index: FreeIndex,
 }
 
-/// Occupancy equality ignores the `version` token: two states with the same
-/// node bits, counters and allocations are equal even if they got there
-/// through different mutation histories.
+/// Occupancy equality compares the node bits, counters and allocations and
+/// skips the free-count index, which is derived from them.
 impl PartialEq for ClusterState {
     fn eq(&self, other: &Self) -> bool {
         self.node_free == other.node_free
@@ -267,10 +252,8 @@ impl ClusterState {
 
     /// Make this state a fully-free cluster over `tree` — the one
     /// initialiser — reusing the existing buffers: the allocation-free
-    /// path for sweep harnesses that run thousands of fresh states. The
-    /// version token is refreshed (tokens are process-unique), so cached
-    /// evaluations tagged with any previous life of this state can never
-    /// match the recycled one.
+    /// path for sweep harnesses that run thousands of fresh states. Every
+    /// counter is rewritten, so nothing of the previous occupancy survives.
     pub fn reset(&mut self, tree: &Tree) {
         let nodes = tree.num_nodes();
         let leaves = tree.num_leaves();
@@ -294,7 +277,6 @@ impl ClusterState {
         refill(&mut self.switch_down, tree.num_switches(), false);
         refill(&mut self.leaf_mask, leaves, 0);
         self.allocs.clear();
-        self.version = next_version();
         self.reindex(tree);
     }
 
@@ -319,16 +301,6 @@ impl ClusterState {
     #[inline]
     pub(crate) fn index(&self) -> &FreeIndex {
         &self.index
-    }
-
-    /// Opaque memoization token: changes on every mutation and is globally
-    /// unique, so a cache tagged with a version may be reused exactly when
-    /// the tag still matches. A clone shares its source's version until
-    /// either side mutates — correct, because their occupancies are
-    /// identical at that version.
-    #[inline]
-    pub(crate) fn version(&self) -> u64 {
-        self.version
     }
 
     /// Total free nodes in the cluster.
@@ -628,7 +600,6 @@ impl ClusterState {
                 nature,
             },
         );
-        self.version = next_version();
         Ok(())
     }
 
@@ -670,7 +641,6 @@ impl ClusterState {
             }
             self.catch_up(tree, lag);
         }
-        self.version = next_version();
         Ok(alloc)
     }
 
@@ -691,7 +661,6 @@ impl ClusterState {
             // intrinsic failure without touching the counters.
             NodeHealth::Up if self.is_masked(tree, n) => {
                 self.node_health[n.0] = NodeHealth::Down;
-                self.version = next_version();
                 return Ok(());
             }
             NodeHealth::Up | NodeHealth::Draining if !self.node_free.get(n.0) => {
@@ -702,7 +671,6 @@ impl ClusterState {
         self.node_free.set(n.0, false);
         self.shift_now(tree, tree.leaf_ordinal_of(n), 1, Class::Free, Class::Down);
         self.node_health[n.0] = NodeHealth::Down;
-        self.version = next_version();
         Ok(())
     }
 
@@ -716,7 +684,6 @@ impl ClusterState {
             NodeHealth::Draining => {
                 self.node_health[n.0] = NodeHealth::Up;
                 self.draining_total -= 1;
-                self.version = next_version();
                 Ok(())
             }
             // Intrinsic recovery under a still-down switch: the node stays
@@ -724,14 +691,12 @@ impl ClusterState {
             // returns to service.
             NodeHealth::Down if self.is_masked(tree, n) => {
                 self.node_health[n.0] = NodeHealth::Up;
-                self.version = next_version();
                 Ok(())
             }
             NodeHealth::Down => {
                 self.node_free.set(n.0, true);
                 self.shift_now(tree, tree.leaf_ordinal_of(n), 1, Class::Down, Class::Free);
                 self.node_health[n.0] = NodeHealth::Up;
-                self.version = next_version();
                 Ok(())
             }
         }
@@ -781,7 +746,6 @@ impl ClusterState {
         }
         self.catch_up(tree, lag);
         self.switch_down[s.0] = true;
-        self.version = next_version();
         Ok(())
     }
 
@@ -813,7 +777,6 @@ impl ClusterState {
         }
         self.catch_up(tree, lag);
         self.switch_down[s.0] = false;
-        self.version = next_version();
         Ok(())
     }
 
@@ -829,7 +792,6 @@ impl ClusterState {
             // hard down — the node must not return at switch-up.
             NodeHealth::Up if self.is_masked(tree, n) => {
                 self.node_health[n.0] = NodeHealth::Down;
-                self.version = next_version();
                 Ok(true)
             }
             NodeHealth::Up if self.node_free.get(n.0) => {
@@ -839,7 +801,6 @@ impl ClusterState {
             NodeHealth::Up => {
                 self.node_health[n.0] = NodeHealth::Draining;
                 self.draining_total += 1;
-                self.version = next_version();
                 Ok(false)
             }
         }

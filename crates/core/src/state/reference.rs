@@ -121,7 +121,6 @@ impl ClusterState {
         let nodes = Placement::from_nodes(tree, nodes)?;
         self.allocs.insert(job, Allocation { nodes, nature });
         self.reindex(tree);
-        self.version = next_version();
         Ok(())
     }
 
@@ -150,7 +149,6 @@ impl ClusterState {
             }
         }
         self.reindex(tree);
-        self.version = next_version();
         Ok(alloc)
     }
 
@@ -159,7 +157,6 @@ impl ClusterState {
             NodeHealth::Down => return Err(StateError::NodeDown(n)),
             NodeHealth::Up if self.ref_masked(tree, n) => {
                 self.node_health[n.0] = NodeHealth::Down;
-                self.version = next_version();
                 return Ok(());
             }
             NodeHealth::Up | NodeHealth::Draining if !self.node_free.get(n.0) => {
@@ -170,7 +167,6 @@ impl ClusterState {
         self.ref_free_to_down(tree, n);
         self.node_health[n.0] = NodeHealth::Down;
         self.reindex(tree);
-        self.version = next_version();
         Ok(())
     }
 
@@ -180,19 +176,16 @@ impl ClusterState {
             NodeHealth::Draining => {
                 self.node_health[n.0] = NodeHealth::Up;
                 self.draining_total -= 1;
-                self.version = next_version();
                 Ok(())
             }
             NodeHealth::Down if self.ref_masked(tree, n) => {
                 self.node_health[n.0] = NodeHealth::Up;
-                self.version = next_version();
                 Ok(())
             }
             NodeHealth::Down => {
                 self.ref_down_to_free(tree, n);
                 self.node_health[n.0] = NodeHealth::Up;
                 self.reindex(tree);
-                self.version = next_version();
                 Ok(())
             }
         }
@@ -226,7 +219,6 @@ impl ClusterState {
         self.switch_down[s.0] = true;
         self.leaf_mask = self.recount_leaf_mask(tree);
         self.reindex(tree);
-        self.version = next_version();
         Ok(())
     }
 
@@ -244,7 +236,6 @@ impl ClusterState {
         }
         self.leaf_mask = self.recount_leaf_mask(tree);
         self.reindex(tree);
-        self.version = next_version();
         Ok(())
     }
 
@@ -254,7 +245,6 @@ impl ClusterState {
             NodeHealth::Draining => Ok(false),
             NodeHealth::Up if self.ref_masked(tree, n) => {
                 self.node_health[n.0] = NodeHealth::Down;
-                self.version = next_version();
                 Ok(true)
             }
             NodeHealth::Up if self.node_free.get(n.0) => {
@@ -264,7 +254,6 @@ impl ClusterState {
             NodeHealth::Up => {
                 self.node_health[n.0] = NodeHealth::Draining;
                 self.draining_total += 1;
-                self.version = next_version();
                 Ok(false)
             }
         }

@@ -4,8 +4,8 @@
 use crate::queue::PendingQueue;
 use commsched_collectives::CollectiveSpec;
 use commsched_core::{
-    AdaptiveSelector, AllocRequest, ClusterState, CostModel, DefaultTreeSelector, JobId, JobNature,
-    NodeSelector, Placement, PlacementEvaluator, SaBudget, SaSelector, SelectorKind,
+    AllocRequest, ClusterState, CostModel, DefaultTreeSelector, JobId, JobNature, NodeSelector,
+    Placement, PlacementEvaluator, SaBudget, SaSelector, SelectorKind,
 };
 use commsched_metrics::{CounterId, Registry};
 use commsched_num::{
@@ -21,7 +21,6 @@ use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 #[cfg(test)]
 pub(crate) mod reference;
@@ -568,10 +567,6 @@ pub struct Engine<'t> {
     /// Mid-run node failure/recovery schedule; empty by default, in which
     /// case the run is bit-identical to the failure-free engine.
     faults: FaultTrace,
-    /// Fused what-if evaluator shared between placement (Eqs. 6–7) and the
-    /// adaptive selector, so candidate comparison warms the hop memo the
-    /// Eq. 7 evaluation then reuses.
-    eval: Arc<Mutex<PlacementEvaluator>>,
     /// Drive the runs with the reference backfill passes
     /// (`engine/reference.rs`) instead of the shipped ones.
     #[cfg(test)]
@@ -591,7 +586,6 @@ impl<'t> Engine<'t> {
             cfg,
             drained: Vec::new(),
             faults: FaultTrace::empty(),
-            eval: Arc::new(Mutex::new(PlacementEvaluator::new())),
             #[cfg(test)]
             reference_passes: false,
             #[cfg(test)]
@@ -622,21 +616,11 @@ impl<'t> Engine<'t> {
         self
     }
 
-    /// Build the configured selector. The adaptive and SA selectors share
-    /// this engine's evaluator (see the `eval` field); the others are
-    /// stateless.
+    /// Build the configured selector; only SA reads the engine's
+    /// configuration beyond its kind.
     pub(crate) fn build_selector(&self) -> Box<dyn NodeSelector> {
         match self.cfg.selector {
-            SelectorKind::Adaptive => Box::new(AdaptiveSelector::with_evaluator(
-                CostModel::HOP_BYTES,
-                Arc::clone(&self.eval),
-            )),
-            SelectorKind::Sa => Box::new(SaSelector::with_evaluator(
-                CostModel::HOP_BYTES,
-                self.cfg.sa_budget,
-                self.cfg.sa_seed,
-                Arc::clone(&self.eval),
-            )),
+            SelectorKind::Sa => Box::new(SaSelector::new(self.cfg.sa_budget, self.cfg.sa_seed)),
             k => k.build(),
         }
     }
@@ -685,12 +669,14 @@ impl<'t> Engine<'t> {
 
     /// Place one job in `state` (without recording it) and work out its
     /// Eq. 6 costs and Eq. 7 runtime as a [`Placed`]; `None` if the
-    /// selector finds no placement.
+    /// selector finds no placement. `eval` is the caller's scratch: it
+    /// carries no results between calls.
     ///
     /// Shared by the continuous engine and the individual-runs driver so
     /// both apply identical semantics.
     pub(crate) fn place(
         &self,
+        eval: &mut PlacementEvaluator,
         state: &ClusterState,
         job: &Job,
         selector: &dyn NodeSelector,
@@ -731,80 +717,36 @@ impl<'t> Engine<'t> {
             Some(DefaultTreeSelector.select(self.tree, state, &req).ok()?)
         };
 
-        // Evaluate Eq. 6 under both models for every collective component
-        // of an allocation, through the shared fused evaluator — no clone
-        // of the cluster state; the job's own L_comm contribution is an
-        // overlay inside the evaluator (the paper's worked example counts
-        // the job's own nodes). With matching trunk discounts (the default:
-        // both models use the paper's ½) one traversal per component yields
-        // both the reported cost and the Eq. 7 term.
-        let fused = self.cfg.cost_model.trunk_discount == self.cfg.ratio_model.trunk_discount;
+        // Eq. 6 for every collective component of an allocation, with the
+        // job's own L_comm contribution as an overlay inside the evaluator
+        // (the paper's worked example counts the job's own nodes) — no
+        // clone of the cluster state. One traversal yields both models'
+        // totals; a second runs only when the ratio model's trunk discount
+        // differs (the ablation's discount sweep).
+        let (cost, ratio) = (&self.cfg.cost_model, &self.cfg.ratio_model);
         let specs: Vec<CollectiveSpec> = job
             .comm
             .iter()
             .map(|&(pattern, _)| CollectiveSpec::new(pattern, self.cfg.msize))
             .collect();
-        let eval_all = |ev: &mut PlacementEvaluator, alloc: &Placement| -> Vec<(f64, f64)> {
-            if fused {
-                specs
-                    .iter()
-                    .map(|spec| {
-                        let t = ev.evaluate(
-                            self.tree,
-                            state,
-                            self.cfg.cost_model.trunk_discount,
-                            alloc,
-                            spec,
-                        );
-                        (
-                            t.for_model(&self.cfg.cost_model),
-                            t.for_model(&self.cfg.ratio_model),
-                        )
-                    })
-                    .collect()
-            } else {
-                // Distinct discounts: two grouped passes, so each
-                // discount's hop memo still serves all the components.
-                let reported: Vec<f64> = specs
-                    .iter()
-                    .map(|spec| {
-                        ev.evaluate(
-                            self.tree,
-                            state,
-                            self.cfg.cost_model.trunk_discount,
-                            alloc,
-                            spec,
-                        )
-                        .for_model(&self.cfg.cost_model)
-                    })
-                    .collect();
-                let ratios: Vec<f64> = specs
-                    .iter()
-                    .map(|spec| {
-                        ev.evaluate(
-                            self.tree,
-                            state,
-                            self.cfg.ratio_model.trunk_discount,
-                            alloc,
-                            spec,
-                        )
-                        .for_model(&self.cfg.ratio_model)
-                    })
-                    .collect();
-                reported.into_iter().zip(ratios).collect()
-            }
+        let mut eval_all = |alloc: &Placement| -> Vec<(f64, f64)> {
+            specs
+                .iter()
+                .map(|spec| {
+                    let t = eval.evaluate(self.tree, state, cost.trunk_discount, alloc, spec);
+                    let r = if ratio.trunk_discount == cost.trunk_discount {
+                        t
+                    } else {
+                        eval.evaluate(self.tree, state, ratio.trunk_discount, alloc, spec)
+                    };
+                    (t.for_model(cost), r.for_model(ratio))
+                })
+                .collect()
         };
-        // Lock order: always after selector.select() has returned (the
-        // adaptive selector takes the same lock inside select()).
-        #[expect(
-            clippy::expect_used,
-            reason = "a poisoned mutex means another thread already panicked mid-evaluation; propagating is the only sound response"
-        )]
-        let mut ev = self.eval.lock().expect("evaluator mutex poisoned");
-        let actual = eval_all(&mut ev, &nodes);
-        let default = default_nodes.map(|d| eval_all(&mut ev, &d));
-        drop(ev);
-        // Same allocation, same evaluation: reuse it instead of repeating it.
+        let actual = eval_all(&nodes);
+        // Same allocation, same totals: a default placement equal to the
+        // chosen one is not scored again.
+        let default = default_nodes.filter(|d| *d != nodes).map(|d| eval_all(&d));
         let default = default.as_ref().unwrap_or(&actual);
 
         let mut cost_actual = 0.0;
@@ -948,6 +890,7 @@ impl<'t> Engine<'t> {
             eng: self,
             log,
             selector: self.build_selector(),
+            eval: PlacementEvaluator::new(),
             state,
             now: 0,
             events,
@@ -993,6 +936,8 @@ struct Run<'a, 'r> {
     eng: &'a Engine<'a>,
     log: &'a JobLog,
     selector: Box<dyn NodeSelector>,
+    /// Eq. 6 scratch for every placement of the run.
+    eval: PlacementEvaluator,
     /// Leased from the per-thread scratch cache for the length of the run.
     state: &'a mut ClusterState,
     /// The instant being processed; once the heap is empty, the makespan
@@ -1392,6 +1337,7 @@ impl Run<'_, '_> {
             return Ok(None);
         }
         let Some(mut placed) = eng.place(
+            &mut self.eval,
             self.state,
             job,
             self.selector.as_ref(),

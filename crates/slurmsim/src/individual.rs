@@ -8,7 +8,8 @@
 
 use crate::engine::{Engine, EngineConfig};
 use commsched_core::{
-    AllocRequest, ClusterState, DefaultTreeSelector, JobNature, NodeSelector, SelectorKind,
+    AllocRequest, ClusterState, DefaultTreeSelector, JobNature, NodeSelector, PlacementEvaluator,
+    SelectorKind,
 };
 use commsched_topology::Tree;
 use commsched_workload::{Job, JobLog};
@@ -108,12 +109,11 @@ pub fn warmup_state(tree: &Tree, log: &JobLog, fraction: f64) -> ClusterState {
 ///
 /// Probes are independent — each one reads the shared frozen `state` — so
 /// they fan out across the rayon thread budget in contiguous chunks, and
-/// each chunk builds its four engines (and their evaluator caches) once
-/// instead of once per probe. Engine placement over a frozen state is a
-/// pure function of (state, job, config) — the evaluator memo is keyed by
-/// the state's process-unique version — so chunk geometry cannot change a
-/// single output byte, and results keep probe order at every thread
-/// count.
+/// each chunk builds its four engines and one evaluator once instead of
+/// once per probe. Engine placement over a frozen state is a pure function
+/// of (state, job, config) — an evaluator keeps buffers between calls but
+/// no results — so chunk geometry cannot change a single output byte, and
+/// results keep probe order at every thread count.
 pub fn individual_runs(
     tree: &Tree,
     state: &ClusterState,
@@ -140,6 +140,7 @@ pub fn individual_runs(
                     (kind, engine, selector)
                 })
                 .collect();
+            let mut eval = PlacementEvaluator::new();
             chunk
                 .iter()
                 .filter_map(|job| {
@@ -148,7 +149,8 @@ pub fn individual_runs(
                     }
                     let mut placements = Vec::with_capacity(engines.len());
                     for (kind, engine, selector) in &engines {
-                        let Some(placed) = engine.place(state, job, selector.as_ref(), &[], 0)
+                        let Some(placed) =
+                            engine.place(&mut eval, state, job, selector.as_ref(), &[], 0)
                         else {
                             continue;
                         };

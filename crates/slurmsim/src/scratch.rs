@@ -11,10 +11,9 @@
 //! it is that region, whose share of the sweep's cells it serves.
 //!
 //! Determinism is untouched: a reset state is value-identical to
-//! `ClusterState::new`, and version tokens are process-unique, so an
-//! evaluator memo tagged with a state's previous life can never match
-//! its recycled one. Which thread ran which cell therefore cannot leak
-//! into any output byte.
+//! `ClusterState::new`, and no cache anywhere outlives one Eq. 6
+//! evaluation, so nothing can remember a state's previous life. Which
+//! thread ran which cell therefore cannot leak into any output byte.
 
 use commsched_core::ClusterState;
 use commsched_topology::Tree;

@@ -365,141 +365,154 @@ fn place_matches_naive_clone_replication() {
     // The fused evaluator path in `place()` must reproduce, bit for bit,
     // what the naive implementation computed: clone the state, allocate the
     // what-if job, and run `job_cost` once per component per cost model.
+    // The second case (one whole leaf of an idle machine) makes a
+    // non-default selector land exactly where the default one does, so the
+    // engine reuses the chosen totals as the Eq. 7 denominator.
     use commsched_collectives::CollectiveSpec;
     use commsched_core::{
         AllocRequest, ClusterState, CostModel, DefaultTreeSelector, NodeSelector,
+        PlacementEvaluator,
     };
 
     let tree = Tree::regular_two_level(6, 8);
-    let mut probe = comm_job(1, 0, 10_000, 10, 0.6);
-    probe.comm = vec![
-        (Pattern::Rhvd, 0.3),
-        (Pattern::Rd, 0.2),
-        (Pattern::Alltoall, 0.1),
-    ];
+    let contended = [comm_job(50, 0, 1, 7, 0.5), comm_job(51, 0, 1, 5, 0.5)];
+    let mut same_as_default = 0;
+    for (warm, width) in [(&contended[..], 10), (&[][..], 8)] {
+        let mut probe = comm_job(1, 0, 10_000, width, 0.6);
+        probe.comm = vec![
+            (Pattern::Rhvd, 0.3),
+            (Pattern::Rd, 0.2),
+            (Pattern::Alltoall, 0.1),
+        ];
+        let mut eval = PlacementEvaluator::new();
 
-    for kind in SelectorKind::ALL {
-        let cfg = EngineConfig::new(kind);
-        let engine = Engine::new(&tree, cfg);
+        for kind in SelectorKind::ALL {
+            let cfg = EngineConfig::new(kind);
+            let engine = Engine::new(&tree, cfg);
 
-        // A partially occupied, contended state.
-        let mut state = ClusterState::new(&tree);
-        for (i, j) in [comm_job(50, 0, 1, 7, 0.5), comm_job(51, 0, 1, 5, 0.5)]
-            .iter()
-            .enumerate()
-        {
-            let sel = engine.build_selector();
-            let req = AllocRequest::comm(j.id, j.nodes);
-            let nodes = sel.select(&tree, &state, &req).unwrap();
-            state
-                .allocate(&tree, JobId(50 + i as u64), &nodes, j.nature)
+            // A partially occupied, contended state (or an idle one).
+            let mut state = ClusterState::new(&tree);
+            for (i, j) in warm.iter().enumerate() {
+                let sel = engine.build_selector();
+                let req = AllocRequest::comm(j.id, j.nodes);
+                let nodes = sel.select(&tree, &state, &req).unwrap();
+                state
+                    .allocate(&tree, JobId(50 + i as u64), &nodes, j.nature)
+                    .unwrap();
+            }
+
+            let selector = engine.build_selector();
+            let placed = engine
+                .place(&mut eval, &state, &probe, selector.as_ref(), &[], 0)
                 .unwrap();
-        }
 
-        let selector = engine.build_selector();
-        let placed = engine
-            .place(&state, &probe, selector.as_ref(), &[], 0)
-            .unwrap();
+            // Naive replication (selectors are deterministic, so re-selecting
+            // from the same state reproduces the allocation).
+            let req = AllocRequest {
+                job: probe.id,
+                nodes: probe.nodes,
+                nature: probe.nature,
+                pattern: probe
+                    .comm
+                    .first()
+                    .map(|(p, _)| CollectiveSpec::new(*p, cfg.msize)),
+                attempt: 0,
+            };
+            let nodes = selector.select(&tree, &state, &req).unwrap();
+            assert_eq!(nodes, placed.nodes, "{kind}: allocation changed");
+            let default_nodes = if kind == SelectorKind::Default {
+                nodes.clone()
+            } else {
+                DefaultTreeSelector.select(&tree, &state, &req).unwrap()
+            };
+            if kind != SelectorKind::Default && default_nodes == nodes {
+                same_as_default += 1;
+            }
+            // The naive path works on materialized node ids.
+            let what_if = |alloc: &commsched_core::Placement| {
+                let mut s = state.clone();
+                s.allocate(&tree, JobId(u64::MAX), alloc, JobNature::CommIntensive)
+                    .unwrap();
+                (s, alloc.nodes())
+            };
+            let (state_actual, nodes) = what_if(&nodes);
+            let (state_default, default_nodes) = what_if(&default_nodes);
+            let mut cost_actual = 0.0;
+            let mut cost_default = 0.0;
+            let mut adjusted = probe.runtime as f64 * (1.0 - probe.comm_fraction());
+            for &(pattern, fraction) in &probe.comm {
+                let spec = CollectiveSpec::new(pattern, cfg.msize);
+                cost_actual += cfg.cost_model.job_cost(&tree, &state_actual, &nodes, &spec);
+                cost_default +=
+                    cfg.cost_model
+                        .job_cost(&tree, &state_default, &default_nodes, &spec);
+                let ca = cfg
+                    .ratio_model
+                    .job_cost(&tree, &state_actual, &nodes, &spec);
+                let cd = cfg
+                    .ratio_model
+                    .job_cost(&tree, &state_default, &default_nodes, &spec);
+                let ratio = if cd > 0.0 { ca / cd } else { 1.0 };
+                adjusted += probe.runtime as f64 * fraction * ratio;
+            }
 
-        // Naive replication (selectors are deterministic, so re-selecting
-        // from the same state reproduces the allocation).
-        let req = AllocRequest {
-            job: probe.id,
-            nodes: probe.nodes,
-            nature: probe.nature,
-            pattern: probe
-                .comm
-                .first()
-                .map(|(p, _)| CollectiveSpec::new(*p, cfg.msize)),
-            attempt: 0,
-        };
-        let nodes = selector.select(&tree, &state, &req).unwrap();
-        assert_eq!(nodes, placed.nodes, "{kind}: allocation changed");
-        let default_nodes = if kind == SelectorKind::Default {
-            nodes.clone()
-        } else {
-            DefaultTreeSelector.select(&tree, &state, &req).unwrap()
-        };
-        // The naive path works on materialized node ids.
-        let what_if = |alloc: &commsched_core::Placement| {
-            let mut s = state.clone();
-            s.allocate(&tree, JobId(u64::MAX), alloc, JobNature::CommIntensive)
+            assert_eq!(
+                placed.cost_actual.to_bits(),
+                cost_actual.to_bits(),
+                "{kind}: cost_actual diverged from naive ({} vs {})",
+                placed.cost_actual,
+                cost_actual
+            );
+            assert_eq!(
+                placed.cost_default.to_bits(),
+                cost_default.to_bits(),
+                "{kind}: cost_default diverged from naive ({} vs {})",
+                placed.cost_default,
+                cost_default
+            );
+            assert_eq!(
+                placed.adjusted,
+                adjusted.round().max(1.0) as u64,
+                "{kind}: adjusted runtime diverged from naive"
+            );
+            // Exercising a non-fused discount pair (cost model keeps ½, ratio
+            // model prices a flat trunk) must agree with its own naive run too.
+            let flat = CostModel {
+                trunk_discount: 1.0,
+                ..cfg.ratio_model
+            };
+            let cfg2 = EngineConfig {
+                ratio_model: flat,
+                ..cfg
+            };
+            let engine2 = Engine::new(&tree, cfg2);
+            let placed2 = engine2
+                .place(&mut eval, &state, &probe, selector.as_ref(), &[], 0)
                 .unwrap();
-            (s, alloc.nodes())
-        };
-        let (state_actual, nodes) = what_if(&nodes);
-        let (state_default, default_nodes) = what_if(&default_nodes);
-        let mut cost_actual = 0.0;
-        let mut cost_default = 0.0;
-        let mut adjusted = probe.runtime as f64 * (1.0 - probe.comm_fraction());
-        for &(pattern, fraction) in &probe.comm {
-            let spec = CollectiveSpec::new(pattern, cfg.msize);
-            cost_actual += cfg.cost_model.job_cost(&tree, &state_actual, &nodes, &spec);
-            cost_default += cfg
-                .cost_model
-                .job_cost(&tree, &state_default, &default_nodes, &spec);
-            let ca = cfg
-                .ratio_model
-                .job_cost(&tree, &state_actual, &nodes, &spec);
-            let cd = cfg
-                .ratio_model
-                .job_cost(&tree, &state_default, &default_nodes, &spec);
-            let ratio = if cd > 0.0 { ca / cd } else { 1.0 };
-            adjusted += probe.runtime as f64 * fraction * ratio;
+            let mut adjusted2 = probe.runtime as f64 * (1.0 - probe.comm_fraction());
+            for &(pattern, fraction) in &probe.comm {
+                let spec = CollectiveSpec::new(pattern, cfg.msize);
+                let ca = flat.job_cost(&tree, &state_actual, &nodes, &spec);
+                let cd = flat.job_cost(&tree, &state_default, &default_nodes, &spec);
+                let ratio = if cd > 0.0 { ca / cd } else { 1.0 };
+                adjusted2 += probe.runtime as f64 * fraction * ratio;
+            }
+            assert_eq!(
+                placed2.cost_actual.to_bits(),
+                cost_actual.to_bits(),
+                "{kind}"
+            );
+            assert_eq!(
+                placed2.adjusted,
+                adjusted2.round().max(1.0) as u64,
+                "{kind}: non-fused adjusted runtime diverged from naive"
+            );
         }
-
-        assert_eq!(
-            placed.cost_actual.to_bits(),
-            cost_actual.to_bits(),
-            "{kind}: cost_actual diverged from naive ({} vs {})",
-            placed.cost_actual,
-            cost_actual
-        );
-        assert_eq!(
-            placed.cost_default.to_bits(),
-            cost_default.to_bits(),
-            "{kind}: cost_default diverged from naive ({} vs {})",
-            placed.cost_default,
-            cost_default
-        );
-        assert_eq!(
-            placed.adjusted,
-            adjusted.round().max(1.0) as u64,
-            "{kind}: adjusted runtime diverged from naive"
-        );
-        // Exercising a non-fused discount pair (cost model keeps ½, ratio
-        // model prices a flat trunk) must agree with its own naive run too.
-        let flat = CostModel {
-            trunk_discount: 1.0,
-            ..cfg.ratio_model
-        };
-        let cfg2 = EngineConfig {
-            ratio_model: flat,
-            ..cfg
-        };
-        let engine2 = Engine::new(&tree, cfg2);
-        let placed2 = engine2
-            .place(&state, &probe, selector.as_ref(), &[], 0)
-            .unwrap();
-        let mut adjusted2 = probe.runtime as f64 * (1.0 - probe.comm_fraction());
-        for &(pattern, fraction) in &probe.comm {
-            let spec = CollectiveSpec::new(pattern, cfg.msize);
-            let ca = flat.job_cost(&tree, &state_actual, &nodes, &spec);
-            let cd = flat.job_cost(&tree, &state_default, &default_nodes, &spec);
-            let ratio = if cd > 0.0 { ca / cd } else { 1.0 };
-            adjusted2 += probe.runtime as f64 * fraction * ratio;
-        }
-        assert_eq!(
-            placed2.cost_actual.to_bits(),
-            cost_actual.to_bits(),
-            "{kind}"
-        );
-        assert_eq!(
-            placed2.adjusted,
-            adjusted2.round().max(1.0) as u64,
-            "{kind}: non-fused adjusted runtime diverged from naive"
-        );
     }
+    assert!(
+        same_as_default > 0,
+        "no non-default placement coincided with the default one"
+    );
 }
 
 #[test]
