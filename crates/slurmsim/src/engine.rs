@@ -47,8 +47,9 @@ pub struct EngineConfig {
     /// queueing-only studies and tests.
     pub adjust_runtimes: bool,
     /// Kill jobs at their requested walltime (production SLURM behaviour).
-    /// Off by default: the paper's emulation replays full durations.
-    pub enforce_walltime: bool,
+    /// Off by default: the paper's emulation replays full durations; only
+    /// this crate's tests turn it on.
+    pub(crate) enforce_walltime: bool,
     /// What happens to a job killed by a node failure.
     pub failure_policy: FailurePolicy,
     /// What happens to a job wider than the machine.
@@ -576,6 +577,10 @@ pub struct Engine<'t> {
     /// does but every start site must survive.
     #[cfg(test)]
     refuse_start: fn(JobId, u64) -> bool,
+    /// Queued jobs the conservative passes of this engine's runs fitted
+    /// (`earliest_fit` calls), shipped or reference.
+    #[cfg(test)]
+    pub(crate) fits: std::cell::Cell<u64>,
 }
 
 impl<'t> Engine<'t> {
@@ -590,6 +595,8 @@ impl<'t> Engine<'t> {
             reference_passes: false,
             #[cfg(test)]
             refuse_start: |_, _| false,
+            #[cfg(test)]
+            fits: std::cell::Cell::new(0),
         }
     }
 
@@ -950,8 +957,9 @@ struct Run<'a, 'r> {
     /// `(walltime end, nodes)`: the release profile both backfill passes
     /// read.
     running: Vec<(u64, usize, usize, u32)>,
-    /// The last conservative pass's reservations, which the next pass
-    /// extends instead of recomputing while nothing they rest on changed.
+    /// The reservations of the queued jobs the conservative passes have
+    /// fitted so far, which the next pass extends instead of recomputing
+    /// while nothing they rest on changed.
     reserved: Reservations,
     /// Per-job records, in start order (rejections where they happen; a
     /// requeue removes its record).
@@ -976,9 +984,12 @@ struct Reservations {
     /// Availability deltas by instant, strictly ascending: the running
     /// jobs' releases plus a `[start, end)` pair per reservation.
     profile: Vec<(u64, i64)>,
-    /// The last queue slot the pass fitted.
+    /// The last queue slot a pass fitted (`None` before the first): the
+    /// queued jobs up to it hold their reservations in `profile`, the ones
+    /// after it wait for a pass to reach them.
     last: Option<usize>,
-    /// The earliest reservation start (`u64::MAX` if none).
+    /// The earliest reservation start among the fitted jobs up to `last`
+    /// (`u64::MAX` if none).
     earliest: u64,
     /// `PendingQueue::repacks` when the pass ended.
     repacks: u64,
@@ -1453,13 +1464,14 @@ impl Run<'_, '_> {
         Ok(())
     }
 
-    /// Conservative backfilling: give every queued job (in order) the
+    /// Conservative backfilling: give the queued jobs (in order) the
     /// earliest reservation that fits the running jobs' releases and the
     /// reservations before it, and start the jobs whose reservation is
     /// *now*. A start only narrows the window it was given, so the pass
-    /// goes on after it; the next pass fits only the newly queued jobs
-    /// while no release or fault has touched this one's reservations and
-    /// none of them is due (DESIGN.md §4.11).
+    /// goes on after it, and it stops at the first slot from which no
+    /// queued job can start now. The next pass carries on from the last
+    /// fitted slot while no release or fault has touched this one's
+    /// reservations and none of them is due (DESIGN.md §4.11).
     fn conservative_backfill(&mut self) -> Result<(), EngineError> {
         #[cfg(test)]
         if self.eng.reference_passes {
@@ -1476,13 +1488,28 @@ impl Run<'_, '_> {
             }
             _ => self.release_profile(&mut r),
         };
+        // The leftmost slot the last lookup found that may start now.
+        let mut due = 0;
         while let Some((slot, i)) = next {
+            // Availability only falls for the rest of the pass, so once no
+            // job from `slot` on meets the bound nothing more starts now,
+            // and a later pass fits the rest of the queue. A lookup only
+            // decides where the pass stops, so none is needed before `due`.
+            if slot >= due {
+                let (free, spare, window) = start_bound(&r.profile, self.state.free_total(), now);
+                match self.pending.next_fit(slot, free, spare, window) {
+                    Some((first, _)) => due = first,
+                    None => break,
+                }
+            }
             next = self.pending.after(slot);
             r.last = Some(slot);
             let job = &log.jobs[i];
             let need = i64_of_usize(job.nodes);
             let dur = job.walltime.max(1);
             let base = i64_of_usize(self.state.free_total());
+            #[cfg(test)]
+            self.eng.fits.set(self.eng.fits.get() + 1);
             let Some(s) = earliest_fit(&r.profile, base, now, dur, need) else {
                 // With failed nodes the job may not fit even the fully
                 // drained future machine; it holds no reservation and
@@ -1615,6 +1642,34 @@ pub(crate) fn earliest_fit(
         }
     }
     fit.map(|(s, _)| s)
+}
+
+/// The bound every queued job that can still start at `now` meets, as
+/// `PendingQueue::next_fit`'s `(free, spare, window)`, with `free` nodes
+/// free and the delta profile as `earliest_fit` reads it. A job starts now
+/// only if its width is at most `free` and availability stays at least its
+/// width over `[now, now + max(walltime, 1))`. Say availability first drops
+/// below `free` at breakpoint `t₁`, to `a₁`: a walltime within `t₁ − now`
+/// needs no more than `free`, a longer window contains `t₁` and needs
+/// width ≤ `a₁`. No window contains a breakpoint at `u64::MAX` (they end
+/// there at the latest, exclusive), so a drop there is no drop; with none,
+/// width ≤ `free` is the whole bound.
+pub(crate) fn start_bound(
+    profile: &[(u64, i64)],
+    free: usize,
+    now: u64,
+) -> (usize, usize, Option<u64>) {
+    let base = i64_of_usize(free);
+    let split = profile.partition_point(|&(t, _)| t <= now);
+    let mut avail = base + profile[..split].iter().map(|&(_, d)| d).sum::<i64>();
+    for &(p, d) in &profile[split..] {
+        avail += d;
+        if avail < base && p < u64::MAX {
+            let spare = usize::try_from(avail).unwrap_or(0);
+            return (free, spare, Some(p - now));
+        }
+    }
+    (free, free, None)
 }
 
 /// Add `d` to the profile at instant `t`, merging with an entry already

@@ -7,11 +7,13 @@
 //! `running` on every pass, refits every queued job with the per-candidate
 //! `earliest_fit_naive`, and starts over from the queue head after *every*
 //! start. It reads nothing the shipped passes keep between calls — not the
-//! order of `running`, not its node counts, not `Run::reserved` — so
-//! agreement on outcomes and traces (`tests::backfill_reference`) is
-//! evidence that neither the sorted release list, nor asking the queue only
-//! for startable jobs, nor continuing after a start, nor reusing the last
-//! pass's reservations changed a decision.
+//! order of `running`, not its node counts, not `Run::reserved` — and
+//! reserves every queued job, so agreement on outcomes and traces
+//! (`tests::backfill_reference`) is evidence that neither the sorted
+//! release list, nor asking the queue only for startable jobs, nor
+//! continuing after a start, nor stopping where no queued job can start
+//! now, nor carrying on from the last pass's reservations changed a
+//! decision.
 //! Selected by [`Engine::with_reference_passes`].
 
 use super::*;
@@ -72,6 +74,7 @@ impl Run<'_, '_> {
                 let job = &log.jobs[i];
                 let need = i64_of_usize(job.nodes);
                 let dur = job.walltime.max(1);
+                self.eng.fits.set(self.eng.fits.get() + 1);
                 let Some(s) = earliest_fit_naive(&deltas, base, now, dur, need) else {
                     continue;
                 };
@@ -90,7 +93,9 @@ impl Run<'_, '_> {
 }
 
 /// The reservation search as it was before the sweep: every candidate
-/// start re-sums the prefix and re-scans its own window.
+/// start, in ascending order, re-scans its own window. The availability at
+/// each candidate is carried from the last, not re-summed: re-summing made
+/// a refit of a queue 300 deep quadratic in its breakpoints.
 pub(crate) fn earliest_fit_naive(
     deltas: &BTreeMap<u64, i64>,
     base: i64,
@@ -99,9 +104,11 @@ pub(crate) fn earliest_fit_naive(
     need: i64,
 ) -> Option<u64> {
     let after = |t: u64| deltas.range((Bound::Excluded(t), Bound::Unbounded));
-    let candidates = std::iter::once(now).chain(after(now).map(|(k, _)| *k));
-    for s in candidates {
-        let mut avail: i64 = base + deltas.range(..=s).map(|(_, d)| *d).sum::<i64>();
+    let mut at = base + deltas.range(..=now).map(|(_, d)| *d).sum::<i64>();
+    let candidates = std::iter::once((now, 0)).chain(after(now).map(|(&k, &d)| (k, d)));
+    for (s, d) in candidates {
+        at += d;
+        let mut avail = at;
         if avail < need {
             continue;
         }

@@ -1676,8 +1676,9 @@ mod observed {
 mod passes {
     use super::*;
     use crate::engine::reference::earliest_fit_naive;
-    use crate::engine::{add_delta, earliest_fit};
+    use crate::engine::{add_delta, earliest_fit, start_bound};
     use crate::queue::PendingQueue;
+    use commsched_num::i64_of_usize;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -1796,6 +1797,83 @@ mod passes {
                 earliest_fit_naive(&deltas, base, now, dur, need)
             );
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The conservative pass's stop rule is sound: a job that could
+        /// start now — it fits the free nodes and `earliest_fit` puts it at
+        /// `now` — is always one the queue lookup returns under the bound
+        /// `start_bound` derives from the same profile. Profiles as
+        /// `earliest_fit_matches_naive` builds them: breakpoints before, at
+        /// and after `now`, at and just below `u64::MAX`, drops anywhere
+        /// (the last breakpoint included) or none. Walltimes of 0, of
+        /// `u64::MAX` and just short of it (windows that saturate and so
+        /// never contain a breakpoint at `u64::MAX`) among the small ones.
+        #[test]
+        fn start_bound_admits_every_job_that_can_start_now(
+            points in prop::collection::vec((0u64..48, any::<bool>(), -8i64..9), 0..24),
+            free in 0usize..16,
+            now in 0u64..24,
+            width in 1usize..16,
+            wall in 0u64..40,
+            long in 0u8..5,
+        ) {
+            let mut profile = Vec::new();
+            for (t, far, d) in points {
+                add_delta(&mut profile, if far { u64::MAX - t } else { t }, d);
+            }
+            let walltime = match long {
+                0 => 0,
+                1 => u64::MAX,
+                2 => u64::MAX - wall,
+                _ => wall,
+            };
+            let fits_now = width <= free
+                && earliest_fit(
+                    &profile,
+                    i64_of_usize(free),
+                    now,
+                    walltime.max(1),
+                    i64_of_usize(width),
+                ) == Some(now);
+            let (bound_free, spare, window) = start_bound(&profile, free, now);
+            prop_assert_eq!(bound_free, free);
+            prop_assert!(spare <= free);
+            let mut q = PendingQueue::default();
+            q.push_back(7, width, walltime);
+            if fits_now {
+                prop_assert_eq!(q.next_fit(0, free, spare, window), Some((0, 7)));
+            }
+        }
+    }
+
+    /// `start_bound` on hand-made profiles, four nodes free at `now = 5`.
+    #[test]
+    fn start_bound_reads_the_first_drop_below_the_free_count() {
+        let bound = |profile: &[(u64, i64)]| start_bound(profile, 4, 5);
+        // No breakpoint, or none after `now`: the free count is the bound.
+        assert_eq!(bound(&[]), (4, 4, None));
+        assert_eq!(bound(&[(0, -1), (5, 1)]), (4, 4, None));
+        // Releases only: availability never drops.
+        assert_eq!(bound(&[(10, 2), (20, 3)]), (4, 4, None));
+        // A drop at the last breakpoint, below the free count.
+        assert_eq!(bound(&[(10, 2), (20, -3)]), (4, 3, Some(15)));
+        // A drop that stays at the free count is no drop; the first one
+        // below it counts, not the deepest.
+        assert_eq!(
+            bound(&[(10, 2), (20, -2), (30, -1), (40, -3)]),
+            (4, 3, Some(25))
+        );
+        // A drop below zero (more down than free) spares nothing.
+        assert_eq!(bound(&[(6, -9)]), (4, 0, Some(1)));
+        // No window contains a breakpoint at `u64::MAX`.
+        assert_eq!(bound(&[(10, 2), (u64::MAX, -5)]), (4, 4, None));
+        assert_eq!(
+            bound(&[(u64::MAX - 1, -1), (u64::MAX, -5)]),
+            (4, 3, Some(u64::MAX - 6))
+        );
     }
 
     /// A queue that stays short while thousands of jobs pass through it
@@ -2087,22 +2165,24 @@ mod backfill_reference {
         (job.0 ^ now).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 62 == 0
     }
 
-    /// The shipped and the reference run of `log`, as (outcomes, trace).
+    /// The shipped and the reference run of `log`, as (outcomes, trace,
+    /// queued jobs the conservative passes fitted).
     fn both(
         tree: &Tree,
         cfg: EngineConfig,
         faults: &FaultTrace,
         refuse: fn(JobId, u64) -> bool,
         log: &JobLog,
-    ) -> [(RunSummary, String); 2] {
+    ) -> [(RunSummary, String, u64); 2] {
         let run = |engine: Engine<'_>| {
             let mut cap = Capture::new();
-            let s = engine
+            let engine = engine
                 .with_faults(faults.clone())
-                .with_refused_starts(refuse)
+                .with_refused_starts(refuse);
+            let s = engine
                 .run_observed(log, &mut cap, &mut Registry::new())
                 .unwrap();
-            (s, cap.to_jsonl())
+            (s, cap.to_jsonl(), engine.fits.get())
         };
         [
             run(Engine::new(tree, cfg)),
@@ -2112,7 +2192,7 @@ mod backfill_reference {
 
     /// Start times by job id, after checking the two passes agree.
     fn starts(tree: &Tree, cfg: EngineConfig, log: &JobLog) -> Vec<(u64, u64)> {
-        let [(shipped, trace), (reference, reference_trace)] =
+        let [(shipped, trace, _), (reference, reference_trace, _)] =
             both(tree, cfg, &FaultTrace::empty(), |_, _| false, log);
         assert_eq!(shipped, reference);
         assert!(trace == reference_trace, "traces differ");
@@ -2193,7 +2273,7 @@ mod backfill_reference {
                             .with_sa(SaBudget::with_evals(16), seed)
                             .with_failure_policy(policy);
                         cfg.enforce_walltime = enforce;
-                        let [(shipped, trace), (reference, reference_trace)] =
+                        let [(shipped, trace, _), (reference, reference_trace, _)] =
                             both(&tree, cfg, &faults, if refuse { flaky } else { |_, _| false }, &log);
                         prop_assert_eq!(&shipped, &reference, "{:?} {} {}", cfg.backfill, policy, kind);
                         prop_assert!(trace == reference_trace, "traces differ: {:?} {} {}", cfg.backfill, policy, kind);
@@ -2203,14 +2283,11 @@ mod backfill_reference {
         }
     }
 
-    /// The same equivalence on a backlog over 300 deep on the same 18-node
-    /// tree, so the tournament is many levels tall and its descents
-    /// dead-end: EASY under all five selectors, with and without declined
-    /// starts, and a node failure whose victim is requeued at the front (a
-    /// repack of the deep queue).
-    #[test]
-    fn shipped_easy_matches_reference_on_a_deep_queue() {
-        let tree = Tree::regular_two_level(3, 6);
+    /// A backlog over 300 deep on the 18-node tree of the proptest above:
+    /// 400 jobs four seconds apart, one in seven with a zero walltime and
+    /// one in seven asking for a third of its runtime, and a node failure
+    /// at job 200's submit, recovered ten minutes later.
+    fn deep_backlog() -> (Tree, JobLog, FaultTrace) {
         let mut log = LogSpec::new(
             SystemModel {
                 total_nodes: 18,
@@ -2244,14 +2321,29 @@ mod backfill_reference {
                 kind: FaultKind::Recover,
             },
         ]);
-        let refusals: [fn(JobId, u64) -> bool; 2] = [|_, _| false, flaky];
+        (Tree::regular_two_level(3, 6), log, faults)
+    }
+
+    /// Hold the shipped passes of `backfill` to the reference on `log`
+    /// under all five selectors, each with every one of `refusals`, the
+    /// failure's victim requeued at the front (a repack of the deep queue).
+    /// Checks the queue peaked at 300 or more; returns the shipped and the
+    /// reference fit counts of each run.
+    fn match_on_a_deep_queue(
+        tree: &Tree,
+        log: &JobLog,
+        faults: &FaultTrace,
+        backfill: fn(EngineConfig) -> EngineConfig,
+        refusals: &[fn(JobId, u64) -> bool],
+    ) -> Vec<(u64, u64)> {
+        let mut fits = Vec::new();
         for kind in SelectorKind::ALL.into_iter().chain([SelectorKind::Sa]) {
-            for refuse in refusals {
-                let cfg = EngineConfig::new(kind)
+            for &refuse in refusals {
+                let cfg = backfill(EngineConfig::new(kind))
                     .with_sa(SaBudget::with_evals(16), 5)
                     .with_failure_policy(FailurePolicy::RequeueFront);
-                let [(shipped, trace), (reference, reference_trace)] =
-                    both(&tree, cfg, &faults, refuse, &log);
+                let [(shipped, trace, shipped_fits), (reference, reference_trace, reference_fits)] =
+                    both(tree, cfg, faults, refuse, log);
                 assert_eq!(shipped, reference, "{kind}");
                 assert!(trace == reference_trace, "traces differ: {kind}");
                 let (mut pending, mut peak) = (0usize, 0usize);
@@ -2265,7 +2357,44 @@ mod backfill_reference {
                 }
                 assert!(peak >= 300, "{kind}: the queue peaked at {peak}");
                 assert_eq!(trace.matches("\"ev\":\"requeue\"").count(), 1, "{kind}");
+                fits.push((shipped_fits, reference_fits));
             }
+        }
+        fits
+    }
+
+    /// The same equivalence on the deep backlog, so the tournament is many
+    /// levels tall and its descents dead-end: EASY, with and without
+    /// declined starts.
+    #[test]
+    fn shipped_easy_matches_reference_on_a_deep_queue() {
+        let (tree, log, faults) = deep_backlog();
+        match_on_a_deep_queue(&tree, &log, &faults, |c| c, &[|_, _| false, flaky]);
+    }
+
+    /// The same under conservative backfilling, with declined starts and
+    /// the last 40 jobs trickling in ten minutes apart once the backlog
+    /// stands, so that passes with only a submit since the last one carry
+    /// on from the slot where it stopped, ahead of jobs no pass has fitted
+    /// yet. The shipped pass stops once no queued job can start now and
+    /// fits 41–45 k jobs a run here; the reference reserves every queued
+    /// job and starts over after every start (150–152 k); a shipped pass
+    /// that never stops fits 91–93 k.
+    #[test]
+    fn shipped_conservative_matches_reference_on_a_deep_queue() {
+        let (tree, mut log, faults) = deep_backlog();
+        let late = log.jobs[359].submit;
+        for (k, j) in (1..).zip(&mut log.jobs[360..]) {
+            j.submit = late + 600 * k;
+        }
+        let conservative = EngineConfig::conservative_backfill;
+        for (shipped, reference) in
+            match_on_a_deep_queue(&tree, &log, &faults, conservative, &[flaky])
+        {
+            assert!(
+                2 * shipped < reference,
+                "the shipped pass fitted {shipped} jobs, the reference {reference}"
+            );
         }
     }
 
