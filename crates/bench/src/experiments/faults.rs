@@ -22,7 +22,7 @@ const MTTR_SECS: f64 = 14_400.0;
 
 /// One (domain, rate, policy, selector) cell of the sweep.
 #[derive(Debug, Clone, serde::Serialize)]
-pub struct FaultRow {
+pub(crate) struct FaultRow {
     /// Fault domain of the injected trace: `node`, `switch`, `link`, or
     /// `-` for the failure-free baseline.
     pub domain: String,

@@ -11,7 +11,7 @@ use serde_json::json;
 
 /// One (system, mix) row: % exec-time reduction per proposed selector.
 #[derive(Debug, Clone, serde::Serialize)]
-pub struct MixRow {
+pub(crate) struct MixRow {
     /// System name.
     pub system: String,
     /// Experiment set label A–E.

@@ -10,7 +10,7 @@ use serde_json::json;
 
 /// One (system, node-range) group of four average costs.
 #[derive(Debug, Clone, serde::Serialize)]
-pub struct Bucket {
+pub(crate) struct Bucket {
     /// System name.
     pub system: String,
     /// Node range label ("128", "256-512", ...).

@@ -12,7 +12,7 @@ use serde_json::json;
 
 /// One %comm level's eight numbers.
 #[derive(Debug, Clone, serde::Serialize)]
-pub struct Level {
+pub(crate) struct Level {
     /// 30 / 60 / 90.
     pub comm_pct: u8,
     /// Mean turnaround hours per selector ([`SelectorKind::ALL`] order).

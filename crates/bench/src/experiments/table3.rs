@@ -10,7 +10,7 @@ use serde_json::json;
 
 /// One (system, pattern) cell's eight numbers.
 #[derive(Debug, Clone, serde::Serialize)]
-pub struct Cell {
+pub(crate) struct Cell {
     /// "intrepid" | "theta" | "mira".
     pub system: String,
     /// "RHVD" | "RD".

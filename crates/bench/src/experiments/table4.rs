@@ -21,7 +21,7 @@ const WARM: f64 = 0.55;
 
 /// One (system, pattern) row.
 #[derive(Debug, Clone, serde::Serialize)]
-pub struct Row {
+pub(crate) struct Row {
     /// System name.
     pub system: String,
     /// Pattern name.

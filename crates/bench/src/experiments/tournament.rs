@@ -30,7 +30,7 @@ use serde_json::json;
 
 /// SA budgets swept per probe, in curve order. Budget 0 is the
 /// bit-for-bit incumbent anchor; 256 is the acceptance-gate point.
-pub const SA_BUDGETS: [u32; 4] = [0, 16, 64, 256];
+pub(crate) const SA_BUDGETS: [u32; 4] = [0, 16, 64, 256];
 
 /// Fraction of the machine occupied before probing, as in §5.4.
 const WARMUP_FRACTION: f64 = 0.55;

@@ -70,7 +70,7 @@ pub struct ExperimentResult {
 }
 
 /// The three evaluation systems with their topologies, in paper order.
-pub fn paper_systems() -> Vec<(SystemModel, SystemPreset)> {
+pub(crate) fn paper_systems() -> Vec<(SystemModel, SystemPreset)> {
     vec![
         (SystemModel::intrepid(), SystemPreset::Intrepid),
         (SystemModel::theta(), SystemPreset::Theta),
@@ -80,7 +80,7 @@ pub fn paper_systems() -> Vec<(SystemModel, SystemPreset)> {
 
 /// Run one log under all four selectors (in parallel) and return the
 /// summaries in [`SelectorKind::ALL`] order.
-pub fn run_all_selectors(tree: &Tree, log: &JobLog) -> Vec<RunSummary> {
+pub(crate) fn run_all_selectors(tree: &Tree, log: &JobLog) -> Vec<RunSummary> {
     SelectorKind::ALL
         .par_iter()
         .map(|&kind| {
@@ -95,7 +95,7 @@ pub fn run_all_selectors(tree: &Tree, log: &JobLog) -> Vec<RunSummary> {
 /// topology. Cells carry everything [`run_sweep`] needs to build the
 /// cell's log and run it under every selector.
 #[derive(Debug, Clone, Copy)]
-pub struct SweepCell<'t> {
+pub(crate) struct SweepCell<'t> {
     /// The topology to schedule on (built once per system, shared across
     /// the system's cells).
     pub tree: &'t Tree,
@@ -121,7 +121,7 @@ pub struct SweepCell<'t> {
 /// wide hosts stay busy across uneven cell costs. Work items land back
 /// in `(cell, selector)` source order, so the output is byte-identical
 /// at every thread count.
-pub fn run_sweep(cells: &[SweepCell<'_>]) -> Vec<Vec<RunSummary>> {
+pub(crate) fn run_sweep(cells: &[SweepCell<'_>]) -> Vec<Vec<RunSummary>> {
     let logs: Vec<JobLog> = cells
         .par_iter()
         .map(|c| build_log(c.system, c.scale, c.comm_pct, c.shape))
@@ -146,7 +146,12 @@ pub fn run_sweep(cells: &[SweepCell<'_>]) -> Vec<Vec<RunSummary>> {
 }
 
 /// Build the synthetic log for a (system, pattern/mix) cell.
-pub fn build_log(system: SystemModel, scale: Scale, comm_pct: u8, shape: LogShape) -> JobLog {
+pub(crate) fn build_log(
+    system: SystemModel,
+    scale: Scale,
+    comm_pct: u8,
+    shape: LogShape,
+) -> JobLog {
     let spec = LogSpec::new(system, scale.jobs, scale.seed).comm_percent(comm_pct);
     let spec = match shape {
         LogShape::Pattern(p) => spec.pattern(p).comm_fraction(0.5),
@@ -158,7 +163,7 @@ pub fn build_log(system: SystemModel, scale: Scale, comm_pct: u8, shape: LogShap
 /// Either a uniform collective pattern at 50% communication (Table 3,
 /// Figures 7–9) or one of the §6.2 experiment sets (Figure 6).
 #[derive(Debug, Clone, Copy)]
-pub enum LogShape {
+pub(crate) enum LogShape {
     /// Uniform pattern, 50/50 compute-communication split.
     Pattern(commsched_collectives::Pattern),
     /// Experiment set A–E.

@@ -6,7 +6,7 @@ use std::fmt;
 
 /// A parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArgError(pub String);
+pub(crate) struct ArgError(pub String);
 
 impl fmt::Display for ArgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -18,7 +18,7 @@ impl std::error::Error for ArgError {}
 
 /// Parsed command line.
 #[derive(Debug, Clone, Default)]
-pub struct Parsed {
+pub(crate) struct Parsed {
     /// First token ("topology", "run", ...). Empty if none given.
     pub command: String,
     /// Positional arguments after the command.
@@ -32,7 +32,7 @@ const SWITCHES: &[&str] = &["--json", "--quiet", "--reject-oversized"];
 
 impl Parsed {
     /// Parse raw arguments (program name already stripped).
-    pub fn new(argv: &[String]) -> Result<Self, ArgError> {
+    pub(crate) fn new(argv: &[String]) -> Result<Self, ArgError> {
         let mut parsed = Parsed::default();
         let mut it = argv.iter().peekable();
         parsed.command = it
@@ -80,12 +80,16 @@ impl Parsed {
     }
 
     /// An optional `--flag`.
-    pub fn get(&self, name: &str) -> Option<&str> {
+    pub(crate) fn get(&self, name: &str) -> Option<&str> {
         self.flags.get(name).map(String::as_str)
     }
 
     /// An optional parsed `--flag`, with a default.
-    pub fn get_parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+    pub(crate) fn get_parsed<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, String> {
         match self.flags.get(name) {
             None => Ok(default),
             Some(v) => v
@@ -95,7 +99,7 @@ impl Parsed {
     }
 
     /// Is a no-value switch present?
-    pub fn switch(&self, name: &str) -> bool {
+    pub(crate) fn switch(&self, name: &str) -> bool {
         self.flags.contains_key(name)
     }
 }

@@ -20,8 +20,6 @@
 mod args;
 mod cmd;
 
-pub use args::{ArgError, Parsed};
-
 use std::io::Write;
 
 /// Entry point: parse `argv` (without the program name) and execute.

@@ -355,10 +355,9 @@ impl SolverScratch {
 pub struct FlowSim<'t> {
     tree: &'t Tree,
     cfg: NetConfig,
-    /// Capacity per directed link.
+    /// Capacity per directed link: the [`Tree`] numbering, then one
+    /// backplane link per leaf when those are modelled.
     capacity: Vec<f64>,
-    /// Switch-up-link base index.
-    switch_base: usize,
     /// Leaf-backplane link base index (`usize::MAX` when disabled).
     backplane_base: usize,
     /// Drive the event loop with the reference fixpoint
@@ -371,13 +370,12 @@ impl<'t> FlowSim<'t> {
     /// Build the link table for `tree` under `cfg`.
     pub fn new(tree: &'t Tree, cfg: NetConfig) -> Self {
         assert!(cfg.node_bandwidth > 0.0 && cfg.trunk_factor > 0.0);
-        let switch_base = 2 * tree.num_nodes();
-        let mut capacity = vec![cfg.node_bandwidth; switch_base + 2 * tree.num_switches()];
-        for s in 0..tree.num_switches() {
-            let level = tree.switch(SwitchId(s)).level;
+        let mut capacity = vec![cfg.node_bandwidth; tree.num_directed_links()];
+        for s in (0..tree.num_switches()).map(SwitchId) {
+            let level = tree.switch(s).level;
             let cap = cfg.node_bandwidth * cfg.trunk_factor.powi(i32_of_u32(level));
-            capacity[switch_base + 2 * s] = cap;
-            capacity[switch_base + 2 * s + 1] = cap;
+            capacity[tree.switch_uplink(s)] = cap;
+            capacity[tree.switch_downlink(s)] = cap;
         }
         let backplane_base = if let Some(factor) = cfg.backplane_factor {
             assert!(factor > 0.0, "backplane factor must be positive");
@@ -394,7 +392,6 @@ impl<'t> FlowSim<'t> {
             tree,
             cfg,
             capacity,
-            switch_base,
             backplane_base,
             #[cfg(test)]
             reference_solver: false,
@@ -409,31 +406,11 @@ impl<'t> FlowSim<'t> {
         self
     }
 
-    #[inline]
-    fn node_up(&self, n: NodeId) -> LinkId {
-        LinkId(2 * n.0)
-    }
-
-    #[inline]
-    fn node_down(&self, n: NodeId) -> LinkId {
-        LinkId(2 * n.0 + 1)
-    }
-
-    #[inline]
-    fn switch_up(&self, s: SwitchId) -> LinkId {
-        LinkId(self.switch_base + 2 * s.0)
-    }
-
-    #[inline]
-    fn switch_down(&self, s: SwitchId) -> LinkId {
-        LinkId(self.switch_base + 2 * s.0 + 1)
-    }
-
     /// Append the route from `src` to `dst` — up-links to the LCA, then
     /// down-links — to the arena buffer, returning the written range.
     fn route_into(&self, src: NodeId, dst: NodeId, arena: &mut Vec<LinkId>) -> (u32, u32) {
         let start = u32_of_usize(arena.len());
-        arena.push(self.node_up(src));
+        arena.push(LinkId(self.tree.node_uplink(src)));
         let lca = self.tree.lca(src, dst);
         let mut s = self.tree.leaf_of(src);
         #[expect(
@@ -441,7 +418,7 @@ impl<'t> FlowSim<'t> {
             reason = "the walk stops at the LCA, which is a strict ancestor, so every switch visited has a parent"
         )]
         while s != lca {
-            arena.push(self.switch_up(s));
+            arena.push(LinkId(self.tree.switch_uplink(s)));
             s = self.tree.switch(s).parent.expect("LCA above leaf");
         }
         // Down-links are discovered leaf-upward; reverse in place to get
@@ -450,11 +427,11 @@ impl<'t> FlowSim<'t> {
         let mut d = self.tree.leaf_of(dst);
         #[expect(clippy::expect_used, reason = "same LCA-ancestor argument as above")]
         while d != lca {
-            arena.push(self.switch_down(d));
+            arena.push(LinkId(self.tree.switch_downlink(d)));
             d = self.tree.switch(d).parent.expect("LCA above leaf");
         }
         arena[down_start..].reverse();
-        arena.push(self.node_down(dst));
+        arena.push(LinkId(self.tree.node_downlink(dst)));
         if self.backplane_base != usize::MAX {
             let a = self.tree.leaf_ordinal_of(src);
             let b = self.tree.leaf_ordinal_of(dst);
@@ -718,19 +695,26 @@ impl<'t> FlowSim<'t> {
             busiest_utilization: 0.0,
             span,
         };
-        for (l, &b) in bytes.iter().enumerate() {
-            if l < self.switch_base {
-                stats.node_bytes += b;
-            } else if self.backplane_base != usize::MAX && l >= self.backplane_base {
-                stats.backplane_bytes += b;
-            } else {
-                let sw = (l - self.switch_base) / 2;
-                let level = usize_of_u32(self.tree.switch(SwitchId(sw)).level);
-                if level <= stats.trunk_bytes_per_level.len() {
-                    stats.trunk_bytes_per_level[level - 1] += b;
+        // Each class summed in link-id order.
+        let tree = self.tree;
+        for n in (0..tree.num_nodes()).map(NodeId) {
+            for l in [tree.node_uplink(n), tree.node_downlink(n)] {
+                stats.node_bytes += bytes[l];
+            }
+        }
+        for s in (0..tree.num_switches()).map(SwitchId) {
+            let level = usize_of_u32(tree.switch(s).level);
+            if level <= stats.trunk_bytes_per_level.len() {
+                for l in [tree.switch_uplink(s), tree.switch_downlink(s)] {
+                    stats.trunk_bytes_per_level[level - 1] += bytes[l];
                 }
             }
-            let u = b / (self.capacity[l] * span);
+        }
+        for &b in bytes.get(self.backplane_base..).unwrap_or_default() {
+            stats.backplane_bytes += b;
+        }
+        for (&b, &cap) in bytes.iter().zip(&self.capacity) {
+            let u = b / (cap * span);
             if u > stats.busiest_utilization {
                 stats.busiest_utilization = u;
             }

@@ -510,50 +510,84 @@ fn us(t: u64) -> u64 {
     t.saturating_mul(1_000_000)
 }
 
-/// The observation bundle a run owns: the event tracer plus the registry
-/// counters the engine bumps as it goes. With the default [`NullRecorder`]
-/// every emit site reduces to one masked-bit test and every counter bump
-/// to a `Vec` index — cheap enough to leave in the hot path
-/// unconditionally.
-struct Obs<'a, 'r> {
-    tr: Tracer<'r>,
+/// The registry a run counts its emitted events into (DESIGN.md §4.5),
+/// with the handles of the nine scheduler counters every report carries.
+struct Tally<'a> {
     reg: &'a mut Registry,
-    c_submitted: CounterId,
-    c_started: CounterId,
-    c_backfilled: CounterId,
-    c_completed: CounterId,
-    c_cancelled: CounterId,
-    c_rejected: CounterId,
-    c_requeued: CounterId,
-    c_faults: CounterId,
-    c_passes: CounterId,
+    sched: [CounterId; 9],
 }
 
-impl<'a, 'r> Obs<'a, 'r> {
-    fn new(reg: &'a mut Registry, tr: Tracer<'r>) -> Self {
-        // Register every counter up front so a run report always carries
-        // the full set, zeros included.
-        let c_submitted = reg.counter("jobs.submitted");
-        let c_started = reg.counter("jobs.started");
-        let c_backfilled = reg.counter("jobs.backfilled");
-        let c_completed = reg.counter("jobs.completed");
-        let c_cancelled = reg.counter("jobs.cancelled");
-        let c_rejected = reg.counter("jobs.rejected");
-        let c_requeued = reg.counter("jobs.requeued");
-        let c_faults = reg.counter("faults.applied");
-        let c_passes = reg.counter("sched.passes");
-        Obs {
-            tr,
-            reg,
-            c_submitted,
-            c_started,
-            c_backfilled,
-            c_completed,
-            c_cancelled,
-            c_rejected,
-            c_requeued,
-            c_faults,
-            c_passes,
+impl<'a> Tally<'a> {
+    /// Registers the nine at zero before `validate` runs, so a rejected
+    /// input still leaves them in the caller's registry.
+    fn new(reg: &'a mut Registry) -> Self {
+        let sched = [
+            "jobs.submitted",
+            "jobs.started",
+            "jobs.backfilled",
+            "jobs.completed",
+            "jobs.cancelled",
+            "jobs.rejected",
+            "jobs.requeued",
+            "faults.applied",
+            "sched.passes",
+        ]
+        .map(|name| reg.counter(name));
+        Tally { reg, sched }
+    }
+
+    /// Bump a counter some runs lack, registering it on first use.
+    fn bump_named(&mut self, name: &str, by: u64) {
+        let c = self.reg.counter(name);
+        self.reg.inc(c, by);
+    }
+
+    /// Count one event, whatever the tracer records: `sched.passes` is
+    /// the only counter without one, and `schedule_pass` counts it.
+    fn count(&mut self, kind: &TK) {
+        let [submitted, started, backfilled, completed, cancelled, rejected, requeued, faults, _] =
+            self.sched;
+        match *kind {
+            TK::JobSubmit { .. } => self.reg.inc(submitted, 1),
+            TK::JobStart { backfilled: b, .. } => {
+                self.reg.inc(started, 1);
+                self.reg.inc(backfilled, u64::from(b));
+            }
+            TK::JobFinish { status, .. } => match status {
+                EndStatus::Completed => self.reg.inc(completed, 1),
+                EndStatus::Cancelled => self.reg.inc(cancelled, 1),
+            },
+            TK::JobRequeue { .. } => self.reg.inc(requeued, 1),
+            TK::JobReject { .. } => self.reg.inc(rejected, 1),
+            TK::Fault { .. } => self.reg.inc(faults, 1),
+            TK::SwitchFault { victims, .. } => {
+                self.reg.inc(faults, 1);
+                self.bump_named("faults.switch.applied", 1);
+                if victims > 0 {
+                    self.bump_named("faults.switch.victims", victims);
+                }
+            }
+            TK::LinkFault { .. } => {
+                self.reg.inc(faults, 1);
+                self.bump_named("faults.link.applied", 1);
+            }
+            TK::SaSearch {
+                evals,
+                cost_incumbent,
+                cost_final,
+                ..
+            } => {
+                self.bump_named("sa.searches", 1);
+                self.bump_named("sa.evals", evals);
+                if cost_final < cost_incumbent {
+                    self.bump_named("sa.improved", 1);
+                }
+            }
+            TK::JobEligible { .. }
+            | TK::JobPlace { .. }
+            | TK::NetSolve { .. }
+            | TK::NetRates { .. }
+            | TK::NetLinks { .. } => {}
         }
     }
 }
@@ -845,9 +879,9 @@ impl<'t> Engine<'t> {
     /// Continuous run: replay the whole log (§5.4), interleaving any
     /// injected fault events.
     pub fn run(&self, log: &JobLog) -> Result<RunSummary, EngineError> {
-        // The unobserved run is the observed run with the zero-cost null
-        // sink — byte-identical results by construction.
-        self.run_observed(log, &mut NullRecorder, &mut Registry::new())
+        // The observed run with the zero-cost null sink and nothing to
+        // count into — byte-identical results by construction.
+        self.run_with(log, &mut NullRecorder, None)
     }
 
     /// [`Engine::run`] with observability: every job lifecycle transition
@@ -862,76 +896,76 @@ impl<'t> Engine<'t> {
         recorder: &mut dyn Recorder,
         registry: &mut Registry,
     ) -> Result<RunSummary, EngineError> {
+        self.run_with(log, recorder, Some(registry))
+    }
+
+    fn run_with(
+        &self,
+        log: &JobLog,
+        recorder: &mut dyn Recorder,
+        registry: Option<&mut Registry>,
+    ) -> Result<RunSummary, EngineError> {
+        let tally = registry.map(Tally::new);
+        self.validate(log)?;
         // The run's cluster state is leased from a per-thread scratch
         // cache: sweeps replay thousands of logs, and re-allocating the
         // per-node vectors for each would dominate steady-state cost.
         crate::scratch::with_state(self.tree, |state| {
-            self.run_observed_on(state, log, recorder, registry)
-        })
-    }
-
-    fn run_observed_on(
-        &self,
-        state: &mut ClusterState,
-        log: &JobLog,
-        recorder: &mut dyn Recorder,
-        registry: &mut Registry,
-    ) -> Result<RunSummary, EngineError> {
-        let obs = Obs::new(registry, Tracer::new(recorder));
-        self.validate(log)?;
-        for &n in &self.drained {
-            // A freshly-built state has every node up and free, so a
-            // whole-run drain goes straight to Down.
-            state
-                .set_down(self.tree, n)
-                .map_err(|e| EngineError::StateInconsistency(format!("draining {n:?}: {e}")))?;
-        }
-        let mut events = BinaryHeap::new();
-        for (i, j) in log.jobs.iter().enumerate() {
-            events.push(Reverse((j.submit, EventKind::Submit(i))));
-        }
-        for (k, e) in self.faults.events().iter().enumerate() {
-            events.push(Reverse((e.t, EventKind::Fault(u32_of_usize(k)))));
-        }
-        let mut run = Run {
-            eng: self,
-            log,
-            selector: self.build_selector(),
-            eval: PlacementEvaluator::new(),
-            state,
-            now: 0,
-            events,
-            pending: PendingQueue::default(),
-            running: Vec::new(),
-            reserved: Reservations::default(),
-            outcomes: Vec::new(),
-            retries: vec![0; log.jobs.len()],
-            lost: vec![0; log.jobs.len()],
-            link_factors: if self.faults.has_domain(FaultDomain::Link) {
-                vec![1.0; self.tree.num_directed_links()]
-            } else {
-                Vec::new()
-            },
-            obs,
-        };
-        while let Some(&Reverse((now, _))) = run.events.peek() {
-            run.now = now;
-            // Drain all events at `now` (finishes first, then faults, then
-            // submits, via enum ordering).
-            while let Some(&Reverse((t, ev))) = run.events.peek() {
-                if t != now {
-                    break;
-                }
-                run.events.pop();
-                match ev {
-                    EventKind::Finish(id, att) => run.finish(id, att)?,
-                    EventKind::Fault(k) => run.apply_fault(usize_of_u32(k))?,
-                    EventKind::Submit(i) => run.submit(i),
-                }
+            for &n in &self.drained {
+                // A freshly-built state has every node up and free, so a
+                // whole-run drain goes straight to Down.
+                state
+                    .set_down(self.tree, n)
+                    .map_err(|e| EngineError::StateInconsistency(format!("draining {n:?}: {e}")))?;
             }
-            run.schedule_pass()?;
-        }
-        Ok(run.summarize())
+            let mut events = BinaryHeap::new();
+            for (i, j) in log.jobs.iter().enumerate() {
+                events.push(Reverse((j.submit, EventKind::Submit(i))));
+            }
+            for (k, e) in self.faults.events().iter().enumerate() {
+                events.push(Reverse((e.t, EventKind::Fault(u32_of_usize(k)))));
+            }
+            let mut run = Run {
+                eng: self,
+                log,
+                selector: self.build_selector(),
+                eval: PlacementEvaluator::new(),
+                state,
+                now: 0,
+                events,
+                pending: PendingQueue::default(),
+                running: Vec::new(),
+                reserved: Reservations::default(),
+                outcomes: Vec::new(),
+                retries: vec![0; log.jobs.len()],
+                lost: vec![0; log.jobs.len()],
+                link_factors: if self.faults.has_domain(FaultDomain::Link) {
+                    vec![1.0; self.tree.num_directed_links()]
+                } else {
+                    Vec::new()
+                },
+                tr: Tracer::new(recorder),
+                tally,
+            };
+            while let Some(&Reverse((now, _))) = run.events.peek() {
+                run.now = now;
+                // Drain all events at `now` (finishes first, then faults, then
+                // submits, via enum ordering).
+                while let Some(&Reverse((t, ev))) = run.events.peek() {
+                    if t != now {
+                        break;
+                    }
+                    run.events.pop();
+                    match ev {
+                        EventKind::Finish(id, att) => run.finish(id, att)?,
+                        EventKind::Fault(k) => run.apply_fault(usize_of_u32(k))?,
+                        EventKind::Submit(i) => run.submit(i),
+                    }
+                }
+                run.schedule_pass()?;
+            }
+            Ok(run.summarize())
+        })
     }
 }
 
@@ -973,7 +1007,9 @@ struct Run<'a, 'r> {
     /// trace degrades links — failure-free runs never allocate or scan
     /// this, keeping their placement arithmetic untouched.
     link_factors: Vec<f64>,
-    obs: Obs<'a, 'r>,
+    tr: Tracer<'r>,
+    /// Absent for [`Engine::run`], which reports no counters.
+    tally: Option<Tally<'a>>,
 }
 
 /// Conservative backfill's availability profile as a pass leaves it, with
@@ -998,8 +1034,12 @@ struct Reservations {
 }
 
 impl Run<'_, '_> {
+    /// Count `kind`, whatever the caller records, then trace it.
     fn emit(&mut self, kind: TK) {
-        self.obs.tr.emit(us(self.now), kind);
+        if let Some(t) = &mut self.tally {
+            t.count(&kind);
+        }
+        self.tr.emit(us(self.now), kind);
     }
 
     /// A running attempt reached its end: free its nodes.
@@ -1023,7 +1063,6 @@ impl Run<'_, '_> {
             attempt: att,
             status: EndStatus::Completed,
         });
-        self.obs.reg.inc(self.obs.c_completed, 1);
         Ok(())
     }
 
@@ -1037,7 +1076,6 @@ impl Run<'_, '_> {
                 job: job.id.0,
                 nodes: u64_of_usize(job.nodes),
             });
-            self.obs.reg.inc(self.obs.c_submitted, 1);
         }
         if job.nodes > self.eng.capacity() {
             // Only reachable under OversizedPolicy::Reject — Abort already
@@ -1072,7 +1110,6 @@ impl Run<'_, '_> {
             lost_node_seconds: self.lost[i],
         });
         self.emit(TK::JobReject { job: job.id.0 });
-        self.obs.reg.inc(self.obs.c_rejected, 1);
     }
 
     /// Apply fault-trace event `k`: kill the victim jobs (per the
@@ -1084,7 +1121,6 @@ impl Run<'_, '_> {
 
         let tree = self.eng.tree;
         let e = self.eng.faults.events()[k];
-        self.obs.reg.inc(self.obs.c_faults, 1);
         self.reserved.valid = false;
         match e.kind {
             FaultKind::Fail | FaultKind::Recover | FaultKind::Drain => {
@@ -1157,14 +1193,6 @@ impl Run<'_, '_> {
                     victims: u64_of_usize(victims.len()),
                     nodes: u64_of_usize(tree.subtree_nodes(s)),
                 });
-                // Registered lazily: failure-free (and switch-free) runs
-                // keep their report byte layout.
-                let c = self.obs.reg.counter("faults.switch.applied");
-                self.obs.reg.inc(c, 1);
-                if !victims.is_empty() {
-                    let c = self.obs.reg.counter("faults.switch.victims");
-                    self.obs.reg.inc(c, u64_of_usize(victims.len()));
-                }
                 for victim in victims {
                     self.kill_victim(victim)?;
                 }
@@ -1189,8 +1217,6 @@ impl Run<'_, '_> {
                     link: u64_of_usize(e.node),
                     capacity_permille: u64::from(permille),
                 });
-                let c = self.obs.reg.counter("faults.link.applied");
-                self.obs.reg.inc(c, 1);
                 if let Some(f) = self.link_factors.get_mut(e.node) {
                     *f = f64::from(permille) / 1000.0;
                 }
@@ -1253,7 +1279,6 @@ impl Run<'_, '_> {
                 attempt,
                 status: EndStatus::Cancelled,
             });
-            self.obs.reg.inc(self.obs.c_cancelled, 1);
             return Ok(());
         };
         let resubmit = now.saturating_add(backoff.unwrap_or(0));
@@ -1262,7 +1287,6 @@ impl Run<'_, '_> {
             attempt,
             resubmit_us: us(resubmit),
         });
-        self.obs.reg.inc(self.obs.c_requeued, 1);
         self.retries[i] += 1;
         // The attempt's record goes; the rest keep their start order.
         self.outcomes.remove(opos);
@@ -1279,60 +1303,8 @@ impl Run<'_, '_> {
         Ok(())
     }
 
-    /// Drain the SA selector's last search record (if one ran) into the
-    /// `sa_search` trace event and the lazy SA counters. A no-op — and
-    /// byte-neutral for traces and reports — under every other selector,
-    /// and for budget-0/compute placements where no search runs.
-    fn emit_sa(&mut self) {
-        let Some(st) = self.selector.take_search_stats() else {
-            return;
-        };
-        self.emit(TK::SaSearch {
-            job: st.job.0,
-            attempt: st.attempt,
-            budget: u64::from(st.budget),
-            evals: u64::from(st.evals),
-            accepted: u64::from(st.accepted),
-            rejected: u64::from(st.rejected),
-            cost_incumbent: st.cost_incumbent,
-            cost_final: st.cost_final,
-        });
-        // Registered lazily, like the fault counters: non-SA runs keep
-        // their report byte layout.
-        let c = self.obs.reg.counter("sa.searches");
-        self.obs.reg.inc(c, 1);
-        let c = self.obs.reg.counter("sa.evals");
-        self.obs.reg.inc(c, u64::from(st.evals));
-        if st.cost_final < st.cost_incumbent {
-            let c = self.obs.reg.counter("sa.improved");
-            self.obs.reg.inc(c, 1);
-        }
-    }
-
-    /// Emit the place/start pair for the attempt `start_job` just
-    /// recorded as `o`.
-    fn note_start(&mut self, o: &JobOutcome, backfilled: bool) {
-        self.emit(TK::JobPlace {
-            job: o.id.0,
-            attempt: o.retries,
-            nodes: u64_of_usize(o.nodes),
-            cost_actual: o.cost_actual,
-            cost_default: o.cost_default,
-        });
-        self.emit(TK::JobStart {
-            job: o.id.0,
-            attempt: o.retries,
-            nodes: u64_of_usize(o.nodes),
-            backfilled,
-        });
-        self.obs.reg.inc(self.obs.c_started, 1);
-        if backfilled {
-            self.obs.reg.inc(self.obs.c_backfilled, 1);
-        }
-    }
-
     /// Try to start the job in queue slot `slot` now: place, allocate,
-    /// record, dequeue, trace. `Ok(Some(walltime end))` once it started;
+    /// dequeue, trace, record. `Ok(Some(walltime end))` once it started;
     /// `Ok(None)` if the selector finds no placement, in which case nothing
     /// changed.
     fn start_job(
@@ -1376,7 +1348,35 @@ impl Run<'_, '_> {
         self.running.insert(at, (wall_end, job.nodes, i, attempt));
         self.events
             .push(Reverse((end, EventKind::Finish(job.id, attempt))));
-        let o = JobOutcome {
+        self.pending.remove(slot);
+        // The SA selector's record of the search it just ran; no other
+        // selector, and no budget-0 or compute placement, leaves one.
+        if let Some(st) = self.selector.take_search_stats() {
+            self.emit(TK::SaSearch {
+                job: st.job.0,
+                attempt: st.attempt,
+                budget: u64::from(st.budget),
+                evals: u64::from(st.evals),
+                accepted: u64::from(st.accepted),
+                rejected: u64::from(st.rejected),
+                cost_incumbent: st.cost_incumbent,
+                cost_final: st.cost_final,
+            });
+        }
+        self.emit(TK::JobPlace {
+            job: job.id.0,
+            attempt,
+            nodes: u64_of_usize(job.nodes),
+            cost_actual: placed.cost_actual,
+            cost_default: placed.cost_default,
+        });
+        self.emit(TK::JobStart {
+            job: job.id.0,
+            attempt,
+            nodes: u64_of_usize(job.nodes),
+            backfilled,
+        });
+        self.outcomes.push(JobOutcome {
             id: job.id,
             submit: job.submit,
             start: now,
@@ -1391,18 +1391,17 @@ impl Run<'_, '_> {
             status: JobStatus::Completed,
             retries: attempt,
             lost_node_seconds: self.lost[i],
-        };
-        self.pending.remove(slot);
-        self.emit_sa();
-        self.note_start(&o, backfilled);
-        self.outcomes.push(o);
+        });
         Ok(Some(wall_end))
     }
 
     /// One pass of the scheduler: start the head while it fits, then
     /// backfill behind it as the configured policy allows.
     fn schedule_pass(&mut self) -> Result<(), EngineError> {
-        self.obs.reg.inc(self.obs.c_passes, 1);
+        if let Some(Tally { reg, sched }) = &mut self.tally {
+            let [.., passes] = *sched;
+            reg.inc(passes, 1);
+        }
         while let Some((slot, head)) = self.pending.first() {
             let fits = self.log.jobs[head].nodes <= self.state.free_total();
             if !(fits && self.start_job(slot, head, false)?.is_some()) {
@@ -1558,7 +1557,7 @@ impl Run<'_, '_> {
     }
 
     /// Close the run: reject what can never start, fill the end-of-run
-    /// distributions and hand the outcomes over.
+    /// distributions (when there is a registry) and hand the outcomes over.
     fn summarize(mut self) -> RunSummary {
         // Jobs still queued when the event stream runs dry can never start
         // (wider than the surviving capacity, or FIFO-stuck behind one that
@@ -1581,21 +1580,21 @@ impl Run<'_, '_> {
         // End-of-run distributions and totals, in outcome (completion)
         // order — a pure function of the outcomes, so reports stay
         // deterministic.
-        let reg = self.obs.reg;
-        let h_wait = reg.hist("job.wait_s");
-        let h_exec = reg.hist("job.exec_s");
-        let mut lost_total = 0u64;
-        for o in &self.outcomes {
-            if o.status == JobStatus::Completed {
-                reg.observe(h_wait, f64_of_u64(o.wait()));
-                reg.observe(h_exec, f64_of_u64(o.exec()));
+        if let Some(Tally { reg, .. }) = self.tally {
+            let (h_wait, h_exec) = (reg.hist("job.wait_s"), reg.hist("job.exec_s"));
+            let mut lost_total = 0u64;
+            for o in &self.outcomes {
+                if o.status == JobStatus::Completed {
+                    reg.observe(h_wait, f64_of_u64(o.wait()));
+                    reg.observe(h_exec, f64_of_u64(o.exec()));
+                }
+                lost_total = lost_total.saturating_add(o.lost_node_seconds);
             }
-            lost_total = lost_total.saturating_add(o.lost_node_seconds);
+            let g_makespan = reg.gauge("makespan_s");
+            reg.set(g_makespan, f64_of_u64(makespan));
+            let g_lost = reg.gauge("lost_node_seconds");
+            reg.set(g_lost, f64_of_u64(lost_total));
         }
-        let g_makespan = reg.gauge("makespan_s");
-        reg.set(g_makespan, f64_of_u64(makespan));
-        let g_lost = reg.gauge("lost_node_seconds");
-        reg.set(g_lost, f64_of_u64(lost_total));
 
         RunSummary {
             selector: self.eng.cfg.selector.name().to_string(),

@@ -1671,6 +1671,293 @@ mod observed {
     }
 }
 
+/// Run counters are a tally of the emitted events (DESIGN.md §4.5): each
+/// equals a recount of its event kind in a full trace, whatever the caller
+/// records, and each one a run may lack appears exactly when its event did.
+mod tally {
+    use super::*;
+    use crate::{FailurePolicy, JobStatus, RunSummary};
+    use commsched_core::SaBudget;
+    use commsched_metrics::Registry;
+    use commsched_trace::{Capture, ClassMask, EndStatus, Event, EventKind as TK};
+    use commsched_workload::fault::{FaultEvent, FaultKind, FaultTrace};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The counters registered on every run, rejected inputs included.
+    const SCHED: [&str; 9] = [
+        "faults.applied",
+        "jobs.backfilled",
+        "jobs.cancelled",
+        "jobs.completed",
+        "jobs.rejected",
+        "jobs.requeued",
+        "jobs.started",
+        "jobs.submitted",
+        "sched.passes",
+    ];
+
+    /// The counters a full trace implies, `sched.passes` aside: the eight
+    /// eager ones at zero or more, the rest only where their event fired.
+    fn recount(events: &[Event]) -> BTreeMap<String, u64> {
+        let mut want: BTreeMap<String, u64> = SCHED
+            .iter()
+            .filter(|&&n| n != "sched.passes")
+            .map(|&n| (n.to_string(), 0))
+            .collect();
+        let mut add = |name: &str, by: u64| *want.entry(name.to_string()).or_insert(0) += by;
+        for e in events {
+            match e.kind {
+                TK::JobSubmit { .. } => add("jobs.submitted", 1),
+                TK::JobStart { backfilled, .. } => {
+                    add("jobs.started", 1);
+                    add("jobs.backfilled", u64::from(backfilled));
+                }
+                TK::JobFinish { status, .. } => match status {
+                    EndStatus::Completed => add("jobs.completed", 1),
+                    EndStatus::Cancelled => add("jobs.cancelled", 1),
+                },
+                TK::JobRequeue { .. } => add("jobs.requeued", 1),
+                TK::JobReject { .. } => add("jobs.rejected", 1),
+                TK::Fault { .. } => add("faults.applied", 1),
+                TK::SwitchFault { victims, .. } => {
+                    add("faults.applied", 1);
+                    add("faults.switch.applied", 1);
+                    if victims > 0 {
+                        add("faults.switch.victims", victims);
+                    }
+                }
+                TK::LinkFault { .. } => {
+                    add("faults.applied", 1);
+                    add("faults.link.applied", 1);
+                }
+                TK::SaSearch {
+                    evals,
+                    cost_incumbent,
+                    cost_final,
+                    ..
+                } => {
+                    add("sa.searches", 1);
+                    add("sa.evals", evals);
+                    if cost_final < cost_incumbent {
+                        add("sa.improved", 1);
+                    }
+                }
+                TK::JobEligible { .. }
+                | TK::JobPlace { .. }
+                | TK::NetSolve { .. }
+                | TK::NetRates { .. }
+                | TK::NetLinks { .. } => {}
+            }
+        }
+        want
+    }
+
+    /// One observed run into a capture of `mask`: (summary, capture,
+    /// registry).
+    fn observe(
+        engine: &Engine<'_>,
+        log: &JobLog,
+        mask: ClassMask,
+    ) -> (RunSummary, Capture, Registry) {
+        let mut cap = Capture::with_mask(mask);
+        let mut reg = Registry::new();
+        let s = engine.run_observed(log, &mut cap, &mut reg).unwrap();
+        (s, cap, reg)
+    }
+
+    fn is_dense(cap: &Capture) -> bool {
+        cap.events.iter().zip(0u64..).all(|(e, i)| e.seq == i)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn counters_are_a_tally_of_the_trace(
+            seed in any::<u64>(),
+            raw in prop::collection::vec((any::<u16>(), any::<u16>(), 0u8..9), 0..24),
+        ) {
+            let tree = Tree::regular_two_level(3, 6);
+            let log = LogSpec::new(
+                SystemModel {
+                    total_nodes: 18,
+                    min_request: 1,
+                    max_request: 12,
+                    ..SystemModel::theta()
+                },
+                24,
+                seed,
+            )
+            .comm_percent(60)
+            .generate();
+            let horizon = log.jobs.iter().map(|j| j.submit + j.runtime).max().unwrap_or(0);
+            let leaves: Vec<usize> = (0..3).map(|k| tree.leaf(k).0).collect();
+            let links = tree.num_directed_links();
+            let faults = FaultTrace::new(
+                raw.iter()
+                    .map(|&(t, target, kind)| {
+                        let target = usize::from(target);
+                        let (node, kind) = match kind {
+                            0 => (target % 18, FaultKind::Fail),
+                            1 => (target % 18, FaultKind::Recover),
+                            2 => (target % 18, FaultKind::Drain),
+                            3 => (leaves[target % 3], FaultKind::SwitchDown),
+                            4 => (leaves[target % 3], FaultKind::SwitchUp),
+                            5 | 6 => (
+                                target % links,
+                                FaultKind::LinkDegrade {
+                                    permille: u32::try_from(target % 1000).unwrap() + 1,
+                                },
+                            ),
+                            _ => (target % links, FaultKind::LinkRestore),
+                        };
+                        FaultEvent {
+                            t: horizon * u64::from(t) / 65_536,
+                            node,
+                            kind,
+                        }
+                    })
+                    .collect(),
+            );
+            let backfills: [fn(EngineConfig) -> EngineConfig; 3] = [
+                |c| c,
+                EngineConfig::conservative_backfill,
+                EngineConfig::without_backfill,
+            ];
+            for backfill in backfills {
+                for policy in [
+                    FailurePolicy::Cancel,
+                    FailurePolicy::Requeue { max_retries: 2, backoff: 30 },
+                    FailurePolicy::RequeueFront,
+                ] {
+                    for kind in SelectorKind::ALL.into_iter().chain([SelectorKind::Sa]) {
+                        let cfg = backfill(EngineConfig::new(kind))
+                            .with_sa(SaBudget::with_evals(16), seed)
+                            .with_failure_policy(policy);
+                        let engine = Engine::new(&tree, cfg).with_faults(faults.clone());
+                        let (s, cap, reg) = observe(&engine, &log, ClassMask::ALL);
+                        let report = reg.snapshot();
+                        let mut got: BTreeMap<String, u64> =
+                            report.counters.iter().cloned().collect();
+                        prop_assert!(got.remove("sched.passes").is_some_and(|n| n > 0));
+                        prop_assert_eq!(&got, &recount(&cap.events), "{:?} {} {}", cfg.backfill, policy, kind);
+
+                        let count = |name: &str| got[name];
+                        let status = |st| u64::try_from(s.count_status(st)).unwrap();
+                        prop_assert_eq!(count("jobs.completed"), status(JobStatus::Completed));
+                        prop_assert_eq!(count("jobs.cancelled"), status(JobStatus::Cancelled));
+                        prop_assert_eq!(count("jobs.rejected"), status(JobStatus::Rejected));
+                        prop_assert_eq!(count("jobs.requeued"), s.total_retries());
+                        prop_assert_eq!(
+                            count("jobs.started"),
+                            count("jobs.completed") + count("jobs.cancelled") + count("jobs.requeued")
+                        );
+                        prop_assert_eq!(
+                            count("faults.applied"),
+                            u64::try_from(faults.events().len()).unwrap()
+                        );
+                        prop_assert!(is_dense(&cap));
+
+                        // What the caller records changes neither the
+                        // counts nor the numbering of what it gets.
+                        let json = report.to_json_pretty();
+                        let masks = [
+                            ClassMask::NONE,
+                            ClassMask::JOB,
+                            ClassMask::parse("fault").unwrap(),
+                        ];
+                        for mask in masks {
+                            let (masked, cap, reg) = observe(&engine, &log, mask);
+                            prop_assert_eq!(&masked, &s);
+                            prop_assert!(reg.snapshot().to_json_pretty() == json, "{:?}", mask);
+                            prop_assert!(is_dense(&cap));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_rejected_log_leaves_the_nine_scheduler_counters_at_zero() {
+        let tree = small_tree();
+        let logs = [
+            JobLog::new("zero", vec![job(1, 0, 100, 2), job(2, 5, 100, 0)]),
+            JobLog::new("dup", vec![job(1, 0, 100, 2), job(1, 5, 100, 2)]),
+            JobLog::new("wide", vec![job(1, 0, 100, 2), job(2, 5, 100, 5)]),
+        ];
+        let want: Vec<(String, u64)> = SCHED.iter().map(|&n| (n.to_string(), 0)).collect();
+        for log in &logs {
+            let mut reg = Registry::new();
+            let err = Engine::new(&tree, EngineConfig::new(SelectorKind::Default))
+                .run_observed(log, &mut Capture::new(), &mut reg)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    EngineError::ZeroNodeJob(_)
+                        | EngineError::DuplicateJob(_)
+                        | EngineError::JobTooLarge { .. }
+                ),
+                "{err:?}"
+            );
+            let report = reg.snapshot();
+            assert_eq!(report.counters, want, "{}", log.name);
+            assert!(report.gauges.is_empty() && report.histograms.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_switch_fault_without_victims_counts_no_victims() {
+        // The leaf goes down and comes back before the only job arrives.
+        let tree = small_tree();
+        let leaf = tree.leaf(0).0;
+        let faults = FaultTrace::new(vec![
+            FaultEvent {
+                t: 10,
+                node: leaf,
+                kind: FaultKind::SwitchDown,
+            },
+            FaultEvent {
+                t: 20,
+                node: leaf,
+                kind: FaultKind::SwitchUp,
+            },
+        ]);
+        let log = JobLog::new("late", vec![job(1, 50, 100, 2)]);
+        let mut reg = Registry::new();
+        Engine::new(&tree, EngineConfig::new(SelectorKind::Default))
+            .with_faults(faults)
+            .run_observed(&log, &mut Capture::new(), &mut reg)
+            .unwrap();
+        assert_eq!(reg.counter_value("faults.switch.applied"), Some(2));
+        assert_eq!(reg.counter_value("faults.applied"), Some(2));
+        assert_eq!(reg.counter_value("faults.switch.victims"), None);
+    }
+
+    #[test]
+    fn a_search_without_improvement_counts_no_improvement() {
+        // A whole-machine job fills every leaf, so the anneal finds no
+        // legal move: one search, no evaluation, nothing better.
+        let tree = Tree::regular_two_level(3, 6);
+        let log = JobLog::new("full", vec![comm_job(1, 0, 100, 18, 0.5)]);
+        let cfg = EngineConfig::new(SelectorKind::Sa).with_sa(SaBudget::with_evals(16), 1);
+        let mut cap = Capture::new();
+        let mut reg = Registry::new();
+        Engine::new(&tree, cfg)
+            .run_observed(&log, &mut cap, &mut reg)
+            .unwrap();
+        assert!(cap
+            .events
+            .iter()
+            .any(|e| matches!(e.kind, TK::SaSearch { evals: 0, .. })));
+        assert_eq!(reg.counter_value("sa.searches"), Some(1));
+        assert_eq!(reg.counter_value("sa.evals"), Some(0));
+        assert_eq!(reg.counter_value("sa.improved"), None);
+    }
+}
+
 /// The two structures a scheduling pass leans on: the fit-indexed pending
 /// queue and the linear-sweep reservation search.
 mod passes {
