@@ -254,7 +254,7 @@ fn load_failure_policy(p: &Parsed) -> Result<FailurePolicy, String> {
 }
 
 /// `commsched topology validate|show`.
-pub fn topology(p: &Parsed, out: &mut dyn Write) -> CmdResult {
+pub(crate) fn topology(p: &Parsed, out: &mut dyn Write) -> CmdResult {
     match p.positional.first().map(String::as_str) {
         Some("validate") => {
             let path = p
@@ -306,7 +306,7 @@ pub fn topology(p: &Parsed, out: &mut dyn Write) -> CmdResult {
 }
 
 /// `commsched log generate|stats`.
-pub fn log(p: &Parsed, out: &mut dyn Write) -> CmdResult {
+pub(crate) fn log(p: &Parsed, out: &mut dyn Write) -> CmdResult {
     match p.positional.first().map(String::as_str) {
         Some("generate") => {
             let (log, _) = load_log(p)?;
@@ -346,7 +346,7 @@ fn with_selector(path: &str, name: &str) -> String {
 }
 
 /// `commsched run` / `commsched compare`.
-pub fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResult {
+pub(crate) fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResult {
     let tree = load_tree(p)?;
     let (log, _) = load_log(p)?;
     let drain_count: usize = p.get_parsed("drain", 0usize)?;
@@ -551,7 +551,7 @@ pub fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResult {
 /// `commsched individual` — the paper's individual-runs protocol (§5.4,
 /// Table 4): freeze a partially occupied cluster and place each probe job
 /// from the identical state under all four allocators.
-pub fn individual(p: &Parsed, out: &mut dyn Write) -> CmdResult {
+pub(crate) fn individual(p: &Parsed, out: &mut dyn Write) -> CmdResult {
     use commsched_slurmsim::individual::{individual_runs, mean_improvement, warmup_state};
 
     let tree = load_tree(p)?;
@@ -603,7 +603,7 @@ pub fn individual(p: &Parsed, out: &mut dyn Write) -> CmdResult {
 }
 
 /// `commsched patterns [RANKS]`.
-pub fn patterns(p: &Parsed, out: &mut dyn Write) -> CmdResult {
+pub(crate) fn patterns(p: &Parsed, out: &mut dyn Write) -> CmdResult {
     let ranks: usize = p
         .positional
         .first()

@@ -111,14 +111,14 @@ impl PlacementEvaluator {
 
     /// [`Self::evaluate`] on bare takes — `(leaf ordinal, count)` pairs in
     /// strictly ascending ordinal order with every count positive — for
-    /// the annealing loop, which scores proposals it never resolves to
-    /// nodes.
+    /// candidates never resolved to nodes: the selectors' losers, the
+    /// annealing loop's proposals and the engine's Eq. 7 default.
     ///
     /// Block rank order is node-id order and leaf `k`'s ids are one
     /// contiguous range ascending with `k` ([`Tree::leaf_node_range`]), so
     /// the takes laid end to end *are* the rank→leaf map, and they are
     /// also the job's own `L_comm` overlay, already sorted and merged.
-    pub(crate) fn evaluate_takes(
+    pub fn evaluate_takes(
         &mut self,
         tree: &Tree,
         state: &ClusterState,

@@ -16,7 +16,9 @@
 //! * four [`NodeSelector`]s:
 //!   [`DefaultTreeSelector`] (SLURM `topology/tree` best-fit — the paper's
 //!   baseline), [`GreedySelector`] (Algorithm 1), [`BalancedSelector`]
-//!   (Algorithm 2) and [`AdaptiveSelector`] (§4.3).
+//!   (Algorithm 2) and [`AdaptiveSelector`] (§4.3), each returning a
+//!   [`Decision`]: the placement, the switch it was chosen under and the
+//!   Eq. 6 totals of every candidate it scored.
 //!
 //! # Example: the paper's Table 2
 //!
@@ -60,8 +62,8 @@ pub use mapping::MappingStrategy;
 pub use placement::Placement;
 pub use sa::{SaBudget, SaSelector, SaStats};
 pub use select::{
-    AdaptiveSelector, AllocRequest, BalancedSelector, DefaultTreeSelector, GreedySelector,
-    NodeSelector, SelectError, SelectorKind,
+    AdaptiveSelector, AllocRequest, BalancedSelector, Decision, DefaultTreeSelector,
+    GreedySelector, NodeSelector, SelectError, SelectorKind,
 };
 pub use state::{Allocation, ClusterState, JobId, JobNature, NodeHealth, StateError};
 

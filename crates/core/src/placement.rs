@@ -64,17 +64,13 @@ impl Placement {
 
     /// Resolve per-leaf takes against `state`: each `(leaf ordinal, count)`
     /// becomes the first `count` free nodes of that leaf, lowest id first
-    /// (SLURM's bitmap order). `takes` may come in any (fill) order but
-    /// names each leaf at most once and never asks a leaf for more than it
-    /// has free; zero counts are dropped.
-    pub(crate) fn from_takes(
-        tree: &Tree,
-        state: &ClusterState,
-        mut takes: Vec<(usize, u32)>,
-    ) -> Self {
-        takes.retain(|&(_, count)| count > 0);
-        takes.sort_unstable();
-        debug_assert!(takes.windows(2).all(|w| w[0].0 < w[1].0));
+    /// (SLURM's bitmap order). `takes` ascend strictly by ordinal, with
+    /// positive counts that never ask a leaf for more than it has free.
+    pub(crate) fn from_takes(tree: &Tree, state: &ClusterState, takes: Vec<(usize, u32)>) -> Self {
+        debug_assert!(
+            takes.windows(2).all(|w| w[0].0 < w[1].0) && takes.iter().all(|t| t.1 > 0),
+            "takes must ascend strictly by leaf ordinal with positive counts: {takes:?}"
+        );
         let mut out = Placement::default();
         for &(k, count) in &takes {
             // A take splits into at most one run per busy node it skips.

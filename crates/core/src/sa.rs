@@ -3,7 +3,8 @@
 //! [`SaSelector`] starts from the adaptive greedy/balanced incumbent
 //! (§4.3) and spends a fixed evaluation budget exploring neighbouring
 //! placements: proposal moves *shift* nodes between sibling leaves or
-//! *swap* two leaves' grants under the switch `topology/tree` picked, and
+//! *swap* two leaves' grants under the switch the incumbent's own descent
+//! stopped at (the one `topology/tree` picks), and
 //! every proposal is scored with the fused what-if [`PlacementEvaluator`]
 //! — no `ClusterState` clones, the hop memo re-stamps per proposal. The
 //! acceptance rule is classic Metropolis with geometric cooling; see
@@ -15,16 +16,20 @@
 //!   function of (tree, state, request, budget, seed), independent of
 //!   thread count or call history;
 //! * a budget of 0 (or a compute-intensive job, or a single-leaf grant)
-//!   returns the incumbent placement **bit-for-bit** — the value the
-//!   adaptive rule produced, not a reconstruction;
+//!   returns the incumbent's takes **unchanged** — the ones the adaptive
+//!   rule produced, not a reconstruction;
 //! * the returned placement never costs more than the incumbent: the
-//!   search only replaces it when a strictly cheaper candidate was found.
+//!   search only replaces it when a strictly cheaper candidate was found;
+//! * the decision carries the totals of every candidate scored outside
+//!   the loop — the adaptive pair, or the incumbent when the pair
+//!   coincided — plus the best proposal's when it replaced the incumbent.
 #![deny(clippy::as_conversions)]
 
 use crate::cost::CostModel;
 use crate::eval::PlacementEvaluator;
-use crate::placement::Placement;
-use crate::select::{adaptive_choice, AllocRequest, NodeSelector, SelectError};
+use crate::select::{
+    adaptive_choice, AllocRequest, Choice, Decision, NodeSelector, Scored, SelectError,
+};
 use crate::state::{ClusterState, JobId};
 use commsched_num::usize_of_u32;
 use commsched_topology::Tree;
@@ -116,8 +121,8 @@ pub struct SaSelector {
     /// Run seed the per-job search seed is derived from.
     pub seed: u64,
     eval: Arc<Mutex<PlacementEvaluator>>,
-    /// Statistics of the search the last `select` ran; cleared on entry
-    /// to `select`, so a placement that ran none leaves nothing stale.
+    /// Statistics of the search the last `decide` ran; cleared on entry
+    /// to `decide`, so a placement that ran none leaves nothing stale.
     stats: Mutex<Option<SaStats>>,
 }
 
@@ -155,22 +160,18 @@ impl SaSelector {
         }
     }
 
-    /// Run the annealing loop from `incumbent`; returns the refined
-    /// placement (or the incumbent unchanged when no strictly cheaper
+    /// Run the annealing loop from the adaptive `incumbent`, over the
+    /// leaves under the switch its descent stopped at; returns the refined
+    /// choice (or the incumbent unchanged when no strictly cheaper
     /// candidate was found) and records [`SaStats`].
     fn anneal(
         &self,
         tree: &Tree,
         state: &ClusterState,
         req: &AllocRequest,
-        incumbent: Placement,
-        incumbent_cost: Option<f64>,
-    ) -> Placement {
-        // The same switch every index-driven selector picked: lowest level
-        // with enough free nodes. Its leaves are the move alphabet.
-        let Some(p) = state.index().lowest_level_switch(req.nodes) else {
-            return incumbent;
-        };
+        mut incumbent: Choice,
+    ) -> Choice {
+        let p = incumbent.switch;
         if tree.switch(p).children.is_empty() {
             // Single-leaf grant — no sibling subtrees to move across.
             return incumbent;
@@ -188,7 +189,7 @@ impl SaSelector {
         }
         // Incumbent takes spread over the candidate leaves.
         let mut take = vec![0u32; leaves.len()];
-        for &(ord, count) in incumbent.takes() {
+        for &(ord, count) in &incumbent.takes {
             let Ok(idx) = leaves.binary_search_by_key(&ord, |&(o, _)| o) else {
                 // Incumbent take on a leaf the index does not list under
                 // `p` — cannot model the move space; keep the incumbent.
@@ -197,19 +198,30 @@ impl SaSelector {
             take[idx] = count;
         }
         let spec = req.spec();
+        let discount = self.cost.trunk_discount;
         let Ok(mut eval) = self.eval.lock() else {
             return incumbent;
         };
-        let cost_incumbent = incumbent_cost.unwrap_or_else(|| {
-            eval.evaluate(tree, state, self.cost.trunk_discount, &incumbent, &spec)
-                .for_model(&self.cost)
+        let totals_incumbent = incumbent.totals().unwrap_or_else(|| {
+            // The adaptive rule scored nothing (its two candidates
+            // coincided): score the incumbent here, and keep the totals.
+            let totals = eval.evaluate_takes(tree, state, discount, &incumbent.takes, &spec);
+            incumbent.candidates.push(Scored {
+                takes: incumbent.takes.clone(),
+                totals,
+                spec,
+                trunk_discount: discount,
+            });
+            totals
         });
+        let cost_incumbent = totals_incumbent.for_model(&self.cost);
         let scale = cost_incumbent.max(1.0);
         let mut rng = ChaCha12Rng::seed_from_u64(derive_seed(self.seed, req.job, req.attempt));
         let mut temp = self.budget.init_temp;
         let mut cur = take.clone();
         let mut cur_cost = cost_incumbent;
         let mut best = take.clone();
+        let mut best_totals = totals_incumbent;
         let mut best_cost = cost_incumbent;
         let mut groups: Vec<(usize, u32)> = Vec::with_capacity(leaves.len());
         let mut evals = 0u32;
@@ -226,9 +238,8 @@ impl SaSelector {
             // Score the proposal from its takes directly — `leaves` is
             // ordinal-ascending, so the non-zero entries are too.
             takes_of(&leaves, &cand, &mut groups);
-            let cost = eval
-                .evaluate_takes(tree, state, self.cost.trunk_discount, &groups, &spec)
-                .for_model(&self.cost);
+            let totals = eval.evaluate_takes(tree, state, discount, &groups, &spec);
+            let cost = totals.for_model(&self.cost);
             evals += 1;
             let delta = cost - cur_cost;
             let accept = delta <= 0.0 || rng.random::<f64>() < (-delta / (temp * scale)).exp();
@@ -238,6 +249,7 @@ impl SaSelector {
                 cur_cost = cost;
                 if cost < best_cost {
                     best.copy_from_slice(&cand);
+                    best_totals = totals;
                     best_cost = cost;
                 }
             } else {
@@ -245,11 +257,18 @@ impl SaSelector {
             }
             temp *= self.budget.cooling;
         }
-        let (out, cost_final) = if best_cost < cost_incumbent {
+        let cost_final = if best_cost < cost_incumbent {
             takes_of(&leaves, &best, &mut groups);
-            (Placement::from_takes(tree, state, groups), best_cost)
+            incumbent.takes = groups.clone();
+            incumbent.candidates.push(Scored {
+                takes: groups,
+                totals: best_totals,
+                spec,
+                trunk_discount: discount,
+            });
+            best_cost
         } else {
-            (incumbent, cost_incumbent)
+            cost_incumbent
         };
         if let Ok(mut slot) = self.stats.lock() {
             *slot = Some(SaStats {
@@ -263,7 +282,7 @@ impl SaSelector {
                 cost_final,
             });
         }
-        out
+        incumbent
     }
 }
 
@@ -318,20 +337,20 @@ impl NodeSelector for SaSelector {
         "sa"
     }
 
-    fn select(
+    fn decide(
         &self,
         tree: &Tree,
         state: &ClusterState,
         req: &AllocRequest,
-    ) -> Result<Placement, SelectError> {
+    ) -> Result<Decision, SelectError> {
         // A fresh slot per placement: one that runs no search below must
         // not report the previous job's.
         self.take_search_stats();
-        let (incumbent, cost) = adaptive_choice(&self.cost, &self.eval, tree, state, req)?;
-        if self.budget.max_evals == 0 || !req.nature.is_comm() {
-            return Ok(incumbent);
+        let mut choice = adaptive_choice(&self.cost, &self.eval, tree, state, req)?;
+        if self.budget.max_evals > 0 && req.nature.is_comm() {
+            choice = self.anneal(tree, state, req, choice);
         }
-        Ok(self.anneal(tree, state, req, incumbent, cost))
+        Ok(choice.resolve(tree, state))
     }
 
     fn take_search_stats(&self) -> Option<SaStats> {

@@ -4,8 +4,10 @@
 //! All four descend the hierarchical free-count index (see [`crate::index`])
 //! instead of scanning and sorting every switch/leaf, and each is a *fill
 //! order over leaf takes*: it decides how many nodes to take from which
-//! leaf and hands the `(leaf ordinal, count)` list to [`Placement`], which
-//! resolves the ids. A placement costs O(tree height + leaves actually
+//! leaf, and only the chosen `(leaf ordinal, count)` list reaches
+//! [`Placement`], which resolves the ids. A selection returns a
+//! [`Decision`]: the placement, the switch the descent stopped at and the
+//! candidates it scored. A placement costs O(tree height + leaves actually
 //! granted) plus, per partly occupied granted leaf, a scan of its packed
 //! free bits 64 nodes at a time.
 //! The pre-index linear-scan algorithms live on as the test-only
@@ -14,7 +16,7 @@
 #![deny(clippy::as_conversions)]
 
 use crate::cost::CostModel;
-use crate::eval::PlacementEvaluator;
+use crate::eval::{EvalTotals, PlacementEvaluator};
 use crate::placement::Placement;
 use crate::sa::SaStats;
 use crate::state::{ClusterState, JobId, JobNature};
@@ -109,6 +111,93 @@ impl fmt::Display for SelectError {
 
 impl std::error::Error for SelectError {}
 
+/// One candidate a selector scored on its way to a decision: its takes
+/// (ascending by leaf ordinal) and its Eq. 6 totals, with the collective
+/// and trunk discount they were scored under.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Scored {
+    pub(crate) takes: Vec<(usize, u32)>,
+    pub(crate) totals: EvalTotals,
+    pub(crate) spec: CollectiveSpec,
+    pub(crate) trunk_discount: f64,
+}
+
+/// What one selection decided: the chosen placement, the switch the
+/// descent stopped at, and every candidate the selector scored by Eq. 6
+/// on the way — so a caller pricing the placement (or SLURM's default
+/// from the same state, Eq. 7) reuses those totals instead of scoring
+/// again.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Decision {
+    /// The chosen nodes.
+    pub placement: Placement,
+    /// The lowest-level switch with enough free nodes (§3.1); every
+    /// candidate lies under it.
+    pub switch: SwitchId,
+    pub(crate) candidates: Vec<Scored>,
+}
+
+impl Decision {
+    /// The takes SLURM's default selector would choose from `state`, the
+    /// state this decision was made in: the fewest-free-first fill under
+    /// [`Self::switch`], ascending by leaf ordinal and never resolved to
+    /// node ids.
+    pub fn default_takes(&self, tree: &Tree, state: &ClusterState) -> Vec<(usize, u32)> {
+        let want = self.placement.len();
+        fill(tree, self.switch, want, || {
+            fill_fewest_free_first(tree, state, self.switch, want)
+        })
+    }
+
+    /// The Eq. 6 totals of `takes` if the selector scored exactly them
+    /// under `spec` and `trunk_discount`; `None` means the caller scores
+    /// them itself.
+    pub fn scored(
+        &self,
+        takes: &[(usize, u32)],
+        spec: &CollectiveSpec,
+        trunk_discount: f64,
+    ) -> Option<EvalTotals> {
+        self.candidates
+            .iter()
+            .find(|c| {
+                c.spec == *spec
+                    && c.trunk_discount.to_bits() == trunk_discount.to_bits()
+                    && c.takes == takes
+            })
+            .map(|c| c.totals)
+    }
+}
+
+/// A decision whose chosen takes are not yet resolved to node runs — what
+/// every selector builds, so only the winner ever reads the free bits.
+#[derive(Debug)]
+pub(crate) struct Choice {
+    pub(crate) switch: SwitchId,
+    /// The chosen takes, ascending by leaf ordinal.
+    pub(crate) takes: Vec<(usize, u32)>,
+    pub(crate) candidates: Vec<Scored>,
+}
+
+impl Choice {
+    /// The Eq. 6 totals recorded for the chosen takes, if any.
+    pub(crate) fn totals(&self) -> Option<EvalTotals> {
+        self.candidates
+            .iter()
+            .find(|c| c.takes == self.takes)
+            .map(|c| c.totals)
+    }
+
+    /// Resolve the chosen takes to the lowest free ids of each leaf.
+    pub(crate) fn resolve(self, tree: &Tree, state: &ClusterState) -> Decision {
+        Decision {
+            placement: Placement::from_takes(tree, state, self.takes),
+            switch: self.switch,
+            candidates: self.candidates,
+        }
+    }
+}
+
 /// A node-selection algorithm, SLURM's `select/linear` decision point.
 ///
 /// Implementations must return a placement of exactly `req.nodes` free
@@ -118,52 +207,84 @@ pub trait NodeSelector: Send + Sync {
     /// Short stable name, used in reports ("default", "greedy", ...).
     fn name(&self) -> &'static str;
 
-    /// Choose `req.nodes` free nodes for `req.job`.
+    /// Choose `req.nodes` free nodes for `req.job`, with the switch the
+    /// choice was made under and the candidates scored on the way.
+    fn decide(
+        &self,
+        tree: &Tree,
+        state: &ClusterState,
+        req: &AllocRequest,
+    ) -> Result<Decision, SelectError>;
+
+    /// Choose `req.nodes` free nodes for `req.job`: the placement of
+    /// [`Self::decide`].
     fn select(
         &self,
         tree: &Tree,
         state: &ClusterState,
         req: &AllocRequest,
-    ) -> Result<Placement, SelectError>;
+    ) -> Result<Placement, SelectError> {
+        self.decide(tree, state, req).map(|d| d.placement)
+    }
 
-    /// Take (and clear) the statistics of the search the last `select`
+    /// Take (and clear) the statistics of the search the last `decide`
     /// ran, if it ran one — only [`crate::SaSelector`] ever does.
     fn take_search_stats(&self) -> Option<SaStats> {
         None
     }
 }
 
-/// The descent the three direct selectors share; they differ only in
-/// `fill`, the order in which they take from the leaves under the switch.
-///
-/// Validate the request, then find the lowest-level switch whose subtree has
-/// at least `req.nodes` free nodes, like SLURM's `topology/tree` plugin
-/// (§3.1). Ties at the same level break toward the *fewest* free nodes
-/// (best fit), then lowest id — the free-count index stores exactly that
-/// order, so the descent is O(height · log switches). A leaf switch serves
-/// the whole request itself (Alg. 1 lines 3-5); under any other, `fill`
-/// returns `(leaf ordinal, count)` takes in its own order, and the
-/// placement resolves them to the lowest free ids of each leaf.
-fn select_under(
-    tree: &Tree,
-    state: &ClusterState,
-    req: &AllocRequest,
-    fill: impl FnOnce(SwitchId) -> Vec<(usize, u32)>,
-) -> Result<Placement, SelectError> {
+/// The descent every selector shares: validate the request, then find the
+/// lowest-level switch whose subtree has at least `req.nodes` free nodes,
+/// like SLURM's `topology/tree` plugin (§3.1). Ties at the same level break
+/// toward the *fewest* free nodes (best fit), then lowest id — the
+/// free-count index stores exactly that order, so the descent is
+/// O(height · log switches).
+fn descend(state: &ClusterState, req: &AllocRequest) -> Result<SwitchId, SelectError> {
     check_request(state, req)?;
-    let p = state
+    state
         .index()
         .lowest_level_switch(req.nodes)
         .ok_or(SelectError::NotEnoughNodes {
             requested: req.nodes,
             free: state.free_total(),
-        })?;
-    let takes = if tree.switch(p).children.is_empty() {
-        vec![(tree.leaf_ordinal(p), u32_of_usize(req.nodes))]
-    } else {
-        fill(p)
-    };
-    Ok(Placement::from_takes(tree, state, takes))
+        })
+}
+
+/// The takes of one fill order under `p`, ascending by leaf ordinal. A
+/// leaf switch serves the whole request itself (Alg. 1 lines 3-5); under
+/// any other, `order` returns `(leaf ordinal, count)` takes in its own
+/// order. The three direct selectors differ only in `order`.
+fn fill(
+    tree: &Tree,
+    p: SwitchId,
+    want: usize,
+    order: impl FnOnce() -> Vec<(usize, u32)>,
+) -> Vec<(usize, u32)> {
+    if tree.switch(p).children.is_empty() {
+        return vec![(tree.leaf_ordinal(p), u32_of_usize(want))];
+    }
+    let mut takes = order();
+    takes.retain(|&(_, count)| count > 0);
+    takes.sort_unstable();
+    takes
+}
+
+/// One direct selector's decision: the descent, one fill, nothing scored.
+fn decide_by(
+    tree: &Tree,
+    state: &ClusterState,
+    req: &AllocRequest,
+    order: impl FnOnce(SwitchId) -> Vec<(usize, u32)>,
+) -> Result<Decision, SelectError> {
+    let switch = descend(state, req)?;
+    let takes = fill(tree, switch, req.nodes, || order(switch));
+    Ok(Choice {
+        switch,
+        takes,
+        candidates: Vec::new(),
+    }
+    .resolve(tree, state))
 }
 
 pub(crate) fn check_request(state: &ClusterState, req: &AllocRequest) -> Result<(), SelectError> {
@@ -217,13 +338,13 @@ impl NodeSelector for DefaultTreeSelector {
         "default"
     }
 
-    fn select(
+    fn decide(
         &self,
         tree: &Tree,
         state: &ClusterState,
         req: &AllocRequest,
-    ) -> Result<Placement, SelectError> {
-        select_under(tree, state, req, |p| {
+    ) -> Result<Decision, SelectError> {
+        decide_by(tree, state, req, |p| {
             fill_fewest_free_first(tree, state, p, req.nodes)
         })
     }
@@ -243,36 +364,44 @@ impl NodeSelector for GreedySelector {
         "greedy"
     }
 
-    fn select(
+    fn decide(
         &self,
         tree: &Tree,
         state: &ClusterState,
         req: &AllocRequest,
-    ) -> Result<Placement, SelectError> {
-        // The index orders leaves by (ratio key, ordinal) — the communication
-        // ratio under `total_cmp` with the leaf ordinal as tie-break, exactly
-        // the scan baseline's sort. Comm-intensive jobs walk it forward
-        // (least contended first), compute-intensive backward.
-        select_under(tree, state, req, |p| {
-            let mut takes = Vec::new();
-            let mut remaining = u32_of_usize(req.nodes);
-            let grant = |(_, ord): (u64, u32)| {
-                let k = usize_of_u32(ord);
-                let take = state.leaf_free(k).min(remaining);
-                takes.push((k, take));
-                remaining -= take;
-                remaining > 0
-            };
-            let order = state.index().leaves_by_ratio(tree, p);
-            if req.nature.is_comm() {
-                order.asc().all(grant);
-            } else {
-                order.desc().all(grant);
-            }
-            debug_assert_eq!(remaining, 0);
-            takes
-        })
+    ) -> Result<Decision, SelectError> {
+        decide_by(tree, state, req, |p| fill_greedy(tree, state, p, req))
     }
+}
+
+/// Algorithm 1's fill under `p`. The index orders leaves by (ratio key,
+/// ordinal) — the communication ratio under `total_cmp` with the leaf
+/// ordinal as tie-break, exactly the scan baseline's sort.
+/// Comm-intensive jobs walk it forward (least contended first),
+/// compute-intensive backward.
+fn fill_greedy(
+    tree: &Tree,
+    state: &ClusterState,
+    p: SwitchId,
+    req: &AllocRequest,
+) -> Vec<(usize, u32)> {
+    let mut takes = Vec::new();
+    let mut remaining = u32_of_usize(req.nodes);
+    let grant = |(_, ord): (u64, u32)| {
+        let k = usize_of_u32(ord);
+        let take = state.leaf_free(k).min(remaining);
+        takes.push((k, take));
+        remaining -= take;
+        remaining > 0
+    };
+    let order = state.index().leaves_by_ratio(tree, p);
+    if req.nature.is_comm() {
+        order.asc().all(grant);
+    } else {
+        order.desc().all(grant);
+    }
+    debug_assert_eq!(remaining, 0);
+    takes
 }
 
 /// Algorithm 2 — balanced allocation in powers of two per leaf switch.
@@ -292,57 +421,65 @@ impl NodeSelector for BalancedSelector {
         "balanced"
     }
 
-    fn select(
+    fn decide(
         &self,
         tree: &Tree,
         state: &ClusterState,
         req: &AllocRequest,
-    ) -> Result<Placement, SelectError> {
-        select_under(tree, state, req, |p| {
-            if !req.nature.is_comm() {
-                // Lines 29-36: compute jobs take the fullest-first (fewest
-                // free) leaves without the power-of-two discipline.
-                return fill_fewest_free_first(tree, state, p, req.nodes);
-            }
-
-            // Lines 9-21: decreasing free order, grant sizes halving to fit.
-            // The index yields the leaves lazily in that order, so the walk
-            // stops at the leaf that satisfies the request; the visited
-            // prefix is complete exactly when the leftover pass below needs
-            // the full list.
-            let mut takes: Vec<(usize, u32)> = Vec::new();
-            let mut remaining = u32_of_usize(req.nodes);
-            // `S` carries over between leaves and only ever shrinks (the
-            // paper's Figure 4 subdivision; this is what reproduces Table 2).
-            let mut s = remaining;
-            state
-                .index()
-                .leaves_by_free(tree, p)
-                .desc()
-                .all(|(f, ord)| {
-                    let k = usize_of_u32(ord);
-                    debug_assert!(f > 0);
-                    while s > f {
-                        s /= 2;
-                    }
-                    let take = s.min(remaining);
-                    takes.push((k, take));
-                    remaining -= take;
-                    remaining > 0
-                });
-            // Lines 22-27: leftovers in reverse sorted order, no constraint.
-            for (k, taken) in takes.iter_mut().rev() {
-                if remaining == 0 {
-                    break;
-                }
-                let take = (state.leaf_free(*k) - *taken).min(remaining);
-                *taken += take;
-                remaining -= take;
-            }
-            debug_assert_eq!(remaining, 0, "switch had enough free nodes");
-            takes
-        })
+    ) -> Result<Decision, SelectError> {
+        decide_by(tree, state, req, |p| fill_balanced(tree, state, p, req))
     }
+}
+
+/// Algorithm 2's fill under `p`.
+fn fill_balanced(
+    tree: &Tree,
+    state: &ClusterState,
+    p: SwitchId,
+    req: &AllocRequest,
+) -> Vec<(usize, u32)> {
+    if !req.nature.is_comm() {
+        // Lines 29-36: compute jobs take the fullest-first (fewest
+        // free) leaves without the power-of-two discipline.
+        return fill_fewest_free_first(tree, state, p, req.nodes);
+    }
+
+    // Lines 9-21: decreasing free order, grant sizes halving to fit.
+    // The index yields the leaves lazily in that order, so the walk
+    // stops at the leaf that satisfies the request; the visited
+    // prefix is complete exactly when the leftover pass below needs
+    // the full list.
+    let mut takes: Vec<(usize, u32)> = Vec::new();
+    let mut remaining = u32_of_usize(req.nodes);
+    // `S` carries over between leaves and only ever shrinks (the
+    // paper's Figure 4 subdivision; this is what reproduces Table 2).
+    let mut s = remaining;
+    state
+        .index()
+        .leaves_by_free(tree, p)
+        .desc()
+        .all(|(f, ord)| {
+            let k = usize_of_u32(ord);
+            debug_assert!(f > 0);
+            while s > f {
+                s /= 2;
+            }
+            let take = s.min(remaining);
+            takes.push((k, take));
+            remaining -= take;
+            remaining > 0
+        });
+    // Lines 22-27: leftovers in reverse sorted order, no constraint.
+    for (k, taken) in takes.iter_mut().rev() {
+        if remaining == 0 {
+            break;
+        }
+        let take = (state.leaf_free(*k) - *taken).min(remaining);
+        *taken += take;
+        remaining -= take;
+    }
+    debug_assert_eq!(remaining, 0, "switch had enough free nodes");
+    takes
 }
 
 /// §4.3 — adaptive allocation: evaluate greedy and balanced, keep the
@@ -351,7 +488,8 @@ impl NodeSelector for BalancedSelector {
 /// placement for communication-intensive work.
 ///
 /// The what-if costs run through a [`PlacementEvaluator`] — a single fused
-/// traversal per candidate, no cluster-state clone.
+/// traversal per candidate, no cluster-state clone — and both totals ride
+/// the [`Decision`].
 #[derive(Debug, Clone)]
 pub struct AdaptiveSelector {
     /// Cost model used for the comparison (hops vs hop-bytes).
@@ -382,22 +520,31 @@ impl AdaptiveSelector {
 }
 
 /// The §4.3 rule, shared by [`AdaptiveSelector`] and the incumbent of
-/// [`crate::SaSelector`]: greedy and balanced scored under `cost`, the
-/// cheaper kept for a communication-intensive job (balanced on ties) and
-/// the costlier for a compute-intensive one. Returns the chosen placement
-/// with its cost, `None` when the two candidates coincide and nothing was
-/// evaluated.
+/// [`crate::SaSelector`]: one descent, greedy and balanced filled under its
+/// switch and scored under `cost`, the cheaper kept for a
+/// communication-intensive job (balanced on ties) and the costlier for a
+/// compute-intensive one. Both candidates are scored unless they coincide,
+/// in which case nothing is.
 pub(crate) fn adaptive_choice(
     cost: &CostModel,
     eval: &Mutex<PlacementEvaluator>,
     tree: &Tree,
     state: &ClusterState,
     req: &AllocRequest,
-) -> Result<(Placement, Option<f64>), SelectError> {
-    let greedy = GreedySelector.select(tree, state, req)?;
-    let balanced = BalancedSelector.select(tree, state, req)?;
+) -> Result<Choice, SelectError> {
+    let switch = descend(state, req)?;
+    let greedy = fill(tree, switch, req.nodes, || {
+        fill_greedy(tree, state, switch, req)
+    });
+    let balanced = fill(tree, switch, req.nodes, || {
+        fill_balanced(tree, state, switch, req)
+    });
     if greedy == balanced {
-        return Ok((balanced, None));
+        return Ok(Choice {
+            switch,
+            takes: balanced,
+            candidates: Vec::new(),
+        });
     }
     let spec = req.spec();
     #[expect(
@@ -405,21 +552,26 @@ pub(crate) fn adaptive_choice(
         reason = "a poisoned mutex means another thread already panicked mid-evaluation; propagating is the only sound response"
     )]
     let mut eval = eval.lock().expect("evaluator mutex poisoned");
-    let cost_g = eval
-        .evaluate(tree, state, cost.trunk_discount, &greedy, &spec)
-        .for_model(cost);
-    let cost_b = eval
-        .evaluate(tree, state, cost.trunk_discount, &balanced, &spec)
-        .for_model(cost);
+    let mut score = |takes: Vec<(usize, u32)>| Scored {
+        totals: eval.evaluate_takes(tree, state, cost.trunk_discount, &takes, &spec),
+        takes,
+        spec,
+        trunk_discount: cost.trunk_discount,
+    };
+    let scored = vec![score(greedy), score(balanced)];
+    let (cost_g, cost_b) = (
+        scored[0].totals.for_model(cost),
+        scored[1].totals.for_model(cost),
+    );
     let take_balanced = if req.nature.is_comm() {
         cost_b <= cost_g
     } else {
         cost_b > cost_g
     };
-    Ok(if take_balanced {
-        (balanced, Some(cost_b))
-    } else {
-        (greedy, Some(cost_g))
+    Ok(Choice {
+        switch,
+        takes: scored[usize::from(take_balanced)].takes.clone(),
+        candidates: scored,
     })
 }
 
@@ -428,13 +580,13 @@ impl NodeSelector for AdaptiveSelector {
         "adaptive"
     }
 
-    fn select(
+    fn decide(
         &self,
         tree: &Tree,
         state: &ClusterState,
         req: &AllocRequest,
-    ) -> Result<Placement, SelectError> {
-        adaptive_choice(&self.cost, &self.eval, tree, state, req).map(|(placement, _)| placement)
+    ) -> Result<Decision, SelectError> {
+        adaptive_choice(&self.cost, &self.eval, tree, state, req).map(|c| c.resolve(tree, state))
     }
 }
 

@@ -996,7 +996,7 @@ mod properties {
 
     /// `tree` with a random `occupancy_pct` of its nodes held by
     /// three-node jobs of random nature.
-    fn occupy(tree: &Tree, occupancy_pct: u8, seed: u64) -> ClusterState {
+    pub(super) fn occupy(tree: &Tree, occupancy_pct: u8, seed: u64) -> ClusterState {
         let mut st = ClusterState::new(tree);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let mut nodes: Vec<NodeId> = (0..tree.num_nodes()).map(NodeId).collect();
@@ -3602,5 +3602,127 @@ mod bucket_set {
         set.insert(7, 64);
         assert_eq!(set.live_keys(), 3);
         assert_eq!(set.arena_words(), 3 * 3, "the emptied slot is reused");
+    }
+}
+
+/// A selection's [`crate::Decision`] says no more than the selector did:
+/// its placement is `select`'s, its switch is the descent's, every scored
+/// candidate's totals are what a fresh evaluator computes for those takes,
+/// and its default fill is SLURM's default selection from the same state.
+mod decisions {
+    use super::*;
+    use crate::{SaBudget, SaSelector};
+    use commsched_topology::SystemPreset;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    /// The department cluster, or a small three-level shape.
+    fn tree_of(shape: u8) -> Tree {
+        match shape {
+            0 => SystemPreset::IitkDepartment.build(),
+            1 => Tree::regular_three_level(2, 3, 6),
+            2 => Tree::regular_three_level(3, 2, 8),
+            _ => Tree::regular_three_level(2, 4, 4),
+        }
+    }
+
+    fn assert_decision(
+        tree: &Tree,
+        st: &ClusterState,
+        selector: &dyn NodeSelector,
+        req: &AllocRequest,
+    ) -> Result<(), TestCaseError> {
+        let name = selector.name();
+        let decision = selector.decide(tree, st, req).unwrap();
+        prop_assert_eq!(
+            &decision.placement,
+            &selector.select(tree, st, req).unwrap(),
+            "{}: decide and select disagree",
+            name
+        );
+        prop_assert_eq!(
+            Some(decision.switch),
+            st.index().lowest_level_switch(req.nodes),
+            "{}: not the descent's switch",
+            name
+        );
+        for c in &decision.candidates {
+            let fresh = PlacementEvaluator::new().evaluate_takes(
+                tree,
+                st,
+                c.trunk_discount,
+                &c.takes,
+                &c.spec,
+            );
+            prop_assert_eq!(c.totals.raw_hops.to_bits(), fresh.raw_hops.to_bits());
+            prop_assert_eq!(c.totals.hop_bytes.to_bits(), fresh.hop_bytes.to_bits());
+            prop_assert_eq!(
+                decision.scored(&c.takes, &c.spec, c.trunk_discount),
+                Some(c.totals)
+            );
+        }
+        // Whatever was scored includes the winner: only the direct
+        // selectors and a coinciding adaptive pair score nothing.
+        prop_assert!(
+            decision.candidates.is_empty()
+                || decision
+                    .candidates
+                    .iter()
+                    .any(|c| c.takes == decision.placement.takes()),
+            "{}: scored candidates but not the winner",
+            name
+        );
+        if matches!(name, "default" | "greedy" | "balanced") {
+            prop_assert!(
+                decision.candidates.is_empty(),
+                "{}: a direct selector scored",
+                name
+            );
+        }
+        let default = DefaultTreeSelector.select(tree, st, req).unwrap();
+        prop_assert_eq!(
+            decision.default_takes(tree, st),
+            default.takes(),
+            "{}: default fill under the decision's switch",
+            name
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn decisions_are_what_select_and_a_fresh_evaluator_say(
+            shape in 0u8..4,
+            occ in 0u8..80,
+            seed in any::<u64>(),
+            sa_seed in any::<u64>(),
+            want in 1usize..40,
+            comm in any::<bool>(),
+            pattern in prop::sample::select(vec![Pattern::Rd, Pattern::Rhvd, Pattern::Binomial]),
+        ) {
+            let tree = tree_of(shape);
+            let st = super::properties::occupy(&tree, occ, seed);
+            prop_assume!(want <= st.free_total());
+            let spec = CollectiveSpec::new(pattern, 1 << 16);
+            let req = if comm {
+                AllocRequest::comm(JobId(7), want)
+            } else {
+                AllocRequest::compute(JobId(7), want)
+            }
+            .with_pattern(spec);
+            let selectors: [Box<dyn NodeSelector>; 6] = [
+                Box::new(DefaultTreeSelector),
+                Box::new(GreedySelector),
+                Box::new(BalancedSelector),
+                Box::new(AdaptiveSelector::default()),
+                Box::new(SaSelector::new(SaBudget::with_evals(0), sa_seed)),
+                Box::new(SaSelector::new(SaBudget::with_evals(256), sa_seed)),
+            ];
+            for selector in &selectors {
+                assert_decision(&tree, &st, selector.as_ref(), &req)?;
+            }
+        }
     }
 }

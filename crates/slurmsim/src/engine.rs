@@ -4,8 +4,8 @@
 use crate::queue::PendingQueue;
 use commsched_collectives::CollectiveSpec;
 use commsched_core::{
-    AllocRequest, ClusterState, CostModel, DefaultTreeSelector, JobId, JobNature, NodeSelector,
-    Placement, PlacementEvaluator, SaBudget, SaSelector, SelectorKind,
+    AllocRequest, ClusterState, CostModel, JobId, JobNature, NodeSelector, Placement,
+    PlacementEvaluator, SaBudget, SaSelector, SelectorKind,
 };
 use commsched_metrics::{CounterId, Registry};
 use commsched_num::{
@@ -615,6 +615,10 @@ pub struct Engine<'t> {
     /// (`earliest_fit` calls), shipped or reference.
     #[cfg(test)]
     pub(crate) fits: std::cell::Cell<u64>,
+    /// Eq. 6 evaluations `place` ran itself: the candidates its selector
+    /// had not already scored.
+    #[cfg(test)]
+    pub(crate) evals: std::cell::Cell<u64>,
 }
 
 impl<'t> Engine<'t> {
@@ -631,6 +635,8 @@ impl<'t> Engine<'t> {
             refuse_start: |_, _| false,
             #[cfg(test)]
             fits: std::cell::Cell::new(0),
+            #[cfg(test)]
+            evals: std::cell::Cell::new(0),
         }
     }
 
@@ -734,11 +740,12 @@ impl<'t> Engine<'t> {
                 .map(|(p, _)| CollectiveSpec::new(*p, self.cfg.msize)),
             attempt,
         };
-        let nodes = selector.select(self.tree, state, &req).ok()?;
+        let decision = selector.decide(self.tree, state, &req).ok()?;
+        let nodes = &decision.placement;
 
         if !job.nature.is_comm() || job.comm.is_empty() {
             return Some(Placed {
-                nodes,
+                nodes: decision.placement,
                 cost_actual: 0.0,
                 cost_default: 0.0,
                 adjusted: job.runtime,
@@ -747,48 +754,39 @@ impl<'t> Engine<'t> {
         }
 
         // The Eq. 7 denominator: what the default selector would have done
-        // from this same state. Under the default selector that is the
-        // chosen allocation itself (`None`).
-        let default_nodes = if self.cfg.selector == SelectorKind::Default {
-            None
-        } else {
-            // The default selector succeeds whenever another selector
-            // does; if that invariant ever broke, declining the placement
-            // (None) is strictly safer than crashing the run.
-            Some(DefaultTreeSelector.select(self.tree, state, &req).ok()?)
-        };
+        // from this same state — its fill under the switch this decision
+        // descended to, kept as takes. Under the default selector, or when
+        // the fill lands on the chosen takes, it is the chosen allocation
+        // itself (`None`): same takes, same totals, not scored again.
+        let default_takes = (self.cfg.selector != SelectorKind::Default)
+            .then(|| decision.default_takes(self.tree, state))
+            .filter(|d| d != nodes.takes());
 
         // Eq. 6 for every collective component of an allocation, with the
         // job's own L_comm contribution as an overlay inside the evaluator
         // (the paper's worked example counts the job's own nodes) — no
-        // clone of the cluster state. One traversal yields both models'
-        // totals; a second runs only when the ratio model's trunk discount
-        // differs (the ablation's discount sweep).
+        // clone of the cluster state. Totals the selector already scored
+        // under the same collective and trunk discount are reused; one
+        // traversal yields both models' totals, and a second runs only
+        // when the ratio model's trunk discount differs (the ablation's
+        // discount sweep).
         let (cost, ratio) = (&self.cfg.cost_model, &self.cfg.ratio_model);
-        let specs: Vec<CollectiveSpec> = job
-            .comm
-            .iter()
-            .map(|&(pattern, _)| CollectiveSpec::new(pattern, self.cfg.msize))
-            .collect();
-        let mut eval_all = |alloc: &Placement| -> Vec<(f64, f64)> {
-            specs
-                .iter()
-                .map(|spec| {
-                    let t = eval.evaluate(self.tree, state, cost.trunk_discount, alloc, spec);
-                    let r = if ratio.trunk_discount == cost.trunk_discount {
-                        t
-                    } else {
-                        eval.evaluate(self.tree, state, ratio.trunk_discount, alloc, spec)
-                    };
-                    (t.for_model(cost), r.for_model(ratio))
-                })
-                .collect()
+        let mut totals = |takes: &[(usize, u32)], spec: &CollectiveSpec, discount: f64| {
+            decision.scored(takes, spec, discount).unwrap_or_else(|| {
+                #[cfg(test)]
+                self.evals.set(self.evals.get() + 1);
+                eval.evaluate_takes(self.tree, state, discount, takes, spec)
+            })
         };
-        let actual = eval_all(&nodes);
-        // Same allocation, same totals: a default placement equal to the
-        // chosen one is not scored again.
-        let default = default_nodes.filter(|d| *d != nodes).map(|d| eval_all(&d));
-        let default = default.as_ref().unwrap_or(&actual);
+        let mut price = |takes: &[(usize, u32)], spec: &CollectiveSpec| {
+            let t = totals(takes, spec, cost.trunk_discount);
+            let r = if ratio.trunk_discount == cost.trunk_discount {
+                t
+            } else {
+                totals(takes, spec, ratio.trunk_discount)
+            };
+            (t.for_model(cost), r.for_model(ratio))
+        };
 
         let mut cost_actual = 0.0;
         let mut cost_default = 0.0;
@@ -799,13 +797,19 @@ impl<'t> Engine<'t> {
         // communication fraction by the slowest link's inverse capacity
         // factor; 1.0 on a healthy fabric leaves the arithmetic
         // bit-identical to the no-fault path.
-        let link_factor = self.min_link_factor(links, &nodes);
-        for (i, &(_, fraction)) in job.comm.iter().enumerate() {
+        let link_factor = self.min_link_factor(links, nodes);
+        for &(pattern, fraction) in &job.comm {
+            let spec = CollectiveSpec::new(pattern, self.cfg.msize);
+            let actual = price(nodes.takes(), &spec);
+            let default = match &default_takes {
+                Some(d) => price(d, &spec),
+                None => actual,
+            };
             // Reported cost: Eq. 6 as printed (raw hops by default).
-            cost_actual += actual[i].0;
-            cost_default += default[i].0;
+            cost_actual += actual.0;
+            cost_default += default.0;
             // Runtime ratio: hop-bytes by default (§5.3).
-            let (ca, cd) = (actual[i].1, default[i].1);
+            let (ca, cd) = (actual.1, default.1);
             let ratio = if cd > 0.0 { ca / cd } else { 1.0 };
             let ratio = if self.cfg.adjust_runtimes { ratio } else { 1.0 };
             let part = f64_of_u64(job.runtime) * fraction * ratio / link_factor;
@@ -818,7 +822,7 @@ impl<'t> Engine<'t> {
             1.0
         };
         Some(Placed {
-            nodes,
+            nodes: decision.placement,
             cost_actual,
             cost_default,
             adjusted: u64_of_f64(adjusted.round().max(1.0)),

@@ -364,154 +364,221 @@ fn eq7_adjustment_matches_cost_ratio() {
 fn place_matches_naive_clone_replication() {
     // The fused evaluator path in `place()` must reproduce, bit for bit,
     // what the naive implementation computed: clone the state, allocate the
-    // what-if job, and run `job_cost` once per component per cost model.
-    // The second case (one whole leaf of an idle machine) makes a
-    // non-default selector land exactly where the default one does, so the
-    // engine reuses the chosen totals as the Eq. 7 denominator.
+    // what-if job, and run `job_cost` once per component per cost model —
+    // whether `place` reuses totals its selector scored or scores itself.
+    // Every selector, SA included, runs under four configurations: one
+    // comm component under the default models, where the adaptive winner's
+    // totals (and often the Eq. 7 default's) are reused; a ratio model with
+    // a flat trunk, a discount no selector scored under; and three
+    // components, the later two collectives no selector scored, under
+    // either ratio model. The second machine state (one whole leaf of an
+    // idle machine) makes a non-default selector land exactly where the
+    // default one does, so the engine reuses the chosen totals as the
+    // Eq. 7 denominator.
     use commsched_collectives::CollectiveSpec;
     use commsched_core::{
-        AllocRequest, ClusterState, CostModel, DefaultTreeSelector, NodeSelector,
-        PlacementEvaluator,
+        AllocRequest, ClusterState, CostModel, DefaultTreeSelector, NodeSelector, Placement,
+        PlacementEvaluator, SaBudget,
     };
 
     let tree = Tree::regular_two_level(6, 8);
     let contended = [comm_job(50, 0, 1, 7, 0.5), comm_job(51, 0, 1, 5, 0.5)];
-    let mut same_as_default = 0;
-    for (warm, width) in [(&contended[..], 10), (&[][..], 8)] {
-        let mut probe = comm_job(1, 0, 10_000, width, 0.6);
-        probe.comm = vec![
+    let flat = CostModel {
+        trunk_discount: 1.0,
+        ..CostModel::HOP_BYTES
+    };
+    let components = [
+        vec![(Pattern::Rhvd, 0.6)],
+        vec![
             (Pattern::Rhvd, 0.3),
             (Pattern::Rd, 0.2),
             (Pattern::Alltoall, 0.1),
-        ];
-        let mut eval = PlacementEvaluator::new();
+        ],
+    ];
+    let mut eval = PlacementEvaluator::new();
+    let mut same_as_default = 0;
+    for (warm, width) in [(&contended[..], 10), (&[][..], 8)] {
+        for comm in &components {
+            let probe = Job {
+                comm: comm.clone(),
+                ..comm_job(1, 0, 10_000, width, 0.6)
+            };
+            for kind in SelectorKind::ALL.into_iter().chain([SelectorKind::Sa]) {
+                for ratio_model in [CostModel::HOP_BYTES, flat] {
+                    let cfg = EngineConfig {
+                        ratio_model,
+                        ..EngineConfig::new(kind).with_sa(SaBudget::default(), 3)
+                    };
+                    let engine = Engine::new(&tree, cfg);
 
-        for kind in SelectorKind::ALL {
-            let cfg = EngineConfig::new(kind);
-            let engine = Engine::new(&tree, cfg);
+                    // A partially occupied, contended state (or an idle one).
+                    let mut state = ClusterState::new(&tree);
+                    for (i, j) in warm.iter().enumerate() {
+                        let sel = engine.build_selector();
+                        let req = AllocRequest::comm(j.id, j.nodes);
+                        let nodes = sel.select(&tree, &state, &req).unwrap();
+                        state
+                            .allocate(&tree, JobId(50 + i as u64), &nodes, j.nature)
+                            .unwrap();
+                    }
 
-            // A partially occupied, contended state (or an idle one).
-            let mut state = ClusterState::new(&tree);
-            for (i, j) in warm.iter().enumerate() {
-                let sel = engine.build_selector();
-                let req = AllocRequest::comm(j.id, j.nodes);
-                let nodes = sel.select(&tree, &state, &req).unwrap();
-                state
-                    .allocate(&tree, JobId(50 + i as u64), &nodes, j.nature)
-                    .unwrap();
+                    let selector = engine.build_selector();
+                    let placed = engine
+                        .place(&mut eval, &state, &probe, selector.as_ref(), &[], 0)
+                        .unwrap();
+
+                    // Naive replication (selectors are deterministic, so
+                    // re-selecting from the same state reproduces the
+                    // allocation).
+                    let req = AllocRequest {
+                        job: probe.id,
+                        nodes: probe.nodes,
+                        nature: probe.nature,
+                        pattern: Some(CollectiveSpec::new(probe.comm[0].0, cfg.msize)),
+                        attempt: 0,
+                    };
+                    let nodes = selector.select(&tree, &state, &req).unwrap();
+                    assert_eq!(nodes, placed.nodes, "{kind}: allocation changed");
+                    let default_nodes = DefaultTreeSelector.select(&tree, &state, &req).unwrap();
+                    if kind != SelectorKind::Default && default_nodes == nodes {
+                        same_as_default += 1;
+                    }
+                    // The naive path works on materialized node ids.
+                    let what_if = |alloc: &Placement| {
+                        let mut s = state.clone();
+                        s.allocate(&tree, JobId(u64::MAX), alloc, JobNature::CommIntensive)
+                            .unwrap();
+                        (s, alloc.nodes())
+                    };
+                    let (state_actual, nodes) = what_if(&nodes);
+                    let (state_default, default_nodes) = what_if(&default_nodes);
+                    let mut cost_actual = 0.0;
+                    let mut cost_default = 0.0;
+                    let mut adjusted = probe.runtime as f64 * (1.0 - probe.comm_fraction());
+                    for &(pattern, fraction) in &probe.comm {
+                        let spec = CollectiveSpec::new(pattern, cfg.msize);
+                        let cost = |model: &CostModel, s: &ClusterState, n: &[_]| {
+                            model.job_cost(&tree, s, n, &spec)
+                        };
+                        cost_actual += cost(&cfg.cost_model, &state_actual, &nodes);
+                        cost_default += cost(&cfg.cost_model, &state_default, &default_nodes);
+                        let ca = cost(&cfg.ratio_model, &state_actual, &nodes);
+                        let cd = cost(&cfg.ratio_model, &state_default, &default_nodes);
+                        let ratio = if cd > 0.0 { ca / cd } else { 1.0 };
+                        adjusted += probe.runtime as f64 * fraction * ratio;
+                    }
+
+                    let case = format!(
+                        "{kind}, {} components, ratio discount {}",
+                        probe.comm.len(),
+                        ratio_model.trunk_discount
+                    );
+                    assert_eq!(
+                        placed.cost_actual.to_bits(),
+                        cost_actual.to_bits(),
+                        "{case}: cost_actual diverged from naive ({} vs {})",
+                        placed.cost_actual,
+                        cost_actual
+                    );
+                    assert_eq!(
+                        placed.cost_default.to_bits(),
+                        cost_default.to_bits(),
+                        "{case}: cost_default diverged from naive ({} vs {})",
+                        placed.cost_default,
+                        cost_default
+                    );
+                    assert_eq!(
+                        placed.adjusted,
+                        adjusted.round().max(1.0) as u64,
+                        "{case}: adjusted runtime diverged from naive"
+                    );
+                }
             }
-
-            let selector = engine.build_selector();
-            let placed = engine
-                .place(&mut eval, &state, &probe, selector.as_ref(), &[], 0)
-                .unwrap();
-
-            // Naive replication (selectors are deterministic, so re-selecting
-            // from the same state reproduces the allocation).
-            let req = AllocRequest {
-                job: probe.id,
-                nodes: probe.nodes,
-                nature: probe.nature,
-                pattern: probe
-                    .comm
-                    .first()
-                    .map(|(p, _)| CollectiveSpec::new(*p, cfg.msize)),
-                attempt: 0,
-            };
-            let nodes = selector.select(&tree, &state, &req).unwrap();
-            assert_eq!(nodes, placed.nodes, "{kind}: allocation changed");
-            let default_nodes = if kind == SelectorKind::Default {
-                nodes.clone()
-            } else {
-                DefaultTreeSelector.select(&tree, &state, &req).unwrap()
-            };
-            if kind != SelectorKind::Default && default_nodes == nodes {
-                same_as_default += 1;
-            }
-            // The naive path works on materialized node ids.
-            let what_if = |alloc: &commsched_core::Placement| {
-                let mut s = state.clone();
-                s.allocate(&tree, JobId(u64::MAX), alloc, JobNature::CommIntensive)
-                    .unwrap();
-                (s, alloc.nodes())
-            };
-            let (state_actual, nodes) = what_if(&nodes);
-            let (state_default, default_nodes) = what_if(&default_nodes);
-            let mut cost_actual = 0.0;
-            let mut cost_default = 0.0;
-            let mut adjusted = probe.runtime as f64 * (1.0 - probe.comm_fraction());
-            for &(pattern, fraction) in &probe.comm {
-                let spec = CollectiveSpec::new(pattern, cfg.msize);
-                cost_actual += cfg.cost_model.job_cost(&tree, &state_actual, &nodes, &spec);
-                cost_default +=
-                    cfg.cost_model
-                        .job_cost(&tree, &state_default, &default_nodes, &spec);
-                let ca = cfg
-                    .ratio_model
-                    .job_cost(&tree, &state_actual, &nodes, &spec);
-                let cd = cfg
-                    .ratio_model
-                    .job_cost(&tree, &state_default, &default_nodes, &spec);
-                let ratio = if cd > 0.0 { ca / cd } else { 1.0 };
-                adjusted += probe.runtime as f64 * fraction * ratio;
-            }
-
-            assert_eq!(
-                placed.cost_actual.to_bits(),
-                cost_actual.to_bits(),
-                "{kind}: cost_actual diverged from naive ({} vs {})",
-                placed.cost_actual,
-                cost_actual
-            );
-            assert_eq!(
-                placed.cost_default.to_bits(),
-                cost_default.to_bits(),
-                "{kind}: cost_default diverged from naive ({} vs {})",
-                placed.cost_default,
-                cost_default
-            );
-            assert_eq!(
-                placed.adjusted,
-                adjusted.round().max(1.0) as u64,
-                "{kind}: adjusted runtime diverged from naive"
-            );
-            // Exercising a non-fused discount pair (cost model keeps ½, ratio
-            // model prices a flat trunk) must agree with its own naive run too.
-            let flat = CostModel {
-                trunk_discount: 1.0,
-                ..cfg.ratio_model
-            };
-            let cfg2 = EngineConfig {
-                ratio_model: flat,
-                ..cfg
-            };
-            let engine2 = Engine::new(&tree, cfg2);
-            let placed2 = engine2
-                .place(&mut eval, &state, &probe, selector.as_ref(), &[], 0)
-                .unwrap();
-            let mut adjusted2 = probe.runtime as f64 * (1.0 - probe.comm_fraction());
-            for &(pattern, fraction) in &probe.comm {
-                let spec = CollectiveSpec::new(pattern, cfg.msize);
-                let ca = flat.job_cost(&tree, &state_actual, &nodes, &spec);
-                let cd = flat.job_cost(&tree, &state_default, &default_nodes, &spec);
-                let ratio = if cd > 0.0 { ca / cd } else { 1.0 };
-                adjusted2 += probe.runtime as f64 * fraction * ratio;
-            }
-            assert_eq!(
-                placed2.cost_actual.to_bits(),
-                cost_actual.to_bits(),
-                "{kind}"
-            );
-            assert_eq!(
-                placed2.adjusted,
-                adjusted2.round().max(1.0) as u64,
-                "{kind}: non-fused adjusted runtime diverged from naive"
-            );
         }
     }
     assert!(
         same_as_default > 0,
         "no non-default placement coincided with the default one"
+    );
+}
+
+#[test]
+fn place_scores_only_what_its_selector_did_not() {
+    // On an Intrepid-shaped adaptive log, `place` runs an Eq. 6 evaluation
+    // exactly for the candidates the adaptive decision left unscored under
+    // a component's collective: the winner when greedy and balanced
+    // coincided (nothing scored), and the Eq. 7 default when it is neither
+    // the winner nor a scored loser. Both models share one trunk discount,
+    // so one evaluation serves both.
+    use commsched_collectives::CollectiveSpec;
+    use commsched_core::{
+        AllocRequest, ClusterState, DefaultTreeSelector, NodeSelector, PlacementEvaluator,
+    };
+    use commsched_topology::SystemPreset;
+    use std::collections::VecDeque;
+
+    let tree = SystemPreset::Intrepid.build();
+    let log = LogSpec::new(SystemModel::intrepid(), 120, 11)
+        .comm_percent(90)
+        .generate();
+    let cfg = EngineConfig::new(SelectorKind::Adaptive);
+    let engine = Engine::new(&tree, cfg);
+    let selector = engine.build_selector();
+    let mut eval = PlacementEvaluator::new();
+    let mut state = ClusterState::new(&tree);
+    let mut running = VecDeque::new();
+    let (mut expected, mut afresh) = (0, 0);
+    let (mut default_unscored, mut comm_jobs) = (0, 0);
+    for job in &log.jobs {
+        while state.free_total() < job.nodes {
+            state.release(&tree, running.pop_front().unwrap()).unwrap();
+        }
+        let placed = engine
+            .place(&mut eval, &state, job, selector.as_ref(), &[], 0)
+            .unwrap();
+        if job.nature.is_comm() && !job.comm.is_empty() {
+            comm_jobs += 1;
+            let req = AllocRequest {
+                job: job.id,
+                nodes: job.nodes,
+                nature: job.nature,
+                pattern: Some(CollectiveSpec::new(job.comm[0].0, cfg.msize)),
+                attempt: 0,
+            };
+            let decision = selector.decide(&tree, &state, &req).unwrap();
+            assert_eq!(decision.placement, placed.nodes);
+            let default = DefaultTreeSelector.select(&tree, &state, &req).unwrap();
+            let mut candidates = vec![placed.nodes.takes()];
+            if default != placed.nodes {
+                candidates.push(default.takes());
+            }
+            let unscored = |takes: &[(usize, u32)], pattern| {
+                let spec = CollectiveSpec::new(pattern, cfg.msize);
+                decision
+                    .scored(takes, &spec, cfg.cost_model.trunk_discount)
+                    .is_none()
+            };
+            for &(pattern, _) in &job.comm {
+                expected += candidates.iter().filter(|t| unscored(t, pattern)).count() as u64;
+                afresh += candidates.len() as u64;
+            }
+            if candidates.len() == 2 && unscored(default.takes(), job.comm[0].0) {
+                default_unscored += 1;
+            }
+        }
+        state
+            .allocate(&tree, job.id, &placed.nodes, job.nature)
+            .unwrap();
+        running.push_back(job.id);
+    }
+    assert_eq!(engine.evals.get(), expected);
+    // The log exercises both sides — defaults the selector had scored and
+    // defaults it had not — and reuse saves evaluations against scoring
+    // the winner and a distinct default afresh.
+    assert!(0 < default_unscored && default_unscored < comm_jobs);
+    assert!(
+        expected < afresh,
+        "{expected} evaluations where scoring afresh takes {afresh}"
     );
 }
 

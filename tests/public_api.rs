@@ -2,7 +2,8 @@
 //!
 //! Every `pub fn|struct|enum|trait|const|type|mod|use` item head in `src/`
 //! and `crates/*/src/` — not `pub(crate)`, not under `#[cfg(test)]`, not in
-//! a `tests.rs` — is listed per file, in source order, and compared with
+//! a `tests.rs` — and every method signature of a public trait, indented
+//! under it, is listed per file, in source order, and compared with
 //! `tests/golden/public_api.txt`. Growing (or shrinking) the surface is
 //! then a reviewed diff of that file rather than something a reader has to
 //! notice: the slow twins of DESIGN.md §4.14 were public for seven PRs
@@ -88,6 +89,8 @@ fn scan(file: &Path, text: &str) -> (Vec<String>, Vec<PathBuf>) {
     let mut lines = text.lines().map(str::trim);
     // Set by `#[cfg(test)]`, consumed by the item the attribute sits on.
     let mut test_only = false;
+    // Brace depth inside a public trait's body; 0 outside one.
+    let mut trait_depth = 0i64;
     while let Some(line) = lines.next() {
         if line.starts_with("#[cfg(test)]") {
             test_only = true;
@@ -114,7 +117,14 @@ fn scan(file: &Path, text: &str) -> (Vec<String>, Vec<PathBuf>) {
             }
             continue;
         }
-        if !is_public_item(line) {
+        // A method at the top level of a public trait's body is listed,
+        // indented, under the trait; the body's other lines only move the
+        // depth.
+        let method = trait_depth == 1 && line.starts_with("fn ");
+        if !is_public_item(line) && !method {
+            if trait_depth > 0 {
+                trait_depth += brace_delta(line);
+            }
             continue;
         }
         let mut head = line.to_string();
@@ -134,6 +144,11 @@ fn scan(file: &Path, text: &str) -> (Vec<String>, Vec<PathBuf>) {
                 None => break,
             }
         }
+        if method {
+            trait_depth += brace_delta(&head);
+        } else if head.starts_with("pub trait ") && head.ends_with('{') {
+            trait_depth = 1;
+        }
         // Keep the signature, drop the body / value.
         let cut = if is_use {
             head.len()
@@ -149,7 +164,7 @@ fn scan(file: &Path, text: &str) -> (Vec<String>, Vec<PathBuf>) {
             .replace(", )", ")")
             .replace("{ ", "{")
             .replace(", }", "}");
-        items.push(head);
+        items.push(if method { format!("  {head}") } else { head });
     }
     (items, test_modules)
 }
@@ -248,6 +263,17 @@ pub const N: usize = 3;
 pub use a::{
     B, C,
 };
+pub trait T: Send {
+    /// Doc with a brace {.
+    fn required(
+        &self,
+        x: u32,
+    ) -> u32;
+    fn provided(&self) -> u32 {
+        if true { 1 } else { 2 }
+    }
+}
+pub fn after() {}
 ";
     let (items, mods) = scan(Path::new("crates/x/src/lib.rs"), text);
     assert_eq!(
@@ -258,6 +284,10 @@ pub use a::{
             "pub fn long(&self, x: u32) -> u32",
             "pub const N: usize",
             "pub use a::{B, C}",
+            "pub trait T: Send",
+            "  fn required(&self, x: u32) -> u32",
+            "  fn provided(&self) -> u32",
+            "pub fn after()",
         ]
     );
     assert_eq!(mods, [PathBuf::from("crates/x/src/select_scan")]);
