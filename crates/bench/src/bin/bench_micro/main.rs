@@ -43,7 +43,7 @@ use commsched_bench::perf::{NetsimCase, PlacementCase};
 use commsched_bench::{ExperimentResult, Scale};
 use commsched_core::{
     AllocRequest, ClusterState, DefaultTreeSelector, JobId, JobNature, NodeSelector, Placement,
-    PlacementEvaluator, SelectorKind,
+    SelectorKind,
 };
 use commsched_slurmsim::individual::individual_runs;
 use commsched_slurmsim::EngineConfig;
@@ -51,7 +51,6 @@ use commsched_topology::{NodeId, SystemPreset, Tree};
 use rayon::ThreadPoolBuilder;
 use serde::Serialize;
 use serde_json::{json, Value};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Single calls per row median, and whole searches per SA measurement.
@@ -205,15 +204,14 @@ fn whole_leaf_case(tree: &Tree) -> (ClusterState, Placement) {
 }
 
 /// Evaluator calls per second over [`ITERS`] seeded searches on Theta.
-/// Distinct seeds keep the walk from replaying one memoized trajectory;
-/// the evaluator is shared across searches as the engine shares it across
-/// jobs.
+/// Distinct seeds keep the walk from replaying one trajectory; each search
+/// is one whole `decide`, its scratch evaluator included, as the engine
+/// runs it per job.
 fn measure_sa() -> f64 {
     let case = PlacementCase::new(SystemPreset::Theta, 256);
-    let eval = Arc::new(Mutex::new(PlacementEvaluator::new()));
     // The annealing loop must run, or this would time the incumbent path.
     let search = |seed| {
-        case.run_sa(SA_BUDGET, seed, &eval)
+        case.run_sa(SA_BUDGET, seed)
             .expect("theta case enters the annealing loop")
             .evals
     };

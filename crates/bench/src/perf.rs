@@ -1,15 +1,15 @@
 //! Measured units behind `bench_micro` (`BENCH_micro.json`), each a shipped
 //! path set up the way the engine uses it: node selection over the
-//! free-count index, the annealed search through the shared
-//! [`PlacementEvaluator`], and the incremental-solver flow simulator (a
+//! free-count index, the annealed search as one [`SaSelector`] decision,
+//! and the incremental-solver flow simulator (a
 //! placement row runs `Engine::place` itself on [`PlacementCase::probe`]).
 //! The slow references are test oracles in `commsched-core` and
 //! `commsched-netsim` (DESIGN.md §4.14), checked there on these scenarios.
 
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_core::{
-    AllocRequest, BalancedSelector, ClusterState, CostModel, DefaultTreeSelector, GreedySelector,
-    JobId, JobNature, NodeSelector, Placement, PlacementEvaluator,
+    AllocRequest, BalancedSelector, ClusterState, DefaultTreeSelector, GreedySelector, JobId,
+    JobNature, NodeSelector, Placement, SaBudget, SaSelector, SaStats,
 };
 use commsched_netsim::{FlowSim, JobResult, NetConfig, Workload};
 use commsched_topology::{NodeId, SystemPreset, Tree};
@@ -82,27 +82,16 @@ impl PlacementCase {
         ]
     }
 
-    /// One full annealed search over the case's probe request through the
-    /// shared evaluator: the `sa_evals_per_sec` measured unit. Returns the
-    /// search stats; `None` means the search returned the incumbent
-    /// without ever entering the annealing loop (zero budget, compute
-    /// probe, or a single candidate leaf).
-    pub fn run_sa(
-        &self,
-        budget: u32,
-        seed: u64,
-        eval: &std::sync::Arc<std::sync::Mutex<PlacementEvaluator>>,
-    ) -> Option<commsched_core::SaStats> {
-        let selector = commsched_core::SaSelector::with_evaluator(
-            CostModel::HOP_BYTES,
-            commsched_core::SaBudget::with_evals(budget),
-            seed,
-            eval.clone(),
-        );
-        selector
-            .select(&self.tree, &self.state, &self.request_of(self.probe.nodes))
-            .unwrap();
-        selector.take_search_stats()
+    /// One full annealed search over the case's probe request: the
+    /// `sa_evals_per_sec` measured unit. Returns the decision's search
+    /// stats; `None` means the search returned the incumbent without ever
+    /// entering the annealing loop (zero budget, compute probe, or a
+    /// single candidate leaf).
+    pub fn run_sa(&self, budget: u32, seed: u64) -> Option<SaStats> {
+        SaSelector::new(SaBudget::with_evals(budget), seed)
+            .decide(&self.tree, &self.state, &self.request_of(self.probe.nodes))
+            .unwrap()
+            .search
     }
 }
 

@@ -6,7 +6,8 @@
 //! *swap* two leaves' grants under the switch the incumbent's own descent
 //! stopped at (the one `topology/tree` picks), and
 //! every proposal is scored with the fused what-if [`PlacementEvaluator`]
-//! — no `ClusterState` clones, the hop memo re-stamps per proposal. The
+//! — no `ClusterState` clones, the hop memo re-stamps per proposal, and the
+//! evaluator is a scratch local to one `decide`. The
 //! acceptance rule is classic Metropolis with geometric cooling; see
 //! DESIGN.md §4.10 for the determinism argument.
 //!
@@ -22,7 +23,8 @@
 //!   search only replaces it when a strictly cheaper candidate was found;
 //! * the decision carries the totals of every candidate scored outside
 //!   the loop — the adaptive pair, or the incumbent when the pair
-//!   coincided — plus the best proposal's when it replaced the incumbent.
+//!   coincided — plus the best proposal's when it replaced the incumbent,
+//!   and, when the loop ran, its [`SaStats`] in [`Decision::search`].
 #![deny(clippy::as_conversions)]
 
 use crate::cost::CostModel;
@@ -36,7 +38,6 @@ use commsched_topology::Tree;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use std::sync::{Arc, Mutex};
 
 /// Annealing budget and temperature schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,11 +108,9 @@ pub(crate) fn derive_seed(run_seed: u64, job: JobId, attempt: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Budgeted simulated-annealing selector over the free-count index.
-///
-/// Scores proposals through a [`PlacementEvaluator`] and keeps the last
-/// search's [`SaStats`] for [`NodeSelector::take_search_stats`].
-#[derive(Debug)]
+/// Budgeted simulated-annealing selector over the free-count index: plain
+/// configuration, so a decision depends on nothing but its arguments.
+#[derive(Debug, Clone, Copy)]
 pub struct SaSelector {
     /// Cost model proposals are scored under (hop-bytes by default, like
     /// the adaptive rule it refines).
@@ -120,10 +119,6 @@ pub struct SaSelector {
     pub budget: SaBudget,
     /// Run seed the per-job search seed is derived from.
     pub seed: u64,
-    eval: Arc<Mutex<PlacementEvaluator>>,
-    /// Statistics of the search the last `decide` ran; cleared on entry
-    /// to `decide`, so a placement that ran none leaves nothing stale.
-    stats: Mutex<Option<SaStats>>,
 }
 
 impl Default for SaSelector {
@@ -133,39 +128,23 @@ impl Default for SaSelector {
 }
 
 impl SaSelector {
-    /// SA under hop-bytes with a private evaluator.
+    /// SA under hop-bytes.
     pub fn new(budget: SaBudget, seed: u64) -> Self {
-        SaSelector::with_evaluator(
-            CostModel::HOP_BYTES,
-            budget,
-            seed,
-            Arc::new(Mutex::new(PlacementEvaluator::new())),
-        )
-    }
-
-    /// SA scoring through `eval`. An evaluator keeps no results between
-    /// calls, so sharing one only shares its buffers.
-    pub fn with_evaluator(
-        cost: CostModel,
-        budget: SaBudget,
-        seed: u64,
-        eval: Arc<Mutex<PlacementEvaluator>>,
-    ) -> Self {
         SaSelector {
-            cost,
+            cost: CostModel::HOP_BYTES,
             budget,
             seed,
-            eval,
-            stats: Mutex::new(None),
         }
     }
 
     /// Run the annealing loop from the adaptive `incumbent`, over the
-    /// leaves under the switch its descent stopped at; returns the refined
-    /// choice (or the incumbent unchanged when no strictly cheaper
-    /// candidate was found) and records [`SaStats`].
+    /// leaves under the switch its descent stopped at, scoring through
+    /// `eval`; returns the refined choice (or the incumbent's takes
+    /// unchanged when no strictly cheaper candidate was found) with the
+    /// loop's [`SaStats`] as its `search`.
     fn anneal(
         &self,
+        eval: &mut PlacementEvaluator,
         tree: &Tree,
         state: &ClusterState,
         req: &AllocRequest,
@@ -199,9 +178,6 @@ impl SaSelector {
         }
         let spec = req.spec();
         let discount = self.cost.trunk_discount;
-        let Ok(mut eval) = self.eval.lock() else {
-            return incumbent;
-        };
         let totals_incumbent = incumbent.totals().unwrap_or_else(|| {
             // The adaptive rule scored nothing (its two candidates
             // coincided): score the incumbent here, and keep the totals.
@@ -270,18 +246,16 @@ impl SaSelector {
         } else {
             cost_incumbent
         };
-        if let Ok(mut slot) = self.stats.lock() {
-            *slot = Some(SaStats {
-                job: req.job,
-                attempt: req.attempt,
-                budget: self.budget.max_evals,
-                evals,
-                accepted,
-                rejected,
-                cost_incumbent,
-                cost_final,
-            });
-        }
+        incumbent.search = Some(SaStats {
+            job: req.job,
+            attempt: req.attempt,
+            budget: self.budget.max_evals,
+            evals,
+            accepted,
+            rejected,
+            cost_incumbent,
+            cost_final,
+        });
         incumbent
     }
 }
@@ -343,17 +317,13 @@ impl NodeSelector for SaSelector {
         state: &ClusterState,
         req: &AllocRequest,
     ) -> Result<Decision, SelectError> {
-        // A fresh slot per placement: one that runs no search below must
-        // not report the previous job's.
-        self.take_search_stats();
-        let mut choice = adaptive_choice(&self.cost, &self.eval, tree, state, req)?;
+        // One scratch evaluator scores the incumbent pair and every
+        // proposal; it keeps buffers, never results, and dies here.
+        let mut eval = PlacementEvaluator::new();
+        let mut choice = adaptive_choice(&self.cost, &mut eval, tree, state, req)?;
         if self.budget.max_evals > 0 && req.nature.is_comm() {
-            choice = self.anneal(tree, state, req, choice);
+            choice = self.anneal(&mut eval, tree, state, req, choice);
         }
         Ok(choice.resolve(tree, state))
-    }
-
-    fn take_search_stats(&self) -> Option<SaStats> {
-        self.stats.lock().ok().and_then(|mut s| s.take())
     }
 }

@@ -6,10 +6,10 @@
 //! order over leaf takes*: it decides how many nodes to take from which
 //! leaf, and only the chosen `(leaf ordinal, count)` list reaches
 //! [`Placement`], which resolves the ids. A selection returns a
-//! [`Decision`]: the placement, the switch the descent stopped at and the
-//! candidates it scored. A placement costs O(tree height + leaves actually
-//! granted) plus, per partly occupied granted leaf, a scan of its packed
-//! free bits 64 nodes at a time.
+//! [`Decision`]: the placement, the switch the descent stopped at, the
+//! candidates it scored and, for SA, its search statistics. A placement
+//! costs O(tree height + leaves actually granted) plus, per partly occupied
+//! granted leaf, a scan of its packed free bits 64 nodes at a time.
 //! The pre-index linear-scan algorithms live on as the test-only
 //! `select_scan` module, still building id lists node by node; the
 //! property tests in `tests` assert the two choose identical node sets.
@@ -24,7 +24,7 @@ use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_num::{u32_of_usize, usize_of_u32};
 use commsched_topology::{SwitchId, Tree};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A node-allocation request, the paper's job parameters: size, nature and
 /// (for the adaptive selector and the cost model) the dominant collective.
@@ -123,10 +123,10 @@ pub(crate) struct Scored {
 }
 
 /// What one selection decided: the chosen placement, the switch the
-/// descent stopped at, and every candidate the selector scored by Eq. 6
-/// on the way — so a caller pricing the placement (or SLURM's default
-/// from the same state, Eq. 7) reuses those totals instead of scoring
-/// again.
+/// descent stopped at, every candidate the selector scored by Eq. 6 on
+/// the way — so a caller pricing the placement (or SLURM's default from
+/// the same state, Eq. 7) reuses those totals instead of scoring again —
+/// and the statistics of the search that refined it, if one ran.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decision {
     /// The chosen nodes.
@@ -135,6 +135,10 @@ pub struct Decision {
     /// candidate lies under it.
     pub switch: SwitchId,
     pub(crate) candidates: Vec<Scored>,
+    /// The annealing search behind this placement: `Some` only when
+    /// [`crate::SaSelector`]'s loop ran (a comm-intensive job, a non-zero
+    /// budget and more than one candidate leaf).
+    pub search: Option<SaStats>,
 }
 
 impl Decision {
@@ -177,6 +181,7 @@ pub(crate) struct Choice {
     /// The chosen takes, ascending by leaf ordinal.
     pub(crate) takes: Vec<(usize, u32)>,
     pub(crate) candidates: Vec<Scored>,
+    pub(crate) search: Option<SaStats>,
 }
 
 impl Choice {
@@ -194,6 +199,7 @@ impl Choice {
             placement: Placement::from_takes(tree, state, self.takes),
             switch: self.switch,
             candidates: self.candidates,
+            search: self.search,
         }
     }
 }
@@ -225,12 +231,6 @@ pub trait NodeSelector: Send + Sync {
         req: &AllocRequest,
     ) -> Result<Placement, SelectError> {
         self.decide(tree, state, req).map(|d| d.placement)
-    }
-
-    /// Take (and clear) the statistics of the search the last `decide`
-    /// ran, if it ran one — only [`crate::SaSelector`] ever does.
-    fn take_search_stats(&self) -> Option<SaStats> {
-        None
     }
 }
 
@@ -283,6 +283,7 @@ fn decide_by(
         switch,
         takes,
         candidates: Vec::new(),
+        search: None,
     }
     .resolve(tree, state))
 }
@@ -513,7 +514,8 @@ impl Default for AdaptiveSelector {
 
 impl AdaptiveSelector {
     /// Adaptive selection scoring through `eval`. An evaluator keeps no
-    /// results between calls, so sharing one only shares its buffers.
+    /// results between calls, so sharing one only shares its buffers, and
+    /// a lock poisoned by a panic elsewhere guards nothing stale.
     pub fn with_evaluator(cost: CostModel, eval: Arc<Mutex<PlacementEvaluator>>) -> Self {
         AdaptiveSelector { cost, eval }
     }
@@ -521,13 +523,13 @@ impl AdaptiveSelector {
 
 /// The §4.3 rule, shared by [`AdaptiveSelector`] and the incumbent of
 /// [`crate::SaSelector`]: one descent, greedy and balanced filled under its
-/// switch and scored under `cost`, the cheaper kept for a
+/// switch and scored under `cost` through `eval`, the cheaper kept for a
 /// communication-intensive job (balanced on ties) and the costlier for a
 /// compute-intensive one. Both candidates are scored unless they coincide,
 /// in which case nothing is.
 pub(crate) fn adaptive_choice(
     cost: &CostModel,
-    eval: &Mutex<PlacementEvaluator>,
+    eval: &mut PlacementEvaluator,
     tree: &Tree,
     state: &ClusterState,
     req: &AllocRequest,
@@ -544,14 +546,10 @@ pub(crate) fn adaptive_choice(
             switch,
             takes: balanced,
             candidates: Vec::new(),
+            search: None,
         });
     }
     let spec = req.spec();
-    #[expect(
-        clippy::expect_used,
-        reason = "a poisoned mutex means another thread already panicked mid-evaluation; propagating is the only sound response"
-    )]
-    let mut eval = eval.lock().expect("evaluator mutex poisoned");
     let mut score = |takes: Vec<(usize, u32)>| Scored {
         totals: eval.evaluate_takes(tree, state, cost.trunk_discount, &takes, &spec),
         takes,
@@ -572,6 +570,7 @@ pub(crate) fn adaptive_choice(
         switch,
         takes: scored[usize::from(take_balanced)].takes.clone(),
         candidates: scored,
+        search: None,
     })
 }
 
@@ -586,7 +585,8 @@ impl NodeSelector for AdaptiveSelector {
         state: &ClusterState,
         req: &AllocRequest,
     ) -> Result<Decision, SelectError> {
-        adaptive_choice(&self.cost, &self.eval, tree, state, req).map(|c| c.resolve(tree, state))
+        let mut eval = self.eval.lock().unwrap_or_else(PoisonError::into_inner);
+        adaptive_choice(&self.cost, &mut eval, tree, state, req).map(|c| c.resolve(tree, state))
     }
 }
 

@@ -2505,9 +2505,9 @@ mod sa_properties {
 
     proptest! {
         /// The same (tree, state, request, budget, seed) always yields the
-        /// same placement — even through a *fresh* selector whose
-        /// evaluator has no history, so warm memos cannot leak into the
-        /// outcome.
+        /// same decision — placement, scored candidates and search
+        /// statistics — on one selector around an unrelated decision, and
+        /// through a *fresh* selector: nothing carries between decisions.
         #[test]
         fn same_seed_same_placement(
             sizes in arb_leaf_sizes(),
@@ -2522,13 +2522,16 @@ mod sa_properties {
             let req = AllocRequest::comm(JobId(5), want)
                 .with_pattern(CollectiveSpec::new(Pattern::Rhvd, 1 << 16));
             let sa = SaSelector::new(SaBudget::with_evals(budget), sa_seed);
-            let first = sa.select(&tree, &st, &req).unwrap();
-            let replay = sa.select(&tree, &st, &req).unwrap();
+            let first = sa.decide(&tree, &st, &req).unwrap();
+            let other = AllocRequest::comm(JobId(6), st.free_total())
+                .with_pattern(CollectiveSpec::new(Pattern::Binomial, 1 << 12));
+            sa.decide(&tree, &st, &other).unwrap();
+            let replay = sa.decide(&tree, &st, &req).unwrap();
             prop_assert_eq!(&first, &replay, "same selector replays differently");
             let fresh = SaSelector::new(SaBudget::with_evals(budget), sa_seed)
-                .select(&tree, &st, &req)
+                .decide(&tree, &st, &req)
                 .unwrap();
-            prop_assert_eq!(&first, &fresh, "evaluator history changed the placement");
+            prop_assert_eq!(&first, &fresh, "a fresh selector decides differently");
         }
 
         /// The returned placement never costs more than the adaptive
@@ -2686,10 +2689,11 @@ mod sa_properties {
             prop_assume!(want <= st.free_total());
             let req = AllocRequest::comm(JobId(5), want)
                 .with_pattern(CollectiveSpec::new(Pattern::Rhvd, 1 << 16));
-            let sa = SaSelector::new(SaBudget::with_evals(48), sa_seed);
-            let got = sa.select(&tree, &st, &req).unwrap();
-            if let Some(stats) = sa.take_search_stats() {
-                let measured = hop_bytes_cost(&tree, &st, &got, &req.spec());
+            let got = SaSelector::new(SaBudget::with_evals(48), sa_seed)
+                .decide(&tree, &st, &req)
+                .unwrap();
+            if let Some(stats) = got.search {
+                let measured = hop_bytes_cost(&tree, &st, &got.placement, &req.spec());
                 prop_assert_eq!(stats.cost_final.to_bits(), measured.to_bits());
                 prop_assert!(stats.cost_final <= stats.cost_incumbent);
             }
@@ -2721,46 +2725,45 @@ mod sa_properties {
         let sa = SaSelector::new(SaBudget::with_evals(64), 42);
         let req = AllocRequest::comm(JobId(9), 20)
             .with_pattern(CollectiveSpec::new(Pattern::Rhvd, 1 << 20));
-        let first = sa.select(&tree, &st, &req).unwrap();
-        let stats_first = sa.take_search_stats().expect("search ran");
+        let first = sa.decide(&tree, &st, &req).unwrap();
+        let stats_first = first.search.expect("search ran");
         let retry_req = AllocRequest { attempt: 1, ..req };
-        let retry = sa.select(&tree, &st, &retry_req).unwrap();
-        let stats_retry = sa.take_search_stats().expect("search ran");
+        let retry = sa.decide(&tree, &st, &retry_req).unwrap();
+        let stats_retry = retry.search.expect("search ran");
         assert_eq!(stats_first.attempt, 0);
         assert_eq!(stats_retry.attempt, 1);
         // Different seed, different walk: the accept/reject tallies (or
         // the placements themselves) must diverge.
         assert!(
-            first != retry
+            first.placement != retry.placement
                 || (stats_first.accepted, stats_first.rejected)
                     != (stats_retry.accepted, stats_retry.rejected),
             "attempt 1 replayed attempt 0's search exactly"
         );
     }
 
-    /// The selector owns the freshness of its statistics: a search leaves
-    /// one record, and a later placement that runs no search (compute job,
-    /// zero budget) never reports the previous job's.
+    /// A search's statistics ride the decision it made: a placement that
+    /// runs no search (compute job, zero budget) reports none, whatever
+    /// the selector decided before.
     #[test]
     fn search_stats_are_fresh_per_select() {
         let (tree, st) = sa_scenario(&[16, 16, 16, 16], 40, 11);
         let spec = CollectiveSpec::new(Pattern::Rhvd, 1 << 20);
         let comm = AllocRequest::comm(JobId(9), 20).with_pattern(spec);
         let sa = SaSelector::new(SaBudget::with_evals(64), 42);
-        sa.select(&tree, &st, &comm).unwrap();
-        let searched = sa.take_search_stats().expect("search ran");
+        let decided = sa.decide(&tree, &st, &comm).unwrap();
+        let searched = decided.search.expect("search ran");
         assert_eq!((searched.job, searched.budget), (JobId(9), 64));
-        // A record left untaken is cleared by the next placement, which
-        // (compute-intensive) runs no search of its own.
-        sa.select(&tree, &st, &comm).unwrap();
+        // A compute-intensive placement right after two searches runs no
+        // search of its own, and reports none.
+        sa.decide(&tree, &st, &comm).unwrap();
         let compute = AllocRequest::compute(JobId(10), 20).with_pattern(spec);
-        sa.select(&tree, &st, &compute).unwrap();
-        assert_eq!(sa.take_search_stats(), None);
+        assert_eq!(sa.decide(&tree, &st, &compute).unwrap().search, None);
         let sa0 = SaSelector::new(SaBudget::with_evals(0), 42);
-        sa0.select(&tree, &st, &comm).unwrap();
-        assert_eq!(sa0.take_search_stats(), None);
-        // Selectors that never search use the trait's default.
-        assert_eq!(AdaptiveSelector::default().take_search_stats(), None);
+        assert_eq!(sa0.decide(&tree, &st, &comm).unwrap().search, None);
+        // Selectors that never search never report one.
+        let adaptive = AdaptiveSelector::default().decide(&tree, &st, &comm);
+        assert_eq!(adaptive.unwrap().search, None);
     }
 }
 
@@ -3626,10 +3629,13 @@ mod decisions {
         }
     }
 
+    /// `sa_budget` is the selector's annealing budget, `None` for a
+    /// selector that is not SA.
     fn assert_decision(
         tree: &Tree,
         st: &ClusterState,
         selector: &dyn NodeSelector,
+        sa_budget: Option<u32>,
         req: &AllocRequest,
     ) -> Result<(), TestCaseError> {
         let name = selector.name();
@@ -3686,6 +3692,31 @@ mod decisions {
             "{}: default fill under the decision's switch",
             name
         );
+        // Only SA's loop reports a search — never at budget 0 or for a
+        // compute job — and what it reports is this request's, under this
+        // budget, and the cost of the placement it returned.
+        if let Some(search) = decision.search {
+            prop_assert!(
+                sa_budget.is_some_and(|b| b > 0) && req.nature.is_comm(),
+                "{}: reported a search it cannot have run",
+                name
+            );
+            prop_assert_eq!(
+                (search.job, search.attempt, Some(search.budget)),
+                (req.job, req.attempt, sa_budget)
+            );
+            prop_assert!(search.cost_final <= search.cost_incumbent);
+            let measured = PlacementEvaluator::new()
+                .evaluate(
+                    tree,
+                    st,
+                    CostModel::HOP_BYTES.trunk_discount,
+                    &decision.placement,
+                    &req.spec(),
+                )
+                .for_model(&CostModel::HOP_BYTES);
+            prop_assert_eq!(search.cost_final.to_bits(), measured.to_bits());
+        }
         Ok(())
     }
 
@@ -3700,6 +3731,7 @@ mod decisions {
             sa_seed in any::<u64>(),
             want in 1usize..40,
             comm in any::<bool>(),
+            attempt in 0u32..3,
             pattern in prop::sample::select(vec![Pattern::Rd, Pattern::Rhvd, Pattern::Binomial]),
         ) {
             let tree = tree_of(shape);
@@ -3712,17 +3744,57 @@ mod decisions {
                 AllocRequest::compute(JobId(7), want)
             }
             .with_pattern(spec);
-            let selectors: [Box<dyn NodeSelector>; 6] = [
-                Box::new(DefaultTreeSelector),
-                Box::new(GreedySelector),
-                Box::new(BalancedSelector),
-                Box::new(AdaptiveSelector::default()),
-                Box::new(SaSelector::new(SaBudget::with_evals(0), sa_seed)),
-                Box::new(SaSelector::new(SaBudget::with_evals(256), sa_seed)),
+            let req = AllocRequest { attempt, ..req };
+            let sa = |budget| SaSelector::new(SaBudget::with_evals(budget), sa_seed);
+            let selectors: [(Box<dyn NodeSelector>, Option<u32>); 6] = [
+                (Box::new(DefaultTreeSelector), None),
+                (Box::new(GreedySelector), None),
+                (Box::new(BalancedSelector), None),
+                (Box::new(AdaptiveSelector::default()), None),
+                (Box::new(sa(0)), Some(0)),
+                (Box::new(sa(256)), Some(256)),
             ];
-            for selector in &selectors {
-                assert_decision(&tree, &st, selector.as_ref(), &req)?;
+            for (selector, sa_budget) in &selectors {
+                assert_decision(&tree, &st, selector.as_ref(), *sa_budget, &req)?;
             }
         }
+    }
+
+    /// An evaluator keeps no results between calls, so a lock poisoned by
+    /// a thread that panicked holding it guards nothing stale: an
+    /// adaptive selector sharing it decides as a fresh one does.
+    #[test]
+    fn adaptive_decides_through_a_poisoned_evaluator() {
+        use std::sync::{Arc, Mutex};
+        let eval = Arc::new(Mutex::new(PlacementEvaluator::new()));
+        let holder = Arc::clone(&eval);
+        let panicked = std::thread::spawn(move || {
+            let _held = holder.lock();
+            panic!("poisoning the evaluator lock on purpose");
+        })
+        .join();
+        assert!(panicked.is_err() && eval.is_poisoned());
+        let shared = AdaptiveSelector::with_evaluator(CostModel::HOP_BYTES, eval);
+        let tree = tree_of(0);
+        let st = super::properties::occupy(&tree, 30, 9);
+        let spec = CollectiveSpec::new(Pattern::Rhvd, 1 << 16);
+        let mut scored = 0;
+        for want in [1, 3, 9, 17, 25] {
+            for req in [
+                AllocRequest::comm(JobId(7), want),
+                AllocRequest::compute(JobId(7), want),
+            ] {
+                let req = req.with_pattern(spec);
+                let got = shared.decide(&tree, &st, &req).unwrap();
+                scored += got.candidates.len();
+                assert_eq!(
+                    got,
+                    AdaptiveSelector::default()
+                        .decide(&tree, &st, &req)
+                        .unwrap()
+                );
+            }
+        }
+        assert!(scored > 0, "no decision scored through the evaluator");
     }
 }

@@ -68,15 +68,18 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 }
 
 /// Normal-approximation 95% confidence interval of the mean:
-/// `mean ± 1.96 · s/√n`. Returns `(mean, half_width)`; half-width 0 for
-/// fewer than two samples.
+/// `mean ± 1.96 · s/√n`, `s` the sample standard deviation (divisor
+/// `n − 1`). Returns `(mean, half_width)`; half-width 0 for fewer than two
+/// samples.
 pub fn mean_ci95(xs: &[f64]) -> (f64, f64) {
     let m = mean(xs);
     if xs.len() < 2 {
         return (m, 0.0);
     }
-    let s = stddev(xs);
-    (m, 1.96 * s / (xs.len() as f64).sqrt())
+    let n = xs.len() as f64;
+    // Bessel's correction turns the population SD into the sample SD.
+    let s = stddev(xs) * (n / (n - 1.0)).sqrt();
+    (m, 1.96 * s / n.sqrt())
 }
 
 /// Ratio of the maximum sample to the mean — used to detect the Figure 1

@@ -58,6 +58,15 @@ fn ci95_shrinks_with_samples() {
 }
 
 #[test]
+fn ci95_uses_the_sample_standard_deviation() {
+    // s = √(10/4) over 1..=5, so the half-width is 1.96 · √(1/2) = 1.385929…;
+    // the population SD (divisor n) would give 1.239613….
+    let (m, w) = mean_ci95(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+    assert!((m - 3.0).abs() < 1e-12);
+    assert!((w - 1.385_929_291_125_633).abs() < 1e-12, "half-width {w}");
+}
+
+#[test]
 fn peak_to_mean_detects_spikes() {
     let quiet = [1.0, 1.0, 1.0, 1.0];
     let spiky = [1.0, 1.0, 4.0, 1.0];

@@ -5,7 +5,7 @@ use crate::queue::PendingQueue;
 use commsched_collectives::CollectiveSpec;
 use commsched_core::{
     AllocRequest, ClusterState, CostModel, JobId, JobNature, NodeSelector, Placement,
-    PlacementEvaluator, SaBudget, SaSelector, SelectorKind,
+    PlacementEvaluator, SaBudget, SaSelector, SaStats, SelectorKind,
 };
 use commsched_metrics::{CounterId, Registry};
 use commsched_num::{
@@ -501,6 +501,8 @@ pub(crate) struct Placed {
     pub adjusted: u64,
     /// The applied communication-time multiplier.
     pub comm_ratio: f64,
+    /// The selector's annealing search, if one ran (SA only).
+    pub search: Option<SaStats>,
 }
 
 /// Virtual seconds → trace microseconds. Saturating: overflowing u64
@@ -750,6 +752,7 @@ impl<'t> Engine<'t> {
                 cost_default: 0.0,
                 adjusted: job.runtime,
                 comm_ratio: 1.0,
+                search: decision.search,
             });
         }
 
@@ -827,6 +830,7 @@ impl<'t> Engine<'t> {
             cost_default,
             adjusted: u64_of_f64(adjusted.round().max(1.0)),
             comm_ratio,
+            search: decision.search,
         })
     }
 
@@ -1353,9 +1357,9 @@ impl Run<'_, '_> {
         self.events
             .push(Reverse((end, EventKind::Finish(job.id, attempt))));
         self.pending.remove(slot);
-        // The SA selector's record of the search it just ran; no other
-        // selector, and no budget-0 or compute placement, leaves one.
-        if let Some(st) = self.selector.take_search_stats() {
+        // The search SA ran for this placement; no other selector, and no
+        // budget-0 or compute placement, reports one.
+        if let Some(st) = placed.search {
             self.emit(TK::SaSearch {
                 job: st.job.0,
                 attempt: st.attempt,

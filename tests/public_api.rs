@@ -2,8 +2,9 @@
 //!
 //! Every `pub fn|struct|enum|trait|const|type|mod|use` item head in `src/`
 //! and `crates/*/src/` — not `pub(crate)`, not under `#[cfg(test)]`, not in
-//! a `tests.rs` — and every method signature of a public trait, indented
-//! under it, is listed per file, in source order, and compared with
+//! a `tests.rs` — every method signature of a public trait and every `pub`
+//! field of a public struct, indented under it, is listed per file, in
+//! source order, and compared with
 //! `tests/golden/public_api.txt`. Growing (or shrinking) the surface is
 //! then a reviewed diff of that file rather than something a reader has to
 //! notice: the slow twins of DESIGN.md §4.14 were public for seven PRs
@@ -11,8 +12,9 @@
 //!
 //! This is a line scanner, not a parser. It sees what `rustfmt` lays out —
 //! one item head per `pub` line, continued until the line that ends in
-//! `{` or `;` — which is every item in this workspace; macro-generated
-//! items and `pub` fields are not listed.
+//! `{` or `;`, a field until the line that ends it with a `,` — which
+//! is every item in this workspace; macro-generated items and the fields
+//! of tuple structs and enum variants are not listed.
 //!
 //! To re-bless after an intentional change:
 //!
@@ -89,8 +91,11 @@ fn scan(file: &Path, text: &str) -> (Vec<String>, Vec<PathBuf>) {
     let mut lines = text.lines().map(str::trim);
     // Set by `#[cfg(test)]`, consumed by the item the attribute sits on.
     let mut test_only = false;
-    // Brace depth inside a public trait's body; 0 outside one.
-    let mut trait_depth = 0i64;
+    // Brace depth inside a public trait's or struct's body; 0 outside one.
+    let mut body_depth = 0i64;
+    // Whether that body is a struct's (members are `pub` fields) rather
+    // than a trait's (members are methods).
+    let mut in_struct = false;
     while let Some(line) = lines.next() {
         if line.starts_with("#[cfg(test)]") {
             test_only = true;
@@ -117,13 +122,19 @@ fn scan(file: &Path, text: &str) -> (Vec<String>, Vec<PathBuf>) {
             }
             continue;
         }
-        // A method at the top level of a public trait's body is listed,
-        // indented, under the trait; the body's other lines only move the
-        // depth.
-        let method = trait_depth == 1 && line.starts_with("fn ");
-        if !is_public_item(line) && !method {
-            if trait_depth > 0 {
-                trait_depth += brace_delta(line);
+        // A method at the top level of a public trait's body, or a `pub`
+        // field at the top level of a public struct's, is listed, indented,
+        // under its item; the body's other lines only move the depth.
+        let member = body_depth == 1
+            && if in_struct {
+                line.starts_with("pub ")
+            } else {
+                line.starts_with("fn ")
+            };
+        let field = member && in_struct;
+        if !is_public_item(line) && !member {
+            if body_depth > 0 {
+                body_depth += brace_delta(line);
             }
             continue;
         }
@@ -133,7 +144,9 @@ fn scan(file: &Path, text: &str) -> (Vec<String>, Vec<PathBuf>) {
         // A `use` list may break after its `{`; anything else is complete
         // at the line that opens its body or ends the declaration.
         let complete = |head: &str| {
-            head.ends_with(';') || (!is_use && (is_const || head.ends_with(['{', '}'])))
+            head.ends_with(';')
+                || (field && head.ends_with(',') && open_brackets(head) == 0)
+                || (!is_use && !field && (is_const || head.ends_with(['{', '}'])))
         };
         while !complete(&head) {
             match lines.next() {
@@ -144,13 +157,16 @@ fn scan(file: &Path, text: &str) -> (Vec<String>, Vec<PathBuf>) {
                 None => break,
             }
         }
-        if method {
-            trait_depth += brace_delta(&head);
-        } else if head.starts_with("pub trait ") && head.ends_with('{') {
-            trait_depth = 1;
+        if member {
+            body_depth += brace_delta(&head);
+        } else if head.ends_with('{') {
+            in_struct = head.starts_with("pub struct ");
+            if in_struct || head.starts_with("pub trait ") {
+                body_depth = 1;
+            }
         }
         // Keep the signature, drop the body / value.
-        let cut = if is_use {
+        let cut = if is_use || field {
             head.len()
         } else if is_const {
             head.find(" = ").unwrap_or(head.len())
@@ -159,14 +175,33 @@ fn scan(file: &Path, text: &str) -> (Vec<String>, Vec<PathBuf>) {
         };
         // Undo rustfmt's one-argument-per-line layout.
         let head = head[..cut]
-            .trim_end_matches([';', ' '])
+            .trim_end_matches([';', ',', ' '])
             .replace("( ", "(")
             .replace(", )", ")")
+            .replace("< ", "<")
+            .replace(", >", ">")
             .replace("{ ", "{")
             .replace(", }", "}");
-        items.push(if method { format!("  {head}") } else { head });
+        items.push(if member { format!("  {head}") } else { head });
     }
     (items, test_modules)
+}
+
+/// Brackets `(`, `[` and `<` left open in `text`; the `>` of an `->`
+/// closes none.
+fn open_brackets(text: &str) -> i64 {
+    let mut depth = 0;
+    let mut prev = ' ';
+    for c in text.chars() {
+        match c {
+            '(' | '[' | '<' => depth += 1,
+            ')' | ']' => depth -= 1,
+            '>' if prev != '-' => depth -= 1,
+            _ => {}
+        }
+        prev = c;
+    }
+    depth
 }
 
 fn brace_delta(line: &str) -> i64 {
@@ -250,7 +285,16 @@ pub struct S {
     #[cfg(test)]
     probe: bool,
     pub field: u32,
+    pub(crate) hidden: u8,
+    /// Doc.
+    pub wide: std::collections::BTreeMap<
+        u32,
+        u64,
+    >,
+    plain: u8,
 }
+pub struct Unit;
+pub struct Pair(pub u32, u32);
 impl S {
     pub fn long(
         &self,
@@ -281,6 +325,10 @@ pub fn after() {}
         [
             "pub fn shipped(a: u32) -> u32",
             "pub struct S",
+            "  pub field: u32",
+            "  pub wide: std::collections::BTreeMap<u32, u64>",
+            "pub struct Unit",
+            "pub struct Pair(pub u32, u32)",
             "pub fn long(&self, x: u32) -> u32",
             "pub const N: usize",
             "pub use a::{B, C}",
