@@ -19,7 +19,7 @@ use crate::{build_log, paper_systems, ExperimentResult, LogShape, Scale};
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_core::{
     AdaptiveSelector, AllocRequest, BalancedSelector, CostModel, GreedySelector, NodeSelector,
-    Placement, PlacementEvaluator, SaBudget, SaSelector,
+    Placement, PlacementEvaluator, SaSelector,
 };
 use commsched_metrics::Table;
 use commsched_slurmsim::individual::{comm_probes, warmup_state};
@@ -106,7 +106,7 @@ fn run_cell(system: SystemModel, tree: &Tree, pattern: Pattern, scale: Scale) ->
     );
     let mut sa = Vec::with_capacity(SA_BUDGETS.len());
     for budget in SA_BUDGETS {
-        let selector = SaSelector::new(SaBudget::with_evals(budget), scale.seed);
+        let selector = SaSelector::new(budget, scale.seed);
         let (cost, nodes) = score_all(tree, &state, &probes, &selector, &mut eval);
         if budget == 0 {
             // Gate: budget 0 is the adaptive incumbent, bit-for-bit.

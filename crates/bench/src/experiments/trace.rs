@@ -10,7 +10,7 @@
 
 use crate::{ExperimentResult, Scale};
 use commsched_collectives::{CollectiveSpec, Pattern};
-use commsched_core::{SaBudget, SelectorKind};
+use commsched_core::SelectorKind;
 use commsched_metrics::{Registry, Table};
 use commsched_netsim::{FlowSim, NetConfig, Workload};
 use commsched_slurmsim::{BackfillPolicy, Engine, EngineConfig, FailurePolicy};
@@ -167,7 +167,7 @@ pub fn run_golden(name: &str, jobs: usize, seed: u64) -> Option<(String, String)
             let log = golden_log(jobs, seed);
             let mut cfg = EngineConfig::new(SelectorKind::Sa);
             cfg.backfill = BackfillPolicy::Easy;
-            cfg = cfg.with_sa(SaBudget::with_evals(64), seed);
+            cfg = cfg.with_sa(64, seed);
             return Some(observed(&Engine::new(&tree, cfg), &log));
         }
         "conservative-backfill" => {

@@ -9,7 +9,7 @@
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_core::{
     AllocRequest, BalancedSelector, ClusterState, DefaultTreeSelector, GreedySelector, JobId,
-    JobNature, NodeSelector, Placement, SaBudget, SaSelector, SaStats,
+    JobNature, NodeSelector, Placement, SaSelector, SaStats,
 };
 use commsched_netsim::{FlowSim, JobResult, NetConfig, Workload};
 use commsched_topology::{NodeId, SystemPreset, Tree};
@@ -88,7 +88,7 @@ impl PlacementCase {
     /// entering the annealing loop (zero budget, compute probe, or a
     /// single candidate leaf).
     pub fn run_sa(&self, budget: u32, seed: u64) -> Option<SaStats> {
-        SaSelector::new(SaBudget::with_evals(budget), seed)
+        SaSelector::new(budget, seed)
             .decide(&self.tree, &self.state, &self.request_of(self.probe.nodes))
             .unwrap()
             .search

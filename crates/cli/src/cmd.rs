@@ -3,7 +3,7 @@
 
 use crate::args::Parsed;
 use commsched_collectives::{CollectiveSpec, Pattern};
-use commsched_core::{SaBudget, SelectorKind};
+use commsched_core::{SaSelector, SelectorKind};
 use commsched_metrics::{Registry, Table};
 use commsched_slurmsim::{BackfillPolicy, Engine, EngineConfig, FailurePolicy, JobStatus};
 use commsched_topology::{SystemPreset, Tree};
@@ -110,6 +110,9 @@ fn load_tree(p: &Parsed) -> Result<Tree, String> {
 /// Workload from `--swf` or `--system` (+ generator knobs).
 fn load_log(p: &Parsed) -> Result<(JobLog, usize), String> {
     let comm_pct: u8 = p.get_parsed("comm-pct", 90u8)?;
+    if comm_pct > 100 {
+        return Err(format!("--comm-pct {comm_pct} is above 100"));
+    }
     let pattern: Pattern = p
         .get("pattern")
         .map(|s| s.parse())
@@ -426,7 +429,7 @@ pub(crate) fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResu
     // SA knobs (accepted — and checked — only when the SA selector runs;
     // the search seed defaults to the workload seed so one --seed flag
     // reproduces the whole run).
-    let sa_budget: u32 = p.get_parsed("sa-budget", 256u32)?;
+    let sa_budget: u32 = p.get_parsed("sa-budget", SaSelector::default().evals)?;
     let sa_seed: u64 = p.get_parsed("sa-seed", p.get_parsed("seed", 42u64)?)?;
 
     for kind in selectors {
@@ -434,7 +437,7 @@ pub(crate) fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResu
         cfg.backfill = backfill;
         cfg.failure_policy = failure_policy;
         if kind == SelectorKind::Sa {
-            cfg = cfg.with_sa(SaBudget::with_evals(sa_budget), sa_seed);
+            cfg = cfg.with_sa(sa_budget, sa_seed);
         }
         if p.switch("reject-oversized") {
             cfg = cfg.reject_oversized();

@@ -246,6 +246,44 @@ fn log_generate_and_stats_round_trip() {
     assert!(out.contains("30 jobs"));
 }
 
+/// A percentage above 100 is a usage error on both workload paths: the
+/// generator would panic on it, and the SWF path would clamp it.
+#[test]
+fn comm_pct_above_100_is_rejected() {
+    let generated = "--system theta --jobs 5 --comm-pct 101";
+    for cmd in [
+        "run --preset theta",
+        "compare --preset theta",
+        "individual --preset theta",
+        "log generate",
+    ] {
+        let line = format!("{cmd} {generated}");
+        let args: Vec<&str> = line.split(' ').collect();
+        let (code, _, err) = run_cli(&args);
+        assert_eq!(code, 1, "{line}: {err}");
+        assert!(err.contains("--comm-pct 101 is above 100"), "{line}: {err}");
+    }
+
+    let dir = std::env::temp_dir().join("commsched-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("comm-pct.swf");
+    let path = path.to_str().unwrap();
+    let (code, _, err) = run_cli(&["log", "generate", "--system", "theta", "--out", path]);
+    assert_eq!(code, 0, "{err}");
+    let args = [
+        "run",
+        "--preset",
+        "theta",
+        "--swf",
+        path,
+        "--comm-pct",
+        "101",
+    ];
+    let (code, _, err) = run_cli(&args);
+    assert_eq!(code, 1, "{err}");
+    assert!(err.contains("--comm-pct 101 is above 100"), "{err}");
+}
+
 #[test]
 fn compare_runs_all_selectors() {
     let (code, out, _) = run_cli(&[

@@ -60,7 +60,7 @@ pub use cost::CostModel;
 pub use eval::{EvalTotals, PlacementEvaluator};
 pub use mapping::MappingStrategy;
 pub use placement::Placement;
-pub use sa::{SaBudget, SaSelector, SaStats};
+pub use sa::{SaSelector, SaStats};
 pub use select::{
     AdaptiveSelector, AllocRequest, BalancedSelector, Decision, DefaultTreeSelector,
     GreedySelector, NodeSelector, SelectError, SelectorKind,

@@ -39,50 +39,17 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-/// Annealing budget and temperature schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SaBudget {
-    /// Maximum number of evaluator calls per placement. 0 disables the
-    /// search entirely — the incumbent is returned bit-for-bit.
-    pub max_evals: u32,
-    /// Initial temperature, as a fraction of the incumbent cost (the
-    /// Metropolis scale is `temp * max(cost_incumbent, 1)`).
-    pub init_temp: f64,
-    /// Geometric cooling factor applied after every evaluation.
-    pub cooling: f64,
-}
+/// Initial Metropolis temperature, as a fraction of the incumbent cost
+/// (the scale is `INIT_TEMP * max(cost_incumbent, 1)`).
+const INIT_TEMP: f64 = 0.08;
 
-impl Default for SaBudget {
-    /// 256 evaluations, initial temperature 8% of the incumbent cost,
-    /// 0.97 cooling — cold enough to converge well inside the budget.
-    fn default() -> Self {
-        SaBudget {
-            max_evals: 256,
-            init_temp: 0.08,
-            cooling: 0.97,
-        }
-    }
-}
-
-impl SaBudget {
-    /// A budget with the default temperature schedule.
-    pub fn with_evals(max_evals: u32) -> Self {
-        SaBudget {
-            max_evals,
-            ..SaBudget::default()
-        }
-    }
-}
+/// Geometric cooling factor applied after every evaluation: cold enough
+/// to converge well inside the default budget.
+const COOLING: f64 = 0.97;
 
 /// Outcome of one annealing search, recorded for tracing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaStats {
-    /// Job the search placed.
-    pub job: JobId,
-    /// Scheduling attempt (0 = first try, bumps on requeue).
-    pub attempt: u32,
-    /// Configured `max_evals`.
-    pub budget: u32,
     /// Evaluator calls actually spent.
     pub evals: u32,
     /// Accepted proposals (including uphill Metropolis accepts).
@@ -110,31 +77,27 @@ pub(crate) fn derive_seed(run_seed: u64, job: JobId, attempt: u32) -> u64 {
 
 /// Budgeted simulated-annealing selector over the free-count index: plain
 /// configuration, so a decision depends on nothing but its arguments.
+/// Proposals are scored under hop-bytes, like the adaptive rule it refines.
 #[derive(Debug, Clone, Copy)]
 pub struct SaSelector {
-    /// Cost model proposals are scored under (hop-bytes by default, like
-    /// the adaptive rule it refines).
-    pub cost: CostModel,
-    /// Evaluation budget and temperature schedule.
-    pub budget: SaBudget,
+    /// Maximum number of evaluator calls per placement. 0 disables the
+    /// search entirely — the incumbent is returned bit-for-bit.
+    pub evals: u32,
     /// Run seed the per-job search seed is derived from.
     pub seed: u64,
 }
 
 impl Default for SaSelector {
+    /// 256 evaluations, run seed 0.
     fn default() -> Self {
-        SaSelector::new(SaBudget::default(), 0)
+        SaSelector::new(256, 0)
     }
 }
 
 impl SaSelector {
-    /// SA under hop-bytes.
-    pub fn new(budget: SaBudget, seed: u64) -> Self {
-        SaSelector {
-            cost: CostModel::HOP_BYTES,
-            budget,
-            seed,
-        }
+    /// SA spending at most `evals` evaluations per placement.
+    pub fn new(evals: u32, seed: u64) -> Self {
+        SaSelector { evals, seed }
     }
 
     /// Run the annealing loop from the adaptive `incumbent`, over the
@@ -177,7 +140,8 @@ impl SaSelector {
             take[idx] = count;
         }
         let spec = req.spec();
-        let discount = self.cost.trunk_discount;
+        let model = CostModel::HOP_BYTES;
+        let discount = model.trunk_discount;
         let totals_incumbent = incumbent.totals().unwrap_or_else(|| {
             // The adaptive rule scored nothing (its two candidates
             // coincided): score the incumbent here, and keep the totals.
@@ -190,10 +154,10 @@ impl SaSelector {
             });
             totals
         });
-        let cost_incumbent = totals_incumbent.for_model(&self.cost);
+        let cost_incumbent = totals_incumbent.for_model(&model);
         let scale = cost_incumbent.max(1.0);
         let mut rng = ChaCha12Rng::seed_from_u64(derive_seed(self.seed, req.job, req.attempt));
-        let mut temp = self.budget.init_temp;
+        let mut temp = INIT_TEMP;
         let mut cur = take.clone();
         let mut cur_cost = cost_incumbent;
         let mut best = take.clone();
@@ -204,7 +168,7 @@ impl SaSelector {
         let mut accepted = 0u32;
         let mut rejected = 0u32;
         let mut cand = cur.clone();
-        while evals < self.budget.max_evals {
+        while evals < self.evals {
             cand.copy_from_slice(&cur);
             if !propose(&mut rng, &leaves, &mut cand) {
                 // No legal move found in the retry window (e.g. every
@@ -215,7 +179,7 @@ impl SaSelector {
             // ordinal-ascending, so the non-zero entries are too.
             takes_of(&leaves, &cand, &mut groups);
             let totals = eval.evaluate_takes(tree, state, discount, &groups, &spec);
-            let cost = totals.for_model(&self.cost);
+            let cost = totals.for_model(&model);
             evals += 1;
             let delta = cost - cur_cost;
             let accept = delta <= 0.0 || rng.random::<f64>() < (-delta / (temp * scale)).exp();
@@ -231,7 +195,7 @@ impl SaSelector {
             } else {
                 rejected += 1;
             }
-            temp *= self.budget.cooling;
+            temp *= COOLING;
         }
         let cost_final = if best_cost < cost_incumbent {
             takes_of(&leaves, &best, &mut groups);
@@ -247,9 +211,6 @@ impl SaSelector {
             cost_incumbent
         };
         incumbent.search = Some(SaStats {
-            job: req.job,
-            attempt: req.attempt,
-            budget: self.budget.max_evals,
             evals,
             accepted,
             rejected,
@@ -320,8 +281,8 @@ impl NodeSelector for SaSelector {
         // One scratch evaluator scores the incumbent pair and every
         // proposal; it keeps buffers, never results, and dies here.
         let mut eval = PlacementEvaluator::new();
-        let mut choice = adaptive_choice(&self.cost, &mut eval, tree, state, req)?;
-        if self.budget.max_evals > 0 && req.nature.is_comm() {
+        let mut choice = adaptive_choice(&CostModel::HOP_BYTES, &mut eval, tree, state, req)?;
+        if self.evals > 0 && req.nature.is_comm() {
             choice = self.anneal(&mut eval, tree, state, req, choice);
         }
         Ok(choice.resolve(tree, state))

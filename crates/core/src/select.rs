@@ -625,8 +625,8 @@ impl SelectorKind {
         SelectorKind::Adaptive,
     ];
 
-    /// Instantiate the selector. `Sa` builds with [`crate::SaBudget`]
-    /// defaults and run seed 0 — engines wanting a configured search
+    /// Instantiate the selector. `Sa` builds with [`crate::SaSelector`]'s
+    /// default budget and run seed 0 — engines wanting a configured search
     /// construct [`crate::SaSelector`] directly (see
     /// `Engine::build_selector`).
     pub fn build(self) -> Box<dyn NodeSelector> {

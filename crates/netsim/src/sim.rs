@@ -29,7 +29,7 @@
 use commsched_collectives::{CollectiveSpec, Pattern, Step};
 use commsched_num::{f64_of_u64, i32_of_u32, u32_of_usize, u64_of_f64, u64_of_usize, usize_of_u32};
 use commsched_topology::{NodeId, SwitchId, Tree};
-use commsched_trace::{EventClass, EventKind as TK, Recorder, Tracer};
+use commsched_trace::{EventClass, EventKind as TK, NullRecorder, Recorder, Tracer};
 use serde::Serialize;
 
 /// Link capacities and protocol overheads.
@@ -658,7 +658,7 @@ impl<'t> FlowSim<'t> {
     /// is `commsched-slurmsim`'s business) and run their iterations back to
     /// back. Completed jobs are reported in workload order.
     pub fn run(&self, workloads: Vec<Workload>) -> Vec<JobResult> {
-        self.run_impl(workloads, None, None, &mut Tracer::off())
+        self.run_impl(workloads, None, None, &mut NullRecorder)
     }
 
     /// Like [`FlowSim::run`], emitting solver records (`net_solve`,
@@ -673,13 +673,13 @@ impl<'t> FlowSim<'t> {
         workloads: Vec<Workload>,
         recorder: &mut dyn Recorder,
     ) -> Vec<JobResult> {
-        self.run_impl(workloads, None, None, &mut Tracer::new(recorder))
+        self.run_impl(workloads, None, None, recorder)
     }
 
     /// Like [`FlowSim::run`], additionally accounting bytes per link class.
     pub fn run_with_stats(&self, workloads: Vec<Workload>) -> (Vec<JobResult>, LinkStats) {
         let mut bytes = vec![0.0f64; self.capacity.len()];
-        let results = self.run_impl(workloads, Some(&mut bytes), None, &mut Tracer::off());
+        let results = self.run_impl(workloads, Some(&mut bytes), None, &mut NullRecorder);
         let span = results.iter().map(|r| r.end).fold(0.0f64, f64::max)
             - results
                 .iter()
@@ -730,7 +730,7 @@ impl<'t> FlowSim<'t> {
         workloads: Vec<Workload>,
     ) -> (Vec<JobResult>, Vec<Vec<f64>>) {
         let mut trace = Vec::new();
-        let results = self.run_impl(workloads, None, Some(&mut trace), &mut Tracer::off());
+        let results = self.run_impl(workloads, None, Some(&mut trace), &mut NullRecorder);
         (results, trace)
     }
 
@@ -739,8 +739,9 @@ impl<'t> FlowSim<'t> {
         workloads: Vec<Workload>,
         mut link_bytes: Option<&mut Vec<f64>>,
         mut rate_trace: Option<&mut Vec<Vec<f64>>>,
-        tracer: &mut Tracer<'_>,
+        recorder: &mut dyn Recorder,
     ) -> Vec<JobResult> {
+        let mut tracer = Tracer::new(recorder);
         let mut jobs: Vec<ActiveJob> = workloads
             .iter()
             .enumerate()

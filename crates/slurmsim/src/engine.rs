@@ -5,7 +5,7 @@ use crate::queue::PendingQueue;
 use commsched_collectives::CollectiveSpec;
 use commsched_core::{
     AllocRequest, ClusterState, CostModel, JobId, JobNature, NodeSelector, Placement,
-    PlacementEvaluator, SaBudget, SaSelector, SaStats, SelectorKind,
+    PlacementEvaluator, SaSelector, SaStats, SelectorKind,
 };
 use commsched_metrics::{CounterId, Registry};
 use commsched_num::{
@@ -54,10 +54,10 @@ pub struct EngineConfig {
     pub failure_policy: FailurePolicy,
     /// What happens to a job wider than the machine.
     pub oversized: OversizedPolicy,
-    /// Annealing budget for `--selector sa`; ignored by every other
-    /// selector. `max_evals == 0` makes SA return the adaptive incumbent
-    /// bit-for-bit.
-    pub sa_budget: SaBudget,
+    /// Annealing budget (evaluations per placement) for `--selector sa`;
+    /// ignored by every other selector. 0 makes SA return the adaptive
+    /// incumbent bit-for-bit.
+    pub sa_evals: u32,
     /// Run seed the SA selector derives its per-(job, attempt) search
     /// seeds from.
     pub sa_seed: u64,
@@ -76,15 +76,15 @@ impl EngineConfig {
             enforce_walltime: false,
             failure_policy: FailurePolicy::default(),
             oversized: OversizedPolicy::Abort,
-            sa_budget: SaBudget::default(),
+            sa_evals: SaSelector::default().evals,
             sa_seed: 0,
         }
     }
 
     /// Configure the simulated-annealing selector's budget and run seed
     /// (only meaningful with [`SelectorKind::Sa`]).
-    pub fn with_sa(mut self, budget: SaBudget, seed: u64) -> Self {
-        self.sa_budget = budget;
+    pub fn with_sa(mut self, evals: u32, seed: u64) -> Self {
+        self.sa_evals = evals;
         self.sa_seed = seed;
         self
     }
@@ -352,13 +352,15 @@ pub struct RunSummary {
     pub makespan: u64,
 }
 
+// The totals fold from +0.0: `Iterator::sum::<f64>` of nothing is -0.0,
+// which an empty log would print as "-0.0".
 impl RunSummary {
     /// Total execution hours over all jobs (Table 3's "Execution Time").
     pub fn total_exec_hours(&self) -> f64 {
         self.outcomes
             .iter()
             .map(|o| f64_of_u64(o.exec()))
-            .sum::<f64>()
+            .fold(0.0, |sum, x| sum + x)
             / 3600.0
     }
 
@@ -367,7 +369,7 @@ impl RunSummary {
         self.outcomes
             .iter()
             .map(|o| f64_of_u64(o.wait()))
-            .sum::<f64>()
+            .fold(0.0, |sum, x| sum + x)
             / 3600.0
     }
 
@@ -396,7 +398,7 @@ impl RunSummary {
     /// Total Eq. 6 communication cost over communication-intensive jobs
     /// (Figure 8's metric).
     pub fn total_comm_cost(&self) -> f64 {
-        self.outcomes.iter().map(|o| o.cost_actual).sum()
+        self.outcomes.iter().fold(0.0, |sum, o| sum + o.cost_actual)
     }
 
     /// Jobs completed per hour of makespan (the throughput the paper
@@ -423,7 +425,7 @@ impl RunSummary {
         self.outcomes
             .iter()
             .map(|o| f64_of_u64(o.lost_node_seconds))
-            .sum::<f64>()
+            .fold(0.0, |sum, x| sum + x)
             / 3600.0
     }
 
@@ -669,7 +671,7 @@ impl<'t> Engine<'t> {
     /// configuration beyond its kind.
     pub(crate) fn build_selector(&self) -> Box<dyn NodeSelector> {
         match self.cfg.selector {
-            SelectorKind::Sa => Box::new(SaSelector::new(self.cfg.sa_budget, self.cfg.sa_seed)),
+            SelectorKind::Sa => Box::new(SaSelector::new(self.cfg.sa_evals, self.cfg.sa_seed)),
             k => k.build(),
         }
     }
@@ -1358,12 +1360,13 @@ impl Run<'_, '_> {
             .push(Reverse((end, EventKind::Finish(job.id, attempt))));
         self.pending.remove(slot);
         // The search SA ran for this placement; no other selector, and no
-        // budget-0 or compute placement, reports one.
+        // budget-0 or compute placement, reports one. The job, attempt and
+        // budget are the engine's own.
         if let Some(st) = placed.search {
             self.emit(TK::SaSearch {
-                job: st.job.0,
-                attempt: st.attempt,
-                budget: u64::from(st.budget),
+                job: job.id.0,
+                attempt,
+                budget: u64::from(eng.cfg.sa_evals),
                 evals: u64::from(st.evals),
                 accepted: u64::from(st.accepted),
                 rejected: u64::from(st.rejected),

@@ -37,6 +37,16 @@ fn empty_log_runs() {
     assert!(s.outcomes.is_empty());
     assert_eq!(s.makespan, 0);
     assert_eq!(s.throughput(), 0.0);
+    // +0.0, not the -0.0 an empty `f64` sum gives (printed as "-0.0").
+    let totals = [
+        s.total_exec_hours(),
+        s.total_wait_hours(),
+        s.total_comm_cost(),
+        s.lost_node_hours(),
+    ];
+    for total in totals {
+        assert_eq!(total.to_bits(), 0.0f64.to_bits());
+    }
 }
 
 #[test]
@@ -378,7 +388,7 @@ fn place_matches_naive_clone_replication() {
     use commsched_collectives::CollectiveSpec;
     use commsched_core::{
         AllocRequest, ClusterState, CostModel, DefaultTreeSelector, NodeSelector, Placement,
-        PlacementEvaluator, SaBudget,
+        PlacementEvaluator,
     };
 
     let tree = Tree::regular_two_level(6, 8);
@@ -407,7 +417,8 @@ fn place_matches_naive_clone_replication() {
                 for ratio_model in [CostModel::HOP_BYTES, flat] {
                     let cfg = EngineConfig {
                         ratio_model,
-                        ..EngineConfig::new(kind).with_sa(SaBudget::default(), 3)
+                        sa_seed: 3,
+                        ..EngineConfig::new(kind)
                     };
                     let engine = Engine::new(&tree, cfg);
 
@@ -1744,7 +1755,6 @@ mod observed {
 mod tally {
     use super::*;
     use crate::{FailurePolicy, JobStatus, RunSummary};
-    use commsched_core::SaBudget;
     use commsched_metrics::Registry;
     use commsched_trace::{Capture, ClassMask, EndStatus, Event, EventKind as TK};
     use commsched_workload::fault::{FaultEvent, FaultKind, FaultTrace};
@@ -1900,7 +1910,7 @@ mod tally {
                 ] {
                     for kind in SelectorKind::ALL.into_iter().chain([SelectorKind::Sa]) {
                         let cfg = backfill(EngineConfig::new(kind))
-                            .with_sa(SaBudget::with_evals(16), seed)
+                            .with_sa(16, seed)
                             .with_failure_policy(policy);
                         let engine = Engine::new(&tree, cfg).with_faults(faults.clone());
                         let (s, cap, reg) = observe(&engine, &log, ClassMask::ALL);
@@ -1925,6 +1935,23 @@ mod tally {
                             u64::try_from(faults.events().len()).unwrap()
                         );
                         prop_assert!(is_dense(&cap));
+                        // The engine stamps each search with the job it
+                        // starts next and the budget it configured.
+                        for w in cap.events.windows(2) {
+                            if let TK::SaSearch { job, attempt, budget, .. } = w[0].kind {
+                                prop_assert_eq!(budget, 16);
+                                prop_assert!(
+                                    matches!(w[1].kind, TK::JobPlace { job: j, attempt: a, .. } if (j, a) == (job, attempt)),
+                                    "sa_search for job {} attempt {} not followed by its place",
+                                    job,
+                                    attempt
+                                );
+                            }
+                        }
+                        prop_assert!(!matches!(
+                            cap.events.last().map(|e| e.kind),
+                            Some(TK::SaSearch { .. })
+                        ));
 
                         // What the caller records changes neither the
                         // counts nor the numbering of what it gets.
@@ -2009,7 +2036,7 @@ mod tally {
         // legal move: one search, no evaluation, nothing better.
         let tree = Tree::regular_two_level(3, 6);
         let log = JobLog::new("full", vec![comm_job(1, 0, 100, 18, 0.5)]);
-        let cfg = EngineConfig::new(SelectorKind::Sa).with_sa(SaBudget::with_evals(16), 1);
+        let cfg = EngineConfig::new(SelectorKind::Sa).with_sa(16, 1);
         let mut cap = Capture::new();
         let mut reg = Registry::new();
         Engine::new(&tree, cfg)
@@ -2350,7 +2377,6 @@ mod passes {
 mod config_matrix {
     use super::*;
     use crate::FailurePolicy;
-    use commsched_core::SaBudget;
     use commsched_metrics::Registry;
     use commsched_topology::NodeId;
     use commsched_trace::Capture;
@@ -2465,7 +2491,7 @@ mod config_matrix {
         let selectors = [
             EngineConfig::new(SelectorKind::Default),
             EngineConfig::new(SelectorKind::Adaptive),
-            EngineConfig::new(SelectorKind::Sa).with_sa(SaBudget::with_evals(16), 7),
+            EngineConfig::new(SelectorKind::Sa).with_sa(16, 7),
         ];
         let mut got = Vec::new();
         for backfill in backfills {
@@ -2508,7 +2534,6 @@ mod config_matrix {
 mod backfill_reference {
     use super::*;
     use crate::{FailurePolicy, RunSummary};
-    use commsched_core::SaBudget;
     use commsched_metrics::Registry;
     use commsched_trace::Capture;
     use commsched_workload::fault::{FaultEvent, FaultKind, FaultTrace};
@@ -2624,7 +2649,7 @@ mod backfill_reference {
                 ] {
                     for kind in SelectorKind::ALL {
                         let mut cfg = backfill(EngineConfig::new(kind))
-                            .with_sa(SaBudget::with_evals(16), seed)
+                            .with_sa(16, seed)
                             .with_failure_policy(policy);
                         cfg.enforce_walltime = enforce;
                         let [(shipped, trace, _), (reference, reference_trace, _)] =
@@ -2694,7 +2719,7 @@ mod backfill_reference {
         for kind in SelectorKind::ALL.into_iter().chain([SelectorKind::Sa]) {
             for &refuse in refusals {
                 let cfg = backfill(EngineConfig::new(kind))
-                    .with_sa(SaBudget::with_evals(16), 5)
+                    .with_sa(16, 5)
                     .with_failure_policy(FailurePolicy::RequeueFront);
                 let [(shipped, trace, shipped_fits), (reference, reference_trace, reference_fits)] =
                     both(tree, cfg, faults, refuse, log);

@@ -20,9 +20,9 @@
 //! * [`NullRecorder`] — records nothing and masks every class, so an
 //!   instrumented hot path costs a single integer test per event site.
 //! * [`Capture`] — an in-memory `Vec<Event>`, for tests and for callers
-//!   that post-process (e.g. Chrome export).
-//! * [`JsonlRecorder`] — streams one JSON object per line to any
-//!   `io::Write`, in a fixed key order (see [`Event::to_json_line`]).
+//!   that post-process (e.g. Chrome export, or [`Capture::to_jsonl`]: one
+//!   JSON object per line, in a fixed key order — see
+//!   [`Event::to_json_line`]).
 //!
 //! The [`Tracer`] wrapper caches the recorder's [`ClassMask`] and assigns
 //! sequence numbers, so engines test `tracer.enabled(class)` before doing
@@ -46,13 +46,13 @@ mod recorder;
 
 pub use chrome::chrome_trace;
 pub use event::{EndStatus, Event, EventClass, EventKind, FaultClass};
-pub use recorder::{Capture, ClassMask, JsonlRecorder, NullRecorder, Recorder};
+pub use recorder::{Capture, ClassMask, NullRecorder, Recorder};
 
 /// The producer-side handle: caches the sink's [`ClassMask`] and stamps
-/// sequence numbers. With a [`NullRecorder`] (or [`Tracer::off`]) every
-/// emit site reduces to one masked-bit test.
+/// sequence numbers. With a [`NullRecorder`] every emit site reduces to
+/// one masked-bit test.
 pub struct Tracer<'r> {
-    rec: Option<&'r mut dyn Recorder>,
+    rec: &'r mut dyn Recorder,
     mask: ClassMask,
     seq: u64,
 }
@@ -61,20 +61,7 @@ impl<'r> Tracer<'r> {
     /// A tracer feeding `rec`, with the mask the recorder advertises.
     pub fn new(rec: &'r mut dyn Recorder) -> Self {
         let mask = rec.mask();
-        Tracer {
-            rec: Some(rec),
-            mask,
-            seq: 0,
-        }
-    }
-
-    /// The disabled tracer: masks everything, records nothing.
-    pub fn off() -> Tracer<'static> {
-        Tracer {
-            rec: None,
-            mask: ClassMask::NONE,
-            seq: 0,
-        }
+        Tracer { rec, mask, seq: 0 }
     }
 
     /// Is any sink listening for `class`? Guard tracing-only computation
@@ -92,15 +79,13 @@ impl<'r> Tracer<'r> {
         if !self.mask.contains(kind.class()) {
             return;
         }
-        if let Some(rec) = self.rec.as_deref_mut() {
-            let ev = Event {
-                t_us,
-                seq: self.seq,
-                kind,
-            };
-            self.seq += 1;
-            rec.record(&ev);
-        }
+        let ev = Event {
+            t_us,
+            seq: self.seq,
+            kind,
+        };
+        self.seq += 1;
+        self.rec.record(&ev);
     }
 }
 

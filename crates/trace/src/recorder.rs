@@ -1,7 +1,6 @@
 //! Recorder sinks and the event-class mask.
 
 use crate::event::{Event, EventClass};
-use std::io;
 
 /// A set of [`EventClass`]es a sink wants to receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,8 +105,7 @@ impl Capture {
     }
 
     /// The canonical JSONL rendering of the captured events: one
-    /// [`Event::to_json_line`] per line, each newline-terminated — byte
-    /// identical to what a [`JsonlRecorder`] would have written.
+    /// [`Event::to_json_line`] per line, each newline-terminated.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for ev in &self.events {
@@ -131,54 +129,5 @@ impl Recorder for Capture {
 
     fn record(&mut self, ev: &Event) {
         self.events.push(*ev);
-    }
-}
-
-/// Streaming sink: writes one JSON line per event to any `io::Write`.
-///
-/// `record` cannot return an error, so the first write failure is stored
-/// and every later event is dropped; callers check what
-/// [`JsonlRecorder::into_inner`] returns when the run finishes.
-pub struct JsonlRecorder<W: io::Write> {
-    mask: ClassMask,
-    w: W,
-    error: Option<io::Error>,
-}
-
-impl<W: io::Write> JsonlRecorder<W> {
-    /// Stream all classes to `w`.
-    pub fn new(w: W) -> Self {
-        JsonlRecorder {
-            mask: ClassMask::ALL,
-            w,
-            error: None,
-        }
-    }
-
-    /// Flush and return the underlying writer (and any pending error).
-    pub fn into_inner(mut self) -> (W, Option<io::Error>) {
-        if self.error.is_none() {
-            if let Err(e) = self.w.flush() {
-                self.error = Some(e);
-            }
-        }
-        (self.w, self.error)
-    }
-}
-
-impl<W: io::Write> Recorder for JsonlRecorder<W> {
-    fn mask(&self) -> ClassMask {
-        self.mask
-    }
-
-    fn record(&mut self, ev: &Event) {
-        if self.error.is_some() {
-            return;
-        }
-        let mut line = ev.to_json_line();
-        line.push('\n');
-        if let Err(e) = self.w.write_all(line.as_bytes()) {
-            self.error = Some(e);
-        }
     }
 }

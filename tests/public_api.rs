@@ -2,8 +2,9 @@
 //!
 //! Every `pub fn|struct|enum|trait|const|type|mod|use` item head in `src/`
 //! and `crates/*/src/` — not `pub(crate)`, not under `#[cfg(test)]`, not in
-//! a `tests.rs` — every method signature of a public trait and every `pub`
-//! field of a public struct, indented under it, is listed per file, in
+//! a `tests.rs` — every method signature of a public trait, every `pub`
+//! field of a public struct and every variant of a public enum (its named
+//! fields indented once more), indented under it, is listed per file, in
 //! source order, and compared with
 //! `tests/golden/public_api.txt`. Growing (or shrinking) the surface is
 //! then a reviewed diff of that file rather than something a reader has to
@@ -12,9 +13,10 @@
 //!
 //! This is a line scanner, not a parser. It sees what `rustfmt` lays out —
 //! one item head per `pub` line, continued until the line that ends in
-//! `{` or `;`, a field until the line that ends it with a `,` — which
-//! is every item in this workspace; macro-generated items and the fields
-//! of tuple structs and enum variants are not listed.
+//! `{` or `;`, a field or a variant until the line that ends it with a
+//! `,` — which is every item in this workspace; macro-generated items are
+//! not listed, and a tuple struct's or tuple variant's fields stay on its
+//! head.
 //!
 //! To re-bless after an intentional change:
 //!
@@ -91,11 +93,12 @@ fn scan(file: &Path, text: &str) -> (Vec<String>, Vec<PathBuf>) {
     let mut lines = text.lines().map(str::trim);
     // Set by `#[cfg(test)]`, consumed by the item the attribute sits on.
     let mut test_only = false;
-    // Brace depth inside a public trait's or struct's body; 0 outside one.
+    // Brace depth inside a public trait's, struct's or enum's body; 0
+    // outside one.
     let mut body_depth = 0i64;
-    // Whether that body is a struct's (members are `pub` fields) rather
-    // than a trait's (members are methods).
-    let mut in_struct = false;
+    // Whose body that is: a struct's members are its `pub` fields, an
+    // enum's its variants, a trait's its methods.
+    let mut body = Body::Trait;
     while let Some(line) = lines.next() {
         if line.starts_with("#[cfg(test)]") {
             test_only = true;
@@ -122,16 +125,33 @@ fn scan(file: &Path, text: &str) -> (Vec<String>, Vec<PathBuf>) {
             }
             continue;
         }
+        // A variant at the top level of a public enum's body is read whole,
+        // named fields and their docs included, and listed under the enum.
+        if body == Body::Enum && body_depth == 1 && !line.starts_with('}') {
+            let mut variant = line.to_string();
+            while !(variant.ends_with(',') && open_brackets(&variant) == 0) {
+                match lines.next() {
+                    Some(more) if more.starts_with("//") || more.starts_with("#[") => {}
+                    Some(more) => {
+                        variant.push(' ');
+                        variant.push_str(more);
+                    }
+                    None => break,
+                }
+            }
+            items.extend(variant_lines(&variant));
+            continue;
+        }
         // A method at the top level of a public trait's body, or a `pub`
         // field at the top level of a public struct's, is listed, indented,
         // under its item; the body's other lines only move the depth.
         let member = body_depth == 1
-            && if in_struct {
-                line.starts_with("pub ")
-            } else {
-                line.starts_with("fn ")
+            && match body {
+                Body::Struct => line.starts_with("pub "),
+                Body::Trait => line.starts_with("fn "),
+                Body::Enum => false,
             };
-        let field = member && in_struct;
+        let field = member && body == Body::Struct;
         if !is_public_item(line) && !member {
             if body_depth > 0 {
                 body_depth += brace_delta(line);
@@ -160,8 +180,15 @@ fn scan(file: &Path, text: &str) -> (Vec<String>, Vec<PathBuf>) {
         if member {
             body_depth += brace_delta(&head);
         } else if head.ends_with('{') {
-            in_struct = head.starts_with("pub struct ");
-            if in_struct || head.starts_with("pub trait ") {
+            let opened = [
+                ("pub struct ", Body::Struct),
+                ("pub enum ", Body::Enum),
+                ("pub trait ", Body::Trait),
+            ]
+            .into_iter()
+            .find(|(prefix, _)| head.starts_with(prefix));
+            if let Some((_, kind)) = opened {
+                body = kind;
                 body_depth = 1;
             }
         }
@@ -173,29 +200,63 @@ fn scan(file: &Path, text: &str) -> (Vec<String>, Vec<PathBuf>) {
         } else {
             head.find(" {").unwrap_or(head.len())
         };
-        // Undo rustfmt's one-argument-per-line layout.
-        let head = head[..cut]
-            .trim_end_matches([';', ',', ' '])
-            .replace("( ", "(")
-            .replace(", )", ")")
-            .replace("< ", "<")
-            .replace(", >", ">")
-            .replace("{ ", "{")
-            .replace(", }", "}");
+        let head = tidy(&head[..cut]);
         items.push(if member { format!("  {head}") } else { head });
     }
     (items, test_modules)
 }
 
-/// Brackets `(`, `[` and `<` left open in `text`; the `>` of an `->`
+/// The kind of public item whose body the scanner is inside.
+#[derive(Clone, Copy, PartialEq)]
+enum Body {
+    Struct,
+    Enum,
+    Trait,
+}
+
+/// `text` without its trailing `;`/`,`, and with rustfmt's
+/// one-argument-per-line layout undone.
+fn tidy(text: &str) -> String {
+    text.trim_end_matches([';', ',', ' '])
+        .replace("( ", "(")
+        .replace(", )", ")")
+        .replace("< ", "<")
+        .replace(", >", ">")
+        .replace("{ ", "{")
+        .replace(", }", "}")
+}
+
+/// One enum variant's listing: the variant, indented, then each of its
+/// named fields indented once more.
+fn variant_lines(variant: &str) -> Vec<String> {
+    let variant = variant.trim_end_matches(',');
+    let Some((name, fields)) = variant.split_once(" {") else {
+        return vec![format!("  {}", tidy(variant))];
+    };
+    let fields = fields.trim_end().trim_end_matches('}');
+    let mut lines = vec![format!("  {name}")];
+    let mut start = 0;
+    for (i, c) in fields.char_indices().chain([(fields.len(), ',')]) {
+        if c == ',' && open_brackets(&fields[start..i]) == 0 {
+            let field = fields[start..i].trim();
+            if !field.is_empty() {
+                lines.push(format!("    {}", tidy(field)));
+            }
+            start = i + 1;
+        }
+    }
+    lines
+}
+
+/// Brackets `(`, `[`, `{` and `<` left open in `text`; the `>` of an `->`
 /// closes none.
 fn open_brackets(text: &str) -> i64 {
     let mut depth = 0;
     let mut prev = ' ';
     for c in text.chars() {
         match c {
-            '(' | '[' | '<' => depth += 1,
-            ')' | ']' => depth -= 1,
+            '(' | '[' | '{' | '<' => depth += 1,
+            ')' | ']' | '}' => depth -= 1,
             '>' if prev != '-' => depth -= 1,
             _ => {}
         }
@@ -317,6 +378,21 @@ pub trait T: Send {
         if true { 1 } else { 2 }
     }
 }
+pub enum E<T> {
+    /// Doc.
+    Unit,
+    #[default]
+    Tuple(u32, T),
+    Inline { a: u32 },
+    Named {
+        /// Doc with a brace {.
+        b: Option<Vec<
+            u8,
+        >>,
+        c: (u32, u64),
+    },
+    Valued = 3,
+}
 pub fn after() {}
 ";
     let (items, mods) = scan(Path::new("crates/x/src/lib.rs"), text);
@@ -335,6 +411,15 @@ pub fn after() {}
             "pub trait T: Send",
             "  fn required(&self, x: u32) -> u32",
             "  fn provided(&self) -> u32",
+            "pub enum E<T>",
+            "  Unit",
+            "  Tuple(u32, T)",
+            "  Inline",
+            "    a: u32",
+            "  Named",
+            "    b: Option<Vec<u8>>",
+            "    c: (u32, u64)",
+            "  Valued = 3",
             "pub fn after()",
         ]
     );

@@ -10,7 +10,7 @@
 use commsched::collectives::{CollectiveSpec, Pattern};
 use commsched::core::{
     AdaptiveSelector, AllocRequest, BalancedSelector, ClusterState, CostModel, GreedySelector,
-    JobId, JobNature, NodeSelector, PlacementEvaluator, SaBudget, SaSelector, SelectorKind,
+    JobId, JobNature, NodeSelector, PlacementEvaluator, SaSelector, SelectorKind,
 };
 use commsched::prelude::*;
 use commsched::slurmsim::EngineConfig as Cfg;
@@ -74,9 +74,7 @@ fn sa_strictly_beats_greedy_on_contended_tree() {
     let adaptive = AdaptiveSelector::default()
         .select(&tree, &st, &req)
         .unwrap();
-    let sa = SaSelector::new(SaBudget::with_evals(256), 42)
-        .select(&tree, &st, &req)
-        .unwrap();
+    let sa = SaSelector::new(256, 42).select(&tree, &st, &req).unwrap();
 
     let cost_g = cost(&tree, &st, &greedy, &spec);
     let cost_b = cost(&tree, &st, &balanced, &spec);
@@ -112,7 +110,7 @@ fn budget_zero_never_regresses_adaptive_outputs() {
     let adaptive = AdaptiveSelector::default()
         .select(&tree, &state, &AllocRequest::comm(JobId(2), 512))
         .unwrap();
-    let sa0 = SaSelector::new(SaBudget::with_evals(0), 42)
+    let sa0 = SaSelector::new(0, 42)
         .select(&tree, &state, &AllocRequest::comm(JobId(2), 512))
         .unwrap();
     assert_eq!(adaptive, sa0, "sa@0 diverged from adaptive");
@@ -145,12 +143,9 @@ fn engine_with_sa_budget_zero_matches_adaptive_run() {
     let adaptive = Engine::new(&tree, Cfg::new(SelectorKind::Adaptive))
         .run(&log)
         .unwrap();
-    let sa0 = Engine::new(
-        &tree,
-        Cfg::new(SelectorKind::Sa).with_sa(SaBudget::with_evals(0), 7),
-    )
-    .run(&log)
-    .unwrap();
+    let sa0 = Engine::new(&tree, Cfg::new(SelectorKind::Sa).with_sa(0, 7))
+        .run(&log)
+        .unwrap();
     assert_eq!(adaptive.outcomes, sa0.outcomes);
     assert_eq!(adaptive.makespan, sa0.makespan);
 }

@@ -2,13 +2,12 @@
 //! backfill policy, or fault pattern, a trace must obey its structural
 //! invariants — dense sequence numbers, non-decreasing virtual time,
 //! `place` immediately before each `start`, every `finish`/`requeue`
-//! closing a span that a `start` opened — and the in-memory [`Capture`]
-//! sink must render byte-identically to a streaming [`JsonlRecorder`].
+//! closing a span that a `start` opened.
 
 use commsched::metrics::Registry;
 use commsched::prelude::*;
 use commsched::slurmsim::FailurePolicy;
-use commsched::trace::{Capture, Event, EventKind, JsonlRecorder};
+use commsched::trace::{Capture, Event, EventKind};
 use commsched::workload::FaultTrace;
 use proptest::prelude::*;
 
@@ -162,40 +161,6 @@ proptest! {
         let mut reg = Registry::new();
         engine.run_observed(&log, &mut cap, &mut reg).expect("toy log fits");
         check_trace_invariants(&cap.events);
-    }
-
-    /// The in-memory Capture and the streaming JSONL sink are two views of
-    /// the same event sequence: identical bytes, event for event.
-    #[test]
-    fn capture_and_jsonl_sinks_agree(
-        seed in any::<u64>(),
-        sel in 0usize..4,
-        policy in 0usize..3,
-    ) {
-        let tree = Tree::regular_two_level(3, 6);
-        let log = toy_log(seed, 60, 20);
-        let faults = mtbf_faults(seed ^ 0x51de, &log);
-
-        let mut cap = Capture::new();
-        let mut reg1 = Registry::new();
-        let s1 = engine_for(&tree, sel, 1, policy, faults.clone())
-            .run_observed(&log, &mut cap, &mut reg1)
-            .expect("toy log fits");
-
-        let mut jsonl = JsonlRecorder::new(Vec::new());
-        let mut reg2 = Registry::new();
-        let s2 = engine_for(&tree, sel, 1, policy, faults)
-            .run_observed(&log, &mut jsonl, &mut reg2)
-            .expect("toy log fits");
-        let (bytes, err) = jsonl.into_inner();
-        prop_assert!(err.is_none(), "in-memory writer cannot fail");
-
-        prop_assert_eq!(s1.outcomes.len(), s2.outcomes.len());
-        prop_assert_eq!(cap.to_jsonl().into_bytes(), bytes);
-        prop_assert_eq!(
-            reg1.snapshot().to_json_pretty(),
-            reg2.snapshot().to_json_pretty()
-        );
     }
 
     /// Tracing must never change scheduling: summaries from `run` and
