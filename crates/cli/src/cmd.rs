@@ -605,6 +605,12 @@ pub(crate) fn individual(p: &Parsed, out: &mut dyn Write) -> CmdResult {
     .map_err(|e| e.to_string())
 }
 
+/// The most ranks `commsched patterns` prints: every step's pair list is
+/// expanded before its line is written, and ring and alltoall have
+/// `ranks − 1` steps of O(ranks) pairs. 4,096 is the largest power of two
+/// the blessed `steps(p)` digests in `collectives` cover.
+const MAX_PATTERN_RANKS: usize = 4096;
+
 /// `commsched patterns [RANKS]`.
 pub(crate) fn patterns(p: &Parsed, out: &mut dyn Write) -> CmdResult {
     let ranks: usize = p
@@ -613,6 +619,11 @@ pub(crate) fn patterns(p: &Parsed, out: &mut dyn Write) -> CmdResult {
         .map(|s| s.parse().map_err(|_| format!("bad rank count {s:?}")))
         .transpose()?
         .unwrap_or(8);
+    if ranks > MAX_PATTERN_RANKS {
+        return Err(format!(
+            "patterns prints at most {MAX_PATTERN_RANKS} ranks, not {ranks}"
+        ));
+    }
     for pattern in Pattern::ALL {
         let spec = CollectiveSpec::new(pattern, 1 << 20);
         writeln!(

@@ -378,6 +378,21 @@ fn patterns_lists_all() {
 }
 
 #[test]
+fn patterns_rejects_more_than_4096_ranks() {
+    // Only refusals are run here: 4,096 ranks print ~33 M pairs, and
+    // 100,000 unbounded would expand ~10^10 before the first line.
+    for ranks in ["4097", "100000"] {
+        let (code, out, err) = run_cli(&["patterns", ranks]);
+        assert_eq!(code, 1, "{ranks}: {err}");
+        assert!(out.is_empty(), "{ranks}: printed before refusing");
+        assert!(
+            err.contains(&format!("at most 4096 ranks, not {ranks}")),
+            "{ranks}: {err}"
+        );
+    }
+}
+
+#[test]
 fn bad_preset_and_system_errors() {
     let (code, _, err) = run_cli(&["topology", "show", "--preset", "nope"]);
     assert_eq!(code, 1);

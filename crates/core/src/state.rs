@@ -175,7 +175,7 @@ impl Lag {
 ///
 /// Keeps packed per-node free bits, the three per-leaf counters the paper's
 /// formulas read, and an incremental per-switch free counter that keys
-/// the free-count index (see [`crate::index`]), so switch selection never
+/// the free-count index (see `crate::index`), so switch selection never
 /// recounts a subtree. What-if evaluation never
 /// touches the state: [`crate::PlacementEvaluator`] overlays the candidate
 /// on the counters it reads.

@@ -37,7 +37,7 @@ pub struct Switch {
     pub children: Vec<SwitchId>,
     /// Total compute nodes in this switch's subtree.
     pub subtree_nodes: usize,
-    /// Ordinals (indices into [`Tree::leaves`]) of leaf switches under this
+    /// Ordinals (indices into `Tree::leaves`) of leaf switches under this
     /// switch, in child-list order: each child's list in turn, so an upper
     /// switch configured as `Switches=s2,s0` holds `[2, 0]`. For a leaf
     /// switch this is its own ordinal.
@@ -409,7 +409,7 @@ impl Tree {
     }
 
     /// The node ids on a leaf (by ordinal), as one ascending contiguous
-    /// range: [`Tree::from_parts`] numbers nodes leaf by leaf, so leaf `k`
+    /// range: `Tree::from_parts` numbers nodes leaf by leaf, so leaf `k`
     /// holds exactly `leaf_node_range(k)` and the ranges ascend with `k`.
     /// Everything that trades in per-leaf node counts instead of id lists
     /// rests on this.
