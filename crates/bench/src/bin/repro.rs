@@ -98,13 +98,8 @@ fn main() -> ExitCode {
     // from experiment outputs (never wall-clock), so the report is a
     // deterministic function of (experiments, jobs, seed).
     let mut reg = Registry::new();
-    let c_runs = reg.counter("experiments.run");
-    let h_txt = reg.hist("experiment.text_bytes");
-    let h_json = reg.hist("experiment.json_bytes");
-    let g_jobs = reg.gauge("scale.jobs");
-    let g_seed = reg.gauge("scale.seed");
-    reg.set(g_jobs, scale.jobs as f64);
-    reg.set(g_seed, scale.seed as f64);
+    *reg.gauge("scale.jobs") = scale.jobs as f64;
+    *reg.gauge("scale.seed") = scale.seed as f64;
 
     for (name, run) in selected {
         eprintln!(
@@ -137,10 +132,11 @@ fn main() -> ExitCode {
             txt.display(),
             json.display()
         );
-        reg.inc(c_runs, 1);
-        reg.observe(h_txt, result.text.len() as f64);
+        *reg.counter("experiments.run") += 1;
+        reg.hist("experiment.text_bytes")
+            .observe(result.text.len() as f64);
         let json_len = serde_json::to_string(&result.json).map_or(0, |s| s.len());
-        reg.observe(h_json, json_len as f64);
+        reg.hist("experiment.json_bytes").observe(json_len as f64);
     }
 
     if let Some(path) = report_out {

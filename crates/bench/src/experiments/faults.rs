@@ -52,16 +52,7 @@ pub fn faults(scale: Scale) -> ExperimentResult {
     let system = SystemModel::theta();
     let tree = SystemPreset::Theta.build();
     let log = build_log(system, scale, 90, LogShape::Pattern(Pattern::Rhvd));
-    // Faults cover twice the log's nominal span so requeued work that runs
-    // past the last submit still sees failures.
-    let horizon = log
-        .jobs
-        .iter()
-        .map(|j| j.submit + j.walltime)
-        .max()
-        .unwrap_or(0)
-        .saturating_mul(2)
-        .max(1);
+    let horizon = log.fault_horizon();
 
     let rates: [f64; 2] = [5.0e6, 1.0e6];
     let policies: [(&str, FailurePolicy); 3] = [
@@ -96,24 +87,15 @@ pub fn faults(scale: Scale) -> ExperimentResult {
     // and one degraded-cable trace (capacity drops to 250‰ until repair —
     // no kills, only slowdown, so the policy column stays "-").
     let switch_mtbf_secs = 2.0e6;
-    let switch_trace = {
-        let all = FaultTrace::switch_mtbf(
-            tree.num_switches(),
-            switch_mtbf_secs,
-            MTTR_SECS,
-            horizon,
-            scale.seed ^ 0x5A17,
-        )
-        .expect("sweep switch-MTBF parameters are valid");
-        let root = tree.root().0;
-        FaultTrace::new(
-            all.events()
-                .iter()
-                .filter(|e| e.node != root)
-                .copied()
-                .collect(),
-        )
-    };
+    let switch_trace = FaultTrace::switch_mtbf(
+        tree.num_switches(),
+        tree.root().0,
+        switch_mtbf_secs,
+        MTTR_SECS,
+        horizon,
+        scale.seed ^ 0x5A17,
+    )
+    .expect("sweep switch-MTBF parameters are valid");
     let link_mtbf_secs = 1.0e6;
     let link_trace = FaultTrace::link_degrade(
         tree.num_directed_links(),

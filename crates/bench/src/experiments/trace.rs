@@ -204,14 +204,13 @@ pub fn run_golden(name: &str, jobs: usize, seed: u64) -> Option<(String, String)
             // The flow simulator has no registry of its own; summarize the
             // captured solver records so the report is still meaningful.
             let mut reg = Registry::new();
-            let solves = reg.counter("net.solves");
-            let jobs_done = reg.counter("net.jobs");
-            let rate_h = reg.hist("net.min_rate_bps");
+            let mut solves = 0u64;
+            let rates = reg.hist("net.min_rate_bps");
             for ev in &cap.events {
                 match ev.kind {
-                    commsched_trace::EventKind::NetSolve { .. } => reg.inc(solves, 1),
+                    commsched_trace::EventKind::NetSolve { .. } => solves += 1,
                     commsched_trace::EventKind::NetRates { min_rate, .. } => {
-                        reg.observe(rate_h, min_rate)
+                        rates.observe(min_rate)
                     }
                     // The flow simulator emits no scheduler or fault
                     // events; listing the variants keeps this summary
@@ -230,7 +229,8 @@ pub fn run_golden(name: &str, jobs: usize, seed: u64) -> Option<(String, String)
                     | commsched_trace::EventKind::NetLinks { .. } => {}
                 }
             }
-            reg.inc(jobs_done, results.len() as u64);
+            *reg.counter("net.solves") = solves;
+            *reg.counter("net.jobs") = results.len() as u64;
             return Some((cap.to_jsonl(), reg.snapshot().to_json_pretty()));
         }
         _ => return None,
@@ -248,14 +248,7 @@ pub fn run_golden(name: &str, jobs: usize, seed: u64) -> Option<(String, String)
     }
     let mut engine = Engine::new(&tree, cfg);
     if faulted {
-        let horizon = log
-            .jobs
-            .iter()
-            .map(|j| j.submit + j.walltime)
-            .max()
-            .unwrap_or(0)
-            .saturating_mul(2)
-            .max(1);
+        let horizon = log.fault_horizon();
         let faults = FaultTrace::mtbf(tree.num_nodes(), 40_000.0, 5_000.0, horizon, seed ^ 0xFA17)
             .expect("golden MTBF parameters are valid");
         engine = engine.with_faults(faults);

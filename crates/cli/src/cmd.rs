@@ -173,15 +173,7 @@ fn load_faults(p: &Parsed, tree: &Tree, log: &JobLog) -> Result<Option<FaultTrac
         }
         (None, true) => {
             let seed: u64 = p.get_parsed("fault-seed", 7u64)?;
-            // Generate faults over twice the log's nominal span so requeues
-            // that run past the last submit still see failures.
-            let span = log
-                .jobs
-                .iter()
-                .map(|j| j.submit + j.walltime)
-                .max()
-                .unwrap_or(0);
-            let horizon = span.saturating_mul(2).max(1);
+            let horizon = log.fault_horizon();
             let mut trace = FaultTrace::empty();
             if p.get("mtbf").is_some() {
                 let mtbf: f64 = p.get_parsed("mtbf", 0.0f64)?;
@@ -194,25 +186,17 @@ fn load_faults(p: &Parsed, tree: &Tree, log: &JobLog) -> Result<Option<FaultTrac
             if p.get("switch-mtbf").is_some() {
                 let mtbf: f64 = p.get_parsed("switch-mtbf", 0.0f64)?;
                 let mttr: f64 = p.get_parsed("switch-mttr", 3600.0f64)?;
-                let all = FaultTrace::switch_mtbf(
-                    tree.num_switches(),
-                    mtbf,
-                    mttr,
-                    horizon,
-                    seed.wrapping_add(1),
-                )
-                .map_err(|e| e.to_string())?;
-                // Never generate a whole-machine outage: drop the root
-                // switch's events (the draw sequence is per-switch, so the
-                // filter does not shift any other switch's schedule).
-                let root = tree.root().0;
-                let kept: Vec<_> = all
-                    .events()
-                    .iter()
-                    .filter(|e| e.node != root)
-                    .copied()
-                    .collect();
-                trace = trace.merge(FaultTrace::new(kept));
+                trace = trace.merge(
+                    FaultTrace::switch_mtbf(
+                        tree.num_switches(),
+                        tree.root().0,
+                        mtbf,
+                        mttr,
+                        horizon,
+                        seed.wrapping_add(1),
+                    )
+                    .map_err(|e| e.to_string())?,
+                );
             }
             if p.get("link-degrade").is_some() {
                 let permille: u32 = p.get_parsed("link-degrade", 500u32)?;

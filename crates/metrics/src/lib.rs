@@ -13,9 +13,7 @@ mod registry;
 mod render;
 mod stats;
 
-pub use registry::{
-    CounterId, GaugeId, HistId, LogHistogram, Registry, RunReport, RUN_REPORT_VERSION,
-};
+pub use registry::{LogHistogram, Registry, RunReport, RUN_REPORT_VERSION};
 pub use render::{Series, Table};
 pub use stats::{mean, mean_ci95, median, peak_to_mean, pearson};
 

@@ -1,11 +1,12 @@
 //! A named-metric registry snapshotting into a machine-readable
 //! [`RunReport`].
 //!
-//! Producers resolve names to copyable handles once ([`Registry::counter`]
-//! / [`Registry::gauge`] / [`Registry::hist`]) and then update by index,
-//! so hot loops never hash or compare strings. A [`Registry::snapshot`]
-//! sorts metrics by name into a [`RunReport`], whose JSON rendering is
-//! deterministic: same run, same bytes, at any thread count.
+//! Producers write by name through three find-or-create accessors
+//! ([`Registry::counter`] / [`Registry::gauge`] / [`Registry::hist`]); a
+//! hot loop counts into plain numbers of its own and writes them once.
+//! Each kind is a name-keyed map, so a [`Registry::snapshot`] is already
+//! name-sorted and its JSON rendering is deterministic: same run, same
+//! bytes, at any thread count.
 //!
 //! Histograms are [`LogHistogram`]s — power-of-two magnitude buckets plus
 //! exact count/min/max/sum — chosen because they answer quantile queries
@@ -14,18 +15,6 @@
 use commsched_num::f64_of_u64;
 use serde_json::{Number, Value};
 use std::collections::BTreeMap;
-
-/// Handle to a named counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a named gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
-/// Handle to a named histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistId(usize);
 
 /// A histogram over power-of-two magnitude buckets.
 ///
@@ -43,8 +32,6 @@ pub struct LogHistogram {
     buckets: BTreeMap<i32, u64>,
 }
 
-/// Bucket key of a finite sample: 0 for zero, `±(exponent + 1100)`
-/// otherwise, so keys sort in numeric sample order.
 fn vu(v: u64) -> Value {
     Value::Number(Number::from_u64(v))
 }
@@ -57,6 +44,8 @@ fn vf(v: f64) -> Value {
     Value::Number(Number::from_f64(v))
 }
 
+/// Bucket key of a finite sample: 0 for zero, `±(exponent + 1100)`
+/// otherwise, so keys sort in numeric sample order.
 fn bucket_key(x: f64) -> i32 {
     if x == 0.0 {
         return 0;
@@ -87,13 +76,8 @@ fn bucket_upper(key: i32) -> f64 {
 }
 
 impl LogHistogram {
-    /// An empty histogram.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Record one sample. Non-finite samples are dropped.
-    pub(crate) fn observe(&mut self, x: f64) {
+    pub fn observe(&mut self, x: f64) {
         if !x.is_finite() {
             return;
         }
@@ -223,12 +207,12 @@ impl LogHistogram {
     }
 }
 
-/// The registry: named counters, gauges and histograms, updated by handle.
+/// The registry: named counters, gauges and histograms.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, f64)>,
-    hists: Vec<(String, LogHistogram)>,
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, f64>,
+    hists: BTreeMap<String, LogHistogram>,
 }
 
 impl Registry {
@@ -237,71 +221,32 @@ impl Registry {
         Registry::default()
     }
 
-    /// Find or create the counter `name`.
-    pub fn counter(&mut self, name: &str) -> CounterId {
-        if let Some(i) = self.counters.iter().position(|(n, _)| n == name) {
-            return CounterId(i);
-        }
-        self.counters.push((name.to_string(), 0));
-        CounterId(self.counters.len() - 1)
+    /// The counter `name`, created at 0 if absent.
+    pub fn counter(&mut self, name: &str) -> &mut u64 {
+        self.counters.entry(name.to_string()).or_default()
     }
 
-    /// Add `by` to a counter.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId, by: u64) {
-        self.counters[id.0].1 += by;
+    /// The gauge `name`, created at 0 if absent.
+    pub fn gauge(&mut self, name: &str) -> &mut f64 {
+        self.gauges.entry(name.to_string()).or_default()
     }
 
-    /// Find or create the gauge `name`.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
-        if let Some(i) = self.gauges.iter().position(|(n, _)| n == name) {
-            return GaugeId(i);
-        }
-        self.gauges.push((name.to_string(), 0.0));
-        GaugeId(self.gauges.len() - 1)
-    }
-
-    /// Set a gauge.
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, v: f64) {
-        self.gauges[id.0].1 = v;
-    }
-
-    /// Find or create the histogram `name`.
-    pub fn hist(&mut self, name: &str) -> HistId {
-        if let Some(i) = self.hists.iter().position(|(n, _)| n == name) {
-            return HistId(i);
-        }
-        self.hists.push((name.to_string(), LogHistogram::new()));
-        HistId(self.hists.len() - 1)
-    }
-
-    /// Record a histogram sample.
-    #[inline]
-    pub fn observe(&mut self, id: HistId, x: f64) {
-        self.hists[id.0].1.observe(x);
+    /// The histogram `name`, created empty if absent.
+    pub fn hist(&mut self, name: &str) -> &mut LogHistogram {
+        self.hists.entry(name.to_string()).or_default()
     }
 
     /// Current value of a counter, by name (tests and report assembly).
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
+        self.counters.get(name).copied()
     }
 
     /// Snapshot into a name-sorted, serializable [`RunReport`].
     pub fn snapshot(&self) -> RunReport {
-        let mut counters = self.counters.clone();
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut gauges = self.gauges.clone();
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut histograms = self.hists.clone();
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
         RunReport {
-            counters,
-            gauges,
-            histograms,
+            counters: self.counters.clone().into_iter().collect(),
+            gauges: self.gauges.clone().into_iter().collect(),
+            histograms: self.hists.clone().into_iter().collect(),
         }
     }
 }

@@ -150,18 +150,14 @@ mod registry_tests {
     use proptest::prelude::*;
 
     #[test]
-    fn registry_handles_and_counters() {
+    fn registry_counters_by_name() {
         let mut r = Registry::new();
-        let c = r.counter("jobs.started");
-        assert_eq!(r.counter("jobs.started"), c); // find, not duplicate
-        r.inc(c, 2);
-        r.inc(c, 3);
+        *r.counter("jobs.started") += 2;
+        *r.counter("jobs.started") += 3; // a second `counter(name)` is the same counter
         assert_eq!(r.counter_value("jobs.started"), Some(5));
         assert_eq!(r.counter_value("missing"), None);
-        let g = r.gauge("makespan_s");
-        r.set(g, 1234.5);
-        let h = r.hist("job.wait_s");
-        r.observe(h, 10.0);
+        *r.gauge("makespan_s") = 1234.5;
+        r.hist("job.wait_s").observe(10.0);
         let snap = r.snapshot();
         assert_eq!(snap.counters, vec![("jobs.started".to_string(), 5)]);
         assert_eq!(snap.gauges, vec![("makespan_s".to_string(), 1234.5)]);
@@ -182,7 +178,7 @@ mod registry_tests {
 
     #[test]
     fn empty_histogram_is_well_defined() {
-        let h = LogHistogram::new();
+        let h = LogHistogram::default();
         assert_eq!(h.count(), 0);
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
@@ -192,7 +188,7 @@ mod registry_tests {
 
     #[test]
     fn histogram_drops_non_finite() {
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         h.observe(f64::NAN);
         h.observe(f64::INFINITY);
         h.observe(3.0);
@@ -203,13 +199,11 @@ mod registry_tests {
     #[test]
     fn report_json_round_trip() {
         let mut r = Registry::new();
-        let c = r.counter("jobs.completed");
-        r.inc(c, 17);
-        let g = r.gauge("lost_node_seconds");
-        r.set(g, 960.0);
+        *r.counter("jobs.completed") += 17;
+        *r.gauge("lost_node_seconds") = 960.0;
         let h = r.hist("job.exec_s");
         for x in [30.0, 600.0, 601.5, 4000.0, 0.0, -2.5] {
-            r.observe(h, x);
+            h.observe(x);
         }
         let report = r.snapshot();
         let text = report.to_json_pretty();
@@ -238,7 +232,7 @@ mod registry_tests {
             xs in proptest::collection::vec(-1e9f64..1e9, 1..200),
             q in 0.0f64..1.0,
         ) {
-            let mut h = LogHistogram::new();
+            let mut h = LogHistogram::default();
             for &x in &xs {
                 h.observe(x);
             }
@@ -258,7 +252,7 @@ mod registry_tests {
             let mut r = Registry::new();
             let h = r.hist("samples");
             for &x in &xs {
-                r.observe(h, x);
+                h.observe(x);
             }
             let report = r.snapshot();
             let back = RunReport::from_json(&report.to_json_pretty());

@@ -7,7 +7,7 @@ use commsched_core::{
     AllocRequest, ClusterState, CostModel, JobId, JobNature, NodeSelector, Placement,
     PlacementEvaluator, SaSelector, SaStats, SelectorKind,
 };
-use commsched_metrics::{CounterId, Registry};
+use commsched_metrics::Registry;
 use commsched_num::{
     f64_of_u64, f64_of_usize, i64_of_usize, u32_of_usize, u64_of_f64, u64_of_usize, usize_of_u32,
     usize_of_u64,
@@ -514,66 +514,53 @@ fn us(t: u64) -> u64 {
     t.saturating_mul(1_000_000)
 }
 
-/// The registry a run counts its emitted events into (DESIGN.md §4.5),
-/// with the handles of the nine scheduler counters every report carries.
-struct Tally<'a> {
-    reg: &'a mut Registry,
-    sched: [CounterId; 9],
+/// A run's counters, one per report counter, tallied from the events it
+/// emits (DESIGN.md §4.5) and written to a report once, by
+/// [`Engine::run_observed`].
+#[derive(Default)]
+struct Counts {
+    submitted: u64,
+    started: u64,
+    backfilled: u64,
+    completed: u64,
+    cancelled: u64,
+    rejected: u64,
+    requeued: u64,
+    faults: u64,
+    passes: u64,
+    switches: u64,
+    victims: u64,
+    links: u64,
+    searches: u64,
+    evals: u64,
+    improved: u64,
 }
 
-impl<'a> Tally<'a> {
-    /// Registers the nine at zero before `validate` runs, so a rejected
-    /// input still leaves them in the caller's registry.
-    fn new(reg: &'a mut Registry) -> Self {
-        let sched = [
-            "jobs.submitted",
-            "jobs.started",
-            "jobs.backfilled",
-            "jobs.completed",
-            "jobs.cancelled",
-            "jobs.rejected",
-            "jobs.requeued",
-            "faults.applied",
-            "sched.passes",
-        ]
-        .map(|name| reg.counter(name));
-        Tally { reg, sched }
-    }
-
-    /// Bump a counter some runs lack, registering it on first use.
-    fn bump_named(&mut self, name: &str, by: u64) {
-        let c = self.reg.counter(name);
-        self.reg.inc(c, by);
-    }
-
-    /// Count one event, whatever the tracer records: `sched.passes` is
-    /// the only counter without one, and `schedule_pass` counts it.
+impl Counts {
+    /// Count one event, whatever the tracer records: `passes` is the only
+    /// counter without one, and `schedule_pass` counts it.
     fn count(&mut self, kind: &TK) {
-        let [submitted, started, backfilled, completed, cancelled, rejected, requeued, faults, _] =
-            self.sched;
         match *kind {
-            TK::JobSubmit { .. } => self.reg.inc(submitted, 1),
-            TK::JobStart { backfilled: b, .. } => {
-                self.reg.inc(started, 1);
-                self.reg.inc(backfilled, u64::from(b));
+            TK::JobSubmit { .. } => self.submitted += 1,
+            TK::JobStart { backfilled, .. } => {
+                self.started += 1;
+                self.backfilled += u64::from(backfilled);
             }
             TK::JobFinish { status, .. } => match status {
-                EndStatus::Completed => self.reg.inc(completed, 1),
-                EndStatus::Cancelled => self.reg.inc(cancelled, 1),
+                EndStatus::Completed => self.completed += 1,
+                EndStatus::Cancelled => self.cancelled += 1,
             },
-            TK::JobRequeue { .. } => self.reg.inc(requeued, 1),
-            TK::JobReject { .. } => self.reg.inc(rejected, 1),
-            TK::Fault { .. } => self.reg.inc(faults, 1),
+            TK::JobRequeue { .. } => self.requeued += 1,
+            TK::JobReject { .. } => self.rejected += 1,
+            TK::Fault { .. } => self.faults += 1,
             TK::SwitchFault { victims, .. } => {
-                self.reg.inc(faults, 1);
-                self.bump_named("faults.switch.applied", 1);
-                if victims > 0 {
-                    self.bump_named("faults.switch.victims", victims);
-                }
+                self.faults += 1;
+                self.switches += 1;
+                self.victims += victims;
             }
             TK::LinkFault { .. } => {
-                self.reg.inc(faults, 1);
-                self.bump_named("faults.link.applied", 1);
+                self.faults += 1;
+                self.links += 1;
             }
             TK::SaSearch {
                 evals,
@@ -581,11 +568,9 @@ impl<'a> Tally<'a> {
                 cost_final,
                 ..
             } => {
-                self.bump_named("sa.searches", 1);
-                self.bump_named("sa.evals", evals);
-                if cost_final < cost_incumbent {
-                    self.bump_named("sa.improved", 1);
-                }
+                self.searches += 1;
+                self.evals += evals;
+                self.improved += u64::from(cost_final < cost_incumbent);
             }
             TK::JobEligible { .. }
             | TK::JobPlace { .. }
@@ -889,45 +874,89 @@ impl<'t> Engine<'t> {
     /// Continuous run: replay the whole log (§5.4), interleaving any
     /// injected fault events.
     pub fn run(&self, log: &JobLog) -> Result<RunSummary, EngineError> {
-        // The observed run with the zero-cost null sink and nothing to
-        // count into — byte-identical results by construction.
-        self.run_with(log, &mut NullRecorder, None)
+        // The observed run with the zero-cost null sink, its counts
+        // dropped — byte-identical results by construction.
+        self.run_with(log, &mut NullRecorder).0
     }
 
     /// [`Engine::run`] with observability: every job lifecycle transition
     /// is emitted to `recorder` as a virtual-time [`commsched_trace::Event`]
-    /// and run counters/distributions accumulate in `registry` (snapshot it
-    /// afterwards for a machine-readable report). Events derive only from
-    /// virtual time and seeded state, so the trace is byte-identical across
-    /// repeat runs and thread counts.
+    /// and run counters/distributions are added to `registry` when the run
+    /// ends (snapshot it afterwards for a machine-readable report). Events
+    /// derive only from virtual time and seeded state, so the trace is
+    /// byte-identical across repeat runs and thread counts.
     pub fn run_observed(
         &self,
         log: &JobLog,
         recorder: &mut dyn Recorder,
         registry: &mut Registry,
     ) -> Result<RunSummary, EngineError> {
-        self.run_with(log, recorder, Some(registry))
+        let (summary, c) = self.run_with(log, recorder);
+        // The nine scheduler counters every report carries, a rejected
+        // input's included, then each other one only if its event fired:
+        // `faults.switch.victims` only with victims, `sa.evals` on every
+        // search, even one that made no evaluation.
+        let counters = [
+            ("jobs.submitted", c.submitted, true),
+            ("jobs.started", c.started, true),
+            ("jobs.backfilled", c.backfilled, true),
+            ("jobs.completed", c.completed, true),
+            ("jobs.cancelled", c.cancelled, true),
+            ("jobs.rejected", c.rejected, true),
+            ("jobs.requeued", c.requeued, true),
+            ("faults.applied", c.faults, true),
+            ("sched.passes", c.passes, true),
+            ("faults.switch.applied", c.switches, c.switches > 0),
+            ("faults.switch.victims", c.victims, c.victims > 0),
+            ("faults.link.applied", c.links, c.links > 0),
+            ("sa.searches", c.searches, c.searches > 0),
+            ("sa.evals", c.evals, c.searches > 0),
+            ("sa.improved", c.improved, c.improved > 0),
+        ];
+        for (name, n, fired) in counters {
+            if fired {
+                *registry.counter(name) += n;
+            }
+        }
+        let summary = summary?;
+
+        // End-of-run distributions and totals, in outcome (start) order —
+        // a pure function of the outcomes, so reports stay deterministic.
+        let completed = summary
+            .outcomes
+            .iter()
+            .filter(|o| o.status == JobStatus::Completed);
+        let wait = registry.hist("job.wait_s");
+        for o in completed.clone() {
+            wait.observe(f64_of_u64(o.wait()));
+        }
+        let exec = registry.hist("job.exec_s");
+        for o in completed {
+            exec.observe(f64_of_u64(o.exec()));
+        }
+        let lost = summary
+            .outcomes
+            .iter()
+            .fold(0u64, |sum, o| sum.saturating_add(o.lost_node_seconds));
+        *registry.gauge("makespan_s") = f64_of_u64(summary.makespan);
+        *registry.gauge("lost_node_seconds") = f64_of_u64(lost);
+        Ok(summary)
     }
 
+    /// The one loop behind [`Engine::run`] and [`Engine::run_observed`]:
+    /// the run's summary, and its counts whether it succeeded or not.
     fn run_with(
         &self,
         log: &JobLog,
         recorder: &mut dyn Recorder,
-        registry: Option<&mut Registry>,
-    ) -> Result<RunSummary, EngineError> {
-        let tally = registry.map(Tally::new);
-        self.validate(log)?;
+    ) -> (Result<RunSummary, EngineError>, Counts) {
+        if let Err(e) = self.validate(log) {
+            return (Err(e), Counts::default());
+        }
         // The run's cluster state is leased from a per-thread scratch
         // cache: sweeps replay thousands of logs, and re-allocating the
         // per-node vectors for each would dominate steady-state cost.
         crate::scratch::with_state(self.tree, |state| {
-            for &n in &self.drained {
-                // A freshly-built state has every node up and free, so a
-                // whole-run drain goes straight to Down.
-                state
-                    .set_down(self.tree, n)
-                    .map_err(|e| EngineError::StateInconsistency(format!("draining {n:?}: {e}")))?;
-            }
             let mut events = BinaryHeap::new();
             for (i, j) in log.jobs.iter().enumerate() {
                 events.push(Reverse((j.submit, EventKind::Submit(i))));
@@ -955,26 +984,10 @@ impl<'t> Engine<'t> {
                     Vec::new()
                 },
                 tr: Tracer::new(recorder),
-                tally,
+                counts: Counts::default(),
             };
-            while let Some(&Reverse((now, _))) = run.events.peek() {
-                run.now = now;
-                // Drain all events at `now` (finishes first, then faults, then
-                // submits, via enum ordering).
-                while let Some(&Reverse((t, ev))) = run.events.peek() {
-                    if t != now {
-                        break;
-                    }
-                    run.events.pop();
-                    match ev {
-                        EventKind::Finish(id, att) => run.finish(id, att)?,
-                        EventKind::Fault(k) => run.apply_fault(usize_of_u32(k))?,
-                        EventKind::Submit(i) => run.submit(i),
-                    }
-                }
-                run.schedule_pass()?;
-            }
-            Ok(run.summarize())
+            let summary = run.replay().map(|()| run.summarize());
+            (summary, run.counts)
         })
     }
 }
@@ -1018,8 +1031,7 @@ struct Run<'a, 'r> {
     /// this, keeping their placement arithmetic untouched.
     link_factors: Vec<f64>,
     tr: Tracer<'r>,
-    /// Absent for [`Engine::run`], which reports no counters.
-    tally: Option<Tally<'a>>,
+    counts: Counts,
 }
 
 /// Conservative backfill's availability profile as a pass leaves it, with
@@ -1046,10 +1058,38 @@ struct Reservations {
 impl Run<'_, '_> {
     /// Count `kind`, whatever the caller records, then trace it.
     fn emit(&mut self, kind: TK) {
-        if let Some(t) = &mut self.tally {
-            t.count(&kind);
-        }
+        self.counts.count(&kind);
         self.tr.emit(us(self.now), kind);
+    }
+
+    /// Take down the drained nodes, then process every event: all those
+    /// at the earliest instant, then a scheduling pass, until none remain.
+    fn replay(&mut self) -> Result<(), EngineError> {
+        for &n in &self.eng.drained {
+            // A freshly-built state has every node up and free, so a
+            // whole-run drain goes straight to Down.
+            self.state
+                .set_down(self.eng.tree, n)
+                .map_err(|e| EngineError::StateInconsistency(format!("draining {n:?}: {e}")))?;
+        }
+        while let Some(&Reverse((now, _))) = self.events.peek() {
+            self.now = now;
+            // Drain all events at `now` (finishes first, then faults, then
+            // submits, via enum ordering).
+            while let Some(&Reverse((t, ev))) = self.events.peek() {
+                if t != now {
+                    break;
+                }
+                self.events.pop();
+                match ev {
+                    EventKind::Finish(id, att) => self.finish(id, att)?,
+                    EventKind::Fault(k) => self.apply_fault(usize_of_u32(k))?,
+                    EventKind::Submit(i) => self.submit(i),
+                }
+            }
+            self.schedule_pass()?;
+        }
+        Ok(())
     }
 
     /// A running attempt reached its end: free its nodes.
@@ -1409,10 +1449,7 @@ impl Run<'_, '_> {
     /// One pass of the scheduler: start the head while it fits, then
     /// backfill behind it as the configured policy allows.
     fn schedule_pass(&mut self) -> Result<(), EngineError> {
-        if let Some(Tally { reg, sched }) = &mut self.tally {
-            let [.., passes] = *sched;
-            reg.inc(passes, 1);
-        }
+        self.counts.passes += 1;
         while let Some((slot, head)) = self.pending.first() {
             let fits = self.log.jobs[head].nodes <= self.state.free_total();
             if !(fits && self.start_job(slot, head, false)?.is_some()) {
@@ -1567,9 +1604,9 @@ impl Run<'_, '_> {
         self.pending.first()
     }
 
-    /// Close the run: reject what can never start, fill the end-of-run
-    /// distributions (when there is a registry) and hand the outcomes over.
-    fn summarize(mut self) -> RunSummary {
+    /// Close the run: reject what can never start and hand the outcomes
+    /// over.
+    fn summarize(&mut self) -> RunSummary {
         // Jobs still queued when the event stream runs dry can never start
         // (wider than the surviving capacity, or FIFO-stuck behind one that
         // is): record them as rejected instead of looping or losing them.
@@ -1587,29 +1624,9 @@ impl Run<'_, '_> {
             .map(|o| o.end)
             .max()
             .unwrap_or(self.now);
-
-        // End-of-run distributions and totals, in outcome (completion)
-        // order — a pure function of the outcomes, so reports stay
-        // deterministic.
-        if let Some(Tally { reg, .. }) = self.tally {
-            let (h_wait, h_exec) = (reg.hist("job.wait_s"), reg.hist("job.exec_s"));
-            let mut lost_total = 0u64;
-            for o in &self.outcomes {
-                if o.status == JobStatus::Completed {
-                    reg.observe(h_wait, f64_of_u64(o.wait()));
-                    reg.observe(h_exec, f64_of_u64(o.exec()));
-                }
-                lost_total = lost_total.saturating_add(o.lost_node_seconds);
-            }
-            let g_makespan = reg.gauge("makespan_s");
-            reg.set(g_makespan, f64_of_u64(makespan));
-            let g_lost = reg.gauge("lost_node_seconds");
-            reg.set(g_lost, f64_of_u64(lost_total));
-        }
-
         RunSummary {
             selector: self.eng.cfg.selector.name().to_string(),
-            outcomes: self.outcomes,
+            outcomes: std::mem::take(&mut self.outcomes),
             makespan,
         }
     }

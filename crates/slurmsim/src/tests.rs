@@ -1391,26 +1391,12 @@ mod faults {
         )
         .comm_percent(70)
         .generate();
-        let horizon = log
-            .jobs
-            .iter()
-            .map(|j| j.submit + j.walltime)
-            .max()
-            .unwrap_or(0)
-            .saturating_mul(2)
-            .max(1);
+        let horizon = log.fault_horizon();
         let node = FaultTrace::mtbf(tree.num_nodes(), 30_000.0, 4_000.0, horizon, 3).unwrap();
-        let switches =
-            FaultTrace::switch_mtbf(tree.num_switches(), 60_000.0, 6_000.0, horizon, 4).unwrap();
         let root = tree.root().0;
-        let switches = FaultTrace::new(
-            switches
-                .events()
-                .iter()
-                .filter(|e| e.node != root)
-                .copied()
-                .collect(),
-        );
+        let switches =
+            FaultTrace::switch_mtbf(tree.num_switches(), root, 60_000.0, 6_000.0, horizon, 4)
+                .unwrap();
         let links = FaultTrace::link_degrade(
             tree.num_directed_links(),
             20_000.0,
@@ -2049,6 +2035,68 @@ mod tally {
         assert_eq!(reg.counter_value("sa.searches"), Some(1));
         assert_eq!(reg.counter_value("sa.evals"), Some(0));
         assert_eq!(reg.counter_value("sa.improved"), None);
+    }
+
+    #[test]
+    fn two_runs_into_one_registry_add_up() {
+        // An annealed run (it has `sa.*` counters) and a default one: in a
+        // shared registry counters and histogram counts sum, and each
+        // gauge holds the second run's value.
+        let tree = Tree::regular_two_level(3, 6);
+        let spec = |jobs, seed| {
+            let model = SystemModel {
+                total_nodes: 18,
+                min_request: 1,
+                max_request: 12,
+                ..SystemModel::theta()
+            };
+            LogSpec::new(model, jobs, seed).comm_percent(60).generate()
+        };
+        let runs = [
+            (SelectorKind::Sa, spec(24, 3)),
+            (SelectorKind::Default, spec(17, 4)),
+        ];
+        let mut shared = Registry::new();
+        let mut alone = Vec::new();
+        for (kind, log) in &runs {
+            let engine = Engine::new(&tree, EngineConfig::new(*kind).with_sa(16, 1));
+            engine
+                .run_observed(log, &mut Capture::new(), &mut shared)
+                .unwrap();
+            let mut reg = Registry::new();
+            engine
+                .run_observed(log, &mut Capture::new(), &mut reg)
+                .unwrap();
+            alone.push(reg.snapshot());
+        }
+        let [first, second] = [&alone[0], &alone[1]];
+        assert!(first.counters.iter().any(|(n, _)| n == "sa.searches"));
+        assert!(second.counters.iter().all(|(n, _)| n != "sa.searches"));
+
+        let both = shared.snapshot();
+        let mut sums: BTreeMap<String, u64> = BTreeMap::new();
+        for (name, v) in first.counters.iter().chain(&second.counters) {
+            *sums.entry(name.clone()).or_insert(0) += v;
+        }
+        assert_eq!(both.counters, sums.into_iter().collect::<Vec<_>>());
+        assert_eq!(both.gauges, second.gauges);
+        assert_ne!(both.gauges, first.gauges);
+        let counts = |r: &commsched_metrics::RunReport| -> Vec<(String, u64)> {
+            r.histograms
+                .iter()
+                .map(|(n, h)| (n.clone(), h.count()))
+                .collect()
+        };
+        let want: Vec<(String, u64)> = counts(first)
+            .into_iter()
+            .zip(counts(second))
+            .map(|((n, a), (m, b))| {
+                assert_eq!(n, m);
+                (n, a + b)
+            })
+            .collect();
+        assert_eq!(want.len(), 2);
+        assert_eq!(counts(&both), want);
     }
 }
 

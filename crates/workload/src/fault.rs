@@ -527,12 +527,12 @@ impl FaultTrace {
     /// applied, so one draw fails many nodes at once.
     ///
     /// Same sampling discipline as [`FaultTrace::mtbf`], switch-by-switch
-    /// over ordinals `0..num_switches`. Callers that must keep the root
-    /// alive should filter its ordinal out of the result (draws are made
-    /// for every switch first, so filtering does not shift other switches'
-    /// sequences).
+    /// over ordinals `0..num_switches`. The switch `root` never fails, so
+    /// the whole machine never goes dark: its events are dropped after the
+    /// draws, which therefore leave every other switch's schedule as is.
     pub fn switch_mtbf(
         num_switches: usize,
+        root: usize,
         mtbf_secs: f64,
         mttr_secs: f64,
         horizon: u64,
@@ -554,7 +554,9 @@ impl FaultTrace {
                 },
             },
         )?;
-        Ok(FaultTrace::new(events))
+        Ok(FaultTrace::new(
+            events.into_iter().filter(|e| e.node != root).collect(),
+        ))
     }
 
     /// Generate a seeded link-degradation schedule over `[0, horizon)`:

@@ -61,6 +61,19 @@ impl JobLog {
         }
     }
 
+    /// The span the fault generators cover for this log: twice its latest
+    /// `submit + walltime`, at least 1 s, so requeued work that runs past
+    /// the last submit still sees failures.
+    pub fn fault_horizon(&self) -> u64 {
+        self.jobs
+            .iter()
+            .map(|j| j.submit + j.walltime)
+            .max()
+            .unwrap_or(0)
+            .saturating_mul(2)
+            .max(1)
+    }
+
     /// Largest node request in the log.
     pub fn max_nodes(&self) -> usize {
         self.jobs.iter().map(|j| j.nodes).max().unwrap_or(0)

@@ -133,6 +133,9 @@ fn job_log_stats() {
     assert_eq!(log.pow2_fraction(), 0.5);
     assert_eq!(log.comm_percent(), 50.0);
     assert!((log.total_node_hours() - (4.0 + 6.0)).abs() < 1e-12);
+    // Twice the latest `submit + walltime` (5 + 7200), at least 1 s.
+    assert_eq!(log.fault_horizon(), 14_410);
+    assert_eq!(JobLog::new("empty", vec![]).fault_horizon(), 1);
 }
 
 // ------------------------------------------------------------------- swf
@@ -469,9 +472,22 @@ mod fault_traces {
     #[test]
     fn switch_and_link_generators_are_deterministic_and_valid() {
         use crate::fault::FaultDomain;
-        let a = FaultTrace::switch_mtbf(6, 40_000.0, 5_000.0, 2_000_000, 9).unwrap();
-        let b = FaultTrace::switch_mtbf(6, 40_000.0, 5_000.0, 2_000_000, 9).unwrap();
+        let a = FaultTrace::switch_mtbf(6, 5, 40_000.0, 5_000.0, 2_000_000, 9).unwrap();
+        let b = FaultTrace::switch_mtbf(6, 5, 40_000.0, 5_000.0, 2_000_000, 9).unwrap();
         assert_eq!(a, b);
+        // The root never fails, and sparing it shifts no other switch's
+        // schedule.
+        let c = FaultTrace::switch_mtbf(6, 0, 40_000.0, 5_000.0, 2_000_000, 9).unwrap();
+        assert!(a.events().iter().all(|e| e.node != 5));
+        assert!(c.events().iter().any(|e| e.node == 5));
+        let others = |t: &FaultTrace| -> Vec<_> {
+            t.events()
+                .iter()
+                .filter(|e| e.node % 5 != 0)
+                .copied()
+                .collect()
+        };
+        assert_eq!(others(&a), others(&c));
         assert!(
             !a.events().is_empty(),
             "horizon long enough to draw outages"
