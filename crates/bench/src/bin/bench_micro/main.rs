@@ -11,6 +11,11 @@
 //!   evaluators a job sees after a state change;
 //! - **selection** (`select_*`): the three direct selectors back to back
 //!   over the free-count index;
+//! - **evaluation** (`eval_theta_300`, `eval_intrepid_5000`):
+//!   `PlacementEvaluator::evaluate_takes` alone — the Eq. 6 kernel — on the
+//!   default fill of the half-occupied state for an RHVD request, one
+//!   evaluator reused as the engine reuses its own; a sample is a batch of
+//!   [`EVAL_BATCH`] calls and the row its per-call median;
 //! - **state** (`state_dragonfly_1m`): `allocate` then `release` of a
 //!   4,096-node placement of 64 whole leaves on Dragonfly1M with every
 //!   other leaf held — one run per leaf, so the row times the counters'
@@ -41,9 +46,10 @@
 use commsched_bench::experiments::fig6;
 use commsched_bench::perf::{NetsimCase, PlacementCase};
 use commsched_bench::{ExperimentResult, Scale};
+use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_core::{
     AllocRequest, ClusterState, DefaultTreeSelector, JobId, JobNature, NodeSelector, Placement,
-    SelectorKind,
+    PlacementEvaluator, SelectorKind,
 };
 use commsched_slurmsim::individual::individual_runs;
 use commsched_slurmsim::EngineConfig;
@@ -81,6 +87,17 @@ const LEAF_WANT: usize = 32;
 /// The state row's request: the Dragonfly1M placement row's size.
 const STATE_WANT: usize = 4096;
 
+/// The evaluation rows: the default fill of `PlacementCase`'s
+/// half-occupied state for an RHVD request — on Theta a few hundred ranks
+/// over two leaves, on Intrepid a few thousand over tens of leaves — and
+/// the calls per sample, which a sub-microsecond call needs to rise above
+/// the clock's own cost.
+const EVAL_CASES: [(&str, SystemPreset, usize); 2] = [
+    ("eval_theta_300", SystemPreset::Theta, 300),
+    ("eval_intrepid_5000", SystemPreset::Intrepid, 5000),
+];
+const EVAL_BATCH: usize = 64;
+
 /// The reduced Figure 6 sweep (3 systems × 5 mixes × 4 selectors).
 const SWEEP_SCALE: Scale = Scale { jobs: 40, seed: 42 };
 const SWEEP_ITERS: usize = 3;
@@ -102,7 +119,8 @@ fn median_ns<F: FnMut()>(iters: usize, mut f: F) -> u64 {
 #[derive(Serialize)]
 struct Row {
     case: String,
-    /// `"placement"`, `"selection"`, `"state"` or `"simulation"`.
+    /// `"placement"`, `"selection"`, `"evaluation"`, `"state"` or
+    /// `"simulation"`.
     kind: &'static str,
     nodes: usize,
     /// Nodes requested, or jobs simulated.
@@ -111,7 +129,7 @@ struct Row {
 }
 
 /// One placement and one selection per preset (two selections and the
-/// state row on Dragonfly1M), then the simulator runs.
+/// state row on Dragonfly1M), then the evaluations and the simulator runs.
 fn measure_rows() -> Vec<Row> {
     let presets = [
         ("theta_256", SystemPreset::Theta, 256),
@@ -155,6 +173,34 @@ fn measure_rows() -> Vec<Row> {
             });
             rows.push(row(format!("state_{label}"), "state", STATE_WANT, ns));
         }
+    }
+    for (label, preset, want) in EVAL_CASES {
+        let case = PlacementCase::new(preset, want);
+        let req = AllocRequest::comm(case.probe.id, want);
+        let fill = DefaultTreeSelector
+            .select(&case.tree, &case.state, &req)
+            .expect("half the machine is free");
+        let msize = EngineConfig::new(SelectorKind::Adaptive).msize;
+        let spec = CollectiveSpec::new(Pattern::Rhvd, msize);
+        let mut eval = PlacementEvaluator::new();
+        let batch_ns = median_ns(ITERS, || {
+            for _ in 0..EVAL_BATCH {
+                std::hint::black_box(eval.evaluate_takes(
+                    &case.tree,
+                    &case.state,
+                    0.5,
+                    std::hint::black_box(fill.takes()),
+                    &spec,
+                ));
+            }
+        });
+        rows.push(Row {
+            case: label.into(),
+            kind: "evaluation",
+            nodes: case.tree.num_nodes(),
+            request: want,
+            median_ns: batch_ns / EVAL_BATCH as u64,
+        });
     }
     for case in [NetsimCase::steady_state(), NetsimCase::churn()] {
         rows.push(Row {

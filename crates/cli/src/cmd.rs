@@ -332,8 +332,26 @@ fn with_selector(path: &str, name: &str) -> String {
     }
 }
 
+/// The most buckets `--utilization` draws: each is one `f64` and one
+/// printed line.
+const MAX_UTILIZATION_BUCKETS: usize = 10_000;
+
 /// `commsched run` / `commsched compare`.
 pub(crate) fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResult {
+    // Checked before anything runs: no selector's run, trace or report
+    // comes before the refusal.
+    let buckets = match p.get("utilization") {
+        None => None,
+        Some(_) => {
+            let buckets: usize = p.get_parsed("utilization", 20usize)?;
+            if !(1..=MAX_UTILIZATION_BUCKETS).contains(&buckets) {
+                return Err(format!(
+                    "--utilization {buckets} is outside 1..={MAX_UTILIZATION_BUCKETS}"
+                ));
+            }
+            Some(buckets)
+        }
+    };
     let tree = load_tree(p)?;
     let (log, _) = load_log(p)?;
     let drain_count: usize = p.get_parsed("drain", 0usize)?;
@@ -484,8 +502,7 @@ pub(crate) fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResu
                 summary.lost_node_hours(),
             ));
         }
-        if p.get("utilization").is_some() {
-            let buckets: usize = p.get_parsed("utilization", 20usize)?;
+        if let Some(buckets) = buckets {
             timelines.push((kind, summary.utilization(tree.num_nodes(), buckets)));
         }
         t.row(vec![

@@ -284,6 +284,47 @@ fn comm_pct_above_100_is_rejected() {
     assert!(err.contains("--comm-pct 101 is above 100"), "{err}");
 }
 
+/// A bucket count outside `1..=10_000` is a usage error on both
+/// simulating commands, refused before any selector runs: 0 drew an empty
+/// timeline, and a huge count allocated and printed one line per bucket.
+/// The bounds themselves are accepted.
+#[test]
+fn utilization_outside_1_to_10000_is_rejected() {
+    let dir = std::env::temp_dir().join("commsched-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for cmd in ["run", "compare"] {
+        for buckets in ["0", "10001", "18446744073709551615"] {
+            let trace = dir.join(format!("utilization-{cmd}-{buckets}.jsonl"));
+            let _ = std::fs::remove_file(&trace);
+            let line = format!(
+                "{cmd} --preset theta --system theta --jobs 5 --utilization {buckets} \
+                 --trace-out {}",
+                trace.display()
+            );
+            let args: Vec<&str> = line.split_whitespace().collect();
+            let (code, out, err) = run_cli(&args);
+            assert_eq!(code, 1, "{line}: {err}");
+            assert!(
+                err.contains(&format!("--utilization {buckets} is outside 1..=10000")),
+                "{line}: {err}"
+            );
+            assert!(out.is_empty(), "{line} printed before refusing:\n{out}");
+            assert!(!trace.exists(), "{line} wrote a trace before refusing");
+        }
+    }
+    for buckets in ["1", "10000"] {
+        let line = format!("run --preset theta --system theta --jobs 5 --utilization {buckets}");
+        let args: Vec<&str> = line.split(' ').collect();
+        let (code, out, err) = run_cli(&args);
+        assert_eq!(code, 0, "{line}: {err}");
+        assert_eq!(
+            out.matches("t=").count(),
+            buckets.parse::<usize>().unwrap(),
+            "{line}"
+        );
+    }
+}
+
 #[test]
 fn compare_runs_all_selectors() {
     let (code, out, _) = run_cli(&[

@@ -26,7 +26,8 @@
 //! sequence of affine rank segments. [`CollectiveSpec::steps`] expands it
 //! into the pair lists above; the placement evaluator, whose ranks are
 //! contiguous per leaf switch, intersects it with those rank intervals
-//! instead ([`StepSegments::for_each_part_pair`]) and never lists a pair.
+//! ([`RankParts`]) instead ([`StepSegments::for_each_part_pair`]) and never
+//! lists a pair.
 //!
 //! Non-power-of-two rank counts use the standard MPICH reduction: the
 //! `r = p - 2^⌊log2 p⌋` excess ranks fold into a power-of-two core with a
@@ -55,7 +56,7 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 mod schedule;
 
-pub use schedule::{CollectiveSpec, Pattern, Step, StepSegments};
+pub use schedule::{CollectiveSpec, Pattern, RankParts, Step, StepSegments};
 
 #[cfg(test)]
 mod tests;

@@ -238,87 +238,176 @@ impl StepSegments {
 
     /// Call `emit(a, b)`, `a <= b`, for every pair of *parts* some rank
     /// pair of this step joins, where part `t` is the rank interval
-    /// `bounds[t]..bounds[t + 1]` (`bounds` strictly ascending from 0 to
-    /// the rank count the step was generated for). A part pair may be
-    /// reported more than once; none is reported that no rank pair joins.
+    /// `parts.bounds[t]..parts.bounds[t + 1]` and the parts hold the rank
+    /// count the step was generated for. A part pair may be reported more
+    /// than once; none is reported that no rank pair joins.
     ///
     /// Nothing is expanded: a run whose ranks all fall in one part is that
     /// part paired with itself, and so is every later run of the segment
     /// that still ends inside the part, skipped in one division; a run
     /// that straddles a boundary is a merge walk over the boundaries it
-    /// crosses. A segment therefore costs on the order of the parts it
-    /// touches (times a logarithm where its first run has to be searched
-    /// for), whatever its `reps · len`.
-    pub fn for_each_part_pair(&self, bounds: &[usize], mut emit: impl FnMut(usize, usize)) {
-        debug_assert!(bounds.len() >= 2 && bounds.windows(2).all(|w| w[0] < w[1]));
-        // The fold's index → rank map is monotone, so part `t` is an index
-        // interval too, ending where the ranks below `bounds[t + 1]` do:
-        // every second rank below `2 · excess`, every rank above.
-        let end = |t: usize| {
-            let b = bounds[t + 1];
-            if b <= 2 * self.excess {
-                b / 2
-            } else {
-                b - self.excess
-            }
+    /// crosses. Within a segment both sides of the runs ascend, so the two
+    /// part cursors only ever move forward. A step of one segment (XOR by a
+    /// power of two — RD, RHVD, the power-of-two all-to-all's doubling
+    /// distances — binomial, the fold's pre- and post-steps, the stencil's
+    /// vertical waves) is swept in one ascending pass whose cursors advance
+    /// part by part; a step of several segments starts each from part 0
+    /// and gallops to its runs. Either way a segment costs on the order of
+    /// the parts it touches, whatever its `reps · len`.
+    pub fn for_each_part_pair(&self, parts: &mut RankParts, mut emit: impl FnMut(usize, usize)) {
+        // One segment ascends as a whole: its cursors step; several
+        // restart per segment: they gallop.
+        let one = match self.shape {
+            Shape::One(_) => true,
+            Shape::Xor { k, .. } => k.is_power_of_two(),
+            Shape::Shift { .. } | Shape::Rows { .. } => false,
         };
-        // The part holding index `x`, at or after part `from` — by
-        // galloping, because runs follow one another and the answer is
-        // nearly always `from` or a near neighbour, then by bisection.
-        // (A part the fold leaves no index in — one even rank — is never
-        // returned.)
-        let last = bounds.len() - 2;
-        let locate = |x: usize, from: usize| {
-            let (mut lo, mut reach) = (from, 1);
-            while lo + reach <= last && end(lo + reach - 1) <= x {
-                lo += reach;
-                reach *= 2;
-            }
-            let mut hi = (lo + reach - 1).min(last);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if end(mid) <= x {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            lo
-        };
+        let ends = parts.ends(self.excess);
         for seg in self.segments() {
-            let mut part = 0;
-            let mut q = 0;
-            while q < seg.reps {
-                let (lo, hi) = (seg.lo + q * seg.period, seg.hi + q * seg.period);
-                part = locate(lo, part);
-                let reach = end(part);
-                if hi + seg.len <= reach {
-                    emit(part, part);
-                    q += (reach - hi - seg.len) / seg.period + 1;
-                    continue;
-                }
-                // Walk both sides of the run at once; `left_*` is how far
-                // into the run each side's current part reaches.
-                let (mut a, mut b) = (part, locate(hi, part));
-                let (mut left_a, mut left_b) = (end(a) - lo, end(b) - hi);
-                loop {
-                    emit(a, b);
-                    let j = left_a.min(left_b);
-                    if j >= seg.len {
-                        break;
-                    }
-                    while left_a <= j {
-                        a += 1;
-                        left_a = end(a) - lo;
-                    }
-                    while left_b <= j {
-                        b += 1;
-                        left_b = end(b) - hi;
-                    }
-                }
-                q += 1;
+            if one {
+                sweep_segment(seg, ends, step_to, &mut emit);
+            } else {
+                sweep_segment(seg, ends, gallop_to, &mut emit);
             }
         }
+    }
+}
+
+/// A partition of the ranks `0..ranks()` into consecutive non-empty parts
+/// — a placement's takes laid end to end — as
+/// [`StepSegments::for_each_part_pair`] reads it.
+///
+/// A folded step's segments run over core indices, so a sweep reads each
+/// part's end in that index space. The steps of one schedule share their
+/// fold excess, so the partition keeps the ends it mapped for the last
+/// excess asked for: the bounds are mapped once per schedule, not once per
+/// step, and never per lookup.
+#[derive(Debug, Clone, Default)]
+pub struct RankParts {
+    /// `bounds[t]..bounds[t + 1]` are part `t`'s ranks; empty or starting
+    /// at 0.
+    bounds: Vec<usize>,
+    /// Each part's end in the core index space of the excess `folded`;
+    /// stale when `folded` is 0 (an unfolded step reads `bounds[1..]`).
+    folded_ends: Vec<usize>,
+    folded: usize,
+}
+
+impl RankParts {
+    /// Drop every part.
+    pub fn clear(&mut self) {
+        self.bounds.clear();
+        self.folded = 0;
+    }
+
+    /// Append a part of `ranks > 0` ranks.
+    pub fn push(&mut self, ranks: usize) {
+        debug_assert!(ranks > 0, "parts are non-empty");
+        let start = self.ranks();
+        if self.bounds.is_empty() {
+            self.bounds.push(0);
+        }
+        self.bounds.push(start + ranks);
+        self.folded = 0;
+    }
+
+    /// The ranks the parts hold together.
+    pub fn ranks(&self) -> usize {
+        self.bounds.last().copied().unwrap_or(0)
+    }
+
+    /// Each part's end in the index space of a step folded by `excess`.
+    /// The fold's index → rank map is monotone, so part `t` is an index
+    /// interval too, ending where the ranks below `bounds[t + 1]` do:
+    /// every second rank below `2 · excess`, every rank above. (A part of
+    /// one even rank below the fold is left no index: its end repeats the
+    /// previous one.)
+    fn ends(&mut self, excess: usize) -> &[usize] {
+        debug_assert!(self.bounds.len() >= 2, "a sweep needs a part");
+        if excess == 0 {
+            return &self.bounds[1..];
+        }
+        if self.folded != excess {
+            let fold = |b: usize| if b <= 2 * excess { b / 2 } else { b - excess };
+            self.folded_ends.clear();
+            self.folded_ends
+                .extend(self.bounds[1..].iter().map(|&b| fold(b)));
+            self.folded = excess;
+        }
+        &self.folded_ends
+    }
+}
+
+/// The part holding index `x`, at or after part `from`, stepping one part
+/// at a time — for cursors that cross each part once in a whole sweep.
+fn step_to(ends: &[usize], x: usize, mut from: usize) -> usize {
+    while ends[from] <= x {
+        from += 1;
+    }
+    from
+}
+
+/// The part holding index `x`, at or after part `from`, by galloping, then
+/// bisection: the answer is nearly always `from` or a near neighbour, but a
+/// segment that starts over from part 0 may have far to go.
+fn gallop_to(ends: &[usize], x: usize, from: usize) -> usize {
+    let last = ends.len() - 1;
+    let (mut lo, mut reach) = (from, 1);
+    while lo + reach <= last && ends[lo + reach - 1] <= x {
+        lo += reach;
+        reach *= 2;
+    }
+    let mut hi = (lo + reach - 1).min(last);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if ends[mid] <= x {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Report the part pairs of one segment's runs over the parts ending at
+/// `ends` (index space), moving both cursors forward with `seek`.
+fn sweep_segment(
+    seg: Segment,
+    ends: &[usize],
+    seek: impl Fn(&[usize], usize, usize) -> usize,
+    emit: &mut impl FnMut(usize, usize),
+) {
+    let (mut a, mut b) = (0, 0);
+    let mut q = 0;
+    while q < seg.reps {
+        let (lo, hi) = (seg.lo + q * seg.period, seg.hi + q * seg.period);
+        a = seek(ends, lo, a);
+        let reach = ends[a];
+        if hi + seg.len <= reach {
+            emit(a, a);
+            q += (reach - hi - seg.len) / seg.period + 1;
+            continue;
+        }
+        b = seek(ends, hi, b.max(a));
+        // Walk both sides of the run at once; `left_*` is how far into the
+        // run each side's current part reaches.
+        let (mut left_a, mut left_b) = (reach - lo, ends[b] - hi);
+        loop {
+            emit(a, b);
+            let j = left_a.min(left_b);
+            if j >= seg.len {
+                break;
+            }
+            while left_a <= j {
+                a += 1;
+                left_a = ends[a] - lo;
+            }
+            while left_b <= j {
+                b += 1;
+                left_b = ends[b] - hi;
+            }
+        }
+        q += 1;
     }
 }
 

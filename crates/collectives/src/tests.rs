@@ -1,4 +1,4 @@
-use crate::{CollectiveSpec, Pattern, Step};
+use crate::{CollectiveSpec, Pattern, RankParts, Step};
 
 fn pairs_of(steps: &[Step]) -> Vec<Vec<(usize, usize)>> {
     steps.iter().map(|s| s.pairs.clone()).collect()
@@ -370,7 +370,6 @@ mod properties {
             p in 2usize..=300,
             cuts in proptest::collection::vec(any::<u16>(), 0..40),
         ) {
-            use std::collections::BTreeSet;
             let mut bounds = vec![0, p];
             for c in cuts {
                 let at = usize::from(c) % p;
@@ -382,26 +381,100 @@ mod properties {
             }
             bounds.sort_unstable();
             bounds.dedup();
-            let part_of: Vec<usize> = bounds
-                .windows(2)
-                .enumerate()
-                .flat_map(|(t, w)| std::iter::repeat_n(t, w[1] - w[0]))
-                .collect();
-            let spec = CollectiveSpec::new(pat, 1 << 16);
-            let steps = spec.steps(p);
-            prop_assert_eq!(spec.step_segments(p).count(), steps.len());
-            for (k, (desc, step)) in spec.step_segments(p).zip(&steps).enumerate() {
-                prop_assert_eq!(desc.msize, step.msize);
-                let mut got = BTreeSet::new();
-                desc.for_each_part_pair(&bounds, |a, b| {
-                    got.insert((a, b));
-                });
-                let want: BTreeSet<(usize, usize)> = step
-                    .pairs
-                    .iter()
-                    .map(|&(i, j)| (part_of[i], part_of[j]))
-                    .collect();
-                prop_assert_eq!(&got, &want, "step {} over bounds {:?}", k, &bounds);
+            if let Err(e) = check_part_pairs(pat, &bounds) {
+                return Err(proptest::test_runner::TestCaseError::fail(e));
+            }
+        }
+    }
+}
+
+/// Whether, over the partition of `0..bounds.last()` at `bounds` (strictly
+/// ascending from 0), every step's interval intersection reports exactly
+/// the set of (part, part) pairs that mapping its expanded rank pairs
+/// through a rank → part table yields.
+fn check_part_pairs(pat: Pattern, bounds: &[usize]) -> Result<(), String> {
+    use std::collections::BTreeSet;
+    let p = bounds[bounds.len() - 1];
+    let part_of: Vec<usize> = bounds
+        .windows(2)
+        .enumerate()
+        .flat_map(|(t, w)| std::iter::repeat_n(t, w[1] - w[0]))
+        .collect();
+    let mut parts = RankParts::default();
+    for w in bounds.windows(2) {
+        parts.push(w[1] - w[0]);
+    }
+    let spec = CollectiveSpec::new(pat, 1 << 16);
+    let steps = spec.steps(p);
+    if spec.step_segments(p).count() != steps.len() {
+        return Err(format!("{pat} over {p}: step count"));
+    }
+    for (k, (desc, step)) in spec.step_segments(p).zip(&steps).enumerate() {
+        if desc.msize != step.msize {
+            return Err(format!("{pat} over {p}, step {k}: msize"));
+        }
+        let mut got = BTreeSet::new();
+        desc.for_each_part_pair(&mut parts, |a, b| {
+            got.insert((a, b));
+        });
+        let want: BTreeSet<(usize, usize)> = step
+            .pairs
+            .iter()
+            .map(|&(i, j)| (part_of[i], part_of[j]))
+            .collect();
+        if got != want {
+            return Err(format!(
+                "{pat} over {p}, step {k}: got {got:?}, want {want:?} over bounds {bounds:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The part-pair tie past the proptest's 300 ranks, at the rank counts
+/// where the fold's excess has its edges — one below, at and one above a
+/// power of two, a ragged 1,000 and 4,097 (excess 1 over a 4,096 core) —
+/// for RD and RHVD, and for all-to-all at powers of two (its XOR steps;
+/// other counts shift). Each count is cut three ways: Intrepid-sized
+/// parts, seeded ragged cuts with one-rank parts among them, and one-rank
+/// parts on both sides of the fold boundary `2 · excess`.
+#[test]
+fn part_pairs_match_expanded_pairs_past_300_ranks() {
+    let cases = [
+        (Pattern::Rd, &[511usize, 512, 513, 1000, 4097][..]),
+        (Pattern::Rhvd, &[511, 512, 513, 1000, 4097][..]),
+        (Pattern::Alltoall, &[512, 1024][..]),
+    ];
+    for (pat, counts) in cases {
+        for &p in counts {
+            let core = 1usize << p.ilog2();
+            let fold = 2 * (p - core);
+            let mut seed = p as u64;
+            let mut ragged = vec![0, p];
+            for _ in 0..24 {
+                seed = seed
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let at = (seed >> 33) as usize % p;
+                ragged.extend([at, (at + 1).min(p)]);
+            }
+            let mut edge = vec![0, p];
+            for at in [
+                fold.saturating_sub(2),
+                fold.saturating_sub(1),
+                fold,
+                fold + 1,
+                core / 2,
+            ] {
+                edge.extend([at.min(p), (at + 1).min(p)]);
+            }
+            let intrepid: Vec<usize> = (0..p).step_by(347).chain([p]).collect();
+            for mut bounds in [intrepid, ragged, edge] {
+                bounds.sort_unstable();
+                bounds.dedup();
+                if let Err(e) = check_part_pairs(pat, &bounds) {
+                    panic!("{e}");
+                }
             }
         }
     }

@@ -32,6 +32,39 @@ pub struct CostModel {
     pub trunk_discount: f64,
 }
 
+/// One leaf's side of Eqs. 2–3: its `L_comm` and `L_nodes` as floats and
+/// their ratio, which is Eq. 2 itself. The placement evaluator builds one
+/// per take per call (its counts overlaid with the take's own nodes); the
+/// per-pair oracle builds them per pair — from the same conversions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LeafLoad {
+    pub(crate) comm: f64,
+    pub(crate) nodes: f64,
+    /// `comm / nodes`: Eq. 2, the contention inside the leaf.
+    pub(crate) ratio: f64,
+}
+
+impl LeafLoad {
+    pub(crate) fn new(comm: u32, nodes: usize) -> Self {
+        let (comm, nodes) = (f64::from(comm), f64_of_usize(nodes));
+        LeafLoad {
+            comm,
+            nodes,
+            ratio: comm / nodes,
+        }
+    }
+}
+
+/// Eq. 3 for two distinct leaves whose common switch weighs the pooled
+/// term by `discount` ([`CostModel::level_discount`]): the two leaf terms
+/// plus the discounted pooled term — the single implementation of the
+/// cross-leaf contention formula, shared by [`CostModel::job_cost`]'s sweep
+/// and [`PlacementEvaluator`] so both produce bit-identical values.
+#[inline]
+pub(crate) fn leaf_contention_counts(a: &LeafLoad, b: &LeafLoad, discount: f64) -> f64 {
+    a.ratio + b.ratio + discount * (a.comm + b.comm) / (a.nodes + b.nodes)
+}
+
 impl Default for CostModel {
     /// Eq. 6 as printed: raw effective hops per step, paper's ½ discount.
     fn default() -> Self {
@@ -66,37 +99,20 @@ impl CostModel {
         a: usize,
         b: usize,
     ) -> f64 {
-        let level = tree.leaf_lca_level(a, b);
-        self.leaf_contention_counts(tree, a, b, level, state.leaf_comm(a), state.leaf_comm(b))
+        let load = |k: usize| LeafLoad::new(state.leaf_comm(k), tree.leaf_size(k));
+        if a == b {
+            return load(a).ratio;
+        }
+        let discount = self.level_discount(tree.leaf_lca_level(a, b));
+        leaf_contention_counts(&load(a), &load(b), discount)
     }
 
-    /// Eqs. 2–3 with the `L_comm` counts and the pair's
-    /// [`Tree::leaf_lca_level`] supplied by the caller — the single
-    /// implementation of the contention formula, shared by the state-reading
-    /// wrapper above and the overlay-based [`crate::PlacementEvaluator`] so
-    /// both produce bit-identical values.
-    #[inline]
-    pub(crate) fn leaf_contention_counts(
-        &self,
-        tree: &Tree,
-        a: usize,
-        b: usize,
-        level: u32,
-        comm_a: u32,
-        comm_b: u32,
-    ) -> f64 {
-        let comm_a = f64::from(comm_a);
-        let nodes_a = f64_of_usize(tree.leaf_size(a));
-        if a == b {
-            // Eq. 2: both endpoints under one leaf switch.
-            return comm_a / nodes_a;
-        }
-        // Eq. 3: two leaf terms plus the discounted pooled term for the
-        // common upper switch.
-        let comm_b = f64::from(comm_b);
-        let nodes_b = f64_of_usize(tree.leaf_size(b));
-        let discount = self.trunk_discount.powi(i32_of_u32(level) - 1);
-        comm_a / nodes_a + comm_b / nodes_b + discount * (comm_a + comm_b) / (nodes_a + nodes_b)
+    /// The weight `trunk_discount^(level − 1)` of Eq. 3's pooled term for
+    /// two leaves whose common switch sits at `level` — the one place the
+    /// power is taken, so a per-call table of it and the per-pair oracle
+    /// hold the same bits.
+    pub(crate) fn level_discount(&self, level: u32) -> f64 {
+        self.trunk_discount.powi(i32_of_u32(level) - 1)
     }
 
     /// Eqs. 2–3 — contention factor `C(i, j)` between two nodes.

@@ -24,19 +24,24 @@
 //! the `u32` leaf counters before the `f64` conversion, which is exactly
 //! what a real allocation would have produced.
 //!
-//! A **per-leaf-pair hop memo** lets the steps of one schedule reuse hop
-//! values. It lives for one call: every evaluation starts from a fresh
-//! stamp, so the totals depend only on the arguments, never on what the
-//! evaluator scored before. Reusing one evaluator saves allocations, not
-//! answers.
+//! Everything Eqs. 2–5 need of one take is read once per call: its
+//! overlaid load ([`LeafLoad`]: `c = L_comm + count`, `n`, `c / n`), its
+//! self hop `2 · (1 + c / n)` and its leaf's ancestors by level, beside a
+//! table of the trunk discount per level. A cross pair's hop is then one
+//! ancestor comparison and Eq. 3's one expression — the same function the
+//! oracle sweep calls — and a **per-take-pair hop memo** lets the steps of
+//! one schedule reuse it. All of it lives for one call: every evaluation
+//! starts from a fresh stamp, so the totals depend only on the arguments,
+//! never on what the evaluator scored before. Reusing one evaluator saves
+//! allocations, not answers.
 #![deny(clippy::as_conversions)]
 
-use crate::cost::CostModel;
+use crate::cost::{leaf_contention_counts, CostModel, LeafLoad};
 use crate::placement::Placement;
 use crate::state::ClusterState;
-use commsched_collectives::{CollectiveSpec, StepSegments};
+use commsched_collectives::{CollectiveSpec, RankParts, StepSegments};
 use commsched_num::{f64_of_u64, usize_of_u32};
-use commsched_topology::Tree;
+use commsched_topology::{SwitchId, Tree};
 
 /// Both Eq. 6 totals from one schedule traversal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,17 +78,28 @@ const FLAT_MEMO_MAX_TOUCHED: usize = 1024;
 /// saves allocations.
 #[derive(Debug, Default)]
 pub struct PlacementEvaluator {
-    /// Hop memo for canonical *touched-leaf* pairs, `(stamp, hops)`:
-    /// leaves are named by their position in the candidate's takes, and
-    /// the memo is indexed `da * touched + db` with `da <= db`. An entry
-    /// is valid only when its stamp matches [`Self::stamp`], which every
-    /// call bumps, so invalidation is one counter bump, not a table wipe,
-    /// and the table only ever grows.
+    /// Hop memo for canonical take pairs, `(stamp, hops)`: leaves are
+    /// named by their position in the candidate's takes, and the memo is
+    /// indexed `da * takes + db` with `da < db`. An entry is valid only
+    /// when its stamp matches [`Self::stamp`], which every call bumps, so
+    /// invalidation is one counter bump, not a table wipe, and the table
+    /// only ever grows.
     hops: Vec<(u64, f64)>,
     stamp: u64,
-    /// Prefix sums of the current candidate's take counts: take `t` holds
-    /// the ranks `bounds[t]..bounds[t + 1]`.
-    bounds: Vec<usize>,
+    /// The current candidate's takes as rank parts: take `t` holds the
+    /// next `count` ranks.
+    parts: RankParts,
+    /// Per take: its leaf's load under the overlay, and its self hop.
+    loads: Vec<(LeafLoad, f64)>,
+    /// Per take, `height − 2` entries: for each level `l` from 2 up to
+    /// below the root's, the lowest ancestor of the take's leaf at level
+    /// `l` or above, with its level. Two leaves' first common entry is
+    /// their lowest common switch; with none in common, it is the root (so
+    /// a two-level tree stores nothing).
+    above: Vec<(SwitchId, u32)>,
+    /// Eq. 3's pooled-term weight for a common switch at level `l ≥ 2`,
+    /// at index `l − 2`.
+    discounts: Vec<f64>,
 }
 
 impl PlacementEvaluator {
@@ -130,48 +146,56 @@ impl PlacementEvaluator {
             takes.windows(2).all(|w| w[0].0 < w[1].0) && takes.iter().all(|t| t.1 > 0),
             "takes must ascend strictly by leaf ordinal with positive counts: {takes:?}"
         );
-        self.bounds.clear();
-        self.bounds.push(0);
-        let mut ranks = 0;
-        for &(_, count) in takes {
-            ranks += usize_of_u32(count);
-            self.bounds.push(ranks);
-        }
+        self.load_takes(tree, state, trunk_discount, takes);
         self.stamp += 1;
         let m = takes.len();
         let memoized = m <= FLAT_MEMO_MAX_TOUCHED;
         if memoized && self.hops.len() < m * m {
             self.hops.resize(m * m, (0, 0.0));
         }
-
-        let contention = CostModel {
-            hop_bytes: false,
-            trunk_discount,
+        let height = tree.height();
+        let stride = usize_of_u32(height).saturating_sub(2);
+        let PlacementEvaluator {
+            hops,
+            stamp,
+            parts,
+            loads,
+            above,
+            discounts,
+        } = self;
+        let (stamp, loads, above, discounts) = (*stamp, &*loads, &*above, &*discounts);
+        // Eq. 5 across two takes' leaves: their lowest common switch is
+        // their first shared ancestor entry, or else the root.
+        let cross = |da: usize, db: usize| {
+            let (a, b) = (&above[da * stride..], &above[db * stride..]);
+            let level = (0..stride)
+                .find(|&i| a[i].0 == b[i].0)
+                .map_or(height, |i| a[i].1);
+            let discount = discounts[usize_of_u32(level) - 2];
+            f64::from(2 * level)
+                * (1.0 + leaf_contention_counts(&loads[da].0, &loads[db].0, discount))
         };
-        let (bounds, hops, stamp) = (&self.bounds, &mut self.hops, self.stamp);
 
         let mut raw_hops = 0.0;
         let mut hop_bytes = 0.0;
         let mut worst: f64 = 0.0;
         let mut swept: Option<StepSegments> = None;
-        for step in spec.step_segments(ranks) {
+        for step in spec.step_segments(parts.ranks()) {
             // Identical consecutive steps (a ring's `p - 1`) share one
             // sweep; each is still added on its own.
             if swept != Some(step) {
                 worst = 0.0;
-                step.for_each_part_pair(bounds, |da, db| {
-                    let hop = || {
-                        let ((la, delta_a), (lb, delta_b)) = (takes[da], takes[db]);
-                        Self::hop_value(tree, state, &contention, la, lb, delta_a, delta_b)
-                    };
-                    let h = if memoized {
+                step.for_each_part_pair(parts, |da, db| {
+                    let h = if da == db {
+                        loads[da].1
+                    } else if memoized {
                         let slot = &mut hops[da * m + db];
                         if slot.0 != stamp {
-                            *slot = (stamp, hop());
+                            *slot = (stamp, cross(da, db));
                         }
                         slot.1
                     } else {
-                        hop()
+                        cross(da, db)
                     };
                     if h > worst {
                         worst = h;
@@ -188,24 +212,42 @@ impl PlacementEvaluator {
         }
     }
 
-    /// Eq. 5 for a canonical leaf pair under the candidate's own `L_comm`
-    /// deltas — float-op-identical to the expression inside the
-    /// [`CostModel::job_cost`] sweep's memo fill.
-    #[inline]
-    fn hop_value(
+    /// Everything the sweep reads of the takes, once: their rank parts,
+    /// their overlaid loads and self hops (Eq. 5 inside one leaf, where
+    /// `d` is Eq. 4's 2), their leaves' ancestors by level, and the
+    /// discount per level.
+    fn load_takes(
+        &mut self,
         tree: &Tree,
         state: &ClusterState,
-        contention: &CostModel,
-        la: usize,
-        lb: usize,
-        delta_a: u32,
-        delta_b: u32,
-    ) -> f64 {
-        // One leaf is level 1, so `d` is Eq. 4's 2 there too.
-        let level = tree.leaf_lca_level(la, lb);
-        let d = f64::from(2 * level);
-        let comm_a = state.leaf_comm(la) + delta_a;
-        let comm_b = state.leaf_comm(lb) + delta_b;
-        d * (1.0 + contention.leaf_contention_counts(tree, la, lb, level, comm_a, comm_b))
+        trunk_discount: f64,
+        takes: &[(usize, u32)],
+    ) {
+        let height = tree.height();
+        let model = CostModel {
+            hop_bytes: false,
+            trunk_discount,
+        };
+        self.discounts.clear();
+        self.discounts
+            .extend((2..=height).map(|level| model.level_discount(level)));
+        self.parts.clear();
+        self.loads.clear();
+        self.above.clear();
+        for &(leaf, count) in takes {
+            self.parts.push(usize_of_u32(count));
+            let load = LeafLoad::new(state.leaf_comm(leaf) + count, tree.leaf_size(leaf));
+            self.loads.push((load, 2.0 * (1.0 + load.ratio)));
+            let mut s = tree.leaf(leaf);
+            for level in 2..height {
+                while tree.switch(s).level < level {
+                    match tree.switch(s).parent {
+                        Some(up) => s = up,
+                        None => break,
+                    }
+                }
+                self.above.push((s, tree.switch(s).level));
+            }
+        }
     }
 }

@@ -1295,6 +1295,56 @@ mod properties {
             }
         }
 
+        /// `evaluator_matches_naive_job_cost` over every [`shaped_tree`]
+        /// shape and a drawn trunk discount: three-level trees, uppers that
+        /// list their leaves out of order, leaves at different depths and
+        /// the one-leaf tree, where the per-take ancestors and the
+        /// per-level discount table decide every cross-leaf hop. One
+        /// evaluator scores the placement, then its bare takes under a
+        /// second discount, then the placement again.
+        #[test]
+        fn evaluator_matches_naive_job_cost_on_every_shape(
+            shape in 0..SHAPES,
+            sizes in arb_shape_sizes(),
+            discounts in (0usize..3, 0usize..3),
+            occ in 0u8..70,
+            seed in any::<u64>(),
+            want in 1usize..48,
+            pat in 0usize..6,
+        ) {
+            const DISCOUNTS: [f64; 3] = [0.25, 0.5, 1.0];
+            let tree = shaped_tree(shape, &sizes);
+            let st = occupy(&tree, occ, seed);
+            prop_assume!(want <= st.free_total());
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+            let mut free: Vec<NodeId> = (0..tree.num_nodes())
+                .map(NodeId)
+                .filter(|n| st.is_free(*n))
+                .collect();
+            free.shuffle(&mut rng);
+            let placement = ids(&tree, &free[..want]);
+            let spec = CollectiveSpec::new(Pattern::ALL[pat], 1 << 16);
+            let mut ev = PlacementEvaluator::new();
+            let (d, other) = (DISCOUNTS[discounts.0], DISCOUNTS[discounts.1]);
+            for (bare, d) in [(false, d), (true, other), (false, d)] {
+                let got = if bare {
+                    ev.evaluate_takes(&tree, &st, d, placement.takes(), &spec)
+                } else {
+                    ev.evaluate(&tree, &st, d, &placement, &spec)
+                };
+                for hop_bytes in [false, true] {
+                    let model = CostModel { hop_bytes, trunk_discount: d };
+                    let want = reference_cost(&model, &tree, &st, &placement, &spec);
+                    prop_assert_eq!(
+                        got.for_model(&model).to_bits(),
+                        want.to_bits(),
+                        "shape {} discount {} bare {} hop_bytes {}",
+                        shape, d, bare, hop_bytes
+                    );
+                }
+            }
+        }
+
         /// One evaluator reused across a random sequence of calls answers
         /// every call exactly as a fresh one does: two trees with the same
         /// leaf ordinals but different leaf sizes, occupancies changed
