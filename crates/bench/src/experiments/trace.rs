@@ -10,10 +10,10 @@
 
 use crate::{ExperimentResult, Scale};
 use commsched_collectives::{CollectiveSpec, Pattern};
-use commsched_core::SelectorKind;
+use commsched_core::{SaSelector, SelectorKind};
 use commsched_metrics::{Registry, Table};
 use commsched_netsim::{FlowSim, NetConfig, Workload};
-use commsched_slurmsim::{BackfillPolicy, Engine, EngineConfig, FailurePolicy};
+use commsched_slurmsim::{Engine, EngineConfig, FailurePolicy};
 use commsched_topology::{NodeId, Tree};
 use commsched_trace::{Capture, EventClass};
 use commsched_workload::{FaultTrace, JobLog, LogSpec, SystemModel};
@@ -70,7 +70,6 @@ fn log_on(system: SystemModel, jobs: usize, seed: u64) -> JobLog {
     LogSpec::new(system, jobs, seed)
         .comm_percent(90)
         .pattern(Pattern::Rhvd)
-        .comm_fraction(0.5)
         .generate()
 }
 
@@ -140,12 +139,12 @@ pub fn run_golden(name: &str, jobs: usize, seed: u64) -> Option<(String, String)
             // the scenario also pins the parser's round-trip.
             let tree = golden_tree();
             let log = golden_log(jobs, seed);
-            let mut cfg = EngineConfig::new(SelectorKind::Adaptive);
-            cfg.backfill = BackfillPolicy::Easy;
-            cfg = cfg.with_failure_policy(FailurePolicy::Requeue {
-                max_retries: 2,
-                backoff: 30,
-            });
+            let cfg = EngineConfig::new(SelectorKind::Adaptive).with_failure_policy(
+                FailurePolicy::Requeue {
+                    max_retries: 2,
+                    backoff: 30,
+                },
+            );
             let leaf1 = tree.leaf(1).0;
             let uplink = tree.node_uplink(NodeId(3));
             let text = format!(
@@ -165,9 +164,7 @@ pub fn run_golden(name: &str, jobs: usize, seed: u64) -> Option<(String, String)
             // regular job lifecycle — the full SA observability surface.
             let tree = golden_tree();
             let log = golden_log(jobs, seed);
-            let mut cfg = EngineConfig::new(SelectorKind::Sa);
-            cfg.backfill = BackfillPolicy::Easy;
-            cfg = cfg.with_sa(64, seed);
+            let cfg = EngineConfig::new(SelectorKind::Sa(SaSelector::new(64, seed)));
             return Some(observed(&Engine::new(&tree, cfg), &log));
         }
         "conservative-backfill" => {
@@ -239,7 +236,6 @@ pub fn run_golden(name: &str, jobs: usize, seed: u64) -> Option<(String, String)
     let tree = golden_tree();
     let log = golden_log(jobs, seed);
     let mut cfg = EngineConfig::new(kind);
-    cfg.backfill = BackfillPolicy::Easy;
     if faulted {
         cfg = cfg.with_failure_policy(FailurePolicy::Requeue {
             max_retries: 2,

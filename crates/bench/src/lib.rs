@@ -154,7 +154,7 @@ pub(crate) fn build_log(
 ) -> JobLog {
     let spec = LogSpec::new(system, scale.jobs, scale.seed).comm_percent(comm_pct);
     let spec = match shape {
-        LogShape::Pattern(p) => spec.pattern(p).comm_fraction(0.5),
+        LogShape::Pattern(p) => spec.pattern(p),
         LogShape::Mix(m) => spec.mix(m),
     };
     spec.generate()

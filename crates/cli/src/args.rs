@@ -28,7 +28,7 @@ pub(crate) struct Parsed {
 }
 
 /// Flags that take no value.
-const SWITCHES: &[&str] = &["--json", "--quiet", "--reject-oversized"];
+const SWITCHES: &[&str] = &["--json", "--reject-oversized"];
 
 impl Parsed {
     /// Parse raw arguments (program name already stripped).

@@ -39,24 +39,24 @@ const FAULTS: &[&str] = &[
 /// [`run_sim`]'s trace and report sinks.
 const OBSERVE: &[&str] = &["trace-out", "trace-filter", "report-out"];
 /// [`run_sim`]'s engine knobs.
-const ENGINE: &[&str] = &[
-    "backfill",
-    "drain",
-    "utilization",
-    "reject-oversized",
-    "quiet",
-];
-/// [`run_sim`]'s single-selector knobs (`compare` runs all four).
-const SELECTOR: &[&str] = &["selector", "sa-budget", "sa-seed"];
+const ENGINE: &[&str] = &["backfill", "drain", "utilization", "reject-oversized"];
+/// [`run_sim`]'s single-selector knob (`compare` runs all four), and the
+/// annealing budget and seed, which only `--selector sa` reads.
+const SELECTOR: &[&str] = &["selector"];
+const SA: &[&str] = &["sa-budget", "sa-seed"];
 
 /// The flags the command `p` names reads, or `None` for an unknown
 /// command or subcommand (which the command itself reports).
 pub(crate) fn accepted_flags(p: &Parsed) -> Option<Vec<&'static str>> {
+    let sa = p.get("selector").map(str::parse::<SelectorKind>);
     let groups: &[&[&str]] = match (p.command.as_str(), p.positional.first().map(String::as_str)) {
         ("topology", Some("validate")) | ("patterns" | "help" | "--help" | "-h", _) => &[],
         ("topology", Some("show")) => &[TOPOLOGY],
         ("log", Some("generate")) => &[WORKLOAD, &["out"]],
         ("log", Some("stats")) => &[WORKLOAD, &["json"]],
+        ("run", _) if matches!(sa, Some(Ok(SelectorKind::Sa(_)))) => {
+            &[TOPOLOGY, WORKLOAD, FAULTS, OBSERVE, ENGINE, SELECTOR, SA]
+        }
         ("run", _) => &[TOPOLOGY, WORKLOAD, FAULTS, OBSERVE, ENGINE, SELECTOR],
         ("compare", _) => &[TOPOLOGY, WORKLOAD, FAULTS, OBSERVE, ENGINE],
         ("individual", _) => &[TOPOLOGY, WORKLOAD, &["warmup", "probes"]],
@@ -321,10 +321,13 @@ pub(crate) fn log(p: &Parsed, out: &mut dyn Write) -> CmdResult {
     }
 }
 
-/// Insert a selector name into `path` before its extension, so compare
-/// runs can write one trace/report per selector: `trace.jsonl` becomes
-/// `trace.adaptive.jsonl`.
-fn with_selector(path: &str, name: &str) -> String {
+/// Insert a selector name, if given, into `path` before its extension, so
+/// compare runs can write one trace/report per selector: `trace.jsonl`
+/// becomes `trace.adaptive.jsonl`.
+fn with_selector(path: &str, name: Option<&str>) -> String {
+    let Some(name) = name else {
+        return path.to_string();
+    };
     let after_slash = path.rfind('/').map_or(0, |s| s + 1);
     match path.rfind('.') {
         Some(dot) if dot > after_slash => format!("{}.{name}{}", &path[..dot], &path[dot..]),
@@ -361,15 +364,21 @@ pub(crate) fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResu
             tree.num_nodes()
         ));
     }
+    let drained_note = if drain_count == 0 {
+        String::new()
+    } else {
+        format!(" ({drain_count} drained)")
+    };
+    // The engine checks widths against the machine less its drained
+    // nodes; so does the hint.
+    let capacity = tree.num_nodes() - drain_count;
     if !p.switch("reject-oversized") {
         for j in &log.jobs {
-            if j.nodes > tree.num_nodes() {
+            if j.nodes > capacity {
                 return Err(format!(
-                    "{} requests {} nodes but the topology has {} — pick a larger \
-                     --preset, trim the log with --jobs, or pass --reject-oversized",
-                    j.id,
-                    j.nodes,
-                    tree.num_nodes()
+                    "{} requests {} nodes but the topology has {capacity}{drained_note} — pick \
+                     a larger --preset, trim the log with --jobs, or pass --reject-oversized",
+                    j.id, j.nodes,
                 ));
             }
         }
@@ -406,10 +415,19 @@ pub(crate) fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResu
     let selectors: Vec<SelectorKind> = if compare {
         SelectorKind::ALL.to_vec()
     } else {
-        vec![p
+        let mut kind = p
             .get("selector")
             .unwrap_or("adaptive")
-            .parse::<SelectorKind>()?]
+            .parse::<SelectorKind>()?;
+        // The search seed defaults to the workload seed, so one --seed
+        // flag reproduces the whole run.
+        if let SelectorKind::Sa(sa) = &mut kind {
+            *sa = SaSelector::new(
+                p.get_parsed("sa-budget", sa.evals)?,
+                p.get_parsed("sa-seed", p.get_parsed("seed", 42u64)?)?,
+            );
+        }
+        vec![kind]
     };
 
     let mut t = Table::new(
@@ -428,24 +446,13 @@ pub(crate) fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResu
     let mut timelines: Vec<(SelectorKind, Vec<(u64, f64)>)> = Vec::new();
     let mut fault_lines: Vec<String> = Vec::new();
     let mut obs_lines: Vec<String> = Vec::new();
-    // SA knobs (accepted — and checked — only when the SA selector runs;
-    // the search seed defaults to the workload seed so one --seed flag
-    // reproduces the whole run).
-    let sa_budget: u32 = p.get_parsed("sa-budget", SaSelector::default().evals)?;
-    let sa_seed: u64 = p.get_parsed("sa-seed", p.get_parsed("seed", 42u64)?)?;
 
     for kind in selectors {
         let mut cfg = EngineConfig::new(kind);
         cfg.backfill = backfill;
         cfg.failure_policy = failure_policy;
-        if kind == SelectorKind::Sa {
-            cfg = cfg.with_sa(sa_budget, sa_seed);
-        }
         if p.switch("reject-oversized") {
             cfg = cfg.reject_oversized();
-        }
-        if p.switch("quiet") {
-            cfg.adjust_runtimes = false;
         }
         let mut engine = Engine::new(&tree, cfg).drain_nodes(drained.clone());
         if let Some(f) = &faults {
@@ -463,11 +470,7 @@ pub(crate) fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResu
             .run_observed(&log, &mut cap, &mut reg)
             .map_err(|e| e.to_string())?;
         if let Some(path) = &trace_out {
-            let path = if compare {
-                with_selector(path, kind.name())
-            } else {
-                path.clone()
-            };
+            let path = with_selector(path, compare.then(|| kind.name()));
             let text = if path.ends_with(".json") {
                 chrome_trace(&cap.events)
             } else {
@@ -481,11 +484,7 @@ pub(crate) fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResu
             ));
         }
         if let Some(path) = &report_out {
-            let path = if compare {
-                with_selector(path, kind.name())
-            } else {
-                path.clone()
-            };
+            let path = with_selector(path, compare.then(|| kind.name()));
             std::fs::write(&path, reg.snapshot().to_json_pretty())
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             obs_lines.push(format!("{}: wrote run report to {path}", kind.name()));
@@ -517,15 +516,10 @@ pub(crate) fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResu
     }
     writeln!(
         out,
-        "log {:?}: {} jobs on {} nodes{}\n\n{t}",
+        "log {:?}: {} jobs on {} nodes{drained_note}\n\n{t}",
         log.name,
         log.jobs.len(),
         tree.num_nodes(),
-        if drained.is_empty() {
-            String::new()
-        } else {
-            format!(" ({} drained)", drained.len())
-        },
     )
     .map_err(|e| e.to_string())?;
     if !fault_lines.is_empty() {

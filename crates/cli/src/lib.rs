@@ -90,7 +90,7 @@ USAGE:
   commsched run     (--preset NAME | --conf FILE) [--selector SEL] <workload>
                     [--backfill none|easy|conservative] [--drain N]
                     [--utilization BUCKETS] [<faults>] [--reject-oversized]
-                    [--sa-budget N] [--sa-seed S] [<observe>]
+                    [<observe>] [--sa-budget N] [--sa-seed S]  # SEL = sa only
   commsched compare (--preset NAME | --conf FILE) <workload> [<faults>]
                     [<observe>]   # one trace/report file per selector
                     (and run's other flags but --selector/--sa-*)
@@ -123,9 +123,10 @@ USAGE:
                   | multirail-500k | dragonfly-1m
   NAME (systems): intrepid | theta | mira
   SEL:  default | greedy | balanced | adaptive | sa
-        sa refines the adaptive placement with seeded simulated annealing:
-        --sa-budget N evaluator calls per job (default 256; 0 = incumbent
-        bit-for-bit), --sa-seed S search seed (default: the --seed value)
+        sa refines the adaptive placement with seeded simulated annealing;
+        only it takes --sa-budget N, evaluator calls per job (default 256;
+        0 = incumbent bit-for-bit), and --sa-seed S, the search seed
+        (default: the --seed value)
   PAT:  rd | rhvd | binomial | ring | stencil2d | alltoall"
 }
 

@@ -76,6 +76,53 @@ fn run_rejects_unknown_flags() {
     assert_unknown_flag(&args, "--baclfill");
 }
 
+/// `--quiet` was an undocumented switch that turned off Eq. 7; it is no
+/// flag at all now.
+#[test]
+fn quiet_is_not_a_flag() {
+    let (code, out, err) = run_cli(&[
+        "run", "--preset", "theta", "--system", "theta", "--jobs", "20", "--quiet",
+    ]);
+    assert_eq!(code, 2, "{err}");
+    assert!(out.is_empty(), "ran: {out}");
+    assert!(err.contains("--quiet"), "{err}");
+}
+
+/// The annealing budget and seed belong to `--selector sa`: with any other
+/// selector, or none, they would be silently ignored.
+#[test]
+fn sa_flags_need_the_sa_selector() {
+    let base = [
+        "run", "--preset", "theta", "--system", "theta", "--jobs", "20",
+    ];
+    for (selector, flag) in [
+        (&["--selector", "adaptive"][..], "--sa-budget"),
+        (&["--selector", "balanced"][..], "--sa-seed"),
+        (&[][..], "--sa-budget"),
+    ] {
+        assert_unknown_flag(&[&base[..], selector, &[flag, "8"]].concat(), flag);
+    }
+    let trace = tmp_path("sa-flags", "jsonl");
+    let trace_arg = trace.to_str().unwrap();
+    for selector in ["sa", "anneal"] {
+        let args = [
+            &base[..],
+            &["--selector", selector, "--sa-budget", "8", "--sa-seed", "3"],
+            &["--trace-out", trace_arg],
+        ]
+        .concat();
+        let (code, out, err) = run_cli(&args);
+        assert_eq!(code, 0, "{err}");
+        assert!(out.contains("sa "), "{out}");
+        let searches = std::fs::read_to_string(&trace).unwrap();
+        assert!(searches.contains("\"ev\":\"sa_search\""), "no search ran");
+        for line in searches.lines().filter(|l| l.contains("sa_search")) {
+            assert!(line.contains("\"budget\":8,"), "{line}");
+        }
+    }
+    std::fs::remove_file(&trace).unwrap();
+}
+
 #[test]
 fn compare_rejects_unknown_and_single_selector_flags() {
     let base = [
@@ -442,6 +489,21 @@ fn bad_preset_and_system_errors() {
     let (code, _, err) = run_cli(&["log", "stats", "--system", "nope"]);
     assert_eq!(code, 1);
     assert!(err.contains("unknown system"));
+}
+
+/// The engine checks widths against the machine less its drained nodes,
+/// so a job wider than that gets the same hint as one wider than the
+/// whole machine.
+#[test]
+fn run_hints_at_a_job_wider_than_the_drained_machine() {
+    // Theta has 4,392 nodes; the log's widest job fits it, but not the
+    // 392 left after draining 4,000.
+    let (code, out, err) = run_cli(&[
+        "run", "--preset", "theta", "--system", "theta", "--jobs", "20", "--drain", "4000",
+    ]);
+    assert_eq!(code, 1, "{out}");
+    assert!(err.contains("has 392 (4000 drained)"), "{err}");
+    assert!(err.contains("--reject-oversized"), "{err}");
 }
 
 #[test]

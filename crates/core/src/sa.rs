@@ -50,7 +50,9 @@ const COOLING: f64 = 0.97;
 /// Outcome of one annealing search, recorded for tracing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaStats {
-    /// Evaluator calls actually spent.
+    /// The selector's evaluation budget.
+    pub budget: u32,
+    /// Evaluator calls actually spent (≤ `budget`).
     pub evals: u32,
     /// Accepted proposals (including uphill Metropolis accepts).
     pub accepted: u32,
@@ -78,7 +80,7 @@ pub(crate) fn derive_seed(run_seed: u64, job: JobId, attempt: u32) -> u64 {
 /// Budgeted simulated-annealing selector over the free-count index: plain
 /// configuration, so a decision depends on nothing but its arguments.
 /// Proposals are scored under hop-bytes, like the adaptive rule it refines.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SaSelector {
     /// Maximum number of evaluator calls per placement. 0 disables the
     /// search entirely — the incumbent is returned bit-for-bit.
@@ -211,6 +213,7 @@ impl SaSelector {
             cost_incumbent
         };
         incumbent.search = Some(SaStats {
+            budget: self.evals,
             evals,
             accepted,
             rejected,
@@ -268,10 +271,6 @@ fn propose(rng: &mut ChaCha12Rng, leaves: &[(usize, u32)], cand: &mut [u32]) -> 
 }
 
 impl NodeSelector for SaSelector {
-    fn name(&self) -> &'static str {
-        "sa"
-    }
-
     fn decide(
         &self,
         tree: &Tree,

@@ -18,7 +18,7 @@
 use crate::cost::CostModel;
 use crate::eval::{EvalTotals, PlacementEvaluator};
 use crate::placement::Placement;
-use crate::sa::SaStats;
+use crate::sa::{SaSelector, SaStats};
 use crate::state::{ClusterState, JobId, JobNature};
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_num::{u32_of_usize, usize_of_u32};
@@ -210,9 +210,6 @@ impl Choice {
 /// nodes, or an error; they never mutate state (the caller records the
 /// allocation).
 pub trait NodeSelector: Send + Sync {
-    /// Short stable name, used in reports ("default", "greedy", ...).
-    fn name(&self) -> &'static str;
-
     /// Choose `req.nodes` free nodes for `req.job`, with the switch the
     /// choice was made under and the candidates scored on the way.
     fn decide(
@@ -335,10 +332,6 @@ fn fill_fewest_free_first(
 pub struct DefaultTreeSelector;
 
 impl NodeSelector for DefaultTreeSelector {
-    fn name(&self) -> &'static str {
-        "default"
-    }
-
     fn decide(
         &self,
         tree: &Tree,
@@ -361,10 +354,6 @@ impl NodeSelector for DefaultTreeSelector {
 pub struct GreedySelector;
 
 impl NodeSelector for GreedySelector {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
     fn decide(
         &self,
         tree: &Tree,
@@ -418,10 +407,6 @@ fn fill_greedy(
 pub struct BalancedSelector;
 
 impl NodeSelector for BalancedSelector {
-    fn name(&self) -> &'static str {
-        "balanced"
-    }
-
     fn decide(
         &self,
         tree: &Tree,
@@ -575,10 +560,6 @@ pub(crate) fn adaptive_choice(
 }
 
 impl NodeSelector for AdaptiveSelector {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
     fn decide(
         &self,
         tree: &Tree,
@@ -590,8 +571,8 @@ impl NodeSelector for AdaptiveSelector {
     }
 }
 
-/// The selectors by name, for CLI/bench plumbing: the paper's four plus
-/// the annealed refinement.
+/// The selectors, each with its configuration, for CLI/bench plumbing: the
+/// paper's four (which have none) plus the annealed refinement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SelectorKind {
     /// SLURM stock best-fit ([`DefaultTreeSelector`]).
@@ -602,11 +583,11 @@ pub enum SelectorKind {
     Balanced,
     /// §4.3 ([`AdaptiveSelector`]).
     Adaptive,
-    /// Budgeted simulated-annealing refinement of the adaptive incumbent
-    /// ([`crate::SaSelector`], DESIGN.md §4.10). Not part of
-    /// [`SelectorKind::ALL`]: the paper's sweeps compare its four
-    /// selectors, SA rides the dedicated `tournament` experiment.
-    Sa,
+    /// Budgeted simulated-annealing refinement of the adaptive incumbent,
+    /// with its budget and seed ([`SaSelector`], DESIGN.md §4.10).
+    /// Not part of [`SelectorKind::ALL`]: the paper's sweeps compare its
+    /// four selectors, SA rides the dedicated `tournament` experiment.
+    Sa(SaSelector),
 }
 
 impl SelectorKind {
@@ -625,17 +606,14 @@ impl SelectorKind {
         SelectorKind::Adaptive,
     ];
 
-    /// Instantiate the selector. `Sa` builds with [`crate::SaSelector`]'s
-    /// default budget and run seed 0 — engines wanting a configured search
-    /// construct [`crate::SaSelector`] directly (see
-    /// `Engine::build_selector`).
+    /// Instantiate the selector.
     pub fn build(self) -> Box<dyn NodeSelector> {
         match self {
             SelectorKind::Default => Box::new(DefaultTreeSelector),
             SelectorKind::Greedy => Box::new(GreedySelector),
             SelectorKind::Balanced => Box::new(BalancedSelector),
             SelectorKind::Adaptive => Box::new(AdaptiveSelector::default()),
-            SelectorKind::Sa => Box::new(crate::SaSelector::default()),
+            SelectorKind::Sa(sa) => Box::new(sa),
         }
     }
 
@@ -646,7 +624,7 @@ impl SelectorKind {
             SelectorKind::Greedy => "greedy",
             SelectorKind::Balanced => "balanced",
             SelectorKind::Adaptive => "adaptive",
-            SelectorKind::Sa => "sa",
+            SelectorKind::Sa(_) => "sa",
         }
     }
 }
@@ -666,7 +644,7 @@ impl std::str::FromStr for SelectorKind {
             "greedy" => Ok(SelectorKind::Greedy),
             "balanced" => Ok(SelectorKind::Balanced),
             "adaptive" => Ok(SelectorKind::Adaptive),
-            "sa" | "anneal" => Ok(SelectorKind::Sa),
+            "sa" | "anneal" => Ok(SelectorKind::Sa(SaSelector::default())),
             other => Err(format!("unknown selector {other:?}")),
         }
     }

@@ -613,10 +613,11 @@ fn selectors_error_on_overcommit_and_zero() {
 
 #[test]
 fn selector_kind_round_trips() {
-    for k in SelectorKind::ALL {
+    let sa = SelectorKind::Sa(crate::SaSelector::default());
+    for k in SelectorKind::ALL.into_iter().chain([sa]) {
         assert_eq!(k.name().parse::<SelectorKind>().unwrap(), k);
-        assert_eq!(k.build().name(), k.name());
     }
+    assert_eq!("anneal".parse::<SelectorKind>().unwrap(), sa);
     assert!("nope".parse::<SelectorKind>().is_err());
 }
 
@@ -1732,7 +1733,7 @@ mod properties {
             SelectorKind::Greedy => select_scan::greedy_select(tree, st, req),
             SelectorKind::Balanced => select_scan::balanced_select(tree, st, req),
             // SA at budget 0 is the adaptive rule.
-            SelectorKind::Adaptive | SelectorKind::Sa => {
+            SelectorKind::Adaptive | SelectorKind::Sa(_) => {
                 adaptive_scan(&CostModel::HOP_BYTES, tree, st, req)
             }
         }
@@ -1749,13 +1750,12 @@ mod properties {
         st: &ClusterState,
         req: &AllocRequest,
     ) -> Result<(), proptest::test_runner::TestCaseError> {
-        let sa0 = crate::SaSelector::new(0, 17);
-        for kind in SelectorKind::ALL.into_iter().chain([SelectorKind::Sa]) {
-            let got = match kind {
-                SelectorKind::Sa => sa0.select(tree, st, req),
-                _ => kind.build().select(tree, st, req),
-            }
-            .expect("free_total covers the request");
+        let sa0 = SelectorKind::Sa(crate::SaSelector::new(0, 17));
+        for kind in SelectorKind::ALL.into_iter().chain([sa0]) {
+            let got = kind
+                .build()
+                .select(tree, st, req)
+                .expect("free_total covers the request");
             prop_assert_eq!(got.check(tree), Ok(()), "{}: malformed placement", kind);
             prop_assert_eq!(got.len(), req.nodes, "{}: wrong node count", kind);
             prop_assert_eq!(
@@ -3677,16 +3677,22 @@ mod decisions {
         }
     }
 
-    /// `sa_budget` is the selector's annealing budget, `None` for a
-    /// selector that is not SA.
     fn assert_decision(
         tree: &Tree,
         st: &ClusterState,
-        selector: &dyn NodeSelector,
-        sa_budget: Option<u32>,
+        kind: SelectorKind,
         req: &AllocRequest,
     ) -> Result<(), TestCaseError> {
-        let name = selector.name();
+        let selector = kind.build();
+        let name = kind.name();
+        // The annealing budget, `None` for a selector that is not SA.
+        let sa_budget = match kind {
+            SelectorKind::Sa(sa) => Some(sa.evals),
+            SelectorKind::Default
+            | SelectorKind::Greedy
+            | SelectorKind::Balanced
+            | SelectorKind::Adaptive => None,
+        };
         let decision = selector.decide(tree, st, req).unwrap();
         prop_assert_eq!(
             &decision.placement,
@@ -3726,7 +3732,10 @@ mod decisions {
             "{}: scored candidates but not the winner",
             name
         );
-        if matches!(name, "default" | "greedy" | "balanced") {
+        if matches!(
+            kind,
+            SelectorKind::Default | SelectorKind::Greedy | SelectorKind::Balanced
+        ) {
             prop_assert!(
                 decision.candidates.is_empty(),
                 "{}: a direct selector scored",
@@ -3752,6 +3761,12 @@ mod decisions {
             prop_assert!(
                 sa_budget.is_some_and(|b| search.evals <= b),
                 "{}: spent past its budget",
+                name
+            );
+            prop_assert_eq!(
+                Some(search.budget),
+                sa_budget,
+                "{}: not its own budget",
                 name
             );
             prop_assert!(search.cost_final <= search.cost_incumbent);
@@ -3794,17 +3809,9 @@ mod decisions {
             }
             .with_pattern(spec);
             let req = AllocRequest { attempt, ..req };
-            let sa = |budget| SaSelector::new(budget, sa_seed);
-            let selectors: [(Box<dyn NodeSelector>, Option<u32>); 6] = [
-                (Box::new(DefaultTreeSelector), None),
-                (Box::new(GreedySelector), None),
-                (Box::new(BalancedSelector), None),
-                (Box::new(AdaptiveSelector::default()), None),
-                (Box::new(sa(0)), Some(0)),
-                (Box::new(sa(256)), Some(256)),
-            ];
-            for (selector, sa_budget) in &selectors {
-                assert_decision(&tree, &st, selector.as_ref(), *sa_budget, &req)?;
+            let sa = |budget| SelectorKind::Sa(SaSelector::new(budget, sa_seed));
+            for kind in SelectorKind::ALL.into_iter().chain([sa(0), sa(256)]) {
+                assert_decision(&tree, &st, kind, &req)?;
             }
         }
     }

@@ -5,7 +5,7 @@ use crate::queue::PendingQueue;
 use commsched_collectives::CollectiveSpec;
 use commsched_core::{
     AllocRequest, ClusterState, CostModel, JobId, JobNature, NodeSelector, Placement,
-    PlacementEvaluator, SaSelector, SaStats, SelectorKind,
+    PlacementEvaluator, SaStats, SelectorKind,
 };
 use commsched_metrics::Registry;
 use commsched_num::{
@@ -54,13 +54,6 @@ pub struct EngineConfig {
     pub failure_policy: FailurePolicy,
     /// What happens to a job wider than the machine.
     pub oversized: OversizedPolicy,
-    /// Annealing budget (evaluations per placement) for `--selector sa`;
-    /// ignored by every other selector. 0 makes SA return the adaptive
-    /// incumbent bit-for-bit.
-    pub sa_evals: u32,
-    /// Run seed the SA selector derives its per-(job, attempt) search
-    /// seeds from.
-    pub sa_seed: u64,
 }
 
 impl EngineConfig {
@@ -76,17 +69,7 @@ impl EngineConfig {
             enforce_walltime: false,
             failure_policy: FailurePolicy::default(),
             oversized: OversizedPolicy::Abort,
-            sa_evals: SaSelector::default().evals,
-            sa_seed: 0,
         }
-    }
-
-    /// Configure the simulated-annealing selector's budget and run seed
-    /// (only meaningful with [`SelectorKind::Sa`]).
-    pub fn with_sa(mut self, evals: u32, seed: u64) -> Self {
-        self.sa_evals = evals;
-        self.sa_seed = seed;
-        self
     }
 
     /// Disable runtime adjustment (pure replay).
@@ -652,15 +635,6 @@ impl<'t> Engine<'t> {
         self
     }
 
-    /// Build the configured selector; only SA reads the engine's
-    /// configuration beyond its kind.
-    pub(crate) fn build_selector(&self) -> Box<dyn NodeSelector> {
-        match self.cfg.selector {
-            SelectorKind::Sa => Box::new(SaSelector::new(self.cfg.sa_evals, self.cfg.sa_seed)),
-            k => k.build(),
-        }
-    }
-
     /// Mark nodes as drained for the whole run: they are never allocated
     /// and reduce the machine's capacity. Duplicates are ignored.
     pub fn drain_nodes(mut self, nodes: Vec<commsched_topology::NodeId>) -> Self {
@@ -967,7 +941,7 @@ impl<'t> Engine<'t> {
             let mut run = Run {
                 eng: self,
                 log,
-                selector: self.build_selector(),
+                selector: self.cfg.selector.build(),
                 eval: PlacementEvaluator::new(),
                 state,
                 now: 0,
@@ -1400,13 +1374,13 @@ impl Run<'_, '_> {
             .push(Reverse((end, EventKind::Finish(job.id, attempt))));
         self.pending.remove(slot);
         // The search SA ran for this placement; no other selector, and no
-        // budget-0 or compute placement, reports one. The job, attempt and
-        // budget are the engine's own.
+        // budget-0 or compute placement, reports one. The job and attempt
+        // are the engine's own.
         if let Some(st) = placed.search {
             self.emit(TK::SaSearch {
                 job: job.id.0,
                 attempt,
-                budget: u64::from(eng.cfg.sa_evals),
+                budget: u64::from(st.budget),
                 evals: u64::from(st.evals),
                 accepted: u64::from(st.accepted),
                 rejected: u64::from(st.rejected),

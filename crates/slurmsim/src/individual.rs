@@ -135,9 +135,7 @@ pub fn individual_runs(
                         selector: kind,
                         ..base_cfg
                     };
-                    let engine = Engine::new(tree, cfg);
-                    let selector = engine.build_selector();
-                    (kind, engine, selector)
+                    (kind, Engine::new(tree, cfg), kind.build())
                 })
                 .collect();
             let mut eval = PlacementEvaluator::new();

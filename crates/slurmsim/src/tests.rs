@@ -1,7 +1,7 @@
 use crate::individual::{comm_probes, individual_runs, mean_improvement, warmup_state};
 use crate::{Engine, EngineConfig, EngineError};
 use commsched_collectives::Pattern;
-use commsched_core::{JobId, JobNature, SelectorKind};
+use commsched_core::{JobId, JobNature, SaSelector, SelectorKind};
 use commsched_topology::Tree;
 use commsched_workload::{Job, JobLog, LogSpec, SystemModel};
 
@@ -413,11 +413,11 @@ fn place_matches_naive_clone_replication() {
                 comm: comm.clone(),
                 ..comm_job(1, 0, 10_000, width, 0.6)
             };
-            for kind in SelectorKind::ALL.into_iter().chain([SelectorKind::Sa]) {
+            let sa = SelectorKind::Sa(SaSelector::new(256, 3));
+            for kind in SelectorKind::ALL.into_iter().chain([sa]) {
                 for ratio_model in [CostModel::HOP_BYTES, flat] {
                     let cfg = EngineConfig {
                         ratio_model,
-                        sa_seed: 3,
                         ..EngineConfig::new(kind)
                     };
                     let engine = Engine::new(&tree, cfg);
@@ -425,7 +425,7 @@ fn place_matches_naive_clone_replication() {
                     // A partially occupied, contended state (or an idle one).
                     let mut state = ClusterState::new(&tree);
                     for (i, j) in warm.iter().enumerate() {
-                        let sel = engine.build_selector();
+                        let sel = kind.build();
                         let req = AllocRequest::comm(j.id, j.nodes);
                         let nodes = sel.select(&tree, &state, &req).unwrap();
                         state
@@ -433,7 +433,7 @@ fn place_matches_naive_clone_replication() {
                             .unwrap();
                     }
 
-                    let selector = engine.build_selector();
+                    let selector = kind.build();
                     let placed = engine
                         .place(&mut eval, &state, &probe, selector.as_ref(), &[], 0)
                         .unwrap();
@@ -534,7 +534,7 @@ fn place_scores_only_what_its_selector_did_not() {
         .generate();
     let cfg = EngineConfig::new(SelectorKind::Adaptive);
     let engine = Engine::new(&tree, cfg);
-    let selector = engine.build_selector();
+    let selector = cfg.selector.build();
     let mut eval = PlacementEvaluator::new();
     let mut state = ClusterState::new(&tree);
     let mut running = VecDeque::new();
@@ -696,7 +696,6 @@ fn warmup_state_digest_on_table4_theta_cell() {
     let log = LogSpec::new(SystemModel::theta(), 1000, 42)
         .comm_percent(90)
         .pattern(Pattern::Rhvd)
-        .comm_fraction(0.5)
         .generate();
     let state = warmup_state(&tree, &log, 0.55);
     state.check_invariants(&tree).unwrap();
@@ -1894,10 +1893,9 @@ mod tally {
                     FailurePolicy::Requeue { max_retries: 2, backoff: 30 },
                     FailurePolicy::RequeueFront,
                 ] {
-                    for kind in SelectorKind::ALL.into_iter().chain([SelectorKind::Sa]) {
-                        let cfg = backfill(EngineConfig::new(kind))
-                            .with_sa(16, seed)
-                            .with_failure_policy(policy);
+                    let sa = SelectorKind::Sa(SaSelector::new(16, seed));
+                    for kind in SelectorKind::ALL.into_iter().chain([sa]) {
+                        let cfg = backfill(EngineConfig::new(kind)).with_failure_policy(policy);
                         let engine = Engine::new(&tree, cfg).with_faults(faults.clone());
                         let (s, cap, reg) = observe(&engine, &log, ClassMask::ALL);
                         let report = reg.snapshot();
@@ -2022,7 +2020,7 @@ mod tally {
         // legal move: one search, no evaluation, nothing better.
         let tree = Tree::regular_two_level(3, 6);
         let log = JobLog::new("full", vec![comm_job(1, 0, 100, 18, 0.5)]);
-        let cfg = EngineConfig::new(SelectorKind::Sa).with_sa(16, 1);
+        let cfg = EngineConfig::new(SelectorKind::Sa(SaSelector::new(16, 1)));
         let mut cap = Capture::new();
         let mut reg = Registry::new();
         Engine::new(&tree, cfg)
@@ -2053,13 +2051,13 @@ mod tally {
             LogSpec::new(model, jobs, seed).comm_percent(60).generate()
         };
         let runs = [
-            (SelectorKind::Sa, spec(24, 3)),
+            (SelectorKind::Sa(SaSelector::new(16, 1)), spec(24, 3)),
             (SelectorKind::Default, spec(17, 4)),
         ];
         let mut shared = Registry::new();
         let mut alone = Vec::new();
         for (kind, log) in &runs {
-            let engine = Engine::new(&tree, EngineConfig::new(*kind).with_sa(16, 1));
+            let engine = Engine::new(&tree, EngineConfig::new(*kind));
             engine
                 .run_observed(log, &mut Capture::new(), &mut shared)
                 .unwrap();
@@ -2539,7 +2537,7 @@ mod config_matrix {
         let selectors = [
             EngineConfig::new(SelectorKind::Default),
             EngineConfig::new(SelectorKind::Adaptive),
-            EngineConfig::new(SelectorKind::Sa).with_sa(16, 7),
+            EngineConfig::new(SelectorKind::Sa(SaSelector::new(16, 7))),
         ];
         let mut got = Vec::new();
         for backfill in backfills {
@@ -2696,9 +2694,7 @@ mod backfill_reference {
                     FailurePolicy::RequeueFront,
                 ] {
                     for kind in SelectorKind::ALL {
-                        let mut cfg = backfill(EngineConfig::new(kind))
-                            .with_sa(16, seed)
-                            .with_failure_policy(policy);
+                        let mut cfg = backfill(EngineConfig::new(kind)).with_failure_policy(policy);
                         cfg.enforce_walltime = enforce;
                         let [(shipped, trace, _), (reference, reference_trace, _)] =
                             both(&tree, cfg, &faults, if refuse { flaky } else { |_, _| false }, &log);
@@ -2764,10 +2760,10 @@ mod backfill_reference {
         refusals: &[fn(JobId, u64) -> bool],
     ) -> Vec<(u64, u64)> {
         let mut fits = Vec::new();
-        for kind in SelectorKind::ALL.into_iter().chain([SelectorKind::Sa]) {
+        let sa = SelectorKind::Sa(SaSelector::new(16, 5));
+        for kind in SelectorKind::ALL.into_iter().chain([sa]) {
             for &refuse in refusals {
                 let cfg = backfill(EngineConfig::new(kind))
-                    .with_sa(16, 5)
                     .with_failure_policy(FailurePolicy::RequeueFront);
                 let [(shipped, trace, shipped_fits), (reference, reference_trace, reference_fits)] =
                     both(tree, cfg, faults, refuse, log);

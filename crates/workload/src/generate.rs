@@ -97,19 +97,6 @@ impl LogSpec {
         self
     }
 
-    /// Set the communication fraction, keeping the current pattern split's
-    /// relative weights.
-    pub fn comm_fraction(mut self, fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction));
-        let total: f64 = self.components.iter().map(|(_, f)| f).sum();
-        if total > 0.0 {
-            for c in &mut self.components {
-                c.1 *= fraction / total;
-            }
-        }
-        self
-    }
-
     /// Use one of the paper's experiment sets A–E (§6.2).
     pub fn mix(mut self, set: MixSet) -> Self {
         self.components = set.components();

@@ -63,12 +63,11 @@ fn submit_times_are_sorted_and_runtime_bounds_hold() {
 fn pattern_builder_sets_single_component() {
     let log = LogSpec::new(SystemModel::theta(), 100, 5)
         .pattern(Pattern::Binomial)
-        .comm_fraction(0.7)
         .generate();
     for j in log.jobs.iter().filter(|j| j.nature.is_comm()) {
         assert_eq!(j.comm.len(), 1);
         assert_eq!(j.comm[0].0, Pattern::Binomial);
-        assert!((j.comm[0].1 - 0.7).abs() < 1e-12);
+        assert_eq!(j.comm[0].1, 0.5);
     }
     for j in log.jobs.iter().filter(|j| !j.nature.is_comm()) {
         assert!(j.comm.is_empty());

@@ -143,7 +143,7 @@ fn engine_with_sa_budget_zero_matches_adaptive_run() {
     let adaptive = Engine::new(&tree, Cfg::new(SelectorKind::Adaptive))
         .run(&log)
         .unwrap();
-    let sa0 = Engine::new(&tree, Cfg::new(SelectorKind::Sa).with_sa(0, 7))
+    let sa0 = Engine::new(&tree, Cfg::new(SelectorKind::Sa(SaSelector::new(0, 7))))
         .run(&log)
         .unwrap();
     assert_eq!(adaptive.outcomes, sa0.outcomes);
