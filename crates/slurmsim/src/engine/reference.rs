@@ -6,14 +6,12 @@
 //! conservative backfilling that rebuilds a `BTreeMap` profile from
 //! `running` on every pass, refits every queued job with the per-candidate
 //! `earliest_fit_naive`, and starts over from the queue head after *every*
-//! start. It reads nothing the shipped passes keep between calls — not the
-//! order of `running`, not its node counts, not `Run::reserved` — and
-//! reserves every queued job, so agreement on outcomes and traces
-//! (`tests::backfill_reference`) is evidence that neither the sorted
-//! release list, nor asking the queue only for startable jobs, nor
-//! continuing after a start, nor stopping where no queued job can start
-//! now, nor carrying on from the last pass's reservations changed a
-//! decision.
+//! start. It reads nothing the shipped passes rely on — not the order of
+//! `running`, not its node counts — and reserves every queued job, so
+//! agreement on outcomes and traces (`tests::backfill_reference`) is
+//! evidence that neither the sorted release list, nor asking the queue
+//! only for startable jobs, nor continuing after a start, nor stopping
+//! where no queued job can start now changed a decision.
 //! Selected by [`Engine::with_reference_passes`].
 
 use super::*;

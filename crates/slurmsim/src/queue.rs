@@ -39,8 +39,6 @@ pub(crate) struct PendingQueue {
     walltimes: Vec<u64>,
     /// Next slot `push_back` fills.
     tail: usize,
-    /// Times `repack` ran.
-    repacks: u64,
 }
 
 impl PendingQueue {
@@ -80,12 +78,6 @@ impl PendingQueue {
     /// The queued job following `slot` in FIFO order.
     pub(crate) fn after(&self, slot: usize) -> Option<(usize, usize)> {
         self.next_fit(slot.saturating_add(1), ANY, ANY, None)
-    }
-
-    /// How many times the queue has repacked; a slot number read before
-    /// stays the same job's while this count does not move.
-    pub(crate) fn repacks(&self) -> u64 {
-        self.repacks
     }
 
     /// The queue in FIFO order as `(slot, job)` pairs.
@@ -188,6 +180,5 @@ impl PendingQueue {
             self.pull_up(i);
         }
         self.tail = live.len();
-        self.repacks += 1;
     }
 }

@@ -2797,12 +2797,13 @@ mod backfill_reference {
 
     /// The same under conservative backfilling, with declined starts and
     /// the last 40 jobs trickling in ten minutes apart once the backlog
-    /// stands, so that passes with only a submit since the last one carry
-    /// on from the slot where it stopped, ahead of jobs no pass has fitted
-    /// yet. The shipped pass stops once no queued job can start now and
-    /// fits 41–45 k jobs a run here; the reference reserves every queued
-    /// job and starts over after every start (150–152 k); a shipped pass
-    /// that never stops fits 91–93 k.
+    /// stands, so that many passes follow a submit alone: nothing was
+    /// released, and the pass fits the deep queue again from its head to
+    /// find whether the newcomer at its back may start now. The shipped
+    /// pass stops once no queued job can start now and fits 49–54 k jobs a
+    /// run here (five selectors); the reference reserves every queued job
+    /// and starts over after every start (150–152 k); a shipped pass that
+    /// never stops fits 141–142 k.
     #[test]
     fn shipped_conservative_matches_reference_on_a_deep_queue() {
         let (tree, mut log, faults) = deep_backlog();

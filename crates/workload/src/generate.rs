@@ -135,16 +135,7 @@ impl LogSpec {
             });
         }
 
-        // Assign natures: exactly floor(pct% * n) comm-intensive jobs,
-        // spread uniformly by a seeded shuffle of indices.
-        let n_comm = self.jobs * self.comm_percent as usize / 100;
-        let mut idx: Vec<usize> = (0..self.jobs).collect();
-        idx.shuffle(&mut rng);
-        for &k in idx.iter().take(n_comm) {
-            jobs[k].nature = JobNature::CommIntensive;
-            jobs[k].comm = self.components.clone();
-        }
-
+        assign_natures(&mut jobs, self.comm_percent, &self.components, &mut rng);
         JobLog::new(format!("{}-synthetic-seed{}", sys.name, self.seed), jobs)
     }
 
@@ -181,5 +172,27 @@ impl LogSpec {
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         let t = sys.runtime_median * (sys.runtime_sigma * z).exp();
         t.clamp(60.0, 86_400.0) as u64
+    }
+}
+
+/// Make `floor(n · pct / 100)` of the `n` jobs (`pct` clamped to 100),
+/// picked by a shuffle drawn from `rng`, communicate with `components`;
+/// the rest only compute.
+pub(crate) fn assign_natures(
+    jobs: &mut [Job],
+    pct: u8,
+    components: &[(Pattern, f64)],
+    rng: &mut ChaCha12Rng,
+) {
+    let n_comm = jobs.len() * usize::from(pct.min(100)) / 100;
+    let mut idx: Vec<usize> = (0..jobs.len()).collect();
+    idx.shuffle(rng);
+    for j in jobs.iter_mut() {
+        j.nature = JobNature::ComputeIntensive;
+        j.comm.clear();
+    }
+    for &k in idx.iter().take(n_comm) {
+        jobs[k].nature = JobNature::CommIntensive;
+        jobs[k].comm = components.to_vec();
     }
 }

@@ -157,19 +157,7 @@ pub fn assign_natures(
     components: &[(commsched_collectives::Pattern, f64)],
     seed: u64,
 ) {
-    use rand::prelude::*;
-    let pct = pct.min(100);
-    let n = log.jobs.len();
-    let n_comm = n * pct as usize / 100;
-    let mut idx: Vec<usize> = (0..n).collect();
+    use rand::SeedableRng;
     let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
-    idx.shuffle(&mut rng);
-    for j in log.jobs.iter_mut() {
-        j.nature = JobNature::ComputeIntensive;
-        j.comm.clear();
-    }
-    for &k in idx.iter().take(n_comm) {
-        log.jobs[k].nature = JobNature::CommIntensive;
-        log.jobs[k].comm = components.to_vec();
-    }
+    crate::generate::assign_natures(&mut log.jobs, pct, components, &mut rng);
 }
