@@ -5,7 +5,9 @@ use crate::args::Parsed;
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_core::{SaSelector, SelectorKind};
 use commsched_metrics::{Registry, Table};
-use commsched_slurmsim::{BackfillPolicy, Engine, EngineConfig, FailurePolicy, JobStatus};
+use commsched_slurmsim::{
+    BackfillPolicy, Engine, EngineConfig, EngineError, FailurePolicy, JobStatus,
+};
 use commsched_topology::{SystemPreset, Tree};
 use commsched_trace::{chrome_trace, Capture, ClassMask};
 use commsched_workload::{swf, FaultTrace, JobLog, LogProfile, LogSpec, SystemModel};
@@ -369,20 +371,6 @@ pub(crate) fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResu
     } else {
         format!(" ({drain_count} drained)")
     };
-    // The engine checks widths against the machine less its drained
-    // nodes; so does the hint.
-    let capacity = tree.num_nodes() - drain_count;
-    if !p.switch("reject-oversized") {
-        for j in &log.jobs {
-            if j.nodes > capacity {
-                return Err(format!(
-                    "{} requests {} nodes but the topology has {capacity}{drained_note} — pick \
-                     a larger --preset, trim the log with --jobs, or pass --reject-oversized",
-                    j.id, j.nodes,
-                ));
-            }
-        }
-    }
     let faults = load_faults(p, &tree, &log)?;
     let failure_policy = load_failure_policy(p)?;
 
@@ -466,9 +454,23 @@ pub(crate) fn run_sim(p: &Parsed, out: &mut dyn Write, compare: bool) -> CmdResu
             ClassMask::NONE
         });
         let mut reg = Registry::new();
-        let summary = engine
-            .run_observed(&log, &mut cap, &mut reg)
-            .map_err(|e| e.to_string())?;
+        // The engine checks widths against the machine less its drained
+        // nodes; its refusal gains a hint.
+        let summary = engine.run_observed(&log, &mut cap, &mut reg).map_err(|e| {
+            if let EngineError::JobTooLarge {
+                job,
+                nodes,
+                machine,
+            } = e
+            {
+                return format!(
+                    "{job} requests {nodes} nodes but the topology has {machine}{drained_note} \
+                     — pick a larger --preset, trim the log with --jobs, or pass \
+                     --reject-oversized"
+                );
+            }
+            e.to_string()
+        })?;
         if let Some(path) = &trace_out {
             let path = with_selector(path, compare.then(|| kind.name()));
             let text = if path.ends_with(".json") {

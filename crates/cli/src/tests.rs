@@ -344,6 +344,33 @@ fn comm_pct_above_100_is_rejected() {
     assert!(err.contains("--comm-pct 101 is above 100"), "{err}");
 }
 
+/// An SWF time past 2^53 s is refused by name: a 10^17 s runtime used
+/// to reach the engine and trip `commsched_num`'s exact-`f64` check.
+#[test]
+fn run_rejects_an_swf_time_above_2_pow_53() {
+    let dir = std::env::temp_dir().join("commsched-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge-runtime.swf");
+    std::fs::write(
+        &path,
+        "1 0 -1 100000000000000000 8 -1 -1 8 100000000000000000 -1 1 -1 -1 -1 -1 -1 -1 -1\n",
+    )
+    .unwrap();
+    let path = path.to_str().unwrap();
+    let args = [
+        "run",
+        "--swf",
+        path,
+        "--preset",
+        "theta",
+        "--comm-pct",
+        "100",
+    ];
+    let (code, out, err) = run_cli(&args);
+    assert_eq!(code, 1, "{out}");
+    assert!(err.contains("field 'run_time'"), "{err}");
+}
+
 /// A bucket count outside `1..=10_000` is a usage error on both
 /// simulating commands, refused before any selector runs: 0 drew an empty
 /// timeline, and a huge count allocated and printed one line per bucket.

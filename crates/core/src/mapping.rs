@@ -54,7 +54,7 @@ impl MappingStrategy {
 /// Compute the rank→node map for `nodes` under `strategy`.
 ///
 /// The result is a permutation of `nodes`: entry `r` is rank `r`'s node.
-pub fn map_ranks(tree: &Tree, nodes: &[NodeId], strategy: MappingStrategy) -> Vec<NodeId> {
+pub(crate) fn map_ranks(tree: &Tree, nodes: &[NodeId], strategy: MappingStrategy) -> Vec<NodeId> {
     let mut sorted = nodes.to_vec();
     sorted.sort_unstable();
     match strategy {

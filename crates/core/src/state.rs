@@ -251,9 +251,8 @@ impl ClusterState {
     }
 
     /// Make this state a fully-free cluster over `tree` — the one
-    /// initialiser — reusing the existing buffers: the allocation-free
-    /// path for sweep harnesses that run thousands of fresh states. Every
-    /// counter is rewritten, so nothing of the previous occupancy survives.
+    /// initialiser — reusing the existing buffers. Every counter is
+    /// rewritten, so nothing of the previous occupancy survives.
     pub fn reset(&mut self, tree: &Tree) {
         let nodes = tree.num_nodes();
         let leaves = tree.num_leaves();

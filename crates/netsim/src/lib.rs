@@ -45,7 +45,7 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 mod sim;
 
-pub use sim::{FlowSim, IterationSample, JobResult, LinkStats, NetConfig, Workload};
+pub use sim::{FlowSim, IterationSample, JobResult, NetConfig, Workload};
 
 #[cfg(test)]
 mod tests;

@@ -114,26 +114,6 @@ pub struct JobResult {
     pub iterations: Vec<IterationSample>,
 }
 
-/// Where the bytes went: per-class link accounting for one simulation run.
-///
-/// Produced by [`FlowSim::run_with_stats`]; useful for spotting which part
-/// of the fabric bottlenecked a workload.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct LinkStats {
-    /// Bytes through node↔leaf links (both directions).
-    pub node_bytes: f64,
-    /// Bytes through switch↔parent trunks, indexed by switch level − 1
-    /// (entry 0 = leaf uplinks).
-    pub trunk_bytes_per_level: Vec<f64>,
-    /// Bytes through leaf backplanes (0 when backplanes are disabled).
-    pub backplane_bytes: f64,
-    /// Peak time-average utilization over all links:
-    /// `bytes / (capacity × span)` of the busiest link.
-    pub busiest_utilization: f64,
-    /// Wall-clock span of the run in seconds.
-    pub span: f64,
-}
-
 /// Directed-link id space: `2*n`/`2*n+1` are node `n`'s up/down links;
 /// switch `s`'s up/down links to its parent follow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,7 +174,7 @@ impl RouteArena {
         let mut packed = Vec::with_capacity(self.links.len() - self.dead);
         for f in flows.iter_mut() {
             let start = u32_of_usize(packed.len());
-            packed.extend_from_slice(&self.links[usize_of_u32(f.route.0)..usize_of_u32(f.route.1)]);
+            packed.extend_from_slice(self.slice(f.route));
             f.route = (start, u32_of_usize(packed.len()));
         }
         self.links = packed;
@@ -515,8 +495,7 @@ impl<'t> FlowSim<'t> {
                     continue;
                 }
                 let f = sc.affected_flows[k];
-                let route = usize_of_u32(rs.flows[f].route.0)..usize_of_u32(rs.flows[f].route.1);
-                let bottlenecked = rs.arena.links[route].iter().any(|l| {
+                let bottlenecked = rs.arena.slice(rs.flows[f].route).iter().any(|l| {
                     sc.load[l.0] > 0
                         && sc.residual[l.0] / f64::from(sc.load[l.0]) <= share * (1.0 + 1e-12)
                 });
@@ -537,8 +516,7 @@ impl<'t> FlowSim<'t> {
                 sc.frozen[k] = true;
                 let f = sc.affected_flows[k];
                 rs.flows[f].rate = share;
-                let route = usize_of_u32(rs.flows[f].route.0)..usize_of_u32(rs.flows[f].route.1);
-                for l in &rs.arena.links[route] {
+                for l in rs.arena.slice(rs.flows[f].route) {
                     sc.residual[l.0] = (sc.residual[l.0] - share).max(0.0);
                     sc.load[l.0] -= 1;
                 }
@@ -658,7 +636,7 @@ impl<'t> FlowSim<'t> {
     /// is `commsched-slurmsim`'s business) and run their iterations back to
     /// back. Completed jobs are reported in workload order.
     pub fn run(&self, workloads: Vec<Workload>) -> Vec<JobResult> {
-        self.run_impl(workloads, None, None, &mut NullRecorder)
+        self.run_traced(workloads, &mut NullRecorder)
     }
 
     /// Like [`FlowSim::run`], emitting solver records (`net_solve`,
@@ -673,53 +651,7 @@ impl<'t> FlowSim<'t> {
         workloads: Vec<Workload>,
         recorder: &mut dyn Recorder,
     ) -> Vec<JobResult> {
-        self.run_impl(workloads, None, None, recorder)
-    }
-
-    /// Like [`FlowSim::run`], additionally accounting bytes per link class.
-    pub fn run_with_stats(&self, workloads: Vec<Workload>) -> (Vec<JobResult>, LinkStats) {
-        let mut bytes = vec![0.0f64; self.capacity.len()];
-        let results = self.run_impl(workloads, Some(&mut bytes), None, &mut NullRecorder);
-        let span = results.iter().map(|r| r.end).fold(0.0f64, f64::max)
-            - results
-                .iter()
-                .map(|r| r.submit)
-                .fold(f64::INFINITY, f64::min)
-                .min(0.0);
-        let span = span.max(1e-12);
-
-        let mut stats = LinkStats {
-            node_bytes: 0.0,
-            trunk_bytes_per_level: vec![0.0; usize_of_u32(self.tree.height())],
-            backplane_bytes: 0.0,
-            busiest_utilization: 0.0,
-            span,
-        };
-        // Each class summed in link-id order.
-        let tree = self.tree;
-        for n in (0..tree.num_nodes()).map(NodeId) {
-            for l in [tree.node_uplink(n), tree.node_downlink(n)] {
-                stats.node_bytes += bytes[l];
-            }
-        }
-        for s in (0..tree.num_switches()).map(SwitchId) {
-            let level = usize_of_u32(tree.switch(s).level);
-            if level <= stats.trunk_bytes_per_level.len() {
-                for l in [tree.switch_uplink(s), tree.switch_downlink(s)] {
-                    stats.trunk_bytes_per_level[level - 1] += bytes[l];
-                }
-            }
-        }
-        for &b in bytes.get(self.backplane_base..).unwrap_or_default() {
-            stats.backplane_bytes += b;
-        }
-        for (&b, &cap) in bytes.iter().zip(&self.capacity) {
-            let u = b / (cap * span);
-            if u > stats.busiest_utilization {
-                stats.busiest_utilization = u;
-            }
-        }
-        (results, stats)
+        self.run_impl(workloads, None, recorder)
     }
 
     /// Run and record the full per-flow rate vector after every solve — the
@@ -730,14 +662,13 @@ impl<'t> FlowSim<'t> {
         workloads: Vec<Workload>,
     ) -> (Vec<JobResult>, Vec<Vec<f64>>) {
         let mut trace = Vec::new();
-        let results = self.run_impl(workloads, None, Some(&mut trace), &mut NullRecorder);
+        let results = self.run_impl(workloads, Some(&mut trace), &mut NullRecorder);
         (results, trace)
     }
 
     fn run_impl(
         &self,
         workloads: Vec<Workload>,
-        mut link_bytes: Option<&mut Vec<f64>>,
         mut rate_trace: Option<&mut Vec<Vec<f64>>>,
         recorder: &mut dyn Recorder,
     ) -> Vec<JobResult> {
@@ -976,12 +907,6 @@ impl<'t> FlowSim<'t> {
             let mut f = 0;
             while f < rs.flows.len() {
                 if rs.flows[f].active && rs.flows[f].rate > 0.0 {
-                    if let Some(bytes) = link_bytes.as_deref_mut() {
-                        let moved = rs.flows[f].rate * dt;
-                        for l in rs.arena.slice(rs.flows[f].route) {
-                            bytes[l.0] += moved;
-                        }
-                    }
                     rs.flows[f].remaining -= rs.flows[f].rate * dt;
                     if rs.flows[f].remaining <= EPS {
                         let j = rs.flows[f].job_idx;

@@ -449,14 +449,6 @@ impl RunSummary {
             })
             .collect()
     }
-
-    /// Peak utilization over a 100-bucket timeline.
-    pub fn peak_utilization(&self, machine_nodes: usize) -> f64 {
-        self.utilization(machine_nodes, 100)
-            .into_iter()
-            .map(|(_, u)| u)
-            .fold(0.0, f64::max)
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -927,41 +919,36 @@ impl<'t> Engine<'t> {
         if let Err(e) = self.validate(log) {
             return (Err(e), Counts::default());
         }
-        // The run's cluster state is leased from a per-thread scratch
-        // cache: sweeps replay thousands of logs, and re-allocating the
-        // per-node vectors for each would dominate steady-state cost.
-        crate::scratch::with_state(self.tree, |state| {
-            let mut events = BinaryHeap::new();
-            for (i, j) in log.jobs.iter().enumerate() {
-                events.push(Reverse((j.submit, EventKind::Submit(i))));
-            }
-            for (k, e) in self.faults.events().iter().enumerate() {
-                events.push(Reverse((e.t, EventKind::Fault(u32_of_usize(k)))));
-            }
-            let mut run = Run {
-                eng: self,
-                log,
-                selector: self.cfg.selector.build(),
-                eval: PlacementEvaluator::new(),
-                state,
-                now: 0,
-                events,
-                pending: PendingQueue::default(),
-                running: Vec::new(),
-                outcomes: Vec::new(),
-                retries: vec![0; log.jobs.len()],
-                lost: vec![0; log.jobs.len()],
-                link_factors: if self.faults.has_domain(FaultDomain::Link) {
-                    vec![1.0; self.tree.num_directed_links()]
-                } else {
-                    Vec::new()
-                },
-                tr: Tracer::new(recorder),
-                counts: Counts::default(),
-            };
-            let summary = run.replay().map(|()| run.summarize());
-            (summary, run.counts)
-        })
+        let mut events = BinaryHeap::new();
+        for (i, j) in log.jobs.iter().enumerate() {
+            events.push(Reverse((j.submit, EventKind::Submit(i))));
+        }
+        for (k, e) in self.faults.events().iter().enumerate() {
+            events.push(Reverse((e.t, EventKind::Fault(u32_of_usize(k)))));
+        }
+        let mut run = Run {
+            eng: self,
+            log,
+            selector: self.cfg.selector.build(),
+            eval: PlacementEvaluator::new(),
+            state: ClusterState::new(self.tree),
+            now: 0,
+            events,
+            pending: PendingQueue::default(),
+            running: Vec::new(),
+            outcomes: Vec::new(),
+            retries: vec![0; log.jobs.len()],
+            lost: vec![0; log.jobs.len()],
+            link_factors: if self.faults.has_domain(FaultDomain::Link) {
+                vec![1.0; self.tree.num_directed_links()]
+            } else {
+                Vec::new()
+            },
+            tr: Tracer::new(recorder),
+            counts: Counts::default(),
+        };
+        let summary = run.replay().map(|()| run.summarize());
+        (summary, run.counts)
     }
 }
 
@@ -975,8 +962,8 @@ struct Run<'a, 'r> {
     selector: Box<dyn NodeSelector>,
     /// Eq. 6 scratch for every placement of the run.
     eval: PlacementEvaluator,
-    /// Leased from the per-thread scratch cache for the length of the run.
-    state: &'a mut ClusterState,
+    /// Built fresh for the run, after `validate`.
+    state: ClusterState,
     /// The instant being processed; once the heap is empty, the makespan
     /// fallback for a run in which nothing ever started.
     now: u64,
@@ -1317,7 +1304,7 @@ impl Run<'_, '_> {
         }
         let Some(mut placed) = eng.place(
             &mut self.eval,
-            self.state,
+            &self.state,
             job,
             self.selector.as_ref(),
             &self.link_factors,

@@ -39,7 +39,6 @@
 mod engine;
 pub mod individual;
 mod queue;
-mod scratch;
 
 pub use engine::{
     BackfillPolicy, Engine, EngineConfig, EngineError, FailurePolicy, JobOutcome, JobStatus,

@@ -648,7 +648,6 @@ fn utilization_timeline_accounts_node_seconds() {
     assert_eq!(u.len(), 2);
     assert_eq!(u[0], (0, 1.0));
     assert_eq!(u[1], (100, 0.5));
-    assert_eq!(s.peak_utilization(4), 1.0);
     // Utilization can never exceed 1.
     for (_, frac) in s.utilization(4, 7) {
         assert!(frac <= 1.0 + 1e-9);

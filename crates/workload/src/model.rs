@@ -36,9 +36,10 @@ impl Job {
         self.comm.iter().map(|(_, f)| f).sum()
     }
 
-    /// Node-seconds consumed when the job runs for `runtime` seconds.
+    /// Node-seconds consumed when the job runs for `runtime` seconds,
+    /// saturating at `u64::MAX`.
     pub(crate) fn node_seconds(&self) -> u64 {
-        self.runtime * self.nodes as u64
+        self.runtime.saturating_mul(self.nodes as u64)
     }
 }
 
@@ -101,9 +102,16 @@ impl JobLog {
         100.0 * n as f64 / self.jobs.len() as f64
     }
 
+    /// Node-seconds of recorded runtimes, saturating at `u64::MAX`.
+    pub(crate) fn total_node_seconds(&self) -> u64 {
+        self.jobs
+            .iter()
+            .fold(0, |sum, j| sum.saturating_add(j.node_seconds()))
+    }
+
     /// Total node-hours of recorded runtimes.
     pub(crate) fn total_node_hours(&self) -> f64 {
-        self.jobs.iter().map(|j| j.node_seconds()).sum::<u64>() as f64 / 3600.0
+        self.total_node_seconds() as f64 / 3600.0
     }
 }
 

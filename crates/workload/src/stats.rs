@@ -65,9 +65,8 @@ impl LogProfile {
             gaps.iter().sum::<f64>() / gaps.len() as f64
         };
 
-        let node_seconds: u64 = log.jobs.iter().map(|j| j.node_seconds()).sum();
         let offered_load = if span > 0 && machine_nodes > 0 {
-            node_seconds as f64 / (machine_nodes as f64 * span as f64)
+            log.total_node_seconds() as f64 / (machine_nodes as f64 * span as f64)
         } else {
             0.0
         };

@@ -22,6 +22,9 @@ const F_PROCS_REQ: usize = 7;
 const F_TIME_REQ: usize = 8;
 const F_STATUS: usize = 10;
 const FIELDS: usize = 18;
+/// Largest time field accepted, 2^53 s: the engine's time arithmetic
+/// converts seconds to `f64`, exact only up to there.
+const MAX_SECONDS: i64 = 1 << 53;
 
 /// SWF column name for a consumed 0-based field index (Feitelson et al.).
 fn field_name(i: usize) -> &'static str {
@@ -97,13 +100,24 @@ pub fn parse(text: &str, name: &str, procs_per_node: usize) -> Result<JobLog, Sw
                 message: format!("column {} is not an integer: {:?}", i + 1, fields[i]),
             })
         };
+        let time = |i: usize| -> Result<i64, SwfError> {
+            let t = get(i)?;
+            if t > MAX_SECONDS {
+                return Err(SwfError {
+                    line: lineno + 1,
+                    field: Some(field_name(i)),
+                    message: format!("{t} s is above 2^53 s"),
+                });
+            }
+            Ok(t)
+        };
         let id = get(F_JOB)?;
-        let submit = get(F_SUBMIT)?.max(0) as u64;
-        let runtime = get(F_RUN)?;
+        let submit = time(F_SUBMIT)?.max(0) as u64;
+        let runtime = time(F_RUN)?;
         let status = get(F_STATUS)?;
         let procs_used = get(F_PROCS_USED)?;
         let procs_req = get(F_PROCS_REQ)?;
-        let time_req = get(F_TIME_REQ)?;
+        let time_req = time(F_TIME_REQ)?;
 
         let procs = if procs_req > 0 { procs_req } else { procs_used };
         if runtime <= 0 || procs <= 0 || status == 0 || status == 5 {

@@ -283,6 +283,25 @@ mod stats_tests {
         assert!(p.size_histogram.is_empty());
     }
 
+    /// Two jobs of 4·10^10 nodes × 10^11 s: 8·10^21 node-seconds, past
+    /// `u64::MAX`. The sums saturate instead of wrapping (or trapping).
+    #[test]
+    fn node_seconds_saturate_on_a_hostile_log() {
+        let line = |id, submit| {
+            format!(
+                "{id} {submit} -1 100000000000 40000000000 -1 -1 40000000000 \
+                 100000000000 -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+            )
+        };
+        let text = line(1, 0) + &line(2, 10);
+        let log = swf::parse(&text, "hostile", 1).unwrap();
+        let saturated = u64::MAX as f64 / 3600.0;
+        assert_eq!(log.total_node_hours(), saturated);
+        let p = LogProfile::new(&log, 4392);
+        assert_eq!(p.total_node_hours, saturated);
+        assert_eq!(p.offered_load, u64::MAX as f64 / (4392.0 * 10.0));
+    }
+
     #[test]
     fn offered_load_reflects_saturation() {
         // Same jobs, half the machine: load doubles.
@@ -531,6 +550,28 @@ mod swf_fuzz {
         let line = "1 ? 0 10 4 -1 -1 4 100 -1 1 -1 -1 -1 -1 -1 -1 -1";
         let err = swf::parse(line, "t", 1).unwrap_err();
         assert_eq!(err.field, Some("submit_time"));
+    }
+
+    /// A time past 2^53 s, where `f64` seconds stop being exact, is an
+    /// error naming its column; 2^53 itself parses.
+    #[test]
+    fn times_above_2_pow_53_name_their_field() {
+        let line = |submit: u64, run: u64, req: u64| {
+            format!("1 {submit} -1 {run} 4 -1 -1 4 {req} -1 1 -1 -1 -1 -1 -1 -1 -1")
+        };
+        let (max, over) = (1u64 << 53, (1u64 << 53) + 1);
+        let log = swf::parse(&line(max, max, max), "t", 1).unwrap();
+        assert_eq!(log.jobs[0].submit, max);
+        assert_eq!(log.jobs[0].walltime, max);
+        for (text, field) in [
+            (line(over, 10, 10), "submit_time"),
+            (line(0, over, 10), "run_time"),
+            (line(0, 10, over), "requested_time"),
+        ] {
+            let err = swf::parse(&text, "t", 1).unwrap_err();
+            assert_eq!((err.line, err.field), (1, Some(field)), "{err}");
+            assert!(err.to_string().contains("above 2^53 s"), "{err}");
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 use commsched::collectives::CollectiveSpec;
 use commsched::netsim::{FlowSim, NetConfig, Workload};
-// (LinkStats come back from run_with_stats below.)
 use commsched::prelude::*;
 use commsched::topology::SystemPreset;
 
@@ -47,7 +46,7 @@ fn main() {
     println!("J1 alone: one allgather takes {solo:.3} s");
 
     // J1 iterates for ~10 virtual minutes; J2 bursts in twice.
-    let (results, stats) = sim.run_with_stats(vec![
+    let results = sim.run(vec![
         Workload {
             id: 1,
             nodes: j1,
@@ -70,15 +69,6 @@ fn main() {
             iterations: 400,
         },
     ]);
-    println!(
-        "link accounting: {:.1} MB on node links, {:.1} MB on leaf uplinks, \
-         busiest link at {:.0}% for {:.0} s",
-        stats.node_bytes / 1e6,
-        stats.trunk_bytes_per_level.first().copied().unwrap_or(0.0) / 1e6,
-        stats.busiest_utilization * 100.0,
-        stats.span,
-    );
-
     let j2_windows: Vec<(f64, f64)> = results[1..].iter().map(|r| (r.submit, r.end)).collect();
     println!("J2 active: {j2_windows:?}\n");
     println!("t(s)      J1 iter(s)   (binned over 20 iterations)");

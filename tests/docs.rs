@@ -1,6 +1,6 @@
 //! Cross-references into the documents stay true.
 //!
-//! Three checks, each over files read relative to the package root:
+//! Four checks, each over files read relative to the package root:
 //!
 //! - every `DESIGN.md §N[.M]` cited in code, CI, lint configuration,
 //!   README.md, ROADMAP.md or CHANGES.md names a DESIGN.md heading, so a
@@ -11,7 +11,9 @@
 //!   workspace (`{a,b}` groups expanded, a trailing `*` a prefix), so an
 //!   oracle test cannot be renamed or deleted behind the table's back;
 //! - every CHANGES.md line is one entry that starts `PR <n>`, with `n`
-//!   non-decreasing down the file.
+//!   non-decreasing down the file;
+//! - no CHANGES.md line runs past 1,500 characters: the full record of a
+//!   change lives in git, and its entry names the commit.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -270,6 +272,19 @@ fn changes_has_one_entry_per_line_in_pr_order() {
         last = number;
     }
     assert!(last > 0, "CHANGES.md is empty");
+}
+
+#[test]
+fn changes_lines_are_at_most_1500_characters() {
+    let changes = read(&root().join("CHANGES.md"));
+    for (k, line) in changes.lines().enumerate() {
+        let chars = line.chars().count();
+        assert!(
+            chars <= 1500,
+            "CHANGES.md:{}: {chars} characters, over 1,500",
+            k + 1
+        );
+    }
 }
 
 #[test]

@@ -231,12 +231,17 @@ fn prelude_covers_the_working_surface() {
     cfg.backfill = commsched::slurmsim::BackfillPolicy::Conservative;
     let summary = Engine::new(&tree, cfg).run(&log).unwrap();
     assert_eq!(summary.outcomes.len(), 60);
-    assert!(summary.peak_utilization(tree.num_nodes()) <= 1.0 + 1e-9);
+    assert!(summary
+        .utilization(tree.num_nodes(), 100)
+        .iter()
+        .all(|&(_, u)| u <= 1.0 + 1e-9));
 
     // Mapping strategies reachable through the facade too.
-    use commsched::core::mapping::map_ranks;
+    use commsched::core::mapping::best_mapping;
     let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
-    let layout = map_ranks(&tree, &nodes, MappingStrategy::AlignedBlocks);
+    let spec = CollectiveSpec::new(Pattern::Rd, 1 << 20);
+    let state = ClusterState::new(&tree);
+    let (_, layout, _) = best_mapping(CostModel::HOPS, &tree, &state, &nodes, &spec);
     assert_eq!(layout.len(), 4);
 }
 
