@@ -20,6 +20,9 @@
 //!   4,096-node placement of 64 whole leaves on Dragonfly1M with every
 //!   other leaf held — one run per leaf, so the row times the counters'
 //!   and the free-count index's upkeep, not the bit fills;
+//! - **build** (`build_dragonfly_1m`): `SystemPreset::Dragonfly1M.build()`,
+//!   the tree every run on that preset starts from, dropped again;
+//!   `request` counts the nodes built;
 //! - **simulation** (`steady_state`, `churn`): whole flow-simulator runs;
 //!   `request` counts the jobs simulated.
 //!
@@ -123,8 +126,8 @@ fn median_ns<F: FnMut()>(iters: usize, mut f: F) -> u64 {
 #[derive(Serialize)]
 struct Row {
     case: String,
-    /// `"placement"`, `"selection"`, `"evaluation"`, `"state"` or
-    /// `"simulation"`.
+    /// `"placement"`, `"selection"`, `"evaluation"`, `"state"`, `"build"`
+    /// or `"simulation"`.
     kind: &'static str,
     nodes: usize,
     /// Nodes requested, or jobs simulated.
@@ -132,8 +135,9 @@ struct Row {
     median_ns: u64,
 }
 
-/// One placement and one selection per preset (two selections and the
-/// state row on Dragonfly1M), then the evaluations and the simulator runs.
+/// One placement and one selection per preset (two selections, the state
+/// row and the build row on Dragonfly1M), then the evaluations and the
+/// simulator runs.
 fn measure_rows() -> Vec<Row> {
     let presets = [
         ("theta_256", SystemPreset::Theta, 256),
@@ -176,6 +180,10 @@ fn measure_rows() -> Vec<Row> {
                 std::hint::black_box(state.release(&case.tree, job).expect("just allocated"));
             });
             rows.push(row(format!("state_{label}"), "state", STATE_WANT, ns));
+            let ns = median_ns(ITERS, || {
+                std::hint::black_box(preset.build());
+            });
+            rows.push(row(format!("build_{label}"), "build", nodes, ns));
         }
     }
     for (label, preset, want) in EVAL_CASES {

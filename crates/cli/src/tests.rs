@@ -371,6 +371,32 @@ fn run_rejects_an_swf_time_above_2_pow_53() {
     assert!(err.contains("field 'run_time'"), "{err}");
 }
 
+/// Times `swf::parse` accepts can still end a run past 2^53 s: a job
+/// submitted at 2^53 s that runs 2^53 s. The run fails by name instead of
+/// tripping the exact-`f64` assertion on its report's makespan.
+#[test]
+fn run_rejects_a_makespan_above_2_pow_53() {
+    let dir = std::env::temp_dir().join("commsched-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("late-makespan.swf");
+    let t = 1u64 << 53;
+    let line = format!("1 {t} -1 {t} 8 -1 -1 8 {t} -1 1 -1 -1 -1 -1 -1 -1 -1\n");
+    std::fs::write(&path, line).unwrap();
+    let path = path.to_str().unwrap();
+    let args = [
+        "run",
+        "--swf",
+        path,
+        "--preset",
+        "theta",
+        "--comm-pct",
+        "100",
+    ];
+    let (code, out, err) = run_cli(&args);
+    assert_eq!(code, 1, "{out}");
+    assert!(err.contains("run ends at 18014398509481984 s"), "{err}");
+}
+
 /// A bucket count outside `1..=10_000` is a usage error on both
 /// simulating commands, refused before any selector runs: 0 drew an empty
 /// timeline, and a huge count allocated and printed one line per bucket.

@@ -25,6 +25,10 @@ use std::fmt;
 #[cfg(test)]
 pub(crate) mod reference;
 
+/// Latest virtual second a run may end at, 2^53: past it the reports'
+/// `f64` seconds stop being exact ([`EngineError::MakespanTooLong`]).
+const EXACT_SECONDS: u64 = 1 << 53;
+
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
@@ -232,6 +236,10 @@ pub enum EngineError {
     /// an error instead of a panic so a sweep over many configurations
     /// reports the bad run and keeps going.
     StateInconsistency(String),
+    /// The run ended past 2^53 s of virtual time, where its reports' `f64`
+    /// seconds stop being exact: every job's own times can be in range
+    /// while queueing pushes the makespan out of it.
+    MakespanTooLong(u64),
 }
 
 impl fmt::Display for EngineError {
@@ -257,6 +265,10 @@ impl fmt::Display for EngineError {
             Self::StateInconsistency(msg) => {
                 write!(f, "internal state inconsistency: {msg}")
             }
+            Self::MakespanTooLong(t) => write!(
+                f,
+                "the run ends at {t} s, past the 2^53 s its reports count exactly"
+            ),
         }
     }
 }
@@ -947,7 +959,12 @@ impl<'t> Engine<'t> {
             tr: Tracer::new(recorder),
             counts: Counts::default(),
         };
-        let summary = run.replay().map(|()| run.summarize());
+        let summary = run.replay().map(|()| run.summarize()).and_then(|s| {
+            if s.makespan > EXACT_SECONDS {
+                return Err(EngineError::MakespanTooLong(s.makespan));
+            }
+            Ok(s)
+        });
         (summary, run.counts)
     }
 }

@@ -2943,3 +2943,26 @@ mod backfill_reference {
         );
     }
 }
+
+/// A log whose every time `swf::parse` accepts can still end past 2^53 s:
+/// a job submitted at 2^53 that runs 2^53 s. The run ends in a typed error,
+/// not in `commsched_num`'s exact-`f64` assertion on the report's
+/// makespan; a run that ends at 2^53 s itself is reported.
+#[test]
+fn a_makespan_past_2_pow_53_is_an_error() {
+    let tree = small_tree();
+    let engine = Engine::new(&tree, EngineConfig::new(SelectorKind::Adaptive));
+    let t = 1u64 << 53;
+    let late = JobLog::new("late", vec![comm_job(1, t, t, 2, 1.0)]);
+    let mut reg = commsched_metrics::Registry::new();
+    let mut rec = commsched_trace::NullRecorder;
+    let err = engine.run_observed(&late, &mut rec, &mut reg).unwrap_err();
+    assert_eq!(err, EngineError::MakespanTooLong(2 * t));
+    assert!(err.to_string().contains("past the 2^53 s"), "{err}");
+    assert_eq!(engine.run(&late), Err(err));
+
+    let edge = JobLog::new("edge", vec![comm_job(1, 0, t, 2, 1.0)]);
+    let mut reg = commsched_metrics::Registry::new();
+    let s = engine.run_observed(&edge, &mut rec, &mut reg).unwrap();
+    assert_eq!(s.makespan, t);
+}

@@ -3,7 +3,7 @@
 //! grounded in "Scalable HPC Job Scheduling and Resource Management in
 //! SST" (PAPERS.md).
 
-use crate::tree::{NameArena, Tree};
+use crate::tree::{SwitchId, Tree};
 
 /// How a layered shape names its switches. The root is always `root`.
 #[derive(Debug, Clone, Copy)]
@@ -47,9 +47,11 @@ impl Tree {
         )
     }
 
-    /// The one shape builder: leaf `k` holds `leaf_sizes[k]` nodes, named
-    /// `n0..` in leaf order; with `leaves_per_group` the leaves sit that many
-    /// at a time under level-2 switches, and everything hangs off one root.
+    /// The one shape builder: leaf `k` holds `leaf_sizes[k]` nodes, `n0..`
+    /// in leaf order; with `leaves_per_group` the leaves sit that many at a
+    /// time under level-2 switches, and everything hangs off one root. The
+    /// tree stores no node names ([`Tree::node_name`] renders them) and is
+    /// assembled by id.
     pub(crate) fn layered(
         leaf_sizes: &[usize],
         leaves_per_group: Option<usize>,
@@ -59,39 +61,41 @@ impl Tree {
         for (k, &size) in leaf_sizes.iter().enumerate() {
             assert!(size > 0, "leaf {k} has zero nodes");
         }
-        let node_names = NameArena::numbered(leaf_sizes.iter().sum());
-
-        let per_group = leaves_per_group.unwrap_or(leaf_sizes.len());
-        let group_name = |g: usize| match names {
-            SwitchNames::Flat => format!("g{g}"),
-            SwitchNames::Nested(group, _) => format!("{group}{g}"),
-        };
-        let leaf_names: Vec<String> = (0..leaf_sizes.len())
+        let leaves = leaf_sizes.len();
+        let per_group = leaves_per_group.unwrap_or(leaves);
+        let group_names: Vec<String> = (0..leaves.div_ceil(per_group))
+            .map(|g| match names {
+                SwitchNames::Flat => format!("g{g}"),
+                SwitchNames::Nested(group, _) => format!("{group}{g}"),
+            })
+            .collect();
+        let leaf_names = (0..leaves)
             .map(|k| match names {
                 SwitchNames::Flat => format!("s{k}"),
                 SwitchNames::Nested(_, leaf) => {
-                    format!("{}{leaf}{}", group_name(k / per_group), k % per_group)
+                    format!("{}{leaf}{}", group_names[k / per_group], k % per_group)
                 }
             })
             .collect();
+        let ids = |range: std::ops::Range<usize>| range.map(SwitchId).collect();
         let uppers = match leaves_per_group {
-            None => vec![("root".to_string(), leaf_names.clone())],
+            None => vec![("root".to_string(), ids(0..leaves))],
             Some(_) => {
-                let mut uppers: Vec<(String, Vec<String>)> = leaf_names
-                    .chunks(per_group)
+                let groups = group_names.len();
+                let mut uppers: Vec<(String, Vec<SwitchId>)> = group_names
+                    .into_iter()
                     .enumerate()
-                    .map(|(g, leaves)| (group_name(g), leaves.to_vec()))
+                    .map(|(g, name)| (name, ids(g * per_group..leaves.min((g + 1) * per_group))))
                     .collect();
-                let groups = uppers.iter().map(|(name, _)| name.clone()).collect();
-                uppers.push(("root".to_string(), groups));
+                uppers.push(("root".to_string(), ids(leaves..leaves + groups)));
                 uppers
             }
         };
         #[expect(
             clippy::expect_used,
-            reason = "the builder enumerates unique names and a single root by construction, which is exactly what from_parts validates"
+            reason = "the builder numbers every child once under a single root by construction, which is exactly what from_parts validates"
         )]
-        Tree::from_parts(leaf_names, leaf_sizes, node_names, uppers)
+        Tree::from_parts(leaf_names, leaf_sizes, None, uppers)
             .expect("builder produces valid trees")
     }
 }

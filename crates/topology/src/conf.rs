@@ -11,8 +11,9 @@
 //! Keys are case-insensitive like SLURM's parser; `LinkSpeed=` (accepted and
 //! ignored by SLURM) is accepted and ignored here too.
 
-use crate::tree::{NameArena, Tree, TreeError};
+use crate::tree::{NameArena, SwitchId, Tree, TreeError};
 use commsched_hostlist as hostlist;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Error parsing a `topology.conf` document.
@@ -130,7 +131,7 @@ impl Tree {
     pub fn from_conf(text: &str) -> Result<Self, ConfError> {
         let mut leaf_names = Vec::new();
         let mut leaf_sizes = Vec::new();
-        let mut node_names = NameArena::with_capacity(0, 0);
+        let mut node_names = NameArena::default();
         let mut uppers = Vec::new();
         for (i, line) in text.lines().enumerate() {
             if let Some(raw) = parse_line(line, i + 1)? {
@@ -151,10 +152,35 @@ impl Tree {
         if let Some(name) = node_names.duplicate() {
             return Err(TreeError::DuplicateNode(name.into()).into());
         }
+        // Switch names become the ids `from_parts` numbers: leaves first,
+        // in file order, then each upper, which may list only switches
+        // defined before it. Ordered map: numbering never follows hash order.
+        let mut ids: BTreeMap<&str, SwitchId> = BTreeMap::new();
+        for (k, name) in leaf_names.iter().enumerate() {
+            if ids.insert(name, SwitchId(k)).is_some() {
+                return Err(TreeError::DuplicateChild(name.clone()).into());
+            }
+        }
+        let mut children = Vec::with_capacity(uppers.len());
+        for (i, (name, kids)) in uppers.iter().enumerate() {
+            let kids: Result<Vec<SwitchId>, _> = kids
+                .iter()
+                .map(|c| ids.get(c.as_str()).copied().ok_or(c))
+                .collect();
+            children.push(kids.map_err(|c| TreeError::UnknownSwitch(c.clone()))?);
+            if ids.insert(name, SwitchId(leaf_names.len() + i)).is_some() {
+                return Err(TreeError::DuplicateChild(name.clone()).into());
+            }
+        }
+        let uppers = uppers
+            .into_iter()
+            .map(|(name, _)| name)
+            .zip(children)
+            .collect();
         Ok(Tree::from_parts(
             leaf_names,
             &leaf_sizes,
-            node_names,
+            Some(node_names),
             uppers,
         )?)
     }
@@ -168,7 +194,7 @@ impl Tree {
         for &s in self.switches_by_level() {
             let sw = self.switch(s);
             if sw.children.is_empty() {
-                let names: Vec<&str> = self
+                let names: Vec<_> = self
                     .leaf_nodes(self.leaf_ordinal(s))
                     .map(|n| self.node_name(n))
                     .collect();

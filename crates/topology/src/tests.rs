@@ -258,7 +258,7 @@ fn node_names_dense_and_unique() {
     for i in 0..t.num_nodes() {
         assert_eq!(t.node_name(NodeId(i)), format!("n{i}"));
     }
-    assert_eq!(t.node_names.duplicate(), None);
+    assert!(t.node_names.is_none(), "a built tree stores no node names");
 }
 
 #[test]
@@ -665,6 +665,61 @@ mod preset_conf_digests {
         for (preset, want) in BLESSED {
             let got = fnv1a(&preset.build().to_conf());
             assert_eq!(got, want, "{preset:?}: to_conf() digest {got:#018x}");
+        }
+    }
+}
+
+/// The builders assemble by id and `from_conf` by name, both through
+/// `from_parts`: every preset read back from its own `topology.conf` must
+/// be the built tree, table by table.
+mod builder_matches_conf {
+    use super::*;
+
+    fn assert_same_tables(built: &Tree, read: &Tree, what: &str) {
+        assert_eq!(built.switches.len(), read.switches.len(), "{what}");
+        for (a, b) in built.switches.iter().zip(&read.switches) {
+            assert_eq!(a.name, b.name, "{what}");
+            let shape = |s: &crate::Switch| {
+                let (ordinals, children) = (s.leaf_ordinals.clone(), s.children.clone());
+                (s.level, s.parent, children, s.subtree_nodes, ordinals)
+            };
+            assert_eq!(shape(a), shape(b), "{what}: switch {}", a.name);
+        }
+        assert_eq!(built.leaves, read.leaves, "{what}: leaves");
+        assert_eq!(
+            built.leaf_ordinal, read.leaf_ordinal,
+            "{what}: leaf_ordinal"
+        );
+        assert_eq!(built.leaf_first, read.leaf_first, "{what}: leaf_first");
+        assert_eq!(built.node_leaf, read.node_leaf, "{what}: node_leaf");
+        assert_eq!(built.root, read.root, "{what}: root");
+        assert_eq!(built.level_order, read.level_order, "{what}: level_order");
+        let n = built.num_nodes();
+        for i in [0, n / 2, n - 1] {
+            assert_eq!(
+                built.node_name(NodeId(i)),
+                read.node_name(NodeId(i)),
+                "{what}: node {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_preset_reads_back_from_its_conf() {
+        for p in [
+            SystemPreset::IitkDepartment,
+            SystemPreset::IitkHpc2010,
+            SystemPreset::CoriLike,
+            SystemPreset::Intrepid,
+            SystemPreset::Theta,
+            SystemPreset::Mira,
+            SystemPreset::Multirail500k,
+            SystemPreset::Dragonfly1M,
+        ] {
+            let built = p.build();
+            assert!(built.node_names.is_none(), "{p:?} stores node names");
+            let read = Tree::from_conf(&built.to_conf()).unwrap();
+            assert_same_tables(&built, &read, &format!("{p:?}"));
         }
     }
 }

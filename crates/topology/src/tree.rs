@@ -2,6 +2,7 @@
 
 use commsched_num::{u32_of_usize, usize_of_u32};
 use serde::Serialize;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Identifier of a compute node (dense, `0..num_nodes`).
@@ -25,7 +26,7 @@ impl fmt::Display for SwitchId {
 }
 
 /// One switch in the tree.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Switch {
     /// Configured name (e.g. `s0`).
     pub name: String,
@@ -86,49 +87,21 @@ impl std::error::Error for TreeError {}
 
 /// Interned node names: one shared byte buffer plus an offset table.
 ///
-/// A `Vec<String>` costs 24 bytes of struct plus one heap allocation per
-/// node; at the 1M-node presets that is tens of megabytes of pointer
-/// chasing before the first query runs. The arena stores every name
-/// contiguously (~9 bytes per node for `n1048575`-style names) and hands
-/// out `&str` slices.
-#[derive(Debug, Clone, Serialize)]
+/// Only a tree read from `topology.conf` has names of its own; a built tree
+/// stores none and renders node `i` as `n{i}` ([`Tree::node_name`]). A
+/// `Vec<String>` would cost 24 bytes of struct plus one heap allocation per
+/// node; the arena stores every name contiguously and hands out `&str`
+/// slices.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct NameArena {
     buf: String,
-    /// `offsets[i]..offsets[i+1]` is name `i`; always `count + 1` entries.
+    /// `offsets[i]` ends name `i`, which starts where name `i - 1` ends.
     offsets: Vec<u32>,
 }
 
 impl NameArena {
-    pub(crate) fn with_capacity(names: usize, bytes: usize) -> Self {
-        let mut offsets = Vec::with_capacity(names + 1);
-        offsets.push(0);
-        NameArena {
-            buf: String::with_capacity(bytes),
-            offsets,
-        }
-    }
-
     pub(crate) fn push(&mut self, name: &str) {
         self.buf.push_str(name);
-        self.close_name();
-    }
-
-    /// The generated names `n0..n{count - 1}`, each formatted into the
-    /// buffer, never into a `String` of its own.
-    pub(crate) fn numbered(count: usize) -> Self {
-        use std::fmt::Write;
-        // `n` plus at most as many digits as `count` has.
-        let width = 1 + count.to_string().len();
-        let mut arena = Self::with_capacity(count, count * width);
-        for i in 0..count {
-            // `fmt::Write for String` cannot fail.
-            let _ = write!(arena.buf, "n{i}");
-            arena.close_name();
-        }
-        arena
-    }
-
-    fn close_name(&mut self) {
         #[expect(
             clippy::expect_used,
             reason = "offsets are u32 by design; a topology with over 4 GiB of node names is out of scope for every target scale"
@@ -137,19 +110,17 @@ impl NameArena {
         self.offsets.push(end);
     }
 
-    #[inline]
     fn get(&self, i: usize) -> &str {
-        &self.buf[usize_of_u32(self.offsets[i])..usize_of_u32(self.offsets[i + 1])]
+        let start = i.checked_sub(1).map_or(0, |prev| self.offsets[prev]);
+        &self.buf[usize_of_u32(start)..usize_of_u32(self.offsets[i])]
     }
 
-    #[inline]
     fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.offsets.len()
     }
 
-    /// A name that occurs more than once, if any. A throw-away sort run
-    /// where names arrive from outside the program ([`Tree::from_conf`]);
-    /// the builders number their nodes, so they never ask.
+    /// A name that occurs more than once, if any: a throw-away sort, run
+    /// by [`Tree::from_conf`], whose names arrive from outside the program.
     pub(crate) fn duplicate(&self) -> Option<&str> {
         let mut sorted: Vec<&str> = (0..self.len()).map(|i| self.get(i)).collect();
         sorted.sort_unstable();
@@ -164,9 +135,11 @@ impl NameArena {
 /// `leaf_first` turning an ordinal back into the leaf's id range. All
 /// queries are cheap: LCA is O(depth) with no allocation, everything else
 /// is O(1) table lookups.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Tree {
-    pub(crate) node_names: NameArena,
+    /// Node names of a tree read from `topology.conf`; `None` for a built
+    /// tree, whose node `i` is `n{i}`.
+    pub(crate) node_names: Option<NameArena>,
     /// Leaf ordinal of each node — the one per-node table.
     pub(crate) node_leaf: Vec<u32>,
     pub(crate) switches: Vec<Switch>,
@@ -184,42 +157,33 @@ pub struct Tree {
 }
 
 impl Tree {
-    /// Build and validate a tree from explicit parts.
+    /// Build and validate a tree from explicit parts, by id.
     ///
-    /// Leaf `k` is named `leaf_names[k]` and holds the next `leaf_sizes[k]`
-    /// names of `node_names`, which the caller wrote in leaf order; `uppers`
-    /// is a list of `(name, children)` where children name either leaves or
-    /// earlier-defined upper switches. Node names are taken as unique: a
-    /// caller that did not generate them checks [`NameArena::duplicate`].
+    /// Leaf `k` is switch `k`, named `leaf_names[k]`, and holds the next
+    /// `leaf_sizes[k]` node ids; upper switch `i` is switch
+    /// `leaf_names.len() + i`, a `(name, children)` pair whose children are
+    /// leaves or earlier uppers. `node_names`, if any, name the nodes in id
+    /// order. No name is looked up here: [`Tree::from_conf`], whose names
+    /// come from outside, resolves them to ids and checks them for
+    /// duplicates first.
     pub(crate) fn from_parts(
         leaf_names: Vec<String>,
         leaf_sizes: &[usize],
-        node_names: NameArena,
-        uppers: Vec<(String, Vec<String>)>,
+        node_names: Option<NameArena>,
+        uppers: Vec<(String, Vec<SwitchId>)>,
     ) -> Result<Self, TreeError> {
-        use std::collections::BTreeMap;
-
         assert_eq!(leaf_names.len(), leaf_sizes.len());
-        assert_eq!(leaf_sizes.iter().sum::<usize>(), node_names.len());
+        let num_nodes = leaf_sizes.iter().sum();
+        assert!(node_names.as_ref().is_none_or(|n| n.len() == num_nodes));
         if leaf_names.is_empty() {
             return Err(TreeError::Empty);
         }
 
         let num_leaves = leaf_names.len();
         let mut switches: Vec<Switch> = Vec::with_capacity(num_leaves + uppers.len());
-        // Ordered containers: switch/node numbering must never depend on
-        // hash order, even if a future refactor iterates these.
-        let mut by_name: BTreeMap<String, SwitchId> = BTreeMap::new();
-
-        let mut node_leaf = Vec::with_capacity(node_names.len());
-        let mut leaves = Vec::with_capacity(num_leaves);
+        let mut node_leaf = Vec::with_capacity(num_nodes);
         let mut leaf_first = Vec::with_capacity(num_leaves + 1);
-
         for (k, (name, &size)) in leaf_names.into_iter().zip(leaf_sizes).enumerate() {
-            let id = SwitchId(switches.len());
-            if by_name.insert(name.clone(), id).is_some() {
-                return Err(TreeError::DuplicateChild(name));
-            }
             leaf_first.push(node_leaf.len());
             node_leaf.resize(node_leaf.len() + size, u32_of_usize(k));
             switches.push(Switch {
@@ -230,45 +194,35 @@ impl Tree {
                 subtree_nodes: size,
                 leaf_ordinals: vec![k],
             });
-            leaves.push(id);
         }
         leaf_first.push(node_leaf.len());
 
         for (name, children) in uppers {
             let id = SwitchId(switches.len());
-            if by_name.contains_key(&name) {
-                return Err(TreeError::DuplicateChild(name));
-            }
-            let mut child_ids = Vec::with_capacity(children.len());
-            for c in &children {
-                let cid = *by_name
-                    .get(c)
-                    .ok_or_else(|| TreeError::UnknownSwitch(c.clone()))?;
-                if switches[cid.0].parent.is_some() {
-                    return Err(TreeError::DuplicateChild(c.clone()));
+            for &c in &children {
+                assert!(c < id, "child {c} of {id} is not defined before it");
+                if switches[c.0].parent.replace(id).is_some() {
+                    return Err(TreeError::DuplicateChild(switches[c.0].name.clone()));
                 }
-                switches[cid.0].parent = Some(id);
-                child_ids.push(cid);
             }
-            if child_ids.is_empty() {
+            if children.is_empty() {
                 return Err(TreeError::MalformedSwitch(name));
             }
-            let level = 1 + child_ids
+            let level = 1 + children
                 .iter()
                 .map(|c| switches[c.0].level)
                 .max()
                 .unwrap_or(0);
-            let subtree_nodes = child_ids.iter().map(|c| switches[c.0].subtree_nodes).sum();
-            let leaf_ordinals = child_ids
+            let subtree_nodes = children.iter().map(|c| switches[c.0].subtree_nodes).sum();
+            let leaf_ordinals = children
                 .iter()
                 .flat_map(|c| switches[c.0].leaf_ordinals.iter().copied())
                 .collect();
-            by_name.insert(name.clone(), id);
             switches.push(Switch {
                 name,
                 level,
                 parent: None,
-                children: child_ids,
+                children,
                 subtree_nodes,
                 leaf_ordinals,
             });
@@ -302,10 +256,11 @@ impl Tree {
             return Err(TreeError::Cycle(switches[unreached].name.clone()));
         }
 
-        let mut leaf_ordinal = vec![usize::MAX; switches.len()];
-        for (k, l) in leaves.iter().enumerate() {
-            leaf_ordinal[l.0] = k;
-        }
+        // Leaves are the first switches, so a leaf's ordinal is its id.
+        let leaves = (0..num_leaves).map(SwitchId).collect();
+        let leaf_ordinal = (0..switches.len())
+            .map(|s| if s < num_leaves { s } else { usize::MAX })
+            .collect();
 
         let mut level_order: Vec<SwitchId> = (0..switches.len()).map(SwitchId).collect();
         level_order.sort_by_key(|s| switches[s.0].level);
@@ -325,7 +280,7 @@ impl Tree {
     /// Number of compute nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.node_names.len()
+        self.node_leaf.len()
     }
 
     /// Number of switches (all levels).
@@ -418,10 +373,13 @@ impl Tree {
         self.leaf_first[ordinal]..self.leaf_first[ordinal + 1]
     }
 
-    /// Configured name of a node.
-    #[inline]
-    pub(crate) fn node_name(&self, n: NodeId) -> &str {
-        self.node_names.get(n.0)
+    /// Name of a node: a `topology.conf` tree's own, a built tree's
+    /// `n{id}`, rendered on demand.
+    pub(crate) fn node_name(&self, n: NodeId) -> Cow<'_, str> {
+        match &self.node_names {
+            Some(names) => Cow::Borrowed(names.get(n.0)),
+            None => Cow::Owned(format!("n{}", n.0)),
+        }
     }
 
     /// Lowest common ancestor switch of two *switches*.
