@@ -16,10 +16,12 @@
 //!   default fill of the half-occupied state for an RHVD request, one
 //!   evaluator reused as the engine reuses its own; a sample is a batch of
 //!   [`EVAL_BATCH`] calls and the row its per-call median;
-//! - **state** (`state_dragonfly_1m`): `allocate` then `release` of a
-//!   4,096-node placement of 64 whole leaves on Dragonfly1M with every
-//!   other leaf held — one run per leaf, so the row times the counters'
-//!   and the free-count index's upkeep, not the bit fills;
+//! - **state** (`state_dragonfly_1m`, `state_dragonfly_1m_run`): `allocate`
+//!   then `release` of a 4,096-node placement of 64 whole leaves on
+//!   Dragonfly1M — the counters' and the free-count index's upkeep, not the
+//!   bit fills. The first holds every other leaf, so each leaf is a run of
+//!   its own and the row times the per-leaf path; the second takes 64
+//!   consecutive leaves of one group from an idle machine, one run;
 //! - **build** (`build_dragonfly_1m`): `SystemPreset::Dragonfly1M.build()`,
 //!   the tree every run on that preset starts from, dropped again;
 //!   `request` counts the nodes built;
@@ -171,15 +173,21 @@ fn measure_rows() -> Vec<Row> {
             rows.push(row(name, "selection", want, ns));
         }
         if preset == SystemPreset::Dragonfly1M {
-            let (mut state, placement) = whole_leaf_case(&case.tree);
-            let job = JobId(u64::MAX);
-            let ns = median_ns(ITERS, || {
-                state
-                    .allocate(&case.tree, job, &placement, JobNature::ComputeIntensive)
-                    .expect("the placement is free");
-                std::hint::black_box(state.release(&case.tree, job).expect("just allocated"));
-            });
-            rows.push(row(format!("state_{label}"), "state", STATE_WANT, ns));
+            let cases = [
+                ("", whole_leaf_case(&case.tree)),
+                ("_run", sibling_run_case(&case.tree)),
+            ];
+            for (suffix, (mut state, placement)) in cases {
+                let job = JobId(u64::MAX);
+                let ns = median_ns(ITERS, || {
+                    state
+                        .allocate(&case.tree, job, &placement, JobNature::ComputeIntensive)
+                        .expect("the placement is free");
+                    std::hint::black_box(state.release(&case.tree, job).expect("just allocated"));
+                });
+                let name = format!("state_{label}{suffix}");
+                rows.push(row(name, "state", STATE_WANT, ns));
+            }
             let ns = median_ns(ITERS, || {
                 std::hint::black_box(preset.build());
             });
@@ -259,6 +267,24 @@ fn whole_leaf_case(tree: &Tree) -> (ClusterState, Placement) {
         .all(|&(k, n)| n as usize == tree.leaf_size(k));
     assert!(whole, "every take is a whole leaf");
     (state, placement)
+}
+
+/// An idle `tree` and a [`STATE_WANT`]-node placement of its first whole
+/// leaves, consecutive siblings of one group.
+fn sibling_run_case(tree: &Tree) -> (ClusterState, Placement) {
+    let leaves = STATE_WANT / tree.leaf_size(0);
+    let nodes: Vec<NodeId> = (0..leaves)
+        .flat_map(|k| tree.leaf_node_range(k).map(NodeId))
+        .collect();
+    assert_eq!(
+        nodes.len(),
+        STATE_WANT,
+        "whole leaves add up to the request"
+    );
+    let parent = |k| tree.switch(tree.leaf(k)).parent;
+    assert_eq!(parent(0), parent(leaves - 1), "one group");
+    let placement = Placement::from_nodes(tree, &nodes).expect("leaves hold their nodes");
+    (ClusterState::new(tree), placement)
 }
 
 /// Evaluator calls per second over [`ITERS`] seeded searches on Theta.

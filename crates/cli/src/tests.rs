@@ -397,6 +397,39 @@ fn run_rejects_a_makespan_above_2_pow_53() {
     assert!(err.contains("run ends at 18014398509481984 s"), "{err}");
 }
 
+/// A failure can destroy more than 2^53 node-seconds of work in a run
+/// that ends inside 2^53 s: a 4,000-node job of 2^52 s whose node 0 fails
+/// half way, requeued. The run fails by name instead of tripping the
+/// exact-`f64` assertion on its report's lost node-seconds.
+#[test]
+fn run_rejects_lost_work_above_2_pow_53() {
+    let dir = std::env::temp_dir().join("commsched-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("wide-long.swf");
+    let t = 1u64 << 52;
+    let line = format!("1 0 -1 {t} 4000 -1 -1 4000 {t} -1 1 -1 -1 -1 -1 -1 -1 -1\n");
+    std::fs::write(&log, line).unwrap();
+    let faults = dir.join("wide-long.trace");
+    std::fs::write(&faults, format!("{} node:0 fail\n", t / 2)).unwrap();
+    let args = [
+        "run",
+        "--swf",
+        log.to_str().unwrap(),
+        "--preset",
+        "theta",
+        "--fault-trace",
+        faults.to_str().unwrap(),
+        "--failure-policy",
+        "requeue",
+    ];
+    let (code, out, err) = run_cli(&args);
+    assert_eq!(code, 1, "{out}");
+    assert!(
+        err.contains("destroy 9007199254740992000 node-seconds"),
+        "{err}"
+    );
+}
+
 /// A bucket count outside `1..=10_000` is a usage error on both
 /// simulating commands, refused before any selector runs: 0 drew an empty
 /// timeline, and a huge count allocated and printed one line per bucket.

@@ -44,12 +44,15 @@
 //! query plus the leaves actually used, and one heap operation per leaf
 //! where a merge runs.
 //!
-//! Maintenance is eager: `ClusterState::shift` re-keys a leaf's (at most)
-//! three entries on the spot ([`FreeIndex::apply_leaf`]), and every
-//! mutation re-keys each ancestor switch it moved in its level set
-//! ([`FreeIndex::apply_switch`]) once, from the count the entry was keyed
-//! by to the final one, before it returns — once per placement, not once
-//! per take. Nothing is pending between calls: the index equals a
+//! Maintenance is eager, and run-wise within a mutation:
+//! `ClusterState::shift` gathers consecutive sibling leaves of one size
+//! that make the same counter move into a run, and re-keys the run's (at
+//! most) three ranges of entries at once ([`FreeIndex::apply_leaves`]) —
+//! one key lookup per set however long the run; a single take is a run of
+//! one. Every mutation re-keys each ancestor switch it moved in its level
+//! set ([`FreeIndex::apply_switch`]) once, from the count the entry was
+//! keyed by to the final one, before it returns — once per placement, not
+//! once per take. Nothing is pending between calls: the index equals a
 //! from-scratch rebuild of the counters after every mutation.
 #![deny(clippy::as_conversions)]
 
@@ -136,10 +139,6 @@ impl FreeIndex {
                 &mut self.level_member,
             ),
         );
-        debug_assert!(
-            (0..tree.num_leaves()).all(|k| tree.leaf(k).0 == k),
-            "leaf switch ids are ordinals"
-        );
         number(
             uppers,
             |k| Some(upper(tree, tree.switch(tree.leaf(k)).parent?)),
@@ -164,8 +163,8 @@ impl FreeIndex {
         }
         for (id, sw) in tree.switches().iter().enumerate() {
             if switch_free[id] > 0 {
-                self.level_sets[level_slot(sw.level)]
-                    .insert(switch_free[id], self.level_member[id]);
+                let (key, member) = (switch_free[id], self.level_member[id]);
+                self.level_sets[level_slot(sw.level)].insert(key, member, 1);
             }
         }
         for (k, &free) in leaf_free.iter().enumerate() {
@@ -175,9 +174,9 @@ impl FreeIndex {
             if let Some(g) = tree.switch(tree.leaf(k)).parent {
                 let member = self.child_member[k];
                 if g != tree.root() {
-                    self.by_free[upper(tree, g)].insert(free, member);
+                    self.by_free[upper(tree, g)].insert(free, member, 1);
                 }
-                self.by_ratio[upper(tree, g)].insert(ratio_key(ratio(k)), member);
+                self.by_ratio[upper(tree, g)].insert(ratio_key(ratio(k)), member, 1);
             }
         }
     }
@@ -187,35 +186,40 @@ impl FreeIndex {
     pub(crate) fn apply_switch(&mut self, level: u32, id: u32, old_free: u32, new_free: u32) {
         if let Some(set) = self.level_sets.get_mut(level_slot(level)) {
             let member = self.level_member[usize_of_u32(id)];
-            rekey(set, member, keyed(old_free), keyed(new_free));
+            set.rekey(member, 1, keyed(old_free), keyed(new_free));
         }
     }
 
-    /// Re-key one leaf in the level-1 set and its parent's sets.
-    pub(crate) fn apply_leaf(
+    /// Re-key the `len` leaves `first..first + len`, siblings that all move
+    /// from the same keys to the same keys, in the level-1 set and their
+    /// parent's sets: consecutive ordinals under one parent are
+    /// consecutive members of each, so every set re-keys one range.
+    pub(crate) fn apply_leaves(
         &mut self,
         tree: &Tree,
-        ord: u32,
+        (first, len): (u32, u32),
         (old_free, old_rkey): (u32, u64),
         (new_free, new_rkey): (u32, u64),
     ) {
         let (old, new) = (keyed(old_free), keyed(new_free));
         // Level 1 is exactly the leaves, ids `0..num_leaves`: its member
         // is the ordinal itself.
-        rekey(&mut self.level_sets[0], ord, old, new);
-        let Some(g) = tree.switch(tree.leaf(usize_of_u32(ord))).parent else {
+        self.level_sets[0].rekey(first, len, old, new);
+        let Some(g) = tree.switch(tree.leaf(usize_of_u32(first))).parent else {
             return;
         };
-        let member = self.child_member[usize_of_u32(ord)];
-        if g != tree.root() {
-            rekey(&mut self.by_free[upper(tree, g)], member, old, new);
-        }
-        rekey(
-            &mut self.by_ratio[upper(tree, g)],
-            member,
-            old.map(|_| old_rkey),
-            new.map(|_| new_rkey),
+        let member = self.child_member[usize_of_u32(first)];
+        debug_assert_eq!(
+            self.child_member[usize_of_u32(first + len - 1)],
+            member + len - 1,
+            "leaves {first}.. are not consecutive siblings"
         );
+        let u = upper(tree, g);
+        if g != tree.root() {
+            self.by_free[u].rekey(member, len, old, new);
+        }
+        let (old_r, new_r) = (old.map(|_| old_rkey), new.map(|_| new_rkey));
+        self.by_ratio[u].rekey(member, len, old_r, new_r);
     }
 
     /// The lowest-level switch whose subtree has at least `want` free
@@ -292,18 +296,16 @@ impl FreeIndex {
         FillOrder::Many(out)
     }
 
-    /// Per set — the level sets, then `by_free`, then `by_ratio` — the
-    /// arena words it holds, its words per slot and its live keys.
+    /// Per set — the level sets, then `by_free`, then `by_ratio` — its
+    /// `BucketSet::stats`: arena words, words per slot, live keys and the
+    /// key-map lookups its upkeep has made.
     #[cfg(test)]
-    pub(crate) fn arenas(&self) -> Vec<(usize, usize, usize)> {
-        fn report<K: Ord + Copy>(set: &BucketSet<K>) -> (usize, usize, usize) {
-            (set.arena_words(), set.slot_words(), set.live_keys())
-        }
-        let levels = self.level_sets.iter().map(report);
-        let by_free = self.by_free.iter().map(report);
+    pub(crate) fn sets(&self) -> Vec<(usize, usize, usize, u64)> {
+        let levels = self.level_sets.iter().map(BucketSet::stats);
+        let by_free = self.by_free.iter().map(BucketSet::stats);
         levels
             .chain(by_free)
-            .chain(self.by_ratio.iter().map(report))
+            .chain(self.by_ratio.iter().map(BucketSet::stats))
             .collect()
     }
 }
@@ -319,21 +321,6 @@ fn upper(tree: &Tree, s: SwitchId) -> usize {
 #[inline]
 fn keyed(free: u32) -> Option<u32> {
     (free > 0).then_some(free)
-}
-
-/// Move `member` from key `old` to key `new` in `set`; `None` is "not in
-/// the set".
-#[inline]
-fn rekey<K: Ord + Copy>(set: &mut BucketSet<K>, member: u32, old: Option<K>, new: Option<K>) {
-    if old == new {
-        return;
-    }
-    if let Some(old) = old {
-        set.remove(old, member);
-    }
-    if let Some(new) = new {
-        set.insert(new, member);
-    }
 }
 
 /// `level_sets` slot of a switch level (levels are 1-based).

@@ -3,10 +3,11 @@
 //!
 //! Each live key owns one *slot*: a member count and `⌈U/64⌉` words of a
 //! flat arena, bit `m` set while `(key, m)` is in the set. The live keys
-//! sit in a `BTreeMap<K, slot>`, so an insert or a remove is one bit flip
-//! plus one map lookup over the *distinct live keys*, however many
-//! members share them. A bucket that empties leaves the map and its slot —
-//! all bits clear again — goes on a free list for the next new key, so the
+//! sit in a `BTreeMap<K, slot>`, so an insert or a remove of a range of
+//! consecutive members is one map lookup over the *distinct live keys*,
+//! however many members share them, plus one word mask per 64 members. A
+//! bucket that empties leaves the map and its slot — all bits clear
+//! again — goes on a free list for the next new key, so the
 //! arena holds at most as many slots as the set has ever had live keys at
 //! once, never `max key × U` bits.
 //!
@@ -37,6 +38,9 @@ pub(crate) struct BucketSet<K> {
     arena: Vec<u64>,
     /// Slots of emptied buckets, all bits clear, for the next new key.
     spare: Vec<u32>,
+    /// Key-map lookups `insert` and `remove` have made.
+    #[cfg(test)]
+    lookups: u64,
 }
 
 impl<K> Default for BucketSet<K> {
@@ -48,6 +52,8 @@ impl<K> Default for BucketSet<K> {
             counts: Vec::new(),
             arena: Vec::new(),
             spare: Vec::new(),
+            #[cfg(test)]
+            lookups: 0,
         }
     }
 }
@@ -64,11 +70,11 @@ impl<K: Ord + Copy> BucketSet<K> {
         self.spare.clear();
     }
 
-    /// Add `(key, member)`, which must not be in the set.
+    /// Add `(key, m)` for every member `m` of `first..first + len`, none
+    /// of which may be in the set: one key lookup, one bit-range set.
     #[inline]
-    pub(crate) fn insert(&mut self, key: K, member: u32) {
-        let m = usize_of_u32(member);
-        debug_assert!(m < self.universe, "member {m} of {}", self.universe);
+    pub(crate) fn insert(&mut self, key: K, first: u32, len: u32) {
+        self.lookup(first, len);
         let slot = match self.keys.entry(key) {
             Entry::Occupied(e) => usize_of_u32(*e.get()),
             Entry::Vacant(e) => {
@@ -84,29 +90,51 @@ impl<K: Ord + Copy> BucketSet<K> {
                 slot
             }
         };
-        let word = &mut self.arena[slot * self.words + m / BITS];
-        let bit = 1u64 << (m % BITS);
-        debug_assert_eq!(*word & bit, 0, "({m}) is already in the set");
-        *word |= bit;
-        self.counts[slot] += 1;
+        flip(&mut self.arena, slot * self.words, first, len, true);
+        self.counts[slot] += len;
     }
 
-    /// Drop `(key, member)`, which must be in the set.
+    /// Drop `(key, m)` for every member `m` of `first..first + len`, all
+    /// of which must be in the set under `key`: one key lookup, one
+    /// bit-range clear.
     #[inline]
-    pub(crate) fn remove(&mut self, key: K, member: u32) {
-        let m = usize_of_u32(member);
+    pub(crate) fn remove(&mut self, key: K, first: u32, len: u32) {
+        self.lookup(first, len);
         let Entry::Occupied(e) = self.keys.entry(key) else {
-            debug_assert!(false, "no bucket for the key of member {m}");
+            debug_assert!(false, "no bucket for the key of member {first}");
             return;
         };
         let slot = usize_of_u32(*e.get());
-        let word = &mut self.arena[slot * self.words + m / BITS];
-        let bit = 1u64 << (m % BITS);
-        debug_assert_ne!(*word & bit, 0, "({m}) is not in the set");
-        *word &= !bit;
-        self.counts[slot] -= 1;
+        flip(&mut self.arena, slot * self.words, first, len, false);
+        self.counts[slot] -= len;
         if self.counts[slot] == 0 {
             self.spare.push(e.remove());
+        }
+    }
+
+    /// Move members `first..first + len` from key `old` to key `new`;
+    /// `None` is "not in the set".
+    #[inline]
+    pub(crate) fn rekey(&mut self, first: u32, len: u32, old: Option<K>, new: Option<K>) {
+        if old == new {
+            return;
+        }
+        if let Some(old) = old {
+            self.remove(old, first, len);
+        }
+        if let Some(new) = new {
+            self.insert(new, first, len);
+        }
+    }
+
+    /// Check members `first..first + len` and count the key-map lookup
+    /// about to be made for them.
+    #[inline]
+    fn lookup(&mut self, first: u32, len: u32) {
+        debug_assert!(len > 0 && usize_of_u32(first + len) <= self.universe);
+        #[cfg(test)]
+        {
+            self.lookups += 1;
         }
     }
 
@@ -144,22 +172,12 @@ impl<K: Ord + Copy> BucketSet<K> {
             .flat_map(move |(&key, &slot)| self.members(slot).map(move |m| (key, m)))
     }
 
-    /// Arena words held, live and spare slots alike.
+    /// Arena words held (live and spare slots alike), words per slot
+    /// (`⌈U/64⌉`), distinct live keys, and the key-map lookups `insert`
+    /// and `remove` have made.
     #[cfg(test)]
-    pub(crate) fn arena_words(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Arena words per slot, `⌈U/64⌉`.
-    #[cfg(test)]
-    pub(crate) fn slot_words(&self) -> usize {
-        self.words
-    }
-
-    /// Distinct live keys.
-    #[cfg(test)]
-    pub(crate) fn live_keys(&self) -> usize {
-        self.keys.len()
+    pub(crate) fn stats(&self) -> (usize, usize, usize, u64) {
+        (self.arena.len(), self.words, self.keys.len(), self.lookups)
     }
 }
 
@@ -178,6 +196,26 @@ impl<K: Ord + Copy> PartialEq for BucketSet<K> {
                     };
                     a == b && self.arena[at(self, sa)] == other.arena[at(other, sb)]
                 })
+    }
+}
+
+/// Set (`on`) or clear bits `first..first + len` of the slot whose words
+/// start at `arena[at]`, a word mask at a time; each must hold the other
+/// value before.
+#[inline]
+fn flip(arena: &mut [u64], at: usize, first: u32, len: u32, on: bool) {
+    let (mut m, end) = (usize_of_u32(first), usize_of_u32(first + len));
+    while m < end {
+        let (w, bit) = (at + m / BITS, m % BITS);
+        let n = (BITS - bit).min(end - m);
+        let mask = (u64::MAX >> (BITS - n)) << bit;
+        debug_assert_eq!(arena[w] & mask, if on { 0 } else { mask }, "{m}..{end}");
+        if on {
+            arena[w] |= mask;
+        } else {
+            arena[w] &= !mask;
+        }
+        m += n;
     }
 }
 

@@ -140,17 +140,21 @@ enum Class {
     Down,
 }
 
-/// The ancestor switches one mutation has moved whose level-set entries
-/// still hold an earlier count: `[level - 2]` → `(switch, keyed count)`.
-/// An ancestor chain has one switch per level, so a switch leaves its slot
-/// — and is re-keyed, once, from the count it was keyed by to its current
-/// one — when a take under another switch of that level arrives, or when
-/// the mutation ends ([`ClusterState::catch_up`]). A placement's takes
-/// ascend by ordinal, and every builder numbers a switch's leaves
-/// contiguously, so each ancestor moves once per placement; a `from_conf`
-/// tree that lists leaves out of order just re-keys some more often.
+/// What one mutation has moved but not yet re-keyed in the index: `run`,
+/// the pending run of sibling leaves ([`ClusterState::flush`]), and
+/// `switches[level - 2]`, the ancestor at that level the mutation moved
+/// last with the count its level-set entry is keyed by. An ancestor chain
+/// has one switch per level, so a switch is re-keyed once, to its current
+/// count, when a walk under another switch of its level displaces it or
+/// when the mutation ends ([`ClusterState::catch_up`]). Takes ascend by
+/// ordinal and every builder numbers a switch's leaves contiguously, so
+/// each ancestor moves once per placement; a `from_conf` tree that lists
+/// leaves out of order just re-keys some more often.
 #[derive(Default)]
-struct Lag(Vec<Option<(SwitchId, u32)>>);
+struct Lag {
+    run: Option<LeafRun>,
+    switches: Vec<Option<(SwitchId, u32)>>,
+}
 
 impl Lag {
     /// Record that `s`, at `level` ≥ 2, is about to move from `free`; the
@@ -158,17 +162,28 @@ impl Lag {
     /// re-keying.
     fn note(&mut self, level: u32, s: SwitchId, free: u32) -> Option<(SwitchId, u32)> {
         let slot = usize_of_u32(level) - 2;
-        if slot >= self.0.len() {
-            self.0.resize(slot + 1, None);
+        if slot >= self.switches.len() {
+            self.switches.resize(slot + 1, None);
         }
-        match self.0[slot] {
+        match self.switches[slot] {
             Some((held, _)) if held == s => None,
             prev => {
-                self.0[slot] = Some((s, free));
+                self.switches[slot] = Some((s, free));
                 prev
             }
         }
     }
+}
+
+/// Leaves `first..first + len`, consecutive siblings of one size whose
+/// `(free, busy, comm)` counters each went from `before` to `after`; their
+/// index keys and their ancestors' counts have not moved yet. A single
+/// take is a run of one.
+struct LeafRun {
+    first: usize,
+    len: u32,
+    before: [u32; 3],
+    after: [u32; 3],
 }
 
 /// Mutable occupancy state over an immutable [`Tree`].
@@ -289,11 +304,11 @@ impl ClusterState {
         self.index = index;
     }
 
-    /// Leaf `k`'s current fill keys in the index: `(leaf_free, ratio key)`.
+    /// Leaf `k`'s `(free, busy, comm)` counters: what its index keys are
+    /// a function of, with its size.
     #[inline]
-    fn leaf_keys(&self, tree: &Tree, k: usize) -> (u32, u64) {
-        let ratio = self.communication_ratio(tree, k);
-        (self.leaf_free[k], ratio_key(ratio))
+    fn counters(&self, k: usize) -> [u32; 3] {
+        [self.leaf_free[k], self.leaf_busy[k], self.leaf_comm[k]]
     }
 
     /// Read access to the free-count index for the selectors.
@@ -445,16 +460,16 @@ impl ClusterState {
     }
 
     /// Move `count` nodes of leaf ordinal `k` from one occupancy class to
-    /// another across every counter: the leaf's own, the ancestor chain of
-    /// subtree free counts, the totals. The leaf's index entries are
-    /// re-keyed on the spot; each ancestor whose count moved is left in
-    /// `lag` for [`ClusterState::catch_up`]. Every mutation goes through
-    /// here; the per-node free bits and health are the caller's.
+    /// another across every counter: the leaf's own, its switch's free
+    /// count and the totals here, its index entries and the ancestor chain
+    /// of subtree free counts when its run is flushed
+    /// ([`ClusterState::flush`]). Every mutation goes through here; the
+    /// per-node free bits and health are the caller's.
     fn shift(&mut self, tree: &Tree, k: usize, count: u32, from: Class, to: Class, lag: &mut Lag) {
         if count == 0 {
             return;
         }
-        let keys_before = self.leaf_keys(tree, k);
+        let before = self.counters(k);
         let n = usize_of_u32(count);
         match from {
             Class::Free => self.leaf_free[k] -= count,
@@ -482,33 +497,67 @@ impl ClusterState {
                 self.down_total += n;
             }
         }
-        let keys_after = self.leaf_keys(tree, k);
+        // Only a move into or out of `Free` changes the free counts.
+        let leaf = tree.leaf(k).0;
+        if to == Class::Free {
+            self.switch_free[leaf] += count;
+            self.free_total += n;
+        } else if from == Class::Free {
+            self.switch_free[leaf] -= count;
+            self.free_total -= n;
+        }
+        // The take joins the pending run if it is the next sibling of the
+        // same size making the same move: integer compares, the tree last.
+        let after = self.counters(k);
+        let parent = |k| tree.switch(tree.leaf(k)).parent;
+        if let Some(run) = &mut lag.run {
+            if run.first + usize_of_u32(run.len) == k
+                && (run.before, run.after) == (before, after)
+                && tree.leaf_size(k) == tree.leaf_size(run.first)
+                && parent(k) == parent(run.first)
+            {
+                run.len += 1;
+                return;
+            }
+        }
+        self.flush(tree, lag);
+        lag.run = Some(LeafRun {
+            first: k,
+            len: 1,
+            before,
+            after,
+        });
+    }
+
+    /// Re-key the pending run's leaves in the index, one range per set,
+    /// and walk its summed free-count move up the ancestor chain once,
+    /// leaving each ancestor's re-key to `lag`.
+    fn flush(&mut self, tree: &Tree, lag: &mut Lag) {
+        let Some(run) = lag.run.take() else {
+            return;
+        };
+        let size = f64_of_usize(tree.leaf_size(run.first));
+        let keys = |[free, busy, comm]: [u32; 3]| (free, ratio_key(ratio_value(busy, comm, size)));
+        let leaves = (u32_of_usize(run.first), run.len);
         self.index
-            .apply_leaf(tree, u32_of_usize(k), keys_before, keys_after);
-        // Only a move into or out of `Free` changes the subtree counts. The
-        // leaf's own level-set entry is `(leaf_free, k)`, re-keyed above.
-        let freed = to == Class::Free;
-        if freed || from == Class::Free {
-            let mut s = Some(tree.leaf(k));
-            while let Some(id) = s {
-                let sw = tree.switch(id);
-                if sw.level > 1 {
-                    if let Some((moved, keyed)) = lag.note(sw.level, id, self.switch_free[id.0]) {
-                        self.rekey_switch(tree, moved, keyed);
-                    }
-                }
-                if freed {
-                    self.switch_free[id.0] += count;
-                } else {
-                    self.switch_free[id.0] -= count;
-                }
-                s = sw.parent;
+            .apply_leaves(tree, leaves, keys(run.before), keys(run.after));
+        let (old, new) = (run.before[0], run.after[0]);
+        let moved = old.abs_diff(new) * run.len;
+        if moved == 0 {
+            return;
+        }
+        let mut s = tree.switch(tree.leaf(run.first)).parent;
+        while let Some(id) = s {
+            let sw = tree.switch(id);
+            if let Some((displaced, keyed)) = lag.note(sw.level, id, self.switch_free[id.0]) {
+                self.rekey_switch(tree, displaced, keyed);
             }
-            if freed {
-                self.free_total += n;
+            if new > old {
+                self.switch_free[id.0] += moved;
             } else {
-                self.free_total -= n;
+                self.switch_free[id.0] -= moved;
             }
+            s = sw.parent;
         }
     }
 
@@ -520,10 +569,11 @@ impl ClusterState {
             .apply_switch(level, u32_of_usize(s.0), keyed, self.switch_free[s.0]);
     }
 
-    /// Re-key every switch `lag` holds: the end of every mutation, so
-    /// nothing is pending when it returns.
-    fn catch_up(&mut self, tree: &Tree, lag: Lag) {
-        for (s, keyed) in lag.0.into_iter().flatten() {
+    /// Flush `lag`'s run, then re-key every switch it holds: the end of
+    /// every mutation, so nothing is pending when it returns.
+    fn catch_up(&mut self, tree: &Tree, mut lag: Lag) {
+        self.flush(tree, &mut lag);
+        for (s, keyed) in lag.switches.into_iter().flatten() {
             self.rekey_switch(tree, s, keyed);
         }
     }
@@ -537,8 +587,8 @@ impl ClusterState {
     }
 
     /// Move a whole placement between classes: one word-range fill of the
-    /// free bits per run, one [`ClusterState::shift`] per take, each
-    /// ancestor re-keyed once.
+    /// free bits per run, one [`ClusterState::shift`] per take, one index
+    /// re-key per run of sibling leaves, each ancestor re-keyed once.
     fn shift_placement(&mut self, tree: &Tree, placement: &Placement, from: Class, to: Class) {
         let free = to == Class::Free;
         for &(first, len) in placement.runs() {

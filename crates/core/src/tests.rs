@@ -3216,6 +3216,142 @@ mod placement_currency {
         }
     }
 
+    /// Whole leaves `ks`, their nodes in id order.
+    fn leaves(tree: &Tree, ks: &[usize]) -> Vec<NodeId> {
+        ks.iter()
+            .flat_map(|&k| tree.leaf_node_range(k).map(NodeId))
+            .collect()
+    }
+
+    /// Level-1 set lookups `step` makes: one per run of sibling leaves
+    /// that leaves or enters the set, two per run that moves within it.
+    fn level1_lookups(
+        both: &mut Lockstep,
+        step: impl FnOnce(&mut Lockstep) -> Result<bool, TestCaseError>,
+    ) -> u64 {
+        let before = both.fast.index().sets()[0].3;
+        assert!(step(both).unwrap(), "the step is refused");
+        both.fast.index().sets()[0].3 - before
+    }
+
+    /// On a uniform three-level tree, allocating and releasing `m`
+    /// consecutive whole leaves of one group costs the same key-map
+    /// lookups in every set whatever `m` is: one bucket per set and
+    /// direction, one walk up the group's ancestors.
+    #[test]
+    fn a_run_of_sibling_leaves_costs_one_lookup_per_set() {
+        let tree = Tree::regular_three_level(2, 8, 4);
+        let g = tree.switch(tree.leaf(0)).parent.unwrap();
+        let height = tree.height() as usize;
+        let uppers = tree.num_switches() - tree.num_leaves();
+        let u = g.0 - tree.num_leaves();
+        let mut per_set = Vec::new();
+        for m in 1..8 {
+            let mut st = ClusterState::new(&tree);
+            let lookups = |st: &ClusterState| st.index().sets().iter().map(|s| s.3).collect();
+            let before: Vec<u64> = lookups(&st);
+            let placement = ids(&tree, &leaves(&tree, &(0..m).collect::<Vec<_>>()));
+            st.allocate(&tree, JobId(1), &placement, JobNature::CommIntensive)
+                .unwrap();
+            st.release(&tree, JobId(1)).unwrap();
+            st.check_invariants(&tree).unwrap();
+            let after: Vec<u64> = lookups(&st);
+            let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+            // The level-1 set and the group's two sets: out, then back in.
+            for set in [0, height + u, height + uppers + u] {
+                assert_eq!(delta[set], 2, "m = {m}, set {set}: {delta:?}");
+            }
+            per_set.push(delta);
+        }
+        assert!(per_set.windows(2).all(|w| w[0] == w[1]), "{per_set:?}");
+    }
+
+    /// A run ends wherever the next take is not the next sibling making
+    /// the same move: a gap, a group boundary, a leaf of another size, a
+    /// partial take, a draining node and a switch-masked leaf. Each step is
+    /// held to the per-node reference and `check_invariants` (the index
+    /// against a rebuild); the lookups count the runs.
+    #[test]
+    fn runs_break_where_siblings_differ() {
+        let tree = Tree::regular_three_level(2, 6, 4);
+        let fresh = |tree| Lockstep {
+            tree,
+            fast: ClusterState::new(tree),
+            model: ClusterState::new(tree),
+        };
+        let comm = JobNature::CommIntensive;
+        let cases: [(&[usize], u64); 2] = [(&[0, 1, 3, 4], 2), (&[4, 5, 6, 7], 2)];
+        for (ks, runs) in cases {
+            let mut both = fresh(&tree);
+            let nodes = leaves(&tree, ks);
+            let n = level1_lookups(&mut both, |b| b.allocate(JobId(1), &nodes, comm));
+            assert_eq!(n, runs, "allocate {ks:?}");
+            let n = level1_lookups(&mut both, |b| b.release(JobId(1)));
+            assert_eq!(n, runs, "release {ks:?}");
+        }
+
+        // Leaf 2 is one node short of its siblings under group `a`.
+        let mixed = Tree::from_conf(
+            "SwitchName=s0 Nodes=n[0-3]\n\
+             SwitchName=s1 Nodes=n[4-7]\n\
+             SwitchName=s2 Nodes=n[8-10]\n\
+             SwitchName=s3 Nodes=n[11-14]\n\
+             SwitchName=s4 Nodes=n[15-18]\n\
+             SwitchName=a Switches=s[0-3]\n\
+             SwitchName=b Switches=s4\n\
+             SwitchName=r Switches=a,b\n",
+        )
+        .unwrap();
+        let mut both = fresh(&mixed);
+        let nodes = leaves(&mixed, &[0, 1, 2, 3]);
+        let n = level1_lookups(&mut both, |b| b.allocate(JobId(1), &nodes, comm));
+        assert_eq!(n, 3, "[0, 1], [2], [3]");
+        let n = level1_lookups(&mut both, |b| b.release(JobId(1)));
+        assert_eq!(n, 3);
+        // With one node of leaf 1 down, leaves 1 and 2 make the same
+        // counter move: only their sizes tell their ratio keys apart.
+        assert!(both.set_down(NodeId(7)).unwrap());
+        let nodes = [4, 5, 6, 8, 9, 10].map(NodeId);
+        let n = level1_lookups(&mut both, |b| b.allocate(JobId(2), &nodes, comm));
+        assert_eq!(n, 2, "[1], [2]");
+
+        // Half of leaf 1 between whole leaves: it stays in the set under a
+        // new key.
+        let mut both = fresh(&tree);
+        let mut nodes = leaves(&tree, &[0, 2]);
+        nodes.extend([4, 5].map(NodeId));
+        nodes.sort_unstable();
+        let n = level1_lookups(&mut both, |b| b.allocate(JobId(1), &nodes, comm));
+        assert_eq!(n, 1 + 2 + 1);
+
+        // A draining node in leaf 2 of a whole-leaf run: its take splits
+        // into three freed nodes and one that goes down in place.
+        let mut both = fresh(&tree);
+        let nodes = leaves(&tree, &[0, 1, 2, 3]);
+        let n = level1_lookups(&mut both, |b| b.allocate(JobId(1), &nodes, comm));
+        assert_eq!(n, 1);
+        assert!(both.set_draining(NodeId(9)).unwrap());
+        assert_eq!(both.fast.draining_total(), 1);
+        let n = level1_lookups(&mut both, |b| b.release(JobId(1)));
+        assert_eq!(n, 3, "[0, 1], [2] freed, [2] down (no move), [3]");
+
+        // Leaf 2 masked by its own switch: the group going down and up
+        // skips it, and a whole-leaf allocation around it is two runs.
+        let mut both = fresh(&tree);
+        assert!(both.set_switch_down(tree.leaf(2)).unwrap());
+        let g = tree.switch(tree.leaf(0)).parent.unwrap();
+        let n = level1_lookups(&mut both, |b| b.set_switch_down(g));
+        assert_eq!(n, 2, "[0, 1], [3, 4, 5]");
+        let n = level1_lookups(&mut both, |b| b.set_switch_up(g));
+        assert_eq!(n, 2);
+        let nodes = leaves(&tree, &[0, 1, 3]);
+        let n = level1_lookups(&mut both, |b| b.allocate(JobId(1), &nodes, comm));
+        assert_eq!(n, 2);
+        assert!(both.release(JobId(1)).unwrap());
+        assert!(both.set_switch_up(tree.leaf(2)).unwrap());
+        assert!(both.fast == ClusterState::new(&tree));
+    }
+
     proptest! {
         #[test]
         fn state_matches_per_node_reference(
@@ -3451,7 +3587,7 @@ mod bucket_set {
     ) -> BucketSet<K> {
         let mut set = BucketSet::default();
         set.clear(universe);
-        entries.for_each(|(key, m)| set.insert(key, m));
+        entries.for_each(|(key, m)| set.insert(key, m, 1));
         set
     }
 
@@ -3497,7 +3633,9 @@ mod bucket_set {
     }
 
     /// `steps` random inserts, removes and re-keys over keys drawn from
-    /// `keys`, checking [`agree`] after each.
+    /// `keys`, each of a range of members that share a key (up to two
+    /// words' worth, so ranges start and end anywhere in a word and cross
+    /// word edges), checking [`agree`] after each.
     fn drive<K: Ord + Copy + Debug>(
         universe: usize,
         keys: &[K],
@@ -3512,21 +3650,23 @@ mod bucket_set {
         for _ in 0..steps {
             let m = member(&mut rng, universe);
             let new = keys[rng.random_range(0..keys.len())];
-            match key_of[m as usize] {
-                None => {
-                    set.insert(new, m);
-                    model.insert((new, m));
-                    key_of[m as usize] = Some(new);
+            let cur = key_of[m as usize];
+            let most = rng.random_range(1..=130usize);
+            let range = m as usize..universe;
+            let len = range.take(most).take_while(|&i| key_of[i] == cur).count();
+            let members = m..m + len as u32;
+            if let Some(old) = cur {
+                set.remove(old, m, len as u32);
+                for i in members.clone() {
+                    model.remove(&(old, i));
+                    key_of[i as usize] = None;
                 }
-                Some(old) => {
-                    set.remove(old, m);
-                    model.remove(&(old, m));
-                    key_of[m as usize] = None;
-                    if rng.random::<bool>() {
-                        set.insert(new, m);
-                        model.insert((new, m));
-                        key_of[m as usize] = Some(new);
-                    }
+            }
+            if cur.is_none() || rng.random::<bool>() {
+                set.insert(new, m, len as u32);
+                for i in members {
+                    model.insert((new, i));
+                    key_of[i as usize] = Some(new);
                 }
             }
             // Every key the set may hold, each live one among them, and
@@ -3600,9 +3740,9 @@ mod bucket_set {
                 running.push(job);
             }
             st.check_invariants(&tree).unwrap();
-            let arenas = st.index().arenas();
-            peak.resize(arenas.len(), 0);
-            for (i, &(words, slot_words, live)) in arenas.iter().enumerate() {
+            let sets = st.index().sets();
+            peak.resize(sets.len(), 0);
+            for (i, &(words, slot_words, live, _)) in sets.iter().enumerate() {
                 peak[i] = peak[i].max(live);
                 assert!(
                     words <= peak[i] * slot_words,
@@ -3619,7 +3759,7 @@ mod bucket_set {
             [2, 1, 0, 2],
             "peak live keys: level 1, root, by_free, by_ratio"
         );
-        let held: usize = st.index().arenas().iter().map(|&(words, ..)| words).sum();
+        let held: usize = st.index().sets().iter().map(|&(words, ..)| words).sum();
         let per_key_value = 4096 * 4097 / 64;
         assert!(held <= 4 * 4097usize.div_ceil(64) + 1, "{held} arena words");
         assert!(
@@ -3636,7 +3776,7 @@ mod bucket_set {
         let mut set = BucketSet::default();
         set.clear(130);
         for (key, m) in [(5u32, 129), (5, 0), (2, 64), (5, 63), (9, 1)] {
-            set.insert(key, m);
+            set.insert(key, m, 1);
         }
         let asc: Vec<_> = set.asc().collect();
         assert_eq!(asc, [(2, 64), (5, 0), (5, 63), (5, 129), (9, 1)]);
@@ -3645,14 +3785,28 @@ mod bucket_set {
         assert_eq!(set.first_at_least(5), Some((5, 0)));
         assert_eq!(set.first_at_least(6), Some((9, 1)));
         assert_eq!(set.first_at_least(10), None);
-        assert_eq!(set.slot_words(), 3);
-        assert_eq!(set.arena_words(), 3 * 3);
-        set.remove(2, 64);
-        assert_eq!(set.live_keys(), 2);
+        assert_eq!(set.stats().1, 3, "words per slot");
+        assert_eq!(set.stats().0, 3 * 3, "arena words");
+        set.remove(2, 64, 1);
+        assert_eq!(set.stats().2, 2, "live keys");
         assert_eq!(set.first_at_least(0), Some((5, 0)));
-        set.insert(7, 64);
-        assert_eq!(set.live_keys(), 3);
-        assert_eq!(set.arena_words(), 3 * 3, "the emptied slot is reused");
+        set.insert(7, 64, 1);
+        assert_eq!(set.stats().2, 3, "live keys");
+        assert_eq!(set.stats().0, 3 * 3, "the emptied slot is reused");
+        // A range across two word edges is one lookup and one bucket;
+        // removing it in two parts empties that bucket again.
+        let mut set = BucketSet::default();
+        set.clear(130);
+        set.insert(4u32, 2, 125);
+        assert_eq!(
+            set.asc().collect::<Vec<_>>(),
+            (2..127).map(|m| (4, m)).collect::<Vec<_>>()
+        );
+        assert_eq!((set.stats().3, set.stats().2), (1, 1), "lookups, live keys");
+        set.remove(4, 2, 60);
+        assert_eq!(set.first_at_least(0), Some((4, 62)));
+        set.remove(4, 62, 65);
+        assert_eq!((set.stats().3, set.stats().2), (3, 0), "lookups, live keys");
     }
 }
 

@@ -25,8 +25,10 @@ use std::fmt;
 #[cfg(test)]
 pub(crate) mod reference;
 
-/// Latest virtual second a run may end at, 2^53: past it the reports'
-/// `f64` seconds stop being exact ([`EngineError::MakespanTooLong`]).
+/// Latest virtual second a run may end at, and most node-seconds of work
+/// its faults may destroy, 2^53: past it the reports' `f64` seconds stop
+/// being exact ([`EngineError::MakespanTooLong`],
+/// [`EngineError::LostWorkTooLarge`]).
 const EXACT_SECONDS: u64 = 1 << 53;
 
 /// Engine configuration.
@@ -240,6 +242,11 @@ pub enum EngineError {
     /// seconds stop being exact: every job's own times can be in range
     /// while queueing pushes the makespan out of it.
     MakespanTooLong(u64),
+    /// Node failures destroyed more than 2^53 node-seconds of work over
+    /// the run (saturating at `u64::MAX`), where its reports' `f64`
+    /// node-seconds stop being exact: a wide job killed late can get there
+    /// while the makespan stays in range.
+    LostWorkTooLarge(u64),
 }
 
 impl fmt::Display for EngineError {
@@ -268,6 +275,11 @@ impl fmt::Display for EngineError {
             Self::MakespanTooLong(t) => write!(
                 f,
                 "the run ends at {t} s, past the 2^53 s its reports count exactly"
+            ),
+            Self::LostWorkTooLarge(n) => write!(
+                f,
+                "node failures destroy {n} node-seconds of work, past the 2^53 its reports \
+                 count exactly"
             ),
         }
     }
@@ -912,12 +924,8 @@ impl<'t> Engine<'t> {
         for o in completed {
             exec.observe(f64_of_u64(o.exec()));
         }
-        let lost = summary
-            .outcomes
-            .iter()
-            .fold(0u64, |sum, o| sum.saturating_add(o.lost_node_seconds));
         *registry.gauge("makespan_s") = f64_of_u64(summary.makespan);
-        *registry.gauge("lost_node_seconds") = f64_of_u64(lost);
+        *registry.gauge("lost_node_seconds") = f64_of_u64(lost_node_seconds(&summary));
         Ok(summary)
     }
 
@@ -963,10 +971,22 @@ impl<'t> Engine<'t> {
             if s.makespan > EXACT_SECONDS {
                 return Err(EngineError::MakespanTooLong(s.makespan));
             }
+            let lost = lost_node_seconds(&s);
+            if lost > EXACT_SECONDS {
+                return Err(EngineError::LostWorkTooLarge(lost));
+            }
             Ok(s)
         });
         (summary, run.counts)
     }
+}
+
+/// Node-seconds of work the run's failures destroyed, saturating.
+fn lost_node_seconds(summary: &RunSummary) -> u64 {
+    summary
+        .outcomes
+        .iter()
+        .fold(0u64, |sum, o| sum.saturating_add(o.lost_node_seconds))
 }
 
 /// Everything one continuous run mutates, owned in one place. The event

@@ -1105,6 +1105,35 @@ mod faults {
         assert_eq!((o.start, o.end), (130, 230));
     }
 
+    /// Work a failure destroys can pass 2^53 node-seconds while the run
+    /// ends well inside 2^53 s: an eight-node job of 2^52 s killed half way
+    /// loses 2^54. The run ends in a typed error, not in the exact-`f64`
+    /// assertion on the report's lost node-seconds; 2^53 itself (four
+    /// nodes) is reported.
+    #[test]
+    fn lost_work_past_2_pow_53_is_an_error() {
+        let tree = Tree::regular_two_level(2, 4);
+        let cfg =
+            EngineConfig::new(SelectorKind::Default).with_failure_policy(FailurePolicy::Requeue {
+                max_retries: 1,
+                backoff: 0,
+            });
+        let t = 1u64 << 51;
+        let engine = Engine::new(&tree, cfg).with_faults(trace(&[(t, 0, FaultKind::Fail)]));
+        let wide = JobLog::new("wide", vec![job(1, 0, 2 * t, 8)]);
+        let mut reg = commsched_metrics::Registry::new();
+        let mut rec = commsched_trace::NullRecorder;
+        let err = engine.run_observed(&wide, &mut rec, &mut reg).unwrap_err();
+        assert_eq!(err, EngineError::LostWorkTooLarge(8 * t));
+        assert!(err.to_string().contains("past the 2^53"), "{err}");
+        assert_eq!(engine.run(&wide), Err(err));
+
+        let edge = JobLog::new("edge", vec![job(1, 0, 2 * t, 4)]);
+        let s = engine.run_observed(&edge, &mut rec, &mut reg).unwrap();
+        assert_eq!(s.outcomes[0].lost_node_seconds, 4 * t);
+        assert_eq!(s.lost_node_hours(), (4 * t) as f64 / 3600.0);
+    }
+
     #[test]
     fn exhausted_retries_cancel() {
         let tree = small_tree();
@@ -2393,11 +2422,8 @@ mod passes {
     }
 
     /// The node-seconds a kill destroys are elapsed time × width: 2^51 s
-    /// under 8,192 nodes is 2^64, which must saturate, not wrap to 0.
-    /// Release-only: with debug assertions the saturated total then trips
-    /// `f64_of_u64`'s by-design exactness assert in the
-    /// `lost_node_seconds` gauge.
-    #[cfg(not(debug_assertions))]
+    /// under 8,192 nodes is 2^64, which must saturate, not wrap to 0 — and
+    /// so end the run as too much lost work.
     #[test]
     fn lost_work_product_saturates() {
         use crate::FailurePolicy;
@@ -2407,11 +2433,11 @@ mod passes {
         let log = JobLog::new("wide", vec![job(1, 0, 1 << 52, 8192)]);
         let cfg =
             EngineConfig::new(SelectorKind::Default).with_failure_policy(FailurePolicy::Cancel);
-        let s = Engine::new(&tree, cfg)
+        let err = Engine::new(&tree, cfg)
             .with_faults(FaultTrace::parse(&format!("{} 0 fail\n", 1u64 << 51)).unwrap())
             .run(&log)
-            .unwrap();
-        assert_eq!(s.outcomes[0].lost_node_seconds, u64::MAX);
+            .unwrap_err();
+        assert_eq!(err, EngineError::LostWorkTooLarge(u64::MAX));
     }
 }
 

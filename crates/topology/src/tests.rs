@@ -43,7 +43,7 @@ fn leaf_queries() {
         t.leaf_nodes(1).collect::<Vec<_>>(),
         [NodeId(4), NodeId(5), NodeId(6), NodeId(7)]
     );
-    let leaf0 = t.leaves()[0];
+    let leaf0 = t.leaf(0);
     assert_eq!(t.leaf_ordinal(leaf0), 0);
 }
 
@@ -135,6 +135,59 @@ fn leaf_ordinals_follow_child_lists() {
     assert_eq!(under("b"), [3, 1]);
     assert_eq!(under("r"), [2, 0, 3, 1]);
     assert_eq!(under("s1"), [1]);
+}
+
+/// `from_parts` numbers the leaves first, so leaf ordinal `k` is switch
+/// `k` and every later switch is an upper one — in every preset and in a
+/// conf whose uppers sit between its leaves and list them out of order.
+/// The free-count index keys its level-1 set on this.
+#[test]
+fn leaf_ordinals_are_the_first_switch_ids() {
+    let conf = Tree::from_conf(
+        "SwitchName=s0 Nodes=n[0-1]\n\
+         SwitchName=a Switches=s0\n\
+         SwitchName=s1 Nodes=n[2-4]\n\
+         SwitchName=s2 Nodes=n5\n\
+         SwitchName=b Switches=s2,s1\n\
+         SwitchName=r Switches=b,a\n",
+    )
+    .unwrap();
+    let presets = [
+        SystemPreset::IitkDepartment,
+        SystemPreset::IitkHpc2010,
+        SystemPreset::CoriLike,
+        SystemPreset::Intrepid,
+        SystemPreset::Theta,
+        SystemPreset::Mira,
+        SystemPreset::Multirail500k,
+        SystemPreset::Dragonfly1M,
+    ]
+    .map(|p| (format!("{p:?}"), p.build()));
+    for (what, t) in presets.into_iter().chain([("conf".to_string(), conf)]) {
+        for s in (0..t.num_switches()).map(SwitchId) {
+            let sw = t.switch(s);
+            if s.0 < t.num_leaves() {
+                assert_eq!(
+                    (sw.level, sw.leaf_ordinals.as_slice()),
+                    (1, &[s.0][..]),
+                    "{what}"
+                );
+                assert_eq!((t.leaf(s.0), t.leaf_ordinal(s)), (s, s.0), "{what}");
+            } else {
+                assert!(sw.level > 1 && !sw.children.is_empty(), "{what}: {s}");
+            }
+        }
+        for n in (0..t.num_nodes()).step_by(97).map(NodeId) {
+            assert_eq!(t.leaf_of(n), SwitchId(t.leaf_ordinal_of(n)), "{what}");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "is not a leaf switch")]
+fn leaf_ordinal_of_an_upper_switch_panics() {
+    let t = Tree::regular_two_level(2, 2);
+    t.leaf_ordinal(t.root());
 }
 
 #[test]
@@ -274,7 +327,7 @@ fn switches_by_level_is_bottom_up() {
 #[test]
 fn lca_switch_of_leaf_and_ancestor() {
     let t = Tree::regular_three_level(2, 2, 2);
-    let leaf = t.leaves()[0];
+    let leaf = t.leaf(0);
     let group = t.switch(t.root()).children[0];
     assert_eq!(t.lca_switch(leaf, group), group);
     assert_eq!(t.lca_switch(leaf, t.root()), t.root());
@@ -440,7 +493,7 @@ mod shapes {
         for k in 0..t.num_leaves() {
             assert_eq!(t.leaf_size(k), 8);
         }
-        assert_eq!(t.switch(t.leaves()[4]).name, "p1l1");
+        assert_eq!(t.switch(t.leaf(4)).name, "p1l1");
         // Same pod: distance 4; across pods: 6.
         assert_eq!(t.distance(NodeId(0), NodeId(8)), 4);
         assert_eq!(t.distance(NodeId(0), NodeId(24)), 6);
@@ -453,7 +506,7 @@ mod shapes {
         assert_eq!(t.num_nodes(), 24);
         assert_eq!(t.num_leaves(), 12);
         assert_eq!(t.height(), 3);
-        assert_eq!(t.switch(t.leaves()[5]).name, "g1r1");
+        assert_eq!(t.switch(t.leaf(5)).name, "g1r1");
         // Same router: 2; same group: 4; across groups: 6.
         assert_eq!(t.distance(NodeId(0), NodeId(1)), 2);
         assert_eq!(t.distance(NodeId(0), NodeId(2)), 4);
@@ -685,11 +738,6 @@ mod builder_matches_conf {
             };
             assert_eq!(shape(a), shape(b), "{what}: switch {}", a.name);
         }
-        assert_eq!(built.leaves, read.leaves, "{what}: leaves");
-        assert_eq!(
-            built.leaf_ordinal, read.leaf_ordinal,
-            "{what}: leaf_ordinal"
-        );
         assert_eq!(built.leaf_first, read.leaf_first, "{what}: leaf_first");
         assert_eq!(built.node_leaf, read.node_leaf, "{what}: node_leaf");
         assert_eq!(built.root, read.root, "{what}: root");

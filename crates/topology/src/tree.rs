@@ -15,7 +15,8 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Identifier of a switch (dense, `0..num_switches`, leaves and uppers mixed).
+/// Identifier of a switch (dense, `0..num_switches`): the leaves first, in
+/// ordinal order, then the upper switches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct SwitchId(pub usize);
 
@@ -38,7 +39,7 @@ pub struct Switch {
     pub children: Vec<SwitchId>,
     /// Total compute nodes in this switch's subtree.
     pub subtree_nodes: usize,
-    /// Ordinals (indices into `Tree::leaves`) of leaf switches under this
+    /// Ordinals (equal to the switch ids) of leaf switches under this
     /// switch, in child-list order: each child's list in turn, so an upper
     /// switch configured as `Switches=s2,s0` holds `[2, 0]`. For a leaf
     /// switch this is its own ordinal.
@@ -142,11 +143,8 @@ pub struct Tree {
     pub(crate) node_names: Option<NameArena>,
     /// Leaf ordinal of each node — the one per-node table.
     pub(crate) node_leaf: Vec<u32>,
+    /// Leaves first: leaf ordinal `k` is switch `k`.
     pub(crate) switches: Vec<Switch>,
-    /// Leaf switch ids in node order (ordinal -> SwitchId).
-    pub(crate) leaves: Vec<SwitchId>,
-    /// SwitchId -> leaf ordinal (usize::MAX for non-leaves).
-    pub(crate) leaf_ordinal: Vec<usize>,
     /// First node id of each leaf ordinal, plus the node count as a final
     /// sentinel — the [`Tree::leaf_node_range`] table (`num_leaves + 1`).
     pub(crate) leaf_first: Vec<usize>,
@@ -256,12 +254,6 @@ impl Tree {
             return Err(TreeError::Cycle(switches[unreached].name.clone()));
         }
 
-        // Leaves are the first switches, so a leaf's ordinal is its id.
-        let leaves = (0..num_leaves).map(SwitchId).collect();
-        let leaf_ordinal = (0..switches.len())
-            .map(|s| if s < num_leaves { s } else { usize::MAX })
-            .collect();
-
         let mut level_order: Vec<SwitchId> = (0..switches.len()).map(SwitchId).collect();
         level_order.sort_by_key(|s| switches[s.0].level);
 
@@ -269,8 +261,6 @@ impl Tree {
             node_names,
             node_leaf,
             switches,
-            leaves,
-            leaf_ordinal,
             leaf_first,
             root,
             level_order,
@@ -292,7 +282,7 @@ impl Tree {
     /// Number of leaf switches.
     #[inline]
     pub fn num_leaves(&self) -> usize {
-        self.leaves.len()
+        self.leaf_first.len() - 1
     }
 
     /// The root switch.
@@ -319,30 +309,25 @@ impl Tree {
         &self.switches
     }
 
-    /// Leaf switch ids, ordinal order.
-    #[cfg(test)]
-    pub(crate) fn leaves(&self) -> &[SwitchId] {
-        &self.leaves
-    }
-
-    /// Leaf switch id for a leaf ordinal.
+    /// Leaf switch id for a leaf ordinal: the same number, since
+    /// `from_parts` numbers leaves first. Panics past the last leaf.
     #[inline]
     pub fn leaf(&self, ordinal: usize) -> SwitchId {
-        self.leaves[ordinal]
+        assert!(ordinal < self.num_leaves(), "no leaf ordinal {ordinal}");
+        SwitchId(ordinal)
     }
 
     /// Leaf ordinal of a leaf switch id; panics on non-leaf.
     #[inline]
     pub fn leaf_ordinal(&self, s: SwitchId) -> usize {
-        let o = self.leaf_ordinal[s.0];
-        assert!(o != usize::MAX, "{s} is not a leaf switch");
-        o
+        assert!(s.0 < self.num_leaves(), "{s} is not a leaf switch");
+        s.0
     }
 
     /// The leaf switch a node hangs off.
     #[inline]
     pub fn leaf_of(&self, n: NodeId) -> SwitchId {
-        self.leaves[self.leaf_ordinal_of(n)]
+        SwitchId(self.leaf_ordinal_of(n))
     }
 
     /// Leaf ordinal of the leaf switch a node hangs off.
@@ -429,7 +414,7 @@ impl Tree {
         if a == b {
             return 1;
         }
-        self.switches[self.lca_switch(self.leaves[a], self.leaves[b]).0].level
+        self.switches[self.lca_switch(self.leaf(a), self.leaf(b)).0].level
     }
 
     /// Leaf ordinals under `s`, in child-list order (see
