@@ -2,18 +2,22 @@
 //! incremental per-switch/per-leaf counters that make every selector's
 //! descent sublinear in machine size.
 //!
-//! [`ClusterState`](crate::ClusterState) maintains exact
-//! `leaf_free`/`switch_free` counters; without an index the selectors would
-//! scan *all* switches for the lowest-level switch and collect-and-sort
-//! *all* leaves under it on every placement — the dominant cost at the
-//! 500k–1M-node presets. The index keeps ordered sets of `(key, member)`,
-//! so iteration order is a pure function of the counters (determinism rule
-//! D1), and holds each leaf in at most three of them:
+//! [`ClusterState`](crate::ClusterState) maintains one exact free counter
+//! per switch, `switch_free`, the leaves' own first; without an index the
+//! selectors would scan *all* switches for the lowest-level switch and
+//! collect-and-sort *all* leaves under it on every placement — the
+//! dominant cost at the 500k–1M-node presets. The index keeps ordered
+//! sets of `(key, member)`, so iteration order is a pure function of the
+//! counters (determinism rule D1), and holds each leaf in at most three
+//! of them:
 //!
-//! * **per level**: `subtree_free` of every switch with free capacity,
-//!   members that level's switches in id order. Leaf switch `k` has id `k`
-//!   (`Tree::from_parts` numbers leaves first), so the level-1 set is also
-//!   every free leaf in `(leaf_free, ordinal)` order: the root's fill order.
+//! * **per level**: `subtree_free` of every switch with free capacity.
+//!   Leaf switch `k` has id `k` (`Tree::from_parts` numbers leaves first),
+//!   so a leaf's member is its ordinal and the level-1 set is also every
+//!   free leaf in `(leaf_free, ordinal)` order: the root's fill order. An
+//!   upper switch's member is its `upper` slot, its id less the leaf
+//!   count, in a set over all upper switches. Either way members ascend
+//!   with ids.
 //! * **per parent** — a switch with at least one leaf child — its free
 //!   leaf children keyed by `leaf_free` (not kept for the root, whose order
 //!   is the level-1 set) and by communication-ratio key, members its leaf
@@ -29,10 +33,12 @@
 //! for `U` switches at a level. A walk costs one step per live key plus
 //! one per word of each bucket it enters.
 //!
-//! Memory: a set over `U` members holds `⌈U/64⌉` words per slot, and a
-//! slot only for a live key — an emptied bucket's slot is reused by the
-//! next new key — so at most the most keys it has held live at once,
-//! which is at most `min(U, distinct key values)`. It never holds
+//! Memory: a set over `U` members holds `⌈U/64⌉` words per slot — `U` is
+//! the leaf count at level 1, the upper-switch count at every level above
+//! and a parent's leaf-child count in its sets — and a slot only for a
+//! live key — an emptied bucket's slot is reused by the next new key — so
+//! at most the most keys it has held live at once, which is at most
+//! `min(U, distinct key values)`. It never holds
 //! `max key × U` bits, so a skewed `topology.conf` cannot make it
 //! quadratic in its largest leaf.
 //!
@@ -88,15 +94,9 @@ pub(crate) fn ratio_key(r: f64) -> u64 {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct FreeIndex {
     /// `[level - 1]` → `subtree_free` of every switch at that level with
-    /// `subtree_free > 0`, over that level's switches in id order. `[0]` is
-    /// every free leaf keyed `leaf_free`, members its ordinal.
+    /// `subtree_free > 0`. `[0]` is every free leaf keyed `leaf_free`,
+    /// members its ordinal; above, members are `upper` slots.
     level_sets: Vec<BucketSet<u32>>,
-    /// Switch ids by level, ascending within a level: level `l`'s members
-    /// are `level_ids[level_start[l - 1]..level_start[l]]`.
-    level_ids: Vec<u32>,
-    level_start: Vec<u32>,
-    /// Switch id → its member in its level set.
-    level_member: Vec<u32>,
     /// `[upper(switch)]` → `leaf_free` of the free leaf children, over the
     /// switch's leaf children in ascending ordinal. Empty for the root and
     /// for switches without leaf children.
@@ -113,46 +113,40 @@ pub(crate) struct FreeIndex {
 }
 
 impl FreeIndex {
-    /// Rebuild from scratch against explicit counter slices (construction,
-    /// reset, the invariant check), reusing every buffer. `ratio` must be
-    /// the exact value `ClusterState::communication_ratio` would report
-    /// for the ordinal.
+    /// Rebuild from scratch against the per-switch free counts
+    /// (construction, reset, the invariant check), reusing every buffer:
+    /// one insert per run of consecutive members of a set that share a
+    /// key. `ratio` must be the exact value
+    /// `ClusterState::communication_ratio` would report for the ordinal.
     pub(crate) fn rebuild(
         &mut self,
         tree: &Tree,
-        leaf_free: &[u32],
         switch_free: &[u32],
         ratio: impl Fn(usize) -> f64,
     ) {
         let height = usize::try_from(tree.height()).unwrap_or(1);
-        let uppers = tree.num_switches() - tree.num_leaves();
-        // The universes: each level's switches in id order, each parent's
-        // leaf children in ordinal order.
-        let switches = tree.switches();
-        number(
-            height,
-            |id| Some(level_slot(switches[id].level)),
-            switches.len(),
-            (
-                &mut self.level_start,
-                &mut self.level_ids,
-                &mut self.level_member,
-            ),
-        );
-        number(
-            uppers,
-            |k| Some(upper(tree, tree.switch(tree.leaf(k)).parent?)),
-            tree.num_leaves(),
-            (
-                &mut self.child_start,
-                &mut self.child_ords,
-                &mut self.child_member,
-            ),
-        );
+        let leaves = tree.num_leaves();
+        let uppers = tree.num_switches() - leaves;
+        // Each parent's leaf children in ordinal order.
+        self.child_ords.clear();
+        self.child_start.clear();
+        self.child_member.clear();
+        self.child_member.resize(leaves, 0);
+        for sw in &tree.switches()[leaves..] {
+            let first = self.child_ords.len();
+            self.child_start.push(u32_of_usize(first));
+            let kids = sw.children.iter().filter(|c| c.0 < leaves);
+            self.child_ords.extend(kids.map(|c| u32_of_usize(c.0)));
+            self.child_ords[first..].sort_unstable();
+            for (m, &k) in self.child_ords[first..].iter().enumerate() {
+                self.child_member[usize_of_u32(k)] = u32_of_usize(m);
+            }
+        }
+        self.child_start.push(u32_of_usize(self.child_ords.len()));
 
         self.level_sets.resize_with(height, BucketSet::default);
         for (l, set) in self.level_sets.iter_mut().enumerate() {
-            set.clear(span(&self.level_start, l).len());
+            set.clear(if l == 0 { leaves } else { uppers });
         }
         self.by_free.resize_with(uppers, BucketSet::default);
         self.by_ratio.resize_with(uppers, BucketSet::default);
@@ -161,33 +155,35 @@ impl FreeIndex {
             self.by_free[u].clear(universe);
             self.by_ratio[u].clear(universe);
         }
-        for (id, sw) in tree.switches().iter().enumerate() {
-            if switch_free[id] > 0 {
-                let (key, member) = (switch_free[id], self.level_member[id]);
-                self.level_sets[level_slot(sw.level)].insert(key, member, 1);
-            }
-        }
-        for (k, &free) in leaf_free.iter().enumerate() {
-            if free == 0 {
-                continue;
-            }
-            if let Some(g) = tree.switch(tree.leaf(k)).parent {
-                let member = self.child_member[k];
-                if g != tree.root() {
-                    self.by_free[upper(tree, g)].insert(free, member, 1);
-                }
-                self.by_ratio[upper(tree, g)].insert(ratio_key(ratio(k)), member, 1);
-            }
-        }
+        let level_entries = tree.switches().iter().enumerate().filter_map(|(id, sw)| {
+            let free = keyed(switch_free[id])?;
+            let member = if id < leaves { id } else { id - leaves };
+            Some((level_slot(sw.level), free, u32_of_usize(member)))
+        });
+        insert_runs(&mut self.level_sets, level_entries);
+        // Each leaf with a parent and free nodes: its parent, ordinal,
+        // member in the parent's sets and free count.
+        let leaf_entries = || {
+            (0..leaves).filter_map(|k| {
+                let g = tree.switch(tree.leaf(k)).parent?;
+                Some((g, k, self.child_member[k], keyed(switch_free[k])?))
+            })
+        };
+        let by_free = leaf_entries()
+            .filter(|&(g, ..)| g != tree.root())
+            .map(|(g, _, member, free)| (upper(tree, g), free, member));
+        insert_runs(&mut self.by_free, by_free);
+        let by_ratio =
+            leaf_entries().map(|(g, k, member, _)| (upper(tree, g), ratio_key(ratio(k)), member));
+        insert_runs(&mut self.by_ratio, by_ratio);
     }
 
-    /// Re-key one switch in its level set.
+    /// Re-key upper switch `s` in its level set.
     #[inline]
-    pub(crate) fn apply_switch(&mut self, level: u32, id: u32, old_free: u32, new_free: u32) {
-        if let Some(set) = self.level_sets.get_mut(level_slot(level)) {
-            let member = self.level_member[usize_of_u32(id)];
-            set.rekey(member, 1, keyed(old_free), keyed(new_free));
-        }
+    pub(crate) fn apply_switch(&mut self, tree: &Tree, s: SwitchId, old_free: u32, new_free: u32) {
+        let set = &mut self.level_sets[level_slot(tree.switch(s).level)];
+        let member = u32_of_usize(upper(tree, s));
+        set.rekey(member, 1, keyed(old_free), keyed(new_free));
     }
 
     /// Re-key the `len` leaves `first..first + len`, siblings that all move
@@ -227,12 +223,12 @@ impl FreeIndex {
     /// id — exactly the scan baseline's `(level, free, id)` minimum: per
     /// level, the first live key ≥ `want` and its lowest member.
     /// Requires `want >= 1`.
-    pub(crate) fn lowest_level_switch(&self, want: usize) -> Option<SwitchId> {
+    pub(crate) fn lowest_level_switch(&self, tree: &Tree, want: usize) -> Option<SwitchId> {
         let want = u32::try_from(want).ok()?;
         self.level_sets.iter().enumerate().find_map(|(l, set)| {
             let (_, member) = set.first_at_least(want)?;
-            let ids = &self.level_ids[span(&self.level_start, l)];
-            Some(SwitchId(usize_of_u32(ids[usize_of_u32(member)])))
+            let above = if l == 0 { 0 } else { tree.num_leaves() };
+            Some(SwitchId(usize_of_u32(member) + above))
         })
     }
 
@@ -242,7 +238,7 @@ impl FreeIndex {
         if p == tree.root() {
             FillOrder::One(Members {
                 set: &self.level_sets[0],
-                ords: &self.level_ids[span(&self.level_start, 0)],
+                ords: None,
             })
         } else {
             self.parent_sets(tree, p, &self.by_free)
@@ -268,7 +264,7 @@ impl FreeIndex {
     ) -> FillOrder<'a, K> {
         let members = |s: SwitchId| Members {
             set: &sets[upper(tree, s)],
-            ords: &self.child_ords[span(&self.child_start, upper(tree, s))],
+            ords: Some(&self.child_ords[span(&self.child_start, upper(tree, s))]),
         };
         fn walk<'a, K>(
             tree: &Tree,
@@ -296,17 +292,16 @@ impl FreeIndex {
         FillOrder::Many(out)
     }
 
-    /// Per set — the level sets, then `by_free`, then `by_ratio` — its
-    /// `BucketSet::stats`: arena words, words per slot, live keys and the
-    /// key-map lookups its upkeep has made.
+    /// `free_keyed` of each set keyed by free count — the level sets, then
+    /// `by_free` — followed by `ratio_keyed` of each `by_ratio` set.
     #[cfg(test)]
-    pub(crate) fn sets(&self) -> Vec<(usize, usize, usize, u64)> {
-        let levels = self.level_sets.iter().map(BucketSet::stats);
-        let by_free = self.by_free.iter().map(BucketSet::stats);
-        levels
-            .chain(by_free)
-            .chain(self.by_ratio.iter().map(BucketSet::stats))
-            .collect()
+    pub(crate) fn map_sets<T>(
+        &self,
+        free_keyed: impl Fn(&BucketSet<u32>) -> T,
+        ratio_keyed: impl Fn(&BucketSet<u64>) -> T,
+    ) -> Vec<T> {
+        let free = self.level_sets.iter().chain(&self.by_free).map(free_keyed);
+        free.chain(self.by_ratio.iter().map(ratio_keyed)).collect()
     }
 }
 
@@ -329,48 +324,51 @@ fn level_slot(level: u32) -> usize {
     usize_of_u32(level.saturating_sub(1))
 }
 
-/// Number items `0..n` within `groups` groups, reusing the buffers:
-/// `ids[start[g]..start[g + 1]]` lists group `g`'s items ascending, and
-/// `member[i]` is item `i`'s place there (0 for an item in no group).
-fn number(
-    groups: usize,
-    group_of: impl Fn(usize) -> Option<usize>,
-    n: usize,
-    (start, ids, member): (&mut Vec<u32>, &mut Vec<u32>, &mut Vec<u32>),
+/// Insert `(set, key, member)` entries into `sets`, one
+/// [`BucketSet::insert`] per run of consecutive entries that are
+/// consecutive members of one set under one key.
+fn insert_runs<K: Ord + Copy>(
+    sets: &mut [BucketSet<K>],
+    entries: impl Iterator<Item = (usize, K, u32)>,
 ) {
-    start.clear();
-    start.resize(groups + 1, 0);
-    member.clear();
-    member.resize(n, 0);
-    for (i, m) in member.iter_mut().enumerate() {
-        if let Some(g) = group_of(i) {
-            *m = start[g + 1];
-            start[g + 1] += 1;
+    let mut run: Option<(usize, K, u32, u32)> = None;
+    for (set, key, member) in entries {
+        match &mut run {
+            Some((s, k, first, len)) if (*s, *k, *first + *len) == (set, key, member) => {
+                *len += 1;
+            }
+            _ => {
+                if let Some((s, k, first, len)) = run.replace((set, key, member, 1)) {
+                    sets[s].insert(k, first, len);
+                }
+            }
         }
     }
-    for g in 0..groups {
-        start[g + 1] += start[g];
-    }
-    ids.clear();
-    ids.resize(usize_of_u32(start[groups]), 0);
-    for (i, &m) in member.iter().enumerate() {
-        if let Some(g) = group_of(i) {
-            ids[usize_of_u32(start[g] + m)] = u32_of_usize(i);
-        }
+    if let Some((s, k, first, len)) = run {
+        sets[s].insert(k, first, len);
     }
 }
 
-/// Group `g`'s range in a [`number`] layout.
+/// Upper switch `g`'s range of `child_ords`, from `child_start`.
 #[inline]
 fn span(start: &[u32], g: usize) -> std::ops::Range<usize> {
     usize_of_u32(start[g])..usize_of_u32(start[g + 1])
 }
 
-/// One bucketed set with the leaf ordinal of each of its members.
+/// One bucketed set with the leaf ordinal of each of its members: `None`
+/// for the level-1 set, whose members are ordinals.
 #[derive(Clone, Copy)]
 pub(crate) struct Members<'a, K> {
     set: &'a BucketSet<K>,
-    ords: &'a [u32],
+    ords: Option<&'a [u32]>,
+}
+
+impl<K> Members<'_, K> {
+    /// The leaf ordinal of member `m`.
+    #[inline]
+    fn ordinal(&self, m: u32) -> u32 {
+        self.ords.map_or(m, |ords| ords[usize_of_u32(m)])
+    }
 }
 
 /// One switch's free leaves, as the sets whose union they are: its own
@@ -388,7 +386,7 @@ impl<'a, K: Ord + Copy> FillOrder<'a, K> {
         self.merge(|m| {
             m.set
                 .asc()
-                .map(move |(key, member)| (key, m.ords[usize_of_u32(member)]))
+                .map(move |(key, member)| (key, m.ordinal(member)))
         })
     }
 
@@ -399,7 +397,7 @@ impl<'a, K: Ord + Copy> FillOrder<'a, K> {
         self.merge(|m| {
             m.set
                 .desc()
-                .map(move |(key, member)| (Reverse(key), m.ords[usize_of_u32(member)]))
+                .map(move |(key, member)| (Reverse(key), m.ordinal(member)))
         })
         .map(|(Reverse(key), ord)| (key, ord))
     }

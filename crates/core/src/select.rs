@@ -237,11 +237,11 @@ pub trait NodeSelector: Send + Sync {
 /// toward the *fewest* free nodes (best fit), then lowest id — the
 /// free-count index stores exactly that order, so the descent is
 /// O(height · log switches).
-fn descend(state: &ClusterState, req: &AllocRequest) -> Result<SwitchId, SelectError> {
+fn descend(tree: &Tree, state: &ClusterState, req: &AllocRequest) -> Result<SwitchId, SelectError> {
     check_request(state, req)?;
     state
         .index()
-        .lowest_level_switch(req.nodes)
+        .lowest_level_switch(tree, req.nodes)
         .ok_or(SelectError::NotEnoughNodes {
             requested: req.nodes,
             free: state.free_total(),
@@ -274,7 +274,7 @@ fn decide_by(
     req: &AllocRequest,
     order: impl FnOnce(SwitchId) -> Vec<(usize, u32)>,
 ) -> Result<Decision, SelectError> {
-    let switch = descend(state, req)?;
+    let switch = descend(tree, state, req)?;
     let takes = fill(tree, switch, req.nodes, || order(switch));
     Ok(Choice {
         switch,
@@ -519,7 +519,7 @@ pub(crate) fn adaptive_choice(
     state: &ClusterState,
     req: &AllocRequest,
 ) -> Result<Choice, SelectError> {
-    let switch = descend(state, req)?;
+    let switch = descend(tree, state, req)?;
     let greedy = fill(tree, switch, req.nodes, || {
         fill_greedy(tree, state, switch, req)
     });

@@ -188,27 +188,26 @@ struct LeafRun {
 
 /// Mutable occupancy state over an immutable [`Tree`].
 ///
-/// Keeps packed per-node free bits, the three per-leaf counters the paper's
-/// formulas read, and an incremental per-switch free counter that keys
+/// Keeps packed per-node free bits, the per-leaf counters the paper's
+/// formulas read, and one incremental free counter per switch that keys
 /// the free-count index (see `crate::index`), so switch selection never
-/// recounts a subtree. What-if evaluation never
-/// touches the state: [`crate::PlacementEvaluator`] overlays the candidate
-/// on the counters it reads.
+/// recounts a subtree. Leaf `k` is switch `k` and the root is the last
+/// switch, so that one table also holds each leaf's free count and the
+/// machine's. What-if evaluation never touches the state:
+/// [`crate::PlacementEvaluator`] overlays the candidate on the counters it
+/// reads.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterState {
     /// Per-node: is the node free? One bit per node, 64 to a word.
     node_free: bits::FreeBits,
-    /// Per-leaf-ordinal: free node count.
-    leaf_free: Vec<u32>,
     /// Per-leaf-ordinal: busy node count (the paper's `L_busy`).
     leaf_busy: Vec<u32>,
     /// Per-leaf-ordinal: nodes running communication-intensive jobs
     /// (the paper's `L_comm`).
     leaf_comm: Vec<u32>,
-    /// Per-switch: free nodes in the whole subtree, maintained on every
-    /// allocate/release by walking the touched leaves' ancestor chains.
+    /// Per-switch: free nodes in the whole subtree — a leaf's own on the
+    /// take, its ancestors' by walking the chain once per run of leaves.
     switch_free: Vec<u32>,
-    free_total: usize,
     /// Per-node lifecycle state (fault model).
     node_health: Vec<NodeHealth>,
     /// Per-leaf-ordinal: nodes that are down (neither free nor busy).
@@ -241,11 +240,9 @@ pub struct ClusterState {
 impl PartialEq for ClusterState {
     fn eq(&self, other: &Self) -> bool {
         self.node_free == other.node_free
-            && self.leaf_free == other.leaf_free
             && self.leaf_busy == other.leaf_busy
             && self.leaf_comm == other.leaf_comm
             && self.switch_free == other.switch_free
-            && self.free_total == other.free_total
             && self.node_health == other.node_health
             && self.leaf_down == other.leaf_down
             && self.down_total == other.down_total
@@ -272,9 +269,6 @@ impl ClusterState {
         let nodes = tree.num_nodes();
         let leaves = tree.num_leaves();
         self.node_free.reset(nodes, true);
-        self.leaf_free.clear();
-        self.leaf_free
-            .extend((0..leaves).map(|k| u32_of_usize(tree.leaf_size(k))));
         refill(&mut self.leaf_busy, leaves, 0);
         refill(&mut self.leaf_comm, leaves, 0);
         self.switch_free.clear();
@@ -283,7 +277,6 @@ impl ClusterState {
                 .iter()
                 .map(|s| u32_of_usize(s.subtree_nodes)),
         );
-        self.free_total = nodes;
         refill(&mut self.node_health, nodes, NodeHealth::Up);
         refill(&mut self.leaf_down, leaves, 0);
         self.down_total = 0;
@@ -298,7 +291,7 @@ impl ClusterState {
     /// reset; incremental maintenance covers everything else).
     fn reindex(&mut self, tree: &Tree) {
         let mut index = std::mem::take(&mut self.index);
-        index.rebuild(tree, &self.leaf_free, &self.switch_free, |k| {
+        index.rebuild(tree, &self.switch_free, |k| {
             self.communication_ratio(tree, k)
         });
         self.index = index;
@@ -308,7 +301,7 @@ impl ClusterState {
     /// a function of, with its size.
     #[inline]
     fn counters(&self, k: usize) -> [u32; 3] {
-        [self.leaf_free[k], self.leaf_busy[k], self.leaf_comm[k]]
+        [self.switch_free[k], self.leaf_busy[k], self.leaf_comm[k]]
     }
 
     /// Read access to the free-count index for the selectors.
@@ -317,16 +310,19 @@ impl ClusterState {
         &self.index
     }
 
-    /// Total free nodes in the cluster.
+    /// Total free nodes in the cluster: the root's count, the last switch's
+    /// (0 for the default state, which has no switches).
     #[inline]
     pub fn free_total(&self) -> usize {
-        self.free_total
+        self.switch_free
+            .last()
+            .map_or(0, |&free| usize_of_u32(free))
     }
 
     /// Total busy nodes in the cluster (held by jobs; excludes down nodes).
     #[inline]
     pub fn busy_total(&self) -> usize {
-        self.node_free.len() - self.free_total - self.down_total
+        self.node_free.len() - self.free_total() - self.down_total
     }
 
     /// Total down nodes in the cluster.
@@ -392,10 +388,11 @@ impl ClusterState {
             .map(|(j, _)| *j)
     }
 
-    /// Free nodes on leaf ordinal `k` (the complement of `L_busy`).
+    /// Free nodes on leaf ordinal `k` (the complement of `L_busy`): leaf
+    /// switch `k`'s subtree count.
     #[inline]
     pub fn leaf_free(&self, k: usize) -> u32 {
-        self.leaf_free[k]
+        self.switch_free[k]
     }
 
     /// The paper's `L_busy` for leaf ordinal `k`.
@@ -449,10 +446,10 @@ impl ClusterState {
     ) {
         let range = tree.leaf_node_range(k);
         debug_assert!(
-            want <= self.leaf_free[k],
+            want <= self.switch_free[k],
             "leaf {k} asked for more than it has free"
         );
-        if usize_of_u32(self.leaf_free[k]) == range.len() {
+        if usize_of_u32(self.switch_free[k]) == range.len() {
             push(range.start, want);
             return;
         }
@@ -460,9 +457,9 @@ impl ClusterState {
     }
 
     /// Move `count` nodes of leaf ordinal `k` from one occupancy class to
-    /// another across every counter: the leaf's own, its switch's free
-    /// count and the totals here, its index entries and the ancestor chain
-    /// of subtree free counts when its run is flushed
+    /// another across every counter: the leaf's own (its free count is
+    /// leaf switch `k`'s) and the down total here, its index entries and
+    /// the ancestor chain of subtree free counts when its run is flushed
     /// ([`ClusterState::flush`]). Every mutation goes through here; the
     /// per-node free bits and health are the caller's.
     fn shift(&mut self, tree: &Tree, k: usize, count: u32, from: Class, to: Class, lag: &mut Lag) {
@@ -472,7 +469,7 @@ impl ClusterState {
         let before = self.counters(k);
         let n = usize_of_u32(count);
         match from {
-            Class::Free => self.leaf_free[k] -= count,
+            Class::Free => self.switch_free[k] -= count,
             Class::Busy { comm } => {
                 self.leaf_busy[k] -= count;
                 if comm {
@@ -485,7 +482,7 @@ impl ClusterState {
             }
         }
         match to {
-            Class::Free => self.leaf_free[k] += count,
+            Class::Free => self.switch_free[k] += count,
             Class::Busy { comm } => {
                 self.leaf_busy[k] += count;
                 if comm {
@@ -496,15 +493,6 @@ impl ClusterState {
                 self.leaf_down[k] += count;
                 self.down_total += n;
             }
-        }
-        // Only a move into or out of `Free` changes the free counts.
-        let leaf = tree.leaf(k).0;
-        if to == Class::Free {
-            self.switch_free[leaf] += count;
-            self.free_total += n;
-        } else if from == Class::Free {
-            self.switch_free[leaf] -= count;
-            self.free_total -= n;
         }
         // The take joins the pending run if it is the next sibling of the
         // same size making the same move: integer compares, the tree last.
@@ -564,9 +552,8 @@ impl ClusterState {
     /// Re-key switch `s` in its level set from `keyed` to its current
     /// free count.
     fn rekey_switch(&mut self, tree: &Tree, s: SwitchId, keyed: u32) {
-        let level = tree.switch(s).level;
         self.index
-            .apply_switch(level, u32_of_usize(s.0), keyed, self.switch_free[s.0]);
+            .apply_switch(tree, s, keyed, self.switch_free[s.0]);
     }
 
     /// Flush `lag`'s run, then re-key every switch it holds: the end of
@@ -789,7 +776,7 @@ impl ClusterState {
                 // First mask over the leaf: with no job on it, its free
                 // nodes are exactly its healthy ones, and all of them go.
                 self.node_free.fill(tree.leaf_node_range(k), false);
-                let free = self.leaf_free[k];
+                let free = self.switch_free[k];
                 self.shift(tree, k, free, Class::Free, Class::Down, &mut lag);
             }
         }
@@ -866,19 +853,19 @@ impl ClusterState {
         mask
     }
 
-    /// Debug invariant check: counters agree with the per-node bits.
-    ///
-    /// Used by tests and `debug_assert!`s in the engine; O(nodes).
+    /// Invariant check: every counter agrees with a recount from the
+    /// per-node bits and health, and the index with a rebuild. O(nodes);
+    /// the state's tests and the churn proptests call it after every step.
     pub fn check_invariants(&self, tree: &Tree) -> Result<(), String> {
         for k in 0..tree.num_leaves() {
             let counted = u32_of_usize(self.node_free.count_ones(tree.leaf_node_range(k)));
-            if counted != self.leaf_free[k] {
+            if counted != self.switch_free[k] {
                 return Err(format!(
                     "leaf {k}: counted {counted} free, recorded {}",
-                    self.leaf_free[k]
+                    self.switch_free[k]
                 ));
             }
-            if self.leaf_free[k] + self.leaf_busy[k] + self.leaf_down[k]
+            if self.switch_free[k] + self.leaf_busy[k] + self.leaf_down[k]
                 != u32_of_usize(tree.leaf_size(k))
             {
                 return Err(format!("leaf {k}: free + busy + down != size"));
@@ -944,7 +931,7 @@ impl ClusterState {
             let recount: u32 = tree
                 .leaf_ordinals_under(SwitchId(id))
                 .iter()
-                .map(|&k| self.leaf_free[k])
+                .map(|&k| self.switch_free[k])
                 .sum();
             if self.switch_free[id] != recount {
                 return Err(format!(
@@ -960,10 +947,10 @@ impl ClusterState {
             }
         }
         let total = self.node_free.count_ones(0..self.node_free.len());
-        if total != self.free_total {
+        if total != self.free_total() {
             return Err(format!(
-                "free_total {} != counted {}",
-                self.free_total, total
+                "free_total {} != counted {total}",
+                self.free_total()
             ));
         }
         let held: usize = self.allocs.values().map(|a| a.nodes.len()).sum();
@@ -974,7 +961,7 @@ impl ClusterState {
             ));
         }
         let mut expect = FreeIndex::default();
-        expect.rebuild(tree, &self.leaf_free, &self.switch_free, |k| {
+        expect.rebuild(tree, &self.switch_free, |k| {
             self.communication_ratio(tree, k)
         });
         if expect != self.index {

@@ -1,13 +1,14 @@
 //! The per-node reference the batched mutations are model-checked against:
 //! the previous implementation of every [`ClusterState`] mutation, kept
 //! under `ref_` names. Each node flip walks the ancestor chain on its own
-//! — one node at a time, no takes, no runs — and the free-count index is
-//! rebuilt from the counters after every operation instead of being
-//! re-keyed along the way, so agreement with the per-leaf
-//! [`ClusterState::shift`] path after every operation (`==` plus
-//! `check_invariants`, in `tests::placement_currency`) is evidence
-//! neither shares a counting or an index-maintenance mistake with the
-//! other. Switch masking is per node here too: whether a node is masked
+//! — one node at a time, no takes, no runs, from the node's leaf switch,
+//! whose count is the leaf's free count, to the root, whose count is the
+//! machine's — and the free-count index is rebuilt from the counters
+//! after every operation instead of being re-keyed along the way, so
+//! agreement with the per-leaf [`ClusterState::shift`] path after every
+//! operation (`==` plus `check_invariants`, in
+//! `tests::placement_currency`) is evidence neither shares a counting or
+//! an index-maintenance mistake with the other. Switch masking is per node here too: whether a node is masked
 //! is read off its own ancestor chain's `switch_down` bits, and the
 //! per-leaf `leaf_mask` table the shipped path maintains is recounted
 //! from those bits after every switch operation.
@@ -30,7 +31,6 @@ impl ClusterState {
         assert!(self.node_free.get(n.0));
         self.node_free.set(n.0, false);
         let k = tree.leaf_ordinal_of(n);
-        self.leaf_free[k] -= 1;
         self.leaf_busy[k] += 1;
         if comm {
             self.leaf_comm[k] += 1;
@@ -40,14 +40,12 @@ impl ClusterState {
             self.switch_free[id.0] -= 1;
             s = tree.switch(id).parent;
         }
-        self.free_total -= 1;
     }
 
     fn ref_vacate(&mut self, tree: &Tree, n: NodeId, comm: bool) {
         assert!(!self.node_free.get(n.0));
         self.node_free.set(n.0, true);
         let k = tree.leaf_ordinal_of(n);
-        self.leaf_free[k] += 1;
         self.leaf_busy[k] -= 1;
         if comm {
             self.leaf_comm[k] -= 1;
@@ -57,21 +55,18 @@ impl ClusterState {
             self.switch_free[id.0] += 1;
             s = tree.switch(id).parent;
         }
-        self.free_total += 1;
     }
 
     fn ref_free_to_down(&mut self, tree: &Tree, n: NodeId) {
         assert!(self.node_free.get(n.0));
         self.node_free.set(n.0, false);
         let k = tree.leaf_ordinal_of(n);
-        self.leaf_free[k] -= 1;
         self.leaf_down[k] += 1;
         let mut s = Some(tree.leaf_of(n));
         while let Some(id) = s {
             self.switch_free[id.0] -= 1;
             s = tree.switch(id).parent;
         }
-        self.free_total -= 1;
         self.down_total += 1;
     }
 
@@ -80,13 +75,11 @@ impl ClusterState {
         self.node_free.set(n.0, true);
         let k = tree.leaf_ordinal_of(n);
         self.leaf_down[k] -= 1;
-        self.leaf_free[k] += 1;
         let mut s = Some(tree.leaf_of(n));
         while let Some(id) = s {
             self.switch_free[id.0] += 1;
             s = tree.switch(id).parent;
         }
-        self.free_total += 1;
         self.down_total -= 1;
     }
 

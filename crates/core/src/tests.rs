@@ -6,6 +6,14 @@ use crate::{
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_topology::{NodeId, Tree};
 
+/// Per index set, in `FreeIndex::map_sets` order, its `BucketSet::stats`:
+/// arena words, words per slot, live keys and the key-map lookups its
+/// upkeep has made.
+fn set_stats(index: &crate::index::FreeIndex) -> Vec<(usize, usize, usize, u64)> {
+    use crate::index::BucketSet;
+    index.map_sets(BucketSet::stats, BucketSet::stats)
+}
+
 /// The paper's Figure 2 / Figure 5 topology: two leaves of 4 under a root.
 fn figure2() -> Tree {
     Tree::regular_two_level(2, 4)
@@ -3229,9 +3237,9 @@ mod placement_currency {
         both: &mut Lockstep,
         step: impl FnOnce(&mut Lockstep) -> Result<bool, TestCaseError>,
     ) -> u64 {
-        let before = both.fast.index().sets()[0].3;
+        let before = set_stats(both.fast.index())[0].3;
         assert!(step(both).unwrap(), "the step is refused");
-        both.fast.index().sets()[0].3 - before
+        set_stats(both.fast.index())[0].3 - before
     }
 
     /// On a uniform three-level tree, allocating and releasing `m`
@@ -3248,7 +3256,7 @@ mod placement_currency {
         let mut per_set = Vec::new();
         for m in 1..8 {
             let mut st = ClusterState::new(&tree);
-            let lookups = |st: &ClusterState| st.index().sets().iter().map(|s| s.3).collect();
+            let lookups = |st: &ClusterState| set_stats(st.index()).iter().map(|s| s.3).collect();
             let before: Vec<u64> = lookups(&st);
             let placement = ids(&tree, &leaves(&tree, &(0..m).collect::<Vec<_>>()));
             st.allocate(&tree, JobId(1), &placement, JobNature::CommIntensive)
@@ -3740,7 +3748,7 @@ mod bucket_set {
                 running.push(job);
             }
             st.check_invariants(&tree).unwrap();
-            let sets = st.index().sets();
+            let sets = crate::tests::set_stats(st.index());
             peak.resize(sets.len(), 0);
             for (i, &(words, slot_words, live, _)) in sets.iter().enumerate() {
                 peak[i] = peak[i].max(live);
@@ -3759,7 +3767,10 @@ mod bucket_set {
             [2, 1, 0, 2],
             "peak live keys: level 1, root, by_free, by_ratio"
         );
-        let held: usize = st.index().sets().iter().map(|&(words, ..)| words).sum();
+        let held: usize = crate::tests::set_stats(st.index())
+            .iter()
+            .map(|&(words, ..)| words)
+            .sum();
         let per_key_value = 4096 * 4097 / 64;
         assert!(held <= 4 * 4097usize.div_ceil(64) + 1, "{held} arena words");
         assert!(
@@ -3810,6 +3821,157 @@ mod bucket_set {
     }
 }
 
+mod index_rebuild {
+    //! `FreeIndex::rebuild` against `(key, member)` lists sorted directly
+    //! from the counters, and its one insert per run of members.
+    use crate::index::{ratio_key, BucketSet, FreeIndex};
+    use crate::ClusterState;
+    use commsched_topology::{SwitchId, SystemPreset, Tree};
+    use proptest::prelude::*;
+    use rand::prelude::*;
+    use rand::SeedableRng;
+
+    /// Leaf 1 has no free node, leaf 3 is a node short, leaf 6 has another
+    /// ratio, and leaves 4 and 5 have different parents.
+    fn runs_conf() -> Tree {
+        Tree::from_conf(
+            "SwitchName=s0 Nodes=n[0-3]\n\
+             SwitchName=s1 Nodes=n[4-7]\n\
+             SwitchName=s2 Nodes=n[8-11]\n\
+             SwitchName=s3 Nodes=n[12-14]\n\
+             SwitchName=s4 Nodes=n[15-18]\n\
+             SwitchName=s5 Nodes=n[19-22]\n\
+             SwitchName=s6 Nodes=n[23-26]\n\
+             SwitchName=s7 Nodes=n[27-30]\n\
+             SwitchName=a Switches=s[0-4]\n\
+             SwitchName=b Switches=s[5-7]\n\
+             SwitchName=r Switches=a,b\n",
+        )
+        .unwrap()
+    }
+
+    /// Rebuild `index` from per-leaf free counts and ratios, and check every
+    /// set against its entries sorted straight from them: a level set holds
+    /// `(switch_free, id)` with ids numbered from the level's first kind of
+    /// id (leaves from 0, uppers from `num_leaves`), a parent's sets its
+    /// leaf children by ascending ordinal.
+    fn rebuild_and_check(index: &mut FreeIndex, tree: &Tree, free: &[u32], ratio: &[f64]) {
+        let leaves = tree.num_leaves();
+        let switch_free: Vec<u32> = (0..tree.num_switches())
+            .map(|id| {
+                let under = tree.leaf_ordinals_under(SwitchId(id));
+                under.iter().map(|&k| free[k]).sum()
+            })
+            .collect();
+        index.rebuild(tree, &switch_free, |k| ratio[k]);
+
+        let height = tree.height() as usize;
+        let uppers = tree.num_switches() - leaves;
+        let mut want: Vec<Vec<(u64, u32)>> = vec![Vec::new(); height + 2 * uppers];
+        for (id, &f) in switch_free.iter().enumerate().filter(|(_, &f)| f > 0) {
+            let level = tree.switch(SwitchId(id)).level as usize;
+            let member = if level == 1 { id } else { id - leaves };
+            want[level - 1].push((u64::from(f), member as u32));
+        }
+        for g in leaves..tree.num_switches() {
+            let mut children: Vec<usize> = (tree.switch(SwitchId(g)).children.iter())
+                .filter(|c| c.0 < leaves)
+                .map(|c| c.0)
+                .collect();
+            children.sort_unstable();
+            for (member, &k) in children.iter().enumerate().filter(|(_, &k)| free[k] > 0) {
+                let u = g - leaves;
+                if SwitchId(g) != tree.root() {
+                    want[height + u].push((u64::from(free[k]), member as u32));
+                }
+                want[height + uppers + u].push((ratio_key(ratio[k]), member as u32));
+            }
+        }
+        want.iter_mut().for_each(|set| set.sort_unstable());
+        let widen = |set: &BucketSet<u32>| -> Vec<(u64, u32)> {
+            set.asc().map(|(k, m)| (u64::from(k), m)).collect()
+        };
+        assert_eq!(index.map_sets(widen, |set| set.asc().collect()), want);
+    }
+
+    /// Each break in `runs_conf` starts a new insert: per set, the runs of
+    /// consecutive members under one key.
+    #[test]
+    fn rebuild_inserts_one_run_per_set_and_key() {
+        let tree = runs_conf();
+        let mut free: Vec<u32> = (0..8).map(|k| tree.leaf_size(k) as u32).collect();
+        free[1] = 0;
+        let mut ratio = [0.0; 8];
+        ratio[6] = 0.5;
+        let mut index = FreeIndex::default();
+        rebuild_and_check(&mut index, &tree, &free, &ratio);
+        let lookups: Vec<u64> = crate::tests::set_stats(&index)
+            .iter()
+            .map(|s| s.3)
+            .collect();
+        // Level 1: [0], [2], [3], [4-7]; level 2: a, b; the root. By free
+        // under a: [0], [2], [3], [4]; under b: [5-7]. By ratio under a:
+        // [0], [2-4]; under b: [5], [6], [7].
+        assert_eq!(lookups, [4, 2, 1, 4, 1, 0, 2, 3, 0]);
+    }
+
+    /// A fresh machine's leaves are consecutive siblings of one size and
+    /// ratio: one insert per set that holds anything.
+    #[test]
+    fn a_fresh_dragonfly_1m_state_inserts_one_run_per_set() {
+        let tree = SystemPreset::Dragonfly1M.build();
+        let st = ClusterState::new(&tree);
+        let sets = crate::tests::set_stats(st.index());
+        for (i, &(_, _, live, lookups)) in sets.iter().enumerate() {
+            assert_eq!(lookups, u64::from(live > 0), "set {i}");
+        }
+        assert_eq!(sets.iter().map(|s| s.3).sum::<u64>(), 3 + 64 + 64);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random counters over four shapes — the run breaks above, a
+        /// uniform three-level tree, ragged leaves under one root and a conf
+        /// whose parents' leaves interleave — rebuilt into one index in
+        /// turn, buffers reused.
+        #[test]
+        fn rebuild_matches_sorted_counters(seed in any::<u64>()) {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let interleaved = Tree::from_conf(
+                "SwitchName=s0 Nodes=n[0-1]\n\
+                 SwitchName=s1 Nodes=n[2-3]\n\
+                 SwitchName=s2 Nodes=n[4-5]\n\
+                 SwitchName=s3 Nodes=n[6-8]\n\
+                 SwitchName=a Switches=s0,s2\n\
+                 SwitchName=b Switches=s3,s1\n\
+                 SwitchName=r Switches=a,b\n",
+            )
+            .unwrap();
+            let trees = [
+                runs_conf(),
+                Tree::regular_three_level(3, 4, 2),
+                Tree::irregular_two_level(&[3, 3, 3, 2, 3, 3]),
+                interleaved,
+            ];
+            let mut index = FreeIndex::default();
+            for tree in &trees {
+                let leaves = tree.num_leaves();
+                let free: Vec<u32> = (0..leaves)
+                    .map(|k| {
+                        let size = tree.leaf_size(k) as u32;
+                        [0, 1, size / 2, size, size][rng.random_range(0..5usize)]
+                    })
+                    .collect();
+                let ratio: Vec<f64> = (0..leaves)
+                    .map(|_| [0.0, 0.0, 0.5, 1.25][rng.random_range(0..4usize)])
+                    .collect();
+                rebuild_and_check(&mut index, tree, &free, &ratio);
+            }
+        }
+    }
+}
+
 /// A selection's [`crate::Decision`] says no more than the selector did:
 /// its placement is `select`'s, its switch is the descent's, every scored
 /// candidate's totals are what a fresh evaluator computes for those takes,
@@ -3856,7 +4018,7 @@ mod decisions {
         );
         prop_assert_eq!(
             Some(decision.switch),
-            st.index().lowest_level_switch(req.nodes),
+            st.index().lowest_level_switch(tree, req.nodes),
             "{}: not the descent's switch",
             name
         );

@@ -17,31 +17,6 @@ pub(crate) fn stddev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
-/// Median (linear-interpolated); 0 for an empty slice.
-pub fn median(xs: &[f64]) -> f64 {
-    percentile(xs, 50.0)
-}
-
-/// Percentile in `[0, 100]` with linear interpolation between order
-/// statistics; 0 for an empty slice.
-pub(crate) fn percentile(xs: &[f64], p: f64) -> f64 {
-    assert!((0.0..=100.0).contains(&p), "percentile out of range");
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v: Vec<f64> = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    let rank = p / 100.0 * (v.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        v[lo]
-    } else {
-        let w = rank - lo as f64;
-        v[lo] * (1.0 - w) + v[hi] * w
-    }
-}
-
 /// Pearson correlation coefficient of paired samples; 0 when either side
 /// has no variance or fewer than two pairs.
 pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {

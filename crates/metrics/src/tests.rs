@@ -1,29 +1,10 @@
-use crate::stats::{percentile, stddev};
+use crate::stats::stddev;
 use crate::*;
 
 #[test]
-fn mean_median_basics() {
+fn mean_basics() {
     assert_eq!(mean(&[]), 0.0);
     assert_eq!(mean(&[2.0, 4.0]), 3.0);
-    assert_eq!(median(&[1.0, 3.0, 2.0]), 2.0);
-    assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
-    assert_eq!(median(&[]), 0.0);
-}
-
-#[test]
-fn percentile_interpolates() {
-    let xs = [10.0, 20.0, 30.0, 40.0, 50.0];
-    assert_eq!(percentile(&xs, 0.0), 10.0);
-    assert_eq!(percentile(&xs, 100.0), 50.0);
-    assert_eq!(percentile(&xs, 50.0), 30.0);
-    assert_eq!(percentile(&xs, 25.0), 20.0);
-    assert_eq!(percentile(&xs, 12.5), 15.0);
-}
-
-#[test]
-#[should_panic(expected = "percentile out of range")]
-fn percentile_rejects_out_of_range() {
-    percentile(&[1.0], 101.0);
 }
 
 #[test]
@@ -112,20 +93,6 @@ mod properties {
     use proptest::prelude::*;
 
     proptest! {
-        /// Percentile is monotone in p and bounded by the extremes.
-        #[test]
-        fn percentile_monotone(
-            mut xs in proptest::collection::vec(-1e6f64..1e6, 1..50),
-            p1 in 0.0f64..100.0,
-            p2 in 0.0f64..100.0,
-        ) {
-            let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-            prop_assert!(percentile(&xs, lo) <= percentile(&xs, hi) + 1e-9);
-            xs.sort_by(f64::total_cmp);
-            prop_assert!(percentile(&xs, lo) >= xs[0] - 1e-9);
-            prop_assert!(percentile(&xs, hi) <= xs[xs.len() - 1] + 1e-9);
-        }
-
         /// Pearson is symmetric, bounded in [-1, 1], and invariant under
         /// positive affine transforms.
         #[test]

@@ -115,11 +115,13 @@ pub enum SystemPreset {
     IitkHpc2010,
     /// Cori-like: large irregular leaves (330–380 nodes each).
     CoriLike,
-    /// Intrepid scale: 40,960 nodes (Blue Gene/P), three-level tree.
+    /// Intrepid scale: 40,960 nodes (Blue Gene/P) as a two-level tree of
+    /// 118 Cori-like leaves (330–380 nodes each).
     Intrepid,
     /// Theta scale: 4,392 nodes, Cori-like large leaves.
     Theta,
-    /// Mira scale: 49,152 nodes (Blue Gene/Q), three-level tree.
+    /// Mira scale: 49,152 nodes (Blue Gene/Q) as a two-level tree of 144
+    /// Cori-like leaves (330–380 nodes each).
     Mira,
     /// Exascale multi-rail fat-tree flattened to its placement hierarchy:
     /// 524,288 nodes — 32 pods (`p{i}`) × 32 leaves (`p{i}l{j}`) × (4 rails

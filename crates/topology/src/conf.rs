@@ -190,8 +190,11 @@ impl Tree {
     /// Hostlists are compressed canonically, so `from_conf(to_conf(t))`
     /// reproduces an identical tree.
     pub fn to_conf(&self) -> String {
+        // Bottom-up, ties by id: a stable sort of the ids by level.
+        let mut order: Vec<SwitchId> = (0..self.num_switches()).map(SwitchId).collect();
+        order.sort_by_key(|s| self.switch(*s).level);
         let mut out = String::new();
-        for &s in self.switches_by_level() {
+        for s in order {
             let sw = self.switch(s);
             if sw.children.is_empty() {
                 let names: Vec<_> = self

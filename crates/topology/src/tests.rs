@@ -141,8 +141,9 @@ fn leaf_ordinals_follow_child_lists() {
 /// `k` and every later switch is an upper one — in every preset and in a
 /// conf whose uppers sit between its leaves and list them out of order.
 /// The free-count index keys its level-1 set on this.
-#[test]
-fn leaf_ordinals_are_the_first_switch_ids() {
+/// Every preset, and a conf that lists leaves after uppers and children
+/// out of order.
+fn presets_and_a_shuffled_conf() -> Vec<(String, Tree)> {
     let conf = Tree::from_conf(
         "SwitchName=s0 Nodes=n[0-1]\n\
          SwitchName=a Switches=s0\n\
@@ -152,7 +153,7 @@ fn leaf_ordinals_are_the_first_switch_ids() {
          SwitchName=r Switches=b,a\n",
     )
     .unwrap();
-    let presets = [
+    [
         SystemPreset::IitkDepartment,
         SystemPreset::IitkHpc2010,
         SystemPreset::CoriLike,
@@ -162,8 +163,15 @@ fn leaf_ordinals_are_the_first_switch_ids() {
         SystemPreset::Multirail500k,
         SystemPreset::Dragonfly1M,
     ]
-    .map(|p| (format!("{p:?}"), p.build()));
-    for (what, t) in presets.into_iter().chain([("conf".to_string(), conf)]) {
+    .map(|p| (format!("{p:?}"), p.build()))
+    .into_iter()
+    .chain([("conf".to_string(), conf)])
+    .collect()
+}
+
+#[test]
+fn leaf_ordinals_are_the_first_switch_ids() {
+    for (what, t) in presets_and_a_shuffled_conf() {
         for s in (0..t.num_switches()).map(SwitchId) {
             let sw = t.switch(s);
             if s.0 < t.num_leaves() {
@@ -180,6 +188,28 @@ fn leaf_ordinals_are_the_first_switch_ids() {
         for n in (0..t.num_nodes()).step_by(97).map(NodeId) {
             assert_eq!(t.leaf_of(n), SwitchId(t.leaf_ordinal_of(n)), "{what}");
         }
+    }
+}
+
+/// Children are numbered before their parents, so the one switch without a
+/// parent is the last id — on every preset, an out-of-order conf and a
+/// lone leaf that is its own root.
+#[test]
+fn the_root_is_the_last_switch_id() {
+    let lone = Tree::from_conf("SwitchName=s0 Nodes=n[0-2]\n").unwrap();
+    let trees = presets_and_a_shuffled_conf()
+        .into_iter()
+        .chain([("one leaf".to_string(), lone)]);
+    for (what, t) in trees {
+        let last = SwitchId(t.num_switches() - 1);
+        let parentless: Vec<SwitchId> = (0..t.num_switches())
+            .map(SwitchId)
+            .filter(|&s| t.switch(s).parent.is_none())
+            .collect();
+        assert_eq!(parentless, [last], "{what}");
+        assert_eq!(t.root(), last, "{what}");
+        assert_eq!(t.subtree_nodes(last), t.num_nodes(), "{what}");
+        assert_eq!(t.height(), t.switch(last).level, "{what}");
     }
 }
 
@@ -314,14 +344,26 @@ fn node_names_dense_and_unique() {
     assert!(t.node_names.is_none(), "a built tree stores no node names");
 }
 
+/// `to_conf` writes switches bottom-up, ties by id, also where a lower
+/// switch has a higher id than an upper one.
 #[test]
-fn switches_by_level_is_bottom_up() {
-    let t = Tree::regular_three_level(2, 2, 2);
-    let order = t.switches_by_level();
-    let levels: Vec<u32> = order.iter().map(|s| t.switch(*s).level).collect();
-    let mut sorted = levels.clone();
-    sorted.sort_unstable();
-    assert_eq!(levels, sorted);
+fn to_conf_lists_switches_bottom_up() {
+    let t = Tree::from_conf(
+        "SwitchName=s0 Nodes=n0\n\
+         SwitchName=s1 Nodes=n1\n\
+         SwitchName=g Switches=s0\n\
+         SwitchName=h Switches=g\n\
+         SwitchName=k Switches=s1\n\
+         SwitchName=r Switches=h,k\n",
+    )
+    .unwrap();
+    let conf = t.to_conf();
+    let names: Vec<&str> = conf
+        .lines()
+        .map(|l| l.split_whitespace().next().unwrap())
+        .collect();
+    let want = ["s0", "s1", "g", "k", "h", "r"].map(|n| format!("SwitchName={n}"));
+    assert_eq!(names, want);
 }
 
 #[test]
@@ -740,8 +782,6 @@ mod builder_matches_conf {
         }
         assert_eq!(built.leaf_first, read.leaf_first, "{what}: leaf_first");
         assert_eq!(built.node_leaf, read.node_leaf, "{what}: node_leaf");
-        assert_eq!(built.root, read.root, "{what}: root");
-        assert_eq!(built.level_order, read.level_order, "{what}: level_order");
         let n = built.num_nodes();
         for i in [0, n / 2, n - 1] {
             assert_eq!(

@@ -143,15 +143,12 @@ pub struct Tree {
     pub(crate) node_names: Option<NameArena>,
     /// Leaf ordinal of each node — the one per-node table.
     pub(crate) node_leaf: Vec<u32>,
-    /// Leaves first: leaf ordinal `k` is switch `k`.
+    /// Leaves first: leaf ordinal `k` is switch `k`. Children come before
+    /// their parents, so the root is the last.
     pub(crate) switches: Vec<Switch>,
     /// First node id of each leaf ordinal, plus the node count as a final
     /// sentinel — the [`Tree::leaf_node_range`] table (`num_leaves + 1`).
     pub(crate) leaf_first: Vec<usize>,
-    pub(crate) root: SwitchId,
-    /// Switch ids in increasing level order (ties by id) — the precomputed
-    /// [`Tree::switches_by_level`] answer.
-    pub(crate) level_order: Vec<SwitchId>,
 }
 
 impl Tree {
@@ -254,16 +251,11 @@ impl Tree {
             return Err(TreeError::Cycle(switches[unreached].name.clone()));
         }
 
-        let mut level_order: Vec<SwitchId> = (0..switches.len()).map(SwitchId).collect();
-        level_order.sort_by_key(|s| switches[s.0].level);
-
         Ok(Tree {
             node_names,
             node_leaf,
             switches,
             leaf_first,
-            root,
-            level_order,
         })
     }
 
@@ -285,16 +277,17 @@ impl Tree {
         self.leaf_first.len() - 1
     }
 
-    /// The root switch.
+    /// The root switch: the last id, since every switch's children are
+    /// numbered before it and only the root has no parent.
     #[inline]
     pub fn root(&self) -> SwitchId {
-        self.root
+        SwitchId(self.switches.len() - 1)
     }
 
     /// Height of the tree = level of the root (leaves are level 1).
     #[inline]
     pub fn height(&self) -> u32 {
-        self.switches[self.root.0].level
+        self.switches[self.root().0].level
     }
 
     /// Access a switch by id.
@@ -427,14 +420,6 @@ impl Tree {
     #[inline]
     pub fn subtree_nodes(&self, s: SwitchId) -> usize {
         self.switches[s.0].subtree_nodes
-    }
-
-    /// Switches in increasing level order (leaves first, ties by id), for
-    /// bottom-up scans. Precomputed at construction — the old
-    /// allocate-and-sort on every call showed up in per-placement profiles.
-    #[inline]
-    pub(crate) fn switches_by_level(&self) -> &[SwitchId] {
-        &self.level_order
     }
 
     /// Size of the canonical *directed-link* id space over this tree: one
