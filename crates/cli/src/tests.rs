@@ -397,6 +397,42 @@ fn run_rejects_a_makespan_above_2_pow_53() {
     assert!(err.contains("run ends at 18014398509481984 s"), "{err}");
 }
 
+/// A degraded link stretches Eq. 7's runtime: a 2^46 s job on Theta whose
+/// every link runs at 1 ‰ from time 0 ends at 35,219,556,460,920,832 s.
+/// The run fails by name, in a debug build too, instead of tripping the
+/// exact-`f64` assertion on the stretched runtime.
+#[test]
+fn run_rejects_a_runtime_stretched_past_2_pow_53() {
+    let dir = std::env::temp_dir().join("commsched-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("stretched.swf");
+    let t = 1u64 << 46;
+    let line = format!("1 0 -1 {t} 8 -1 -1 8 {t} -1 1 -1 -1 -1 -1 -1 -1 -1\n");
+    std::fs::write(&log, line).unwrap();
+    let faults = dir.join("slow-links.trace");
+    let links = commsched_topology::SystemPreset::Theta
+        .build()
+        .num_directed_links();
+    let slow: String = (0..links)
+        .map(|l| format!("0 link:{l} degrade 1\n"))
+        .collect();
+    std::fs::write(&faults, slow).unwrap();
+    let args = [
+        "run",
+        "--swf",
+        log.to_str().unwrap(),
+        "--preset",
+        "theta",
+        "--comm-pct",
+        "100",
+        "--fault-trace",
+        faults.to_str().unwrap(),
+    ];
+    let (code, out, err) = run_cli(&args);
+    assert_eq!(code, 1, "{out}");
+    assert!(err.contains("run ends at 35219556460920832 s"), "{err}");
+}
+
 /// A failure can destroy more than 2^53 node-seconds of work in a run
 /// that ends inside 2^53 s: a 4,000-node job of 2^52 s whose node 0 fails
 /// half way, requeued. The run fails by name instead of tripping the

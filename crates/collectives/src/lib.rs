@@ -27,7 +27,10 @@
 //! into the pair lists above; the placement evaluator, whose ranks are
 //! contiguous per leaf switch, intersects it with those rank intervals
 //! ([`RankParts`]) instead ([`StepSegments::for_each_part_pair`]) and never
-//! lists a pair.
+//! lists a pair. Most XOR steps need not even that: over intervals no
+//! narrower than the step's distance, their part pairs follow from each
+//! part boundary's trailing zeros and each part's length
+//! ([`StepSegments::narrow_xor`], [`XorLevels`]).
 //!
 //! Non-power-of-two rank counts use the standard MPICH reduction: the
 //! `r = p - 2^⌊log2 p⌋` excess ranks fold into a power-of-two core with a
@@ -56,7 +59,7 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 mod schedule;
 
-pub use schedule::{CollectiveSpec, Pattern, RankParts, Step, StepSegments};
+pub use schedule::{CollectiveSpec, Pattern, RankParts, Step, StepSegments, XorLevels};
 
 #[cfg(test)]
 mod tests;

@@ -271,6 +271,129 @@ impl StepSegments {
             }
         }
     }
+
+    /// `Some((k, levels))` when this step is XOR by `2^k` and narrow over
+    /// `parts` ([`XorLevels`]): its part pairs are then `levels`' closed
+    /// form at level `k`, and [`Self::for_each_part_pair`] would report
+    /// exactly those. `None` for every other step.
+    pub fn narrow_xor<'p>(&self, parts: &'p mut RankParts) -> Option<(usize, &'p XorLevels)> {
+        let Shape::Xor { k, .. } = self.shape else {
+            return None;
+        };
+        if !k.is_power_of_two() {
+            return None;
+        }
+        let level = k.trailing_zeros() as usize;
+        let levels = parts.xor_levels(self.excess);
+        (level < levels.narrow).then_some((level, levels))
+    }
+}
+
+/// The part pairs of every *narrow* XOR step over a partition, in closed
+/// form, for one fold.
+///
+/// The fold maps part `t` to the index interval `[s_t, e_t)`, and XOR by
+/// `d = 2^k` over a power-of-two index count pairs `i` with `i + d` for
+/// every `i` whose bit `k` is clear. The step is narrow when every part
+/// holds an index and every *interior* part (neither the first nor the
+/// last) holds at least `d`. Then:
+///
+/// - a cross pair joins neighbours only, since `i` and `i + d` are less
+///   than an interior part apart; `(t, t + 1)` is joined iff some `i` with
+///   bit `k` clear lies in `[e_t − d, e_t)`, and a window of `d`
+///   consecutive indices has bit `k` set throughout iff it ends on a
+///   multiple of `2d`. So the pair is joined iff `k ≥ trailing_zeros(e_t)`
+///   ([`Self::joins`]). A short first or last part obeys the same rule:
+///   a first part shorter than `d` has bit `k` clear throughout and pairs
+///   into the next part, and every `i < e_t` with bit `k` clear has
+///   `i + d` below the index count, a multiple of `2d`.
+/// - `(t, t)` is joined iff `[s_t, e_t − d)` holds an index with bit `k`
+///   clear: always when `d ≤ (len − 1) / 2` (the interval is longer than
+///   `d`), never when `d ≥ len` (it is empty), and, at the one level in
+///   between, iff the first index at or after `s_t` with bit `k` clear
+///   lies below `e_t − d`. So the levels with a self pair are a prefix
+///   ([`Self::selves`]).
+///
+/// A part left no index by the fold makes no step narrow.
+#[derive(Debug, Clone, Default)]
+pub struct XorLevels {
+    /// Per boundary `t`, between parts `t` and `t + 1`: the lowest level
+    /// whose step joins them, `trailing_zeros(e_t)`.
+    joins: Vec<u8>,
+    /// Per part: how many levels, from 0, pair the part with itself.
+    selves: Vec<u8>,
+    /// Levels `0..narrow` are narrow; 0 when some part is empty, and then
+    /// `joins` and `selves` are not read.
+    narrow: usize,
+    /// The fold excess the levels were computed for.
+    fold: usize,
+}
+
+impl XorLevels {
+    /// Per boundary `t`: the lowest level whose step joins parts `t` and
+    /// `t + 1`; every narrow step at or above it joins them.
+    pub fn joins(&self) -> &[u8] {
+        &self.joins
+    }
+
+    /// Per part: how many levels, from 0, pair the part with itself.
+    pub fn selves(&self) -> &[u8] {
+        &self.selves
+    }
+
+    /// XOR by `2^k` is narrow iff `k < narrow()`; never more than the
+    /// index count's `log2`.
+    pub fn narrow(&self) -> usize {
+        self.narrow
+    }
+
+    /// The fold excess these levels describe: tables a caller builds from
+    /// them hold for every narrow step of that fold.
+    pub fn fold(&self) -> usize {
+        self.fold
+    }
+
+    /// The levels of the parts ending at `ends` (index space, ascending
+    /// from the first end) under fold `fold`.
+    fn fill(&mut self, ends: &[usize], fold: usize) {
+        self.joins.clear();
+        self.selves.clear();
+        self.fold = fold;
+        self.narrow = 0;
+        let last = ends.len() - 1;
+        let mut limit = usize::MAX;
+        let mut start = 0;
+        for (t, &end) in ends.iter().enumerate() {
+            if end == start {
+                return;
+            }
+            if t > 0 && t < last {
+                limit = limit.min(end - start);
+            }
+            if t < last {
+                self.joins.push(end.trailing_zeros() as u8);
+            }
+            self.selves.push(self_levels(start, end));
+            start = end;
+        }
+        self.narrow = floor_log2(start).min(floor_log2(limit) + 1);
+    }
+}
+
+/// How many levels `k`, from 0, pair an index of `[s, e)` with bit `k`
+/// clear with the index `2^k` above it inside the interval: every `k` with
+/// `2^k ≤ (len − 1) / 2`, plus `top = floor_log2(len − 1)` — the one level
+/// with `(len − 1) / 2 < 2^k < len` — when the first index at or after `s`
+/// with bit `top` clear lies below `e − 2^top`.
+fn self_levels(s: usize, e: usize) -> u8 {
+    let len = e - s;
+    if len < 2 {
+        return 0;
+    }
+    let top = floor_log2(len - 1);
+    let d = 1 << top;
+    let clear = if s & d == 0 { s } else { (s | (2 * d - 1)) + 1 };
+    (top + usize::from(clear + d < e)) as u8
 }
 
 /// A partition of the ranks `0..ranks()` into consecutive non-empty parts
@@ -291,6 +414,9 @@ pub struct RankParts {
     /// stale when `folded` is 0 (an unfolded step reads `bounds[1..]`).
     folded_ends: Vec<usize>,
     folded: usize,
+    /// The narrow XOR steps' closed form for the fold `levels_for`.
+    levels: XorLevels,
+    levels_for: Option<usize>,
 }
 
 impl RankParts {
@@ -298,6 +424,7 @@ impl RankParts {
     pub fn clear(&mut self) {
         self.bounds.clear();
         self.folded = 0;
+        self.levels_for = None;
     }
 
     /// Append a part of `ranks > 0` ranks.
@@ -309,6 +436,7 @@ impl RankParts {
         }
         self.bounds.push(start + ranks);
         self.folded = 0;
+        self.levels_for = None;
     }
 
     /// The ranks the parts hold together.
@@ -335,6 +463,22 @@ impl RankParts {
             self.folded = excess;
         }
         &self.folded_ends
+    }
+
+    /// The narrow XOR steps' levels under fold `excess`, computed once per
+    /// excess like the folded ends they read.
+    fn xor_levels(&mut self, excess: usize) -> &XorLevels {
+        if self.levels_for != Some(excess) {
+            self.ends(excess);
+            let ends = if excess == 0 {
+                &self.bounds[1..]
+            } else {
+                &self.folded_ends
+            };
+            self.levels.fill(ends, excess);
+            self.levels_for = Some(excess);
+        }
+        &self.levels
     }
 }
 
@@ -476,7 +620,10 @@ impl CollectiveSpec {
             .sum()
     }
 
-    /// Step `s` of the `num_steps(p)` over `p >= 2` ranks.
+    /// Step `s` of the `num_steps(p)` over `p >= 2` ranks. Inlined into
+    /// each caller's step loop: an Eq. 6 evaluation of a few takes spends
+    /// more on calling it than on pricing its narrow steps.
+    #[inline]
     fn step_at(&self, p: usize, s: usize) -> StepSegments {
         let msize = self.msize;
         match self.pattern {

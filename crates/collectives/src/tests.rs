@@ -385,7 +385,106 @@ mod properties {
                 return Err(proptest::test_runner::TestCaseError::fail(e));
             }
         }
+
+        /// The narrow XOR steps' closed form ([`crate::XorLevels`]) names
+        /// exactly the part pairs the sweep reports, over partitions of up
+        /// to 700 ranks into one-rank parts, parts of a few ranks and parts
+        /// of up to 160, for RD, RHVD and the power-of-two all-to-all.
+        #[test]
+        fn xor_levels_match_swept_pairs(
+            pat in prop::sample::select(vec![Pattern::Rd, Pattern::Rhvd, Pattern::Alltoall]),
+            p in 2usize..=700,
+            lens in proptest::collection::vec((0u8..4, 1usize..=160), 1..24),
+        ) {
+            let p = if pat == Pattern::Alltoall { 1 << p.ilog2() } else { p };
+            let mut bounds = vec![0];
+            for (kind, len) in lens {
+                let len = match kind {
+                    0 => 1,
+                    1 => len % 8 + 1,
+                    _ => len,
+                };
+                let at = bounds[bounds.len() - 1] + len;
+                if at >= p {
+                    break;
+                }
+                bounds.push(at);
+            }
+            bounds.push(p);
+            if let Err(e) = check_xor_levels(pat, &bounds) {
+                return Err(proptest::test_runner::TestCaseError::fail(e));
+            }
+        }
     }
+}
+
+/// Over the partition of `0..bounds.last()` at `bounds`, check that
+/// [`crate::StepSegments::narrow_xor`] calls a step narrow exactly when it
+/// is XOR by a power of two `d` and every part holds an index of the fold
+/// and every interior part at least `d` of them — the ends mapped here,
+/// apart from [`RankParts`] — and that the closed form then names exactly
+/// the deduplicated part pairs of [`crate::StepSegments::for_each_part_pair`].
+/// Returns how many narrow steps it checked.
+fn check_xor_levels(pat: Pattern, bounds: &[usize]) -> Result<usize, String> {
+    use std::collections::BTreeSet;
+    let p = bounds[bounds.len() - 1];
+    let core = 1usize << p.ilog2();
+    let excess = if pat == Pattern::Alltoall {
+        0
+    } else {
+        p - core
+    };
+    let fold = |b: usize| if b <= 2 * excess { b / 2 } else { b - excess };
+    let lens: Vec<usize> = bounds.windows(2).map(|w| fold(w[1]) - fold(w[0])).collect();
+    let interior = &lens[1..lens.len().saturating_sub(1).max(1)];
+    let limit = if lens.contains(&0) {
+        0
+    } else {
+        interior.iter().copied().min().unwrap_or(usize::MAX)
+    };
+    let mut parts = RankParts::default();
+    for w in bounds.windows(2) {
+        parts.push(w[1] - w[0]);
+    }
+    let spec = CollectiveSpec::new(pat, 1 << 16);
+    let folded = usize::from(excess > 0);
+    let mut narrow = 0;
+    for (s, step) in spec.step_segments(p).enumerate() {
+        let d = match pat {
+            Pattern::Rd | Pattern::Rhvd if s < folded || s == p.ilog2() as usize + folded => None,
+            Pattern::Rd => Some(1 << (s - folded)),
+            Pattern::Rhvd => Some(core >> (s - folded + 1)),
+            _ => Some(s + 1).filter(|k| k.is_power_of_two() && p.is_power_of_two()),
+        };
+        let want = d.filter(|&d| d <= limit);
+        let got = step.narrow_xor(&mut parts).map(|(k, levels)| {
+            let cross = (levels.joins().iter().enumerate())
+                .filter(|&(_, &j)| usize::from(j) <= k)
+                .map(|(t, _)| (t, t + 1));
+            let selves = (levels.selves().iter().enumerate())
+                .filter(|&(_, &n)| usize::from(n) > k)
+                .map(|(t, _)| (t, t));
+            (1usize << k, cross.chain(selves).collect::<BTreeSet<_>>())
+        });
+        let case = format!("{pat} over {p}, step {s}, bounds {bounds:?}");
+        if got.as_ref().map(|g| g.0) != want {
+            return Err(format!(
+                "{case}: narrow at {:?}, want {want:?}",
+                got.map(|g| g.0)
+            ));
+        }
+        if let Some((_, rule)) = got {
+            let mut swept = BTreeSet::new();
+            step.for_each_part_pair(&mut parts, |a, b| {
+                swept.insert((a, b));
+            });
+            if rule != swept {
+                return Err(format!("{case}: rule {rule:?}, swept {swept:?}"));
+            }
+            narrow += 1;
+        }
+    }
+    Ok(narrow)
 }
 
 /// Whether, over the partition of `0..bounds.last()` at `bounds` (strictly
@@ -431,53 +530,86 @@ fn check_part_pairs(pat: Pattern, bounds: &[usize]) -> Result<(), String> {
     Ok(())
 }
 
-/// The part-pair tie past the proptest's 300 ranks, at the rank counts
-/// where the fold's excess has its edges — one below, at and one above a
-/// power of two, a ragged 1,000 and 4,097 (excess 1 over a 4,096 core) —
-/// for RD and RHVD, and for all-to-all at powers of two (its XOR steps;
-/// other counts shift). Each count is cut three ways: Intrepid-sized
-/// parts, seeded ragged cuts with one-rank parts among them, and one-rank
-/// parts on both sides of the fold boundary `2 · excess`.
+/// The part-pair tie past the proptest's 300 ranks, on [`FIXED_CASES`]
+/// cut the [`fixed_partitions`] ways.
 #[test]
 fn part_pairs_match_expanded_pairs_past_300_ranks() {
-    let cases = [
-        (Pattern::Rd, &[511usize, 512, 513, 1000, 4097][..]),
-        (Pattern::Rhvd, &[511, 512, 513, 1000, 4097][..]),
-        (Pattern::Alltoall, &[512, 1024][..]),
-    ];
-    for (pat, counts) in cases {
-        for &p in counts {
-            let core = 1usize << p.ilog2();
-            let fold = 2 * (p - core);
-            let mut seed = p as u64;
-            let mut ragged = vec![0, p];
-            for _ in 0..24 {
-                seed = seed
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                let at = (seed >> 33) as usize % p;
-                ragged.extend([at, (at + 1).min(p)]);
-            }
-            let mut edge = vec![0, p];
-            for at in [
-                fold.saturating_sub(2),
-                fold.saturating_sub(1),
-                fold,
-                fold + 1,
-                core / 2,
-            ] {
-                edge.extend([at.min(p), (at + 1).min(p)]);
-            }
-            let intrepid: Vec<usize> = (0..p).step_by(347).chain([p]).collect();
-            for mut bounds in [intrepid, ragged, edge] {
-                bounds.sort_unstable();
-                bounds.dedup();
-                if let Err(e) = check_part_pairs(pat, &bounds) {
-                    panic!("{e}");
-                }
+    for (pat, p) in FIXED_CASES {
+        for bounds in fixed_partitions(p) {
+            if let Err(e) = check_part_pairs(pat, &bounds) {
+                panic!("{e}");
             }
         }
     }
+}
+
+/// `xor_levels_match_swept_pairs` past the proptest's 700 ranks, on the
+/// same counts and cuts as the part-pair tie, where the cuts every 64 and
+/// 256 ranks leave every boundary a multiple of `2d` for the narrower
+/// steps — no neighbour pair joined — and Intrepid-sized parts keep the
+/// steps up to 256 narrow.
+#[test]
+fn xor_levels_match_swept_pairs_past_700_ranks() {
+    let mut narrow = 0;
+    for (pat, p) in FIXED_CASES {
+        for bounds in fixed_partitions(p) {
+            narrow += check_xor_levels(pat, &bounds).unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
+    assert!(narrow > 250, "{narrow} narrow steps checked");
+}
+
+/// The rank counts where the fold's excess has its edges — one below, at
+/// and one above a power of two, a ragged 1,000 and 4,097 (excess 1 over a
+/// 4,096 core) — for RD and RHVD, and for all-to-all at powers of two
+/// (its XOR steps; other counts shift).
+const FIXED_CASES: [(Pattern, usize); 12] = [
+    (Pattern::Rd, 511),
+    (Pattern::Rd, 512),
+    (Pattern::Rd, 513),
+    (Pattern::Rd, 1000),
+    (Pattern::Rd, 4097),
+    (Pattern::Rhvd, 511),
+    (Pattern::Rhvd, 512),
+    (Pattern::Rhvd, 513),
+    (Pattern::Rhvd, 1000),
+    (Pattern::Rhvd, 4097),
+    (Pattern::Alltoall, 512),
+    (Pattern::Alltoall, 1024),
+];
+
+/// `0..p` cut five ways: Intrepid-sized parts, seeded ragged cuts with
+/// one-rank parts among them, one-rank parts on both sides of the fold
+/// boundary `2 · excess`, and aligned cuts every 64 and every 256 ranks.
+fn fixed_partitions(p: usize) -> Vec<Vec<usize>> {
+    let core = 1usize << p.ilog2();
+    let fold = 2 * (p - core);
+    let mut seed = p as u64;
+    let mut ragged = vec![0, p];
+    for _ in 0..24 {
+        seed = seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let at = (seed >> 33) as usize % p;
+        ragged.extend([at, (at + 1).min(p)]);
+    }
+    let mut edge = vec![0, p];
+    for at in [
+        fold.saturating_sub(2),
+        fold.saturating_sub(1),
+        fold,
+        fold + 1,
+        core / 2,
+    ] {
+        edge.extend([at.min(p), (at + 1).min(p)]);
+    }
+    let every = |n: usize| (0..p).step_by(n).chain([p]).collect::<Vec<usize>>();
+    let mut all = vec![every(347), ragged, edge, every(64), every(256)];
+    for bounds in &mut all {
+        bounds.sort_unstable();
+        bounds.dedup();
+    }
+    all
 }
 
 /// Every pair of every step in order, plus `msize`, for a spread of rank

@@ -16,7 +16,10 @@
 //! else. The per-step maximum is taken over the same set of leaf pairs the
 //! pair-by-pair sweep visits — a maximum does not care how often or in
 //! what order a value is offered — and the steps are summed in the same
-//! order, so the totals are the same bits.
+//! order, so the totals are the same bits. A narrow XOR step
+//! ([`XorLevels`]) joins only neighbouring takes and takes with themselves,
+//! each from a level on or up to a level, so it is priced from per-level
+//! maxima of those hops, built once per call, instead of swept.
 //!
 //! The evaluator never mutates the [`ClusterState`]. The hypothetical
 //! job's own contribution to `L_comm` (the paper's worked example counts
@@ -39,7 +42,7 @@
 use crate::cost::{leaf_contention_counts, CostModel, LeafLoad};
 use crate::placement::Placement;
 use crate::state::ClusterState;
-use commsched_collectives::{CollectiveSpec, RankParts, StepSegments};
+use commsched_collectives::{CollectiveSpec, RankParts, StepSegments, XorLevels};
 use commsched_num::{f64_of_u64, usize_of_u32};
 use commsched_topology::{SwitchId, Tree};
 
@@ -100,6 +103,13 @@ pub struct PlacementEvaluator {
     /// Eq. 3's pooled-term weight for a common switch at level `l ≥ 2`,
     /// at index `l − 2`.
     discounts: Vec<f64>,
+    /// Per narrow XOR level `k` ([`XorLevels`]): the largest hop of a
+    /// neighbour take pair joined at `k`, and of a take paired with itself
+    /// at `k` — the step's maximum is the larger of the two.
+    level_max: Vec<(f64, f64)>,
+    /// Steps swept and part pairs they reported, over every call.
+    #[cfg(test)]
+    swept: (u64, u64),
 }
 
 impl PlacementEvaluator {
@@ -162,6 +172,8 @@ impl PlacementEvaluator {
             loads,
             above,
             discounts,
+            level_max,
+            ..
         } = self;
         let (stamp, loads, above, discounts) = (*stamp, &*loads, &*above, &*discounts);
         // Eq. 5 across two takes' leaves: their lowest common switch is
@@ -175,32 +187,54 @@ impl PlacementEvaluator {
             f64::from(2 * level)
                 * (1.0 + leaf_contention_counts(&loads[da].0, &loads[db].0, discount))
         };
+        let mut hop = |da: usize, db: usize| {
+            if da == db {
+                loads[da].1
+            } else if memoized {
+                let slot = &mut hops[da * m + db];
+                if slot.0 != stamp {
+                    *slot = (stamp, cross(da, db));
+                }
+                slot.1
+            } else {
+                cross(da, db)
+            }
+        };
 
         let mut raw_hops = 0.0;
         let mut hop_bytes = 0.0;
         let mut worst: f64 = 0.0;
         let mut swept: Option<StepSegments> = None;
+        // The fold whose narrow XOR steps `level_max` holds the maxima of.
+        let mut tabled = None;
         for step in spec.step_segments(parts.ranks()) {
             // Identical consecutive steps (a ring's `p - 1`) share one
             // sweep; each is still added on its own.
             if swept != Some(step) {
-                worst = 0.0;
-                step.for_each_part_pair(parts, |da, db| {
-                    let h = if da == db {
-                        loads[da].1
-                    } else if memoized {
-                        let slot = &mut hops[da * m + db];
-                        if slot.0 != stamp {
-                            *slot = (stamp, cross(da, db));
-                        }
-                        slot.1
-                    } else {
-                        cross(da, db)
-                    };
-                    if h > worst {
-                        worst = h;
+                worst = if let Some((k, levels)) = step.narrow_xor(parts) {
+                    if tabled != Some(levels.fold()) {
+                        tabulate(levels, level_max, &mut hop);
+                        tabled = Some(levels.fold());
                     }
-                });
+                    level_max[k].0.max(level_max[k].1)
+                } else {
+                    let mut max: f64 = 0.0;
+                    step.for_each_part_pair(parts, |da, db| {
+                        #[cfg(test)]
+                        {
+                            self.swept.1 += 1;
+                        }
+                        let h = hop(da, db);
+                        if h > max {
+                            max = h;
+                        }
+                    });
+                    #[cfg(test)]
+                    {
+                        self.swept.0 += 1;
+                    }
+                    max
+                };
                 swept = Some(step);
             }
             raw_hops += worst;
@@ -210,6 +244,13 @@ impl PlacementEvaluator {
             raw_hops,
             hop_bytes,
         }
+    }
+
+    /// Steps swept pair by pair and the part pairs they reported, over
+    /// every call so far: the work the narrow XOR steps' tables skip.
+    #[cfg(test)]
+    pub(crate) fn swept(&self) -> (u64, u64) {
+        self.swept
     }
 
     /// Everything the sweep reads of the takes, once: their rank parts,
@@ -249,5 +290,41 @@ impl PlacementEvaluator {
                 self.above.push((s, tree.switch(s).level));
             }
         }
+    }
+}
+
+/// Fill `level_max` for the narrow steps of one fold: each neighbour pair's
+/// hop in the bucket of the lowest level that joins it, each self hop in
+/// the bucket of the highest level that pairs its take with itself, then
+/// a prefix maximum over the first and a suffix maximum over the second,
+/// since a pair joined at one narrow level is joined at every narrow level
+/// above (neighbours) or below (self). `hop` fills the memo for the
+/// neighbour pairs, which the wider steps' sweeps then read.
+fn tabulate(
+    levels: &XorLevels,
+    level_max: &mut Vec<(f64, f64)>,
+    hop: &mut impl FnMut(usize, usize) -> f64,
+) {
+    let narrow = levels.narrow();
+    level_max.clear();
+    level_max.resize(narrow, (0.0, 0.0));
+    for (t, &k) in levels.joins().iter().enumerate() {
+        let k = usize::from(k);
+        if k < narrow {
+            let h = hop(t, t + 1);
+            level_max[k].0 = level_max[k].0.max(h);
+        }
+    }
+    for (t, &n) in levels.selves().iter().enumerate() {
+        if n > 0 {
+            let k = usize::from(n).min(narrow) - 1;
+            level_max[k].1 = level_max[k].1.max(hop(t, t));
+        }
+    }
+    for k in 1..narrow {
+        level_max[k].0 = level_max[k].0.max(level_max[k - 1].0);
+    }
+    for k in (1..narrow).rev() {
+        level_max[k - 1].1 = level_max[k - 1].1.max(level_max[k].1);
     }
 }

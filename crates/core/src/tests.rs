@@ -2079,6 +2079,145 @@ mod take_precondition {
 /// The fast paths against their oracles at the sizes the benchmarks run
 /// (`commsched_bench::perf::PlacementCase`): the property tests above stop
 /// at a few hundred nodes.
+/// Eq. 6 where the narrow XOR steps' closed form has its edges (DESIGN.md
+/// §4.1): every total tied `to_bits` to the pair-by-pair oracle under both
+/// models, and the steps the evaluator still sweeps counted.
+mod narrow_steps {
+    use super::*;
+    use commsched_topology::SystemPreset;
+
+    /// Leaves of `size` nodes; leaf `k` has its top `5k` nodes held by a
+    /// communication-intensive job, so neighbouring takes' hops differ.
+    fn loaded(leaves: usize, size: usize) -> (Tree, ClusterState) {
+        let tree = Tree::irregular_two_level(&vec![size; leaves]);
+        let mut st = ClusterState::new(&tree);
+        let busy: Vec<NodeId> = (0..leaves)
+            .flat_map(|k| (0..5 * k).map(move |i| NodeId(size * (k + 1) - 1 - i)))
+            .collect();
+        st.allocate(
+            &tree,
+            JobId(1),
+            &ids(&tree, &busy),
+            JobNature::CommIntensive,
+        )
+        .unwrap();
+        (tree, st)
+    }
+
+    /// Tie `takes` to the oracle under RD and RHVD, and return the steps
+    /// the evaluator swept for each.
+    fn swept_steps(tree: &Tree, st: &ClusterState, takes: &[(usize, u32)]) -> [u64; 2] {
+        let placement = Placement::from_takes(tree, st, takes.to_vec());
+        [Pattern::Rd, Pattern::Rhvd].map(|pattern| {
+            let spec = CollectiveSpec::new(pattern, 1 << 20);
+            let mut ev = PlacementEvaluator::new();
+            let got = ev.evaluate_takes(tree, st, 0.5, takes, &spec);
+            let hops = reference_cost(&CostModel::HOPS, tree, st, &placement, &spec);
+            let bytes = reference_cost(&CostModel::HOP_BYTES, tree, st, &placement, &spec);
+            assert_eq!(
+                got.raw_hops.to_bits(),
+                hops.to_bits(),
+                "{pattern} {takes:?}"
+            );
+            assert_eq!(
+                got.hop_bytes.to_bits(),
+                bytes.to_bits(),
+                "{pattern} {takes:?}"
+            );
+            ev.swept().0
+        })
+    }
+
+    /// 64 ranks whose narrowest interior take holds 16 indices: the step
+    /// at distance 16 is narrow, and only the one at 32 is swept. With 15,
+    /// the step at 16 is swept too.
+    #[test]
+    fn an_interior_take_of_d_is_narrow_and_of_d_minus_one_is_not() {
+        let (tree, st) = loaded(4, 64);
+        assert_eq!(
+            swept_steps(&tree, &st, &[(0, 12), (1, 16), (2, 17), (3, 19)]),
+            [1, 1]
+        );
+        assert_eq!(
+            swept_steps(&tree, &st, &[(0, 12), (1, 15), (2, 18), (3, 19)]),
+            [2, 2]
+        );
+    }
+
+    /// A balanced 256-node grant of four 64-node takes: every boundary is
+    /// a multiple of `2d` for the steps up to distance 32, which join no
+    /// neighbour pair, and the step at 64 joins two of the three.
+    #[test]
+    fn boundaries_on_multiples_of_2d_join_no_neighbours() {
+        let (tree, st) = loaded(4, 80);
+        let takes = [(0, 64), (1, 64), (2, 64), (3, 64)];
+        assert_eq!(swept_steps(&tree, &st, &takes), [1, 1]);
+    }
+
+    /// First and last takes shorter than the step's distance, unfolded
+    /// (64 ranks, nothing swept) and folded (100 ranks: the fold's pre-
+    /// and post-step and the step at 32, wider than the 29 indices the
+    /// interior take keeps, are swept).
+    #[test]
+    fn short_first_and_last_takes() {
+        let (tree, st) = loaded(3, 64);
+        assert_eq!(swept_steps(&tree, &st, &[(0, 3), (1, 40), (2, 21)]), [0, 0]);
+        assert_eq!(swept_steps(&tree, &st, &[(0, 3), (1, 58), (2, 39)]), [3, 3]);
+    }
+
+    /// A one-rank take on an even rank below the fold keeps no index, as a
+    /// first take or an interior one: no step is narrow, and all eight of
+    /// an 80-rank schedule's steps are swept.
+    #[test]
+    fn a_take_the_fold_leaves_empty_is_swept() {
+        let (tree, st) = loaded(4, 64);
+        assert_eq!(swept_steps(&tree, &st, &[(0, 1), (1, 45), (2, 34)]), [8, 8]);
+        assert_eq!(
+            swept_steps(&tree, &st, &[(0, 4), (1, 1), (2, 40), (3, 35)]),
+            [8, 8]
+        );
+    }
+
+    /// An RHVD candidate of whole Intrepid leaves sweeps the fold's two
+    /// steps and only the core steps wider than its narrowest interior
+    /// take in the fold's index space; every narrower step is priced from
+    /// the tables.
+    #[test]
+    fn whole_intrepid_leaves_sweep_only_the_wide_steps() {
+        let tree = SystemPreset::Intrepid.build();
+        let st = ClusterState::new(&tree);
+        let spec = CollectiveSpec::new(Pattern::Rhvd, 1 << 20);
+        for leaves in [1, 2, 3, 5, 12, 40] {
+            let takes: Vec<(usize, u32)> =
+                (0..leaves).map(|k| (k, tree.leaf_size(k) as u32)).collect();
+            let p: usize = takes.iter().map(|t| t.1 as usize).sum();
+            let core = 1usize << p.ilog2();
+            let excess = p - core;
+            let fold = |b: usize| if b <= 2 * excess { b / 2 } else { b - excess };
+            let mut ends = vec![0];
+            for t in &takes {
+                ends.push(ends[ends.len() - 1] + t.1 as usize);
+            }
+            let narrowest = (1..leaves.saturating_sub(1))
+                .map(|t| fold(ends[t + 1]) - fold(ends[t]))
+                .min()
+                .unwrap_or(usize::MAX);
+            let wide = (0..p.ilog2()).filter(|&k| 1usize << k > narrowest).count();
+            let want = wide as u64 + 2 * u64::from(excess > 0);
+            let mut ev = PlacementEvaluator::new();
+            let got = ev.evaluate_takes(&tree, &st, 0.5, &takes, &spec);
+            assert_eq!(ev.swept().0, want, "{leaves} leaves, {p} ranks");
+            assert!(
+                want < spec.num_steps(p) as u64 || leaves <= 1,
+                "{leaves} leaves"
+            );
+            let placement = Placement::from_takes(&tree, &st, takes);
+            let hops = reference_cost(&CostModel::HOPS, &tree, &st, &placement, &spec);
+            assert_eq!(got.raw_hops.to_bits(), hops.to_bits(), "{leaves} leaves");
+        }
+    }
+}
+
 mod scale {
     use super::properties::scan_oracle;
     use super::*;

@@ -49,6 +49,19 @@ pub fn u64_of_f64(x: f64) -> u64 {
     x as u64
 }
 
+/// `f64` → `u64` for a non-negative integral value that may lie past 2^53,
+/// where every `f64` is an integer and the cast is still exact, saturating
+/// at `u64::MAX`; traps on negatives, NaN and fractions in debug. For a
+/// derived quantity whose caller refuses what lands past 2^53 later.
+#[inline]
+pub fn u64_of_f64_saturating(x: f64) -> u64 {
+    debug_assert!(
+        x >= 0.0 && x.fract() == 0.0,
+        "f64 {x} is not a non-negative integer"
+    );
+    x as u64
+}
+
 /// `usize` → `u32`; traps on truncation in debug.
 #[inline]
 pub fn u32_of_usize(x: usize) -> u32 {
@@ -105,6 +118,8 @@ mod tests {
     #[test]
     fn narrowing_round_trips_in_range() {
         assert_eq!(u64_of_f64(42.0), 42);
+        assert_eq!(u64_of_f64_saturating(2f64.powi(55)), 1 << 55);
+        assert_eq!(u64_of_f64_saturating(2f64.powi(70)), u64::MAX);
         assert_eq!(u32_of_usize(65536), 65536);
         assert_eq!(usize_of_u64(1 << 20), 1 << 20);
         assert_eq!(i64_of_usize(9), 9);

@@ -9,8 +9,8 @@ use commsched_core::{
 };
 use commsched_metrics::Registry;
 use commsched_num::{
-    f64_of_u64, f64_of_usize, i64_of_usize, u32_of_usize, u64_of_f64, u64_of_usize, usize_of_u32,
-    usize_of_u64,
+    f64_of_u64, f64_of_usize, i64_of_usize, u32_of_usize, u64_of_f64_saturating, u64_of_usize,
+    usize_of_u32, usize_of_u64,
 };
 use commsched_topology::NodeId;
 use commsched_topology::{SwitchId, Tree};
@@ -805,7 +805,9 @@ impl<'t> Engine<'t> {
             nodes: decision.placement,
             cost_actual,
             cost_default,
-            adjusted: u64_of_f64(adjusted.round().max(1.0)),
+            // Eq. 7 and a degraded link can stretch a runtime past 2^53 s;
+            // the job then ends past it, and the run in `MakespanTooLong`.
+            adjusted: u64_of_f64_saturating(adjusted.round().max(1.0)),
             comm_ratio,
             search: decision.search,
         })

@@ -2992,3 +2992,29 @@ fn a_makespan_past_2_pow_53_is_an_error() {
     let s = engine.run_observed(&edge, &mut rec, &mut reg).unwrap();
     assert_eq!(s.makespan, t);
 }
+
+/// Eq. 7's runtime is stretched by a degraded link: a 2^46 s job whose
+/// every link runs at 1 ‰ from time 0 ends past 2^53 s. The run ends in
+/// `MakespanTooLong`, in a debug build too, instead of tripping the
+/// exact-`f64` assertion on the stretched runtime.
+#[test]
+fn a_runtime_stretched_past_2_pow_53_is_an_error() {
+    use commsched_workload::fault::{FaultEvent, FaultKind, FaultTrace};
+    let tree = small_tree();
+    let t = 1u64 << 46;
+    let slow = (0..tree.num_directed_links())
+        .map(|node| FaultEvent {
+            t: 0,
+            node,
+            kind: FaultKind::LinkDegrade { permille: 1 },
+        })
+        .collect();
+    let engine = Engine::new(&tree, EngineConfig::new(SelectorKind::Adaptive))
+        .with_faults(FaultTrace::new(slow));
+    let log = JobLog::new("stretched", vec![comm_job(1, 0, t, 2, 1.0)]);
+    let err = engine.run(&log).unwrap_err();
+    assert!(
+        matches!(err, EngineError::MakespanTooLong(end) if end > 1 << 53),
+        "{err}"
+    );
+}

@@ -281,6 +281,20 @@ fn structure_errors() {
         crate::ConfError::Structure(TreeError::UnknownSwitch(_))
     ));
 
+    // An upper resolves only switches defined before it, so one that lists
+    // itself or a later switch names an unknown switch: no parent cycle
+    // gets past the reader.
+    for conf in [
+        "SwitchName=s0 Nodes=n0\nSwitchName=t Switches=s0,t\n",
+        "SwitchName=s0 Nodes=n0\nSwitchName=t0 Switches=s0,t1\nSwitchName=t1 Switches=t0\n",
+    ] {
+        let e = Tree::from_conf(conf).unwrap_err();
+        assert!(
+            matches!(e, crate::ConfError::Structure(TreeError::UnknownSwitch(_))),
+            "{e:?}"
+        );
+    }
+
     // child with two parents
     let e = Tree::from_conf(
         "SwitchName=s0 Nodes=n0\nSwitchName=t0 Switches=s0\nSwitchName=t1 Switches=s0,t0\n",

@@ -53,8 +53,6 @@ pub enum TreeError {
     Empty,
     /// More than one switch has no parent.
     MultipleRoots(Vec<String>),
-    /// No root (a parent cycle).
-    NoRoot,
     /// A node is attached to more than one leaf switch.
     DuplicateNode(String),
     /// A switch is claimed as child by more than one parent.
@@ -63,8 +61,6 @@ pub enum TreeError {
     UnknownSwitch(String),
     /// A switch mixes `Nodes=` and `Switches=` or has neither.
     MalformedSwitch(String),
-    /// A cycle in the switch hierarchy.
-    Cycle(String),
 }
 
 impl fmt::Display for TreeError {
@@ -72,14 +68,12 @@ impl fmt::Display for TreeError {
         match self {
             Self::Empty => write!(f, "topology has no switches"),
             Self::MultipleRoots(names) => write!(f, "multiple root switches: {names:?}"),
-            Self::NoRoot => write!(f, "no root switch (parent cycle?)"),
             Self::DuplicateNode(n) => write!(f, "node {n} attached to more than one switch"),
             Self::DuplicateChild(s) => write!(f, "switch {s} has more than one parent"),
             Self::UnknownSwitch(s) => write!(f, "switch {s} referenced but never defined"),
             Self::MalformedSwitch(s) => {
                 write!(f, "switch {s} must have exactly one of Nodes= or Switches=")
             }
-            Self::Cycle(s) => write!(f, "cycle in switch hierarchy at {s}"),
         }
     }
 }
@@ -223,32 +217,14 @@ impl Tree {
             });
         }
 
-        let roots: Vec<SwitchId> = (0..switches.len())
-            .map(SwitchId)
-            .filter(|s| switches[s.0].parent.is_none())
-            .collect();
-        let root = match roots.as_slice() {
-            [] => return Err(TreeError::NoRoot),
-            [r] => *r,
-            many => {
-                return Err(TreeError::MultipleRoots(
-                    many.iter().map(|s| switches[s.0].name.clone()).collect(),
-                ))
-            }
-        };
-
-        // Reachability from the root guards against disconnected groups that
-        // happen to form a second tree whose root got a parent via a cycle.
-        let mut reach = vec![false; switches.len()];
-        let mut stack = vec![root];
-        while let Some(s) = stack.pop() {
-            if std::mem::replace(&mut reach[s.0], true) {
-                return Err(TreeError::Cycle(switches[s.0].name.clone()));
-            }
-            stack.extend(switches[s.0].children.iter().copied());
-        }
-        if let Some(unreached) = reach.iter().position(|r| !r) {
-            return Err(TreeError::Cycle(switches[unreached].name.clone()));
+        // A parent comes after its children, so the last switch has none,
+        // every parent chain climbs by id to a parentless switch, and no
+        // chain can cycle: one parentless switch is a connected tree.
+        let roots = switches.iter().filter(|s| s.parent.is_none());
+        if roots.clone().nth(1).is_some() {
+            return Err(TreeError::MultipleRoots(
+                roots.map(|s| s.name.clone()).collect(),
+            ));
         }
 
         Ok(Tree {
