@@ -104,6 +104,11 @@ const EVAL_CASES: [(&str, SystemPreset, usize); 2] = [
 ];
 const EVAL_BATCH: usize = 64;
 
+/// The index rows' live keys: the root's ratio set of a two-level tree
+/// whose every leaf has a ratio of its own, as many as a parent can have
+/// leaf children — far past every preset's 144 (DESIGN.md §4.7).
+const INDEX_KEYS: [usize; 2] = [4096, 16_384];
+
 /// The reduced Figure 6 sweep (3 systems × 5 mixes × 4 selectors).
 const SWEEP_SCALE: Scale = Scale { jobs: 40, seed: 42 };
 /// Rounds of the sweep: each round runs every thread count once, in
@@ -193,6 +198,25 @@ fn measure_rows() -> Vec<Row> {
             });
             rows.push(row(format!("build_{label}"), "build", nodes, ns));
         }
+    }
+    for keys in INDEX_KEYS {
+        let (tree, mut state, probes) = keyed_leaves_case(keys);
+        let job = JobId(u64::MAX);
+        let batch_ns = median_ns(ITERS, || {
+            for probe in &probes {
+                state
+                    .allocate(&tree, job, probe, JobNature::CommIntensive)
+                    .expect("the node is free");
+                std::hint::black_box(state.release(&tree, job).expect("just allocated"));
+            }
+        });
+        rows.push(Row {
+            case: format!("bucket_rekey_{keys}"),
+            kind: "index",
+            nodes: tree.num_nodes(),
+            request: keys,
+            median_ns: batch_ns / EVAL_BATCH as u64,
+        });
     }
     for (label, preset, want) in EVAL_CASES {
         let case = PlacementCase::new(preset, want);
@@ -285,6 +309,53 @@ fn sibling_run_case(tree: &Tree) -> (ClusterState, Placement) {
     assert_eq!(parent(0), parent(leaves - 1), "one group");
     let placement = Placement::from_nodes(tree, &nodes).expect("leaves hold their nodes");
     (ClusterState::new(tree), placement)
+}
+
+/// A two-level tree of `leaves` leaves of 33 to 96 nodes, each with its
+/// own `(busy, comm)` occupancy and so its own communication ratio: the
+/// root's ratio set holds `leaves` live keys, one member each. Each of the
+/// [`EVAL_BATCH`] probes is one more node on a leaf, the leaves spread
+/// evenly over the ordinals: allocating and releasing one re-keys its leaf
+/// twice in that set (and in the level-1 set, whose keys are the few free
+/// counts), each probe at another place in the key order.
+fn keyed_leaves_case(leaves: usize) -> (Tree, ClusterState, Vec<Placement>) {
+    let sizes: Vec<usize> = (0..leaves).map(|k| 33 + k % 64).collect();
+    let tree = Tree::irregular_two_level(&sizes);
+    // Per size, occupancies in turn, each whose ratio no leaf has yet.
+    let pairs: Vec<(usize, usize)> = (1..32)
+        .flat_map(|busy| (0..=busy).map(move |comm| (busy, comm)))
+        .collect();
+    let mut cursor = [0; 64];
+    let mut seen = std::collections::BTreeSet::new();
+    let (mut comm, mut compute, mut probes) = (Vec::new(), Vec::new(), Vec::new());
+    for (k, &size) in sizes.iter().enumerate() {
+        let (busy, held) = loop {
+            let (busy, held) = pairs[cursor[k % 64]];
+            cursor[k % 64] += 1;
+            let ratio = held as f64 / busy as f64 + busy as f64 / size as f64;
+            if seen.insert(ratio.to_bits()) {
+                break (busy, held);
+            }
+        };
+        let first = tree.leaf_node_range(k).start;
+        comm.extend((first..first + held).map(NodeId));
+        compute.extend((first + held..first + busy).map(NodeId));
+        if k % (leaves / EVAL_BATCH) == 0 {
+            let node = [NodeId(first + busy)];
+            probes.push(Placement::from_nodes(&tree, &node).expect("the leaf holds it"));
+        }
+    }
+    let mut state = ClusterState::new(&tree);
+    for (job, nodes, nature) in [
+        (0, &comm, JobNature::CommIntensive),
+        (1, &compute, JobNature::ComputeIntensive),
+    ] {
+        let placement = Placement::from_nodes(&tree, nodes).expect("leaves hold their nodes");
+        state
+            .allocate(&tree, JobId(job), &placement, nature)
+            .expect("each node is held once");
+    }
+    (tree, state, probes)
 }
 
 /// Evaluator calls per second over [`ITERS`] seeded searches on Theta.

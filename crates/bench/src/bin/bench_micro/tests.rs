@@ -49,3 +49,21 @@ fn missing_or_invalid_baseline_is_an_error() {
     assert!(check_medians(r#"{"bench": "x"}"#, &live).is_err());
     assert!(check_medians(r#"{"results": [{"case": "a"}]}"#, &live).is_err());
 }
+
+/// The index rows' state gives every leaf a ratio of its own and leaves
+/// each one free nodes, so the root's ratio set holds one live key per
+/// leaf; each probe is one free node of every 64th leaf.
+#[test]
+fn keyed_leaves_have_distinct_ratios() {
+    let (tree, state, probes) = keyed_leaves_case(4096);
+    let mut ratios: Vec<u64> = (0..tree.num_leaves())
+        .map(|k| state.communication_ratio(&tree, k).to_bits())
+        .collect();
+    ratios.sort_unstable();
+    ratios.dedup();
+    assert_eq!(ratios.len(), 4096);
+    assert!((0..4096).all(|k| state.leaf_free(k) > 0));
+    let leaves: Vec<usize> = probes.iter().map(|p| p.takes()[0].0).collect();
+    assert_eq!(leaves, (0..4096).step_by(64).collect::<Vec<_>>());
+    assert!(probes.iter().all(|p| p.len() == 1));
+}

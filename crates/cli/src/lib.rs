@@ -51,7 +51,7 @@ pub fn run(argv: &[String], out: &mut dyn Write, err: &mut dyn Write) -> i32 {
     // `--threads 0` (unset) builds the pool at the ambient default, so
     // installing it unconditionally is behavior-preserving; thread count
     // affects wall-clock only, never output bytes.
-    let threads = match parsed.get_parsed::<usize>("threads", 0) {
+    let threads = match sizes(&parsed) {
         Ok(n) => n,
         Err(e) => {
             let _ = writeln!(err, "error: {e}\n\n{}", usage());
@@ -85,6 +85,27 @@ pub fn run(argv: &[String], out: &mut dyn Write, err: &mut dyn Write) -> i32 {
             1
         }
     }
+}
+
+/// The most worker threads `--threads` may ask for.
+const MAX_THREADS: usize = 1024;
+
+/// The most jobs `--jobs` may ask for, a thousand times the paper's
+/// 1,000-job logs; a generated log is allocated at the size asked for.
+const MAX_JOBS: usize = 1_000_000;
+
+/// `--threads` (0 when unset), once it and `--jobs` are within their
+/// bounds: checked before any thread is spawned or any log allocated.
+fn sizes(p: &args::Parsed) -> Result<usize, String> {
+    let threads = p.get_parsed::<usize>("threads", 0)?;
+    if threads > MAX_THREADS {
+        return Err(format!("--threads {threads} is above {MAX_THREADS}"));
+    }
+    let jobs = p.get_parsed::<usize>("jobs", 0)?;
+    if jobs > MAX_JOBS {
+        return Err(format!("--jobs {jobs} is above {MAX_JOBS}"));
+    }
+    Ok(threads)
 }
 
 /// The usage text.

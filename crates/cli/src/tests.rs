@@ -208,6 +208,27 @@ fn global_threads_flag_is_accepted_everywhere() {
     assert_eq!(code, 0, "{err}");
 }
 
+/// The first value past each size bound is a usage error, raised before
+/// a thread is spawned or a log allocated.
+#[test]
+fn size_flags_are_bounded_by_name() {
+    for (args, flag) in [
+        (
+            &["patterns", "4", "--threads", "1025"][..],
+            "--threads 1025 is above 1024",
+        ),
+        (
+            &["log", "generate", "--system", "theta", "--jobs", "1000001"][..],
+            "--jobs 1000001 is above 1000000",
+        ),
+    ] {
+        let (code, out, err) = run_cli(args);
+        assert_eq!(code, 2, "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?}: {out}");
+        assert!(err.starts_with(&format!("error: {flag}\n")), "{err}");
+    }
+}
+
 // ------------------------------------------------------------- commands
 
 #[test]

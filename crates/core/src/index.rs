@@ -71,6 +71,8 @@ use std::collections::BinaryHeap;
 mod bucket;
 
 pub(crate) use bucket::BucketSet;
+#[cfg(test)]
+pub(crate) use bucket::BLOCK;
 
 const SIGN: u64 = 1 << 63;
 
@@ -155,27 +157,30 @@ impl FreeIndex {
             self.by_free[u].clear(universe);
             self.by_ratio[u].clear(universe);
         }
-        let level_entries = tree.switches().iter().enumerate().filter_map(|(id, sw)| {
-            let free = keyed(switch_free[id])?;
-            let member = if id < leaves { id } else { id - leaves };
-            Some((level_slot(sw.level), free, u32_of_usize(member)))
-        });
-        insert_runs(&mut self.level_sets, level_entries);
-        // Each leaf with a parent and free nodes: its parent, ordinal,
-        // member in the parent's sets and free count.
-        let leaf_entries = || {
-            (0..leaves).filter_map(|k| {
-                let g = tree.switch(tree.leaf(k)).parent?;
-                Some((g, k, self.child_member[k], keyed(switch_free[k])?))
-            })
-        };
-        let by_free = leaf_entries()
-            .filter(|&(g, ..)| g != tree.root())
-            .map(|(g, _, member, free)| (upper(tree, g), free, member));
-        insert_runs(&mut self.by_free, by_free);
-        let by_ratio =
-            leaf_entries().map(|(g, k, member, _)| (upper(tree, g), ratio_key(ratio(k)), member));
-        insert_runs(&mut self.by_ratio, by_ratio);
+        // Leaf `k` is member `k` of level 1; an upper switch is its slot.
+        let leaf_entries = (0..leaves).filter_map(|k| Some((0, keyed(switch_free[k])?, k)));
+        let upper_entries = tree.switches()[leaves..]
+            .iter()
+            .enumerate()
+            .filter_map(|(u, sw)| Some((level_slot(sw.level), keyed(switch_free[leaves + u])?, u)));
+        insert_runs(&mut self.level_sets, leaf_entries.chain(upper_entries));
+        // Each parent's free leaf children, member by member; the root,
+        // the last switch, keeps no `by_free` set.
+        for u in 0..uppers {
+            // `(member, ordinal, free count)` of each free leaf child.
+            let free = || {
+                let ords = self.child_ords[span(&self.child_start, u)].iter();
+                ords.enumerate().filter_map(|(m, &k)| {
+                    let k = usize_of_u32(k);
+                    Some((m, k, keyed(switch_free[k])?))
+                })
+            };
+            if u + 1 < uppers {
+                insert_runs(&mut self.by_free, free().map(|(m, _, f)| (u, f, m)));
+            }
+            let by_ratio = free().map(|(m, k, _)| (u, ratio_key(ratio(k)), m));
+            insert_runs(&mut self.by_ratio, by_ratio);
+        }
     }
 
     /// Re-key upper switch `s` in its level set.
@@ -186,13 +191,14 @@ impl FreeIndex {
         set.rekey(member, 1, keyed(old_free), keyed(new_free));
     }
 
-    /// Re-key the `len` leaves `first..first + len`, siblings that all move
-    /// from the same keys to the same keys, in the level-1 set and their
-    /// parent's sets: consecutive ordinals under one parent are
-    /// consecutive members of each, so every set re-keys one range.
+    /// Re-key the `len` leaves `first..first + len`, children of `parent`
+    /// that all move from the same keys to the same keys, in the level-1
+    /// set and their parent's sets: consecutive ordinals under one parent
+    /// are consecutive members of each, so every set re-keys one range.
     pub(crate) fn apply_leaves(
         &mut self,
         tree: &Tree,
+        parent: Option<SwitchId>,
         (first, len): (u32, u32),
         (old_free, old_rkey): (u32, u64),
         (new_free, new_rkey): (u32, u64),
@@ -201,7 +207,7 @@ impl FreeIndex {
         // Level 1 is exactly the leaves, ids `0..num_leaves`: its member
         // is the ordinal itself.
         self.level_sets[0].rekey(first, len, old, new);
-        let Some(g) = tree.switch(tree.leaf(usize_of_u32(first))).parent else {
+        let Some(g) = parent else {
             return;
         };
         let member = self.child_member[usize_of_u32(first)];
@@ -329,10 +335,11 @@ fn level_slot(level: u32) -> usize {
 /// consecutive members of one set under one key.
 fn insert_runs<K: Ord + Copy>(
     sets: &mut [BucketSet<K>],
-    entries: impl Iterator<Item = (usize, K, u32)>,
+    entries: impl Iterator<Item = (usize, K, usize)>,
 ) {
     let mut run: Option<(usize, K, u32, u32)> = None;
     for (set, key, member) in entries {
+        let member = u32_of_usize(member);
         match &mut run {
             Some((s, k, first, len)) if (*s, *k, *first + *len) == (set, key, member) => {
                 *len += 1;

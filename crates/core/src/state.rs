@@ -175,15 +175,17 @@ impl Lag {
     }
 }
 
-/// Leaves `first..first + len`, consecutive siblings of one size whose
-/// `(free, busy, comm)` counters each went from `before` to `after`; their
-/// index keys and their ancestors' counts have not moved yet. A single
-/// take is a run of one.
+/// Leaves `first..first + len`, consecutive children of `parent` of
+/// `size` nodes each, whose `(free, busy, comm)` counters each went from
+/// `before` to `after`; their index keys and their ancestors' counts have
+/// not moved yet. A single take is a run of one.
 struct LeafRun {
     first: usize,
     len: u32,
     before: [u32; 3],
     after: [u32; 3],
+    parent: Option<SwitchId>,
+    size: usize,
 }
 
 /// Mutable occupancy state over an immutable [`Tree`].
@@ -271,12 +273,12 @@ impl ClusterState {
         self.node_free.reset(nodes, true);
         refill(&mut self.leaf_busy, leaves, 0);
         refill(&mut self.leaf_comm, leaves, 0);
+        // Leaves' sizes from the node table, not from each leaf's `Switch`.
         self.switch_free.clear();
-        self.switch_free.extend(
-            tree.switches()
-                .iter()
-                .map(|s| u32_of_usize(s.subtree_nodes)),
-        );
+        let sizes = (0..leaves).map(|k| tree.leaf_size(k));
+        let uppers = tree.switches()[leaves..].iter().map(|s| s.subtree_nodes);
+        self.switch_free
+            .extend(sizes.chain(uppers).map(u32_of_usize));
         refill(&mut self.node_health, nodes, NodeHealth::Up);
         refill(&mut self.leaf_down, leaves, 0);
         self.down_total = 0;
@@ -495,14 +497,13 @@ impl ClusterState {
             }
         }
         // The take joins the pending run if it is the next sibling of the
-        // same size making the same move: integer compares, the tree last.
+        // same size making the same move: one parent and one size read.
         let after = self.counters(k);
-        let parent = |k| tree.switch(tree.leaf(k)).parent;
+        let (parent, size) = (tree.switch(tree.leaf(k)).parent, tree.leaf_size(k));
         if let Some(run) = &mut lag.run {
             if run.first + usize_of_u32(run.len) == k
                 && (run.before, run.after) == (before, after)
-                && tree.leaf_size(k) == tree.leaf_size(run.first)
-                && parent(k) == parent(run.first)
+                && (run.parent, run.size) == (parent, size)
             {
                 run.len += 1;
                 return;
@@ -514,6 +515,8 @@ impl ClusterState {
             len: 1,
             before,
             after,
+            parent,
+            size,
         });
     }
 
@@ -524,17 +527,17 @@ impl ClusterState {
         let Some(run) = lag.run.take() else {
             return;
         };
-        let size = f64_of_usize(tree.leaf_size(run.first));
+        let size = f64_of_usize(run.size);
         let keys = |[free, busy, comm]: [u32; 3]| (free, ratio_key(ratio_value(busy, comm, size)));
         let leaves = (u32_of_usize(run.first), run.len);
         self.index
-            .apply_leaves(tree, leaves, keys(run.before), keys(run.after));
+            .apply_leaves(tree, run.parent, leaves, keys(run.before), keys(run.after));
         let (old, new) = (run.before[0], run.after[0]);
         let moved = old.abs_diff(new) * run.len;
         if moved == 0 {
             return;
         }
-        let mut s = tree.switch(tree.leaf(run.first)).parent;
+        let mut s = run.parent;
         while let Some(id) = s {
             let sw = tree.switch(id);
             if let Some((displaced, keyed)) = lag.note(sw.level, id, self.switch_free[id.0]) {

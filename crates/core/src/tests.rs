@@ -2304,6 +2304,31 @@ mod scale {
         }
     }
 
+    /// `bench_micro`'s `eval_theta_300` and `eval_intrepid_5000` cases —
+    /// the half-occupied state, the default fill of the probe's request,
+    /// RHVD at 1 MiB — sweep exactly these steps and report exactly these
+    /// part pairs per call: the rows' timing bound cannot tell the
+    /// narrow-step tables switched off (about 1.5x slower), this count
+    /// can.
+    #[test]
+    fn benchmark_candidates_sweep_pinned_steps() {
+        for (preset, want, pinned) in [
+            (SystemPreset::Theta, 300, (2, 2)),
+            (SystemPreset::Intrepid, 5000, (8, 283)),
+        ] {
+            let tree = preset.build();
+            let st = half_occupied(&tree);
+            let req = AllocRequest::comm(JobId(999_999), want);
+            let fill = DefaultTreeSelector.select(&tree, &st, &req).unwrap();
+            let spec = CollectiveSpec::new(Pattern::Rhvd, 1 << 20);
+            let mut eval = PlacementEvaluator::new();
+            let got = eval.evaluate_takes(&tree, &st, 0.5, fill.takes(), &spec);
+            assert_eq!(eval.swept(), pinned, "{preset:?}: steps, part pairs");
+            let hops = reference_cost(&CostModel::HOPS, &tree, &st, &fill, &spec);
+            assert_eq!(got.raw_hops.to_bits(), hops.to_bits(), "{preset:?}");
+        }
+    }
+
     /// Interval scoring against the pair-by-pair oracle at the rank counts
     /// `bench_e2e`'s logs carry — the largest power of two, the whole
     /// machine and the largest folded count on Intrepid, Mira's largest
@@ -2428,6 +2453,42 @@ mod lifecycle {
         assert_eq!(s.down_total(), 0);
         assert_eq!(s, ClusterState::new(&t));
         s.check_invariants(&t).unwrap();
+    }
+
+    /// Bringing up a switch that is up, and downing one over a running
+    /// job (the job's lowest node, not a down one beside it, is named),
+    /// are refused and change nothing.
+    #[test]
+    fn switch_errors_name_the_switch() {
+        let t = tree();
+        let mut s = ClusterState::new(&t);
+        let leaf = t.leaf(1);
+        assert_eq!(
+            s.set_switch_up(&t, leaf),
+            Err(StateError::SwitchNotDown(leaf))
+        );
+        s.set_down(&t, NodeId(3)).unwrap();
+        let nodes = ids(&t, &[NodeId(4), NodeId(5)]);
+        s.allocate(&t, JobId(1), &nodes, JobNature::ComputeIntensive)
+            .unwrap();
+        let before = s.clone();
+        for sw in [leaf, t.root()] {
+            let err = StateError::SwitchBusy {
+                switch: sw,
+                node: NodeId(4),
+            };
+            assert_eq!(s.set_switch_down(&t, sw), Err(err));
+        }
+        assert_eq!(s, before);
+        s.check_invariants(&t).unwrap();
+        s.release(&t, JobId(1)).unwrap();
+        s.set_switch_down(&t, leaf).unwrap();
+        assert_eq!(
+            s.set_switch_down(&t, leaf),
+            Err(StateError::SwitchDown(leaf))
+        );
+        s.set_switch_up(&t, leaf).unwrap();
+        assert_eq!(s.free_total(), 5);
     }
 
     #[test]
@@ -3719,7 +3780,7 @@ mod free_bits {
 mod bucket_set {
     //! The free-count index's bucketed set (`index/bucket.rs`) against a
     //! `BTreeSet<(key, member)>`, driven in lockstep.
-    use crate::index::{ratio_key, BucketSet};
+    use crate::index::{ratio_key, BucketSet, BLOCK};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
     use rand::prelude::*;
@@ -3779,10 +3840,52 @@ mod bucket_set {
         m as u32
     }
 
-    /// `steps` random inserts, removes and re-keys over keys drawn from
-    /// `keys`, each of a range of members that share a key (up to two
-    /// words' worth, so ranges start and end anywhere in a word and cross
-    /// word edges), checking [`agree`] after each.
+    /// One random step on `set` and its model: a range of members that
+    /// share a key (up to two words' worth, so ranges start and end
+    /// anywhere in a word and cross word edges) is inserted under a key
+    /// drawn from `keys`, removed, or re-keyed — half the time from the
+    /// start of a run of one key, so a re-key often moves a whole bucket,
+    /// onto a key that is live or one that is not.
+    fn step<K: Ord + Copy + Debug>(
+        rng: &mut impl Rng,
+        set: &mut BucketSet<K>,
+        model: &mut BTreeSet<(K, u32)>,
+        key_of: &mut [Option<K>],
+        keys: &[K],
+    ) {
+        let universe = key_of.len();
+        let mut m = member(rng, universe) as usize;
+        if rng.random::<bool>() {
+            while m > 0 && key_of[m - 1] == key_of[m] {
+                m -= 1;
+            }
+        }
+        let new = Some(keys[rng.random_range(0..keys.len())]);
+        let cur = key_of[m];
+        let most = rng.random_range(1..=130usize);
+        let len = (m..universe)
+            .take(most)
+            .take_while(|&i| key_of[i] == cur)
+            .count();
+        let new = if cur.is_some() && rng.random::<bool>() {
+            None
+        } else {
+            new
+        };
+        set.rekey(m as u32, len as u32, cur, new);
+        for (i, key) in key_of.iter_mut().enumerate().skip(m).take(len) {
+            if let Some(old) = cur {
+                model.remove(&(old, i as u32));
+            }
+            if let Some(new) = new {
+                model.insert((new, i as u32));
+            }
+            *key = new;
+        }
+    }
+
+    /// `steps` random [`step`]s over keys drawn from `keys`, checking
+    /// [`agree`] after each.
     fn drive<K: Ord + Copy + Debug>(
         universe: usize,
         keys: &[K],
@@ -3795,27 +3898,7 @@ mod bucket_set {
         let mut model = BTreeSet::new();
         let mut key_of: Vec<Option<K>> = vec![None; universe];
         for _ in 0..steps {
-            let m = member(&mut rng, universe);
-            let new = keys[rng.random_range(0..keys.len())];
-            let cur = key_of[m as usize];
-            let most = rng.random_range(1..=130usize);
-            let range = m as usize..universe;
-            let len = range.take(most).take_while(|&i| key_of[i] == cur).count();
-            let members = m..m + len as u32;
-            if let Some(old) = cur {
-                set.remove(old, m, len as u32);
-                for i in members.clone() {
-                    model.remove(&(old, i));
-                    key_of[i as usize] = None;
-                }
-            }
-            if cur.is_none() || rng.random::<bool>() {
-                set.insert(new, m, len as u32);
-                for i in members {
-                    model.insert((new, i));
-                    key_of[i as usize] = Some(new);
-                }
-            }
+            step(&mut rng, &mut set, &mut model, &mut key_of, keys);
             // Every key the set may hold, each live one among them, and
             // keys past both ends.
             let mut probes = keys.to_vec();
@@ -3916,6 +3999,169 @@ mod bucket_set {
             held * 1000 < per_key_value,
             "{held} vs {per_key_value} words"
         );
+    }
+
+    /// 6,000 members, one per key at first: the keys fill many blocks, and
+    /// re-keys move entries within and across block edges, whole buckets
+    /// onto keys live and not, while blocks split and empty. Held to the
+    /// model after every step, in full every 250 steps.
+    #[test]
+    fn thousands_of_keys_match_an_ordered_set() {
+        const UNIVERSE: usize = 6000;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(52);
+        let mut set = BucketSet::default();
+        set.clear(UNIVERSE);
+        let mut model = BTreeSet::new();
+        let mut key_of: Vec<Option<u32>> = vec![None; UNIVERSE];
+        for m in 0..UNIVERSE as u32 {
+            set.insert(3 * m, m, 1);
+            model.insert((3 * m, m));
+            key_of[m as usize] = Some(3 * m);
+        }
+        let keys: Vec<u32> = (0..3 * UNIVERSE as u32 + 50).collect();
+        let mut peak = 0;
+        for i in 0..3000 {
+            let before = set.blocks().len();
+            step(&mut rng, &mut set, &mut model, &mut key_of, &keys);
+            peak = peak.max(set.stats().2);
+            let blocks = set.blocks();
+            assert!(
+                blocks.iter().all(|&n| (1..=BLOCK).contains(&n)),
+                "{blocks:?}"
+            );
+            assert!(blocks.len().abs_diff(before) <= 1, "step {i}");
+            let want = rng.random_range(0..3 * UNIVERSE as u32 + 60);
+            let expect = model.range((want, 0)..).next().copied();
+            assert_eq!(
+                set.first_at_least(want),
+                expect,
+                "step {i}: first >= {want}"
+            );
+            if i % 250 == 0 {
+                let probes: Vec<u32> = (0..80).map(|p| p * 230).collect();
+                agree(&set, &model, UNIVERSE, &probes).unwrap();
+            }
+        }
+        agree(&set, &model, UNIVERSE, &keys[..200]).unwrap();
+        assert_eq!(
+            set.stats().2,
+            model.iter().map(|e| e.0).collect::<BTreeSet<_>>().len()
+        );
+        assert!(peak >= 5000, "{peak} live keys at most");
+        let tally = set.tally();
+        assert!(
+            tally.moves > 100 && tally.created > 100 && tally.dropped > 100,
+            "{tally:?}"
+        );
+        // Emptied, from the top down, and filled again.
+        for &(key, m) in model.iter().rev() {
+            set.remove(key, m, 1);
+        }
+        assert_eq!((set.asc().next(), set.first_at_least(0)), (None, None));
+        set.insert(7, 3, 1);
+        assert_eq!(set.blocks(), [1]);
+        assert_eq!(set.desc().collect::<Vec<_>>(), [(7, 3)]);
+    }
+
+    /// 16,384 live keys, one member each, then random re-keys to keys live
+    /// or not and drops and re-inserts: no step shifts more than
+    /// [`BLOCK`] entries per key it creates or drops, however many keys
+    /// the set holds — a rename drops one entry and makes another. A key
+    /// renamed in place keeps its slot: the arena does not grow.
+    #[test]
+    fn a_key_change_shifts_at_most_one_block() {
+        const KEYS: u32 = 16_384;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(16);
+        let mut set = BucketSet::default();
+        set.clear(KEYS as usize);
+        let mut key_of: Vec<Option<u64>> = (0..KEYS).map(|m| Some(u64::from(m) * 8)).collect();
+        for m in 0..KEYS {
+            set.insert(u64::from(m) * 8, m, 1);
+        }
+        assert_eq!(set.stats().2, KEYS as usize);
+        let arena = set.stats().0;
+        let start = set.tally();
+        for _ in 0..20_000 {
+            let m = rng.random_range(0..KEYS);
+            let old = key_of[m as usize];
+            let new = match rng.random_range(0..4) {
+                0 => None,
+                1 => Some(u64::from(rng.random_range(0..KEYS)) * 8),
+                _ => Some(rng.random_range(0..u64::from(KEYS) * 8)),
+            };
+            let before = set.tally();
+            set.rekey(m, 1, old, new);
+            key_of[m as usize] = new;
+            let after = set.tally();
+            let keys = (after.created - before.created)
+                + (after.dropped - before.dropped)
+                + 2 * (after.moves - before.moves);
+            let shifted = after.shifted - before.shifted;
+            assert!(
+                shifted <= keys * BLOCK as u64,
+                "{old:?} -> {new:?}: {shifted} entries shifted for {keys} keys"
+            );
+        }
+        let end = set.tally();
+        assert!(end.moves - start.moves > 5000, "{end:?}");
+        assert!(set.stats().0 <= arena, "renamed keys keep their slots");
+        let mut asc: Vec<(u64, u32)> = (0..KEYS)
+            .filter_map(|m| Some((key_of[m as usize]?, m)))
+            .collect();
+        asc.sort_unstable();
+        assert_eq!(set.asc().collect::<Vec<_>>(), asc);
+    }
+
+    /// Pinned: a whole bucket re-keyed onto a key that is not live is
+    /// renamed in place (no key made or dropped, no arena growth, its
+    /// members in place); onto a live key it merges, and the slot it
+    /// frees is the next new key's; a part of a bucket leaves the rest
+    /// under the old key.
+    #[test]
+    fn whole_buckets_rename_in_place_and_merge_into_live_keys() {
+        let mut set = BucketSet::default();
+        set.clear(70);
+        set.insert(5u32, 0, 3);
+        set.insert(9, 64, 2);
+        set.insert(12, 10, 1);
+        let words = set.stats().0;
+        let made = set.tally();
+        // 5 → 10: between 9 and 12, so it passes 9.
+        set.rekey(0, 3, Some(5), Some(10));
+        let t = set.tally();
+        assert_eq!(
+            (t.moves, t.created, t.dropped, t.shifted),
+            (1, 3, 0, made.shifted + 1)
+        );
+        assert_eq!(
+            set.asc().collect::<Vec<_>>(),
+            [(9, 64), (9, 65), (10, 0), (10, 1), (10, 2), (12, 10)]
+        );
+        // 10 → 2: to the front, past 9.
+        set.rekey(0, 3, Some(10), Some(2));
+        assert_eq!(set.first_at_least(0), Some((2, 0)));
+        assert_eq!(set.first_at_least(3), Some((9, 64)));
+        assert_eq!(set.tally().shifted, made.shifted + 2);
+        // 12 → 13: the last key, to the end, shifting nothing.
+        set.rekey(10, 1, Some(12), Some(13));
+        assert_eq!(set.tally().shifted, made.shifted + 2);
+        assert_eq!(set.first_at_least(12), Some((13, 10)));
+        assert_eq!(set.stats().0, words, "no slot made");
+        // 9 → 2 merges two buckets; the freed slot takes the next key.
+        set.rekey(64, 2, Some(9), Some(2));
+        let t = set.tally();
+        assert_eq!((t.moves, t.created, t.dropped), (3, 3, 1));
+        assert_eq!(set.stats().2, 2);
+        set.insert(40, 30, 1);
+        assert_eq!(set.stats().0, words, "the merged bucket's slot is reused");
+        // Part of a bucket: the rest stays under 2.
+        set.rekey(1, 2, Some(2), Some(3));
+        assert_eq!(
+            set.asc().collect::<Vec<_>>(),
+            [(2, 0), (2, 64), (2, 65), (3, 1), (3, 2), (13, 10), (40, 30)]
+        );
+        assert_eq!(set.tally().moves, 3);
+        assert!(set == built(70, set.asc()));
     }
 
     /// Pinned: a key's members come back ascending under both walks, an
@@ -4052,6 +4298,31 @@ mod index_rebuild {
         // under a: [0], [2], [3], [4]; under b: [5-7]. By ratio under a:
         // [0], [2-4]; under b: [5], [6], [7].
         assert_eq!(lookups, [4, 2, 1, 4, 1, 0, 2, 3, 0]);
+    }
+
+    /// A one-leaf tree has no upper switch, so no parent sets: the index
+    /// is its level-1 set alone, and the state still allocates, releases
+    /// and selects.
+    #[test]
+    fn a_single_leaf_tree_has_only_a_level_set() {
+        let tree = Tree::from_conf("SwitchName=s0 Nodes=n[0-3]\n").unwrap();
+        let mut st = ClusterState::new(&tree);
+        assert_eq!(crate::tests::set_stats(st.index()).len(), 1);
+        let req = crate::AllocRequest::comm(crate::JobId(1), 3);
+        let placement =
+            crate::NodeSelector::select(&crate::DefaultTreeSelector, &tree, &st, &req).unwrap();
+        assert_eq!(placement.takes(), [(0, 3)]);
+        st.allocate(
+            &tree,
+            crate::JobId(1),
+            &placement,
+            crate::JobNature::CommIntensive,
+        )
+        .unwrap();
+        st.check_invariants(&tree).unwrap();
+        assert_eq!(st.index().lowest_level_switch(&tree, 1), Some(tree.leaf(0)));
+        st.release(&tree, crate::JobId(1)).unwrap();
+        assert!(st == ClusterState::new(&tree));
     }
 
     /// A fresh machine's leaves are consecutive siblings of one size and

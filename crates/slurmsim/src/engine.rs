@@ -220,8 +220,6 @@ pub enum EngineError {
     ZeroNodeJob(JobId),
     /// Two jobs in the log share an id, which would corrupt event routing.
     DuplicateJob(JobId),
-    /// The machine has no nodes at all.
-    EmptyMachine,
     /// A drain list or fault trace names a node outside the machine.
     NodeOutOfRange {
         /// Offending node ordinal.
@@ -262,7 +260,6 @@ impl fmt::Display for EngineError {
             ),
             Self::ZeroNodeJob(job) => write!(f, "{job} requests zero nodes"),
             Self::DuplicateJob(job) => write!(f, "duplicate job id {job} in the log"),
-            Self::EmptyMachine => write!(f, "the machine has no nodes"),
             Self::NodeOutOfRange { node, machine } => write!(
                 f,
                 "node {node} is out of range for a machine of {machine} nodes"
@@ -487,6 +484,72 @@ enum EventKind {
     // events process in canonical trace order.
     Fault(u32),
     Submit(usize),
+}
+
+/// A run's events in `(t, EventKind)` order from two sources: every job's
+/// first arrival, read from the log's `(submit, index)` order by a cursor,
+/// and a heap of what the run schedules as it goes — finishes, faults and
+/// requeue resubmits. The next event is the smaller of the two heads by
+/// the whole key, so the order is the one heap's with every arrival in it.
+struct Events {
+    heap: BinaryHeap<Reverse<(u64, EventKind)>>,
+    /// `(submit, log index)` of every job, ascending.
+    arrivals: Vec<(u64, usize)>,
+    /// The first arrival not yet popped.
+    next: usize,
+}
+
+impl Events {
+    fn new(log: &JobLog) -> Self {
+        let mut arrivals: Vec<(u64, usize)> = log
+            .jobs
+            .iter()
+            .enumerate()
+            .map(|(i, j)| (j.submit, i))
+            .collect();
+        // Already in order for a log built by `JobLog::new`: one pass.
+        arrivals.sort_unstable();
+        Events {
+            heap: BinaryHeap::new(),
+            arrivals,
+            next: 0,
+        }
+    }
+
+    fn push(&mut self, t: u64, ev: EventKind) {
+        self.heap.push(Reverse((t, ev)));
+    }
+
+    /// The next event, by `(t, EventKind)`, and whether it is the
+    /// cursor's.
+    #[inline]
+    fn peek(&self) -> Option<((u64, EventKind), bool)> {
+        let arrival = self
+            .arrivals
+            .get(self.next)
+            .map(|&(t, i)| (t, EventKind::Submit(i)));
+        match (self.heap.peek(), arrival) {
+            (Some(&Reverse(top)), Some(arrival)) if top < arrival => Some((top, false)),
+            (_, Some(arrival)) => Some((arrival, true)),
+            (Some(&Reverse(top)), None) => Some((top, false)),
+            (None, None) => None,
+        }
+    }
+
+    /// Pop the next event if it is at `now`.
+    #[inline]
+    fn pop_at(&mut self, now: u64) -> Option<EventKind> {
+        let ((t, ev), arrival) = self.peek()?;
+        if t != now {
+            return None;
+        }
+        if arrival {
+            self.next += 1;
+        } else {
+            self.heap.pop();
+        }
+        Some(ev)
+    }
 }
 
 /// Result of placing one job: its nodes and Eq. 6/Eq. 7 numbers.
@@ -821,10 +884,9 @@ impl<'t> Engine<'t> {
     /// Validate the configuration, and the log, drain list and fault trace
     /// against the machine.
     fn validate(&self, log: &JobLog) -> Result<(), EngineError> {
+        // Every tree has a node: `from_conf` rejects an empty hostlist and
+        // the builders an empty leaf.
         let machine = self.tree.num_nodes();
-        if machine == 0 {
-            return Err(EngineError::EmptyMachine);
-        }
         // `CollectiveSpec::new` asserts this at the first communication-
         // intensive placement; a bad config is rejected whatever the log.
         if self.cfg.msize == 0 {
@@ -941,12 +1003,9 @@ impl<'t> Engine<'t> {
         if let Err(e) = self.validate(log) {
             return (Err(e), Counts::default());
         }
-        let mut events = BinaryHeap::new();
-        for (i, j) in log.jobs.iter().enumerate() {
-            events.push(Reverse((j.submit, EventKind::Submit(i))));
-        }
+        let mut events = Events::new(log);
         for (k, e) in self.faults.events().iter().enumerate() {
-            events.push(Reverse((e.t, EventKind::Fault(u32_of_usize(k)))));
+            events.push(e.t, EventKind::Fault(u32_of_usize(k)));
         }
         let mut run = Run {
             eng: self,
@@ -1003,10 +1062,10 @@ struct Run<'a, 'r> {
     eval: PlacementEvaluator,
     /// Built fresh for the run, after `validate`.
     state: ClusterState,
-    /// The instant being processed; once the heap is empty, the makespan
+    /// The instant being processed; once no event is left, the makespan
     /// fallback for a run in which nothing ever started.
     now: u64,
-    events: BinaryHeap<Reverse<(u64, EventKind)>>,
+    events: Events,
     /// FIFO queue of log indices, indexed by the width of each request.
     pending: PendingQueue,
     /// Running jobs as `(walltime end, nodes, log idx, attempt)`, sorted by
@@ -1046,15 +1105,11 @@ impl Run<'_, '_> {
                 .set_down(self.eng.tree, n)
                 .map_err(|e| EngineError::StateInconsistency(format!("draining {n:?}: {e}")))?;
         }
-        while let Some(&Reverse((now, _))) = self.events.peek() {
+        while let Some(((now, _), _)) = self.events.peek() {
             self.now = now;
             // Drain all events at `now` (finishes first, then faults, then
             // submits, via enum ordering).
-            while let Some(&Reverse((t, ev))) = self.events.peek() {
-                if t != now {
-                    break;
-                }
-                self.events.pop();
+            while let Some(ev) = self.events.pop_at(now) {
                 match ev {
                     EventKind::Finish(id, att) => self.finish(id, att)?,
                     EventKind::Fault(k) => self.apply_fault(usize_of_u32(k))?,
@@ -1313,7 +1368,7 @@ impl Run<'_, '_> {
         // The attempt's record goes; the rest keep their start order.
         self.outcomes.remove(opos);
         if backoff.is_some() {
-            self.events.push(Reverse((resubmit, EventKind::Submit(i))));
+            self.events.push(resubmit, EventKind::Submit(i));
         } else {
             self.pending
                 .push_front(i, log.jobs[i].nodes, log.jobs[i].walltime);
@@ -1368,8 +1423,7 @@ impl Run<'_, '_> {
             .running
             .partition_point(|&(t, n, ..)| (t, n) <= (wall_end, job.nodes));
         self.running.insert(at, (wall_end, job.nodes, i, attempt));
-        self.events
-            .push(Reverse((end, EventKind::Finish(job.id, attempt))));
+        self.events.push(end, EventKind::Finish(job.id, attempt));
         self.pending.remove(slot);
         // The search SA ran for this placement; no other selector, and no
         // budget-0 or compute placement, reports one. The job and attempt

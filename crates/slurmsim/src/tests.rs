@@ -1105,6 +1105,58 @@ mod faults {
         assert_eq!((o.start, o.end), (130, 230));
     }
 
+    /// At second 130 a job finishes, a requeued job's backoff ends and
+    /// another job arrives for the first time. The finish goes first, then
+    /// the two submits in log-index order, whichever source each comes
+    /// from: first arrivals are read by a cursor beside the event heap,
+    /// and the two merge by the whole `(t, event)` key.
+    #[test]
+    fn a_finish_then_resubmits_and_arrivals_in_log_order() {
+        use commsched_metrics::Registry;
+        use commsched_trace::{Capture, EventKind as TK};
+        let tree = small_tree();
+        let cfg =
+            EngineConfig::new(SelectorKind::Default).with_failure_policy(FailurePolicy::Requeue {
+                max_retries: 3,
+                backoff: 100,
+            });
+        // Job 2 is killed on node 2 at 30 and resubmitted at 130, when
+        // job 1 ends and job 3 arrives.
+        let engine = Engine::new(&tree, cfg).with_faults(trace(&[
+            (30, 2, FaultKind::Fail),
+            (40, 2, FaultKind::Recover),
+        ]));
+        let (one, two, three) = (job(1, 0, 130, 2), job(2, 0, 500, 2), job(3, 130, 10, 1));
+        let sorted = JobLog::new("sorted", vec![three.clone(), two.clone(), one.clone()]);
+        // The arrival first in the log: a log built field by field keeps
+        // its order, and submits at one second go by index.
+        let arrival_first = JobLog {
+            name: "arrival first".into(),
+            jobs: vec![three, one, two],
+        };
+        for (log, order) in [(sorted, [2, 3]), (arrival_first, [3, 2])] {
+            let mut cap = Capture::new();
+            let s = engine
+                .run_observed(&log, &mut cap, &mut Registry::new())
+                .unwrap();
+            assert_eq!(s.total_retries(), 1, "{}", log.name);
+            let at_130: Vec<(u64, &str)> = (cap.events.iter())
+                .filter(|e| e.t_us == 130_000_000)
+                .filter_map(|e| match e.kind {
+                    TK::JobFinish { job, .. } => Some((job, "finish")),
+                    TK::JobEligible { job, .. } => Some((job, "eligible")),
+                    _ => None,
+                })
+                .collect();
+            let want = [
+                (1, "finish"),
+                (order[0], "eligible"),
+                (order[1], "eligible"),
+            ];
+            assert_eq!(at_130[..3], want, "{}", log.name);
+        }
+    }
+
     /// Work a failure destroys can pass 2^53 node-seconds while the run
     /// ends well inside 2^53 s: an eight-node job of 2^52 s killed half way
     /// loses 2^54. The run ends in a typed error, not in the exact-`f64`

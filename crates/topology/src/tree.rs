@@ -59,8 +59,6 @@ pub enum TreeError {
     DuplicateChild(String),
     /// A referenced child switch was never defined.
     UnknownSwitch(String),
-    /// A switch mixes `Nodes=` and `Switches=` or has neither.
-    MalformedSwitch(String),
 }
 
 impl fmt::Display for TreeError {
@@ -71,9 +69,6 @@ impl fmt::Display for TreeError {
             Self::DuplicateNode(n) => write!(f, "node {n} attached to more than one switch"),
             Self::DuplicateChild(s) => write!(f, "switch {s} has more than one parent"),
             Self::UnknownSwitch(s) => write!(f, "switch {s} referenced but never defined"),
-            Self::MalformedSwitch(s) => {
-                write!(f, "switch {s} must have exactly one of Nodes= or Switches=")
-            }
         }
     }
 }
@@ -194,9 +189,9 @@ impl Tree {
                     return Err(TreeError::DuplicateChild(switches[c.0].name.clone()));
                 }
             }
-            if children.is_empty() {
-                return Err(TreeError::MalformedSwitch(name));
-            }
+            // `from_conf` rejects an empty hostlist; the builders group
+            // at least one leaf.
+            assert!(!children.is_empty(), "upper switch {name} has no children");
             let level = 1 + children
                 .iter()
                 .map(|c| switches[c.0].level)
