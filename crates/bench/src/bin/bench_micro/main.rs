@@ -54,8 +54,8 @@ use commsched_bench::perf::{NetsimCase, PlacementCase};
 use commsched_bench::{ExperimentResult, Scale};
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_core::{
-    AllocRequest, ClusterState, DefaultTreeSelector, JobId, JobNature, NodeSelector, Placement,
-    PlacementEvaluator, SelectorKind,
+    AllocRequest, ClusterState, DefaultTreeSelector, GreedySelector, JobId, JobNature,
+    NodeSelector, Placement, PlacementEvaluator, SelectorKind,
 };
 use commsched_slurmsim::individual::individual_runs;
 use commsched_slurmsim::EngineConfig;
@@ -317,7 +317,9 @@ fn sibling_run_case(tree: &Tree) -> (ClusterState, Placement) {
 /// [`EVAL_BATCH`] probes is one more node on a leaf, the leaves spread
 /// evenly over the ordinals: allocating and releasing one re-keys its leaf
 /// twice in that set (and in the level-1 set, whose keys are the few free
-/// counts), each probe at another place in the key order.
+/// counts), each probe at another place in the key order. The ratio set
+/// is built on the first greedy read, so one greedy selection across
+/// leaves reads it before the probes run.
 fn keyed_leaves_case(leaves: usize) -> (Tree, ClusterState, Vec<Placement>) {
     let sizes: Vec<usize> = (0..leaves).map(|k| 33 + k % 64).collect();
     let tree = Tree::irregular_two_level(&sizes);
@@ -352,9 +354,13 @@ fn keyed_leaves_case(leaves: usize) -> (Tree, ClusterState, Vec<Placement>) {
     ] {
         let placement = Placement::from_nodes(&tree, nodes).expect("leaves hold their nodes");
         state
-            .allocate(&tree, JobId(job), &placement, nature)
+            .allocate(&tree, JobId(job), placement, nature)
             .expect("each node is held once");
     }
+    let wider_than_a_leaf = AllocRequest::comm(JobId(2), 97);
+    GreedySelector
+        .select(&tree, &state, &wider_than_a_leaf)
+        .expect("the machine has that many free");
     (tree, state, probes)
 }
 

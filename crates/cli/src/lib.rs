@@ -94,8 +94,17 @@ const MAX_THREADS: usize = 1024;
 /// 1,000-job logs; a generated log is allocated at the size asked for.
 const MAX_JOBS: usize = 1_000_000;
 
-/// `--threads` (0 when unset), once it and `--jobs` are within their
-/// bounds: checked before any thread is spawned or any log allocated.
+/// The most evaluator calls per placement `--sa-budget` may ask for: at
+/// the annealer's ≥ 100k evaluations a second, about ten seconds a job.
+const MAX_SA_BUDGET: u32 = 1_000_000;
+
+/// The most probes `--probes` may ask for: each is a job of the log, and
+/// a log holds at most `MAX_JOBS`.
+const MAX_PROBES: usize = MAX_JOBS;
+
+/// `--threads` (0 when unset), once it, `--jobs`, `--sa-budget` and
+/// `--probes` are within their bounds: checked before any thread is
+/// spawned, any log allocated or any placement searched.
 fn sizes(p: &args::Parsed) -> Result<usize, String> {
     let threads = p.get_parsed::<usize>("threads", 0)?;
     if threads > MAX_THREADS {
@@ -104,6 +113,14 @@ fn sizes(p: &args::Parsed) -> Result<usize, String> {
     let jobs = p.get_parsed::<usize>("jobs", 0)?;
     if jobs > MAX_JOBS {
         return Err(format!("--jobs {jobs} is above {MAX_JOBS}"));
+    }
+    let budget = p.get_parsed::<u32>("sa-budget", 0)?;
+    if budget > MAX_SA_BUDGET {
+        return Err(format!("--sa-budget {budget} is above {MAX_SA_BUDGET}"));
+    }
+    let probes = p.get_parsed::<usize>("probes", 0)?;
+    if probes > MAX_PROBES {
+        return Err(format!("--probes {probes} is above {MAX_PROBES}"));
     }
     Ok(threads)
 }
@@ -155,9 +172,9 @@ USAGE:
   NAME (systems): intrepid | theta | mira
   SEL:  default | greedy | balanced | adaptive | sa
         sa refines the adaptive placement with seeded simulated annealing;
-        only it takes --sa-budget N, evaluator calls per job (default 256;
-        0 = incumbent bit-for-bit), and --sa-seed S, the search seed
-        (default: the --seed value)
+        only it takes --sa-budget N, evaluator calls per job (default 256,
+        at most 1000000; 0 = incumbent bit-for-bit), and --sa-seed S, the
+        search seed (default: the --seed value)
   PAT:  rd | rhvd | binomial | ring | stencil2d | alltoall"
 }
 

@@ -221,6 +221,14 @@ fn size_flags_are_bounded_by_name() {
             &["log", "generate", "--system", "theta", "--jobs", "1000001"][..],
             "--jobs 1000001 is above 1000000",
         ),
+        (
+            &["run", "--selector", "sa", "--sa-budget", "1000001"][..],
+            "--sa-budget 1000001 is above 1000000",
+        ),
+        (
+            &["individual", "--probes", "1000001"][..],
+            "--probes 1000001 is above 1000000",
+        ),
     ] {
         let (code, out, err) = run_cli(args);
         assert_eq!(code, 2, "{args:?}: {err}");

@@ -21,7 +21,11 @@
 //! * **per parent** — a switch with at least one leaf child — its free
 //!   leaf children keyed by `leaf_free` (not kept for the root, whose order
 //!   is the level-1 set) and by communication-ratio key, members its leaf
-//!   children in ascending ordinal.
+//!   children in ascending ordinal. The ratio-keyed sets, the *ratio
+//!   order*, are read by the greedy fill alone, so they are built from the
+//!   counters on their first read ([`FreeIndex::leaves_by_ratio`]) and kept
+//!   from then on: a run whose selector never reads them never builds or
+//!   re-keys them.
 //!
 //! Every set is a [`BucketSet`]: each distinct live key holds a bitset of
 //! its members, and the keys sit in a small ordered map. A re-key is a bit
@@ -59,7 +63,9 @@
 //! set ([`FreeIndex::apply_switch`]) once, from the count the entry was
 //! keyed by to the final one, before it returns — once per placement, not
 //! once per take. Nothing is pending between calls: the index equals a
-//! from-scratch rebuild of the counters after every mutation.
+//! from-scratch rebuild of the orders built so far after every mutation.
+//! The ratio order is a pure function of the counters, so one built late
+//! reads exactly as one kept from the start would.
 #![deny(clippy::as_conversions)]
 
 use commsched_num::{u32_of_usize, usize_of_u32};
@@ -67,6 +73,7 @@ use commsched_topology::{SwitchId, Tree};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 mod bucket;
 
@@ -104,8 +111,9 @@ pub(crate) struct FreeIndex {
     /// for switches without leaf children.
     by_free: Vec<BucketSet<u32>>,
     /// `[upper(switch)]` → `ratio_key` of the free leaf children, over the
-    /// same members. Empty for switches without leaf children.
-    by_ratio: Vec<BucketSet<u64>>,
+    /// same members. Empty for switches without leaf children. Built on
+    /// the first [`FreeIndex::leaves_by_ratio`], dropped by `rebuild`.
+    by_ratio: OnceLock<Vec<BucketSet<u64>>>,
     /// Leaf ordinals by parent, ascending within a parent: upper switch
     /// `u`'s members are `child_ords[child_start[u]..child_start[u + 1]]`.
     child_ords: Vec<u32>,
@@ -116,16 +124,10 @@ pub(crate) struct FreeIndex {
 
 impl FreeIndex {
     /// Rebuild from scratch against the per-switch free counts
-    /// (construction, reset, the invariant check), reusing every buffer:
-    /// one insert per run of consecutive members of a set that share a
-    /// key. `ratio` must be the exact value
-    /// `ClusterState::communication_ratio` would report for the ordinal.
-    pub(crate) fn rebuild(
-        &mut self,
-        tree: &Tree,
-        switch_free: &[u32],
-        ratio: impl Fn(usize) -> f64,
-    ) {
+    /// (construction, reset, the invariant check), reusing every buffer
+    /// but the ratio order's, which is dropped until its next read: one
+    /// insert per run of consecutive members of a set that share a key.
+    pub(crate) fn rebuild(&mut self, tree: &Tree, switch_free: &[u32]) {
         let height = usize::try_from(tree.height()).unwrap_or(1);
         let leaves = tree.num_leaves();
         let uppers = tree.num_switches() - leaves;
@@ -151,12 +153,10 @@ impl FreeIndex {
             set.clear(if l == 0 { leaves } else { uppers });
         }
         self.by_free.resize_with(uppers, BucketSet::default);
-        self.by_ratio.resize_with(uppers, BucketSet::default);
-        for u in 0..uppers {
-            let universe = span(&self.child_start, u).len();
-            self.by_free[u].clear(universe);
-            self.by_ratio[u].clear(universe);
+        for (u, set) in self.by_free.iter_mut().enumerate() {
+            set.clear(span(&self.child_start, u).len());
         }
+        self.by_ratio.take();
         // Leaf `k` is member `k` of level 1; an upper switch is its slot.
         let leaf_entries = (0..leaves).filter_map(|k| Some((0, keyed(switch_free[k])?, k)));
         let upper_entries = tree.switches()[leaves..]
@@ -166,21 +166,65 @@ impl FreeIndex {
         insert_runs(&mut self.level_sets, leaf_entries.chain(upper_entries));
         // Each parent's free leaf children, member by member; the root,
         // the last switch, keeps no `by_free` set.
-        for u in 0..uppers {
-            // `(member, ordinal, free count)` of each free leaf child.
-            let free = || {
-                let ords = self.child_ords[span(&self.child_start, u)].iter();
-                ords.enumerate().filter_map(|(m, &k)| {
-                    let k = usize_of_u32(k);
-                    Some((m, k, keyed(switch_free[k])?))
-                })
-            };
-            if u + 1 < uppers {
-                insert_runs(&mut self.by_free, free().map(|(m, _, f)| (u, f, m)));
-            }
-            let by_ratio = free().map(|(m, k, _)| (u, ratio_key(ratio(k)), m));
-            insert_runs(&mut self.by_ratio, by_ratio);
+        let by_free = (0..uppers.saturating_sub(1)).flat_map(|u| {
+            let free = free_children(&self.child_ords, &self.child_start, switch_free, u);
+            free.map(move |(m, k)| (u, switch_free[k], m))
+        });
+        insert_runs(&mut self.by_free, by_free);
+    }
+
+    /// The ratio order, built from the counters if this is its first read.
+    /// `ratio` must be the exact value `ClusterState::communication_ratio`
+    /// would report for the ordinal.
+    fn ratio_order(&self, switch_free: &[u32], ratio: impl Fn(usize) -> f64) -> &[BucketSet<u64>] {
+        self.by_ratio
+            .get_or_init(|| self.build_ratio_order(switch_free, ratio))
+    }
+
+    /// Each parent's free leaf children keyed by `ratio_key`, one insert
+    /// per run as in `rebuild`. Once per state, so kept out of the read
+    /// path.
+    #[cold]
+    fn build_ratio_order(
+        &self,
+        switch_free: &[u32],
+        ratio: impl Fn(usize) -> f64,
+    ) -> Vec<BucketSet<u64>> {
+        let uppers = self.child_start.len().saturating_sub(1);
+        let mut sets: Vec<BucketSet<u64>> = Vec::with_capacity(uppers);
+        sets.resize_with(uppers, BucketSet::default);
+        for (u, set) in sets.iter_mut().enumerate() {
+            set.clear(span(&self.child_start, u).len());
         }
+        let ratio = &ratio;
+        let entries = (0..uppers).flat_map(|u| {
+            let free = free_children(&self.child_ords, &self.child_start, switch_free, u);
+            free.map(move |(m, k)| (u, ratio_key(ratio(k)), m))
+        });
+        insert_runs(&mut sets, entries);
+        sets
+    }
+
+    /// Does this index equal a from-scratch rebuild of the orders built so
+    /// far (the invariant check)? `ratio` as for the ratio order.
+    pub(crate) fn is_rebuild_of(
+        &self,
+        tree: &Tree,
+        switch_free: &[u32],
+        ratio: impl Fn(usize) -> f64,
+    ) -> bool {
+        let mut expect = FreeIndex::default();
+        expect.rebuild(tree, switch_free);
+        if self.by_ratio.get().is_some() {
+            expect.ratio_order(switch_free, ratio);
+        }
+        expect == *self
+    }
+
+    /// Has the ratio order been built since the last `rebuild`?
+    #[inline]
+    pub(crate) fn ratio_built(&self) -> bool {
+        self.by_ratio.get().is_some()
     }
 
     /// Re-key upper switch `s` in its level set.
@@ -195,14 +239,17 @@ impl FreeIndex {
     /// that all move from the same keys to the same keys, in the level-1
     /// set and their parent's sets: consecutive ordinals under one parent
     /// are consecutive members of each, so every set re-keys one range.
+    /// `ratio_keys` are their old and new ratio keys once the ratio order
+    /// is built ([`FreeIndex::ratio_built`]), and `None` before.
     pub(crate) fn apply_leaves(
         &mut self,
         tree: &Tree,
         parent: Option<SwitchId>,
         (first, len): (u32, u32),
-        (old_free, old_rkey): (u32, u64),
-        (new_free, new_rkey): (u32, u64),
+        (old_free, new_free): (u32, u32),
+        ratio_keys: Option<(u64, u64)>,
     ) {
+        debug_assert_eq!(ratio_keys.is_some(), self.ratio_built());
         let (old, new) = (keyed(old_free), keyed(new_free));
         // Level 1 is exactly the leaves, ids `0..num_leaves`: its member
         // is the ordinal itself.
@@ -220,8 +267,11 @@ impl FreeIndex {
         if g != tree.root() {
             self.by_free[u].rekey(member, len, old, new);
         }
-        let (old_r, new_r) = (old.map(|_| old_rkey), new.map(|_| new_rkey));
-        self.by_ratio[u].rekey(member, len, old_r, new_r);
+        if let (Some(by_ratio), Some((old_rkey, new_rkey))) = (self.by_ratio.get_mut(), ratio_keys)
+        {
+            let (old_r, new_r) = (old.map(|_| old_rkey), new.map(|_| new_rkey));
+            by_ratio[u].rekey(member, len, old_r, new_r);
+        }
     }
 
     /// The lowest-level switch whose subtree has at least `want` free
@@ -252,9 +302,16 @@ impl FreeIndex {
     }
 
     /// Free leaves under `p`, keyed `(ratio_key, ordinal)` — the greedy
-    /// (Eq. 1) fill order. Empty for a leaf.
-    pub(crate) fn leaves_by_ratio(&self, tree: &Tree, p: SwitchId) -> FillOrder<'_, u64> {
-        self.parent_sets(tree, p, &self.by_ratio)
+    /// (Eq. 1) fill order, the ratio order built on the first call (see
+    /// `ratio_order` for `ratio`). Empty for a leaf.
+    pub(crate) fn leaves_by_ratio(
+        &self,
+        tree: &Tree,
+        p: SwitchId,
+        switch_free: &[u32],
+        ratio: impl Fn(usize) -> f64,
+    ) -> FillOrder<'_, u64> {
+        self.parent_sets(tree, p, self.ratio_order(switch_free, ratio))
     }
 
     /// `p`'s fill order over `sets`: the sets of the parents in its
@@ -299,7 +356,8 @@ impl FreeIndex {
     }
 
     /// `free_keyed` of each set keyed by free count — the level sets, then
-    /// `by_free` — followed by `ratio_keyed` of each `by_ratio` set.
+    /// `by_free` — followed by `ratio_keyed` of each ratio-keyed set once
+    /// the ratio order is built.
     #[cfg(test)]
     pub(crate) fn map_sets<T>(
         &self,
@@ -307,7 +365,8 @@ impl FreeIndex {
         ratio_keyed: impl Fn(&BucketSet<u64>) -> T,
     ) -> Vec<T> {
         let free = self.level_sets.iter().chain(&self.by_free).map(free_keyed);
-        free.chain(self.by_ratio.iter().map(ratio_keyed)).collect()
+        let ratio = self.by_ratio.get().into_iter().flatten().map(ratio_keyed);
+        free.chain(ratio).collect()
     }
 }
 
@@ -328,6 +387,20 @@ fn keyed(free: u32) -> Option<u32> {
 #[inline]
 fn level_slot(level: u32) -> usize {
     usize_of_u32(level.saturating_sub(1))
+}
+
+/// `(member, ordinal)` of each free leaf child of upper switch `u`, in
+/// member order.
+fn free_children<'a>(
+    child_ords: &'a [u32],
+    child_start: &[u32],
+    switch_free: &'a [u32],
+    u: usize,
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    let ords = child_ords[span(child_start, u)].iter();
+    ords.enumerate()
+        .map(|(m, &k)| (m, usize_of_u32(k)))
+        .filter(move |&(_, k)| switch_free[k] > 0)
 }
 
 /// Insert `(set, key, member)` entries into `sets`, one

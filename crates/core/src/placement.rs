@@ -186,3 +186,12 @@ impl Placement {
         Placement { takes, runs }
     }
 }
+
+/// A borrowed placement converts by cloning, so
+/// [`ClusterState::allocate`](crate::ClusterState::allocate) takes either
+/// an owned placement, kept as it is, or a borrowed one.
+impl From<&Placement> for Placement {
+    fn from(placement: &Placement) -> Self {
+        placement.clone()
+    }
+}

@@ -384,7 +384,7 @@ fn fill_greedy(
         remaining -= take;
         remaining > 0
     };
-    let order = state.index().leaves_by_ratio(tree, p);
+    let order = state.leaves_by_ratio(tree, p);
     if req.nature.is_comm() {
         order.asc().all(grant);
     } else {

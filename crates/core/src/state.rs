@@ -2,7 +2,7 @@
 //! (`L_nodes`, `L_busy`, `L_comm`) that drive the paper's Eqs. 1–3.
 #![deny(clippy::as_conversions)]
 
-use crate::index::{ratio_key, FreeIndex};
+use crate::index::{ratio_key, FillOrder, FreeIndex};
 use crate::placement::Placement;
 use commsched_num::{f64_of_usize, u32_of_usize, usize_of_u32};
 use commsched_topology::{NodeId, SwitchId, Tree};
@@ -16,6 +16,8 @@ mod reference;
 
 #[cfg(test)]
 pub(crate) use bits::FreeBits;
+#[cfg(test)]
+pub(crate) use reference::Reference;
 
 /// Make `v` exactly `n` copies of `value`, in its own buffer.
 fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
@@ -210,8 +212,10 @@ pub struct ClusterState {
     /// Per-switch: free nodes in the whole subtree — a leaf's own on the
     /// take, its ancestors' by walking the chain once per run of leaves.
     switch_free: Vec<u32>,
-    /// Per-node lifecycle state (fault model).
-    node_health: Vec<NodeHealth>,
+    /// Lifecycle state (fault model) of each node that is not `Up`, by
+    /// node id: a node the map does not hold is `Up`, and it never holds
+    /// `Up`, so a healthy machine's map is empty whatever its size.
+    node_health: BTreeMap<usize, NodeHealth>,
     /// Per-leaf-ordinal: nodes that are down (neither free nor busy).
     leaf_down: Vec<u32>,
     /// Total down nodes (intrinsically failed *or* masked by a down
@@ -279,24 +283,14 @@ impl ClusterState {
         let uppers = tree.switches()[leaves..].iter().map(|s| s.subtree_nodes);
         self.switch_free
             .extend(sizes.chain(uppers).map(u32_of_usize));
-        refill(&mut self.node_health, nodes, NodeHealth::Up);
+        self.node_health.clear();
         refill(&mut self.leaf_down, leaves, 0);
         self.down_total = 0;
         self.draining_total = 0;
         refill(&mut self.switch_down, tree.num_switches(), false);
         refill(&mut self.leaf_mask, leaves, 0);
         self.allocs.clear();
-        self.reindex(tree);
-    }
-
-    /// Rebuild the free-count index from the counters (construction and
-    /// reset; incremental maintenance covers everything else).
-    fn reindex(&mut self, tree: &Tree) {
-        let mut index = std::mem::take(&mut self.index);
-        index.rebuild(tree, &self.switch_free, |k| {
-            self.communication_ratio(tree, k)
-        });
-        self.index = index;
+        self.index.rebuild(tree, &self.switch_free);
     }
 
     /// Leaf `k`'s `(free, busy, comm)` counters: what its index keys are
@@ -310,6 +304,15 @@ impl ClusterState {
     #[inline]
     pub(crate) fn index(&self) -> &FreeIndex {
         &self.index
+    }
+
+    /// Free leaves under `p` in the greedy (Eq. 1) fill order: the index's
+    /// ratio order, built from these counters on its first read.
+    #[inline]
+    pub(crate) fn leaves_by_ratio(&self, tree: &Tree, p: SwitchId) -> FillOrder<'_, u64> {
+        self.index.leaves_by_ratio(tree, p, &self.switch_free, |k| {
+            self.communication_ratio(tree, k)
+        })
     }
 
     /// Total free nodes in the cluster: the root's count, the last switch's
@@ -348,7 +351,17 @@ impl ClusterState {
     /// Lifecycle state of node `n`.
     #[inline]
     pub fn health(&self, n: NodeId) -> NodeHealth {
-        self.node_health[n.0]
+        debug_assert!(n.0 < self.node_free.len(), "{n} is not a node");
+        self.node_health.get(&n.0).copied().unwrap_or_default()
+    }
+
+    /// Record node `n`'s lifecycle state: `Up` is its absence from the map.
+    fn set_health(&mut self, n: NodeId, health: NodeHealth) {
+        if health == NodeHealth::Up {
+            self.node_health.remove(&n.0);
+        } else {
+            self.node_health.insert(n.0, health);
+        }
     }
 
     /// Down nodes on leaf ordinal `k` (intrinsic failures plus nodes
@@ -377,7 +390,7 @@ impl ClusterState {
         if self.is_masked(tree, n) {
             NodeHealth::Down
         } else {
-            self.node_health[n.0]
+            self.health(n)
         }
     }
 
@@ -528,11 +541,15 @@ impl ClusterState {
             return;
         };
         let size = f64_of_usize(run.size);
-        let keys = |[free, busy, comm]: [u32; 3]| (free, ratio_key(ratio_value(busy, comm, size)));
+        let rkey = |[_, busy, comm]: [u32; 3]| ratio_key(ratio_value(busy, comm, size));
+        let rkeys = self
+            .index
+            .ratio_built()
+            .then(|| (rkey(run.before), rkey(run.after)));
         let leaves = (u32_of_usize(run.first), run.len);
-        self.index
-            .apply_leaves(tree, run.parent, leaves, keys(run.before), keys(run.after));
         let (old, new) = (run.before[0], run.after[0]);
+        self.index
+            .apply_leaves(tree, run.parent, leaves, (old, new), rkeys);
         let moved = old.abs_diff(new) * run.len;
         if moved == 0 {
             return;
@@ -602,7 +619,7 @@ impl ClusterState {
             end = first.0 + usize_of_u32(len);
             if let Some(i) = self.node_free.first_clear(first.0..end) {
                 let n = NodeId(i);
-                let down = self.node_health[n.0] == NodeHealth::Down || self.is_masked(tree, n);
+                let down = self.health(n) == NodeHealth::Down || self.is_masked(tree, n);
                 return Err(if down {
                     StateError::NodeDown(n)
                 } else {
@@ -614,31 +631,31 @@ impl ClusterState {
     }
 
     /// Record an allocation: mark `placement` busy under `job` with
-    /// `nature`. Nothing changes unless every node is free and named once.
+    /// `nature`, keeping the placement itself (a borrowed one is cloned).
+    /// Nothing changes unless every node is free and named once.
     pub fn allocate(
         &mut self,
         tree: &Tree,
         job: JobId,
-        placement: &Placement,
+        placement: impl Into<Placement>,
         nature: JobNature,
     ) -> Result<(), StateError> {
+        let placement = placement.into();
         if placement.is_empty() {
             return Err(StateError::EmptyAllocation(job));
         }
         if self.allocs.contains_key(&job) {
             return Err(StateError::JobExists(job));
         }
-        self.check_free(tree, placement)?;
+        self.check_free(tree, &placement)?;
         debug_assert_eq!(placement.check(tree), Ok(()));
         let comm = nature.is_comm();
-        self.shift_placement(tree, placement, Class::Free, Class::Busy { comm });
-        self.allocs.insert(
-            job,
-            Allocation {
-                nodes: placement.clone(),
-                nature,
-            },
-        );
+        self.shift_placement(tree, &placement, Class::Free, Class::Busy { comm });
+        let alloc = Allocation {
+            nodes: placement,
+            nature,
+        };
+        self.allocs.insert(job, alloc);
         Ok(())
     }
 
@@ -667,8 +684,8 @@ impl ClusterState {
             for &(k, count) in alloc.nodes.takes() {
                 let mut drained = 0;
                 for n in ids.by_ref().take(usize_of_u32(count)) {
-                    if self.node_health[n.0] == NodeHealth::Draining {
-                        self.node_health[n.0] = NodeHealth::Down;
+                    if self.health(n) == NodeHealth::Draining {
+                        self.set_health(n, NodeHealth::Down);
                         drained += 1;
                     } else {
                         self.node_free.set(n.0, true);
@@ -694,12 +711,12 @@ impl ClusterState {
     /// the caller must release (kill) the job first — and with
     /// [`StateError::NodeDown`] if the node is already down.
     pub fn set_down(&mut self, tree: &Tree, n: NodeId) -> Result<(), StateError> {
-        match self.node_health[n.0] {
+        match self.health(n) {
             NodeHealth::Down => return Err(StateError::NodeDown(n)),
             // A masked node is never busy or draining: record the
             // intrinsic failure without touching the counters.
             NodeHealth::Up if self.is_masked(tree, n) => {
-                self.node_health[n.0] = NodeHealth::Down;
+                self.set_health(n, NodeHealth::Down);
                 return Ok(());
             }
             NodeHealth::Up | NodeHealth::Draining if !self.node_free.get(n.0) => {
@@ -709,7 +726,7 @@ impl ClusterState {
         }
         self.node_free.set(n.0, false);
         self.shift_now(tree, tree.leaf_ordinal_of(n), 1, Class::Free, Class::Down);
-        self.node_health[n.0] = NodeHealth::Down;
+        self.set_health(n, NodeHealth::Down);
         Ok(())
     }
 
@@ -718,10 +735,10 @@ impl ClusterState {
     ///
     /// Errors with [`StateError::NodeNotDown`] if the node is already up.
     pub fn set_up(&mut self, tree: &Tree, n: NodeId) -> Result<(), StateError> {
-        match self.node_health[n.0] {
+        match self.health(n) {
             NodeHealth::Up => Err(StateError::NodeNotDown(n)),
             NodeHealth::Draining => {
-                self.node_health[n.0] = NodeHealth::Up;
+                self.set_health(n, NodeHealth::Up);
                 self.draining_total -= 1;
                 Ok(())
             }
@@ -729,13 +746,13 @@ impl ClusterState {
             // effectively down (counters untouched) until the switch
             // returns to service.
             NodeHealth::Down if self.is_masked(tree, n) => {
-                self.node_health[n.0] = NodeHealth::Up;
+                self.set_health(n, NodeHealth::Up);
                 Ok(())
             }
             NodeHealth::Down => {
                 self.node_free.set(n.0, true);
                 self.shift_now(tree, tree.leaf_ordinal_of(n), 1, Class::Down, Class::Free);
-                self.node_health[n.0] = NodeHealth::Up;
+                self.set_health(n, NodeHealth::Up);
                 Ok(())
             }
         }
@@ -764,7 +781,7 @@ impl ClusterState {
             }
             let held = tree
                 .leaf_node_range(k)
-                .find(|&i| !self.node_free.get(i) && self.node_health[i] != NodeHealth::Down);
+                .find(|&i| !self.node_free.get(i) && self.health(NodeId(i)) != NodeHealth::Down);
             if let Some(i) = held {
                 return Err(StateError::SwitchBusy {
                     switch: s,
@@ -804,13 +821,15 @@ impl ClusterState {
             if self.leaf_mask[k] > 0 {
                 continue;
             }
-            // Last mask off the leaf: its intrinsically healthy nodes return.
-            let mut unmasked = 0;
-            for i in tree.leaf_node_range(k) {
-                if self.node_health[i] == NodeHealth::Up {
-                    self.node_free.set(i, true);
-                    unmasked += 1;
-                }
+            // Last mask off the leaf: its intrinsically healthy nodes
+            // return. None of its nodes is free while masked, and the map
+            // holds exactly the ones that stay down.
+            let range = tree.leaf_node_range(k);
+            let mut unmasked = u32_of_usize(range.len());
+            self.node_free.fill(range.clone(), true);
+            for &i in self.node_health.range(range).map(|(i, _)| i) {
+                self.node_free.set(i, false);
+                unmasked -= 1;
             }
             self.shift(tree, k, unmasked, Class::Down, Class::Free, &mut lag);
         }
@@ -824,13 +843,13 @@ impl ClusterState {
     /// down when its job releases (returns `false`, also for a node already
     /// draining). Errors with [`StateError::NodeDown`] if already down.
     pub fn set_draining(&mut self, tree: &Tree, n: NodeId) -> Result<bool, StateError> {
-        match self.node_health[n.0] {
+        match self.health(n) {
             NodeHealth::Down => Err(StateError::NodeDown(n)),
             NodeHealth::Draining => Ok(false),
             // Effectively down already (masked, so idle): draining it is a
             // hard down — the node must not return at switch-up.
             NodeHealth::Up if self.is_masked(tree, n) => {
-                self.node_health[n.0] = NodeHealth::Down;
+                self.set_health(n, NodeHealth::Down);
                 Ok(true)
             }
             NodeHealth::Up if self.node_free.get(n.0) => {
@@ -838,7 +857,7 @@ impl ClusterState {
                 Ok(true)
             }
             NodeHealth::Up => {
-                self.node_health[n.0] = NodeHealth::Draining;
+                self.set_health(n, NodeHealth::Draining);
                 self.draining_total += 1;
                 Ok(false)
             }
@@ -887,7 +906,13 @@ impl ClusterState {
         let mut down = vec![0u32; tree.num_leaves()];
         let mut down_count = 0usize;
         let mut draining_count = 0usize;
-        for (i, &h) in self.node_health.iter().enumerate() {
+        let stray =
+            |(&i, &h): (&usize, &NodeHealth)| h == NodeHealth::Up || i >= self.node_free.len();
+        if let Some((i, _)) = self.node_health.iter().find(|&e| stray(e)) {
+            return Err(format!("node {i}: Up or no such node in the health map"));
+        }
+        for i in 0..self.node_free.len() {
+            let h = self.health(NodeId(i));
             let masked = mask[tree.leaf_ordinal_of(NodeId(i))] > 0;
             if masked {
                 if self.node_free.get(i) {
@@ -963,11 +988,8 @@ impl ClusterState {
                 self.busy_total()
             ));
         }
-        let mut expect = FreeIndex::default();
-        expect.rebuild(tree, &self.switch_free, |k| {
-            self.communication_ratio(tree, k)
-        });
-        if expect != self.index {
+        let ratio = |k| self.communication_ratio(tree, k);
+        if !self.index.is_rebuild_of(tree, &self.switch_free, ratio) {
             return Err("free-count index disagrees with a from-scratch rebuild".into());
         }
         Ok(())
@@ -975,8 +997,8 @@ impl ClusterState {
 }
 
 /// Eq. 1 evaluated from raw counters — shared by
-/// [`ClusterState::communication_ratio`] and the index maintenance so the
-/// stored ratio keys are bit-identical to the live computation.
+/// [`ClusterState::communication_ratio`] and the ratio order's upkeep so
+/// the stored ratio keys are bit-identical to the live computation.
 #[inline]
 fn ratio_value(busy: u32, comm: u32, nodes: f64) -> f64 {
     let busy_f = f64::from(busy);

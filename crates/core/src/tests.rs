@@ -26,14 +26,14 @@ fn figure5_state(tree: &Tree) -> ClusterState {
     st.allocate(
         tree,
         JobId(1),
-        &ids(tree, &[NodeId(0), NodeId(1), NodeId(4), NodeId(5)]),
+        ids(tree, &[NodeId(0), NodeId(1), NodeId(4), NodeId(5)]),
         JobNature::CommIntensive,
     )
     .unwrap();
     st.allocate(
         tree,
         JobId(2),
-        &ids(tree, &[NodeId(2), NodeId(3)]),
+        ids(tree, &[NodeId(2), NodeId(3)]),
         JobNature::CommIntensive,
     )
     .unwrap();
@@ -84,7 +84,7 @@ fn allocate_and_release_round_trip() {
     st.allocate(
         &tree,
         JobId(7),
-        &ids(&tree, &[NodeId(0), NodeId(4)]),
+        ids(&tree, &[NodeId(0), NodeId(4)]),
         JobNature::CommIntensive,
     )
     .unwrap();
@@ -109,7 +109,7 @@ fn compute_jobs_do_not_count_in_leaf_comm() {
     st.allocate(
         &tree,
         JobId(1),
-        &ids(&tree, &[NodeId(0)]),
+        ids(&tree, &[NodeId(0)]),
         JobNature::ComputeIntensive,
     )
     .unwrap();
@@ -124,7 +124,7 @@ fn state_errors() {
     st.allocate(
         &tree,
         JobId(1),
-        &ids(&tree, &[NodeId(0)]),
+        ids(&tree, &[NodeId(0)]),
         JobNature::CommIntensive,
     )
     .unwrap();
@@ -132,7 +132,7 @@ fn state_errors() {
         st.allocate(
             &tree,
             JobId(2),
-            &ids(&tree, &[NodeId(0)]),
+            ids(&tree, &[NodeId(0)]),
             JobNature::CommIntensive
         ),
         Err(StateError::NodeBusy(NodeId(0)))
@@ -141,13 +141,13 @@ fn state_errors() {
         st.allocate(
             &tree,
             JobId(1),
-            &ids(&tree, &[NodeId(1)]),
+            ids(&tree, &[NodeId(1)]),
             JobNature::CommIntensive
         ),
         Err(StateError::JobExists(JobId(1)))
     );
     assert_eq!(
-        st.allocate(&tree, JobId(3), &ids(&tree, &[]), JobNature::CommIntensive),
+        st.allocate(&tree, JobId(3), ids(&tree, &[]), JobNature::CommIntensive),
         Err(StateError::EmptyAllocation(JobId(3)))
     );
     // A busy node is reported wherever it sits in the list.
@@ -155,7 +155,7 @@ fn state_errors() {
         st.allocate(
             &tree,
             JobId(4),
-            &ids(&tree, &[NodeId(5), NodeId(0), NodeId(2)]),
+            ids(&tree, &[NodeId(5), NodeId(0), NodeId(2)]),
             JobNature::CommIntensive
         ),
         Err(StateError::NodeBusy(NodeId(0)))
@@ -216,7 +216,7 @@ fn contention_discount_deepens_with_lca_level() {
         st.allocate(
             &tree,
             JobId(k as u64 + 1),
-            &ids(&tree, &nodes),
+            ids(&tree, &nodes),
             JobNature::CommIntensive,
         )
         .unwrap();
@@ -309,7 +309,7 @@ fn default_lowest_level_switch_matches_section_3_1() {
     st.allocate(
         &tree,
         JobId(1),
-        &ids(&tree, &[NodeId(0), NodeId(1)]),
+        ids(&tree, &[NodeId(0), NodeId(1)]),
         JobNature::ComputeIntensive,
     )
     .unwrap();
@@ -334,7 +334,7 @@ fn default_best_fit_prefers_fuller_leaves() {
     st.allocate(
         &tree,
         JobId(1),
-        &ids(
+        ids(
             &tree,
             &[NodeId(4), NodeId(5), NodeId(6), NodeId(8), NodeId(9)],
         ),
@@ -364,14 +364,14 @@ fn greedy_comm_prefers_least_contended() {
     st.allocate(
         &tree,
         JobId(1),
-        &ids(&tree, &[NodeId(0), NodeId(1)]),
+        ids(&tree, &[NodeId(0), NodeId(1)]),
         JobNature::CommIntensive,
     )
     .unwrap();
     st.allocate(
         &tree,
         JobId(2),
-        &ids(&tree, &[NodeId(4), NodeId(5)]),
+        ids(&tree, &[NodeId(4), NodeId(5)]),
         JobNature::ComputeIntensive,
     )
     .unwrap();
@@ -390,14 +390,14 @@ fn greedy_compute_takes_most_contended_first() {
     st.allocate(
         &tree,
         JobId(1),
-        &ids(&tree, &[NodeId(0), NodeId(1)]),
+        ids(&tree, &[NodeId(0), NodeId(1)]),
         JobNature::CommIntensive,
     )
     .unwrap();
     st.allocate(
         &tree,
         JobId(2),
-        &ids(&tree, &[NodeId(4), NodeId(5)]),
+        ids(&tree, &[NodeId(4), NodeId(5)]),
         JobNature::ComputeIntensive,
     )
     .unwrap();
@@ -446,13 +446,8 @@ fn balanced_table2_with_busy_nodes() {
     let mut next = JobId(100);
     for (k, &b) in busy.iter().enumerate() {
         let nodes: Vec<NodeId> = tree.leaf_nodes(k).take(b).collect();
-        st.allocate(
-            &tree,
-            next,
-            &ids(&tree, &nodes),
-            JobNature::ComputeIntensive,
-        )
-        .unwrap();
+        st.allocate(&tree, next, ids(&tree, &nodes), JobNature::ComputeIntensive)
+            .unwrap();
         next = JobId(next.0 + 1);
     }
     let got = BalancedSelector
@@ -485,7 +480,7 @@ fn balanced_compute_preserves_free_leaves() {
     st.allocate(
         &tree,
         JobId(1),
-        &ids(&tree, &[NodeId(0)]),
+        ids(&tree, &[NodeId(0)]),
         JobNature::ComputeIntensive,
     )
     .unwrap();
@@ -520,21 +515,21 @@ fn adaptive_picks_cheaper_of_greedy_and_balanced() {
     st.allocate(
         &tree,
         JobId(1),
-        &ids(&tree, &[NodeId(0), NodeId(1), NodeId(2)]),
+        ids(&tree, &[NodeId(0), NodeId(1), NodeId(2)]),
         JobNature::CommIntensive,
     )
     .unwrap();
     st.allocate(
         &tree,
         JobId(2),
-        &ids(&tree, &[NodeId(8), NodeId(9), NodeId(10), NodeId(11)]),
+        ids(&tree, &[NodeId(8), NodeId(9), NodeId(10), NodeId(11)]),
         JobNature::ComputeIntensive,
     )
     .unwrap();
     st.allocate(
         &tree,
         JobId(3),
-        &ids(&tree, &[NodeId(16), NodeId(17), NodeId(18), NodeId(19)]),
+        ids(&tree, &[NodeId(16), NodeId(17), NodeId(18), NodeId(19)]),
         JobNature::ComputeIntensive,
     )
     .unwrap();
@@ -563,21 +558,21 @@ fn adaptive_compute_takes_costlier() {
     st.allocate(
         &tree,
         JobId(1),
-        &ids(&tree, &[NodeId(0), NodeId(1), NodeId(2)]),
+        ids(&tree, &[NodeId(0), NodeId(1), NodeId(2)]),
         JobNature::CommIntensive,
     )
     .unwrap();
     st.allocate(
         &tree,
         JobId(2),
-        &ids(&tree, &[NodeId(8), NodeId(9), NodeId(10), NodeId(11)]),
+        ids(&tree, &[NodeId(8), NodeId(9), NodeId(10), NodeId(11)]),
         JobNature::ComputeIntensive,
     )
     .unwrap();
     st.allocate(
         &tree,
         JobId(3),
-        &ids(&tree, &[NodeId(16), NodeId(17), NodeId(18), NodeId(19)]),
+        ids(&tree, &[NodeId(16), NodeId(17), NodeId(18), NodeId(19)]),
         JobNature::ComputeIntensive,
     )
     .unwrap();
@@ -652,7 +647,7 @@ fn hypothetical_cost_equals_cost_after_allocation() {
     st.allocate(
         &tree,
         JobId(1),
-        &ids(&tree, &[NodeId(0), NodeId(8)]),
+        ids(&tree, &[NodeId(0), NodeId(8)]),
         JobNature::CommIntensive,
     )
     .unwrap();
@@ -665,7 +660,7 @@ fn hypothetical_cost_equals_cost_after_allocation() {
             .allocate(
                 &tree,
                 JobId(2),
-                &ids(&tree, &nodes),
+                ids(&tree, &nodes),
                 JobNature::CommIntensive,
             )
             .unwrap();
@@ -685,7 +680,7 @@ fn hypothetical_cost_prices_busy_and_down_placements() {
     st.allocate(
         &tree,
         JobId(1),
-        &ids(&tree, &[NodeId(0), NodeId(8)]),
+        ids(&tree, &[NodeId(0), NodeId(8)]),
         JobNature::CommIntensive,
     )
     .unwrap();
@@ -756,7 +751,7 @@ mod three_level {
         st.allocate(
             &t,
             JobId(1),
-            &ids(&t, &[NodeId(0), NodeId(1), NodeId(2), NodeId(4)]),
+            ids(&t, &[NodeId(0), NodeId(1), NodeId(2), NodeId(4)]),
             JobNature::ComputeIntensive,
         )
         .unwrap();
@@ -782,7 +777,7 @@ mod three_level {
             st.allocate(
                 &t,
                 JobId(10 + k as u64),
-                &ids(&t, &nodes),
+                ids(&t, &nodes),
                 JobNature::CommIntensive,
             )
             .unwrap();
@@ -807,7 +802,7 @@ mod three_level {
             .iter()
             .map(|&i| NodeId(i))
             .collect();
-        st.allocate(&t, JobId(1), &ids(&t, &busy), JobNature::ComputeIntensive)
+        st.allocate(&t, JobId(1), ids(&t, &busy), JobNature::ComputeIntensive)
             .unwrap();
         // 8-node comm job: balanced sorts leaves by free desc
         // (4, 3, 2, 1) and grants 4, 2, 2, ... then leftovers.
@@ -971,7 +966,7 @@ mod mapping_tests {
             .allocate(
                 &tree,
                 JobId(5),
-                &ids(&tree, &[NodeId(3), NodeId(4)]),
+                ids(&tree, &[NodeId(3), NodeId(4)]),
                 JobNature::CommIntensive,
             )
             .unwrap();
@@ -1017,7 +1012,7 @@ mod properties {
             } else {
                 JobNature::ComputeIntensive
             };
-            st.allocate(tree, JobId(1000 + job as u64), &ids(tree, chunk), nature)
+            st.allocate(tree, JobId(1000 + job as u64), ids(tree, chunk), nature)
                 .unwrap();
         }
         st
@@ -1229,7 +1224,7 @@ mod properties {
             let mut st = ClusterState::new(&tree);
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             let job: Vec<NodeId> = (0..8).map(|i| NodeId(i * 2)).collect();
-            st.allocate(&tree, JobId(1), &ids(&tree, &job), JobNature::CommIntensive).unwrap();
+            st.allocate(&tree, JobId(1), ids(&tree, &job), JobNature::CommIntensive).unwrap();
             let spec = CollectiveSpec::new(Pattern::Rhvd, 1 << 16);
             let before = CostModel::HOPS.job_cost(&tree, &st, &job, &spec);
             // Add a second comm job on random free nodes.
@@ -1238,7 +1233,7 @@ mod properties {
                 .filter(|n| st.is_free(*n))
                 .collect();
             free.shuffle(&mut rng);
-            st.allocate(&tree, JobId(2), &ids(&tree, &free[..6]), JobNature::CommIntensive).unwrap();
+            st.allocate(&tree, JobId(2), ids(&tree, &free[..6]), JobNature::CommIntensive).unwrap();
             let after = CostModel::HOPS.job_cost(&tree, &st, &job, &spec);
             prop_assert!(after >= before, "cost fell from {before} to {after}");
         }
@@ -1430,7 +1425,7 @@ mod properties {
                             JobNature::ComputeIntensive
                         };
                         let id = JobId(1 << 40 | job as u64);
-                        st.allocate(tree, id, &ids(tree, &[n]), nature).unwrap();
+                        st.allocate(tree, id, ids(tree, &[n]), nature).unwrap();
                         live[t].push(id);
                     }
                     _ => {
@@ -1556,13 +1551,18 @@ mod properties {
         /// through arbitrary allocate / release / fault / recover / drain /
         /// switch-outage churn — every counter path that can move a leaf's
         /// fill keys or a switch's subtree-free total — on every shape of
-        /// [`shaped_tree`], with requests up to root size.
+        /// [`shaped_tree`], with requests up to root size. The ratio order
+        /// is first read at step `build_at`: before it, a greedy or adaptive
+        /// draw selects by default or balanced instead, so the order stays
+        /// unbuilt; from there on it equals a from-scratch build after
+        /// every mutation.
         #[test]
         fn free_index_survives_fault_churn(
             shape in 0..SHAPES,
             sizes in arb_shape_sizes(),
             seed in any::<u64>(),
             ops in 1usize..60,
+            build_at in 0usize..60,
         ) {
             use commsched_topology::SwitchId;
             let tree = shaped_tree(shape, &sizes);
@@ -1570,7 +1570,12 @@ mod properties {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             let mut live: Vec<JobId> = Vec::new();
             let mut next = 0u64;
-            for _ in 0..ops {
+            for step in 0..ops {
+                prop_assert_eq!(st.index().ratio_built(), step > build_at);
+                if step == build_at {
+                    let _ = st.leaves_by_ratio(&tree, tree.root());
+                    st.check_invariants(&tree).unwrap();
+                }
                 let roll = rng.random::<f64>();
                 let n = NodeId(rng.random_range(0..tree.num_nodes()));
                 let s = SwitchId(rng.random_range(0..tree.num_switches()));
@@ -1591,7 +1596,14 @@ mod properties {
                 } else if st.free_total() > 0 {
                     let want = rng.random_range(1..=st.free_total().min(40));
                     let req = AllocRequest::comm(JobId(next), want);
-                    let kind = SelectorKind::ALL[rng.random_range(0usize..4)];
+                    let mut kind = SelectorKind::ALL[rng.random_range(0usize..4)];
+                    if step < build_at {
+                        kind = match kind {
+                            SelectorKind::Greedy => SelectorKind::Default,
+                            SelectorKind::Adaptive => SelectorKind::Balanced,
+                            other => other,
+                        };
+                    }
                     let nodes = kind.build().select(&tree, &st, &req).unwrap();
                     let nature = if rng.random::<bool>() {
                         JobNature::CommIntensive
@@ -1682,7 +1694,7 @@ mod properties {
                 } else {
                     JobNature::ComputeIntensive
                 };
-                st.allocate(&tree, JobId(500 + job as u64), &ids(&tree, chunk), nature).unwrap();
+                st.allocate(&tree, JobId(500 + job as u64), ids(&tree, chunk), nature).unwrap();
             }
             for _ in 0..faults {
                 let n = NodeId(rng.random_range(0..tree.num_nodes()));
@@ -2094,13 +2106,8 @@ mod narrow_steps {
         let busy: Vec<NodeId> = (0..leaves)
             .flat_map(|k| (0..5 * k).map(move |i| NodeId(size * (k + 1) - 1 - i)))
             .collect();
-        st.allocate(
-            &tree,
-            JobId(1),
-            &ids(&tree, &busy),
-            JobNature::CommIntensive,
-        )
-        .unwrap();
+        st.allocate(&tree, JobId(1), ids(&tree, &busy), JobNature::CommIntensive)
+            .unwrap();
         (tree, st)
     }
 
@@ -2242,7 +2249,7 @@ mod scale {
             } else {
                 JobNature::ComputeIntensive
             };
-            st.allocate(tree, JobId(job as u64), &ids(tree, chunk), nature)
+            st.allocate(tree, JobId(job as u64), ids(tree, chunk), nature)
                 .unwrap();
         }
         // Counters ≡ recount and index ≡ from-scratch rebuild, at scale.
@@ -2378,13 +2385,8 @@ mod scale {
         let tree = Tree::irregular_two_level(&vec![2; 1200]);
         let mut st = ClusterState::new(&tree);
         let busy: Vec<NodeId> = (0..100).map(|k| NodeId(20 * k)).collect();
-        st.allocate(
-            &tree,
-            JobId(1),
-            &ids(&tree, &busy),
-            JobNature::CommIntensive,
-        )
-        .unwrap();
+        st.allocate(&tree, JobId(1), ids(&tree, &busy), JobNature::CommIntensive)
+            .unwrap();
         let req = AllocRequest::comm(JobId(2), 2_200);
         let placement = GreedySelector.select(&tree, &st, &req).unwrap();
         assert!(
@@ -2521,7 +2523,7 @@ mod lifecycle {
         s.allocate(
             &t,
             JobId(1),
-            &ids(&t, &[NodeId(0)]),
+            ids(&t, &[NodeId(0)]),
             JobNature::ComputeIntensive,
         )
         .unwrap();
@@ -2550,7 +2552,7 @@ mod lifecycle {
             s.allocate(
                 &t,
                 JobId(2),
-                &ids(&t, &[NodeId(1)]),
+                ids(&t, &[NodeId(1)]),
                 JobNature::ComputeIntensive
             ),
             Err(StateError::NodeDown(NodeId(1)))
@@ -2565,7 +2567,7 @@ mod lifecycle {
         s.allocate(
             &t,
             JobId(1),
-            &ids(&t, &[NodeId(0), NodeId(1)]),
+            ids(&t, &[NodeId(0), NodeId(1)]),
             JobNature::CommIntensive,
         )
         .unwrap();
@@ -2594,7 +2596,7 @@ mod lifecycle {
         s.allocate(
             &t,
             JobId(1),
-            &ids(&t, &[NodeId(0)]),
+            ids(&t, &[NodeId(0)]),
             JobNature::ComputeIntensive,
         )
         .unwrap();
@@ -2613,7 +2615,7 @@ mod lifecycle {
         s.allocate(
             &t,
             JobId(9),
-            &ids(&t, &[NodeId(2), NodeId(3)]),
+            ids(&t, &[NodeId(2), NodeId(3)]),
             JobNature::CommIntensive,
         )
         .unwrap();
@@ -2658,7 +2660,7 @@ mod lifecycle {
                                     JobNature::ComputeIntensive
                                 };
                                 next_id += 1;
-                                s.allocate(&t, JobId(next_id), &ids(&t, nodes), nature).unwrap();
+                                s.allocate(&t, JobId(next_id), ids(&t, nodes), nature).unwrap();
                                 live.push(JobId(next_id));
                             }
                         }
@@ -2732,7 +2734,7 @@ mod sa_properties {
             } else {
                 JobNature::ComputeIntensive
             };
-            st.allocate(&tree, JobId(1000 + job as u64), &ids(&tree, chunk), nature)
+            st.allocate(&tree, JobId(1000 + job as u64), ids(&tree, chunk), nature)
                 .unwrap();
         }
         (tree, st)
@@ -3025,6 +3027,7 @@ mod sa_properties {
 
 mod placement_currency {
     use super::*;
+    use crate::state::Reference;
     use crate::NodeHealth;
     use commsched_topology::SwitchId;
     use proptest::prelude::*;
@@ -3093,21 +3096,21 @@ mod placement_currency {
         st.allocate(
             &tree,
             JobId(1),
-            &ids(&tree, &[NodeId(0)]),
+            ids(&tree, &[NodeId(0)]),
             JobNature::CommIntensive,
         )
         .unwrap();
         st.allocate(
             &tree,
             JobId(2),
-            &ids(&tree, &[NodeId(4), NodeId(5)]),
+            ids(&tree, &[NodeId(4), NodeId(5)]),
             JobNature::ComputeIntensive,
         )
         .unwrap();
         st.allocate(
             &tree,
             JobId(3),
-            &ids(&tree, &[NodeId(8), NodeId(9), NodeId(10), NodeId(11)]),
+            ids(&tree, &[NodeId(8), NodeId(9), NodeId(10), NodeId(11)]),
             JobNature::ComputeIntensive,
         )
         .unwrap();
@@ -3171,7 +3174,7 @@ mod placement_currency {
     struct Lockstep<'t> {
         tree: &'t Tree,
         fast: ClusterState,
-        model: ClusterState,
+        model: Reference,
     }
 
     impl Lockstep<'_> {
@@ -3183,7 +3186,7 @@ mod placement_currency {
             model: Result<T, StateError>,
         ) -> Result<bool, TestCaseError> {
             prop_assert_eq!(&fast, &model, "{}: results differ", what);
-            prop_assert!(self.fast == self.model, "{}: states differ", what);
+            prop_assert!(self.fast == self.model.state, "{}: states differ", what);
             if let Err(e) = self.fast.check_invariants(self.tree) {
                 return Err(TestCaseError::fail(format!("{what}: {e}")));
             }
@@ -3241,17 +3244,34 @@ mod placement_currency {
 
     /// (c) Random allocate / release / set_down / set_up / set_draining /
     /// set_switch_down / set_switch_up sequences — refused operations
-    /// included — against the per-node reference.
-    fn drive_against_reference(tree: &Tree, seed: u64, steps: usize) -> Result<(), TestCaseError> {
+    /// included — against the per-node reference. The ratio order is read,
+    /// and so built, before step `build_at`: `check_invariants` holds it
+    /// to a from-scratch build at that step and after every step that
+    /// follows.
+    fn drive_against_reference(
+        tree: &Tree,
+        seed: u64,
+        steps: usize,
+        build_at: usize,
+    ) -> Result<(), TestCaseError> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let mut both = Lockstep {
             tree,
             fast: ClusterState::new(tree),
-            model: ClusterState::new(tree),
+            model: Reference::new(tree),
         };
         let mut live: Vec<JobId> = Vec::new();
         let mut next = 0u64;
-        for _ in 0..steps {
+        for step in 0..steps {
+            prop_assert_eq!(both.fast.index().ratio_built(), step > build_at);
+            if step == build_at {
+                let free = both.fast.leaves_by_ratio(tree, tree.root()).asc().count();
+                let want = (0..tree.num_leaves()).filter(|&k| both.fast.leaf_free(k) > 0);
+                prop_assert_eq!(free, want.count());
+                both.fast
+                    .check_invariants(tree)
+                    .map_err(TestCaseError::fail)?;
+            }
             let n = NodeId(rng.random_range(0..tree.num_nodes()));
             let s = SwitchId(rng.random_range(0..tree.num_switches()));
             match rng.random_range(0..12u8) {
@@ -3343,7 +3363,7 @@ mod placement_currency {
         let mut both = Lockstep {
             tree: &tree,
             fast: ClusterState::new(&tree),
-            model: ClusterState::new(&tree),
+            model: Reference::new(&tree),
         };
         let held: Vec<NodeId> = [0, 1, 3, 4, 6, 7, 10, 12].map(NodeId).to_vec();
         both.allocate(JobId(1), &held, JobNature::CommIntensive)
@@ -3402,7 +3422,7 @@ mod placement_currency {
             let mut both = Lockstep {
                 tree: &tree,
                 fast: ClusterState::new(&tree),
-                model: ClusterState::new(&tree),
+                model: Reference::new(&tree),
             };
             both.set_switch_down(parent).unwrap();
             both.set_switch_down(leaf).unwrap();
@@ -3445,7 +3465,9 @@ mod placement_currency {
     /// On a uniform three-level tree, allocating and releasing `m`
     /// consecutive whole leaves of one group costs the same key-map
     /// lookups in every set whatever `m` is: one bucket per set and
-    /// direction, one walk up the group's ancestors.
+    /// direction, one walk up the group's ancestors. The group's ratio set
+    /// is counted only once the ratio order is built: first without a
+    /// read, then with one before the allocation.
     #[test]
     fn a_run_of_sibling_leaves_costs_one_lookup_per_set() {
         let tree = Tree::regular_three_level(2, 8, 4);
@@ -3453,25 +3475,106 @@ mod placement_currency {
         let height = tree.height() as usize;
         let uppers = tree.num_switches() - tree.num_leaves();
         let u = g.0 - tree.num_leaves();
-        let mut per_set = Vec::new();
-        for m in 1..8 {
-            let mut st = ClusterState::new(&tree);
-            let lookups = |st: &ClusterState| set_stats(st.index()).iter().map(|s| s.3).collect();
-            let before: Vec<u64> = lookups(&st);
-            let placement = ids(&tree, &leaves(&tree, &(0..m).collect::<Vec<_>>()));
-            st.allocate(&tree, JobId(1), &placement, JobNature::CommIntensive)
-                .unwrap();
-            st.release(&tree, JobId(1)).unwrap();
-            st.check_invariants(&tree).unwrap();
-            let after: Vec<u64> = lookups(&st);
-            let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
-            // The level-1 set and the group's two sets: out, then back in.
-            for set in [0, height + u, height + uppers + u] {
-                assert_eq!(delta[set], 2, "m = {m}, set {set}: {delta:?}");
+        for read in [false, true] {
+            let mut per_set = Vec::new();
+            for m in 1..8 {
+                let mut st = ClusterState::new(&tree);
+                if read {
+                    assert_eq!(st.leaves_by_ratio(&tree, g).asc().count(), 8);
+                }
+                let lookups =
+                    |st: &ClusterState| set_stats(st.index()).iter().map(|s| s.3).collect();
+                let before: Vec<u64> = lookups(&st);
+                let placement = ids(&tree, &leaves(&tree, &(0..m).collect::<Vec<_>>()));
+                st.allocate(&tree, JobId(1), &placement, JobNature::CommIntensive)
+                    .unwrap();
+                st.release(&tree, JobId(1)).unwrap();
+                st.check_invariants(&tree).unwrap();
+                let after: Vec<u64> = lookups(&st);
+                let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+                // The level-1 set and the group's sets: out, then back in.
+                let mut sets = vec![0, height + u];
+                if read {
+                    sets.push(height + uppers + u);
+                }
+                for set in sets {
+                    assert_eq!(delta[set], 2, "m = {m}, set {set}: {delta:?}");
+                }
+                let built = if read { 2 * uppers } else { uppers };
+                assert_eq!(delta.len(), height + built, "m = {m}");
+                assert_eq!(st.index().ratio_built(), read);
+                per_set.push(delta);
             }
-            per_set.push(delta);
+            assert!(per_set.windows(2).all(|w| w[0] == w[1]), "{per_set:?}");
         }
-        assert!(per_set.windows(2).all(|w| w[0] == w[1]), "{per_set:?}");
+    }
+
+    /// The ratio order is built through a shared reference, and the state
+    /// stays shareable across threads.
+    #[test]
+    fn cluster_state_is_send_and_sync() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<ClusterState>();
+    }
+
+    /// Only the greedy fill reads the ratio order: default and balanced
+    /// placements, releases and every fault path leave it unbuilt, so none
+    /// of them computes a ratio key; the first greedy read builds it, and
+    /// `reset` drops it again.
+    #[test]
+    fn default_and_balanced_runs_never_build_the_ratio_order() {
+        let tree = Tree::regular_three_level(2, 4, 4);
+        let mut st = ClusterState::new(&tree);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        let mut live = Vec::new();
+        for j in 0..200u64 {
+            let n = NodeId(rng.random_range(0..tree.num_nodes()));
+            match rng.random_range(0..8u8) {
+                0 | 1 if !live.is_empty() => {
+                    let job = live.swap_remove(rng.random_range(0..live.len()));
+                    st.release(&tree, job).unwrap();
+                }
+                2 => {
+                    let _ = st.set_draining(&tree, n);
+                }
+                3 => {
+                    let _ = st.set_up(&tree, n);
+                }
+                4 => {
+                    let s = SwitchId(rng.random_range(0..tree.num_switches()));
+                    let _ = st
+                        .set_switch_down(&tree, s)
+                        .or_else(|_| st.set_switch_up(&tree, s));
+                }
+                _ if st.free_total() > 0 => {
+                    let want = rng.random_range(1..=st.free_total().min(12));
+                    let req = if j % 2 == 0 {
+                        AllocRequest::comm(JobId(j), want)
+                    } else {
+                        AllocRequest::compute(JobId(j), want)
+                    };
+                    let selector: &dyn NodeSelector = if j % 3 == 0 {
+                        &BalancedSelector
+                    } else {
+                        &DefaultTreeSelector
+                    };
+                    let placement = selector.select(&tree, &st, &req).unwrap();
+                    st.allocate(&tree, JobId(j), placement, req.nature).unwrap();
+                    live.push(JobId(j));
+                }
+                _ => {}
+            }
+            assert!(!st.index().ratio_built(), "step {j}");
+        }
+        st.check_invariants(&tree).unwrap();
+        // A greedy request wider than a leaf reads the order.
+        st.reset(&tree);
+        let req = AllocRequest::comm(JobId(1000), 6);
+        GreedySelector.select(&tree, &st, &req).unwrap();
+        assert!(st.index().ratio_built());
+        st.check_invariants(&tree).unwrap();
+        st.reset(&tree);
+        assert!(!st.index().ratio_built());
     }
 
     /// A run ends wherever the next take is not the next sibling making
@@ -3485,7 +3588,7 @@ mod placement_currency {
         let fresh = |tree| Lockstep {
             tree,
             fast: ClusterState::new(tree),
-            model: ClusterState::new(tree),
+            model: Reference::new(tree),
         };
         let comm = JobNature::CommIntensive;
         let cases: [(&[usize], u64); 2] = [(&[0, 1, 3, 4], 2), (&[4, 5, 6, 7], 2)];
@@ -3565,9 +3668,10 @@ mod placement_currency {
         fn state_matches_per_node_reference(
             sizes in proptest::collection::vec(1usize..9, 2..7),
             seed in any::<u64>(),
+            build_at in 0usize..100,
         ) {
             let tree = Tree::irregular_two_level(&sizes);
-            drive_against_reference(&tree, seed, 80)?;
+            drive_against_reference(&tree, seed, 80, build_at)?;
         }
 
         #[test]
@@ -3576,9 +3680,10 @@ mod placement_currency {
             leaves in 2usize..4,
             nodes_per_leaf in 1usize..6,
             seed in any::<u64>(),
+            build_at in 0usize..100,
         ) {
             let tree = Tree::regular_three_level(spines, leaves, nodes_per_leaf);
-            drive_against_reference(&tree, seed, 80)?;
+            drive_against_reference(&tree, seed, 80, build_at)?;
         }
 
         /// (e) A placement survives the trip through its own node list,
@@ -3987,7 +4092,7 @@ mod bucket_set {
         assert_eq!(
             peak,
             [2, 1, 0, 2],
-            "peak live keys: level 1, root, by_free, by_ratio"
+            "peak live keys: level 1, root, by free count, by ratio"
         );
         let held: usize = crate::tests::set_stats(st.index())
             .iter()
@@ -4248,7 +4353,9 @@ mod index_rebuild {
                 under.iter().map(|&k| free[k]).sum()
             })
             .collect();
-        index.rebuild(tree, &switch_free, |k| ratio[k]);
+        index.rebuild(tree, &switch_free);
+        // The first read builds the ratio order.
+        let _ = index.leaves_by_ratio(tree, tree.root(), &switch_free, |k| ratio[k]);
 
         let height = tree.height() as usize;
         let uppers = tree.num_switches() - leaves;
@@ -4326,16 +4433,24 @@ mod index_rebuild {
     }
 
     /// A fresh machine's leaves are consecutive siblings of one size and
-    /// ratio: one insert per set that holds anything.
+    /// ratio: one insert per set that holds anything — the level sets and
+    /// the 64 groups' free-count sets, then the 64 ratio sets once the
+    /// first read builds the ratio order.
     #[test]
     fn a_fresh_dragonfly_1m_state_inserts_one_run_per_set() {
         let tree = SystemPreset::Dragonfly1M.build();
         let st = ClusterState::new(&tree);
-        let sets = crate::tests::set_stats(st.index());
-        for (i, &(_, _, live, lookups)) in sets.iter().enumerate() {
-            assert_eq!(lookups, u64::from(live > 0), "set {i}");
-        }
-        assert_eq!(sets.iter().map(|s| s.3).sum::<u64>(), 3 + 64 + 64);
+        let check = |st: &ClusterState| {
+            let sets = crate::tests::set_stats(st.index());
+            for (i, &(_, _, live, lookups)) in sets.iter().enumerate() {
+                assert_eq!(lookups, u64::from(live > 0), "set {i}");
+            }
+            sets.iter().map(|s| s.3).sum::<u64>()
+        };
+        assert_eq!(check(&st), 3 + 64);
+        assert!(!st.index().ratio_built());
+        assert_eq!(st.leaves_by_ratio(&tree, tree.root()).asc().count(), 16_384);
+        assert_eq!(check(&st), 3 + 64 + 64);
     }
 
     proptest! {

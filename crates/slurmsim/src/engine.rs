@@ -1410,7 +1410,7 @@ impl Run<'_, '_> {
             placed.adjusted = placed.adjusted.min(job.walltime);
         }
         self.state
-            .allocate(eng.tree, job.id, &placed.nodes, job.nature)
+            .allocate(eng.tree, job.id, placed.nodes, job.nature)
             .map_err(|e| {
                 EngineError::StateInconsistency(format!(
                     "allocating {} on selector-chosen nodes: {e}",

@@ -12,7 +12,14 @@
 //!
 //! The two minima of a node may come from different jobs, so a subtree
 //! whose minima pass the backfill test can hold no job that does. The
-//! descent then dead-ends and the search climbs on from there.
+//! descent then dead-ends and the search climbs on from there. The root's
+//! minima are the whole queue's, so a lookup they fail ends there, before
+//! any climb.
+//!
+//! The queue also keeps its head, the first live slot: a removal of the
+//! head slot moves it on to the next live one and a repack resets it, so
+//! the head lookup every scheduling pass opens with starts at a live slot
+//! instead of climbing over the dead ones in front of it.
 //!
 //! Slots are handed out left to right and never reused. When the tail
 //! reaches capacity the live entries are repacked to the front, into a
@@ -39,7 +46,28 @@ pub(crate) struct PendingQueue {
     walltimes: Vec<u64>,
     /// Next slot `push_back` fills.
     tail: usize,
+    /// The first live slot, or `tail` when the queue is empty.
+    head: usize,
+    /// Tree nodes the lookups have tested (`cfg(test)`).
+    #[cfg(test)]
+    visits: std::sync::atomic::AtomicU64,
 }
+
+/// The test a lookup applies to a node's minima: width at most `narrow`,
+/// or width at most `wide` with walltime at most `window`.
+#[derive(Clone, Copy)]
+struct Fit {
+    narrow: usize,
+    wide: usize,
+    window: u64,
+}
+
+/// The fit every live slot passes: plain in-order iteration.
+const LIVE: Fit = Fit {
+    narrow: ANY,
+    wide: ANY,
+    window: 0,
+};
 
 impl PendingQueue {
     /// Append `job`, which requests `nodes` nodes for `walltime` seconds, at
@@ -67,17 +95,25 @@ impl PendingQueue {
         debug_assert!(live, "removing slot {slot}, which holds no job");
         if live {
             self.set_leaf(slot, EMPTY, u64::MAX);
+            if slot == self.head {
+                self.head = self.after(slot).map_or(self.tail, |(next, _)| next);
+            }
         }
     }
 
     /// The queue head as `(slot, job)`.
     pub(crate) fn first(&self) -> Option<(usize, usize)> {
-        self.next_fit(0, ANY, ANY, None)
+        debug_assert!(
+            self.head == self.tail || self.widths[self.jobs.len() + self.head] != EMPTY,
+            "head slot {} holds no job",
+            self.head
+        );
+        self.seek(self.head, LIVE)
     }
 
     /// The queued job following `slot` in FIFO order.
     pub(crate) fn after(&self, slot: usize) -> Option<(usize, usize)> {
-        self.next_fit(slot.saturating_add(1), ANY, ANY, None)
+        self.seek(slot.saturating_add(1), LIVE)
     }
 
     /// The queue in FIFO order as `(slot, job)` pairs.
@@ -97,17 +133,41 @@ impl PendingQueue {
         window: Option<u64>,
     ) -> Option<(usize, usize)> {
         debug_assert!(free <= ANY);
-        if from >= self.tail {
-            return None;
-        }
         let narrow = spare.min(free);
         // Without a window the walltime arm admits nothing the width arm
         // does not.
         let (wide, window) = window.map_or((narrow, 0), |w| (free, w));
-        let pass = |i: usize| {
-            let width = self.widths[i];
-            width <= narrow || (width <= wide && self.walltimes[i] <= window)
+        let fit = Fit {
+            narrow,
+            wide,
+            window,
         };
+        // The root's minima are the queue's: if they fail, so does every
+        // slot.
+        if from >= self.tail || !self.pass(1, fit) {
+            return None;
+        }
+        self.seek(from, fit)
+    }
+
+    /// Does inner node or leaf `i` pass `fit`? Counted in the `cfg(test)`
+    /// visit tally.
+    #[inline]
+    fn pass(&self, i: usize, fit: Fit) -> bool {
+        #[cfg(test)]
+        self.visits
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let width = self.widths[i];
+        width <= fit.narrow || (width <= fit.wide && self.walltimes[i] <= fit.window)
+    }
+
+    /// Leftmost live slot at or after `from` that passes `fit`: a climb and
+    /// a descent.
+    fn seek(&self, from: usize, fit: Fit) -> Option<(usize, usize)> {
+        if from >= self.tail {
+            return None;
+        }
+        let pass = |i: usize| self.pass(i, fit);
         let cap = self.jobs.len();
         let mut i = cap + from;
         'climb: loop {
@@ -180,5 +240,12 @@ impl PendingQueue {
             self.pull_up(i);
         }
         self.tail = live.len();
+        self.head = 0;
+    }
+
+    /// Tree nodes the lookups have tested so far.
+    #[cfg(test)]
+    pub(crate) fn visits(&self) -> u64 {
+        self.visits.load(std::sync::atomic::Ordering::Relaxed)
     }
 }

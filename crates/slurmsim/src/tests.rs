@@ -2190,16 +2190,50 @@ mod passes {
     use std::collections::BTreeMap;
 
     /// Check the queue against the plain `(job, nodes, walltime)` list it
-    /// stands for: same order from `iter`, same head, slots strictly
-    /// increasing.
+    /// stands for: same order from a walk that starts at slot 0 (requests
+    /// are at most 16 nodes wide) and from `iter`, slots strictly
+    /// increasing, and the same head from `first`, which starts at the
+    /// queue's own head slot.
     fn assert_matches(q: &PendingQueue, model: &[(usize, usize, u64)]) -> Vec<usize> {
-        let entries: Vec<(usize, usize)> = q.iter().collect();
+        let start = q.next_fit(0, 16, 16, None);
+        let entries: Vec<(usize, usize)> =
+            std::iter::successors(start, |&(slot, _)| q.after(slot)).collect();
         let jobs: Vec<usize> = entries.iter().map(|&(_, job)| job).collect();
         let want: Vec<usize> = model.iter().map(|&(job, ..)| job).collect();
         assert_eq!(jobs, want);
         assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(q.first(), entries.first().copied());
+        assert_eq!(q.iter().collect::<Vec<_>>(), entries);
         entries.into_iter().map(|(slot, _)| slot).collect()
+    }
+
+    /// A lookup whose bound the root's minima fail tests the root alone,
+    /// and the head lookup tests the head slot alone, however many dead
+    /// slots lie in front of it; a head removal moves the head on.
+    #[test]
+    fn root_failures_and_the_live_head_cost_one_visit() {
+        let mut q = PendingQueue::default();
+        for job in 0..100 {
+            q.push_back(job, 8 + job % 8, 100);
+        }
+        for slot in 0..40 {
+            assert_eq!(q.first(), Some((slot, slot)));
+            q.remove(slot);
+        }
+        let visits = q.visits();
+        assert_eq!(q.first(), Some((40, 40)));
+        assert_eq!(q.visits() - visits, 1, "first() at a live head");
+        let visits = q.visits();
+        assert_eq!(q.next_fit(0, 64, 7, Some(99)), None);
+        assert_eq!(q.visits() - visits, 1, "a lookup failing at the root");
+        // One that passes the root climbs and descends as before.
+        let visits = q.visits();
+        assert_eq!(q.next_fit(41, 64, 7, Some(100)), Some((41, 41)));
+        assert!(q.visits() - visits > 1);
+        // A repack puts the head at slot 0.
+        q.push_front(100, 8, 100);
+        assert_eq!(q.first(), Some((0, 100)));
+        assert_eq!(q.after(0), Some((1, 40)));
     }
 
     proptest! {
@@ -2211,10 +2245,13 @@ mod passes {
         /// is checked against a filter of the model: `from` on live slots,
         /// dead slots and past the tail; `spare` of 0, below and above
         /// `free`; no window, a window of 0, of `u64::MAX` and in between.
+        /// Head removals (by the model's index and by the slot `first`
+        /// returns), `push_front` repacks and `first` calls interleave, so
+        /// the queue's head slot is checked after every step.
         #[test]
         fn pending_queue_matches_vec_model(
             ops in prop::collection::vec(
-                (0u8..10, any::<usize>(), 0usize..18, 0usize..20, any::<u64>()),
+                (0u8..11, any::<usize>(), 0usize..18, 0usize..20, any::<u64>()),
                 1..400,
             )
         ) {
@@ -2245,6 +2282,16 @@ mod passes {
                         let slots = assert_matches(&q, &model);
                         q.remove(slots[k]);
                         model.remove(k);
+                    }
+                    8 => {
+                        // Start the head, as a scheduling pass does.
+                        let head = q.first();
+                        prop_assert_eq!(head.map(|(_, job)| job), model.first().map(|m| m.0));
+                        if let Some((slot, _)) = head {
+                            q.remove(slot);
+                            model.remove(0);
+                        }
+                        prop_assert_eq!(q.first().map(|(_, job)| job), model.first().map(|m| m.0));
                     }
                     _ => {
                         let slots = assert_matches(&q, &model);

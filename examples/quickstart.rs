@@ -21,10 +21,10 @@ fn main() {
         Placement::from_nodes(&tree, &range.map(NodeId).collect::<Vec<_>>()).unwrap()
     };
     state
-        .allocate(&tree, JobId(1), &ids(0..6), JobNature::CommIntensive)
+        .allocate(&tree, JobId(1), ids(0..6), JobNature::CommIntensive)
         .unwrap();
     state
-        .allocate(&tree, JobId(2), &ids(8..12), JobNature::ComputeIntensive)
+        .allocate(&tree, JobId(2), ids(8..12), JobNature::ComputeIntensive)
         .unwrap();
 
     println!(
