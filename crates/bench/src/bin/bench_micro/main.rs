@@ -21,7 +21,10 @@
 //!   Dragonfly1M — the counters' and the free-count index's upkeep, not the
 //!   bit fills. The first holds every other leaf, so each leaf is a run of
 //!   its own and the row times the per-leaf path; the second takes 64
-//!   consecutive leaves of one group from an idle machine, one run;
+//!   consecutive leaves of one group from an idle machine, one run.
+//!   `state_theta_fragmented` is the bit side: the default selector's
+//!   256-node placement on Theta with every other node held, so each take
+//!   is every other node of its leaf;
 //! - **build** (`build_dragonfly_1m`): `SystemPreset::Dragonfly1M.build()`,
 //!   the tree every run on that preset starts from, dropped again;
 //!   `request` counts the nodes built;
@@ -169,6 +172,17 @@ fn measure_rows() -> Vec<Row> {
             std::hint::black_box(individual_runs(&case.tree, &case.state, probe, cfg));
         });
         rows.push(row(label.into(), "placement", want, ns));
+        if preset == SystemPreset::Theta {
+            let (mut state, placement) = fragmented_case(&case.tree, want);
+            let job = JobId(u64::MAX);
+            let ns = median_ns(ITERS, || {
+                state
+                    .allocate(&case.tree, job, &placement, JobNature::CommIntensive)
+                    .expect("the placement is free");
+                std::hint::black_box(state.release(&case.tree, job).expect("just allocated"));
+            });
+            rows.push(row("state_theta_fragmented".into(), "state", want, ns));
+        }
         let leaf = (preset == SystemPreset::Dragonfly1M).then_some(("_leaf", LEAF_WANT));
         for (suffix, want) in [("", SELECT_WANT)].into_iter().chain(leaf) {
             let ns = median_ns(ITERS, || {
@@ -290,6 +304,26 @@ fn whole_leaf_case(tree: &Tree) -> (ClusterState, Placement) {
         .iter()
         .all(|&(k, n)| n as usize == tree.leaf_size(k));
     assert!(whole, "every take is a whole leaf");
+    (state, placement)
+}
+
+/// `tree` with every odd node held by one compute job, and the default
+/// selector's `want`-node placement on it: the even nodes of its leaves.
+fn fragmented_case(tree: &Tree, want: usize) -> (ClusterState, Placement) {
+    let mut state = ClusterState::new(tree);
+    let odd: Vec<NodeId> = (1..tree.num_nodes()).step_by(2).map(NodeId).collect();
+    let held = Placement::from_nodes(tree, &odd).expect("each node is named once");
+    state
+        .allocate(tree, JobId(0), held, JobNature::ComputeIntensive)
+        .expect("the machine is idle");
+    let req = AllocRequest::comm(JobId(u64::MAX), want);
+    let placement = DefaultTreeSelector
+        .select(tree, &state, &req)
+        .expect("half the machine is free");
+    assert!(
+        placement.iter().all(|n| n.0 % 2 == 0),
+        "only even nodes are free"
+    );
     (state, placement)
 }
 

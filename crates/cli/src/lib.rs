@@ -102,9 +102,13 @@ const MAX_SA_BUDGET: u32 = 1_000_000;
 /// a log holds at most `MAX_JOBS`.
 const MAX_PROBES: usize = MAX_JOBS;
 
-/// `--threads` (0 when unset), once it, `--jobs`, `--sa-budget` and
-/// `--probes` are within their bounds: checked before any thread is
-/// spawned, any log allocated or any placement searched.
+/// The most processors per node `--ppn` may ask for: SWF processor counts
+/// are divided by it, and 65,536 is past any node built.
+const MAX_PPN: usize = 65_536;
+
+/// `--threads` (0 when unset), once it, `--jobs`, `--sa-budget`,
+/// `--probes` and `--ppn` are within their bounds: checked before any
+/// thread is spawned, any log read or allocated or any placement searched.
 fn sizes(p: &args::Parsed) -> Result<usize, String> {
     let threads = p.get_parsed::<usize>("threads", 0)?;
     if threads > MAX_THREADS {
@@ -121,6 +125,10 @@ fn sizes(p: &args::Parsed) -> Result<usize, String> {
     let probes = p.get_parsed::<usize>("probes", 0)?;
     if probes > MAX_PROBES {
         return Err(format!("--probes {probes} is above {MAX_PROBES}"));
+    }
+    let ppn = p.get_parsed::<usize>("ppn", 1)?;
+    if ppn > MAX_PPN {
+        return Err(format!("--ppn {ppn} is above {MAX_PPN}"));
     }
     Ok(threads)
 }

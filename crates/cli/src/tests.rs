@@ -229,6 +229,10 @@ fn size_flags_are_bounded_by_name() {
             &["individual", "--probes", "1000001"][..],
             "--probes 1000001 is above 1000000",
         ),
+        (
+            &["log", "stats", "--swf", "no-such.swf", "--ppn", "65537"][..],
+            "--ppn 65537 is above 65536",
+        ),
     ] {
         let (code, out, err) = run_cli(args);
         assert_eq!(code, 2, "{args:?}: {err}");

@@ -97,6 +97,15 @@ pub(crate) fn ratio_key(r: f64) -> u64 {
     }
 }
 
+/// The ratio-keyed sets and each leaf's key, built and dropped together.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct RatioOrder {
+    /// `[upper(switch)]` → `ratio_key` of the free leaf children.
+    sets: Vec<BucketSet<u64>>,
+    /// Leaf ordinal → `ratio_key` of its counters, free or not.
+    keys: Vec<u64>,
+}
+
 /// The index proper. Owned by [`ClusterState`](crate::ClusterState);
 /// derived entirely from the occupancy counters, and therefore excluded
 /// from state equality.
@@ -111,9 +120,9 @@ pub(crate) struct FreeIndex {
     /// for switches without leaf children.
     by_free: Vec<BucketSet<u32>>,
     /// `[upper(switch)]` → `ratio_key` of the free leaf children, over the
-    /// same members. Empty for switches without leaf children. Built on
-    /// the first [`FreeIndex::leaves_by_ratio`], dropped by `rebuild`.
-    by_ratio: OnceLock<Vec<BucketSet<u64>>>,
+    /// same members, with every leaf's key. Built on the first
+    /// [`FreeIndex::leaves_by_ratio`], dropped by `rebuild`.
+    by_ratio: OnceLock<RatioOrder>,
     /// Leaf ordinals by parent, ascending within a parent: upper switch
     /// `u`'s members are `child_ords[child_start[u]..child_start[u + 1]]`.
     child_ords: Vec<u32>,
@@ -176,33 +185,30 @@ impl FreeIndex {
     /// The ratio order, built from the counters if this is its first read.
     /// `ratio` must be the exact value `ClusterState::communication_ratio`
     /// would report for the ordinal.
-    fn ratio_order(&self, switch_free: &[u32], ratio: impl Fn(usize) -> f64) -> &[BucketSet<u64>] {
+    fn ratio_order(&self, switch_free: &[u32], ratio: impl Fn(usize) -> f64) -> &RatioOrder {
         self.by_ratio
             .get_or_init(|| self.build_ratio_order(switch_free, ratio))
     }
 
-    /// Each parent's free leaf children keyed by `ratio_key`, one insert
-    /// per run as in `rebuild`. Once per state, so kept out of the read
-    /// path.
+    /// Every leaf's `ratio_key`, and each parent's free leaf children
+    /// keyed by it, one insert per run as in `rebuild`. Once per state, so
+    /// kept out of the read path.
     #[cold]
-    fn build_ratio_order(
-        &self,
-        switch_free: &[u32],
-        ratio: impl Fn(usize) -> f64,
-    ) -> Vec<BucketSet<u64>> {
+    fn build_ratio_order(&self, switch_free: &[u32], ratio: impl Fn(usize) -> f64) -> RatioOrder {
         let uppers = self.child_start.len().saturating_sub(1);
+        let keys = Vec::from_iter((0..self.child_member.len()).map(|k| ratio_key(ratio(k))));
         let mut sets: Vec<BucketSet<u64>> = Vec::with_capacity(uppers);
         sets.resize_with(uppers, BucketSet::default);
         for (u, set) in sets.iter_mut().enumerate() {
             set.clear(span(&self.child_start, u).len());
         }
-        let ratio = &ratio;
+        let key = |k: usize| keys[k];
         let entries = (0..uppers).flat_map(|u| {
             let free = free_children(&self.child_ords, &self.child_start, switch_free, u);
-            free.map(move |(m, k)| (u, ratio_key(ratio(k)), m))
+            free.map(move |(m, k)| (u, key(k), m))
         });
         insert_runs(&mut sets, entries);
-        sets
+        RatioOrder { sets, keys }
     }
 
     /// Does this index equal a from-scratch rebuild of the orders built so
@@ -239,21 +245,29 @@ impl FreeIndex {
     /// that all move from the same keys to the same keys, in the level-1
     /// set and their parent's sets: consecutive ordinals under one parent
     /// are consecutive members of each, so every set re-keys one range.
-    /// `ratio_keys` are their old and new ratio keys once the ratio order
-    /// is built ([`FreeIndex::ratio_built`]), and `None` before.
+    /// `ratio_key` is their new ratio key once the ratio order is built
+    /// ([`FreeIndex::ratio_built`]), and `None` before; their old one is
+    /// the key the order holds for them.
     pub(crate) fn apply_leaves(
         &mut self,
         tree: &Tree,
         parent: Option<SwitchId>,
         (first, len): (u32, u32),
         (old_free, new_free): (u32, u32),
-        ratio_keys: Option<(u64, u64)>,
+        ratio_key: Option<u64>,
     ) {
-        debug_assert_eq!(ratio_keys.is_some(), self.ratio_built());
+        debug_assert_eq!(ratio_key.is_some(), self.ratio_built());
         let (old, new) = (keyed(old_free), keyed(new_free));
         // Level 1 is exactly the leaves, ids `0..num_leaves`: its member
         // is the ordinal itself.
         self.level_sets[0].rekey(first, len, old, new);
+        let order = self.by_ratio.get_mut().zip(ratio_key);
+        let ratio_keys = order.map(|(order, new_rkey)| {
+            let run = usize_of_u32(first)..usize_of_u32(first + len);
+            let old_rkey = order.keys[run.start];
+            order.keys[run].fill(new_rkey);
+            (&mut order.sets, old_rkey, new_rkey)
+        });
         let Some(g) = parent else {
             return;
         };
@@ -267,10 +281,9 @@ impl FreeIndex {
         if g != tree.root() {
             self.by_free[u].rekey(member, len, old, new);
         }
-        if let (Some(by_ratio), Some((old_rkey, new_rkey))) = (self.by_ratio.get_mut(), ratio_keys)
-        {
+        if let Some((sets, old_rkey, new_rkey)) = ratio_keys {
             let (old_r, new_r) = (old.map(|_| old_rkey), new.map(|_| new_rkey));
-            by_ratio[u].rekey(member, len, old_r, new_r);
+            sets[u].rekey(member, len, old_r, new_r);
         }
     }
 
@@ -311,7 +324,7 @@ impl FreeIndex {
         switch_free: &[u32],
         ratio: impl Fn(usize) -> f64,
     ) -> FillOrder<'_, u64> {
-        self.parent_sets(tree, p, self.ratio_order(switch_free, ratio))
+        self.parent_sets(tree, p, &self.ratio_order(switch_free, ratio).sets)
     }
 
     /// `p`'s fill order over `sets`: the sets of the parents in its
@@ -365,7 +378,8 @@ impl FreeIndex {
         ratio_keyed: impl Fn(&BucketSet<u64>) -> T,
     ) -> Vec<T> {
         let free = self.level_sets.iter().chain(&self.by_free).map(free_keyed);
-        let ratio = self.by_ratio.get().into_iter().flatten().map(ratio_keyed);
+        let ratio = self.by_ratio.get().into_iter().flat_map(|o| &o.sets);
+        let ratio = ratio.map(ratio_keyed);
         free.chain(ratio).collect()
     }
 }

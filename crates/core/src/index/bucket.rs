@@ -45,10 +45,10 @@ pub(crate) struct BucketSet<K> {
     /// Slots of emptied buckets, all bits clear, for the next new key.
     spare: Vec<u32>,
     #[cfg(test)]
-    tally: Tally,
+    tally: SetCounts,
 }
 
-/// One step of a set's upkeep, for the `cfg(test)` [`Tally`].
+/// One step of a set's upkeep, for the `cfg(test)` [`SetCounts`].
 #[derive(Clone, Copy)]
 enum Step {
     Insert,
@@ -61,7 +61,7 @@ enum Step {
 /// What a set's upkeep has done since it was made (`cfg(test)`).
 #[cfg(test)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Tally {
+pub(crate) struct SetCounts {
     /// Member ranges added; a re-key within the set is one of these…
     pub(crate) inserts: u64,
     /// …and one of these.
@@ -86,7 +86,7 @@ impl<K> Default for BucketSet<K> {
             arena: Vec::new(),
             spare: Vec::new(),
             #[cfg(test)]
-            tally: Tally::default(),
+            tally: SetCounts::default(),
         }
     }
 }
@@ -270,9 +270,9 @@ impl<K: Ord + Copy> BucketSet<K> {
         (self.arena.len(), self.words, self.keys.len(), lookups)
     }
 
-    /// The upkeep's counts (see [`Tally`]).
+    /// The upkeep's counts (see [`SetCounts`]).
     #[cfg(test)]
-    pub(crate) fn tally(&self) -> Tally {
+    pub(crate) fn tally(&self) -> SetCounts {
         self.tally
     }
 

@@ -1,43 +1,47 @@
 //! The placement currency: how many nodes a job takes from which leaf
-//! switch, plus the node-id runs those takes resolve to.
+//! switch, plus the words of the node bitmap those takes resolve to.
 //!
 //! The paper's Algorithms 1–2 and Eqs. 1–3 decide per-leaf node *counts*;
 //! node ids only matter where something reads them (link-fault lookups,
 //! netsim, rank mapping, reports). A [`Placement`] therefore carries both
 //! views, built once: selectors produce it, the evaluator reads its takes,
 //! [`ClusterState::allocate`](crate::ClusterState::allocate) moves counters
-//! per take and fills the packed free bits a word range per run, and the
-//! recorded [`Allocation`](crate::Allocation) hands the same value back on
-//! release.
+//! per take and checks and clears the packed free bits a word per entry,
+//! and the recorded [`Allocation`](crate::Allocation) hands the same value
+//! back on release.
 //!
 //! It leans on one topology invariant
 //! ([`Tree::leaf_node_range`]): leaf `k`'s nodes are one ascending
 //! contiguous id range and the ranges ascend with `k`. So the sorted node
 //! list of a placement is its takes laid end to end — rank `r` of a job
-//! sits on the leaf of the take covering `r` — and the first `count` ids
-//! of the runs inside leaf `k`'s range are take `k`'s nodes.
+//! sits on the leaf of the take covering `r` — and the first `count` set
+//! bits of the words inside leaf `k`'s range are take `k`'s nodes.
 #![deny(clippy::as_conversions)]
 
-use crate::state::{ClusterState, StateError};
-use commsched_num::{u32_of_usize, usize_of_u32};
+use crate::state::{bits, ClusterState, StateError};
+use commsched_num::usize_of_u32;
 use commsched_topology::{NodeId, Tree};
 
-/// A set of nodes as per-leaf takes and node-id runs (see module docs).
+/// Nodes per word of the node bitmap.
+const BITS: usize = 64;
+
+/// A set of nodes as per-leaf takes and node-bitmap words (see module
+/// docs).
 ///
 /// Invariants, established by every constructor:
 /// * takes are `(leaf ordinal, count)` with strictly ascending ordinals
 ///   and positive counts;
-/// * runs are `(first node, length)`, ascending, disjoint and maximal (no
-///   two runs touch), with positive lengths;
-/// * leaf `k`'s take counts exactly the run nodes inside
-///   `tree.leaf_node_range(k)`, so Σ counts = Σ lengths = [`Self::len`].
+/// * words are `(word index, mask)`, word indices strictly ascending and
+///   masks non-zero: bit `b` of word `w` is node `64 w + b`;
+/// * leaf `k`'s take counts exactly the word bits inside
+///   `tree.leaf_node_range(k)`, so Σ counts = Σ set bits = [`Self::len`].
 ///
 /// Equality is set equality: two placements over one tree are `==`
 /// exactly when they hold the same nodes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Placement {
     takes: Vec<(usize, u32)>,
-    runs: Vec<(NodeId, u32)>,
+    words: Vec<(usize, u64)>,
 }
 
 impl Placement {
@@ -57,7 +61,7 @@ impl Placement {
                 Some((last, count)) if *last == k => *count += 1,
                 _ => out.takes.push((k, 1)),
             }
-            out.push_run(n.0, 1);
+            bits::push(&mut out.words, n.0 / BITS, 1 << (n.0 % BITS));
         }
         Ok(out)
     }
@@ -68,30 +72,32 @@ impl Placement {
     /// positive counts that never ask a leaf for more than it has free.
     pub(crate) fn from_takes(tree: &Tree, state: &ClusterState, takes: Vec<(usize, u32)>) -> Self {
         debug_assert!(
-            takes.windows(2).all(|w| w[0].0 < w[1].0) && takes.iter().all(|t| t.1 > 0),
-            "takes must ascend strictly by leaf ordinal with positive counts: {takes:?}"
+            takes.windows(2).all(|w| w[0].0 < w[1].0)
+                && takes.iter().all(|&(k, c)| c > 0 && c <= state.leaf_free(k)),
+            "takes must ascend strictly by leaf ordinal, each within its leaf's free: {takes:?}"
         );
-        let mut out = Placement::default();
+        // A take of `count` nodes touches at most `count` of its leaf's words.
+        let most = takes.iter().map(|&(k, count)| {
+            let range = tree.leaf_node_range(k);
+            (range.end.div_ceil(BITS) - range.start / BITS).min(usize_of_u32(count))
+        });
+        let mut words = Vec::with_capacity(most.sum());
         for &(k, count) in &takes {
-            // A take splits into at most one run per busy node it skips.
-            let busy = tree.leaf_size(k) - usize_of_u32(state.leaf_free(k));
-            out.runs.reserve(usize_of_u32(count).min(busy + 1));
-            state.free_runs_on_leaf(tree, k, count, |start, len| out.push_run(start, len));
+            let range = tree.leaf_node_range(k);
+            // A fully free leaf's first `count` nodes are its first ids.
+            if usize_of_u32(state.leaf_free(k)) == range.len() {
+                let ids = range.start..range.start + usize_of_u32(count);
+                for (w, mask) in bits::spans(ids) {
+                    bits::push(&mut words, w, mask);
+                }
+            } else {
+                state.free_bits().pick(range, count, &mut words);
+            }
         }
-        out.takes = takes;
-        out
+        Placement { takes, words }
     }
 
-    /// Append `len` nodes from `start`, extending the last run when they
-    /// touch so runs stay maximal.
-    fn push_run(&mut self, start: usize, len: u32) {
-        match self.runs.last_mut() {
-            Some((first, n)) if first.0 + usize_of_u32(*n) == start => *n += len,
-            _ => self.runs.push((NodeId(start), len)),
-        }
-    }
-
-    /// Number of **nodes** held (not takes, not runs).
+    /// Number of **nodes** held (not takes, not words).
     pub fn len(&self) -> usize {
         self.takes.iter().map(|&(_, c)| usize_of_u32(c)).sum()
     }
@@ -106,16 +112,17 @@ impl Placement {
         &self.takes
     }
 
-    /// `(first node, length)` maximal runs, ascending.
-    pub(crate) fn runs(&self) -> &[(NodeId, u32)] {
-        &self.runs
+    /// `(word index, mask)` entries of the node bitmap, ascending.
+    pub(crate) fn words(&self) -> &[(usize, u64)] {
+        &self.words
     }
 
     /// The node ids, ascending — block rank order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.runs
-            .iter()
-            .flat_map(|&(first, len)| (first.0..first.0 + usize_of_u32(len)).map(NodeId))
+        self.words.iter().flat_map(|&(w, mask)| {
+            let bits = (0..BITS).filter(move |b| mask >> b & 1 == 1);
+            bits.map(move |b| NodeId(w * BITS + b))
+        })
     }
 
     /// The node ids materialized, ascending. For consumers that need ids
@@ -127,63 +134,33 @@ impl Placement {
         out
     }
 
-    /// Does the placement hold `n`? O(log runs).
+    /// Does the placement hold `n`? O(log words).
     pub(crate) fn contains(&self, n: NodeId) -> bool {
-        let after = self.runs.partition_point(|&(first, _)| first <= n);
-        after > 0 && {
-            let (first, len) = self.runs[after - 1];
-            n.0 < first.0 + usize_of_u32(len)
-        }
+        let at = self.words.binary_search_by_key(&(n.0 / BITS), |&(w, _)| w);
+        at.is_ok_and(|i| self.words[i].1 >> (n.0 % BITS) & 1 == 1)
     }
 
     /// Check every invariant of the type against `tree` (tests and debug
     /// assertions; a placement applied to the tree it was built for always
-    /// passes).
+    /// passes): it must be the placement `from_nodes` builds from its own
+    /// nodes, which holds words ascending and non-zero and the takes
+    /// counted from them.
     pub(crate) fn check(&self, tree: &Tree) -> Result<(), String> {
-        let mut end = 0;
-        for (i, &(first, len)) in self.runs.iter().enumerate() {
-            if len == 0 {
-                return Err(format!("run {i} is empty"));
-            }
-            if i > 0 && first.0 <= end {
-                return Err(format!(
-                    "run {i} at {first} overlaps or touches its predecessor"
-                ));
-            }
-            end = first.0 + usize_of_u32(len);
+        let nodes = self.nodes();
+        if let Some(n) = nodes.iter().find(|n| n.0 >= tree.num_nodes()) {
+            return Err(format!("{n} is past the machine"));
         }
-        if end > tree.num_nodes() {
-            return Err(format!("runs end at {end}, past the machine"));
+        match Placement::from_nodes(tree, &nodes) {
+            Ok(canonical) if canonical == *self => Ok(()),
+            _ => Err(format!("{self:?} is not the placement of its nodes")),
         }
-        let mut counted: Vec<(usize, u32)> = Vec::with_capacity(self.takes.len());
-        for &(first, len) in &self.runs {
-            let mut at = first.0;
-            let end = first.0 + usize_of_u32(len);
-            while at < end {
-                let k = tree.leaf_ordinal_of(NodeId(at));
-                let stop = end.min(tree.leaf_node_range(k).end);
-                let n = u32_of_usize(stop - at);
-                match counted.last_mut() {
-                    Some((last, count)) if *last == k => *count += n,
-                    _ => counted.push((k, n)),
-                }
-                at = stop;
-            }
-        }
-        if counted != self.takes {
-            return Err(format!(
-                "takes {:?} disagree with the runs' per-leaf counts {counted:?}",
-                self.takes
-            ));
-        }
-        Ok(())
     }
 
     /// A placement from raw parts, invariants unchecked — for tests that
     /// feed `allocate` malformed input.
     #[cfg(test)]
-    pub(crate) fn from_raw_parts(takes: Vec<(usize, u32)>, runs: Vec<(NodeId, u32)>) -> Self {
-        Placement { takes, runs }
+    pub(crate) fn from_raw_parts(takes: Vec<(usize, u32)>, words: Vec<(usize, u64)>) -> Self {
+        Placement { takes, words }
     }
 }
 

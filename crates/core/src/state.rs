@@ -10,12 +10,16 @@ use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
-mod bits;
+pub(crate) mod bits;
+#[cfg(test)]
+mod counts;
 #[cfg(test)]
 mod reference;
 
 #[cfg(test)]
 pub(crate) use bits::FreeBits;
+#[cfg(test)]
+pub(crate) use counts::RATIO_EVALS;
 #[cfg(test)]
 pub(crate) use reference::Reference;
 
@@ -239,6 +243,9 @@ pub struct ClusterState {
     /// Hierarchical free-count index over the counters above (see
     /// [`crate::index`]). Derived data: excluded from `PartialEq`.
     index: FreeIndex,
+    /// Counted work (`state/counts.rs`), excluded from `PartialEq`.
+    #[cfg(test)]
+    tally: counts::StateCounts,
 }
 
 /// Occupancy equality compares the node bits, counters and allocations and
@@ -448,27 +455,10 @@ impl ClusterState {
         usize_of_u32(self.switch_free[s.0])
     }
 
-    /// The first `want` free nodes on leaf ordinal `k` as ascending id
-    /// runs `(first id, length)`, lowest node id first (SLURM's bitmap
-    /// order). A fully free leaf is one run and no scan; a partly occupied
-    /// one is a scan of its free bits a word (64 nodes) at a time.
-    pub(crate) fn free_runs_on_leaf(
-        &self,
-        tree: &Tree,
-        k: usize,
-        want: u32,
-        mut push: impl FnMut(usize, u32),
-    ) {
-        let range = tree.leaf_node_range(k);
-        debug_assert!(
-            want <= self.switch_free[k],
-            "leaf {k} asked for more than it has free"
-        );
-        if usize_of_u32(self.switch_free[k]) == range.len() {
-            push(range.start, want);
-            return;
-        }
-        self.node_free.runs(range, want, push);
+    /// The per-node free bits, read by `Placement::from_takes`.
+    #[inline]
+    pub(crate) fn free_bits(&self) -> &bits::FreeBits {
+        &self.node_free
     }
 
     /// Move `count` nodes of leaf ordinal `k` from one occupancy class to
@@ -540,16 +530,16 @@ impl ClusterState {
         let Some(run) = lag.run.take() else {
             return;
         };
-        let size = f64_of_usize(run.size);
-        let rkey = |[_, busy, comm]: [u32; 3]| ratio_key(ratio_value(busy, comm, size));
-        let rkeys = self
-            .index
-            .ratio_built()
-            .then(|| (rkey(run.before), rkey(run.after)));
+        // The order holds the run's old ratio key: only the new one is due.
+        let [_, busy, comm] = run.after;
+        let new_rkey = || ratio_key(ratio_value(busy, comm, f64_of_usize(run.size)));
+        let rkey = self.index.ratio_built().then(new_rkey);
+        #[cfg(test)]
+        self.tally.add(0, 0, usize::from(rkey.is_some()));
         let leaves = (u32_of_usize(run.first), run.len);
         let (old, new) = (run.before[0], run.after[0]);
         self.index
-            .apply_leaves(tree, run.parent, leaves, (old, new), rkeys);
+            .apply_leaves(tree, run.parent, leaves, (old, new), rkey);
         let moved = old.abs_diff(new) * run.len;
         if moved == 0 {
             return;
@@ -593,15 +583,17 @@ impl ClusterState {
         self.catch_up(tree, lag);
     }
 
-    /// Move a whole placement between classes: one word-range fill of the
-    /// free bits per run, one [`ClusterState::shift`] per take, one index
+    /// Move a whole placement between classes: one word write of the free
+    /// bits per entry, one [`ClusterState::shift`] per take, one index
     /// re-key per run of sibling leaves, each ancestor re-keyed once.
     fn shift_placement(&mut self, tree: &Tree, placement: &Placement, from: Class, to: Class) {
         let free = to == Class::Free;
-        for &(first, len) in placement.runs() {
-            self.node_free
-                .fill(first.0..first.0 + usize_of_u32(len), free);
+        for &(w, mask) in placement.words() {
+            self.node_free.fill_word(w, mask, free);
         }
+        #[cfg(test)]
+        self.tally
+            .add(placement.words().len(), placement.words().len(), 0);
         let mut lag = Lag::default();
         for &(k, count) in placement.takes() {
             self.shift(tree, k, count, from, to, &mut lag);
@@ -609,16 +601,19 @@ impl ClusterState {
         self.catch_up(tree, lag);
     }
 
-    /// `Ok` when `placement` names each node once and every one is free.
+    /// `Ok` when `placement`'s words ascend and every node they name is
+    /// free: one AND per word, the first taken bit named.
     fn check_free(&self, tree: &Tree, placement: &Placement) -> Result<(), StateError> {
-        let mut end = 0;
-        for &(first, len) in placement.runs() {
-            if first.0 < end {
-                return Err(StateError::DuplicateNode(first));
+        let mut after = None;
+        for &(w, mask) in placement.words() {
+            let lowest = |bits: u64| NodeId(w * 64 + usize_of_u32(bits.trailing_zeros()));
+            if after.is_some_and(|prev| w <= prev) {
+                return Err(StateError::DuplicateNode(lowest(mask)));
             }
-            end = first.0 + usize_of_u32(len);
-            if let Some(i) = self.node_free.first_clear(first.0..end) {
-                let n = NodeId(i);
+            after = Some(w);
+            let taken = mask & !self.node_free.word(w);
+            if taken != 0 {
+                let n = lowest(taken);
                 let down = self.health(n) == NodeHealth::Down || self.is_masked(tree, n);
                 return Err(if down {
                     StateError::NodeDown(n)
@@ -1001,6 +996,8 @@ impl ClusterState {
 /// the stored ratio keys are bit-identical to the live computation.
 #[inline]
 fn ratio_value(busy: u32, comm: u32, nodes: f64) -> f64 {
+    #[cfg(test)]
+    counts::ratio_eval();
     let busy_f = f64::from(busy);
     if busy == 0 {
         0.0

@@ -1,7 +1,7 @@
 //! The per-node free bits, packed 64 to a `u64` word: bit `i` of word
 //! `i / 64` is set while node `i` is free — SLURM's node bitmap. Ranges
-//! are read and written a word at a time, so a fill, a free check or a
-//! leaf's run resolution costs one step per 64 nodes, not one per node.
+//! are read and written a word at a time, so a fill, a count or a leaf's
+//! lowest-free pick costs one step per 64 nodes, not one per node.
 //!
 //! Bits at and past `len` in the last word stay clear — `set` and `fill`
 //! check their bounds in every build — so the derived `==` can compare
@@ -21,7 +21,7 @@ fn span(lo: usize, hi: usize) -> u64 {
 /// The words `range` touches, ascending, each with the mask of its bits
 /// that lie inside `range`.
 #[inline]
-fn spans(range: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
+pub(crate) fn spans(range: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
     let words = if range.is_empty() {
         0..0
     } else {
@@ -70,33 +70,31 @@ impl FreeBits {
     #[inline]
     pub(crate) fn set(&mut self, i: usize, value: bool) {
         assert!(i < self.len, "bit {i} of {}", self.len);
-        let bit = 1u64 << (i % BITS);
-        if value {
-            self.words[i / BITS] |= bit;
-        } else {
-            self.words[i / BITS] &= !bit;
-        }
+        self.fill_word(i / BITS, 1 << (i % BITS), value);
     }
 
     /// Set every bit of `range` to `value`.
     pub(crate) fn fill(&mut self, range: Range<usize>, value: bool) {
         assert!(range.end <= self.len, "{range:?} past {}", self.len);
         for (w, mask) in spans(range) {
-            if value {
-                self.words[w] |= mask;
-            } else {
-                self.words[w] &= !mask;
-            }
+            self.fill_word(w, mask, value);
         }
     }
 
-    /// The lowest clear bit in `range`, if any.
-    pub(crate) fn first_clear(&self, range: Range<usize>) -> Option<usize> {
-        debug_assert!(range.end <= self.len, "{range:?} past {}", self.len);
-        spans(range).find_map(|(w, mask)| {
-            let clear = !self.words[w] & mask;
-            (clear != 0).then(|| w * BITS + usize_of_u32(clear.trailing_zeros()))
-        })
+    /// Word `w`: bit `b` is node `64 w + b`.
+    #[inline]
+    pub(crate) fn word(&self, w: usize) -> u64 {
+        self.words[w]
+    }
+
+    /// Set the bits of `mask` in word `w`, all below `len`, to `value`.
+    #[inline]
+    pub(crate) fn fill_word(&mut self, w: usize, mask: u64, value: bool) {
+        if value {
+            self.words[w] |= mask;
+        } else {
+            self.words[w] &= !mask;
+        }
     }
 
     /// Number of set bits in `range`.
@@ -107,40 +105,51 @@ impl FreeBits {
             .sum()
     }
 
-    /// The first `want` set bits of `range` as ascending maximal runs
-    /// `(first bit, length)`: a word's runs are found by `trailing_zeros`
-    /// of the word and of its complement, and a run that reaches the end
-    /// of a word is extended by one that starts the next. Fewer than
-    /// `want` set bits yield all of them.
-    pub(crate) fn runs(&self, range: Range<usize>, want: u32, mut push: impl FnMut(usize, u32)) {
+    /// Append the lowest `want` set bits of `range` (all, if fewer) to
+    /// `out` as ascending `(word index, mask)` entries: whole words while
+    /// they hold no more than is still wanted, then the last one's lowest.
+    pub(crate) fn pick(&self, range: Range<usize>, want: u32, out: &mut Vec<(usize, u64)>) {
         debug_assert!(range.end <= self.len, "{range:?} past {}", self.len);
-        let (mut start, mut len, mut left) = (range.start, 0u32, want);
+        let mut left = want;
         for (w, mask) in spans(range) {
-            let mut word = self.words[w] & mask;
-            while word != 0 && left > 0 {
-                let lo = word.trailing_zeros();
-                let ones = (!(word >> lo)).trailing_zeros();
-                let at = w * BITS + usize_of_u32(lo);
-                let take = ones.min(left);
-                if len > 0 && start + usize_of_u32(len) == at {
-                    len += take;
-                } else {
-                    if len > 0 {
-                        push(start, len);
-                    }
-                    (start, len) = (at, take);
-                }
-                left -= take;
-                word &= (!0u64).checked_shl(lo + ones).unwrap_or(0);
-            }
             if left == 0 {
                 break;
             }
-        }
-        if len > 0 {
-            push(start, len);
+            let mut free = self.words[w] & mask;
+            let ones = free.count_ones();
+            if ones > left {
+                free = lowest(free, left);
+            }
+            left -= ones.min(left);
+            if free != 0 {
+                push(out, w, free);
+            }
         }
     }
+}
+
+/// Append the bits `mask` of word `w` to ascending `(word index, mask)`
+/// entries, merged into the last entry when it is word `w`'s.
+#[inline]
+pub(crate) fn push(out: &mut Vec<(usize, u64)>, w: usize, mask: u64) {
+    match out.last_mut() {
+        Some((last, m)) if *last == w => *m |= mask,
+        _ => out.push((w, mask)),
+    }
+}
+
+/// The lowest `r` set bits of `x`, `0 < r < x.count_ones()`: a window
+/// halved six times narrows onto the `r`-th set bit.
+#[inline]
+fn lowest(x: u64, mut r: u32) -> u64 {
+    let mut at = 0;
+    for half in [32, 16, 8, 4, 2, 1] {
+        let below = ((x >> at) & ((1u64 << half) - 1)).count_ones();
+        if below < r {
+            (at, r) = (at + half, r - below);
+        }
+    }
+    x & (!0u64 >> (63 - at))
 }
 
 #[cfg(test)]

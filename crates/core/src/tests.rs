@@ -3044,8 +3044,6 @@ mod placement_currency {
     #[test]
     fn duplicate_nodes_are_refused_before_any_mutation() {
         let tree = figure2();
-        let mut st = ClusterState::new(&tree);
-        let untouched = st.clone();
         assert_eq!(
             Placement::from_nodes(&tree, &[NodeId(0), NodeId(0)]),
             Err(StateError::DuplicateNode(NodeId(0)))
@@ -3054,29 +3052,59 @@ mod placement_currency {
             Placement::from_nodes(&tree, &[NodeId(5), NodeId(2), NodeId(7), NodeId(5)]),
             Err(StateError::DuplicateNode(NodeId(5)))
         );
-
-        // `allocate` defends itself too, should a malformed placement ever
-        // reach it: a repeated run, overlapping runs, a run reaching back
-        // into its predecessor — refused, state bit-for-bit as before.
-        for runs in [
-            vec![(NodeId(0), 1), (NodeId(0), 1)],
-            vec![(NodeId(0), 3), (NodeId(2), 2)],
-            vec![(NodeId(4), 2), (NodeId(1), 2)],
-        ] {
-            let len: u32 = runs.iter().map(|r| r.1).sum();
-            let bad = Placement::from_raw_parts(vec![(0, len)], runs.clone());
-            let got = st.allocate(&tree, JobId(1), &bad, JobNature::CommIntensive);
-            assert!(
-                matches!(got, Err(StateError::DuplicateNode(_))),
-                "{runs:?} -> {got:?}"
-            );
-            assert_eq!(st, untouched);
-            st.check_invariants(&tree).unwrap();
-        }
-        assert_eq!(st.allocations().count(), 0);
         assert!(StateError::DuplicateNode(NodeId(4))
             .to_string()
             .contains("node4"));
+
+        // `allocate` defends itself too, should a malformed placement ever
+        // reach it: words that repeat (the same bits, or other bits of the
+        // same word) or descend, and words naming a busy or a down node
+        // after free ones — refused, state bit-for-bit as before. Two
+        // leaves of 64 nodes, one word each; node 70 is busy, node 100
+        // down.
+        let tree = Tree::regular_two_level(2, 64);
+        let mut st = ClusterState::new(&tree);
+        st.allocate(
+            &tree,
+            JobId(9),
+            ids(&tree, &[NodeId(70)]),
+            JobNature::CommIntensive,
+        )
+        .unwrap();
+        st.set_down(&tree, NodeId(100)).unwrap();
+        let untouched = st.clone();
+        let cases: [(&[(usize, u64)], StateError); 5] = [
+            (&[(0, 0b1), (0, 0b1)], StateError::DuplicateNode(NodeId(0))),
+            (
+                &[(0, 0b111), (0, 0b1100)],
+                StateError::DuplicateNode(NodeId(2)),
+            ),
+            (
+                &[(1, 0b11), (0, 0b11)],
+                StateError::DuplicateNode(NodeId(0)),
+            ),
+            (
+                &[(0, 0b1), (1, 0b1111_0000)],
+                StateError::NodeBusy(NodeId(70)),
+            ),
+            (&[(0, 0b1), (1, 1 << 36)], StateError::NodeDown(NodeId(100))),
+        ];
+        for (words, want) in cases {
+            let counts = words.iter().map(|&(w, m)| (w, m.count_ones()));
+            let takes: Vec<(usize, u32)> = counts.fold(Vec::new(), |mut takes, (k, n)| {
+                match takes.last_mut() {
+                    Some((last, c)) if *last == k => *c += n,
+                    _ => takes.push((k, n)),
+                }
+                takes
+            });
+            let bad = Placement::from_raw_parts(takes, words.to_vec());
+            let got = st.allocate(&tree, JobId(1), &bad, JobNature::CommIntensive);
+            assert_eq!(got, Err(want), "{words:?}");
+            assert_eq!(st, untouched);
+            st.check_invariants(&tree).unwrap();
+        }
+        assert_eq!(st.allocations().count(), 1);
     }
 
     /// (d) One node set reached through two leaf orders. Greedy walks the
@@ -3577,6 +3605,85 @@ mod placement_currency {
         assert!(!st.index().ratio_built());
     }
 
+    /// A take of 64 free nodes on a leaf whose every other node is busy
+    /// resolves to one `(word, mask)` entry per word its picks span: two
+    /// on a leaf that starts on a word edge, three on one that starts
+    /// mid-word (as id runs it was 64 runs of one node). `allocate` and
+    /// `release` each read and write exactly those words.
+    #[test]
+    fn a_fragmented_take_costs_a_word_entry_per_word() {
+        // Leaf 0 is nodes 0..160, leaf 1 nodes 160..360 (word 2, bit 32).
+        let tree = Tree::irregular_two_level(&[160, 200]);
+        let mut st = ClusterState::new(&tree);
+        let odd: Vec<NodeId> = (0..tree.num_nodes())
+            .filter(|i| i % 2 == 1)
+            .map(NodeId)
+            .collect();
+        st.allocate(
+            &tree,
+            JobId(0),
+            ids(&tree, &odd),
+            JobNature::ComputeIntensive,
+        )
+        .unwrap();
+        for (k, words, first) in [(0, 2, 0), (1, 3, 160)] {
+            let take = Placement::from_takes(&tree, &st, vec![(k, 64)]);
+            let want: Vec<NodeId> = (0..64).map(|i| NodeId(first + 2 * i)).collect();
+            assert_eq!(take.nodes(), want);
+            assert_eq!(take.words().len(), words, "leaf {k}");
+            let before = st.tally();
+            st.allocate(&tree, JobId(1), take, JobNature::CommIntensive)
+                .unwrap();
+            st.release(&tree, JobId(1)).unwrap();
+            let after = st.tally();
+            assert_eq!(after.word_entries - before.word_entries, 2 * words);
+            assert_eq!(after.words_written - before.words_written, 2 * words);
+            st.check_invariants(&tree).unwrap();
+        }
+    }
+
+    /// Once the ratio order is built it holds each leaf's current Eq. 1
+    /// key, so a flushed run of leaves computes only its new key: on a
+    /// greedy churn over Intrepid every allocation and release evaluates
+    /// Eq. 1 once per flushed run, where it evaluated it twice.
+    #[test]
+    fn a_flush_computes_one_ratio_key_per_run() {
+        use crate::state::RATIO_EVALS;
+        let tree = commsched_topology::SystemPreset::Intrepid.build();
+        let mut st = ClusterState::new(&tree);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        let mut live = std::collections::VecDeque::new();
+        let (mut evals, mut runs) = (0, 0);
+        for j in 0..200u64 {
+            let want = rng.random_range(1..=4096usize);
+            let mut counted = |st: &mut ClusterState, step: &mut dyn FnMut(&mut ClusterState)| {
+                let before = (RATIO_EVALS.get(), st.tally().ratio_runs);
+                step(st);
+                evals += RATIO_EVALS.get() - before.0;
+                runs += st.tally().ratio_runs - before.1;
+            };
+            while st.free_total() < want {
+                let job = live.pop_front().unwrap();
+                counted(&mut st, &mut |st| drop(st.release(&tree, job).unwrap()));
+            }
+            let req = if rng.random::<bool>() {
+                AllocRequest::comm(JobId(j), want)
+            } else {
+                AllocRequest::compute(JobId(j), want)
+            };
+            let placement = GreedySelector.select(&tree, &st, &req).unwrap();
+            assert!(st.index().ratio_built());
+            counted(&mut st, &mut |st| {
+                st.allocate(&tree, JobId(j), &placement, req.nature)
+                    .unwrap()
+            });
+            live.push_back(JobId(j));
+        }
+        st.check_invariants(&tree).unwrap();
+        assert_eq!(evals, runs);
+        assert_eq!(runs, 3505);
+    }
+
     /// A run ends wherever the next take is not the next sibling making
     /// the same move: a gap, a group boundary, a leaf of another size, a
     /// partial take, a draining node and a switch-masked leaf. Each step is
@@ -3687,7 +3794,7 @@ mod placement_currency {
         }
 
         /// (e) A placement survives the trip through its own node list,
-        /// its takes and its runs add up to its length, and membership
+        /// its takes and its words add up to its length, and membership
         /// agrees with the list.
         #[test]
         fn placement_round_trips(
@@ -3711,7 +3818,8 @@ mod placement_currency {
             prop_assert_eq!(p.len(), sorted.len());
             prop_assert_eq!(p.is_empty(), sorted.is_empty());
             prop_assert_eq!(p.takes().iter().map(|t| t.1 as usize).sum::<usize>(), p.len());
-            prop_assert_eq!(p.runs().iter().map(|r| r.1 as usize).sum::<usize>(), p.len());
+            let bits = p.words().iter().map(|w| w.1.count_ones() as usize);
+            prop_assert_eq!(bits.sum::<usize>(), p.len());
             prop_assert_eq!(p.iter().count(), p.len());
             for n in (0..tree.num_nodes()).map(NodeId) {
                 prop_assert_eq!(p.contains(n), sorted.binary_search(&n).is_ok());
@@ -3753,28 +3861,35 @@ mod free_bits {
     use rand::SeedableRng;
     use std::ops::Range;
 
-    /// The model's answer: the first `want` set bits of `range` as
-    /// maximal `(first, length)` runs.
-    fn model_runs(model: &[bool], range: Range<usize>, want: u32) -> Vec<(usize, u32)> {
-        let mut out: Vec<(usize, u32)> = Vec::new();
-        let mut left = want;
-        for i in range.filter(|&i| model[i]) {
-            if left == 0 {
-                break;
-            }
-            match out.last_mut() {
-                Some((first, n)) if *first + *n as usize == i => *n += 1,
-                _ => out.push((i, 1)),
-            }
-            left -= 1;
-        }
-        out
+    /// The model's answer: the first `want` set bits of `range`.
+    fn model_pick(model: &[bool], range: Range<usize>, want: u32) -> Vec<usize> {
+        range.filter(|&i| model[i]).take(want as usize).collect()
     }
 
-    fn runs(bits: &FreeBits, range: Range<usize>, want: u32) -> Vec<(usize, u32)> {
-        let mut out = Vec::new();
-        bits.runs(range, want, |first, n| out.push((first, n)));
-        out
+    /// `pick`'s answer as bits, after checking its entries' form: word
+    /// indices strictly ascending, masks non-zero, and a word `out`
+    /// already ends with (the bits below a mid-word `range`, standing for
+    /// the leaf before) merged into rather than repeated.
+    fn pick(bits: &FreeBits, range: Range<usize>, want: u32) -> Result<Vec<usize>, TestCaseError> {
+        let (w0, below) = (range.start / 64, (1u64 << (range.start % 64)) - 1);
+        let mut out = if below == 0 {
+            vec![]
+        } else {
+            vec![(w0, below)]
+        };
+        bits.pick(range, want, &mut out);
+        prop_assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "{:?}", out);
+        prop_assert!(out.iter().all(|&(_, m)| m != 0), "{:?}", out);
+        if below != 0 {
+            prop_assert_eq!(out[0].1 & below, below);
+            out[0].1 &= !below;
+        }
+        let ones = out.iter().flat_map(|&(w, m)| {
+            (0..64)
+                .filter(move |b| m >> b & 1 == 1)
+                .map(move |b| w * 64 + b)
+        });
+        Ok(ones.collect())
     }
 
     /// A range bound, half the time within one of a word edge.
@@ -3813,20 +3928,28 @@ mod free_bits {
                     bits.set(i, v);
                     model[i] = v;
                 }
-                3 => prop_assert_eq!(
-                    bits.first_clear(r.clone()),
-                    r.clone().find(|&i| !model[i]),
-                    "first_clear {:?}",
-                    r
-                ),
+                3 => {
+                    // One word's bits, as a placement entry writes them.
+                    let w = rng.random_range(0..len.div_ceil(64));
+                    let valid = (0..64).filter(|b| w * 64 + b < len);
+                    let mask = valid.fold(0u64, |m, b| m | u64::from(rng.random::<bool>()) << b);
+                    let v = rng.random::<bool>();
+                    bits.fill_word(w, mask, v);
+                    for b in (0..64).filter(|b| mask >> b & 1 == 1) {
+                        model[w * 64 + b] = v;
+                    }
+                    let want = (0..64).filter(|b| w * 64 + b < len && model[w * 64 + b]);
+                    let word = want.fold(0u64, |m, b| m | 1 << b);
+                    prop_assert_eq!(bits.word(w), word, "word {}", w);
+                }
                 4 => {
                     // Up to one more than the range holds, so "all of them"
-                    // and "stop mid-run" both come up.
+                    // and "stop mid-word" both come up.
                     let want = rng.random_range(0..=r.len() as u32 + 1);
                     prop_assert_eq!(
-                        runs(&bits, r.clone(), want),
-                        model_runs(&model, r.clone(), want),
-                        "runs {:?} want {}",
+                        pick(&bits, r.clone(), want)?,
+                        model_pick(&model, r.clone(), want),
+                        "pick {:?} want {}",
                         r,
                         want
                     );
@@ -3857,27 +3980,49 @@ mod free_bits {
         ) {
             drive(len, seed, 120)?;
         }
+
+        /// The lowest-`want`-free pick against the model on a random
+        /// bitmap, each bit free with probability `pct`, over ranges that
+        /// start and end on both sides of word edges and at the end of
+        /// Theta's 4,392 nodes, 40 bits into a word; `want` runs from 0 to
+        /// one past the range's free bits, so a pick ends mid-word, at a
+        /// word's end and past the last free bit.
+        #[test]
+        fn lowest_free_pick_matches_a_bool_vector(
+            len in proptest::sample::select(vec![64usize, 65, 200, 4392]),
+            pct in 0u32..=100,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let model: Vec<bool> = (0..len).map(|_| rng.random_range(0..100u32) < pct).collect();
+            let bits = FreeBits::from_bools(&model);
+            for _ in 0..16 {
+                let mut r = range(&mut rng, len);
+                if rng.random_range(0..4u8) == 0 {
+                    r.end = len;
+                }
+                let free = model[r.clone()].iter().filter(|&&b| b).count() as u32;
+                for want in [0, 1, free / 2, free.saturating_sub(1), free, free + 1, rng.random_range(0..=free + 1)] {
+                    prop_assert_eq!(
+                        pick(&bits, r.clone(), want)?,
+                        model_pick(&model, r.clone(), want),
+                        "pick {:?} want {}",
+                        r,
+                        want
+                    );
+                }
+            }
+        }
     }
 
-    /// Pinned: a run that spans two word edges comes back as one run, and a
-    /// `want` that ends inside a word cuts the last run there.
+    /// Theta's 4,392 nodes end 40 bits into a word: a full reset sets
+    /// exactly those, and is the machine rebuilt bit by bit.
     #[test]
-    fn runs_merge_across_words_and_stop_mid_word() {
+    fn a_reset_sets_no_bit_past_the_last_node() {
         let mut bits = FreeBits::default();
-        bits.reset(200, true);
-        bits.set(10, false);
-        bits.set(150, false);
-        assert_eq!(runs(&bits, 0..200, 200), [(0, 10), (11, 139), (151, 49)]);
-        assert_eq!(runs(&bits, 0..200, 60), [(0, 10), (11, 50)]);
-        assert_eq!(runs(&bits, 5..160, 150), [(5, 5), (11, 139), (151, 6)]);
-        assert_eq!(runs(&bits, 60..70, 3), [(60, 3)]);
-        assert_eq!(bits.first_clear(11..150), None);
-        assert_eq!(bits.first_clear(11..151), Some(150));
-        assert_eq!(bits.count_ones(0..200), 198);
-        // Theta's 4,392 nodes end 40 bits into a word: a full reset sets
-        // exactly those, and is the machine rebuilt bit by bit.
         bits.reset(4392, true);
         assert_eq!(bits.count_ones(0..4392), 4392);
+        assert_eq!(bits.word(68), (1 << 40) - 1);
         assert_eq!(bits, FreeBits::from_bools(&[true; 4392]));
     }
 }

@@ -1578,7 +1578,7 @@ impl Run<'_, '_> {
             let base = i64_of_usize(self.state.free_total());
             #[cfg(test)]
             self.eng.fits.set(self.eng.fits.get() + 1);
-            let Some(s) = earliest_fit(&profile, base, now, dur, need) else {
+            let Some((s, at)) = earliest_fit(&profile, base, now, dur, need) else {
                 // With failed nodes the job may not fit even the fully
                 // drained future machine; it holds no reservation and
                 // waits for a recovery (or end-of-run rejection).
@@ -1596,9 +1596,10 @@ impl Run<'_, '_> {
                     continue;
                 }
             }
-            // Reserve [s, s + dur) for this job.
-            add_delta(&mut profile, s, -need);
-            add_delta(&mut profile, s.saturating_add(dur), need);
+            // Reserve [s, s + dur) for this job where the sweep found its
+            // ends, the later first so the earlier position stays put.
+            put_delta(&mut profile, at.1, s.saturating_add(dur), need);
+            put_delta(&mut profile, at.0, s, -need);
         }
         Ok(())
     }
@@ -1648,7 +1649,9 @@ impl Run<'_, '_> {
 }
 
 /// Earliest `s >= now` at which `need` nodes stay available for `dur`
-/// seconds under the delta profile (ascending instants, one entry each).
+/// seconds under the delta profile (ascending instants, one entry each),
+/// with where `s` and `s + dur` sit in the profile: each one's entry or
+/// its insertion point, the first index whose instant is not below it.
 /// Candidate starts are `now` and every profile breakpoint; availability
 /// after the last breakpoint is every node not currently down, so on a
 /// healthy machine a fit always exists for validated jobs — but a mid-run
@@ -1667,29 +1670,38 @@ pub(crate) fn earliest_fit(
     now: u64,
     dur: u64,
     need: i64,
-) -> Option<u64> {
-    let split = profile.partition_point(|&(t, _)| t <= now);
-    let mut avail = base + profile[..split].iter().map(|&(_, d)| d).sum::<i64>();
-    let mut rest = profile[split..].iter();
-    // The earliest start not yet ruled out.
+) -> Option<(u64, (usize, usize))> {
+    let (mut avail, mut i) = at_now(profile, base, now);
+    // The earliest start not yet ruled out, and its position.
     let mut s = now;
+    let mut at = i - usize::from(i > 0 && profile[i - 1].0 == now);
     loop {
         // Short of `need`: the first breakpoint back at it is the next
         // candidate.
         while avail < need {
-            let &(p, d) = rest.next()?;
+            let &(p, d) = profile.get(i)?;
             avail += d;
-            s = p;
+            (s, at, i) = (p, i, i + 1);
         }
         // Hold the candidate until its window closes or availability drops.
         let end = s.saturating_add(dur);
         while avail >= need {
-            match rest.next() {
-                Some(&(p, d)) if p < end => avail += d,
-                _ => return Some(s),
+            match profile.get(i) {
+                Some(&(p, d)) if p < end => (avail, i) = (avail + d, i + 1),
+                // A window saturating at `s = u64::MAX` ends on its start.
+                _ => return Some((s, (at, if end > s { i } else { at }))),
             }
         }
     }
+}
+
+/// Availability at `now` and the index of the first breakpoint after it.
+/// A pass's profile holds at most one entry at or before `now`, at `now`
+/// (releases and reservations are never earlier), so this reads the
+/// profile's front.
+fn at_now(profile: &[(u64, i64)], base: i64, now: u64) -> (i64, usize) {
+    let before = profile.iter().take_while(|&&(t, _)| t <= now);
+    before.fold((base, 0), |(avail, i), &(_, d)| (avail + d, i + 1))
 }
 
 /// The bound every queued job that can still start at `now` meets, as
@@ -1708,8 +1720,7 @@ pub(crate) fn start_bound(
     now: u64,
 ) -> (usize, usize, Option<u64>) {
     let base = i64_of_usize(free);
-    let split = profile.partition_point(|&(t, _)| t <= now);
-    let mut avail = base + profile[..split].iter().map(|&(_, d)| d).sum::<i64>();
+    let (mut avail, split) = at_now(profile, base, now);
     for &(p, d) in &profile[split..] {
         avail += d;
         if avail < base && p < u64::MAX {
@@ -1723,8 +1734,14 @@ pub(crate) fn start_bound(
 /// Add `d` to the profile at instant `t`, merging with an entry already
 /// there.
 pub(crate) fn add_delta(profile: &mut Vec<(u64, i64)>, t: u64, d: i64) {
-    match profile.binary_search_by_key(&t, |&(k, _)| k) {
-        Ok(at) => profile[at].1 += d,
-        Err(at) => profile.insert(at, (t, d)),
+    let at = profile.partition_point(|&(k, _)| k < t);
+    put_delta(profile, at, t, d);
+}
+
+/// Add `d` at instant `t`, whose entry or insertion point is `at`.
+pub(crate) fn put_delta(profile: &mut Vec<(u64, i64)>, at: usize, t: u64, d: i64) {
+    match profile.get_mut(at) {
+        Some(entry) if entry.0 == t => entry.1 += d,
+        _ => profile.insert(at, (t, d)),
     }
 }

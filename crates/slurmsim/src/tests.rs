@@ -2183,7 +2183,7 @@ mod tally {
 mod passes {
     use super::*;
     use crate::engine::reference::earliest_fit_naive;
-    use crate::engine::{add_delta, earliest_fit, start_bound};
+    use crate::engine::{add_delta, earliest_fit, put_delta, start_bound};
     use crate::queue::PendingQueue;
     use commsched_num::i64_of_usize;
     use proptest::prelude::*;
@@ -2323,7 +2323,10 @@ mod passes {
         /// search over a `BTreeMap` returned, on profiles with adjacent
         /// breakpoints, repeated instants merged into one entry,
         /// breakpoints before `now` and at `u64::MAX`, needs no future
-        /// meets, and saturating windows.
+        /// meets, and saturating windows. The positions it returns for the
+        /// start and the window's end are a binary search's of the same
+        /// profile, and reserving there leaves the profile `add_delta`
+        /// would have made.
         #[test]
         fn earliest_fit_matches_naive(
             points in prop::collection::vec((0u64..48, any::<bool>(), -8i64..9), 0..24),
@@ -2346,11 +2349,45 @@ mod passes {
                 1 => u64::MAX - dur,
                 _ => dur,
             };
-            prop_assert_eq!(
-                earliest_fit(&profile, base, now, dur, need),
-                earliest_fit_naive(&deltas, base, now, dur, need)
-            );
+            let fit = earliest_fit(&profile, base, now, dur, need);
+            prop_assert_eq!(fit.map(|f| f.0), earliest_fit_naive(&deltas, base, now, dur, need));
+            if let Some((s, (at_start, at_end))) = fit {
+                let end = s.saturating_add(dur);
+                prop_assert_eq!(at_start, profile.partition_point(|&(t, _)| t < s));
+                prop_assert_eq!(at_end, profile.partition_point(|&(t, _)| t < end));
+                let mut want = profile.clone();
+                add_delta(&mut want, s, -need);
+                add_delta(&mut want, end, need);
+                put_delta(&mut profile, at_end, end, need);
+                put_delta(&mut profile, at_start, s, -need);
+                prop_assert_eq!(profile, want);
+            }
         }
+    }
+
+    /// `earliest_fit`'s positions where a binary search has its edges: a
+    /// start at `now` on an entry at `now` (that entry, not the one after
+    /// it), a start at `now` between entries, and a start on the
+    /// breakpoint at `u64::MAX`, whose saturated window ends on it.
+    /// Reserving at them leaves the profile `add_delta` makes.
+    #[test]
+    fn earliest_fit_positions_at_now_and_at_the_end_of_time() {
+        // `(base, now, dur, need)` on `profile`, and the fit wanted.
+        let check = |profile: &[(u64, i64)], (base, now, dur, need), want| {
+            let fit = earliest_fit(profile, base, now, dur, need);
+            assert_eq!(fit, Some(want), "{profile:?} now {now}");
+            let (s, (at_start, at_end)) = want;
+            let (mut got, mut expect) = (profile.to_vec(), profile.to_vec());
+            put_delta(&mut got, at_end, s.saturating_add(dur), need);
+            put_delta(&mut got, at_start, s, -need);
+            add_delta(&mut expect, s, -need);
+            add_delta(&mut expect, s.saturating_add(dur), need);
+            assert_eq!(got, expect);
+        };
+        check(&[(5, -1), (9, 2)], (4, 5, 10, 1), (5, (0, 2)));
+        check(&[(5, -1), (9, 2)], (4, 7, 1, 1), (7, (1, 1)));
+        let end = u64::MAX;
+        check(&[(3, -10), (end, 10)], (5, 0, end, 5), (end, (1, 1)));
     }
 
     proptest! {
@@ -2391,7 +2428,8 @@ mod passes {
                     now,
                     walltime.max(1),
                     i64_of_usize(width),
-                ) == Some(now);
+                )
+                .is_some_and(|fit| fit.0 == now);
             let (bound_free, spare, window) = start_bound(&profile, free, now);
             prop_assert_eq!(bound_free, free);
             prop_assert!(spare <= free);
