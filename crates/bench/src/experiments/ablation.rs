@@ -12,30 +12,37 @@
 //! * **Eq. 7 feedback on/off**: how much of the wait-time improvement is
 //!   the feedback loop (shorter jobs drain queues) vs pure placement.
 
-use crate::{build_log, ExperimentResult, LogShape, Scale};
+use crate::{run_sweep, ExperimentResult, LogRecipe, LogShape, Scale, SweepCell};
 use commsched_collectives::Pattern;
-use commsched_core::SelectorKind;
+use commsched_core::{CostModel, SelectorKind};
 use commsched_metrics::Table;
-use commsched_slurmsim::{Engine, EngineConfig};
+use commsched_slurmsim::EngineConfig;
 use commsched_topology::SystemPreset;
 use commsched_workload::SystemModel;
-use rayon::prelude::*;
 use serde_json::json;
 
 /// Run all three ablations on the Theta log.
 pub fn ablation(scale: Scale) -> ExperimentResult {
-    let system = SystemModel::theta();
     let tree = SystemPreset::Theta.build();
-    let logs: Vec<_> = [Pattern::Rhvd, Pattern::Rd]
-        .into_par_iter()
-        .map(|p| build_log(system, scale, 90, LogShape::Pattern(p)))
-        .collect();
-    let (log_rhvd, log_rd) = (&logs[0], &logs[1]);
+    let rhvd = LogRecipe::new(
+        SystemModel::theta(),
+        scale,
+        LogShape::Pattern(Pattern::Rhvd),
+    );
+    let rd = LogRecipe {
+        shape: LogShape::Pattern(Pattern::Rd),
+        ..rhvd
+    };
+    let cell = |log, config| SweepCell {
+        config,
+        ..SweepCell::new(&tree, log)
+    };
+    let with_ratio = |kind, model| {
+        let mut cfg = EngineConfig::new(kind);
+        cfg.ratio_model = model;
+        cfg
+    };
 
-    // All four ablation studies produce independent engine runs over the
-    // two shared logs, so they fan out as ONE flat work list (12 runs)
-    // instead of four back-to-back 2–3-item bursts. Rows are sliced back
-    // out of the flat results by position.
     let backfill_cfgs = [
         (
             "fifo",
@@ -48,8 +55,8 @@ pub fn ablation(scale: Scale) -> ExperimentResult {
         ),
     ];
     let ratio_models = [
-        ("hops", commsched_core::CostModel::HOPS),
-        ("hop-bytes", commsched_core::CostModel::HOP_BYTES),
+        ("hops", CostModel::HOPS),
+        ("hop-bytes", CostModel::HOP_BYTES),
     ];
     let discounts = [0.25f64, 0.5, 1.0];
     let feedback_cfgs = [
@@ -60,44 +67,34 @@ pub fn ablation(scale: Scale) -> ExperimentResult {
         ("eq7", EngineConfig::new(SelectorKind::Balanced)),
     ];
 
-    let mut work: Vec<(EngineConfig, &commsched_workload::JobLog)> = Vec::new();
-    // --- backfill policy sweep (default selector, pure replay) ---
-    for (_, cfg) in &backfill_cfgs {
-        work.push((cfg.without_adjustment(), log_rhvd));
-    }
-    // --- ratio model: hops vs hop-bytes, balanced selector, both logs ---
-    for (_, model) in &ratio_models {
-        let mut cfg = EngineConfig::new(SelectorKind::Balanced);
-        cfg.ratio_model = *model;
-        work.push((cfg, log_rhvd));
-        work.push((cfg, log_rd));
-    }
-    // --- contention trunk discount: paper's 1/2 vs flat vs steep ---
-    for &d in &discounts {
-        let mut cfg = EngineConfig::new(SelectorKind::Adaptive);
-        cfg.ratio_model = commsched_core::CostModel {
-            trunk_discount: d,
-            ..commsched_core::CostModel::HOP_BYTES
-        };
-        work.push((cfg, log_rhvd));
-    }
-    // --- Eq. 7 feedback on/off, balanced selector ---
-    for (_, cfg) in &feedback_cfgs {
-        work.push((*cfg, log_rhvd));
-    }
-
-    let runs: Vec<_> = work
-        .par_iter()
-        .map(|&(cfg, log)| {
-            Engine::new(&tree, cfg)
-                .run(log)
-                .expect("log fits the Theta preset")
-        })
+    // All four studies run over the two shared logs as ONE sweep (12
+    // runs), instead of four back-to-back 2–3-item bursts; each study's
+    // rows then take their runs off the front, in the order the cells
+    // were listed.
+    let cells: Vec<SweepCell> = backfill_cfgs
+        .iter()
+        // Backfill policy: default selector, pure replay.
+        .map(|&(_, cfg)| cell(rhvd, cfg.without_adjustment()))
+        // Ratio model: hops vs hop-bytes, balanced selector, both logs.
+        .chain(ratio_models.iter().flat_map(|&(_, model)| {
+            [rhvd, rd].map(|log| cell(log, with_ratio(SelectorKind::Balanced, model)))
+        }))
+        // Contention trunk discount: paper's 1/2 vs flat vs steep.
+        .chain(discounts.iter().map(|&trunk_discount| {
+            let model = CostModel {
+                trunk_discount,
+                ..CostModel::HOP_BYTES
+            };
+            cell(rhvd, with_ratio(SelectorKind::Adaptive, model))
+        }))
+        // Eq. 7 feedback on/off, balanced selector.
+        .chain(feedback_cfgs.iter().map(|&(_, cfg)| cell(rhvd, cfg)))
         .collect();
+    let mut runs = run_sweep(&cells).into_iter();
 
     let backfill_rows: Vec<(String, f64, f64)> = backfill_cfgs
         .iter()
-        .zip(&runs[0..3])
+        .zip(runs.by_ref())
         .map(|((name, _), s)| {
             (
                 name.to_string(),
@@ -108,23 +105,20 @@ pub fn ablation(scale: Scale) -> ExperimentResult {
         .collect();
     let ratio_rows: Vec<(String, f64, f64)> = ratio_models
         .iter()
-        .zip(runs[3..7].chunks(2))
-        .map(|((name, _), pair)| {
-            (
-                name.to_string(),
-                pair[0].total_exec_hours(),
-                pair[1].total_exec_hours(),
-            )
+        .map(|(name, _)| {
+            // RHVD first, then RD, as the cells were listed.
+            let mut exec = || runs.next().expect("one run per cell").total_exec_hours();
+            (name.to_string(), exec(), exec())
         })
         .collect();
     let discount_rows: Vec<(String, f64)> = discounts
         .iter()
-        .zip(&runs[7..10])
+        .zip(runs.by_ref())
         .map(|(d, s)| (format!("{d}"), s.total_exec_hours()))
         .collect();
     let feedback_rows: Vec<(String, f64, f64)> = feedback_cfgs
         .iter()
-        .zip(&runs[10..12])
+        .zip(runs)
         .map(|((name, _), s)| (name.to_string(), s.total_exec_hours(), s.total_wait_hours()))
         .collect();
 

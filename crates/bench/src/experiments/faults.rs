@@ -7,14 +7,13 @@
 //! every (policy, selector) cell at that rate, so cells differ only in how
 //! the scheduler reacts — never in which nodes die when.
 
-use crate::{build_log, ExperimentResult, LogShape, Scale};
+use crate::{each_selector, run_sweep, ExperimentResult, LogRecipe, LogShape, Scale, SweepCell};
 use commsched_collectives::Pattern;
 use commsched_core::SelectorKind;
 use commsched_metrics::Table;
-use commsched_slurmsim::{Engine, EngineConfig, FailurePolicy, JobStatus};
+use commsched_slurmsim::{FailurePolicy, JobStatus};
 use commsched_topology::SystemPreset;
 use commsched_workload::{FaultTrace, SystemModel};
-use rayon::prelude::*;
 use serde_json::json;
 
 /// Mean time to repair for every sweep cell, seconds (4 h).
@@ -49,10 +48,15 @@ pub(crate) struct FaultRow {
 
 /// Run the failure-rate × policy × selector sweep.
 pub fn faults(scale: Scale) -> ExperimentResult {
-    let system = SystemModel::theta();
     let tree = SystemPreset::Theta.build();
-    let log = build_log(system, scale, 90, LogShape::Pattern(Pattern::Rhvd));
-    let horizon = log.fault_horizon();
+    let recipe = LogRecipe::new(
+        SystemModel::theta(),
+        scale,
+        LogShape::Pattern(Pattern::Rhvd),
+    );
+    // The traces span the log, so it is generated here once for its
+    // horizon; the sweep generates its own copy.
+    let horizon = recipe.build().fault_horizon();
 
     let rates: [f64; 2] = [5.0e6, 1.0e6];
     let policies: [(&str, FailurePolicy); 3] = [
@@ -107,73 +111,48 @@ pub fn faults(scale: Scale) -> ExperimentResult {
     )
     .expect("sweep link-degrade parameters are valid");
 
-    // The cell grid, in deterministic source order: the failure-free
-    // baseline once per selector, the node-domain rate × policy ×
-    // selector sweep, then the switch and link domains.
-    type Cell<'a> = (
-        &'static str,
-        f64,
-        &'static str,
-        FailurePolicy,
-        Option<&'a FaultTrace>,
-        SelectorKind,
-    );
-    let mut cells: Vec<Cell<'_>> = Vec::new();
-    for kind in SelectorKind::ALL {
-        cells.push(("-", 0.0, "-", FailurePolicy::Cancel, None, kind));
-    }
+    // The grid, in deterministic source order: the failure-free baseline,
+    // the node-domain rate × policy sweep, then the switch and link
+    // domains; each (domain, MTBF, policy) group runs under every selector.
+    let healthy = SweepCell::new(&tree, recipe);
+    let cell = |policy, faults| SweepCell {
+        config: healthy.config.with_failure_policy(policy),
+        faults,
+        ..healthy
+    };
+    let mut groups = vec![("-", 0.0, "-", cell(FailurePolicy::Cancel, None))];
     for (mtbf, trace) in &traces {
         for &(label, policy) in &policies {
-            for kind in SelectorKind::ALL {
-                cells.push(("node", *mtbf, label, policy, Some(trace), kind));
-            }
+            groups.push(("node", *mtbf, label, cell(policy, Some(trace))));
         }
     }
     for &(label, policy) in &policies {
-        for kind in SelectorKind::ALL {
-            cells.push((
-                "switch",
-                switch_mtbf_secs,
-                label,
-                policy,
-                Some(&switch_trace),
-                kind,
-            ));
-        }
+        let faulted = cell(policy, Some(&switch_trace));
+        groups.push(("switch", switch_mtbf_secs, label, faulted));
     }
-    for kind in SelectorKind::ALL {
-        // Degraded links kill nothing, so the failure policy is moot.
-        cells.push((
-            "link",
-            link_mtbf_secs,
-            "-",
-            FailurePolicy::Cancel,
-            Some(&link_trace),
-            kind,
-        ));
-    }
+    // Degraded links kill nothing, so the failure policy is moot.
+    let faulted = cell(FailurePolicy::Cancel, Some(&link_trace));
+    groups.push(("link", link_mtbf_secs, "-", faulted));
 
-    let rows: Vec<FaultRow> = cells
-        .par_iter()
-        .map(|&(domain, mtbf, policy_label, policy, trace, kind)| {
-            let cfg = EngineConfig::new(kind).with_failure_policy(policy);
-            let mut engine = Engine::new(&tree, cfg);
-            if let Some(t) = trace {
-                engine = engine.with_faults(t.clone());
-            }
-            let s = engine.run(&log).expect("log fits the Theta preset");
-            FaultRow {
-                domain: domain.to_string(),
-                mtbf_secs: mtbf,
-                policy: policy_label.to_string(),
-                selector: kind.name().to_string(),
-                completed: s.count_status(JobStatus::Completed),
-                cancelled: s.count_status(JobStatus::Cancelled),
-                requeues: s.total_retries(),
-                lost_node_hours: s.lost_node_hours(),
-                exec_hours: s.total_exec_hours(),
-                turnaround_hours: s.avg_turnaround_hours(),
-            }
+    let cells: Vec<_> = groups.iter().flat_map(|g| each_selector(g.3)).collect();
+    let rows: Vec<FaultRow> = run_sweep(&cells)
+        .chunks(SelectorKind::ALL.len())
+        .zip(&groups)
+        .flat_map(|(runs, &(domain, mtbf, policy, _))| {
+            runs.iter()
+                .zip(SelectorKind::ALL)
+                .map(move |(s, kind)| FaultRow {
+                    domain: domain.to_string(),
+                    mtbf_secs: mtbf,
+                    policy: policy.to_string(),
+                    selector: kind.name().to_string(),
+                    completed: s.count_status(JobStatus::Completed),
+                    cancelled: s.count_status(JobStatus::Cancelled),
+                    requeues: s.total_retries(),
+                    lost_node_hours: s.lost_node_hours(),
+                    exec_hours: s.total_exec_hours(),
+                    turnaround_hours: s.avg_turnaround_hours(),
+                })
         })
         .collect();
 

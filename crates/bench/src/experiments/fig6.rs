@@ -2,7 +2,7 @@
 //! experiment sets A–E on the Theta log (with the Intrepid/Mira numbers the
 //! text quotes included in the JSON).
 
-use crate::{run_sweep, ExperimentResult, LogShape, Scale, SweepCell};
+use crate::{each_selector, run_sweep, ExperimentResult, LogRecipe, LogShape, Scale, SweepCell};
 use commsched_core::SelectorKind;
 use commsched_metrics::Table;
 use commsched_topology::SystemPreset;
@@ -30,16 +30,15 @@ pub fn fig6(scale: Scale) -> ExperimentResult {
     // One tree per system, shared by its five mix cells; the 3×5 grid is
     // a single flat work list (systems-major, like the output rows).
     let trees: Vec<_> = systems.iter().map(|(_, preset)| preset.build()).collect();
-    let cells: Vec<SweepCell> = systems
+    let cells: Vec<_> = systems
         .iter()
         .zip(&trees)
         .flat_map(|(&(system, _), tree)| {
-            MixSet::ALL.into_iter().map(move |set| SweepCell {
-                tree,
-                system,
-                comm_pct: 90,
-                shape: LogShape::Mix(set),
-                scale,
+            MixSet::ALL.into_iter().flat_map(move |set| {
+                each_selector(SweepCell::new(
+                    tree,
+                    LogRecipe::new(system, scale, LogShape::Mix(set)),
+                ))
             })
         })
         .collect();
@@ -47,7 +46,7 @@ pub fn fig6(scale: Scale) -> ExperimentResult {
         .iter()
         .flat_map(|(system, _)| MixSet::ALL.into_iter().map(move |set| (system, set)));
     let rows: Vec<MixRow> = run_sweep(&cells)
-        .into_iter()
+        .chunks(SelectorKind::ALL.len())
         .zip(sets)
         .map(|(runs, (system, set))| {
             let d = runs[0].total_exec_hours();

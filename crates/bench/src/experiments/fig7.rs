@@ -2,7 +2,7 @@
 //! continuous runs (left panel) and individual runs (right panel), for all
 //! four allocators.
 
-use crate::{build_log, run_all_selectors, ExperimentResult, LogShape, Scale};
+use crate::{each_selector, run_sweep, ExperimentResult, LogRecipe, LogShape, Scale, SweepCell};
 use commsched_collectives::Pattern;
 use commsched_core::SelectorKind;
 use commsched_metrics::Series;
@@ -19,10 +19,12 @@ const PLOTTED: usize = 200;
 pub fn fig7(scale: Scale) -> ExperimentResult {
     let system = SystemModel::theta();
     let tree = SystemPreset::Theta.build();
-    let log = build_log(system, scale, 90, LogShape::Pattern(Pattern::Rd));
+    let recipe = LogRecipe::new(system, scale, LogShape::Pattern(Pattern::Rd));
+    let log = recipe.build();
 
     // Left: continuous runs — exec time by job id for each selector.
-    let runs = run_all_selectors(&tree, &log);
+    let cells: Vec<_> = each_selector(SweepCell::new(&tree, recipe)).collect();
+    let runs = run_sweep(&cells);
     let plot_ids: Vec<_> = log
         .jobs
         .iter()

@@ -2,7 +2,10 @@
 //! pattern, 90% communication-intensive jobs, all three logs and all four
 //! allocators.
 
-use crate::{paper_systems, run_sweep, ExperimentResult, LogShape, Scale, SweepCell};
+use crate::{
+    each_selector, paper_systems, run_sweep, ExperimentResult, LogRecipe, LogShape, Scale,
+    SweepCell,
+};
 use commsched_collectives::Pattern;
 use commsched_core::SelectorKind;
 use commsched_metrics::Table;
@@ -37,21 +40,20 @@ fn bucket_edges(max_request: usize) -> Vec<(usize, usize)> {
 pub fn fig8(scale: Scale) -> ExperimentResult {
     let systems = paper_systems();
     let trees: Vec<_> = systems.iter().map(|(_, preset)| preset.build()).collect();
-    let cells: Vec<SweepCell> = systems
+    let cells: Vec<_> = systems
         .iter()
         .zip(&trees)
-        .map(|(&(system, _), tree)| SweepCell {
-            tree,
-            system,
-            comm_pct: 90,
-            shape: LogShape::Pattern(Pattern::Binomial),
-            scale,
+        .flat_map(|(&(system, _), tree)| {
+            each_selector(SweepCell::new(
+                tree,
+                LogRecipe::new(system, scale, LogShape::Pattern(Pattern::Binomial)),
+            ))
         })
         .collect();
     // The 3 system runs fan out as 12 flat work items; bucketing the
     // outcomes afterwards is cheap and stays sequential.
     let buckets: Vec<Bucket> = run_sweep(&cells)
-        .into_iter()
+        .chunks(SelectorKind::ALL.len())
         .zip(&systems)
         .flat_map(|(runs, (system, _))| {
             bucket_edges(system.max_request)
@@ -59,7 +61,7 @@ pub fn fig8(scale: Scale) -> ExperimentResult {
                 .filter_map(|(lo, hi)| {
                     let mut avg = Vec::with_capacity(runs.len());
                     let mut count = 0usize;
-                    for run in &runs {
+                    for run in runs {
                         let costs: Vec<f64> = run
                             .outcomes
                             .iter()
@@ -113,13 +115,11 @@ pub fn fig8(scale: Scale) -> ExperimentResult {
     // Aggregate reductions, the numbers §6.4 quotes (~3.4% greedy, ~11%
     // balanced/adaptive on average).
     let mut sums = [0.0f64; 4];
-    let mut weight = 0.0;
     for b in &buckets {
         let w = b.count as f64;
         for (i, c) in b.avg_cost.iter().enumerate() {
             sums[i] += c * w;
         }
-        weight += w;
     }
     let avg_red: Vec<f64> = (1..4)
         .map(|i| {
@@ -130,7 +130,6 @@ pub fn fig8(scale: Scale) -> ExperimentResult {
             }
         })
         .collect();
-    let _ = weight;
 
     let text = format!(
         "Figure 8: average communication cost (Eq. 6) by node range, binomial \

@@ -2,7 +2,7 @@
 //! (RHVD) as the percentage of communication-intensive jobs varies over
 //! 30 / 60 / 90, for all four allocators.
 
-use crate::{run_sweep, ExperimentResult, LogShape, Scale, SweepCell};
+use crate::{each_selector, run_sweep, ExperimentResult, LogRecipe, LogShape, Scale, SweepCell};
 use commsched_collectives::Pattern;
 use commsched_core::SelectorKind;
 use commsched_metrics::Table;
@@ -28,18 +28,13 @@ pub fn fig9(scale: Scale) -> ExperimentResult {
     let system = SystemModel::intrepid();
     let tree = SystemPreset::Intrepid.build();
     const LEVELS: [u8; 3] = [30, 60, 90];
-    let cells: Vec<SweepCell> = LEVELS
+    let rhvd = LogRecipe::new(system, scale, LogShape::Pattern(Pattern::Rhvd));
+    let cells: Vec<_> = LEVELS
         .into_iter()
-        .map(|pct| SweepCell {
-            tree: &tree,
-            system,
-            comm_pct: pct,
-            shape: LogShape::Pattern(Pattern::Rhvd),
-            scale,
-        })
+        .flat_map(|comm_pct| each_selector(SweepCell::new(&tree, LogRecipe { comm_pct, ..rhvd })))
         .collect();
     let levels: Vec<Level> = run_sweep(&cells)
-        .into_iter()
+        .chunks(SelectorKind::ALL.len())
         .zip(LEVELS)
         .map(|(runs, pct)| Level {
             comm_pct: pct,

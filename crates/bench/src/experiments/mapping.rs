@@ -6,7 +6,7 @@
 //! against round-robin and power-of-two-aligned layouts, and against the
 //! best-of-all choice.
 
-use crate::{build_log, ExperimentResult, LogShape, Scale};
+use crate::{ExperimentResult, LogRecipe, LogShape, Scale};
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_core::mapping::{best_mapping, mapped_cost, MappingStrategy};
 use commsched_core::{AllocRequest, CostModel, SelectorKind};
@@ -24,7 +24,7 @@ const PROBES: usize = 100;
 pub fn mapping(scale: Scale) -> ExperimentResult {
     let system = SystemModel::theta();
     let tree = SystemPreset::Theta.build();
-    let log = build_log(system, scale, 90, LogShape::Pattern(Pattern::Rhvd));
+    let log = LogRecipe::new(system, scale, LogShape::Pattern(Pattern::Rhvd)).build();
     let state = warmup_state(&tree, &log, 0.55);
     let model = CostModel::HOP_BYTES;
 

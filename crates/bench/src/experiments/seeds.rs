@@ -6,7 +6,7 @@
 //! selector's execution/wait totals as mean ± 95% CI, plus the per-seed
 //! improvement of balanced/adaptive over default.
 
-use crate::{run_sweep, ExperimentResult, LogShape, Scale, SweepCell};
+use crate::{each_selector, run_sweep, ExperimentResult, LogRecipe, LogShape, Scale, SweepCell};
 use commsched_collectives::Pattern;
 use commsched_core::SelectorKind;
 use commsched_metrics::{mean_ci95, Table};
@@ -23,27 +23,21 @@ pub fn seeds(scale: Scale) -> ExperimentResult {
     let tree = SystemPreset::Theta.build();
 
     // The 5 seed cells fan out as 20 flat (seed × selector) work items.
-    let cells: Vec<SweepCell> = SEEDS
+    let rhvd = LogRecipe::new(system, scale, LogShape::Pattern(Pattern::Rhvd));
+    let cells: Vec<_> = SEEDS
         .iter()
-        .map(|&seed| SweepCell {
-            tree: &tree,
-            system,
-            comm_pct: 90,
-            shape: LogShape::Pattern(Pattern::Rhvd),
-            scale: Scale { seed, ..scale },
+        .flat_map(|&seed| {
+            let scale = Scale { seed, ..scale };
+            each_selector(SweepCell::new(&tree, LogRecipe { scale, ..rhvd }))
         })
         .collect();
-    // seed -> per-selector (exec hours, wait hours)
-    let per_seed: Vec<(u64, Vec<(f64, f64)>)> = run_sweep(&cells)
-        .into_iter()
-        .zip(SEEDS)
-        .map(|(runs, seed)| {
-            (
-                seed,
-                runs.iter()
-                    .map(|r| (r.total_exec_hours(), r.total_wait_hours()))
-                    .collect(),
-            )
+    // Per seed, per selector: (exec hours, wait hours).
+    let per_seed: Vec<Vec<(f64, f64)>> = run_sweep(&cells)
+        .chunks(SelectorKind::ALL.len())
+        .map(|runs| {
+            runs.iter()
+                .map(|r| (r.total_exec_hours(), r.total_wait_hours()))
+                .collect()
         })
         .collect();
 
@@ -59,11 +53,11 @@ pub fn seeds(scale: Scale) -> ExperimentResult {
     );
     let mut json_rows = Vec::new();
     for (si, kind) in SelectorKind::ALL.iter().enumerate() {
-        let execs: Vec<f64> = per_seed.iter().map(|(_, v)| v[si].0).collect();
-        let waits: Vec<f64> = per_seed.iter().map(|(_, v)| v[si].1).collect();
+        let execs: Vec<f64> = per_seed.iter().map(|v| v[si].0).collect();
+        let waits: Vec<f64> = per_seed.iter().map(|v| v[si].1).collect();
         let reductions: Vec<f64> = per_seed
             .iter()
-            .map(|(_, v)| 100.0 * (v[0].0 - v[si].0) / v[0].0)
+            .map(|v| 100.0 * (v[0].0 - v[si].0) / v[0].0)
             .collect();
         let (em, ew) = mean_ci95(&execs);
         let (wm, ww) = mean_ci95(&waits);
@@ -84,9 +78,7 @@ pub fn seeds(scale: Scale) -> ExperimentResult {
 
     // The claim that must survive every seed: balanced and adaptive beat
     // default on execution time.
-    let robust = per_seed
-        .iter()
-        .all(|(_, v)| v[2].0 < v[0].0 && v[3].0 < v[0].0);
+    let robust = per_seed.iter().all(|v| v[2].0 < v[0].0 && v[3].0 < v[0].0);
 
     let text = format!(
         "Seed sensitivity: Theta x RHVD, {} jobs, seeds {:?}\n\n{t}\n\

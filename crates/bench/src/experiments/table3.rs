@@ -2,7 +2,10 @@
 //! job logs × {RHVD, RD} × {default, greedy, balanced, adaptive}, with 90%
 //! communication-intensive jobs.
 
-use crate::{paper_systems, run_sweep, ExperimentResult, LogShape, Scale, SweepCell};
+use crate::{
+    each_selector, paper_systems, pct, run_sweep, ExperimentResult, LogRecipe, LogShape, Scale,
+    SweepCell,
+};
 use commsched_collectives::Pattern;
 use commsched_core::SelectorKind;
 use commsched_metrics::Table;
@@ -35,18 +38,17 @@ pub fn table3(scale: Scale) -> ExperimentResult {
                 .map(move |pattern| (system, tree, pattern))
         })
         .collect();
-    let sweep_cells: Vec<SweepCell> = grid
+    let sweep_cells: Vec<_> = grid
         .iter()
-        .map(|&(system, tree, pattern)| SweepCell {
-            tree,
-            system,
-            comm_pct: 90,
-            shape: LogShape::Pattern(pattern),
-            scale,
+        .flat_map(|&(system, tree, pattern)| {
+            each_selector(SweepCell::new(
+                tree,
+                LogRecipe::new(system, scale, LogShape::Pattern(pattern)),
+            ))
         })
         .collect();
     let cells: Vec<Cell> = run_sweep(&sweep_cells)
-        .into_iter()
+        .chunks(SelectorKind::ALL.len())
         .zip(&grid)
         .map(|(runs, (system, _, pattern))| Cell {
             system: system.name.to_string(),
@@ -95,20 +97,10 @@ pub fn table3(scale: Scale) -> ExperimentResult {
          ({} jobs per log)\n\n{t}\n{shape_notes}",
         scale.jobs
     );
+    let selectors = SelectorKind::ALL.map(|k| k.name());
     ExperimentResult {
         name: "table3",
         text,
-        json: json!({ "jobs": scale.jobs, "selectors": selector_names(), "cells": cells }),
+        json: json!({ "jobs": scale.jobs, "selectors": selectors, "cells": cells }),
     }
-}
-
-fn pct(base: f64, cand: f64) -> String {
-    if base == 0.0 {
-        return "n/a".into();
-    }
-    format!("{:+.1}%", 100.0 * (base - cand) / base)
-}
-
-fn selector_names() -> Vec<&'static str> {
-    SelectorKind::ALL.iter().map(|k| k.name()).collect()
 }

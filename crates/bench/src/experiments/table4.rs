@@ -2,7 +2,7 @@
 //! time over default, placing each probe job from an identical
 //! partially-occupied cluster state (3 logs × {RHVD, RD}).
 
-use crate::{build_log, paper_systems, ExperimentResult, LogShape, Scale};
+use crate::{paper_systems, ExperimentResult, LogRecipe, LogShape, Scale};
 use commsched_collectives::Pattern;
 use commsched_core::SelectorKind;
 use commsched_metrics::Table;
@@ -50,7 +50,7 @@ pub fn table4(scale: Scale) -> ExperimentResult {
     let prepared: Vec<_> = grid
         .par_iter()
         .map(|&(system, tree, pattern)| {
-            let log = build_log(system, scale, 90, LogShape::Pattern(pattern));
+            let log = LogRecipe::new(system, scale, LogShape::Pattern(pattern)).build();
             let state = warmup_state(tree, &log, WARM);
             // 200 randomly selected communication-intensive jobs that
             // fit the remaining capacity.

@@ -15,7 +15,7 @@
 //!   replaces it with something strictly cheaper;
 //! * SA at budget 0 returns the adaptive placement **bit-for-bit**.
 
-use crate::{build_log, paper_systems, ExperimentResult, LogShape, Scale};
+use crate::{paper_systems, pct, ExperimentResult, LogRecipe, LogShape, Scale};
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_core::{
     AdaptiveSelector, AllocRequest, BalancedSelector, CostModel, GreedySelector, NodeSelector,
@@ -79,7 +79,7 @@ fn score_all(
 /// Run one cell: warm the cluster, place the probes under every
 /// contender, check the gate invariants.
 fn run_cell(system: SystemModel, tree: &Tree, pattern: Pattern, scale: Scale) -> Cell {
-    let log = build_log(system, scale, 90, LogShape::Pattern(pattern));
+    let log = LogRecipe::new(system, scale, LogShape::Pattern(pattern)).build();
     let state = warmup_state(tree, &log, WARMUP_FRACTION);
     let probes: Vec<AllocRequest> = comm_probes(&log, scale.jobs)
         .into_iter()
@@ -212,11 +212,4 @@ pub fn tournament(scale: Scale) -> ExperimentResult {
             "cells": cells,
         }),
     }
-}
-
-fn pct(base: f64, cand: f64) -> String {
-    if base == 0.0 {
-        return "n/a".into();
-    }
-    format!("{:+.1}%", 100.0 * (base - cand) / base)
 }

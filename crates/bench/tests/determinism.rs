@@ -1,37 +1,49 @@
-//! The experiment sweep must produce identical output at every rayon
-//! thread count: per-cell seeding is deterministic and the vendored rayon
+//! Every experiment must produce identical output at every rayon thread
+//! count: per-cell seeding is deterministic and the vendored rayon
 //! concatenates results in source order, so nothing downstream may depend
-//! on scheduling. This is the regression gate for the parallel sweep
-//! harness — a reduced Figure 6 sweep (3 systems × 5 mixes × 4 selectors,
-//! one flat work list) rendered under 1, 2, 4 and 8 worker threads.
+//! on scheduling. Each case below runs at 1, 2, 4 and 8 worker threads and
+//! compares every run's bytes with the 1-thread run's.
 
-use commsched_bench::experiments::{faults, fig6};
-use commsched_bench::Scale;
+use commsched_bench::experiments::{
+    ablation, faults, fig6, fig7, run_golden, table4, tournament, GOLDEN_SCENARIOS,
+};
+use commsched_bench::{ExperimentResult, Scale};
 use rayon::ThreadPoolBuilder;
 
-#[test]
-fn fig6_sweep_identical_across_thread_counts() {
-    let scale = Scale { jobs: 30, seed: 42 };
+const SCALE: Scale = Scale { jobs: 30, seed: 42 };
+
+/// Run `f` in pools of 1, 2, 4 and 8 threads and assert that every run
+/// returns what the 1-thread run did.
+fn identical_across_thread_counts<T: PartialEq + std::fmt::Debug>(what: &str, f: impl Fn() -> T) {
     let pool = |threads: usize| {
         ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("thread pool")
     };
-    let base = pool(1).install(|| fig6(scale));
-    let base_json = serde_json::to_string(&base.json).expect("serialize");
+    let base = pool(1).install(&f);
     for threads in [2usize, 4, 8] {
-        let run = pool(threads).install(|| fig6(scale));
         assert_eq!(
-            base.text, run.text,
-            "fig6 text differs between 1 and {threads} threads"
-        );
-        assert_eq!(
-            base_json,
-            serde_json::to_string(&run.json).expect("serialize"),
-            "fig6 json differs between 1 and {threads} threads"
+            base,
+            pool(threads).install(&f),
+            "{what} differs between 1 and {threads} threads"
         );
     }
+}
+
+/// An experiment at [`SCALE`], as the text and JSON bytes `repro` writes.
+fn experiment(run: fn(Scale) -> ExperimentResult) -> impl Fn() -> (String, String) {
+    move || {
+        let r = run(SCALE);
+        (r.text, serde_json::to_string(&r.json).expect("serialize"))
+    }
+}
+
+/// A reduced Figure 6 sweep: 3 systems × 5 mixes × 4 selectors, one flat
+/// work list.
+#[test]
+fn fig6_sweep_identical_across_thread_counts() {
+    identical_across_thread_counts("fig6", experiment(fig6));
 }
 
 /// The fault-injection sweep adds a second axis of hidden state (one
@@ -40,27 +52,20 @@ fn fig6_sweep_identical_across_thread_counts() {
 /// sweep.
 #[test]
 fn faults_sweep_identical_across_thread_counts() {
-    let scale = Scale { jobs: 30, seed: 42 };
-    let pool = |threads: usize| {
-        ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool")
-    };
-    let base = pool(1).install(|| faults(scale));
-    let base_json = serde_json::to_string(&base.json).expect("serialize");
-    for threads in [2usize, 4, 8] {
-        let run = pool(threads).install(|| faults(scale));
-        assert_eq!(
-            base.text, run.text,
-            "faults text differs between 1 and {threads} threads"
-        );
-        assert_eq!(
-            base_json,
-            serde_json::to_string(&run.json).expect("serialize"),
-            "faults json differs between 1 and {threads} threads"
-        );
-    }
+    identical_across_thread_counts("faults", experiment(faults));
+}
+
+/// The ablation sweep mixes engine configurations and two logs in one
+/// grid; each study's rows are read back in cell order.
+#[test]
+fn ablation_sweep_identical_across_thread_counts() {
+    identical_across_thread_counts("ablation", experiment(ablation));
+}
+
+/// Figure 7 runs a four-cell sweep beside its individual runs.
+#[test]
+fn fig7_identical_across_thread_counts() {
+    identical_across_thread_counts("fig7", experiment(fig7));
 }
 
 /// Table 4's individual runs exercise the chunked probe fan-out with
@@ -68,59 +73,7 @@ fn faults_sweep_identical_across_thread_counts() {
 /// budget) must never leak into a byte of output.
 #[test]
 fn table4_individual_runs_identical_across_thread_counts() {
-    use commsched_bench::experiments::table4;
-    let scale = Scale { jobs: 30, seed: 42 };
-    let pool = |threads: usize| {
-        ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool")
-    };
-    let base = pool(1).install(|| table4(scale));
-    let base_json = serde_json::to_string(&base.json).expect("serialize");
-    for threads in [2usize, 4, 8] {
-        let run = pool(threads).install(|| table4(scale));
-        assert_eq!(
-            base.text, run.text,
-            "table4 text differs between 1 and {threads} threads"
-        );
-        assert_eq!(
-            base_json,
-            serde_json::to_string(&run.json).expect("serialize"),
-            "table4 json differs between 1 and {threads} threads"
-        );
-    }
-}
-
-/// The golden-trace scenarios are what the conformance suite pins to exact
-/// bytes, so they must be bit-identical at any thread count — trace bytes
-/// and RunReport bytes alike, whether or not rayon is even involved.
-#[test]
-fn golden_traces_identical_across_thread_counts() {
-    use commsched_bench::experiments::{run_golden, GOLDEN_SCENARIOS};
-    let pool = |threads: usize| {
-        ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool")
-    };
-    for name in GOLDEN_SCENARIOS {
-        let (trace1, report1) =
-            pool(1).install(|| run_golden(name, 24, 7).expect("known scenario"));
-        assert!(!trace1.is_empty(), "{name}: empty trace");
-        for threads in [2usize, 4, 8] {
-            let (trace_n, report_n) =
-                pool(threads).install(|| run_golden(name, 24, 7).expect("known scenario"));
-            assert_eq!(
-                trace1, trace_n,
-                "{name}: trace differs between 1 and {threads} threads"
-            );
-            assert_eq!(
-                report1, report_n,
-                "{name}: report differs between 1 and {threads} threads"
-            );
-        }
-    }
+    identical_across_thread_counts("table4", experiment(table4));
 }
 
 /// The SA tournament fans annealing searches (seeded ChaCha walks over a
@@ -128,26 +81,19 @@ fn golden_traces_identical_across_thread_counts() {
 /// must be schedule-independent, not just the cell collection order.
 #[test]
 fn tournament_identical_across_thread_counts() {
-    use commsched_bench::experiments::tournament;
-    let scale = Scale { jobs: 30, seed: 42 };
-    let pool = |threads: usize| {
-        ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool")
-    };
-    let base = pool(1).install(|| tournament(scale));
-    let base_json = serde_json::to_string(&base.json).expect("serialize");
-    for threads in [2usize, 4, 8] {
-        let run = pool(threads).install(|| tournament(scale));
-        assert_eq!(
-            base.text, run.text,
-            "tournament text differs between 1 and {threads} threads"
-        );
-        assert_eq!(
-            base_json,
-            serde_json::to_string(&run.json).expect("serialize"),
-            "tournament json differs between 1 and {threads} threads"
-        );
+    identical_across_thread_counts("tournament", experiment(tournament));
+}
+
+/// The golden-trace scenarios are what the conformance suite pins to exact
+/// bytes, so they must be bit-identical at any thread count — trace bytes
+/// and RunReport bytes alike, whether or not rayon is even involved.
+#[test]
+fn golden_traces_identical_across_thread_counts() {
+    for name in GOLDEN_SCENARIOS {
+        identical_across_thread_counts(name, || {
+            let (trace, report) = run_golden(name, 24, 7).expect("known scenario");
+            assert!(!trace.is_empty(), "{name}: empty trace");
+            (trace, report)
+        });
     }
 }

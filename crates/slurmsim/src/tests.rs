@@ -2323,10 +2323,13 @@ mod passes {
         /// search over a `BTreeMap` returned, on profiles with adjacent
         /// breakpoints, repeated instants merged into one entry,
         /// breakpoints before `now` and at `u64::MAX`, needs no future
-        /// meets, and saturating windows. The positions it returns for the
-        /// start and the window's end are a binary search's of the same
-        /// profile, and reserving there leaves the profile `add_delta`
-        /// would have made.
+        /// meets, and saturating windows. A quarter of the profiles fit at
+        /// `now` on an entry at `now`, and a quarter fit only on the
+        /// breakpoint at `u64::MAX`, where the window saturates on its
+        /// start: the two edges of the positions. The positions it returns
+        /// for the start and the window's end are a binary search's of the
+        /// same profile, and reserving there leaves the profile
+        /// `add_delta` would have made.
         #[test]
         fn earliest_fit_matches_naive(
             points in prop::collection::vec((0u64..48, any::<bool>(), -8i64..9), 0..24),
@@ -2335,11 +2338,20 @@ mod passes {
             dur in 1u64..40,
             long in 0u8..4,
             need in 1i64..24,
+            edge in 0u8..4,
         ) {
+            // The drawn deltas sum to within ±192 of `base`: +1,000 at
+            // `now` fits every need from `now` on; -1,000 from 0 fits none
+            // until +2,000 at `u64::MAX`.
+            let forced: &[(u64, i64)] = match edge {
+                0 => &[(now, 1000)],
+                1 => &[(0, -1000), (u64::MAX, 2000)],
+                _ => &[],
+            };
+            let points = points.into_iter().map(|(t, far, d)| (if far { u64::MAX - t } else { t }, d));
             let mut deltas: BTreeMap<u64, i64> = BTreeMap::new();
             let mut profile = Vec::new();
-            for (t, far, d) in points {
-                let t = if far { u64::MAX - t } else { t };
+            for (t, d) in points.chain(forced.iter().copied()) {
                 *deltas.entry(t).or_insert(0) += d;
                 add_delta(&mut profile, t, d);
             }
@@ -2351,6 +2363,11 @@ mod passes {
             };
             let fit = earliest_fit(&profile, base, now, dur, need);
             prop_assert_eq!(fit.map(|f| f.0), earliest_fit_naive(&deltas, base, now, dur, need));
+            match edge {
+                0 => prop_assert_eq!(fit.map(|f| f.0), Some(now)),
+                1 => prop_assert_eq!(fit.map(|f| f.0), Some(u64::MAX)),
+                _ => {}
+            }
             if let Some((s, (at_start, at_end))) = fit {
                 let end = s.saturating_add(dur);
                 prop_assert_eq!(at_start, profile.partition_point(|&(t, _)| t < s));
