@@ -20,12 +20,13 @@
 //!   with ids.
 //! * **per parent** — a switch with at least one leaf child — its free
 //!   leaf children keyed by `leaf_free` (not kept for the root, whose order
-//!   is the level-1 set) and by communication-ratio key, members its leaf
-//!   children in ascending ordinal. The ratio-keyed sets, the *ratio
-//!   order*, are read by the greedy fill alone, so they are built from the
-//!   counters on their first read ([`FreeIndex::leaves_by_ratio`]) and kept
-//!   from then on: a run whose selector never reads them never builds or
-//!   re-keys them.
+//!   is the level-1 set) and by communication-ratio key. A switch's leaves
+//!   are one ordinal range, its leaf children first, so a leaf child's
+//!   member is its ordinal less the range's start. The ratio-keyed sets,
+//!   the *ratio order*, are read by the greedy fill alone, so they are
+//!   built from the counters on their first read
+//!   ([`FreeIndex::leaves_by_ratio`]) and kept from then on: a run whose
+//!   selector never reads them never builds or re-keys them.
 //!
 //! Every set is a [`BucketSet`]: each distinct live key holds a bitset of
 //! its members, and the keys sit in a small ordered map. A re-key is a bit
@@ -69,7 +70,7 @@
 #![deny(clippy::as_conversions)]
 
 use commsched_num::{u32_of_usize, usize_of_u32};
-use commsched_topology::{SwitchId, Tree};
+use commsched_topology::{Switch, SwitchId, Tree};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
@@ -115,20 +116,14 @@ pub(crate) struct FreeIndex {
     /// `subtree_free > 0`. `[0]` is every free leaf keyed `leaf_free`,
     /// members its ordinal; above, members are `upper` slots.
     level_sets: Vec<BucketSet<u32>>,
-    /// `[upper(switch)]` → `leaf_free` of the free leaf children, over the
-    /// switch's leaf children in ascending ordinal. Empty for the root and
-    /// for switches without leaf children.
+    /// `[upper(switch)]` → `leaf_free` of the free leaf children, member
+    /// `m` the ordinal `m` past the start of the switch's leaf range. Empty
+    /// for the root and for switches without leaf children.
     by_free: Vec<BucketSet<u32>>,
     /// `[upper(switch)]` → `ratio_key` of the free leaf children, over the
     /// same members, with every leaf's key. Built on the first
     /// [`FreeIndex::leaves_by_ratio`], dropped by `rebuild`.
     by_ratio: OnceLock<RatioOrder>,
-    /// Leaf ordinals by parent, ascending within a parent: upper switch
-    /// `u`'s members are `child_ords[child_start[u]..child_start[u + 1]]`.
-    child_ords: Vec<u32>,
-    child_start: Vec<u32>,
-    /// Leaf ordinal → its member in its parent's sets.
-    child_member: Vec<u32>,
 }
 
 impl FreeIndex {
@@ -139,76 +134,41 @@ impl FreeIndex {
     pub(crate) fn rebuild(&mut self, tree: &Tree, switch_free: &[u32]) {
         let height = usize::try_from(tree.height()).unwrap_or(1);
         let leaves = tree.num_leaves();
-        let uppers = tree.num_switches() - leaves;
-        // Each parent's leaf children in ordinal order.
-        self.child_ords.clear();
-        self.child_start.clear();
-        self.child_member.clear();
-        self.child_member.resize(leaves, 0);
-        for sw in &tree.switches()[leaves..] {
-            let first = self.child_ords.len();
-            self.child_start.push(u32_of_usize(first));
-            let kids = sw.children.iter().filter(|c| c.0 < leaves);
-            self.child_ords.extend(kids.map(|c| u32_of_usize(c.0)));
-            self.child_ords[first..].sort_unstable();
-            for (m, &k) in self.child_ords[first..].iter().enumerate() {
-                self.child_member[usize_of_u32(k)] = u32_of_usize(m);
-            }
-        }
-        self.child_start.push(u32_of_usize(self.child_ords.len()));
-
+        let uppers = &tree.switches()[leaves..];
         self.level_sets.resize_with(height, BucketSet::default);
         for (l, set) in self.level_sets.iter_mut().enumerate() {
-            set.clear(if l == 0 { leaves } else { uppers });
+            set.clear(if l == 0 { leaves } else { uppers.len() });
         }
-        self.by_free.resize_with(uppers, BucketSet::default);
-        for (u, set) in self.by_free.iter_mut().enumerate() {
-            set.clear(span(&self.child_start, u).len());
+        self.by_free.resize_with(uppers.len(), BucketSet::default);
+        for (set, sw) in self.by_free.iter_mut().zip(uppers) {
+            set.clear(sw.leaf_children);
         }
         self.by_ratio.take();
         // Leaf `k` is member `k` of level 1; an upper switch is its slot.
         let leaf_entries = (0..leaves).filter_map(|k| Some((0, keyed(switch_free[k])?, k)));
-        let upper_entries = tree.switches()[leaves..]
+        let upper_entries = uppers
             .iter()
             .enumerate()
             .filter_map(|(u, sw)| Some((level_slot(sw.level), keyed(switch_free[leaves + u])?, u)));
         insert_runs(&mut self.level_sets, leaf_entries.chain(upper_entries));
         // Each parent's free leaf children, member by member; the root,
         // the last switch, keeps no `by_free` set.
-        let by_free = (0..uppers.saturating_sub(1)).flat_map(|u| {
-            let free = free_children(&self.child_ords, &self.child_start, switch_free, u);
-            free.map(move |(m, k)| (u, switch_free[k], m))
-        });
+        let parents = &uppers[..uppers.len().saturating_sub(1)];
+        let by_free = parent_members(parents, switch_free).map(|(u, m, k)| (u, switch_free[k], m));
         insert_runs(&mut self.by_free, by_free);
     }
 
     /// The ratio order, built from the counters if this is its first read.
     /// `ratio` must be the exact value `ClusterState::communication_ratio`
     /// would report for the ordinal.
-    fn ratio_order(&self, switch_free: &[u32], ratio: impl Fn(usize) -> f64) -> &RatioOrder {
+    fn ratio_order(
+        &self,
+        tree: &Tree,
+        switch_free: &[u32],
+        ratio: impl Fn(usize) -> f64,
+    ) -> &RatioOrder {
         self.by_ratio
-            .get_or_init(|| self.build_ratio_order(switch_free, ratio))
-    }
-
-    /// Every leaf's `ratio_key`, and each parent's free leaf children
-    /// keyed by it, one insert per run as in `rebuild`. Once per state, so
-    /// kept out of the read path.
-    #[cold]
-    fn build_ratio_order(&self, switch_free: &[u32], ratio: impl Fn(usize) -> f64) -> RatioOrder {
-        let uppers = self.child_start.len().saturating_sub(1);
-        let keys = Vec::from_iter((0..self.child_member.len()).map(|k| ratio_key(ratio(k))));
-        let mut sets: Vec<BucketSet<u64>> = Vec::with_capacity(uppers);
-        sets.resize_with(uppers, BucketSet::default);
-        for (u, set) in sets.iter_mut().enumerate() {
-            set.clear(span(&self.child_start, u).len());
-        }
-        let key = |k: usize| keys[k];
-        let entries = (0..uppers).flat_map(|u| {
-            let free = free_children(&self.child_ords, &self.child_start, switch_free, u);
-            free.map(move |(m, k)| (u, key(k), m))
-        });
-        insert_runs(&mut sets, entries);
-        RatioOrder { sets, keys }
+            .get_or_init(|| build_ratio_order(tree, switch_free, ratio))
     }
 
     /// Does this index equal a from-scratch rebuild of the orders built so
@@ -222,7 +182,7 @@ impl FreeIndex {
         let mut expect = FreeIndex::default();
         expect.rebuild(tree, switch_free);
         if self.by_ratio.get().is_some() {
-            expect.ratio_order(switch_free, ratio);
+            expect.ratio_order(tree, switch_free, ratio);
         }
         expect == *self
     }
@@ -271,11 +231,11 @@ impl FreeIndex {
         let Some(g) = parent else {
             return;
         };
-        let member = self.child_member[usize_of_u32(first)];
-        debug_assert_eq!(
-            self.child_member[usize_of_u32(first + len - 1)],
-            member + len - 1,
-            "leaves {first}.. are not consecutive siblings"
+        let sw = tree.switch(g);
+        let member = first - u32_of_usize(sw.leaves.start);
+        debug_assert!(
+            usize_of_u32(member + len) <= sw.leaf_children,
+            "leaves {first}.. are not consecutive leaf children of {g}"
         );
         let u = upper(tree, g);
         if g != tree.root() {
@@ -307,7 +267,7 @@ impl FreeIndex {
         if p == tree.root() {
             FillOrder::One(Members {
                 set: &self.level_sets[0],
-                ords: None,
+                base: 0,
             })
         } else {
             self.parent_sets(tree, p, &self.by_free)
@@ -324,7 +284,7 @@ impl FreeIndex {
         switch_free: &[u32],
         ratio: impl Fn(usize) -> f64,
     ) -> FillOrder<'_, u64> {
-        self.parent_sets(tree, p, &self.ratio_order(switch_free, ratio).sets)
+        self.parent_sets(tree, p, &self.ratio_order(tree, switch_free, ratio).sets)
     }
 
     /// `p`'s fill order over `sets`: the sets of the parents in its
@@ -340,31 +300,20 @@ impl FreeIndex {
     ) -> FillOrder<'a, K> {
         let members = |s: SwitchId| Members {
             set: &sets[upper(tree, s)],
-            ords: Some(&self.child_ords[span(&self.child_start, upper(tree, s))]),
+            base: u32_of_usize(tree.switch(s).leaves.start),
         };
-        fn walk<'a, K>(
-            tree: &Tree,
-            p: SwitchId,
-            members: &impl Fn(SwitchId) -> Members<'a, K>,
-            out: &mut Vec<Members<'a, K>>,
-        ) {
-            let mut has_leaf = false;
-            for &c in &tree.switch(p).children {
-                match tree.switch(c).level {
-                    1 => has_leaf = true,
-                    2 => out.push(members(c)),
-                    _ => walk(tree, c, members, out),
-                }
-            }
-            if has_leaf {
-                out.push(members(p));
-            }
-        }
         if tree.switch(p).level == 2 {
             return FillOrder::One(members(p));
         }
         let mut out = Vec::new();
-        walk(tree, p, &members, &mut out);
+        let mut stack = vec![p];
+        while let Some(s) = stack.pop() {
+            let sw = tree.switch(s);
+            if sw.leaf_children > 0 {
+                out.push(members(s));
+            }
+            stack.extend(sw.children.iter().filter(|c| tree.switch(**c).level > 1));
+        }
         FillOrder::Many(out)
     }
 
@@ -403,18 +352,35 @@ fn level_slot(level: u32) -> usize {
     usize_of_u32(level.saturating_sub(1))
 }
 
-/// `(member, ordinal)` of each free leaf child of upper switch `u`, in
-/// member order.
-fn free_children<'a>(
-    child_ords: &'a [u32],
-    child_start: &[u32],
+/// `(upper slot, member, ordinal)` of each free leaf child of `parents`,
+/// the upper switches from slot 0 on, in slot and member order: a parent's
+/// leaf children are the first ordinals of its range.
+fn parent_members<'a>(
+    parents: &'a [Switch],
     switch_free: &'a [u32],
-    u: usize,
-) -> impl Iterator<Item = (usize, usize)> + 'a {
-    let ords = child_ords[span(child_start, u)].iter();
-    ords.enumerate()
-        .map(|(m, &k)| (m, usize_of_u32(k)))
-        .filter(move |&(_, k)| switch_free[k] > 0)
+) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
+    parents.iter().enumerate().flat_map(move |(u, sw)| {
+        let kids = sw.leaves.clone().take(sw.leaf_children).enumerate();
+        kids.filter(|&(_, k)| switch_free[k] > 0)
+            .map(move |(m, k)| (u, m, k))
+    })
+}
+
+/// Every leaf's `ratio_key`, and each parent's free leaf children keyed by
+/// it, one insert per run as in `rebuild`. Once per state, so kept out of
+/// the read path.
+#[cold]
+fn build_ratio_order(tree: &Tree, switch_free: &[u32], ratio: impl Fn(usize) -> f64) -> RatioOrder {
+    let parents = &tree.switches()[tree.num_leaves()..];
+    let keys = Vec::from_iter((0..tree.num_leaves()).map(|k| ratio_key(ratio(k))));
+    let mut sets: Vec<BucketSet<u64>> = Vec::with_capacity(parents.len());
+    sets.resize_with(parents.len(), BucketSet::default);
+    for (set, sw) in sets.iter_mut().zip(parents) {
+        set.clear(sw.leaf_children);
+    }
+    let entries = parent_members(parents, switch_free).map(|(u, m, k)| (u, keys[k], m));
+    insert_runs(&mut sets, entries);
+    RatioOrder { sets, keys }
 }
 
 /// Insert `(set, key, member)` entries into `sets`, one
@@ -443,25 +409,20 @@ fn insert_runs<K: Ord + Copy>(
     }
 }
 
-/// Upper switch `g`'s range of `child_ords`, from `child_start`.
-#[inline]
-fn span(start: &[u32], g: usize) -> std::ops::Range<usize> {
-    usize_of_u32(start[g])..usize_of_u32(start[g + 1])
-}
-
-/// One bucketed set with the leaf ordinal of each of its members: `None`
-/// for the level-1 set, whose members are ordinals.
+/// One bucketed set with the leaf ordinal of its member 0: every member
+/// is that many ordinals past it (0 for the level-1 set, whose members are
+/// ordinals).
 #[derive(Clone, Copy)]
 pub(crate) struct Members<'a, K> {
     set: &'a BucketSet<K>,
-    ords: Option<&'a [u32]>,
+    base: u32,
 }
 
 impl<K> Members<'_, K> {
     /// The leaf ordinal of member `m`.
     #[inline]
     fn ordinal(&self, m: u32) -> u32 {
-        self.ords.map_or(m, |ords| ords[usize_of_u32(m)])
+        self.base + m
     }
 }
 

@@ -7,9 +7,10 @@
 //!   `L_comm`) over a [`commsched_topology::Tree`], and the *communication
 //!   ratio* of Eq. 1;
 //! * [`Placement`] — the currency all of it trades in: how many nodes a
-//!   job takes from which leaf switch, plus the node-id runs those takes
-//!   resolve to (selectors return it, the evaluator scores it,
-//!   `ClusterState::allocate`/`release` apply it per leaf);
+//!   job takes from which leaf switch, plus the `(word, mask)` entries of
+//!   the node bitmap those takes resolve to (selectors return it, the
+//!   evaluator scores it, `ClusterState::allocate`/`release` apply it per
+//!   leaf);
 //! * [`CostModel`] — the contention factor (Eqs. 2–3), effective hops
 //!   (Eq. 5) and per-job communication cost (Eq. 6) evaluated over the
 //!   step schedule of the job's dominant collective;

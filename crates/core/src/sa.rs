@@ -33,7 +33,6 @@ use crate::select::{
     adaptive_choice, AllocRequest, Choice, Decision, NodeSelector, Scored, SelectError,
 };
 use crate::state::{ClusterState, JobId};
-use commsched_num::usize_of_u32;
 use commsched_topology::Tree;
 use rand::Rng;
 use rand::SeedableRng;
@@ -121,13 +120,11 @@ impl SaSelector {
             return incumbent;
         }
         // Candidate leaves in ascending ordinal order: (ordinal, capacity).
-        let mut leaves: Vec<(usize, u32)> = state
-            .index()
-            .leaves_by_free(tree, p)
-            .asc()
-            .map(|(free, ord)| (usize_of_u32(ord), free))
+        let leaves: Vec<(usize, u32)> = tree
+            .leaf_ordinals_under(p)
+            .map(|k| (k, state.leaf_free(k)))
+            .filter(|&(_, free)| free > 0)
             .collect();
-        leaves.sort_unstable();
         if leaves.len() < 2 {
             return incumbent;
         }

@@ -26,7 +26,7 @@ fn lowest_level_switch(tree: &Tree, state: &ClusterState, want: usize) -> Option
     for id in 0..tree.num_switches() {
         let s = SwitchId(id);
         let sw = tree.switch(s);
-        if sw.subtree_nodes < want {
+        if tree.subtree_nodes(s) < want {
             continue;
         }
         let free = state.subtree_free(tree, s);
@@ -100,8 +100,6 @@ pub(crate) fn default_select(
     let p = pick_switch_scan(tree, state, req)?;
     let mut order: Vec<usize> = tree
         .leaf_ordinals_under(p)
-        .iter()
-        .copied()
         .filter(|&k| state.leaf_free(k) > 0)
         .collect();
     order.sort_by_key(|&k| (state.leaf_free(k), k));
@@ -126,8 +124,6 @@ pub(crate) fn greedy_select(
     }
     let mut order: Vec<usize> = tree
         .leaf_ordinals_under(p)
-        .iter()
-        .copied()
         .filter(|&k| state.leaf_free(k) > 0)
         .collect();
     // Sort by communication ratio; f64 keys via total_cmp, leaf ordinal
@@ -166,8 +162,6 @@ pub(crate) fn balanced_select(
     }
     let mut order: Vec<usize> = tree
         .leaf_ordinals_under(p)
-        .iter()
-        .copied()
         .filter(|&k| state.leaf_free(k) > 0)
         .collect();
 

@@ -153,9 +153,8 @@ enum Class {
 /// has one switch per level, so a switch is re-keyed once, to its current
 /// count, when a walk under another switch of its level displaces it or
 /// when the mutation ends ([`ClusterState::catch_up`]). Takes ascend by
-/// ordinal and every builder numbers a switch's leaves contiguously, so
-/// each ancestor moves once per placement; a `from_conf` tree that lists
-/// leaves out of order just re-keys some more often.
+/// ordinal and every switch's leaves are one ordinal range, so each
+/// ancestor moves once per placement.
 #[derive(Default)]
 struct Lag {
     run: Option<LeafRun>,
@@ -284,10 +283,10 @@ impl ClusterState {
         self.node_free.reset(nodes, true);
         refill(&mut self.leaf_busy, leaves, 0);
         refill(&mut self.leaf_comm, leaves, 0);
-        // Leaves' sizes from the node table, not from each leaf's `Switch`.
+        // Sizes from `leaf_first`, not from each leaf's `Switch`.
         self.switch_free.clear();
         let sizes = (0..leaves).map(|k| tree.leaf_size(k));
-        let uppers = tree.switches()[leaves..].iter().map(|s| s.subtree_nodes);
+        let uppers = (leaves..tree.num_switches()).map(|s| tree.subtree_nodes(SwitchId(s)));
         self.switch_free
             .extend(sizes.chain(uppers).map(u32_of_usize));
         self.node_health.clear();
@@ -767,33 +766,29 @@ impl ClusterState {
         if self.switch_down[s.0] {
             return Err(StateError::SwitchDown(s));
         }
-        // `leaf_busy` counts exactly the job-held nodes, so only a leaf
-        // that has some is scanned for the one to name (and such a leaf is
-        // unmasked: a masked leaf holds no job).
-        for &k in tree.leaf_ordinals_under(s) {
-            if self.leaf_busy[k] == 0 {
-                continue;
-            }
-            let held = tree
-                .leaf_node_range(k)
-                .find(|&i| !self.node_free.get(i) && self.health(NodeId(i)) != NodeHealth::Down);
-            if let Some(i) = held {
-                return Err(StateError::SwitchBusy {
-                    switch: s,
-                    node: NodeId(i),
-                });
+        // `leaf_busy` counts exactly the job-held nodes, so only the first
+        // leaf that has some is scanned for the one to name (and such a
+        // leaf is unmasked: a masked leaf holds no job).
+        let leaves = tree.leaf_ordinals_under(s);
+        if let Some(k) = leaves.clone().find(|&k| self.leaf_busy[k] > 0) {
+            let mut held = tree.leaf_node_range(k);
+            let down = |i| self.health(NodeId(i)) == NodeHealth::Down;
+            if let Some(i) = held.find(|&i| !self.node_free.get(i) && !down(i)) {
+                let node = NodeId(i);
+                return Err(StateError::SwitchBusy { switch: s, node });
             }
         }
+        // With no job under `s`, every free node there is a healthy one
+        // of a leaf not yet masked, and all of them go: one fill over the
+        // subtree's node range.
+        let nodes =
+            tree.leaf_node_range(leaves.start).start..tree.leaf_node_range(leaves.end - 1).end;
+        self.node_free.fill(nodes, false);
         let mut lag = Lag::default();
-        for &k in tree.leaf_ordinals_under(s) {
+        for k in leaves {
             self.leaf_mask[k] += 1;
-            if self.leaf_mask[k] == 1 {
-                // First mask over the leaf: with no job on it, its free
-                // nodes are exactly its healthy ones, and all of them go.
-                self.node_free.fill(tree.leaf_node_range(k), false);
-                let free = self.switch_free[k];
-                self.shift(tree, k, free, Class::Free, Class::Down, &mut lag);
-            }
+            let free = self.switch_free[k];
+            self.shift(tree, k, free, Class::Free, Class::Down, &mut lag);
         }
         self.catch_up(tree, lag);
         self.switch_down[s.0] = true;
@@ -811,7 +806,7 @@ impl ClusterState {
             return Err(StateError::SwitchNotDown(s));
         }
         let mut lag = Lag::default();
-        for &k in tree.leaf_ordinals_under(s) {
+        for k in tree.leaf_ordinals_under(s) {
             self.leaf_mask[k] -= 1;
             if self.leaf_mask[k] > 0 {
                 continue;
@@ -863,8 +858,8 @@ impl ClusterState {
     fn recount_leaf_mask(&self, tree: &Tree) -> Vec<u32> {
         let mut mask = vec![0u32; tree.num_leaves()];
         for (id, _) in self.switch_down.iter().enumerate().filter(|(_, &d)| d) {
-            for &k in tree.leaf_ordinals_under(SwitchId(id)) {
-                mask[k] += 1;
+            for m in &mut mask[tree.leaf_ordinals_under(SwitchId(id))] {
+                *m += 1;
             }
         }
         mask
@@ -951,10 +946,8 @@ impl ClusterState {
             ));
         }
         for id in 0..tree.num_switches() {
-            let recount: u32 = tree
-                .leaf_ordinals_under(SwitchId(id))
+            let recount: u32 = self.switch_free[tree.leaf_ordinals_under(SwitchId(id))]
                 .iter()
-                .map(|&k| self.switch_free[k])
                 .sum();
             if self.switch_free[id] != recount {
                 return Err(format!(

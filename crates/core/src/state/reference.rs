@@ -229,7 +229,7 @@ impl Reference {
         if self.state.switch_down[s.0] {
             return Err(StateError::SwitchDown(s));
         }
-        for &k in tree.leaf_ordinals_under(s) {
+        for k in tree.leaf_ordinals_under(s) {
             for n in tree.leaf_nodes(k) {
                 let busy = !self.state.node_free.get(n.0)
                     && !self.ref_masked(tree, n)
@@ -239,7 +239,7 @@ impl Reference {
                 }
             }
         }
-        for &k in tree.leaf_ordinals_under(s) {
+        for k in tree.leaf_ordinals_under(s) {
             for n in tree.leaf_nodes(k) {
                 if !self.ref_masked(tree, n) && self.health[n.0] == NodeHealth::Up {
                     self.ref_free_to_down(tree, n);
@@ -257,7 +257,7 @@ impl Reference {
             return Err(StateError::SwitchNotDown(s));
         }
         self.state.switch_down[s.0] = false;
-        for &k in tree.leaf_ordinals_under(s) {
+        for k in tree.leaf_ordinals_under(s) {
             for n in tree.leaf_nodes(k) {
                 if !self.ref_masked(tree, n) && self.health[n.0] == NodeHealth::Up {
                     self.ref_down_to_free(tree, n);

@@ -1031,10 +1031,9 @@ mod properties {
     ///
     /// 0. two levels, every leaf a child of the root (the paper presets);
     /// 1. three regular levels (the exascale presets);
-    /// 2. uppers that list their leaves out of order (`a = s2,s0`,
-    ///    `b = s3,s1`), so one placement's ascending takes alternate
-    ///    between `a` and `b` and the batched re-key moves each more than
-    ///    once;
+    /// 2. uppers whose leaves interleave in the file and are listed out
+    ///    of order (`a = s2,s0`, `b = s3,s1`), which `from_conf` renumbers
+    ///    so each upper's leaves are one range;
     /// 3. a root with leaf and upper children (`r = s0,a,s3`): the root's
     ///    own parent set beside a deeper one;
     /// 4. the same one level down (`m = s0,a`, `r = m,s3`), so a non-root
@@ -1502,8 +1501,7 @@ mod properties {
                     let s = SwitchId(id);
                     let recount: usize = tree
                         .leaf_ordinals_under(s)
-                        .iter()
-                        .map(|&k| st.leaf_free(k) as usize)
+                        .map(|k| st.leaf_free(k) as usize)
                         .sum();
                     prop_assert_eq!(
                         st.subtree_free(&tree, s),
@@ -1994,8 +1992,7 @@ mod properties {
                     }
                     // Kill everything under the subtree first, mirroring
                     // the engine's blast-radius handling.
-                    let under: std::collections::BTreeSet<usize> =
-                        tree.leaf_ordinals_under(s).iter().copied().collect();
+                    let under = tree.leaf_ordinals_under(s);
                     let victims: Vec<JobId> = st
                         .allocations()
                         .filter(|(_, a)| a.nodes.takes().iter().any(|(k, _)| under.contains(k)))
@@ -3347,7 +3344,7 @@ mod placement_currency {
                     // The engine's protocol: kill what runs under the
                     // switch, then fail it — but try the refused call too.
                     if rng.random::<bool>() {
-                        let under: Vec<usize> = tree.leaf_ordinals_under(s).to_vec();
+                        let under = tree.leaf_ordinals_under(s);
                         let victims: Vec<JobId> = both
                             .fast
                             .allocations()
@@ -4493,10 +4490,7 @@ mod index_rebuild {
     fn rebuild_and_check(index: &mut FreeIndex, tree: &Tree, free: &[u32], ratio: &[f64]) {
         let leaves = tree.num_leaves();
         let switch_free: Vec<u32> = (0..tree.num_switches())
-            .map(|id| {
-                let under = tree.leaf_ordinals_under(SwitchId(id));
-                under.iter().map(|&k| free[k]).sum()
-            })
+            .map(|id| free[tree.leaf_ordinals_under(SwitchId(id))].iter().sum())
             .collect();
         index.rebuild(tree, &switch_free);
         // The first read builds the ratio order.

@@ -18,7 +18,7 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 /// Largest integer magnitude an `f64` represents exactly (2^53).
-pub(crate) const F64_EXACT_MAX: u64 = 1 << 53;
+pub const F64_EXACT_MAX: u64 = 1 << 53;
 
 /// `u64` → `f64`, exact for values up to 2^53 (every virtual-time second,
 /// byte count and node count in the simulator is far below that).

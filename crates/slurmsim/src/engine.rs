@@ -10,7 +10,7 @@ use commsched_core::{
 use commsched_metrics::Registry;
 use commsched_num::{
     f64_of_u64, f64_of_usize, i64_of_usize, u32_of_usize, u64_of_f64_saturating, u64_of_usize,
-    usize_of_u32, usize_of_u64,
+    usize_of_u32, usize_of_u64, F64_EXACT_MAX,
 };
 use commsched_topology::NodeId;
 use commsched_topology::{SwitchId, Tree};
@@ -24,12 +24,6 @@ use std::fmt;
 
 #[cfg(test)]
 pub(crate) mod reference;
-
-/// Latest virtual second a run may end at, and most node-seconds of work
-/// its faults may destroy, 2^53: past it the reports' `f64` seconds stop
-/// being exact ([`EngineError::MakespanTooLong`],
-/// [`EngineError::LostWorkTooLarge`]).
-const EXACT_SECONDS: u64 = 1 << 53;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -236,15 +230,18 @@ pub enum EngineError {
     /// an error instead of a panic so a sweep over many configurations
     /// reports the bad run and keeps going.
     StateInconsistency(String),
-    /// The run ended past 2^53 s of virtual time, where its reports' `f64`
-    /// seconds stop being exact: every job's own times can be in range
-    /// while queueing pushes the makespan out of it.
-    MakespanTooLong(u64),
-    /// Node failures destroyed more than 2^53 node-seconds of work over
-    /// the run (saturating at `u64::MAX`), where its reports' `f64`
-    /// node-seconds stop being exact: a wide job killed late can get there
-    /// while the makespan stays in range.
-    LostWorkTooLarge(u64),
+    /// A quantity derived over the run passed 2^53, where its reports'
+    /// `f64`s stop being exact: the makespan, which queueing can push out
+    /// of range while every job's own times are in it, or the node-seconds
+    /// of work node failures destroyed (saturating at `u64::MAX`), which a
+    /// wide job killed late can push there while the makespan stays in
+    /// range.
+    PastExactRange {
+        /// The quantity, with its unit.
+        quantity: &'static str,
+        /// Its value.
+        value: u64,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -269,14 +266,9 @@ impl fmt::Display for EngineError {
             Self::StateInconsistency(msg) => {
                 write!(f, "internal state inconsistency: {msg}")
             }
-            Self::MakespanTooLong(t) => write!(
+            Self::PastExactRange { quantity, value } => write!(
                 f,
-                "the run ends at {t} s, past the 2^53 s its reports count exactly"
-            ),
-            Self::LostWorkTooLarge(n) => write!(
-                f,
-                "node failures destroy {n} node-seconds of work, past the 2^53 its reports \
-                 count exactly"
+                "the run's {quantity} is {value}, past the 2^53 its reports count exactly"
             ),
         }
     }
@@ -732,8 +724,11 @@ impl<'t> Engine<'t> {
         if links.is_empty() || placement.len() <= 1 {
             return 1.0;
         }
+        // Takes ascend by ordinal and every switch's leaves are one
+        // ordinal range, so the first and last take's LCA is every take's.
         let leaves = placement.takes().iter().map(|&(k, _)| self.tree.leaf(k));
-        let Some(lca) = leaves.clone().reduce(|a, b| self.tree.lca_switch(a, b)) else {
+        let ends = leaves.clone().next().zip(leaves.clone().next_back());
+        let Some(lca) = ends.map(|(a, b)| self.tree.lca_switch(a, b)) else {
             return 1.0;
         };
         let mut factor = 1.0f64;
@@ -869,7 +864,7 @@ impl<'t> Engine<'t> {
             cost_actual,
             cost_default,
             // Eq. 7 and a degraded link can stretch a runtime past 2^53 s;
-            // the job then ends past it, and the run in `MakespanTooLong`.
+            // the job then ends past it, and the run in `PastExactRange`.
             adjusted: u64_of_f64_saturating(adjusted.round().max(1.0)),
             comm_ratio,
             search: decision.search,
@@ -1029,14 +1024,15 @@ impl<'t> Engine<'t> {
             counts: Counts::default(),
         };
         let summary = run.replay().map(|()| run.summarize()).and_then(|s| {
-            if s.makespan > EXACT_SECONDS {
-                return Err(EngineError::MakespanTooLong(s.makespan));
+            let lost = (
+                "work lost to node failures in node-seconds",
+                lost_node_seconds(&s),
+            );
+            let derived = [("makespan in seconds", s.makespan), lost];
+            match derived.into_iter().find(|&(_, v)| v > F64_EXACT_MAX) {
+                Some((quantity, value)) => Err(EngineError::PastExactRange { quantity, value }),
+                None => Ok(s),
             }
-            let lost = lost_node_seconds(&s);
-            if lost > EXACT_SECONDS {
-                return Err(EngineError::LostWorkTooLarge(lost));
-            }
-            Ok(s)
         });
         (summary, run.counts)
     }
@@ -1250,8 +1246,7 @@ impl Run<'_, '_> {
                 // allocation map), so the blast radius is on the trace
                 // event before the individual kill records.
                 let victims: Vec<JobId> = if down && !was_down {
-                    let under: std::collections::BTreeSet<usize> =
-                        tree.leaf_ordinals_under(s).iter().copied().collect();
+                    let under = tree.leaf_ordinals_under(s);
                     self.state
                         .allocations()
                         .filter(|(_, a)| a.nodes.takes().iter().any(|(k, _)| under.contains(k)))

@@ -29,6 +29,15 @@ fn small_tree() -> Tree {
     Tree::regular_two_level(2, 2) // 4 nodes
 }
 
+/// The error of a run whose faults destroyed `value` node-seconds, past
+/// 2^53.
+fn lost_work(value: u64) -> EngineError {
+    EngineError::PastExactRange {
+        quantity: "work lost to node failures in node-seconds",
+        value,
+    }
+}
+
 #[test]
 fn empty_log_runs() {
     let tree = small_tree();
@@ -1046,6 +1055,90 @@ mod faults {
         }
     }
 
+    /// A switch outage's victims are found by ordinal range; on a conf
+    /// that `from_conf` renumbers — leaves interleaved in the file, parents
+    /// mixing leaf and switch children — they are exactly the jobs holding
+    /// a node whose leaf's parent chain passes the switch.
+    #[test]
+    fn switch_outage_victims_on_a_renumbered_conf() {
+        use commsched_core::{AllocRequest, ClusterState};
+        use commsched_topology::SwitchId;
+        let tree = Tree::from_conf(
+            "SwitchName=s3 Nodes=n[9-11]\n\
+             SwitchName=a Switches=s4,s1\n\
+             SwitchName=s0 Nodes=n[0-2]\n\
+             SwitchName=s1 Nodes=n[3-5]\n\
+             SwitchName=m Switches=s2,a\n\
+             SwitchName=s2 Nodes=n[6-8]\n\
+             SwitchName=s4 Nodes=n[12-14]\n\
+             SwitchName=r Switches=s3,m,s0\n",
+        )
+        .unwrap();
+        let leaf_names: Vec<&str> = (0..tree.num_leaves())
+            .map(|k| tree.switch(tree.leaf(k)).name.as_str())
+            .collect();
+        assert_eq!(leaf_names, ["s3", "s0", "s2", "s1", "s4"], "renumbered");
+        let sizes = [4, 2, 5, 3, 1];
+        let log = JobLog::new(
+            "full",
+            (1..)
+                .zip(sizes)
+                .map(|(id, n)| job(id, 0, 1000, n))
+                .collect(),
+        );
+        // Everything starts at 0 in log order, as the default selector
+        // places it from the empty machine.
+        let mut state = ClusterState::new(&tree);
+        let mut held = Vec::new();
+        for j in &log.jobs {
+            let req = AllocRequest::comm(j.id, j.nodes);
+            let nodes = SelectorKind::Default
+                .build()
+                .select(&tree, &state, &req)
+                .unwrap();
+            state.allocate(&tree, j.id, &nodes, j.nature).unwrap();
+            held.push((j.id, nodes));
+        }
+        let cfg =
+            EngineConfig::new(SelectorKind::Default).with_failure_policy(FailurePolicy::Cancel);
+        for s in (0..tree.num_switches()).map(SwitchId) {
+            let under = |n: commsched_topology::NodeId| {
+                let mut at = Some(tree.leaf_of(n));
+                while let Some(x) = at {
+                    if x == s {
+                        return true;
+                    }
+                    at = tree.switch(x).parent;
+                }
+                false
+            };
+            let mut want: Vec<JobId> = held
+                .iter()
+                .filter(|(_, nodes)| nodes.iter().any(under))
+                .map(|&(id, _)| id)
+                .collect();
+            want.sort_unstable();
+            let run = Engine::new(&tree, cfg)
+                .with_faults(trace(&[(10, s.0, FaultKind::SwitchDown)]))
+                .run(&log)
+                .unwrap();
+            assert!(
+                run.outcomes.iter().all(|o| o.start == 0),
+                "{}",
+                tree.switch(s).name
+            );
+            let mut got: Vec<JobId> = run
+                .outcomes
+                .iter()
+                .filter(|o| o.status == JobStatus::Cancelled)
+                .map(|o| o.id)
+                .collect();
+            got.sort_unstable();
+            assert!(!want.is_empty());
+            assert_eq!(got, want, "{}", tree.switch(s).name);
+        }
+    }
+
     #[test]
     fn fail_cancels_running_job() {
         let tree = small_tree();
@@ -1176,7 +1269,7 @@ mod faults {
         let mut reg = commsched_metrics::Registry::new();
         let mut rec = commsched_trace::NullRecorder;
         let err = engine.run_observed(&wide, &mut rec, &mut reg).unwrap_err();
-        assert_eq!(err, EngineError::LostWorkTooLarge(8 * t));
+        assert_eq!(err, lost_work(8 * t));
         assert!(err.to_string().contains("past the 2^53"), "{err}");
         assert_eq!(engine.run(&wide), Err(err));
 
@@ -2591,7 +2684,7 @@ mod passes {
             .with_faults(FaultTrace::parse(&format!("{} 0 fail\n", 1u64 << 51)).unwrap())
             .run(&log)
             .unwrap_err();
-        assert_eq!(err, EngineError::LostWorkTooLarge(u64::MAX));
+        assert_eq!(err, lost_work(u64::MAX));
     }
 }
 
@@ -3137,8 +3230,14 @@ fn a_makespan_past_2_pow_53_is_an_error() {
     let mut reg = commsched_metrics::Registry::new();
     let mut rec = commsched_trace::NullRecorder;
     let err = engine.run_observed(&late, &mut rec, &mut reg).unwrap_err();
-    assert_eq!(err, EngineError::MakespanTooLong(2 * t));
-    assert!(err.to_string().contains("past the 2^53 s"), "{err}");
+    let quantity = "makespan in seconds";
+    let value = 2 * t;
+    assert_eq!(err, EngineError::PastExactRange { quantity, value });
+    assert!(
+        err.to_string()
+            .contains("makespan in seconds is 18014398509481984"),
+        "{err}"
+    );
     assert_eq!(engine.run(&late), Err(err));
 
     let edge = JobLog::new("edge", vec![comm_job(1, 0, t, 2, 1.0)]);
@@ -3149,7 +3248,7 @@ fn a_makespan_past_2_pow_53_is_an_error() {
 
 /// Eq. 7's runtime is stretched by a degraded link: a 2^46 s job whose
 /// every link runs at 1 ‰ from time 0 ends past 2^53 s. The run ends in
-/// `MakespanTooLong`, in a debug build too, instead of tripping the
+/// `PastExactRange` on its makespan, in a debug build too, instead of tripping the
 /// exact-`f64` assertion on the stretched runtime.
 #[test]
 fn a_runtime_stretched_past_2_pow_53_is_an_error() {
@@ -3168,7 +3267,10 @@ fn a_runtime_stretched_past_2_pow_53_is_an_error() {
     let log = JobLog::new("stretched", vec![comm_job(1, 0, t, 2, 1.0)]);
     let err = engine.run(&log).unwrap_err();
     assert!(
-        matches!(err, EngineError::MakespanTooLong(end) if end > 1 << 53),
+        matches!(
+            err,
+            EngineError::PastExactRange { quantity: "makespan in seconds", value } if value > 1 << 53
+        ),
         "{err}"
     );
 }

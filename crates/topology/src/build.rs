@@ -91,12 +91,7 @@ impl Tree {
                 uppers
             }
         };
-        #[expect(
-            clippy::expect_used,
-            reason = "the builder numbers every child once under a single root by construction, which is exactly what from_parts validates"
-        )]
         Tree::from_parts(leaf_names, leaf_sizes, None, uppers)
-            .expect("builder produces valid trees")
     }
 }
 

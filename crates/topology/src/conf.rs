@@ -11,10 +11,12 @@
 //! Keys are case-insensitive like SLURM's parser; `LinkSpeed=` (accepted and
 //! ignored by SLURM) is accepted and ignored here too.
 
-use crate::tree::{NameArena, SwitchId, Tree, TreeError};
+use crate::tree::{NameArena, NodeId, SwitchId, Tree, TreeError};
 use commsched_hostlist as hostlist;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Error parsing a `topology.conf` document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,20 +130,23 @@ impl Tree {
     /// to upper switches, but an upper switch must be defined after all of
     /// its children, which is how SLURM sites lay the file out in practice
     /// (leaves first, then aggregation layers).
+    ///
+    /// Leaf ordinals, and so node ids, follow a walk from the root that
+    /// visits a switch's leaf children first, in declaration order, then
+    /// its child switches by when their first leaf was declared; a file in
+    /// that order, as every [`Tree::to_conf`] is, keeps its own.
     pub fn from_conf(text: &str) -> Result<Self, ConfError> {
-        let mut leaf_names = Vec::new();
-        let mut leaf_sizes = Vec::new();
+        // Each leaf's name and hosts, a range of `node_names`.
+        let mut leaves: Vec<(String, Range<usize>)> = Vec::new();
         let mut node_names = NameArena::default();
         let mut uppers = Vec::new();
         for (i, line) in text.lines().enumerate() {
             if let Some(raw) = parse_line(line, i + 1)? {
                 // parse_line guarantees nodes XOR switches is populated.
                 if let Some(nodes) = raw.nodes {
-                    leaf_names.push(raw.name);
-                    leaf_sizes.push(nodes.len());
-                    for n in &nodes {
-                        node_names.push(n);
-                    }
+                    let first = node_names.len();
+                    nodes.iter().for_each(|n| node_names.push(n));
+                    leaves.push((raw.name, first..node_names.len()));
                 } else if let Some(switches) = raw.switches {
                     uppers.push((raw.name, switches));
                 }
@@ -152,11 +157,11 @@ impl Tree {
         if let Some(name) = node_names.duplicate() {
             return Err(TreeError::DuplicateNode(name.into()).into());
         }
-        // Switch names become the ids `from_parts` numbers: leaves first,
-        // in file order, then each upper, which may list only switches
-        // defined before it. Ordered map: numbering never follows hash order.
+        // Switch names become file-order ids: leaves first, in file order,
+        // then each upper, which may list only switches defined before it.
+        // Ordered map: numbering never follows hash order.
         let mut ids: BTreeMap<&str, SwitchId> = BTreeMap::new();
-        for (k, name) in leaf_names.iter().enumerate() {
+        for (k, (name, _)) in leaves.iter().enumerate() {
             if ids.insert(name, SwitchId(k)).is_some() {
                 return Err(TreeError::DuplicateChild(name.clone()).into());
             }
@@ -168,21 +173,34 @@ impl Tree {
                 .map(|c| ids.get(c.as_str()).copied().ok_or(c))
                 .collect();
             children.push(kids.map_err(|c| TreeError::UnknownSwitch(c.clone()))?);
-            if ids.insert(name, SwitchId(leaf_names.len() + i)).is_some() {
+            if ids.insert(name, SwitchId(leaves.len() + i)).is_some() {
                 return Err(TreeError::DuplicateChild(name.clone()).into());
             }
         }
+        let name = |s: usize| match s.checked_sub(leaves.len()) {
+            Some(u) => uppers[u].0.clone(),
+            None => leaves[s].0.clone(),
+        };
+        let order = walk_order(leaves.len(), &children, name)?;
+        // File leaf `order[k]` becomes leaf `k`, with its name and hosts;
+        // uppers keep their ids and child lists, the leaves renumbered.
+        let mut ordinal = vec![0; order.len()];
+        let (mut leaf_names, mut sizes) = (Vec::new(), Vec::new());
+        let mut names = NameArena::default();
+        for (k, &file) in order.iter().enumerate() {
+            let (name, hosts) = std::mem::take(&mut leaves[file]);
+            ordinal[file] = k;
+            leaf_names.push(name);
+            sizes.push(hosts.len());
+            hosts.for_each(|i| names.push(node_names.get(i)));
+        }
+        let renumber = |c: SwitchId| SwitchId(ordinal.get(c.0).copied().unwrap_or(c.0));
         let uppers = uppers
             .into_iter()
-            .map(|(name, _)| name)
             .zip(children)
+            .map(|((name, _), kids)| (name, kids.into_iter().map(renumber).collect()))
             .collect();
-        Ok(Tree::from_parts(
-            leaf_names,
-            &leaf_sizes,
-            Some(node_names),
-            uppers,
-        )?)
+        Ok(Tree::from_parts(leaf_names, &sizes, Some(names), uppers))
     }
 
     /// Emit this topology as a `topology.conf` document.
@@ -196,29 +214,60 @@ impl Tree {
         let mut out = String::new();
         for s in order {
             let sw = self.switch(s);
-            if sw.children.is_empty() {
-                let names: Vec<_> = self
-                    .leaf_nodes(self.leaf_ordinal(s))
-                    .map(|n| self.node_name(n))
-                    .collect();
-                out.push_str(&format!(
-                    "SwitchName={} Nodes={}\n",
-                    sw.name,
-                    hostlist::compress(&names)
-                ));
+            let (key, list) = if sw.children.is_empty() {
+                let hosts = self.leaf_node_range(s.0).map(|n| self.node_name(NodeId(n)));
+                ("Nodes", hostlist::compress(&hosts.collect::<Vec<_>>()))
             } else {
-                let names: Vec<&str> = sw
-                    .children
-                    .iter()
-                    .map(|c| self.switch(*c).name.as_str())
-                    .collect();
-                out.push_str(&format!(
-                    "SwitchName={} Switches={}\n",
-                    sw.name,
-                    hostlist::compress(&names)
-                ));
-            }
+                let kids = sw.children.iter().map(|c| self.switch(*c).name.as_str());
+                ("Switches", hostlist::compress(&kids.collect::<Vec<_>>()))
+            };
+            out.push_str(&format!("SwitchName={} {key}={list}\n", sw.name));
         }
         out
     }
+}
+
+/// Validate a conf file's switch graph as one tree, by file-order id
+/// (leaves `0..leaves`, then upper `u` with `children[u]`), and return its
+/// leaves in walk order ([`Tree::from_conf`]); `name` names a switch.
+fn walk_order(
+    leaves: usize,
+    children: &[Vec<SwitchId>],
+    name: impl Fn(usize) -> String,
+) -> Result<Vec<usize>, TreeError> {
+    if leaves == 0 {
+        return Err(TreeError::Empty);
+    }
+    let mut has_parent = vec![false; leaves + children.len()];
+    for c in children.iter().flatten() {
+        if std::mem::replace(&mut has_parent[c.0], true) {
+            return Err(TreeError::DuplicateChild(name(c.0)));
+        }
+    }
+    // Parents follow their children, so the last switch is a root.
+    let roots: Vec<usize> = (0..has_parent.len()).filter(|&s| !has_parent[s]).collect();
+    if roots.len() > 1 {
+        let names = roots.into_iter().map(name).collect();
+        return Err(TreeError::MultipleRoots(names));
+    }
+    // The first-declared leaf under each switch; a leaf's is itself.
+    let mut first: Vec<usize> = (0..leaves).collect();
+    for kids in children {
+        first.push(kids.iter().map(|c| first[c.0]).min().unwrap_or(usize::MAX));
+    }
+    let mut order = Vec::with_capacity(leaves);
+    let mut stack = roots;
+    while let Some(s) = stack.pop() {
+        match s.checked_sub(leaves) {
+            None => order.push(s),
+            // Leaf children first, then switches, each by first leaf:
+            // pushed in reverse, so popped in order.
+            Some(u) => {
+                let at = stack.len();
+                stack.extend(children[u].iter().map(|c| c.0));
+                stack[at..].sort_unstable_by_key(|&c| Reverse((c >= leaves, first[c])));
+            }
+        }
+    }
+    Ok(order)
 }

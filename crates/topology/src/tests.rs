@@ -67,7 +67,7 @@ fn subtree_counts() {
     assert_eq!(t.subtree_nodes(t.root()), 60);
     let g0 = t.switch(t.root()).children[0];
     assert_eq!(t.subtree_nodes(g0), 20);
-    assert_eq!(t.leaf_ordinals_under(g0), &[0, 1, 2, 3]);
+    assert_eq!(t.leaf_ordinals_under(g0), 0..4);
     assert_eq!(t.leaf_ordinals_under(t.root()).len(), 12);
 }
 
@@ -109,32 +109,51 @@ fn conf_comments_and_blank_lines() {
     assert_eq!(t.num_nodes(), 4);
 }
 
-/// `leaf_ordinals_under` is bare ordinals in child-list order, not node
-/// order: an upper switch that lists its leaves backwards yields them
-/// backwards, and its parent concatenates its children's lists.
+/// `leaf_ordinals_under` is one range whatever order the file lists
+/// children in: a parent's leaf children come first, in declaration order,
+/// then its child switches by their first-declared leaf, and the child lists
+/// themselves stay as written.
 #[test]
-fn leaf_ordinals_follow_child_lists() {
+fn leaf_ordinals_follow_the_walk_from_the_root() {
     let t = Tree::from_conf(
         "SwitchName=s0 Nodes=n[0-1]\n\
          SwitchName=s1 Nodes=n[2-3]\n\
          SwitchName=s2 Nodes=n[4-5]\n\
          SwitchName=s3 Nodes=n[6-7]\n\
+         SwitchName=s4 Nodes=n8\n\
          SwitchName=a Switches=s2,s0\n\
          SwitchName=b Switches=s3,s1\n\
-         SwitchName=r Switches=a,b\n",
+         SwitchName=r Switches=b,s4,a\n",
     )
     .unwrap();
-    let under = |name: &str| {
-        let s = (0..t.num_switches())
+    let id = |name: &str| {
+        (0..t.num_switches())
             .map(SwitchId)
             .find(|&s| t.switch(s).name == name)
-            .unwrap();
-        t.leaf_ordinals_under(s).to_vec()
+            .unwrap()
     };
-    assert_eq!(under("a"), [2, 0]);
-    assert_eq!(under("b"), [3, 1]);
-    assert_eq!(under("r"), [2, 0, 3, 1]);
-    assert_eq!(under("s1"), [1]);
+    let leaf_names: Vec<&str> = (0..t.num_leaves())
+        .map(|k| t.switch(t.leaf(k)).name.as_str())
+        .collect();
+    assert_eq!(leaf_names, ["s4", "s0", "s2", "s1", "s3"]);
+    assert_eq!(t.leaf_ordinals_under(id("r")), 0..5);
+    assert_eq!(t.switch(id("r")).leaf_children, 1);
+    assert_eq!(t.leaf_ordinals_under(id("a")), 1..3);
+    assert_eq!(t.leaf_ordinals_under(id("b")), 3..5);
+    assert_eq!(t.leaf_ordinals_under(id("s1")), 3..4);
+    assert_eq!(t.subtree_nodes(id("a")), 4);
+    let kids: Vec<&str> = t
+        .switch(id("a"))
+        .children
+        .iter()
+        .map(|&c| t.switch(c).name.as_str())
+        .collect();
+    assert_eq!(kids, ["s2", "s0"]);
+    // Each host keeps its name on its switch.
+    assert_eq!(t.node_name(NodeId(0)), "n8");
+    assert_eq!(t.node_name(NodeId(1)), "n0");
+    assert_eq!(t.leaf_of(NodeId(3)), id("s2"));
+    assert_eq!(t.node_name(NodeId(3)), "n4");
 }
 
 /// `from_parts` numbers the leaves first, so leaf ordinal `k` is switch
@@ -175,11 +194,7 @@ fn leaf_ordinals_are_the_first_switch_ids() {
         for s in (0..t.num_switches()).map(SwitchId) {
             let sw = t.switch(s);
             if s.0 < t.num_leaves() {
-                assert_eq!(
-                    (sw.level, sw.leaf_ordinals.as_slice()),
-                    (1, &[s.0][..]),
-                    "{what}"
-                );
+                assert_eq!((sw.level, sw.leaves.clone()), (1, s.0..s.0 + 1), "{what}");
                 assert_eq!((t.leaf(s.0), t.leaf_ordinal(s)), (s, s.0), "{what}");
             } else {
                 assert!(sw.level > 1 && !sw.children.is_empty(), "{what}: {s}");
@@ -308,6 +323,24 @@ fn structure_errors() {
     // empty file
     let e = Tree::from_conf("# nothing\n").unwrap_err();
     assert!(matches!(e, crate::ConfError::Structure(TreeError::Empty)));
+
+    // The structure is checked in file order before any renumbering: a
+    // second parent is named before the extra roots, and the roots come
+    // in declaration order, leaves first.
+    let two_parents_and_roots = "SwitchName=s0 Nodes=n0\nSwitchName=s1 Nodes=n1\n\
+         SwitchName=t0 Switches=s0\nSwitchName=t1 Switches=s0\n";
+    let e = Tree::from_conf(two_parents_and_roots).unwrap_err();
+    assert_eq!(
+        e.to_string(),
+        "invalid topology: switch s0 has more than one parent"
+    );
+    let e = Tree::from_conf(
+        "SwitchName=b Nodes=n0\nSwitchName=c Nodes=n1\nSwitchName=a Nodes=n2\n\
+         SwitchName=t Switches=c\n",
+    )
+    .unwrap_err();
+    let roots = TreeError::MultipleRoots(vec!["b".into(), "a".into(), "t".into()]);
+    assert_eq!(e, crate::ConfError::Structure(roots));
 }
 
 #[test]
@@ -576,9 +609,9 @@ mod shapes {
             let t = preset.build();
             assert_eq!(t.num_nodes(), preset.num_nodes());
             assert_eq!(t.height(), 3);
-            t.switches()
-                .iter()
-                .for_each(|s| assert!(s.subtree_nodes > 0));
+            for s in (0..t.num_switches()).map(SwitchId) {
+                assert!(t.subtree_nodes(s) > 0);
+            }
         }
     }
 }
@@ -647,8 +680,8 @@ mod leaf_ranges {
     }
 
     /// A conf file may declare its leaves (and list their hosts) in any
-    /// order: ids follow declaration order, never the host names, so the
-    /// invariant holds however the file is shuffled.
+    /// order: ordinals follow the walk from the root, ids follow ordinals
+    /// and, within a leaf, the file's host order, never the host names.
     #[test]
     fn conf_leaves_declared_in_shuffled_order() {
         let t = Tree::from_conf(
@@ -662,13 +695,15 @@ mod leaf_ranges {
         )
         .unwrap();
         assert_leaf_ranges(&t, "shuffled conf");
-        // Ordinals follow declaration order, ids follow ordinals.
+        // `g1` holds the first-declared leaf, `s2`, so its leaves come
+        // first: `s2`, then `s3`, then `g0`'s `s0` and `s1`.
         assert_eq!(t.switch(t.leaf(0)).name, "s2");
         assert_eq!(t.node_name(NodeId(0)), "n8");
         assert_eq!(t.leaf_node_range(1), 4..8);
-        assert_eq!(t.node_name(NodeId(4)), "n2");
-        assert_eq!(t.node_name(NodeId(8)), "n15");
+        assert_eq!(t.node_name(NodeId(4)), "n15");
+        assert_eq!(t.node_name(NodeId(8)), "n2");
         assert_eq!(t.leaf_ordinal_of(NodeId(8)), 2);
+        assert_eq!(t.switch(t.leaf(3)).name, "s1");
 
         // The round trip through to_conf shuffles nothing back.
         assert_leaf_ranges(&Tree::from_conf(&t.to_conf()).unwrap(), "round trip");
@@ -789,8 +824,8 @@ mod builder_matches_conf {
         for (a, b) in built.switches.iter().zip(&read.switches) {
             assert_eq!(a.name, b.name, "{what}");
             let shape = |s: &crate::Switch| {
-                let (ordinals, children) = (s.leaf_ordinals.clone(), s.children.clone());
-                (s.level, s.parent, children, s.subtree_nodes, ordinals)
+                let (leaves, children) = (s.leaves.clone(), s.children.clone());
+                (s.level, s.parent, children, s.leaf_children, leaves)
             };
             assert_eq!(shape(a), shape(b), "{what}: switch {}", a.name);
         }
@@ -822,6 +857,231 @@ mod builder_matches_conf {
             assert!(built.node_names.is_none(), "{p:?} stores node names");
             let read = Tree::from_conf(&built.to_conf()).unwrap();
             assert_same_tables(&built, &read, &format!("{p:?}"));
+        }
+    }
+}
+
+/// `from_conf` numbers every tree along the walk from the root, whatever
+/// order the file declares and lists its switches in.
+mod walk_numbering {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `(leaf name, hosts)` of each `Nodes=` line and the hosts of the
+    /// whole file, in file order.
+    fn declared(conf: &str) -> Vec<(String, Vec<String>)> {
+        conf.lines()
+            .filter_map(|line| {
+                let mut name = None;
+                let mut hosts = None;
+                for token in line.split_whitespace() {
+                    match token.split_once('=') {
+                        Some(("SwitchName", v)) => name = Some(v.to_string()),
+                        Some(("Nodes", v)) => hosts = Some(commsched_hostlist::expand(v).unwrap()),
+                        _ => {}
+                    }
+                }
+                Some((name?, hosts?))
+            })
+            .collect()
+    }
+
+    fn id_of(t: &Tree, name: &str) -> SwitchId {
+        (0..t.num_switches())
+            .map(SwitchId)
+            .find(|&s| t.switch(s).name == name)
+            .unwrap()
+    }
+
+    /// Every switch's leaves are the range `leaf_ordinals_under` reports,
+    /// found by walking its children, with its leaf children first.
+    fn assert_ranges(t: &Tree) {
+        for s in (0..t.num_switches()).map(SwitchId) {
+            let sw = t.switch(s);
+            let mut under = Vec::new();
+            let mut stack = vec![s];
+            while let Some(x) = stack.pop() {
+                match t.switch(x).children.as_slice() {
+                    [] => under.push(t.leaf_ordinal(x)),
+                    kids => stack.extend(kids),
+                }
+            }
+            under.sort_unstable();
+            let range = t.leaf_ordinals_under(s);
+            assert_eq!(under, range.clone().collect::<Vec<_>>(), "{}", sw.name);
+            let mut leaf_kids: Vec<usize> = sw
+                .children
+                .iter()
+                .filter(|c| t.switch(**c).children.is_empty())
+                .map(|&c| t.leaf_ordinal(c))
+                .collect();
+            leaf_kids.sort_unstable();
+            let prefix = range.start..range.start + sw.leaf_children;
+            assert_eq!(leaf_kids, prefix.collect::<Vec<_>>(), "{}", sw.name);
+            let nodes = t.leaf_node_range(range.start).start..t.leaf_node_range(range.end - 1).end;
+            assert_eq!(t.subtree_nodes(s), nodes.len(), "{}", sw.name);
+        }
+    }
+
+    /// A conf already in walk order parses to the identity numbering:
+    /// leaf `k` is the `k`-th `Nodes=` line and node `i` the `i`-th host.
+    fn assert_identity(conf: &str, what: &str) {
+        let t = Tree::from_conf(conf).unwrap();
+        let mut next = 0;
+        for (k, (name, hosts)) in declared(conf).iter().enumerate() {
+            assert_eq!(&t.switch(t.leaf(k)).name, name, "{what}: leaf {k}");
+            let range = t.leaf_node_range(k);
+            assert_eq!(
+                (range.start, range.len()),
+                (next, hosts.len()),
+                "{what}: {name}"
+            );
+            for i in [range.start, range.end - 1] {
+                assert_eq!(t.node_name(NodeId(i)), hosts[i - next], "{what}: node {i}");
+            }
+            next = range.end;
+        }
+        assert_eq!(next, t.num_nodes(), "{what}");
+    }
+
+    #[test]
+    fn presets_and_the_example_conf_keep_their_numbering() {
+        for p in [
+            SystemPreset::IitkDepartment,
+            SystemPreset::IitkHpc2010,
+            SystemPreset::CoriLike,
+            SystemPreset::Intrepid,
+            SystemPreset::Theta,
+            SystemPreset::Mira,
+            SystemPreset::Multirail500k,
+            SystemPreset::Dragonfly1M,
+        ] {
+            assert_identity(&p.build().to_conf(), &format!("{p:?}"));
+        }
+        let example = include_str!("../../../examples/data/topology.conf");
+        assert_identity(example, "examples/data/topology.conf");
+        assert_identity(FOUR_LEVEL_CONF, "four-level conf");
+    }
+
+    /// The interleaved example is renumbered: `agg1`'s leaf child `s1`,
+    /// declared between `agg0`'s leaves, follows them.
+    #[test]
+    fn the_interleaved_example_conf_is_renumbered() {
+        let t = Tree::from_conf(include_str!(
+            "../../../examples/data/topology-interleaved.conf"
+        ))
+        .unwrap();
+        assert_ranges(&t);
+        let names: Vec<&str> = (0..t.num_leaves())
+            .map(|k| t.switch(t.leaf(k)).name.as_str())
+            .collect();
+        assert_eq!(names, ["s0", "s2", "s1", "s3", "s4"]);
+        assert_eq!(t.node_name(NodeId(12)), "n24");
+        assert_eq!(t.leaf_ordinals_under(id_of(&t, "agg1")), 2..5);
+        assert_eq!(t.switch(id_of(&t, "agg1")).leaf_children, 1);
+    }
+
+    /// splitmix64: the draws of one generated conf.
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn shuffle<T>(&mut self, v: &mut [T]) {
+            for i in (1..v.len()).rev() {
+                v.swap(i, self.below(i + 1));
+            }
+        }
+    }
+
+    /// A random tree as a conf file: `leaves` leaves of 1–3 hosts, grouped
+    /// under uppers that take a random handful of the parentless switches,
+    /// leaves and uppers mixed, in shuffled or reversed child lists, until
+    /// one root is left (a lone leaf needs none). Leaf lines land anywhere,
+    /// before or after the uppers; hosts are listed out of name order.
+    fn random_conf(leaves: usize, seed: u64) -> String {
+        let mut d = Draws(seed);
+        let mut leaf_lines = Vec::new();
+        let mut host = 0;
+        for k in 0..leaves {
+            let size = 1 + d.below(3);
+            let mut hosts: Vec<String> = (host..host + size).map(|i| format!("h{i}")).collect();
+            d.shuffle(&mut hosts);
+            host += size;
+            leaf_lines.push(format!("SwitchName=s{k} Nodes={}\n", hosts.join(",")));
+        }
+        let mut pool: Vec<String> = (0..leaves).map(|k| format!("s{k}")).collect();
+        let mut upper_lines = Vec::new();
+        while pool.len() > 1 {
+            d.shuffle(&mut pool);
+            let take = 1 + d.below(pool.len().min(4));
+            let mut kids: Vec<String> = pool.drain(..take).collect();
+            if d.below(2) == 0 {
+                kids.sort();
+                kids.reverse();
+            }
+            let name = format!("u{}", upper_lines.len());
+            upper_lines.push(format!("SwitchName={name} Switches={}\n", kids.join(",")));
+            pool.push(name);
+        }
+        let mut lines = upper_lines;
+        d.shuffle(&mut leaf_lines);
+        for line in leaf_lines {
+            let at = d.below(lines.len() + 1);
+            lines.insert(at, line);
+        }
+        lines.concat()
+    }
+
+    proptest! {
+        #[test]
+        fn random_conf_files_are_numbered_along_the_walk(
+            leaves in 1usize..10,
+            seed in any::<u64>(),
+        ) {
+            let conf = random_conf(leaves, seed);
+            let t = Tree::from_conf(&conf).unwrap();
+            assert_ranges(&t);
+            // Every host stays on the switch the file named, under its name.
+            let mut seen = 0;
+            for (name, hosts) in declared(&conf) {
+                let leaf = t.leaf_ordinal(id_of(&t, &name));
+                let got: Vec<String> = t.leaf_nodes(leaf).map(|n| t.node_name(n).into_owned()).collect();
+                prop_assert_eq!(got, hosts.clone(), "{}", name);
+                seen += hosts.len();
+            }
+            prop_assert_eq!(seen, t.num_nodes());
+            // Uppers keep their names and child lists as written.
+            for line in conf.lines().filter(|l| l.contains("Switches=")) {
+                let (head, kids) = line.split_once(" Switches=").unwrap();
+                let sw = t.switch(id_of(&t, &head["SwitchName=".len()..]));
+                let names: Vec<&str> = sw.children.iter().map(|&c| t.switch(c).name.as_str()).collect();
+                prop_assert_eq!(names.join(","), kids);
+            }
+            // The emitted conf is in walk order: its leaves read back
+            // unrenumbered, each leaf's hosts in the compressed hostlist's
+            // order (uppers are emitted by level, so their ids may move).
+            let again = Tree::from_conf(&t.to_conf()).unwrap();
+            for sw in t.switches() {
+                let same = again.switch(id_of(&again, &sw.name));
+                prop_assert_eq!(&sw.leaves, &same.leaves, "{}", sw.name);
+            }
+            let hosts = |t: &Tree, k: usize| {
+                let mut names: Vec<String> = t.leaf_nodes(k).map(|n| t.node_name(n).into_owned()).collect();
+                names.sort();
+                names
+            };
+            for k in 0..t.num_leaves() {
+                prop_assert_eq!(t.leaf_node_range(k), again.leaf_node_range(k));
+                prop_assert_eq!(hosts(&t, k), hosts(&again, k));
+            }
+            assert_identity(&t.to_conf(), "to_conf");
         }
     }
 }

@@ -4,6 +4,7 @@ use commsched_num::{u32_of_usize, usize_of_u32};
 use serde::Serialize;
 use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 
 /// Identifier of a compute node (dense, `0..num_nodes`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
@@ -37,13 +38,14 @@ pub struct Switch {
     pub parent: Option<SwitchId>,
     /// Child switches (empty for leaf switches).
     pub children: Vec<SwitchId>,
-    /// Total compute nodes in this switch's subtree.
-    pub subtree_nodes: usize,
-    /// Ordinals (equal to the switch ids) of leaf switches under this
-    /// switch, in child-list order: each child's list in turn, so an upper
-    /// switch configured as `Switches=s2,s0` holds `[2, 0]`. For a leaf
-    /// switch this is its own ordinal.
-    pub leaf_ordinals: Vec<usize>,
+    /// Ordinals (equal to the switch ids) of the leaf switches under this
+    /// switch: one range, since every tree numbers its leaves along a walk
+    /// from the root ([`Tree::from_conf`]). A leaf switch's is its own
+    /// ordinal.
+    pub leaves: Range<usize>,
+    /// How many of `children` are leaf switches: they hold the first
+    /// ordinals of `leaves`, the walk's order at this switch.
+    pub leaf_children: usize,
 }
 
 /// Structural errors detected while validating a topology.
@@ -100,12 +102,12 @@ impl NameArena {
         self.offsets.push(end);
     }
 
-    fn get(&self, i: usize) -> &str {
+    pub(crate) fn get(&self, i: usize) -> &str {
         let start = i.checked_sub(1).map_or(0, |prev| self.offsets[prev]);
         &self.buf[usize_of_u32(start)..usize_of_u32(self.offsets[i])]
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.offsets.len()
     }
 
@@ -133,7 +135,8 @@ pub struct Tree {
     /// Leaf ordinal of each node — the one per-node table.
     pub(crate) node_leaf: Vec<u32>,
     /// Leaves first: leaf ordinal `k` is switch `k`. Children come before
-    /// their parents, so the root is the last.
+    /// their parents, so the root is the last. The leaf ordinals follow a
+    /// walk from the root, so every switch's leaves are one range.
     pub(crate) switches: Vec<Switch>,
     /// First node id of each leaf ordinal, plus the node count as a final
     /// sentinel — the [`Tree::leaf_node_range`] table (`num_leaves + 1`).
@@ -141,27 +144,26 @@ pub struct Tree {
 }
 
 impl Tree {
-    /// Build and validate a tree from explicit parts, by id.
+    /// Assemble a tree from explicit parts, by id.
     ///
     /// Leaf `k` is switch `k`, named `leaf_names[k]`, and holds the next
     /// `leaf_sizes[k]` node ids; upper switch `i` is switch
     /// `leaf_names.len() + i`, a `(name, children)` pair whose children are
     /// leaves or earlier uppers. `node_names`, if any, name the nodes in id
-    /// order. No name is looked up here: [`Tree::from_conf`], whose names
-    /// come from outside, resolves them to ids and checks them for
-    /// duplicates first.
+    /// order. The parts must already be one tree whose leaves are numbered
+    /// along a walk from the root: the builders make them so, and
+    /// [`Tree::from_conf`], whose names and structure come from outside,
+    /// validates and renumbers first. Panics otherwise.
     pub(crate) fn from_parts(
         leaf_names: Vec<String>,
         leaf_sizes: &[usize],
         node_names: Option<NameArena>,
         uppers: Vec<(String, Vec<SwitchId>)>,
-    ) -> Result<Self, TreeError> {
+    ) -> Self {
         assert_eq!(leaf_names.len(), leaf_sizes.len());
+        assert!(!leaf_names.is_empty(), "a tree needs a leaf");
         let num_nodes = leaf_sizes.iter().sum();
         assert!(node_names.as_ref().is_none_or(|n| n.len() == num_nodes));
-        if leaf_names.is_empty() {
-            return Err(TreeError::Empty);
-        }
 
         let num_leaves = leaf_names.len();
         let mut switches: Vec<Switch> = Vec::with_capacity(num_leaves + uppers.len());
@@ -175,59 +177,54 @@ impl Tree {
                 level: 1,
                 parent: None,
                 children: Vec::new(),
-                subtree_nodes: size,
-                leaf_ordinals: vec![k],
+                leaves: k..k + 1,
+                leaf_children: 0,
             });
         }
         leaf_first.push(node_leaf.len());
 
         for (name, children) in uppers {
             let id = SwitchId(switches.len());
-            for &c in &children {
-                assert!(c < id, "child {c} of {id} is not defined before it");
-                if switches[c.0].parent.replace(id).is_some() {
-                    return Err(TreeError::DuplicateChild(switches[c.0].name.clone()));
-                }
-            }
             // `from_conf` rejects an empty hostlist; the builders group
             // at least one leaf.
             assert!(!children.is_empty(), "upper switch {name} has no children");
-            let level = 1 + children
-                .iter()
-                .map(|c| switches[c.0].level)
-                .max()
-                .unwrap_or(0);
-            let subtree_nodes = children.iter().map(|c| switches[c.0].subtree_nodes).sum();
-            let leaf_ordinals = children
-                .iter()
-                .flat_map(|c| switches[c.0].leaf_ordinals.iter().copied())
-                .collect();
+            for &c in &children {
+                assert!(c < id, "child {c} of {id} is not defined before it");
+                let parent = switches[c.0].parent.replace(id);
+                assert!(parent.is_none(), "{c} has more than one parent");
+            }
+            let kids = children.iter().map(|c| &switches[c.0]);
+            let level = 1 + kids.clone().map(|s| s.level).max().unwrap_or(0);
+            let start = kids.clone().map(|s| s.leaves.start).min().unwrap_or(0);
+            let leaves = start..start + kids.clone().map(|s| s.leaves.len()).sum::<usize>();
+            let leaf_children = children.iter().filter(|c| c.0 < num_leaves).count();
+            // Disjoint subtrees inside `leaves`, whose length they sum to,
+            // tile it, leaf children first.
+            let prefix = start + leaf_children;
+            let tiled = kids.clone().all(|s| s.leaves.end <= leaves.end);
+            let first = children.iter().all(|c| c.0 >= num_leaves || c.0 < prefix);
+            assert!(tiled && first, "leaves of {name} out of walk order");
             switches.push(Switch {
                 name,
                 level,
                 parent: None,
                 children,
-                subtree_nodes,
-                leaf_ordinals,
+                leaves,
+                leaf_children,
             });
         }
 
-        // A parent comes after its children, so the last switch has none,
-        // every parent chain climbs by id to a parentless switch, and no
-        // chain can cycle: one parentless switch is a connected tree.
-        let roots = switches.iter().filter(|s| s.parent.is_none());
-        if roots.clone().nth(1).is_some() {
-            return Err(TreeError::MultipleRoots(
-                roots.map(|s| s.name.clone()).collect(),
-            ));
-        }
+        // Parent chains climb by id, so they cannot cycle, and with every
+        // switch but the last given a parent they meet at the one root.
+        let rooted = switches.iter().rev().skip(1).all(|s| s.parent.is_some());
+        assert!(rooted, "more than one switch has no parent");
 
-        Ok(Tree {
+        Tree {
             node_names,
             node_leaf,
             switches,
             leaf_first,
-        })
+        }
     }
 
     /// Number of compute nodes.
@@ -381,16 +378,19 @@ impl Tree {
         self.switches[self.lca_switch(self.leaf(a), self.leaf(b)).0].level
     }
 
-    /// Leaf ordinals under `s`, in child-list order (see
-    /// [`Switch::leaf_ordinals`]) — not necessarily ascending.
-    pub fn leaf_ordinals_under(&self, s: SwitchId) -> &[usize] {
-        &self.switches[s.0].leaf_ordinals
+    /// Leaf ordinals under `s`: one range, its leaf children's first
+    /// ([`Switch::leaves`]).
+    #[inline]
+    pub fn leaf_ordinals_under(&self, s: SwitchId) -> Range<usize> {
+        self.switches[s.0].leaves.clone()
     }
 
-    /// Total nodes in a switch's subtree.
+    /// Total nodes in a switch's subtree: its leaves are one ordinal range,
+    /// so their nodes are one id range.
     #[inline]
     pub fn subtree_nodes(&self, s: SwitchId) -> usize {
-        self.switches[s.0].subtree_nodes
+        let leaves = &self.switches[s.0].leaves;
+        self.leaf_first[leaves.end] - self.leaf_first[leaves.start]
     }
 
     /// Size of the canonical *directed-link* id space over this tree: one

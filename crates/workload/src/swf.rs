@@ -24,7 +24,7 @@ const F_STATUS: usize = 10;
 const FIELDS: usize = 18;
 /// Largest time field accepted, 2^53 s: the engine's time arithmetic
 /// converts seconds to `f64`, exact only up to there.
-const MAX_SECONDS: i64 = 1 << 53;
+const MAX_SECONDS: i64 = commsched_num::F64_EXACT_MAX as i64;
 
 /// SWF column name for a consumed 0-based field index (Feitelson et al.).
 fn field_name(i: usize) -> &'static str {
