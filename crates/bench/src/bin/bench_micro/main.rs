@@ -107,9 +107,9 @@ const EVAL_CASES: [(&str, SystemPreset, usize); 2] = [
 ];
 const EVAL_BATCH: usize = 64;
 
-/// The index rows' live keys: the root's ratio set of a two-level tree
-/// whose every leaf has a ratio of its own, as many as a parent can have
-/// leaf children — far past every preset's 144 (DESIGN.md §4.7).
+/// The index rows' live keys: the ratio order of a two-level tree whose
+/// every leaf has a ratio of its own, past the presets' half-occupied
+/// ones (673 on Multirail500k, 398 on Dragonfly1M; DESIGN.md §4.7).
 const INDEX_KEYS: [usize; 2] = [4096, 16_384];
 
 /// The reduced Figure 6 sweep (3 systems × 5 mixes × 4 selectors).
@@ -347,11 +347,11 @@ fn sibling_run_case(tree: &Tree) -> (ClusterState, Placement) {
 
 /// A two-level tree of `leaves` leaves of 33 to 96 nodes, each with its
 /// own `(busy, comm)` occupancy and so its own communication ratio: the
-/// root's ratio set holds `leaves` live keys, one member each. Each of the
+/// ratio order holds `leaves` live keys, one member each. Each of the
 /// [`EVAL_BATCH`] probes is one more node on a leaf, the leaves spread
 /// evenly over the ordinals: allocating and releasing one re-keys its leaf
 /// twice in that set (and in the level-1 set, whose keys are the few free
-/// counts), each probe at another place in the key order. The ratio set
+/// counts), each probe at another place in the key order. The ratio order
 /// is built on the first greedy read, so one greedy selection across
 /// leaves reads it before the probes run.
 fn keyed_leaves_case(leaves: usize) -> (Tree, ClusterState, Vec<Placement>) {

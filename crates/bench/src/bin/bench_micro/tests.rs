@@ -51,7 +51,7 @@ fn missing_or_invalid_baseline_is_an_error() {
 }
 
 /// The index rows' state gives every leaf a ratio of its own and leaves
-/// each one free nodes, so the root's ratio set holds one live key per
+/// each one free nodes, so the ratio order holds one live key per
 /// leaf; each probe is one free node of every 64th leaf.
 #[test]
 fn keyed_leaves_have_distinct_ratios() {

@@ -15,17 +15,19 @@
 //!
 //! Order is `(key, member)`: [`BucketSet::asc`] walks keys ascending,
 //! [`BucketSet::desc`] keys descending; both give a key's members
-//! ascending.
+//! ascending, and both read only the members of a range: per live key,
+//! the words the range covers, the first masked below its start.
 #![deny(clippy::as_conversions)]
 
 use commsched_num::{u32_of_usize, usize_of_u32};
+use std::ops::Range;
 
 const BITS: usize = 64;
 
 /// Most keys one block of [`Keys`] holds: every key created or dropped
 /// moves at most this many entries, however many keys the set holds. A
-/// set of up to `BLOCK` live keys — every set of every preset — is one
-/// plain sorted vector. Chosen by measurement (DESIGN.md §4.7).
+/// set of up to `BLOCK` live keys — every level set of every preset — is
+/// one plain sorted vector. Chosen by measurement (DESIGN.md §4.7).
 pub(crate) const BLOCK: usize = 256;
 
 /// See the module docs. Equality compares members only, so it does not
@@ -46,6 +48,8 @@ pub(crate) struct BucketSet<K> {
     spare: Vec<u32>,
     #[cfg(test)]
     tally: SetCounts,
+    #[cfg(test)]
+    walked: Walked,
 }
 
 /// One step of a set's upkeep, for the `cfg(test)` [`SetCounts`].
@@ -74,6 +78,21 @@ pub(crate) struct SetCounts {
     /// Key entries shifted within or between blocks, in-place moves'
     /// included.
     pub(crate) shifted: u64,
+    /// Live keys the range walks have entered.
+    pub(crate) walked: u64,
+}
+
+/// [`SetCounts::walked`], bumped by walks through `&self`: an atomic, so
+/// the set stays `Sync` (`cfg(test)`).
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct Walked(std::sync::atomic::AtomicU64);
+
+#[cfg(test)]
+impl Clone for Walked {
+    fn clone(&self) -> Self {
+        Walked(self.0.load(std::sync::atomic::Ordering::Relaxed).into())
+    }
 }
 
 impl<K> Default for BucketSet<K> {
@@ -87,6 +106,8 @@ impl<K> Default for BucketSet<K> {
             spare: Vec::new(),
             #[cfg(test)]
             tally: SetCounts::default(),
+            #[cfg(test)]
+            walked: Walked::default(),
         }
     }
 }
@@ -227,38 +248,57 @@ impl<K: Ord + Copy> BucketSet<K> {
         let _ = (step, shifted);
     }
 
-    /// Slot `slot`'s members, ascending.
+    /// Slot `slot`'s members in `range`, ascending: only the words the
+    /// range covers are read, the first masked below the range's start.
     #[inline]
-    fn members(&self, slot: u32) -> Ones<'_> {
+    fn members(&self, slot: u32, range: Range<u32>) -> Ones<'_> {
+        debug_assert!(range.start <= range.end && usize_of_u32(range.end) <= self.universe);
         let at = usize_of_u32(slot) * self.words;
+        let (start, end) = (usize_of_u32(range.start), usize_of_u32(range.end));
+        let mut words = self.arena[at + start / BITS..at + end.div_ceil(BITS)].iter();
+        let first = words.next().map_or(0, |w| w & (u64::MAX << (start % BITS)));
         Ones {
-            words: self.arena[at..at + self.words].iter(),
-            next: 0,
-            base: 0,
-            word: 0,
+            words,
+            base: u32_of_usize(start / BITS * BITS),
+            word: first,
+            end: range.end,
         }
+    }
+
+    /// `key`'s entries with members in `range`, ascending: one live key of
+    /// a walk, counted in the `cfg(test)` tally.
+    #[inline]
+    fn walk(&self, key: K, slot: u32, range: Range<u32>) -> impl Iterator<Item = (K, u32)> + '_ {
+        #[cfg(test)]
+        self.walked
+            .0
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.members(slot, range).map(move |m| (key, m))
     }
 
     /// The first entry whose key is at least `want`: that key's lowest
     /// member.
     pub(crate) fn first_at_least(&self, want: K) -> Option<(K, u32)> {
         let (key, slot) = self.keys.at_least(want)?;
-        self.members(slot).next().map(|m| (key, m))
+        let all = 0..u32_of_usize(self.universe);
+        self.members(slot, all).next().map(|m| (key, m))
     }
 
-    /// Every entry, keys ascending, members ascending within a key.
-    pub(crate) fn asc(&self) -> impl Iterator<Item = (K, u32)> + '_ {
+    /// The entries whose members are in `range`, keys ascending, members
+    /// ascending within a key.
+    pub(crate) fn asc(&self, range: Range<u32>) -> impl Iterator<Item = (K, u32)> + '_ {
         self.keys
             .iter()
-            .flat_map(move |(key, slot)| self.members(slot).map(move |m| (key, m)))
+            .flat_map(move |(key, slot)| self.walk(key, slot, range.clone()))
     }
 
-    /// Every entry, keys *descending*, members ascending within a key.
-    pub(crate) fn desc(&self) -> impl Iterator<Item = (K, u32)> + '_ {
+    /// The entries whose members are in `range`, keys *descending*,
+    /// members ascending within a key.
+    pub(crate) fn desc(&self, range: Range<u32>) -> impl Iterator<Item = (K, u32)> + '_ {
         self.keys
             .iter()
             .rev()
-            .flat_map(move |(key, slot)| self.members(slot).map(move |m| (key, m)))
+            .flat_map(move |(key, slot)| self.walk(key, slot, range.clone()))
     }
 
     /// Arena words held (live and spare slots alike), words per slot
@@ -270,10 +310,20 @@ impl<K: Ord + Copy> BucketSet<K> {
         (self.arena.len(), self.words, self.keys.len(), lookups)
     }
 
-    /// The upkeep's counts (see [`SetCounts`]).
+    /// The upkeep's and the walks' counts (see [`SetCounts`]).
     #[cfg(test)]
     pub(crate) fn tally(&self) -> SetCounts {
-        self.tally
+        let walked = self.walked.0.load(std::sync::atomic::Ordering::Relaxed);
+        SetCounts {
+            walked,
+            ..self.tally
+        }
+    }
+
+    /// Every member of the universe, `0..U`.
+    #[cfg(test)]
+    pub(crate) fn all(&self) -> Range<u32> {
+        0..u32_of_usize(self.universe)
     }
 
     /// Live keys per block, in key order.
@@ -545,16 +595,17 @@ fn flip(arena: &mut [u64], at: usize, first: u32, len: u32, on: bool) {
     }
 }
 
-/// The set bits of a run of words, ascending, as positions from the run's
-/// first bit.
+/// The set bits of a run of words below `end`, ascending, as positions
+/// in the slot.
 struct Ones<'a> {
+    /// The words after the current one.
     words: std::slice::Iter<'a, u64>,
-    /// Position of the next word's first bit.
-    next: u32,
     /// Position of `word`'s first bit.
     base: u32,
     /// The unread bits of the current word.
     word: u64,
+    /// The first position past the walk.
+    end: u32,
 }
 
 impl Iterator for Ones<'_> {
@@ -564,11 +615,10 @@ impl Iterator for Ones<'_> {
     fn next(&mut self) -> Option<u32> {
         while self.word == 0 {
             self.word = *self.words.next()?;
-            self.base = self.next;
-            self.next += 64;
+            self.base += 64;
         }
-        let bit = self.word.trailing_zeros();
+        let at = self.base + self.word.trailing_zeros();
         self.word &= self.word - 1;
-        Some(self.base + bit)
+        (at < self.end).then_some(at)
     }
 }

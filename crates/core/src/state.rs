@@ -537,8 +537,7 @@ impl ClusterState {
         self.tally.add(0, 0, usize::from(rkey.is_some()));
         let leaves = (u32_of_usize(run.first), run.len);
         let (old, new) = (run.before[0], run.after[0]);
-        self.index
-            .apply_leaves(tree, run.parent, leaves, (old, new), rkey);
+        self.index.apply_leaves(leaves, (old, new), rkey);
         let moved = old.abs_diff(new) * run.len;
         if moved == 0 {
             return;

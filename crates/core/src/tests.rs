@@ -1034,10 +1034,10 @@ mod properties {
     /// 2. uppers whose leaves interleave in the file and are listed out
     ///    of order (`a = s2,s0`, `b = s3,s1`), which `from_conf` renumbers
     ///    so each upper's leaves are one range;
-    /// 3. a root with leaf and upper children (`r = s0,a,s3`): the root's
-    ///    own parent set beside a deeper one;
+    /// 3. a root with leaf and upper children (`r = s0,a,s3`): leaves at
+    ///    two depths under one switch;
     /// 4. the same one level down (`m = s0,a`, `r = m,s3`), so a non-root
-    ///    switch's `(leaf_free, ordinal)` order is a merge too;
+    ///    switch's leaf range holds leaves at two depths too;
     /// 5. one leaf, which is also the root.
     fn shaped_tree(shape: u8, sizes: &[usize]) -> Tree {
         // Leaves `s0..` over `sizes[..leaves]`, then `uppers` as
@@ -2420,6 +2420,51 @@ mod scale {
     fn dragonfly1m_matches_oracles() {
         assert_preset_matches_oracles(SystemPreset::Dragonfly1M, 4096);
     }
+
+    /// Live keys the fill walks enter (`SetCounts::walked`) in one
+    /// 256-node selection on `PlacementCase`'s half-occupied Dragonfly1M,
+    /// whose descent stops at a group: Algorithm 1 walks the leaf-wide
+    /// ratio order, whose live keys it enters whether or not the group
+    /// holds a member under them, and the balanced compute arm the
+    /// level-1 set. Pinned so a change to that trade shows on any host
+    /// (DESIGN.md §4.7).
+    #[test]
+    fn fills_at_a_dragonfly_1m_group_enter_pinned_keys() {
+        let tree = SystemPreset::Dragonfly1M.build();
+        let st = half_occupied(&tree);
+        let _ = st.leaves_by_ratio(&tree, tree.root());
+        let g = st.index().lowest_level_switch(&tree, 256).unwrap();
+        assert_eq!(tree.switch(g).level, 2);
+        let walked = |st: &ClusterState| -> u64 {
+            let sets = st.index().map_sets(|s| s.tally(), |s| s.tally());
+            sets.iter().map(|t| t.walked).sum()
+        };
+        let fills = [
+            (SelectorKind::Greedy, AllocRequest::comm(JobId(1), 256)),
+            (SelectorKind::Greedy, AllocRequest::compute(JobId(1), 256)),
+            (SelectorKind::Balanced, AllocRequest::compute(JobId(1), 256)),
+        ];
+        let got = fills.map(|(kind, req)| {
+            let before = walked(&st);
+            let placement = kind.build().select(&tree, &st, &req).unwrap();
+            assert!(placement
+                .takes()
+                .iter()
+                .all(|t| tree.leaf_ordinals_under(g).contains(&t.0)));
+            walked(&st) - before
+        });
+        let live: Vec<usize> = set_stats(st.index()).iter().map(|s| s.2).collect();
+        assert_eq!(
+            live,
+            [32, 58, 1, 398],
+            "live keys: the level sets, the ratio order"
+        );
+        assert_eq!(
+            got,
+            [64, 75, 8],
+            "greedy comm, greedy compute, balanced compute"
+        );
+    }
 }
 
 mod lifecycle {
@@ -3489,17 +3534,15 @@ mod placement_currency {
 
     /// On a uniform three-level tree, allocating and releasing `m`
     /// consecutive whole leaves of one group costs the same key-map
-    /// lookups in every set whatever `m` is: one bucket per set and
-    /// direction, one walk up the group's ancestors. The group's ratio set
-    /// is counted only once the ratio order is built: first without a
-    /// read, then with one before the allocation.
+    /// lookups in every set whatever `m` is: one bucket per leaf-wide set
+    /// and direction, one walk up the group's ancestors. The ratio order's
+    /// set is counted only once it is built: first without a read, then
+    /// with one before the allocation.
     #[test]
     fn a_run_of_sibling_leaves_costs_one_lookup_per_set() {
         let tree = Tree::regular_three_level(2, 8, 4);
         let g = tree.switch(tree.leaf(0)).parent.unwrap();
         let height = tree.height() as usize;
-        let uppers = tree.num_switches() - tree.num_leaves();
-        let u = g.0 - tree.num_leaves();
         for read in [false, true] {
             let mut per_set = Vec::new();
             for m in 1..8 {
@@ -3517,16 +3560,15 @@ mod placement_currency {
                 st.check_invariants(&tree).unwrap();
                 let after: Vec<u64> = lookups(&st);
                 let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
-                // The level-1 set and the group's sets: out, then back in.
-                let mut sets = vec![0, height + u];
+                // The level-1 set and the ratio order's: out, then back in.
+                let mut sets = vec![0];
                 if read {
-                    sets.push(height + uppers + u);
+                    sets.push(height);
                 }
                 for set in sets {
                     assert_eq!(delta[set], 2, "m = {m}, set {set}: {delta:?}");
                 }
-                let built = if read { 2 * uppers } else { uppers };
-                assert_eq!(delta.len(), height + built, "m = {m}");
+                assert_eq!(delta.len(), height + usize::from(read), "m = {m}");
                 assert_eq!(st.index().ratio_built(), read);
                 per_set.push(delta);
             }
@@ -4056,10 +4098,18 @@ mod bucket_set {
         probes: &[K],
     ) -> Result<(), TestCaseError> {
         let asc: Vec<(K, u32)> = model.iter().copied().collect();
-        prop_assert_eq!(set.asc().collect::<Vec<_>>(), asc.clone());
-        let mut desc = asc.clone();
-        desc.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        prop_assert_eq!(set.desc().collect::<Vec<_>>(), desc);
+        // Both walks over every range between word-edge cut points.
+        let cuts = [0, 1, 63, 64, 65, 127, 128, universe - 1, universe];
+        let cuts = cuts.map(|c| c.min(universe) as u32);
+        for (start, end) in cuts.iter().flat_map(|&a| cuts.map(|b| (a, b))) {
+            let range = start..end.max(start);
+            let in_range = asc.iter().filter(|e| range.contains(&e.1));
+            let want: Vec<(K, u32)> = in_range.copied().collect();
+            prop_assert_eq!(set.asc(range.clone()).collect::<Vec<_>>(), want.clone());
+            let mut desc = want;
+            desc.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            prop_assert_eq!(set.desc(range).collect::<Vec<_>>(), desc);
+        }
         for &want in probes {
             let expect = model.range((want, 0)..).next().copied();
             prop_assert_eq!(set.first_at_least(want), expect, "first >= {:?}", want);
@@ -4228,14 +4278,10 @@ mod bucket_set {
                 );
             }
         }
-        // Level 1 and the root's ratio set range over all 4,097 leaves with
+        // Level 1 and the ratio order range over all 4,097 leaves with
         // keys up to 4,096: the big leaf's and the small leaves' one key.
         // The churn split the big leaf, so both of them were live at once.
-        assert_eq!(
-            peak,
-            [2, 1, 0, 2],
-            "peak live keys: level 1, root, by free count, by ratio"
-        );
+        assert_eq!(peak, [2, 1, 2], "peak live keys: level 1, root, by ratio");
         let held: usize = crate::tests::set_stats(st.index())
             .iter()
             .map(|&(words, ..)| words)
@@ -4304,10 +4350,13 @@ mod bucket_set {
         for &(key, m) in model.iter().rev() {
             set.remove(key, m, 1);
         }
-        assert_eq!((set.asc().next(), set.first_at_least(0)), (None, None));
+        assert_eq!(
+            (set.asc(set.all()).next(), set.first_at_least(0)),
+            (None, None)
+        );
         set.insert(7, 3, 1);
         assert_eq!(set.blocks(), [1]);
-        assert_eq!(set.desc().collect::<Vec<_>>(), [(7, 3)]);
+        assert_eq!(set.desc(set.all()).collect::<Vec<_>>(), [(7, 3)]);
     }
 
     /// 16,384 live keys, one member each, then random re-keys to keys live
@@ -4356,7 +4405,7 @@ mod bucket_set {
             .filter_map(|m| Some((key_of[m as usize]?, m)))
             .collect();
         asc.sort_unstable();
-        assert_eq!(set.asc().collect::<Vec<_>>(), asc);
+        assert_eq!(set.asc(set.all()).collect::<Vec<_>>(), asc);
     }
 
     /// Pinned: a whole bucket re-keyed onto a key that is not live is
@@ -4381,7 +4430,7 @@ mod bucket_set {
             (1, 3, 0, made.shifted + 1)
         );
         assert_eq!(
-            set.asc().collect::<Vec<_>>(),
+            set.asc(set.all()).collect::<Vec<_>>(),
             [(9, 64), (9, 65), (10, 0), (10, 1), (10, 2), (12, 10)]
         );
         // 10 → 2: to the front, past 9.
@@ -4404,11 +4453,11 @@ mod bucket_set {
         // Part of a bucket: the rest stays under 2.
         set.rekey(1, 2, Some(2), Some(3));
         assert_eq!(
-            set.asc().collect::<Vec<_>>(),
+            set.asc(set.all()).collect::<Vec<_>>(),
             [(2, 0), (2, 64), (2, 65), (3, 1), (3, 2), (13, 10), (40, 30)]
         );
         assert_eq!(set.tally().moves, 3);
-        assert!(set == built(70, set.asc()));
+        assert!(set == built(70, set.asc(set.all())));
     }
 
     /// Pinned: a key's members come back ascending under both walks, an
@@ -4421,9 +4470,9 @@ mod bucket_set {
         for (key, m) in [(5u32, 129), (5, 0), (2, 64), (5, 63), (9, 1)] {
             set.insert(key, m, 1);
         }
-        let asc: Vec<_> = set.asc().collect();
+        let asc: Vec<_> = set.asc(set.all()).collect();
         assert_eq!(asc, [(2, 64), (5, 0), (5, 63), (5, 129), (9, 1)]);
-        let desc: Vec<_> = set.desc().collect();
+        let desc: Vec<_> = set.desc(set.all()).collect();
         assert_eq!(desc, [(9, 1), (5, 0), (5, 63), (5, 129), (2, 64)]);
         assert_eq!(set.first_at_least(5), Some((5, 0)));
         assert_eq!(set.first_at_least(6), Some((9, 1)));
@@ -4442,7 +4491,7 @@ mod bucket_set {
         set.clear(130);
         set.insert(4u32, 2, 125);
         assert_eq!(
-            set.asc().collect::<Vec<_>>(),
+            set.asc(set.all()).collect::<Vec<_>>(),
             (2..127).map(|m| (4, m)).collect::<Vec<_>>()
         );
         assert_eq!((set.stats().3, set.stats().2), (1, 1), "lookups, live keys");
@@ -4485,8 +4534,8 @@ mod index_rebuild {
     /// Rebuild `index` from per-leaf free counts and ratios, and check every
     /// set against its entries sorted straight from them: a level set holds
     /// `(switch_free, id)` with ids numbered from the level's first kind of
-    /// id (leaves from 0, uppers from `num_leaves`), a parent's sets its
-    /// leaf children by ascending ordinal.
+    /// id (leaves from 0, uppers from `num_leaves`), the ratio order
+    /// `(ratio_key, ordinal)` of every free leaf.
     fn rebuild_and_check(index: &mut FreeIndex, tree: &Tree, free: &[u32], ratio: &[f64]) {
         let leaves = tree.num_leaves();
         let switch_free: Vec<u32> = (0..tree.num_switches())
@@ -4497,32 +4546,23 @@ mod index_rebuild {
         let _ = index.leaves_by_ratio(tree, tree.root(), &switch_free, |k| ratio[k]);
 
         let height = tree.height() as usize;
-        let uppers = tree.num_switches() - leaves;
-        let mut want: Vec<Vec<(u64, u32)>> = vec![Vec::new(); height + 2 * uppers];
+        let mut want: Vec<Vec<(u64, u32)>> = vec![Vec::new(); height + 1];
         for (id, &f) in switch_free.iter().enumerate().filter(|(_, &f)| f > 0) {
             let level = tree.switch(SwitchId(id)).level as usize;
             let member = if level == 1 { id } else { id - leaves };
             want[level - 1].push((u64::from(f), member as u32));
         }
-        for g in leaves..tree.num_switches() {
-            let mut children: Vec<usize> = (tree.switch(SwitchId(g)).children.iter())
-                .filter(|c| c.0 < leaves)
-                .map(|c| c.0)
-                .collect();
-            children.sort_unstable();
-            for (member, &k) in children.iter().enumerate().filter(|(_, &k)| free[k] > 0) {
-                let u = g - leaves;
-                if SwitchId(g) != tree.root() {
-                    want[height + u].push((u64::from(free[k]), member as u32));
-                }
-                want[height + uppers + u].push((ratio_key(ratio[k]), member as u32));
-            }
+        for k in (0..leaves).filter(|&k| free[k] > 0) {
+            want[height].push((ratio_key(ratio[k]), k as u32));
         }
         want.iter_mut().for_each(|set| set.sort_unstable());
         let widen = |set: &BucketSet<u32>| -> Vec<(u64, u32)> {
-            set.asc().map(|(k, m)| (u64::from(k), m)).collect()
+            set.asc(set.all()).map(|(k, m)| (u64::from(k), m)).collect()
         };
-        assert_eq!(index.map_sets(widen, |set| set.asc().collect()), want);
+        assert_eq!(
+            index.map_sets(widen, |set| set.asc(set.all()).collect()),
+            want
+        );
     }
 
     /// Each break in `runs_conf` starts a new insert: per set, the runs of
@@ -4540,15 +4580,15 @@ mod index_rebuild {
             .iter()
             .map(|s| s.3)
             .collect();
-        // Level 1: [0], [2], [3], [4-7]; level 2: a, b; the root. By free
-        // under a: [0], [2], [3], [4]; under b: [5-7]. By ratio under a:
-        // [0], [2-4]; under b: [5], [6], [7].
-        assert_eq!(lookups, [4, 2, 1, 4, 1, 0, 2, 3, 0]);
+        // Level 1: [0], [2], [3], [4-7]; level 2: a, b; the root. By
+        // ratio: [0], [2-5], [6], [7] — a's last leaf and b's first share
+        // a key and are consecutive ordinals.
+        assert_eq!(lookups, [4, 2, 1, 4]);
     }
 
-    /// A one-leaf tree has no upper switch, so no parent sets: the index
-    /// is its level-1 set alone, and the state still allocates, releases
-    /// and selects.
+    /// A one-leaf tree has no upper switch: until a greedy read builds the
+    /// ratio order, the index is its level-1 set alone, and the state still
+    /// allocates, releases and selects.
     #[test]
     fn a_single_leaf_tree_has_only_a_level_set() {
         let tree = Tree::from_conf("SwitchName=s0 Nodes=n[0-3]\n").unwrap();
@@ -4571,10 +4611,9 @@ mod index_rebuild {
         assert!(st == ClusterState::new(&tree));
     }
 
-    /// A fresh machine's leaves are consecutive siblings of one size and
-    /// ratio: one insert per set that holds anything — the level sets and
-    /// the 64 groups' free-count sets, then the 64 ratio sets once the
-    /// first read builds the ratio order.
+    /// A fresh machine's leaves are consecutive ordinals of one size and
+    /// ratio: one insert per set that holds anything — the three level
+    /// sets, then the ratio order's once the first read builds it.
     #[test]
     fn a_fresh_dragonfly_1m_state_inserts_one_run_per_set() {
         let tree = SystemPreset::Dragonfly1M.build();
@@ -4586,10 +4625,10 @@ mod index_rebuild {
             }
             sets.iter().map(|s| s.3).sum::<u64>()
         };
-        assert_eq!(check(&st), 3 + 64);
+        assert_eq!(check(&st), 3);
         assert!(!st.index().ratio_built());
         assert_eq!(st.leaves_by_ratio(&tree, tree.root()).asc().count(), 16_384);
-        assert_eq!(check(&st), 3 + 64 + 64);
+        assert_eq!(check(&st), 3 + 1);
     }
 
     proptest! {
@@ -4631,6 +4670,135 @@ mod index_rebuild {
                     .map(|_| [0.0, 0.0, 0.5, 1.25][rng.random_range(0..4usize)])
                     .collect();
                 rebuild_and_check(&mut index, tree, &free, &ratio);
+            }
+        }
+    }
+}
+
+/// Every fill order is a leaf-wide set read over a switch's leaf range
+/// (`index::FillOrder`): the walk masks the range's first word and stops
+/// at its end, so ranges that start and end mid-word, on a word edge, or
+/// span one leaf or 64 are where it can read a neighbour's leaves.
+mod fill_orders {
+    use super::*;
+    use crate::index::ratio_key;
+    use commsched_topology::SwitchId;
+    use proptest::prelude::*;
+    use rand::prelude::*;
+
+    /// A skewed four-level `topology.conf` (root, pods, aggregations,
+    /// leaves of one to four nodes or of 40): some leaves hang straight
+    /// off a pod or the root, and the file lists them out of walk order.
+    fn skewed_conf(rng: &mut impl Rng) -> Tree {
+        let leaves = rng.random_range(4..90usize);
+        let mut text = String::new();
+        let mut first = 0;
+        for k in 0..leaves {
+            let size = [1, 2, 3, 4, 40][rng.random_range(0..5usize)];
+            text += &format!("SwitchName=s{k} Nodes=n[{first}-{}]\n", first + size - 1);
+            first += size;
+        }
+        let mut order: Vec<usize> = (0..leaves).collect();
+        order.shuffle(rng);
+        // Cut the shuffled leaves into aggregations and loose leaves, the
+        // aggregations and some loose leaves into pods, the pods and the
+        // other loose leaves under the root.
+        let (mut top, mut pod, mut aggs) = (Vec::new(), Vec::new(), 0);
+        let mut rest = &order[..];
+        while !rest.is_empty() {
+            let take = rng.random_range(1..=9usize).min(rest.len());
+            let (group, tail) = rest.split_at(take);
+            rest = tail;
+            let names: Vec<String> = group.iter().map(|k| format!("s{k}")).collect();
+            if take == 1 && rng.random_range(0..3) == 0 {
+                pod.push(names[0].clone());
+            } else if take == 1 && rng.random_range(0..3) == 0 {
+                top.push(names[0].clone());
+            } else {
+                text += &format!("SwitchName=a{aggs} Switches={}\n", names.join(","));
+                pod.push(format!("a{aggs}"));
+                aggs += 1;
+            }
+            if !pod.is_empty() && (rest.is_empty() || rng.random_range(0..3) == 0) {
+                text += &format!("SwitchName=p{} Switches={}\n", top.len(), pod.join(","));
+                top.push(format!("p{}", top.len()));
+                pod.clear();
+            }
+        }
+        text += &format!("SwitchName=root Switches={}\n", top.join(","));
+        Tree::from_conf(&text).unwrap()
+    }
+
+    /// `tree` with random jobs allocated and some released again; `warm`
+    /// reads the ratio order first, so the churn re-keys it in place.
+    fn churned(tree: &Tree, warm: bool, rng: &mut impl Rng) -> ClusterState {
+        let mut st = ClusterState::new(tree);
+        if warm {
+            let _ = st.leaves_by_ratio(tree, tree.root());
+        }
+        let mut nodes: Vec<NodeId> = (0..tree.num_nodes()).map(NodeId).collect();
+        nodes.shuffle(rng);
+        let busy = tree.num_nodes() * rng.random_range(0..90usize) / 100;
+        for (job, chunk) in nodes[..busy].chunks(3).enumerate() {
+            let nature = if rng.random::<bool>() {
+                JobNature::CommIntensive
+            } else {
+                JobNature::ComputeIntensive
+            };
+            let job = JobId(job as u64);
+            st.allocate(tree, job, ids(tree, chunk), nature).unwrap();
+            if rng.random_range(0..4) == 0 {
+                st.release(tree, job).unwrap();
+            }
+        }
+        st
+    }
+
+    /// `(key, ordinal)` of `p`'s free leaves, sorted ascending and in the
+    /// descending walk's order (keys down, ordinals up).
+    fn sorted<K: Ord + Copy>(
+        tree: &Tree,
+        st: &ClusterState,
+        p: SwitchId,
+        key: impl Fn(usize) -> K,
+    ) -> [Vec<(K, u32)>; 2] {
+        let free = tree.leaf_ordinals_under(p).filter(|&k| st.leaf_free(k) > 0);
+        let mut asc: Vec<(K, u32)> = free.map(|k| (key(k), k as u32)).collect();
+        asc.sort_unstable();
+        let mut desc = asc.clone();
+        desc.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        [asc, desc]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Both fill orders of every switch, ascending and descending,
+        /// equal a collect-and-sort over its leaf range.
+        #[test]
+        fn fill_orders_read_exactly_the_leaf_range(seed in any::<u64>(), warm in any::<bool>()) {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            // Groups of 64 leaves (word edges), of 37 (mid-word starts and
+            // ends), of one leaf, and of 100 (two edges inside a range).
+            let trees = [
+                skewed_conf(&mut rng),
+                Tree::regular_three_level(3, 64, 2),
+                Tree::regular_three_level(5, 37, 3),
+                Tree::regular_three_level(70, 1, 3),
+                Tree::regular_three_level(3, 100, 2),
+            ];
+            for tree in &trees {
+                let st = churned(tree, warm, &mut rng);
+                for p in (0..tree.num_switches()).map(SwitchId) {
+                    let [asc, desc] = sorted(tree, &st, p, |k| st.leaf_free(k));
+                    let order = || st.index().leaves_by_free(tree, p);
+                    prop_assert_eq!(order().asc().collect::<Vec<_>>(), asc, "{}", p);
+                    prop_assert_eq!(order().desc().collect::<Vec<_>>(), desc, "{}", p);
+                    let [asc, desc] = sorted(tree, &st, p, |k| ratio_key(st.communication_ratio(tree, k)));
+                    let order = || st.leaves_by_ratio(tree, p);
+                    prop_assert_eq!(order().asc().collect::<Vec<_>>(), asc, "{}", p);
+                    prop_assert_eq!(order().desc().collect::<Vec<_>>(), desc, "{}", p);
+                }
             }
         }
     }

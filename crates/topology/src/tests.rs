@@ -109,6 +109,12 @@ fn conf_comments_and_blank_lines() {
     assert_eq!(t.num_nodes(), 4);
 }
 
+/// How many of `s`'s children are leaf switches.
+fn leaf_child_count(t: &Tree, s: SwitchId) -> usize {
+    let kids = t.switch(s).children.iter();
+    kids.filter(|c| t.switch(**c).children.is_empty()).count()
+}
+
 /// `leaf_ordinals_under` is one range whatever order the file lists
 /// children in: a parent's leaf children come first, in declaration order,
 /// then its child switches by their first-declared leaf, and the child lists
@@ -137,7 +143,7 @@ fn leaf_ordinals_follow_the_walk_from_the_root() {
         .collect();
     assert_eq!(leaf_names, ["s4", "s0", "s2", "s1", "s3"]);
     assert_eq!(t.leaf_ordinals_under(id("r")), 0..5);
-    assert_eq!(t.switch(id("r")).leaf_children, 1);
+    assert_eq!(leaf_child_count(&t, id("r")), 1);
     assert_eq!(t.leaf_ordinals_under(id("a")), 1..3);
     assert_eq!(t.leaf_ordinals_under(id("b")), 3..5);
     assert_eq!(t.leaf_ordinals_under(id("s1")), 3..4);
@@ -825,7 +831,7 @@ mod builder_matches_conf {
             assert_eq!(a.name, b.name, "{what}");
             let shape = |s: &crate::Switch| {
                 let (leaves, children) = (s.leaves.clone(), s.children.clone());
-                (s.level, s.parent, children, s.leaf_children, leaves)
+                (s.level, s.parent, children, leaves)
             };
             assert_eq!(shape(a), shape(b), "{what}: switch {}", a.name);
         }
@@ -916,7 +922,7 @@ mod walk_numbering {
                 .map(|&c| t.leaf_ordinal(c))
                 .collect();
             leaf_kids.sort_unstable();
-            let prefix = range.start..range.start + sw.leaf_children;
+            let prefix = range.start..range.start + leaf_kids.len();
             assert_eq!(leaf_kids, prefix.collect::<Vec<_>>(), "{}", sw.name);
             let nodes = t.leaf_node_range(range.start).start..t.leaf_node_range(range.end - 1).end;
             assert_eq!(t.subtree_nodes(s), nodes.len(), "{}", sw.name);
@@ -978,7 +984,7 @@ mod walk_numbering {
         assert_eq!(names, ["s0", "s2", "s1", "s3", "s4"]);
         assert_eq!(t.node_name(NodeId(12)), "n24");
         assert_eq!(t.leaf_ordinals_under(id_of(&t, "agg1")), 2..5);
-        assert_eq!(t.switch(id_of(&t, "agg1")).leaf_children, 1);
+        assert_eq!(leaf_child_count(&t, id_of(&t, "agg1")), 1);
     }
 
     /// splitmix64: the draws of one generated conf.

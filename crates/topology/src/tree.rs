@@ -40,12 +40,9 @@ pub struct Switch {
     pub children: Vec<SwitchId>,
     /// Ordinals (equal to the switch ids) of the leaf switches under this
     /// switch: one range, since every tree numbers its leaves along a walk
-    /// from the root ([`Tree::from_conf`]). A leaf switch's is its own
-    /// ordinal.
+    /// from the root ([`Tree::from_conf`]) that takes a switch's leaf
+    /// children first. A leaf switch's is its own ordinal.
     pub leaves: Range<usize>,
-    /// How many of `children` are leaf switches: they hold the first
-    /// ordinals of `leaves`, the walk's order at this switch.
-    pub leaf_children: usize,
 }
 
 /// Structural errors detected while validating a topology.
@@ -178,7 +175,6 @@ impl Tree {
                 parent: None,
                 children: Vec::new(),
                 leaves: k..k + 1,
-                leaf_children: 0,
             });
         }
         leaf_first.push(node_leaf.len());
@@ -197,10 +193,9 @@ impl Tree {
             let level = 1 + kids.clone().map(|s| s.level).max().unwrap_or(0);
             let start = kids.clone().map(|s| s.leaves.start).min().unwrap_or(0);
             let leaves = start..start + kids.clone().map(|s| s.leaves.len()).sum::<usize>();
-            let leaf_children = children.iter().filter(|c| c.0 < num_leaves).count();
             // Disjoint subtrees inside `leaves`, whose length they sum to,
             // tile it, leaf children first.
-            let prefix = start + leaf_children;
+            let prefix = start + children.iter().filter(|c| c.0 < num_leaves).count();
             let tiled = kids.clone().all(|s| s.leaves.end <= leaves.end);
             let first = children.iter().all(|c| c.0 >= num_leaves || c.0 < prefix);
             assert!(tiled && first, "leaves of {name} out of walk order");
@@ -210,7 +205,6 @@ impl Tree {
                 parent: None,
                 children,
                 leaves,
-                leaf_children,
             });
         }
 
